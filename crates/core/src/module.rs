@@ -38,7 +38,7 @@ use pvfs::{
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Module statistics (beyond the buffer manager's own counters).
@@ -409,9 +409,10 @@ impl CacheModule {
             self.stats.urgent_flush_blocks += items.len() as u64;
         }
         // Per (iod, fid) batch: the wire entry plus the cache coordinates
-        // needed to mark the flush complete when the ack returns.
+        // needed to mark the flush complete when the ack returns. Ordered
+        // map: iteration order is send order, which must repeat per seed.
         type FlushBatch = Vec<(FlushEntry, BlockKey, Span)>;
-        let mut groups: HashMap<(NodeId, Fid), FlushBatch> = HashMap::new();
+        let mut groups: BTreeMap<(NodeId, Fid), FlushBatch> = BTreeMap::new();
         for it in items {
             groups.entry((it.home, it.key.fid)).or_default().push((
                 FlushEntry { blk: it.key.blk, offset: it.span.start, data: Bytes::from(it.data) },
@@ -979,7 +980,7 @@ impl CacheModule {
             return;
         }
         let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
-        let mut per_fid: HashMap<Fid, (Vec<u64>, Vec<u64>)> = HashMap::new();
+        let mut per_fid: BTreeMap<Fid, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
         for k in added {
             per_fid.entry(k.fid).or_default().0.push(k.blk);
         }
@@ -1013,7 +1014,7 @@ impl CacheModule {
             debug_assert!(false, "directory reply for unknown query");
             return;
         };
-        let mut per_peer: HashMap<NodeId, Vec<u64>> = HashMap::new();
+        let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
         let mut located = std::collections::HashSet::new();
         for (blk, node) in &reply.locations {
             per_peer.entry(*node).or_default().push(*blk);

@@ -17,7 +17,7 @@ use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime}
 use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, PageCache, BLOCK_SIZE};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// iod statistics.
 #[derive(Debug, Default, Clone)]
@@ -348,7 +348,8 @@ impl Iod {
     /// the written blocks, ack the writer once all invalidations complete.
     fn start_invalidation(&mut self, ctx: &mut Ctx<'_>, t: SimTime, req: WriteReq) {
         let writer = req.reply_to.0;
-        let mut per_node: HashMap<NodeId, Vec<u64>> = HashMap::new();
+        // Ordered: iteration order is invalidation send order.
+        let mut per_node: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
         for b in req.parts.iter().flat_map(|p| Self::blocks_of(&p.range)) {
             if let Some(nodes) = self.directory.get_mut(&(req.fid, b)) {
                 nodes.retain(|n| {

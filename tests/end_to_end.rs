@@ -133,23 +133,74 @@ fn multiprogramming_two_instances_per_node() {
     }
 }
 
+/// Everything a run reports on the sim clock, with floats as bit patterns:
+/// two runs of one seed must agree on all of it.
+fn fingerprint(r: &cluster_harness::ExperimentResult) -> String {
+    let lat: Vec<_> = r
+        .instances
+        .iter()
+        .map(|i| (i.makespan_s.to_bits(), i.read_latency_s.to_bits(), i.write_latency_s.to_bits()))
+        .collect();
+    format!("events={} sim_end={:?} lat={lat:?} module={:?}", r.events, r.sim_end, r.module)
+}
+
 #[test]
 fn deterministic_across_runs() {
-    let mk = || {
-        let spec = ClusterSpec::paper(Some(CacheConfig::paper()));
-        let apps = vec![
-            app("a", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Read, 0.5, 0.5),
-            app("b", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Write, 0.5, 0.5),
-        ];
-        run_experiment(&spec, &apps)
-    };
-    let r1 = mk();
-    let r2 = mk();
-    assert_eq!(r1.events, r2.events, "event counts differ between identical runs");
-    assert_eq!(r1.sim_end, r2.sim_end, "end times differ between identical runs");
-    for (a, b) in r1.instances.iter().zip(r2.instances.iter()) {
-        assert_eq!(a.makespan_s.to_bits(), b.makespan_s.to_bits(), "makespans differ");
-        assert_eq!(a.read_latency_s.to_bits(), b.read_latency_s.to_bits());
+    let on_file = |file: &str, a: AppSpec| AppSpec { shared_file: file.into(), ..a };
+    type Config = (&'static str, ClusterSpec, Vec<AppSpec>);
+    let configs: Vec<Config> = vec![
+        (
+            "one shared file, read + write-behind",
+            ClusterSpec::paper(Some(CacheConfig::paper())),
+            vec![
+                app("a", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Read, 0.5, 0.5),
+                app("b", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Write, 0.5, 0.5),
+            ],
+        ),
+        (
+            // Several files dirty on one node: every flush batch fans out
+            // into several (iod, file) messages, and the sync-writer's
+            // invalidations into several per-node ones.
+            "multi-file write-behind + sync-write",
+            ClusterSpec::paper(Some(CacheConfig::paper())),
+            vec![
+                on_file("f1", app("w1", &[0, 1, 2, 3], 4 << 20, 16 << 10, Mode::Write, 0.5, 0.0)),
+                on_file("f2", app("w2", &[0, 1, 2, 3], 4 << 20, 16 << 10, Mode::Write, 0.5, 0.0)),
+                on_file(
+                    "f3",
+                    app("r", &[0, 1, 2, 3, 4, 5], 2 << 20, 16 << 10, Mode::Read, 0.5, 1.0),
+                ),
+                on_file("f3", app("s", &[4, 5], 1 << 20, 16 << 10, Mode::SyncWrite, 0.5, 1.0)),
+            ],
+        ),
+        (
+            // Authoritative directory over a small churning cache: residency
+            // deltas span files and peer fetches span nodes.
+            "cooperative, authoritative directory",
+            ClusterSpec::paper(Some(CacheConfig {
+                capacity_blocks: 64,
+                low_watermark: 6,
+                high_watermark: 16,
+                cooperative: Some(CooperativeConfig {
+                    directory: DirectoryMode::Authoritative,
+                    singleton_preserving: true,
+                }),
+                ..CacheConfig::paper()
+            })),
+            vec![
+                on_file("f1", app("a", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Read, 0.2, 1.0)),
+                on_file("f1", app("b", &[3, 2, 1, 0], 1 << 20, 64 << 10, Mode::Read, 0.2, 1.0)),
+                on_file("f2", app("c", &[0, 1, 2, 3], 1 << 20, 48 << 10, Mode::Read, 0.2, 1.0)),
+                on_file("f2", app("d", &[2, 3, 0, 1], 1 << 20, 48 << 10, Mode::Write, 0.2, 1.0)),
+            ],
+        ),
+    ];
+    for (what, spec, apps) in &configs {
+        let r1 = run_experiment(spec, apps);
+        let r2 = run_experiment(spec, apps);
+        assert!(r1.completed, "{what}: did not finish");
+        assert_eq!(r1.total_verify_failures(), 0, "{what}: corrupted data");
+        assert_eq!(fingerprint(&r1), fingerprint(&r2), "{what}: identical runs differ");
     }
 }
 
