@@ -148,6 +148,11 @@ pub enum AccessKind<'a> {
     /// Serve `span` into `out` (`out.len() == span.len()`). Counts a hit
     /// (refreshing recency) or a miss.
     Read { span: Span, out: &'a mut [u8] },
+    /// [`Read`](Self::Read) that, on a hit, hands the `span.len()` bytes
+    /// to `sink` (not called on a miss) instead of copying them into a
+    /// buffer the caller had to initialize — a multi-block reply is
+    /// appended block by block to a `Vec::with_capacity`.
+    ReadWith { span: Span, sink: &'a mut dyn FnMut(&[u8]) },
     /// Hit check without copying (request-split planning). Counts the
     /// same hit/miss accounting as a read but does not refresh recency —
     /// planning a split is not a use of the block.
@@ -1181,21 +1186,20 @@ impl Shard {
         b.iter().any(|(k, _)| *k == key)
     }
 
-    /// Copy `span` of `key` into `out` if it is resident and valid,
+    /// Append `span` of `key` to `out` if it is resident and valid,
     /// **without** touching any accounting: no hit/miss counters, no
     /// recency refresh, no per-app ledger, no epoch tick. This is the
     /// read the cooperative tier serves *peer* fetches with — remote
     /// traffic must not distort this node's local hit ratio or promote
     /// blocks its own applications are not using.
-    pub fn read_resident(&self, key: BlockKey, span: Span, out: &mut [u8]) -> bool {
-        debug_assert_eq!(out.len(), span.len() as usize);
+    pub fn read_resident(&self, key: BlockKey, span: Span, out: &mut Vec<u8>) -> bool {
         let b = self.buckets[self.bucket_of(&key)].lock();
         let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
             return false;
         };
         let f = self.frames[idx as usize].lock();
         if f.key == Some(key) && f.valid.covers(span) {
-            out.copy_from_slice(&f.data[span.start as usize..span.end as usize]);
+            out.extend_from_slice(&f.data[span.start as usize..span.end as usize]);
             true
         } else {
             false
@@ -1211,12 +1215,10 @@ impl Shard {
         let app = req.app;
         match req.kind {
             AccessKind::Read { span, out } => {
-                if self.read_impl(key, span, out, app) {
-                    AccessOutcome::Hit
-                } else {
-                    AccessOutcome::Miss
-                }
+                debug_assert_eq!(out.len(), span.len() as usize);
+                self.read_impl(key, span, app, |src| out.copy_from_slice(src))
             }
+            AccessKind::ReadWith { span, sink } => self.read_impl(key, span, app, sink),
             AccessKind::Probe { span } => {
                 if self.probe_impl(key, span, app) {
                     AccessOutcome::Hit
@@ -1233,32 +1235,38 @@ impl Shard {
         }
     }
 
-    fn read_impl(&self, key: BlockKey, span: Span, out: &mut [u8], app: AppId) -> bool {
-        debug_assert_eq!(out.len(), span.len() as usize);
+    /// Hand `span` of `key` to `sink` and count a hit, or count a miss.
+    fn read_impl(
+        &self,
+        key: BlockKey,
+        span: Span,
+        app: AppId,
+        sink: impl FnOnce(&[u8]),
+    ) -> AccessOutcome {
         let idx = {
             let b = self.buckets[self.bucket_of(&key)].lock();
             match b.iter().find(|(k, _)| *k == key) {
                 Some(&(_, idx)) => {
                     let f = self.frames[idx as usize].lock();
                     if f.key == Some(key) && f.valid.covers(span) {
-                        out.copy_from_slice(&f.data[span.start as usize..span.end as usize]);
+                        sink(&f.data[span.start as usize..span.end as usize]);
                         idx
                     } else {
                         drop(f);
                         drop(b);
                         self.record_miss(app);
-                        return false;
+                        return AccessOutcome::Miss;
                     }
                 }
                 None => {
                     drop(b);
                     self.record_miss(app);
-                    return false;
+                    return AccessOutcome::Miss;
                 }
             }
         };
         self.record_hit(idx, key, app);
-        true
+        AccessOutcome::Hit
     }
 
     fn probe_impl(&self, key: BlockKey, span: Span, app: AppId) -> bool {
@@ -2385,13 +2393,13 @@ impl BufferManager {
         self.shard_of(&key).contains(key)
     }
 
-    /// Copy `span` of `key` into `out` if it is resident and valid,
+    /// Append `span` of `key` to `out` if it is resident and valid,
     /// **without** touching any accounting: no hit/miss counters, no
     /// recency refresh, no per-app ledger, no epoch tick. This is the
     /// read the cooperative tier serves *peer* fetches with — remote
     /// traffic must not distort this node's local hit ratio or promote
     /// blocks its own applications are not using.
-    pub fn read_resident(&self, key: BlockKey, span: Span, out: &mut [u8]) -> bool {
+    pub fn read_resident(&self, key: BlockKey, span: Span, out: &mut Vec<u8>) -> bool {
         self.shard_of(&key).read_resident(key, span, out)
     }
 

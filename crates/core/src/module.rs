@@ -23,7 +23,7 @@
 
 use crate::block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::CacheConfig;
-use crate::manager::{BufferManager, FlushItem, WriteOutcome};
+use crate::manager::{Access, AccessKind, BufferManager, FlushItem, WriteOutcome};
 use bytes::Bytes;
 use kcache_obs::{
     Counter, EventId, FlowId, Histogram, ObsHub, Phase, QuantileSketch, QuantileSnapshot,
@@ -96,7 +96,21 @@ pub struct ModuleStats {
 struct WaitingRange {
     range: ByteRange,
     missing: Vec<u64>,
+    /// The reply under assembly: `range.len` bytes once any byte has
+    /// landed, empty until then — a range nothing of which was cached is
+    /// usually covered by one arriving `ReadData` and forwarded as a slice
+    /// of it, never copied.
     buf: Vec<u8>,
+}
+
+impl WaitingRange {
+    /// The reply buffer at full length, for a positional copy.
+    fn buf_mut(&mut self) -> &mut [u8] {
+        if self.buf.is_empty() {
+            self.buf = vec![0u8; self.range.len as usize];
+        }
+        &mut self.buf
+    }
 }
 
 /// Per (client, request) fetch state.
@@ -465,28 +479,44 @@ impl CacheModule {
                 + Dur::nanos(self.costs.cache_lookup_per_block.as_nanos() * total_blocks),
         );
 
-        let mut served: Vec<(ByteRange, Vec<u8>)> = Vec::new();
+        let mut served: Vec<(ByteRange, Bytes)> = Vec::new();
         let mut waiting: Vec<WaitingRange> = Vec::new();
         let mut fetch_ranges: Vec<ByteRange> = Vec::new();
         let mut hit_blocks = 0u64;
         let mut waited_keys: Vec<BlockKey> = Vec::new();
 
         for r in &rr.ranges {
-            let mut buf = vec![0u8; r.len as usize];
+            // Blocks come in offset order, so hits append straight from
+            // their frames. A missing block's bytes land at arrival; the
+            // gap it leaves is zero-filled only once a later hit needs its
+            // place, so a range with no cached block allocates nothing.
+            let mut buf: Vec<u8> = Vec::new();
+            let mut gap = 0usize;
             let mut missing: Vec<u64> = Vec::new();
             for blk in blocks_of_range(r.offset, r.len) {
                 let span = span_in_block(blk, r.offset, r.len);
-                let lo = (blk * CACHE_BLOCK_SIZE as u64 + span.start as u64 - r.offset) as usize;
-                let hi = lo + span.len() as usize;
-                if self.cache.try_read_by(BlockKey::new(rr.fid, blk), span, &mut buf[lo..hi], app) {
+                let mut append = |src: &[u8]| {
+                    if buf.is_empty() {
+                        buf.reserve_exact(r.len as usize);
+                    }
+                    buf.resize(buf.len() + gap, 0);
+                    buf.extend_from_slice(src);
+                };
+                let kind = AccessKind::ReadWith { span, sink: &mut append };
+                if self.cache.access(BlockKey::new(rr.fid, blk), Access { app, kind }).is_hit() {
                     hit_blocks += 1;
+                    gap = 0;
                 } else {
+                    gap += span.len() as usize;
                     missing.push(blk);
                 }
             }
             if missing.is_empty() {
-                served.push((*r, buf));
+                served.push((*r, Bytes::from(buf)));
             } else {
+                if !buf.is_empty() {
+                    buf.resize(r.len as usize, 0);
+                }
                 // Fetch only blocks not already in flight (the FSM's
                 // pending-block state): a concurrent fetch — possibly for a
                 // *different application's* process — will satisfy ours too.
@@ -544,12 +574,12 @@ impl CacheModule {
             let total: u64 = rr.ranges.iter().map(|r| r.len as u64).sum();
             self.stats.bytes_served += total;
             self.send_to_client(ctx, t, client_port, ReadAck { req_id: rr.req_id, bytes: total });
-            for (range, buf) in served {
+            for (range, data) in served {
                 self.send_to_client(
                     ctx,
                     t,
                     client_port,
-                    ReadData { req_id: rr.req_id, fid: rr.fid, range, data: Bytes::from(buf) },
+                    ReadData { req_id: rr.req_id, fid: rr.fid, range, data },
                 );
             }
             return;
@@ -560,13 +590,13 @@ impl CacheModule {
             self.stats.full_misses += 1;
         }
         // Serve the fully-cached ranges now.
-        for (range, buf) in served {
+        for (range, data) in served {
             self.stats.bytes_served += range.len as u64;
             self.send_to_client(
                 ctx,
                 t,
                 client_port,
-                ReadData { req_id: rr.req_id, fid: rr.fid, range, data: Bytes::from(buf) },
+                ReadData { req_id: rr.req_id, fid: rr.fid, range, data },
             );
         }
         // Register this request as a waiter on every missing block.
@@ -845,7 +875,7 @@ impl CacheModule {
         // suppressed by the pending-block state.
         let mut urgent: Vec<FlushItem> = Vec::new();
         let mut installed: Vec<BlockKey> = Vec::new();
-        let mut completed: Vec<(Port, u64, Fid, ByteRange, Vec<u8>)> = Vec::new();
+        let mut completed: Vec<(Port, u64, Fid, ByteRange, Bytes)> = Vec::new();
         // Earliest fetch-initiation time among the blocks this message
         // resolves — the start of the miss-fill span.
         let mut fetch_t0: Option<SimTime> = None;
@@ -913,20 +943,30 @@ impl CacheModule {
                     };
                     let wspan = span_in_block(blk, w.range.offset, w.range.len);
                     debug_assert!(span.covers(wspan), "fetch did not cover the waiter span");
-                    let abs = blk * CACHE_BLOCK_SIZE as u64;
-                    let src_lo = (abs + wspan.start as u64 - rd.range.offset) as usize;
-                    let dst_lo = (abs + wspan.start as u64 - w.range.offset) as usize;
-                    let n = wspan.len() as usize;
-                    w.buf[dst_lo..dst_lo + n].copy_from_slice(&rd.data[src_lo..src_lo + n]);
+                    // A range that holds no byte yet and lies wholly inside
+                    // this message is forwarded as a window of it once its
+                    // last block is ticked off; anything else is assembled
+                    // by copying.
+                    let whole = w.buf.is_empty()
+                        && rd.range.offset <= w.range.offset
+                        && w.range.end() <= rd.range.end();
+                    if !whole {
+                        let abs = blk * CACHE_BLOCK_SIZE as u64;
+                        let src_lo = (abs + wspan.start as u64 - rd.range.offset) as usize;
+                        let dst_lo = (abs + wspan.start as u64 - w.range.offset) as usize;
+                        let n = wspan.len() as usize;
+                        w.buf_mut()[dst_lo..dst_lo + n]
+                            .copy_from_slice(&rd.data[src_lo..src_lo + n]);
+                    }
                     w.missing.remove(pos);
                     if w.missing.is_empty() {
-                        completed.push((
-                            client_port,
-                            req_id,
-                            fid,
-                            w.range,
-                            std::mem::take(&mut w.buf),
-                        ));
+                        let data = if whole {
+                            let lo = (w.range.offset - rd.range.offset) as usize;
+                            rd.data.slice(lo..lo + w.range.len as usize)
+                        } else {
+                            Bytes::from(std::mem::take(&mut w.buf))
+                        };
+                        completed.push((client_port, req_id, fid, w.range, data));
                     }
                 }
                 pf.waiting.retain(|w| !w.missing.is_empty());
@@ -954,13 +994,8 @@ impl CacheModule {
             self.send_flushes(ctx, t, urgent, true, false);
         }
         if !completed.is_empty() {
-            for (client_port, req_id, fid, range, buf) in completed {
-                self.send_to_client(
-                    ctx,
-                    t,
-                    client_port,
-                    ReadData { req_id, fid, range, data: Bytes::from(buf) },
-                );
+            for (client_port, req_id, fid, range, data) in completed {
+                self.send_to_client(ctx, t, client_port, ReadData { req_id, fid, range, data });
             }
         }
     }
@@ -1170,7 +1205,7 @@ impl CacheModule {
         let mut misses: Vec<u64> = Vec::new();
         for blk in &pr.blocks {
             let key = BlockKey::new(pr.fid, *blk);
-            let mut buf = vec![0u8; CACHE_BLOCK_SIZE];
+            let mut buf = Vec::with_capacity(CACHE_BLOCK_SIZE);
             if self.cache.read_resident(key, Span::FULL, &mut buf) {
                 // Our copy is about to be duplicated at the requester:
                 // mark it cheap for singleton-preserving eviction.

@@ -455,3 +455,42 @@ fn bytes_of_pattern_survive_partial_hit_assembly() {
         "partial-hit assembly corrupted data"
     );
 }
+
+#[test]
+fn covered_cold_ranges_are_forwarded_as_windows_of_the_arriving_data() {
+    let mut r = rig();
+    // Nothing cached. Request 1 fetches blocks 0..1; request 2 wants a few
+    // bytes of block 1 while that fetch is in flight. The one arriving
+    // ReadData covers both ranges, so both replies are views of it.
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(1000, 6000)]));
+    r.eng.post(Dur::micros(10), r.module, read_req(2, vec![ByteRange::new(4106, 100)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+    assert_eq!(iod.reads.len(), 1);
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
+    assert_eq!(of(1).data, pattern_bytes(Fid(1), 1000, 6000));
+    assert_eq!(of(2).data, pattern_bytes(Fid(1), 4106, 100));
+    assert_eq!(
+        of(2).data.as_ptr(),
+        of(1).data.as_ptr().wrapping_add(4106 - 1000),
+        "both replies window the one fetched buffer"
+    );
+}
+
+#[test]
+fn cold_range_arriving_in_pieces_is_assembled_by_copy() {
+    let mut r = rig();
+    // Block 1 is in flight for request 1 when request 2 asks for blocks
+    // 0..2: it fetches 0 and 2 as two ranges and waits on 1, so its one
+    // range fills from three messages, none of which covers it.
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(4096, 4096)]));
+    r.eng.post(Dur::micros(10), r.module, read_req(2, vec![ByteRange::new(50, 3 * 4096 - 100)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+    assert_eq!(iod.reads[1].ranges, vec![ByteRange::new(0, 4096), ByteRange::new(8192, 4096)]);
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    let d = c.data.iter().find(|d| d.req_id == 2).unwrap();
+    assert_eq!(d.range, ByteRange::new(50, 3 * 4096 - 100));
+    assert_eq!(d.data, pattern_bytes(Fid(1), 50, 3 * 4096 - 100));
+}

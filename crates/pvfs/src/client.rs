@@ -12,8 +12,8 @@
 
 use crate::config::CostModel;
 use crate::protocol::{
-    pattern_bytes, ByteRange, Fid, FileHandle, MgrCall, MgrReply, MgrRequest, ReadAck, ReadData,
-    ReadReq, WriteAck, WritePart, WriteReq, MGR_PORT,
+    pattern_bytes, pattern_matches, ByteRange, Fid, FileHandle, MgrCall, MgrReply, MgrRequest,
+    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, MGR_PORT,
 };
 use crate::striping::split_ranges;
 use sim_core::{resource, ActorId, Ctx, Dur, SharedResource, SimTime, Tally};
@@ -335,11 +335,11 @@ impl PvfsClient {
                 let cpu = self.cfg.costs.recv_overhead
                     + Dur::nanos(self.cfg.costs.client_copy_per_block.as_nanos() * blocks);
                 let t = resource::reserve(&self.cfg.cpu, ctx.now(), cpu);
-                if self.cfg.verify_reads {
-                    let expect = pattern_bytes(rd.fid, rd.range.offset, rd.range.len as usize);
-                    if rd.data != expect {
-                        self.stats.verify_failures += 1;
-                    }
+                if self.cfg.verify_reads
+                    && !(rd.data.len() == rd.range.len as usize
+                        && pattern_matches(rd.fid, rd.range.offset, &rd.data))
+                {
+                    self.stats.verify_failures += 1;
                 }
                 return self.note_read_progress(rd.req_id, rd.range.len as u64, t);
             }

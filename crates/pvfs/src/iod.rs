@@ -289,11 +289,13 @@ impl Iod {
             + Dur::nanos(self.costs.send_overhead.as_nanos() * req.ranges.len().max(1) as u64);
         let t = resource::reserve(&self.cpu, now, cpu);
         for r in &req.ranges {
-            let mut buf = vec![0u8; r.len as usize];
-            let got = self.fs.read(ino, r.offset, &mut buf).map(|o| o.bytes).unwrap_or(0);
-            // Bytes past EOF stay zero: the logical file is pre-sized by the
+            let mut buf = Vec::with_capacity(r.len as usize);
+            self.fs
+                .read_append(ino, r.offset, r.len as usize, &mut buf)
+                .expect("file_for returned a live inode");
+            // Bytes past EOF are zero: the logical file is pre-sized by the
             // mgr, unwritten regions read as holes.
-            let _ = got;
+            buf.resize(r.len as usize, 0);
             let rd =
                 ReadData { req_id: req.req_id, fid: req.fid, range: *r, data: Bytes::from(buf) };
             let wire = rd.wire_bytes();

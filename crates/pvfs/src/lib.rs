@@ -30,10 +30,10 @@ pub use config::{CostModel, PvfsConfig};
 pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
 pub use protocol::{
-    pattern_byte, pattern_bytes, BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, Fid,
-    FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply,
-    MgrRequest, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck,
-    WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
-    MSG_HEADER_BYTES,
+    pattern_byte, pattern_bytes, pattern_matches, BlockDirQuery, BlockDirReply, BlockDirUpdate,
+    ByteRange, Fid, FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
+    MgrCall, MgrReply, MgrRequest, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq,
+    StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT,
+    IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
 };
 pub use striping::{split_ranges, tiles_exactly};

@@ -401,13 +401,59 @@ pub fn pattern_byte(fid: Fid, offset: u64) -> u8 {
     (fid.0.wrapping_mul(151).wrapping_add(offset) % 251) as u8
 }
 
+/// The pattern repeats every `PATTERN_PERIOD` offsets.
+const PATTERN_PERIOD: usize = 251;
+
+/// Two periods of `i % 251`: any run of up to one period of pattern bytes
+/// is the window `[phase, phase + n)` of this table.
+static PATTERN_TABLE: [u8; 2 * PATTERN_PERIOD] = {
+    let mut t = [0u8; 2 * PATTERN_PERIOD];
+    let mut i = 0;
+    while i < t.len() {
+        t[i] = (i % PATTERN_PERIOD) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The pattern of `fid` over `len` bytes from `offset`, as consecutive
+/// windows of [`PATTERN_TABLE`] of at most one period each. Byte for byte
+/// [`pattern_byte`] at `offset`, `offset + 1`, ... (wrapping): a window never
+/// spans the u64 wrap of `fid * 151 + offset`, where the phase jumps.
+fn pattern_windows(fid: Fid, offset: u64, len: usize) -> impl Iterator<Item = &'static [u8]> {
+    let mut pos = fid.0.wrapping_mul(151).wrapping_add(offset);
+    let mut left = len;
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let before_wrap = (u64::MAX - pos).saturating_add(1);
+        let n = (left.min(PATTERN_PERIOD) as u64).min(before_wrap) as usize;
+        let phase = (pos % PATTERN_PERIOD as u64) as usize;
+        pos = pos.wrapping_add(n as u64);
+        left -= n;
+        Some(&PATTERN_TABLE[phase..phase + n])
+    })
+}
+
 /// Materialize `len` pattern bytes of `fid` starting at `offset`.
 pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
     let mut v = Vec::with_capacity(len);
-    for i in 0..len as u64 {
-        v.push(pattern_byte(fid, offset + i));
+    for w in pattern_windows(fid, offset, len) {
+        v.extend_from_slice(w);
     }
     Bytes::from(v)
+}
+
+/// Whether `data` is exactly the pattern of `fid` from `offset` — every
+/// byte compared, nothing materialized.
+pub fn pattern_matches(fid: Fid, offset: u64, data: &[u8]) -> bool {
+    let mut rest = data;
+    pattern_windows(fid, offset, data.len()).all(|w| {
+        let (head, tail) = rest.split_at(w.len());
+        rest = tail;
+        head == w
+    })
 }
 
 #[cfg(test)]
@@ -509,5 +555,77 @@ mod tests {
             misses: vec![6, 7],
         };
         assert_eq!(rep.wire_bytes(), 64 + 12 + 4096 + 16);
+    }
+
+    fn scalar_pattern(fid: Fid, offset: u64, len: usize) -> Vec<u8> {
+        (0..len as u64).map(|i| pattern_byte(fid, offset.wrapping_add(i))).collect()
+    }
+
+    #[test]
+    fn pattern_bytes_equals_scalar_definition_at_window_edges() {
+        let lens = [0usize, 1, 2, 250, 251, 252, 501, 502, 503, 4096, 65536];
+        let offsets = [0u64, 1, 100, 250, 251, 252, 4095, (1 << 40) + 17];
+        for fid in [Fid(0), Fid(1), Fid(7), Fid(u64::MAX)] {
+            for offset in offsets {
+                for len in lens {
+                    let want = scalar_pattern(fid, offset, len);
+                    assert_eq!(pattern_bytes(fid, offset, len), want, "{fid:?} {offset}+{len}");
+                    assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}+{len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_follows_the_u64_wrap() {
+        // Both where the offset itself wraps and where `fid * 151 + offset`
+        // does (2^64 is not a multiple of 251, so the phase jumps there).
+        for fid in [Fid(0), Fid(3), Fid(u64::MAX / 151 + 5)] {
+            let to_sum_wrap = 0u64.wrapping_sub(fid.0.wrapping_mul(151));
+            for base in [u64::MAX, to_sum_wrap] {
+                for back in [0u64, 1, 100, 250, 251, 252, 600] {
+                    let offset = base.wrapping_sub(back);
+                    let want = scalar_pattern(fid, offset, 1000);
+                    assert_eq!(pattern_bytes(fid, offset, 1000), want, "{fid:?} {offset}");
+                    assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_matches_rejects_any_single_flipped_byte() {
+        let (fid, offset) = (Fid(9), 12_345u64);
+        // Every position of a buffer spanning three windows ...
+        let mut data = pattern_bytes(fid, offset, 700).to_vec();
+        for i in 0..data.len() {
+            data[i] ^= 1;
+            assert!(!pattern_matches(fid, offset, &data), "flip at {i} went unnoticed");
+            data[i] ^= 1;
+        }
+        assert!(pattern_matches(fid, offset, &data));
+        // ... and first, last and both sides of every window edge of a
+        // request-sized one.
+        let mut data = pattern_bytes(fid, offset, 65536).to_vec();
+        let edges =
+            (1..=65536 / PATTERN_PERIOD).flat_map(|k| [k * PATTERN_PERIOD - 1, k * PATTERN_PERIOD]);
+        for i in [0, 65535].into_iter().chain(edges) {
+            data[i] = data[i].wrapping_add(1);
+            assert!(!pattern_matches(fid, offset, &data), "flip at {i} went unnoticed");
+            data[i] = data[i].wrapping_sub(1);
+        }
+    }
+
+    #[test]
+    fn pattern_matches_rejects_shifted_offset_and_other_file() {
+        let data = pattern_bytes(Fid(9), 5000, 4096);
+        assert!(pattern_matches(Fid(9), 5000, &data));
+        assert!(!pattern_matches(Fid(9), 5001, &data));
+        assert!(!pattern_matches(Fid(9), 4999, &data));
+        assert!(!pattern_matches(Fid(10), 5000, &data));
+        // One whole period off is the same bytes: the pattern's blind spot,
+        // unchanged from the scalar definition.
+        assert!(pattern_matches(Fid(9), 5000 + PATTERN_PERIOD as u64, &data));
+        assert!(pattern_matches(Fid(9), 0, &[]));
     }
 }

@@ -66,6 +66,10 @@ struct Rig {
 }
 
 fn rig() -> Rig {
+    rig_with(false)
+}
+
+fn rig_with(verify_reads: bool) -> Rig {
     let mut eng = Engine::new(0);
     let tap = eng.add_actor(Box::new(WireTap { sent: vec![] }));
     let cfg = ClientConfig {
@@ -78,7 +82,7 @@ fn rig() -> Rig {
         cpu: FifoResource::shared("cpu"),
         costs: CostModel::default(),
         caching: false,
-        verify_reads: false,
+        verify_reads,
     };
     let host = eng.add_actor(Box::new(Host { client: PvfsClient::new(cfg), completions: vec![] }));
     Rig { eng, tap, host }
@@ -316,4 +320,64 @@ fn write_completes_on_all_acks_and_carries_pattern_data() {
     let h = rig.eng.actor_as::<Host>(rig.host).unwrap();
     assert!(matches!(h.completions.last(), Some(Completion::Write { bytes: 65536, .. })));
     assert_eq!(h.client.stats().writes, 1);
+}
+
+#[test]
+fn corrupted_read_data_counts_one_verify_failure() {
+    // The check `verify_reads` buys: every delivered byte is compared with
+    // the file pattern. One flipped byte anywhere in a data message is one
+    // failure; a clean message, and a clean one after it, are none.
+    let mut rig = rig_with(true);
+    install_handle(&mut rig, handle(5, 16 << 20, 1));
+    with_client(&mut rig, |client, ctx| {
+        client.read(ctx, Fid(5), 1000, 3 * 8192);
+    });
+    let (req_id, iod) = {
+        let tap = rig.eng.actor_as::<WireTap>(rig.tap).unwrap();
+        let m = tap.sent.iter().find(|m| m.peek::<ReadReq>().is_some()).unwrap();
+        (m.peek::<ReadReq>().unwrap().req_id, m.dst)
+    };
+    let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
+    let deliver = |rig: &mut Rig, range: ByteRange, corrupt_at: Option<usize>| {
+        let mut bytes = pvfs::pattern_bytes(Fid(5), range.offset, range.len as usize).to_vec();
+        if let Some(i) = corrupt_at {
+            bytes[i] ^= 0x40;
+        }
+        let rd = ReadData { req_id, fid: Fid(5), range, data: bytes.into() };
+        rig.eng.post(
+            Dur::ZERO,
+            rig.host,
+            Deliver(NetMessage::new((iod, Port(7000)), to_client, 64 + range.len, 0, rd)),
+        );
+        rig.eng.run();
+        rig.eng.actor_as::<Host>(rig.host).unwrap().client.stats().verify_failures
+    };
+    assert_eq!(deliver(&mut rig, ByteRange::new(1000, 8192), None), 0);
+    assert_eq!(deliver(&mut rig, ByteRange::new(1000 + 8192, 8192), Some(5000)), 1);
+    assert_eq!(deliver(&mut rig, ByteRange::new(1000 + 2 * 8192, 8192), None), 1);
+}
+
+#[test]
+fn short_read_data_is_a_verify_failure() {
+    // A message carrying fewer bytes than its range claims cannot pass as
+    // "every byte it has matches".
+    let mut rig = rig_with(true);
+    install_handle(&mut rig, handle(5, 16 << 20, 1));
+    with_client(&mut rig, |client, ctx| {
+        client.read(ctx, Fid(5), 0, 4096);
+    });
+    let rd = ReadData {
+        req_id: 1,
+        fid: Fid(5),
+        range: ByteRange::new(0, 4096),
+        data: pvfs::pattern_bytes(Fid(5), 0, 4000),
+    };
+    let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
+    rig.eng.post(
+        Dur::ZERO,
+        rig.host,
+        Deliver(NetMessage::new((NodeId(0), Port(7000)), to_client, 64 + 4096, 0, rd)),
+    );
+    rig.eng.run();
+    assert_eq!(rig.eng.actor_as::<Host>(rig.host).unwrap().client.stats().verify_failures, 1);
 }

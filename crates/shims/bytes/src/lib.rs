@@ -1,10 +1,14 @@
 //! Offline shim for the `bytes` crate.
 //!
 //! Provides [`Bytes`]: an immutable, reference-counted byte buffer that
-//! clones in O(1). Backed by `Arc<[u8]>` plus a (start, len) window so
+//! clones in O(1). Backed by `Arc<Vec<u8>>` plus a (start, len) window so
 //! `slice` is also O(1), matching the real crate's semantics for the
 //! operations this workspace uses (construction from `Vec<u8>`/slices,
 //! deref to `[u8]`, cheap clone, sub-slicing).
+//!
+//! Like the real crate, `From<Vec<u8>>` and `From<Box<[u8]>>` **take
+//! ownership** of the allocation: no byte is copied (`Arc<[u8]>::from(Vec)`
+//! would copy them all, which is why the backing is an `Arc<Vec<u8>>`).
 
 use std::fmt;
 use std::ops::{Bound, Deref, RangeBounds};
@@ -12,13 +16,13 @@ use std::sync::Arc;
 
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     start: usize,
     len: usize,
 }
 
 impl Bytes {
-    /// An empty buffer (no allocation).
+    /// An empty buffer.
     pub fn new() -> Bytes {
         Bytes::default()
     }
@@ -28,8 +32,7 @@ impl Bytes {
     }
 
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(data);
-        Bytes { start: 0, len: data.len(), data }
+        Bytes::from(data.to_vec())
     }
 
     pub fn len(&self) -> usize {
@@ -76,9 +79,9 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes over `v`'s allocation; no byte is copied.
     fn from(v: Vec<u8>) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(v);
-        Bytes { start: 0, len: data.len(), data }
+        Bytes { start: 0, len: v.len(), data: Arc::new(v) }
     }
 }
 
@@ -89,9 +92,9 @@ impl From<&[u8]> for Bytes {
 }
 
 impl From<Box<[u8]>> for Bytes {
+    /// Takes over `v`'s allocation; no byte is copied.
     fn from(v: Box<[u8]>) -> Bytes {
-        let data: Arc<[u8]> = Arc::from(v);
-        Bytes { start: 0, len: data.len(), data }
+        Bytes::from(v.into_vec())
     }
 }
 
@@ -142,6 +145,34 @@ mod tests {
         assert_eq!(&s2[..], &[2, 3]);
         let c = s2.clone();
         assert_eq!(c, s2);
+    }
+
+    #[test]
+    fn from_owned_buffers_keeps_the_allocation() {
+        let v = vec![7u8; 4096];
+        let p = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), p, "From<Vec<u8>> must not copy");
+        assert_eq!(b.clone().as_ptr(), p);
+        assert_eq!(b.slice(100..200).as_ptr(), p.wrapping_add(100));
+        let boxed: Box<[u8]> = vec![9u8; 64].into_boxed_slice();
+        let p = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), p, "From<Box<[u8]>> must not copy");
+    }
+
+    #[test]
+    fn nested_slices_window_the_original() {
+        let b = Bytes::from((0u8..100).collect::<Vec<u8>>());
+        let s = b.slice(10..90);
+        let s2 = s.slice(5..=14);
+        assert_eq!(&s2[..], &(15u8..25).collect::<Vec<u8>>()[..]);
+        let s3 = s2.slice(3..);
+        assert_eq!(&s3[..], &(18u8..25).collect::<Vec<u8>>()[..]);
+        assert_eq!(s3.slice(..0).len(), 0);
+        assert_eq!(s3.to_vec(), (18u8..25).collect::<Vec<u8>>());
+        // The parent is untouched by its children.
+        assert_eq!(b.len(), 100);
+        assert_eq!(b[99], 99);
     }
 
     #[test]

@@ -217,11 +217,49 @@ impl BlockFs {
     /// Read up to `buf.len()` bytes at `offset`. Holes read as zeros (and
     /// cost no physical extents). Returns bytes read and extents touched.
     pub fn read(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<IoExtents, FsError> {
+        let len = buf.len();
+        let mut rest = buf;
+        self.read_chunks(ino, offset, len, |n, chunk| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+            match chunk {
+                Some(src) => head.copy_from_slice(src),
+                None => head.fill(0),
+            }
+            rest = tail;
+        })
+    }
+
+    /// [`read`](Self::read) that appends the bytes to `out` instead of
+    /// overwriting a caller-initialized buffer: up to `len` bytes (fewer
+    /// at EOF), holes as zeros.
+    pub fn read_append(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<IoExtents, FsError> {
+        self.read_chunks(ino, offset, len, |n, chunk| match chunk {
+            Some(src) => out.extend_from_slice(src),
+            None => out.resize(out.len() + n, 0),
+        })
+    }
+
+    /// Walk `[offset, offset + len)` (clamped to EOF) block by block,
+    /// handing `sink` each piece's length and its stored bytes (`None` for
+    /// a hole).
+    fn read_chunks(
+        &self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        mut sink: impl FnMut(usize, Option<&[u8]>),
+    ) -> Result<IoExtents, FsError> {
         let inode = self.inode(ino)?;
-        if offset >= inode.size || buf.is_empty() {
+        if offset >= inode.size || len == 0 {
             return Ok(IoExtents { extents: vec![], bytes: 0 });
         }
-        let len = buf.len().min((inode.size - offset) as usize);
+        let len = len.min((inode.size - offset) as usize);
         let first_lblk = offset / BLOCK_SIZE as u64;
         let last_lblk = (offset + len as u64 - 1) / BLOCK_SIZE as u64;
         let mut touched: Vec<u64> = Vec::new();
@@ -230,18 +268,12 @@ impl BlockFs {
         for l in first_lblk..=last_lblk {
             let in_block = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min(len - read);
-            match inode.blocks.get(l as usize).copied().flatten() {
-                Some(p) => {
-                    touched.push(p);
-                    match self.data.get(&p) {
-                        Some(block) => {
-                            buf[read..read + n].copy_from_slice(&block[in_block..in_block + n])
-                        }
-                        None => buf[read..read + n].fill(0),
-                    }
-                }
-                None => buf[read..read + n].fill(0),
+            let pblk = inode.blocks.get(l as usize).copied().flatten();
+            if let Some(p) = pblk {
+                touched.push(p);
             }
+            let block = pblk.and_then(|p| self.data.get(&p));
+            sink(n, block.map(|b| &b[in_block..in_block + n]));
             read += n;
             pos += n as u64;
         }
@@ -352,6 +384,26 @@ mod tests {
         assert!(out[..500].iter().all(|&b| b == 5));
         let r2 = f.read(ino, 5000, &mut out).unwrap();
         assert_eq!(r2.bytes, 0);
+    }
+
+    #[test]
+    fn read_append_matches_read() {
+        let mut f = fs();
+        let ino = f.create("x").unwrap();
+        // A hole, then data, then EOF mid-block.
+        let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8 + 1).collect();
+        f.write(ino, 3 * 4096 + 100, &data).unwrap();
+        for (offset, len) in
+            [(0u64, 20_000usize), (4000, 9000), (3 * 4096 + 100, 6000), (1 << 20, 10)]
+        {
+            let mut want = vec![0xEEu8; len];
+            let r = f.read(ino, offset, &mut want).unwrap();
+            let mut got = vec![0xAAu8; 3];
+            let a = f.read_append(ino, offset, len, &mut got).unwrap();
+            assert_eq!(a, r, "same extents and byte count at {offset}+{len}");
+            assert_eq!(&got[..3], &[0xAA; 3], "existing contents kept");
+            assert_eq!(&got[3..], &want[..r.bytes], "appends exactly the bytes read");
+        }
     }
 
     #[test]

@@ -5,11 +5,48 @@ use kcache::{
     blocks_of_range, span_in_block, AppId, BlockKey, BufferManager, PartitionConfig, Span,
 };
 use proptest::prelude::*;
-use pvfs::{split_ranges, tiles_exactly, ByteRange, Fid, StripeSpec};
+use pvfs::{
+    pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange, Fid,
+    StripeSpec,
+};
 use sim_disk::{BlockFs, PageCache};
 use sim_net::NodeId;
 
 proptest! {
+    /// The pattern kernel (windowed fill, in-place check) is byte for byte
+    /// the scalar `pattern_byte`, at the lengths around a 251-byte window,
+    /// at unaligned offsets, and across both u64 wraps (of the offset and
+    /// of `fid * 151 + offset`); any flipped byte is caught.
+    #[test]
+    fn pattern_kernel_matches_scalar_definition(
+        fid in any::<u64>(),
+        free_offset in any::<u64>(),
+        placement in 0u8..3,
+        back in 0u64..600,
+        len_class in 0usize..9,
+        free_len in 0usize..10_000,
+        flip in any::<usize>(),
+    ) {
+        let fid = Fid(fid);
+        let offset = match placement {
+            0 => free_offset,
+            1 => u64::MAX - back,
+            _ => 0u64.wrapping_sub(fid.0.wrapping_mul(151)).wrapping_sub(back),
+        };
+        let len = [0, 1, 250, 251, 252, 4096].get(len_class).copied().unwrap_or(free_len);
+        let want: Vec<u8> =
+            (0..len as u64).map(|i| pattern_byte(fid, offset.wrapping_add(i))).collect();
+        prop_assert_eq!(pattern_bytes(fid, offset, len), want.clone());
+        prop_assert!(pattern_matches(fid, offset, &want));
+        if len > 0 {
+            for i in [0, len - 1, flip % len] {
+                let mut bad = want.clone();
+                bad[i] ^= 0x80;
+                prop_assert!(!pattern_matches(fid, offset, &bad), "flip at {} of {}", i, len);
+            }
+        }
+    }
+
     /// Striping: any byte range splits into per-iod lists that tile the
     /// range exactly, with every piece on its owning iod.
     #[test]
