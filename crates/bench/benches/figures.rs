@@ -1,9 +1,11 @@
 //! One bench per paper figure: each runs the corresponding experiment
 //! driver on the smoke grid and reports host time per full figure
 //! regeneration. The figure *data* itself is produced by
-//! `cargo run --release -p cluster-harness --bin figures` and recorded in
-//! EXPERIMENTS.md; these benches keep regeneration cost visible and the
-//! drivers exercised under `cargo bench`.
+//! `cargo run --release -p cluster-harness --bin figures -- --out DIR`
+//! (markdown, CSV and JSON per figure; nothing is committed); these
+//! benches keep regeneration cost visible and the drivers exercised under
+//! `cargo bench`. DESIGN.md, "Where the host time goes", says what that
+//! cost is made of.
 
 use cluster_harness::figures::{fig4, fig5, fig6, fig7, fig8, Grid};
 use criterion::{criterion_group, criterion_main, Criterion};

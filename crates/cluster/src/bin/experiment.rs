@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p cluster-harness --bin experiment -- config.json \
 //!     [--trace-out trace.json] [--metrics-out metrics.json] \
-//!     [--flight-out flight.json]
+//!     [--flight-out flight.json] [--profile]
 //! ```
 //!
 //! The config shape (all cluster fields optional, partitioning included)
@@ -22,9 +22,15 @@
 //! node's per-epoch deltas and writes the flight record — rule firings,
 //! the metrics snapshot, and a bounded tail of recent trace events. Any
 //! of the three flags forces the `telemetry` section of the config on.
+//!
+//! `--profile` turns on the simulator's self-profile and prints, on
+//! stderr, where the run's *host* time went: events and host
+//! nanoseconds per actor type (`kcache`, `iod`, `app`, `fabric`, ...)
+//! plus the engine's own queue/dispatch share. It changes no result.
 
 use cluster_harness::config::ExperimentConfig;
-use cluster_harness::{run_experiment, CacheEfficiency, TelemetryReport};
+use cluster_harness::{run_experiment, run_experiment_profiled, CacheEfficiency, TelemetryReport};
+use sim_core::ActorProfile;
 
 /// How many trailing trace events the flight record keeps.
 const FLIGHT_TAIL_EVENTS: usize = 256;
@@ -32,9 +38,31 @@ const FLIGHT_TAIL_EVENTS: usize = 256;
 fn usage() -> ! {
     eprintln!(
         "usage: experiment <config.json> [--trace-out FILE] [--metrics-out FILE] \
-         [--flight-out FILE]"
+         [--flight-out FILE] [--profile]"
     );
     std::process::exit(2);
+}
+
+/// The simulator's self-profile as a table on stderr (stdout stays the
+/// run's JSON).
+fn print_profile(rows: &[ActorProfile]) {
+    let total_ns: u64 = rows.iter().map(|r| r.host_ns).sum();
+    eprintln!("simulator self-profile (host clock), {:.3} s in run_until", total_ns as f64 / 1e9);
+    eprintln!(
+        "{:<12} {:>6} {:>10} {:>11} {:>7} {:>9}",
+        "actor type", "actors", "events", "host ms", "share", "ns/event"
+    );
+    for r in rows {
+        eprintln!(
+            "{:<12} {:>6} {:>10} {:>11.2} {:>6.1}% {:>9.0}",
+            r.kind,
+            r.actors,
+            r.events,
+            r.host_ns as f64 / 1e6,
+            100.0 * r.host_ns as f64 / total_ns.max(1) as f64,
+            r.host_ns as f64 / r.events.max(1) as f64,
+        );
+    }
 }
 
 fn main() {
@@ -42,12 +70,14 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
     let mut flight_out: Option<String> = None;
+    let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
             "--flight-out" => flight_out = Some(args.next().unwrap_or_else(|| usage())),
+            "--profile" => profile = true,
             _ if config_path.is_none() => config_path = Some(a),
             _ => usage(),
         }
@@ -61,7 +91,13 @@ fn main() {
     }
     let (spec, apps) = cfg.to_spec().unwrap_or_else(|e| panic!("bad config {path}: {e}"));
 
-    let r = run_experiment(&spec, &apps);
+    let r = if profile {
+        let (r, rows) = run_experiment_profiled(&spec, &apps);
+        print_profile(&rows);
+        r
+    } else {
+        run_experiment(&spec, &apps)
+    };
     assert!(r.completed, "experiment hit the horizon");
     println!("{{");
     println!("  \"completed\": {},", r.completed);

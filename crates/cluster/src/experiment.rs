@@ -5,7 +5,7 @@ use kcache::obs::{ClusterObs, QuantileSnapshot};
 use kcache::{AdaptiveStats, CacheModule, CacheStats, ModuleStats, PolicyStats};
 use pvfs::{Iod, IodStats, Mgr};
 use serde::Serialize;
-use sim_core::{Dur, SimTime, StopReason};
+use sim_core::{ActorProfile, Dur, SimTime, StopReason};
 use sim_net::{Fabric, FabricStats, TrafficClass};
 use std::collections::BTreeMap;
 use workload::{AppSpec, Coordinator};
@@ -232,7 +232,23 @@ pub fn default_horizon() -> Dur {
 
 /// Build and run one experiment to completion.
 pub fn run_experiment(spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult {
-    let mut cluster: Cluster = build(spec, apps);
+    run_built(&mut build(spec, apps), spec, apps)
+}
+
+/// [`run_experiment`] with the engine's self-profile on: also returns
+/// where the simulator's own host time went, per actor type. The
+/// simulated result is the one `run_experiment` returns.
+pub fn run_experiment_profiled(
+    spec: &ClusterSpec,
+    apps: &[AppSpec],
+) -> (ExperimentResult, Vec<ActorProfile>) {
+    let mut cluster = build(spec, apps);
+    cluster.engine.enable_profile();
+    let result = run_built(&mut cluster, spec, apps);
+    (result, cluster.engine.profile())
+}
+
+fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult {
     let horizon = SimTime::ZERO + default_horizon();
     let report = cluster.engine.run_until(horizon);
     let completed = report.stop == StopReason::Stopped;

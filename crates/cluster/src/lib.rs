@@ -24,7 +24,8 @@ pub mod sweep;
 pub use builder::{build, Cluster, ClusterSpec};
 pub use config::ExperimentConfig;
 pub use experiment::{
-    run_experiment, AppCacheUsage, ExperimentResult, InstanceResult, SloClassSummary,
+    run_experiment, run_experiment_profiled, AppCacheUsage, ExperimentResult, InstanceResult,
+    SloClassSummary,
 };
 pub use figures::{all_figures, fig4, fig5, fig6, fig7, fig8, Grid};
 pub use report::{

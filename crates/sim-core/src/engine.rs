@@ -14,7 +14,8 @@
 use crate::time::{Dur, SimTime};
 use std::any::Any;
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeMap, BinaryHeap};
+use std::time::Instant;
 
 /// Index of an actor registered with an [`Engine`].
 pub type ActorId = usize;
@@ -131,6 +132,36 @@ pub enum StopReason {
     EventBudget,
 }
 
+/// Host time one kind of actor consumed in a profiled run — see
+/// [`Engine::enable_profile`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ActorProfile {
+    /// Actor type: the alphabetic stem of [`Actor::name`] (`kcache-3` and
+    /// `kcache-0` are both `kcache`). The queue and dispatch loop itself
+    /// is the row [`ENGINE_PROFILE_KIND`].
+    pub kind: String,
+    /// Actors of this type that handled at least one event.
+    pub actors: usize,
+    /// Events they handled.
+    pub events: u64,
+    /// Host nanoseconds spent inside their [`Actor::handle`].
+    pub host_ns: u64,
+}
+
+/// [`ActorProfile::kind`] of the engine's own row: `run_until` wall time
+/// not spent inside any handler (heap push/pop, dispatch, and the
+/// profiler's own clock reads).
+pub const ENGINE_PROFILE_KIND: &str = "(engine)";
+
+/// Self-profile state; exists only once [`Engine::enable_profile`] ran.
+#[derive(Default)]
+struct Profile {
+    /// Per [`ActorId`]: (events handled, host ns in `handle`).
+    per_actor: Vec<(u64, u64)>,
+    /// Host ns inside `run_until`, handlers included.
+    wall_ns: u64,
+}
+
 /// Scheduling context handed to an actor during dispatch.
 pub struct Ctx<'a> {
     now: SimTime,
@@ -191,6 +222,7 @@ pub struct Engine {
     actors: Vec<Option<Box<dyn Actor>>>,
     stop: bool,
     events_dispatched: u64,
+    profile: Option<Profile>,
     /// Hard cap on dispatched events; guards against zero-delay livelock.
     pub event_budget: u64,
     /// Master seed, recorded for reproducibility reporting.
@@ -206,6 +238,7 @@ impl Engine {
             actors: Vec::new(),
             stop: false,
             events_dispatched: 0,
+            profile: None,
             event_budget: u64::MAX,
             seed,
         }
@@ -219,6 +252,51 @@ impl Engine {
     /// Number of events dispatched so far.
     pub fn events_dispatched(&self) -> u64 {
         self.events_dispatched
+    }
+
+    /// Turn on the self-profile: from now on every dispatch is timed on
+    /// the host clock and charged to its target actor. Observability
+    /// only — no simulated result depends on it. Off (the default) costs
+    /// one never-taken branch per event and no clock read.
+    pub fn enable_profile(&mut self) {
+        self.profile.get_or_insert_with(Profile::default);
+    }
+
+    /// The self-profile so far, one row per actor type plus the engine's
+    /// own ([`ENGINE_PROFILE_KIND`]), most host time first. Empty unless
+    /// [`enable_profile`](Self::enable_profile) was called.
+    pub fn profile(&self) -> Vec<ActorProfile> {
+        let Some(p) = &self.profile else {
+            return Vec::new();
+        };
+        let mut by_kind: BTreeMap<String, ActorProfile> = BTreeMap::new();
+        for (id, &(events, host_ns)) in p.per_actor.iter().enumerate() {
+            if events == 0 {
+                continue;
+            }
+            let name = self.actor(id).name();
+            let stem: String = name.chars().take_while(|c| c.is_ascii_alphabetic()).collect();
+            let kind = if stem.is_empty() { name } else { stem };
+            let row = by_kind.entry(kind.clone()).or_insert(ActorProfile {
+                kind,
+                actors: 0,
+                events: 0,
+                host_ns: 0,
+            });
+            row.actors += 1;
+            row.events += events;
+            row.host_ns += host_ns;
+        }
+        let mut rows: Vec<ActorProfile> = by_kind.into_values().collect();
+        let handled: u64 = rows.iter().map(|r| r.host_ns).sum();
+        rows.push(ActorProfile {
+            kind: ENGINE_PROFILE_KIND.to_string(),
+            actors: 1,
+            events: rows.iter().map(|r| r.events).sum(),
+            host_ns: p.wall_ns.saturating_sub(handled),
+        });
+        rows.sort_by(|a, b| b.host_ns.cmp(&a.host_ns).then_with(|| a.kind.cmp(&b.kind)));
+        rows
     }
 
     /// Register an actor, returning its id.
@@ -255,6 +333,7 @@ impl Engine {
     /// Run until the queue drains, an actor stops the run, `horizon` is
     /// passed, or the event budget is exhausted.
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
+        let run_started = self.profile.is_some().then(Instant::now);
         let mut stop_reason = StopReason::QueueEmpty;
         while let Some(ev) = self.queue.peek() {
             if ev.time > horizon {
@@ -282,7 +361,20 @@ impl Engine {
                     queue: &mut self.queue,
                     stop: &mut self.stop,
                 };
-                actor.handle(&mut ctx, ev.msg);
+                match &mut self.profile {
+                    None => actor.handle(&mut ctx, ev.msg),
+                    Some(p) => {
+                        let t0 = Instant::now();
+                        actor.handle(&mut ctx, ev.msg);
+                        let ns = t0.elapsed().as_nanos() as u64;
+                        if p.per_actor.len() <= ev.target {
+                            p.per_actor.resize(ev.target + 1, (0, 0));
+                        }
+                        let cell = &mut p.per_actor[ev.target];
+                        cell.0 += 1;
+                        cell.1 += ns;
+                    }
+                }
             }
             self.actors[ev.target] = Some(actor);
 
@@ -290,6 +382,9 @@ impl Engine {
                 stop_reason = StopReason::Stopped;
                 break;
             }
+        }
+        if let (Some(p), Some(t0)) = (&mut self.profile, run_started) {
+            p.wall_ns += t0.elapsed().as_nanos() as u64;
         }
         RunReport { events: self.events_dispatched, end_time: self.now, stop: stop_reason }
     }
@@ -510,6 +605,50 @@ mod tests {
         };
         let p = m.cast::<Ping>().expect("original type still castable");
         assert_eq!(p.0, 9);
+    }
+
+    #[test]
+    fn profile_is_off_by_default_and_aggregates_by_actor_type() {
+        struct Named(&'static str);
+        struct Tick;
+        impl Actor for Named {
+            fn handle(&mut self, _ctx: &mut Ctx<'_>, _msg: Msg) {
+                std::hint::black_box((0..200u64).sum::<u64>());
+            }
+            fn name(&self) -> String {
+                self.0.into()
+            }
+        }
+        let build = || {
+            let mut eng = Engine::new(0);
+            let ids: Vec<ActorId> = ["iod-0", "iod-1", "app0-p3", "mgr"]
+                .into_iter()
+                .map(|n| eng.add_actor(Box::new(Named(n))))
+                .collect();
+            eng.add_actor(Box::new(Named("idle-9")));
+            for (i, &id) in ids.iter().enumerate() {
+                for k in 0..=i as u64 {
+                    eng.post(Dur::micros(k), id, Tick);
+                }
+            }
+            eng
+        };
+        let mut plain = build();
+        let plain_report = plain.run();
+        assert!(plain.profile().is_empty(), "nothing is recorded unless asked for");
+
+        let mut eng = build();
+        eng.enable_profile();
+        assert_eq!(eng.run(), plain_report, "profiling changes no simulated outcome");
+        let rows = eng.profile();
+        let row = |kind: &str| rows.iter().find(|r| r.kind == kind).unwrap();
+        assert_eq!((row("iod").actors, row("iod").events), (2, 3));
+        assert_eq!((row("app").actors, row("app").events), (1, 3));
+        assert_eq!((row("mgr").actors, row("mgr").events), (1, 4));
+        assert!(rows.iter().all(|r| r.kind != "idle"), "actors without events are left out");
+        assert_eq!(row(ENGINE_PROFILE_KIND).events, 10);
+        assert_eq!(rows.len(), 4);
+        assert!(rows.windows(2).all(|w| w[0].host_ns >= w[1].host_ns), "most host time first");
     }
 
     #[test]

@@ -21,7 +21,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Actor, ActorId, Ctx, Engine, Msg, RunReport, StopReason, NO_ACTOR};
+pub use engine::{
+    Actor, ActorId, ActorProfile, Ctx, Engine, Msg, RunReport, StopReason, ENGINE_PROFILE_KIND,
+    NO_ACTOR,
+};
 pub use resource::{FifoResource, SharedResource};
 pub use rng::{DetRng, Zipf};
 pub use stats::{Counter, LogHistogram, Tally, TimeWeighted};
