@@ -103,16 +103,6 @@ struct WaitingRange {
     buf: Vec<u8>,
 }
 
-impl WaitingRange {
-    /// The reply buffer at full length, for a positional copy.
-    fn buf_mut(&mut self) -> &mut [u8] {
-        if self.buf.is_empty() {
-            self.buf = vec![0u8; self.range.len as usize];
-        }
-        &mut self.buf
-    }
-}
-
 /// Per (client, request) fetch state.
 struct PendingFetch {
     fid: Fid,
@@ -955,8 +945,10 @@ impl CacheModule {
                         let src_lo = (abs + wspan.start as u64 - rd.range.offset) as usize;
                         let dst_lo = (abs + wspan.start as u64 - w.range.offset) as usize;
                         let n = wspan.len() as usize;
-                        w.buf_mut()[dst_lo..dst_lo + n]
-                            .copy_from_slice(&rd.data[src_lo..src_lo + n]);
+                        if w.buf.is_empty() {
+                            w.buf = vec![0u8; w.range.len as usize];
+                        }
+                        w.buf[dst_lo..dst_lo + n].copy_from_slice(&rd.data[src_lo..src_lo + n]);
                     }
                     w.missing.remove(pos);
                     if w.missing.is_empty() {

@@ -259,7 +259,7 @@ impl Engine {
     /// only — no simulated result depends on it. Off (the default) costs
     /// one never-taken branch per event and no clock read.
     pub fn enable_profile(&mut self) {
-        self.profile.get_or_insert_with(Profile::default);
+        self.profile.get_or_insert_default();
     }
 
     /// The self-profile so far, one row per actor type plus the engine's
