@@ -87,7 +87,7 @@ impl GhostCache {
     /// e.g. `SharingAware` referent decay, must happen in the ghost too or
     /// its prediction drifts from what the candidate would really do).
     pub fn epoch_tick(&mut self) {
-        let _ = self.policy.epoch_tick(&[]);
+        self.policy.epoch_tick();
     }
 
     /// Hit rate over the current epoch (`None` before any traffic this
@@ -102,9 +102,9 @@ impl GhostCache {
     }
 
     /// Raw `(hits, accesses)` over the current epoch — the mergeable form
-    /// of [`epoch_rate`](Self::epoch_rate): a sharded manager sums these
-    /// across shards before comparing candidates, so a busy shard's
-    /// evidence outweighs an idle one's instead of averaging away.
+    /// of [`epoch_rate`](Self::epoch_rate): the manager sums these across
+    /// its shards before comparing candidates, so a busy shard's evidence
+    /// outweighs an idle one's instead of averaging away.
     pub fn epoch_counts(&self) -> (u64, u64) {
         (self.epoch_hits, self.epoch_hits + self.epoch_misses)
     }

@@ -9,7 +9,7 @@
 //!   metadata-only, against the same access stream the live policy
 //!   serves; each ghost's hit/miss ledger says what that candidate's hit
 //!   rate would have been,
-//! * an **epoch controller** — every epoch tick (driven by the buffer
+//! * an **epoch controller** — every epoch boundary (driven by the buffer
 //!   manager off its access counter) the controller compares ghost hit
 //!   rates and, when another candidate beats the live one by more than a
 //!   hysteresis margin, switches the live policy — migrating the resident
@@ -24,6 +24,10 @@
 //!   owner of the charge ledger — validates and applies the
 //!   recommendation.
 //!
+//! The policy only *observes* and *applies*; the decision in between is
+//! the free function [`decide_epoch`], which the buffer manager calls once
+//! per epoch boundary over the observations of all its shards merged.
+//!
 //! With a single candidate the wrapper is behaviorally transparent: the
 //! ghosts observe but never influence, the controller has nothing to
 //! switch to, and the tuner only acts on quota'd apps — pinned
@@ -35,7 +39,7 @@ pub use ghost::GhostCache;
 
 use kcache_policy::{
     AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, FrameTable,
-    GhostRate, PolicyKind, QuotaMoveRecord, QuotaUpdate, ReplacementPolicy, SwitchRecord,
+    GhostRate, PolicyKind, QuotaMoveRecord, ReplacementPolicy, SwitchRecord,
 };
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
@@ -46,10 +50,6 @@ use std::collections::{BTreeMap, HashSet, VecDeque};
 /// switch is warranted. Candidates with no traffic this epoch have no
 /// rate and cannot win (or be compared against); ties keep the earliest
 /// candidate in ledger order.
-///
-/// Shared verbatim by [`AdaptivePolicy::epoch_tick`] (single-shard
-/// decisions) and the sharded buffer manager (which merges per-shard
-/// ledgers first) — one rule, so sharding cannot drift the controller.
 pub fn decide_switch(
     ledgers: &[(PolicyKind, u64, u64)],
     live: PolicyKind,
@@ -90,9 +90,7 @@ pub struct QuotaMove {
 /// never exceeds `capacity` — in full or not at all. `quotas` is the
 /// current effective quota per app (ascending app id, as the manager
 /// reports it); `refaults` the per-app epoch refault evidence (missing
-/// apps count zero). Shared by [`AdaptivePolicy::epoch_tick`] and the
-/// sharded manager's coordinated epoch (which merges per-shard refault
-/// ledgers first).
+/// apps count zero).
 pub fn decide_quota_move(
     quotas: &[(AppId, usize)],
     refaults: &[(AppId, u64)],
@@ -131,6 +129,33 @@ pub fn decide_quota_move(
         winner_refaults: rf(winner),
         loser_refaults: rf(loser),
     })
+}
+
+/// One epoch's decision, composed here and nowhere else: the switch rule
+/// over the ghost ledgers and — when the tuner is on — the quota transfer
+/// rule over the refault evidence, both read from `obs` (one policy's
+/// observation, or several shards' merged). `quotas` is the current
+/// effective quota of every partitioned app over a pool of `capacity`
+/// frames (empty for a shared pool: nothing to tune). The directive goes
+/// back into every observed policy through
+/// [`ReplacementPolicy::epoch_apply`]; the [`QuotaMove`], when one is
+/// proposed, is for the caller's charge ledger to validate and apply (and
+/// to strip from the directive if it refuses).
+pub fn decide_epoch(
+    obs: &EpochObservation,
+    cfg: &AdaptiveConfig,
+    quotas: &[(AppId, usize)],
+    capacity: usize,
+) -> (EpochDirective, Option<QuotaMove>) {
+    let switch_to = obs.live.and_then(|live| decide_switch(&obs.ghost_epoch, live, cfg.hysteresis));
+    let mv = if cfg.quota_tuning {
+        decide_quota_move(quotas, &obs.refaults, capacity, cfg.quota_step, cfg.quota_floor)
+    } else {
+        None
+    };
+    let quota_move =
+        mv.map(|mv| (mv.loser, mv.winner, mv.frames, mv.loser_refaults, mv.winner_refaults));
+    (EpochDirective { switch_to, quota_move }, mv)
 }
 
 /// Tunables of the meta-policy (the `adaptive` section of experiment
@@ -220,11 +245,11 @@ impl AppGhostList {
 }
 
 /// The meta-policy. See the crate docs for the control loop; to the
-/// buffer manager this is just another [`ReplacementPolicy`] whose
-/// [`epoch_tick`](ReplacementPolicy::epoch_tick) happens to do something.
+/// buffer manager this is just another [`ReplacementPolicy`], one whose
+/// [`epoch_observe`](ReplacementPolicy::epoch_observe) has something to
+/// report.
 pub struct AdaptivePolicy {
     cfg: AdaptiveConfig,
-    capacity: usize,
     live: Box<dyn ReplacementPolicy>,
     /// Index (into `cfg.candidates` / `ghosts`) of the live policy.
     live_idx: usize,
@@ -256,7 +281,6 @@ impl AdaptivePolicy {
         let ghost_cap = if cfg.ghost_history == 0 { capacity } else { cfg.ghost_history };
         AdaptivePolicy {
             cfg,
-            capacity,
             live,
             live_idx: 0,
             ghosts,
@@ -281,13 +305,6 @@ impl AdaptivePolicy {
                 gl.note_access(key);
             }
         }
-    }
-
-    /// The tuner's config knobs, exposed so a sharded manager can run the
-    /// shared [`decide_quota_move`] rule over merged per-shard evidence
-    /// with this instance's exact clamps.
-    pub fn config(&self) -> &AdaptiveConfig {
-        &self.cfg
     }
 }
 
@@ -368,33 +385,6 @@ impl ReplacementPolicy for AdaptivePolicy {
         self.live.recency_ranking()
     }
 
-    fn epoch_tick(&mut self, quotas: &[(AppId, usize)]) -> Vec<QuotaUpdate> {
-        // Single-instance epoch = observe, decide over this instance's own
-        // ledgers with the shared rules, apply. A sharded manager runs the
-        // same three steps with a merge between observe and decide.
-        let obs = self.epoch_observe().expect("adaptive policies always observe");
-        let live = self.cfg.candidates[self.live_idx];
-        let switch_to = decide_switch(&obs.ghost_epoch, live, self.cfg.hysteresis);
-        let mut updates = Vec::new();
-        let mut quota_move = None;
-        if self.cfg.quota_tuning {
-            if let Some(mv) = decide_quota_move(
-                quotas,
-                &obs.refaults,
-                self.capacity,
-                self.cfg.quota_step,
-                self.cfg.quota_floor,
-            ) {
-                updates.push(QuotaUpdate { app: mv.winner, quota: mv.winner_quota });
-                updates.push(QuotaUpdate { app: mv.loser, quota: mv.loser_quota });
-                quota_move =
-                    Some((mv.loser, mv.winner, mv.frames, mv.loser_refaults, mv.winner_refaults));
-            }
-        }
-        self.epoch_apply(&EpochDirective { switch_to, quota_move });
-        updates
-    }
-
     fn epoch_observe(&self) -> Option<EpochObservation> {
         Some(EpochObservation {
             live: Some(self.cfg.candidates[self.live_idx]),
@@ -418,7 +408,7 @@ impl ReplacementPolicy for AdaptivePolicy {
         self.stats.epochs += 1;
         // Time-based aging first, in the live policy and every ghost, so
         // a directed switch lands on consistently aged metadata.
-        let _ = self.live.epoch_tick(&[]);
+        self.live.epoch_tick();
         for g in &mut self.ghosts {
             g.epoch_tick();
         }
@@ -500,6 +490,15 @@ mod tests {
         }
     }
 
+    /// One epoch boundary as the buffer manager runs it: observe, decide
+    /// over that observation, apply. Returns the proposed quota transfer.
+    fn run_epoch(p: &mut AdaptivePolicy, quotas: &[(AppId, usize)]) -> Option<QuotaMove> {
+        let obs = p.epoch_observe().expect("adaptive policies always observe");
+        let (directive, mv) = decide_epoch(&obs, &p.cfg, quotas, p.table().capacity());
+        p.epoch_apply(&directive);
+        mv
+    }
+
     #[test]
     fn switches_to_the_better_candidate() {
         // LFU keeps a hot set under heavy skew that clock churns through.
@@ -515,7 +514,7 @@ mod tests {
             stream.push(3 + (i % 7)); // churn
         }
         feed(&mut p, &stream, AppId(0));
-        let _ = p.epoch_tick(&[]);
+        run_epoch(&mut p, &[]);
         let stats = p.adaptive_stats().unwrap();
         assert_eq!(stats.epochs, 1);
         // Whatever the verdict, the ledger must be consistent.
@@ -530,8 +529,7 @@ mod tests {
         let mut p = AdaptivePolicy::new(8, AdaptiveConfig::new([PolicyKind::Arc]));
         feed(&mut p, &(0..100u64).map(|i| i % 13).collect::<Vec<_>>(), AppId(0));
         for _ in 0..10 {
-            let updates = p.epoch_tick(&[]);
-            assert!(updates.is_empty());
+            assert!(run_epoch(&mut p, &[]).is_none());
         }
         let stats = p.adaptive_stats().unwrap();
         assert_eq!(stats.switches, 0);
@@ -550,7 +548,7 @@ mod tests {
         feed(&mut p, &[1, 2, 3, 4, 1, 2, 1, 2, 5, 6, 1, 2, 7, 8, 1, 2], AppId(0));
         let before = p.table().resident_entries();
         let stats_before = p.table().stats;
-        let _ = p.epoch_tick(&[]);
+        run_epoch(&mut p, &[]);
         assert_eq!(p.table().resident_entries(), before, "switch must not move blocks");
         assert_eq!(p.table().stats, stats_before, "switch must not reset the ledger");
     }
@@ -567,12 +565,10 @@ mod tests {
             feed(&mut p, &[scan_key, scan_key + 1, scan_key + 2], scanner);
             scan_key += 3;
         }
-        let updates = p.epoch_tick(&[(victim, 2), (scanner, 2)]);
-        assert_eq!(updates.len(), 2, "tuner must move quota");
-        let vu = updates.iter().find(|u| u.app == victim).unwrap();
-        let su = updates.iter().find(|u| u.app == scanner).unwrap();
-        assert!(vu.quota > 2, "victim quota must grow, got {}", vu.quota);
-        assert!(su.quota < 2 && su.quota >= 1, "scanner quota must shrink, got {}", su.quota);
+        let mv = run_epoch(&mut p, &[(victim, 2), (scanner, 2)]).expect("tuner must move quota");
+        assert_eq!((mv.winner, mv.loser), (victim, scanner));
+        assert!(mv.winner_quota > 2, "victim quota must grow, got {}", mv.winner_quota);
+        assert_eq!(mv.loser_quota, 1, "scanner quota must shrink, never below one frame");
         let stats = p.adaptive_stats().unwrap();
         assert_eq!(stats.quota_moves, 1);
         assert_eq!(stats.quota_log[0].to, victim);
@@ -601,18 +597,16 @@ mod tests {
             feed(&mut p, &[round % 5], hot); // 5-key set over 4 frames: refaults
             feed(&mut p, &[100 + round], cold);
         }
-        let updates = p.epoch_tick(&[(hot, 4), (cold, 3)]);
-        assert!(updates.is_empty(), "winner at capacity: no transfer, got {updates:?}");
+        let mv = run_epoch(&mut p, &[(hot, 4), (cold, 3)]);
+        assert!(mv.is_none(), "winner at capacity: no transfer, got {mv:?}");
         assert_eq!(p.adaptive_stats().unwrap().quota_moves, 0);
         // One frame of headroom: the step clamps to exactly that.
         for round in 0..30u64 {
             feed(&mut p, &[round % 5], hot);
         }
-        let updates = p.epoch_tick(&[(hot, 3), (cold, 3)]);
-        let hu = updates.iter().find(|u| u.app == hot).unwrap();
-        let cu = updates.iter().find(|u| u.app == cold).unwrap();
-        assert_eq!(hu.quota, 4, "clamped to the pool");
-        assert_eq!(cu.quota, 2, "loser gives exactly what the winner can take");
+        let mv = run_epoch(&mut p, &[(hot, 3), (cold, 3)]).expect("one frame of headroom");
+        assert_eq!((mv.winner, mv.winner_quota), (hot, 4), "clamped to the pool");
+        assert_eq!((mv.loser, mv.loser_quota), (cold, 2), "loser gives what the winner can take");
     }
 
     #[test]
@@ -629,8 +623,8 @@ mod tests {
             p.on_remove_invalidated(frame, key);
             feed(&mut p, &[round], app);
         }
-        let updates = p.epoch_tick(&[(app, 2), (AppId(1), 2)]);
-        assert!(updates.is_empty(), "invalidation churn must not look like quota pressure");
+        let mv = run_epoch(&mut p, &[(app, 2), (AppId(1), 2)]);
+        assert!(mv.is_none(), "invalidation churn must not look like quota pressure");
         assert_eq!(p.adaptive_stats().unwrap().quota_moves, 0);
     }
 
@@ -682,15 +676,14 @@ mod tests {
             feed(&mut p, &[round % 12], hot); // 12-key set over 8 frames: refaults
             feed(&mut p, &[1000 + round], cold);
         }
-        let updates = p.epoch_tick(&[(hot, 4), (cold, 4)]);
-        let cu = updates.iter().find(|u| u.app == cold).expect("cold app shrinks");
-        assert_eq!(cu.quota, 3, "shrink stops exactly at the floor");
+        let mv = run_epoch(&mut p, &[(hot, 4), (cold, 4)]).expect("cold app shrinks");
+        assert_eq!((mv.loser, mv.loser_quota), (cold, 3), "shrink stops exactly at the floor");
         // At the floor already: nothing left to give, no transfer at all.
         for round in 0..60u64 {
             feed(&mut p, &[round % 12], hot);
         }
-        let updates = p.epoch_tick(&[(hot, 5), (cold, 3)]);
-        assert!(updates.is_empty(), "a floored quota has nothing to give: {updates:?}");
+        let mv = run_epoch(&mut p, &[(hot, 5), (cold, 3)]);
+        assert!(mv.is_none(), "a floored quota has nothing to give: {mv:?}");
     }
 
     #[test]
@@ -701,7 +694,7 @@ mod tests {
             feed(&mut p, &[round % 2], a);
             feed(&mut p, &[100 + round], b);
         }
-        let updates = p.epoch_tick(&[(a, 3), (b, 1)]);
-        assert!(updates.is_empty(), "a 1-frame quota has nothing left to give: {updates:?}");
+        let mv = run_epoch(&mut p, &[(a, 3), (b, 1)]);
+        assert!(mv.is_none(), "a 1-frame quota has nothing left to give: {mv:?}");
     }
 }

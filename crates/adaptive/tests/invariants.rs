@@ -2,11 +2,20 @@
 //! metadata-only, epoch switches preserve residency and the ledger, and a
 //! single-candidate adaptive policy is byte-for-byte the static policy.
 
-use kcache_adaptive::{AdaptiveConfig, AdaptivePolicy, GhostCache};
+use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, GhostCache, QuotaMove};
 use kcache_policy::{AppId, PolicyKind, ReplacementPolicy};
 use proptest::prelude::*;
 
 const CAP: usize = 8;
+
+/// One epoch boundary over an unpartitioned pool, as the buffer manager
+/// runs it: observe, decide over that observation, apply.
+fn run_epoch(p: &mut AdaptivePolicy, cfg: &AdaptiveConfig) -> Option<QuotaMove> {
+    let obs = p.epoch_observe().expect("adaptive policies always observe");
+    let (directive, mv) = decide_epoch(&obs, cfg, &[], CAP);
+    p.epoch_apply(&directive);
+    mv
+}
 
 proptest! {
     /// Ghost ledgers never pin and never hold more frames than the pool:
@@ -48,7 +57,7 @@ proptest! {
     ) {
         let mut cfg = AdaptiveConfig::all_candidates();
         cfg.hysteresis = 0.0;
-        let mut p = AdaptivePolicy::new(CAP, cfg);
+        let mut p = AdaptivePolicy::new(CAP, cfg.clone());
         for (i, &(op, arg)) in ops.iter().enumerate() {
             let frame = (arg % CAP as u64) as u32;
             let app = AppId((arg % 3) as u32);
@@ -79,8 +88,7 @@ proptest! {
                         (0..CAP as u32).map(|f| p.table().is_pinned(f)).collect();
                     let stats = *p.stats();
                     let usage = p.app_usage();
-                    let updates = p.epoch_tick(&[]);
-                    prop_assert!(updates.is_empty(), "no quotas: no updates");
+                    prop_assert!(run_epoch(&mut p, &cfg).is_none(), "no quotas: no move");
                     prop_assert_eq!(
                         p.table().resident_entries(),
                         entries,
@@ -104,7 +112,8 @@ proptest! {
         ops in collection::vec((0u8..5, 0u64..256), 1..250),
     ) {
         for kind in PolicyKind::ALL {
-            let mut adaptive = AdaptivePolicy::new(CAP, AdaptiveConfig::new([kind]));
+            let cfg = AdaptiveConfig::new([kind]);
+            let mut adaptive = AdaptivePolicy::new(CAP, cfg.clone());
             let mut stat = kind.build(CAP);
             for &(op, arg) in &ops {
                 let frame = (arg % CAP as u64) as u32;
@@ -135,8 +144,8 @@ proptest! {
                         }
                     }
                     3 => {
-                        let _ = adaptive.epoch_tick(&[]);
-                        let _ = stat.epoch_tick(&[]);
+                        run_epoch(&mut adaptive, &cfg);
+                        stat.epoch_tick();
                     }
                     _ => {
                         adaptive.begin_scan();

@@ -18,16 +18,15 @@
 //! the paper optimizes.
 //!
 //! Finally, the shard sweep (`BENCH_shard.json`): hit- and miss-path
-//! throughput across `--shards` 1/2/4/8 against the default-builder
-//! baseline. The shards=1 facade must price identically to the
-//! unsharded baseline (CI gates at 3 %), and miss-path throughput must
-//! not *decrease* as shards are added — on a single-CPU container the
-//! curve is flat (threads serialize regardless of lock granularity),
+//! throughput across `.shards(n)` for n = 1/2/4/8. Miss-path throughput
+//! must not *decrease* as shards are added — on a single-CPU container
+//! the curve is flat (threads serialize regardless of lock granularity),
 //! which the report records as acceptable parity via the `cpus` field.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
 use kcache::{
-    AdaptiveConfig, BlockKey, BufferManager, EvictPolicy, PartitionConfig, PolicyKind, Span,
+    Access, AccessKind, AdaptiveConfig, AppId, BlockKey, BufferManager, EvictPolicy,
+    PartitionConfig, PolicyKind, Span,
 };
 use pvfs::Fid;
 use serde::{Deserialize, Serialize};
@@ -39,11 +38,22 @@ fn key(b: u64) -> BlockKey {
     BlockKey::new(Fid(1), b)
 }
 
+/// Serve `span` of `key` into `out`, unattributed; did it hit?
+fn read(m: &BufferManager, key: BlockKey, span: Span, out: &mut [u8]) -> bool {
+    m.access(key, Access::unattributed(AccessKind::Read { span, out })).is_hit()
+}
+
+/// Install a whole clean block on behalf of `app`.
+fn install(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) {
+    let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes };
+    m.access(key, Access { app, kind });
+}
+
 fn filled_manager(policy: EvictPolicy, cap: usize) -> BufferManager {
     let m = BufferManager::builder(cap).policy(policy).build();
     let buf = vec![0xABu8; 4096];
     for b in 0..cap as u64 {
-        m.insert_clean(key(b), NodeId(0), Span::FULL, &buf);
+        install(&m, key(b), &buf, AppId::UNKNOWN);
     }
     m
 }
@@ -62,7 +72,7 @@ fn bench_hit_path(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 i = (i + 7) % 300;
-                assert!(m.try_read(key(i), Span::FULL, &mut out));
+                assert!(read(&m, key(i), Span::FULL, &mut out));
             })
         });
     }
@@ -81,7 +91,7 @@ fn bench_insert_evict(c: &mut Criterion) {
         g.bench_function(name, |b| {
             b.iter(|| {
                 next += 1;
-                m.insert_clean(key(next), NodeId(0), Span::FULL, &buf);
+                install(&m, key(next), &buf, AppId::UNKNOWN);
             })
         });
     }
@@ -98,7 +108,8 @@ fn bench_write_absorb(c: &mut Criterion) {
             || BufferManager::builder(300).build(),
             |m| {
                 for blk in 0..128u64 {
-                    let _ = m.write(key(blk), NodeId(0), Span::FULL, &buf);
+                    let kind = AccessKind::Write { home: NodeId(0), span: Span::FULL, bytes: &buf };
+                    m.access(key(blk), Access::unattributed(kind));
                 }
                 let items = m.take_dirty(128);
                 for it in &items {
@@ -128,7 +139,7 @@ fn bench_concurrent(c: &mut Criterion) {
                                 let mut out = vec![0u8; 4096];
                                 for i in 0..2000u64 {
                                     let k = key((i * 13 + t as u64 * 97) % 1024);
-                                    let _ = m.try_read(k, Span::FULL, &mut out);
+                                    read(&m, k, Span::FULL, &mut out);
                                 }
                             });
                         }
@@ -190,7 +201,7 @@ struct HitPathReport {
 /// its eviction scans can never displace the readers' resident set.
 const CHURN_QUOTA: usize = 64;
 const READ_SET: u64 = (HITPATH_CAPACITY - CHURN_QUOTA) as u64;
-const CHURN_APP: kcache::AppId = kcache::AppId(1);
+const CHURN_APP: AppId = AppId(1);
 
 fn hitpath_manager(policy: &str, eager: bool) -> BufferManager {
     let adaptive = match policy {
@@ -206,7 +217,7 @@ fn hitpath_manager(policy: &str, eager: bool) -> BufferManager {
         .build();
     let buf = vec![0xABu8; 4096];
     for b in 0..READ_SET {
-        m.insert_clean(key(b), NodeId(0), Span::FULL, &buf);
+        install(&m, key(b), &buf, AppId::UNKNOWN);
     }
     m
 }
@@ -242,7 +253,7 @@ fn measure_hits_storm(
                 let mut b = (t as u64 * 131) % READ_SET;
                 for _ in 0..per_thread {
                     b = (b + 7) % READ_SET;
-                    assert!(m.try_read(key(b), span, &mut out));
+                    assert!(read(m, key(b), span, &mut out));
                 }
                 live_readers.fetch_sub(1, Ordering::Relaxed);
             });
@@ -255,7 +266,7 @@ fn measure_hits_storm(
                 while live_readers.load(Ordering::Relaxed) > 0 {
                     next += 1;
                     let k = key(1_000_000 + next % (4 * CHURN_QUOTA as u64));
-                    let _ = m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, CHURN_APP);
+                    install(m, k, &buf, CHURN_APP);
                 }
             });
         }
@@ -351,7 +362,7 @@ fn obs_manager(obs_on: bool) -> BufferManager {
         .build();
     let buf = vec![0xABu8; 4096];
     for b in 0..READ_SET {
-        m.insert_clean(key(b), NodeId(0), Span::FULL, &buf);
+        install(&m, key(b), &buf, AppId::UNKNOWN);
     }
     m
 }
@@ -425,7 +436,7 @@ fn obs_report(quick: bool, json_path: &str) {
 }
 
 // ---------------------------------------------------------------------
-// Shard sweep: per-shard leaf locks vs the single-shard facade
+// Shard sweep: per-shard leaf locks across shard counts
 // (`BENCH_shard.json`).
 // ---------------------------------------------------------------------
 
@@ -437,9 +448,6 @@ const SHARD_READ_SET: u64 = (HITPATH_CAPACITY / 2) as u64;
 struct ShardResult {
     /// "hit" (resident reads) or "miss" (insert + eviction churn).
     path: String,
-    /// "baseline" (default builder, no shards call) or "sharded"
-    /// (explicit `.shards(n)`).
-    mode: String,
     shards: usize,
     threads: usize,
     total_ops: u64,
@@ -461,17 +469,15 @@ struct ShardReport {
     results: Vec<ShardResult>,
 }
 
-fn shard_manager(shards: Option<usize>) -> BufferManager {
-    let mut b = BufferManager::builder(HITPATH_CAPACITY)
+fn shard_manager(shards: usize) -> BufferManager {
+    let m = BufferManager::builder(HITPATH_CAPACITY)
         .watermarks(0, HITPATH_CAPACITY / 4)
-        .epoch_accesses(0);
-    if let Some(n) = shards {
-        b = b.shards(n);
-    }
-    let m = b.build();
+        .epoch_accesses(0)
+        .shards(shards)
+        .build();
     let buf = vec![0xABu8; 4096];
     for blk in 0..SHARD_READ_SET {
-        m.insert_clean(key(blk), NodeId(0), Span::FULL, &buf);
+        install(&m, key(blk), &buf, AppId::UNKNOWN);
     }
     m
 }
@@ -490,7 +496,7 @@ fn measure_shard_hits(m: &BufferManager, threads: usize, per_thread: u64) -> (u6
                 let mut b = (t as u64 * 131) % SHARD_READ_SET;
                 for _ in 0..per_thread {
                     b = (b + 7) % SHARD_READ_SET;
-                    let _ = m.try_read(key(b), span, &mut out);
+                    read(m, key(b), span, &mut out);
                 }
             });
         }
@@ -510,7 +516,7 @@ fn measure_shard_misses(m: &BufferManager, threads: usize, per_thread: u64) -> (
                 let mut next = 2_000_000_000u64 + t as u64 * 1_000_000_000;
                 for _ in 0..per_thread {
                     next += 1;
-                    m.insert_clean(key(next), NodeId(0), Span::FULL, &buf);
+                    install(m, key(next), &buf, AppId::UNKNOWN);
                 }
             });
         }
@@ -523,15 +529,7 @@ fn shard_report(quick: bool, json_path: &str) {
     let miss_per_thread: u64 = if quick { 5_000 } else { 50_000 };
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut results = Vec::new();
-    // (mode, shards): the default builder is the unsharded reference the
-    // CI gate compares `.shards(1)` against.
-    let configs: [(&str, Option<usize>); 5] = [
-        ("baseline", None),
-        ("sharded", Some(1)),
-        ("sharded", Some(2)),
-        ("sharded", Some(4)),
-        ("sharded", Some(8)),
-    ];
+    let configs = [1usize, 2, 4, 8];
     for &threads in &[1usize, 4, 8] {
         for (path, per_thread, measure) in [
             (
@@ -542,16 +540,15 @@ fn shard_report(quick: bool, json_path: &str) {
             ("miss", miss_per_thread, measure_shard_misses),
         ] {
             let managers: Vec<BufferManager> =
-                configs.iter().map(|&(_, shards)| shard_manager(shards)).collect();
+                configs.iter().map(|&shards| shard_manager(shards)).collect();
             for m in &managers {
                 measure(m, threads, per_thread / 4); // warm-up
             }
             // Same protocol as the obs guard: samples alternate across
             // all configs each round (machine drift lands on every
             // config equally) and each config reports its best of five
-            // — the baseline/shards=1 pair feeds a 3% CI gate, and the
-            // quantity under test is a code-path cost, not run-to-run
-            // scheduler variance.
+            // — the quantity under test is a code-path cost, not
+            // run-to-run scheduler variance.
             let mut best: Vec<Option<(u64, f64)>> = vec![None; configs.len()];
             for _ in 0..5 {
                 for (i, m) in managers.iter().enumerate() {
@@ -561,14 +558,12 @@ fn shard_report(quick: bool, json_path: &str) {
                     }
                 }
             }
-            for (i, &(mode, shards)) in configs.iter().enumerate() {
-                let n = shards.unwrap_or(1);
+            for (i, &n) in configs.iter().enumerate() {
                 let (ops, secs) = best[i].expect("sampled");
                 let rate = ops as f64 / secs;
-                println!("shard/{path}/{mode}/{n}s/{threads}t: {:.2} Mops/s", rate / 1e6);
+                println!("shard/{path}/{n}s/{threads}t: {:.2} Mops/s", rate / 1e6);
                 results.push(ShardResult {
                     path: path.to_string(),
-                    mode: mode.to_string(),
                     shards: n,
                     threads,
                     total_ops: ops,
@@ -583,8 +578,7 @@ fn shard_report(quick: bool, json_path: &str) {
         capacity: HITPATH_CAPACITY,
         quick,
         cpus,
-        notes: "Acceptance: shards=1 within 3% of the default-builder baseline \
-                (CI gate); miss-path throughput non-decreasing with shard count \
+        notes: "Acceptance: miss-path throughput non-decreasing with shard count \
                 at 4/8 threads on multi-core hosts. With cpus=1 a flat miss-path \
                 curve is expected and acceptable: threads serialize on the \
                 scheduler, so lock granularity cannot change throughput."

@@ -374,6 +374,26 @@ impl ExperimentConfig {
         };
         let partitioning = self.partitioning()?;
         let blocks = self.cluster.cache_blocks;
+        let shards = self.cluster.shards.max(1);
+        if self.cluster.caching {
+            // Below two blocks the harvester's high watermark cannot fit.
+            if blocks < 2 {
+                return Err(format!("cluster.cache_blocks is {blocks}: a cache needs at least 2"));
+            }
+            if shards > blocks {
+                return Err(format!(
+                    "cluster.shards is {shards}, more than cluster.cache_blocks ({blocks})"
+                ));
+            }
+        }
+        for a in &self.apps {
+            if let Some(n) = a.nodes.iter().find(|&&n| n >= self.cluster.nodes) {
+                return Err(format!(
+                    "app {:?}: nodes names node {n}, but cluster.nodes is {}",
+                    a.name, self.cluster.nodes
+                ));
+            }
+        }
         // One hub per node, federated: the builder hands each cache
         // module (and the mgr) its own hub so trace pids separate by
         // node and registries stay contention-free; `ClusterObs` merges
@@ -397,7 +417,7 @@ impl ExperimentConfig {
             epoch_accesses,
             cooperative,
             slo: self.cluster.telemetry.slo_targets(),
-            shards: self.cluster.shards.max(1),
+            shards,
             ..CacheConfig::paper()
         }));
         spec.obs = obs;

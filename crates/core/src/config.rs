@@ -203,9 +203,9 @@ pub struct CacheConfig {
     /// caches per candidate, epoch-based live switching, marginal-utility
     /// quota tuning. `None` (the default) keeps the static policy.
     pub adaptive: Option<AdaptiveConfig>,
-    /// Cache accesses per epoch: every `epoch_accesses` hits+misses the
-    /// buffer manager drives one `epoch_tick` through the policy (the
-    /// adaptive controller's clock, and `SharingAware`'s referent decay).
+    /// Cache accesses per epoch: every `epoch_accesses` hits, misses and
+    /// touches the buffer manager runs one epoch boundary (the adaptive
+    /// controller's decision, or `SharingAware`'s referent decay).
     /// `0` (the default, the paper's behavior) disables epochs entirely.
     pub epoch_accesses: usize,
     /// Harvester wake-up threshold: free list below this many frames.

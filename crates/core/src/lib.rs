@@ -39,7 +39,7 @@ pub use module::{CacheModule, ModuleStats};
 pub use kcache_policy as policy;
 pub use kcache_policy::{
     AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats, QuotaMoveRecord,
-    QuotaUpdate, ReplacementPolicy, SwitchRecord,
+    ReplacementPolicy, SwitchRecord,
 };
 
 /// The adaptive meta-policy subsystem (ghost caches, epoch switching,

@@ -24,9 +24,9 @@
 //!
 //! [`BufferManager`] is a lock-free facade over N independent shards
 //! (builder knob [`BufferManagerBuilder::shards`], default 1 — the
-//! paper's configuration, byte-for-byte). A block's home shard is fixed
-//! by the *high* bits of its key hash (bucket selection within a shard
-//! uses the low bits, so the two choices stay independent); capacity,
+//! paper's single pool). A block's home shard is fixed by the *high*
+//! bits of its key hash (bucket selection within a shard uses the low
+//! bits, so the two choices stay independent); capacity,
 //! watermarks, and per-app quotas split across shards with the remainder
 //! to low indexes. Every lock in the structure lives *inside* a shard —
 //! the facade owns only the shard array and three atomics (epoch clock,
@@ -68,19 +68,22 @@
 //! bench baseline).
 //!
 //! **Epoch participation** is explicit and uniform: every access event —
-//! hit, miss, probe hit, and recency touch — advances the epoch clock.
-//! Touches (sync-write refreshes, secondary-waiter attribution, merges
-//! into a resident block) are real accesses: they refresh recency and
-//! feed the adaptive ghosts, so they must also age the policies and drive
-//! the controller, or probe-/write-heavy workloads would skew epoch
-//! length relative to observed traffic (the pre-PR-5 bug). Inserts do
-//! *not* tick the clock: an install is the tail of a miss that was
-//! already counted at lookup time.
+//! hit, miss, probe hit, and recency touch — advances the facade's epoch
+//! clock (when epochs are enabled at all; with `epoch_accesses == 0` an
+//! access does no epoch work), and the facade runs the boundary — observe
+//! each shard, merge, decide once, apply to each shard — whatever the
+//! shard count. Touches (sync-write refreshes, secondary-waiter
+//! attribution, merges into a resident block) are real accesses: they
+//! refresh recency and feed the adaptive ghosts, so they must also age
+//! the policies and drive the controller, or probe-/write-heavy workloads
+//! would skew epoch length relative to observed traffic (the pre-PR-5
+//! bug). Inserts do *not* tick the clock: an install is the tail of a
+//! miss that was already counted at lookup time.
 
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::{CooperativeConfig, PartitionConfig, PartitionMode};
 use crate::ring::EventRing;
-use kcache_adaptive::{decide_quota_move, decide_switch, AdaptiveConfig, AdaptivePolicy};
+use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
 use kcache_obs::{Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
     AccessEvent, AdaptiveStats, AppId, AppUsage, EpochDirective, EpochObservation, PolicyKind,
@@ -141,9 +144,8 @@ pub enum WriteOutcome {
 
 /// What one [`BufferManager::access`] call should do to the block.
 ///
-/// One variant per access method the cache module needs; adding a new
-/// access flavor (the peer-fetch tier, say) extends this enum instead of
-/// growing another parallel `*_by` method family.
+/// One variant per access flavor the cache module needs; a new flavor
+/// (the peer-fetch tier, say) extends this enum, never the method list.
 pub enum AccessKind<'a> {
     /// Serve `span` into `out` (`out.len() == span.len()`). Counts a hit
     /// (refreshing recency) or a miss.
@@ -164,6 +166,12 @@ pub enum AccessKind<'a> {
     /// is counted. May evict; a sacrificed dirty frame comes back as a
     /// flush snapshot.
     InsertClean { home: NodeId, span: Span, bytes: &'a [u8] },
+    /// Attribute a use of the block to the accessor without copying data
+    /// — the cache module's secondary waiters, when one fetch satisfies
+    /// several applications, so sharing-aware policies see every
+    /// referent. Resident: recency refreshed, `Hit`; absent: `Miss`.
+    /// Neither is counted as a hit or a miss.
+    Touch,
 }
 
 /// One attributed cache access: which application, doing what.
@@ -180,8 +188,8 @@ impl<'a> Access<'a> {
 }
 
 /// What an [`BufferManager::access`] call produced, by request kind:
-/// `Read`/`Probe` yield `Hit`/`Miss`, `Write` yields `Write(..)`,
-/// `InsertClean` yields `Inserted(..)`.
+/// `Read`/`ReadWith`/`Probe`/`Touch` yield `Hit`/`Miss`, `Write` yields
+/// `Write(..)`, `InsertClean` yields `Inserted(..)`.
 #[derive(Debug, PartialEq, Eq)]
 pub enum AccessOutcome {
     Hit,
@@ -324,7 +332,8 @@ struct ManagerObs {
 /// low bits the in-shard bucket index consumes), so two threads touching
 /// blocks on different shards share **no** lock at all. Cross-shard
 /// state — global quota balances, adaptive switch decisions, tuned-quota
-/// overlays — is reconciled only at epoch boundaries by the facade.
+/// overlays — is reconciled only at epoch boundaries by the facade, which
+/// also owns the epoch clock: a shard never runs a boundary itself.
 struct Shard {
     capacity: usize,
     policy_cfg: EvictPolicy,
@@ -354,8 +363,10 @@ struct Shard {
     /// Accesses (hits + misses + probes + touches) per policy epoch; 0
     /// disables epochs.
     epoch_accesses: usize,
-    /// Access counter driving the epoch clock.
-    accesses: AtomicU64,
+    /// The facade's epoch clock: accesses across all shards since
+    /// construction. Bumped only when epochs are enabled — with
+    /// `epoch_accesses == 0` nobody reads it.
+    epoch_clock: StdArc<AtomicU64>,
     /// Shared handle to the policy table's per-frame atomic ref/recency
     /// words — the lock-free half of the hit fast path. Cloned out of the
     /// policy once at construction; live policy migration carries the
@@ -382,10 +393,6 @@ struct Shard {
     /// through the ring — the pre-fast-path reference behavior, kept for
     /// differential tests and as the bench baseline.
     eager: bool,
-    /// Minimum quota the adaptive tuner may shrink any app to (validated
-    /// here — the manager owns the charge ledger — as the backstop behind
-    /// the tuner's own clamp).
-    quota_floor: usize,
     /// Leaf lock, cooperative authoritative mode only: keys evicted or
     /// invalidated since the last [`BufferManager::take_evicted`] drain.
     /// The cache module turns the drained batch into directory-removal
@@ -401,30 +408,26 @@ struct Shard {
     /// never-taken branch).
     obs: Option<ManagerObs>,
     stats: AtomicStats,
-    /// `Some` when a sharded facade coordinates epochs (N > 1): every
-    /// access event bumps this facade-shared clock instead of running
-    /// the in-shard epoch boundary. `None` (N = 1) keeps the exact
-    /// in-shard epoch path, byte-for-byte the pre-sharding behavior.
-    shared_clock: Option<StdArc<AtomicU64>>,
 }
 
 /// The shared, finely-locked block cache — a facade over `N` independent
-/// [`Shard`]s (see [`BufferManagerBuilder::shards`]; the default of 1
-/// preserves the historical single-pool behavior exactly).
+/// [`Shard`]s (see [`BufferManagerBuilder::shards`]; the default of 1 is
+/// the paper's single pool).
 ///
 /// The facade itself holds **no locks**: routing is a pure hash, the
 /// aggregate counters are sums over shard-local atomics, and the only
 /// facade-owned mutable state is the lock-free epoch clock/gate pair
 /// below. Cross-shard coordination happens in exactly two places:
 ///
-/// * **Epoch boundaries** (N > 1): shards feed one shared access clock;
-///   when it crosses `epoch_accesses` the thread that trips the gate
-///   collects each shard's [`EpochObservation`], merges the ghost and
-///   refault ledgers, makes ONE switch/quota decision over the merged
-///   evidence (`kcache-adaptive`'s shared decision rules), and applies
-///   the resulting [`EpochDirective`] to every shard — so an adaptive
-///   switch migrates all shards atomically with respect to epochs and
-///   no shard can disagree about the live policy.
+/// * **Epoch boundaries**: shards feed one shared access clock; when it
+///   crosses `epoch_accesses` the thread that trips the gate collects
+///   each shard's [`EpochObservation`], merges the ghost and refault
+///   ledgers, makes ONE switch/quota decision over the merged evidence
+///   (`kcache_adaptive::decide_epoch`), and applies the resulting
+///   [`EpochDirective`] to every shard — so an adaptive switch migrates
+///   all shards atomically with respect to epochs and no shard can
+///   disagree about the live policy. Static policies have nothing to
+///   observe; each shard's policy just ages.
 /// * **Strict-quota spill**: per-shard strict quotas are the global
 ///   quota split across shards. When an app's traffic hashes unevenly
 ///   its home shard may fill while a sibling's slice idles; before a
@@ -440,9 +443,12 @@ pub struct BufferManager {
     partitioning: PartitionConfig,
     adaptive_cfg: Option<AdaptiveConfig>,
     epoch_accesses: usize,
+    /// Minimum quota the adaptive tuner may shrink any app to — the
+    /// backstop behind the tuner's own clamp (see
+    /// [`quota_move_valid`](Self::quota_move_valid)).
     quota_floor: usize,
-    /// N > 1 only: accesses across all shards since construction (the
-    /// shards bump it; see [`Shard::shared_clock`]).
+    /// Accesses across all shards since construction (the shards bump
+    /// it; see [`Shard::epoch_clock`]). Stays 0 when epochs are off.
     epoch_clock: StdArc<AtomicU64>,
     /// Coordinated epoch boundaries already run.
     epoch_marks: AtomicU64,
@@ -560,11 +566,11 @@ impl BufferManagerBuilder {
         self
     }
 
-    /// Number of independent shards the frame pool is split into. `1`
-    /// (the default) is the historical single-pool manager, bit for
-    /// bit. With `n > 1` each shard owns `capacity / n` frames (the
-    /// remainder spread over the low-index shards), its own replacement
-    /// policy instance, free/dirty lists and charge ledger; blocks route
+    /// Number of independent shards the frame pool is split into
+    /// (default 1, the paper's single pool). Each shard owns
+    /// `capacity / n` frames (the remainder spread over the low-index
+    /// shards), its own replacement policy instance, free/dirty lists
+    /// and charge ledger; blocks route
     /// to shards by the *high* bits of the key hash (the in-shard bucket
     /// index consumes the low bits). Quotas and watermarks are split the
     /// same way, sums preserved; epochs are coordinated by the facade so
@@ -594,7 +600,7 @@ impl BufferManagerBuilder {
         assert!(low_watermark <= high_watermark && high_watermark <= capacity);
         partitioning.validate(capacity).unwrap_or_else(|e| panic!("bad partitioning: {e}"));
         let quota_floor = adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1));
-        let shared_clock = (n_shards > 1).then(|| StdArc::new(AtomicU64::new(0)));
+        let epoch_clock = StdArc::new(AtomicU64::new(0));
         let caps = split_units(capacity, n_shards);
         let lows = split_units(low_watermark, n_shards);
         let highs = split_units(high_watermark, n_shards);
@@ -625,8 +631,7 @@ impl BufferManagerBuilder {
                     eager,
                     cooperative,
                     obs: obs.clone(),
-                    quota_floor,
-                    shared_clock: shared_clock.clone(),
+                    epoch_clock: epoch_clock.clone(),
                 })
             })
             .collect();
@@ -638,7 +643,7 @@ impl BufferManagerBuilder {
             adaptive_cfg: adaptive,
             epoch_accesses,
             quota_floor,
-            epoch_clock: shared_clock.unwrap_or_else(|| StdArc::new(AtomicU64::new(0))),
+            epoch_clock,
             epoch_marks: AtomicU64::new(0),
             epoch_gate: AtomicBool::new(false),
         }
@@ -666,8 +671,7 @@ struct ShardParams {
     eager: bool,
     cooperative: Option<CooperativeConfig>,
     obs: Option<(StdArc<ObsHub>, u32)>,
-    quota_floor: usize,
-    shared_clock: Option<StdArc<AtomicU64>>,
+    epoch_clock: StdArc<AtomicU64>,
 }
 
 impl Shard {
@@ -683,8 +687,7 @@ impl Shard {
             eager,
             cooperative,
             obs,
-            quota_floor,
-            shared_clock,
+            epoch_clock,
         } = params;
         debug_assert!(capacity > 0);
         debug_assert!(low_watermark <= high_watermark && high_watermark <= capacity);
@@ -736,7 +739,7 @@ impl Shard {
             charges: Mutex::new(HashMap::new()),
             tuned_quotas: Mutex::new(HashMap::new()),
             epoch_accesses,
-            accesses: AtomicU64::new(0),
+            epoch_clock,
             ref_words,
             ring: EventRing::new(),
             count_only_unattributed,
@@ -744,12 +747,10 @@ impl Shard {
             pending_hits: AtomicU64::new(0),
             pending_misses: AtomicU64::new(0),
             eager,
-            quota_floor,
             evicted_log: track_evictions.then(|| Mutex::new(Vec::new())),
             duplicate_hints: singleton.then(|| Mutex::new(std::collections::HashSet::new())),
             obs,
             stats: AtomicStats::default(),
-            shared_clock,
         }
     }
 
@@ -967,101 +968,40 @@ impl Shard {
         self.note_epoch_access();
     }
 
-    /// The epoch clock: every `epoch_accesses` access events (hits,
-    /// misses, probe hits, recency touches — see the module docs for the
-    /// participation rule), drive one policy `epoch_tick` (adaptive
-    /// switch decisions, `SharingAware` referent decay) and apply any
-    /// quota updates the tick recommends. The ring is drained before the
-    /// tick so the decision sees every access that preceded the epoch
-    /// boundary. Locks are taken one at a time (policy, then
-    /// tuned_quotas — both leaves), never nested.
+    /// Feed the facade's epoch clock: every access event (hit, miss,
+    /// probe hit, recency touch — see the module docs for the
+    /// participation rule) counts once, as the last effect of its
+    /// operation, so the facade's boundary check right after the call
+    /// sees the state the access left. Epochs off: no work at all.
     fn note_epoch_access(&self) {
-        // Sharded facade (N > 1): this shard does not run epochs itself —
-        // it feeds the facade's shared clock and the facade coordinates
-        // one cross-shard boundary when the clock crosses the threshold.
-        if let Some(clock) = &self.shared_clock {
-            clock.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        if self.epoch_accesses == 0 {
-            return;
-        }
-        let n = self.accesses.fetch_add(1, Ordering::Relaxed) + 1;
-        if !n.is_multiple_of(self.epoch_accesses as u64) {
-            return;
-        }
-        self.epoch_tick_local();
-        if self.obs.is_some() {
-            let usage = self.app_usage();
-            let quotas: Vec<(AppId, usize)> =
-                usage.iter().filter_map(|&(app, _)| self.quota_of(app).map(|q| (app, q))).collect();
-            let ast = self.adaptive_stats();
-            self.obs_epoch_mark(n, &usage, &quotas, ast.as_ref());
+        if self.epoch_accesses != 0 {
+            self.epoch_clock.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// One shard-local epoch tick: drain, let the policy decide
-    /// (adaptive switch, `SharingAware` decay), validate and apply any
-    /// quota updates it recommends. Runs from the in-shard clock (N = 1)
-    /// or per shard from the facade's coordinated boundary when no
-    /// adaptive meta-policy needs cross-shard merging (static policies
-    /// age independently — there is no shared decision to coordinate).
-    fn epoch_tick_local(&self) {
-        let quotas: Vec<(AppId, usize)> = if self.partitioning.mode == PartitionMode::Shared {
-            Vec::new()
-        } else {
-            self.partitioning
-                .quotas
-                .keys()
-                .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
-                .collect()
-        };
-        let updates = {
-            let mut p = self.policy.lock();
-            self.drain_locked(&mut p);
-            p.epoch_tick(&quotas)
-        };
-        if !updates.is_empty() {
-            // The tuner redistributes existing partitions; it may never
-            // invent a quota, shrink one below the fairness floor, or
-            // exceed the pool — and a transfer applies in full or not at
-            // all (applying only one side of a grow/shrink pair would
-            // leak total quota).
-            let valid = updates.iter().all(|u| {
-                u.app != AppId::UNKNOWN
-                    && u.quota >= 1
-                    && u.quota <= self.capacity
-                    && self.partitioning.quotas.contains_key(&u.app.0)
-                    // The fairness floor bounds how far a quota may be
-                    // *shrunk*; an app whose configured quota starts
-                    // below the floor may still grow toward it (a veto
-                    // here would kill the whole transfer pair and leave
-                    // the tuner permanently dead for such configs).
-                    && (u.quota >= self.quota_floor
-                        || self.quota_of(u.app).is_some_and(|cur| u.quota >= cur))
-            });
-            if valid {
-                let mut tuned = self.tuned_quotas.lock();
-                for u in updates {
-                    tuned.insert(u.app.0, u.quota);
-                }
-            }
-        }
+    /// Epoch boundary, static policies: drain, then let the policy age
+    /// (`SharingAware` referent decay). Shards age independently — there
+    /// is no shared decision to coordinate.
+    fn epoch_age(&self) {
+        let mut p = self.policy.lock();
+        self.drain_locked(&mut p);
+        p.epoch_tick();
     }
 
-    /// Facade coordination, step 1 (adaptive, N > 1): drain this shard's
-    /// deferred events and export its epoch observation — the live
-    /// policy, each candidate ghost's per-epoch ledger, each app's
-    /// refault count. `None` for static policies.
+    /// Epoch boundary, step 1: drain this shard's deferred events (so the
+    /// decision sees every access that preceded the boundary) and export
+    /// its epoch observation — the live policy, each candidate ghost's
+    /// per-epoch ledger, each app's refault count. `None` for static
+    /// policies.
     fn epoch_observe(&self) -> Option<EpochObservation> {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
         p.epoch_observe()
     }
 
-    /// Facade coordination, step 2 (adaptive, N > 1): apply the merged
-    /// cross-shard decision — every shard receives the same directive,
-    /// so a policy switch migrates all shards within one boundary.
+    /// Epoch boundary, step 2 (adaptive): apply the merged cross-shard
+    /// decision — every shard receives the same directive, so a policy
+    /// switch migrates all shards within one boundary.
     fn epoch_apply_directive(&self, directive: &EpochDirective) {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
@@ -1078,7 +1018,7 @@ impl Shard {
     /// switch, the winning/losing refault counts for a quota move.
     ///
     /// Usage, quota gauges and adaptive stats come in as arguments so the
-    /// sharded facade can pass *merged* cross-shard views — a shard
+    /// facade can pass *merged* cross-shard views — a shard
     /// publishing only its own slice would clobber the global gauges with
     /// a partial picture.
     fn obs_epoch_mark(
@@ -1165,18 +1105,17 @@ impl Shard {
         p.on_insert(idx, key.hash(), app);
     }
 
-    /// Attribute an access to `app` without copying data — used by the
-    /// cache module when one fetch satisfies waiters from *several*
-    /// applications, so sharing-aware policies see every referent.
-    pub fn note_access(&self, key: BlockKey, app: AppId) {
+    /// [`AccessKind::Touch`]: a recency touch of `key` if it is resident.
+    fn touch_impl(&self, key: BlockKey, app: AppId) -> AccessOutcome {
         let idx = {
             let b = self.buckets[self.bucket_of(&key)].lock();
             match b.iter().find(|(k, _)| *k == key) {
                 Some(&(_, idx)) => idx,
-                None => return,
+                None => return AccessOutcome::Miss,
             }
         };
         self.note_touch(idx, key, app);
+        AccessOutcome::Hit
     }
 
     /// Look up `key` in the hash table (no data copy, no stats). Mostly for
@@ -1206,11 +1145,8 @@ impl Shard {
         }
     }
 
-    /// The canonical access entry point: one attributed request
-    /// ([`Access`]) covering reads, probes, write-behind absorbs and
-    /// clean installs. The `try_read`/`probe`/`write`/`insert_clean`
-    /// method families (and their `*_by` forms) are trivial wrappers
-    /// around this.
+    /// One attributed request ([`Access`]) against this shard: reads,
+    /// probes, write-behind absorbs, clean installs, touches.
     pub fn access(&self, key: BlockKey, req: Access<'_>) -> AccessOutcome {
         let app = req.app;
         match req.kind {
@@ -1232,6 +1168,7 @@ impl Shard {
             AccessKind::InsertClean { home, span, bytes } => {
                 AccessOutcome::Inserted(self.insert_clean_impl(key, home, span, bytes, app))
             }
+            AccessKind::Touch => self.touch_impl(key, app),
         }
     }
 
@@ -2073,7 +2010,7 @@ impl BufferManager {
         &self.partitioning
     }
 
-    /// Number of independent shards (1 = the historical single pool).
+    /// Number of independent shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
     }
@@ -2171,9 +2108,6 @@ impl BufferManager {
     /// shards (ascending by app id; apps appear once they have touched
     /// the cache anywhere).
     pub fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].app_usage();
-        }
         let mut merged: BTreeMap<u32, AppUsage> = BTreeMap::new();
         for s in self.shards.iter() {
             for (app, u) in s.app_usage() {
@@ -2251,10 +2185,12 @@ impl BufferManager {
         }
     }
 
-    /// The canonical access entry point: route to the owning shard, run
-    /// the strict-quota spill protocol if the install would be denied,
-    /// delegate, then give a due coordinated epoch boundary a chance to
-    /// run.
+    /// The one access entry point: an attributed request ([`Access`])
+    /// covering reads, probes, write-behind absorbs, clean installs and
+    /// touches — every hit and miss the cache counts comes through here.
+    /// Routes to the owning shard, runs the strict-quota spill protocol
+    /// if the install would be denied, delegates, then gives a due epoch
+    /// boundary a chance to run.
     pub fn access(&self, key: BlockKey, req: Access<'_>) -> AccessOutcome {
         let shard = self.shard_of(&key);
         if self.shards.len() > 1
@@ -2267,7 +2203,7 @@ impl BufferManager {
         out
     }
 
-    /// Strict-quota spill (N > 1): an app at its per-shard quota here may
+    /// Strict-quota spill: an app at its per-shard quota here may
     /// have idle quota on a sibling shard (hash skew); move one *quota
     /// unit* — never a frame — from an under-used sibling to this shard
     /// so the install admits. Decrement-before-increment keeps the global
@@ -2294,97 +2230,6 @@ impl BufferManager {
                 return;
             }
         }
-    }
-
-    /// [`try_read_by`](Self::try_read_by) with an unattributed accessor.
-    pub fn try_read(&self, key: BlockKey, span: Span, out: &mut [u8]) -> bool {
-        self.try_read_by(key, span, out, AppId::UNKNOWN)
-    }
-
-    /// Try to serve `span` of `key` into `out` (`out.len() == span.len()`)
-    /// on behalf of application `app`. Counts a hit (and refreshes
-    /// recency) or a miss. Wrapper over [`access`](Self::access).
-    pub fn try_read_by(&self, key: BlockKey, span: Span, out: &mut [u8], app: AppId) -> bool {
-        self.access(key, Access { app, kind: AccessKind::Read { span, out } }).is_hit()
-    }
-
-    /// [`probe_by`](Self::probe_by) with an unattributed accessor.
-    pub fn probe(&self, key: BlockKey, span: Span) -> bool {
-        self.probe_by(key, span, AppId::UNKNOWN)
-    }
-
-    /// Hit check without copying (used to plan request splitting) on
-    /// behalf of `app`. Both branches run the same accounting as
-    /// [`try_read_by`](Self::try_read_by) — global and policy hit/miss
-    /// counters, the per-app ledger, the epoch clock — except that, like
-    /// the seed implementation, a probe hit does **not** refresh recency
-    /// (planning a split is not a use of the block). Before PR 5 the hit
-    /// branch skipped the epoch clock and the app ledger while the miss
-    /// branch counted both, so probe-heavy workloads skewed epoch length
-    /// and per-app hit ratios. Wrapper over [`access`](Self::access).
-    pub fn probe_by(&self, key: BlockKey, span: Span, app: AppId) -> bool {
-        self.access(key, Access { app, kind: AccessKind::Probe { span } }).is_hit()
-    }
-
-    /// [`insert_clean_by`](Self::insert_clean_by) with an unattributed
-    /// accessor.
-    pub fn insert_clean(
-        &self,
-        key: BlockKey,
-        home: NodeId,
-        span: Span,
-        bytes: &[u8],
-    ) -> Option<FlushItem> {
-        self.insert_clean_by(key, home, span, bytes, AppId::UNKNOWN)
-    }
-
-    /// Install fetched (clean) bytes for `key` on behalf of `app`. Fetches
-    /// are whole blocks, so `span` is normally [`Span::FULL`]. Returns a
-    /// flush snapshot if a dirty frame had to be evicted to make room.
-    /// Wrapper over [`access`](Self::access).
-    pub fn insert_clean_by(
-        &self,
-        key: BlockKey,
-        home: NodeId,
-        span: Span,
-        bytes: &[u8],
-        app: AppId,
-    ) -> Option<FlushItem> {
-        match self.access(key, Access { app, kind: AccessKind::InsertClean { home, span, bytes } })
-        {
-            AccessOutcome::Inserted(fl) => fl,
-            _ => unreachable!("InsertClean yields Inserted"),
-        }
-    }
-
-    /// [`write_by`](Self::write_by) with an unattributed accessor.
-    pub fn write(&self, key: BlockKey, home: NodeId, span: Span, bytes: &[u8]) -> WriteOutcome {
-        self.write_by(key, home, span, bytes, AppId::UNKNOWN)
-    }
-
-    /// Write-behind absorb of `span` of `key` on behalf of `app`. On
-    /// success the block is dirty in cache and the write can be
-    /// acknowledged locally. Wrapper over [`access`](Self::access).
-    pub fn write_by(
-        &self,
-        key: BlockKey,
-        home: NodeId,
-        span: Span,
-        bytes: &[u8],
-        app: AppId,
-    ) -> WriteOutcome {
-        match self.access(key, Access { app, kind: AccessKind::Write { home, span, bytes } }) {
-            AccessOutcome::Write(out) => out,
-            _ => unreachable!("Write yields Write"),
-        }
-    }
-
-    /// Attribute an access to `app` without copying data — used by the
-    /// cache module when one fetch satisfies waiters from *several*
-    /// applications, so sharing-aware policies see every referent.
-    pub fn note_access(&self, key: BlockKey, app: AppId) {
-        self.shard_of(&key).note_access(key, app);
-        self.maybe_epoch();
     }
 
     /// Look up `key` in the hash table (no data copy, no stats). Mostly
@@ -2484,13 +2329,11 @@ impl BufferManager {
         self.shards.iter().flat_map(|s| s.take_evicted()).collect()
     }
 
-    /// Run any due coordinated epoch boundary (N > 1 only; with a single
-    /// shard the shard runs its own exact in-shard epoch path). The CAS
-    /// gate admits exactly one thread per boundary; latecomers return
-    /// immediately — the boundary they observed due is already being
-    /// handled.
+    /// Run any due epoch boundary. The CAS gate admits exactly one
+    /// thread per boundary; latecomers return immediately — the boundary
+    /// they observed due is already being handled.
     fn maybe_epoch(&self) {
-        if self.shards.len() == 1 || self.epoch_accesses == 0 {
+        if self.epoch_accesses == 0 {
             return;
         }
         let ea = self.epoch_accesses as u64;
@@ -2517,84 +2360,42 @@ impl BufferManager {
         }
     }
 
-    /// One coordinated cross-shard epoch boundary.
+    /// One epoch boundary, the same for every shard count.
     ///
-    /// Adaptive: collect each shard's [`EpochObservation`], merge the
-    /// ghost and refault ledgers, make ONE switch/quota decision over the
-    /// merged evidence with the same shared rules the single-shard path
-    /// uses (`kcache-adaptive`'s `decide_switch` / `decide_quota_move`),
-    /// and push the identical [`EpochDirective`] into every shard — a
-    /// switch therefore migrates all shards within one boundary and no
-    /// shard can disagree about the live policy. A quota transfer is
-    /// validated globally (the same backstop rules as the in-shard path)
-    /// and re-split across shards.
-    ///
-    /// Static: policies age independently — each shard runs its own
-    /// local tick (`SharingAware` referent decay etc.); there is no
-    /// shared decision to coordinate.
+    /// Collect each shard's [`EpochObservation`] and merge the ghost and
+    /// refault ledgers. If there is one (an adaptive meta-policy runs),
+    /// make ONE switch/quota decision over the merged evidence
+    /// (`kcache_adaptive::decide_epoch`) and push the identical
+    /// [`EpochDirective`] into every shard — a switch therefore migrates
+    /// all shards within one boundary and no shard can disagree about
+    /// the live policy; a quota transfer is validated globally
+    /// ([`quota_move_valid`](Self::quota_move_valid)) and re-split across
+    /// shards. If there is none, the policies are static and each shard's
+    /// just ages (`SharingAware` referent decay).
     fn run_epoch_boundary(&self, epoch_n: u64) {
-        match &self.adaptive_cfg {
-            Some(cfg) => {
-                let mut merged: Option<EpochObservation> = None;
-                for s in self.shards.iter() {
-                    if let Some(obs) = s.epoch_observe() {
-                        match &mut merged {
-                            Some(m) => m.merge(&obs),
-                            None => merged = Some(obs),
-                        }
-                    }
+        let merged = self.shards.iter().filter_map(|s| s.epoch_observe()).reduce(|mut m, o| {
+            m.merge(&o);
+            m
+        });
+        match merged {
+            Some(merged) => {
+                let cfg = self.adaptive_cfg.as_ref().expect("only the adaptive policy observes");
+                let quotas: Vec<(AppId, usize)> = self
+                    .partitioning
+                    .quotas
+                    .keys()
+                    .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
+                    .collect();
+                let (mut directive, mv) = decide_epoch(&merged, cfg, &quotas, self.capacity);
+                let mv = mv.filter(|mv| self.quota_move_valid(mv));
+                if mv.is_none() {
+                    directive.quota_move = None;
                 }
-                let Some(merged) = merged else { return };
-                let live = merged.live.unwrap_or(self.policy_cfg.kind);
-                let switch_to = decide_switch(&merged.ghost_epoch, live, cfg.hysteresis);
-                let mut quota_move = None;
-                let mut new_quotas: Option<[(AppId, usize); 2]> = None;
-                if cfg.quota_tuning && self.partitioning.mode != PartitionMode::Shared {
-                    let global_quotas: Vec<(AppId, usize)> = self
-                        .partitioning
-                        .quotas
-                        .keys()
-                        .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
-                        .collect();
-                    if let Some(mv) = decide_quota_move(
-                        &global_quotas,
-                        &merged.refaults,
-                        self.capacity,
-                        cfg.quota_step,
-                        cfg.quota_floor.max(1),
-                    ) {
-                        // The same backstop validation the in-shard path
-                        // applies (all-or-nothing: a half-applied pair
-                        // would leak quota).
-                        let valid = [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
-                            .iter()
-                            .all(|&(app, q)| {
-                                app != AppId::UNKNOWN
-                                    && q >= 1
-                                    && q <= self.capacity
-                                    && self.partitioning.quotas.contains_key(&app.0)
-                                    && (q >= self.quota_floor
-                                        || self.quota_of(app).is_some_and(|cur| q >= cur))
-                            });
-                        if valid {
-                            quota_move = Some((
-                                mv.loser,
-                                mv.winner,
-                                mv.frames,
-                                mv.loser_refaults,
-                                mv.winner_refaults,
-                            ));
-                            new_quotas =
-                                Some([(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]);
-                        }
-                    }
-                }
-                let directive = EpochDirective { switch_to, quota_move };
                 for s in self.shards.iter() {
                     s.epoch_apply_directive(&directive);
                 }
-                if let Some(pairs) = new_quotas {
-                    for (app, q) in pairs {
+                if let Some(mv) = mv {
+                    for (app, q) in [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)] {
                         let split = split_units(q, self.shards.len());
                         for (s, &slice) in self.shards.iter().zip(&split) {
                             s.set_tuned_quota(app, slice);
@@ -2604,13 +2405,13 @@ impl BufferManager {
             }
             None => {
                 for s in self.shards.iter() {
-                    s.epoch_tick_local();
+                    s.epoch_age();
                 }
             }
         }
-        // Observability: one coordinated mark with *merged* cross-shard
-        // views (shard 0's hub handles speak for the node), plus the
-        // per-shard balance gauges.
+        // Observability: one mark with *merged* cross-shard views (shard
+        // 0's hub handles speak for the node), plus the per-shard balance
+        // gauges.
         if self.shards[0].obs.is_some() {
             let usage = self.app_usage();
             let quota_gauges: Vec<(AppId, usize)> =
@@ -2624,6 +2425,24 @@ impl BufferManager {
             );
             self.publish_shard_gauges();
         }
+    }
+
+    /// The backstop behind the tuner's own clamps, and the one place a
+    /// quota move is validated. The tuner redistributes existing
+    /// partitions: it may never invent a quota (unknown or unpartitioned
+    /// app), empty one, exceed the pool, or shrink one below the fairness
+    /// floor — and a transfer applies in full or not at all (applying
+    /// only one side of a grow/shrink pair would leak total quota). The
+    /// floor bounds how far a quota may be *shrunk*: an app whose
+    /// configured quota starts below it may still grow toward it (a veto
+    /// there would kill the whole pair and leave the tuner permanently
+    /// dead for such configs).
+    fn quota_move_valid(&self, mv: &QuotaMove) -> bool {
+        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)].into_iter().all(|(app, q)| {
+            q >= 1
+                && q <= self.capacity
+                && self.quota_of(app).is_some_and(|cur| q >= self.quota_floor || q >= cur)
+        })
     }
 }
 
@@ -2642,6 +2461,69 @@ mod tests {
 
     fn mgr(cap: usize) -> BufferManager {
         BufferManager::builder(cap).build()
+    }
+
+    /// Test-local shorthand over [`BufferManager::access`], the one entry
+    /// point, so a test reads as the sequence of operations it drives.
+    trait Ops {
+        fn run(&self, key: BlockKey, app: AppId, kind: AccessKind<'_>) -> AccessOutcome;
+
+        fn try_read_by(&self, key: BlockKey, span: Span, out: &mut [u8], app: AppId) -> bool {
+            self.run(key, app, AccessKind::Read { span, out }).is_hit()
+        }
+        fn try_read(&self, key: BlockKey, span: Span, out: &mut [u8]) -> bool {
+            self.try_read_by(key, span, out, AppId::UNKNOWN)
+        }
+        fn probe_by(&self, key: BlockKey, span: Span, app: AppId) -> bool {
+            self.run(key, app, AccessKind::Probe { span }).is_hit()
+        }
+        fn insert_clean_by(
+            &self,
+            key: BlockKey,
+            home: NodeId,
+            span: Span,
+            bytes: &[u8],
+            app: AppId,
+        ) -> Option<FlushItem> {
+            match self.run(key, app, AccessKind::InsertClean { home, span, bytes }) {
+                AccessOutcome::Inserted(fl) => fl,
+                other => panic!("InsertClean yielded {other:?}"),
+            }
+        }
+        fn insert_clean(
+            &self,
+            key: BlockKey,
+            home: NodeId,
+            span: Span,
+            bytes: &[u8],
+        ) -> Option<FlushItem> {
+            self.insert_clean_by(key, home, span, bytes, AppId::UNKNOWN)
+        }
+        fn write_by(
+            &self,
+            key: BlockKey,
+            home: NodeId,
+            span: Span,
+            bytes: &[u8],
+            app: AppId,
+        ) -> WriteOutcome {
+            match self.run(key, app, AccessKind::Write { home, span, bytes }) {
+                AccessOutcome::Write(out) => out,
+                other => panic!("Write yielded {other:?}"),
+            }
+        }
+        fn write(&self, key: BlockKey, home: NodeId, span: Span, bytes: &[u8]) -> WriteOutcome {
+            self.write_by(key, home, span, bytes, AppId::UNKNOWN)
+        }
+        fn touch(&self, key: BlockKey, app: AppId) -> bool {
+            self.run(key, app, AccessKind::Touch).is_hit()
+        }
+    }
+
+    impl Ops for BufferManager {
+        fn run(&self, key: BlockKey, app: AppId, kind: AccessKind<'_>) -> AccessOutcome {
+            self.access(key, Access { app, kind })
+        }
     }
 
     #[test]
@@ -3155,27 +3037,21 @@ mod tests {
         }
     }
 
-    fn adaptive_mgr(kind: PolicyKind, epoch: usize) -> BufferManager {
-        BufferManager::builder(8)
-            .policy(EvictPolicy::of(kind))
-            .watermarks(0, 2)
-            .adaptive(Some(AdaptiveConfig::new([kind])))
-            .epoch_accesses(epoch)
-            .build()
-    }
-
     #[test]
     fn adaptive_with_one_candidate_matches_static_byte_for_byte() {
         // The meta-policy differential: ghosts observe, the controller has
         // nothing to switch to, so every observable of the manager must
         // match the static policy exactly — epoch ticks included.
-        for kind in PolicyKind::ALL {
-            let adaptive = adaptive_mgr(kind, 64);
-            let stat = BufferManager::builder(8)
-                .policy(EvictPolicy::of(kind))
-                .watermarks(0, 2)
-                .epoch_accesses(64)
-                .build();
+        for (kind, shards) in PolicyKind::ALL.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
+            let mk = || {
+                BufferManager::builder(8)
+                    .shards(shards)
+                    .policy(EvictPolicy::of(kind))
+                    .watermarks(0, 2)
+                    .epoch_accesses(64)
+            };
+            let adaptive = mk().adaptive(Some(AdaptiveConfig::new([kind]))).build();
+            let stat = mk().build();
             let mut buf = vec![0u8; 4096];
             for step in 0..500u64 {
                 let k = key((step * 7919) % 23);
@@ -3237,52 +3113,55 @@ mod tests {
 
     #[test]
     fn epoch_tuner_grows_the_refaulting_apps_quota() {
-        // Strict halves; app 0 re-references a working set one frame
-        // bigger than its quota (constant refaults), app 1 streams fresh
-        // blocks it never revisits. The tuner must shift quota 0 ← 1, and
-        // enforcement must follow the *tuned* quotas.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 5); // working set of 5 > quota of 4
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+        for shards in [1, 2] {
+            // Strict halves; app 0 re-references a working set one frame
+            // bigger than its quota (constant refaults), app 1 streams fresh
+            // blocks it never revisits. The tuner must shift quota 0 ← 1, and
+            // enforcement must follow the *tuned* quotas.
+            let (hot, cold) = (AppId(0), AppId(1));
+            let m = BufferManager::builder(8)
+                .shards(shards)
+                .policy(EvictPolicy::of(PolicyKind::ExactLru))
+                .watermarks(0, 2)
+                .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
+                .adaptive(Some(AdaptiveConfig {
+                    quota_step: 1,
+                    ..AdaptiveConfig::new([PolicyKind::ExactLru])
+                }))
+                .epoch_accesses(32)
+                .build();
+            let mut buf = vec![0u8; 4096];
+            let mut fresh = 1000u64;
+            for round in 0..400u64 {
+                let k = key(round % 5); // working set of 5 > quota of 4
+                if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
+                    m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+                }
+                if round % 2 == 0 {
+                    m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
+                    fresh += 1;
+                }
             }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
+            let hq = m.quota_of(hot).unwrap();
+            let cq = m.quota_of(cold).unwrap();
+            assert!(hq > 4, "hot app's tuned quota must grow past 4, got {hq}");
+            assert!(cq < 4, "cold app's tuned quota must shrink below 4, got {cq}");
+            let stats = m.adaptive_stats().unwrap();
+            assert!(stats.quota_moves > 0);
+            assert!(stats.quota_log.iter().all(|q| q.to == hot && q.from == cold));
+            // Tuned quotas are enforced going forward: the hot app's residency
+            // tracks its grown quota (strict mode never let it past the cap at
+            // any intermediate step either).
+            assert!(m.resident_of(hot) <= hq);
+            // And the cold app, now over its shrunk quota, is the harvester's
+            // preferred reclaim source.
+            let before = m.resident_of(cold);
+            let _ = m.harvest();
+            assert!(
+                m.resident_of(cold) <= before.min(cq.max(1)) || m.resident_of(cold) < before,
+                "harvest must reclaim from the over-quota cold app first"
+            );
         }
-        let hq = m.quota_of(hot).unwrap();
-        let cq = m.quota_of(cold).unwrap();
-        assert!(hq > 4, "hot app's tuned quota must grow past 4, got {hq}");
-        assert!(cq < 4, "cold app's tuned quota must shrink below 4, got {cq}");
-        let stats = m.adaptive_stats().unwrap();
-        assert!(stats.quota_moves > 0);
-        assert!(stats.quota_log.iter().all(|q| q.to == hot && q.from == cold));
-        // Tuned quotas are enforced going forward: the hot app's residency
-        // tracks its grown quota (strict mode never let it past the cap at
-        // any intermediate step either).
-        assert!(m.resident_of(hot) <= hq);
-        // And the cold app, now over its shrunk quota, is the harvester's
-        // preferred reclaim source.
-        let before = m.resident_of(cold);
-        let _ = m.harvest();
-        assert!(
-            m.resident_of(cold) <= before.min(cq.max(1)) || m.resident_of(cold) < before,
-            "harvest must reclaim from the over-quota cold app first"
-        );
     }
 
     #[test]
@@ -3327,24 +3206,35 @@ mod tests {
 
     #[test]
     fn recency_touches_advance_the_epoch_clock() {
-        // A sync-write refresh (update_if_present → note_touch) is a real
-        // access: before PR 5 it never aged the policies.
-        let m = BufferManager::builder(4)
-            .watermarks(0, 4)
-            .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
-            .epoch_accesses(4)
-            .build();
-        m.insert_clean(key(0), NodeId(0), Span::FULL, &full_block(1));
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 0, "an insert is not an access");
-        for _ in 0..4 {
-            assert!(m.update_if_present(key(0), Span::FULL, &full_block(2)));
+        for shards in [1, 2] {
+            // A sync-write refresh (update_if_present → note_touch) is a real
+            // access: before PR 5 it never aged the policies.
+            let m = BufferManager::builder(4)
+                .shards(shards)
+                .watermarks(0, 4)
+                .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
+                .epoch_accesses(4)
+                .build();
+            m.insert_clean(key(0), NodeId(0), Span::FULL, &full_block(1));
+            assert_eq!(m.adaptive_stats().unwrap().epochs, 0, "an insert is not an access");
+            for _ in 0..4 {
+                assert!(m.update_if_present(key(0), Span::FULL, &full_block(2)));
+            }
+            assert_eq!(
+                m.adaptive_stats().unwrap().epochs,
+                1,
+                "touches must advance the epoch clock"
+            );
+            // A touch (secondary-waiter attribution) participates too — and
+            // is neither a hit nor a miss, resident or not.
+            for _ in 0..4 {
+                assert!(m.touch(key(0), AppId(1)));
+            }
+            assert_eq!(m.adaptive_stats().unwrap().epochs, 2);
+            assert!(!m.touch(key(9), AppId(1)), "absent block: nothing to touch");
+            let s = m.stats();
+            assert_eq!((s.hits, s.misses), (0, 0), "touches stay out of the hit/miss ledger");
         }
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 1, "touches must advance the epoch clock");
-        // note_access (secondary-waiter attribution) participates too.
-        for _ in 0..4 {
-            m.note_access(key(0), AppId(1));
-        }
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 2);
     }
 
     /// The tentpole differential: the drained side-buffer path must be
@@ -3409,7 +3299,7 @@ mod tests {
                         for m in [&eager, &drained] {
                             let _ = m.probe_by(k, Span::FULL, app);
                             let _ = m.update_if_present(k, Span::FULL, &full_block(9));
-                            m.note_access(k, AppId(2));
+                            m.touch(k, AppId(2));
                         }
                     }
                     _ => {
@@ -3515,7 +3405,7 @@ mod tests {
                         for m in [&plain, &obsd] {
                             let _ = m.probe_by(k, Span::FULL, app);
                             let _ = m.update_if_present(k, Span::FULL, &full_block(9));
-                            m.note_access(k, AppId(2));
+                            m.touch(k, AppId(2));
                         }
                     }
                     _ => {
@@ -3583,76 +3473,82 @@ mod tests {
 
     #[test]
     fn quota_floor_bounds_the_tuner_end_to_end() {
-        // The starved-tenant regression: same workload as
-        // `epoch_tuner_grows_the_refaulting_apps_quota`, but with a
-        // 3-frame fairness floor the idle tenant can never be squeezed
-        // below — validated by the manager before any update is applied.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                quota_floor: 3,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 5); // working set of 5 > quota of 4
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+        for shards in [1, 2] {
+            // The starved-tenant regression: same workload as
+            // `epoch_tuner_grows_the_refaulting_apps_quota`, but with a
+            // 3-frame fairness floor the idle tenant can never be squeezed
+            // below — validated by the manager before any update is applied.
+            let (hot, cold) = (AppId(0), AppId(1));
+            let m = BufferManager::builder(8)
+                .shards(shards)
+                .policy(EvictPolicy::of(PolicyKind::ExactLru))
+                .watermarks(0, 2)
+                .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
+                .adaptive(Some(AdaptiveConfig {
+                    quota_step: 1,
+                    quota_floor: 3,
+                    ..AdaptiveConfig::new([PolicyKind::ExactLru])
+                }))
+                .epoch_accesses(32)
+                .build();
+            let mut buf = vec![0u8; 4096];
+            let mut fresh = 1000u64;
+            for round in 0..400u64 {
+                let k = key(round % 5); // working set of 5 > quota of 4
+                if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
+                    m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+                }
+                if round % 2 == 0 {
+                    m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
+                    fresh += 1;
+                }
+                let cq = m.quota_of(cold).unwrap();
+                assert!(cq >= 3, "cold app squeezed below the floor: {cq} at round {round}");
             }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
-            let cq = m.quota_of(cold).unwrap();
-            assert!(cq >= 3, "cold app squeezed below the floor: {cq} at round {round}");
+            let stats = m.adaptive_stats().unwrap();
+            assert!(stats.quota_moves > 0, "the tuner must still act above the floor");
+            assert_eq!(m.quota_of(cold), Some(3), "shrink stops exactly at the floor");
+            assert_eq!(m.quota_of(hot), Some(5), "the freed frame went to the refaulting app");
         }
-        let stats = m.adaptive_stats().unwrap();
-        assert!(stats.quota_moves > 0, "the tuner must still act above the floor");
-        assert_eq!(m.quota_of(cold), Some(3), "shrink stops exactly at the floor");
-        assert_eq!(m.quota_of(hot), Some(5), "the freed frame went to the refaulting app");
     }
 
     #[test]
     fn quota_floor_never_vetoes_growth_toward_the_floor() {
-        // An app whose configured quota starts BELOW the floor must
-        // still be allowed to grow: the floor bounds shrinking, not
-        // growing — a veto on the grow side would kill the whole
-        // transfer pair and leave the tuner permanently dead for such
-        // configs.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 6)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                quota_floor: 4,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 3); // working set of 3 > quota of 2
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+        for shards in [1, 2] {
+            // An app whose configured quota starts BELOW the floor must
+            // still be allowed to grow: the floor bounds shrinking, not
+            // growing — a veto on the grow side would kill the whole
+            // transfer pair and leave the tuner permanently dead for such
+            // configs.
+            let (hot, cold) = (AppId(0), AppId(1));
+            let m = BufferManager::builder(8)
+                .shards(shards)
+                .policy(EvictPolicy::of(PolicyKind::ExactLru))
+                .watermarks(0, 2)
+                .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 6)]))
+                .adaptive(Some(AdaptiveConfig {
+                    quota_step: 1,
+                    quota_floor: 4,
+                    ..AdaptiveConfig::new([PolicyKind::ExactLru])
+                }))
+                .epoch_accesses(32)
+                .build();
+            let mut buf = vec![0u8; 4096];
+            let mut fresh = 1000u64;
+            for round in 0..400u64 {
+                let k = key(round % 3); // working set of 3 > quota of 2
+                if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
+                    m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
+                }
+                if round % 2 == 0 {
+                    m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
+                    fresh += 1;
+                }
             }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
+            assert!(m.adaptive_stats().unwrap().quota_moves > 0, "the tuner must act");
+            assert_eq!(m.quota_of(hot), Some(4), "growth from below the floor must be applied");
+            assert_eq!(m.quota_of(cold), Some(4), "the donor shrinks only to the floor");
         }
-        assert!(m.adaptive_stats().unwrap().quota_moves > 0, "the tuner must act");
-        assert_eq!(m.quota_of(hot), Some(4), "growth from below the floor must be applied");
-        assert_eq!(m.quota_of(cold), Some(4), "the donor shrinks only to the floor");
     }
 
     #[test]
@@ -3815,90 +3711,6 @@ mod tests {
         }
     }
 
-    /// The sharding differential: a `.shards(1)` manager IS the
-    /// unsharded manager — same single `Shard`, `shared_clock` absent,
-    /// the exact in-shard epoch path — so two identically-configured
-    /// builds must replay a mixed trace byte-for-byte, across every
-    /// policy, static and adaptive ranking, and every partition mode.
-    #[test]
-    fn shards_one_matches_unsharded_reference() {
-        for kind in PolicyKind::ALL {
-            for adaptive in
-                [None, Some(AdaptiveConfig { quota_tuning: false, ..AdaptiveConfig::new([kind]) })]
-            {
-                for part in [
-                    crate::config::PartitionConfig::shared(),
-                    crate::config::PartitionConfig::strict([(0, 4), (1, 4)]),
-                    crate::config::PartitionConfig::soft([(0, 4), (1, 4)]),
-                ] {
-                    let build = |shards: Option<usize>| {
-                        let mut b = BufferManager::builder(8)
-                            .policy(EvictPolicy::of(kind))
-                            .watermarks(0, 2)
-                            .partitioning(part.clone())
-                            .adaptive(adaptive.clone())
-                            .epoch_accesses(32);
-                        if let Some(n) = shards {
-                            b = b.shards(n);
-                        }
-                        b.build()
-                    };
-                    let reference = build(None);
-                    let sharded = build(Some(1));
-                    let mut buf = vec![0u8; 4096];
-                    for step in 0..600u64 {
-                        let k = key((step * 7919) % 19);
-                        let app = AppId((step % 2) as u32);
-                        match step % 5 {
-                            0 | 3 => {
-                                let a = reference.try_read_by(k, Span::FULL, &mut buf, app);
-                                let b = sharded.try_read_by(k, Span::FULL, &mut buf, app);
-                                assert_eq!(a, b, "{kind} step {step}: read outcome diverged");
-                            }
-                            1 => {
-                                let a =
-                                    reference.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
-                                let b =
-                                    sharded.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
-                                assert_eq!(
-                                    a.is_some(),
-                                    b.is_some(),
-                                    "{kind} step {step}: insert flush diverged"
-                                );
-                            }
-                            2 => {
-                                let a = reference.write_by(k, NodeId(0), Span::FULL, &buf, app);
-                                let b = sharded.write_by(k, NodeId(0), Span::FULL, &buf, app);
-                                assert_eq!(a, b, "{kind} step {step}: write outcome diverged");
-                            }
-                            _ => {
-                                for it in reference.take_dirty(2) {
-                                    reference.flush_complete(it.key, it.span);
-                                }
-                                for it in sharded.take_dirty(2) {
-                                    sharded.flush_complete(it.key, it.span);
-                                }
-                            }
-                        }
-                        assert_eq!(
-                            reference.resident_keys(),
-                            sharded.resident_keys(),
-                            "{kind} step {step}: resident sets diverged"
-                        );
-                    }
-                    let (a, b) = (reference.stats(), sharded.stats());
-                    assert_eq!((a.hits, a.misses), (b.hits, b.misses), "{kind}: ledgers diverged");
-                    let (pa, pb) = (reference.policy_stats(), sharded.policy_stats());
-                    assert_eq!(
-                        (pa.hits, pa.misses, pa.evictions_clean, pa.evictions_dirty),
-                        (pb.hits, pb.misses, pb.evictions_clean, pb.evictions_dirty),
-                        "{kind}: policy ledgers diverged"
-                    );
-                }
-            }
-        }
-    }
-
     /// Single-threaded multi-shard roundtrip: routing is stable (a key
     /// lives in exactly the shard the facade routes it to), and every
     /// facade aggregate is the sum of its shard parts.
@@ -3996,45 +3808,103 @@ mod tests {
         assert_eq!(survivors, quota - 1, "the extra install must displace exactly one block");
     }
 
-    /// Coordinated epochs (N > 1, adaptive): shards feed one shared
+    /// Coordinated epochs (adaptive): shards feed one shared
     /// clock, the facade makes one merged decision per boundary, and
     /// every shard applies it — so epoch counts advance in lockstep and
     /// no shard can disagree about the live policy.
     #[test]
     fn coordinated_epochs_switch_all_shards_in_lockstep() {
-        let m = BufferManager::builder(32)
-            .shards(2)
-            .watermarks(0, 2)
-            .adaptive(Some(AdaptiveConfig {
-                quota_tuning: false,
-                hysteresis: 0.0,
-                ..AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(64)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        for step in 0..1500u64 {
-            let k = key(step % 48);
-            if !m.try_read(k, Span::FULL, &mut buf) {
-                m.insert_clean(k, NodeId(0), Span::FULL, &full_block(step as u8));
+        for shards in [1, 2] {
+            let m = BufferManager::builder(32)
+                .shards(shards)
+                .watermarks(0, 2)
+                .adaptive(Some(AdaptiveConfig {
+                    quota_tuning: false,
+                    hysteresis: 0.0,
+                    ..AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru])
+                }))
+                .epoch_accesses(64)
+                .build();
+            let mut buf = vec![0u8; 4096];
+            for step in 0..1500u64 {
+                let k = key(step % 48);
+                if !m.try_read(k, Span::FULL, &mut buf) {
+                    m.insert_clean(k, NodeId(0), Span::FULL, &full_block(step as u8));
+                }
             }
+            let ast = m.adaptive_stats().expect("adaptive manager reports stats");
+            assert!(ast.epochs > 0, "no coordinated boundary ran");
+            // Lockstep: every shard saw exactly the same number of epochs and
+            // runs the same live candidate.
+            let live = m.live_policy_kind();
+            for s in m.shards.iter() {
+                let st = s.adaptive_stats().unwrap();
+                assert_eq!(st.epochs, ast.epochs, "shards disagree on epoch count");
+                assert_eq!(s.live_policy_kind(), live, "shards disagree on the live policy");
+                assert_eq!(st.switches, ast.switches, "shards disagree on switch count");
+            }
+            // The merged ghost ledgers saw the union of shard traffic.
+            assert!(
+                ast.ghost_rates.iter().any(|g| g.hits + g.misses > 0),
+                "merged ghost ledgers empty despite traffic"
+            );
         }
-        let ast = m.adaptive_stats().expect("adaptive manager reports stats");
-        assert!(ast.epochs > 0, "no coordinated boundary ran");
-        // Lockstep: every shard saw exactly the same number of epochs and
-        // runs the same live candidate.
-        let live = m.live_policy_kind();
-        for s in m.shards.iter() {
-            let st = s.adaptive_stats().unwrap();
-            assert_eq!(st.epochs, ast.epochs, "shards disagree on epoch count");
-            assert_eq!(s.live_policy_kind(), live, "shards disagree on the live policy");
-            assert_eq!(st.switches, ast.switches, "shards disagree on switch count");
+    }
+
+    /// With epochs off (the paper default) an access does no epoch work:
+    /// nobody would ever read the clock, so nobody bumps it — on a
+    /// sharded manager that bump was a contended RMW per operation.
+    #[test]
+    fn epochs_off_leaves_the_epoch_clock_untouched() {
+        for shards in [1, 2, 4] {
+            let m = BufferManager::builder(16).shards(shards).build();
+            let mut buf = vec![0u8; 4096];
+            for b in 0..40u64 {
+                if !m.try_read(key(b % 8), Span::FULL, &mut buf) {
+                    m.insert_clean(key(b % 8), NodeId(0), Span::FULL, &full_block(b as u8));
+                }
+                m.write(key(b % 8), NodeId(0), Span::new(0, 8), &[1u8; 8]);
+                m.touch(key(b % 8), AppId(1));
+                m.update_if_present(key(b % 8), Span::new(0, 8), &[2u8; 8]);
+            }
+            assert!(m.stats().hits > 0 && m.stats().misses > 0);
+            assert_eq!(m.epoch_clock.load(Ordering::Relaxed), 0, "shards={shards}");
+            assert_eq!(m.epoch_marks.load(Ordering::Relaxed), 0, "shards={shards}");
         }
-        // The merged ghost ledgers saw the union of shard traffic.
-        assert!(
-            ast.ghost_rates.iter().any(|g| g.hits + g.misses > 0),
-            "merged ghost ledgers empty despite traffic"
-        );
+    }
+
+    /// The one quota-move validator: every reject arm, and the accept
+    /// that lets a quota configured below the floor grow toward it.
+    #[test]
+    fn quota_move_validator_rejects_every_bad_arm() {
+        let m = BufferManager::builder(16)
+            .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 8)]))
+            .adaptive(Some(AdaptiveConfig {
+                quota_floor: 4,
+                ..AdaptiveConfig::new([PolicyKind::Clock])
+            }))
+            .build();
+        let mv = |winner: AppId, winner_quota: usize, loser: AppId, loser_quota: usize| QuotaMove {
+            winner,
+            loser,
+            frames: 1,
+            winner_quota,
+            loser_quota,
+            winner_refaults: 1,
+            loser_refaults: 0,
+        };
+        let (a, b) = (AppId(0), AppId(1));
+        assert!(m.quota_move_valid(&mv(a, 3, b, 7)), "growth toward the floor, shrink above it");
+        assert!(m.quota_move_valid(&mv(b, 9, a, 2)), "staying put below the floor is no shrink");
+        assert!(!m.quota_move_valid(&mv(AppId::UNKNOWN, 3, b, 7)), "unknown app");
+        assert!(!m.quota_move_valid(&mv(AppId(7), 3, b, 7)), "unpartitioned app");
+        assert!(!m.quota_move_valid(&mv(a, 3, b, 0)), "an emptied quota");
+        assert!(!m.quota_move_valid(&mv(a, 17, b, 7)), "more than the pool");
+        assert!(!m.quota_move_valid(&mv(a, 3, b, 3)), "shrink below the floor");
+        assert!(!m.quota_move_valid(&mv(b, 9, a, 1)), "shrink of a quota already below it");
+        // A shared pool has no partitions to move quota between.
+        let shared = BufferManager::builder(16).build();
+        assert!(!shared.quota_move_valid(&mv(a, 3, b, 7)), "shared pool");
     }
 
     /// 8-thread stress over a 4-shard manager with strict quotas: frames

@@ -23,7 +23,7 @@
 
 use crate::block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::CacheConfig;
-use crate::manager::{Access, AccessKind, BufferManager, FlushItem, WriteOutcome};
+use crate::manager::{Access, AccessKind, AccessOutcome, BufferManager, FlushItem, WriteOutcome};
 use bytes::Bytes;
 use kcache_obs::{
     Counter, EventId, FlowId, Histogram, ObsHub, Phase, QuantileSketch, QuantileSnapshot,
@@ -752,21 +752,16 @@ impl CacheModule {
                 let abs_start = blk * CACHE_BLOCK_SIZE as u64 + span.start as u64;
                 let lo = (abs_start - part.range.offset) as usize;
                 let hi = lo + span.len() as usize;
-                let outcome = self.cache.write_by(
-                    BlockKey::new(wr.fid, blk),
-                    iod_node,
-                    span,
-                    &part.data[lo..hi],
-                    app,
-                );
-                match outcome {
-                    WriteOutcome::Absorbed => {
+                let kind = AccessKind::Write { home: iod_node, span, bytes: &part.data[lo..hi] };
+                match self.cache.access(BlockKey::new(wr.fid, blk), Access { app, kind }) {
+                    AccessOutcome::Write(WriteOutcome::Absorbed) => {
                         absorbed_blocks += 1;
                         absorbed_bytes += span.len() as u64;
                         absorbed_keys.push(BlockKey::new(wr.fid, blk));
                         self.maybe_schedule_harvest(ctx);
                     }
-                    WriteOutcome::PassThrough => match fail_start {
+                    // Not absorbed: these bytes go through to the iod.
+                    _ => match fail_start {
                         Some(_) if fail_end == abs_start => fail_end += span.len() as u64,
                         Some(s) => {
                             passthrough.push(Self::slice_part(part, s, fail_end));
@@ -888,8 +883,9 @@ impl CacheModule {
                 }
             }
             let first_app = waiter_apps.first().copied().unwrap_or(AppId::UNKNOWN);
-            if let Some(fl) =
-                self.cache.insert_clean_by(key, home, span, &rd.data[lo..hi], first_app)
+            let kind = AccessKind::InsertClean { home, span, bytes: &rd.data[lo..hi] };
+            if let AccessOutcome::Inserted(Some(fl)) =
+                self.cache.access(key, Access { app: first_app, kind })
             {
                 urgent.push(fl);
             }
@@ -900,7 +896,7 @@ impl CacheModule {
             }
             installed.push(key);
             for &a in waiter_apps.iter().skip(1) {
-                self.cache.note_access(key, a);
+                self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
             }
             self.maybe_schedule_harvest(ctx);
             if let Some(t0) = self.fetching.remove(&key) {

@@ -15,7 +15,7 @@
 //! [`ObsHub`] ties the three together for one simulated cluster: a
 //! shared registry, a shared trace ring, the sim-clock "now" (stored by
 //! whichever actor is currently executing), and the epoch-aligned delta
-//! log driven by the buffer manager's existing `epoch_tick` hook.
+//! log driven by the buffer manager's epoch boundary.
 //!
 //! Instrumented components hold an `Option<...>` of pre-resolved
 //! handles; with observability off (the default) the hot path pays one
@@ -148,7 +148,7 @@ impl ObsHub {
 
     /// Close the current epoch window: snapshot all metrics, log the
     /// delta against the previous epoch boundary. Driven by the buffer
-    /// manager's `epoch_tick` hook.
+    /// manager's epoch boundary.
     pub fn mark_epoch(&self) {
         let mut e = self.epochs.lock().unwrap();
         // Fold new ring drops into the mirror counter under the lock,

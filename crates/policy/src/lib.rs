@@ -197,16 +197,6 @@ impl AccessEvent {
     }
 }
 
-/// A quota adjustment recommended by a meta-policy's tuner: set `app`'s
-/// frame quota to `quota`. The buffer manager — the only component with
-/// authority over the charge ledger — validates and applies these at the
-/// epoch boundary that produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuotaUpdate {
-    pub app: AppId,
-    pub quota: usize,
-}
-
 /// One live policy switch performed by a meta-policy at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SwitchRecord {
@@ -491,38 +481,30 @@ pub trait ReplacementPolicy: Send {
     }
 
     // ------------------------------------------------------------------
-    // Epoch protocol (driven by the buffer manager).
+    // Epoch protocol (driven by the buffer manager's epoch boundary).
     // ------------------------------------------------------------------
 
-    /// An epoch boundary: the manager calls this every `epoch_accesses`
-    /// cache accesses (when epochs are enabled at all). `quotas` is the
-    /// current effective frame quota of every quota'd application — the
-    /// tuner's starting point. The returned [`QuotaUpdate`]s are
-    /// *recommendations*; the manager validates and applies them to its
-    /// charge ledger. Static policies may use the tick for time-based
-    /// aging ([`SharingAware`]'s referent decay); the default is a no-op.
-    fn epoch_tick(&mut self, quotas: &[(AppId, usize)]) -> Vec<QuotaUpdate> {
-        let _ = quotas;
-        Vec::new()
-    }
+    /// Time-based aging at an epoch boundary ([`SharingAware`]'s referent
+    /// decay); the default is a no-op. The manager calls this on policies
+    /// that report no [`epoch_observe`](Self::epoch_observe); a
+    /// meta-policy ages its live candidate and ghosts from
+    /// [`epoch_apply`](Self::epoch_apply) instead. A policy never decides
+    /// anything for its host here.
+    fn epoch_tick(&mut self) {}
 
     /// The meta-policy observability ledger (`None` for static policies).
     fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         None
     }
 
-    // ------------------------------------------------------------------
-    // Coordinated epoch protocol (sharded managers).
-    // ------------------------------------------------------------------
-
     /// Export what this policy observed over the closing epoch *without*
     /// taking any decision: ghost hit/access counts per candidate and the
-    /// per-application refault evidence. A sharded manager collects one
+    /// per-application refault evidence. The manager collects one
     /// observation per shard, merges the ledgers, decides once globally,
     /// and pushes the verdict back through
     /// [`epoch_apply`](Self::epoch_apply) — so every shard switches (or
     /// stays) in lockstep. Static policies have nothing to report
-    /// (`None`); the caller then just runs their ordinary
+    /// (`None`); the caller then just runs their
     /// [`epoch_tick`](Self::epoch_tick).
     fn epoch_observe(&self) -> Option<EpochObservation> {
         None
@@ -540,8 +522,8 @@ pub trait ReplacementPolicy: Send {
 }
 
 /// What an adaptive meta-policy saw over one epoch, exported *before* any
-/// switch/tuning decision so a sharded manager can merge per-shard ledgers
-/// and decide once for the whole pool.
+/// switch/tuning decision so the manager can merge per-shard ledgers and
+/// decide once for the whole pool.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EpochObservation {
     /// The currently live candidate's kind.

@@ -161,7 +161,7 @@ impl ReplacementPolicy for SharingAware {
         Some(order)
     }
 
-    fn epoch_tick(&mut self, _quotas: &[(AppId, usize)]) -> Vec<crate::QuotaUpdate> {
+    fn epoch_tick(&mut self) {
         // Age the referent masks: the live generation becomes the aged one
         // and a fresh epoch starts. A referent seen two epochs ago is
         // forgotten entirely.
@@ -169,7 +169,6 @@ impl ReplacementPolicy for SharingAware {
             self.aged[f] = self.apps[f];
             self.apps[f] = 0;
         }
-        Vec::new()
     }
 }
 
@@ -232,15 +231,15 @@ mod tests {
         s.on_access(0, 0, AppId(1));
         assert_eq!(s.referents(0), 2);
         // One tick: the observation ages but still protects.
-        assert!(s.epoch_tick(&[]).is_empty());
+        s.epoch_tick();
         assert_eq!(s.referents(0), 2, "aged generation still counts");
         // A second tick with no re-reference forgets it entirely.
-        s.epoch_tick(&[]);
+        s.epoch_tick();
         assert_eq!(s.referents(0), 0, "sharing observed two epochs ago is gone");
         // Re-referenced blocks keep their protection across ticks.
         s.on_insert(1, 1, AppId(0));
         s.on_access(1, 1, AppId(1));
-        s.epoch_tick(&[]);
+        s.epoch_tick();
         s.on_access(1, 1, AppId(1));
         assert_eq!(s.referents(1), 2, "refresh during the epoch survives the tick");
     }

@@ -2,7 +2,8 @@
 //! cross-crate invariants.
 
 use kcache::{
-    blocks_of_range, span_in_block, AppId, BlockKey, BufferManager, PartitionConfig, Span,
+    blocks_of_range, span_in_block, Access, AccessKind, AccessOutcome, AppId, BlockKey,
+    BufferManager, PartitionConfig, Span, WriteOutcome,
 };
 use proptest::prelude::*;
 use pvfs::{
@@ -11,6 +12,21 @@ use pvfs::{
 };
 use sim_disk::{BlockFs, PageCache};
 use sim_net::NodeId;
+
+/// Whole-block shorthands over `BufferManager::access`, the one entry point.
+fn read(m: &BufferManager, key: BlockKey, out: &mut [u8], app: AppId) -> bool {
+    m.access(key, Access { app, kind: AccessKind::Read { span: Span::FULL, out } }).is_hit()
+}
+
+fn install(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) {
+    let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes };
+    m.access(key, Access { app, kind });
+}
+
+fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
+    let kind = AccessKind::Write { home: NodeId(0), span: Span::FULL, bytes };
+    m.access(key, Access { app, kind }) == AccessOutcome::Write(WriteOutcome::Absorbed)
+}
 
 proptest! {
     /// The pattern kernel (windowed fill, in-place check) is byte for byte
@@ -94,9 +110,9 @@ proptest! {
         for (op, blk) in ops {
             let key = BlockKey::new(Fid(1), blk);
             match op {
-                0 => { let _ = m.try_read(key, Span::FULL, &mut out); }
-                1 => { let _ = m.insert_clean(key, NodeId(0), Span::FULL, &buf); }
-                2 => { let _ = m.write(key, NodeId(0), Span::FULL, &buf); }
+                0 => { read(&m, key, &mut out, AppId::UNKNOWN); }
+                1 => install(&m, key, &buf, AppId::UNKNOWN),
+                2 => { write(&m, key, &buf, AppId::UNKNOWN); }
                 3 => { inflight.extend(m.take_dirty(4)); }
                 _ => {
                     // Complete any outstanding flushes, then invalidate.
@@ -136,9 +152,9 @@ proptest! {
             let app = if who == 3 { AppId::UNKNOWN } else { AppId(who) };
             let key = BlockKey::new(Fid(1), blk);
             match op {
-                0 => { let _ = m.try_read_by(key, Span::FULL, &mut out, app); }
-                1 | 2 => { let _ = m.insert_clean_by(key, NodeId(0), Span::FULL, &buf, app); }
-                3 => { let _ = m.write_by(key, NodeId(0), Span::FULL, &buf, app); }
+                0 => { read(&m, key, &mut out, app); }
+                1 | 2 => install(&m, key, &buf, app),
+                3 => { write(&m, key, &buf, app); }
                 4 => { inflight.extend(m.take_dirty(4)); }
                 _ => {
                     for it in inflight.drain(..) {
@@ -190,9 +206,9 @@ proptest! {
             let key = BlockKey::new(Fid(1), blk);
             let installing = matches!(op, 1..=3);
             match op {
-                0 => { let _ = m.try_read(key, Span::FULL, &mut out); }
-                1 | 2 => { let _ = m.insert_clean(key, NodeId(0), Span::FULL, &buf); }
-                3 => { let _ = m.write(key, NodeId(0), Span::FULL, &buf); }
+                0 => { read(m, key, &mut out, AppId::UNKNOWN); }
+                1 | 2 => install(m, key, &buf, AppId::UNKNOWN),
+                3 => { write(m, key, &buf, AppId::UNKNOWN); }
                 4 => { inflight[node].extend(m.take_dirty(4)); }
                 _ => {
                     for it in inflight[node].drain(..) {
@@ -237,15 +253,13 @@ proptest! {
         for (i, (blk, _)) in writes.iter().enumerate() {
             let fill = (i % 251) as u8;
             let data = vec![fill; 4096];
-            if m.write(BlockKey::new(Fid(1), *blk), NodeId(0), Span::FULL, &data)
-                == kcache::WriteOutcome::Absorbed
-            {
+            if write(&m, BlockKey::new(Fid(1), *blk), &data, AppId::UNKNOWN) {
                 model.insert(*blk, fill);
             }
             // Verify all modelled blocks still read back correctly.
             for (b, f) in &model {
                 let mut out = vec![0u8; 4096];
-                if m.try_read(BlockKey::new(Fid(1), *b), Span::FULL, &mut out) {
+                if read(&m, BlockKey::new(Fid(1), *b), &mut out, AppId::UNKNOWN) {
                     prop_assert!(out.iter().all(|x| x == f), "stale bytes for block {}", b);
                 }
             }
