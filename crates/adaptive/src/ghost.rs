@@ -1,7 +1,7 @@
 //! Metadata-only ghost caches: a candidate policy simulated against the
 //! live access stream without holding a single data frame.
 //!
-//! A [`GhostCache`] wraps one `ReplacementPolicy` instance and plays the
+//! A [`GhostCache`] holds one candidate's `RankedTable` and plays the
 //! buffer manager's role for it: every access the real cache sees is
 //! replayed as a fingerprint-only lookup — a hit refreshes the candidate's
 //! recency metadata, a miss "installs" the key into a simulated frame,
@@ -14,13 +14,13 @@
 //! only the policy's ranking metadata and a `key → frame` map exist
 //! (property-tested in `tests/invariants.rs`).
 
-use kcache_policy::{AppId, PolicyKind, ReplacementPolicy};
+use kcache_policy::{AppId, PolicyKind, RankedTable};
 use std::collections::HashMap;
 
 /// One candidate's simulated cache.
 pub struct GhostCache {
     kind: PolicyKind,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: RankedTable,
     /// Key fingerprint → simulated frame index.
     map: HashMap<u64, u32>,
     free: Vec<u32>,
@@ -58,7 +58,7 @@ impl GhostCache {
         if let Some(&frame) = self.map.get(&key) {
             self.hits += 1;
             self.epoch_hits += 1;
-            self.policy.on_access(frame, key, app);
+            self.policy.access(frame, key, app);
             return;
         }
         self.misses += 1;
@@ -75,12 +75,12 @@ impl GhostCache {
                 };
                 let old_key = self.policy.table().key_of(victim);
                 self.map.remove(&old_key);
-                self.policy.on_remove(victim, old_key);
+                self.policy.remove(victim, old_key);
                 victim
             }
         };
         self.map.insert(key, frame);
-        self.policy.on_insert(frame, key, app);
+        self.policy.insert(frame, key, app);
     }
 
     /// Forward an epoch tick to the simulated policy (time-based aging,

@@ -372,7 +372,7 @@ fn obs_manager(obs_on: bool) -> BufferManager {
 /// An obs-on hit runs the *same* instructions as an obs-off hit — the
 /// hub's hit/miss counters are deferred mirrors folded in at sync
 /// points, never touched per access — so the two rates must stay within
-/// the measurement noise of each other (the repo gate is 3 %). A hit
+/// the measurement noise of each other (the budget is 3 %). A hit
 /// storm with no churner: the quantity under test is the per-hit
 /// telemetry cost, and adding an insert/evict thread would measure lock
 /// arbitration and scheduler behavior instead (the hitpath report

@@ -335,7 +335,6 @@ impl ExperimentConfig {
             hysteresis: a.hysteresis,
             quota_tuning: a.quota_tuning,
             quota_step: a.quota_step,
-            ghost_history: 0,
             quota_floor: a.quota_floor,
         }))
     }
@@ -385,6 +384,7 @@ impl ExperimentConfig {
                     "cluster.shards is {shards}, more than cluster.cache_blocks ({blocks})"
                 ));
             }
+            partitioning.validate(blocks).map_err(|e| format!("apps[].quota_blocks: {e}"))?;
         }
         for a in &self.apps {
             if let Some(n) = a.nodes.iter().find(|&&n| n >= self.cluster.nodes) {

@@ -5,7 +5,8 @@
 //! * fixed pool of 4 KB frames (default 300 ≙ the paper's 1.2 MB cache),
 //! * open-hashing hash table with **per-bucket locks**,
 //! * a free list and a dirty list,
-//! * replacement: delegated to a pluggable [`ReplacementPolicy`]
+//! * replacement: delegated to a pluggable
+//!   [`ReplacementPolicy`](kcache_policy::ReplacementPolicy)
 //!   (`kcache-policy`) — clock with reference bits (the paper's
 //!   approximate LRU) by default, exact LRU as the ablation the paper
 //!   argues against, plus LFU/2Q/ARC/sharing-aware alternatives — always
@@ -56,7 +57,7 @@
 //! The deferred events — policy hit/miss counters, the per-app ledger,
 //! `on_access` recency for non-clock policies, and the adaptive
 //! meta-policy's ghost feeds — are applied in FIFO batches
-//! ([`ReplacementPolicy::drain`]) only when the policy lock is taken
+//! ([`RankedTable::drain`]) only when the policy lock is taken
 //! anyway: before an eviction scan ranks, before an insert links, before
 //! an epoch tick decides, before a stats read reports, and inline by the
 //! producer itself when the ring fills (so nothing is ever dropped and
@@ -86,8 +87,8 @@ use crate::ring::EventRing;
 use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
 use kcache_obs::{Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
-    AccessEvent, AdaptiveStats, AppId, AppUsage, EpochDirective, EpochObservation, PolicyKind,
-    PolicyStats, RefWords, ReplacementPolicy,
+    AccessEvent, AdaptiveStats, AppId, AppUsage, EpochDirective, EpochObservation, GhostRate,
+    PolicyKind, PolicyStats, RankedTable, RefWords,
 };
 use parking_lot::Mutex;
 use sim_net::NodeId;
@@ -287,8 +288,7 @@ enum Admission {
 /// access (one additional atomic RMW would cost ~10% of the lean hit
 /// path) but folded in from the manager's existing [`AtomicStats`]
 /// ledger at sync points — epoch boundaries, ring drains, and
-/// [`BufferManager::obs_flush`] — the same diff-the-ledger pattern used
-/// for adaptive decisions below. Counters are therefore exact at every
+/// [`BufferManager::obs_flush`]. Counters are therefore exact at every
 /// epoch mark and export. Trace events and gauge refreshes live on cold
 /// paths only (eviction scans, ring overflows, epoch boundaries).
 /// Instrumentation is strictly read-only over cache state — a
@@ -317,11 +317,26 @@ struct ManagerObs {
     ev_eviction_scan: EventId,
     ev_epoch_tick: EventId,
     ev_ring_overflow: EventId,
-    /// Adaptive switch / quota-move log entries already emitted as trace
-    /// events — the manager diffs the ledger at each epoch boundary
-    /// rather than coupling `kcache-adaptive` to the obs crate.
-    switch_seen: AtomicU64,
-    quota_seen: AtomicU64,
+}
+
+/// What the policy leaf lock guards: the shard's frame table with the
+/// live ranker over it and, under an adaptive configuration, the
+/// meta-policy's evidence state beside it — fed from the same stream,
+/// never in front of the table.
+struct PolicyState {
+    ranked: RankedTable,
+    adaptive: Option<AdaptivePolicy>,
+}
+
+impl PolicyState {
+    /// Apply a batch of access events, oldest first: ghost feeds, then
+    /// the live table's ledger and recency replay.
+    fn drain(&mut self, events: &[AccessEvent]) {
+        if let Some(a) = &mut self.adaptive {
+            a.observe_batch(events);
+        }
+        self.ranked.drain(events);
+    }
 }
 
 /// One shard of the cache: a fully self-contained slice of the frame
@@ -344,8 +359,9 @@ struct Shard {
     buckets: Vec<Mutex<Vec<(BlockKey, u32)>>>,
     free: Mutex<Vec<u32>>,
     dirty: Mutex<VecDeque<u32>>,
-    /// Leaf lock (see module docs): candidate ranking and recency state.
-    policy: Mutex<Box<dyn ReplacementPolicy>>,
+    /// Leaf lock (see module docs): the frame table (residency, pins,
+    /// owners, the per-app ledger), candidate ranking and recency state.
+    policy: Mutex<PolicyState>,
     /// Leaf lock: frames charged per app — resident frames plus
     /// acquisitions in flight (charged before install, uncharged on evict
     /// or abort), so the strict-quota admission check is race-free. The
@@ -367,10 +383,10 @@ struct Shard {
     /// construction. Bumped only when epochs are enabled — with
     /// `epoch_accesses == 0` nobody reads it.
     epoch_clock: StdArc<AtomicU64>,
-    /// Shared handle to the policy table's per-frame atomic ref/recency
+    /// Shared handle to the frame table's per-frame atomic ref/recency
     /// words — the lock-free half of the hit fast path. Cloned out of the
-    /// policy once at construction; live policy migration carries the
-    /// same physical words, so the handle never goes stale.
+    /// table once at construction; live policy migration keeps the table,
+    /// so the handle never goes stale.
     ref_words: RefWords,
     /// Bounded lock-free side-buffer of deferred [`AccessEvent`]s (see
     /// the module docs); drained into the policy under its leaf lock.
@@ -384,7 +400,7 @@ struct Shard {
     /// Store the ref word on hits/touches at all: true when the policy
     /// ranks from it (clock), consumes the app-touch mask at scan time
     /// (sharing-aware), or could migrate to either (any adaptive
-    /// wrapper). A static LRU/LFU/2Q/ARC manager never consumes the
+    /// configuration). A static LRU/LFU/2Q/ARC manager never consumes the
     /// words, so it skips the per-hit `fetch_or`.
     touch_words: bool,
     pending_hits: AtomicU64,
@@ -692,14 +708,15 @@ impl Shard {
         debug_assert!(capacity > 0);
         debug_assert!(low_watermark <= high_watermark && high_watermark <= capacity);
         let n_buckets = (capacity / 4).next_power_of_two().max(16);
+        let adaptive = adaptive.map(|cfg| AdaptivePolicy::new(capacity, cfg));
         let is_adaptive = adaptive.is_some();
-        let ranked: Box<dyn ReplacementPolicy> = match adaptive {
-            Some(cfg) => Box::new(AdaptivePolicy::new(capacity, cfg)),
-            None => policy.kind.build(capacity),
-        };
+        let ranked = adaptive.as_ref().map_or(policy.kind, |a| a.live()).build(capacity);
         let ref_words = ranked.table().ref_words().clone();
-        let count_only_unattributed = ranked.ranks_from_ref_words();
-        let touch_words = count_only_unattributed || is_adaptive || ranked.consumes_app_mask();
+        // Ghost simulators feed from the event stream, so an adaptive
+        // shard keeps every event in the ring even while clock is live.
+        let count_only_unattributed = !is_adaptive && ranked.ranker().ranks_from_ref_words();
+        let touch_words =
+            count_only_unattributed || is_adaptive || ranked.ranker().consumes_app_mask();
         let track_evictions =
             cooperative.is_some_and(|c| c.directory == crate::config::DirectoryMode::Authoritative);
         let singleton = cooperative.is_some_and(|c| c.singleton_preserving);
@@ -719,8 +736,6 @@ impl Shard {
                 ev_ring_overflow: hub.intern("ring_overflow", Some("overflows"), None),
                 hits_seen: AtomicU64::new(0),
                 misses_seen: AtomicU64::new(0),
-                switch_seen: AtomicU64::new(0),
-                quota_seen: AtomicU64::new(0),
                 hub,
                 node,
             }
@@ -735,7 +750,7 @@ impl Shard {
             buckets: (0..n_buckets).map(|_| Mutex::new(Vec::new())).collect(),
             free: Mutex::new((0..capacity as u32).rev().collect()),
             dirty: Mutex::new(VecDeque::new()),
-            policy: Mutex::new(ranked),
+            policy: Mutex::new(PolicyState { ranked, adaptive }),
             charges: Mutex::new(HashMap::new()),
             tuned_quotas: Mutex::new(HashMap::new()),
             epoch_accesses,
@@ -772,7 +787,7 @@ impl Shard {
     pub fn policy_stats(&self) -> PolicyStats {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        *p.stats()
+        p.ranked.table().stats
     }
 
     /// The adaptive meta-policy's observability ledger (switch log, ghost
@@ -781,14 +796,23 @@ impl Shard {
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        p.adaptive_stats()
+        p.adaptive.as_ref().map(AdaptivePolicy::stats)
+    }
+
+    /// Lifetime ghost ledgers per candidate (`None`: static policy) —
+    /// the slice of [`adaptive_stats`](Self::adaptive_stats) that differs
+    /// per shard, without cloning the decision logs.
+    fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
+        let mut p = self.policy.lock();
+        self.drain_locked(&mut p);
+        p.adaptive.as_ref().map(AdaptivePolicy::ghost_rates)
     }
 
     /// The [`PolicyKind`] currently ranking candidates — for a static
     /// policy the configured kind, for the adaptive meta-policy whichever
     /// candidate is live right now.
     pub fn live_policy_kind(&self) -> PolicyKind {
-        self.policy.lock().kind()
+        self.policy.lock().ranked.kind().expect("shards rank with built-in policies")
     }
 
     /// Per-application occupancy and attributed traffic (ascending by app
@@ -797,12 +821,12 @@ impl Shard {
     pub fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        p.app_usage()
+        p.ranked.table().app_usage()
     }
 
     /// Frames currently owned (installed) by `app`.
     pub fn resident_of(&self, app: AppId) -> usize {
-        self.policy.lock().resident_of(app)
+        self.policy.lock().ranked.table().resident_of(app)
     }
 
     pub fn stats(&self) -> CacheStats {
@@ -836,16 +860,18 @@ impl Shard {
     }
 
     /// Pop every queued event (FIFO) and apply it to the policy. Must be
-    /// called with the policy lock held (`p` is the locked policy); the
+    /// called with the policy lock held (`p` is the locked state); the
     /// manager drains at every point where the policy is about to rank,
     /// decide, or report, so deferred events are always applied before
     /// they could be observed missing.
-    fn drain_locked(&self, p: &mut Box<dyn ReplacementPolicy>) {
-        let hits = self.pending_hits.swap(0, Ordering::Relaxed);
-        let misses = self.pending_misses.swap(0, Ordering::Relaxed);
-        if hits > 0 || misses > 0 {
-            p.credit_counts(hits, misses);
-        }
+    fn drain_locked(&self, p: &mut PolicyState) {
+        // Collapsed count-only events (see `count_only_unattributed`):
+        // counters commute, and these carry no recency or per-app
+        // information by construction, so their order relative to the
+        // ring's batches is irrelevant.
+        let stats = &mut p.ranked.table_mut().stats;
+        stats.hits += self.pending_hits.swap(0, Ordering::Relaxed);
+        stats.misses += self.pending_misses.swap(0, Ordering::Relaxed);
         // Pop at most one ring's worth per call: sustained lock-free
         // producers must not pin the drainer under the policy lock (or
         // grow the batch) indefinitely. Anything newer lands at the next
@@ -923,7 +949,7 @@ impl Shard {
             match ev.kind {
                 // The ref word was already stored at access time; under a
                 // ref-word-ranking policy a touch (any app) defers
-                // nothing — its drain arm is empty — so it never needs
+                // nothing — no ledger, no replay — so it never needs
                 // the ring.
                 kcache_policy::AccessKind::Touch => return,
                 kcache_policy::AccessKind::Hit | kcache_policy::AccessKind::ProbeHit
@@ -979,15 +1005,6 @@ impl Shard {
         }
     }
 
-    /// Epoch boundary, static policies: drain, then let the policy age
-    /// (`SharingAware` referent decay). Shards age independently — there
-    /// is no shared decision to coordinate.
-    fn epoch_age(&self) {
-        let mut p = self.policy.lock();
-        self.drain_locked(&mut p);
-        p.epoch_tick();
-    }
-
     /// Epoch boundary, step 1: drain this shard's deferred events (so the
     /// decision sees every access that preceded the boundary) and export
     /// its epoch observation — the live policy, each candidate ghost's
@@ -996,28 +1013,38 @@ impl Shard {
     fn epoch_observe(&self) -> Option<EpochObservation> {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        p.epoch_observe()
+        p.adaptive.as_ref().map(AdaptivePolicy::epoch_observe)
     }
 
-    /// Epoch boundary, step 2 (adaptive): apply the merged cross-shard
-    /// decision — every shard receives the same directive, so a policy
-    /// switch migrates all shards within one boundary.
-    fn epoch_apply_directive(&self, directive: &EpochDirective) {
+    /// Epoch boundary, step 2: drain, let the live policy age
+    /// (`SharingAware` referent decay), and — adaptive shards — apply
+    /// the merged cross-shard decision. Every shard receives the same
+    /// directive, so a policy switch migrates all shards within one
+    /// boundary; static shards (`None`) age independently, there is no
+    /// shared decision to coordinate.
+    fn epoch_apply(&self, directive: Option<&EpochDirective>) {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        p.epoch_apply(directive);
+        let PolicyState { ranked, adaptive } = &mut *p;
+        ranked.epoch_tick();
+        if let (Some(a), Some(directive)) = (adaptive, directive) {
+            if let Some(to) = a.epoch_apply(directive) {
+                ranked.migrate(to);
+            }
+        }
     }
 
     /// Epoch-boundary observability (cold path, obs-wired managers only):
     /// close the hub's metric window, refresh the per-app occupancy and
-    /// ghost-rate gauges, and emit adaptive controller decisions logged
-    /// since the last boundary as trace events — the manager diffs the
-    /// switch/quota-move ledgers here so `kcache-adaptive` itself stays
-    /// free of any obs dependency. Each decision event carries its
+    /// ghost-rate gauges, and emit the boundary's adaptive decisions as
+    /// trace events. `decision` is what the facade just decided and
+    /// applied — the candidate that was live going in, and the directive
+    /// (its quota move already validated) — so `kcache-adaptive` itself
+    /// stays free of any obs dependency. Each decision event carries its
     /// *reason* as args: the deciding ghost hit rates for a policy
-    /// switch, the winning/losing refault counts for a quota move.
+    /// switch, the losing/winning refault counts for a quota move.
     ///
-    /// Usage, quota gauges and adaptive stats come in as arguments so the
+    /// Usage, quota gauges and ghost rates come in as arguments so the
     /// facade can pass *merged* cross-shard views — a shard
     /// publishing only its own slice would clobber the global gauges with
     /// a partial picture.
@@ -1026,7 +1053,8 @@ impl Shard {
         access_n: u64,
         usage: &[(AppId, AppUsage)],
         quota_gauges: &[(AppId, usize)],
-        ast: Option<&AdaptiveStats>,
+        ghost_rates: &[GhostRate],
+        decision: Option<(PolicyKind, &EpochDirective)>,
     ) {
         let Some(o) = &self.obs else { return };
         // Sync the deferred hit/miss mirrors *before* closing the metric
@@ -1044,40 +1072,29 @@ impl Shard {
         for (app, q) in quota_gauges {
             reg.gauge(&format!("app.{}.quota", app.0)).set(*q as u64);
         }
-        let Some(ast) = ast else {
-            return;
-        };
-        for g in &ast.ghost_rates {
+        for g in ghost_rates {
             // Basis points: gauges are integers, rates are 0.0..=1.0.
             reg.gauge(&format!("ghost.{}.rate_bp", g.kind.name()))
                 .set((g.rate() * 10_000.0) as u64);
         }
-        let seen = o.switch_seen.load(Ordering::Relaxed) as usize;
-        for rec in ast.switch_log.iter().skip(seen) {
+        let Some((from, directive)) = decision else { return };
+        if let Some((to, from_rate, to_rate)) = directive.switch_to {
             let id = o.hub.intern(
-                &format!("policy_switch {}->{}", rec.from.name(), rec.to.name()),
+                &format!("policy_switch {}->{}", from.name(), to.name()),
                 Some("from_rate_bp"),
                 Some("to_rate_bp"),
             );
-            o.hub.instant(
-                id,
-                o.node,
-                0,
-                (rec.from_rate * 10_000.0) as u64,
-                (rec.to_rate * 10_000.0) as u64,
-            );
+            let bp = |rate: f64| (rate * 10_000.0) as u64;
+            o.hub.instant(id, o.node, 0, bp(from_rate), bp(to_rate));
         }
-        o.switch_seen.store(ast.switch_log.len() as u64, Ordering::Relaxed);
-        let seen = o.quota_seen.load(Ordering::Relaxed) as usize;
-        for rec in ast.quota_log.iter().skip(seen) {
+        if let Some((from, to, frames, from_refaults, to_refaults)) = directive.quota_move {
             let id = o.hub.intern(
-                &format!("quota_move app{}->app{} x{}", rec.from.0, rec.to.0, rec.frames),
+                &format!("quota_move app{}->app{} x{}", from.0, to.0, frames),
                 Some("from_refaults"),
                 Some("to_refaults"),
             );
-            o.hub.instant(id, o.node, 0, rec.from_refaults, rec.to_refaults);
+            o.hub.instant(id, o.node, 0, from_refaults, to_refaults);
         }
-        o.quota_seen.store(ast.quota_log.len() as u64, Ordering::Relaxed);
     }
 
     /// Recency-only refresh (no hit/miss ledger): sync-write refreshes,
@@ -1102,7 +1119,12 @@ impl Shard {
     fn note_insert(&self, idx: u32, key: BlockKey, app: AppId) {
         let mut p = self.policy.lock();
         self.drain_locked(&mut p);
-        p.on_insert(idx, key.hash(), app);
+        if let Some(a) = &mut p.adaptive {
+            // An insert is the tail of a miss in the live stream: the
+            // ghosts see the same reference.
+            a.observe(key.hash(), app);
+        }
+        p.ranked.insert(idx, key.hash(), app);
     }
 
     /// [`AccessKind::Touch`]: a recency touch of `key` if it is resident.
@@ -1482,14 +1504,13 @@ impl Shard {
                     // Rank over up-to-date metadata: apply every deferred
                     // access before the scan decides a victim order.
                     self.drain_locked(&mut p);
-                    p.stats_mut().scans += 1;
-                    p.begin_scan();
+                    p.ranked.begin_scan();
                 }
                 let mut visited = 0u64;
                 loop {
                     // Leaf lock only while asking; dropped before
                     // bucket/frame.
-                    let Some(idx) = self.policy.lock().next_candidate(owner) else {
+                    let Some(idx) = self.policy.lock().ranked.next_candidate(owner) else {
                         break;
                     };
                     visited += 1;
@@ -1583,14 +1604,21 @@ impl Shard {
         drop(bucket);
         let owner = {
             let mut p = self.policy.lock();
+            let table = p.ranked.table_mut();
             if flush.is_some() {
-                p.stats_mut().evictions_dirty += 1;
+                table.stats.evictions_dirty += 1;
             } else {
-                p.stats_mut().evictions_clean += 1;
+                table.stats.evictions_clean += 1;
             }
-            let owner = p.owner_of(idx);
-            p.note_app_eviction(owner);
-            p.on_remove(idx, key.hash());
+            let owner = table.owner_of(idx);
+            table.note_app_eviction(owner);
+            if let Some(a) = &mut p.adaptive {
+                // Capacity pressure: a later re-read by the same app is
+                // a refault. (Invalidations never get here, which keeps
+                // them out of the tuner's evidence.)
+                a.remember_eviction(owner, key.hash());
+            }
+            p.ranked.remove(idx, key.hash());
             owner
         };
         self.uncharge(owner);
@@ -1854,7 +1882,7 @@ impl Shard {
             // Pin in-flight frames so no policy offers them as candidates.
             let mut p = self.policy.lock();
             for idx in taken {
-                p.set_pinned(idx, true);
+                p.ranked.table_mut().set_pinned(idx, true);
             }
         }
         self.stats.flush_blocks.fetch_add(out.len() as u64, Ordering::Relaxed);
@@ -1884,7 +1912,7 @@ impl Shard {
             // re-flush.
             idx
         };
-        self.policy.lock().set_pinned(idx, false);
+        self.policy.lock().ranked.table_mut().set_pinned(idx, false);
     }
 
     /// Drop cached copies of the listed blocks (sync-write coherence).
@@ -1916,10 +1944,10 @@ impl Shard {
                 // Pending accesses to this block must land before its
                 // removal (the eager path applied them at access time).
                 self.drain_locked(&mut p);
-                let owner = p.owner_of(idx);
-                // Coherence drop, not capacity pressure: meta-policies
-                // keep it out of their refault memory.
-                p.on_remove_invalidated(idx, key.hash());
+                let owner = p.ranked.table().owner_of(idx);
+                // Coherence drop, not capacity pressure: the adaptive
+                // tuner's refault memory never hears of it.
+                p.ranked.remove(idx, key.hash());
                 owner
             };
             self.uncharge(owner);
@@ -2080,20 +2108,25 @@ impl BufferManager {
     /// entry by the shard count).
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
         let mut base = self.shards[0].adaptive_stats()?;
+        base.ghost_rates = self.ghost_rates()?;
+        Some(base)
+    }
+
+    /// Lifetime ghost ledgers per candidate, summed across shards.
+    fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
+        let mut acc = self.shards[0].ghost_rates()?;
         for s in &self.shards[1..] {
-            if let Some(st) = s.adaptive_stats() {
-                for g in st.ghost_rates {
-                    match base.ghost_rates.iter_mut().find(|b| b.kind == g.kind) {
-                        Some(b) => {
-                            b.hits += g.hits;
-                            b.misses += g.misses;
-                        }
-                        None => base.ghost_rates.push(g),
+            for g in s.ghost_rates().into_iter().flatten() {
+                match acc.iter_mut().find(|b| b.kind == g.kind) {
+                    Some(b) => {
+                        b.hits += g.hits;
+                        b.misses += g.misses;
                     }
+                    None => acc.push(g),
                 }
             }
         }
-        Some(base)
+        Some(acc)
     }
 
     /// The [`PolicyKind`] currently ranking candidates — for a static
@@ -2371,41 +2404,38 @@ impl BufferManager {
     /// the live policy; a quota transfer is validated globally
     /// ([`quota_move_valid`](Self::quota_move_valid)) and re-split across
     /// shards. If there is none, the policies are static and each shard's
-    /// just ages (`SharingAware` referent decay).
+    /// just ages (`SharingAware` referent decay) — the same
+    /// [`Shard::epoch_apply`], with no directive.
     fn run_epoch_boundary(&self, epoch_n: u64) {
         let merged = self.shards.iter().filter_map(|s| s.epoch_observe()).reduce(|mut m, o| {
             m.merge(&o);
             m
         });
-        match merged {
-            Some(merged) => {
-                let cfg = self.adaptive_cfg.as_ref().expect("only the adaptive policy observes");
-                let quotas: Vec<(AppId, usize)> = self
-                    .partitioning
-                    .quotas
-                    .keys()
-                    .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
-                    .collect();
-                let (mut directive, mv) = decide_epoch(&merged, cfg, &quotas, self.capacity);
-                let mv = mv.filter(|mv| self.quota_move_valid(mv));
-                if mv.is_none() {
-                    directive.quota_move = None;
-                }
-                for s in self.shards.iter() {
-                    s.epoch_apply_directive(&directive);
-                }
-                if let Some(mv) = mv {
-                    for (app, q) in [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)] {
-                        let split = split_units(q, self.shards.len());
-                        for (s, &slice) in self.shards.iter().zip(&split) {
-                            s.set_tuned_quota(app, slice);
-                        }
-                    }
-                }
+        // `(the candidate live going in, the directive every shard
+        // applies)`; `None` for static policies.
+        let decision = merged.map(|merged| {
+            let cfg = self.adaptive_cfg.as_ref().expect("only the adaptive policy observes");
+            let quotas: Vec<(AppId, usize)> = self
+                .partitioning
+                .quotas
+                .keys()
+                .filter_map(|&id| self.quota_of(AppId(id)).map(|q| (AppId(id), q)))
+                .collect();
+            let (mut directive, mv) = decide_epoch(&merged, cfg, &quotas, self.capacity);
+            let mv = mv.filter(|mv| self.quota_move_valid(mv));
+            if mv.is_none() {
+                directive.quota_move = None;
             }
-            None => {
-                for s in self.shards.iter() {
-                    s.epoch_age();
+            (merged.live, directive, mv)
+        });
+        for s in self.shards.iter() {
+            s.epoch_apply(decision.as_ref().map(|d| &d.1));
+        }
+        if let Some((_, _, Some(mv))) = &decision {
+            for (app, q) in [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)] {
+                let split = split_units(q, self.shards.len());
+                for (s, &slice) in self.shards.iter().zip(&split) {
+                    s.set_tuned_quota(app, slice);
                 }
             }
         }
@@ -2416,12 +2446,12 @@ impl BufferManager {
             let usage = self.app_usage();
             let quota_gauges: Vec<(AppId, usize)> =
                 usage.iter().filter_map(|&(a, _)| self.quota_of(a).map(|q| (a, q))).collect();
-            let ast = self.adaptive_stats();
             self.shards[0].obs_epoch_mark(
                 epoch_n * self.epoch_accesses as u64,
                 &usage,
                 &quota_gauges,
-                ast.as_ref(),
+                &self.ghost_rates().unwrap_or_default(),
+                decision.as_ref().map(|(live, directive, _)| (*live, directive)),
             );
             self.publish_shard_gauges();
         }

@@ -2,16 +2,11 @@
 //! buffer manager's lock-free hit fast path (producers: every thread
 //! recording a hit, miss, probe or recency touch) and the replacement
 //! policy (consumer: whoever next takes the policy lock drains the ring
-//! in FIFO order via [`ReplacementPolicy::drain`]).
+//! in FIFO order via [`RankedTable::drain`]).
 //!
-//! The design is the classic bounded MPMC sequence-number queue (Vyukov):
-//! each slot carries a sequence word that encodes whether the slot is
-//! writable (seq == pos), readable (seq == pos + 1), or lapped. Producers
-//! claim a slot with one CAS and publish with one release store; a
-//! consumer claims with one CAS and releases the slot for the next lap.
-//! The payload fields are plain atomics rather than an `UnsafeCell` —
-//! events are three words, the protocol already orders the accesses, and
-//! it keeps the implementation `forbid(unsafe_code)`-clean.
+//! The queue itself is `kcache-obs`'s [`SlotRing`] (the bounded Vyukov
+//! MPMC ring the trace ring also uses); this file is only the
+//! [`AccessEvent`] ⇄ three-word encoding and the overflow policy.
 //!
 //! When the ring fills (a long pure-hit run with nothing draining it),
 //! the *producer becomes the drainer*: the manager takes the policy lock,
@@ -19,10 +14,10 @@
 //! that is what keeps drained accounting observation-equivalent to the
 //! eager path — and memory stays bounded at `CAPACITY` events.
 //!
-//! [`ReplacementPolicy::drain`]: kcache_policy::ReplacementPolicy::drain
+//! [`RankedTable::drain`]: kcache_policy::RankedTable::drain
 
+use kcache_obs::SlotRing;
 use kcache_policy::{AccessEvent, AccessKind, AppId};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 /// Events the ring holds before a producer is forced to drain inline.
 /// 1024 events ≈ one drain per thousand pure hits worst-case — the
@@ -32,17 +27,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 /// lock (and grow its batch) without bound.
 pub(crate) const CAPACITY: usize = 1024;
 
-struct Slot {
-    /// Vyukov sequence word (see module docs).
-    seq: AtomicUsize,
-    key: AtomicU64,
-    /// `frame` in the high 32 bits, `app` in the low 32.
-    frame_app: AtomicU64,
-    /// `AccessKind` as a small integer.
-    kind: AtomicU32,
-}
-
-fn encode_kind(kind: AccessKind) -> u32 {
+fn encode_kind(kind: AccessKind) -> u64 {
     match kind {
         AccessKind::Hit => 0,
         AccessKind::ProbeHit => 1,
@@ -51,7 +36,7 @@ fn encode_kind(kind: AccessKind) -> u32 {
     }
 }
 
-fn decode_kind(raw: u32) -> AccessKind {
+fn decode_kind(raw: u64) -> AccessKind {
     match raw {
         0 => AccessKind::Hit,
         1 => AccessKind::ProbeHit,
@@ -60,112 +45,38 @@ fn decode_kind(raw: u32) -> AccessKind {
     }
 }
 
-pub(crate) struct EventRing {
-    slots: Vec<Slot>,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
-    /// Times `push` found the ring full (the producer-becomes-drainer
-    /// event). Nothing is lost — the refused event is applied inline —
-    /// but each occurrence is a recency window where hits convoyed on
-    /// the policy lock; observability wants them countable.
-    overflows: AtomicU64,
-}
+/// A slot is `[key, frame << 32 | app, kind]`.
+pub(crate) struct EventRing(SlotRing<3>);
 
 impl EventRing {
     pub(crate) fn new() -> EventRing {
-        EventRing {
-            slots: (0..CAPACITY)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    key: AtomicU64::new(0),
-                    frame_app: AtomicU64::new(0),
-                    kind: AtomicU32::new(0),
-                })
-                .collect(),
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
-            overflows: AtomicU64::new(0),
-        }
+        EventRing(SlotRing::new(CAPACITY))
     }
 
-    /// How many pushes were refused because the ring was full.
+    /// How many pushes were refused because the ring was full (the
+    /// producer-becomes-drainer event). Nothing is lost — the refused
+    /// event is applied inline — but each occurrence is a recency window
+    /// where hits convoyed on the policy lock; observability wants them
+    /// countable.
     pub(crate) fn overflows(&self) -> u64 {
-        self.overflows.load(Ordering::Relaxed)
+        self.0.refused()
     }
 
     /// Enqueue `ev`; `false` means the ring is full and the caller must
     /// drain (producer-becomes-drainer, see module docs).
     pub(crate) fn push(&self, ev: AccessEvent) -> bool {
-        let mask = CAPACITY - 1;
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        slot.key.store(ev.key, Ordering::Relaxed);
-                        slot.frame_app
-                            .store(((ev.frame as u64) << 32) | ev.app.0 as u64, Ordering::Relaxed);
-                        slot.kind.store(encode_kind(ev.kind), Ordering::Relaxed);
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                // Full lap: the queue is full.
-                self.overflows.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
-        }
+        self.0.push([ev.key, ((ev.frame as u64) << 32) | ev.app.0 as u64, encode_kind(ev.kind)])
     }
 
-    /// Dequeue the oldest event, `None` when empty. FIFO per producer and
-    /// globally consistent with the sequence protocol; the manager only
-    /// pops while holding the policy lock, so batches apply in order.
+    /// Dequeue the oldest event, `None` when empty. The manager only pops
+    /// while holding the policy lock, so batches apply in order.
     pub(crate) fn pop(&self) -> Option<AccessEvent> {
-        let mask = CAPACITY - 1;
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos + 1) as isize;
-            if diff == 0 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let key = slot.key.load(Ordering::Relaxed);
-                        let fa = slot.frame_app.load(Ordering::Relaxed);
-                        let kind = decode_kind(slot.kind.load(Ordering::Relaxed));
-                        slot.seq.store(pos + CAPACITY, Ordering::Release);
-                        return Some(AccessEvent {
-                            kind,
-                            frame: (fa >> 32) as u32,
-                            key,
-                            app: AppId(fa as u32),
-                        });
-                    }
-                    Err(actual) => pos = actual,
-                }
-            } else if diff < 0 {
-                return None; // empty (or the publishing store is in flight)
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
+        self.0.pop().map(|[key, fa, kind]| AccessEvent {
+            kind: decode_kind(kind),
+            frame: (fa >> 32) as u32,
+            key,
+            app: AppId(fa as u32),
+        })
     }
 }
 
@@ -214,7 +125,7 @@ mod tests {
 
     #[test]
     fn concurrent_producers_and_consumer_lose_nothing() {
-        use std::sync::atomic::AtomicU64 as Counter;
+        use std::sync::atomic::{AtomicU64 as Counter, Ordering};
         let r = EventRing::new();
         let produced = Counter::new(0);
         let consumed = Counter::new(0);

@@ -27,6 +27,7 @@ pub mod flow;
 pub mod metrics;
 pub mod quantile;
 pub mod registry;
+pub mod ring;
 pub mod trace;
 
 pub use anomaly::{evaluate, flight_json, AnomalyFiring, AnomalyRules};
@@ -35,6 +36,7 @@ pub use flow::FlowId;
 pub use metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
 pub use quantile::{QuantileSketch, QuantileSnapshot, SloTargets};
 pub use registry::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
+pub use ring::SlotRing;
 pub use trace::{chrome_trace_json, EventId, Phase, TraceEvent, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

@@ -1,11 +1,11 @@
 //! Bounded structured trace ring + Chrome-trace export.
 //!
-//! Same Vyukov bounded-MPMC sequence-number discipline as the core
-//! crate's `EventRing` (and the same no-`unsafe` constraint): each slot
-//! is plain atomics, producers claim a slot with one CAS on the enqueue
-//! cursor, and a full ring **drops the event and counts it** — tracing
-//! is lossy by design (unlike the accounting ring, where the producer
-//! becomes the drainer, a trace event carries no correctness weight).
+//! Events are six words in the shared [`SlotRing`] (the same ring the
+//! core crate's `EventRing` encodes into): producers claim a slot with
+//! one CAS on the enqueue cursor, and a full ring **drops the event and
+//! counts it** — tracing is lossy by design (unlike the accounting
+//! ring, where the producer becomes the drainer, a trace event carries
+//! no correctness weight).
 //!
 //! Event names are interned once at wiring time (a mutex, cold path
 //! only); the hot-path record is a handful of relaxed stores. Sim-clock
@@ -13,7 +13,7 @@
 //! `ts`/`dur` with fractional precision, so `chrome://tracing` (or
 //! Perfetto) opens the file directly.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use crate::ring::SlotRing;
 use std::sync::Mutex;
 
 /// Interned trace-event name (index into the hub's name table).
@@ -80,69 +80,31 @@ pub struct TraceEvent {
     pub flow_id: u64,
 }
 
-struct Slot {
-    seq: AtomicUsize,
-    name: AtomicU32,
-    phase: AtomicU32,
-    ts: AtomicU64,
-    dur: AtomicU64,
-    pid: AtomicU32,
-    tid: AtomicU32,
-    arg0: AtomicU64,
-    arg1: AtomicU64,
-}
-
 struct NameEntry {
     name: String,
     arg_names: [Option<String>; 2],
 }
 
-/// A drained [`Slot`]'s payload: (name, phase, ts, dur, pid, tid, arg0,
-/// arg1).
-type RawSlot = (u32, u32, u64, u64, u32, u32, u64, u64);
-
-/// Bounded MPMC trace ring with an interner for event names.
+/// Bounded MPMC trace ring with an interner for event names. A slot is
+/// `[name | phase << 32, ts, dur, pid | tid << 32, arg0, arg1]`.
 pub struct TraceRing {
-    slots: Vec<Slot>,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
-    dropped: AtomicU64,
+    ring: SlotRing<6>,
     names: Mutex<Vec<NameEntry>>,
 }
 
 impl TraceRing {
-    /// `capacity` is rounded up to a power of two (sequence arithmetic
-    /// requires it).
+    /// `capacity` is rounded up to a power of two.
     pub fn new(capacity: usize) -> TraceRing {
-        let cap = capacity.max(2).next_power_of_two();
-        TraceRing {
-            slots: (0..cap)
-                .map(|i| Slot {
-                    seq: AtomicUsize::new(i),
-                    name: AtomicU32::new(0),
-                    phase: AtomicU32::new(0),
-                    ts: AtomicU64::new(0),
-                    dur: AtomicU64::new(0),
-                    pid: AtomicU32::new(0),
-                    tid: AtomicU32::new(0),
-                    arg0: AtomicU64::new(0),
-                    arg1: AtomicU64::new(0),
-                })
-                .collect(),
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
-            dropped: AtomicU64::new(0),
-            names: Mutex::new(Vec::new()),
-        }
+        TraceRing { ring: SlotRing::new(capacity), names: Mutex::new(Vec::new()) }
     }
 
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.ring.capacity()
     }
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring.refused()
     }
 
     /// Intern an event name with up to two argument labels (idempotent
@@ -174,79 +136,8 @@ impl TraceRing {
         arg0: u64,
         arg1: u64,
     ) -> bool {
-        let mask = self.slots.len() - 1;
-        let mut pos = self.enqueue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - pos as isize;
-            if diff == 0 {
-                match self.enqueue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        slot.name.store(id.0, Ordering::Relaxed);
-                        slot.phase.store(phase.encode(), Ordering::Relaxed);
-                        slot.ts.store(ts_ns, Ordering::Relaxed);
-                        slot.dur.store(dur_ns, Ordering::Relaxed);
-                        slot.pid.store(pid, Ordering::Relaxed);
-                        slot.tid.store(tid, Ordering::Relaxed);
-                        slot.arg0.store(arg0, Ordering::Relaxed);
-                        slot.arg1.store(arg1, Ordering::Relaxed);
-                        slot.seq.store(pos.wrapping_add(1), Ordering::Release);
-                        return true;
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                // Full lap behind: the ring is full. Tracing is lossy.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    fn pop_raw(&self) -> Option<RawSlot> {
-        let mask = self.slots.len() - 1;
-        let mut pos = self.dequeue.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[pos & mask];
-            let seq = slot.seq.load(Ordering::Acquire);
-            let diff = seq as isize - (pos.wrapping_add(1)) as isize;
-            if diff == 0 {
-                match self.dequeue.compare_exchange_weak(
-                    pos,
-                    pos.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let out = (
-                            slot.name.load(Ordering::Relaxed),
-                            slot.phase.load(Ordering::Relaxed),
-                            slot.ts.load(Ordering::Relaxed),
-                            slot.dur.load(Ordering::Relaxed),
-                            slot.pid.load(Ordering::Relaxed),
-                            slot.tid.load(Ordering::Relaxed),
-                            slot.arg0.load(Ordering::Relaxed),
-                            slot.arg1.load(Ordering::Relaxed),
-                        );
-                        slot.seq.store(pos.wrapping_add(self.slots.len()), Ordering::Release);
-                        return Some(out);
-                    }
-                    Err(p) => pos = p,
-                }
-            } else if diff < 0 {
-                return None;
-            } else {
-                pos = self.dequeue.load(Ordering::Relaxed);
-            }
-        }
+        let pack = |lo: u32, hi: u32| lo as u64 | (hi as u64) << 32;
+        self.ring.push([pack(id.0, phase.encode()), ts_ns, dur_ns, pack(pid, tid), arg0, arg1])
     }
 
     /// Drain every buffered event (FIFO), resolving names and argument
@@ -254,9 +145,10 @@ impl TraceRing {
     pub fn drain(&self) -> Vec<TraceEvent> {
         let names = self.names.lock().unwrap();
         let mut out = Vec::new();
-        while let Some((name, phase, ts, dur, pid, tid, a0, a1)) = self.pop_raw() {
+        while let Some([name_phase, ts, dur, pid_tid, a0, a1]) = self.ring.pop() {
+            let (name, pid, tid) = (name_phase as u32, pid_tid as u32, (pid_tid >> 32) as u32);
             let entry = names.get(name as usize);
-            let phase = Phase::decode(phase);
+            let phase = Phase::decode((name_phase >> 32) as u32);
             let mut args = Vec::new();
             // Flow phases repurpose arg0 as the flow id, so they never
             // carry named arguments.

@@ -4,7 +4,7 @@
 //! being tuned for it.
 
 use crate::table::FrameTable;
-use crate::{AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +20,6 @@ enum Loc {
 /// `p`; a B2 hit shrinks it. Eviction takes T1's LRU end while T1 exceeds
 /// its target, T2's otherwise.
 pub struct Arc {
-    table: FrameTable,
     loc: Vec<Loc>,
     /// Front = LRU, back = MRU.
     t1: VecDeque<u32>,
@@ -36,7 +35,6 @@ pub struct Arc {
 impl Arc {
     pub fn new(capacity: usize) -> Arc {
         Arc {
-            table: FrameTable::new(capacity),
             loc: vec![Loc::None; capacity],
             t1: VecDeque::new(),
             t2: VecDeque::new(),
@@ -70,33 +68,20 @@ impl Arc {
 }
 
 impl ReplacementPolicy for Arc {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Arc
-    }
-
-    fn table(&self) -> &FrameTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, _app: AppId) {
+    fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         // Any resident hit proves frequency: promote to T2's MRU end.
         self.detach(frame);
         self.t2.push_back(frame);
         self.loc[frame as usize] = Loc::T2;
     }
 
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
+    fn on_insert(&mut self, table: &FrameTable, frame: u32, key: u64, _app: AppId) {
         self.detach(frame);
         if let Some(pos) = self.b1.iter().position(|&k| k == key) {
             // Recency ghost hit: T1 was evicted too aggressively.
             self.b1.remove(pos);
             let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(self.table.capacity());
+            self.p = (self.p + delta).min(table.capacity());
             self.t2.push_back(frame);
             self.loc[frame as usize] = Loc::T2;
         } else if let Some(pos) = self.b2.iter().position(|&k| k == key) {
@@ -112,8 +97,8 @@ impl ReplacementPolicy for Arc {
         }
     }
 
-    fn on_remove(&mut self, frame: u32, key: u64) {
-        let cap = self.table.capacity();
+    fn on_remove(&mut self, table: &FrameTable, frame: u32, key: u64) {
+        let cap = table.capacity();
         match self.loc[frame as usize] {
             Loc::T1 => {
                 self.b1.push_back(key);
@@ -126,10 +111,9 @@ impl ReplacementPolicy for Arc {
             Loc::None => {}
         }
         self.detach(frame);
-        self.table.remove(frame);
     }
 
-    fn begin_scan(&mut self) {
+    fn begin_scan(&mut self, _table: &FrameTable) {
         self.scan.clear();
         // REPLACE(): evict from T1 while it exceeds its target, else T2;
         // the other list follows as fallback so a scan never starves.
@@ -143,18 +127,18 @@ impl ReplacementPolicy for Arc {
         self.scan_pos = 0;
     }
 
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.scan_pos < self.scan.len() {
             let idx = self.scan[self.scan_pos];
             self.scan_pos += 1;
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
         None
     }
 
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
+    fn recency_ranking(&self, _table: &FrameTable) -> Option<Vec<u32>> {
         // Same composition begin_scan would pick right now (REPLACE()'s
         // rule): the list being drained ranks least protected.
         let mut order = Vec::with_capacity(self.t1.len() + self.t2.len());
@@ -172,14 +156,15 @@ impl ReplacementPolicy for Arc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn once_seen_frames_drain_before_hot_ones() {
-        let mut a = Arc::new(4);
+        let mut a = PolicyKind::Arc.build(4);
         for f in 0..4 {
-            a.on_insert(f, f as u64, AppId::UNKNOWN);
+            a.insert(f, f as u64, AppId::UNKNOWN);
         }
-        a.on_access(2, 2, AppId::UNKNOWN); // 2 → T2
+        a.access(2, 2, AppId::UNKNOWN); // 2 → T2
         a.begin_scan();
         assert_eq!(a.next_candidate(None), Some(0), "T1 LRU end goes first");
         let mut seen = Vec::new();
@@ -189,30 +174,41 @@ mod tests {
         assert_eq!(seen, vec![1, 3, 2], "T2 member offered last");
     }
 
+    // `target_t1` lives on the concrete ranker, which a `RankedTable` boxes
+    // away: these two drive the bare hooks (ARC reads only the table's
+    // capacity in them) with a table borrowed from a built pool.
+
     #[test]
     fn recency_ghost_hit_grows_t1_target() {
-        let mut a = Arc::new(4);
-        a.on_insert(0, 42, AppId::UNKNOWN);
-        a.on_remove(0, 42); // 42 → B1
+        let pool = PolicyKind::Arc.build(4);
+        let (t, mut a) = (pool.table(), Arc::new(4));
+        a.on_insert(t, 0, 42, AppId::UNKNOWN);
+        a.on_remove(t, 0, 42); // 42 → B1
         assert_eq!(a.target_t1(), 0);
-        a.on_insert(1, 42, AppId::UNKNOWN); // B1 hit
+        a.on_insert(t, 1, 42, AppId::UNKNOWN); // B1 hit
         assert!(a.target_t1() > 0, "p must grow on a B1 hit");
+        // The same sequence through the pool: the re-admitted block went
+        // to T2, and with T1 empty the scan falls back to it.
+        let mut a = pool;
+        a.insert(0, 42, AppId::UNKNOWN);
+        a.remove(0, 42);
+        a.insert(1, 42, AppId::UNKNOWN);
         a.begin_scan();
-        // The re-admitted block went to T2, and T1 is empty.
         assert_eq!(a.next_candidate(None), Some(1));
     }
 
     #[test]
     fn frequency_ghost_hit_shrinks_t1_target() {
-        let mut a = Arc::new(4);
-        a.on_insert(0, 7, AppId::UNKNOWN);
-        a.on_access(0, 7, AppId::UNKNOWN); // → T2
-        a.on_remove(0, 7); // 7 → B2
-        a.on_insert(1, 99, AppId::UNKNOWN);
-        a.on_remove(1, 99); // 99 → B1
-        a.on_insert(2, 99, AppId::UNKNOWN); // grow p
+        let pool = PolicyKind::Arc.build(4);
+        let (t, mut a) = (pool.table(), Arc::new(4));
+        a.on_insert(t, 0, 7, AppId::UNKNOWN);
+        a.on_access(t, 0, 7, AppId::UNKNOWN); // → T2
+        a.on_remove(t, 0, 7); // 7 → B2
+        a.on_insert(t, 1, 99, AppId::UNKNOWN);
+        a.on_remove(t, 1, 99); // 99 → B1
+        a.on_insert(t, 2, 99, AppId::UNKNOWN); // grow p
         let grown = a.target_t1();
-        a.on_insert(3, 7, AppId::UNKNOWN); // B2 hit: shrink p
+        a.on_insert(t, 3, 7, AppId::UNKNOWN); // B2 hit: shrink p
         assert!(a.target_t1() < grown);
     }
 }

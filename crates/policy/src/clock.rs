@@ -2,7 +2,7 @@
 //! seed buffer manager without behavioral change.
 
 use crate::table::FrameTable;
-use crate::{AccessEvent, AccessKind, AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 
 /// Reference-bit clock. The reference bits live in the table's atomic
 /// [`RefWords`](crate::RefWords): hits set the frame's word (one relaxed
@@ -13,92 +13,51 @@ use crate::{AccessEvent, AccessKind, AppId, PolicyKind, ReplacementPolicy};
 /// first encounter of a referenced frame consumes its bit, the first
 /// unreferenced evictable frame becomes the candidate. The hand persists
 /// across scans, exactly like the seed manager's `clock_hand`.
+#[derive(Default)]
 pub struct Clock {
-    table: FrameTable,
     hand: usize,
     /// Remaining steps in the current scan (armed by `begin_scan`).
     budget: usize,
 }
 
-impl Clock {
-    pub fn new(capacity: usize) -> Clock {
-        Clock { table: FrameTable::new(capacity), hand: 0, budget: 0 }
-    }
-}
-
 impl ReplacementPolicy for Clock {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Clock
+    fn on_access(&mut self, table: &FrameTable, frame: u32, _key: u64, app: AppId) {
+        table.ref_words().touch(frame, app);
     }
 
-    fn table(&self) -> &FrameTable {
-        &self.table
+    fn on_insert(&mut self, table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
+        table.ref_words().clear(frame);
     }
 
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, app: AppId) {
-        self.table.ref_words().touch(frame, app);
-    }
-
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
-        self.table.ref_words().clear(frame);
-    }
-
-    fn on_remove(&mut self, frame: u32, _key: u64) {
-        self.table.remove(frame);
-    }
+    fn on_remove(&mut self, _table: &FrameTable, _frame: u32, _key: u64) {}
 
     fn ranks_from_ref_words(&self) -> bool {
         true
     }
 
-    /// Clock ranks directly from the atomic ref words, which the event
-    /// producer already stored at access time; replaying `on_access` here
-    /// would resurrect a bit an eviction scan may have legitimately
-    /// consumed since. Only the deferred ledger updates remain.
-    fn drain(&mut self, events: &[AccessEvent]) {
-        for ev in events {
-            match ev.kind {
-                AccessKind::Hit | AccessKind::ProbeHit => {
-                    self.table.stats.hits += 1;
-                    self.table.note_app_hit(ev.app);
-                }
-                AccessKind::Miss => {
-                    self.table.stats.misses += 1;
-                    self.table.note_app_miss(ev.app);
-                }
-                AccessKind::Touch => {}
-            }
-        }
+    fn begin_scan(&mut self, table: &FrameTable) {
+        self.budget = 2 * table.capacity();
     }
 
-    fn begin_scan(&mut self) {
-        self.budget = 2 * self.table.capacity();
-    }
-
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.budget > 0 {
             self.budget -= 1;
             let idx = self.hand as u32;
-            self.hand = (self.hand + 1) % self.table.capacity();
+            self.hand = (self.hand + 1) % table.capacity();
             // A partition-local scan must not strip other tenants'
             // second-chance protection: skip foreign frames before
             // touching their reference bit.
             if let Some(owner) = filter {
-                if self.table.owner_of(idx) != owner {
+                if table.owner_of(idx) != owner {
                     continue;
                 }
             }
             // Consume the reference bit first (second chance), matching the
             // seed's `swap(false)`-then-skip order.
-            if self.table.ref_words().take(idx) {
+            if table.ref_words().take(idx) {
                 continue;
             }
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
@@ -110,11 +69,11 @@ impl ReplacementPolicy for Clock {
     /// ones a sweep would grant a second chance — ranked after every
     /// unreferenced frame. Reads the atomic words without consuming them,
     /// so exporting the ranking never strips protection.
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
-        let cap = self.table.capacity();
+    fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
+        let cap = table.capacity();
         let sweep = |referenced: bool| {
             (0..cap).map(move |i| ((self.hand + i) % cap) as u32).filter(move |&f| {
-                self.table.is_resident(f) && self.table.ref_words().is_referenced(f) == referenced
+                table.is_resident(f) && table.ref_words().is_referenced(f) == referenced
             })
         };
         Some(sweep(false).chain(sweep(true)).collect())
@@ -123,16 +82,16 @@ impl ReplacementPolicy for Clock {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AccessEvent, AppId, PolicyKind};
 
     #[test]
     fn unreferenced_frame_is_victim() {
-        let mut c = Clock::new(4);
+        let mut c = PolicyKind::Clock.build(4);
         for f in 0..4 {
-            c.on_insert(f, f as u64, AppId::UNKNOWN);
+            c.insert(f, f as u64, AppId::UNKNOWN);
         }
         for f in [0u32, 1, 3] {
-            c.on_access(f, f as u64, AppId::UNKNOWN);
+            c.access(f, f as u64, AppId::UNKNOWN);
         }
         c.begin_scan();
         assert_eq!(c.next_candidate(None), Some(2), "only frame 2 kept no reference bit");
@@ -140,18 +99,18 @@ mod tests {
 
     #[test]
     fn pinned_frames_are_skipped() {
-        let mut c = Clock::new(3);
+        let mut c = PolicyKind::Clock.build(3);
         for f in 0..3 {
-            c.on_insert(f, f as u64, AppId::UNKNOWN);
+            c.insert(f, f as u64, AppId::UNKNOWN);
         }
-        c.set_pinned(0, true);
+        c.table_mut().set_pinned(0, true);
         c.begin_scan();
         assert_eq!(c.next_candidate(None), Some(1));
     }
 
     #[test]
     fn scan_terminates_on_empty_pool() {
-        let mut c = Clock::new(8);
+        let mut c = PolicyKind::Clock.build(8);
         c.begin_scan();
         assert_eq!(c.next_candidate(None), None);
     }
@@ -160,9 +119,9 @@ mod tests {
     fn lock_free_ref_word_grants_second_chance() {
         // The fast path: a producer touches the atomic word directly (no
         // on_access call) and the scan honors it exactly like a hit.
-        let mut c = Clock::new(2);
-        c.on_insert(0, 10, AppId::UNKNOWN);
-        c.on_insert(1, 11, AppId::UNKNOWN);
+        let mut c = PolicyKind::Clock.build(2);
+        c.insert(0, 10, AppId::UNKNOWN);
+        c.insert(1, 11, AppId::UNKNOWN);
         c.table().ref_words().touch(0, AppId(3));
         c.begin_scan();
         assert_eq!(c.next_candidate(None), Some(1), "frame 0's atomic bit protects it");
@@ -170,15 +129,15 @@ mod tests {
 
     #[test]
     fn drain_updates_ledgers_without_touching_recency() {
-        let mut c = Clock::new(2);
-        c.on_insert(0, 10, AppId(1));
+        let mut c = PolicyKind::Clock.build(2);
+        c.insert(0, 10, AppId(1));
         // The producer stored the recency word at access time...
         c.table().ref_words().touch(0, AppId(1));
         // ...and an eviction scan consumed it before the drain arrived.
         c.begin_scan();
         assert_eq!(c.next_candidate(None), Some(0));
         c.drain(&[AccessEvent::hit(0, 10, AppId(1)), AccessEvent::miss(AppId(1))]);
-        assert_eq!((c.stats().hits, c.stats().misses), (1, 1));
+        assert_eq!((c.table().stats.hits, c.table().stats.misses), (1, 1));
         assert!(
             !c.table().ref_words().is_referenced(0),
             "drain must not resurrect a consumed reference bit"
@@ -187,11 +146,11 @@ mod tests {
 
     #[test]
     fn filtered_scan_preserves_foreign_second_chances() {
-        let mut c = Clock::new(4);
+        let mut c = PolicyKind::Clock.build(4);
         // Frames 0,1 belong to app 0; 2,3 to app 1; everyone referenced.
         for f in 0..4u32 {
-            c.on_insert(f, f as u64, AppId(f / 2));
-            c.on_access(f, f as u64, AppId(f / 2));
+            c.insert(f, f as u64, AppId(f / 2));
+            c.access(f, f as u64, AppId(f / 2));
         }
         // App 1's partition-local scan consumes only its *own* reference
         // bits (2, 3) on the way to its victim.

@@ -2,13 +2,12 @@
 //! clock/LRU only under skewed popularity (the workload's `hotspot` knob).
 
 use crate::table::FrameTable;
-use crate::{AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 
 /// Per-frame access frequency plus a logical access clock for the
 /// tie-break. Candidates are offered coldest-first; among equally cold
 /// frames, least recently touched first.
 pub struct Lfu {
-    table: FrameTable,
     freq: Vec<u64>,
     last: Vec<u64>,
     tick: u64,
@@ -19,7 +18,6 @@ pub struct Lfu {
 impl Lfu {
     pub fn new(capacity: usize) -> Lfu {
         Lfu {
-            table: FrameTable::new(capacity),
             freq: vec![0; capacity],
             last: vec![0; capacity],
             tick: 0,
@@ -35,54 +33,40 @@ impl Lfu {
 }
 
 impl ReplacementPolicy for Lfu {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Lfu
-    }
-
-    fn table(&self) -> &FrameTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, _app: AppId) {
+    fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         self.freq[frame as usize] = self.freq[frame as usize].saturating_add(1);
         self.stamp(frame);
     }
 
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
+    fn on_insert(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         self.freq[frame as usize] = 1;
         self.stamp(frame);
     }
 
-    fn on_remove(&mut self, frame: u32, _key: u64) {
-        self.table.remove(frame);
+    fn on_remove(&mut self, _table: &FrameTable, frame: u32, _key: u64) {
         self.freq[frame as usize] = 0;
     }
 
-    fn begin_scan(&mut self) {
-        self.scan = self.table.resident_frames();
+    fn begin_scan(&mut self, table: &FrameTable) {
+        self.scan = table.resident_frames();
         let (freq, last) = (&self.freq, &self.last);
         self.scan.sort_by_key(|&f| (freq[f as usize], last[f as usize]));
         self.scan_pos = 0;
     }
 
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.scan_pos < self.scan.len() {
             let idx = self.scan[self.scan_pos];
             self.scan_pos += 1;
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
         None
     }
 
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
-        let mut order = self.table.resident_frames();
+    fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
+        let mut order = table.resident_frames();
         order.sort_by_key(|&f| (self.freq[f as usize], self.last[f as usize]));
         Some(order)
     }
@@ -90,45 +74,45 @@ impl ReplacementPolicy for Lfu {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AppId, PolicyKind};
 
     #[test]
     fn cold_frame_goes_first() {
-        let mut l = Lfu::new(3);
+        let mut l = PolicyKind::Lfu.build(3);
         for f in 0..3 {
-            l.on_insert(f, f as u64, AppId::UNKNOWN);
+            l.insert(f, f as u64, AppId::UNKNOWN);
         }
         for _ in 0..5 {
-            l.on_access(0, 0, AppId::UNKNOWN);
-            l.on_access(2, 2, AppId::UNKNOWN);
+            l.access(0, 0, AppId::UNKNOWN);
+            l.access(2, 2, AppId::UNKNOWN);
         }
-        l.on_access(1, 1, AppId::UNKNOWN);
+        l.access(1, 1, AppId::UNKNOWN);
         l.begin_scan();
         assert_eq!(l.next_candidate(None), Some(1), "frame 1 is the coldest");
     }
 
     #[test]
     fn lru_breaks_frequency_ties() {
-        let mut l = Lfu::new(2);
-        l.on_insert(0, 0, AppId::UNKNOWN);
-        l.on_insert(1, 1, AppId::UNKNOWN);
-        l.on_access(0, 0, AppId::UNKNOWN);
-        l.on_access(1, 1, AppId::UNKNOWN); // equal freq; 0 touched earlier
+        let mut l = PolicyKind::Lfu.build(2);
+        l.insert(0, 0, AppId::UNKNOWN);
+        l.insert(1, 1, AppId::UNKNOWN);
+        l.access(0, 0, AppId::UNKNOWN);
+        l.access(1, 1, AppId::UNKNOWN); // equal freq; 0 touched earlier
         l.begin_scan();
         assert_eq!(l.next_candidate(None), Some(0));
     }
 
     #[test]
     fn reinsert_resets_frequency() {
-        let mut l = Lfu::new(2);
-        l.on_insert(0, 0, AppId::UNKNOWN);
+        let mut l = PolicyKind::Lfu.build(2);
+        l.insert(0, 0, AppId::UNKNOWN);
         for _ in 0..9 {
-            l.on_access(0, 0, AppId::UNKNOWN);
+            l.access(0, 0, AppId::UNKNOWN);
         }
-        l.on_remove(0, 0);
-        l.on_insert(0, 7, AppId::UNKNOWN);
-        l.on_insert(1, 8, AppId::UNKNOWN);
-        l.on_access(1, 8, AppId::UNKNOWN);
+        l.remove(0, 0);
+        l.insert(0, 7, AppId::UNKNOWN);
+        l.insert(1, 8, AppId::UNKNOWN);
+        l.access(1, 8, AppId::UNKNOWN);
         l.begin_scan();
         assert_eq!(l.next_candidate(None), Some(0), "old frequency must not leak to the new block");
     }

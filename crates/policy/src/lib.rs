@@ -1,12 +1,11 @@
 //! # kcache-policy — pluggable cache-replacement policies
 //!
 //! The buffer manager's eviction decision, promoted from two hardcoded
-//! booleans into a real subsystem. A [`ReplacementPolicy`] tracks frame
-//! residency/recency metadata and, when the manager needs room, produces
-//! eviction candidates in preference order. The manager keeps authority
-//! over *whether* a candidate may actually be evicted (dirty state,
-//! in-flight flushes, clean-first passes are its business); the policy only
-//! ranks.
+//! booleans into a real subsystem. A [`ReplacementPolicy`] keeps ranking
+//! metadata and, when the manager needs room, produces eviction candidates
+//! in preference order. The manager keeps authority over *whether* a
+//! candidate may actually be evicted (dirty state, in-flight flushes,
+//! clean-first passes are its business); the policy only ranks.
 //!
 //! Policies operate on **frame indices** (`u32`, dense `0..capacity`) and
 //! opaque **key fingerprints** (`u64`, the block key's hash) so the crate
@@ -28,30 +27,32 @@
 //! * [`SharingAware`] — evict single-application blocks before blocks
 //!   shared across applications, LRU within each class.
 //!
-//! Every policy embeds a [`FrameTable`] — the shared residency / pin /
-//! **ownership** bookkeeping. Ownership (which application installed each
-//! frame) powers the **owner-filtered scan protocol**: the manager passes
-//! an owner filter to every
-//! [`next_candidate`](ReplacementPolicy::next_candidate) call, and the
-//! table rejects every candidate not owned by the filtered application.
-//! This is what makes per-application cache partitioning work *inside*
-//! any policy: the policy keeps ranking exactly as before, the filter
-//! narrows which ranked frames may leave the cache.
+//! No policy owns residency. A [`RankedTable`] pairs one [`FrameTable`] —
+//! the residency / pin / **ownership** bookkeeping, the per-application
+//! ledger and the [`PolicyStats`] — with the boxed policy ranking it, and
+//! lends the table to every hook. Ownership (which application installed
+//! each frame) powers the **owner-filtered scan protocol**: the manager
+//! passes an owner filter to every
+//! [`next_candidate`](RankedTable::next_candidate) call, and the table
+//! rejects every candidate not owned by the filtered application. This is
+//! what makes per-application cache partitioning work *inside* any policy:
+//! the policy keeps ranking exactly as before, the filter narrows which
+//! ranked frames may leave the cache.
 //!
 //! Concurrency contract: policy state is a **leaf lock** in the manager's
 //! lock order (bucket → frame → policy). The trait is `Send` (not `Sync`);
-//! the manager wraps the boxed policy in a `Mutex` and never holds that
+//! the manager wraps the [`RankedTable`] in a `Mutex` and never holds that
 //! lock while acquiring a bucket or frame lock.
 //!
 //! The **hit fast path does not take that lock at all**: hits and recency
 //! touches store into the table's per-frame atomic [`RefWords`] (ref bit +
 //! app-touch mask) and enqueue an [`AccessEvent`] into the manager's
-//! bounded side-buffer. The policy sees the deferred events in batches via
-//! [`ReplacementPolicy::drain`] — applied before anything that ranks or
-//! reports (eviction scans, inserts, epoch ticks, stats reads), so under a
-//! single thread the drained path is observation-equivalent to calling the
-//! eager hooks at access time (pinned by differential tests). [`Clock`]
-//! never needs the replayed `on_access` at all: it ranks directly from the
+//! bounded side-buffer. The deferred events are applied in batches via
+//! [`RankedTable::drain`] — before anything that ranks or reports
+//! (eviction scans, inserts, epoch ticks, stats reads), so under a single
+//! thread the drained path is observation-equivalent to applying each
+//! event at access time (pinned by differential tests). [`Clock`] never
+//! needs the replayed `on_access` at all: it ranks directly from the
 //! atomic ref bits, recovering the seed's store-only per-hit cost.
 
 pub mod arc;
@@ -162,7 +163,7 @@ pub enum AccessKind {
 
 /// One deferred access, produced lock-free on the buffer manager's hit
 /// fast path and applied to the policy in batches via
-/// [`ReplacementPolicy::drain`]. `frame`/`key` are meaningless for
+/// [`RankedTable::drain`]. `frame`/`key` are meaningless for
 /// [`AccessKind::ProbeHit`]/[`AccessKind::Miss`] (no frame is involved).
 ///
 /// Producer contract: for `Hit` and `Touch` events the producer has
@@ -250,9 +251,8 @@ impl GhostRate {
 
 /// Observability ledger of an adaptive meta-policy: epoch/switch counts,
 /// the per-epoch switch log, lifetime ghost hit rates per candidate, and
-/// the quota-tuner move log. Defined here (next to [`PolicyStats`]) so the
-/// `ReplacementPolicy` trait can expose it without depending on any
-/// particular meta-policy implementation.
+/// the quota-tuner move log. Defined here (next to [`PolicyStats`]) so
+/// consumers can report it without depending on the meta-policy crate.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct AdaptiveStats {
     /// Epoch ticks observed.
@@ -288,16 +288,21 @@ impl AdaptiveStats {
     }
 }
 
-/// A replacement policy: residency/recency bookkeeping plus ranked
-/// eviction candidates.
+/// A replacement policy: **ranking hooks only**. The residency / pin /
+/// ownership state, the hit/miss/per-app ledger and the event batching all
+/// live in the [`RankedTable`] that owns the ranker; every hook borrows
+/// that table's [`FrameTable`] read-only for eligibility checks and the
+/// atomic ref words, and keeps nothing but its own ranking metadata
+/// (queues, frequencies, referent sets, a clock hand). Five required
+/// hooks, four provided — a new policy is one file implementing the five.
 ///
 /// Invariants every implementation must uphold (property-tested in
-/// `tests/invariants.rs`):
+/// `tests/invariants.rs`, a test-local seventh policy included):
 ///
 /// * [`next_candidate`](ReplacementPolicy::next_candidate) only returns
 ///   frames that are resident, unpinned, `< capacity`, and — when an
-///   owner filter is passed — owned by the filtered application;
-/// * the set of resident frames never exceeds `capacity`;
+///   owner filter is passed — owned by the filtered application
+///   ([`FrameTable::evictable_for`] is that check);
 /// * a scan terminates (`next_candidate` eventually returns `None`),
 ///   filtered or not.
 ///
@@ -307,39 +312,69 @@ impl AdaptiveStats {
 /// discipline) can disturb each other's *ordering* — harmless, a raced
 /// candidate is simply rejected and asked again — but never each other's
 /// partition boundary.
-///
-/// The residency / pin / ownership state lives in the embedded
-/// [`FrameTable`]; the provided methods (pinning, the per-application
-/// ledger, stats access) are table-backed so individual policies only
-/// implement ranking.
 pub trait ReplacementPolicy: Send {
-    /// Which [`PolicyKind`] built this policy.
-    fn kind(&self) -> PolicyKind;
-
-    /// The shared residency/pin/ownership bookkeeping this policy embeds.
-    fn table(&self) -> &FrameTable;
-    fn table_mut(&mut self) -> &mut FrameTable;
+    /// A new block (fingerprint `key`) was installed into `frame`; the
+    /// table already records it (residency, key, owner).
+    fn on_insert(&mut self, table: &FrameTable, frame: u32, key: u64, app: AppId);
 
     /// A resident frame was hit by `app`; `key` is the block's fingerprint.
     ///
     /// Callers that defer hit bookkeeping (the buffer manager's lock-free
-    /// fast path) do not call this directly — they enqueue an
-    /// [`AccessEvent`] and the default [`drain`](Self::drain) replays it
-    /// here. Either way, an implementation must tolerate `frame` having
-    /// been vacated or re-assigned since the access (the manager's
+    /// fast path) reach this through [`RankedTable::drain`]. Either way,
+    /// an implementation must tolerate `frame` having been vacated or
+    /// re-assigned since the access (the manager's
     /// drop-the-lock-between-steps discipline always allowed that race):
     /// stale recency on a non-resident frame is reset by the next
     /// `on_insert`.
-    fn on_access(&mut self, frame: u32, key: u64, app: AppId);
+    fn on_access(&mut self, table: &FrameTable, frame: u32, key: u64, app: AppId);
+
+    /// `frame` is being vacated (eviction or invalidation); `key`
+    /// identifies the departing block so ghost-list policies can remember
+    /// it. The table still shows the frame resident during the call and
+    /// forgets it right after.
+    fn on_remove(&mut self, table: &FrameTable, frame: u32, key: u64);
+
+    /// Start a fresh eviction scan. Candidate order is decided here (or
+    /// lazily in [`next_candidate`](ReplacementPolicy::next_candidate));
+    /// candidate *eligibility* (residency, pins, the owner filter) is the
+    /// table's business.
+    fn begin_scan(&mut self, table: &FrameTable);
+
+    /// Next eviction candidate in preference order, or `None` when the
+    /// scan is exhausted. With `filter: Some(app)` only frames owned by
+    /// `app` are offered — the partition-local scan quota enforcement
+    /// runs — and other owners' ranking state must be left untouched
+    /// (skipped, not consumed). The caller may reject a candidate (dirty
+    /// during a clean-only pass, raced away, …) and simply ask again.
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32>;
+
+    /// The resident frames in this policy's *eviction-preference order* —
+    /// soonest-to-evict first, most-protected last — without consuming any
+    /// ranking state (a read-only view of what a scan *would* offer).
+    /// [`RankedTable::migrate`] replays residency through the incoming
+    /// policy in this order, so the outgoing policy's recency/utility
+    /// ranking survives a live switch instead of degrading to frame-index
+    /// order. `None` means the policy has no meaningful ordering to export
+    /// and the caller falls back to frame order.
+    fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
+        let _ = table;
+        None
+    }
+
+    /// Time-based aging at an epoch boundary ([`SharingAware`]'s referent
+    /// decay); the default is a no-op. A policy never decides anything for
+    /// its host here.
+    fn epoch_tick(&mut self) {}
 
     /// Does this policy rank eviction candidates directly from the
     /// table's atomic [`RefWords`] (clock), never needing the deferred
-    /// `on_access` replay? Producers use this to collapse *unattributed*
-    /// hit/miss/touch events — whose only other deferred effect is a
-    /// counter bump, since [`AppId::UNKNOWN`] never enters the per-app
-    /// ledger — into plain atomic counters instead of ring traffic.
-    /// Meta-policies that feed ghost simulators from the event stream
-    /// must leave this `false` even when their live candidate is clock.
+    /// `on_access` replay? [`RankedTable::drain`] then skips that replay —
+    /// the producer already stored the recency word at access time, and
+    /// replaying it later could resurrect a reference bit an eviction scan
+    /// legitimately consumed in between — and producers collapse
+    /// *unattributed* hit/miss/touch events, whose only other deferred
+    /// effect is a counter bump ([`AppId::UNKNOWN`] never enters the
+    /// per-app ledger), into plain atomic counters instead of ring traffic.
     fn ranks_from_ref_words(&self) -> bool {
         false
     }
@@ -353,181 +388,156 @@ pub trait ReplacementPolicy: Send {
     fn consumes_app_mask(&self) -> bool {
         false
     }
+}
 
-    /// Credit `hits`/`misses` collapsed count-only events (see
-    /// [`ranks_from_ref_words`](Self::ranks_from_ref_words)) into the
-    /// stats ledger. Order relative to drained batches is irrelevant:
-    /// counters commute, and count-only events carry no recency or
-    /// per-app information by construction.
-    fn credit_counts(&mut self, hits: u64, misses: u64) {
-        self.stats_mut().hits += hits;
-        self.stats_mut().misses += misses;
+/// A [`FrameTable`] and the [`ReplacementPolicy`] ranking it — the one
+/// owner of everything that is not ranking: residency beside each hook,
+/// the hit/miss/per-app ledger over deferred [`AccessEvent`] batches, and
+/// live migration to another policy over the *same* table. The buffer
+/// manager holds one per shard behind its policy leaf lock; each adaptive
+/// ghost cache holds one per candidate.
+pub struct RankedTable {
+    table: FrameTable,
+    ranker: Box<dyn ReplacementPolicy>,
+    /// The [`PolicyKind`] that built the ranker; `None` for a ranker
+    /// handed to [`with_ranker`](Self::with_ranker) (the enum is closed,
+    /// so an out-of-crate policy has no kind to name).
+    kind: Option<PolicyKind>,
+}
+
+impl RankedTable {
+    /// Rank a fresh pool of `capacity` frames with a caller-built policy.
+    pub fn with_ranker(capacity: usize, ranker: Box<dyn ReplacementPolicy>) -> RankedTable {
+        assert!(capacity > 0, "policy over empty frame pool");
+        RankedTable { table: FrameTable::new(capacity), ranker, kind: None }
     }
 
-    /// Apply a batch of deferred access events, oldest first. The
-    /// provided default replays each event through the eager hooks —
-    /// hit/miss counters, the per-app ledger, `on_access` for recency —
-    /// so a policy that implements only the eager surface is drain-ready.
-    /// Policies that rank from the table's atomic [`RefWords`] (clock)
-    /// override this to skip the `on_access` replay: the producer already
-    /// stored the recency word at access time, and replaying it later
-    /// could resurrect a reference bit an eviction scan legitimately
-    /// consumed in between.
-    fn drain(&mut self, events: &[AccessEvent]) {
+    /// Which built-in policy ranks right now (`None`: a caller-built one).
+    pub fn kind(&self) -> Option<PolicyKind> {
+        self.kind
+    }
+
+    /// Residency, pins, owners, the per-app ledger, stats, ref words.
+    pub fn table(&self) -> &FrameTable {
+        &self.table
+    }
+
+    /// The mutable, non-residency half of the table: pins
+    /// ([`FrameTable::set_pinned`]), the eviction ledger, stats.
+    /// Residency itself only changes through [`insert`](Self::insert) /
+    /// [`remove`](Self::remove), which keep the ranker in step.
+    pub fn table_mut(&mut self) -> &mut FrameTable {
+        &mut self.table
+    }
+
+    /// The ranker's static traits (`ranks_from_ref_words`,
+    /// `consumes_app_mask`).
+    pub fn ranker(&self) -> &dyn ReplacementPolicy {
+        self.ranker.as_ref()
+    }
+
+    /// A new block (fingerprint `key`) was installed into `frame` by `app`.
+    pub fn insert(&mut self, frame: u32, key: u64, app: AppId) {
+        self.table.insert(frame, key, app);
+        self.ranker.on_insert(&self.table, frame, key, app);
+    }
+
+    /// `frame` was vacated (eviction or invalidation).
+    pub fn remove(&mut self, frame: u32, key: u64) {
+        self.ranker.on_remove(&self.table, frame, key);
+        self.table.remove(frame);
+    }
+
+    /// One eager recency refresh (ghost caches, tests); the manager's
+    /// accesses arrive through [`drain`](Self::drain).
+    pub fn access(&mut self, frame: u32, key: u64, app: AppId) {
+        self.ranker.on_access(&self.table, frame, key, app);
+    }
+
+    /// Apply a batch of deferred access events, oldest first: hit/miss
+    /// counters, the per-app ledger, and the `on_access` recency replay —
+    /// skipped for a policy that [ranks from the ref
+    /// words](ReplacementPolicy::ranks_from_ref_words), which the
+    /// producer already stored at access time. Probe hits and misses
+    /// involve no frame and refresh nothing.
+    pub fn drain(&mut self, events: &[AccessEvent]) {
+        let replay = !self.ranker.ranks_from_ref_words();
         for ev in events {
             match ev.kind {
-                AccessKind::Hit => {
-                    self.stats_mut().hits += 1;
-                    self.note_app_hit(ev.app);
-                    self.on_access(ev.frame, ev.key, ev.app);
-                }
-                AccessKind::ProbeHit => {
-                    self.stats_mut().hits += 1;
-                    self.note_app_hit(ev.app);
+                AccessKind::Hit | AccessKind::ProbeHit => {
+                    self.table.stats.hits += 1;
+                    self.table.note_app_hit(ev.app);
                 }
                 AccessKind::Miss => {
-                    self.stats_mut().misses += 1;
-                    self.note_app_miss(ev.app);
+                    self.table.stats.misses += 1;
+                    self.table.note_app_miss(ev.app);
                 }
-                AccessKind::Touch => self.on_access(ev.frame, ev.key, ev.app),
+                AccessKind::Touch => {}
+            }
+            if replay && matches!(ev.kind, AccessKind::Hit | AccessKind::Touch) {
+                self.ranker.on_access(&self.table, ev.frame, ev.key, ev.app);
             }
         }
     }
 
-    /// A new block (fingerprint `key`) was installed into `frame`.
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId);
-
-    /// `frame` was vacated (eviction or invalidation); `key` identifies the
-    /// departing block so ghost-list policies can remember it.
-    fn on_remove(&mut self, frame: u32, key: u64);
-
-    /// `frame` was dropped by **coherence invalidation** rather than
-    /// capacity pressure. Defaults to [`on_remove`](Self::on_remove);
-    /// meta-policies override it to keep invalidations out of the
-    /// refault memory their quota tuner reads (an invalidated block
-    /// re-read later says nothing about partition sizing).
-    fn on_remove_invalidated(&mut self, frame: u32, key: u64) {
-        self.on_remove(frame, key);
+    /// Start a fresh eviction scan (counted in [`PolicyStats::scans`]).
+    pub fn begin_scan(&mut self) {
+        self.table.stats.scans += 1;
+        self.ranker.begin_scan(&self.table);
     }
 
-    /// Start a fresh eviction scan. Candidate order is decided here (or
-    /// lazily in [`next_candidate`](ReplacementPolicy::next_candidate));
-    /// candidate *eligibility* (residency, pins, the owner filter) is the
-    /// table's business.
-    fn begin_scan(&mut self);
-
-    /// Next eviction candidate in preference order, or `None` when the
-    /// scan is exhausted. With `filter: Some(app)` only frames owned by
-    /// `app` are offered — the partition-local scan quota enforcement
-    /// runs — and other owners' ranking state must be left untouched
-    /// (skipped, not consumed). The caller may reject a candidate (dirty
-    /// during a clean-only pass, raced away, …) and simply ask again.
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32>;
-
-    /// The resident frames in this policy's *eviction-preference order* —
-    /// soonest-to-evict first, most-protected last — without consuming any
-    /// ranking state (a read-only view of what a scan *would* offer).
-    /// [`migrate`] replays residency through the incoming policy in this
-    /// order, so the outgoing policy's recency/utility ranking survives a
-    /// live switch instead of degrading to frame-index order. `None`
-    /// means the policy has no meaningful ordering to export and the
-    /// caller falls back to frame order.
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
-        None
+    /// Next eviction candidate of the current scan; see
+    /// [`ReplacementPolicy::next_candidate`].
+    pub fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+        self.ranker.next_candidate(&self.table, filter)
     }
 
-    // ------------------------------------------------------------------
-    // Provided, table-backed surface.
-    // ------------------------------------------------------------------
-
-    /// `frame` is (un)pinned: pinned frames (e.g. dirty data in flight to
-    /// an iod) must not be offered as candidates.
-    fn set_pinned(&mut self, frame: u32, pinned: bool) {
-        self.table_mut().set_pinned(frame, pinned);
+    /// See [`ReplacementPolicy::recency_ranking`].
+    pub fn recency_ranking(&self) -> Option<Vec<u32>> {
+        self.ranker.recency_ranking(&self.table)
     }
 
-    /// Application that installed the block in `frame`.
-    fn owner_of(&self, frame: u32) -> AppId {
-        self.table().owner_of(frame)
+    /// Epoch-boundary aging; see [`ReplacementPolicy::epoch_tick`].
+    pub fn epoch_tick(&mut self) {
+        self.ranker.epoch_tick();
     }
 
-    /// Frames currently owned by `app`.
-    fn resident_of(&self, app: AppId) -> usize {
-        self.table().resident_of(app)
-    }
-
-    /// Per-application usage ledger (occupancy + attributed traffic).
-    fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        self.table().app_usage()
-    }
-
-    /// Attribute one hit / miss / eviction to an application.
-    fn note_app_hit(&mut self, app: AppId) {
-        self.table_mut().note_app_hit(app);
-    }
-    fn note_app_miss(&mut self, app: AppId) {
-        self.table_mut().note_app_miss(app);
-    }
-    fn note_app_eviction(&mut self, app: AppId) {
-        self.table_mut().note_app_eviction(app);
-    }
-
-    /// The policy's event counters.
-    fn stats(&self) -> &PolicyStats {
-        &self.table().stats
-    }
-    fn stats_mut(&mut self) -> &mut PolicyStats {
-        &mut self.table_mut().stats
-    }
-
-    // ------------------------------------------------------------------
-    // Epoch protocol (driven by the buffer manager's epoch boundary).
-    // ------------------------------------------------------------------
-
-    /// Time-based aging at an epoch boundary ([`SharingAware`]'s referent
-    /// decay); the default is a no-op. The manager calls this on policies
-    /// that report no [`epoch_observe`](Self::epoch_observe); a
-    /// meta-policy ages its live candidate and ghosts from
-    /// [`epoch_apply`](Self::epoch_apply) instead. A policy never decides
-    /// anything for its host here.
-    fn epoch_tick(&mut self) {}
-
-    /// The meta-policy observability ledger (`None` for static policies).
-    fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        None
-    }
-
-    /// Export what this policy observed over the closing epoch *without*
-    /// taking any decision: ghost hit/access counts per candidate and the
-    /// per-application refault evidence. The manager collects one
-    /// observation per shard, merges the ledgers, decides once globally,
-    /// and pushes the verdict back through
-    /// [`epoch_apply`](Self::epoch_apply) — so every shard switches (or
-    /// stays) in lockstep. Static policies have nothing to report
-    /// (`None`); the caller then just runs their
-    /// [`epoch_tick`](Self::epoch_tick).
-    fn epoch_observe(&self) -> Option<EpochObservation> {
-        None
-    }
-
-    /// Apply a globally-decided epoch verdict: advance the epoch clock,
-    /// perform the directed live switch (if any), and close out the ghost
-    /// ledgers the observation was taken from. Only meaningful for
-    /// policies that returned `Some` from
-    /// [`epoch_observe`](Self::epoch_observe); the default ignores the
-    /// directive.
-    fn epoch_apply(&mut self, directive: &EpochDirective) {
-        let _ = directive;
+    /// Live-migrate to a fresh policy of `to`'s kind over the **same**
+    /// table: every resident frame is replayed through the new ranker's
+    /// `on_insert` in the outgoing policy's
+    /// [`recency_ranking`](ReplacementPolicy::recency_ranking) order
+    /// (soonest-to-evict first, so the incoming policy ends up protecting
+    /// what the outgoing one protected; frame order is the fallback when
+    /// the outgoing policy exports no ranking). The table never moves, so
+    /// pins, ownership, the per-application ledger, the [`PolicyStats`]
+    /// counters and the atomic [`RefWords`] all survive the switch
+    /// untouched. A policy that ranks from those words has nothing to
+    /// rebuild and is not replayed into: its `on_insert` resets a frame's
+    /// word, which would strip the reference bits that must keep
+    /// protecting their frames.
+    pub fn migrate(&mut self, to: PolicyKind) {
+        let mut ranker = to.ranker(self.table.capacity());
+        if !ranker.ranks_from_ref_words() {
+            let order = self.recency_ranking().unwrap_or_else(|| self.table.resident_frames());
+            for frame in order {
+                if self.table.is_resident(frame) {
+                    let (key, owner) = (self.table.key_of(frame), self.table.owner_of(frame));
+                    ranker.on_insert(&self.table, frame, key, owner);
+                }
+            }
+        }
+        self.ranker = ranker;
+        self.kind = Some(to);
     }
 }
 
 /// What an adaptive meta-policy saw over one epoch, exported *before* any
 /// switch/tuning decision so the manager can merge per-shard ledgers and
 /// decide once for the whole pool.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EpochObservation {
     /// The currently live candidate's kind.
-    pub live: Option<PolicyKind>,
+    pub live: PolicyKind,
     /// Per-candidate ghost traffic this epoch: `(kind, hits, accesses)`.
     pub ghost_epoch: Vec<(PolicyKind, u64, u64)>,
     /// Per-application refaults this epoch (ghost-list re-reads of blocks
@@ -539,9 +549,7 @@ impl EpochObservation {
     /// Merge another shard's observation into this one (ledgers sum by
     /// kind / app; `live` must agree — shards switch in lockstep).
     pub fn merge(&mut self, other: &EpochObservation) {
-        if self.live.is_none() {
-            self.live = other.live;
-        }
+        debug_assert_eq!(self.live, other.live, "shards switch in lockstep");
         for &(kind, hits, accesses) in &other.ghost_epoch {
             match self.ghost_epoch.iter_mut().find(|(k, _, _)| *k == kind) {
                 Some(slot) => {
@@ -573,33 +581,6 @@ pub struct EpochDirective {
     /// carries the bookkeeping so the decision shows up in
     /// [`AdaptiveStats::quota_log`].
     pub quota_move: Option<(AppId, AppId, usize, u64, u64)>,
-}
-
-/// Live-migrate a policy's frame state into a fresh policy of `to`'s kind:
-/// every resident frame is replayed through the new policy's `on_insert`
-/// in the outgoing policy's [`recency_ranking`] order (soonest-to-evict
-/// first, so the incoming policy ends up protecting what the outgoing one
-/// protected; frame order is the fallback when the outgoing policy exports
-/// no ranking), then the shared [`FrameTable`] is carried over verbatim so
-/// pins, ownership, the per-application ledger and the [`PolicyStats`]
-/// counters all survive the switch unchanged. The table carries its atomic
-/// [`RefWords`] with it (shared `Arc`), so reference bits set before the
-/// switch keep protecting their frames when the incoming policy is clock.
-///
-/// [`recency_ranking`]: ReplacementPolicy::recency_ranking
-pub fn migrate(old: &dyn ReplacementPolicy, to: PolicyKind) -> Box<dyn ReplacementPolicy> {
-    let table = old.table();
-    let mut new = to.build(table.capacity());
-    let order = old
-        .recency_ranking()
-        .unwrap_or_else(|| table.resident_entries().iter().map(|&(f, _, _)| f).collect());
-    for frame in order {
-        if table.is_resident(frame) {
-            new.on_insert(frame, table.key_of(frame), table.owner_of(frame));
-        }
-    }
-    *new.table_mut() = table.clone();
-    new
 }
 
 /// Selector for the built-in policies — what configs, JSON experiment
@@ -655,11 +636,17 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiate the policy for a pool of `capacity` frames.
-    pub fn build(self, capacity: usize) -> Box<dyn ReplacementPolicy> {
-        assert!(capacity > 0, "policy over empty frame pool");
+    /// A pool of `capacity` frames ranked by this policy.
+    pub fn build(self, capacity: usize) -> RankedTable {
+        RankedTable {
+            kind: Some(self),
+            ..RankedTable::with_ranker(capacity, self.ranker(capacity))
+        }
+    }
+
+    fn ranker(self, capacity: usize) -> Box<dyn ReplacementPolicy> {
         match self {
-            PolicyKind::Clock => Box::new(Clock::new(capacity)),
+            PolicyKind::Clock => Box::new(Clock::default()),
             PolicyKind::ExactLru => Box::new(ExactLru::new(capacity)),
             PolicyKind::Lfu => Box::new(Lfu::new(capacity)),
             PolicyKind::TwoQ => Box::new(TwoQ::new(capacity)),
@@ -692,8 +679,8 @@ mod tests {
     fn build_produces_matching_kind() {
         for kind in PolicyKind::ALL {
             let p = kind.build(8);
-            assert_eq!(p.kind(), kind);
-            assert_eq!(*p.stats(), PolicyStats::default());
+            assert_eq!(p.kind(), Some(kind));
+            assert_eq!(p.table().stats, PolicyStats::default());
         }
     }
 
@@ -703,10 +690,10 @@ mod tests {
             let mut p = kind.build(8);
             // Frames 0..4 belong to app 0, frames 4..8 to app 1.
             for f in 0..8u32 {
-                p.on_insert(f, 100 + f as u64, AppId(f / 4));
+                p.insert(f, 100 + f as u64, AppId(f / 4));
             }
-            assert_eq!(p.resident_of(AppId(0)), 4, "{kind}");
-            assert_eq!(p.owner_of(6), AppId(1), "{kind}");
+            assert_eq!(p.table().resident_of(AppId(0)), 4, "{kind}");
+            assert_eq!(p.table().owner_of(6), AppId(1), "{kind}");
             p.begin_scan();
             let mut offered = Vec::new();
             while let Some(c) = p.next_candidate(Some(AppId(1))) {
@@ -730,38 +717,34 @@ mod tests {
     }
 
     #[test]
-    fn migrate_preserves_residency_pins_and_ledger() {
+    fn migrate_preserves_residency_pins_ledger_and_ref_words() {
         for from in PolicyKind::ALL {
             for to in PolicyKind::ALL {
                 let mut p = from.build(8);
                 for f in 0..6u32 {
-                    p.on_insert(f, 500 + f as u64, AppId(f % 2));
+                    p.insert(f, 500 + f as u64, AppId(f % 2));
                 }
-                p.on_access(1, 501, AppId(1));
-                p.note_app_hit(AppId(1));
-                p.note_app_miss(AppId(0));
-                p.set_pinned(2, true);
-                p.on_remove(5, 505);
-                let new = migrate(p.as_ref(), to);
-                assert_eq!(new.kind(), to, "{from}->{to}");
-                assert_eq!(
-                    new.table().resident_frames(),
-                    p.table().resident_frames(),
-                    "{from}->{to}: residency changed"
-                );
-                assert_eq!(
-                    new.table().resident_entries(),
-                    p.table().resident_entries(),
-                    "{from}->{to}: keys/owners changed"
-                );
-                assert!(new.table().is_pinned(2), "{from}->{to}: pin lost");
-                assert_eq!(new.app_usage(), p.app_usage(), "{from}->{to}: app ledger changed");
-                assert_eq!(new.stats(), p.stats(), "{from}->{to}: stats changed");
+                p.access(1, 501, AppId(1));
+                p.drain(&[AccessEvent::probe_hit(AppId(1)), AccessEvent::miss(AppId(0))]);
+                p.table_mut().set_pinned(2, true);
+                p.remove(5, 505);
+                // The manager's lock-free half of a hit: it must keep
+                // protecting frame 3 whichever policy comes in — clock
+                // included, whose `on_insert` would clear it.
+                p.table().ref_words().touch(3, AppId(0));
+                let (entries, usage, stats) =
+                    (p.table().resident_entries(), p.table().app_usage(), p.table().stats);
+                p.migrate(to);
+                assert_eq!(p.kind(), Some(to), "{from}->{to}");
+                assert_eq!(p.table().resident_entries(), entries, "{from}->{to}: residency");
+                assert!(p.table().is_pinned(2), "{from}->{to}: pin lost");
+                assert_eq!(p.table().app_usage(), usage, "{from}->{to}: app ledger changed");
+                assert_eq!(p.table().stats, stats, "{from}->{to}: stats changed");
+                assert!(p.table().ref_words().is_referenced(3), "{from}->{to}: ref word cleared");
                 // The migrated policy must still run a working scan.
-                let mut new = new;
-                new.begin_scan();
-                let c = new.next_candidate(None).expect("migrated policy must find a victim");
-                assert!(new.table().evictable(c), "{from}->{to}: bad candidate {c}");
+                p.begin_scan();
+                let c = p.next_candidate(None).expect("migrated policy must find a victim");
+                assert!(p.table().evictable(c), "{from}->{to}: bad candidate {c}");
             }
         }
     }
@@ -771,9 +754,9 @@ mod tests {
         for kind in PolicyKind::ALL {
             let mut p = kind.build(8);
             for f in 0..6u32 {
-                p.on_insert(f, 100 + f as u64, AppId(f % 2));
+                p.insert(f, 100 + f as u64, AppId(f % 2));
             }
-            p.on_access(1, 101, AppId(1));
+            p.access(1, 101, AppId(1));
             p.table().ref_words().touch(2, AppId(0));
             let Some(order) = p.recency_ranking() else {
                 panic!("{kind}: every built-in policy exports a ranking");
@@ -801,28 +784,28 @@ mod tests {
     fn migrate_preserves_recency_order() {
         let mut p = PolicyKind::ExactLru.build(8);
         for f in 0..6u32 {
-            p.on_insert(f, 500 + f as u64, AppId::UNKNOWN);
+            p.insert(f, 500 + f as u64, AppId::UNKNOWN);
         }
         // Touch in an order that diverges from frame-index order.
-        p.on_access(0, 500, AppId::UNKNOWN);
-        p.on_access(3, 503, AppId::UNKNOWN);
+        p.access(0, 500, AppId::UNKNOWN);
+        p.access(3, 503, AppId::UNKNOWN);
         let want = p.recency_ranking().unwrap();
         assert_eq!(want, vec![1, 2, 4, 5, 0, 3]);
-        let mut new = migrate(p.as_ref(), PolicyKind::ExactLru);
-        assert_eq!(new.recency_ranking().unwrap(), want, "LRU order must survive the switch");
-        new.begin_scan();
-        assert_eq!(new.next_candidate(None), Some(1), "victim choice carries over");
+        p.migrate(PolicyKind::ExactLru);
+        assert_eq!(p.recency_ranking().unwrap(), want, "LRU order must survive the switch");
+        p.begin_scan();
+        assert_eq!(p.next_candidate(None), Some(1), "victim choice carries over");
     }
 
     #[test]
     fn epoch_observation_merges_by_kind_and_app() {
         let mut a = EpochObservation {
-            live: Some(PolicyKind::Clock),
+            live: PolicyKind::Clock,
             ghost_epoch: vec![(PolicyKind::Clock, 3, 10), (PolicyKind::Arc, 5, 10)],
             refaults: vec![(AppId(0), 2)],
         };
         let b = EpochObservation {
-            live: Some(PolicyKind::Clock),
+            live: PolicyKind::Clock,
             ghost_epoch: vec![(PolicyKind::Arc, 1, 4), (PolicyKind::Lfu, 2, 4)],
             refaults: vec![(AppId(0), 1), (AppId(1), 7)],
         };

@@ -3,7 +3,7 @@
 //! extracted from the seed buffer manager's intrusive list.
 
 use crate::table::FrameTable;
-use crate::{AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 
 const NIL: u32 = u32::MAX;
 
@@ -11,7 +11,6 @@ const NIL: u32 = u32::MAX;
 /// Every access relinks the frame to the head; an eviction scan snapshots
 /// the list tail-first (LRU → MRU), exactly like the seed's `lru_order`.
 pub struct ExactLru {
-    table: FrameTable,
     prev: Vec<u32>,
     next: Vec<u32>,
     head: u32,
@@ -24,7 +23,6 @@ pub struct ExactLru {
 impl ExactLru {
     pub fn new(capacity: usize) -> ExactLru {
         ExactLru {
-            table: FrameTable::new(capacity),
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
             head: NIL,
@@ -81,64 +79,50 @@ impl ExactLru {
 }
 
 impl ReplacementPolicy for ExactLru {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::ExactLru
-    }
-
-    fn table(&self) -> &FrameTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, _app: AppId) {
+    fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         self.touch(frame);
     }
 
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
+    fn on_insert(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         self.touch(frame);
     }
 
-    fn on_remove(&mut self, frame: u32, _key: u64) {
-        self.table.remove(frame);
+    fn on_remove(&mut self, _table: &FrameTable, frame: u32, _key: u64) {
         self.unlink(frame);
     }
 
-    fn begin_scan(&mut self) {
+    fn begin_scan(&mut self, _table: &FrameTable) {
         self.scan = self.lru_order();
         self.scan_pos = 0;
     }
 
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.scan_pos < self.scan.len() {
             let idx = self.scan[self.scan_pos];
             self.scan_pos += 1;
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
         None
     }
 
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
+    fn recency_ranking(&self, _table: &FrameTable) -> Option<Vec<u32>> {
         Some(self.lru_order())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AppId, PolicyKind};
 
     #[test]
     fn evicts_strictly_oldest() {
-        let mut l = ExactLru::new(3);
+        let mut l = PolicyKind::ExactLru.build(3);
         for f in 0..3 {
-            l.on_insert(f, f as u64, AppId::UNKNOWN);
+            l.insert(f, f as u64, AppId::UNKNOWN);
         }
-        l.on_access(0, 0, AppId::UNKNOWN); // 1 is now LRU
+        l.access(0, 0, AppId::UNKNOWN); // 1 is now LRU
         l.begin_scan();
         assert_eq!(l.next_candidate(None), Some(1));
         assert_eq!(l.next_candidate(None), Some(2));
@@ -148,11 +132,11 @@ mod tests {
 
     #[test]
     fn remove_unlinks() {
-        let mut l = ExactLru::new(3);
+        let mut l = PolicyKind::ExactLru.build(3);
         for f in 0..3 {
-            l.on_insert(f, f as u64, AppId::UNKNOWN);
+            l.insert(f, f as u64, AppId::UNKNOWN);
         }
-        l.on_remove(0, 0);
+        l.remove(0, 0);
         l.begin_scan();
         assert_eq!(l.next_candidate(None), Some(1));
         assert_eq!(l.next_candidate(None), Some(2));

@@ -5,7 +5,7 @@
 //! applications is worth more than a private one, so it is evicted last.
 
 use crate::table::FrameTable;
-use crate::{AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 
 /// Per-frame referent set (a 64-bit app bitmask) plus a logical access
 /// clock. Eviction ranks frames by **referent count** ascending (fewer
@@ -29,8 +29,7 @@ use crate::{AppId, PolicyKind, ReplacementPolicy};
 /// rolls into an aged generation and a fresh one starts; a referent that
 /// does not re-touch the block within two epochs stops protecting it.
 pub struct SharingAware {
-    table: FrameTable,
-    /// Bit `app % 64` per distinct known referent observed in the current
+    /// Bit `app % 63` per distinct known referent observed in the current
     /// epoch. Unknown origins contribute no bit at all: an unattributed
     /// touch (direct manager API use, sync-write refreshes) must never
     /// make a block look shared.
@@ -57,7 +56,6 @@ fn app_bit(app: AppId) -> u64 {
 impl SharingAware {
     pub fn new(capacity: usize) -> SharingAware {
         SharingAware {
-            table: FrameTable::new(capacity),
             apps: vec![0; capacity],
             aged: vec![0; capacity],
             last: vec![0; capacity],
@@ -81,42 +79,28 @@ impl SharingAware {
 }
 
 impl ReplacementPolicy for SharingAware {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::SharingAware
-    }
-
     fn consumes_app_mask(&self) -> bool {
         true
     }
 
-    fn table(&self) -> &FrameTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, app: AppId) {
+    fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, app: AppId) {
         self.apps[frame as usize] |= app_bit(app);
         self.stamp(frame);
     }
 
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
+    fn on_insert(&mut self, _table: &FrameTable, frame: u32, _key: u64, app: AppId) {
         self.apps[frame as usize] = app_bit(app);
         self.aged[frame as usize] = 0;
         self.stamp(frame);
     }
 
-    fn on_remove(&mut self, frame: u32, _key: u64) {
-        self.table.remove(frame);
+    fn on_remove(&mut self, _table: &FrameTable, frame: u32, _key: u64) {
         self.apps[frame as usize] = 0;
         self.aged[frame as usize] = 0;
     }
 
-    fn begin_scan(&mut self) {
-        self.scan = self.table.resident_frames();
+    fn begin_scan(&mut self, table: &FrameTable) {
+        self.scan = table.resident_frames();
         // Fold in the lock-free fast path's app-touch masks *now* rather
         // than waiting for the deferred event ring to drain: a hit the
         // manager recorded with one atomic `fetch_or` moments ago must
@@ -127,7 +111,7 @@ impl ReplacementPolicy for SharingAware {
         // epoch aging already retired. The `on_access` replay of the
         // same touch is an idempotent OR into the live generation.
         for &f in &self.scan {
-            self.apps[f as usize] |= self.table.ref_words().take_app_mask(f);
+            self.apps[f as usize] |= table.ref_words().take_app_mask(f);
         }
         let (apps, aged, last) = (&self.apps, &self.aged, &self.last);
         // Fewest referents first, oldest before newest within each class.
@@ -137,25 +121,25 @@ impl ReplacementPolicy for SharingAware {
         self.scan_pos = 0;
     }
 
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.scan_pos < self.scan.len() {
             let idx = self.scan[self.scan_pos];
             self.scan_pos += 1;
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
         None
     }
 
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
+    fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
         // Scan order without the scan's side effects: the app-touch masks
         // are *read* (`app_mask`), not consumed — exporting a ranking for
         // migration must not retire undrained sharing evidence.
-        let mut order = self.table.resident_frames();
+        let mut order = table.resident_frames();
         order.sort_by_key(|&f| {
             let mask =
-                self.apps[f as usize] | self.aged[f as usize] | self.table.ref_words().app_mask(f);
+                self.apps[f as usize] | self.aged[f as usize] | table.ref_words().app_mask(f);
             (mask.count_ones(), self.last[f as usize])
         });
         Some(order)
@@ -175,48 +159,53 @@ impl ReplacementPolicy for SharingAware {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PolicyKind;
 
     #[test]
     fn shared_frames_outlive_private_ones() {
-        let mut s = SharingAware::new(3);
+        let mut s = PolicyKind::SharingAware.build(3);
         for f in 0..3 {
-            s.on_insert(f, f as u64, AppId(0));
+            s.insert(f, f as u64, AppId(0));
         }
-        s.on_access(1, 1, AppId(1)); // frame 1 now shared by apps 0 and 1
-        s.on_access(0, 0, AppId(0)); // refresh 0: still private
-        assert_eq!(s.referents(1), 2);
+        s.access(1, 1, AppId(1)); // frame 1 now shared by apps 0 and 1
+        s.access(0, 0, AppId(0)); // refresh 0: still private
         s.begin_scan();
         assert_eq!(s.next_candidate(None), Some(2), "oldest private frame first");
         assert_eq!(s.next_candidate(None), Some(0));
         assert_eq!(s.next_candidate(None), Some(1), "the shared frame goes last");
     }
 
+    // `referents` lives on the concrete ranker, which a `RankedTable` boxes
+    // away: the referent-count tests drive the bare hooks (which ignore
+    // the table outside scans) with a table borrowed from a built pool.
+
     #[test]
     fn unknown_accessors_never_fake_sharing() {
-        let mut s = SharingAware::new(2);
-        s.on_insert(0, 0, AppId::UNKNOWN);
-        s.on_access(0, 0, AppId::UNKNOWN);
-        s.on_access(0, 0, AppId::UNKNOWN);
+        let pool = PolicyKind::SharingAware.build(2);
+        let (t, mut s) = (pool.table(), SharingAware::new(2));
+        s.on_insert(t, 0, 0, AppId::UNKNOWN);
+        s.on_access(t, 0, 0, AppId::UNKNOWN);
+        s.on_access(t, 0, 0, AppId::UNKNOWN);
         assert_eq!(s.referents(0), 0, "unknown accesses contribute no referent");
         // A privately-owned block refreshed by an unattributed touch (e.g.
         // a sync-write propagation) must stay classified as private.
-        s.on_insert(1, 1, AppId(0));
-        s.on_access(1, 1, AppId::UNKNOWN);
+        s.on_insert(t, 1, 1, AppId(0));
+        s.on_access(t, 1, 1, AppId::UNKNOWN);
         assert_eq!(s.referents(1), 1, "unknown touch must not fake sharing on an owned block");
     }
 
     #[test]
     fn more_referents_outlive_fewer() {
-        let mut s = SharingAware::new(3);
+        let mut s = PolicyKind::SharingAware.build(3);
         for f in 0..3 {
-            s.on_insert(f, f as u64, AppId(0));
+            s.insert(f, f as u64, AppId(0));
         }
         // Frame 1: 3 referents; frame 2: 2 referents; frame 0: private,
         // touched last (most recent) — count dominates recency.
-        s.on_access(1, 1, AppId(1));
-        s.on_access(1, 1, AppId(2));
-        s.on_access(2, 2, AppId(1));
-        s.on_access(0, 0, AppId(0));
+        s.access(1, 1, AppId(1));
+        s.access(1, 1, AppId(2));
+        s.access(2, 2, AppId(1));
+        s.access(0, 0, AppId(0));
         s.begin_scan();
         assert_eq!(s.next_candidate(None), Some(0), "private frame first despite recency");
         assert_eq!(s.next_candidate(None), Some(2), "2-referent frame next");
@@ -225,10 +214,10 @@ mod tests {
 
     #[test]
     fn epoch_tick_decays_stale_sharing() {
-        use crate::ReplacementPolicy as _;
-        let mut s = SharingAware::new(2);
-        s.on_insert(0, 0, AppId(0));
-        s.on_access(0, 0, AppId(1));
+        let pool = PolicyKind::SharingAware.build(2);
+        let (t, mut s) = (pool.table(), SharingAware::new(2));
+        s.on_insert(t, 0, 0, AppId(0));
+        s.on_access(t, 0, 0, AppId(1));
         assert_eq!(s.referents(0), 2);
         // One tick: the observation ages but still protects.
         s.epoch_tick();
@@ -237,39 +226,45 @@ mod tests {
         s.epoch_tick();
         assert_eq!(s.referents(0), 0, "sharing observed two epochs ago is gone");
         // Re-referenced blocks keep their protection across ticks.
-        s.on_insert(1, 1, AppId(0));
-        s.on_access(1, 1, AppId(1));
+        s.on_insert(t, 1, 1, AppId(0));
+        s.on_access(t, 1, 1, AppId(1));
         s.epoch_tick();
-        s.on_access(1, 1, AppId(1));
+        s.on_access(t, 1, 1, AppId(1));
         assert_eq!(s.referents(1), 2, "refresh during the epoch survives the tick");
     }
 
     #[test]
     fn undrained_ref_word_touches_protect_at_scan_time() {
+        let mut pool = PolicyKind::SharingAware.build(3);
         let mut s = SharingAware::new(3);
         for f in 0..3 {
-            s.on_insert(f, f as u64, AppId(0));
+            // Residency through the pool (its own ranker idles), ranking
+            // metadata in the bare ranker.
+            pool.insert(f, f as u64, AppId(0));
+            s.on_insert(pool.table(), f, f as u64, AppId(0));
         }
+        let t = pool.table();
         // A second app's hit lands only in the lock-free ref word — the
         // deferred replay has NOT run. The scan must still see it.
-        s.table().ref_words().touch(1, AppId(1));
-        s.begin_scan();
-        assert_eq!(s.next_candidate(None), Some(0), "private frames drain first");
-        assert_eq!(s.next_candidate(None), Some(2));
-        assert_eq!(s.next_candidate(None), Some(1), "undrained touch protects the shared frame");
+        t.ref_words().touch(1, AppId(1));
+        s.begin_scan(t);
+        assert_eq!(s.next_candidate(t, None), Some(0), "private frames drain first");
+        assert_eq!(s.next_candidate(t, None), Some(2));
+        assert_eq!(s.next_candidate(t, None), Some(1), "undrained touch protects the shared frame");
         assert_eq!(s.referents(1), 2, "mask folded into the live generation");
         // The eventual replay of the same touch is idempotent.
-        s.on_access(1, 1, AppId(1));
+        s.on_access(t, 1, 1, AppId(1));
         assert_eq!(s.referents(1), 2);
     }
 
     #[test]
     fn reinsert_resets_referents() {
-        let mut s = SharingAware::new(2);
-        s.on_insert(0, 1, AppId(0));
-        s.on_access(0, 1, AppId(1));
-        s.on_remove(0, 1);
-        s.on_insert(0, 2, AppId(3));
+        let pool = PolicyKind::SharingAware.build(2);
+        let (t, mut s) = (pool.table(), SharingAware::new(2));
+        s.on_insert(t, 0, 1, AppId(0));
+        s.on_access(t, 0, 1, AppId(1));
+        s.on_remove(t, 0, 1);
+        s.on_insert(t, 0, 2, AppId(3));
         assert_eq!(s.referents(0), 1, "new block must not inherit the old referent set");
     }
 }

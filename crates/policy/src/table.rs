@@ -1,4 +1,5 @@
-//! Shared residency/pin/ownership bookkeeping every policy embeds.
+//! The residency/pin/ownership bookkeeping and ledger every policy ranks
+//! over (owned by a [`RankedTable`](crate::RankedTable), lent to the hooks).
 
 use crate::{AppId, AppUsage, PolicyStats};
 use std::collections::BTreeMap;
@@ -9,16 +10,16 @@ use std::sync::Arc;
 /// fast path. Each frame owns one `AtomicU64`: bit 63 is the **reference
 /// bit** (set by every hit or recency touch, consumed by clock-style
 /// scans), bits 0..=62 are the **app-touch mask** (bit `app % 63` per
-/// distinct known accessor since the word was last consumed — advisory
-/// recency attribution for diagnostics and future mask-consuming
-/// policies).
+/// distinct known accessor since the word was last consumed —
+/// [`SharingAware`](crate::SharingAware) folds it into its referent sets
+/// at scan time).
 ///
 /// The words are shared by `Arc`: the buffer manager clones the handle
-/// out of its policy's [`FrameTable`] once at construction and then
+/// out of its shard's [`FrameTable`] once at construction and then
 /// updates recency with a single relaxed `fetch_or` per hit — no policy
-/// lock — which is exactly the seed clock's store-only hit cost. Cloning
-/// a `FrameTable` (live policy migration) carries the same physical
-/// words, so reference bits survive an adaptive policy switch.
+/// lock — which is exactly the seed clock's store-only hit cost. Live
+/// policy migration swaps the ranker over the same table, so the handle
+/// never goes stale and reference bits survive an adaptive switch.
 #[derive(Debug, Clone)]
 pub struct RefWords(Arc<Vec<AtomicU64>>);
 
@@ -100,7 +101,7 @@ impl RefWords {
 /// to know about quotas. The filter is a *parameter of the scan*, passed
 /// by the caller on every `next_candidate` call — deliberately not stored
 /// here, so concurrent scans can never clobber each other's filter.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FrameTable {
     resident: Vec<bool>,
     pinned: Vec<bool>,
@@ -112,13 +113,13 @@ pub struct FrameTable {
     n_resident: usize,
     per_app: BTreeMap<u32, AppUsage>,
     /// The lock-free recency words (shared with the buffer manager; see
-    /// [`RefWords`]). Cloning the table shares the same physical words.
+    /// [`RefWords`]).
     ref_words: RefWords,
     pub stats: PolicyStats,
 }
 
 impl FrameTable {
-    pub fn new(capacity: usize) -> FrameTable {
+    pub(crate) fn new(capacity: usize) -> FrameTable {
         FrameTable {
             resident: vec![false; capacity],
             pinned: vec![false; capacity],
@@ -175,7 +176,7 @@ impl FrameTable {
     /// (idempotent; counts one insert per new residency and keeps the first
     /// owner on re-inserts). Panics on out-of-pool frames — an out-of-range
     /// index is a manager bug, not a policy decision.
-    pub fn insert(&mut self, frame: u32, key: u64, app: AppId) {
+    pub(crate) fn insert(&mut self, frame: u32, key: u64, app: AppId) {
         let f = &mut self.resident[frame as usize];
         if !*f {
             *f = true;
@@ -197,7 +198,7 @@ impl FrameTable {
 
     /// Mark `frame` vacated; clears any pin (an invalidation may remove a
     /// frame whose flush is still in flight) and the ownership record.
-    pub fn remove(&mut self, frame: u32) {
+    pub(crate) fn remove(&mut self, frame: u32) {
         let f = &mut self.resident[frame as usize];
         if *f {
             *f = false;
@@ -316,9 +317,9 @@ mod tests {
         // Out-of-pool frames are ignored, not a panic.
         w.touch(99, AppId(0));
         assert!(!w.take(99));
-        // A cloned table shares the same physical words.
-        let t2 = t.clone();
-        t2.ref_words().touch(3, AppId(1));
+        // A cloned handle (the manager's) shares the same physical words.
+        let handle = t.ref_words().clone();
+        handle.touch(3, AppId(1));
         assert!(t.ref_words().is_referenced(3));
     }
 

@@ -4,7 +4,7 @@
 //! displacing the hot set in Am.
 
 use crate::table::FrameTable;
-use crate::{AppId, PolicyKind, ReplacementPolicy};
+use crate::{AppId, ReplacementPolicy};
 use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +20,6 @@ enum Loc {
 /// admitted straight into Am. Eviction prefers A1in's front while A1in
 /// holds at least `kin` frames, then Am's LRU end.
 pub struct TwoQ {
-    table: FrameTable,
     loc: Vec<Loc>,
     a1in: VecDeque<u32>,
     /// Front = LRU, back = MRU.
@@ -35,7 +34,6 @@ pub struct TwoQ {
 impl TwoQ {
     pub fn new(capacity: usize) -> TwoQ {
         TwoQ {
-            table: FrameTable::new(capacity),
             loc: vec![Loc::None; capacity],
             a1in: VecDeque::new(),
             am: VecDeque::new(),
@@ -67,19 +65,7 @@ impl TwoQ {
 }
 
 impl ReplacementPolicy for TwoQ {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::TwoQ
-    }
-
-    fn table(&self) -> &FrameTable {
-        &self.table
-    }
-
-    fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
-    }
-
-    fn on_access(&mut self, frame: u32, _key: u64, _app: AppId) {
+    fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         match self.loc[frame as usize] {
             // 2Q: hits inside the admission FIFO do not reorder it.
             Loc::A1In => {}
@@ -91,8 +77,7 @@ impl ReplacementPolicy for TwoQ {
         }
     }
 
-    fn on_insert(&mut self, frame: u32, key: u64, app: AppId) {
-        self.table.insert(frame, key, app);
+    fn on_insert(&mut self, _table: &FrameTable, frame: u32, key: u64, _app: AppId) {
         self.detach(frame);
         if let Some(pos) = self.a1out.iter().position(|&k| k == key) {
             // Seen recently and re-requested: proven hot, straight to Am.
@@ -105,17 +90,16 @@ impl ReplacementPolicy for TwoQ {
         }
     }
 
-    fn on_remove(&mut self, frame: u32, key: u64) {
+    fn on_remove(&mut self, _table: &FrameTable, frame: u32, key: u64) {
         if self.loc[frame as usize] == Loc::A1In {
             // Only A1in departures enter the ghost list (Am blocks had
             // their chance to prove heat; 2Q forgets them).
             self.remember_ghost(key);
         }
         self.detach(frame);
-        self.table.remove(frame);
     }
 
-    fn begin_scan(&mut self) {
+    fn begin_scan(&mut self, _table: &FrameTable) {
         self.scan.clear();
         if self.a1in.len() >= self.kin {
             self.scan.extend(self.a1in.iter());
@@ -127,18 +111,18 @@ impl ReplacementPolicy for TwoQ {
         self.scan_pos = 0;
     }
 
-    fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
         while self.scan_pos < self.scan.len() {
             let idx = self.scan[self.scan_pos];
             self.scan_pos += 1;
-            if self.table.evictable_for(idx, filter) {
+            if table.evictable_for(idx, filter) {
                 return Some(idx);
             }
         }
         None
     }
 
-    fn recency_ranking(&self) -> Option<Vec<u32>> {
+    fn recency_ranking(&self, _table: &FrameTable) -> Option<Vec<u32>> {
         // Same composition begin_scan would pick right now: the queue
         // that drains first ranks as least protected.
         let mut order = Vec::with_capacity(self.a1in.len() + self.am.len());
@@ -155,13 +139,13 @@ impl ReplacementPolicy for TwoQ {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{AppId, PolicyKind};
 
     #[test]
     fn admission_fifo_drains_first() {
-        let mut q = TwoQ::new(4);
+        let mut q = PolicyKind::TwoQ.build(4);
         for f in 0..4 {
-            q.on_insert(f, 100 + f as u64, AppId::UNKNOWN);
+            q.insert(f, 100 + f as u64, AppId::UNKNOWN);
         }
         // All four sit in A1in (>= kin = 1): FIFO order, oldest first.
         q.begin_scan();
@@ -170,24 +154,24 @@ mod tests {
 
     #[test]
     fn ghost_hit_promotes_to_am() {
-        let mut q = TwoQ::new(2);
-        q.on_insert(0, 100, AppId::UNKNOWN);
-        q.on_remove(0, 100); // 100 now ghosted in A1out
-        q.on_insert(0, 100, AppId::UNKNOWN); // re-admitted: goes to Am
-        q.on_insert(1, 200, AppId::UNKNOWN); // fresh: A1in
+        let mut q = PolicyKind::TwoQ.build(2);
+        q.insert(0, 100, AppId::UNKNOWN);
+        q.remove(0, 100); // 100 now ghosted in A1out
+        q.insert(0, 100, AppId::UNKNOWN); // re-admitted: goes to Am
+        q.insert(1, 200, AppId::UNKNOWN); // fresh: A1in
         q.begin_scan();
         assert_eq!(q.next_candidate(None), Some(1), "A1in drains before the proven-hot Am block");
     }
 
     #[test]
     fn am_is_lru_ordered() {
-        let mut q = TwoQ::new(3);
+        let mut q = PolicyKind::TwoQ.build(3);
         for (f, k) in [(0u32, 10u64), (1, 11)] {
-            q.on_insert(f, k, AppId::UNKNOWN);
-            q.on_remove(f, k);
-            q.on_insert(f, k, AppId::UNKNOWN); // both promoted to Am
+            q.insert(f, k, AppId::UNKNOWN);
+            q.remove(f, k);
+            q.insert(f, k, AppId::UNKNOWN); // both promoted to Am
         }
-        q.on_access(0, 10, AppId::UNKNOWN); // 1 is now Am's LRU
+        q.access(0, 10, AppId::UNKNOWN); // 1 is now Am's LRU
         q.begin_scan();
         assert_eq!(q.next_candidate(None), Some(1));
     }

@@ -1,11 +1,48 @@
-//! Property tests over every policy, plus differential tests pinning the
-//! extracted Clock/ExactLru implementations to the seed buffer manager's
-//! behavior.
+//! Property tests over every policy — the six built-ins and a test-local
+//! seventh written against the required hooks only — plus differential
+//! tests pinning the extracted Clock/ExactLru implementations to the seed
+//! buffer manager's behavior.
 
-use kcache_policy::{AccessEvent, AppId, PolicyKind, ReplacementPolicy};
+use kcache_policy::{AccessEvent, AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 const CAP: usize = 8;
+
+/// The seventh policy: plain FIFO, out of crate, required hooks only — it
+/// never touches the table beyond the eligibility check, and the provided
+/// hooks keep their defaults.
+#[derive(Default)]
+struct Fifo {
+    queue: VecDeque<u32>,
+    scan: Vec<u32>,
+}
+
+impl ReplacementPolicy for Fifo {
+    fn on_insert(&mut self, _: &FrameTable, frame: u32, _key: u64, _app: AppId) {
+        self.queue.retain(|&f| f != frame);
+        self.queue.push_back(frame);
+    }
+    fn on_access(&mut self, _: &FrameTable, _frame: u32, _key: u64, _app: AppId) {}
+    fn on_remove(&mut self, _: &FrameTable, frame: u32, _key: u64) {
+        self.queue.retain(|&f| f != frame);
+    }
+    fn begin_scan(&mut self, _: &FrameTable) {
+        self.scan = self.queue.iter().rev().copied().collect();
+    }
+    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        while let Some(f) = self.scan.pop() {
+            if table.evictable_for(f, filter) {
+                return Some(f);
+            }
+        }
+        None
+    }
+}
+
+fn fifo() -> RankedTable {
+    RankedTable::with_ranker(CAP, Box::new(Fifo::default()))
+}
 
 /// Model of the manager's view: which frames are resident/pinned, which
 /// application installed them, plus a per-frame fingerprint so ghost-list
@@ -43,9 +80,8 @@ impl Model {
 /// Drive one policy through an op sequence, checking the candidate
 /// invariants at every eviction. Ops honor the manager's calling contract
 /// (access/remove only resident frames, insert only vacant ones).
-fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
-    let mut boxed = kind.build(CAP);
-    let policy: &mut dyn ReplacementPolicy = boxed.as_mut();
+fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
+    let mut policy = make();
     let mut m = Model::new();
     for &(op, arg) in ops {
         let frame = (arg % CAP as u64) as u32;
@@ -54,12 +90,12 @@ fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
             0 => {
                 // Access (hit) if resident, else treat as an insert.
                 if m.resident[frame as usize] {
-                    policy.on_access(frame, m.key_of[frame as usize], app);
+                    policy.access(frame, m.key_of[frame as usize], app);
                 } else {
                     m.resident[frame as usize] = true;
                     m.key_of[frame as usize] = arg;
                     m.owner_of[frame as usize] = app;
-                    policy.on_insert(frame, arg, app);
+                    policy.insert(frame, arg, app);
                 }
             }
             1 => {
@@ -68,7 +104,7 @@ fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
                     m.resident[frame as usize] = false;
                     m.pinned[frame as usize] = false;
                     m.owner_of[frame as usize] = AppId::UNKNOWN;
-                    policy.on_remove(frame, m.key_of[frame as usize]);
+                    policy.remove(frame, m.key_of[frame as usize]);
                 }
             }
             2 => {
@@ -76,7 +112,7 @@ fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
                 if m.resident[frame as usize] {
                     let p = !m.pinned[frame as usize];
                     m.pinned[frame as usize] = p;
-                    policy.set_pinned(frame, p);
+                    policy.table_mut().set_pinned(frame, p);
                 }
             }
             3 => {
@@ -99,7 +135,7 @@ fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
                     );
                     m.resident[c as usize] = false;
                     m.owner_of[c as usize] = AppId::UNKNOWN;
-                    policy.on_remove(c, m.key_of[c as usize]);
+                    policy.remove(c, m.key_of[c as usize]);
                 }
                 prop_assert!(
                     got.is_some() || !m.any_evictable_owned(app),
@@ -138,7 +174,7 @@ fn drive(kind: PolicyKind, ops: &[(u8, u64)]) {
                 );
                 if let Some(v) = victim {
                     m.resident[v as usize] = false;
-                    policy.on_remove(v, m.key_of[v as usize]);
+                    policy.remove(v, m.key_of[v as usize]);
                 }
                 // Exhausting the rest of the scan must terminate and keep
                 // honoring the same candidate rules.
@@ -163,8 +199,9 @@ proptest! {
         ops in collection::vec((0u8..5, 0u64..1024), 1..300),
     ) {
         for kind in PolicyKind::ALL {
-            drive(kind, &ops);
+            drive(kind.name(), || kind.build(CAP), &ops);
         }
+        drive("test-fifo", fifo, &ops);
     }
 }
 
@@ -175,18 +212,16 @@ proptest! {
 /// identical stats, per-app ledgers, and candidate sequences. This is the
 /// policy-level half of the drained-equals-eager contract; the producer
 /// obligation (store the ref word at event time) is honored for both.
-fn drive_drain(kind: PolicyKind, ops: &[(u8, u64)]) {
-    let mut eager = kind.build(CAP);
-    let mut drained = kind.build(CAP);
+fn drive_drain(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
+    let mut eager = make();
+    let mut drained = make();
     let mut pending: Vec<AccessEvent> = Vec::new();
     let mut resident = [false; CAP];
     let mut key_of = [0u64; CAP];
     for &(op, arg) in ops {
         let frame = (arg % CAP as u64) as u32;
         let app = AppId((arg % 3) as u32);
-        let emit = |eager: &mut Box<dyn ReplacementPolicy>,
-                    pending: &mut Vec<AccessEvent>,
-                    ev: AccessEvent| {
+        let emit = |eager: &mut RankedTable, pending: &mut Vec<AccessEvent>, ev: AccessEvent| {
             // The producer contract: ref words stored at access time on
             // BOTH sides (the manager does this lock-free in either mode).
             if matches!(ev.kind, kcache_policy::AccessKind::Hit | kcache_policy::AccessKind::Touch)
@@ -212,8 +247,8 @@ fn drive_drain(kind: PolicyKind, ops: &[(u8, u64)]) {
                     // the manager's note_insert discipline.
                     drained.drain(&pending);
                     pending.clear();
-                    eager.on_insert(frame, arg, app);
-                    drained.on_insert(frame, arg, app);
+                    eager.insert(frame, arg, app);
+                    drained.insert(frame, arg, app);
                 }
             }
             // A hit/touch may target a frame that was vacated since the
@@ -245,16 +280,21 @@ fn drive_drain(kind: PolicyKind, ops: &[(u8, u64)]) {
                         // The manager takes the first workable candidate.
                         first = false;
                         resident[v as usize] = false;
-                        eager.on_remove(v, key_of[v as usize]);
-                        drained.on_remove(v, key_of[v as usize]);
+                        eager.remove(v, key_of[v as usize]);
+                        drained.remove(v, key_of[v as usize]);
                     }
                 }
             }
         }
     }
     drained.drain(&pending);
-    prop_assert_eq!(eager.stats(), drained.stats(), "{} stats diverged", kind);
-    prop_assert_eq!(eager.app_usage(), drained.app_usage(), "{} app ledger diverged", kind);
+    prop_assert_eq!(eager.table().stats, drained.table().stats, "{} stats diverged", kind);
+    prop_assert_eq!(
+        eager.table().app_usage(),
+        drained.table().app_usage(),
+        "{} app ledger diverged",
+        kind
+    );
     prop_assert_eq!(
         eager.table().resident_frames(),
         drained.table().resident_frames(),
@@ -269,8 +309,9 @@ proptest! {
         ops in collection::vec((0u8..6, 0u64..1024), 1..250),
     ) {
         for kind in PolicyKind::ALL {
-            drive_drain(kind, &ops);
+            drive_drain(kind.name(), || kind.build(CAP), &ops);
         }
+        drive_drain("test-fifo", fifo, &ops);
     }
 }
 
@@ -314,17 +355,17 @@ proptest! {
                 0 => {
                     if seed.resident[f] {
                         seed.bits[f] = true;
-                        p.on_access(f as u32, arg, AppId::UNKNOWN);
+                        p.access(f as u32, arg, AppId::UNKNOWN);
                     } else {
                         seed.resident[f] = true;
                         seed.bits[f] = false;
-                        p.on_insert(f as u32, arg, AppId::UNKNOWN);
+                        p.insert(f as u32, arg, AppId::UNKNOWN);
                     }
                 }
                 1 => {
                     if seed.resident[f] {
                         seed.resident[f] = false;
-                        p.on_remove(f as u32, arg);
+                        p.remove(f as u32, arg);
                     }
                 }
                 _ => {
@@ -333,7 +374,7 @@ proptest! {
                     let got = p.next_candidate(None);
                     prop_assert_eq!(got, want, "clock diverged from the seed algorithm");
                     if let Some(v) = got {
-                        p.on_remove(v, 0);
+                        p.remove(v, 0);
                     }
                 }
             }
@@ -354,15 +395,15 @@ proptest! {
                     order.retain(|&x| x != f);
                     order.insert(0, f);
                     if resident {
-                        p.on_access(f, arg, AppId::UNKNOWN);
+                        p.access(f, arg, AppId::UNKNOWN);
                     } else {
-                        p.on_insert(f, arg, AppId::UNKNOWN);
+                        p.insert(f, arg, AppId::UNKNOWN);
                     }
                 }
                 1 => {
                     if order.contains(&f) {
                         order.retain(|&x| x != f);
-                        p.on_remove(f, arg);
+                        p.remove(f, arg);
                     }
                 }
                 _ => {
@@ -371,7 +412,7 @@ proptest! {
                     let got = p.next_candidate(None);
                     prop_assert_eq!(got, want, "exact LRU diverged from the seed list");
                     if let Some(v) = got {
-                        p.on_remove(v, 0);
+                        p.remove(v, 0);
                     }
                 }
             }

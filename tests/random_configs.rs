@@ -304,27 +304,30 @@ fn pre_partitioning_json_still_parses_and_runs() {
 /// down in the cluster or buffer-manager builders.
 #[test]
 fn invalid_json_configs_are_errors_not_panics() {
-    let with = |cluster: &str, app_nodes: &str| {
+    let with = |cluster: &str, app_nodes: &str, app: &str| {
         ExperimentConfig::from_json(&format!(
             r#"{{
                 "cluster": {{ "nodes": 4, "caching": true {cluster} }},
                 "apps": [ {{ "name": "a", "nodes": {app_nodes}, "total_mb": 1,
-                            "request_kb": 64, "mode": "read" }} ]
+                            "request_kb": 64, "mode": "read" {app} }} ]
             }}"#
         ))
         .expect("well-formed JSON")
         .to_spec()
         .map(|_| ())
     };
-    assert_eq!(with("", "[0, 3]"), Ok(()));
-    assert_eq!(with(r#", "cache_blocks": 2, "shards": 2"#, "[0]"), Ok(()));
-    for (cluster, app_nodes, field) in [
-        (r#", "cache_blocks": 0"#, "[0]", "cache_blocks"),
-        (r#", "cache_blocks": 1"#, "[0]", "cache_blocks"),
-        (r#", "cache_blocks": 8, "shards": 9"#, "[0]", "shards"),
-        ("", "[0, 4]", "nodes"),
+    assert_eq!(with("", "[0, 3]", ""), Ok(()));
+    assert_eq!(with(r#", "cache_blocks": 2, "shards": 2"#, "[0]", ""), Ok(()));
+    assert_eq!(with(r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 300"#), Ok(()));
+    for (cluster, app_nodes, app, field) in [
+        (r#", "cache_blocks": 0"#, "[0]", "", "cache_blocks"),
+        (r#", "cache_blocks": 1"#, "[0]", "", "cache_blocks"),
+        (r#", "cache_blocks": 8, "shards": 9"#, "[0]", "", "shards"),
+        ("", "[0, 4]", "", "nodes"),
+        // Over the default 300-block cache: used to panic in the builder.
+        (r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 500"#, "quota_blocks"),
     ] {
-        let err = with(cluster, app_nodes).expect_err("invalid config must not lower");
+        let err = with(cluster, app_nodes, app).expect_err("invalid config must not lower");
         assert!(err.contains(field), "error must name {field}: {err}");
     }
 }
