@@ -330,6 +330,22 @@ impl ExperimentConfig {
                 })
                 .collect::<Result<Vec<_>, String>>()?
         };
+        if let Some((i, kind)) =
+            candidates.iter().enumerate().find(|&(i, k)| candidates[..i].contains(k))
+        {
+            return Err(format!(
+                "cluster.adaptive.candidates names {kind} twice (entry {i}): one ghost cache \
+                 per policy"
+            ));
+        }
+        // A rate advantage: below 0 any noise flips the live policy, above
+        // 1 no challenger can ever win (and NaN compares false both ways).
+        if !(0.0..=1.0).contains(&a.hysteresis) {
+            return Err(format!(
+                "cluster.adaptive.hysteresis is {}: a hit-rate advantage lies in 0..=1",
+                a.hysteresis
+            ));
+        }
         Ok(Some(AdaptiveConfig {
             candidates,
             hysteresis: a.hysteresis,

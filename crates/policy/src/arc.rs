@@ -3,16 +3,13 @@
 //! with ghost-list hits so the policy adapts to the workload instead of
 //! being tuned for it.
 
+use crate::index::{GhostLists, RankIndex};
 use crate::table::FrameTable;
 use crate::{AppId, ReplacementPolicy};
-use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    None,
-    T1,
-    T2,
-}
+// T1 and T2 as class keys of `lists`, B1 and B2 as queues of `ghosts`.
+const T1: u64 = 0;
+const T2: u64 = 1;
 
 /// T1 holds frames seen once recently, T2 frames seen at least twice; B1
 /// and B2 remember fingerprints recently evicted from each. A B1 hit at
@@ -20,30 +17,17 @@ enum Loc {
 /// `p`; a B2 hit shrinks it. Eviction takes T1's LRU end while T1 exceeds
 /// its target, T2's otherwise.
 pub struct Arc {
-    loc: Vec<Loc>,
-    /// Front = LRU, back = MRU.
-    t1: VecDeque<u32>,
-    t2: VecDeque<u32>,
-    b1: VecDeque<u64>,
-    b2: VecDeque<u64>,
+    /// Both resident lists in recency order.
+    lists: RankIndex,
+    /// B1 (queue `T1`) and B2 (queue `T2`), a pool's worth of keys each.
+    ghosts: GhostLists,
     /// Target size of T1, adapted on ghost hits. `0 ..= capacity`.
     p: usize,
-    scan: Vec<u32>,
-    scan_pos: usize,
 }
 
 impl Arc {
     pub fn new(capacity: usize) -> Arc {
-        Arc {
-            loc: vec![Loc::None; capacity],
-            t1: VecDeque::new(),
-            t2: VecDeque::new(),
-            b1: VecDeque::new(),
-            b2: VecDeque::new(),
-            p: 0,
-            scan: Vec::new(),
-            scan_pos: 0,
-        }
+        Arc { lists: RankIndex::new(capacity), ghosts: GhostLists::new(2, capacity), p: 0 }
     }
 
     /// Current T1 target (diagnostics/tests).
@@ -51,18 +35,13 @@ impl Arc {
         self.p
     }
 
-    fn detach(&mut self, frame: u32) {
-        match self.loc[frame as usize] {
-            Loc::T1 => self.t1.retain(|&f| f != frame),
-            Loc::T2 => self.t2.retain(|&f| f != frame),
-            Loc::None => {}
-        }
-        self.loc[frame as usize] = Loc::None;
-    }
-
-    fn trim_ghost(ghost: &mut VecDeque<u64>, cap: usize) {
-        while ghost.len() > cap {
-            ghost.pop_front();
+    /// REPLACE(): evict from T1 while it exceeds its target, else T2; the
+    /// other list follows as fallback so a scan never starves.
+    fn drains_first(&self) -> u64 {
+        if self.lists.len_of(T1) > self.p {
+            T1
+        } else {
+            T2
         }
     }
 }
@@ -70,86 +49,48 @@ impl Arc {
 impl ReplacementPolicy for Arc {
     fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
         // Any resident hit proves frequency: promote to T2's MRU end.
-        self.detach(frame);
-        self.t2.push_back(frame);
-        self.loc[frame as usize] = Loc::T2;
+        self.lists.touch(frame, T2);
     }
 
     fn on_insert(&mut self, table: &FrameTable, frame: u32, key: u64, _app: AppId) {
-        self.detach(frame);
-        if let Some(pos) = self.b1.iter().position(|&k| k == key) {
+        let ghosts = &mut self.ghosts;
+        let list = match ghosts.forget(key) {
             // Recency ghost hit: T1 was evicted too aggressively.
-            self.b1.remove(pos);
-            let delta = (self.b2.len() / self.b1.len().max(1)).max(1);
-            self.p = (self.p + delta).min(table.capacity());
-            self.t2.push_back(frame);
-            self.loc[frame as usize] = Loc::T2;
-        } else if let Some(pos) = self.b2.iter().position(|&k| k == key) {
+            Some(T1) => {
+                let delta = (ghosts.len(T2) / ghosts.len(T1).max(1)).max(1);
+                self.p = (self.p + delta).min(table.capacity());
+                T2
+            }
             // Frequency ghost hit: give T2 more room.
-            self.b2.remove(pos);
-            let delta = (self.b1.len() / self.b2.len().max(1)).max(1);
-            self.p = self.p.saturating_sub(delta);
-            self.t2.push_back(frame);
-            self.loc[frame as usize] = Loc::T2;
-        } else {
-            self.t1.push_back(frame);
-            self.loc[frame as usize] = Loc::T1;
-        }
+            Some(_) => {
+                let delta = (ghosts.len(T1) / ghosts.len(T2).max(1)).max(1);
+                self.p = self.p.saturating_sub(delta);
+                T2
+            }
+            None => T1,
+        };
+        self.lists.touch(frame, list);
     }
 
-    fn on_remove(&mut self, table: &FrameTable, frame: u32, key: u64) {
-        let cap = table.capacity();
-        match self.loc[frame as usize] {
-            Loc::T1 => {
-                self.b1.push_back(key);
-                Self::trim_ghost(&mut self.b1, cap);
-            }
-            Loc::T2 => {
-                self.b2.push_back(key);
-                Self::trim_ghost(&mut self.b2, cap);
-            }
-            Loc::None => {}
+    fn on_remove(&mut self, _table: &FrameTable, frame: u32, key: u64) {
+        if let Some(list) = self.lists.key_of(frame) {
+            self.ghosts.remember(key, list);
         }
-        self.detach(frame);
+        self.lists.unlink(frame);
     }
 
     fn begin_scan(&mut self, _table: &FrameTable) {
-        self.scan.clear();
-        // REPLACE(): evict from T1 while it exceeds its target, else T2;
-        // the other list follows as fallback so a scan never starves.
-        if !self.t1.is_empty() && self.t1.len() > self.p {
-            self.scan.extend(self.t1.iter());
-            self.scan.extend(self.t2.iter());
-        } else {
-            self.scan.extend(self.t2.iter());
-            self.scan.extend(self.t1.iter());
-        }
-        self.scan_pos = 0;
+        self.lists.begin(self.drains_first());
     }
 
     fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
-        while self.scan_pos < self.scan.len() {
-            let idx = self.scan[self.scan_pos];
-            self.scan_pos += 1;
-            if table.evictable_for(idx, filter) {
-                return Some(idx);
-            }
-        }
-        None
+        self.lists.next(table, filter)
     }
 
     fn recency_ranking(&self, _table: &FrameTable) -> Option<Vec<u32>> {
         // Same composition begin_scan would pick right now (REPLACE()'s
         // rule): the list being drained ranks least protected.
-        let mut order = Vec::with_capacity(self.t1.len() + self.t2.len());
-        if !self.t1.is_empty() && self.t1.len() > self.p {
-            order.extend(self.t1.iter());
-            order.extend(self.t2.iter());
-        } else {
-            order.extend(self.t2.iter());
-            order.extend(self.t1.iter());
-        }
-        Some(order)
+        Some(self.lists.order(self.drains_first()).collect())
     }
 }
 

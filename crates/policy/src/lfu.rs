@@ -1,74 +1,50 @@
 //! LFU — least frequently used, LRU tie-break. Differentiates from
 //! clock/LRU only under skewed popularity (the workload's `hotspot` knob).
 
+use crate::index::RankIndex;
 use crate::table::FrameTable;
 use crate::{AppId, ReplacementPolicy};
 
-/// Per-frame access frequency plus a logical access clock for the
-/// tie-break. Candidates are offered coldest-first; among equally cold
-/// frames, least recently touched first.
+/// Frames filed by access frequency, least recently touched first within
+/// one frequency: candidates are offered coldest-first; among equally cold
+/// frames, least recently touched first. A hit moves a frame to the next
+/// frequency's MRU end.
 pub struct Lfu {
-    freq: Vec<u64>,
-    last: Vec<u64>,
-    tick: u64,
-    scan: Vec<u32>,
-    scan_pos: usize,
+    order: RankIndex,
 }
 
 impl Lfu {
     pub fn new(capacity: usize) -> Lfu {
-        Lfu {
-            freq: vec![0; capacity],
-            last: vec![0; capacity],
-            tick: 0,
-            scan: Vec::new(),
-            scan_pos: 0,
-        }
-    }
-
-    fn stamp(&mut self, frame: u32) {
-        self.tick += 1;
-        self.last[frame as usize] = self.tick;
+        Lfu { order: RankIndex::new(capacity) }
     }
 }
 
 impl ReplacementPolicy for Lfu {
     fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
-        self.freq[frame as usize] = self.freq[frame as usize].saturating_add(1);
-        self.stamp(frame);
+        let freq = self.order.key_of(frame).unwrap_or(0);
+        self.order.touch(frame, freq.saturating_add(1));
     }
 
     fn on_insert(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
-        self.freq[frame as usize] = 1;
-        self.stamp(frame);
+        self.order.touch(frame, 1);
     }
 
     fn on_remove(&mut self, _table: &FrameTable, frame: u32, _key: u64) {
-        self.freq[frame as usize] = 0;
+        self.order.unlink(frame);
     }
 
-    fn begin_scan(&mut self, table: &FrameTable) {
-        self.scan = table.resident_frames();
-        let (freq, last) = (&self.freq, &self.last);
-        self.scan.sort_by_key(|&f| (freq[f as usize], last[f as usize]));
-        self.scan_pos = 0;
+    fn begin_scan(&mut self, _table: &FrameTable) {
+        self.order.begin(0);
     }
 
     fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
-        while self.scan_pos < self.scan.len() {
-            let idx = self.scan[self.scan_pos];
-            self.scan_pos += 1;
-            if table.evictable_for(idx, filter) {
-                return Some(idx);
-            }
-        }
-        None
+        self.order.next(table, filter)
     }
 
     fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
-        let mut order = table.resident_frames();
-        order.sort_by_key(|&f| (self.freq[f as usize], self.last[f as usize]));
-        Some(order)
+        // A hit replayed after its frame was vacated leaves it filed here
+        // until the next insert; scans skip it, and so does the export.
+        Some(self.order.order(0).filter(|&f| table.is_resident(f)).collect())
     }
 }
 

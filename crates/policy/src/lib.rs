@@ -27,6 +27,10 @@
 //! * [`SharingAware`] — evict single-application blocks before blocks
 //!   shared across applications, LRU within each class.
 //!
+//! All but clock keep their eviction order in one shared structure, an
+//! intrusive rank-ordered index with a rank-space scan cursor (`index.rs`):
+//! no hook and no scan step sorts, snapshots or allocates.
+//!
 //! No policy owns residency. A [`RankedTable`] pairs one [`FrameTable`] —
 //! the residency / pin / **ownership** bookkeeping, the per-application
 //! ledger and the [`PolicyStats`] — with the boxed policy ranking it, and
@@ -57,6 +61,7 @@
 
 pub mod arc;
 pub mod clock;
+mod index;
 pub mod lfu;
 pub mod lru;
 pub mod sharing;
@@ -312,6 +317,27 @@ impl AdaptiveStats {
 /// discipline) can disturb each other's *ordering* — harmless, a raced
 /// candidate is simply rejected and asked again — but never each other's
 /// partition boundary.
+///
+/// **A scan lives across lock drops.** The manager releases the policy
+/// lock between two `next_candidate` calls, so any hook — and another
+/// thread's `begin_scan` — may run mid-scan. A scan position must
+/// therefore stay meaningful under any of them: both invariants above
+/// hold at every call whatever ran in between, a frame no hook touched
+/// since `begin_scan` keeps its turn, and a scan ends within `2 ×
+/// capacity` calls plus one per hook that ran. The built-in list rankers
+/// keep a position in *rank space* (the rank last offered), clock a hand
+/// and a step budget; a snapshot taken at `begin_scan` also qualifies.
+///
+/// **Cost.** The insert/access/evict path of every built-in is O(1) in
+/// the pool's capacity and allocates nothing: `on_insert`, `on_access`,
+/// `on_remove` relink one frame in an intrusive index (2Q/ARC add a
+/// hash-map lookup of the block's fingerprint in their ghost lists),
+/// `begin_scan` resets a cursor, and one `next_candidate` costs one step
+/// per frame it passes over. The exceptions are named where they occur: [`SharingAware`]'s
+/// `begin_scan` does one relaxed load per frame of the pool, and
+/// `recency_ranking`, `epoch_tick` and [`RankedTable::migrate`] — called
+/// at switches and epoch boundaries, never per access — may walk or sort
+/// the pool.
 pub trait ReplacementPolicy: Send {
     /// A new block (fingerprint `key`) was installed into `frame`; the
     /// table already records it (residency, key, owner).
@@ -334,8 +360,9 @@ pub trait ReplacementPolicy: Send {
     /// forgets it right after.
     fn on_remove(&mut self, table: &FrameTable, frame: u32, key: u64);
 
-    /// Start a fresh eviction scan. Candidate order is decided here (or
-    /// lazily in [`next_candidate`](ReplacementPolicy::next_candidate));
+    /// Start a fresh eviction scan, abandoning any scan in progress.
+    /// Candidate order is whatever the ranking is when each candidate is
+    /// asked for (a scan nobody disturbs offers the order at this call);
     /// candidate *eligibility* (residency, pins, the owner filter) is the
     /// table's business.
     fn begin_scan(&mut self, table: &FrameTable);
@@ -345,7 +372,8 @@ pub trait ReplacementPolicy: Send {
     /// `app` are offered — the partition-local scan quota enforcement
     /// runs — and other owners' ranking state must be left untouched
     /// (skipped, not consumed). The caller may reject a candidate (dirty
-    /// during a clean-only pass, raced away, …) and simply ask again.
+    /// during a clean-only pass, raced away, …) and simply ask again;
+    /// hooks may have run since the previous call (see the trait docs).
     fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32>;
 
     /// The resident frames in this policy's *eviction-preference order* —

@@ -4,6 +4,7 @@
 //! read (§2); a block that has demonstrably been referenced by multiple
 //! applications is worth more than a private one, so it is evicted last.
 
+use crate::index::RankIndex;
 use crate::table::FrameTable;
 use crate::{AppId, ReplacementPolicy};
 
@@ -37,10 +38,8 @@ pub struct SharingAware {
     /// Referents from the previous epoch (union'd with `apps` for
     /// ranking; dropped at the next tick unless refreshed).
     aged: Vec<u64>,
-    last: Vec<u64>,
-    tick: u64,
-    scan: Vec<u32>,
-    scan_pos: usize,
+    /// Frames filed by referent count, least recently touched first.
+    order: RankIndex,
 }
 
 // Same bit layout as the RefWords app-touch mask (bits 0..=62, `app %
@@ -58,10 +57,7 @@ impl SharingAware {
         SharingAware {
             apps: vec![0; capacity],
             aged: vec![0; capacity],
-            last: vec![0; capacity],
-            tick: 0,
-            scan: Vec::new(),
-            scan_pos: 0,
+            order: RankIndex::new(capacity),
         }
     }
 
@@ -70,11 +66,6 @@ impl SharingAware {
     /// accesses count zero).
     pub fn referents(&self, frame: u32) -> u32 {
         (self.apps[frame as usize] | self.aged[frame as usize]).count_ones()
-    }
-
-    fn stamp(&mut self, frame: u32) {
-        self.tick += 1;
-        self.last[frame as usize] = self.tick;
     }
 }
 
@@ -85,22 +76,22 @@ impl ReplacementPolicy for SharingAware {
 
     fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, app: AppId) {
         self.apps[frame as usize] |= app_bit(app);
-        self.stamp(frame);
+        self.order.touch(frame, self.referents(frame) as u64);
     }
 
     fn on_insert(&mut self, _table: &FrameTable, frame: u32, _key: u64, app: AppId) {
         self.apps[frame as usize] = app_bit(app);
         self.aged[frame as usize] = 0;
-        self.stamp(frame);
+        self.order.touch(frame, self.referents(frame) as u64);
     }
 
     fn on_remove(&mut self, _table: &FrameTable, frame: u32, _key: u64) {
         self.apps[frame as usize] = 0;
         self.aged[frame as usize] = 0;
+        self.order.unlink(frame);
     }
 
     fn begin_scan(&mut self, table: &FrameTable) {
-        self.scan = table.resident_frames();
         // Fold in the lock-free fast path's app-touch masks *now* rather
         // than waiting for the deferred event ring to drain: a hit the
         // manager recorded with one atomic `fetch_or` moments ago must
@@ -110,26 +101,24 @@ impl ReplacementPolicy for SharingAware {
         // — a re-read at the next scan must not resurrect evidence the
         // epoch aging already retired. The `on_access` replay of the
         // same touch is an idempotent OR into the live generation.
-        for &f in &self.scan {
-            self.apps[f as usize] |= table.ref_words().take_app_mask(f);
+        //
+        // One relaxed load per frame finds the touched ones (a ghost
+        // table has none); only those pay the consuming RMW, and only a
+        // frame whose referent count grew is re-filed, its stamp kept.
+        let words = table.ref_words();
+        for frame in words.touched().filter(|&f| table.is_resident(f)) {
+            self.apps[frame as usize] |= words.take_app_mask(frame);
+            let referents = self.referents(frame) as u64;
+            if self.order.key_of(frame) != Some(referents) {
+                self.order.rekey(frame, referents);
+            }
         }
-        let (apps, aged, last) = (&self.apps, &self.aged, &self.last);
         // Fewest referents first, oldest before newest within each class.
-        self.scan.sort_by_key(|&f| {
-            ((apps[f as usize] | aged[f as usize]).count_ones(), last[f as usize])
-        });
-        self.scan_pos = 0;
+        self.order.begin(0);
     }
 
     fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
-        while self.scan_pos < self.scan.len() {
-            let idx = self.scan[self.scan_pos];
-            self.scan_pos += 1;
-            if table.evictable_for(idx, filter) {
-                return Some(idx);
-            }
-        }
-        None
+        self.order.next(table, filter)
     }
 
     fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
@@ -140,7 +129,7 @@ impl ReplacementPolicy for SharingAware {
         order.sort_by_key(|&f| {
             let mask =
                 self.apps[f as usize] | self.aged[f as usize] | table.ref_words().app_mask(f);
-            (mask.count_ones(), self.last[f as usize])
+            (mask.count_ones(), self.order.stamp_of(f))
         });
         Some(order)
     }
@@ -150,9 +139,10 @@ impl ReplacementPolicy for SharingAware {
         // and a fresh epoch starts. A referent seen two epochs ago is
         // forgotten entirely.
         for f in 0..self.apps.len() {
-            self.aged[f] = self.apps[f];
-            self.apps[f] = 0;
+            self.aged[f] = std::mem::take(&mut self.apps[f]);
         }
+        let aged = &self.aged;
+        self.order.rekey_all(|f| aged[f as usize].count_ones() as u64);
     }
 }
 

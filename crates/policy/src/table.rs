@@ -67,6 +67,13 @@ impl RefWords {
         self.0.get(frame as usize).map_or(0, |w| w.load(Ordering::Relaxed) & !Self::REF)
     }
 
+    /// Frames whose app-touch mask is non-empty: one relaxed load each,
+    /// nothing consumed.
+    pub fn touched(&self) -> impl Iterator<Item = u32> + '_ {
+        let touched = |w: &AtomicU64| w.load(Ordering::Relaxed) & !Self::REF != 0;
+        self.0.iter().enumerate().filter(move |(_, w)| touched(w)).map(|(f, _)| f as u32)
+    }
+
     /// Consume the app-touch mask (bits 0..=62), leaving the ref bit in
     /// place: each touch is handed to the caller exactly once, to fold
     /// into its own (generational) bookkeeping, without disturbing

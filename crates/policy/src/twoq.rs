@@ -3,16 +3,13 @@
 //! blocks. Scan-resistant: a one-pass sweep drains through A1in without
 //! displacing the hot set in Am.
 
+use crate::index::{GhostLists, RankIndex};
 use crate::table::FrameTable;
 use crate::{AppId, ReplacementPolicy};
-use std::collections::VecDeque;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    None,
-    A1In,
-    Am,
-}
+// The two resident queues, as class keys of `queues`.
+const A1IN: u64 = 0;
+const AM: u64 = 1;
 
 /// Full 2Q: `A1in` (FIFO over newly admitted frames), `A1out` (ghost FIFO
 /// of fingerprints recently evicted from A1in), `Am` (LRU of proven-hot
@@ -20,120 +17,67 @@ enum Loc {
 /// admitted straight into Am. Eviction prefers A1in's front while A1in
 /// holds at least `kin` frames, then Am's LRU end.
 pub struct TwoQ {
-    loc: Vec<Loc>,
-    a1in: VecDeque<u32>,
-    /// Front = LRU, back = MRU.
-    am: VecDeque<u32>,
-    a1out: VecDeque<u64>,
+    /// A1in in admission order, Am in recency order.
+    queues: RankIndex,
+    a1out: GhostLists,
     kin: usize,
-    kout: usize,
-    scan: Vec<u32>,
-    scan_pos: usize,
 }
 
 impl TwoQ {
     pub fn new(capacity: usize) -> TwoQ {
         TwoQ {
-            loc: vec![Loc::None; capacity],
-            a1in: VecDeque::new(),
-            am: VecDeque::new(),
-            a1out: VecDeque::new(),
+            queues: RankIndex::new(capacity),
             // The 2Q paper's rules of thumb: Kin ≈ 25%, Kout ≈ 50%.
+            a1out: GhostLists::new(1, (capacity / 2).max(1)),
             kin: (capacity / 4).max(1),
-            kout: (capacity / 2).max(1),
-            scan: Vec::new(),
-            scan_pos: 0,
         }
     }
 
-    fn detach(&mut self, frame: u32) {
-        match self.loc[frame as usize] {
-            Loc::A1In => self.a1in.retain(|&f| f != frame),
-            Loc::Am => self.am.retain(|&f| f != frame),
-            Loc::None => {}
-        }
-        self.loc[frame as usize] = Loc::None;
-    }
-
-    fn remember_ghost(&mut self, key: u64) {
-        self.a1out.retain(|&k| k != key);
-        self.a1out.push_back(key);
-        while self.a1out.len() > self.kout {
-            self.a1out.pop_front();
+    /// The queue a scan started now drains first; the other follows.
+    fn drains_first(&self) -> u64 {
+        if self.queues.len_of(A1IN) >= self.kin {
+            A1IN
+        } else {
+            AM
         }
     }
 }
 
 impl ReplacementPolicy for TwoQ {
     fn on_access(&mut self, _table: &FrameTable, frame: u32, _key: u64, _app: AppId) {
-        match self.loc[frame as usize] {
-            // 2Q: hits inside the admission FIFO do not reorder it.
-            Loc::A1In => {}
-            Loc::Am => {
-                self.am.retain(|&f| f != frame);
-                self.am.push_back(frame);
-            }
-            Loc::None => {}
+        // 2Q: hits inside the admission FIFO do not reorder it.
+        if self.queues.key_of(frame) == Some(AM) {
+            self.queues.touch(frame, AM);
         }
     }
 
     fn on_insert(&mut self, _table: &FrameTable, frame: u32, key: u64, _app: AppId) {
-        self.detach(frame);
-        if let Some(pos) = self.a1out.iter().position(|&k| k == key) {
-            // Seen recently and re-requested: proven hot, straight to Am.
-            self.a1out.remove(pos);
-            self.am.push_back(frame);
-            self.loc[frame as usize] = Loc::Am;
-        } else {
-            self.a1in.push_back(frame);
-            self.loc[frame as usize] = Loc::A1In;
-        }
+        // Seen recently and re-requested: proven hot, straight to Am.
+        let queue = if self.a1out.forget(key).is_some() { AM } else { A1IN };
+        self.queues.touch(frame, queue);
     }
 
     fn on_remove(&mut self, _table: &FrameTable, frame: u32, key: u64) {
-        if self.loc[frame as usize] == Loc::A1In {
+        if self.queues.key_of(frame) == Some(A1IN) {
             // Only A1in departures enter the ghost list (Am blocks had
             // their chance to prove heat; 2Q forgets them).
-            self.remember_ghost(key);
+            self.a1out.remember(key, 0);
         }
-        self.detach(frame);
+        self.queues.unlink(frame);
     }
 
     fn begin_scan(&mut self, _table: &FrameTable) {
-        self.scan.clear();
-        if self.a1in.len() >= self.kin {
-            self.scan.extend(self.a1in.iter());
-            self.scan.extend(self.am.iter());
-        } else {
-            self.scan.extend(self.am.iter());
-            self.scan.extend(self.a1in.iter());
-        }
-        self.scan_pos = 0;
+        self.queues.begin(self.drains_first());
     }
 
     fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
-        while self.scan_pos < self.scan.len() {
-            let idx = self.scan[self.scan_pos];
-            self.scan_pos += 1;
-            if table.evictable_for(idx, filter) {
-                return Some(idx);
-            }
-        }
-        None
+        self.queues.next(table, filter)
     }
 
     fn recency_ranking(&self, _table: &FrameTable) -> Option<Vec<u32>> {
         // Same composition begin_scan would pick right now: the queue
         // that drains first ranks as least protected.
-        let mut order = Vec::with_capacity(self.a1in.len() + self.am.len());
-        if self.a1in.len() >= self.kin {
-            order.extend(self.a1in.iter());
-            order.extend(self.am.iter());
-        } else {
-            order.extend(self.am.iter());
-            order.extend(self.a1in.iter());
-        }
-        Some(order)
+        Some(self.queues.order(self.drains_first()).collect())
     }
 }
 

@@ -195,10 +195,17 @@ fn partitioning_configs_round_trip_through_json() {
             PolicyKind::ALL[rng.below(6) as usize].name().into()
         };
         let adaptive_cfg = if adaptive {
+            // Drawn with replacement, then de-duplicated: a kind named
+            // twice is a config error (see the invalid-config rows below).
+            let mut candidates: Vec<String> = Vec::new();
+            for _ in 0..rng.range_inclusive(0, 3) {
+                let name = PolicyKind::ALL[rng.below(6) as usize].name().to_string();
+                if !candidates.contains(&name) {
+                    candidates.push(name);
+                }
+            }
             AdaptiveCfg {
-                candidates: (0..rng.range_inclusive(0, 3))
-                    .map(|_| PolicyKind::ALL[rng.below(6) as usize].name().to_string())
-                    .collect(),
+                candidates,
                 epoch_accesses: [0, 64, 256][rng.below(3) as usize],
                 hysteresis: rng.f64() * 0.1,
                 quota_tuning: rng.chance(0.5),
@@ -319,6 +326,10 @@ fn invalid_json_configs_are_errors_not_panics() {
     assert_eq!(with("", "[0, 3]", ""), Ok(()));
     assert_eq!(with(r#", "cache_blocks": 2, "shards": 2"#, "[0]", ""), Ok(()));
     assert_eq!(with(r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 300"#), Ok(()));
+    assert_eq!(
+        with(r#", "policy": "adaptive", "adaptive": { "hysteresis": 1.0 }"#, "[0]", ""),
+        Ok(())
+    );
     for (cluster, app_nodes, app, field) in [
         (r#", "cache_blocks": 0"#, "[0]", "", "cache_blocks"),
         (r#", "cache_blocks": 1"#, "[0]", "", "cache_blocks"),
@@ -326,6 +337,16 @@ fn invalid_json_configs_are_errors_not_panics() {
         ("", "[0, 4]", "", "nodes"),
         // Over the default 300-block cache: used to panic in the builder.
         (r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 500"#, "quota_blocks"),
+        // Flips the live policy on any noise / can never switch at all.
+        (r#", "policy": "adaptive", "adaptive": { "hysteresis": -0.01 }"#, "[0]", "", "hysteresis"),
+        (r#", "policy": "adaptive", "adaptive": { "hysteresis": 1.5 }"#, "[0]", "", "hysteresis"),
+        // Used to be deduplicated silently ("lru" is "exact-lru").
+        (
+            r#", "policy": "adaptive", "adaptive": { "candidates": ["lfu", "lru", "exact-lru"] }"#,
+            "[0]",
+            "",
+            "candidates",
+        ),
     ] {
         let err = with(cluster, app_nodes, app).expect_err("invalid config must not lower");
         assert!(err.contains(field), "error must name {field}: {err}");
