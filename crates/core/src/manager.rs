@@ -47,20 +47,29 @@
 //! and revalidate; the policy may thus offer a candidate that has since
 //! changed hands, and the manager simply asks for the next one.
 //!
+//! An evicting miss takes the policy lock **twice** when its first
+//! candidate is accepted: one hold drains, begins the scan and takes that
+//! candidate; one files the incoming block — the victim's removal and
+//! ledger entries travel with the frame to it — **before the block is
+//! visible in its bucket**, so the table never describes a previous tenant
+//! of a frame a scan can evict (a lost install race un-files). The policy
+//! stays a leaf throughout. Harvester and invalidation removals are eager.
+//!
 //! ## Hit-path concurrency (eager vs drained accounting)
 //!
 //! The **hit fast path takes no policy lock**. A hit (or recency touch)
 //! does three lock-free things: bump the manager's atomic counters, store
 //! the frame's atomic ref/recency word ([`RefWords`] — ref bit plus
-//! app-touch mask, one relaxed `fetch_or`, the seed clock's store-only
-//! cost), and enqueue an [`AccessEvent`] into a bounded lock-free ring.
-//! The deferred events — policy hit/miss counters, the per-app ledger,
-//! `on_access` recency for non-clock policies, and the adaptive
-//! meta-policy's ghost feeds — are applied in FIFO batches
-//! ([`RankedTable::drain`]) only when the policy lock is taken
+//! app-touch mask, one relaxed `fetch_or` unless the bits are already set,
+//! the seed clock's store-only cost), and enqueue an [`AccessEvent`] into
+//! the calling thread's stripe of a bounded lock-free ring. The deferred
+//! events — policy hit/miss counters, the per-app ledger, `on_access`
+//! recency for non-clock policies, and the adaptive meta-policy's ghost
+//! feeds — are applied in batches, **FIFO per producer**
+//! ([`RankedTable::drain`]), only when the policy lock is taken
 //! anyway: before an eviction scan ranks, before an insert links, before
 //! an epoch tick decides, before a stats read reports, and inline by the
-//! producer itself when the ring fills (so nothing is ever dropped and
+//! producer itself when its stripe fills (so nothing is ever dropped and
 //! memory stays bounded). Under a single thread every drain point
 //! precedes the next policy *decision*, which makes drained accounting
 //! observation-equivalent to the eager path — pinned by a differential
@@ -85,15 +94,15 @@ use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::{CooperativeConfig, PartitionConfig, PartitionMode};
 use crate::ring::EventRing;
 use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
-use kcache_obs::{Counter, EventId, Histogram, ObsHub};
+use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
     AccessEvent, AdaptiveStats, AppId, AppUsage, EpochDirective, EpochObservation, GhostRate,
     PolicyKind, PolicyStats, RankedTable, RefWords,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc as StdArc;
 
 /// Replacement configuration (§3.2 design choices, now a policy *choice*
@@ -254,18 +263,20 @@ pub struct CacheStats {
     pub invalidated_dirty: u64,
 }
 
+/// Striped [`Counter`]s: `hits` and `misses` are bumped by every op of
+/// every thread, so each thread writes cache lines of its own.
 #[derive(Default)]
 struct AtomicStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    writes_absorbed: AtomicU64,
-    writes_passthrough: AtomicU64,
-    evictions_clean: AtomicU64,
-    evictions_dirty: AtomicU64,
-    flush_blocks: AtomicU64,
-    invalidated: AtomicU64,
-    invalidated_dirty: AtomicU64,
+    hits: Counter,
+    misses: Counter,
+    insertions: Counter,
+    writes_absorbed: Counter,
+    writes_passthrough: Counter,
+    evictions_clean: Counter,
+    evictions_dirty: Counter,
+    flush_blocks: Counter,
+    invalidated: Counter,
+    invalidated_dirty: Counter,
 }
 
 /// Outcome of the quota gate for one frame acquisition.
@@ -287,9 +298,9 @@ enum Admission {
 /// when it is on: hit/miss metric counters are not incremented per
 /// access (one additional atomic RMW would cost ~10% of the lean hit
 /// path) but folded in from the manager's existing [`AtomicStats`]
-/// ledger at sync points — epoch boundaries, ring drains, and
-/// [`BufferManager::obs_flush`]. Counters are therefore exact at every
-/// epoch mark and export. Trace events and gauge refreshes live on cold
+/// ledger at sync points — epoch boundaries and
+/// [`BufferManager::obs_flush`] — and from the policy's at ring drains.
+/// Counters are therefore exact at every epoch mark and export. Trace events and gauge refreshes live on cold
 /// paths only (eviction scans, ring overflows, epoch boundaries).
 /// Instrumentation is strictly read-only over cache state — a
 /// differential test pins that obs-on and obs-off managers make
@@ -314,10 +325,26 @@ struct ManagerObs {
     drain_batch: Histogram,
     /// Candidates visited per successful eviction scan.
     scan_visits: Histogram,
+    /// Per measured leaf lock (indexed by [`Leaf`]): acquisitions that
+    /// found it held, and how long each of those then waited.
+    lock_contended: [Counter; 4],
+    lock_wait_ns: [Histogram; 4],
     ev_eviction_scan: EventId,
     ev_epoch_tick: EventId,
     ev_ring_overflow: EventId,
 }
+
+/// The shard's four measured leaf locks (`cache.lock_contended.<name>`,
+/// `cache.lock_wait_ns.<name>`; see [`Shard::lock_leaf`]).
+#[derive(Clone, Copy)]
+enum Leaf {
+    Policy,
+    Free,
+    Dirty,
+    Charges,
+}
+
+const LEAF_NAMES: [&str; 4] = ["policy", "free", "dirty", "charges"];
 
 /// What the policy leaf lock guards: the shard's frame table with the
 /// live ranker over it and, under an adaptive configuration, the
@@ -326,6 +353,9 @@ struct ManagerObs {
 struct PolicyState {
     ranked: RankedTable,
     adaptive: Option<AdaptivePolicy>,
+    /// `drain_locked`'s batch buffer, kept so that a drain allocates
+    /// nothing while it holds the lock another thread is waiting for.
+    batch: Vec<AccessEvent>,
 }
 
 impl PolicyState {
@@ -337,6 +367,45 @@ impl PolicyState {
         }
         self.ranked.drain(events);
     }
+
+    /// The policy-side half of evicting `victim` from frame `idx`. Returns
+    /// the block's owner: the caller uncharges it once the lock is dropped.
+    fn settle_eviction(&mut self, idx: u32, victim: &Victim) -> AppId {
+        let table = self.ranked.table_mut();
+        if victim.flush.is_some() {
+            table.stats.evictions_dirty += 1;
+        } else {
+            table.stats.evictions_clean += 1;
+        }
+        let owner = table.owner_of(idx);
+        table.note_app_eviction(owner);
+        if let Some(a) = &mut self.adaptive {
+            // Capacity pressure: a later re-read by the same app is a
+            // refault. (Invalidations never get here, which keeps them
+            // out of the tuner's evidence.)
+            a.remember_eviction(owner, victim.key.hash());
+        }
+        self.ranked.remove(idx, victim.key.hash());
+        owner
+    }
+}
+
+/// The previous tenant of a frame an eviction scan just emptied: gone from
+/// bucket and frame, its [`PolicyState::settle_eviction`] still owed. An
+/// install carries it with the frame to the hold that files the incoming
+/// block ([`Shard::file_insert`]); the harvester settles it at once.
+struct Victim {
+    key: BlockKey,
+    /// The dirty snapshot, when a dirty frame had to be sacrificed.
+    flush: Option<FlushItem>,
+}
+
+/// The free list and a mirror of its length, on one line: the mirror is
+/// stored under the list's lock and read without it (`needs_harvest` runs
+/// after every fill and write, `harvest` every turn of its loop).
+struct FreeList {
+    frames: Mutex<Vec<u32>>,
+    len: AtomicUsize,
 }
 
 /// One shard of the cache: a fully self-contained slice of the frame
@@ -357,11 +426,13 @@ struct Shard {
     high_watermark: usize,
     frames: Vec<Mutex<Frame>>,
     buckets: Vec<Mutex<Vec<(BlockKey, u32)>>>,
-    free: Mutex<Vec<u32>>,
-    dirty: Mutex<VecDeque<u32>>,
+    // Every leaf lock and written atomic below sits on a [`CacheLine`] of
+    // its own, away from the read-mostly fields every hit loads.
+    free: CacheLine<FreeList>,
+    dirty: CacheLine<Mutex<VecDeque<u32>>>,
     /// Leaf lock (see module docs): the frame table (residency, pins,
     /// owners, the per-app ledger), candidate ranking and recency state.
-    policy: Mutex<PolicyState>,
+    policy: CacheLine<Mutex<PolicyState>>,
     /// Leaf lock: frames charged per app — resident frames plus
     /// acquisitions in flight (charged before install, uncharged on evict
     /// or abort), so the strict-quota admission check is race-free. The
@@ -370,12 +441,12 @@ struct Shard {
     /// owner-filtered `next_candidate` and its revalidation can offset an
     /// app's count by one transiently (the same benign-race class as the
     /// pre-existing candidate/pin revalidation).
-    charges: Mutex<HashMap<u32, usize>>,
+    charges: CacheLine<Mutex<HashMap<u32, usize>>>,
     /// Leaf lock: quota overrides installed by the adaptive tuner's
     /// epoch recommendations. Consulted before the static
     /// `partitioning.quotas`; only ever holds apps that were quota'd in
     /// config (the tuner redistributes, it never invents partitions).
-    tuned_quotas: Mutex<HashMap<u32, usize>>,
+    tuned_quotas: CacheLine<Mutex<HashMap<u32, usize>>>,
     /// Accesses (hits + misses + probes + touches) per policy epoch; 0
     /// disables epochs.
     epoch_accesses: usize,
@@ -403,8 +474,8 @@ struct Shard {
     /// configuration). A static LRU/LFU/2Q/ARC manager never consumes the
     /// words, so it skips the per-hit `fetch_or`.
     touch_words: bool,
-    pending_hits: AtomicU64,
-    pending_misses: AtomicU64,
+    pending_hits: CacheLine<AtomicU64>,
+    pending_misses: CacheLine<AtomicU64>,
     /// Apply events under the policy lock at access time instead of
     /// through the ring — the pre-fast-path reference behavior, kept for
     /// differential tests and as the bench baseline.
@@ -413,13 +484,13 @@ struct Shard {
     /// invalidated since the last [`BufferManager::take_evicted`] drain.
     /// The cache module turns the drained batch into directory-removal
     /// updates to the mgr. `None` keeps the hot path untouched.
-    evicted_log: Option<Mutex<Vec<BlockKey>>>,
+    evicted_log: CacheLine<Option<Mutex<Vec<BlockKey>>>>,
     /// Leaf lock, singleton-preserving mode only: blocks believed to be
     /// duplicated in a peer's cache (learned from peer transfers). The
     /// eviction scan prefers these — a duplicate is cheap to lose, the
     /// last cluster-wide copy is not. Advisory: a peer may have evicted
     /// its copy since, which costs one disk fetch, never correctness.
-    duplicate_hints: Option<Mutex<std::collections::HashSet<BlockKey>>>,
+    duplicate_hints: CacheLine<Option<Mutex<std::collections::HashSet<BlockKey>>>>,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     obs: Option<ManagerObs>,
@@ -731,6 +802,9 @@ impl Shard {
                 ring_overflows: reg.counter("cache.ring_overflows"),
                 drain_batch: reg.histogram("cache.drain_batch"),
                 scan_visits: reg.histogram("cache.scan_visits"),
+                lock_contended: LEAF_NAMES
+                    .map(|l| reg.counter(&format!("cache.lock_contended.{l}"))),
+                lock_wait_ns: LEAF_NAMES.map(|l| reg.histogram(&format!("cache.lock_wait_ns.{l}"))),
                 ev_eviction_scan: hub.intern("eviction_scan", Some("visited"), Some("dirty")),
                 ev_epoch_tick: hub.intern("epoch_tick", Some("epoch"), Some("accesses")),
                 ev_ring_overflow: hub.intern("ring_overflow", Some("overflows"), None),
@@ -748,29 +822,54 @@ impl Shard {
             high_watermark,
             frames: (0..capacity).map(|_| Mutex::new(Frame::empty())).collect(),
             buckets: (0..n_buckets).map(|_| Mutex::new(Vec::new())).collect(),
-            free: Mutex::new((0..capacity as u32).rev().collect()),
-            dirty: Mutex::new(VecDeque::new()),
-            policy: Mutex::new(PolicyState { ranked, adaptive }),
-            charges: Mutex::new(HashMap::new()),
-            tuned_quotas: Mutex::new(HashMap::new()),
+            free: CacheLine(FreeList {
+                frames: Mutex::new((0..capacity as u32).rev().collect()),
+                len: AtomicUsize::new(capacity),
+            }),
+            dirty: CacheLine(Mutex::new(VecDeque::new())),
+            policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive, batch: Vec::new() })),
+            charges: CacheLine(Mutex::new(HashMap::new())),
+            tuned_quotas: CacheLine(Mutex::new(HashMap::new())),
             epoch_accesses,
             epoch_clock,
             ref_words,
             ring: EventRing::new(),
             count_only_unattributed,
             touch_words,
-            pending_hits: AtomicU64::new(0),
-            pending_misses: AtomicU64::new(0),
+            pending_hits: CacheLine(AtomicU64::new(0)),
+            pending_misses: CacheLine(AtomicU64::new(0)),
             eager,
-            evicted_log: track_evictions.then(|| Mutex::new(Vec::new())),
-            duplicate_hints: singleton.then(|| Mutex::new(std::collections::HashSet::new())),
+            evicted_log: CacheLine(track_evictions.then(|| Mutex::new(Vec::new()))),
+            duplicate_hints: CacheLine(
+                singleton.then(|| Mutex::new(std::collections::HashSet::new())),
+            ),
             obs,
             stats: AtomicStats::default(),
         }
     }
 
+    /// Take one of the four measured leaf locks. An obs-wired manager
+    /// tries first: only a failed try — the lock is held — is counted and
+    /// its wait timed, so an uncontended acquisition reads no clock (the
+    /// single-threaded simulator never does). Without a hub: `lock()`.
+    fn lock_leaf<'a, T>(&'a self, leaf: Leaf, lock: &'a Mutex<T>) -> MutexGuard<'a, T> {
+        let Some(o) = &self.obs else { return lock.lock() };
+        if let Some(guard) = lock.try_lock() {
+            return guard;
+        }
+        o.lock_contended[leaf as usize].inc();
+        let waited = std::time::Instant::now();
+        let guard = lock.lock();
+        o.lock_wait_ns[leaf as usize].record(waited.elapsed().as_nanos() as u64);
+        guard
+    }
+
+    fn lock_policy(&self) -> MutexGuard<'_, PolicyState> {
+        self.lock_leaf(Leaf::Policy, &self.policy)
+    }
+
     fn free_frames(&self) -> usize {
-        self.free.lock().len()
+        self.free.len.load(Ordering::Relaxed)
     }
 
     fn resident(&self) -> usize {
@@ -778,14 +877,14 @@ impl Shard {
     }
 
     fn dirty_queue_len(&self) -> usize {
-        self.dirty.lock().len()
+        self.lock_leaf(Leaf::Dirty, &self.dirty).len()
     }
 
     /// The replacement policy's own event ledger (hits/misses/evictions as
     /// the policy subsystem saw them). Drains deferred events first, so a
     /// snapshot never under-reports traffic that already happened.
     pub fn policy_stats(&self) -> PolicyStats {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
         p.ranked.table().stats
     }
@@ -794,7 +893,7 @@ impl Shard {
     /// hit rates, quota moves); `None` when a static policy runs. Drains
     /// deferred events first (ghost feeds ride the same ring).
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
         p.adaptive.as_ref().map(AdaptivePolicy::stats)
     }
@@ -803,7 +902,7 @@ impl Shard {
     /// the slice of [`adaptive_stats`](Self::adaptive_stats) that differs
     /// per shard, without cloning the decision logs.
     fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
         p.adaptive.as_ref().map(AdaptivePolicy::ghost_rates)
     }
@@ -812,35 +911,35 @@ impl Shard {
     /// policy the configured kind, for the adaptive meta-policy whichever
     /// candidate is live right now.
     pub fn live_policy_kind(&self) -> PolicyKind {
-        self.policy.lock().ranked.kind().expect("shards rank with built-in policies")
+        self.lock_policy().ranked.kind().expect("shards rank with built-in policies")
     }
 
     /// Per-application occupancy and attributed traffic (ascending by app
     /// id; apps appear once they have touched the cache). Drains deferred
     /// events first, so the ledger reflects every access that happened.
     pub fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
         p.ranked.table().app_usage()
     }
 
     /// Frames currently owned (installed) by `app`.
     pub fn resident_of(&self, app: AppId) -> usize {
-        self.policy.lock().ranked.table().resident_of(app)
+        self.lock_policy().ranked.table().resident_of(app)
     }
 
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            insertions: self.stats.insertions.load(Ordering::Relaxed),
-            writes_absorbed: self.stats.writes_absorbed.load(Ordering::Relaxed),
-            writes_passthrough: self.stats.writes_passthrough.load(Ordering::Relaxed),
-            evictions_clean: self.stats.evictions_clean.load(Ordering::Relaxed),
-            evictions_dirty: self.stats.evictions_dirty.load(Ordering::Relaxed),
-            flush_blocks: self.stats.flush_blocks.load(Ordering::Relaxed),
-            invalidated: self.stats.invalidated.load(Ordering::Relaxed),
-            invalidated_dirty: self.stats.invalidated_dirty.load(Ordering::Relaxed),
+            hits: self.stats.hits.get(),
+            misses: self.stats.misses.get(),
+            insertions: self.stats.insertions.get(),
+            writes_absorbed: self.stats.writes_absorbed.get(),
+            writes_passthrough: self.stats.writes_passthrough.get(),
+            evictions_clean: self.stats.evictions_clean.get(),
+            evictions_dirty: self.stats.evictions_dirty.get(),
+            flush_blocks: self.stats.flush_blocks.get(),
+            invalidated: self.stats.invalidated.get(),
+            invalidated_dirty: self.stats.invalidated_dirty.get(),
         }
     }
 
@@ -859,7 +958,7 @@ impl Shard {
         (key.hash() as usize) & (self.buckets.len() - 1)
     }
 
-    /// Pop every queued event (FIFO) and apply it to the policy. Must be
+    /// Pop the queued events (FIFO per producer) and apply them. Must be
     /// called with the policy lock held (`p` is the locked state); the
     /// manager drains at every point where the policy is about to rank,
     /// decide, or report, so deferred events are always applied before
@@ -869,38 +968,47 @@ impl Shard {
         // counters commute, and these carry no recency or per-app
         // information by construction, so their order relative to the
         // ring's batches is irrelevant.
+        // Load first: an attributed workload never writes these, and a
+        // swap would pull the line exclusive all the same.
+        let take = |pending: &AtomicU64| match pending.load(Ordering::Relaxed) {
+            0 => 0,
+            _ => pending.swap(0, Ordering::Relaxed),
+        };
         let stats = &mut p.ranked.table_mut().stats;
-        stats.hits += self.pending_hits.swap(0, Ordering::Relaxed);
-        stats.misses += self.pending_misses.swap(0, Ordering::Relaxed);
-        // Pop at most one ring's worth per call: sustained lock-free
-        // producers must not pin the drainer under the policy lock (or
-        // grow the batch) indefinitely. Anything newer lands at the next
-        // drain point; single-threaded the ring never holds more than
-        // its capacity, so equivalence is unaffected.
-        let mut batch: Vec<AccessEvent> = Vec::new();
-        for _ in 0..crate::ring::CAPACITY {
-            match self.ring.pop() {
-                Some(ev) => batch.push(ev),
-                None => break,
-            }
-        }
+        stats.hits += take(&self.pending_hits);
+        stats.misses += take(&self.pending_misses);
+        // At most one ring's worth per stripe and call: sustained
+        // lock-free producers must not pin the drainer under the policy
+        // lock (or grow the batch) indefinitely. Anything newer lands at
+        // the next drain point; single-threaded one stripe fills, never
+        // past its capacity, so equivalence is unaffected.
+        let mut batch = std::mem::take(&mut p.batch);
+        self.ring.drain_into(&mut batch);
         if !batch.is_empty() {
             if let Some(o) = &self.obs {
                 o.drain_batch.record(batch.len() as u64);
             }
             p.drain(&batch);
+            batch.clear();
         }
+        p.batch = batch;
         if let Some(o) = &self.obs {
-            self.obs_sync_counts(o);
+            // The ledger just drained into is the cheap total here (one
+            // line, under the lock held anyway; summing the striped
+            // counters reads sixteen): it trails them only by events still
+            // queued, which the next sync point claims.
+            let stats = &p.ranked.table().stats;
+            Self::obs_sync_counts(o, stats.hits, stats.misses);
         }
     }
 
-    /// Fold any hit/miss ledger growth since the last sync point into
-    /// the hub's metric counters (see [`ManagerObs`]: the hit path never
-    /// touches the metric cells itself). Each high-water mark advances
-    /// by CAS, so a delta is claimed by exactly one caller — concurrent
-    /// sync points may split the growth but never count it twice.
-    fn obs_sync_counts(&self, o: &ManagerObs) {
+    /// Fold the growth of the hit/miss totals since the last sync point
+    /// into the hub's metric counters (see [`ManagerObs`]: the hit path
+    /// never touches the metric cells itself). Each high-water mark
+    /// advances by CAS, so a delta is claimed by exactly one caller —
+    /// concurrent sync points may split the growth but never count it
+    /// twice, and a total that trails the mark claims nothing.
+    fn obs_sync_counts(o: &ManagerObs, hits: u64, misses: u64) {
         fn claim(seen: &AtomicU64, now: u64) -> u64 {
             let mut old = seen.load(Ordering::Relaxed);
             loop {
@@ -913,11 +1021,11 @@ impl Shard {
                 }
             }
         }
-        let d = claim(&o.hits_seen, self.stats.hits.load(Ordering::Relaxed));
+        let d = claim(&o.hits_seen, hits);
         if d > 0 {
             o.hits.add(d);
         }
-        let d = claim(&o.misses_seen, self.stats.misses.load(Ordering::Relaxed));
+        let d = claim(&o.misses_seen, misses);
         if d > 0 {
             o.misses.add(d);
         }
@@ -930,7 +1038,7 @@ impl Shard {
     /// otherwise be missing. No-op without a wired hub.
     pub fn obs_flush(&self) {
         if let Some(o) = &self.obs {
-            self.obs_sync_counts(o);
+            Self::obs_sync_counts(o, self.stats.hits.get(), self.stats.misses.get());
         }
     }
 
@@ -942,7 +1050,7 @@ impl Shard {
     /// dropped).
     fn push_event(&self, ev: AccessEvent) {
         if self.eager {
-            self.policy.lock().drain(std::slice::from_ref(&ev));
+            self.lock_policy().drain(std::slice::from_ref(&ev));
             return;
         }
         if self.count_only_unattributed {
@@ -970,7 +1078,7 @@ impl Shard {
                 o.ring_overflows.inc();
                 o.hub.instant(o.ev_ring_overflow, o.node, 0, self.ring.overflows(), 0);
             }
-            let mut p = self.policy.lock();
+            let mut p = self.lock_policy();
             self.drain_locked(&mut p);
             p.drain(std::slice::from_ref(&ev));
         }
@@ -980,7 +1088,7 @@ impl Shard {
     /// counters, one relaxed store into the frame's ref/recency word, one
     /// ring enqueue. No policy lock.
     fn record_hit(&self, idx: u32, key: BlockKey, app: AppId) {
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        self.stats.hits.inc();
         if self.touch_words {
             self.ref_words.touch(idx, app);
         }
@@ -989,7 +1097,7 @@ impl Shard {
     }
 
     fn record_miss(&self, app: AppId) {
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses.inc();
         self.push_event(AccessEvent::miss(app));
         self.note_epoch_access();
     }
@@ -1011,7 +1119,7 @@ impl Shard {
     /// per-epoch ledger, each app's refault count. `None` for static
     /// policies.
     fn epoch_observe(&self) -> Option<EpochObservation> {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
         p.adaptive.as_ref().map(AdaptivePolicy::epoch_observe)
     }
@@ -1023,9 +1131,9 @@ impl Shard {
     /// boundary; static shards (`None`) age independently, there is no
     /// shared decision to coordinate.
     fn epoch_apply(&self, directive: Option<&EpochDirective>) {
-        let mut p = self.policy.lock();
+        let mut p = self.lock_policy();
         self.drain_locked(&mut p);
-        let PolicyState { ranked, adaptive } = &mut *p;
+        let PolicyState { ranked, adaptive, .. } = &mut *p;
         ranked.epoch_tick();
         if let (Some(a), Some(directive)) = (adaptive, directive) {
             if let Some(to) = a.epoch_apply(directive) {
@@ -1059,7 +1167,7 @@ impl Shard {
         let Some(o) = &self.obs else { return };
         // Sync the deferred hit/miss mirrors *before* closing the metric
         // window, so each epoch delta carries exactly its own accesses.
-        self.obs_sync_counts(o);
+        Self::obs_sync_counts(o, self.stats.hits.get(), self.stats.misses.get());
         o.hub.mark_epoch();
         let epoch = access_n / self.epoch_accesses as u64;
         o.hub.instant(o.ev_epoch_tick, o.node, 0, epoch, access_n);
@@ -1110,21 +1218,49 @@ impl Shard {
         self.note_epoch_access();
     }
 
-    /// Recency bookkeeping for a freshly inserted frame (clock inserts with
-    /// the reference bit clear — a block earns its second chance by being
-    /// read; LRU-style policies link at the MRU end; ghost-list policies
-    /// consult their history of `key`). Applied eagerly — the insert path
-    /// already holds no fast-path illusions — after draining the ring, so
-    /// accesses that preceded the install keep their order.
-    fn note_insert(&self, idx: u32, key: BlockKey, app: AppId) {
-        let mut p = self.policy.lock();
-        self.drain_locked(&mut p);
+    /// File the block about to be installed into frame `idx` with the
+    /// policy, in **one hold, before the block is visible** in its bucket:
+    /// the evicted tenant's bookkeeping ([`Victim`]), the ghosts' view of
+    /// the reference, the insert (clock inserts with the reference bit
+    /// clear — a block earns its second chance by being read; LRU-style
+    /// policies link at the MRU end; ghost-list policies consult their
+    /// history of `key`). So no concurrent scan is ever offered a frame
+    /// whose table entry describes the previous tenant; a caller that then
+    /// loses the install race un-files ([`unfile`](Self::unfile)).
+    ///
+    /// The ring is drained first, so accesses that preceded the install
+    /// keep their order — unless a scan found `victim`: it drained a moment
+    /// ago and this thread has queued nothing since. The old owner's
+    /// uncharge follows the hold: over-counted until then, strict quotas
+    /// err toward denying, never toward over-admitting.
+    fn file_insert(&self, idx: u32, key: BlockKey, app: AppId, victim: Option<&Victim>) {
+        let mut p = self.lock_policy();
+        let evicted_owner = match victim {
+            Some(victim) => Some(p.settle_eviction(idx, victim)),
+            None => {
+                self.drain_locked(&mut p);
+                None
+            }
+        };
         if let Some(a) = &mut p.adaptive {
             // An insert is the tail of a miss in the live stream: the
             // ghosts see the same reference.
             a.observe(key.hash(), app);
         }
         p.ranked.insert(idx, key.hash(), app);
+        drop(p);
+        if let Some(owner) = evicted_owner {
+            self.uncharge(owner);
+        }
+    }
+
+    /// A lost install race (`key` went resident in another frame first):
+    /// take the filed, never visible block back out of the policy — ghost
+    /// lists hear of it as of any removal — and recycle frame and charge.
+    fn unfile(&self, idx: u32, key: BlockKey, app: AppId) {
+        self.lock_policy().ranked.remove(idx, key.hash());
+        self.push_free(idx);
+        self.uncharge(app);
     }
 
     /// [`AccessKind::Touch`]: a recency touch of `key` if it is resident.
@@ -1202,30 +1338,23 @@ impl Shard {
         app: AppId,
         sink: impl FnOnce(&[u8]),
     ) -> AccessOutcome {
-        let idx = {
-            let b = self.buckets[self.bucket_of(&key)].lock();
-            match b.iter().find(|(k, _)| *k == key) {
-                Some(&(_, idx)) => {
-                    let f = self.frames[idx as usize].lock();
-                    if f.key == Some(key) && f.valid.covers(span) {
-                        sink(&f.data[span.start as usize..span.end as usize]);
-                        idx
-                    } else {
-                        drop(f);
-                        drop(b);
-                        self.record_miss(app);
-                        return AccessOutcome::Miss;
-                    }
-                }
-                None => {
-                    drop(b);
-                    self.record_miss(app);
-                    return AccessOutcome::Miss;
-                }
+        let b = self.buckets[self.bucket_of(&key)].lock();
+        if let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) {
+            let f = self.frames[idx as usize].lock();
+            // Frame in hand (bucket → frame), the bucket has done its job:
+            // the copy runs under the frame lock alone.
+            drop(b);
+            if f.key == Some(key) && f.valid.covers(span) {
+                sink(&f.data[span.start as usize..span.end as usize]);
+                drop(f);
+                self.record_hit(idx, key, app);
+                return AccessOutcome::Hit;
             }
-        };
-        self.record_hit(idx, key, app);
-        AccessOutcome::Hit
+        } else {
+            drop(b);
+        }
+        self.record_miss(app);
+        AccessOutcome::Miss
     }
 
     fn probe_impl(&self, key: BlockKey, span: Span, app: AppId) -> bool {
@@ -1238,7 +1367,7 @@ impl Shard {
         });
         drop(b);
         if hit {
-            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            self.stats.hits.inc();
             self.push_event(AccessEvent::probe_hit(app));
             self.note_epoch_access();
         } else {
@@ -1248,7 +1377,21 @@ impl Shard {
     }
 
     fn push_free(&self, idx: u32) {
-        self.free.lock().push(idx);
+        let mut frames = self.lock_leaf(Leaf::Free, &self.free.frames);
+        frames.push(idx);
+        self.free.len.store(frames.len(), Ordering::Relaxed);
+    }
+
+    /// A free frame, if there is one. An empty list — the steady state of
+    /// a full cache — is seen from the length mirror, without the lock.
+    fn pop_free(&self) -> Option<u32> {
+        if self.free_frames() == 0 {
+            return None;
+        }
+        let mut frames = self.lock_leaf(Leaf::Free, &self.free.frames);
+        let idx = frames.pop();
+        self.free.len.store(frames.len(), Ordering::Relaxed);
+        idx
     }
 
     // -----------------------------------------------------------------
@@ -1270,9 +1413,14 @@ impl Shard {
         self.partitioning.quotas.get(&app.0).copied()
     }
 
-    /// Does quota accounting apply to `app` at all?
+    /// Does quota accounting apply to `app` at all (is `quota_of` `Some`)?
+    /// Read off the static configuration, lock-free: the tuned overlay only
+    /// holds apps quota'd in config. A shared pool, where this never holds,
+    /// thus takes neither quota lock on any path.
     fn quota_applies(&self, app: AppId) -> bool {
-        self.quota_of(app).is_some()
+        self.partitioning.mode != PartitionMode::Shared
+            && app != AppId::UNKNOWN
+            && self.partitioning.quotas.contains_key(&app.0)
     }
 
     /// Quota gate: charge one frame to `app` if it is under quota.
@@ -1285,7 +1433,10 @@ impl Shard {
     /// quota unit away — without it a grant racing a lend could leave a
     /// shard one frame over its (just-shrunk) slice.
     fn admit(&self, app: AppId) -> Admission {
-        let mut c = self.charges.lock();
+        if !self.quota_applies(app) {
+            return Admission::Unlimited;
+        }
+        let mut c = self.lock_leaf(Leaf::Charges, &self.charges);
         let Some(quota) = self.quota_of(app) else {
             return Admission::Unlimited;
         };
@@ -1302,7 +1453,10 @@ impl Shard {
     /// facade to decide whether a write/insert is about to be denied and
     /// a quota unit should be borrowed from a sibling shard first.
     fn at_quota(&self, app: AppId) -> bool {
-        let c = self.charges.lock();
+        if !self.quota_applies(app) {
+            return false;
+        }
+        let c = self.lock_leaf(Leaf::Charges, &self.charges);
         match self.quota_of(app) {
             Some(q) => c.get(&app.0).copied().unwrap_or(0) >= q,
             None => false,
@@ -1314,7 +1468,7 @@ impl Shard {
     /// is strictly below its slice, so the unit being moved is provably
     /// idle here. Runs under the charges lock — see [`Shard::admit`].
     fn lend_quota_unit(&self, app: AppId) -> bool {
-        let c = self.charges.lock();
+        let c = self.lock_leaf(Leaf::Charges, &self.charges);
         let Some(q) = self.quota_of(app) else {
             return false;
         };
@@ -1329,7 +1483,7 @@ impl Shard {
     /// lent (the decrement happened first, so the global sum never
     /// exceeds the configured quota).
     fn receive_quota_unit(&self, app: AppId) {
-        let c = self.charges.lock();
+        let c = self.lock_leaf(Leaf::Charges, &self.charges);
         if let Some(q) = self.quota_of(app) {
             self.tuned_quotas.lock().insert(app.0, q + 1);
         }
@@ -1346,7 +1500,7 @@ impl Shard {
     /// borrowing, and rebalancing after a self-eviction uncharged one).
     fn charge_unchecked(&self, app: AppId) {
         if self.quota_applies(app) {
-            *self.charges.lock().entry(app.0).or_insert(0) += 1;
+            *self.lock_leaf(Leaf::Charges, &self.charges).entry(app.0).or_insert(0) += 1;
         }
     }
 
@@ -1354,7 +1508,7 @@ impl Shard {
     /// invalidation of an owned frame).
     fn uncharge(&self, app: AppId) {
         if self.quota_applies(app) {
-            if let Some(n) = self.charges.lock().get_mut(&app.0) {
+            if let Some(n) = self.lock_leaf(Leaf::Charges, &self.charges).get_mut(&app.0) {
                 *n = n.saturating_sub(1);
             }
         }
@@ -1390,7 +1544,7 @@ impl Shard {
                 .map(|(&id, &q)| (id, tuned.get(&id).copied().unwrap_or(q)))
                 .collect()
         };
-        let c = self.charges.lock();
+        let c = self.lock_leaf(Leaf::Charges, &self.charges);
         quotas
             .into_iter()
             .filter_map(|(id, q)| {
@@ -1402,8 +1556,10 @@ impl Shard {
     }
 
     /// Take a frame from the free list or evict one, on behalf of `app`
-    /// and subject to its quota. Returns the frame index and, when a dirty
-    /// frame had to be sacrificed, its flush snapshot.
+    /// and subject to its quota. Returns the frame index and, when a block
+    /// had to be evicted for it, the [`Victim`] the install still has to
+    /// settle (with its flush snapshot, when a dirty frame was
+    /// sacrificed).
     ///
     /// Enforcement order (the partitioning subsystem's core rule): an
     /// over-quota app makes room **inside its own partition first** —
@@ -1416,21 +1572,22 @@ impl Shard {
         &self,
         app: AppId,
         allow_dirty_eviction: bool,
-    ) -> Option<(u32, Option<FlushItem>)> {
+    ) -> Option<(u32, Option<Victim>)> {
+        let evicted = |(idx, victim)| (idx, Some(victim));
         match self.admit(app) {
             admission @ (Admission::Unlimited | Admission::Granted) => {
-                if let Some(idx) = self.free.lock().pop() {
+                if let Some(idx) = self.pop_free() {
                     return Some((idx, None));
                 }
                 // Soft mode: pull borrowed frames back before the
                 // victim-agnostic scan touches well-behaved tenants.
                 if let Some(borrower) = self.most_over_quota() {
                     if let Some(got) = self.evict_one_owned(allow_dirty_eviction, Some(borrower)) {
-                        return Some(got);
+                        return Some(evicted(got));
                     }
                 }
                 match self.evict_one_owned(allow_dirty_eviction, None) {
-                    Some(got) => Some(got),
+                    Some(got) => Some(evicted(got)),
                     None => {
                         if admission == Admission::Granted {
                             self.uncharge(app);
@@ -1443,24 +1600,24 @@ impl Shard {
                 if self.partitioning.mode == PartitionMode::Soft {
                     // Borrow idle capacity before cannibalizing our own
                     // partition.
-                    if let Some(idx) = self.free.lock().pop() {
+                    if let Some(idx) = self.pop_free() {
                         self.charge_unchecked(app);
                         return Some((idx, None));
                     }
                 }
                 // Feed on our own partition: owner-filtered candidates.
                 if let Some(got) = self.evict_one_owned(allow_dirty_eviction, Some(app)) {
-                    // The self-eviction uncharged one frame; re-charge it
-                    // for the incoming block (net residency unchanged).
+                    // Settling the self-eviction will uncharge one frame:
+                    // charge the incoming block (net residency unchanged).
                     self.charge_unchecked(app);
-                    return Some(got);
+                    return Some(evicted(got));
                 }
                 if self.partitioning.mode == PartitionMode::Strict {
                     return None; // hard cap: the insert is denied
                 }
                 self.charge_unchecked(app);
                 match self.evict_one_owned(allow_dirty_eviction, None) {
-                    Some(got) => Some(got),
+                    Some(got) => Some(evicted(got)),
                     None => {
                         self.uncharge(app);
                         None
@@ -1479,11 +1636,7 @@ impl Shard {
     /// — never stored in the policy — so a concurrent scan can interleave
     /// with this one (that was always true of the shared scan cursor) but
     /// can never widen or redirect this scan's partition boundary.
-    fn evict_one_owned(
-        &self,
-        allow_dirty: bool,
-        owner: Option<AppId>,
-    ) -> Option<(u32, Option<FlushItem>)> {
+    fn evict_one_owned(&self, allow_dirty: bool, owner: Option<AppId>) -> Option<(u32, Victim)> {
         // Pass 0: clean victims only (if clean_first). Pass 1: anything
         // (subject to allow_dirty). With the singleton-preserving
         // preference live (and any duplicates known), each cleanliness
@@ -1499,47 +1652,47 @@ impl Shard {
         let dup_passes: &[bool] = if have_dups { &[true, false] } else { &[false] };
         for &clean_only in clean_passes {
             for &dup_only in dup_passes {
-                {
-                    let mut p = self.policy.lock();
-                    // Rank over up-to-date metadata: apply every deferred
-                    // access before the scan decides a victim order.
+                // One hold ranks over up-to-date metadata — every deferred
+                // access applied before the scan decides a victim order —
+                // and takes the scan's first candidate.
+                let mut candidate = {
+                    let mut p = self.lock_policy();
                     self.drain_locked(&mut p);
                     p.ranked.begin_scan();
-                }
+                    p.ranked.next_candidate(owner)
+                };
                 let mut visited = 0u64;
-                loop {
-                    // Leaf lock only while asking; dropped before
-                    // bucket/frame.
-                    let Some(idx) = self.policy.lock().ranked.next_candidate(owner) else {
-                        break;
-                    };
+                while let Some(idx) = candidate {
                     visited += 1;
-                    if let Some(got) = self.try_evict_idx(idx, clean_only, allow_dirty, dup_only) {
+                    if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty, dup_only)
+                    {
                         if let Some(o) = &self.obs {
                             o.scan_visits.record(visited);
-                            let dirty = got.1.is_some() as u64;
+                            let dirty = victim.flush.is_some() as u64;
                             o.hub.instant(o.ev_eviction_scan, o.node, 0, visited, dirty);
                         }
-                        return Some(got);
+                        return Some((idx, victim));
                     }
+                    // Leaf lock only while asking; dropped before
+                    // bucket/frame.
+                    candidate = self.lock_policy().ranked.next_candidate(owner);
                 }
             }
         }
         None
     }
 
-    /// Victim-agnostic eviction (the harvester's path).
-    fn evict_one(&self, allow_dirty: bool) -> Option<(u32, Option<FlushItem>)> {
-        self.evict_one_owned(allow_dirty, None)
-    }
-
+    /// Unlink the block in frame `idx` from bucket and frame if it is an
+    /// admissible victim. The policy-side half is the caller's to settle
+    /// ([`Victim`]); until then the table still describes the old tenant,
+    /// and a concurrent scan offered this frame finds it keyless, moves on.
     fn try_evict_idx(
         &self,
         idx: u32,
         clean_only: bool,
         allow_dirty: bool,
         dup_only: bool,
-    ) -> Option<(u32, Option<FlushItem>)> {
+    ) -> Option<Victim> {
         // Read the key briefly, then retake in bucket → frame order.
         let key = {
             let f = self.frames[idx as usize].lock();
@@ -1577,7 +1730,7 @@ impl Shard {
             return None;
         }
         let flush = if f.is_dirty() {
-            self.stats.evictions_dirty.fetch_add(1, Ordering::Relaxed);
+            self.stats.evictions_dirty.inc();
             if let Some(o) = &self.obs {
                 o.evictions_dirty.inc();
             }
@@ -1589,7 +1742,7 @@ impl Shard {
                 data: f.data[span.start as usize..span.end as usize].to_vec(),
             })
         } else {
-            self.stats.evictions_clean.fetch_add(1, Ordering::Relaxed);
+            self.stats.evictions_clean.inc();
             if let Some(o) = &self.obs {
                 o.evictions_clean.inc();
             }
@@ -1602,38 +1755,18 @@ impl Shard {
         f.in_dirty_list = false;
         drop(f);
         drop(bucket);
-        let owner = {
-            let mut p = self.policy.lock();
-            let table = p.ranked.table_mut();
-            if flush.is_some() {
-                table.stats.evictions_dirty += 1;
-            } else {
-                table.stats.evictions_clean += 1;
-            }
-            let owner = table.owner_of(idx);
-            table.note_app_eviction(owner);
-            if let Some(a) = &mut p.adaptive {
-                // Capacity pressure: a later re-read by the same app is
-                // a refault. (Invalidations never get here, which keeps
-                // them out of the tuner's evidence.)
-                a.remember_eviction(owner, key.hash());
-            }
-            p.ranked.remove(idx, key.hash());
-            owner
-        };
-        self.uncharge(owner);
         self.note_departure(key);
-        Some((idx, flush))
+        Some(Victim { key, flush })
     }
 
     /// Cooperative bookkeeping for a block leaving this cache (eviction
     /// or invalidation): log it for the module's directory-removal push
     /// and forget any duplicate hint — both advisory, both `None`-gated.
     fn note_departure(&self, key: BlockKey) {
-        if let Some(log) = &self.evicted_log {
+        if let Some(log) = &*self.evicted_log {
             log.lock().push(key);
         }
-        if let Some(hints) = &self.duplicate_hints {
+        if let Some(hints) = &*self.duplicate_hints {
             hints.lock().remove(&key);
         }
     }
@@ -1647,7 +1780,7 @@ impl Shard {
     /// eviction victims under the singleton-preserving preference. No-op
     /// unless singleton preservation is configured.
     pub fn note_duplicate(&self, key: BlockKey) {
-        if let Some(hints) = &self.duplicate_hints {
+        if let Some(hints) = &*self.duplicate_hints {
             hints.lock().insert(key);
         }
     }
@@ -1662,7 +1795,7 @@ impl Shard {
     /// turn into directory-removal updates. Empty unless eviction
     /// tracking is configured.
     pub fn take_evicted(&self) -> Vec<BlockKey> {
-        match &self.evicted_log {
+        match &*self.evicted_log {
             Some(log) => std::mem::take(&mut *log.lock()),
             None => Vec::new(),
         }
@@ -1695,20 +1828,21 @@ impl Shard {
                     }
                 }
             }
-            let Some((idx, flush)) = self.acquire_frame_for(app, true) else {
+            let Some((idx, victim)) = self.acquire_frame_for(app, true) else {
                 // Cache wedged (all frames contended) or the app's strict
                 // quota denied the install; the fetched bytes are simply
                 // not cached.
                 return None;
             };
+            self.file_insert(idx, key, app, victim.as_ref());
+            let flush = victim.and_then(|v| v.flush);
             {
                 let mut b = self.buckets[self.bucket_of(&key)].lock();
                 if b.iter().any(|(k, _)| *k == key) {
                     // Someone beat us to it; recycle our frame and merge via
                     // the fast path above.
-                    self.push_free(idx);
-                    self.uncharge(app);
                     drop(b);
+                    self.unfile(idx, key, app);
                     if let Some(fl) = flush {
                         return Some(fl);
                     }
@@ -1724,8 +1858,7 @@ impl Shard {
                 f.in_dirty_list = false;
                 b.push((key, idx));
             }
-            self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-            self.note_insert(idx, key, app);
+            self.stats.insertions.inc();
             return flush;
         }
     }
@@ -1748,7 +1881,7 @@ impl Shard {
                         if !f.valid.mergeable(span) {
                             // Disjoint sub-block writes would leave an
                             // unknown gap; refuse rather than flush garbage.
-                            self.stats.writes_passthrough.fetch_add(1, Ordering::Relaxed);
+                            self.stats.writes_passthrough.inc();
                             return WriteOutcome::PassThrough;
                         }
                         f.data[span.start as usize..span.end as usize].copy_from_slice(bytes);
@@ -1764,10 +1897,10 @@ impl Shard {
                         drop(f);
                         drop(b);
                         if need_dirty_link {
-                            self.dirty.lock().push_back(idx);
+                            self.lock_leaf(Leaf::Dirty, &self.dirty).push_back(idx);
                         }
                         self.note_touch(idx, key, app);
-                        self.stats.writes_absorbed.fetch_add(1, Ordering::Relaxed);
+                        self.stats.writes_absorbed.inc();
                         return WriteOutcome::Absorbed;
                     }
                 }
@@ -1775,16 +1908,20 @@ impl Shard {
             // Need a frame, but never sacrifice dirty data for new writes
             // (the paper's write-blocking point) — and never let a write
             // push its app over a strict quota.
-            let Some((idx, flush)) = self.acquire_frame_for(app, false) else {
-                self.stats.writes_passthrough.fetch_add(1, Ordering::Relaxed);
+            let Some((idx, victim)) = self.acquire_frame_for(app, false) else {
+                self.stats.writes_passthrough.inc();
                 return WriteOutcome::PassThrough;
             };
-            debug_assert!(flush.is_none(), "clean eviction cannot yield a flush");
+            debug_assert!(
+                victim.as_ref().is_none_or(|v| v.flush.is_none()),
+                "clean eviction cannot yield a flush"
+            );
+            self.file_insert(idx, key, app, victim.as_ref());
             {
                 let mut b = self.buckets[self.bucket_of(&key)].lock();
                 if b.iter().any(|(k, _)| *k == key) {
-                    self.push_free(idx);
-                    self.uncharge(app);
+                    drop(b);
+                    self.unfile(idx, key, app);
                     continue;
                 }
                 let mut f = self.frames[idx as usize].lock();
@@ -1797,10 +1934,9 @@ impl Shard {
                 f.in_dirty_list = true;
                 b.push((key, idx));
             }
-            self.dirty.lock().push_back(idx);
-            self.stats.insertions.fetch_add(1, Ordering::Relaxed);
-            self.stats.writes_absorbed.fetch_add(1, Ordering::Relaxed);
-            self.note_insert(idx, key, app);
+            self.lock_leaf(Leaf::Dirty, &self.dirty).push_back(idx);
+            self.stats.insertions.inc();
+            self.stats.writes_absorbed.inc();
             return WriteOutcome::Absorbed;
         }
     }
@@ -1844,7 +1980,7 @@ impl Shard {
         let mut requeue: Vec<u32> = Vec::new();
         while out.len() < max {
             let idx = {
-                let mut d = self.dirty.lock();
+                let mut d = self.lock_leaf(Leaf::Dirty, &self.dirty);
                 match d.pop_front() {
                     Some(i) => i,
                     None => break,
@@ -1873,19 +2009,19 @@ impl Shard {
             taken.push(idx);
         }
         if !requeue.is_empty() {
-            let mut d = self.dirty.lock();
+            let mut d = self.lock_leaf(Leaf::Dirty, &self.dirty);
             for idx in requeue.into_iter().rev() {
                 d.push_front(idx);
             }
         }
         if !taken.is_empty() {
             // Pin in-flight frames so no policy offers them as candidates.
-            let mut p = self.policy.lock();
+            let mut p = self.lock_policy();
             for idx in taken {
                 p.ranked.table_mut().set_pinned(idx, true);
             }
         }
-        self.stats.flush_blocks.fetch_add(out.len() as u64, Ordering::Relaxed);
+        self.stats.flush_blocks.add(out.len() as u64);
         out
     }
 
@@ -1912,7 +2048,7 @@ impl Shard {
             // re-flush.
             idx
         };
-        self.policy.lock().ranked.table_mut().set_pinned(idx, false);
+        self.lock_policy().ranked.table_mut().set_pinned(idx, false);
     }
 
     /// Drop cached copies of the listed blocks (sync-write coherence).
@@ -1940,7 +2076,7 @@ impl Shard {
                 idx
             };
             let owner = {
-                let mut p = self.policy.lock();
+                let mut p = self.lock_policy();
                 // Pending accesses to this block must land before its
                 // removal (the eager path applied them at access time).
                 self.drain_locked(&mut p);
@@ -1955,8 +2091,8 @@ impl Shard {
             self.note_departure(key);
             dropped += 1;
         }
-        self.stats.invalidated.fetch_add(dropped, Ordering::Relaxed);
-        self.stats.invalidated_dirty.fetch_add(dropped_dirty, Ordering::Relaxed);
+        self.stats.invalidated.add(dropped);
+        self.stats.invalidated_dirty.add(dropped_dirty);
         (dropped, dropped_dirty)
     }
 
@@ -1979,22 +2115,30 @@ impl Shard {
     /// scan.
     pub fn harvest(&self) -> Vec<FlushItem> {
         let mut flush = Vec::new();
-        let mut guard = 0;
-        while self.free_frames() < self.high_watermark && guard < 2 * self.capacity {
-            guard += 1;
+        for _ in 0..2 * self.capacity {
+            // One read per turn: other threads free frames too, and a
+            // second read for the dirty arm's subtraction could exceed the
+            // watermark this one was tested against.
+            let free = self.free_frames();
+            if free >= self.high_watermark {
+                break;
+            }
             let evicted = self
                 .most_over_quota_any_mode()
                 .and_then(|borrower| self.evict_one_owned(false, Some(borrower)))
-                .or_else(|| self.evict_one(false));
+                .or_else(|| self.evict_one_owned(false, None));
             match evicted {
-                Some((idx, fl)) => {
-                    debug_assert!(fl.is_none());
+                Some((idx, victim)) => {
+                    debug_assert!(victim.flush.is_none());
+                    // No install, so no filing hold to carry it to.
+                    let owner = self.lock_policy().settle_eviction(idx, &victim);
+                    self.uncharge(owner);
                     self.push_free(idx);
                 }
                 None => {
                     // Only dirty frames left: flush a batch and stop; the
                     // flusher acknowledgments make them evictable later.
-                    flush.extend(self.take_dirty(self.high_watermark - self.free_frames()));
+                    flush.extend(self.take_dirty(self.high_watermark - free));
                     break;
                 }
             }
@@ -2853,6 +2997,40 @@ mod tests {
         assert!(m.free_frames() >= 3);
     }
 
+    /// `harvest` on an all-dirty pool while another thread frees frames
+    /// under it: the dirty arm's `high_watermark - free` used to read the
+    /// free count a second time, so frames invalidated since the loop's
+    /// test made it underflow — a panic in debug builds, "flush everything"
+    /// in release. One thread sweeps without pause; the other keeps
+    /// dropping more blocks than the high watermark and writing them back.
+    #[test]
+    fn harvest_survives_frames_freed_under_it() {
+        let (capacity, high, dropped) = (16u64, 4, 6);
+        let m = BufferManager::builder(capacity as usize).watermarks(2, high).build();
+        for b in 0..capacity {
+            m.write(key(b), NodeId(0), Span::FULL, &full_block(b as u8));
+        }
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let sweeper = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let urgent = m.harvest().len();
+                    assert!(urgent <= high, "{urgent} urgent flushes to free {high} frames");
+                }
+            });
+            for cycle in 0..4000 {
+                let keys = (0..dropped).map(|i| key((cycle + i) % capacity));
+                m.invalidate(keys.clone());
+                for k in keys {
+                    m.write(k, NodeId(0), Span::FULL, &full_block(k.blk as u8));
+                }
+            }
+            done.store(true, Ordering::Release);
+            sweeper.join().expect("harvest panicked");
+        });
+        assert_eq!(m.resident_keys().len() + m.free_frames(), capacity as usize);
+    }
+
     #[test]
     fn resident_keys_lists_contents() {
         let m = mgr(4);
@@ -3498,6 +3676,33 @@ mod tests {
                 .map(|(_, v)| v)
                 .sum();
             assert_eq!(misses, s.misses, "{label}: obs miss mirror diverged from the ledger");
+        }
+    }
+
+    /// The lock-wait instruments count an acquisition exactly when the
+    /// lock was held — forced here: the main thread holds the policy lock
+    /// until the reader's failed try shows in the counter.
+    #[test]
+    fn a_held_leaf_lock_is_counted_and_its_wait_timed() {
+        let hub = kcache_obs::ObsHub::new(64);
+        let m = BufferManager::builder(4).obs(Some(hub.clone()), 0).build();
+        m.insert_clean(key(0), NodeId(0), Span::FULL, &full_block(1));
+        let contended =
+            |lock: &str| hub.registry().counter(&format!("cache.lock_contended.{lock}"));
+        assert_eq!(contended("policy").get(), 0, "nothing was held so far");
+        std::thread::scope(|s| {
+            let held = m.shards[0].policy.lock();
+            let reader = s.spawn(|| m.policy_stats());
+            while contended("policy").get() == 0 {
+                std::thread::yield_now();
+            }
+            drop(held);
+            assert_eq!(reader.join().expect("reader panicked").inserts, 1);
+        });
+        assert_eq!(contended("policy").get(), 1);
+        assert_eq!(hub.registry().histogram("cache.lock_wait_ns.policy").count(), 1);
+        for lock in ["free", "dirty", "charges"] {
+            assert_eq!(contended(lock).get(), 0, "{lock} was never held");
         }
     }
 

@@ -33,10 +33,10 @@ pub mod trace;
 pub use anomaly::{evaluate, flight_json, AnomalyFiring, AnomalyRules};
 pub use federate::ClusterObs;
 pub use flow::FlowId;
-pub use metrics::{Counter, Gauge, Histogram, HIST_BUCKETS};
+pub use metrics::{stripe_index, Counter, Gauge, Histogram, HIST_BUCKETS};
 pub use quantile::{QuantileSketch, QuantileSnapshot, SloTargets};
 pub use registry::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
-pub use ring::SlotRing;
+pub use ring::{CacheLine, SlotRing};
 pub use trace::{chrome_trace_json, EventId, Phase, TraceEvent, TraceRing};
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

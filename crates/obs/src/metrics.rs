@@ -9,6 +9,7 @@
 //! snapshotting, and export (which may take locks) live in
 //! `registry.rs`.
 
+use crate::ring::CacheLine;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -16,15 +17,9 @@ use std::sync::Arc;
 /// Stripes per counter. Concurrent writers on a single shared cell would
 /// serialize on its cache line — a measurable tax on a multi-threaded
 /// hit storm even with relaxed ordering — so each thread increments its
-/// own padded stripe and readers sum. Power of two so stripe selection
-/// is a mask.
+/// own stripe, a [`CacheLine`] each (stripes sharing lines would buy
+/// nothing), and readers sum. Power of two so stripe selection is a mask.
 const COUNTER_STRIPES: usize = 8;
-
-/// One cache line per stripe: without the alignment the stripes share
-/// lines and the striping buys nothing.
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedCell(AtomicU64);
 
 /// Round-robin stripe assignment, one slot per thread, fixed at the
 /// thread's first increment. A thread-local read per `inc` is the whole
@@ -36,8 +31,11 @@ thread_local! {
     static STRIPE: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
+/// This thread's stripe, in `0..COUNTER_STRIPES` (8) — the workspace's one
+/// per-thread stripe index: the buffer manager's event ring stripes by it
+/// too.
 #[inline]
-fn stripe_index() -> usize {
+pub fn stripe_index() -> usize {
     STRIPE.with(|s| {
         let v = s.get();
         if v != usize::MAX {
@@ -56,7 +54,7 @@ fn stripe_index() -> usize {
 /// sum taken during concurrent increments is a valid-but-racy point
 /// between the stripes' individual timelines (fine for metrics).
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Arc<[PaddedCell; COUNTER_STRIPES]>);
+pub struct Counter(Arc<[CacheLine<AtomicU64>; COUNTER_STRIPES]>);
 
 impl Counter {
     pub fn new() -> Counter {

@@ -16,6 +16,20 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+/// `T` on a cache line of its own, so a thread writing it never
+/// invalidates the line a neighbouring field is being read from.
+#[repr(align(64))]
+#[derive(Debug, Default)]
+pub struct CacheLine<T>(pub T);
+
+impl<T> std::ops::Deref for CacheLine<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 struct Slot<const W: usize> {
     /// Vyukov sequence word (see module docs).
     seq: AtomicUsize,
@@ -25,9 +39,11 @@ struct Slot<const W: usize> {
 /// Bounded MPMC ring of `[u64; W]` payloads.
 pub struct SlotRing<const W: usize> {
     slots: Vec<Slot<W>>,
-    enqueue: AtomicUsize,
-    dequeue: AtomicUsize,
-    refused: AtomicU64,
+    // A line each: producers write `enqueue`, the consumer `dequeue`, and
+    // only an overflowing producer `refused`.
+    enqueue: CacheLine<AtomicUsize>,
+    dequeue: CacheLine<AtomicUsize>,
+    refused: CacheLine<AtomicU64>,
 }
 
 impl<const W: usize> SlotRing<W> {
@@ -42,9 +58,9 @@ impl<const W: usize> SlotRing<W> {
                     words: std::array::from_fn(|_| AtomicU64::new(0)),
                 })
                 .collect(),
-            enqueue: AtomicUsize::new(0),
-            dequeue: AtomicUsize::new(0),
-            refused: AtomicU64::new(0),
+            enqueue: CacheLine(AtomicUsize::new(0)),
+            dequeue: CacheLine(AtomicUsize::new(0)),
+            refused: CacheLine(AtomicU64::new(0)),
         }
     }
 

@@ -43,10 +43,16 @@ impl RefWords {
         }
     }
 
-    /// Record a hit / recency touch by `app`: one relaxed `fetch_or`.
+    /// Record a hit / recency touch by `app`: one relaxed load, and one
+    /// relaxed `fetch_or` only when a bit is missing — eight frames share
+    /// a cache line and a hot frame's bits are already set, so re-touching
+    /// it leaves the line shared instead of pulling it exclusive.
     pub fn touch(&self, frame: u32, app: AppId) {
         if let Some(w) = self.0.get(frame as usize) {
-            w.fetch_or(Self::REF | Self::bit(app), Ordering::Relaxed);
+            let bits = Self::REF | Self::bit(app);
+            if w.load(Ordering::Relaxed) & bits != bits {
+                w.fetch_or(bits, Ordering::Relaxed);
+            }
         }
     }
 

@@ -244,7 +244,7 @@ fn drive_drain(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                     resident[frame as usize] = true;
                     key_of[frame as usize] = arg;
                     // Inserts are eager on both sides, after a drain —
-                    // the manager's note_insert discipline.
+                    // the manager's file_insert discipline.
                     drained.drain(&pending);
                     pending.clear();
                     eager.insert(frame, arg, app);
