@@ -3,19 +3,14 @@
 //! per-access cost low, where exact LRU "can result in a significant
 //! overhead at each read/write invocation".
 //!
-//! Beyond the criterion groups, this target owns the **hit-path
-//! arbitration** (`BENCH_hitpath.json`): multi-threaded pure-hit
-//! throughput of the drained lock-free fast path against the eager
-//! leaf-lock path (`BufferManager::builder(..).eager_accounting(true)`), for the
-//! static clock policy and the single-candidate adaptive wrapper (whose
-//! eager mode additionally feeds one ghost per candidate inside the
-//! lock). Run with `--quick` for the CI smoke variant; the JSON is
-//! parsed back after writing, so a run doubles as the format check.
-//!
-//! It also owns the observability guard (`BENCH_obs.json`): the same
-//! drained clock hit storm with and without a wired `kcache-obs` hub,
-//! proving telemetry costs no more than measurement noise on the path
-//! the paper optimizes.
+//! Beyond the criterion groups, this target owns the observability guard
+//! (`BENCH_obs.json`): a drained clock hit storm with and without a wired
+//! `kcache-obs` hub, proving telemetry costs no more than measurement
+//! noise on the path the paper optimizes. Run with `--quick` for the CI
+//! smoke variant; each JSON is parsed back after writing, so a run doubles
+//! as the format check. (The eager-vs-drained hit-path arbitration that
+//! lived here went with the eager path in PR 22; perfbench's
+//! `kcache.manager.hit_ns` / `mt_ops_per_s.*` time the surviving one.)
 //!
 //! Finally, the shard sweep (`BENCH_shard.json`): hit- and miss-path
 //! throughput across `.shards(n)` for n = 1/2/4/8. Miss-path throughput
@@ -24,10 +19,7 @@
 //! which the report records as acceptable parity via the `cpus` field.
 
 use criterion::{criterion_group, BatchSize, Criterion, Throughput};
-use kcache::{
-    Access, AccessKind, AdaptiveConfig, AppId, BlockKey, BufferManager, EvictPolicy,
-    PartitionConfig, PolicyKind, Span,
-};
+use kcache::{Access, AccessKind, AppId, BlockKey, BufferManager, EvictPolicy, PolicyKind, Span};
 use pvfs::Fid;
 use serde::{Deserialize, Serialize};
 use sim_net::NodeId;
@@ -161,18 +153,16 @@ criterion_group! {
 }
 
 // ---------------------------------------------------------------------
-// Hit-path arbitration: eager leaf-lock vs drained lock-free fast path.
+// Observability guard: obs-on vs obs-off hit path (`BENCH_obs.json`).
 // ---------------------------------------------------------------------
 
 const HITPATH_CAPACITY: usize = 1024;
+const READ_SET: u64 = HITPATH_CAPACITY as u64;
 
 #[derive(Debug, Serialize, Deserialize)]
 struct HitPathResult {
-    /// "eager" (apply under the policy lock at access time) or "drained"
-    /// (atomic ref word + event ring, applied in batches).
+    /// "obs_off" or "obs_on".
     mode: String,
-    /// "clock" or "adaptive" (single clock candidate: the eager path pays
-    /// per-access ghost feeding inside the lock).
     policy: String,
     threads: usize,
     total_ops: u64,
@@ -180,73 +170,13 @@ struct HitPathResult {
     mops_per_sec: f64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
-struct Speedup {
-    policy: String,
-    threads: usize,
-    /// drained throughput / eager throughput.
-    speedup: f64,
-}
-
-#[derive(Debug, Serialize, Deserialize)]
-struct HitPathReport {
-    bench: String,
-    capacity: usize,
-    quick: bool,
-    results: Vec<HitPathResult>,
-    speedups: Vec<Speedup>,
-}
-
-/// Frames reserved (by strict quota) for the churn thread's partition, so
-/// its eviction scans can never displace the readers' resident set.
-const CHURN_QUOTA: usize = 64;
-const READ_SET: u64 = (HITPATH_CAPACITY - CHURN_QUOTA) as u64;
-const CHURN_APP: AppId = AppId(1);
-
-fn hitpath_manager(policy: &str, eager: bool) -> BufferManager {
-    let adaptive = match policy {
-        "adaptive" => Some(AdaptiveConfig::new([PolicyKind::Clock])),
-        _ => None,
-    };
-    let m = BufferManager::builder(HITPATH_CAPACITY)
-        .watermarks(0, HITPATH_CAPACITY / 4)
-        .partitioning(PartitionConfig::strict([(CHURN_APP.0, CHURN_QUOTA)]))
-        .adaptive(adaptive)
-        .epoch_accesses(0)
-        .eager_accounting(eager)
-        .build();
-    let buf = vec![0xABu8; 4096];
-    for b in 0..READ_SET {
-        install(&m, key(b), &buf, AppId::UNKNOWN);
-    }
-    m
-}
-
-/// Hit storm with one churn thread: `threads` reader threads serve
-/// resident 64 B-span reads (small spans, so the per-access *bookkeeping*
-/// cost under measurement is not drowned by a 4 KB memcpy per read) while
-/// one churner inserts fresh blocks into its own strict partition — every
-/// insert is a miss plus an owner-filtered eviction scan that holds the
-/// policy lock (and can never displace the readers' set). On the eager
-/// path every reader hit must take that same lock — the convoy the
-/// drained fast path removes. `threads == 1` runs no churner: the
-/// uncontended per-hit cost.
+/// Hit storm: `threads` reader threads serve resident 64 B-span reads
+/// (small spans, so the per-access *bookkeeping* cost under measurement
+/// is not drowned by a 4 KB memcpy per read).
 fn measure_hits(m: &BufferManager, threads: usize, per_thread: u64) -> (u64, f64) {
-    measure_hits_storm(m, threads, per_thread, threads > 1)
-}
-
-fn measure_hits_storm(
-    m: &BufferManager,
-    threads: usize,
-    per_thread: u64,
-    churn: bool,
-) -> (u64, f64) {
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let live_readers = AtomicUsize::new(threads);
     let start = Instant::now();
     std::thread::scope(|s| {
         for t in 0..threads {
-            let live_readers = &live_readers;
             s.spawn(move || {
                 let mut out = vec![0u8; 64];
                 let span = Span::new(128, 192);
@@ -255,84 +185,11 @@ fn measure_hits_storm(
                     b = (b + 7) % READ_SET;
                     assert!(read(m, key(b), span, &mut out));
                 }
-                live_readers.fetch_sub(1, Ordering::Relaxed);
-            });
-        }
-        if churn {
-            let live_readers = &live_readers;
-            s.spawn(move || {
-                let buf = vec![0xCDu8; 4096];
-                let mut next = 0u64;
-                while live_readers.load(Ordering::Relaxed) > 0 {
-                    next += 1;
-                    let k = key(1_000_000 + next % (4 * CHURN_QUOTA as u64));
-                    install(m, k, &buf, CHURN_APP);
-                }
             });
         }
     });
     (threads as u64 * per_thread, start.elapsed().as_secs_f64())
 }
-
-fn hitpath_report(quick: bool, json_path: &str) {
-    let per_thread: u64 = if quick { 30_000 } else { 300_000 };
-    let mut results = Vec::new();
-    let mut speedups = Vec::new();
-    for policy in ["clock", "adaptive"] {
-        for &threads in &[1usize, 2, 4, 8] {
-            let mut rates = [0.0f64; 2];
-            for (i, mode) in ["eager", "drained"].iter().enumerate() {
-                let m = hitpath_manager(policy, *mode == "eager");
-                measure_hits(&m, threads, per_thread / 4); // warm-up
-                                                           // Median of three samples: one timeslice-starved run must
-                                                           // not decide the arbitration.
-                let mut samples: Vec<(u64, f64)> =
-                    (0..3).map(|_| measure_hits(&m, threads, per_thread)).collect();
-                samples.sort_by(|a, b| (a.1).total_cmp(&b.1));
-                let (ops, secs) = samples[1];
-                let rate = ops as f64 / secs;
-                rates[i] = rate;
-                println!("hitpath/{policy}/{mode}/{threads}t: {:.2} Mops/s", rate / 1e6);
-                results.push(HitPathResult {
-                    mode: mode.to_string(),
-                    policy: policy.to_string(),
-                    threads,
-                    total_ops: ops,
-                    secs,
-                    mops_per_sec: rate / 1e6,
-                });
-            }
-            speedups.push(Speedup {
-                policy: policy.to_string(),
-                threads,
-                speedup: rates[1] / rates[0],
-            });
-        }
-    }
-    for s in &speedups {
-        println!(
-            "hitpath speedup {}/{}t: {:.2}x drained over eager",
-            s.policy, s.threads, s.speedup
-        );
-    }
-    let report = HitPathReport {
-        bench: "buffer_manager/hitpath".into(),
-        capacity: HITPATH_CAPACITY,
-        quick,
-        results,
-        speedups,
-    };
-    let text = serde_json::to_string_pretty(&report).expect("serialize report");
-    std::fs::write(json_path, &text).expect("write BENCH_hitpath.json");
-    // Round-trip: a bench run doubles as the JSON format check.
-    let parsed: HitPathReport = serde_json::from_str(&text).expect("re-parse report");
-    assert_eq!(parsed.results.len(), report.results.len());
-    println!("hitpath report written to {json_path} ({} results, parse OK)", report.results.len());
-}
-
-// ---------------------------------------------------------------------
-// Observability guard: obs-on vs obs-off hit path (`BENCH_obs.json`).
-// ---------------------------------------------------------------------
 
 #[derive(Debug, Serialize, Deserialize)]
 struct ObsOverhead {
@@ -356,7 +213,6 @@ fn obs_manager(obs_on: bool) -> BufferManager {
     let obs = obs_on.then(|| kcache::ObsHub::new(kcache::obs::DEFAULT_TRACE_CAPACITY));
     let m = BufferManager::builder(HITPATH_CAPACITY)
         .watermarks(0, HITPATH_CAPACITY / 4)
-        .partitioning(PartitionConfig::strict([(CHURN_APP.0, CHURN_QUOTA)]))
         .epoch_accesses(0)
         .obs(obs, 0)
         .build();
@@ -375,28 +231,27 @@ fn obs_manager(obs_on: bool) -> BufferManager {
 /// the measurement noise of each other (the budget is 3 %). A hit
 /// storm with no churner: the quantity under test is the per-hit
 /// telemetry cost, and adding an insert/evict thread would measure lock
-/// arbitration and scheduler behavior instead (the hitpath report
-/// above already owns that axis).
+/// arbitration and scheduler behavior instead.
 ///
 /// Protocol: samples alternate obs-off/obs-on (machine drift lands on
 /// both sides equally) and each side reports its best of five — the
 /// sample least disturbed by the scheduler — because the quantity under
 /// test is a code-path cost, not run-to-run variance.
 fn obs_report(quick: bool, json_path: &str) {
-    // Longer windows than the hitpath report: a 3% gate needs samples
-    // long enough to average over timer interrupts and scheduler ticks.
+    // Long windows: a 3% gate needs samples long enough to average over
+    // timer interrupts and scheduler ticks.
     let per_thread: u64 = if quick { 30_000 } else { 1_000_000 };
     let mut results = Vec::new();
     let mut overheads = Vec::new();
     for &threads in &[1usize, 2, 4] {
         let managers = [obs_manager(false), obs_manager(true)];
         for m in &managers {
-            measure_hits_storm(m, threads, per_thread / 4, false); // warm-up
+            measure_hits(m, threads, per_thread / 4); // warm-up
         }
         let mut best: [Option<(u64, f64)>; 2] = [None, None];
         for _ in 0..5 {
             for (i, m) in managers.iter().enumerate() {
-                let (ops, secs) = measure_hits_storm(m, threads, per_thread, false);
+                let (ops, secs) = measure_hits(m, threads, per_thread);
                 if best[i].is_none_or(|(_, b)| secs < b) {
                     best[i] = Some((ops, secs));
                 }
@@ -605,8 +460,6 @@ fn main() {
     // Cargo runs bench binaries with cwd = the package root, so the
     // defaults must anchor at the workspace root or the committed
     // trajectory entries would never be the ones regenerated.
-    let json_path =
-        arg_path(&args, "--json", concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hitpath.json"));
     let obs_path =
         arg_path(&args, "--obs-json", concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json"));
     let shard_path = arg_path(
@@ -617,7 +470,6 @@ fn main() {
     if !quick {
         benches();
     }
-    hitpath_report(quick, &json_path);
     obs_report(quick, &obs_path);
     shard_report(quick, &shard_path);
 }

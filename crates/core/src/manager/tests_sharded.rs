@@ -1,0 +1,431 @@
+#[test]
+fn concurrent_stress_accounting_and_quotas_hold() {
+    // 8 threads × mixed read/write/probe over a shared working set,
+    // across shared/strict/soft partitioning and static/adaptive
+    // ranking. After the dust settles (final drain via the stats
+    // readers): no frame leaked, every lookup is counted exactly
+    // once, and quotas held.
+    use std::sync::Arc;
+    let quota = 20usize;
+    let partitions = [
+        crate::config::PartitionConfig::shared(),
+        crate::config::PartitionConfig::strict([(0, quota), (1, quota)]),
+        crate::config::PartitionConfig::soft([(0, quota), (1, quota)]),
+    ];
+    for part in partitions {
+        for adaptive in [
+            None,
+            Some(AdaptiveConfig {
+                quota_tuning: false,
+                ..AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru])
+            }),
+        ] {
+            let m = Arc::new(
+                BufferManager::builder(64)
+                    .watermarks(4, 16)
+                    .partitioning(part.clone())
+                    .adaptive(adaptive.clone())
+                    .epoch_accesses(256)
+                    .build(),
+            );
+            let threads = 8u64;
+            let lookups = AtomicU64::new(0);
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let m = Arc::clone(&m);
+                    let lookups = &lookups;
+                    s.spawn(move || {
+                        let mut buf = vec![0u8; 4096];
+                        for i in 0..3000u64 {
+                            let k = key((i * 13 + t * 97) % 150);
+                            let app = AppId((t % 2) as u32);
+                            match i % 8 {
+                                0 | 1 | 5 => {
+                                    let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
+                                    lookups.fetch_add(1, Ordering::Relaxed);
+                                }
+                                2 => {
+                                    let _ = m.probe_by(k, Span::FULL, app);
+                                    lookups.fetch_add(1, Ordering::Relaxed);
+                                }
+                                3 | 6 => {
+                                    let _ = m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
+                                }
+                                4 => {
+                                    let _ = m.write_by(k, NodeId(0), Span::FULL, &buf, app);
+                                }
+                                _ => {
+                                    if i % 64 == 7 {
+                                        for it in m.take_dirty(8) {
+                                            m.flush_complete(it.key, it.span);
+                                        }
+                                    } else if i % 160 == 15 {
+                                        let _ = m.harvest();
+                                    } else {
+                                        let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
+                                        lookups.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                }
+                            }
+                        }
+                    });
+                }
+            });
+            let label =
+                format!("{}/{}", part.mode, if adaptive.is_some() { "adaptive" } else { "static" });
+            // Frames conserved, resident set unique, residency bounded.
+            let keys = m.resident_keys();
+            assert_eq!(keys.len() + m.free_frames(), 64, "{label}: frames leaked");
+            let mut dedup = keys.clone();
+            dedup.dedup();
+            assert_eq!(keys.len(), dedup.len(), "{label}: duplicate resident keys");
+            assert!(m.resident() <= 64, "{label}: residency over capacity");
+            // Every lookup counted exactly once, in the atomic
+            // counters and — after the final drain the stats read
+            // performs — in the policy's own ledger.
+            let s = m.stats();
+            let n = lookups.load(Ordering::Relaxed);
+            assert_eq!(s.hits + s.misses, n, "{label}: manager hit+miss != lookups");
+            let ps = m.policy_stats();
+            assert_eq!(ps.hits + ps.misses, n, "{label}: policy hit+miss != lookups");
+            // Strict quotas: enforcement is exact single-threaded; under
+            // concurrency a candidate that changes hands between the
+            // owner-filtered scan and revalidation can offset one
+            // acquisition transiently (pre-existing, documented), so
+            // the bound carries a per-thread slack.
+            if part.mode == PartitionMode::Strict {
+                for app in [AppId(0), AppId(1)] {
+                    let r = m.resident_of(app);
+                    assert!(
+                        r <= quota + threads as usize,
+                        "{label}: app {app:?} resident {r} way over quota {quota}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn concurrent_stress_no_lost_frames() {
+    use std::sync::Arc;
+    for kind in PolicyKind::ALL {
+        let m = Arc::new(BufferManager::builder(64).policy(EvictPolicy::of(kind)).build());
+        let threads = 8;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                let m = Arc::clone(&m);
+                s.spawn(move || {
+                    let mut buf = vec![0u8; 4096];
+                    for i in 0..2000u64 {
+                        let k = BlockKey::new(Fid(t % 3), (i * 7 + t) % 200);
+                        let app = AppId((t % 2) as u32);
+                        match i % 4 {
+                            0 => {
+                                let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
+                            }
+                            1 => {
+                                let _ = m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
+                            }
+                            2 => {
+                                let _ = m.write_by(k, NodeId(0), Span::FULL, &buf, app);
+                            }
+                            _ => {
+                                if i % 64 == 3 {
+                                    m.take_dirty(8);
+                                } else {
+                                    let _ = m.invalidate([k]);
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        // Conservation: every frame is either free or reachable via a
+        // bucket.
+        let resident = m.resident_keys().len();
+        assert_eq!(resident + m.free_frames(), 64, "{kind}: frames leaked or duplicated");
+        // And all resident keys are unique.
+        let keys = m.resident_keys();
+        let mut dedup = keys.clone();
+        dedup.dedup();
+        assert_eq!(keys.len(), dedup.len(), "{kind}: duplicate resident keys");
+    }
+}
+
+/// Single-threaded multi-shard roundtrip: routing is stable (a key
+/// lives in exactly the shard the facade routes it to), and every
+/// facade aggregate is the sum of its shard parts.
+#[test]
+fn multi_shard_routing_and_aggregation_roundtrip() {
+    let m = BufferManager::builder(64).shards(4).watermarks(0, 4).build();
+    assert_eq!(m.n_shards(), 4);
+    assert_eq!(m.capacity(), 64);
+    let mut buf = vec![0u8; 4096];
+    for b in 0..40u64 {
+        m.insert_clean(key(b), NodeId(0), Span::FULL, &full_block(b as u8));
+    }
+    for b in 0..40u64 {
+        assert!(m.try_read(key(b), Span::FULL, &mut buf), "block {b} lost");
+        assert_eq!(buf[0], b as u8);
+        // The key is resident in exactly the shard the facade routes
+        // it to — and in no other.
+        let home = m.shard_idx_of(&key(b));
+        for (i, s) in m.shards.iter().enumerate() {
+            assert_eq!(s.contains(key(b)), i == home, "block {b} misplaced");
+        }
+    }
+    // Blocks actually spread (40 keys over 4 shards: every shard got
+    // traffic unless the hash is catastrophically skewed).
+    let occ = m.shard_occupancy();
+    assert_eq!(occ.len(), 4);
+    assert_eq!(occ.iter().sum::<usize>(), m.resident());
+    assert!(occ.iter().filter(|&&n| n > 0).count() >= 2, "all keys routed to one shard: {occ:?}");
+    // Aggregates = sum of parts.
+    assert_eq!(m.resident(), m.resident_keys().len());
+    assert_eq!(m.resident() + m.free_frames(), 64);
+    let s = m.stats();
+    assert_eq!(s.hits, 40);
+    assert_eq!(s.insertions, 40);
+    assert_eq!(m.shard_evictions().iter().sum::<u64>(), s.evictions_clean + s.evictions_dirty);
+    // Dirty queues and invalidation route per key.
+    m.write(key(3), NodeId(0), Span::FULL, &buf);
+    m.write(key(17), NodeId(0), Span::FULL, &buf);
+    assert_eq!(m.dirty_queue_len(), 2);
+    let flushed = m.take_dirty(8);
+    assert_eq!(flushed.len(), 2);
+    for it in flushed {
+        m.flush_complete(it.key, it.span);
+    }
+    let (dropped, _) = m.invalidate((0..10u64).map(key));
+    assert_eq!(dropped, 10);
+    assert_eq!(m.resident(), 30);
+    assert_eq!(m.resident() + m.free_frames(), 64);
+}
+
+/// Strict-quota spill: when an app's keys hash entirely onto one
+/// shard, its per-shard quota slice there (global/4) would deny most
+/// of its configured allowance — the facade must move quota *units*
+/// from idle sibling slices so the app reaches its full global quota,
+/// while the global sum of per-shard slices never grows.
+#[test]
+fn strict_quota_spills_to_neighbor_shards() {
+    let quota = 4usize;
+    let m = BufferManager::builder(16)
+        .shards(4)
+        .watermarks(0, 1)
+        .partitioning(crate::config::PartitionConfig::strict([(0, quota)]))
+        .build();
+    let app = AppId(0);
+    // Collect `quota` keys that all route to the same shard.
+    let home = m.shard_idx_of(&key(0));
+    let skewed: Vec<BlockKey> =
+        (0..10_000u64).map(key).filter(|k| m.shard_idx_of(k) == home).take(quota).collect();
+    assert_eq!(skewed.len(), quota, "not enough same-shard keys in probe range");
+    for (i, &k) in skewed.iter().enumerate() {
+        m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(i as u8), app);
+    }
+    // Without spill the home shard's slice (4/4 = 1) would cap the
+    // app at one frame; lending must let every install land.
+    for &k in &skewed {
+        assert!(m.contains(k), "strict slice denied an install the global quota allows");
+    }
+    assert_eq!(m.resident_of(app), quota);
+    // The global allowance was redistributed, never grown: per-shard
+    // slices still sum to the configured quota, and once every unit
+    // has spilled home a further install self-evicts (strict quotas
+    // cap residency, not installs) instead of growing residency.
+    assert_eq!(m.quota_of(app), Some(quota));
+    let extra: BlockKey = (10_000..20_000u64)
+        .map(key)
+        .find(|k| m.shard_idx_of(k) == home)
+        .expect("probe range exhausted");
+    m.insert_clean_by(extra, NodeId(0), Span::FULL, &full_block(0xEE), app);
+    assert!(m.contains(extra), "strict install should self-evict, not deny");
+    assert_eq!(m.resident_of(app), quota, "spill grew the app's residency past its quota");
+    let survivors = skewed.iter().filter(|&&k| m.contains(k)).count();
+    assert_eq!(survivors, quota - 1, "the extra install must displace exactly one block");
+}
+
+/// Coordinated epochs (adaptive): shards feed one shared
+/// clock, the facade makes one merged decision per boundary, and
+/// every shard applies it — so epoch counts advance in lockstep and
+/// no shard can disagree about the live policy.
+#[test]
+fn coordinated_epochs_switch_all_shards_in_lockstep() {
+    for shards in [1, 2] {
+        let m = BufferManager::builder(32)
+            .shards(shards)
+            .watermarks(0, 2)
+            .adaptive(Some(AdaptiveConfig {
+                quota_tuning: false,
+                hysteresis: 0.0,
+                ..AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru])
+            }))
+            .epoch_accesses(64)
+            .build();
+        let mut buf = vec![0u8; 4096];
+        for step in 0..1500u64 {
+            let k = key(step % 48);
+            if !m.try_read(k, Span::FULL, &mut buf) {
+                m.insert_clean(k, NodeId(0), Span::FULL, &full_block(step as u8));
+            }
+        }
+        let ast = m.adaptive_stats().expect("adaptive manager reports stats");
+        assert!(ast.epochs > 0, "no coordinated boundary ran");
+        // Lockstep: every shard saw exactly the same number of epochs and
+        // runs the same live candidate.
+        let live = m.live_policy_kind();
+        for s in m.shards.iter() {
+            let st = s.adaptive_stats().unwrap();
+            assert_eq!(st.epochs, ast.epochs, "shards disagree on epoch count");
+            assert_eq!(s.live_policy_kind(), live, "shards disagree on the live policy");
+            assert_eq!(st.switches, ast.switches, "shards disagree on switch count");
+        }
+        // The merged ghost ledgers saw the union of shard traffic.
+        assert!(
+            ast.ghost_rates.iter().any(|g| g.hits + g.misses > 0),
+            "merged ghost ledgers empty despite traffic"
+        );
+    }
+}
+
+/// With epochs off (the paper default) an access does no epoch work:
+/// nobody would ever read the clock, so nobody bumps it — on a
+/// sharded manager that bump was a contended RMW per operation.
+#[test]
+fn epochs_off_leaves_the_epoch_clock_untouched() {
+    for shards in [1, 2, 4] {
+        let m = BufferManager::builder(16).shards(shards).build();
+        let mut buf = vec![0u8; 4096];
+        for b in 0..40u64 {
+            if !m.try_read(key(b % 8), Span::FULL, &mut buf) {
+                m.insert_clean(key(b % 8), NodeId(0), Span::FULL, &full_block(b as u8));
+            }
+            m.write(key(b % 8), NodeId(0), Span::new(0, 8), &[1u8; 8]);
+            m.touch(key(b % 8), AppId(1));
+            m.update_if_present(key(b % 8), Span::new(0, 8), &[2u8; 8]);
+        }
+        assert!(m.stats().hits > 0 && m.stats().misses > 0);
+        assert_eq!(m.epoch.ticker.accesses.load(Ordering::Relaxed), 0, "shards={shards}");
+        assert_eq!(m.epoch.marks.load(Ordering::Relaxed), 0, "shards={shards}");
+    }
+}
+
+/// The one quota-move validator: every reject arm, and the accept
+/// that lets a quota configured below the floor grow toward it.
+#[test]
+fn quota_move_validator_rejects_every_bad_arm() {
+    let m = BufferManager::builder(16)
+        .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 8)]))
+        .adaptive(Some(AdaptiveConfig {
+            quota_floor: 4,
+            ..AdaptiveConfig::new([PolicyKind::Clock])
+        }))
+        .build();
+    let mv = |winner: AppId, winner_quota: usize, loser: AppId, loser_quota: usize| QuotaMove {
+        winner,
+        loser,
+        frames: 1,
+        winner_quota,
+        loser_quota,
+        winner_refaults: 1,
+        loser_refaults: 0,
+    };
+    let (a, b) = (AppId(0), AppId(1));
+    assert!(m.quota_move_valid(&mv(a, 3, b, 7)), "growth toward the floor, shrink above it");
+    assert!(m.quota_move_valid(&mv(b, 9, a, 2)), "staying put below the floor is no shrink");
+    assert!(!m.quota_move_valid(&mv(AppId::UNKNOWN, 3, b, 7)), "unknown app");
+    assert!(!m.quota_move_valid(&mv(AppId(7), 3, b, 7)), "unpartitioned app");
+    assert!(!m.quota_move_valid(&mv(a, 3, b, 0)), "an emptied quota");
+    assert!(!m.quota_move_valid(&mv(a, 17, b, 7)), "more than the pool");
+    assert!(!m.quota_move_valid(&mv(a, 3, b, 3)), "shrink below the floor");
+    assert!(!m.quota_move_valid(&mv(b, 9, a, 1)), "shrink of a quota already below it");
+    // A shared pool has no partitions to move quota between.
+    let shared = BufferManager::builder(16).build();
+    assert!(!shared.quota_move_valid(&mv(a, 3, b, 7)), "shared pool");
+}
+
+/// 8-thread stress over a 4-shard manager with strict quotas: frames
+/// and charges conserved, every lookup counted exactly once, the
+/// strict bound holds (modulo the documented per-thread revalidation
+/// slack), and per-shard quota slices always sum to the global quota.
+#[test]
+fn concurrent_multi_shard_stress_conserves_frames_and_quotas() {
+    use std::sync::Arc;
+    let quota = 20usize;
+    let m = Arc::new(
+        BufferManager::builder(64)
+            .shards(4)
+            .watermarks(4, 16)
+            .partitioning(crate::config::PartitionConfig::strict([(0, quota), (1, quota)]))
+            .epoch_accesses(256)
+            .build(),
+    );
+    let threads = 8u64;
+    let lookups = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let m = Arc::clone(&m);
+            let lookups = &lookups;
+            s.spawn(move || {
+                let mut buf = vec![0u8; 4096];
+                for i in 0..3000u64 {
+                    let k = key((i * 13 + t * 97) % 150);
+                    let app = AppId((t % 2) as u32);
+                    match i % 8 {
+                        0 | 1 | 5 => {
+                            let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
+                            lookups.fetch_add(1, Ordering::Relaxed);
+                        }
+                        2 => {
+                            let _ = m.probe_by(k, Span::FULL, app);
+                            lookups.fetch_add(1, Ordering::Relaxed);
+                        }
+                        3 | 6 => {
+                            let _ = m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
+                        }
+                        4 => {
+                            let _ = m.write_by(k, NodeId(0), Span::FULL, &buf, app);
+                        }
+                        _ => {
+                            if i % 64 == 7 {
+                                for it in m.take_dirty(8) {
+                                    m.flush_complete(it.key, it.span);
+                                }
+                            } else if i % 160 == 15 {
+                                let _ = m.harvest();
+                            } else {
+                                let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
+                                lookups.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    }
+                }
+            });
+        }
+    });
+    // Frame conservation, globally and per shard.
+    let keys = m.resident_keys();
+    assert_eq!(keys.len() + m.free_frames(), 64, "frames leaked");
+    for s in m.shards.iter() {
+        assert_eq!(s.resident_keys().len() + s.free_frames(), s.capacity, "shard leaked");
+    }
+    let mut dedup = keys.clone();
+    dedup.dedup();
+    assert_eq!(keys.len(), dedup.len(), "duplicate resident keys");
+    // Every lookup counted exactly once across the shard sums.
+    let s = m.stats();
+    let n = lookups.load(Ordering::Relaxed);
+    assert_eq!(s.hits + s.misses, n, "manager hit+miss != lookups");
+    let ps = m.policy_stats();
+    assert_eq!(ps.hits + ps.misses, n, "policy hit+miss != lookups");
+    // Strict quotas hold globally (documented per-thread slack), and
+    // spill only ever *redistributed* the allowance.
+    for app in [AppId(0), AppId(1)] {
+        let r = m.resident_of(app);
+        assert!(r <= quota + threads as usize, "app {app:?} resident {r} over quota {quota}");
+        assert_eq!(m.quota_of(app), Some(quota), "spill changed the global quota");
+    }
+}

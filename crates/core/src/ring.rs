@@ -20,8 +20,8 @@
 //! draining it), the *producer becomes the drainer*: the manager takes the
 //! policy lock, drains, and applies its own event inline. Nothing is ever
 //! dropped — that is what keeps drained accounting observation-equivalent
-//! to the eager path — and memory stays bounded at `STRIPES × CAPACITY`
-//! events.
+//! to applying each event as it happens — and memory stays bounded at
+//! `STRIPES × CAPACITY` events.
 //!
 //! [`RankedTable::drain`]: kcache_policy::RankedTable::drain
 

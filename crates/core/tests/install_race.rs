@@ -178,7 +178,7 @@ fn racing_installs_keep_policy_table_and_buckets_in_step() {
 /// every contended acquisition two threads make is timed. How many they
 /// make is the scheduler's business — two threads that never run at the
 /// same moment never contend — so the non-zero side is forced, not hoped
-/// for, in `manager::tests::a_held_leaf_lock_is_counted_and_its_wait_timed`;
+/// for, in `manager::shard::tests::a_held_leaf_lock_is_counted_and_its_wait_timed`;
 /// this one prints what it saw (`-- --nocapture`).
 #[test]
 fn lock_wait_counters_are_zero_alone_and_time_every_contended_acquisition() {
