@@ -14,15 +14,15 @@
 //! only the policy's ranking metadata and a `key → frame` map exist
 //! (property-tested in `tests/invariants.rs`).
 
-use kcache_policy::{AppId, PolicyKind, RankedTable};
-use std::collections::HashMap;
+use kcache_policy::hash::KeyMap;
+use kcache_policy::{AppId, PolicyKind, RankedTable, ScanFilter};
 
 /// One candidate's simulated cache.
 pub struct GhostCache {
     kind: PolicyKind,
     policy: RankedTable,
     /// Key fingerprint → simulated frame index.
-    map: HashMap<u64, u32>,
+    map: KeyMap<u64, u32>,
     free: Vec<u32>,
     /// Hits/misses within the current epoch (reset by the controller).
     epoch_hits: u64,
@@ -39,7 +39,7 @@ impl GhostCache {
         GhostCache {
             kind,
             policy: kind.build(capacity),
-            map: HashMap::with_capacity(capacity),
+            map: KeyMap::with_capacity_and_hasher(capacity, Default::default()),
             free: (0..capacity as u32).rev().collect(),
             epoch_hits: 0,
             epoch_misses: 0,
@@ -67,7 +67,7 @@ impl GhostCache {
             Some(f) => f,
             None => {
                 self.policy.begin_scan();
-                let Some(victim) = self.policy.next_candidate(None) else {
+                let Some(victim) = self.policy.next_candidate(&mut ScanFilter::default()) else {
                     // Cannot happen while the pool is full and nothing is
                     // pinned (ghosts never pin); drop the fill rather than
                     // panic if a candidate policy misbehaves.

@@ -40,11 +40,12 @@ pub mod ghost;
 
 pub use ghost::GhostCache;
 
+use kcache_policy::hash::KeySet;
 use kcache_policy::{
     AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostRate,
     PolicyKind, QuotaMoveRecord, SwitchRecord,
 };
-use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// The epoch controller's switch rule over per-candidate epoch ghost
 /// ledgers `(kind, hits, accesses)`: the best-rated candidate wins a
@@ -205,7 +206,7 @@ impl AdaptiveConfig {
 /// Per-application eviction memory for the quota tuner.
 struct AppGhostList {
     recent: VecDeque<u64>,
-    set: HashSet<u64>,
+    set: KeySet<u64>,
     cap: usize,
     /// Re-references to remembered (evicted) keys this epoch — the hits a
     /// bigger quota would have kept.
@@ -216,7 +217,7 @@ impl AppGhostList {
     fn new(cap: usize) -> AppGhostList {
         AppGhostList {
             recent: VecDeque::new(),
-            set: HashSet::new(),
+            set: KeySet::default(),
             cap: cap.max(1),
             epoch_refaults: 0,
         }
@@ -439,7 +440,7 @@ impl AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcache_policy::RankedTable;
+    use kcache_policy::{RankedTable, ScanFilter};
 
     /// The live table and its evidence, composed the way a buffer-manager
     /// shard composes them.
@@ -469,7 +470,7 @@ mod tests {
                     (0..t.capacity() as u32).find(|&f| !t.is_resident(f)).unwrap()
                 } else {
                     self.live.begin_scan();
-                    let v = self.live.next_candidate(None).unwrap();
+                    let v = self.live.next_candidate(&mut ScanFilter::default()).unwrap();
                     let (owner, old) = (self.live.table().owner_of(v), self.live.table().key_of(v));
                     self.ad.remember_eviction(owner, old);
                     self.live.remove(v, old);

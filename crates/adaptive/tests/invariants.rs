@@ -3,7 +3,7 @@
 //! single-candidate adaptive cache is byte-for-byte the static policy.
 
 use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, GhostCache, QuotaMove};
-use kcache_policy::{AppId, PolicyKind, RankedTable};
+use kcache_policy::{AppId, PolicyKind, RankedTable, ScanFilter};
 use proptest::prelude::*;
 
 const CAP: usize = 8;
@@ -164,8 +164,8 @@ proptest! {
                     4 => {
                         adaptive.live.begin_scan();
                         stat.begin_scan();
-                        let a = adaptive.live.next_candidate(None);
-                        let s = stat.next_candidate(None);
+                        let a = adaptive.live.next_candidate(&mut ScanFilter::default());
+                        let s = stat.next_candidate(&mut ScanFilter::default());
                         prop_assert_eq!(a, s, "{}: scan diverged", kind);
                         if let Some(v) = s {
                             // The manager takes the first workable victim.

@@ -41,6 +41,10 @@ pub struct BufferManager {
     /// backstop behind the tuner's own clamp (see `quota_move_valid`).
     pub(super) quota_floor: usize,
     pub(super) epoch: EpochClock,
+    /// Cooperative singleton-preserving mode: duplicate hints are taken
+    /// ([`note_duplicate`](Self::note_duplicate)); otherwise no frame is
+    /// ever flagged and no scan looks for flags.
+    singleton_preserving: bool,
 }
 
 /// Builder for [`BufferManager`] — the canonical construction surface.
@@ -174,6 +178,7 @@ impl BufferManagerBuilder {
             quota_floor: self.adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1)),
             adaptive_cfg: self.adaptive,
             epoch,
+            singleton_preserving: self.cooperative.is_some_and(|c| c.singleton_preserving),
         }
     }
 }
@@ -493,12 +498,15 @@ impl BufferManager {
     }
 
     /// Record that `key` is believed duplicated in a peer's cache
-    /// (singleton-preserving cooperative mode; no-op otherwise).
+    /// (singleton-preserving cooperative mode; no-op otherwise, and for a
+    /// key that is not resident).
     pub fn note_duplicate(&self, key: BlockKey) {
-        self.shard_of(&key).note_duplicate(key);
+        if self.singleton_preserving {
+            self.shard_of(&key).note_duplicate(key);
+        }
     }
 
-    /// Blocks currently hinted as duplicated cluster-wide.
+    /// Resident blocks currently hinted as duplicated cluster-wide.
     pub fn duplicate_hint_count(&self) -> usize {
         self.shards.iter().map(|s| s.duplicate_hint_count()).sum()
     }

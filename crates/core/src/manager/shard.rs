@@ -16,11 +16,10 @@ use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
     AccessEvent, AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats, RankedTable,
-    RefWords,
+    RefWords, ScanFilter,
 };
 use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc as StdArc;
 
@@ -231,6 +230,18 @@ struct FreeList {
     len: AtomicUsize,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Policy-lock acquisitions by this thread: tests count the holds an
+    /// operation takes.
+    pub(super) static POLICY_HOLDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Run once by this thread's next `try_evict_idx`, between its look at
+    /// the frame's key and its retake in bucket → frame order: a test plays
+    /// the other thread there.
+    static BETWEEN_LOOKS: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
 /// One shard of the cache: a fully self-contained slice of the frame
 /// pool with its own hash buckets, free list, dirty queue, replacement
 /// policy, event ring and quota ledger — every lock below this line is
@@ -287,12 +298,6 @@ pub(super) struct Shard {
     /// turns the drained batch into directory-removal updates to the mgr.
     /// `None` keeps the hot path untouched.
     evicted_log: CacheLine<Option<Mutex<Vec<BlockKey>>>>,
-    /// Leaf lock, singleton-preserving mode only: blocks believed to be
-    /// duplicated in a peer's cache (learned from peer transfers). The
-    /// eviction scan prefers these — a duplicate is cheap to lose, the
-    /// last cluster-wide copy is not. Advisory: a peer may have evicted
-    /// its copy since, which costs one disk fetch, never correctness.
-    duplicate_hints: CacheLine<Option<Mutex<HashSet<BlockKey>>>>,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     pub(super) obs: Option<ManagerObs>,
@@ -321,7 +326,6 @@ impl Shard {
             count_only_unattributed || is_adaptive || ranked.ranker().consumes_app_mask();
         let track_evictions =
             cfg.cooperative.is_some_and(|c| c.directory == DirectoryMode::Authoritative);
-        let singleton = cfg.cooperative.is_some_and(|c| c.singleton_preserving);
         let policy_label = if is_adaptive { "adaptive" } else { policy.kind.name() };
         let waits = |name| LockWaits::resolve(cfg.obs.as_ref(), name);
         Shard {
@@ -348,7 +352,6 @@ impl Shard {
             pending_hits: CacheLine(AtomicU64::new(0)),
             pending_misses: CacheLine(AtomicU64::new(0)),
             evicted_log: CacheLine(track_evictions.then(|| Mutex::new(Vec::new()))),
-            duplicate_hints: CacheLine(singleton.then(|| Mutex::new(HashSet::new()))),
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
                 ManagerObs {
@@ -385,6 +388,8 @@ impl Shard {
 
     #[inline]
     pub(super) fn lock_policy(&self) -> MutexGuard<'_, PolicyState> {
+        #[cfg(test)]
+        POLICY_HOLDS.with(|n| n.set(n.get() + 1));
         lock_leaf(&self.policy, &self.policy_waits)
     }
 
@@ -905,72 +910,68 @@ impl Shard {
 
     /// Evict one block and return its (now unlinked) frame, optionally
     /// restricted to frames owned by one application (the partition-local
-    /// scan). Candidate *ranking* comes from the policy; candidate
-    /// *admissibility* (clean pass, dirty allowance, in-flight flushes,
-    /// the owner filter) stays with the manager and the shared table. The
-    /// owner filter travels as an argument on every `next_candidate` call
-    /// — never stored in the policy — so a concurrent scan can interleave
-    /// with this one (that was always true of the shared scan cursor) but
-    /// can never widen or redirect this scan's partition boundary.
+    /// scan). Candidate *ranking* comes from the policy; what the shared
+    /// table knows of *admissibility* — residency, pins, the owner, the
+    /// duplicate bit — travels as a [`ScanFilter`] on every
+    /// `next_candidate` call (never stored in the policy, so a concurrent
+    /// scan can interleave with this one but never widen or redirect its
+    /// boundary) and is applied inside the ranker's own hold; what only the
+    /// frame knows (dirty, in flight) stays with
+    /// [`try_evict_idx`](Self::try_evict_idx).
     pub(super) fn evict_one_owned(
         &self,
         allow_dirty: bool,
         owner: Option<AppId>,
     ) -> Option<(u32, Victim)> {
         // Pass 0: clean victims only (if clean_first). Pass 1: anything
-        // (subject to allow_dirty). With the singleton-preserving
-        // preference live (and any duplicates known), each cleanliness
+        // (subject to allow_dirty). While any frame carries the duplicate
+        // bit (singleton-preserving mode hands them out), each cleanliness
         // tier first scans for cluster-duplicated blocks only — a
         // duplicate is cheap to lose, the last cluster-wide copy is not —
-        // then falls back to the unrestricted scan. The preference is a
-        // manager-side admissibility filter over the policy's own
-        // candidate order, so all six policies and the adaptive wrapper
-        // compose with it unchanged.
+        // then falls back to the unrestricted scan. Every pass is a scan of
+        // its own, an empty-handed one included: a clock scan spends
+        // reference bits and moves the hand, so its history counts.
         let clean_passes: &[bool] =
             if self.policy_cfg.clean_first { &[true, false] } else { &[false] };
-        let have_dups = self.duplicate_hints.as_ref().is_some_and(|h| !h.lock().is_empty());
-        let dup_passes: &[bool] = if have_dups { &[true, false] } else { &[false] };
+        let first = self.lock_policy();
+        let dup_passes: &[bool] =
+            if first.ranked.table().duplicates() > 0 { &[true, false] } else { &[false] };
+        let mut first = Some(first);
         for &clean_only in clean_passes {
             for &dup_only in dup_passes {
                 // One hold ranks over up-to-date metadata — every deferred
                 // access applied before the scan decides a victim order —
-                // and takes the scan's first candidate.
-                let mut candidate = self.with_drained_policy(|p| {
-                    p.ranked.begin_scan();
-                    p.ranked.next_candidate(owner)
-                });
-                let mut visited = 0u64;
+                // and walks to the scan's first admissible frame.
+                let mut filter = ScanFilter { owner, dup_only, examined: 0 };
+                let mut p = first.take().unwrap_or_else(|| self.lock_policy());
+                self.drain_locked(&mut p);
+                p.ranked.begin_scan();
+                let mut candidate = p.ranked.next_candidate(&mut filter);
+                drop(p);
                 while let Some(idx) = candidate {
-                    visited += 1;
-                    if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty, dup_only)
-                    {
+                    if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty) {
                         if let Some(o) = &self.obs {
-                            o.scan_visits.record(visited);
+                            o.scan_visits.record(filter.examined);
                             let dirty = victim.flush.is_some() as u64;
-                            o.hub.instant(o.ev_eviction_scan, o.node, 0, visited, dirty);
+                            o.hub.instant(o.ev_eviction_scan, o.node, 0, filter.examined, dirty);
                         }
                         return Some((idx, victim));
                     }
                     // Leaf lock only while asking; dropped before
                     // bucket/frame.
-                    candidate = self.lock_policy().ranked.next_candidate(owner);
+                    candidate = self.lock_policy().ranked.next_candidate(&mut filter);
                 }
             }
         }
         None
     }
 
-    /// Unlink the block in frame `idx` from bucket and frame if it is an
-    /// admissible victim. The policy-side half is the caller's to settle
-    /// ([`Victim`]); until then the table still describes the old tenant,
-    /// and a concurrent scan offered this frame finds it keyless, moves on.
-    fn try_evict_idx(
-        &self,
-        idx: u32,
-        clean_only: bool,
-        allow_dirty: bool,
-        dup_only: bool,
-    ) -> Option<Victim> {
+    /// Unlink the block in frame `idx` from bucket and frame if the frame
+    /// itself agrees it is an admissible victim. The policy-side half is
+    /// the caller's to settle ([`Victim`]); until then the table still
+    /// describes the old tenant, and a concurrent scan offered this frame
+    /// finds it keyless, moves on.
+    fn try_evict_idx(&self, idx: u32, clean_only: bool, allow_dirty: bool) -> Option<Victim> {
         // In flight to the iod: untouchable. Dirty: only a pass that
         // allows it.
         let admissible = |f: &Frame| !f.flushing && !(f.is_dirty() && (clean_only || !allow_dirty));
@@ -983,8 +984,9 @@ impl Shard {
             }
             key
         };
-        if dup_only && !self.is_duplicate_hint(key) {
-            return None; // this pass only sacrifices cluster-duplicated blocks
+        #[cfg(test)]
+        if let Some(other_thread) = BETWEEN_LOOKS.with(|hook| hook.borrow_mut().take()) {
+            other_thread();
         }
         let mut bucket = self.bucket(&key);
         let mut f = self.frame(idx);
@@ -1014,29 +1016,32 @@ impl Shard {
     }
 
     /// Cooperative bookkeeping for a block leaving this cache (eviction
-    /// or invalidation): log it for the module's directory-removal push
-    /// and forget any duplicate hint — both advisory, both `None`-gated.
+    /// or invalidation): log it for the module's directory-removal push —
+    /// advisory, `None`-gated. (Its duplicate bit goes with its table
+    /// entry.)
     pub(super) fn note_departure(&self, key: BlockKey) {
         if let Some(log) = &*self.evicted_log {
             log.lock().push(key);
         }
-        if let Some(hints) = &*self.duplicate_hints {
-            hints.lock().remove(&key);
-        }
     }
 
-    fn is_duplicate_hint(&self, key: BlockKey) -> bool {
-        self.duplicate_hints.as_ref().is_some_and(|h| h.lock().contains(&key))
-    }
-
+    /// `key` is believed duplicated in a peer's cache (learned from a peer
+    /// transfer): flag the frame that holds it, so eviction scans prefer
+    /// it — a duplicate is cheap to lose, the last cluster-wide copy is
+    /// not. Advisory: the peer may have evicted its copy since, which costs
+    /// one disk fetch, never correctness. A key that is not resident (its
+    /// install was refused) leaves no hint behind.
     pub(super) fn note_duplicate(&self, key: BlockKey) {
-        if let Some(hints) = &*self.duplicate_hints {
-            hints.lock().insert(key);
+        // The bucket held across the flagging: a linked block is filed in
+        // the table, and stays so until it is unlinked.
+        let bucket = self.bucket(&key);
+        if let Some(&(_, idx)) = bucket.iter().find(|(k, _)| *k == key) {
+            self.lock_policy().ranked.table_mut().set_duplicate(idx);
         }
     }
 
     pub(super) fn duplicate_hint_count(&self) -> usize {
-        self.duplicate_hints.as_ref().map_or(0, |h| h.lock().len())
+        self.lock_policy().ranked.table().duplicates()
     }
 
     pub(super) fn take_evicted(&self) -> Vec<BlockKey> {
@@ -1049,10 +1054,49 @@ impl Shard {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{Access, AccessKind, BufferManager};
+    use super::super::{Access, AccessKind, BufferManager, EvictPolicy};
     use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
+    use kcache_policy::PolicyKind;
     use pvfs::Fid;
     use sim_net::NodeId;
+
+    /// `try_evict_idx` reads a candidate's key, lets the frame go and
+    /// retakes bucket → frame: whoever takes the frame over in between must
+    /// find its block untouched. Forced here: the "other thread" drops the
+    /// candidate's block and installs another into the freed frame exactly
+    /// between the two looks. Without the `f.key != Some(key)` re-check the
+    /// evictor vacates the newcomer's frame under its bucket entry, and
+    /// three keys end up linked in a two-frame cache.
+    #[test]
+    fn a_frame_that_changed_hands_under_the_evictor_is_left_alone() {
+        fn key(b: u64) -> BlockKey {
+            BlockKey::new(Fid(1), b)
+        }
+        fn insert(m: &BufferManager, b: u64) {
+            let bytes = vec![b as u8; CACHE_BLOCK_SIZE];
+            let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes: &bytes };
+            m.access(key(b), Access::unattributed(kind));
+        }
+        let policy = EvictPolicy::of(PolicyKind::ExactLru);
+        let m = std::sync::Arc::new(BufferManager::builder(2).policy(policy).build());
+        insert(&m, 0);
+        insert(&m, 1);
+        let other = std::sync::Arc::clone(&m);
+        super::BETWEEN_LOOKS.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                other.invalidate([key(0)]);
+                insert(&other, 7); // into the frame block 0 just left
+            }));
+        });
+        insert(&m, 9); // offered block 0's frame first, the least recently used
+        assert_eq!(m.resident_keys(), vec![key(7), key(9)], "block 1 was the one to go");
+        let mut out = vec![0u8; CACHE_BLOCK_SIZE];
+        let read = AccessKind::Read { span: Span::FULL, out: &mut out };
+        assert!(m.access(key(7), Access::unattributed(read)).is_hit());
+        assert!(out.iter().all(|&b| b == 7));
+        let ps = m.policy_stats();
+        assert_eq!((ps.inserts - ps.removes, m.resident()), (2, 2));
+    }
 
     /// The lock-wait instruments count an acquisition exactly when the
     /// lock was held — forced here: the main thread holds the policy lock

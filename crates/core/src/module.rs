@@ -29,6 +29,7 @@ use kcache_obs::{
     Counter, EventId, FlowId, Histogram, ObsHub, Phase, QuantileSketch, QuantileSnapshot,
     SloTargets,
 };
+use kcache_policy::hash::{KeyMap, KeySet};
 use kcache_policy::AppId;
 use pvfs::{
     BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, CostModel, Fid, FlushAck, FlushBlocks,
@@ -38,7 +39,7 @@ use pvfs::{
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Module statistics (beyond the buffer manager's own counters).
@@ -234,27 +235,27 @@ pub struct CacheModule {
     cfg: CacheConfig,
     cache: Arc<BufferManager>,
     /// Client reply port → client actor (the processes on this node).
-    clients: HashMap<u16, ActorId>,
+    clients: KeyMap<u16, ActorId>,
     /// Client reply port → owning application instance; lets the buffer
     /// manager's policy attribute every access to an application, which is
     /// what the sharing-aware policy ranks by.
-    client_apps: HashMap<u16, AppId>,
-    pending: HashMap<(u16, u64), PendingFetch>,
+    client_apps: KeyMap<u16, AppId>,
+    pending: KeyMap<(u16, u64), PendingFetch>,
     /// Blocks currently being fetched — from an iod or a peer cache (the
     /// FSM's "transfers pending" state); requests for these blocks wait
     /// instead of re-fetching. The value is the fetch start time, which
     /// prices the disk-vs-remote tiers when the bytes arrive.
-    fetching: HashMap<BlockKey, SimTime>,
+    fetching: KeyMap<BlockKey, SimTime>,
     /// Which pending requests wait on each in-flight block.
-    block_waiters: HashMap<BlockKey, Vec<(u16, u64)>>,
+    block_waiters: KeyMap<BlockKey, Vec<(u16, u64)>>,
     /// Resident blocks in flight per flush request (completed on FlushAck).
-    inflight_flushes: HashMap<u64, Vec<(BlockKey, Span)>>,
+    inflight_flushes: KeyMap<u64, Vec<(BlockKey, Span)>>,
     /// Where the block location directory lives (the pvfs mgr's node);
     /// `None` until the cluster builder wires it, which — together with
     /// `cfg.cooperative` — gates the whole remote-hit tier.
     mgr_node: Option<NodeId>,
     /// In-flight cooperative conversations by directory-query id.
-    coop_pending: HashMap<u64, CoopFetch>,
+    coop_pending: KeyMap<u64, CoopFetch>,
     coop_seq: u64,
     flush_seq: u64,
     harvest_scheduled: bool,
@@ -292,14 +293,14 @@ impl CacheModule {
             costs,
             cfg,
             cache,
-            clients: HashMap::new(),
-            client_apps: HashMap::new(),
-            pending: HashMap::new(),
-            fetching: HashMap::new(),
-            block_waiters: HashMap::new(),
-            inflight_flushes: HashMap::new(),
+            clients: KeyMap::default(),
+            client_apps: KeyMap::default(),
+            pending: KeyMap::default(),
+            fetching: KeyMap::default(),
+            block_waiters: KeyMap::default(),
+            inflight_flushes: KeyMap::default(),
             mgr_node: None,
-            coop_pending: HashMap::new(),
+            coop_pending: KeyMap::default(),
             coop_seq: 0,
             flush_seq: 1,
             harvest_scheduled: false,
@@ -1038,7 +1039,7 @@ impl CacheModule {
             return;
         };
         let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
-        let mut located = std::collections::HashSet::new();
+        let mut located = KeySet::default();
         for (blk, node) in &reply.locations {
             per_peer.entry(*node).or_default().push(*blk);
             located.insert(*blk);

@@ -30,7 +30,7 @@
 //! survives both; the random sequences are what catch them.
 
 use kcache::adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
-use kcache::policy::{AccessEvent, RankedTable};
+use kcache::policy::{AccessEvent, RankedTable, ScanFilter};
 use kcache::{
     Access, AccessKind, AccessOutcome, AppId, BlockKey, BufferManager, CacheStats,
     CooperativeConfig, DirectoryMode, EvictPolicy, PartitionConfig, PartitionMode, PolicyKind,
@@ -329,8 +329,11 @@ impl Model {
         let dup_tiers: &[bool] = if self.duplicates.is_empty() { &[false] } else { &[true, false] };
         for &clean_only in clean_tiers {
             for &dup_only in dup_tiers {
+                // The ranker is asked for the owner's frames only; whether
+                // one is a duplicate is this model's own record to check.
+                let filter = &mut ScanFilter { owner, ..ScanFilter::default() };
                 self.ranked.begin_scan();
-                while let Some(frame) = self.ranked.next_candidate(owner) {
+                while let Some(frame) = self.ranked.next_candidate(filter) {
                     let key =
                         self.tenant[frame as usize].expect("the ranker offers resident frames");
                     let b = &self.blocks[&key];
@@ -655,7 +658,8 @@ impl Pair {
             Op::NoteDuplicate(b) => {
                 self.real.note_duplicate(key(b));
                 if let Some(m) = &mut self.model {
-                    if m.cfg.singleton_preserving {
+                    // A hint names a resident block or nothing.
+                    if m.cfg.singleton_preserving && m.blocks.contains_key(&key(b)) {
                         m.duplicates.insert(key(b));
                     }
                 }

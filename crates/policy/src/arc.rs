@@ -4,7 +4,7 @@
 //! being tuned for it.
 
 use crate::index::{GhostLists, RankIndex};
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 // T1 and T2 as class keys of `lists`, B1 and B2 as queues of `ghosts`.
@@ -83,7 +83,7 @@ impl ReplacementPolicy for Arc {
         self.lists.begin(self.drains_first());
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         self.lists.next(table, filter)
     }
 
@@ -107,9 +107,9 @@ mod tests {
         }
         a.access(2, 2, AppId::UNKNOWN); // 2 → T2
         a.begin_scan();
-        assert_eq!(a.next_candidate(None), Some(0), "T1 LRU end goes first");
+        assert_eq!(a.next_candidate(&mut ScanFilter::default()), Some(0), "T1 LRU end goes first");
         let mut seen = Vec::new();
-        while let Some(f) = a.next_candidate(None) {
+        while let Some(f) = a.next_candidate(&mut ScanFilter::default()) {
             seen.push(f);
         }
         assert_eq!(seen, vec![1, 3, 2], "T2 member offered last");
@@ -135,7 +135,7 @@ mod tests {
         a.remove(0, 42);
         a.insert(1, 42, AppId::UNKNOWN);
         a.begin_scan();
-        assert_eq!(a.next_candidate(None), Some(1));
+        assert_eq!(a.next_candidate(&mut ScanFilter::default()), Some(1));
     }
 
     #[test]

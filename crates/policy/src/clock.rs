@@ -1,7 +1,7 @@
 //! Clock / second-chance — the paper's approximate LRU, extracted from the
 //! seed buffer manager without behavioral change.
 
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 /// Reference-bit clock. The reference bits live in the table's atomic
@@ -39,7 +39,7 @@ impl ReplacementPolicy for Clock {
         self.budget = 2 * table.capacity();
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         while self.budget > 0 {
             self.budget -= 1;
             let idx = self.hand as u32;
@@ -47,13 +47,14 @@ impl ReplacementPolicy for Clock {
             // A partition-local scan must not strip other tenants'
             // second-chance protection: skip foreign frames before
             // touching their reference bit.
-            if let Some(owner) = filter {
-                if table.owner_of(idx) != owner {
-                    continue;
-                }
+            if filter.owner.is_some_and(|owner| table.owner_of(idx) != owner) {
+                continue;
             }
             // Consume the reference bit first (second chance), matching the
-            // seed's `swap(false)`-then-skip order.
+            // seed's `swap(false)`-then-skip order. The rest of the filter
+            // comes after it: a duplicates-only scan spends the bit of a
+            // frame it then walks past, as a caller that was offered the
+            // frame and turned it down always did.
             if table.ref_words().take(idx) {
                 continue;
             }
@@ -82,7 +83,7 @@ impl ReplacementPolicy for Clock {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AccessEvent, AppId, PolicyKind};
+    use crate::{AccessEvent, AppId, PolicyKind, ScanFilter};
 
     #[test]
     fn unreferenced_frame_is_victim() {
@@ -94,7 +95,11 @@ mod tests {
             c.access(f, f as u64, AppId::UNKNOWN);
         }
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), Some(2), "only frame 2 kept no reference bit");
+        assert_eq!(
+            c.next_candidate(&mut ScanFilter::default()),
+            Some(2),
+            "only frame 2 kept no reference bit"
+        );
     }
 
     #[test]
@@ -105,14 +110,14 @@ mod tests {
         }
         c.table_mut().set_pinned(0, true);
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), Some(1));
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(1));
     }
 
     #[test]
     fn scan_terminates_on_empty_pool() {
         let mut c = PolicyKind::Clock.build(8);
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), None);
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), None);
     }
 
     #[test]
@@ -124,7 +129,11 @@ mod tests {
         c.insert(1, 11, AppId::UNKNOWN);
         c.table().ref_words().touch(0, AppId(3));
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), Some(1), "frame 0's atomic bit protects it");
+        assert_eq!(
+            c.next_candidate(&mut ScanFilter::default()),
+            Some(1),
+            "frame 0's atomic bit protects it"
+        );
     }
 
     #[test]
@@ -135,7 +144,7 @@ mod tests {
         c.table().ref_words().touch(0, AppId(1));
         // ...and an eviction scan consumed it before the drain arrived.
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), Some(0));
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(0));
         c.drain(&[AccessEvent::hit(0, 10, AppId(1)), AccessEvent::miss(AppId(1))]);
         assert_eq!((c.table().stats.hits, c.table().stats.misses), (1, 1));
         assert!(
@@ -155,12 +164,38 @@ mod tests {
         // App 1's partition-local scan consumes only its *own* reference
         // bits (2, 3) on the way to its victim.
         c.begin_scan();
-        assert_eq!(c.next_candidate(Some(AppId(1))), Some(2));
+        assert_eq!(c.next_candidate(&mut ScanFilter::owned_by(AppId(1))), Some(2));
         // App 0's frames kept their bits: the next unfiltered scan still
         // grants them a second chance, so app 1's spent frames (3, then 2)
         // are offered first.
         c.begin_scan();
-        assert_eq!(c.next_candidate(None), Some(3));
-        assert_eq!(c.next_candidate(None), Some(2));
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(3));
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(2));
+    }
+
+    /// The duplicate test sits after the reference bit is consumed: a
+    /// duplicates-only scan spends the second chance of every frame it
+    /// walks past, as the manager's per-candidate rejection always did
+    /// (foreign partitions are skipped before it, as in any filtered scan).
+    #[test]
+    fn duplicates_only_scan_spends_the_bits_it_walks_past() {
+        let mut c = PolicyKind::Clock.build(4);
+        for f in 0..4u32 {
+            c.insert(f, f as u64, AppId(f / 2));
+            c.access(f, f as u64, AppId(f / 2));
+        }
+        c.table_mut().set_duplicate(1);
+        let dups_of = |app| ScanFilter { dup_only: true, ..ScanFilter::owned_by(AppId(app)) };
+        c.begin_scan();
+        let filter = &mut dups_of(0);
+        assert_eq!(c.next_candidate(filter), Some(1), "the flagged frame, on the second lap");
+        assert_eq!(filter.examined, 2, "frame 0 was examined and walked past");
+        assert!(!c.table().ref_words().is_referenced(0), "and paid its reference bit for it");
+        // A pass that admits nothing still runs its two laps: app 1's
+        // partition ends up with no reference bit left.
+        c.begin_scan();
+        assert_eq!(c.next_candidate(&mut dups_of(1)), None, "app 1 has nothing flagged");
+        c.begin_scan();
+        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(2), "the hand is at 2");
     }
 }

@@ -19,9 +19,8 @@
 //! re-ranked ahead of it is offered again (at most once per hook call),
 //! and a scan always ends.
 
-use crate::table::FrameTable;
-use crate::AppId;
-use std::collections::HashMap;
+use crate::hash::KeyMap;
+use crate::table::{FrameTable, ScanFilter};
 
 const NIL: u32 = u32::MAX;
 
@@ -283,7 +282,7 @@ impl RankIndex {
 
     /// Next slot of the scan the table lets go (`evictable_for`); `None`
     /// once nothing ranked after the cursor is.
-    pub fn next(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    pub fn next(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         let start = self.start;
         let mut slot = match self.cursor {
             Cursor::Start => self.first_slot(start),
@@ -305,7 +304,7 @@ impl RankIndex {
 /// B1 and B2) over one key → slot map: membership, removal from the middle
 /// and trimming are O(1), where a `VecDeque` searched on every insert.
 pub(crate) struct GhostLists {
-    slot_of: HashMap<u64, u32>,
+    slot_of: KeyMap<u64, u32>,
     key_of: Vec<u64>,
     /// One class per queue; stamps give the FIFO order.
     queue: RankIndex,
@@ -319,7 +318,7 @@ impl GhostLists {
         // One spare: `remember` links the newcomer before it trims.
         let slots = lists * cap + 1;
         GhostLists {
-            slot_of: HashMap::with_capacity(slots),
+            slot_of: KeyMap::with_capacity_and_hasher(slots, Default::default()),
             key_of: vec![0; slots],
             queue: RankIndex::new(slots),
             free: (0..slots as u32).collect(),
@@ -358,7 +357,7 @@ impl GhostLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PolicyKind;
+    use crate::{AppId, PolicyKind};
 
     /// Slots 0..n resident in a table, filed under `key(slot)` in slot order.
     fn filed(n: u32, key: impl Fn(u32) -> u64) -> (crate::RankedTable, RankIndex) {
@@ -400,14 +399,19 @@ mod tests {
         let (pool, mut index) = filed(4, |_| 0);
         let t = pool.table();
         index.begin(0);
-        assert_eq!(index.next(t, None), Some(0));
+        assert_eq!(index.next(t, &mut ScanFilter::default()), Some(0));
         index.touch(0, 0); // the slot the cursor sits on moves to the far end
-        assert_eq!(index.next(t, None), Some(1));
+        assert_eq!(index.next(t, &mut ScanFilter::default()), Some(1));
         index.unlink(1); // and this one leaves altogether
         index.touch(2, 7); // its successor jumps a class ahead
-        let rest: Vec<u32> = std::iter::from_fn(|| index.next(t, None)).collect();
+        let rest: Vec<u32> =
+            std::iter::from_fn(|| index.next(t, &mut ScanFilter::default())).collect();
         assert_eq!(rest, [3, 0, 2], "everything ranked after the cursor, re-ranked slots again");
-        assert_eq!(index.next(t, None), None, "an exhausted scan stays exhausted");
+        assert_eq!(
+            index.next(t, &mut ScanFilter::default()),
+            None,
+            "an exhausted scan stays exhausted"
+        );
     }
 
     #[test]

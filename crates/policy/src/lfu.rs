@@ -2,7 +2,7 @@
 //! clock/LRU only under skewed popularity (the workload's `hotspot` knob).
 
 use crate::index::RankIndex;
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 /// Frames filed by access frequency, least recently touched first within
@@ -37,7 +37,7 @@ impl ReplacementPolicy for Lfu {
         self.order.begin(0);
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         self.order.next(table, filter)
     }
 
@@ -50,7 +50,7 @@ impl ReplacementPolicy for Lfu {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AppId, PolicyKind};
+    use crate::{AppId, PolicyKind, ScanFilter};
 
     #[test]
     fn cold_frame_goes_first() {
@@ -64,7 +64,7 @@ mod tests {
         }
         l.access(1, 1, AppId::UNKNOWN);
         l.begin_scan();
-        assert_eq!(l.next_candidate(None), Some(1), "frame 1 is the coldest");
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(1), "frame 1 is the coldest");
     }
 
     #[test]
@@ -75,7 +75,7 @@ mod tests {
         l.access(0, 0, AppId::UNKNOWN);
         l.access(1, 1, AppId::UNKNOWN); // equal freq; 0 touched earlier
         l.begin_scan();
-        assert_eq!(l.next_candidate(None), Some(0));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(0));
     }
 
     #[test]
@@ -90,6 +90,10 @@ mod tests {
         l.insert(1, 8, AppId::UNKNOWN);
         l.access(1, 8, AppId::UNKNOWN);
         l.begin_scan();
-        assert_eq!(l.next_candidate(None), Some(0), "old frequency must not leak to the new block");
+        assert_eq!(
+            l.next_candidate(&mut ScanFilter::default()),
+            Some(0),
+            "old frequency must not leak to the new block"
+        );
     }
 }

@@ -35,13 +35,14 @@
 //! the residency / pin / **ownership** bookkeeping, the per-application
 //! ledger and the [`PolicyStats`] — with the boxed policy ranking it, and
 //! lends the table to every hook. Ownership (which application installed
-//! each frame) powers the **owner-filtered scan protocol**: the manager
-//! passes an owner filter to every
-//! [`next_candidate`](RankedTable::next_candidate) call, and the table
-//! rejects every candidate not owned by the filtered application. This is
-//! what makes per-application cache partitioning work *inside* any policy:
-//! the policy keeps ranking exactly as before, the filter narrows which
-//! ranked frames may leave the cache.
+//! each frame) powers the **filtered scan protocol**: the manager passes a
+//! [`ScanFilter`] to every [`next_candidate`](RankedTable::next_candidate)
+//! call, and the table rejects every candidate not owned by the filtered
+//! application or — in a duplicates-only scan — not flagged as duplicated
+//! in a peer's cache. This is what makes per-application cache partitioning
+//! and the singleton-preserving preference work *inside* any policy: the
+//! policy keeps ranking exactly as before, the filter narrows which ranked
+//! frames may leave the cache, under the hold the scan already runs in.
 //!
 //! Concurrency contract: policy state is a **leaf lock** in the manager's
 //! lock order (bucket → frame → policy). The trait is `Send` (not `Sync`);
@@ -61,6 +62,7 @@
 
 pub mod arc;
 pub mod clock;
+pub mod hash;
 mod index;
 pub mod lfu;
 pub mod lru;
@@ -73,7 +75,7 @@ pub use clock::Clock;
 pub use lfu::Lfu;
 pub use lru::ExactLru;
 pub use sharing::SharingAware;
-pub use table::{FrameTable, RefWords};
+pub use table::{FrameTable, RefWords, ScanFilter};
 pub use twoq::TwoQ;
 
 /// Identity of the application instance performing an access.
@@ -305,13 +307,14 @@ impl AdaptiveStats {
 /// `tests/invariants.rs`, a test-local seventh policy included):
 ///
 /// * [`next_candidate`](ReplacementPolicy::next_candidate) only returns
-///   frames that are resident, unpinned, `< capacity`, and — when an
-///   owner filter is passed — owned by the filtered application
+///   frames that are resident, unpinned, `< capacity`, and let through by
+///   the [`ScanFilter`] passed — owned by the filtered application,
+///   flagged duplicate in a duplicates-only scan
 ///   ([`FrameTable::evictable_for`] is that check);
 /// * a scan terminates (`next_candidate` eventually returns `None`),
 ///   filtered or not.
 ///
-/// The owner filter is a **per-call parameter**, not policy state: the
+/// The filter is a **per-call parameter**, not policy state: the
 /// caller passes it on every `next_candidate`, so two interleaved scans
 /// (possible under the manager's drop-the-lock-between-candidates
 /// discipline) can disturb each other's *ordering* — harmless, a raced
@@ -368,13 +371,17 @@ pub trait ReplacementPolicy: Send {
     fn begin_scan(&mut self, table: &FrameTable);
 
     /// Next eviction candidate in preference order, or `None` when the
-    /// scan is exhausted. With `filter: Some(app)` only frames owned by
-    /// `app` are offered — the partition-local scan quota enforcement
-    /// runs — and other owners' ranking state must be left untouched
-    /// (skipped, not consumed). The caller may reject a candidate (dirty
-    /// during a clean-only pass, raced away, …) and simply ask again;
-    /// hooks may have run since the previous call (see the trait docs).
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32>;
+    /// scan is exhausted. With an owner in `filter` only frames owned by
+    /// that application are offered — the partition-local scan quota
+    /// enforcement runs — and other owners' ranking state must be left
+    /// untouched (skipped, not consumed). A frame the filter turns away for
+    /// its duplicate bit alone is one the scan *reached*: whatever reaching
+    /// it costs the ranking (clock's reference bit) is spent, exactly as if
+    /// the caller had been offered it and said no. The caller may reject a
+    /// candidate (dirty during a clean-only pass, raced away, …) and simply
+    /// ask again; hooks may have run since the previous call (see the
+    /// trait docs).
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32>;
 
     /// The resident frames in this policy's *eviction-preference order* —
     /// soonest-to-evict first, most-protected last — without consuming any
@@ -516,7 +523,7 @@ impl RankedTable {
 
     /// Next eviction candidate of the current scan; see
     /// [`ReplacementPolicy::next_candidate`].
-    pub fn next_candidate(&mut self, filter: Option<AppId>) -> Option<u32> {
+    pub fn next_candidate(&mut self, filter: &mut ScanFilter) -> Option<u32> {
         self.ranker.next_candidate(&self.table, filter)
     }
 
@@ -724,7 +731,7 @@ mod tests {
             assert_eq!(p.table().owner_of(6), AppId(1), "{kind}");
             p.begin_scan();
             let mut offered = Vec::new();
-            while let Some(c) = p.next_candidate(Some(AppId(1))) {
+            while let Some(c) = p.next_candidate(&mut ScanFilter::owned_by(AppId(1))) {
                 offered.push(c);
                 assert!(offered.len() <= 32, "{kind}: filtered scan did not terminate");
             }
@@ -736,7 +743,7 @@ mod tests {
             // Without the filter the whole pool is eligible again.
             p.begin_scan();
             let mut all = std::collections::BTreeSet::new();
-            while let Some(c) = p.next_candidate(None) {
+            while let Some(c) = p.next_candidate(&mut ScanFilter::default()) {
                 all.insert(c);
                 assert!(all.len() <= 8, "{kind}: unfiltered scan did not terminate");
             }
@@ -771,7 +778,9 @@ mod tests {
                 assert!(p.table().ref_words().is_referenced(3), "{from}->{to}: ref word cleared");
                 // The migrated policy must still run a working scan.
                 p.begin_scan();
-                let c = p.next_candidate(None).expect("migrated policy must find a victim");
+                let c = p
+                    .next_candidate(&mut ScanFilter::default())
+                    .expect("migrated policy must find a victim");
                 assert!(p.table().evictable(c), "{from}->{to}: bad candidate {c}");
             }
         }
@@ -822,7 +831,11 @@ mod tests {
         p.migrate(PolicyKind::ExactLru);
         assert_eq!(p.recency_ranking().unwrap(), want, "LRU order must survive the switch");
         p.begin_scan();
-        assert_eq!(p.next_candidate(None), Some(1), "victim choice carries over");
+        assert_eq!(
+            p.next_candidate(&mut ScanFilter::default()),
+            Some(1),
+            "victim choice carries over"
+        );
     }
 
     #[test]

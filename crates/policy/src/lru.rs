@@ -3,7 +3,7 @@
 //! extracted from the seed buffer manager's intrusive list.
 
 use crate::index::RankIndex;
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 /// One recency list over frame indices: every access relinks the frame to
@@ -36,7 +36,7 @@ impl ReplacementPolicy for ExactLru {
         self.order.begin(0);
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         self.order.next(table, filter)
     }
 
@@ -47,7 +47,7 @@ impl ReplacementPolicy for ExactLru {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AppId, PolicyKind};
+    use crate::{AppId, PolicyKind, ScanFilter};
 
     #[test]
     fn evicts_strictly_oldest() {
@@ -57,10 +57,10 @@ mod tests {
         }
         l.access(0, 0, AppId::UNKNOWN); // 1 is now LRU
         l.begin_scan();
-        assert_eq!(l.next_candidate(None), Some(1));
-        assert_eq!(l.next_candidate(None), Some(2));
-        assert_eq!(l.next_candidate(None), Some(0));
-        assert_eq!(l.next_candidate(None), None);
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(1));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(2));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(0));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), None);
     }
 
     #[test]
@@ -71,8 +71,8 @@ mod tests {
         }
         l.remove(0, 0);
         l.begin_scan();
-        assert_eq!(l.next_candidate(None), Some(1));
-        assert_eq!(l.next_candidate(None), Some(2));
-        assert_eq!(l.next_candidate(None), None);
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(1));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), Some(2));
+        assert_eq!(l.next_candidate(&mut ScanFilter::default()), None);
     }
 }

@@ -5,7 +5,7 @@
 //! applications is worth more than a private one, so it is evicted last.
 
 use crate::index::RankIndex;
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 /// Per-frame referent set (a 64-bit app bitmask) plus a logical access
@@ -117,7 +117,7 @@ impl ReplacementPolicy for SharingAware {
         self.order.begin(0);
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         self.order.next(table, filter)
     }
 
@@ -160,9 +160,17 @@ mod tests {
         s.access(1, 1, AppId(1)); // frame 1 now shared by apps 0 and 1
         s.access(0, 0, AppId(0)); // refresh 0: still private
         s.begin_scan();
-        assert_eq!(s.next_candidate(None), Some(2), "oldest private frame first");
-        assert_eq!(s.next_candidate(None), Some(0));
-        assert_eq!(s.next_candidate(None), Some(1), "the shared frame goes last");
+        assert_eq!(
+            s.next_candidate(&mut ScanFilter::default()),
+            Some(2),
+            "oldest private frame first"
+        );
+        assert_eq!(s.next_candidate(&mut ScanFilter::default()), Some(0));
+        assert_eq!(
+            s.next_candidate(&mut ScanFilter::default()),
+            Some(1),
+            "the shared frame goes last"
+        );
     }
 
     // `referents` lives on the concrete ranker, which a `RankedTable` boxes
@@ -197,9 +205,17 @@ mod tests {
         s.access(2, 2, AppId(1));
         s.access(0, 0, AppId(0));
         s.begin_scan();
-        assert_eq!(s.next_candidate(None), Some(0), "private frame first despite recency");
-        assert_eq!(s.next_candidate(None), Some(2), "2-referent frame next");
-        assert_eq!(s.next_candidate(None), Some(1), "3-referent frame survives longest");
+        assert_eq!(
+            s.next_candidate(&mut ScanFilter::default()),
+            Some(0),
+            "private frame first despite recency"
+        );
+        assert_eq!(s.next_candidate(&mut ScanFilter::default()), Some(2), "2-referent frame next");
+        assert_eq!(
+            s.next_candidate(&mut ScanFilter::default()),
+            Some(1),
+            "3-referent frame survives longest"
+        );
     }
 
     #[test]
@@ -238,9 +254,17 @@ mod tests {
         // deferred replay has NOT run. The scan must still see it.
         t.ref_words().touch(1, AppId(1));
         s.begin_scan(t);
-        assert_eq!(s.next_candidate(t, None), Some(0), "private frames drain first");
-        assert_eq!(s.next_candidate(t, None), Some(2));
-        assert_eq!(s.next_candidate(t, None), Some(1), "undrained touch protects the shared frame");
+        assert_eq!(
+            s.next_candidate(t, &mut ScanFilter::default()),
+            Some(0),
+            "private frames drain first"
+        );
+        assert_eq!(s.next_candidate(t, &mut ScanFilter::default()), Some(2));
+        assert_eq!(
+            s.next_candidate(t, &mut ScanFilter::default()),
+            Some(1),
+            "undrained touch protects the shared frame"
+        );
         assert_eq!(s.referents(1), 2, "mask folded into the live generation");
         // The eventual replay of the same touch is idempotent.
         s.on_access(t, 1, 1, AppId(1));

@@ -4,7 +4,7 @@
 //! displacing the hot set in Am.
 
 use crate::index::{GhostLists, RankIndex};
-use crate::table::FrameTable;
+use crate::table::{FrameTable, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
 
 // The two resident queues, as class keys of `queues`.
@@ -70,7 +70,7 @@ impl ReplacementPolicy for TwoQ {
         self.queues.begin(self.drains_first());
     }
 
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         self.queues.next(table, filter)
     }
 
@@ -83,7 +83,7 @@ impl ReplacementPolicy for TwoQ {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AppId, PolicyKind};
+    use crate::{AppId, PolicyKind, ScanFilter};
 
     #[test]
     fn admission_fifo_drains_first() {
@@ -93,7 +93,7 @@ mod tests {
         }
         // All four sit in A1in (>= kin = 1): FIFO order, oldest first.
         q.begin_scan();
-        assert_eq!(q.next_candidate(None), Some(0));
+        assert_eq!(q.next_candidate(&mut ScanFilter::default()), Some(0));
     }
 
     #[test]
@@ -104,7 +104,11 @@ mod tests {
         q.insert(0, 100, AppId::UNKNOWN); // re-admitted: goes to Am
         q.insert(1, 200, AppId::UNKNOWN); // fresh: A1in
         q.begin_scan();
-        assert_eq!(q.next_candidate(None), Some(1), "A1in drains before the proven-hot Am block");
+        assert_eq!(
+            q.next_candidate(&mut ScanFilter::default()),
+            Some(1),
+            "A1in drains before the proven-hot Am block"
+        );
     }
 
     #[test]
@@ -117,6 +121,6 @@ mod tests {
         }
         q.access(0, 10, AppId::UNKNOWN); // 1 is now Am's LRU
         q.begin_scan();
-        assert_eq!(q.next_candidate(None), Some(1));
+        assert_eq!(q.next_candidate(&mut ScanFilter::default()), Some(1));
     }
 }

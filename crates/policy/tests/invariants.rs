@@ -3,7 +3,9 @@
 //! tests pinning the extracted Clock/ExactLru implementations to the seed
 //! buffer manager's behavior.
 
-use kcache_policy::{AccessEvent, AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy};
+use kcache_policy::{
+    AccessEvent, AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy, ScanFilter,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -30,7 +32,7 @@ impl ReplacementPolicy for Fifo {
     fn begin_scan(&mut self, _: &FrameTable) {
         self.scan = self.queue.iter().rev().copied().collect();
     }
-    fn next_candidate(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+    fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
         while let Some(f) = self.scan.pop() {
             if table.evictable_for(f, filter) {
                 return Some(f);
@@ -52,6 +54,8 @@ struct Model {
     pinned: [bool; CAP],
     key_of: [u64; CAP],
     owner_of: [AppId; CAP],
+    /// Flagged duplicate (cleared when the frame is vacated).
+    dup: [bool; CAP],
 }
 
 impl Model {
@@ -61,7 +65,15 @@ impl Model {
             pinned: [false; CAP],
             key_of: [0; CAP],
             owner_of: [AppId::UNKNOWN; CAP],
+            dup: [false; CAP],
         }
+    }
+
+    fn vacate(&mut self, frame: u32) {
+        self.resident[frame as usize] = false;
+        self.pinned[frame as usize] = false;
+        self.owner_of[frame as usize] = AppId::UNKNOWN;
+        self.dup[frame as usize] = false;
     }
 
     fn resident_count(&self) -> usize {
@@ -72,8 +84,15 @@ impl Model {
         (0..CAP).any(|f| self.resident[f] && !self.pinned[f])
     }
 
-    fn any_evictable_owned(&self, owner: AppId) -> bool {
-        (0..CAP).any(|f| self.resident[f] && !self.pinned[f] && self.owner_of[f] == owner)
+    /// Is there a frame a scan filtered to `owner` (and, `dup_only`, to
+    /// flagged frames) must find?
+    fn any_evictable_owned(&self, owner: AppId, dup_only: bool) -> bool {
+        (0..CAP).any(|f| {
+            self.resident[f]
+                && !self.pinned[f]
+                && self.owner_of[f] == owner
+                && (self.dup[f] || !dup_only)
+        })
     }
 }
 
@@ -101,9 +120,7 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
             1 => {
                 // Invalidate.
                 if m.resident[frame as usize] {
-                    m.resident[frame as usize] = false;
-                    m.pinned[frame as usize] = false;
-                    m.owner_of[frame as usize] = AppId::UNKNOWN;
+                    m.vacate(frame);
                     policy.remove(frame, m.key_of[frame as usize]);
                 }
             }
@@ -116,12 +133,27 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                 }
             }
             3 => {
-                // Owner-filtered eviction scan (the partition-local path the
-                // quota-enforcing manager runs): every candidate must be
-                // owned by the filtered app on top of the usual rules, and
-                // the scan must find a victim iff the app owns one.
+                // The manager flags a block as duplicated in a peer's cache
+                // (a vacant frame takes no flag).
+                m.dup[frame as usize] = m.resident[frame as usize];
+                policy.table_mut().set_duplicate(frame);
+                prop_assert_eq!(
+                    policy.table().duplicates(),
+                    m.dup.iter().filter(|&&d| d).count(),
+                    "{}: flagged-frame count",
+                    kind
+                );
+            }
+            4 => {
+                // Filtered eviction scan (the partition-local path the
+                // quota-enforcing manager runs, every other time narrowed
+                // to flagged duplicates): every candidate must pass the
+                // filter on top of the usual rules, and the scan must find
+                // a victim iff the filter admits one.
+                let dup_only = arg % 2 == 0;
+                let filter = &mut ScanFilter { dup_only, ..ScanFilter::owned_by(app) };
                 policy.begin_scan();
-                let got = policy.next_candidate(Some(app));
+                let got = policy.next_candidate(filter);
                 if let Some(c) = got {
                     prop_assert!((c as usize) < CAP, "{kind}: filtered candidate {c} out of pool");
                     prop_assert!(m.resident[c as usize], "{kind}: filtered candidate not resident");
@@ -133,26 +165,28 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                         kind,
                         c
                     );
-                    m.resident[c as usize] = false;
-                    m.owner_of[c as usize] = AppId::UNKNOWN;
+                    prop_assert!(m.dup[c as usize] || !dup_only, "{kind}: {c} is not flagged");
+                    m.vacate(c);
                     policy.remove(c, m.key_of[c as usize]);
                 }
                 prop_assert!(
-                    got.is_some() || !m.any_evictable_owned(app),
+                    got.is_some() || !m.any_evictable_owned(app, dup_only),
                     "{kind}: filtered scan missed an evictable frame owned by app {app:?}"
                 );
                 let mut offered = 0usize;
-                while let Some(c) = policy.next_candidate(Some(app)) {
+                while let Some(c) = policy.next_candidate(filter) {
                     offered += 1;
                     prop_assert!(offered <= 4 * CAP, "{kind}: filtered scan did not terminate");
                     prop_assert!(
                         (c as usize) < CAP
                             && m.resident[c as usize]
                             && !m.pinned[c as usize]
-                            && m.owner_of[c as usize] == app,
+                            && m.owner_of[c as usize] == app
+                            && (m.dup[c as usize] || !dup_only),
                         "{kind}: late filtered candidate {c} violates invariants"
                     );
                 }
+                prop_assert!(filter.examined >= offered as u64, "{kind}: offered, so examined");
             }
             _ => {
                 // Eviction scan: every candidate must be in-pool, resident,
@@ -160,7 +194,8 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                 // evictable frame exists the policy must find one.
                 policy.begin_scan();
                 let mut victim = None;
-                if let Some(c) = policy.next_candidate(None) {
+                let any = &mut ScanFilter::default();
+                if let Some(c) = policy.next_candidate(any) {
                     prop_assert!((c as usize) < CAP, "{kind}: candidate {c} out of pool");
                     prop_assert!(m.resident[c as usize], "{kind}: candidate {c} not resident");
                     prop_assert!(!m.pinned[c as usize], "{kind}: candidate {c} is pinned");
@@ -173,13 +208,13 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                     kind
                 );
                 if let Some(v) = victim {
-                    m.resident[v as usize] = false;
+                    m.vacate(v);
                     policy.remove(v, m.key_of[v as usize]);
                 }
                 // Exhausting the rest of the scan must terminate and keep
                 // honoring the same candidate rules.
                 let mut offered = 0usize;
-                while let Some(c) = policy.next_candidate(None) {
+                while let Some(c) = policy.next_candidate(any) {
                     offered += 1;
                     prop_assert!(offered <= 4 * CAP, "{kind}: scan did not terminate");
                     prop_assert!(
@@ -196,7 +231,7 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
 proptest! {
     #[test]
     fn all_policies_uphold_candidate_invariants(
-        ops in collection::vec((0u8..5, 0u64..1024), 1..300),
+        ops in collection::vec((0u8..6, 0u64..1024), 1..300),
     ) {
         for kind in PolicyKind::ALL {
             drive(kind.name(), || kind.build(CAP), &ops);
@@ -273,7 +308,10 @@ fn drive_drain(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                 drained.begin_scan();
                 let mut first = true;
                 loop {
-                    let (a, b) = (eager.next_candidate(None), drained.next_candidate(None));
+                    let (a, b) = (
+                        eager.next_candidate(&mut ScanFilter::default()),
+                        drained.next_candidate(&mut ScanFilter::default()),
+                    );
                     prop_assert_eq!(a, b, "{} candidate order diverged", kind);
                     let Some(v) = a else { break };
                     if first {
@@ -371,7 +409,7 @@ proptest! {
                 _ => {
                     let want = seed.evict();
                     p.begin_scan();
-                    let got = p.next_candidate(None);
+                    let got = p.next_candidate(&mut ScanFilter::default());
                     prop_assert_eq!(got, want, "clock diverged from the seed algorithm");
                     if let Some(v) = got {
                         p.remove(v, 0);
@@ -409,7 +447,7 @@ proptest! {
                 _ => {
                     let want = order.pop();
                     p.begin_scan();
-                    let got = p.next_candidate(None);
+                    let got = p.next_candidate(&mut ScanFilter::default());
                     prop_assert_eq!(got, want, "exact LRU diverged from the seed list");
                     if let Some(v) = got {
                         p.remove(v, 0);
@@ -430,7 +468,9 @@ proptest! {
 /// it. Slow and obviously right — the reference the incremental index must
 /// match candidate for candidate.
 mod oracle {
-    use kcache_policy::{AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy};
+    use kcache_policy::{
+        AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy, ScanFilter,
+    };
     use std::collections::VecDeque;
 
     /// A `scan` snapshot and the walk all five share.
@@ -445,7 +485,7 @@ mod oracle {
             *self = Snapshot { scan: order, pos: 0 };
         }
 
-        fn next(&mut self, table: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             while self.pos < self.scan.len() {
                 let f = self.scan[self.pos];
                 self.pos += 1;
@@ -485,7 +525,7 @@ mod oracle {
         fn begin_scan(&mut self, _: &FrameTable) {
             self.snap.reset(self.order.clone());
         }
-        fn next_candidate(&mut self, t: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next_candidate(&mut self, t: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             self.snap.next(t, filter)
         }
         fn recency_ranking(&self, _: &FrameTable) -> Option<Vec<u32>> {
@@ -528,7 +568,7 @@ mod oracle {
         fn begin_scan(&mut self, t: &FrameTable) {
             self.snap.reset(self.sorted(t));
         }
-        fn next_candidate(&mut self, t: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next_candidate(&mut self, t: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             self.snap.next(t, filter)
         }
         fn recency_ranking(&self, t: &FrameTable) -> Option<Vec<u32>> {
@@ -606,7 +646,7 @@ mod oracle {
         fn begin_scan(&mut self, _: &FrameTable) {
             self.snap.reset(self.composed());
         }
-        fn next_candidate(&mut self, t: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next_candidate(&mut self, t: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             self.snap.next(t, filter)
         }
         fn recency_ranking(&self, _: &FrameTable) -> Option<Vec<u32>> {
@@ -686,7 +726,7 @@ mod oracle {
         fn begin_scan(&mut self, _: &FrameTable) {
             self.snap.reset(self.composed());
         }
-        fn next_candidate(&mut self, t: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next_candidate(&mut self, t: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             self.snap.next(t, filter)
         }
         fn recency_ranking(&self, _: &FrameTable) -> Option<Vec<u32>> {
@@ -747,7 +787,7 @@ mod oracle {
             });
             self.snap.reset(order);
         }
-        fn next_candidate(&mut self, t: &FrameTable, filter: Option<AppId>) -> Option<u32> {
+        fn next_candidate(&mut self, t: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
             self.snap.next(t, filter)
         }
         fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
@@ -815,6 +855,9 @@ fn migrate_oracle(old: &RankedTable, kind: PolicyKind) -> RankedTable {
         if t.is_resident(f) {
             fresh.insert(f, t.key_of(f), t.owner_of(f));
             fresh.table_mut().set_pinned(f, t.is_pinned(f));
+            if t.is_duplicate(f) {
+                fresh.table_mut().set_duplicate(f);
+            }
         }
     }
     // The ref words belong to the table, vacated frames' included.
@@ -832,23 +875,27 @@ fn scan_both(
     kind: PolicyKind,
     new: &mut RankedTable,
     old: &mut RankedTable,
-    filter: Option<AppId>,
+    filter: ScanFilter,
 ) -> Vec<u32> {
     let ranking = new.recency_ranking().expect("every built-in exports a ranking");
     prop_assert_eq!(&ranking, &old.recency_ranking().unwrap(), "{} ranking diverged", kind);
     new.begin_scan();
     old.begin_scan();
     let mut offered = Vec::new();
+    let (mut new_filter, mut old_filter) = (filter, filter);
     loop {
-        let (a, b) = (new.next_candidate(filter), old.next_candidate(filter));
+        let (a, b) = (new.next_candidate(&mut new_filter), old.next_candidate(&mut old_filter));
         prop_assert_eq!(a, b, "{} candidate order diverged after {:?}", kind, offered);
+        prop_assert_eq!(new_filter, old_filter, "{} examined another number of frames", kind);
         let Some(f) = a else { break };
         offered.push(f);
         prop_assert!(offered.len() <= new.table().capacity(), "{kind}: scan did not terminate");
     }
+    let mut walk = filter;
     let from_ranking: Vec<u32> =
-        ranking.into_iter().filter(|&f| new.table().evictable_for(f, filter)).collect();
+        ranking.into_iter().filter(|&f| new.table().evictable_for(f, &mut walk)).collect();
     prop_assert_eq!(&offered, &from_ranking, "{} ranking is not what the scan offers", kind);
+    prop_assert_eq!(walk, new_filter, "{} a full scan examines every frame the filter would", kind);
     offered
 }
 
@@ -899,8 +946,17 @@ fn drive_order(kind: PolicyKind, cap: usize, ops: &[(u8, u64)]) {
                 new.migrate(kind);
                 old = migrate_oracle(&old, kind);
             }
+            // A peer is believed to hold this block too.
+            6 if arg % 4 == 2 => {
+                new.table_mut().set_duplicate(frame);
+                old.table_mut().set_duplicate(frame);
+            }
             _ => {
-                let filter = (op == 7).then_some(app);
+                let filter = ScanFilter {
+                    owner: (op == 7).then_some(app),
+                    dup_only: arg % 8 == 7,
+                    examined: 0,
+                };
                 let offered = scan_both(kind, &mut new, &mut old, filter);
                 // The manager takes the first workable candidate.
                 if let Some(&victim) = offered.first() {
@@ -941,17 +997,20 @@ fn drive_mid_scan(kind: &str, mut p: RankedTable, ops: &[(u8, u64)]) {
     for f in 0..cap as u32 {
         p.insert(f, f as u64, AppId(f % 3));
     }
-    let filter =
-        ops.first().and_then(|&(_, arg)| (arg % 2 == 0).then_some(AppId((arg % 3) as u32)));
+    let owner = ops.first().and_then(|&(_, arg)| (arg % 2 == 0).then_some(AppId((arg % 3) as u32)));
+    let filter = || ScanFilter { owner, ..ScanFilter::default() };
     let mut calls = 0usize;
     // Per frame: offers since the scan began, `None` once a hook touched it.
     let mut offers = vec![Some(0u32); cap];
     let mut ask = |p: &mut RankedTable, offers: &mut Vec<Option<u32>>| {
         calls += 1;
         prop_assert!(calls <= 2 * cap + ops.len(), "{kind}: scan did not end in {calls} calls");
-        let got = p.next_candidate(filter);
+        let got = p.next_candidate(&mut filter());
         if let Some(f) = got {
-            prop_assert!(p.table().evictable_for(f, filter), "{kind}: offered unevictable {f}");
+            prop_assert!(
+                p.table().evictable_for(f, &mut filter()),
+                "{kind}: offered unevictable {f}"
+            );
             offers[f as usize] = offers[f as usize].map(|n| n + 1);
         }
         got
@@ -992,7 +1051,7 @@ fn drive_mid_scan(kind: &str, mut p: RankedTable, ops: &[(u8, u64)]) {
     }
     while ask(&mut p, &mut offers).is_some() {}
     for (f, n) in
-        offers.iter().enumerate().filter(|(f, _)| p.table().evictable_for(*f as u32, filter))
+        offers.iter().enumerate().filter(|(f, _)| p.table().evictable_for(*f as u32, &mut filter()))
     {
         let lapped = kind == "clock" && *n == Some(2);
         prop_assert!(
