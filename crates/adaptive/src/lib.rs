@@ -40,12 +40,11 @@ pub mod ghost;
 
 pub use ghost::GhostCache;
 
-use kcache_policy::hash::KeySet;
 use kcache_policy::{
-    AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostRate,
-    PolicyKind, QuotaMoveRecord, SwitchRecord,
+    AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostLists,
+    GhostRate, PolicyKind, QuotaMoveRecord, SwitchRecord,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// The epoch controller's switch rule over per-candidate epoch ghost
 /// ledgers `(kind, hits, accesses)`: the best-rated candidate wins a
@@ -205,9 +204,8 @@ impl AdaptiveConfig {
 
 /// Per-application eviction memory for the quota tuner.
 struct AppGhostList {
-    recent: VecDeque<u64>,
-    set: KeySet<u64>,
-    cap: usize,
+    /// One FIFO of the keys this app most recently lost to eviction.
+    recent: GhostLists,
     /// Re-references to remembered (evicted) keys this epoch — the hits a
     /// bigger quota would have kept.
     epoch_refaults: u64,
@@ -215,30 +213,15 @@ struct AppGhostList {
 
 impl AppGhostList {
     fn new(cap: usize) -> AppGhostList {
-        AppGhostList {
-            recent: VecDeque::new(),
-            set: KeySet::default(),
-            cap: cap.max(1),
-            epoch_refaults: 0,
-        }
+        AppGhostList { recent: GhostLists::new(1, cap.max(1)), epoch_refaults: 0 }
     }
 
     fn remember(&mut self, key: u64) {
-        if self.set.insert(key) {
-            self.recent.push_back(key);
-        }
-        while self.set.len() > self.cap {
-            match self.recent.pop_front() {
-                Some(old) => {
-                    self.set.remove(&old);
-                }
-                None => break,
-            }
-        }
+        self.recent.remember(key, 0);
     }
 
     fn note_access(&mut self, key: u64) {
-        if self.set.remove(&key) {
+        if self.recent.forget(key).is_some() {
             self.epoch_refaults += 1;
         }
     }
@@ -694,5 +677,36 @@ mod tests {
         }
         let mv = p.run_epoch(&[(a, 3), (b, 1)]);
         assert!(mv.is_none(), "a 1-frame quota has nothing left to give: {mv:?}");
+    }
+
+    /// A refault takes its key out of the list altogether: the list used to
+    /// keep the key's place in a deque and gained one stale entry per
+    /// refault, without bound while the app stayed below `cap` keys.
+    #[test]
+    fn refaults_leave_nothing_behind_in_the_eviction_memory() {
+        let mut gl = AppGhostList::new(4);
+        for round in 0..100u64 {
+            gl.remember(round % 3);
+            gl.note_access(round % 3);
+            assert!(gl.recent.len(0) <= 4, "{} entries for a cap of 4", gl.recent.len(0));
+        }
+        assert_eq!((gl.epoch_refaults, gl.recent.len(0)), (100, 0));
+    }
+
+    /// Only the oldest remembered key is trimmed: the stale place of a key
+    /// that refaulted and was evicted again used to take the live entry
+    /// with it when the trim reached it.
+    #[test]
+    fn a_key_remembered_again_survives_the_trim_of_its_first_place() {
+        let mut gl = AppGhostList::new(3);
+        gl.remember(1);
+        gl.note_access(1);
+        for key in [2, 3, 1, 4] {
+            gl.remember(key); // 4 is one over: 2, the oldest, goes
+        }
+        gl.note_access(2);
+        assert_eq!(gl.epoch_refaults, 1, "2 was trimmed");
+        gl.note_access(1);
+        assert_eq!(gl.epoch_refaults, 2, "1, remembered after 2 and 3, was not");
     }
 }

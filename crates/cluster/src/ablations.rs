@@ -500,11 +500,8 @@ pub fn ablation_adaptive(grid: &Grid) -> Vec<FigureData> {
     vec![ablation_adaptive_switching(grid), ablation_adaptive_quota(grid)]
 }
 
-fn coop_cache(directory: DirectoryMode, singleton_preserving: bool) -> CacheConfig {
-    CacheConfig {
-        cooperative: Some(CooperativeConfig { directory, singleton_preserving }),
-        ..CacheConfig::paper()
-    }
+fn coop_cache(directory: DirectoryMode) -> CacheConfig {
+    CacheConfig { cooperative: Some(CooperativeConfig { directory }), ..CacheConfig::paper() }
 }
 
 /// Two skewed read instances striped across the four client nodes — in
@@ -526,19 +523,18 @@ fn coop_apps(grid: &Grid, d: u32, s: f64) -> Vec<AppSpec> {
 }
 
 /// Tentpole ablation, part (a): the cooperative remote-hit tier against
-/// the node-local baseline across sharing degrees. Metric is the
-/// **aggregate** hit ratio — local hits plus blocks a peer cache served —
-/// so the figure measures what the cluster's caches absorbed, not just
-/// one node's. Series cover both directory modes and the naive
-/// (duplicate-oblivious) eviction variant.
-pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> FigureData {
+/// the node-local baseline across sharing degrees, in both directory
+/// modes. Two tables from the same runs: the **aggregate** hit ratio —
+/// local hits plus blocks a peer cache served, what the cluster's caches
+/// absorbed rather than one node's — and, beside that proxy, the mean
+/// makespan the applications actually saw.
+pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> [FigureData; 2] {
     let sharings = [0.0, 0.25, 0.5, 0.75, 1.0];
     let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
     let variants = [
         CacheConfig::paper(),
-        coop_cache(DirectoryMode::Authoritative, true),
-        coop_cache(DirectoryMode::Hint, true),
-        coop_cache(DirectoryMode::Authoritative, false),
+        coop_cache(DirectoryMode::Authoritative),
+        coop_cache(DirectoryMode::Hint),
     ];
     let mut configs = Vec::new();
     for &s in &sharings {
@@ -551,25 +547,28 @@ pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> FigureData {
         spec.seed = grid.seed;
         let r = run_experiment(&spec, apps);
         assert!(r.completed && r.total_verify_failures() == 0);
-        r.aggregate_hit_ratio().unwrap_or(0.0)
+        [r.aggregate_hit_ratio().unwrap_or(0.0), r.mean_makespan_s()]
     });
-    let mut fig = FigureData::new(
-        "ablation_cooperative",
-        format!("cooperative caching vs node-local baseline (two read instances, d={d}, zipf 0.9)"),
-        "sharing degree s (%)",
-        "aggregate (local+remote) hit ratio",
-        vec![
-            "local-only".into(),
-            "coop authoritative".into(),
-            "coop hint".into(),
-            "coop naive-eviction".into(),
-        ],
-    );
+    let mut figs = [
+        ("ablation_cooperative", "hit ratio", "aggregate (local+remote) hit ratio"),
+        ("ablation_cooperative_makespan", "makespan", "mean makespan (s)"),
+    ]
+    .map(|(id, what, y_label)| {
+        FigureData::new(
+            id,
+            format!("cooperative caching vs node-local baseline, {what} (two read instances, d={d}, zipf 0.9)"),
+            "sharing degree s (%)",
+            y_label,
+            vec!["local-only".into(), "coop authoritative".into(), "coop hint".into()],
+        )
+    });
     let n = variants.len();
     for (i, &s) in sharings.iter().enumerate() {
-        fig.push(s * 100.0, (0..n).map(|k| vals[n * i + k]).collect());
+        for (metric, fig) in figs.iter_mut().enumerate() {
+            fig.push(s * 100.0, (0..n).map(|k| vals[n * i + k][metric]).collect());
+        }
     }
-    fig
+    figs
 }
 
 /// Tentpole ablation, part (b): what a remote hit costs versus a disk
@@ -589,7 +588,7 @@ pub fn ablation_cooperative_latency(grid: &Grid) -> FigureData {
     let configs: Vec<(NetConfig, Vec<AppSpec>)> =
         nets.iter().map(|net| (net.clone(), coop_apps(grid, d, 1.0))).collect();
     let vals = parallel_map(configs, |(net, apps)| {
-        let mut spec = ClusterSpec::paper(Some(coop_cache(DirectoryMode::Authoritative, true)));
+        let mut spec = ClusterSpec::paper(Some(coop_cache(DirectoryMode::Authoritative)));
         spec.net = net.clone();
         spec.seed = grid.seed;
         spec.preload_warm = false;
@@ -610,45 +609,11 @@ pub fn ablation_cooperative_latency(grid: &Grid) -> FigureData {
     fig
 }
 
-/// Tentpole ablation, part (c): what singleton-preserving eviction buys.
-/// Both runs use the authoritative directory; only the eviction
-/// preference differs. Rows are end-of-run cluster residency metrics
-/// (0 = distinct blocks cached anywhere, 1 = total resident copies) —
-/// preferring duplicates for eviction should leave the cluster covering
-/// **more distinct data** with the same aggregate capacity.
-pub fn ablation_cooperative_residency(grid: &Grid) -> FigureData {
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
-    let configs = vec![
-        (coop_cache(DirectoryMode::Authoritative, true), coop_apps(grid, d, 0.5)),
-        (coop_cache(DirectoryMode::Authoritative, false), coop_apps(grid, d, 0.5)),
-    ];
-    let vals = parallel_map(configs, |(cache, apps)| {
-        let mut spec = ClusterSpec::paper(Some(cache.clone()));
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
-        vec![r.distinct_resident_blocks as f64, r.resident_block_copies as f64]
-    });
-    let mut fig = FigureData::new(
-        "ablation_cooperative_residency",
-        format!("singleton-preserving vs naive cooperative eviction (s=50%, d={d})"),
-        "metric (0 = distinct resident blocks, 1 = resident copies)",
-        "blocks",
-        vec!["singleton-preserving".into(), "naive".into()],
-    );
-    for (metric, (&singleton, &naive)) in vals[0].iter().zip(&vals[1]).enumerate() {
-        fig.push(metric as f64, vec![singleton, naive]);
-    }
-    fig
-}
-
-/// All three cooperative-caching figures (the `--fig cooperative` bundle).
+/// The cooperative-caching figures (the `--fig cooperative` bundle).
 pub fn ablation_cooperative(grid: &Grid) -> Vec<FigureData> {
-    vec![
-        ablation_cooperative_hit_ratio(grid),
-        ablation_cooperative_latency(grid),
-        ablation_cooperative_residency(grid),
-    ]
+    let mut figs = Vec::from(ablation_cooperative_hit_ratio(grid));
+    figs.push(ablation_cooperative_latency(grid));
+    figs
 }
 
 /// The full-grid policy-comparison study: every policy across **capacity ×
@@ -797,7 +762,7 @@ mod tests {
     /// cooperative runs must at least not regress.
     #[test]
     fn cooperative_lifts_aggregate_hit_ratio_when_sharing() {
-        let fig = ablation_cooperative_hit_ratio(&Grid::smoke());
+        let [fig, _makespan] = ablation_cooperative_hit_ratio(&Grid::smoke());
         let local = fig.column("local-only").unwrap();
         let auth = fig.column("coop authoritative").unwrap();
         let hint = fig.column("coop hint").unwrap();
@@ -840,24 +805,7 @@ mod tests {
         }
     }
 
-    /// Acceptance part (c): with the same aggregate capacity,
-    /// singleton-preserving eviction must leave the cluster caching more
-    /// distinct blocks than the duplicate-oblivious variant.
-    #[test]
-    fn singleton_preserving_widens_cluster_residency() {
-        let fig = ablation_cooperative_residency(&Grid::smoke());
-        let singleton = fig.column("singleton-preserving").unwrap();
-        let naive = fig.column("naive").unwrap();
-        // Row 0 is distinct resident blocks.
-        assert!(
-            singleton[0] > naive[0],
-            "singleton-preserving distinct residency {} must exceed naive {}",
-            singleton[0],
-            naive[0]
-        );
-    }
-
-    /// Acceptance part (d): the experiment JSON carries the
+    /// Acceptance part (c): the experiment JSON carries the
     /// local/remote/disk breakdown for cooperative runs, and the tiers
     /// account for real traffic.
     #[test]
@@ -865,7 +813,7 @@ mod tests {
         use crate::report::CacheEfficiency;
         let grid = Grid::smoke();
         let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap();
-        let mut spec = ClusterSpec::paper(Some(coop_cache(DirectoryMode::Authoritative, true)));
+        let mut spec = ClusterSpec::paper(Some(coop_cache(DirectoryMode::Authoritative)));
         spec.seed = grid.seed;
         let r = run_experiment(&spec, &coop_apps(&grid, d, 0.75));
         assert!(r.completed && r.total_verify_failures() == 0);

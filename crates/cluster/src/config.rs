@@ -171,17 +171,11 @@ pub struct CooperativeCfg {
     pub enabled: bool,
     /// Directory consistency regime: "authoritative" or "hint".
     pub directory: String,
-    /// Singleton-preserving (cluster-aware) eviction preference.
-    pub singleton_preserving: bool,
 }
 
 impl Default for CooperativeCfg {
     fn default() -> Self {
-        CooperativeCfg {
-            enabled: false,
-            directory: DirectoryMode::Authoritative.name().into(),
-            singleton_preserving: true,
-        }
+        CooperativeCfg { enabled: false, directory: DirectoryMode::Authoritative.name().into() }
     }
 }
 
@@ -365,7 +359,7 @@ impl ExperimentConfig {
         let directory = DirectoryMode::parse(&c.directory).ok_or_else(|| {
             format!("unknown directory mode {:?} (use \"authoritative\" or \"hint\")", c.directory)
         })?;
-        Ok(Some(CooperativeConfig { directory, singleton_preserving: c.singleton_preserving }))
+        Ok(Some(CooperativeConfig { directory }))
     }
 
     /// Lower the config into a runnable `(ClusterSpec, Vec<AppSpec>)`.
@@ -625,15 +619,13 @@ mod tests {
         assert!(old.to_spec().unwrap().0.cache.unwrap().cooperative.is_none());
 
         let cfg = ExperimentConfig::from_json(
-            r#"{ "cluster": { "cooperative": { "enabled": true, "directory": "hint",
-                                               "singleton_preserving": false } },
+            r#"{ "cluster": { "cooperative": { "enabled": true, "directory": "hint" } },
                  "apps": [ { "name": "a", "nodes": [0, 1], "total_mb": 1,
                              "request_kb": 64, "mode": "read", "sharing": 1.0 } ] }"#,
         )
         .unwrap();
         let c = cfg.cooperative().unwrap().expect("cooperative enabled");
         assert_eq!(c.directory, DirectoryMode::Hint);
-        assert!(!c.singleton_preserving);
         let (spec, _) = cfg.to_spec().unwrap();
         assert_eq!(spec.cache.unwrap().cooperative, Some(c));
 

@@ -126,7 +126,7 @@ pub struct ExperimentResult {
     /// end of the run (caching runs; 0 otherwise).
     pub distinct_resident_blocks: u64,
     /// Total resident copies across all caches; `copies - distinct` is
-    /// the duplication the singleton-preserving policy suppresses.
+    /// the aggregate capacity spent on duplicates.
     pub resident_block_copies: u64,
     pub events: u64,
     pub sim_end: SimTime,
@@ -292,9 +292,8 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let mut app_total: BTreeMap<u32, AppCacheUsage> = BTreeMap::new();
     let mut shard_total: Option<Vec<ShardUsage>> = None;
     // End-of-run cluster-wide residency: how many caches hold each block.
-    // Distinct blocks vs total copies is the singleton-preservation
-    // evidence — fewer duplicate copies means more of the cluster's
-    // aggregate capacity covers distinct data.
+    // Fewer duplicate copies means more of the cluster's aggregate
+    // capacity covers distinct data.
     let mut cluster_residency: BTreeMap<kcache::BlockKey, u64> = BTreeMap::new();
     // Per-tier fetch-latency sketches merged across modules: class name →
     // (merged snapshot, target, burned).

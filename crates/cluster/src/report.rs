@@ -155,7 +155,6 @@ pub struct CooperativeReport {
     pub mean_remote_fetch_ms: f64,
     pub mean_disk_fetch_ms: f64,
     /// End-of-run cluster residency: distinct blocks vs total copies.
-    /// The gap is the duplication singleton-preserving eviction trims.
     pub distinct_resident_blocks: u64,
     pub resident_block_copies: u64,
 }

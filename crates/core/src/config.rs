@@ -172,16 +172,11 @@ impl std::fmt::Display for DirectoryMode {
 pub struct CooperativeConfig {
     /// Directory consistency regime at the mgr.
     pub directory: DirectoryMode,
-    /// Cluster-aware eviction preference: evict duplicated copies of
-    /// shared blocks before the last cached copy, keeping cluster-wide
-    /// residency of the shared working set high. Off = naive cooperative
-    /// caching (remote hits without eviction cooperation).
-    pub singleton_preserving: bool,
 }
 
 impl Default for CooperativeConfig {
     fn default() -> Self {
-        CooperativeConfig { directory: DirectoryMode::Authoritative, singleton_preserving: true }
+        CooperativeConfig { directory: DirectoryMode::Authoritative }
     }
 }
 
@@ -223,8 +218,7 @@ pub struct CacheConfig {
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
     /// `Some` enables the cooperative remote-hit tier: a block location
-    /// directory at the mgr, peer fetches on local misses, and (when
-    /// `singleton_preserving`) cluster-aware eviction. `None` (the
+    /// directory at the mgr and peer fetches on local misses. `None` (the
     /// default, the paper's behavior) keeps caches node-local.
     pub cooperative: Option<CooperativeConfig>,
     /// `Some` wires the `kcache-obs` observability hub through the

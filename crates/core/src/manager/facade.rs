@@ -41,10 +41,6 @@ pub struct BufferManager {
     /// backstop behind the tuner's own clamp (see `quota_move_valid`).
     pub(super) quota_floor: usize,
     pub(super) epoch: EpochClock,
-    /// Cooperative singleton-preserving mode: duplicate hints are taken
-    /// ([`note_duplicate`](Self::note_duplicate)); otherwise no frame is
-    /// ever flagged and no scan looks for flags.
-    singleton_preserving: bool,
 }
 
 /// Builder for [`BufferManager`] — the canonical construction surface.
@@ -129,8 +125,7 @@ impl BufferManagerBuilder {
     /// Cooperative cluster-wide caching.
     /// [`DirectoryMode::Authoritative`](crate::config::DirectoryMode)
     /// enables the evicted-key log (the module pushes removals to the
-    /// mgr's directory); `singleton_preserving` enables the duplicate
-    /// eviction preference. `None` keeps every hot path untouched.
+    /// mgr's directory). `None` keeps every hot path untouched.
     pub fn cooperative(mut self, cooperative: Option<CooperativeConfig>) -> Self {
         self.cooperative = cooperative;
         self
@@ -178,7 +173,6 @@ impl BufferManagerBuilder {
             quota_floor: self.adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1)),
             adaptive_cfg: self.adaptive,
             epoch,
-            singleton_preserving: self.cooperative.is_some_and(|c| c.singleton_preserving),
         }
     }
 }
@@ -495,20 +489,6 @@ impl BufferManager {
         let mut out: Vec<BlockKey> = self.shards.iter().flat_map(|s| s.resident_keys()).collect();
         out.sort_unstable();
         out
-    }
-
-    /// Record that `key` is believed duplicated in a peer's cache
-    /// (singleton-preserving cooperative mode; no-op otherwise, and for a
-    /// key that is not resident).
-    pub fn note_duplicate(&self, key: BlockKey) {
-        if self.singleton_preserving {
-            self.shard_of(&key).note_duplicate(key);
-        }
-    }
-
-    /// Resident blocks currently hinted as duplicated cluster-wide.
-    pub fn duplicate_hint_count(&self) -> usize {
-        self.shards.iter().map(|s| s.duplicate_hint_count()).sum()
     }
 
     /// Drain the evicted/invalidated key log (cooperative authoritative

@@ -911,56 +911,44 @@ impl Shard {
     /// Evict one block and return its (now unlinked) frame, optionally
     /// restricted to frames owned by one application (the partition-local
     /// scan). Candidate *ranking* comes from the policy; what the shared
-    /// table knows of *admissibility* — residency, pins, the owner, the
-    /// duplicate bit — travels as a [`ScanFilter`] on every
-    /// `next_candidate` call (never stored in the policy, so a concurrent
-    /// scan can interleave with this one but never widen or redirect its
-    /// boundary) and is applied inside the ranker's own hold; what only the
-    /// frame knows (dirty, in flight) stays with
-    /// [`try_evict_idx`](Self::try_evict_idx).
+    /// table knows of *admissibility* — residency, pins, the owner —
+    /// travels as a [`ScanFilter`] on every `next_candidate` call (never
+    /// stored in the policy, so a concurrent scan can interleave with this
+    /// one but never widen or redirect its boundary) and is applied inside
+    /// the ranker's own hold; what only the frame knows (dirty, in flight)
+    /// stays with [`try_evict_idx`](Self::try_evict_idx).
     pub(super) fn evict_one_owned(
         &self,
         allow_dirty: bool,
         owner: Option<AppId>,
     ) -> Option<(u32, Victim)> {
         // Pass 0: clean victims only (if clean_first). Pass 1: anything
-        // (subject to allow_dirty). While any frame carries the duplicate
-        // bit (singleton-preserving mode hands them out), each cleanliness
-        // tier first scans for cluster-duplicated blocks only — a
-        // duplicate is cheap to lose, the last cluster-wide copy is not —
-        // then falls back to the unrestricted scan. Every pass is a scan of
-        // its own, an empty-handed one included: a clock scan spends
-        // reference bits and moves the hand, so its history counts.
+        // (subject to allow_dirty). Every pass is a scan of its own, an
+        // empty-handed one included: a clock scan spends reference bits
+        // and moves the hand, so its history counts.
         let clean_passes: &[bool] =
             if self.policy_cfg.clean_first { &[true, false] } else { &[false] };
-        let first = self.lock_policy();
-        let dup_passes: &[bool] =
-            if first.ranked.table().duplicates() > 0 { &[true, false] } else { &[false] };
-        let mut first = Some(first);
         for &clean_only in clean_passes {
-            for &dup_only in dup_passes {
-                // One hold ranks over up-to-date metadata — every deferred
-                // access applied before the scan decides a victim order —
-                // and walks to the scan's first admissible frame.
-                let mut filter = ScanFilter { owner, dup_only, examined: 0 };
-                let mut p = first.take().unwrap_or_else(|| self.lock_policy());
-                self.drain_locked(&mut p);
+            // One hold ranks over up-to-date metadata — every deferred
+            // access applied before the scan decides a victim order —
+            // and walks to the scan's first admissible frame.
+            let mut filter = ScanFilter { owner, examined: 0 };
+            let mut candidate = self.with_drained_policy(|p| {
                 p.ranked.begin_scan();
-                let mut candidate = p.ranked.next_candidate(&mut filter);
-                drop(p);
-                while let Some(idx) = candidate {
-                    if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty) {
-                        if let Some(o) = &self.obs {
-                            o.scan_visits.record(filter.examined);
-                            let dirty = victim.flush.is_some() as u64;
-                            o.hub.instant(o.ev_eviction_scan, o.node, 0, filter.examined, dirty);
-                        }
-                        return Some((idx, victim));
+                p.ranked.next_candidate(&mut filter)
+            });
+            while let Some(idx) = candidate {
+                if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty) {
+                    if let Some(o) = &self.obs {
+                        o.scan_visits.record(filter.examined);
+                        let dirty = victim.flush.is_some() as u64;
+                        o.hub.instant(o.ev_eviction_scan, o.node, 0, filter.examined, dirty);
                     }
-                    // Leaf lock only while asking; dropped before
-                    // bucket/frame.
-                    candidate = self.lock_policy().ranked.next_candidate(&mut filter);
+                    return Some((idx, victim));
                 }
+                // Leaf lock only while asking; dropped before
+                // bucket/frame.
+                candidate = self.lock_policy().ranked.next_candidate(&mut filter);
             }
         }
         None
@@ -1017,31 +1005,11 @@ impl Shard {
 
     /// Cooperative bookkeeping for a block leaving this cache (eviction
     /// or invalidation): log it for the module's directory-removal push —
-    /// advisory, `None`-gated. (Its duplicate bit goes with its table
-    /// entry.)
+    /// advisory, `None`-gated.
     pub(super) fn note_departure(&self, key: BlockKey) {
         if let Some(log) = &*self.evicted_log {
             log.lock().push(key);
         }
-    }
-
-    /// `key` is believed duplicated in a peer's cache (learned from a peer
-    /// transfer): flag the frame that holds it, so eviction scans prefer
-    /// it — a duplicate is cheap to lose, the last cluster-wide copy is
-    /// not. Advisory: the peer may have evicted its copy since, which costs
-    /// one disk fetch, never correctness. A key that is not resident (its
-    /// install was refused) leaves no hint behind.
-    pub(super) fn note_duplicate(&self, key: BlockKey) {
-        // The bucket held across the flagging: a linked block is filed in
-        // the table, and stays so until it is unlinked.
-        let bucket = self.bucket(&key);
-        if let Some(&(_, idx)) = bucket.iter().find(|(k, _)| *k == key) {
-            self.lock_policy().ranked.table_mut().set_duplicate(idx);
-        }
-    }
-
-    pub(super) fn duplicate_hint_count(&self) -> usize {
-        self.lock_policy().ranked.table().duplicates()
     }
 
     pub(super) fn take_evicted(&self) -> Vec<BlockKey> {

@@ -1008,78 +1008,37 @@ fn quota_floor_never_vetoes_growth_toward_the_floor() {
     }
 }
 
-fn singleton_preserving() -> Option<crate::config::CooperativeConfig> {
-    Some(crate::config::CooperativeConfig {
-        directory: crate::config::DirectoryMode::Hint,
-        singleton_preserving: true,
-    })
-}
-
-/// A hint names a resident block or nothing. One for a block whose install
-/// was refused used to sit in the hint set until that key was next
-/// installed and evicted — and while it sat there every eviction opened
-/// with a duplicates-only pass that could admit nothing, which under clock
-/// spends the reference bit of every frame it walks past.
-#[test]
-fn a_duplicate_hint_for_an_absent_block_leaves_nothing_behind() {
-    let m = BufferManager::builder(4).cooperative(singleton_preserving()).build();
-    for i in 0..4 {
-        m.insert_clean(key(i), NodeId(0), Span::FULL, &full_block(i as u8));
-    }
-    let mut buf = vec![0u8; 4096];
-    for i in [0u64, 1, 3] {
-        assert!(m.try_read(key(i), Span::FULL, &mut buf));
-    }
-    m.note_duplicate(key(99));
-    assert_eq!(m.duplicate_hint_count(), 0, "nothing resident to flag");
-    let scans = m.policy_stats().scans;
-    m.insert_clean(key(10), NodeId(0), Span::FULL, &full_block(9));
-    assert_eq!(m.policy_stats().scans, scans + 1, "no pass for duplicates nobody flagged");
-    assert!(!m.contains(key(2)) && m.contains(key(0)), "the unreferenced block is the victim");
-    {
-        let p = m.shards[0].lock_policy();
-        let t = p.ranked.table();
-        let frame = (0..4).find(|&f| t.key_of(f) == key(3).hash()).expect("key 3 is resident");
-        assert!(t.ref_words().is_referenced(frame), "a frame the hand never reached keeps its bit");
-    }
-    // A hint for a resident block counts, and leaves with the block.
-    m.note_duplicate(key(3));
-    m.note_duplicate(key(3));
-    assert_eq!(m.duplicate_hint_count(), 1);
-    m.invalidate([key(3)]);
-    assert_eq!(m.duplicate_hint_count(), 0);
-}
-
-/// One policy hold per scan pass, whatever the pass walks past, plus the
-/// one that files the install: the duplicates-only pass examines all 32 of
-/// app 0's frames under the hold that began it (each used to cost a hold,
-/// a frame lock and a hint-set lookup of its own). A pass takes a further
-/// hold only to ask again after `try_evict_idx` turned a candidate down, so
-/// the count also says that ran once.
+/// One policy hold per scan pass, plus one per candidate the frame itself
+/// turns down (the ask-again after `try_evict_idx` said no), plus the one
+/// that files the install. A clean partition is one pass and nothing turned
+/// down; an all-dirty one spends the clean-first pass being offered, and
+/// turning down, each of app 0's 32 frames (clock: once per lap of its two)
+/// before the second pass takes the first.
 #[test]
 fn an_evicting_install_holds_the_policy_lock_once_per_pass_and_once_to_file() {
-    for kind in [PolicyKind::Clock, PolicyKind::ExactLru] {
-        let m = BufferManager::builder(64)
-            .policy(EvictPolicy::of(kind))
-            .partitioning(crate::config::PartitionConfig::strict([(0, 32), (1, 32)]))
-            .cooperative(singleton_preserving())
-            .build();
-        for i in 0..32 {
-            m.insert_clean_by(key(i), NodeId(0), Span::FULL, &full_block(0), AppId(0));
+    for (kind, laps) in [(PolicyKind::Clock, 2), (PolicyKind::ExactLru, 1)] {
+        for (dirty, want_passes, turned_down) in [(false, 1, 0), (true, 2, 32 * laps)] {
+            let m = BufferManager::builder(64)
+                .policy(EvictPolicy::of(kind))
+                .partitioning(crate::config::PartitionConfig::strict([(0, 32), (1, 32)]))
+                .build();
+            for i in 0..32 {
+                if dirty {
+                    m.write_by(key(i), NodeId(0), Span::FULL, &full_block(0), AppId(0));
+                } else {
+                    m.insert_clean_by(key(i), NodeId(0), Span::FULL, &full_block(0), AppId(0));
+                }
+            }
+            m.insert_clean_by(key(100), NodeId(0), Span::FULL, &full_block(1), AppId(1));
+            let scans = m.policy_stats().scans;
+            let holds = super::shard::POLICY_HOLDS.with(|n| n.get());
+            let flush = m.insert_clean_by(key(50), NodeId(0), Span::FULL, &full_block(2), AppId(0));
+            let holds = super::shard::POLICY_HOLDS.with(|n| n.get()) - holds;
+            let passes = m.policy_stats().scans - scans;
+            assert_eq!((passes, flush.is_some()), (want_passes, dirty), "{kind}");
+            assert_eq!(holds, passes + turned_down + 1, "{kind}, dirty: {dirty}");
+            assert_eq!((m.resident_of(AppId(0)), m.contains(key(100))), (32, true), "{kind}");
         }
-        m.insert_clean_by(key(100), NodeId(0), Span::FULL, &full_block(1), AppId(1));
-        m.note_duplicate(key(100));
-        assert_eq!(m.duplicate_hint_count(), 1);
-        let scans = m.policy_stats().scans;
-        let holds = super::shard::POLICY_HOLDS.with(|n| n.get());
-        m.insert_clean_by(key(50), NodeId(0), Span::FULL, &full_block(2), AppId(0));
-        let holds = super::shard::POLICY_HOLDS.with(|n| n.get()) - holds;
-        // Clean-first: the duplicates-only pass over app 0's partition
-        // comes up empty, the unrestricted one takes its first frame.
-        let passes = m.policy_stats().scans - scans;
-        assert_eq!(passes, 2, "{kind}");
-        assert_eq!(holds, passes + 1, "{kind}");
-        assert_eq!((m.resident_of(AppId(0)), m.duplicate_hint_count()), (32, 1), "{kind}");
     }
 }
 

@@ -890,11 +890,6 @@ impl CacheModule {
             {
                 urgent.push(fl);
             }
-            if remote {
-                // Both the peer's copy and ours are now duplicates —
-                // singleton-preserving eviction may shed ours cheaply.
-                self.cache.note_duplicate(key);
-            }
             installed.push(key);
             for &a in waiter_apps.iter().skip(1) {
                 self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
@@ -1196,9 +1191,6 @@ impl CacheModule {
             let key = BlockKey::new(pr.fid, *blk);
             let mut buf = Vec::with_capacity(CACHE_BLOCK_SIZE);
             if self.cache.read_resident(key, Span::FULL, &mut buf) {
-                // Our copy is about to be duplicated at the requester:
-                // mark it cheap for singleton-preserving eviction.
-                self.cache.note_duplicate(key);
                 hits.push((*blk, Bytes::from(buf)));
             } else {
                 misses.push(*blk);

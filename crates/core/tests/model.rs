@@ -18,13 +18,14 @@
 //! * `evict_one_owned` takes the policy lock bare — no drain before
 //!   `begin_scan`: `random_ops_match_the_model` fails
 //!   ("sharing-aware/soft/clean_first=false/shards=1: resident set diverged
-//!   at step 64") and so does
+//!   at step 129") and so does
 //!   `tuner_moves_and_policy_switches_match_the_model` ("adaptive/tuned/
 //!   shards=1: resident set diverged at step 181") — the scan ranks on
 //!   recency the ring has not delivered yet.
 //! * `invalidate` skips `ledger.uncharge(owner)`:
-//!   `random_ops_match_the_model` fails ("…: resident set diverged at step
-//!   152") — the tenant keeps paying for a frame it no longer holds.
+//!   `random_ops_match_the_model` fails ("2q/strict/clean_first=true/
+//!   shards=1: resident set diverged at step 270") — the tenant keeps paying
+//!   for a frame it no longer holds.
 //!
 //! The fixed script inherited from the eager-vs-drained differential
 //! survives both; the random sequences are what catch them.
@@ -32,14 +33,13 @@
 use kcache::adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
 use kcache::policy::{AccessEvent, RankedTable, ScanFilter};
 use kcache::{
-    Access, AccessKind, AccessOutcome, AppId, BlockKey, BufferManager, CacheStats,
-    CooperativeConfig, DirectoryMode, EvictPolicy, PartitionConfig, PartitionMode, PolicyKind,
-    Span, WriteOutcome, CACHE_BLOCK_SIZE,
+    Access, AccessKind, AccessOutcome, AppId, BlockKey, BufferManager, CacheStats, EvictPolicy,
+    PartitionConfig, PartitionMode, PolicyKind, Span, WriteOutcome, CACHE_BLOCK_SIZE,
 };
 use proptest::prelude::*;
 use pvfs::Fid;
 use sim_net::NodeId;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 // ---------------------------------------------------------------------
 // The model
@@ -72,7 +72,6 @@ struct Config {
     partitioning: PartitionConfig,
     adaptive: Option<AdaptiveConfig>,
     epoch_accesses: u64,
-    singleton_preserving: bool,
 }
 
 impl Config {
@@ -84,10 +83,6 @@ impl Config {
             .partitioning(self.partitioning.clone())
             .adaptive(self.adaptive.clone())
             .epoch_accesses(self.epoch_accesses as usize)
-            .cooperative(self.singleton_preserving.then_some(CooperativeConfig {
-                directory: DirectoryMode::Hint,
-                singleton_preserving: true,
-            }))
             .build()
     }
 }
@@ -103,7 +98,6 @@ struct Model {
     adaptive: Option<AdaptivePolicy>,
     /// Quota'd apps: `(quota, frames charged)`.
     apps: BTreeMap<u32, (usize, usize)>,
-    duplicates: HashSet<BlockKey>,
     stats: CacheStats,
     accesses: u64,
     epochs: u64,
@@ -125,7 +119,6 @@ impl Model {
             ranked: kind.build(cfg.capacity),
             adaptive,
             apps,
-            duplicates: HashSet::new(),
             stats: CacheStats::default(),
             accesses: 0,
             epochs: 0,
@@ -318,7 +311,7 @@ impl Model {
     }
 
     /// Evict the first admissible block in the ranker's order: clean ones
-    /// first (if configured), hinted duplicates first within each tier.
+    /// first (if configured).
     fn evict(
         &mut self,
         allow_dirty: bool,
@@ -326,41 +319,32 @@ impl Model {
     ) -> Option<(u32, Option<(BlockKey, Span)>)> {
         let clean_tiers: &[bool] =
             if self.cfg.policy.clean_first { &[true, false] } else { &[false] };
-        let dup_tiers: &[bool] = if self.duplicates.is_empty() { &[false] } else { &[true, false] };
         for &clean_only in clean_tiers {
-            for &dup_only in dup_tiers {
-                // The ranker is asked for the owner's frames only; whether
-                // one is a duplicate is this model's own record to check.
-                let filter = &mut ScanFilter { owner, ..ScanFilter::default() };
-                self.ranked.begin_scan();
-                while let Some(frame) = self.ranked.next_candidate(filter) {
-                    let key =
-                        self.tenant[frame as usize].expect("the ranker offers resident frames");
-                    let b = &self.blocks[&key];
-                    let is_dirty = !b.dirty.is_empty();
-                    if b.flushing
-                        || (is_dirty && (clean_only || !allow_dirty))
-                        || (dup_only && !self.duplicates.contains(&key))
-                    {
-                        continue;
-                    }
-                    let flush = is_dirty.then_some((key, b.dirty));
-                    let table = self.ranked.table_mut();
-                    if is_dirty {
-                        self.stats.evictions_dirty += 1;
-                        table.stats.evictions_dirty += 1;
-                    } else {
-                        self.stats.evictions_clean += 1;
-                        table.stats.evictions_clean += 1;
-                    }
-                    let owner = table.owner_of(frame);
-                    table.note_app_eviction(owner);
-                    if let Some(a) = &mut self.adaptive {
-                        a.remember_eviction(owner, key.hash());
-                    }
-                    self.vacate(key, owner);
-                    return Some((frame, flush));
+            let filter = &mut ScanFilter { owner, ..ScanFilter::default() };
+            self.ranked.begin_scan();
+            while let Some(frame) = self.ranked.next_candidate(filter) {
+                let key = self.tenant[frame as usize].expect("the ranker offers resident frames");
+                let b = &self.blocks[&key];
+                let is_dirty = !b.dirty.is_empty();
+                if b.flushing || (is_dirty && (clean_only || !allow_dirty)) {
+                    continue;
                 }
+                let flush = is_dirty.then_some((key, b.dirty));
+                let table = self.ranked.table_mut();
+                if is_dirty {
+                    self.stats.evictions_dirty += 1;
+                    table.stats.evictions_dirty += 1;
+                } else {
+                    self.stats.evictions_clean += 1;
+                    table.stats.evictions_clean += 1;
+                }
+                let owner = table.owner_of(frame);
+                table.note_app_eviction(owner);
+                if let Some(a) = &mut self.adaptive {
+                    a.remember_eviction(owner, key.hash());
+                }
+                self.vacate(key, owner);
+                return Some((frame, flush));
             }
         }
         None
@@ -373,7 +357,6 @@ impl Model {
         self.ranked.remove(frame, key.hash());
         self.tenant[frame as usize] = None;
         self.uncharge(owner);
-        self.duplicates.remove(&key);
     }
 
     fn update_if_present(&mut self, key: BlockKey, span: Span) -> bool {
@@ -519,7 +502,6 @@ enum Op {
     CompleteAll,
     Invalidate(u64),
     Harvest,
-    NoteDuplicate(u64),
 }
 
 fn key(block: u64) -> BlockKey {
@@ -654,15 +636,6 @@ impl Pair {
                     assert_eq!(urgent, m.harvest(), "{}: harvest at step {step}", self.label);
                 }
                 self.in_flight.extend(urgent);
-            }
-            Op::NoteDuplicate(b) => {
-                self.real.note_duplicate(key(b));
-                if let Some(m) = &mut self.model {
-                    // A hint names a resident block or nothing.
-                    if m.cfg.singleton_preserving && m.blocks.contains_key(&key(b)) {
-                        m.duplicates.insert(key(b));
-                    }
-                }
             }
         }
         self.check_step(step);
@@ -800,7 +773,6 @@ fn scripted_ops_match_the_model() {
             partitioning: partitioning(PartitionMode::Strict),
             adaptive: adaptive.clone(),
             epoch_accesses: 32,
-            singleton_preserving: false,
         };
         run(cfg, &format!("{name}/strict"), &ops);
     }
@@ -840,7 +812,6 @@ fn tuner_moves_and_policy_switches_match_the_model() {
         partitioning: PartitionConfig::strict([(0, 4), (1, 4)]),
         adaptive: adaptive.clone(),
         epoch_accesses: 32,
-        singleton_preserving: false,
     };
     let model = run(cfg, "adaptive/tuned", &ops);
     let seen = model.adaptive.as_ref().unwrap().stats();
@@ -855,17 +826,15 @@ fn span_of(code: u64) -> Span {
 
 proptest! {
     /// Random op sequences over every `Access` kind, flushes with and
-    /// without outstanding acknowledgments, invalidations, harvests and
-    /// duplicate hints × 3 apps and the unattributed accessor × {shared,
-    /// strict, soft} × the six policies and the adaptive manager ×
-    /// `clean_first` × the singleton-preserving preference.
+    /// without outstanding acknowledgments, invalidations and harvests × 3
+    /// apps and the unattributed accessor × {shared, strict, soft} × the
+    /// six policies and the adaptive manager × `clean_first`.
     #[test]
     fn random_ops_match_the_model(
         setup in 0usize..10,
         mode in 0usize..3,
         clean_first in any::<bool>(),
-        singleton_preserving in any::<bool>(),
-        raw in collection::vec((0u8..32, 0u64..14, 0u32..4, 0u64..4), 1..400),
+        raw in collection::vec((0u8..31, 0u64..14, 0u32..4, 0u64..4), 1..400),
     ) {
         let ops: Vec<Op> = raw
             .into_iter()
@@ -881,8 +850,7 @@ proptest! {
                 25 => Op::TakeDirty(1 + s as usize),
                 26 | 27 => Op::CompleteAll,
                 28 => Op::Invalidate(block),
-                29 | 30 => Op::Harvest,
-                _ => Op::NoteDuplicate(block),
+                _ => Op::Harvest,
             })
             .collect();
         // Four draws in ten run the adaptive manager.
@@ -895,7 +863,6 @@ proptest! {
             partitioning: partitioning(mode),
             adaptive: adaptive.clone(),
             epoch_accesses: 16,
-            singleton_preserving,
         };
         run(cfg, &format!("{name}/{mode}/clean_first={clean_first}"), &ops);
     }

@@ -51,10 +51,7 @@ impl ReplacementPolicy for Clock {
                 continue;
             }
             // Consume the reference bit first (second chance), matching the
-            // seed's `swap(false)`-then-skip order. The rest of the filter
-            // comes after it: a duplicates-only scan spends the bit of a
-            // frame it then walks past, as a caller that was offered the
-            // frame and turned it down always did.
+            // seed's `swap(false)`-then-skip order.
             if table.ref_words().take(idx) {
                 continue;
             }
@@ -171,31 +168,5 @@ mod tests {
         c.begin_scan();
         assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(3));
         assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(2));
-    }
-
-    /// The duplicate test sits after the reference bit is consumed: a
-    /// duplicates-only scan spends the second chance of every frame it
-    /// walks past, as the manager's per-candidate rejection always did
-    /// (foreign partitions are skipped before it, as in any filtered scan).
-    #[test]
-    fn duplicates_only_scan_spends_the_bits_it_walks_past() {
-        let mut c = PolicyKind::Clock.build(4);
-        for f in 0..4u32 {
-            c.insert(f, f as u64, AppId(f / 2));
-            c.access(f, f as u64, AppId(f / 2));
-        }
-        c.table_mut().set_duplicate(1);
-        let dups_of = |app| ScanFilter { dup_only: true, ..ScanFilter::owned_by(AppId(app)) };
-        c.begin_scan();
-        let filter = &mut dups_of(0);
-        assert_eq!(c.next_candidate(filter), Some(1), "the flagged frame, on the second lap");
-        assert_eq!(filter.examined, 2, "frame 0 was examined and walked past");
-        assert!(!c.table().ref_words().is_referenced(0), "and paid its reference bit for it");
-        // A pass that admits nothing still runs its two laps: app 1's
-        // partition ends up with no reference bit left.
-        c.begin_scan();
-        assert_eq!(c.next_candidate(&mut dups_of(1)), None, "app 1 has nothing flagged");
-        c.begin_scan();
-        assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(2), "the hand is at 2");
     }
 }

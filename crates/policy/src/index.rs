@@ -301,9 +301,10 @@ impl RankIndex {
 }
 
 /// Bounded FIFO queues of departed blocks' fingerprints (2Q's A1out, ARC's
-/// B1 and B2) over one key → slot map: membership, removal from the middle
-/// and trimming are O(1), where a `VecDeque` searched on every insert.
-pub(crate) struct GhostLists {
+/// B1 and B2, the quota tuner's per-application refault memory) over one
+/// key → slot map: membership, removal from the middle and trimming are
+/// O(1), where a `VecDeque` searched on every insert.
+pub struct GhostLists {
     slot_of: KeyMap<u64, u32>,
     key_of: Vec<u64>,
     /// One class per queue; stamps give the FIFO order.
@@ -326,6 +327,7 @@ impl GhostLists {
         }
     }
 
+    /// Keys `list` remembers.
     pub fn len(&self, list: u64) -> usize {
         self.queue.len_of(list)
     }

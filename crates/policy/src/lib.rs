@@ -38,11 +38,10 @@
 //! each frame) powers the **filtered scan protocol**: the manager passes a
 //! [`ScanFilter`] to every [`next_candidate`](RankedTable::next_candidate)
 //! call, and the table rejects every candidate not owned by the filtered
-//! application or — in a duplicates-only scan — not flagged as duplicated
-//! in a peer's cache. This is what makes per-application cache partitioning
-//! and the singleton-preserving preference work *inside* any policy: the
-//! policy keeps ranking exactly as before, the filter narrows which ranked
-//! frames may leave the cache, under the hold the scan already runs in.
+//! application. This is what makes per-application cache partitioning work
+//! *inside* any policy: the policy keeps ranking exactly as before, the
+//! filter narrows which ranked frames may leave the cache, under the hold
+//! the scan already runs in.
 //!
 //! Concurrency contract: policy state is a **leaf lock** in the manager's
 //! lock order (bucket → frame → policy). The trait is `Send` (not `Sync`);
@@ -72,6 +71,7 @@ pub mod twoq;
 
 pub use arc::Arc;
 pub use clock::Clock;
+pub use index::GhostLists;
 pub use lfu::Lfu;
 pub use lru::ExactLru;
 pub use sharing::SharingAware;
@@ -308,8 +308,7 @@ impl AdaptiveStats {
 ///
 /// * [`next_candidate`](ReplacementPolicy::next_candidate) only returns
 ///   frames that are resident, unpinned, `< capacity`, and let through by
-///   the [`ScanFilter`] passed — owned by the filtered application,
-///   flagged duplicate in a duplicates-only scan
+///   the [`ScanFilter`] passed — owned by the filtered application
 ///   ([`FrameTable::evictable_for`] is that check);
 /// * a scan terminates (`next_candidate` eventually returns `None`),
 ///   filtered or not.
@@ -374,13 +373,10 @@ pub trait ReplacementPolicy: Send {
     /// scan is exhausted. With an owner in `filter` only frames owned by
     /// that application are offered — the partition-local scan quota
     /// enforcement runs — and other owners' ranking state must be left
-    /// untouched (skipped, not consumed). A frame the filter turns away for
-    /// its duplicate bit alone is one the scan *reached*: whatever reaching
-    /// it costs the ranking (clock's reference bit) is spent, exactly as if
-    /// the caller had been offered it and said no. The caller may reject a
-    /// candidate (dirty during a clean-only pass, raced away, …) and simply
-    /// ask again; hooks may have run since the previous call (see the
-    /// trait docs).
+    /// untouched (skipped, not consumed). The caller may reject a candidate
+    /// (dirty during a clean-only pass, raced away, …) and simply ask
+    /// again; hooks may have run since the previous call (see the trait
+    /// docs).
     fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32>;
 
     /// The resident frames in this policy's *eviction-preference order* —

@@ -99,11 +99,6 @@ impl RefWords {
     }
 }
 
-/// A flush of the frame is in flight: no scan may offer it.
-const PINNED: u8 = 1;
-/// The frame's block is believed to be in a peer's cache too.
-const DUPLICATE: u8 = 2;
-
 /// What one eviction scan may be offered: passed by the caller on every
 /// `next_candidate` call of the scan, applied by
 /// [`FrameTable::evictable_for`] under the hold the ranker already runs in.
@@ -111,10 +106,7 @@ const DUPLICATE: u8 = 2;
 pub struct ScanFilter {
     /// Only frames this application installed (the partition-local scan).
     pub owner: Option<AppId>,
-    /// Only frames carrying the duplicate bit.
-    pub dup_only: bool,
-    /// Out: evictable frames of `owner` the scan has examined so far,
-    /// whether or not `dup_only` then let them through.
+    /// Out: evictable frames of `owner` the scan has examined so far.
     pub examined: u64,
 }
 
@@ -140,19 +132,11 @@ impl ScanFilter {
 /// to know about quotas. The filter is a *parameter of the scan*, passed
 /// by the caller on every `next_candidate` call — deliberately not stored
 /// here, so concurrent scans can never clobber each other's filter.
-///
-/// The **duplicate bit** is the table's one advisory flag: the manager
-/// sets it on a frame whose block a peer cache is believed to hold too,
-/// and a [`ScanFilter::dup_only`] scan offers flagged frames only. It
-/// names a resident frame or nothing — setting it on a vacant frame is a
-/// no-op, vacating a frame clears it.
 #[derive(Debug)]
 pub struct FrameTable {
     resident: Vec<bool>,
-    /// `PINNED` | `DUPLICATE`, one byte per frame: a scan reads both
-    /// from the byte it reads anyway, vacating clears both with one store.
-    flags: Vec<u8>,
-    n_duplicate: usize,
+    /// A flush of the frame is in flight: no scan may offer it.
+    pinned: Vec<bool>,
     owner: Vec<AppId>,
     /// Fingerprint of the block resident in each frame (0 for vacant
     /// frames). What lets ghost simulators and live-migration replay
@@ -170,8 +154,7 @@ impl FrameTable {
     pub(crate) fn new(capacity: usize) -> FrameTable {
         FrameTable {
             resident: vec![false; capacity],
-            flags: vec![0; capacity],
-            n_duplicate: 0,
+            pinned: vec![false; capacity],
             owner: vec![AppId::UNKNOWN; capacity],
             key: vec![0; capacity],
             n_resident: 0,
@@ -199,7 +182,7 @@ impl FrameTable {
     }
 
     pub fn is_pinned(&self, frame: u32) -> bool {
-        self.flags.get(frame as usize).is_some_and(|f| f & PINNED != 0)
+        self.pinned.get(frame as usize).copied().unwrap_or(false)
     }
 
     /// Application that installed the block currently in `frame`
@@ -216,33 +199,11 @@ impl FrameTable {
 
     /// [`FrameTable::evictable`] under a scan's filter: with an owner,
     /// only frames installed by it qualify (the partition-local candidate
-    /// check); a frame that gets this far is counted in
-    /// [`ScanFilter::examined`], and a `dup_only` scan then lets it go only
-    /// if it carries the duplicate bit.
+    /// check); a frame that qualifies is counted in [`ScanFilter::examined`].
     pub fn evictable_for(&self, frame: u32, filter: &mut ScanFilter) -> bool {
-        if !self.evictable(frame) || filter.owner.is_some_and(|o| self.owner_of(frame) != o) {
-            return false;
-        }
-        filter.examined += 1;
-        !filter.dup_only || self.is_duplicate(frame)
-    }
-
-    /// Flag the block in `frame` as duplicated elsewhere; nothing to flag
-    /// in a vacant frame.
-    pub fn set_duplicate(&mut self, frame: u32) {
-        if self.is_resident(frame) && !self.is_duplicate(frame) {
-            self.flags[frame as usize] |= DUPLICATE;
-            self.n_duplicate += 1;
-        }
-    }
-
-    pub fn is_duplicate(&self, frame: u32) -> bool {
-        self.flags.get(frame as usize).is_some_and(|f| f & DUPLICATE != 0)
-    }
-
-    /// Frames carrying the duplicate bit.
-    pub fn duplicates(&self) -> usize {
-        self.n_duplicate
+        let ok = self.evictable(frame) && filter.owner.is_none_or(|o| self.owner_of(frame) == o);
+        filter.examined += u64::from(ok);
+        ok
     }
 
     /// Mark `frame` resident, holding block `key`, owned by `app`
@@ -270,8 +231,7 @@ impl FrameTable {
     }
 
     /// Mark `frame` vacated; clears any pin (an invalidation may remove a
-    /// frame whose flush is still in flight), the ownership record and the
-    /// duplicate bit.
+    /// frame whose flush is still in flight) and the ownership record.
     pub(crate) fn remove(&mut self, frame: u32) {
         let f = &mut self.resident[frame as usize];
         if *f {
@@ -287,13 +247,11 @@ impl FrameTable {
         }
         self.owner[frame as usize] = AppId::UNKNOWN;
         self.key[frame as usize] = 0;
-        self.n_duplicate -= usize::from(self.is_duplicate(frame));
-        self.flags[frame as usize] = 0;
+        self.pinned[frame as usize] = false;
     }
 
     pub fn set_pinned(&mut self, frame: u32, pinned: bool) {
-        let flags = &mut self.flags[frame as usize];
-        *flags = if pinned { *flags | PINNED } else { *flags & !PINNED };
+        self.pinned[frame as usize] = pinned;
     }
 
     /// Resident frames currently owned by `app`.
@@ -413,26 +371,6 @@ mod tests {
         assert_eq!(f.examined, 1, "only its own evictable frame counts as examined");
         let any = &mut ScanFilter::default();
         assert!(t.evictable_for(0, any) && t.evictable_for(2, any));
-    }
-
-    #[test]
-    fn the_duplicate_bit_names_a_resident_frame_or_nothing() {
-        let mut t = FrameTable::new(4);
-        t.insert(0, 100, AppId(0));
-        t.insert(1, 101, AppId(0));
-        t.set_duplicate(1);
-        t.set_duplicate(1); // idempotent
-        t.set_duplicate(3); // vacant: nothing to flag
-        assert_eq!((t.duplicates(), t.is_duplicate(1), t.is_duplicate(3)), (1, true, false));
-        let dups = &mut ScanFilter { dup_only: true, ..ScanFilter::default() };
-        assert!(!t.evictable_for(0, dups), "an unflagged frame is walked past");
-        assert!(t.evictable_for(1, dups));
-        assert!(!t.evictable_for(3, dups));
-        assert_eq!(dups.examined, 2, "walked past or let through, both were examined");
-        t.remove(1);
-        assert_eq!((t.duplicates(), t.is_duplicate(1)), (0, false), "vacating clears the bit");
-        t.insert(1, 999, AppId(1));
-        assert!(!t.is_duplicate(1), "the next tenant starts unflagged");
     }
 
     #[test]

@@ -54,8 +54,6 @@ struct Model {
     pinned: [bool; CAP],
     key_of: [u64; CAP],
     owner_of: [AppId; CAP],
-    /// Flagged duplicate (cleared when the frame is vacated).
-    dup: [bool; CAP],
 }
 
 impl Model {
@@ -65,7 +63,6 @@ impl Model {
             pinned: [false; CAP],
             key_of: [0; CAP],
             owner_of: [AppId::UNKNOWN; CAP],
-            dup: [false; CAP],
         }
     }
 
@@ -73,7 +70,6 @@ impl Model {
         self.resident[frame as usize] = false;
         self.pinned[frame as usize] = false;
         self.owner_of[frame as usize] = AppId::UNKNOWN;
-        self.dup[frame as usize] = false;
     }
 
     fn resident_count(&self) -> usize {
@@ -84,15 +80,8 @@ impl Model {
         (0..CAP).any(|f| self.resident[f] && !self.pinned[f])
     }
 
-    /// Is there a frame a scan filtered to `owner` (and, `dup_only`, to
-    /// flagged frames) must find?
-    fn any_evictable_owned(&self, owner: AppId, dup_only: bool) -> bool {
-        (0..CAP).any(|f| {
-            self.resident[f]
-                && !self.pinned[f]
-                && self.owner_of[f] == owner
-                && (self.dup[f] || !dup_only)
-        })
+    fn any_evictable_owned(&self, owner: AppId) -> bool {
+        (0..CAP).any(|f| self.resident[f] && !self.pinned[f] && self.owner_of[f] == owner)
     }
 }
 
@@ -133,25 +122,11 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                 }
             }
             3 => {
-                // The manager flags a block as duplicated in a peer's cache
-                // (a vacant frame takes no flag).
-                m.dup[frame as usize] = m.resident[frame as usize];
-                policy.table_mut().set_duplicate(frame);
-                prop_assert_eq!(
-                    policy.table().duplicates(),
-                    m.dup.iter().filter(|&&d| d).count(),
-                    "{}: flagged-frame count",
-                    kind
-                );
-            }
-            4 => {
-                // Filtered eviction scan (the partition-local path the
-                // quota-enforcing manager runs, every other time narrowed
-                // to flagged duplicates): every candidate must pass the
-                // filter on top of the usual rules, and the scan must find
-                // a victim iff the filter admits one.
-                let dup_only = arg % 2 == 0;
-                let filter = &mut ScanFilter { dup_only, ..ScanFilter::owned_by(app) };
+                // Owner-filtered eviction scan (the partition-local path the
+                // quota-enforcing manager runs): every candidate must be
+                // owned by the filtered app on top of the usual rules, and
+                // the scan must find a victim iff the app owns one.
+                let filter = &mut ScanFilter::owned_by(app);
                 policy.begin_scan();
                 let got = policy.next_candidate(filter);
                 if let Some(c) = got {
@@ -165,12 +140,11 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                         kind,
                         c
                     );
-                    prop_assert!(m.dup[c as usize] || !dup_only, "{kind}: {c} is not flagged");
                     m.vacate(c);
                     policy.remove(c, m.key_of[c as usize]);
                 }
                 prop_assert!(
-                    got.is_some() || !m.any_evictable_owned(app, dup_only),
+                    got.is_some() || !m.any_evictable_owned(app),
                     "{kind}: filtered scan missed an evictable frame owned by app {app:?}"
                 );
                 let mut offered = 0usize;
@@ -181,8 +155,7 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                         (c as usize) < CAP
                             && m.resident[c as usize]
                             && !m.pinned[c as usize]
-                            && m.owner_of[c as usize] == app
-                            && (m.dup[c as usize] || !dup_only),
+                            && m.owner_of[c as usize] == app,
                         "{kind}: late filtered candidate {c} violates invariants"
                     );
                 }
@@ -231,7 +204,7 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
 proptest! {
     #[test]
     fn all_policies_uphold_candidate_invariants(
-        ops in collection::vec((0u8..6, 0u64..1024), 1..300),
+        ops in collection::vec((0u8..5, 0u64..1024), 1..300),
     ) {
         for kind in PolicyKind::ALL {
             drive(kind.name(), || kind.build(CAP), &ops);
@@ -855,9 +828,6 @@ fn migrate_oracle(old: &RankedTable, kind: PolicyKind) -> RankedTable {
         if t.is_resident(f) {
             fresh.insert(f, t.key_of(f), t.owner_of(f));
             fresh.table_mut().set_pinned(f, t.is_pinned(f));
-            if t.is_duplicate(f) {
-                fresh.table_mut().set_duplicate(f);
-            }
         }
     }
     // The ref words belong to the table, vacated frames' included.
@@ -946,17 +916,8 @@ fn drive_order(kind: PolicyKind, cap: usize, ops: &[(u8, u64)]) {
                 new.migrate(kind);
                 old = migrate_oracle(&old, kind);
             }
-            // A peer is believed to hold this block too.
-            6 if arg % 4 == 2 => {
-                new.table_mut().set_duplicate(frame);
-                old.table_mut().set_duplicate(frame);
-            }
             _ => {
-                let filter = ScanFilter {
-                    owner: (op == 7).then_some(app),
-                    dup_only: arg % 8 == 7,
-                    examined: 0,
-                };
+                let filter = ScanFilter { owner: (op == 7).then_some(app), examined: 0 };
                 let offered = scan_both(kind, &mut new, &mut old, filter);
                 // The manager takes the first workable candidate.
                 if let Some(&victim) = offered.first() {

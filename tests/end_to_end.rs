@@ -181,10 +181,7 @@ fn deterministic_across_runs() {
                 capacity_blocks: 64,
                 low_watermark: 6,
                 high_watermark: 16,
-                cooperative: Some(CooperativeConfig {
-                    directory: DirectoryMode::Authoritative,
-                    singleton_preserving: true,
-                }),
+                cooperative: Some(CooperativeConfig { directory: DirectoryMode::Authoritative }),
                 ..CacheConfig::paper()
             })),
             vec![
@@ -283,10 +280,7 @@ fn stale_hints_degrade_to_disk_never_wrong_data() {
         capacity_blocks: 64,
         low_watermark: 6,
         high_watermark: 16,
-        cooperative: Some(CooperativeConfig {
-            directory: DirectoryMode::Hint,
-            singleton_preserving: true,
-        }),
+        cooperative: Some(CooperativeConfig { directory: DirectoryMode::Hint }),
         ..CacheConfig::paper()
     }));
     spec.seed = 7;

@@ -307,6 +307,27 @@ fn pre_partitioning_json_still_parses_and_runs() {
     assert!(r.completed && r.total_verify_failures() == 0);
 }
 
+/// `cooperative.singleton_preserving` is a retired key: configs written
+/// while it existed (the benchmark generates one) keep parsing, and lower
+/// to exactly what a config without it lowers to, whatever value it holds.
+#[test]
+fn the_retired_singleton_preserving_key_is_ignored() {
+    let lowered = |key: &str| {
+        let cfg = ExperimentConfig::from_json(&format!(
+            r#"{{ "cluster": {{ "cooperative": {{ "enabled": true, "directory": "hint" {key} }} }},
+                 "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
+                             "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
+        ))
+        .expect("an old config must keep parsing");
+        let spec = cfg.to_spec().expect("lower spec");
+        (format!("{spec:?}"), cfg)
+    };
+    let without = lowered("");
+    assert!(without.0.contains("Hint"), "the cooperative section itself must still lower");
+    assert_eq!(lowered(r#", "singleton_preserving": true"#), without);
+    assert_eq!(lowered(r#", "singleton_preserving": false"#), without);
+}
+
 /// Bad configuration is an `Err` naming the field, never a panic further
 /// down in the cluster or buffer-manager builders.
 #[test]

@@ -36,10 +36,7 @@ fn coop_cache() -> CacheConfig {
         capacity_blocks: 64,
         low_watermark: 6,
         high_watermark: 16,
-        cooperative: Some(CooperativeConfig {
-            directory: DirectoryMode::Hint,
-            singleton_preserving: true,
-        }),
+        cooperative: Some(CooperativeConfig { directory: DirectoryMode::Hint }),
         ..CacheConfig::paper()
     }
 }
