@@ -13,13 +13,6 @@ use sim_disk::{DiskGeometry, DiskSched};
 use sim_net::{Fabric, NetConfig, NodeId, NodeNet, Port};
 use workload::{partition_of, AppProcess, AppSpec, Coordinator, Kickoff, ProcPlan};
 
-/// How many directory-update generations a hint-mode sharer entry stays
-/// believable before the mgr ages it out. Sized to a few times the
-/// paper-configuration cache (300 blocks/node × 6 nodes): long enough
-/// that live residents are always re-confirmed by ongoing fill traffic,
-/// short enough that the directory tracks cache capacity, not history.
-const HINT_DIR_MAX_AGE: u64 = 8_192;
-
 /// Whole-cluster configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterSpec {
@@ -35,10 +28,10 @@ pub struct ClusterSpec {
     pub seed: u64,
     /// Federated telemetry: one [`kcache::ObsHub`] per node, so trace
     /// pids separate by node and registries stay contention-free. When
-    /// set, the builder hands each cache module (and the mgr) its
+    /// set, the builder hands each cache module (and each iod) its
     /// node's hub, overriding `cache.obs`; when `None`, any single hub
-    /// already in `cache.obs` is shared by every module (the pre-
-    /// federation quickstart shape).
+    /// already in `cache.obs` is shared by every module and iod (the
+    /// pre-federation quickstart shape).
     pub obs: Option<std::sync::Arc<ClusterObs>>,
     /// Verify every read against the deterministic file pattern.
     pub verify_reads: bool,
@@ -168,22 +161,14 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         apps.iter().flat_map(|a| a.nodes.iter().map(|n| n.0)).collect();
     let mut modules: Vec<Option<ActorId>> = vec![None; n];
     if let Some(cache_cfg) = &spec.cache {
-        // A hint-mode directory receives no eviction removals; arm the
-        // mgr's generation aging so it cannot accrete every block ever
-        // cached. One generation == one directory update, so the window
-        // scales with directory traffic, not wall time.
-        if cache_cfg.cooperative.as_ref().map(|c| c.directory) == Some(kcache::DirectoryMode::Hint)
-        {
-            let mgr = eng.actor_as_mut::<Mgr>(mgr_id).expect("mgr downcast");
-            mgr.set_hint_aging(HINT_DIR_MAX_AGE);
-        }
-        // The mgr traces its directory lookups into node 0's hub so
-        // cross-node flows stitch through its lane. Federated specs hand
-        // it hub 0; a bare shared hub in `cache.obs` works the same way.
-        let mgr_hub = spec.obs.as_ref().map(|c| c.hub_for(0)).or_else(|| cache_cfg.obs.clone());
-        if let Some(hub) = mgr_hub {
-            let mgr = eng.actor_as_mut::<Mgr>(mgr_id).expect("mgr downcast");
-            mgr.set_obs(hub);
+        // Each iod traces the forwards it opens into its node's hub, so
+        // cross-node flows stitch through its lane. A bare shared hub in
+        // `cache.obs` works the same way.
+        for (i, &iod) in iods.iter().enumerate() {
+            let hub = spec.obs.as_ref().map(|c| c.hub_for(i)).or_else(|| cache_cfg.obs.clone());
+            if let Some(hub) = hub {
+                eng.actor_as_mut::<Iod>(iod).expect("iod downcast").set_obs(hub);
+            }
         }
         for &node in &client_nodes {
             let mut cfg = cache_cfg.clone();
@@ -192,19 +177,13 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
                 // and registry, keyed by node in the trace pid.
                 cfg.obs = Some(cluster_obs.hub_for(node as usize));
             }
-            let mut module = CacheModule::new(
+            let module = CacheModule::new(
                 NodeId(node),
                 fabric_id,
                 cpus[node as usize].clone(),
                 spec.costs.clone(),
                 cfg,
             );
-            // The block location directory lives with the mgr on node 0;
-            // telling the module where it is arms the remote-hit tier
-            // (a no-op unless the config enables cooperative caching).
-            if cache_cfg.cooperative.is_some() {
-                module.set_directory_home(NodeId(0));
-            }
             let m = eng.add_actor(Box::new(module));
             modules[node as usize] = Some(m);
         }

@@ -27,8 +27,7 @@
 
 use crate::builder::ClusterSpec;
 use kcache::{
-    AdaptiveConfig, CacheConfig, CooperativeConfig, DirectoryMode, EvictPolicy, PartitionConfig,
-    PartitionMode, PolicyKind,
+    AdaptiveConfig, CacheConfig, EvictPolicy, PartitionConfig, PartitionMode, PolicyKind,
 };
 use serde::{Deserialize, Serialize};
 use sim_core::Dur;
@@ -88,7 +87,7 @@ pub struct ClusterCfg {
 #[serde(default)]
 pub struct TelemetryCfg {
     /// Wire a per-node [`kcache::ObsHub`] through every cache module
-    /// and the mgr, federated by a [`kcache::obs::ClusterObs`].
+    /// and iod, federated by a [`kcache::obs::ClusterObs`].
     pub enabled: bool,
     /// Per-node trace-ring capacity in slots (0 picks the library
     /// default).
@@ -163,20 +162,15 @@ impl Default for AnomalyCfg {
     }
 }
 
-/// The `cooperative` section of the cluster config.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The `cooperative` section of the cluster config. `directory` (and the
+/// singleton-preserving eviction switch) are retired keys: configs written
+/// while they existed still parse, and the keys mean nothing.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct CooperativeCfg {
-    /// Enable the remote-hit tier (directory at the mgr, peer fetches).
+    /// Enable the remote-hit tier (iods forward platter-bound reads to
+    /// peer caches).
     pub enabled: bool,
-    /// Directory consistency regime: "authoritative" or "hint".
-    pub directory: String,
-}
-
-impl Default for CooperativeCfg {
-    fn default() -> Self {
-        CooperativeCfg { enabled: false, directory: DirectoryMode::Authoritative.name().into() }
-    }
 }
 
 /// The `adaptive` section of the cluster config.
@@ -349,23 +343,9 @@ impl ExperimentConfig {
         }))
     }
 
-    /// The cooperative-caching configuration this config describes:
-    /// `Some` when the `cooperative` section is enabled.
-    pub fn cooperative(&self) -> Result<Option<CooperativeConfig>, String> {
-        let c = &self.cluster.cooperative;
-        if !c.enabled {
-            return Ok(None);
-        }
-        let directory = DirectoryMode::parse(&c.directory).ok_or_else(|| {
-            format!("unknown directory mode {:?} (use \"authoritative\" or \"hint\")", c.directory)
-        })?;
-        Ok(Some(CooperativeConfig { directory }))
-    }
-
     /// Lower the config into a runnable `(ClusterSpec, Vec<AppSpec>)`.
     pub fn to_spec(&self) -> Result<(ClusterSpec, Vec<AppSpec>), String> {
         let adaptive = self.adaptive()?;
-        let cooperative = self.cooperative()?;
         let kind = match &adaptive {
             // The first candidate starts live; `EvictPolicy.kind` echoes it.
             Some(a) => a.candidates[0],
@@ -405,7 +385,7 @@ impl ExperimentConfig {
             }
         }
         // One hub per node, federated: the builder hands each cache
-        // module (and the mgr) its own hub so trace pids separate by
+        // module (and iod) its own hub so trace pids separate by
         // node and registries stay contention-free; `ClusterObs` merges
         // them back into a cluster rollup at report time.
         let obs = self.cluster.telemetry.enabled.then(|| {
@@ -425,7 +405,7 @@ impl ExperimentConfig {
             partitioning,
             adaptive: adaptive.clone(),
             epoch_accesses,
-            cooperative,
+            cooperative: self.cluster.cooperative.enabled,
             slo: self.cluster.telemetry.slo_targets(),
             shards,
             ..CacheConfig::paper()
@@ -615,33 +595,32 @@ mod tests {
                              "request_kb": 64, "mode": "read" } ] }"#,
         )
         .unwrap();
-        assert!(old.cooperative().unwrap().is_none());
-        assert!(old.to_spec().unwrap().0.cache.unwrap().cooperative.is_none());
+        assert!(!old.to_spec().unwrap().0.cache.unwrap().cooperative);
 
         let cfg = ExperimentConfig::from_json(
-            r#"{ "cluster": { "cooperative": { "enabled": true, "directory": "hint" } },
+            r#"{ "cluster": { "cooperative": { "enabled": true } },
                  "apps": [ { "name": "a", "nodes": [0, 1], "total_mb": 1,
                              "request_kb": 64, "mode": "read", "sharing": 1.0 } ] }"#,
         )
         .unwrap();
-        let c = cfg.cooperative().unwrap().expect("cooperative enabled");
-        assert_eq!(c.directory, DirectoryMode::Hint);
+        assert!(cfg.cluster.cooperative.enabled);
         let (spec, _) = cfg.to_spec().unwrap();
-        assert_eq!(spec.cache.unwrap().cooperative, Some(c));
+        assert!(spec.cache.unwrap().cooperative);
 
         // serialize → parse is the identity.
         let json = serde_json::to_string_pretty(&cfg).unwrap();
         assert_eq!(ExperimentConfig::from_json(&json).unwrap(), cfg);
 
-        // Bad directory mode is rejected.
-        let bad = ExperimentConfig::from_json(
-            r#"{ "cluster": { "cooperative": { "enabled": true, "directory": "psychic" } },
-                 "apps": [ { "name": "a", "nodes": [0], "total_mb": 1,
-                             "request_kb": 64, "mode": "read" } ] }"#,
-        )
-        .unwrap();
-        assert!(bad.cooperative().is_err());
-        assert!(bad.to_spec().is_err());
+        // `directory` is retired: any value parses to the same config.
+        for mode in ["hint", "authoritative", "psychic"] {
+            let old = ExperimentConfig::from_json(&format!(
+                r#"{{ "cluster": {{ "cooperative": {{ "enabled": true, "directory": "{mode}" }} }},
+                     "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
+                                 "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
+            ))
+            .unwrap();
+            assert_eq!(old, cfg, "directory {mode:?}");
+        }
     }
 
     #[test]

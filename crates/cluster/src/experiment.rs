@@ -3,7 +3,7 @@
 use crate::builder::{build, Cluster, ClusterSpec};
 use kcache::obs::{ClusterObs, QuantileSnapshot};
 use kcache::{AdaptiveStats, CacheModule, CacheStats, ModuleStats, PolicyStats};
-use pvfs::{Iod, IodStats, Mgr};
+use pvfs::{Iod, IodStats};
 use serde::Serialize;
 use sim_core::{ActorProfile, Dur, SimTime, StopReason};
 use sim_net::{Fabric, FabricStats, TrafficClass};
@@ -102,9 +102,8 @@ pub struct ExperimentResult {
     pub cache: Option<CacheStats>,
     /// Name of the replacement policy in effect (caching runs only).
     pub policy: Option<String>,
-    /// Directory mode of the cooperative remote-hit tier
-    /// ("authoritative"/"hint"), when enabled.
-    pub cooperative: Option<String>,
+    /// Whether the cooperative remote-hit tier ran.
+    pub cooperative: bool,
     /// Frame-quota mode in effect (caching runs only).
     pub partitioning: Option<String>,
     /// The policy subsystem's own event ledger, summed over all modules.
@@ -210,8 +209,8 @@ impl ExperimentResult {
         (m.disk_fetch_blocks > 0).then(|| m.disk_fetch_ns as f64 / m.disk_fetch_blocks as f64 / 1e6)
     }
 
-    /// Mean block-fetch latency from the remote-cache tier (directory +
-    /// peer round trip), milliseconds.
+    /// Mean block-fetch latency from the remote-cache tier (iod round
+    /// trip plus the forward to the sharer), milliseconds.
     pub fn mean_remote_fetch_ms(&self) -> Option<f64> {
         let m = self.module.as_ref()?;
         (m.remote_hit_blocks > 0)
@@ -377,10 +376,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         macc.flush_msgs += ms.flush_msgs;
         macc.urgent_flush_blocks += ms.urgent_flush_blocks;
         macc.harvest_runs += ms.harvest_runs;
-        macc.dir_queries += ms.dir_queries;
-        macc.dir_updates += ms.dir_updates;
-        macc.dir_located_blocks += ms.dir_located_blocks;
-        macc.dir_unlocated_blocks += ms.dir_unlocated_blocks;
         macc.remote_hit_blocks += ms.remote_hit_blocks;
         macc.remote_stale_blocks += ms.remote_stale_blocks;
         macc.remote_bytes_fetched += ms.remote_bytes_fetched;
@@ -420,6 +415,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         iod_total.disk_writes += s.disk_writes;
         iod_total.invalidations_sent += s.invalidations_sent;
         iod_total.directory_entries += s.directory_entries;
+        iod_total.forwarded_blocks += s.forwarded_blocks;
     }
 
     let fabric = cluster.engine.actor_as::<Fabric>(cluster.fabric).expect("fabric downcast");
@@ -433,15 +429,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         .obs
         .clone()
         .or_else(|| spec.cache.as_ref().and_then(|c| c.obs.clone()).map(ClusterObs::shared));
-    if let Some(cluster_obs) = &obs {
-        // End-of-run telemetry: the block location directory's size and
-        // staleness shedding become gauges on the mgr's hub (node 0 —
-        // where the directory lives).
-        let mgr = cluster.engine.actor_as::<Mgr>(cluster.mgr).expect("mgr downcast");
-        let hub = cluster_obs.hub_for(0);
-        hub.registry().gauge("dir.entries").set(mgr.directory_entries() as u64);
-        hub.registry().gauge("dir.stale_dropped").set(mgr.stats().dir_stale_dropped);
-    }
     let slo = (!slo_acc.is_empty()).then(|| {
         slo_acc
             .into_iter()
@@ -461,11 +448,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         instances,
         cache: cache_total,
         policy: spec.cache.as_ref().map(|c| c.policy_label().to_string()),
-        cooperative: spec
-            .cache
-            .as_ref()
-            .and_then(|c| c.cooperative)
-            .map(|c| c.directory.name().to_string()),
+        cooperative: spec.cache.as_ref().is_some_and(|c| c.cooperative),
         partitioning: spec.cache.as_ref().map(|c| c.partitioning.mode.name().to_string()),
         policy_stats: policy_total,
         adaptive: adaptive_total,

@@ -127,27 +127,23 @@ impl AdaptiveReport {
 
 /// The cooperative remote-hit tier's slice of [`CacheEfficiency`]: every
 /// block lookup resolves to exactly one of three tiers — local cache,
-/// a peer's cache, or disk — and this records the split plus the
-/// directory/peer traffic and latency evidence behind it.
+/// a peer's cache, or the iod — and this records the split plus the
+/// peer traffic and latency evidence behind it.
 #[derive(Debug, Clone, Serialize)]
 pub struct CooperativeReport {
-    /// Directory mode: "authoritative" or "hint".
-    pub directory: String,
     /// Blocks served from this node's own cache.
     pub local_hit_blocks: u64,
     /// Blocks served from a peer cache over the fabric.
     pub remote_hit_blocks: u64,
-    /// Blocks that went all the way to the iod's disk.
+    /// Blocks the iod served (its page cache or its platter).
     pub disk_fetch_blocks: u64,
     /// Fraction of lookups served from *any* cache (local or peer).
     pub aggregate_hit_ratio: f64,
-    /// Peer blocks the directory promised but the peer had evicted
-    /// (hint-mode staleness; falls through to disk, never wrong data).
+    /// Forwarded blocks the peer no longer held: bounced back to the iod
+    /// and read from its platter, never wrong data.
     pub remote_stale_blocks: u64,
-    pub dir_queries: u64,
-    pub dir_updates: u64,
-    pub dir_located_blocks: u64,
-    pub dir_unlocated_blocks: u64,
+    /// Platter-bound blocks the iods forwarded to a peer.
+    pub forwarded_blocks: u64,
     pub peer_reqs_served: u64,
     pub peer_blocks_served: u64,
     /// Mean per-block fetch latency by tier, milliseconds (0 when the
@@ -161,20 +157,15 @@ pub struct CooperativeReport {
 
 impl CooperativeReport {
     fn from_run(r: &ExperimentResult) -> Option<CooperativeReport> {
-        let directory = r.cooperative.clone()?;
-        let cache = r.cache.as_ref()?;
+        let cache = r.cache.as_ref().filter(|_| r.cooperative)?;
         let m = r.module.as_ref()?;
         Some(CooperativeReport {
-            directory,
             local_hit_blocks: cache.hits,
             remote_hit_blocks: m.remote_hit_blocks,
             disk_fetch_blocks: m.disk_fetch_blocks,
             aggregate_hit_ratio: r.aggregate_hit_ratio().unwrap_or(0.0),
             remote_stale_blocks: m.remote_stale_blocks,
-            dir_queries: m.dir_queries,
-            dir_updates: m.dir_updates,
-            dir_located_blocks: m.dir_located_blocks,
-            dir_unlocated_blocks: m.dir_unlocated_blocks,
+            forwarded_blocks: r.iod.forwarded_blocks,
             peer_reqs_served: m.peer_reqs_served,
             peer_blocks_served: m.peer_blocks_served,
             mean_remote_fetch_ms: r.mean_remote_fetch_ms().unwrap_or(0.0),

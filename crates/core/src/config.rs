@@ -129,57 +129,6 @@ impl PartitionConfig {
     }
 }
 
-/// How the mgr's block location directory is kept in sync with the
-/// per-node caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DirectoryMode {
-    /// Modules push both inserts and evictions: the directory is an exact
-    /// view of cluster residency, every located peer fetch hits.
-    #[default]
-    Authoritative,
-    /// Modules push inserts only — eviction removals stay off the hot path
-    /// (the "Cache is King" argument). Directory entries go stale; a
-    /// misdirected peer fetch comes back a miss and falls through to the
-    /// iod disk. Staleness costs latency, never correctness.
-    Hint,
-}
-
-impl DirectoryMode {
-    pub fn name(self) -> &'static str {
-        match self {
-            DirectoryMode::Authoritative => "authoritative",
-            DirectoryMode::Hint => "hint",
-        }
-    }
-
-    pub fn parse(s: &str) -> Option<DirectoryMode> {
-        match s {
-            "authoritative" => Some(DirectoryMode::Authoritative),
-            "hint" => Some(DirectoryMode::Hint),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for DirectoryMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Cooperative cluster-wide caching: the remote-hit tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CooperativeConfig {
-    /// Directory consistency regime at the mgr.
-    pub directory: DirectoryMode,
-}
-
-impl Default for CooperativeConfig {
-    fn default() -> Self {
-        CooperativeConfig { directory: DirectoryMode::Authoritative }
-    }
-}
-
 /// Tunables of the per-node kernel cache module.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
@@ -217,10 +166,11 @@ pub struct CacheConfig {
     /// Write-behind on (the paper's design) or off (write-through
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
-    /// `Some` enables the cooperative remote-hit tier: a block location
-    /// directory at the mgr and peer fetches on local misses. `None` (the
-    /// default, the paper's behavior) keeps caches node-local.
-    pub cooperative: Option<CooperativeConfig>,
+    /// Cooperative remote-hit tier: a read the iod would serve from its
+    /// platter is served by a peer cache its directory lists instead, and
+    /// the module logs its evictions as notices for that directory. Off
+    /// (the default, the paper's behavior) keeps caches node-local.
+    pub cooperative: bool,
     /// `Some` wires the `kcache-obs` observability hub through the
     /// module and its buffer manager: lock-free metric counters on the
     /// hit path, structured trace events (miss fills, eviction scans,
@@ -257,7 +207,7 @@ impl CacheConfig {
             flush_interval: Dur::millis(500),
             flush_batch: 64,
             write_behind: true,
-            cooperative: None,
+            cooperative: false,
             obs: None,
             slo: kcache_obs::SloTargets::default(),
             shards: 1,

@@ -27,7 +27,7 @@ pub mod module;
 mod ring;
 
 pub use block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
-pub use config::{CacheConfig, CooperativeConfig, DirectoryMode, PartitionConfig, PartitionMode};
+pub use config::{CacheConfig, PartitionConfig, PartitionMode};
 pub use manager::{
     Access, AccessKind, AccessOutcome, BufferManager, BufferManagerBuilder, CacheStats,
     EvictPolicy, FlushItem, WriteOutcome,

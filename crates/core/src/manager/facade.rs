@@ -8,10 +8,11 @@ use super::epoch::EpochClock;
 use super::shard::Shard;
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem};
 use crate::block::{BlockKey, Span};
-use crate::config::{CooperativeConfig, PartitionConfig};
+use crate::config::PartitionConfig;
 use kcache_adaptive::AdaptiveConfig;
 use kcache_obs::ObsHub;
 use kcache_policy::{AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats};
+use sim_net::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc as StdArc;
 
@@ -68,7 +69,7 @@ pub struct BufferManagerBuilder {
     pub(super) partitioning: PartitionConfig,
     pub(super) adaptive: Option<AdaptiveConfig>,
     epoch_accesses: usize,
-    pub(super) cooperative: Option<CooperativeConfig>,
+    pub(super) cooperative: bool,
     pub(super) obs: Option<(StdArc<ObsHub>, u32)>,
     pub(super) shards: usize,
 }
@@ -83,7 +84,7 @@ impl BufferManagerBuilder {
             partitioning: PartitionConfig::shared(),
             adaptive: None,
             epoch_accesses: 0,
-            cooperative: None,
+            cooperative: false,
             obs: None,
             shards: 1,
         }
@@ -122,11 +123,10 @@ impl BufferManagerBuilder {
         self
     }
 
-    /// Cooperative cluster-wide caching.
-    /// [`DirectoryMode::Authoritative`](crate::config::DirectoryMode)
-    /// enables the evicted-key log (the module pushes removals to the
-    /// mgr's directory). `None` keeps every hot path untouched.
-    pub fn cooperative(mut self, cooperative: Option<CooperativeConfig>) -> Self {
+    /// Cooperative cluster-wide caching: enables the evicted-key log (the
+    /// module piggybacks the removals on its messages to the iods).
+    /// `false` keeps every hot path untouched.
+    pub fn cooperative(mut self, cooperative: bool) -> Self {
         self.cooperative = cooperative;
         self
     }
@@ -491,9 +491,10 @@ impl BufferManager {
         out
     }
 
-    /// Drain the evicted/invalidated key log (cooperative authoritative
-    /// mode; empty otherwise).
-    pub fn take_evicted(&self) -> Vec<BlockKey> {
+    /// Drain the log of blocks evicted or invalidated since the last
+    /// drain, each with its home iod (cooperative managers only; empty
+    /// otherwise).
+    pub fn take_evicted(&self) -> Vec<(BlockKey, NodeId)> {
         self.shards.iter().flat_map(|s| s.take_evicted()).collect()
     }
 }

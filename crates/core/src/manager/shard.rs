@@ -10,7 +10,6 @@ use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
-use crate::config::DirectoryMode;
 use crate::ring::EventRing;
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
@@ -242,6 +241,9 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
+/// Blocks dropped since the last drain, each with its home iod.
+type EvictedLog = Mutex<Vec<(BlockKey, NodeId)>>;
+
 /// One shard of the cache: a fully self-contained slice of the frame
 /// pool with its own hash buckets, free list, dirty queue, replacement
 /// policy, event ring and quota ledger — every lock below this line is
@@ -293,11 +295,11 @@ pub(super) struct Shard {
     touch_words: bool,
     pending_hits: CacheLine<AtomicU64>,
     pending_misses: CacheLine<AtomicU64>,
-    /// Leaf lock, cooperative authoritative mode only: keys evicted or
-    /// invalidated since the last `take_evicted` drain. The cache module
-    /// turns the drained batch into directory-removal updates to the mgr.
-    /// `None` keeps the hot path untouched.
-    evicted_log: CacheLine<Option<Mutex<Vec<BlockKey>>>>,
+    /// Leaf lock, cooperative managers only: keys evicted or invalidated
+    /// since the last `take_evicted` drain, with their home iods. The
+    /// cache module turns the drained batch into eviction notices for
+    /// each home's directory. `None` keeps the hot path untouched.
+    evicted_log: CacheLine<Option<EvictedLog>>,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     pub(super) obs: Option<ManagerObs>,
@@ -324,8 +326,6 @@ impl Shard {
         let count_only_unattributed = !is_adaptive && ranked.ranker().ranks_from_ref_words();
         let touch_words =
             count_only_unattributed || is_adaptive || ranked.ranker().consumes_app_mask();
-        let track_evictions =
-            cfg.cooperative.is_some_and(|c| c.directory == DirectoryMode::Authoritative);
         let policy_label = if is_adaptive { "adaptive" } else { policy.kind.name() };
         let waits = |name| LockWaits::resolve(cfg.obs.as_ref(), name);
         Shard {
@@ -351,7 +351,7 @@ impl Shard {
             touch_words,
             pending_hits: CacheLine(AtomicU64::new(0)),
             pending_misses: CacheLine(AtomicU64::new(0)),
-            evicted_log: CacheLine(track_evictions.then(|| Mutex::new(Vec::new()))),
+            evicted_log: CacheLine(cfg.cooperative.then(|| Mutex::new(Vec::new()))),
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
                 ManagerObs {
@@ -996,23 +996,24 @@ impl Shard {
             None
         };
         bucket.retain(|(k, _)| *k != key);
+        let home = f.home;
         f.vacate();
         drop(f);
         drop(bucket);
-        self.note_departure(key);
+        self.note_departure(key, home);
         Some(Victim { key, flush })
     }
 
     /// Cooperative bookkeeping for a block leaving this cache (eviction
-    /// or invalidation): log it for the module's directory-removal push —
-    /// advisory, `None`-gated.
-    pub(super) fn note_departure(&self, key: BlockKey) {
+    /// or invalidation): log it for the module's eviction notice to its
+    /// home iod — `None`-gated.
+    pub(super) fn note_departure(&self, key: BlockKey, home: NodeId) {
         if let Some(log) = &*self.evicted_log {
-            log.lock().push(key);
+            log.lock().push((key, home));
         }
     }
 
-    pub(super) fn take_evicted(&self) -> Vec<BlockKey> {
+    pub(super) fn take_evicted(&self) -> Vec<(BlockKey, NodeId)> {
         match &*self.evicted_log {
             Some(log) => std::mem::take(&mut *log.lock()),
             None => Vec::new(),

@@ -20,21 +20,26 @@
 //! dirty blocks to the iods' flush listeners periodically) and the
 //! **harvester** (replenishes the free list to the high watermark when it
 //! drops below the low watermark).
+//!
+//! With the cooperative tier on, the module also serves the reads its
+//! iods forward to it for other nodes, and logs its evictions as notices
+//! for their directories (`module/coop.rs`).
+
+mod coop;
 
 use crate::block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::CacheConfig;
 use crate::manager::{Access, AccessKind, AccessOutcome, BufferManager, FlushItem, WriteOutcome};
 use bytes::Bytes;
 use kcache_obs::{
-    Counter, EventId, FlowId, Histogram, ObsHub, Phase, QuantileSketch, QuantileSnapshot,
-    SloTargets,
+    Counter, EventId, Histogram, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets,
 };
-use kcache_policy::hash::{KeyMap, KeySet};
+use kcache_policy::hash::KeyMap;
 use kcache_policy::AppId;
 use pvfs::{
-    BlockDirQuery, BlockDirReply, BlockDirUpdate, ByteRange, CostModel, Fid, FlushAck, FlushBlocks,
-    FlushEntry, Invalidate, InvalidateAck, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq,
-    WriteAck, WritePart, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
+    ByteRange, CostModel, Fid, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
+    PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq,
+    CACHE_PORT, IOD_FLUSH_PORT,
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
@@ -68,21 +73,13 @@ pub struct ModuleStats {
     pub urgent_flush_blocks: u64,
     pub harvest_runs: u64,
     // --- cooperative remote-hit tier ---
-    /// Directory queries sent on local misses.
-    pub dir_queries: u64,
-    /// Residency-delta messages pushed to the directory.
-    pub dir_updates: u64,
-    /// Missing blocks the directory located in a peer cache.
-    pub dir_located_blocks: u64,
-    /// Missing blocks the directory knew no sharer for (straight to disk).
-    pub dir_unlocated_blocks: u64,
-    /// Blocks actually served out of a peer cache (the remote hits).
+    /// Blocks installed out of a peer cache (the remote hits).
     pub remote_hit_blocks: u64,
-    /// Directory-located blocks the peer no longer had — the stale-hint
-    /// fallthrough; these are re-fetched from the iod, never served wrong.
+    /// Forwarded blocks this node no longer held: bounced back to their
+    /// iod, which reads them from the platter — never served wrong.
     pub remote_stale_blocks: u64,
     pub remote_bytes_fetched: u64,
-    /// Peer-fetch requests this node answered for others.
+    /// Forwarded reads this node answered for others.
     pub peer_reqs_served: u64,
     pub peer_blocks_served: u64,
     pub peer_bytes_served: u64,
@@ -111,47 +108,18 @@ struct PendingFetch {
     waiting: Vec<WaitingRange>,
 }
 
-/// One in-flight cooperative fetch conversation: the directory query, the
-/// peer fetches it fans out into, and the single deferred iod request
-/// that picks up whatever the peers could not serve. Deferring the disk
-/// request until every peer has answered keeps the client-visible
-/// protocol unchanged: exactly one (possibly faked) iod ack per request.
-struct CoopFetch {
-    fid: Fid,
-    /// Owning iod for the missing blocks: destination of the deferred
-    /// disk request and `home` for installed frames.
-    home: NodeId,
-    /// Original client request id — the deferred iod request reuses it so
-    /// the iod's ack and data flow back through the normal inbound path.
-    client_req: u64,
-    reply_to: (NodeId, Port),
-    /// Every block this conversation is responsible for fetching.
-    blocks: Vec<u64>,
-    outstanding_peers: usize,
-    /// Blocks that must come from the iod after all: directory-unknown
-    /// ones plus stale-hint fallthroughs reported by peers.
-    to_disk: Vec<u64>,
-    /// Trace-correlation id stamped on every message of this
-    /// conversation (the requester mints it; mgr and peers echo it).
-    flow: FlowId,
-}
-
 struct FlushTick;
 struct HarvestNow;
 
 /// Pre-resolved observability handles for the module's fetch tiers and
-/// the cooperative directory protocol. Mirrors the buffer manager's
+/// the cooperative peer protocol. Mirrors the buffer manager's
 /// `ManagerObs`: resolved once at construction, `None` when the config
 /// carries no hub, so the data paths pay one never-taken branch.
 struct ModuleObs {
     hub: Arc<ObsHub>,
     /// Trace `pid` lane — one per simulated node.
     node: u32,
-    /// Directory query outcome, block granularity: the directory named a
-    /// peer / knew no sharer (straight to disk).
-    dir_located: Counter,
-    dir_unlocated: Counter,
-    /// Peer-reported stale hints (re-fetched from the iod).
+    /// Forwarded blocks this node bounced (read from the platter instead).
     stale_hints: Counter,
     /// Blocks served out of a peer cache.
     remote_hits: Counter,
@@ -171,7 +139,6 @@ struct ModuleObs {
     ev_miss_fill: EventId,
     ev_iod_read: EventId,
     ev_peer_fetch: EventId,
-    ev_dir_query: EventId,
     ev_peer_serve: EventId,
     /// Flow-correlation event name shared by all coop actors.
     ev_flow: EventId,
@@ -181,8 +148,6 @@ impl ModuleObs {
     fn new(hub: Arc<ObsHub>, node: NodeId, slo: SloTargets) -> ModuleObs {
         let r = hub.registry();
         ModuleObs {
-            dir_located: r.counter("coop.dir_located_blocks"),
-            dir_unlocated: r.counter("coop.dir_unlocated_blocks"),
             stale_hints: r.counter("coop.stale_hint_blocks"),
             remote_hits: r.counter("coop.remote_hit_blocks"),
             fetch_ns_default: r.histogram("fetch.ns.default"),
@@ -195,7 +160,6 @@ impl ModuleObs {
             ev_miss_fill: hub.intern("miss_fill", Some("blocks"), Some("remote")),
             ev_iod_read: hub.intern("iod_read", Some("blocks"), Some("bytes")),
             ev_peer_fetch: hub.intern("peer_fetch", Some("blocks"), Some("bytes")),
-            ev_dir_query: hub.intern("dir_query", Some("located"), Some("unlocated")),
             ev_peer_serve: hub.intern("peer_serve", Some("blocks"), Some("hits")),
             ev_flow: hub.intern("coop_fetch", None, None),
             node: node.0 as u32,
@@ -250,13 +214,8 @@ pub struct CacheModule {
     block_waiters: KeyMap<BlockKey, Vec<(u16, u64)>>,
     /// Resident blocks in flight per flush request (completed on FlushAck).
     inflight_flushes: KeyMap<u64, Vec<(BlockKey, Span)>>,
-    /// Where the block location directory lives (the pvfs mgr's node);
-    /// `None` until the cluster builder wires it, which — together with
-    /// `cfg.cooperative` — gates the whole remote-hit tier.
-    mgr_node: Option<NodeId>,
-    /// In-flight cooperative conversations by directory-query id.
-    coop_pending: KeyMap<u64, CoopFetch>,
-    coop_seq: u64,
+    /// The cooperative tier's state; `None` keeps caching node-local.
+    coop: Option<coop::Notices>,
     flush_seq: u64,
     harvest_scheduled: bool,
     started: bool,
@@ -286,6 +245,7 @@ impl CacheModule {
                 .build(),
         );
         let obs = cfg.obs.clone().map(|hub| ModuleObs::new(hub, node, cfg.slo));
+        let coop = cfg.cooperative.then(coop::Notices::default);
         CacheModule {
             node,
             fabric,
@@ -299,9 +259,7 @@ impl CacheModule {
             fetching: KeyMap::default(),
             block_waiters: KeyMap::default(),
             inflight_flushes: KeyMap::default(),
-            mgr_node: None,
-            coop_pending: KeyMap::default(),
-            coop_seq: 0,
+            coop,
             flush_seq: 1,
             harvest_scheduled: false,
             started: false,
@@ -317,17 +275,6 @@ impl CacheModule {
     pub fn register_client(&mut self, port: Port, actor: ActorId, app: AppId) {
         self.clients.insert(port.0, actor);
         self.client_apps.insert(port.0, app);
-    }
-
-    /// Tell the module which node hosts the block location directory (the
-    /// pvfs mgr). The remote-hit tier activates only once this is set
-    /// *and* the config carries a [`crate::config::CooperativeConfig`].
-    pub fn set_directory_home(&mut self, mgr: NodeId) {
-        self.mgr_node = Some(mgr);
-    }
-
-    fn cooperative_active(&self) -> bool {
-        self.cfg.cooperative.is_some() && self.mgr_node.is_some()
     }
 
     /// Application owning a client reply port ([`AppId::UNKNOWN`] for
@@ -441,6 +388,9 @@ impl CacheModule {
                 fid,
                 blocks: entries.into_iter().map(|(e, _, _)| e).collect(),
                 reply_to: (self.node, CACHE_PORT),
+                // A victim is gone already: its drop must cancel this
+                // flush's registration.
+                seq: if resident { self.next_seq() } else { None },
             };
             self.tag += 1;
             let wire = f.wire_bytes();
@@ -458,7 +408,6 @@ impl CacheModule {
     fn intercept_read(&mut self, ctx: &mut Ctx<'_>, mut net: NetMessage, rr: ReadReq) {
         self.stats.reads_intercepted += 1;
         let now = ctx.now();
-        let iod_node = net.dst;
         let client_port = rr.reply_to.1;
         let app = self.app_of(client_port);
         let total_blocks: u64 =
@@ -617,66 +566,13 @@ impl CacheModule {
             self.send_to_client(ctx, t, client_port, ReadAck { req_id: rr.req_id, bytes: total });
             return;
         }
-        if self.cooperative_active() {
-            // Remote-hit tier: ask the directory who caches the missing
-            // blocks before going to disk. The iod request is deferred
-            // until the directory (and any queried peers) have answered,
-            // so the client still sees exactly one ack per request.
-            let blocks: Vec<u64> =
-                fetch_ranges.iter().flat_map(|r| blocks_of_range(r.offset, r.len)).collect();
-            self.coop_seq += 1;
-            let qid = self.coop_seq;
-            // Mint the correlation id unconditionally (wire layout and
-            // determinism stay identical with tracing on or off); only
-            // the trace emission below is gated on obs.
-            let flow = FlowId::coop(self.node.0, qid);
-            let q = BlockDirQuery {
-                req_id: qid,
-                fid: rr.fid,
-                blocks: blocks.clone(),
-                reply_to: (self.node, CACHE_PORT),
-                flow,
-            };
-            self.coop_pending.insert(
-                qid,
-                CoopFetch {
-                    fid: rr.fid,
-                    home: iod_node,
-                    client_req: rr.req_id,
-                    reply_to: rr.reply_to,
-                    blocks,
-                    outstanding_peers: 0,
-                    to_disk: Vec::new(),
-                    flow,
-                },
-            );
-            t = self.charge(t, self.costs.send_overhead);
-            if let Some(o) = &self.obs {
-                // Flow start on the requester: the miss that opens the
-                // cross-node conversation. The matching end is emitted
-                // by finish_coop, which every conversation reaches.
-                o.hub.flow(o.ev_flow, Phase::FlowStart, t.nanos(), o.node, 1, flow);
-            }
-            self.tag += 1;
-            let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
-            let m = NetMessage::new(
-                (self.node, CACHE_PORT),
-                (mgr, MGR_PORT),
-                q.wire_bytes(),
-                self.tag,
-                q,
-            )
-            .with_class(TrafficClass::Peer);
-            self.send_to_net(ctx, t, m);
-            self.stats.dir_queries += 1;
-            return;
-        }
         let reduced = ReadReq {
             req_id: rr.req_id,
             fid: rr.fid,
             ranges: fetch_ranges,
             reply_to: rr.reply_to,
             caching: true,
+            seq: self.next_seq(),
         };
         let wire = reduced.wire_bytes();
         // The client already paid the socket-call cost; the in-kernel
@@ -684,7 +580,6 @@ impl CacheModule {
         t = self.charge(t, self.costs.cache_call_overhead);
         net.wire_bytes = wire;
         net.payload = Box::new(reduced);
-        let _ = iod_node;
         self.send_to_net(ctx, t, net);
     }
 
@@ -740,7 +635,6 @@ impl CacheModule {
         );
 
         let mut passthrough: Vec<WritePart> = Vec::new();
-        let mut absorbed_keys: Vec<BlockKey> = Vec::new();
         let mut absorbed_blocks = 0u64;
         let mut absorbed_bytes = 0u64;
         for part in &wr.parts {
@@ -758,7 +652,6 @@ impl CacheModule {
                     AccessOutcome::Write(WriteOutcome::Absorbed) => {
                         absorbed_blocks += 1;
                         absorbed_bytes += span.len() as u64;
-                        absorbed_keys.push(BlockKey::new(wr.fid, blk));
                         self.maybe_schedule_harvest(ctx);
                     }
                     // Not absorbed: these bytes go through to the iod.
@@ -787,7 +680,6 @@ impl CacheModule {
             );
         }
         self.stats.bytes_absorbed += absorbed_bytes;
-        self.publish_dir_delta(ctx, t, absorbed_keys);
         if passthrough.is_empty() {
             // Fully absorbed: fake the write ack (write-behind).
             self.stats.fake_write_acks += 1;
@@ -834,15 +726,8 @@ impl CacheModule {
     /// flushes and sharing attribution behave identically; only the
     /// counters (and the latency accumulator the fetch is priced into)
     /// differ.
-    fn inbound_read_data(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        net: NetMessage,
-        rd: ReadData,
-        remote: bool,
-    ) {
+    fn inbound_read_data(&mut self, ctx: &mut Ctx<'_>, home: NodeId, rd: ReadData, remote: bool) {
         let now = ctx.now();
-        let home = net.src;
         let nblocks = blocks_of_range(rd.range.offset, rd.range.len).count() as u64;
         if remote {
             self.stats.remote_hit_blocks += nblocks;
@@ -860,7 +745,6 @@ impl CacheModule {
         // waiters belonging to *other processes* whose fetches were
         // suppressed by the pending-block state.
         let mut urgent: Vec<FlushItem> = Vec::new();
-        let mut installed: Vec<BlockKey> = Vec::new();
         let mut completed: Vec<(Port, u64, Fid, ByteRange, Bytes)> = Vec::new();
         // Earliest fetch-initiation time among the blocks this message
         // resolves — the start of the miss-fill span.
@@ -890,7 +774,6 @@ impl CacheModule {
             {
                 urgent.push(fl);
             }
-            installed.push(key);
             for &a in waiter_apps.iter().skip(1) {
                 self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
             }
@@ -973,7 +856,6 @@ impl CacheModule {
                 o.remote_hits.add(nblocks);
             }
         }
-        self.publish_dir_delta(ctx, t, installed);
         if !urgent.is_empty() {
             self.send_flushes(ctx, t, urgent, true, false);
         }
@@ -982,256 +864,6 @@ impl CacheModule {
                 self.send_to_client(ctx, t, client_port, ReadData { req_id, fid, range, data });
             }
         }
-    }
-
-    // -----------------------------------------------------------------
-    // Cooperative remote-hit tier
-    // -----------------------------------------------------------------
-
-    /// Push this node's residency delta to the block location directory.
-    /// `added` are blocks just installed; evictions recorded by the
-    /// buffer manager since the last publish ride along as removals.
-    /// In hint mode the manager records no departures, so the directory
-    /// decays into an over-approximate hint store — misdirected peer
-    /// fetches then fall through to disk, never return wrong data.
-    fn publish_dir_delta(&mut self, ctx: &mut Ctx<'_>, at: SimTime, added: Vec<BlockKey>) {
-        if !self.cooperative_active() {
-            return;
-        }
-        let mgr = self.mgr_node.expect("cooperative_active checked mgr_node");
-        let mut per_fid: BTreeMap<Fid, (Vec<u64>, Vec<u64>)> = BTreeMap::new();
-        for k in added {
-            per_fid.entry(k.fid).or_default().0.push(k.blk);
-        }
-        for k in self.cache.take_evicted() {
-            per_fid.entry(k.fid).or_default().1.push(k.blk);
-        }
-        let mut at = at;
-        for (fid, (added, removed)) in per_fid {
-            at = self.charge(at, self.costs.send_overhead);
-            let u = BlockDirUpdate { fid, node: self.node, added, removed };
-            self.tag += 1;
-            let m = NetMessage::new(
-                (self.node, CACHE_PORT),
-                (mgr, MGR_PORT),
-                u.wire_bytes(),
-                self.tag,
-                u,
-            )
-            .with_class(TrafficClass::Peer);
-            self.send_to_net(ctx, at, m);
-            self.stats.dir_updates += 1;
-        }
-    }
-
-    /// The directory's answer to one of our queries: fan the located
-    /// blocks out to their peer caches, queue the unknown ones for the
-    /// deferred iod request.
-    fn coop_dir_reply(&mut self, ctx: &mut Ctx<'_>, reply: BlockDirReply) {
-        let now = ctx.now();
-        let Some(cf) = self.coop_pending.get_mut(&reply.req_id) else {
-            debug_assert!(false, "directory reply for unknown query");
-            return;
-        };
-        let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
-        let mut located = KeySet::default();
-        for (blk, node) in &reply.locations {
-            per_peer.entry(*node).or_default().push(*blk);
-            located.insert(*blk);
-        }
-        cf.to_disk.extend(cf.blocks.iter().copied().filter(|b| !located.contains(b)));
-        cf.outstanding_peers = per_peer.len();
-        let fid = cf.fid;
-        let flow = cf.flow;
-        let n_total = cf.blocks.len() as u64;
-        let n_located = located.len() as u64;
-        self.stats.dir_located_blocks += n_located;
-        self.stats.dir_unlocated_blocks += n_total - n_located;
-        if let Some(o) = &self.obs {
-            o.dir_located.add(n_located);
-            o.dir_unlocated.add(n_total - n_located);
-            o.hub.instant(o.ev_dir_query, o.node, 0, n_located, n_total - n_located);
-        }
-        if per_peer.is_empty() {
-            self.finish_coop(ctx, now, reply.req_id);
-            return;
-        }
-        let mut t = self.charge(now, self.costs.cache_call_overhead);
-        for (peer, blocks) in per_peer {
-            t = self.charge(t, self.costs.send_overhead);
-            let pr = PeerReadReq {
-                req_id: reply.req_id,
-                fid,
-                blocks,
-                reply_to: (self.node, CACHE_PORT),
-                flow,
-            };
-            self.tag += 1;
-            let m = NetMessage::new(
-                (self.node, CACHE_PORT),
-                (peer, CACHE_PORT),
-                pr.wire_bytes(),
-                self.tag,
-                pr,
-            )
-            .with_class(TrafficClass::Peer);
-            self.send_to_net(ctx, t, m);
-        }
-    }
-
-    /// A peer's answer to one of our block fetches: install the hits
-    /// through the normal data-arrival path (waiters — including other
-    /// processes' — complete exactly as for an iod reply), queue the
-    /// stale misses for disk.
-    fn coop_peer_reply(&mut self, ctx: &mut Ctx<'_>, reply: PeerReadReply) {
-        let now = ctx.now();
-        let qid = reply.req_id;
-        let Some(cf) = self.coop_pending.get_mut(&qid) else {
-            debug_assert!(false, "peer reply for unknown query");
-            return;
-        };
-        let home = cf.home;
-        cf.to_disk.extend(reply.misses.iter().copied());
-        cf.outstanding_peers = cf.outstanding_peers.saturating_sub(1);
-        let done = cf.outstanding_peers == 0;
-        self.stats.remote_stale_blocks += reply.misses.len() as u64;
-        if let Some(o) = &self.obs {
-            o.stale_hints.add(reply.misses.len() as u64);
-        }
-        for (blk, data) in reply.hits {
-            let rd = ReadData {
-                req_id: 0, // unused: waiters are keyed by block
-                fid: reply.fid,
-                range: ByteRange::new(blk * CACHE_BLOCK_SIZE as u64, CACHE_BLOCK_SIZE as u32),
-                data,
-            };
-            // Synthesized meta: `home` must be the owning iod, not the
-            // peer — a later dirty flush of the block goes to its iod.
-            let net = NetMessage::new((home, IOD_PORT), (self.node, CACHE_PORT), 0, 0, ());
-            self.inbound_read_data(ctx, net, rd, true);
-        }
-        if done {
-            self.finish_coop(ctx, now, qid);
-        }
-    }
-
-    /// Close out a cooperative conversation: everything the peers could
-    /// not serve goes to the iod in one (coalesced) request; if nothing
-    /// is left, fake the iod's ack — the disk tier never hears about
-    /// this request at all.
-    fn finish_coop(&mut self, ctx: &mut Ctx<'_>, at: SimTime, qid: u64) {
-        let Some(cf) = self.coop_pending.remove(&qid) else {
-            return;
-        };
-        if let Some(o) = &self.obs {
-            // Close the flow opened at the miss. Every conversation
-            // funnels through here (empty directory answer or last peer
-            // reply), so starts and finishes pair one-to-one.
-            o.hub.flow(o.ev_flow, Phase::FlowEnd, at.nanos(), o.node, 1, cf.flow);
-        }
-        let mut to_disk = cf.to_disk;
-        if to_disk.is_empty() {
-            self.stats.fake_read_acks += 1;
-            let bytes = cf.blocks.len() as u64 * CACHE_BLOCK_SIZE as u64;
-            let t = self.charge(at, self.costs.cache_call_overhead);
-            self.send_to_client(ctx, t, cf.reply_to.1, ReadAck { req_id: cf.client_req, bytes });
-            return;
-        }
-        to_disk.sort_unstable();
-        to_disk.dedup();
-        let mut ranges: Vec<ByteRange> = Vec::new();
-        let mut i = 0;
-        while i < to_disk.len() {
-            let start = to_disk[i];
-            let mut n = 1u64;
-            while i + (n as usize) < to_disk.len() && to_disk[i + n as usize] == start + n {
-                n += 1;
-            }
-            ranges.push(ByteRange::new(
-                start * CACHE_BLOCK_SIZE as u64,
-                (n * CACHE_BLOCK_SIZE as u64) as u32,
-            ));
-            i += n as usize;
-        }
-        let rr = ReadReq {
-            req_id: cf.client_req,
-            fid: cf.fid,
-            ranges,
-            reply_to: cf.reply_to,
-            caching: true,
-        };
-        let t = self.charge(at, self.costs.send_overhead);
-        self.tag += 1;
-        let m = NetMessage::new(
-            (self.node, cf.reply_to.1),
-            (cf.home, IOD_PORT),
-            rr.wire_bytes(),
-            self.tag,
-            rr,
-        );
-        self.send_to_net(ctx, t, m);
-    }
-
-    /// Serve a peer's block fetch out of our cache. Reads bypass all
-    /// local accounting ([`BufferManager::read_resident`]): remote
-    /// traffic must not distort this node's hit ratio or recency. Blocks
-    /// we no longer hold are reported as misses — the requester falls
-    /// through to disk.
-    fn serve_peer_read(&mut self, ctx: &mut Ctx<'_>, pr: PeerReadReq) {
-        self.stats.peer_reqs_served += 1;
-        let now = ctx.now();
-        let mut t = self.charge(
-            now,
-            self.costs.cache_call_overhead
-                + Dur::nanos(self.costs.cache_lookup_per_block.as_nanos() * pr.blocks.len() as u64),
-        );
-        let mut hits: Vec<(u64, Bytes)> = Vec::new();
-        let mut misses: Vec<u64> = Vec::new();
-        for blk in &pr.blocks {
-            let key = BlockKey::new(pr.fid, *blk);
-            let mut buf = Vec::with_capacity(CACHE_BLOCK_SIZE);
-            if self.cache.read_resident(key, Span::FULL, &mut buf) {
-                hits.push((*blk, Bytes::from(buf)));
-            } else {
-                misses.push(*blk);
-            }
-        }
-        if !hits.is_empty() {
-            t = self.charge(
-                t,
-                Dur::nanos(self.costs.cache_copy_per_block.as_nanos() * hits.len() as u64),
-            );
-        }
-        self.stats.peer_blocks_served += hits.len() as u64;
-        self.stats.peer_bytes_served += hits.len() as u64 * CACHE_BLOCK_SIZE as u64;
-        t = self.charge(t, self.costs.send_overhead);
-        if let Some(o) = &self.obs {
-            // Peer-serve span on the responder node's lane, plus the
-            // requester's flow stepping through us.
-            o.hub.span(
-                o.ev_peer_serve,
-                o.node,
-                2,
-                now.nanos(),
-                t.since(now).as_nanos(),
-                pr.blocks.len() as u64,
-                hits.len() as u64,
-            );
-            if !pr.flow.is_none() {
-                o.hub.flow(o.ev_flow, Phase::FlowStep, now.nanos(), o.node, 2, pr.flow);
-            }
-        }
-        let reply = PeerReadReply { req_id: pr.req_id, fid: pr.fid, hits, misses };
-        self.tag += 1;
-        let m = NetMessage::new(
-            (self.node, CACHE_PORT),
-            pr.reply_to,
-            reply.wire_bytes(),
-            self.tag,
-            reply,
-        )
-        .with_class(TrafficClass::Peer);
-        self.send_to_net(ctx, t, m);
     }
 
     fn inbound(&mut self, ctx: &mut Ctx<'_>, net: NetMessage) {
@@ -1250,9 +882,6 @@ impl CacheModule {
                             + self.costs.send_overhead,
                     );
                     self.cache.invalidate(inv.blocks.iter().map(|b| BlockKey::new(inv.fid, *b)));
-                    // Invalidated blocks leave the directory immediately
-                    // (authoritative mode records them as departures).
-                    self.publish_dir_delta(ctx, t, Vec::new());
                     self.tag += 1;
                     let ack = InvalidateAck { req_id: inv.req_id };
                     let m = NetMessage::new(
@@ -1285,17 +914,13 @@ impl CacheModule {
                 }
                 Err(n) => n,
             };
-            // Cooperative remote-hit tier conversations.
-            let net = match net.cast::<BlockDirReply>() {
-                Ok((_, r)) => return self.coop_dir_reply(ctx, *r),
-                Err(n) => n,
-            };
+            // Cooperative tier: a forward from an iod, a peer's data.
             let net = match net.cast::<PeerReadReq>() {
-                Ok((_, pr)) => return self.serve_peer_read(ctx, *pr),
+                Ok((meta, pr)) => return self.serve_peer_read(ctx, meta.src, *pr),
                 Err(n) => n,
             };
             let _net = match net.cast::<PeerReadReply>() {
-                Ok((_, r)) => return self.coop_peer_reply(ctx, *r),
+                Ok((_, r)) => return self.install_peer_reply(ctx, *r),
                 Err(n) => n,
             };
             debug_assert!(false, "unexpected message on cache port");
@@ -1320,17 +945,7 @@ impl CacheModule {
             Err(n) => n,
         };
         let net = match net.cast::<ReadData>() {
-            Ok((meta, rd)) => {
-                let net2 = NetMessage::new(
-                    (meta.src, meta.src_port),
-                    (meta.dst, meta.dst_port),
-                    meta.wire_bytes,
-                    meta.tag,
-                    (),
-                );
-                self.inbound_read_data(ctx, net2, *rd, false);
-                return;
-            }
+            Ok((meta, rd)) => return self.inbound_read_data(ctx, meta.src, *rd, false),
             Err(n) => n,
         };
         // Anything else on a client port (mgr replies, etc.) is not iod
@@ -1345,9 +960,6 @@ impl CacheModule {
         let items = self.cache.take_dirty(self.cfg.flush_batch);
         let now = ctx.now();
         self.send_flushes(ctx, now, items, false, true);
-        // Catch evictions with no install to piggyback on (harvests,
-        // invalidations) so the authoritative directory stays tight.
-        self.publish_dir_delta(ctx, now, Vec::new());
         ctx.schedule_self(self.cfg.flush_interval, FlushTick);
     }
 
@@ -1358,7 +970,6 @@ impl CacheModule {
         let now = ctx.now();
         let t = self.charge(now, Dur::nanos(self.costs.cache_lookup_per_block.as_nanos() * 8));
         self.send_flushes(ctx, t, items, true, true);
-        self.publish_dir_delta(ctx, t, Vec::new());
         // If still below the watermark (everything dirty and in flight),
         // try again after the next wakeup.
         self.maybe_schedule_harvest(ctx);

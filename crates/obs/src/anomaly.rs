@@ -9,8 +9,8 @@
 //!   between consecutive windows (working-set blowout, partition
 //!   thrash, or an eviction-policy regression);
 //! * **stale-hint storm** — a burst of `coop.stale_hint_blocks` in one
-//!   window (the block directory's hints have rotted faster than
-//!   aging reclaims them);
+//!   window: forwards keep reaching nodes whose eviction notices have
+//!   not caught up with them;
 //! * **trace-ring overflow burst** — `obs.trace_dropped` jumps inside
 //!   one window (the ring is sized below the event rate, so the trace
 //!   evidence for *this* incident is incomplete).

@@ -205,6 +205,7 @@ impl PvfsClient {
                 ranges,
                 reply_to: (self.cfg.node, self.cfg.port),
                 caching: self.cfg.caching,
+                seq: None,
             };
             self.tag += 1;
             let wire = rr.wire_bytes();

@@ -3,21 +3,35 @@
 //! One per storage node. Serves striped reads/writes from its local file
 //! system through the node's OS page cache and disk, listens on a separate
 //! port for cache-module flushes (the paper's server-side flusher), and —
-//! for the coherence extension — keeps a **per-block directory** of which
-//! client nodes cache each block, so a sync-write can invalidate them
+//! for the coherence extension — keeps a **per-block [`Directory`]** of
+//! which client nodes cache each block, so a sync-write can invalidate them
 //! (§3.2: "requires a directory entry per block (at the IOD)").
+//!
+//! With cooperative caching on, the same directory serves reads: a block a
+//! cooperative read would fetch from the platter, and that another node's
+//! cache is listed for, is forwarded to that node ([`PeerReadReq`]), which
+//! sends the requester the bytes itself. Everything else — including every
+//! read whose blocks are in the page cache — is served as without it.
 
 use crate::config::{CostModel, PvfsConfig};
+use crate::directory::Directory;
 use crate::protocol::{
-    pattern_bytes, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, ReadAck,
-    ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT,
+    pattern_bytes, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, PeerBounce,
+    PeerReadReq, ReadAck, ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
+    IOD_PORT,
 };
 use bytes::Bytes;
+use kcache_obs::{EventId, FlowId, ObsHub, Phase};
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, PageCache, BLOCK_SIZE};
-use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
+use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
+
+/// Trace `tid` lane for the iod's forwards (cache modules use lanes 0-2
+/// on their own node's `pid`).
+const IOD_TRACE_LANE: u32 = 3;
 
 /// iod statistics.
 #[derive(Debug, Default, Clone)]
@@ -32,6 +46,8 @@ pub struct IodStats {
     pub disk_writes: u64,
     pub invalidations_sent: u64,
     pub directory_entries: u64,
+    /// Platter-bound blocks of cooperative reads handed to a peer cache.
+    pub forwarded_blocks: u64,
 }
 
 struct PendingRead {
@@ -60,8 +76,7 @@ pub struct Iod {
     fs: BlockFs,
     files: HashMap<Fid, Ino>,
     pcache: PageCache,
-    /// (fid, logical 4 KB block) → client nodes holding a cached copy.
-    directory: HashMap<(Fid, u64), Vec<NodeId>>,
+    directory: Directory,
     pending_reads: HashMap<u64, PendingRead>,
     /// disk token → pending read id.
     token_owner: HashMap<u64, u64>,
@@ -69,9 +84,13 @@ pub struct Iod {
     next_pending: u64,
     next_token: u64,
     next_inv_req: u64,
+    /// Messages sent so far; a forward's is also its [`FlowId`] sequence.
     tag: u64,
     stats: IodStats,
     started: bool,
+    /// The node's telemetry hub and the flow event name (`None` = tracing
+    /// off, one never-taken branch per forward).
+    obs: Option<(Arc<ObsHub>, EventId)>,
 }
 
 impl Iod {
@@ -95,7 +114,7 @@ impl Iod {
             fs: BlockFs::new(fs_capacity_blocks),
             files: HashMap::new(),
             pcache: PageCache::new(pages),
-            directory: HashMap::new(),
+            directory: Directory::default(),
             pending_reads: HashMap::new(),
             token_owner: HashMap::new(),
             pending_syncs: HashMap::new(),
@@ -105,7 +124,15 @@ impl Iod {
             tag: 0,
             stats: IodStats::default(),
             started: false,
+            obs: None,
         }
+    }
+
+    /// Wire the iod into its node's telemetry hub: each forward opens a
+    /// cross-node flow on this node's lane.
+    pub fn set_obs(&mut self, hub: Arc<ObsHub>) {
+        let ev_flow = hub.intern("coop_fetch", None, None);
+        self.obs = Some((hub, ev_flow));
     }
 
     pub fn stats(&self) -> &IodStats {
@@ -116,9 +143,9 @@ impl Iod {
         &self.pcache
     }
 
-    /// Number of nodes registered for a block in the coherence directory.
-    pub fn directory_sharers(&self, fid: Fid, block: u64) -> usize {
-        self.directory.get(&(fid, block)).map_or(0, |v| v.len())
+    /// Nodes registered for a block in the directory, oldest first.
+    pub fn directory_sharers(&self, fid: Fid, block: u64) -> Vec<NodeId> {
+        self.directory.sharers(fid, block)
     }
 
     /// First physical block backing a fid's local file, if any (test probe).
@@ -173,14 +200,14 @@ impl Iod {
         ctx.schedule_in(at.since(ctx.now()), self.fabric, Xmit(m));
     }
 
-    fn register_reader(&mut self, fid: Fid, blocks: impl Iterator<Item = u64>, node: NodeId) {
-        for b in blocks {
-            let entry = self.directory.entry((fid, b)).or_default();
-            if !entry.contains(&node) {
-                entry.push(node);
-                self.stats.directory_entries += 1;
-            }
-        }
+    fn register_reader(
+        &mut self,
+        fid: Fid,
+        blocks: impl IntoIterator<Item = u64>,
+        node: NodeId,
+        seq: u64,
+    ) {
+        self.stats.directory_entries += self.directory.register(fid, blocks, node, seq);
     }
 
     fn blocks_of(range: &ByteRange) -> impl Iterator<Item = u64> {
@@ -232,11 +259,10 @@ impl Iod {
         );
     }
 
-    fn handle_read(&mut self, ctx: &mut Ctx<'_>, req: ReadReq) {
+    fn handle_read(&mut self, ctx: &mut Ctx<'_>, mut req: ReadReq) {
         self.stats.read_reqs += 1;
         let now = ctx.now();
         let total: u64 = req.ranges.iter().map(|r| r.len as u64).sum();
-        self.stats.bytes_read += total;
         let t1 = resource::reserve(
             &self.cpu,
             now,
@@ -252,17 +278,108 @@ impl Iod {
             ReadAck { req_id: req.req_id, bytes: total },
         );
         if req.caching {
-            let fid = req.fid;
-            let node = req.reply_to.0;
             let blocks: Vec<u64> = req.ranges.iter().flat_map(Self::blocks_of).collect();
-            self.register_reader(fid, blocks.into_iter(), node);
+            self.register_reader(req.fid, blocks, req.reply_to.0, req.seq.unwrap_or(0));
         }
         let ino = self.file_for(req.fid);
+        if req.seq.is_some() {
+            self.forward_to_peers(ctx, t1, ino, &mut req);
+        }
+        self.read_from_store(ctx, ino, req);
+    }
+
+    /// Cooperative reads only: hand each block of `req` bound for the
+    /// platter, that another node's cache is listed for, to that node —
+    /// one forward per sharer — and take it out of `req`. Blocks in the
+    /// page cache are never forwarded: a peer is worth asking only when
+    /// the alternative is the disk.
+    fn forward_to_peers(&mut self, ctx: &mut Ctx<'_>, at: SimTime, ino: Ino, req: &mut ReadReq) {
+        // Ordered: iteration order is forward send order.
+        let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
+        for blk in req.ranges.iter().flat_map(Self::blocks_of) {
+            let on_platter = self.fs.pblk_of(ino, blk).is_some_and(|p| !self.pcache.contains(p));
+            let peer = on_platter.then(|| self.directory.peer_for(req.fid, blk, req.reply_to.0));
+            if let Some(peer) = peer.flatten() {
+                per_peer.entry(peer).or_default().push(blk);
+            }
+        }
+        let forwarded: Vec<u64> = per_peer.values().flatten().copied().collect();
+        if forwarded.is_empty() {
+            return;
+        }
+        self.stats.forwarded_blocks += forwarded.len() as u64;
+        req.ranges = coalesce(req.ranges.iter().flat_map(|r| {
+            Self::blocks_of(r).filter(|b| !forwarded.contains(b)).map(|blk| {
+                let lo = r.offset.max(blk * BLOCK_SIZE as u64);
+                let hi = r.end().min((blk + 1) * BLOCK_SIZE as u64);
+                ByteRange::new(lo, (hi - lo) as u32)
+            })
+        }));
+        for (peer, blocks) in per_peer {
+            let t = resource::reserve(&self.cpu, at, self.costs.send_overhead);
+            self.tag += 1;
+            let flow = FlowId::coop(self.node.0, self.tag);
+            if let Some((hub, ev_flow)) = &self.obs {
+                hub.flow(
+                    *ev_flow,
+                    Phase::FlowStart,
+                    t.nanos(),
+                    self.node.0 as u32,
+                    IOD_TRACE_LANE,
+                    flow,
+                );
+            }
+            let fwd = PeerReadReq {
+                req_id: req.req_id,
+                fid: req.fid,
+                blocks,
+                reply_to: req.reply_to,
+                flow,
+            };
+            let m = NetMessage::new(
+                (self.node, IOD_PORT),
+                (peer, CACHE_PORT),
+                fwd.wire_bytes(),
+                self.tag,
+                fwd,
+            )
+            .with_class(TrafficClass::Peer);
+            ctx.schedule_in(t.since(ctx.now()), self.fabric, Xmit(m));
+        }
+    }
+
+    /// A sharer's return of forwarded blocks it no longer holds: apply its
+    /// eviction notices, then read the blocks from the platter for the
+    /// requester — never forwarded a second time.
+    fn handle_bounce(&mut self, ctx: &mut Ctx<'_>, sharer: NodeId, b: PeerBounce) {
+        let _ = resource::reserve(
+            &self.cpu,
+            ctx.now(),
+            self.costs.recv_overhead + self.costs.iod_request_overhead,
+        );
+        self.directory.apply(sharer, &b.dropped);
+        let ino = self.file_for(b.fid);
+        let blocks =
+            b.blocks.iter().map(|&blk| ByteRange::new(blk * BLOCK_SIZE as u64, BLOCK_SIZE as u32));
+        let req = ReadReq {
+            req_id: b.req_id,
+            fid: b.fid,
+            ranges: coalesce(blocks),
+            reply_to: b.reply_to,
+            caching: true,
+            seq: None,
+        };
+        self.read_from_store(ctx, ino, req);
+    }
+
+    /// Serve `req`'s ranges from the local store: stage the pages, read
+    /// the page-cache misses from disk, and send the data once all are in.
+    fn read_from_store(&mut self, ctx: &mut Ctx<'_>, ino: Ino, req: ReadReq) {
+        self.stats.bytes_read += req.ranges.iter().map(|r| r.len as u64).sum::<u64>();
         // Stage pages; issue disk reads for the misses.
         let mut disk_ops = 0usize;
         let pending_id = self.next_pending;
-        let ranges = req.ranges.clone();
-        for r in &ranges {
+        for r in &req.ranges {
             for (pblk, blocks) in self.stage_range(ctx, ino, r) {
                 let token = self.next_token;
                 self.next_token += 1;
@@ -280,6 +397,9 @@ impl Iod {
     }
 
     fn finish_read(&mut self, ctx: &mut Ctx<'_>, req: ReadReq) {
+        if req.ranges.is_empty() {
+            return; // every block went to a peer
+        }
         let now = ctx.now();
         let ino = self.file_for(req.fid);
         // Copy cost: per 4 KB block moved from page cache to the socket,
@@ -335,7 +455,7 @@ impl Iod {
         if req.caching {
             let blocks: Vec<u64> =
                 req.parts.iter().flat_map(|p| Self::blocks_of(&p.range)).collect();
-            self.register_reader(req.fid, blocks.into_iter(), req.reply_to.0);
+            self.register_reader(req.fid, blocks, req.reply_to.0, 0);
         }
         if req.sync {
             self.stats.sync_writes += 1;
@@ -353,15 +473,8 @@ impl Iod {
         // Ordered: iteration order is invalidation send order.
         let mut per_node: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
         for b in req.parts.iter().flat_map(|p| Self::blocks_of(&p.range)) {
-            if let Some(nodes) = self.directory.get_mut(&(req.fid, b)) {
-                nodes.retain(|n| {
-                    if *n == writer {
-                        true
-                    } else {
-                        per_node.entry(*n).or_default().push(b);
-                        false // invalidated below: drop from directory
-                    }
-                });
+            for n in self.directory.take_others(req.fid, b, writer) {
+                per_node.entry(n).or_default().push(b);
             }
         }
         if per_node.is_empty() {
@@ -410,9 +523,8 @@ impl Iod {
             self.apply_write(ctx, f.fid, &range, &e.data);
         }
         // The flushing node keeps the blocks cached (now clean): track it.
-        let flusher = f.reply_to.0;
         let blocks: Vec<u64> = f.blocks.iter().map(|e| e.blk).collect();
-        self.register_reader(f.fid, blocks.into_iter(), flusher);
+        self.register_reader(f.fid, blocks, f.reply_to.0, f.seq.unwrap_or(0));
         let ack = FlushAck { req_id: f.req_id };
         self.send(ctx, t, IOD_FLUSH_PORT, f.reply_to, ack.wire_bytes(), ack);
     }
@@ -454,6 +566,18 @@ impl Iod {
     }
 }
 
+/// Merge ranges given in ascending order into maximal contiguous runs.
+fn coalesce(pieces: impl IntoIterator<Item = ByteRange>) -> Vec<ByteRange> {
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for p in pieces {
+        match runs.last_mut() {
+            Some(run) if run.end() == p.offset => run.len += p.len,
+            _ => runs.push(p),
+        }
+    }
+    runs
+}
+
 impl Actor for Iod {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if !self.started {
@@ -473,6 +597,10 @@ impl Actor for Iod {
                 };
                 let net = match net.cast::<FlushBlocks>() {
                     Ok((_, f)) => return self.handle_flush(ctx, *f),
+                    Err(n) => n,
+                };
+                let net = match net.cast::<PeerBounce>() {
+                    Ok((meta, b)) => return self.handle_bounce(ctx, meta.src, *b),
                     Err(n) => n,
                 };
                 match net.cast::<InvalidateAck>() {
@@ -528,7 +656,7 @@ impl Actor for Iod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{pattern_byte, FlushEntry, WritePart};
+    use crate::protocol::{pattern_byte, Dropped, FlushEntry, WritePart};
     use sim_core::{Engine, FifoResource};
     use sim_disk::{DiskGeometry, DiskSched};
     use sim_net::{Fabric, NetConfig};
@@ -540,6 +668,7 @@ mod tests {
         wacks: Vec<WriteAck>,
         facks: Vec<FlushAck>,
         invs: Vec<(Invalidate, SimTime)>,
+        fwds: Vec<PeerReadReq>,
         auto_ack_invalidate: bool,
         fabric: ActorId,
         node: NodeId,
@@ -565,6 +694,10 @@ mod tests {
             };
             let d = match d.cast::<FlushAck>() {
                 Ok((_, a)) => return self.facks.push(*a),
+                Err(d) => d,
+            };
+            let d = match d.cast::<PeerReadReq>() {
+                Ok((_, f)) => return self.fwds.push(*f),
                 Err(d) => d,
             };
             if let Ok((_, inv)) = d.cast::<Invalidate>() {
@@ -599,6 +732,10 @@ mod tests {
 
     /// Node 0 runs the iod; nodes 1.. are client endpoints.
     fn rig(n_clients: usize) -> Rig {
+        rig_with(n_clients, PvfsConfig::default())
+    }
+
+    fn rig_with(n_clients: usize, cfg: PvfsConfig) -> Rig {
         let mut eng = Engine::new(7);
         let fabric_slot = eng.reserve_actor();
         let disk = eng.add_actor(Box::new(sim_disk::Disk::new(
@@ -611,7 +748,7 @@ mod tests {
             disk,
             FifoResource::shared("iod-cpu"),
             CostModel::default(),
-            PvfsConfig::default(),
+            cfg,
             1 << 20,
         )));
         let mut endpoints = vec![iod];
@@ -623,6 +760,7 @@ mod tests {
                 wacks: vec![],
                 facks: vec![],
                 invs: vec![],
+                fwds: vec![],
                 auto_ack_invalidate: true,
                 fabric: fabric_slot,
                 node: NodeId(i as u16 + 1),
@@ -652,6 +790,7 @@ mod tests {
             ranges: vec![ByteRange::new(0, 8192)],
             reply_to: (NodeId(1), Port(9000)),
             caching: false,
+            seq: None,
         };
         let wire = req.wire_bytes();
         send_to_iod(&mut r, 1, IOD_PORT, wire, req);
@@ -682,6 +821,7 @@ mod tests {
             ranges: vec![ByteRange::new(0, 16384)],
             reply_to: (NodeId(1), Port(9000)),
             caching: false,
+            seq: None,
         };
         let wire = req.wire_bytes();
         send_to_iod(&mut r, 1, IOD_PORT, wire, req);
@@ -716,6 +856,7 @@ mod tests {
             ranges: vec![ByteRange::new(4096, 8192)],
             reply_to: (NodeId(1), Port(9000)),
             caching: false,
+            seq: None,
         };
         let wire = rreq.wire_bytes();
         send_to_iod(&mut r, 1, IOD_PORT, wire, rreq);
@@ -734,7 +875,13 @@ mod tests {
             FlushEntry { blk: 3, offset: 0, data: pattern_bytes(Fid(2), 3 * 4096, 4096) },
             FlushEntry { blk: 4, offset: 0, data: pattern_bytes(Fid(2), 4 * 4096, 4096) },
         ];
-        let f = FlushBlocks { req_id: 11, fid: Fid(2), blocks, reply_to: (NodeId(1), Port(9000)) };
+        let f = FlushBlocks {
+            req_id: 11,
+            fid: Fid(2),
+            blocks,
+            reply_to: (NodeId(1), Port(9000)),
+            seq: None,
+        };
         let wire = f.wire_bytes();
         send_to_iod(&mut r, 1, IOD_FLUSH_PORT, wire, f);
         r.eng.run_until(SimTime::ZERO + Dur::secs(1));
@@ -743,8 +890,8 @@ mod tests {
         let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
         assert_eq!(iod.stats().flush_reqs, 1);
         // The flusher node is now a registered sharer.
-        assert_eq!(iod.directory_sharers(Fid(2), 3), 1);
-        assert_eq!(iod.directory_sharers(Fid(2), 4), 1);
+        assert_eq!(iod.directory_sharers(Fid(2), 3), vec![NodeId(1)]);
+        assert_eq!(iod.directory_sharers(Fid(2), 4), vec![NodeId(1)]);
     }
 
     #[test]
@@ -757,15 +904,16 @@ mod tests {
                 ranges: vec![ByteRange::new(0, 4096)],
                 reply_to: (NodeId(*node), Port(9000)),
                 caching: true,
+                seq: None,
             };
             let wire = req.wire_bytes();
             send_to_iod(&mut r, *node, IOD_PORT, wire, req);
         }
         r.eng.run_until(SimTime::ZERO + Dur::secs(1));
         let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.directory_sharers(Fid(3), 0), 2);
+        assert_eq!(iod.directory_sharers(Fid(3), 0), vec![NodeId(1), NodeId(2)]);
         // Non-caching reads do not register.
-        assert_eq!(iod.directory_sharers(Fid(3), 1), 0);
+        assert!(iod.directory_sharers(Fid(3), 1).is_empty());
     }
 
     #[test]
@@ -779,6 +927,7 @@ mod tests {
                 ranges: vec![ByteRange::new(0, 4096)],
                 reply_to: (NodeId(node), Port(9000)),
                 caching: true,
+                seq: None,
             };
             let wire = req.wire_bytes();
             send_to_iod(&mut r, node, IOD_PORT, wire, req);
@@ -809,7 +958,7 @@ mod tests {
         let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
         assert_eq!(iod.stats().sync_writes, 1);
         assert_eq!(iod.stats().invalidations_sent, 1);
-        assert_eq!(iod.directory_sharers(Fid(4), 0), 1, "only the writer remains");
+        assert_eq!(iod.directory_sharers(Fid(4), 0), vec![NodeId(1)], "only the writer remains");
     }
 
     #[test]
@@ -858,6 +1007,119 @@ mod tests {
         assert_eq!(iod.page_cache().dirty_pages(), 0);
     }
 
+    /// A cooperative module's caching read of `blocks` of fid 8, stamped
+    /// with its message count `seq`.
+    fn coop_read(req_id: u64, node: u16, blocks: std::ops::Range<u64>, seq: u64) -> ReadReq {
+        let len = ((blocks.end - blocks.start) * BLOCK_SIZE as u64) as u32;
+        ReadReq {
+            req_id,
+            fid: Fid(8),
+            ranges: vec![ByteRange::new(blocks.start * BLOCK_SIZE as u64, len)],
+            reply_to: (NodeId(node), Port(9000)),
+            caching: true,
+            seq: Some(seq),
+        }
+    }
+
+    fn run_for(r: &mut Rig, d: Dur) {
+        let until = r.eng.now() + d;
+        r.eng.run_until(until);
+    }
+
+    /// Cold disk behind a two-page page cache: node 1 reads block 0, then
+    /// blocks 1-2, which push it out of the page cache.
+    fn platter_bound_rig() -> Rig {
+        let mut r = rig_with(2, PvfsConfig { iod_page_cache_pages: 2, ..PvfsConfig::default() });
+        let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
+        iod.preload(Fid(8), &[ByteRange::new(0, 65536)], false);
+        for (seq, blocks) in [(1, 0..1), (2, 1..3)] {
+            let req = coop_read(seq, 1, blocks, seq);
+            send_to_iod(&mut r, 1, IOD_PORT, req.wire_bytes(), req);
+            run_for(&mut r, Dur::secs(1));
+        }
+        r
+    }
+
+    #[test]
+    fn a_platter_bound_block_goes_to_a_peer_that_caches_it() {
+        let mut r = platter_bound_rig();
+        let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
+        // Block 0 is off the page cache and cached at node 1: forwarded.
+        // Block 1 is in the page cache: served here as always.
+        let req = coop_read(10, 2, 0..2, 1);
+        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
+        run_for(&mut r, Dur::secs(1));
+        let sharer = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
+        assert_eq!(sharer.fwds.len(), 1);
+        let fwd = &sharer.fwds[0];
+        assert_eq!(
+            (fwd.req_id, &fwd.blocks, fwd.reply_to),
+            (10, &vec![0], (NodeId(2), Port(9000)))
+        );
+        let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
+        assert_eq!(requester.acks.len(), 1, "one ack for the whole request");
+        assert_eq!(requester.acks[0].bytes, 8192);
+        assert_eq!(requester.data.len(), 1);
+        assert_eq!(requester.data[0].range, ByteRange::new(4096, 4096), "only block 1 from here");
+        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
+        assert_eq!(iod.stats().forwarded_blocks, 1);
+        assert_eq!(iod.stats().disk_reads, disk_reads, "nothing read from the platter");
+        // A read from a node that is not cooperative is never forwarded.
+        let req = ReadReq { seq: None, ..coop_read(11, 2, 0..1, 0) };
+        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
+        run_for(&mut r, Dur::secs(1));
+        assert_eq!(r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds.len(), 1);
+        assert!(r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads > disk_reads);
+    }
+
+    #[test]
+    fn a_traced_forward_opens_a_flow_on_the_iod_lane() {
+        let mut r = platter_bound_rig();
+        let hub = kcache_obs::ObsHub::new(64);
+        r.eng.actor_as_mut::<Iod>(r.iod).unwrap().set_obs(hub.clone());
+        let req = coop_read(10, 2, 0..1, 1);
+        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
+        run_for(&mut r, Dur::secs(1));
+        let fwd = &r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds[0];
+        let ev = hub.drain_trace();
+        let start = ev
+            .iter()
+            .find(|e| e.name == "coop_fetch" && e.phase == Phase::FlowStart)
+            .expect("flow start");
+        assert_eq!((start.pid, start.tid), (0, IOD_TRACE_LANE));
+        assert_eq!(start.flow_id, fwd.flow.0, "the forward carries the flow it opened");
+        assert_eq!(fwd.flow.node(), 0);
+    }
+
+    #[test]
+    fn a_bounce_is_read_from_the_platter_and_drops_the_sharer() {
+        let mut r = platter_bound_rig();
+        let req = coop_read(10, 2, 0..1, 1);
+        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
+        run_for(&mut r, Dur::secs(1));
+        let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
+        // Node 1 no longer holds block 0 and dropped it after its message 2.
+        let bounce = PeerBounce {
+            req_id: 10,
+            fid: Fid(8),
+            blocks: vec![0],
+            reply_to: (NodeId(2), Port(9000)),
+            dropped: vec![Dropped { fid: Fid(8), blk: 0, seq: 2 }],
+        };
+        send_to_iod(&mut r, 1, IOD_PORT, bounce.wire_bytes(), bounce);
+        run_for(&mut r, Dur::secs(1));
+        let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
+        assert_eq!(requester.acks.len(), 1, "the bounce adds no ack");
+        assert_eq!(requester.data.len(), 1);
+        let rd = &requester.data[0];
+        assert_eq!((rd.req_id, rd.range), (10, ByteRange::new(0, 4096)));
+        assert!(crate::protocol::pattern_matches(Fid(8), 0, &rd.data));
+        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
+        assert!(iod.stats().disk_reads > disk_reads, "a bounced block comes from the platter");
+        assert_eq!(iod.directory_sharers(Fid(8), 0), vec![NodeId(2)], "the sharer is dropped");
+        assert_eq!(iod.directory_sharers(Fid(8), 1), vec![NodeId(1)], "and nothing else is");
+    }
+
     #[test]
     fn multi_range_read_sends_one_data_message_per_range() {
         let mut r = rig(1);
@@ -871,6 +1133,7 @@ mod tests {
             ranges: vec![ByteRange::new(0, 4096), ByteRange::new(65536, 4096)],
             reply_to: (NodeId(1), Port(9000)),
             caching: false,
+            seq: None,
         };
         let wire = req.wire_bytes();
         send_to_iod(&mut r, 1, IOD_PORT, wire, req);

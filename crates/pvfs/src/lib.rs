@@ -5,8 +5,8 @@
 //! * [`mgr`] — the single metadata server (namespace, fids, striping).
 //! * [`iod`] — the per-node data server: local file system + OS page
 //!   cache + disk, a separate flush listener for cache-module
-//!   write-back, and the per-block coherence directory used by
-//!   sync-writes.
+//!   write-back, and the per-block [`directory`] of caching nodes that
+//!   sync-writes invalidate and cooperative reads are forwarded by.
 //! * [`client`] — libpvfs: the in-process client library (striping,
 //!   per-iod request aggregation, the request/ack/data protocol), which
 //!   addresses an opaque socket layer so a cache module can interpose
@@ -20,6 +20,7 @@
 
 pub mod client;
 pub mod config;
+pub mod directory;
 pub mod iod;
 pub mod mgr;
 pub mod protocol;
@@ -27,13 +28,13 @@ pub mod striping;
 
 pub use client::{ClientConfig, ClientStats, Completion, PvfsClient};
 pub use config::{CostModel, PvfsConfig};
+pub use directory::Directory;
 pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
 pub use protocol::{
-    pattern_byte, pattern_bytes, pattern_matches, BlockDirQuery, BlockDirReply, BlockDirUpdate,
-    ByteRange, Fid, FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
-    MgrCall, MgrReply, MgrRequest, PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq,
-    StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT,
-    IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
+    pattern_byte, pattern_bytes, pattern_matches, ByteRange, Dropped, Fid, FileHandle, FlushAck,
+    FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply, MgrRequest, PeerBounce,
+    PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck, WritePart,
+    WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
 };
 pub use striping::{split_ranges, tiles_exactly};

@@ -132,6 +132,11 @@ pub struct ReadReq {
     /// Set when the sending node runs a cache module; the iod then tracks
     /// this node in the block directory for sync-write invalidations.
     pub caching: bool,
+    /// `Some` from a cooperative cache module: its message count, which
+    /// rides in the header and stamps this request's registrations (see
+    /// [`Dropped`]); the iod may have a peer cache serve the blocks it
+    /// would otherwise read from the platter. `None` from everyone else.
+    pub seq: Option<u64>,
 }
 
 impl ReadReq {
@@ -238,6 +243,11 @@ pub struct FlushBlocks {
     pub fid: Fid,
     pub blocks: Vec<FlushEntry>,
     pub reply_to: (NodeId, Port),
+    /// A cooperative module's message count, on flushes of blocks it keeps
+    /// (as [`ReadReq::seq`]). An evicted victim's flush carries none: its
+    /// drop, logged before the flush was sent, must still cancel the
+    /// registration the flush makes.
+    pub seq: Option<u64>,
 }
 
 impl FlushBlocks {
@@ -293,74 +303,25 @@ impl InvalidateAck {
 }
 
 // ---------------------------------------------------------------------------
-// Cooperative-caching conversation (cache modules <-> mgr, module <-> module)
+// Cooperative-caching conversation (iod -> sharer -> requester / iod)
 // ---------------------------------------------------------------------------
 
-/// Residency delta pushed by a node's cache module to the mgr's block
-/// location directory: `added` blocks are now resident on `node`, `removed`
-/// blocks are not. Fire-and-forget (no ack): the directory is advisory and
-/// a lost update only costs a misdirected peer fetch that falls through to
-/// disk.
-#[derive(Debug, Clone)]
-pub struct BlockDirUpdate {
-    pub fid: Fid,
-    pub node: NodeId,
-    pub added: Vec<u64>,
-    pub removed: Vec<u64>,
-}
-
-impl BlockDirUpdate {
-    pub fn wire_bytes(&self) -> u32 {
-        MSG_HEADER_BYTES + (self.added.len() + self.removed.len()) as u32 * 8
-    }
-}
-
-/// Ask the mgr which peer (if any) caches each of the listed blocks.
-#[derive(Debug, Clone)]
-pub struct BlockDirQuery {
-    pub req_id: u64,
-    pub fid: Fid,
-    pub blocks: Vec<u64>,
-    pub reply_to: (NodeId, Port),
-    /// Trace-correlation id ([`kcache_obs::FlowId`]) minted by the
-    /// requester; rides the whole cooperative conversation so the
-    /// requester's miss, the mgr's directory lookup, and the peer's
-    /// serve stitch into one flow in the exported trace. Zero when
-    /// tracing is off.
-    pub flow: FlowId,
-}
-
-impl BlockDirQuery {
-    pub fn wire_bytes(&self) -> u32 {
-        MSG_HEADER_BYTES + 8 + self.blocks.len() as u32 * 8
-    }
-}
-
-/// The mgr's answer: per queried block, a peer node believed to cache it
-/// (the requester itself is never named). Blocks with no known sharer are
-/// omitted — the module fetches those from the iods.
-#[derive(Debug, Clone)]
-pub struct BlockDirReply {
-    pub req_id: u64,
-    pub fid: Fid,
-    pub locations: Vec<(u64, NodeId)>,
-}
-
-impl BlockDirReply {
-    pub fn wire_bytes(&self) -> u32 {
-        MSG_HEADER_BYTES + self.locations.len() as u32 * 10
-    }
-}
-
-/// Fetch whole cached blocks from a peer node's cache module.
+/// An iod's forward of a read's platter-bound blocks to a node its
+/// directory lists as caching them. The sharer answers the requester
+/// with a [`PeerReadReply`] and returns whatever it no longer holds to
+/// the iod as a [`PeerBounce`].
 #[derive(Debug, Clone)]
 pub struct PeerReadReq {
+    /// The requester's request id (a bounce's data carries it).
     pub req_id: u64,
     pub fid: Fid,
     pub blocks: Vec<u64>,
+    /// The requester's reply address: peer data goes to this node's
+    /// [`CACHE_PORT`], a bounce's data to this port.
     pub reply_to: (NodeId, Port),
-    /// Same correlation id the requester stamped on its
-    /// [`BlockDirQuery`] — see that field's docs.
+    /// Trace-correlation id ([`kcache_obs::FlowId`]) minted by the
+    /// forwarding iod, so its forward, the sharer's serve and the
+    /// requester's install stitch into one flow in the exported trace.
     pub flow: FlowId,
 }
 
@@ -370,23 +331,63 @@ impl PeerReadReq {
     }
 }
 
-/// The peer's answer: full 4 KB images for the blocks it still caches,
-/// and the list it no longer holds (the requester falls back to the iods
-/// for those — a stale directory entry costs latency, never correctness).
+/// A sharer's answer to the requester: full 4 KB images of the forwarded
+/// blocks it still caches.
 #[derive(Debug, Clone)]
 pub struct PeerReadReply {
-    pub req_id: u64,
     pub fid: Fid,
+    /// The iod the blocks belong to (a later flush of them goes there).
+    pub home: NodeId,
     pub hits: Vec<(u64, Bytes)>,
-    pub misses: Vec<u64>,
+    /// The forward's [`PeerReadReq::flow`].
+    pub flow: FlowId,
 }
 
 impl PeerReadReply {
     pub fn wire_bytes(&self) -> u32 {
-        MSG_HEADER_BYTES
-            + self.hits.iter().map(|(_, d)| 12 + d.len() as u32).sum::<u32>()
-            + self.misses.len() as u32 * 8
+        MSG_HEADER_BYTES + 8 + self.hits.iter().map(|(_, d)| 12 + d.len() as u32).sum::<u32>()
     }
+}
+
+/// The forwarded blocks a sharer no longer holds, returned to their iod,
+/// which reads them from the platter and sends the requester the data
+/// itself: a stale directory entry costs one forward, never wrong bytes.
+#[derive(Debug, Clone)]
+pub struct PeerBounce {
+    pub req_id: u64,
+    pub fid: Fid,
+    pub blocks: Vec<u64>,
+    pub reply_to: (NodeId, Port),
+    /// Every block homed at this iod that the sharer dropped since its
+    /// previous bounce there — the bounced blocks it is not re-fetching
+    /// among them — so one stale entry clears all of the sharer's.
+    pub dropped: Vec<Dropped>,
+}
+
+impl PeerBounce {
+    pub fn wire_bytes(&self) -> u32 {
+        MSG_HEADER_BYTES
+            + self.blocks.len() as u32 * 8
+            + self.dropped.len() as u32 * Dropped::WIRE_BYTES
+    }
+}
+
+/// An eviction notice: a cooperative module no longer caches `(fid, blk)`,
+/// and dropped it after sending its message `seq`. It cancels that
+/// module's directory registrations of the block by messages up to `seq`
+/// and no later, whatever order the messages arrive in: node-local
+/// delivery is faster for smaller messages, so a node's messages to its
+/// own iod can overtake each other.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Dropped {
+    pub fid: Fid,
+    pub blk: u64,
+    pub seq: u64,
+}
+
+impl Dropped {
+    /// Encoded block plus its sequence number.
+    pub const WIRE_BYTES: u32 = RANGE_ENCODING_BYTES + 4;
 }
 
 // ---------------------------------------------------------------------------
@@ -483,6 +484,7 @@ mod tests {
             ranges: vec![ByteRange::new(0, 4096)],
             reply_to: (NodeId(0), Port(9000)),
             caching: false,
+            seq: None,
         };
         assert_eq!(rr.wire_bytes(), 64 + 12);
         let rd = ReadData {
@@ -513,6 +515,7 @@ mod tests {
                 FlushEntry { blk: 7, offset: 100, data: Bytes::from(vec![1u8; 500]) },
             ],
             reply_to: (NodeId(0), Port(7100)),
+            seq: None,
         };
         assert_eq!(fl.wire_bytes(), 64 + (12 + 4096) + (12 + 500));
         assert_eq!(fl.total_bytes(), 4596);
@@ -527,34 +530,29 @@ mod tests {
 
     #[test]
     fn cooperative_wire_sizes_scale_with_content() {
-        let up =
-            BlockDirUpdate { fid: Fid(1), node: NodeId(2), added: vec![1, 2], removed: vec![3] };
-        assert_eq!(up.wire_bytes(), 64 + 24);
-        let q = BlockDirQuery {
-            req_id: 1,
-            fid: Fid(1),
-            blocks: vec![1, 2, 3, 4],
-            reply_to: (NodeId(0), Port(7100)),
-            flow: FlowId::NONE,
-        };
-        assert_eq!(q.wire_bytes(), 64 + 8 + 32, "header + flow id + blocks");
-        let r = BlockDirReply { req_id: 1, fid: Fid(1), locations: vec![(1, NodeId(3))] };
-        assert_eq!(r.wire_bytes(), 64 + 10);
         let pr = PeerReadReq {
             req_id: 1,
             fid: Fid(1),
             blocks: vec![5],
-            reply_to: (NodeId(0), Port(7100)),
+            reply_to: (NodeId(0), Port(9000)),
             flow: FlowId::NONE,
         };
         assert_eq!(pr.wire_bytes(), 64 + 8 + 8, "header + flow id + blocks");
         let rep = PeerReadReply {
+            fid: Fid(1),
+            home: NodeId(2),
+            hits: vec![(5, Bytes::from(vec![0u8; 4096]))],
+            flow: FlowId::NONE,
+        };
+        assert_eq!(rep.wire_bytes(), 64 + 8 + 12 + 4096);
+        let b = PeerBounce {
             req_id: 1,
             fid: Fid(1),
-            hits: vec![(5, Bytes::from(vec![0u8; 4096]))],
-            misses: vec![6, 7],
+            blocks: vec![6, 7],
+            reply_to: (NodeId(0), Port(9000)),
+            dropped: vec![Dropped { fid: Fid(1), blk: 6, seq: 3 }],
         };
-        assert_eq!(rep.wire_bytes(), 64 + 12 + 4096 + 16);
+        assert_eq!(b.wire_bytes(), 64 + 16 + 16, "header + blocks + one drop");
     }
 
     fn scalar_pattern(fid: Fid, offset: u64, len: usize) -> Vec<u8> {

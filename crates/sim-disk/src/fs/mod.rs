@@ -296,6 +296,12 @@ impl BlockFs {
             .collect();
         Ok(coalesce(touched))
     }
+
+    /// Physical block backing logical block `lblk` of a file (`None` for
+    /// a hole, past EOF, or a missing file).
+    pub fn pblk_of(&self, ino: Ino, lblk: u64) -> Option<u64> {
+        self.inode(ino).ok()?.blocks.get(lblk as usize).copied().flatten()
+    }
 }
 
 #[cfg(test)]

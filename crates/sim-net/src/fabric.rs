@@ -25,8 +25,8 @@ pub struct FabricStats {
     pub frames: u64,
     pub payload_bytes: u64,
     pub wire_bytes: u64,
-    /// Cooperative-caching traffic ([`TrafficClass::Peer`]): directory
-    /// messages and peer-to-peer block transfers, on either fabric model.
+    /// Cooperative-caching traffic ([`TrafficClass::Peer`]): forwards,
+    /// peer block transfers and bounces, on either fabric model.
     pub peer_messages: u64,
     pub peer_payload_bytes: u64,
 }

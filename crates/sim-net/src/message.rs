@@ -45,8 +45,8 @@ impl fmt::Debug for Port {
 pub enum TrafficClass {
     #[default]
     Default,
-    /// Cooperative-caching traffic: directory updates/queries and
-    /// peer-to-peer block transfers.
+    /// Cooperative-caching traffic: an iod's forwards to a peer cache,
+    /// the peer's block transfers, and its bounces back to the iod.
     Peer,
 }
 

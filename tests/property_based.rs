@@ -7,8 +7,8 @@ use kcache::{
 };
 use proptest::prelude::*;
 use pvfs::{
-    pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange, Fid,
-    StripeSpec,
+    pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange,
+    Directory, Dropped, Fid, StripeSpec,
 };
 use sim_disk::{BlockFs, PageCache};
 use sim_net::NodeId;
@@ -26,6 +26,39 @@ fn install(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) {
 fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
     let kind = AccessKind::Write { home: NodeId(0), span: Span::FULL, bytes };
     m.access(key, Access { app, kind }) == AccessOutcome::Write(WriteOutcome::Absorbed)
+}
+
+/// What one cooperative module tells its iod: the count stamped on each
+/// message it sends, and its eviction notices, each stamped with the count
+/// when the block was dropped and held until a bounce carries them.
+#[derive(Default)]
+struct Outbox {
+    sent: u64,
+    pending: std::collections::BTreeMap<u64, u64>,
+}
+
+impl Outbox {
+    /// A message from `node` registering `blocks` arrives at once.
+    fn register(
+        &mut self,
+        iod: &mut Directory,
+        node: usize,
+        blocks: impl IntoIterator<Item = u64>,
+    ) {
+        self.sent += 1;
+        iod.register(Fid(1), blocks, NodeId(node as u16), self.sent);
+    }
+
+    /// The block left the node's cache: a notice, stamped with the count.
+    fn log(&mut self, blk: u64) {
+        self.pending.insert(blk, self.sent);
+    }
+
+    /// The notices a bounce takes along.
+    fn bounce(&mut self) -> Vec<Dropped> {
+        let pending = std::mem::take(&mut self.pending);
+        pending.into_iter().map(|(blk, seq)| Dropped { fid: Fid(1), blk, seq }).collect()
+    }
 }
 
 proptest! {
@@ -176,67 +209,91 @@ proptest! {
         }
     }
 
-    /// Cooperative directory coherence: three node-local caches process a
-    /// random operation interleaving while a model directory is fed
-    /// exactly what the cache modules publish — installs as additions and
-    /// `take_evicted()` (evictions *and* invalidations) as removals.
-    /// After every step the directory's per-node view must equal that
-    /// node's actual resident set: the delta protocol loses nothing,
-    /// regardless of interleaving.
+    /// Cooperative directory coherence: three caches process a random
+    /// operation interleaving while one iod's [`pvfs::Directory`] is fed
+    /// exactly what their modules send it: registrations from caching
+    /// reads and flushes, and — on bounces, delivered arbitrarily late —
+    /// the eviction notices logged from `take_evicted()` (evictions *and*
+    /// invalidations). After every step the directory lists every block
+    /// each node holds, but for blocks a local write brought in and no
+    /// flush has reported yet: the directory may be stale, never short.
     #[test]
     fn directory_view_tracks_resident_union(
-        ops in proptest::collection::vec((0u8..6, 0usize..3, 0u64..48), 1..250),
+        ops in proptest::collection::vec((0u8..8, 0usize..3, 0u64..48), 1..250),
     ) {
-        use std::collections::{HashMap, HashSet};
+        use std::collections::HashSet;
         let nodes: Vec<BufferManager> = (0..3)
-            .map(|_| {
-                BufferManager::builder(8)
-                    .watermarks(0, 8)
-                    .cooperative(Some(kcache::CooperativeConfig::default()))
-                    .build()
-            })
+            .map(|_| BufferManager::builder(8).watermarks(0, 8).cooperative(true).build())
             .collect();
-        // blk -> set of nodes the directory believes cache it.
-        let mut dir: HashMap<u64, HashSet<usize>> = HashMap::new();
+        let mut iod = Directory::default();
+        let mut outboxes: Vec<Outbox> = (0..3).map(|_| Outbox::default()).collect();
+        // Bounces sent but not yet delivered: (sender, their notices).
+        let mut in_flight: Vec<(usize, Vec<Dropped>)> = Vec::new();
+        // Per node: blocks resident since a write absorbed them, not yet
+        // flushed (nothing has told the iod about them).
+        let mut unreported: Vec<HashSet<u64>> = vec![HashSet::new(); 3];
         let buf = vec![3u8; 4096];
         let mut out = vec![0u8; 4096];
         let mut inflight: Vec<Vec<kcache::FlushItem>> = vec![Vec::new(); 3];
         for (op, node, blk) in ops {
             let m = &nodes[node];
             let key = BlockKey::new(Fid(1), blk);
-            let installing = matches!(op, 1..=3);
             match op {
                 0 => { read(m, key, &mut out, AppId::UNKNOWN); }
-                1 | 2 => install(m, key, &buf, AppId::UNKNOWN),
-                3 => { write(m, key, &buf, AppId::UNKNOWN); }
-                4 => { inflight[node].extend(m.take_dirty(4)); }
-                _ => {
-                    for it in inflight[node].drain(..) {
-                        m.flush_complete(it.key, it.span);
+                // A miss: the read goes to the iod, then the data installs.
+                1 | 2 => if !m.contains(key) {
+                    outboxes[node].register(&mut iod, node, [blk]);
+                    install(m, key, &buf, AppId::UNKNOWN);
+                },
+                3 => {
+                    let was = m.contains(key);
+                    if write(m, key, &buf, AppId::UNKNOWN) && !was {
+                        unreported[node].insert(blk);
                     }
-                    let _ = m.invalidate([key]);
                 }
+                4 => {
+                    let taken = m.take_dirty(4);
+                    outboxes[node].register(&mut iod, node, taken.iter().map(|it| it.key.blk));
+                    for it in &taken {
+                        unreported[node].remove(&it.key.blk);
+                    }
+                    inflight[node].extend(taken);
+                }
+                // Another node sync-writes the block: the iod invalidates
+                // every node it lists.
+                5 => {
+                    for n in iod.take_others(Fid(1), blk, NodeId(9)) {
+                        let n = n.index();
+                        for it in inflight[n].drain(..) {
+                            nodes[n].flush_complete(it.key, it.span);
+                        }
+                        let _ = nodes[n].invalidate([key]);
+                    }
+                }
+                // A read forwarded to a node that does not hold the block
+                // bounces, naming it among the notices it takes along.
+                6 => if !m.contains(key) {
+                    outboxes[node].log(blk);
+                    in_flight.push((node, outboxes[node].bounce()));
+                },
+                // Some bounce arrives, however late.
+                _ => if !in_flight.is_empty() {
+                    let (n, dropped) = in_flight.remove(blk as usize % in_flight.len());
+                    iod.apply(NodeId(n as u16), &dropped);
+                },
             }
-            // Publish the node's delta the way a cache module would.
-            for k in m.take_evicted() {
-                dir.entry(k.blk).or_default().remove(&node);
-            }
-            if installing && m.contains(key) {
-                dir.entry(blk).or_default().insert(node);
-            }
-            // The directory's view of every node matches reality.
             for (n, mgr) in nodes.iter().enumerate() {
-                let believed: std::collections::BTreeSet<u64> = dir
-                    .iter()
-                    .filter(|(_, who)| who.contains(&n))
-                    .map(|(b, _)| *b)
-                    .collect();
-                let actual: std::collections::BTreeSet<u64> =
-                    mgr.resident_keys().into_iter().map(|k| k.blk).collect();
-                prop_assert_eq!(
-                    believed, actual,
-                    "directory diverged from node {}'s residency", n
-                );
+                for (k, _home) in mgr.take_evicted() {
+                    unreported[n].remove(&k.blk);
+                    outboxes[n].log(k.blk);
+                }
+                for k in mgr.resident_keys() {
+                    prop_assert!(
+                        unreported[n].contains(&k.blk)
+                            || iod.sharers(Fid(1), k.blk).contains(&NodeId(n as u16)),
+                        "node {} holds block {} the directory does not list", n, k.blk
+                    );
+                }
             }
         }
     }

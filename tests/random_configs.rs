@@ -307,14 +307,15 @@ fn pre_partitioning_json_still_parses_and_runs() {
     assert!(r.completed && r.total_verify_failures() == 0);
 }
 
-/// `cooperative.singleton_preserving` is a retired key: configs written
-/// while it existed (the benchmark generates one) keep parsing, and lower
-/// to exactly what a config without it lowers to, whatever value it holds.
+/// `cooperative.singleton_preserving` and `cooperative.directory` are
+/// retired keys: configs written while they existed (the benchmark
+/// generates one) keep parsing, and lower to exactly what a config without
+/// them lowers to, whatever values they hold.
 #[test]
 fn the_retired_singleton_preserving_key_is_ignored() {
-    let lowered = |key: &str| {
+    let lowered = |keys: &str| {
         let cfg = ExperimentConfig::from_json(&format!(
-            r#"{{ "cluster": {{ "cooperative": {{ "enabled": true, "directory": "hint" {key} }} }},
+            r#"{{ "cluster": {{ "cooperative": {{ "enabled": true {keys} }} }},
                  "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
                              "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
         ))
@@ -323,9 +324,15 @@ fn the_retired_singleton_preserving_key_is_ignored() {
         (format!("{spec:?}"), cfg)
     };
     let without = lowered("");
-    assert!(without.0.contains("Hint"), "the cooperative section itself must still lower");
-    assert_eq!(lowered(r#", "singleton_preserving": true"#), without);
-    assert_eq!(lowered(r#", "singleton_preserving": false"#), without);
+    assert!(without.0.contains("cooperative: true"), "the cooperative section itself must lower");
+    for keys in [
+        r#", "singleton_preserving": true"#,
+        r#", "singleton_preserving": false"#,
+        r#", "directory": "hint""#,
+        r#", "directory": "authoritative", "singleton_preserving": true"#,
+    ] {
+        assert_eq!(lowered(keys), without, "{keys}");
+    }
 }
 
 /// Bad configuration is an `Err` naming the field, never a panic further

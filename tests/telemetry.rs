@@ -5,7 +5,7 @@
 
 use cluster_harness::{run_experiment, ClusterSpec, TelemetryReport};
 use kcache::obs::{ClusterObs, Phase, DEFAULT_TRACE_CAPACITY};
-use kcache::{CacheConfig, CooperativeConfig, DirectoryMode, ObsHub};
+use kcache::{CacheConfig, ObsHub};
 use sim_core::Dur;
 use sim_net::NodeId;
 use workload::{AppSpec, Mode};
@@ -19,7 +19,7 @@ fn app(name: &str, nodes: &[u16], total: u64, mode: Mode, l: f64, s: f64) -> App
         mode,
         locality: l,
         sharing: s,
-        hotspot: 0.0,
+        hotspot: 0.9,
         shared_file: "shared".into(),
         file_size: 8 << 20,
         start_delay: Dur::ZERO,
@@ -29,21 +29,29 @@ fn app(name: &str, nodes: &[u16], total: u64, mode: Mode, l: f64, s: f64) -> App
 }
 
 /// A small cooperative cache config: tiny enough to churn (peer + disk
-/// traffic on both tiers), hint-mode directory so the mgr lane sees
-/// lookups.
+/// traffic on both tiers).
 fn coop_cache() -> CacheConfig {
     CacheConfig {
         capacity_blocks: 64,
         low_watermark: 6,
         high_watermark: 16,
-        cooperative: Some(CooperativeConfig { directory: DirectoryMode::Hint }),
+        cooperative: true,
         ..CacheConfig::paper()
     }
 }
 
+/// The paper's platform, seed 7, with cold disks behind an iod page cache
+/// (16 pages) too small for any file: only a read bound for the platter
+/// is ever forwarded to a peer.
+fn cold_spec(cache: CacheConfig) -> ClusterSpec {
+    let mut spec = ClusterSpec { seed: 7, preload_warm: false, ..ClusterSpec::paper(Some(cache)) };
+    spec.pvfs.iod_page_cache_pages = 16;
+    spec
+}
+
 /// Two instances striping the shared file in opposite node orders, so
 /// partition `k` is cached on two different nodes and the peer tier
-/// sees real traffic.
+/// sees real traffic; Zipf-skewed, so both re-read the same hot blocks.
 fn coop_apps() -> Vec<AppSpec> {
     vec![
         app("a", &[0, 1, 2, 3], 1 << 20, Mode::Read, 0.2, 1.0),
@@ -59,19 +67,15 @@ fn federated_per_node_totals_match_shared_hub_totals() {
     // histogram totals have to agree exactly. (Gauges legitimately
     // differ: concurrent modules clobber one shared gauge cell, which is
     // exactly the artifact federation removes.)
-    let mut shared_spec = ClusterSpec::paper(Some(CacheConfig {
-        obs: Some(ObsHub::new(DEFAULT_TRACE_CAPACITY)),
-        ..coop_cache()
-    }));
-    shared_spec.seed = 7;
+    let shared_spec =
+        cold_spec(CacheConfig { obs: Some(ObsHub::new(DEFAULT_TRACE_CAPACITY)), ..coop_cache() });
     let shared_run = run_experiment(&shared_spec, &coop_apps());
     assert!(shared_run.completed);
     let shared = shared_run.obs.as_ref().expect("shared hub wraps into a ClusterObs");
     assert!(shared.is_shared());
     let shared_rollup = shared.rollup();
 
-    let mut fed_spec = ClusterSpec::paper(Some(coop_cache()));
-    fed_spec.seed = 7;
+    let mut fed_spec = cold_spec(coop_cache());
     fed_spec.obs = Some(ClusterObs::per_node(fed_spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
     let fed_run = run_experiment(&fed_spec, &coop_apps());
     assert!(fed_run.completed);
@@ -106,8 +110,7 @@ fn federated_per_node_totals_match_shared_hub_totals() {
 
 #[test]
 fn cooperative_run_exports_cross_node_flows_that_pair_start_to_finish() {
-    let mut spec = ClusterSpec::paper(Some(coop_cache()));
-    spec.seed = 7;
+    let mut spec = cold_spec(coop_cache());
     spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
     let r = run_experiment(&spec, &coop_apps());
     assert!(r.completed);
@@ -134,14 +137,13 @@ fn cooperative_run_exports_cross_node_flows_that_pair_start_to_finish() {
         }
     }
     assert!(!starts.is_empty(), "cooperative fetches must open flows");
-    // Every conversation funnels through finish_coop, so each flow start
-    // has exactly one matching finish.
+    // A forward ends at the requester's install or at the sharer's
+    // bounce, so each flow start has a matching finish.
     for id in starts.keys() {
         assert!(ends.contains(id), "flow {id:#x} started but never finished");
     }
-    // At least one flow must stitch across machines: the requester's
-    // miss (its node's pid) and a directory-lookup or peer-serve step on
-    // a different node's pid.
+    // At least one flow must stitch across machines: the iod's forward
+    // (its node's pid) and the peer-serve step on a different node's pid.
     let cross =
         starts.iter().any(|(id, pid)| steps.get(id).is_some_and(|s| s.iter().any(|p| p != pid)));
     assert!(cross, "no flow crossed nodes: starts={}, stepped={}", starts.len(), steps.len());
@@ -154,8 +156,7 @@ fn cooperative_run_exports_cross_node_flows_that_pair_start_to_finish() {
 
 #[test]
 fn telemetry_report_breaks_out_nodes_and_slo_percentiles() {
-    let mut spec = ClusterSpec::paper(Some(coop_cache()));
-    spec.seed = 7;
+    let mut spec = cold_spec(coop_cache());
     spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
     let r = run_experiment(&spec, &coop_apps());
     assert!(r.completed);
