@@ -499,18 +499,42 @@ pub fn ablation_adaptive(grid: &Grid) -> Vec<FigureData> {
     vec![ablation_adaptive_switching(grid), ablation_adaptive_quota(grid)]
 }
 
-/// The cooperative tier on the paper's platform, with cold disks and an
-/// iod page cache of 16 pages (64 KB) that cannot hold the working set:
-/// re-reads go to the platter, which is when an iod forwards. (With the
-/// paper's 32 MB page caches every file the grids use stays resident
-/// after its first read, and nobody caches a block nobody has read — so
-/// an iod never forwards.)
-fn platter_bound_coop(grid: &Grid) -> ClusterSpec {
-    let mut spec =
-        ClusterSpec::paper(Some(CacheConfig { cooperative: true, ..CacheConfig::paper() }));
+/// The iods behind a cooperative-ablation cell.
+#[derive(Clone, Copy, PartialEq)]
+enum Iods {
+    /// Every block in the paper's 32 MB page caches from the start.
+    Warm,
+    /// Cold disks behind the paper's page caches: a block's first read
+    /// goes to the platter, and the page cache keeps it from then on.
+    Cold,
+    /// Cold disks behind page caches of 16 pages (64 KB) that cannot hold
+    /// the working set: re-reads go to the platter, which is when an iod
+    /// forwards. (With the paper's page caches every file the grids use
+    /// stays resident after its first read, and nobody caches a block
+    /// nobody has read — so an iod never forwards.)
+    PlatterBound,
+}
+
+impl Iods {
+    const ALL: [Iods; 3] = [Iods::Warm, Iods::Cold, Iods::PlatterBound];
+
+    fn name(self) -> &'static str {
+        match self {
+            Iods::Warm => "warm",
+            Iods::Cold => "cold",
+            Iods::PlatterBound => "platter-bound",
+        }
+    }
+}
+
+/// The paper's platform, node-local or cooperative, over `iods`.
+fn coop_spec(grid: &Grid, cooperative: bool, iods: Iods) -> ClusterSpec {
+    let mut spec = ClusterSpec::paper(Some(CacheConfig { cooperative, ..CacheConfig::paper() }));
     spec.seed = grid.seed;
-    spec.preload_warm = false;
-    spec.pvfs.iod_page_cache_pages = 16;
+    spec.preload_warm = iods == Iods::Warm;
+    if iods == Iods::PlatterBound {
+        spec.pvfs.iod_page_cache_pages = 16;
+    }
     spec
 }
 
@@ -533,39 +557,39 @@ fn coop_apps(grid: &Grid, d: u32, s: f64) -> Vec<AppSpec> {
 }
 
 /// Tentpole ablation, part (a): the cooperative remote-hit tier against
-/// the node-local baseline across sharing degrees, with warm iods (every
-/// block in the iod page cache) and cold ones (a block's first read goes
-/// to the platter; the paper's page caches keep it from then on, so an
-/// iod never has a platter read a peer could replace). Two tables from the same
-/// runs: the **aggregate** hit ratio — local hits plus blocks a peer
-/// cache served, what the cluster's caches absorbed rather than one
-/// node's — and, beside that proxy, the mean makespan the applications
-/// actually saw.
-pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> [FigureData; 2] {
+/// the node-local baseline across sharing degrees, over each kind of
+/// [`Iods`]. Three tables from the same runs: the **aggregate** hit
+/// ratio — local hits plus blocks a peer cache served, what the cluster's
+/// caches absorbed rather than one node's — and, beside that proxy, the
+/// mean makespan the applications actually saw and the platter-bound
+/// blocks the iods forwarded (the tier's only action).
+pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> [FigureData; 3] {
     let sharings = [0.0, 0.25, 0.5, 0.75, 1.0];
     let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
-    // (cooperative, warm iods), in series order.
-    let variants = [(false, true), (true, true), (false, false), (true, false)];
+    // (cooperative, iods), in series order.
+    let variants: Vec<(bool, Iods)> =
+        Iods::ALL.iter().flat_map(|&iods| [(false, iods), (true, iods)]).collect();
     let mut configs = Vec::new();
     for &s in &sharings {
         for &variant in &variants {
             configs.push((variant, coop_apps(grid, d, s)));
         }
     }
-    let vals = parallel_map(configs, |((cooperative, warm), apps)| {
-        let mut spec = ClusterSpec::paper(Some(CacheConfig {
-            cooperative: *cooperative,
-            ..CacheConfig::paper()
-        }));
-        spec.seed = grid.seed;
-        spec.preload_warm = *warm;
-        let r = run_experiment(&spec, apps);
+    let vals = parallel_map(configs, |((cooperative, iods), apps)| {
+        let r = run_experiment(&coop_spec(grid, *cooperative, *iods), apps);
         assert!(r.completed && r.total_verify_failures() == 0);
-        [r.aggregate_hit_ratio().unwrap_or(0.0), r.mean_makespan_s()]
+        [r.aggregate_hit_ratio().unwrap_or(0.0), r.mean_makespan_s(), r.iod.forwarded_blocks as f64]
     });
+    let series: Vec<String> = variants
+        .iter()
+        .map(|&(coop, iods)| {
+            format!("{} {}", if coop { "coop" } else { "local-only" }, iods.name())
+        })
+        .collect();
     let mut figs = [
         ("ablation_cooperative", "hit ratio", "aggregate (local+remote) hit ratio"),
         ("ablation_cooperative_makespan", "makespan", "mean makespan (s)"),
+        ("ablation_cooperative_forwards", "forwards", "blocks forwarded to a peer"),
     ]
     .map(|(id, what, y_label)| {
         FigureData::new(
@@ -573,7 +597,7 @@ pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> [FigureData; 2] {
             format!("cooperative caching vs node-local baseline, {what} (two read instances, d={d}, zipf 0.9)"),
             "sharing degree s (%)",
             y_label,
-            ["local-only warm", "coop warm", "local-only cold", "coop cold"].map(String::from).to_vec(),
+            series.clone(),
         )
     });
     let n = variants.len();
@@ -587,7 +611,7 @@ pub fn ablation_cooperative_hit_ratio(grid: &Grid) -> [FigureData; 2] {
 
 /// Tentpole ablation, part (b): what a remote hit costs versus a disk
 /// fetch, under both fabric models. Runs platter-bound
-/// ([`platter_bound_coop`]) so iod reads pay real disk latency, full
+/// ([`Iods::PlatterBound`]) so iod reads pay real disk latency, full
 /// sharing so the peer tier sees traffic, and the grid's *smallest*
 /// request size: scattered small reads pay a disk seek per request,
 /// which is the cost a remote hit's network round trip undercuts. (At
@@ -603,7 +627,7 @@ pub fn ablation_cooperative_latency(grid: &Grid) -> FigureData {
     let configs: Vec<(NetConfig, Vec<AppSpec>)> =
         nets.iter().map(|net| (net.clone(), coop_apps(grid, d, 1.0))).collect();
     let vals = parallel_map(configs, |(net, apps)| {
-        let spec = ClusterSpec { net: net.clone(), ..platter_bound_coop(grid) };
+        let spec = ClusterSpec { net: net.clone(), ..coop_spec(grid, true, Iods::PlatterBound) };
         let r = run_experiment(&spec, apps);
         assert!(r.completed && r.total_verify_failures() == 0);
         vec![r.mean_remote_fetch_ms().unwrap_or(0.0), r.mean_disk_fetch_ms().unwrap_or(0.0)]
@@ -767,26 +791,54 @@ mod tests {
         assert!((fixed[2] - 0.2).abs() < 1e-9 && (fixed[3] - 0.8).abs() < 1e-9);
     }
 
+    /// Every smoke cell behind `iods` where the tier's mean makespan is
+    /// worse than node-local caching's by more than 0.5 %.
+    fn cells_over_the_bound(makespan: &FigureData, iods: Iods) -> Vec<String> {
+        let local = makespan.column(&format!("local-only {}", iods.name())).unwrap();
+        let coop = makespan.column(&format!("coop {}", iods.name())).unwrap();
+        (makespan.rows.iter().enumerate())
+            .filter(|&(i, _)| coop[i] > local[i] * 1.005)
+            .map(|(i, row)| {
+                let (c, l) = (coop[i], local[i]);
+                format!("s={}%: {c:.4} s vs {l:.4} s ({:+.2} %)", row.x, (c / l - 1.0) * 100.0)
+            })
+            .collect()
+    }
+
     /// The acceptance bar for the cooperative tier, part (a), judged end
-    /// to end: in every smoke cell — each sharing degree, warm and cold
-    /// iods — the tier's mean makespan is no worse than node-local
-    /// caching's (within 0.5 %). A miss must not pay for a peer lookup.
+    /// to end: behind the paper's page caches — each sharing degree, warm
+    /// and cold iods — the tier's mean makespan is no worse than
+    /// node-local caching's (within 0.5 %). Nothing is forwarded there, so
+    /// this fails only if the tier costs a miss something: a lookup, a
+    /// notice, a byte on the wire. Behind platter-bound iods the tier
+    /// acts: every cell with sharing forwards.
     #[test]
     fn cooperative_makespan_no_worse_than_local_only() {
-        let [_hit_ratio, fig] = ablation_cooperative_hit_ratio(&Grid::smoke());
-        for iods in ["warm", "cold"] {
-            let local = fig.column(&format!("local-only {iods}")).unwrap();
-            let coop = fig.column(&format!("coop {iods}")).unwrap();
-            for (i, row) in fig.rows.iter().enumerate() {
-                assert!(
-                    coop[i] <= local[i] * 1.005,
-                    "s={}%, {iods} iods: cooperative makespan {} s vs local-only {} s",
-                    row.x,
-                    coop[i],
-                    local[i]
-                );
-            }
+        let [_, makespan, forwards] = ablation_cooperative_hit_ratio(&Grid::smoke());
+        for iods in [Iods::Warm, Iods::Cold] {
+            let over = cells_over_the_bound(&makespan, iods);
+            assert!(over.is_empty(), "{} iods: {over:?}", iods.name());
+            let fwd = forwards.column(&format!("coop {}", iods.name())).unwrap();
+            assert!(fwd.iter().all(|&f| f == 0.0), "{} iods forwarded: {fwd:?}", iods.name());
         }
+        let fwd = forwards.column("coop platter-bound").unwrap();
+        for (row, f) in forwards.rows.iter().zip(fwd) {
+            assert_eq!(f > 0.0, row.x > 0.0, "s={}%: {f} platter-bound blocks forwarded", row.x);
+        }
+    }
+
+    /// The same bound behind platter-bound iods, where the tier forwards.
+    /// It fails: at the smoke grid's `d` = 256 K the tier is 2–9 % slower
+    /// than node-local caching in every cell with sharing — the sharer's
+    /// per-block copy costs more than the sequential platter read it
+    /// replaces. That is the measurement behind ROADMAP I's cull;
+    /// `cargo test -- --ignored` prints the cells.
+    #[test]
+    #[ignore = "fails: behind platter-bound iods the tier loses at d = 256 K (ROADMAP I)"]
+    fn platter_bound_cooperative_makespan_no_worse_than_local_only() {
+        let [_, makespan, _] = ablation_cooperative_hit_ratio(&Grid::smoke());
+        let over = cells_over_the_bound(&makespan, Iods::PlatterBound);
+        assert!(over.is_empty(), "platter-bound iods: {over:?}");
     }
 
     /// Acceptance part (b): a remote hit must be cheaper than a disk
@@ -818,7 +870,8 @@ mod tests {
         use crate::report::CacheEfficiency;
         let grid = Grid::smoke();
         let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap();
-        let r = run_experiment(&platter_bound_coop(&grid), &coop_apps(&grid, d, 0.75));
+        let r =
+            run_experiment(&coop_spec(&grid, true, Iods::PlatterBound), &coop_apps(&grid, d, 0.75));
         assert!(r.completed && r.total_verify_failures() == 0);
         let eff = CacheEfficiency::from_run(&r).unwrap();
         let coop = eff.cooperative.clone().expect("cooperative section missing from summary");
@@ -833,15 +886,9 @@ mod tests {
         );
         let json = serde_json::to_string(&eff).unwrap();
         assert!(json.contains("\"remote_hit_blocks\""));
-        // An uncached run has no cooperative section.
-        let baseline = run_experiment(
-            &{
-                let mut s = ClusterSpec::paper(Some(CacheConfig::paper()));
-                s.seed = grid.seed;
-                s
-            },
-            &coop_apps(&grid, d, 0.75),
-        );
+        // A node-local run has no cooperative section.
+        let baseline =
+            run_experiment(&coop_spec(&grid, false, Iods::Warm), &coop_apps(&grid, d, 0.75));
         assert!(CacheEfficiency::from_run(&baseline).unwrap().cooperative.is_none());
     }
 

@@ -245,7 +245,7 @@ impl CacheModule {
                 .build(),
         );
         let obs = cfg.obs.clone().map(|hub| ModuleObs::new(hub, node, cfg.slo));
-        let coop = cfg.cooperative.then(coop::Notices::default);
+        let coop = cfg.cooperative.then(|| coop::Notices::new(cfg.capacity_blocks));
         CacheModule {
             node,
             fabric,

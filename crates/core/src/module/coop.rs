@@ -19,9 +19,12 @@
 //! registers; every block the buffer manager drops is logged, stamped
 //! with the count at the time, as an eviction notice ([`Dropped`]) for
 //! its home iod. The notices ride the next bounce to that iod: a stale
-//! entry costs one forward and clears all of the sharer's there, and a
+//! entry costs one forward and clears the sharer's others there, and a
 //! tier that never forwards sends none — not one byte more on the wire
-//! than node-local caching.
+//! than node-local caching. Each home keeps only the newest notices, as
+//! many as the cache holds blocks, so a tier that never forwards does not
+//! hoard one per block it ever dropped: a forgotten notice leaves its
+//! entry to cost one forward, whose bounce then clears it.
 
 use super::CacheModule;
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
@@ -34,21 +37,31 @@ use pvfs::{
 use sim_core::{Ctx, Dur, SimTime};
 use sim_net::{NetMessage, NodeId, Port, TrafficClass};
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Eviction notices waiting for a bounce to their home iod.
-#[derive(Default)]
 pub(super) struct Notices {
-    /// Per home iod: (fid, block) → the latest message count it was
-    /// dropped after (a later drop cancels everything an earlier one did).
-    pending: KeyMap<NodeId, BTreeMap<(Fid, u64), u64>>,
+    /// Per home iod, oldest first, at most `cap` each. A block dropped
+    /// twice is listed twice; the iod applies both, and the later one
+    /// does all the earlier one did.
+    pending: KeyMap<NodeId, VecDeque<Dropped>>,
+    /// The cache's capacity in blocks.
+    cap: usize,
     /// Messages sent to iods so far.
     sent: u64,
 }
 
 impl Notices {
+    pub(super) fn new(cap: usize) -> Notices {
+        Notices { pending: KeyMap::default(), cap, sent: 0 }
+    }
+
     fn log(&mut self, home: NodeId, fid: Fid, blk: u64) {
-        self.pending.entry(home).or_default().insert((fid, blk), self.sent);
+        let q = self.pending.entry(home).or_default();
+        q.push_back(Dropped { fid, blk, seq: self.sent });
+        if q.len() > self.cap {
+            q.pop_front();
+        }
     }
 }
 
@@ -138,9 +151,9 @@ impl CacheModule {
         }
     }
 
-    /// The eviction notices a bounce of `misses` to `home` carries: every
-    /// drop logged for `home`, and the bounced blocks themselves — but not
-    /// one we are fetching ourselves: that registration is fresh.
+    /// The eviction notices a bounce of `misses` to `home` carries: the
+    /// drops still logged for `home`, and the bounced blocks themselves —
+    /// but not one we are fetching ourselves: that registration is fresh.
     fn bounce_notices(&mut self, home: NodeId, fid: Fid, misses: &[u64]) -> Vec<Dropped> {
         self.log_drops();
         let Some(notices) = self.coop.as_mut() else {
@@ -151,8 +164,7 @@ impl CacheModule {
                 notices.log(home, fid, b);
             }
         }
-        let pending = notices.pending.remove(&home).unwrap_or_default();
-        pending.into_iter().map(|((fid, blk), seq)| Dropped { fid, blk, seq }).collect()
+        notices.pending.remove(&home).map(Vec::from).unwrap_or_default()
     }
 
     /// A sharer's reply to a read our iod forwarded: install the blocks
@@ -182,5 +194,23 @@ impl CacheModule {
         let m = NetMessage::new((self.node, CACHE_PORT), dst, wire, self.tag, payload)
             .with_class(TrafficClass::Peer);
         self.send_to_net(ctx, at, m);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn each_home_keeps_only_its_newest_notices() {
+        let mut n = Notices::new(2);
+        for blk in 0..5 {
+            n.sent = blk;
+            n.log(NodeId(1), Fid(1), blk);
+        }
+        n.log(NodeId(2), Fid(1), 9);
+        let kept: Vec<(u64, u64)> = n.pending[&NodeId(1)].iter().map(|d| (d.blk, d.seq)).collect();
+        assert_eq!(kept, [(3, 3), (4, 4)], "the oldest are forgotten");
+        assert_eq!(n.pending[&NodeId(2)].len(), 1, "each home has its own");
     }
 }

@@ -358,9 +358,10 @@ pub struct PeerBounce {
     pub fid: Fid,
     pub blocks: Vec<u64>,
     pub reply_to: (NodeId, Port),
-    /// Every block homed at this iod that the sharer dropped since its
-    /// previous bounce there — the bounced blocks it is not re-fetching
-    /// among them — so one stale entry clears all of the sharer's.
+    /// The blocks homed at this iod that the sharer dropped since its
+    /// previous bounce there (the newest, at most as many as its cache
+    /// holds) — the bounced blocks it is not re-fetching among them — so
+    /// one stale entry clears the sharer's others.
     pub dropped: Vec<Dropped>,
 }
 

@@ -30,12 +30,18 @@ fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
 
 /// What one cooperative module tells its iod: the count stamped on each
 /// message it sends, and its eviction notices, each stamped with the count
-/// when the block was dropped and held until a bounce carries them.
+/// when the block was dropped and held until a bounce carries them — the
+/// newest [`NOTICES_KEPT`] of them, as the module keeps as many as its
+/// cache holds blocks.
 #[derive(Default)]
 struct Outbox {
     sent: u64,
-    pending: std::collections::BTreeMap<u64, u64>,
+    pending: std::collections::VecDeque<Dropped>,
 }
+
+/// The notices an [`Outbox`] keeps: its node's cache capacity (the
+/// property test's caches hold eight blocks).
+const NOTICES_KEPT: usize = 8;
 
 impl Outbox {
     /// A message from `node` registering `blocks` arrives at once.
@@ -51,13 +57,15 @@ impl Outbox {
 
     /// The block left the node's cache: a notice, stamped with the count.
     fn log(&mut self, blk: u64) {
-        self.pending.insert(blk, self.sent);
+        self.pending.push_back(Dropped { fid: Fid(1), blk, seq: self.sent });
+        if self.pending.len() > NOTICES_KEPT {
+            self.pending.pop_front();
+        }
     }
 
     /// The notices a bounce takes along.
     fn bounce(&mut self) -> Vec<Dropped> {
-        let pending = std::mem::take(&mut self.pending);
-        pending.into_iter().map(|(blk, seq)| Dropped { fid: Fid(1), blk, seq }).collect()
+        std::mem::take(&mut self.pending).into()
     }
 }
 
@@ -213,8 +221,8 @@ proptest! {
     /// operation interleaving while one iod's [`pvfs::Directory`] is fed
     /// exactly what their modules send it: registrations from caching
     /// reads and flushes, and — on bounces, delivered arbitrarily late —
-    /// the eviction notices logged from `take_evicted()` (evictions *and*
-    /// invalidations). After every step the directory lists every block
+    /// the newest eviction notices logged from `take_evicted()` (evictions
+    /// *and* invalidations). After every step the directory lists every block
     /// each node holds, but for blocks a local write brought in and no
     /// flush has reported yet: the directory may be stale, never short.
     #[test]
@@ -223,7 +231,12 @@ proptest! {
     ) {
         use std::collections::HashSet;
         let nodes: Vec<BufferManager> = (0..3)
-            .map(|_| BufferManager::builder(8).watermarks(0, 8).cooperative(true).build())
+            .map(|_| {
+                BufferManager::builder(NOTICES_KEPT)
+                    .watermarks(0, NOTICES_KEPT)
+                    .cooperative(true)
+                    .build()
+            })
             .collect();
         let mut iod = Directory::default();
         let mut outboxes: Vec<Outbox> = (0..3).map(|_| Outbox::default()).collect();

@@ -148,10 +148,23 @@ fn cooperative_run_exports_cross_node_flows_that_pair_start_to_finish() {
         starts.iter().any(|(id, pid)| steps.get(id).is_some_and(|s| s.iter().any(|p| p != pid)));
     assert!(cross, "no flow crossed nodes: starts={}, stepped={}", starts.len(), steps.len());
 
-    // The Chrome export carries the flow phases with ids.
+    // The requester records each peer install as a `peer_fetch` span on
+    // its own node's fetch lane: the node where a flow ends at the install
+    // (lane 1; a bounce ends it at the sharer, lane 2).
+    let requesters: std::collections::BTreeSet<u32> =
+        events.iter().filter(|e| e.phase == Phase::FlowEnd && e.tid == 1).map(|e| e.pid).collect();
+    let peer_fetch: Vec<_> = events.iter().filter(|e| e.name == "peer_fetch").collect();
+    assert!(!peer_fetch.is_empty(), "no peer_fetch span in the trace");
+    for e in &peer_fetch {
+        assert_eq!((e.phase, e.tid), (Phase::Span, 1), "peer_fetch is a span on the fetch lane");
+        assert!(requesters.contains(&e.pid), "peer_fetch on node {}, which installed none", e.pid);
+    }
+
+    // The Chrome export carries the flow phases with ids, and the spans.
     let json = kcache::obs::chrome_trace_json(&events);
     assert!(json.contains("\"ph\":\"s\"") && json.contains("\"ph\":\"f\""));
     assert!(json.contains("\"cat\":\"flow\""));
+    assert!(json.contains("\"name\":\"peer_fetch\""));
 }
 
 #[test]
