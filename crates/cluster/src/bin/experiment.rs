@@ -27,6 +27,9 @@
 //! stderr, where the run's *host* time went: events and host
 //! nanoseconds per actor type (`kcache`, `iod`, `app`, `fabric`, ...)
 //! plus the engine's own queue/dispatch share. It changes no result.
+//!
+//! The exit status is non-zero when any read returned wrong bytes
+//! (`verify_failures` > 0), after the summary and exports are written.
 
 use cluster_harness::config::ExperimentConfig;
 use cluster_harness::{run_experiment, run_experiment_profiled, CacheEfficiency, TelemetryReport};
@@ -136,26 +139,37 @@ fn main() {
             std::fs::write(p, cluster.metrics_json())
                 .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
         }
-        if flight_out.is_none() && trace_out.is_none() {
-            return;
-        }
-        let events = cluster.drain_trace();
-        if let Some(p) = &flight_out {
-            // Evaluate the config's anomaly rules against each node's
-            // own epoch history; the flight record is always valid JSON,
-            // with `"fired": false` on a healthy run.
-            let rules = cfg.cluster.telemetry.anomaly_rules();
-            let mut firings = Vec::new();
-            for (name, hub) in cluster.hubs() {
-                firings.extend(kcache::obs::evaluate(name, &hub.epoch_deltas(), &rules));
+        if flight_out.is_some() || trace_out.is_some() {
+            let events = cluster.drain_trace();
+            if let Some(p) = &flight_out {
+                // Evaluate the config's anomaly rules against each node's
+                // own epoch history; the flight record is always valid JSON,
+                // with `"fired": false` on a healthy run.
+                let rules = cfg.cluster.telemetry.anomaly_rules();
+                let mut firings = Vec::new();
+                for (name, hub) in cluster.hubs() {
+                    firings.extend(kcache::obs::evaluate(name, &hub.epoch_deltas(), &rules));
+                }
+                let json = kcache::obs::flight_json(
+                    &firings,
+                    &cluster.rollup(),
+                    &events,
+                    FLIGHT_TAIL_EVENTS,
+                );
+                std::fs::write(p, json).unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
             }
-            let json =
-                kcache::obs::flight_json(&firings, &cluster.rollup(), &events, FLIGHT_TAIL_EVENTS);
-            std::fs::write(p, json).unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
+            if let Some(p) = &trace_out {
+                std::fs::write(p, kcache::obs::chrome_trace_json(&events))
+                    .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
+            }
         }
-        if let Some(p) = &trace_out {
-            std::fs::write(p, kcache::obs::chrome_trace_json(&events))
-                .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
-        }
+    }
+
+    // Byte integrity gates the exit status: a wrong byte served anywhere
+    // fails the run, after its summary and exports are written.
+    let failures = r.total_verify_failures();
+    if failures > 0 {
+        eprintln!("experiment: {failures} reads returned wrong bytes");
+        std::process::exit(1);
     }
 }

@@ -1,5 +1,6 @@
 //! Minimal sanity check: one cached vs uncached run, human-readable line
-//! each. Useful as a first "is everything wired" probe.
+//! each. Useful as a first "is everything wired" probe. Exits non-zero when
+//! any read returned wrong bytes.
 //!
 //! ```text
 //! cargo run --release -p cluster-harness --bin smoke
@@ -12,6 +13,7 @@ use sim_net::NodeId;
 use workload::{AppSpec, Mode};
 
 fn main() {
+    let mut failures = 0;
     for caching in [false, true] {
         let spec = ClusterSpec::paper(caching.then(CacheConfig::paper));
         let apps = vec![AppSpec {
@@ -40,5 +42,10 @@ fn main() {
             r.total_verify_failures(),
             r.hit_ratio().map(|h| format!("{:.1}%", h * 100.0)).unwrap_or_else(|| "-".into()),
         );
+        failures += r.total_verify_failures();
+    }
+    if failures > 0 {
+        eprintln!("smoke: {failures} reads returned wrong bytes");
+        std::process::exit(1);
     }
 }

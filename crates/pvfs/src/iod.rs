@@ -16,7 +16,7 @@
 use crate::config::{CostModel, PvfsConfig};
 use crate::directory::Directory;
 use crate::protocol::{
-    pattern_bytes, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, PeerBounce,
+    pattern_fill, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, PeerBounce,
     PeerReadReq, ReadAck, ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
     IOD_PORT,
 };
@@ -111,7 +111,9 @@ impl Iod {
             cpu,
             costs,
             cfg,
-            fs: BlockFs::new(fs_capacity_blocks),
+            fs: BlockFs::new(fs_capacity_blocks, |fid, offset, out| {
+                pattern_fill(Fid(fid), offset, out)
+            }),
             files: HashMap::new(),
             pcache: PageCache::new(pages),
             directory: Directory::default(),
@@ -143,6 +145,12 @@ impl Iod {
         &self.pcache
     }
 
+    /// Local fs blocks held as bytes: those written with other bytes than
+    /// the pattern (preloaded blocks are descriptors).
+    pub fn stored_blocks(&self) -> usize {
+        self.fs.stored_blocks()
+    }
+
     /// Nodes registered for a block in the directory, oldest first.
     pub fn directory_sharers(&self, fid: Fid, block: u64) -> Vec<NodeId> {
         self.directory.sharers(fid, block)
@@ -155,15 +163,19 @@ impl Iod {
     }
 
     /// Pre-populate this iod's share of a file with deterministic pattern
-    /// bytes, outside simulated time (experiment setup). With `warm` the
+    /// bytes, outside simulated time (experiment setup). The fs keeps each
+    /// fully covered block as a descriptor and generates its bytes when
+    /// read, so preloaded data costs no 4 KB buffers. With `warm` the
     /// pages are also brought into the server page cache, modelling a file
     /// written recently enough to still be memory-resident — the state the
     /// paper's measurements run against.
     pub fn preload(&mut self, fid: Fid, ranges: &[ByteRange], warm: bool) {
         let ino = self.file_for(fid);
         for r in ranges {
-            let data = pattern_bytes(fid, r.offset, r.len as usize);
-            let out = self.fs.write(ino, r.offset, &data).expect("preload write failed");
+            let out = self
+                .fs
+                .preload(ino, r.offset, r.len as usize, fid.0)
+                .expect("preload write failed");
             if warm {
                 for e in &out.extents {
                     for p in e.pblk..e.pblk + e.blocks as u64 {
@@ -656,7 +668,7 @@ impl Actor for Iod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{pattern_byte, Dropped, FlushEntry, WritePart};
+    use crate::protocol::{pattern_byte, pattern_bytes, Dropped, FlushEntry, WritePart};
     use sim_core::{Engine, FifoResource};
     use sim_disk::{DiskGeometry, DiskSched};
     use sim_net::{Fabric, NetConfig};

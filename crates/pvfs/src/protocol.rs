@@ -447,6 +447,17 @@ pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
     Bytes::from(v)
 }
 
+/// Write the pattern of `fid` from `offset` into `out`: what
+/// [`pattern_bytes`] materializes, into a caller's buffer.
+pub fn pattern_fill(fid: Fid, offset: u64, out: &mut [u8]) {
+    let mut rest = out;
+    for w in pattern_windows(fid, offset, rest.len()) {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w.len());
+        head.copy_from_slice(w);
+        rest = tail;
+    }
+}
+
 /// Whether `data` is exactly the pattern of `fid` from `offset` — every
 /// byte compared, nothing materialized.
 pub fn pattern_matches(fid: Fid, offset: u64, data: &[u8]) -> bool {
@@ -569,6 +580,9 @@ mod tests {
                 for len in lens {
                     let want = scalar_pattern(fid, offset, len);
                     assert_eq!(pattern_bytes(fid, offset, len), want, "{fid:?} {offset}+{len}");
+                    let mut filled = vec![0u8; len];
+                    pattern_fill(fid, offset, &mut filled);
+                    assert_eq!(filled, want, "{fid:?} {offset}+{len}");
                     assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}+{len}");
                 }
             }

@@ -1,10 +1,18 @@
 //! A small local block file system for iod nodes.
 //!
-//! Holds real file bytes (so end-to-end data-integrity tests work through
-//! the whole stack) and reports the *physical extents* each operation
-//! touches, so the caller can charge page-cache and disk time. Supports
-//! sparse files — PVFS stripes mean each iod sees its own slice of a
-//! logical file at scattered local offsets.
+//! Each physical block holds either stored bytes or a content descriptor
+//! (so end-to-end data-integrity tests work through the whole stack), and
+//! every operation reports the *physical extents* it touches, so the caller
+//! can charge page-cache and disk time. Supports sparse files — PVFS stripes
+//! mean each iod sees its own slice of a logical file at scattered local
+//! offsets.
+//!
+//! A descriptor block is one [`preload`](BlockFs::preload) filled and no
+//! write has changed since: its bytes are generated on read by the
+//! [`Fill`] the fs was built with, so preloaded data costs 16 bytes a block
+//! rather than 4 KB. The first write to such a block that changes its bytes
+//! stores it as bytes; one that writes the bytes it already holds leaves it
+//! a descriptor.
 
 pub mod alloc;
 
@@ -46,11 +54,24 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
+/// Content function: writes the bytes of content `seed` at file offsets
+/// `offset .. offset + out.len()` into `out`.
+pub type Fill = fn(seed: u64, offset: u64, out: &mut [u8]);
+
 #[derive(Debug, Default)]
 struct Inode {
     size: u64,
     /// Logical block index → physical block; `None` is a hole.
     blocks: Vec<Option<u64>>,
+}
+
+/// What an allocated physical block holds.
+enum Block {
+    /// Bytes written to it.
+    Stored(Box<[u8; BLOCK_SIZE]>),
+    /// Preloaded and not changed by a write since: its bytes are
+    /// `fill(seed, offset, ..)`, `offset` being the block's own file offset.
+    Described { seed: u64, offset: u64 },
 }
 
 /// Result of a write: which physical extents were touched (for page-cache /
@@ -66,7 +87,8 @@ pub struct BlockFs {
     alloc: BlockAllocator,
     inodes: Vec<Option<Inode>>,
     root: BTreeMap<String, Ino>,
-    data: BTreeMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    data: BTreeMap<u64, Block>,
+    fill: Fill,
 }
 
 fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
@@ -83,12 +105,15 @@ fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
 }
 
 impl BlockFs {
-    pub fn new(capacity_blocks: u64) -> BlockFs {
+    /// An empty volume of `capacity_blocks` blocks whose preloaded blocks
+    /// read as `fill` generates them.
+    pub fn new(capacity_blocks: u64, fill: Fill) -> BlockFs {
         BlockFs {
             alloc: BlockAllocator::new(capacity_blocks),
             inodes: Vec::new(),
             root: BTreeMap::new(),
             data: BTreeMap::new(),
+            fill,
         }
     }
 
@@ -136,6 +161,12 @@ impl BlockFs {
         self.alloc.free_blocks()
     }
 
+    /// Blocks held as bytes rather than as descriptors: the ones written
+    /// with other bytes since preload, and partly covered preload blocks.
+    pub fn stored_blocks(&self) -> usize {
+        self.data.values().filter(|b| matches!(b, Block::Stored(_))).count()
+    }
+
     fn inode(&self, ino: Ino) -> Result<&Inode, FsError> {
         self.inodes.get(ino.0 as usize).and_then(|o| o.as_ref()).ok_or(FsError::BadInode)
     }
@@ -144,27 +175,17 @@ impl BlockFs {
         self.inodes.get_mut(ino.0 as usize).and_then(|o| o.as_mut()).ok_or(FsError::BadInode)
     }
 
-    /// Write `buf` at `offset`, allocating blocks (including for any hole
-    /// being filled). Returns the physical extents touched.
-    pub fn write(&mut self, ino: Ino, offset: u64, buf: &[u8]) -> Result<IoExtents, FsError> {
-        if buf.is_empty() {
-            return Ok(IoExtents { extents: vec![], bytes: 0 });
-        }
-        self.inode(ino)?; // validate before mutating
+    /// Physical blocks backing `[offset, offset + len)` (`len > 0`), one per
+    /// logical block, allocating any missing ones (holes and growth) in one
+    /// allocator call for contiguity, and growing the file to cover it.
+    fn map_range(&mut self, ino: Ino, offset: u64, len: u64) -> Result<Vec<u64>, FsError> {
         let first_lblk = offset / BLOCK_SIZE as u64;
-        let last_lblk = (offset + buf.len() as u64 - 1) / BLOCK_SIZE as u64;
-
-        // Ensure the block table covers the write and allocate any missing
-        // physical blocks in one allocator call for contiguity.
+        let last_lblk = (offset + len - 1) / BLOCK_SIZE as u64;
         let (needed, hint) = {
             let inode = self.inode(ino)?;
-            let mut needed = 0u64;
-            for l in first_lblk..=last_lblk {
-                let missing = inode.blocks.get(l as usize).is_none_or(|slot| slot.is_none());
-                if missing {
-                    needed += 1;
-                }
-            }
+            let needed = (first_lblk..=last_lblk)
+                .filter(|&l| inode.blocks.get(l as usize).is_none_or(|slot| slot.is_none()))
+                .count() as u64;
             let hint = inode.blocks.iter().rev().flatten().next().map(|p| p + 1).unwrap_or(0);
             (needed, hint)
         };
@@ -172,9 +193,7 @@ impl BlockFs {
         if needed > 0 {
             let extents = self.alloc.allocate(needed, hint).ok_or(FsError::NoSpace)?;
             for e in extents {
-                for p in e.pblk..e.pblk + e.blocks as u64 {
-                    fresh.push(p);
-                }
+                fresh.extend(e.pblk..e.pblk + e.blocks as u64);
             }
         }
         let mut fresh_iter = fresh.into_iter();
@@ -182,36 +201,93 @@ impl BlockFs {
         if inode.blocks.len() <= last_lblk as usize {
             inode.blocks.resize(last_lblk as usize + 1, None);
         }
-        let mut touched: Vec<u64> = Vec::with_capacity((last_lblk - first_lblk + 1) as usize);
-        for l in first_lblk..=last_lblk {
-            let slot = &mut inode.blocks[l as usize];
-            let p = match *slot {
-                Some(p) => p,
-                None => {
-                    let p = fresh_iter.next().expect("allocated count mismatch");
-                    *slot = Some(p);
-                    p
-                }
-            };
-            touched.push(p);
-        }
-        inode.size = inode.size.max(offset + buf.len() as u64);
+        let touched = (first_lblk..=last_lblk)
+            .map(|l| {
+                *inode.blocks[l as usize]
+                    .get_or_insert_with(|| fresh_iter.next().expect("allocated count mismatch"))
+            })
+            .collect();
+        inode.size = inode.size.max(offset + len);
+        Ok(touched)
+    }
 
-        // Copy the bytes.
+    /// Write `buf` at `offset`, allocating blocks (including for any hole
+    /// being filled). Returns the physical extents touched.
+    pub fn write(&mut self, ino: Ino, offset: u64, buf: &[u8]) -> Result<IoExtents, FsError> {
+        if buf.is_empty() {
+            return Ok(IoExtents { extents: vec![], bytes: 0 });
+        }
+        let touched = self.map_range(ino, offset, buf.len() as u64)?;
         let mut written = 0usize;
-        let mut pos = offset;
-        for (i, l) in (first_lblk..=last_lblk).enumerate() {
-            let p = touched[i];
-            let block = self.data.entry(p).or_insert_with(|| Box::new([0u8; BLOCK_SIZE]));
-            let in_block = (pos % BLOCK_SIZE as u64) as usize;
+        for &p in &touched {
+            let in_block = ((offset + written as u64) % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min(buf.len() - written);
-            block[in_block..in_block + n].copy_from_slice(&buf[written..written + n]);
+            self.overlay(p, in_block, &buf[written..written + n]);
             written += n;
-            pos += n as u64;
-            let _ = l;
         }
         debug_assert_eq!(written, buf.len());
         Ok(IoExtents { extents: coalesce(touched), bytes: written })
+    }
+
+    /// Fill `[offset, offset + len)` with content `seed` — the bytes
+    /// `fill(seed, offset, ..)` — allocating exactly as a [`write`] of those
+    /// bytes would. A block the range covers fully becomes a descriptor and
+    /// stores nothing; a partly covered one is written as bytes.
+    ///
+    /// [`write`]: Self::write
+    pub fn preload(
+        &mut self,
+        ino: Ino,
+        offset: u64,
+        len: usize,
+        seed: u64,
+    ) -> Result<IoExtents, FsError> {
+        if len == 0 {
+            return Ok(IoExtents { extents: vec![], bytes: 0 });
+        }
+        let touched = self.map_range(ino, offset, len as u64)?;
+        let end = offset + len as u64;
+        let mut pos = offset;
+        for &p in &touched {
+            let in_block = (pos % BLOCK_SIZE as u64) as usize;
+            let n = (BLOCK_SIZE - in_block).min((end - pos) as usize);
+            if n == BLOCK_SIZE {
+                self.data.insert(p, Block::Described { seed, offset: pos });
+            } else {
+                let mut part = [0u8; BLOCK_SIZE];
+                (self.fill)(seed, pos, &mut part[..n]);
+                self.overlay(p, in_block, &part[..n]);
+            }
+            pos += n as u64;
+        }
+        Ok(IoExtents { extents: coalesce(touched), bytes: len })
+    }
+
+    /// Write `src` at `in_block` of physical block `p`. A fresh block is
+    /// zeros around it; a descriptor block is generated whole first, so
+    /// the bytes around the write keep its content, and stays a descriptor
+    /// when `src` is what it already holds there.
+    fn overlay(&mut self, p: u64, in_block: usize, src: &[u8]) {
+        let fill = self.fill;
+        let block = self.data.entry(p).or_insert_with(|| Block::Stored(Box::new([0; BLOCK_SIZE])));
+        if let Block::Described { seed, offset } = *block {
+            let mut bytes = [0u8; BLOCK_SIZE];
+            fill(seed, offset, &mut bytes);
+            if bytes[in_block..in_block + src.len()] == *src {
+                return;
+            }
+            *block = Block::Stored(Box::new(bytes));
+        }
+        let Block::Stored(bytes) = block else { unreachable!("stored just above") };
+        bytes[in_block..in_block + src.len()].copy_from_slice(src);
+    }
+
+    /// Copy the bytes at `in_block..` of `block` into `dst`.
+    fn copy_out(&self, block: &Block, in_block: usize, dst: &mut [u8]) {
+        match block {
+            Block::Stored(b) => dst.copy_from_slice(&b[in_block..in_block + dst.len()]),
+            Block::Described { seed, offset } => (self.fill)(*seed, offset + in_block as u64, dst),
+        }
     }
 
     /// Read up to `buf.len()` bytes at `offset`. Holes read as zeros (and
@@ -219,10 +295,10 @@ impl BlockFs {
     pub fn read(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<IoExtents, FsError> {
         let len = buf.len();
         let mut rest = buf;
-        self.read_chunks(ino, offset, len, |n, chunk| {
+        self.read_chunks(ino, offset, len, |n, block, in_block| {
             let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            match chunk {
-                Some(src) => head.copy_from_slice(src),
+            match block {
+                Some(b) => self.copy_out(b, in_block, head),
                 None => head.fill(0),
             }
             rest = tail;
@@ -239,21 +315,26 @@ impl BlockFs {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<IoExtents, FsError> {
-        self.read_chunks(ino, offset, len, |n, chunk| match chunk {
-            Some(src) => out.extend_from_slice(src),
+        self.read_chunks(ino, offset, len, |n, block, in_block| match block {
+            Some(Block::Stored(b)) => out.extend_from_slice(&b[in_block..in_block + n]),
+            Some(b) => {
+                let at = out.len();
+                out.resize(at + n, 0);
+                self.copy_out(b, in_block, &mut out[at..]);
+            }
             None => out.resize(out.len() + n, 0),
         })
     }
 
     /// Walk `[offset, offset + len)` (clamped to EOF) block by block,
-    /// handing `sink` each piece's length and its stored bytes (`None` for
-    /// a hole).
+    /// handing `sink` each piece's length, its block (`None` for a hole)
+    /// and where in the block it starts.
     fn read_chunks(
         &self,
         ino: Ino,
         offset: u64,
         len: usize,
-        mut sink: impl FnMut(usize, Option<&[u8]>),
+        mut sink: impl FnMut(usize, Option<&Block>, usize),
     ) -> Result<IoExtents, FsError> {
         let inode = self.inode(ino)?;
         if offset >= inode.size || len == 0 {
@@ -272,8 +353,7 @@ impl BlockFs {
             if let Some(p) = pblk {
                 touched.push(p);
             }
-            let block = pblk.and_then(|p| self.data.get(&p));
-            sink(n, block.map(|b| &b[in_block..in_block + n]));
+            sink(n, pblk.and_then(|p| self.data.get(&p)), in_block);
             read += n;
             pos += n as u64;
         }
@@ -308,8 +388,15 @@ impl BlockFs {
 mod tests {
     use super::*;
 
+    /// Content `seed` is byte `(seed * 31 + offset) % 253` at each offset.
+    fn fill(seed: u64, offset: u64, out: &mut [u8]) {
+        for (i, b) in out.iter_mut().enumerate() {
+            *b = (seed.wrapping_mul(31).wrapping_add(offset + i as u64) % 253) as u8;
+        }
+    }
+
     fn fs() -> BlockFs {
-        BlockFs::new(4096)
+        BlockFs::new(4096, fill)
     }
 
     #[test]
@@ -427,7 +514,7 @@ mod tests {
 
     #[test]
     fn out_of_space_is_reported() {
-        let mut f = BlockFs::new(4);
+        let mut f = BlockFs::new(4, fill);
         let ino = f.create("x").unwrap();
         assert!(f.write(ino, 0, &[0u8; 4096 * 4]).is_ok());
         let err = f.write(ino, 4096 * 4, &[0u8; 4096]).unwrap_err();
@@ -436,7 +523,7 @@ mod tests {
 
     #[test]
     fn remove_frees_space() {
-        let mut f = BlockFs::new(8);
+        let mut f = BlockFs::new(8, fill);
         let ino = f.create("x").unwrap();
         f.write(ino, 0, &[1u8; 4096 * 8]).unwrap();
         assert_eq!(f.free_blocks(), 0);
@@ -451,5 +538,67 @@ mod tests {
         assert_eq!(f.size(Ino(99)), Err(FsError::BadInode));
         let mut buf = [0u8; 10];
         assert!(f.read(Ino(99), 0, &mut buf).is_err());
+    }
+
+    fn content(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+        let mut v = vec![0u8; len];
+        fill(seed, offset, &mut v);
+        v
+    }
+
+    #[test]
+    fn preload_stores_nothing_and_reads_back_its_content() {
+        let mut f = BlockFs::new(8192, fill);
+        let ino = f.create("x").unwrap();
+        let len = 16 << 20;
+        let p = f.preload(ino, 0, len, 3).unwrap();
+        assert_eq!(p.bytes, len);
+        assert_eq!(p.extents, vec![Extent { pblk: 0, blocks: 4096 }]);
+        assert_eq!(f.stored_blocks(), 0, "a 16 MB preload stores no block");
+        let mut out = Vec::new();
+        f.read_append(ino, 5000, 3 * 4096, &mut out).unwrap();
+        assert_eq!(out, content(3, 5000, 3 * 4096));
+        assert_eq!(f.stored_blocks(), 0, "reads store nothing");
+    }
+
+    #[test]
+    fn write_stores_exactly_the_blocks_it_touches() {
+        let mut f = fs();
+        let ino = f.create("x").unwrap();
+        f.preload(ino, 0, 64 * 4096, 1).unwrap();
+        // 6 KB from 3000: the tail of block 0, all of block 1, head of 2.
+        let w = f.write(ino, 3000, &[0xEE; 6144]).unwrap();
+        assert_eq!(w.extents, vec![Extent { pblk: 0, blocks: 3 }]);
+        assert_eq!(f.stored_blocks(), 3);
+        let mut out = vec![0u8; 3 * 4096];
+        f.read(ino, 0, &mut out).unwrap();
+        assert_eq!(&out[..3000], &content(1, 0, 3000)[..], "block 0 keeps its head");
+        assert!(out[3000..9144].iter().all(|&b| b == 0xEE));
+        assert_eq!(&out[9144..], &content(1, 9144, 3 * 4096 - 9144)[..], "block 2 keeps its tail");
+    }
+
+    #[test]
+    fn preload_allocates_as_a_write_of_its_bytes() {
+        let mut by_preload = fs();
+        let mut by_write = fs();
+        for f in [&mut by_preload, &mut by_write] {
+            let a = f.create("a").unwrap();
+            f.write(a, 4096, &[9u8; 100]).unwrap();
+        }
+        // Unaligned both ends, over a hole, a written block and growth.
+        let (offset, len) = (100u64, 5 * 4096 + 7);
+        let a = by_preload.open("a").unwrap();
+        let p = by_preload.preload(a, offset, len, 2).unwrap();
+        let w = by_write.write(a, offset, &content(2, offset, len)).unwrap();
+        assert_eq!(p, w);
+        for l in 0..8 {
+            assert_eq!(by_preload.pblk_of(a, l), by_write.pblk_of(a, l), "lblk {l}");
+        }
+        assert_eq!(by_preload.size(a), by_write.size(a));
+        let (mut x, mut y) = (Vec::new(), Vec::new());
+        by_preload.read_append(a, 0, 1 << 20, &mut x).unwrap();
+        by_write.read_append(a, 0, 1 << 20, &mut y).unwrap();
+        assert_eq!(x, y);
+        assert_eq!(by_preload.stored_blocks(), 2, "only the two partly covered blocks");
     }
 }

@@ -8,8 +8,8 @@
 //!   scheduling, one request in service at a time.
 //! * [`pagecache`] — the iod node's OS page cache (exact LRU, write-back),
 //!   which keeps the paper's no-caching baseline honest.
-//! * [`fs`] — a small sparse block file system holding real bytes and
-//!   reporting physical extents for timing.
+//! * [`fs`] — a small sparse block file system whose blocks hold stored
+//!   bytes or a content descriptor, reporting physical extents for timing.
 
 pub mod disk;
 pub mod fs;
@@ -17,6 +17,6 @@ pub mod geometry;
 pub mod pagecache;
 
 pub use disk::{Disk, DiskOp, DiskReply, DiskRequest, DiskSched, DiskStats};
-pub use fs::{BlockFs, Extent, FsError, Ino, IoExtents};
+pub use fs::{BlockFs, Extent, Fill, FsError, Ino, IoExtents};
 pub use geometry::{DiskGeometry, BLOCK_SIZE};
 pub use pagecache::{Eviction, PageCache, PageCacheStats};

@@ -1,0 +1,231 @@
+//! `BlockFs` against an independent model: each file is one flat `Vec<u8>`
+//! (filled byte by byte at preload, zeros in holes) plus the lblk → pblk map
+//! the fs reported when the block was first allocated. Random sequences of
+//! preloads, aligned and unaligned writes (into descriptor blocks, holes and
+//! past EOF), reads, appending reads and extent queries must agree with the
+//! model at every step. A twin fs that receives each preload as a plain
+//! `write` of the same bytes must allocate the same physical blocks.
+
+use proptest::prelude::*;
+use sim_disk::{BlockFs, Extent, Ino, BLOCK_SIZE};
+
+const FILES: usize = 3;
+/// Offsets stay within this many blocks (plus a write's length past it).
+const SPAN_BLOCKS: u64 = 24;
+
+/// One content byte, by definition: what every fill path must reproduce.
+fn content_byte(seed: u64, offset: u64) -> u8 {
+    (seed.wrapping_mul(0x9E37_79B9).wrapping_add(offset.wrapping_mul(7)) % 251) as u8
+}
+
+fn fill(seed: u64, offset: u64, out: &mut [u8]) {
+    for (i, b) in out.iter_mut().enumerate() {
+        *b = content_byte(seed, offset + i as u64);
+    }
+}
+
+fn content(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+    (0..len as u64).map(|i| content_byte(seed, offset + i)).collect()
+}
+
+#[derive(Default)]
+struct ModelFile {
+    bytes: Vec<u8>,
+    /// lblk → pblk, recorded when the block was first allocated.
+    pblks: Vec<Option<u64>>,
+}
+
+struct Harness {
+    fs: BlockFs,
+    twin: BlockFs,
+    inos: Vec<Ino>,
+    model: Vec<ModelFile>,
+}
+
+impl Harness {
+    fn new() -> Harness {
+        let mut fs = BlockFs::new(4096, fill);
+        let mut twin = BlockFs::new(4096, fill);
+        let inos = (0..FILES)
+            .map(|f| {
+                let name = format!("f{f}");
+                twin.create(&name).unwrap();
+                fs.create(&name).unwrap()
+            })
+            .collect();
+        Harness { fs, twin, inos, model: (0..FILES).map(|_| ModelFile::default()).collect() }
+    }
+
+    /// Lay `data` into the model at `offset`, growing the file.
+    fn model_write(&mut self, f: usize, offset: u64, data: &[u8]) {
+        let m = &mut self.model[f];
+        let end = offset as usize + data.len();
+        if m.bytes.len() < end {
+            m.bytes.resize(end, 0);
+        }
+        m.bytes[offset as usize..end].copy_from_slice(data);
+    }
+
+    /// The model's expected bytes for a read of `len` at `offset`.
+    fn model_read(&self, f: usize, offset: u64, len: usize) -> &[u8] {
+        let bytes = &self.model[f].bytes;
+        let start = (offset as usize).min(bytes.len());
+        &bytes[start..(start + len).min(bytes.len())]
+    }
+
+    /// The extents the model's recorded mapping predicts for a range.
+    fn model_extents(&self, f: usize, offset: u64, len: usize) -> Vec<Extent> {
+        let size = self.model[f].bytes.len() as u64;
+        if len == 0 || offset >= size {
+            return vec![];
+        }
+        let end = (offset + len as u64).min(size);
+        let (first, last) = (offset / BLOCK_SIZE as u64, (end - 1) / BLOCK_SIZE as u64);
+        let mut pblks: Vec<u64> = (first..=last)
+            .filter_map(|l| self.model[f].pblks.get(l as usize).copied().flatten())
+            .collect();
+        pblks.sort_unstable();
+        let mut out: Vec<Extent> = Vec::new();
+        for p in pblks {
+            match out.last_mut() {
+                Some(e) if e.pblk + e.blocks as u64 == p => e.blocks += 1,
+                _ => out.push(Extent { pblk: p, blocks: 1 }),
+            }
+        }
+        out
+    }
+
+    /// Record the mapping of newly allocated blocks; assert that mapped
+    /// blocks never move and that no two blocks share a pblk.
+    fn check_mapping(&mut self) {
+        let mut seen = std::collections::BTreeSet::new();
+        for f in 0..FILES {
+            let ino = self.inos[f];
+            let blocks = self.model[f].bytes.len().div_ceil(BLOCK_SIZE);
+            self.model[f].pblks.resize(blocks, None);
+            for l in 0..blocks {
+                let got = self.fs.pblk_of(ino, l as u64);
+                assert_eq!(got, self.twin.pblk_of(ino, l as u64), "f{f} lblk {l}: preload ≠ write");
+                let slot = &mut self.model[f].pblks[l];
+                match (*slot, got) {
+                    (Some(want), _) => assert_eq!(got, Some(want), "f{f} lblk {l} moved"),
+                    (None, Some(p)) => *slot = Some(p),
+                    (None, None) => {}
+                }
+                if let Some(p) = got {
+                    assert!(seen.insert(p), "pblk {p} mapped twice");
+                }
+            }
+            assert_eq!(self.fs.size(ino).unwrap(), self.model[f].bytes.len() as u64, "f{f} size");
+        }
+    }
+
+    fn step(&mut self, kind: u8, f: usize, offset: u64, len: usize, seed: u64) {
+        let ino = self.inos[f];
+        match kind {
+            // Preload; the twin writes the same bytes.
+            0 => {
+                let data = content(seed, offset, len);
+                let p = self.fs.preload(ino, offset, len, seed).unwrap();
+                let w = self.twin.write(ino, offset, &data).unwrap();
+                assert_eq!(p, w, "preload reports what the write does");
+                self.model_write(f, offset, &data);
+            }
+            // Aligned / unaligned write of bytes no content produces here;
+            // of the content a preload with `seed` would leave (a write a
+            // descriptor block absorbs when `seed` is its own); or of that
+            // content with one byte flipped (one it must not).
+            1..=4 => {
+                let offset =
+                    if kind == 1 { offset / BLOCK_SIZE as u64 * BLOCK_SIZE as u64 } else { offset };
+                let data: Vec<u8> = match kind {
+                    3 => content(seed, offset, len),
+                    4 => {
+                        let mut d = content(seed, offset, len);
+                        d[(offset as usize * 7 + 3) % len] ^= 0x80;
+                        d
+                    }
+                    _ => (0..len).map(|i| 251u8.wrapping_add((i as u8) % 5)).collect(),
+                };
+                let a = self.fs.write(ino, offset, &data).unwrap();
+                let b = self.twin.write(ino, offset, &data).unwrap();
+                assert_eq!(a, b);
+                self.model_write(f, offset, &data);
+                self.check_mapping();
+                assert_eq!(a.extents, self.model_extents(f, offset, len), "write extents");
+                return;
+            }
+            5 => {
+                let mut buf = vec![0xA5u8; len];
+                let r = self.fs.read(ino, offset, &mut buf).unwrap();
+                let want = self.model_read(f, offset, len);
+                assert_eq!(&buf[..r.bytes], want, "read f{f} {offset}+{len}");
+                assert_eq!(r.extents, self.model_extents(f, offset, len), "read extents");
+            }
+            6 => {
+                let mut out = vec![0x5A; 7];
+                let r = self.fs.read_append(ino, offset, len, &mut out).unwrap();
+                assert_eq!(&out[..7], &[0x5A; 7]);
+                assert_eq!(&out[7..], self.model_read(f, offset, len), "read_append f{f}");
+                assert_eq!(r.extents, self.model_extents(f, offset, len), "read_append extents");
+            }
+            _ => {
+                let e = self.fs.extents_of(ino, offset, len).unwrap();
+                assert_eq!(e, self.model_extents(f, offset, len), "extents_of f{f} {offset}+{len}");
+            }
+        }
+        self.check_mapping();
+    }
+
+    /// Every file, whole, reads as the model says.
+    fn check_all(&self) {
+        for f in 0..FILES {
+            let mut out = Vec::new();
+            self.fs.read_append(self.inos[f], 0, 1 << 20, &mut out).unwrap();
+            assert_eq!(out, self.model[f].bytes, "f{f} contents");
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn blockfs_matches_flat_file_model(
+        ops in proptest::collection::vec(
+            (0u8..8, 0usize..FILES, 0u64..SPAN_BLOCKS * BLOCK_SIZE as u64, 1usize..3 * BLOCK_SIZE, 0u64..4),
+            1..60,
+        ),
+    ) {
+        let mut h = Harness::new();
+        for (kind, f, offset, len, seed) in ops {
+            // Half the offsets block-aligned, so whole-block descriptors form.
+            let offset = if offset % 2 == 0 { offset / BLOCK_SIZE as u64 * BLOCK_SIZE as u64 } else { offset };
+            h.step(kind, f, offset, len, seed);
+        }
+        h.check_all();
+    }
+}
+
+#[test]
+fn partial_write_into_descriptor_block_keeps_the_rest() {
+    let mut h = Harness::new();
+    h.step(0, 0, 0, 4 * BLOCK_SIZE, 1);
+    assert_eq!(h.fs.stored_blocks(), 0);
+    h.step(2, 0, 5000, 100, 0);
+    h.step(2, 0, 3 * BLOCK_SIZE as u64 + 10, 2 * BLOCK_SIZE, 0); // past EOF
+    h.step(2, 0, 8 * BLOCK_SIZE as u64 + 1, 10, 0); // beyond a hole
+    h.check_all();
+    assert_eq!(h.fs.stored_blocks(), 5, "blocks 1, 3, 4, 5 and 8");
+}
+
+#[test]
+fn a_write_of_a_blocks_own_content_keeps_its_descriptor() {
+    let mut h = Harness::new();
+    h.step(0, 0, 0, 4 * BLOCK_SIZE, 1);
+    h.step(3, 0, 100, 2 * BLOCK_SIZE, 1);
+    assert_eq!(h.fs.stored_blocks(), 0, "equal bytes leave descriptors");
+    h.step(3, 0, 100, 2 * BLOCK_SIZE, 2); // another content
+    assert_eq!(h.fs.stored_blocks(), 3);
+    h.step(4, 0, 3 * BLOCK_SIZE as u64, BLOCK_SIZE, 1); // one byte differs
+    assert_eq!(h.fs.stored_blocks(), 4);
+    h.check_all();
+}

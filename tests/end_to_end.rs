@@ -1,9 +1,10 @@
 //! End-to-end integration tests across the whole stack: workload →
 //! libpvfs → cache module → fabric → iod → page cache → disk, and back.
 
-use cluster_harness::{run_experiment, ClusterSpec};
+use cluster_harness::{build, run_experiment, ClusterSpec};
 use kcache::CacheConfig;
-use sim_core::Dur;
+use pvfs::Iod;
+use sim_core::{Dur, SimTime, StopReason};
 use sim_net::NodeId;
 use workload::{AppSpec, Mode};
 
@@ -36,6 +37,27 @@ fn single_instance_reads_complete_with_verified_data() {
         assert_eq!(r.instances[0].requests, 16 * 4, "16 app requests x 4 processes");
         assert!(r.instances[0].makespan_s > 0.0);
     }
+}
+
+/// The iods keep preloaded data as content descriptors: a read-only run of
+/// the paper's sharing point (two instances, `l = s = 0.5`, 64 KB requests)
+/// ends with no block held as bytes at any iod, and its reads verify.
+#[test]
+fn read_only_run_stores_no_block_at_any_iod() {
+    let spec = ClusterSpec::paper(Some(CacheConfig::paper()));
+    let apps = vec![
+        app("A", &[0, 1, 2, 3], 1 << 20, 64 << 10, Mode::Read, 0.5, 0.5),
+        app("B", &[2, 3, 4, 5], 1 << 20, 64 << 10, Mode::Read, 0.5, 0.5),
+    ];
+    let mut cluster = build(&spec, &apps);
+    let report = cluster.engine.run_until(SimTime::ZERO + Dur::secs(3600));
+    assert_eq!(report.stop, StopReason::Stopped, "run did not finish");
+    for (i, &id) in cluster.iods.iter().enumerate() {
+        let iod = cluster.engine.actor_as::<Iod>(id).expect("iod downcast");
+        assert!(iod.stats().read_reqs > 0, "iod {i} served no read");
+        assert_eq!(iod.stored_blocks(), 0, "iod {i} stores preloaded blocks as bytes");
+    }
+    assert_eq!(run_experiment(&spec, &apps).total_verify_failures(), 0);
 }
 
 #[test]

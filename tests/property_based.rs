@@ -342,7 +342,7 @@ proptest! {
     fn blockfs_write_read_round_trip(
         writes in proptest::collection::vec((0u64..(1 << 16), 1usize..5000, 0u8..255), 1..20),
     ) {
-        let mut fs = BlockFs::new(4096);
+        let mut fs = BlockFs::new(4096, |_, _, out| out.fill(0));
         let ino = fs.create("f").unwrap();
         let mut model = vec![None::<u8>; 1 << 17];
         for (off, len, fill) in writes {
