@@ -9,7 +9,10 @@
 //! * **ghost caches** ([`GhostCache`]) — every candidate is simulated,
 //!   metadata-only, against the same access stream the live policy
 //!   serves; each ghost's hit/miss ledger says what that candidate's hit
-//!   rate would have been,
+//!   rate would have been. From 128 frames up the ghosts are hash-sampled
+//!   (SHARDS): all of them replay the same 1/R of the keys in 1/R of the
+//!   frames ([`ghost::sample_shift`]), so their ledgers count sampled
+//!   accesses only, and compare like for like,
 //! * an **epoch controller** — every epoch boundary (driven by the buffer
 //!   manager off its access counter) the controller compares ghost hit
 //!   rates and, when another candidate beats the live one by more than a
@@ -265,7 +268,7 @@ impl AdaptivePolicy {
             }
             fresh
         });
-        let ghosts = cfg.candidates.iter().map(|&k| GhostCache::new(k, capacity)).collect();
+        let ghosts = cfg.candidates.iter().map(|&k| GhostCache::sampled(k, capacity)).collect();
         AdaptivePolicy {
             cfg,
             live_idx: 0,
@@ -289,8 +292,10 @@ impl AdaptivePolicy {
     }
 
     /// Feed one access of the live stream — a hit, a recency touch, or
-    /// the install that ends a miss — to every ghost and the tuner. Probe
-    /// hits and bare misses are lookups, not uses: they reach no ghost.
+    /// the install that ends a miss — to every ghost (which replays it
+    /// when the key is in the sample) and the tuner (which sees every
+    /// key). Probe hits and bare misses are lookups, not uses: they reach
+    /// no ghost.
     pub fn observe(&mut self, key: u64, app: AppId) {
         for g in &mut self.ghosts {
             g.access(key, app);
@@ -402,7 +407,8 @@ impl AdaptivePolicy {
         switched
     }
 
-    /// Lifetime ghost ledgers, one per candidate (candidate order).
+    /// Lifetime ghost ledgers, one per candidate (candidate order), over
+    /// the sampled keys.
     pub fn ghost_rates(&self) -> Vec<GhostRate> {
         self.ghosts
             .iter()

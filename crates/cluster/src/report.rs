@@ -77,6 +77,10 @@ pub struct AdaptiveReport {
     pub epochs: u64,
     pub switches: u64,
     pub quota_moves: u64,
+    /// Per candidate, the ghost's lifetime hits and misses over its key
+    /// sample only: from 128 frames a shard up the ghosts replay 1/R of
+    /// the keys (R = 2 … 16), so the counts are about 1/R of the live
+    /// cache's accesses; the rate estimates the full one.
     pub ghost_hit_rates: Vec<GhostRateReport>,
     pub switch_log: Vec<SwitchReport>,
     pub quota_log: Vec<QuotaMoveReport>,

@@ -236,7 +236,10 @@ pub struct QuotaMoveRecord {
     pub to_refaults: u64,
 }
 
-/// Lifetime hit/miss ledger of one candidate's ghost cache.
+/// Lifetime hit/miss ledger of one candidate's ghost cache. The counts are
+/// over the ghost's key sample: from 128 frames a shard up, a ghost
+/// replays only 1/R of the keys (R = 2 … 16, `kcache_adaptive::ghost`), so
+/// `hits + misses` is about 1/R of the live accesses; below, every access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GhostRate {
     pub kind: PolicyKind,
@@ -569,7 +572,8 @@ impl RankedTable {
 pub struct EpochObservation {
     /// The currently live candidate's kind.
     pub live: PolicyKind,
-    /// Per-candidate ghost traffic this epoch: `(kind, hits, accesses)`.
+    /// Per-candidate ghost traffic this epoch: `(kind, hits, accesses)`,
+    /// over the ghosts' key sample (every key below 128 frames a shard).
     pub ghost_epoch: Vec<(PolicyKind, u64, u64)>,
     /// Per-application refaults this epoch (ghost-list re-reads of blocks
     /// the app recently lost to eviction) — the quota tuner's evidence.

@@ -78,8 +78,13 @@ pub struct Iod {
     pcache: PageCache,
     directory: Directory,
     pending_reads: HashMap<u64, PendingRead>,
-    /// disk token → pending read id.
-    token_owner: HashMap<u64, u64>,
+    /// Platter read in flight, by disk token → the pending reads waiting
+    /// for it, in arrival order.
+    token_waiters: HashMap<u64, Vec<u64>>,
+    /// Page → token of the platter read filling it. Such a page is in the
+    /// page cache but holds no data yet (Linux keeps it locked): a read
+    /// that finds it waits for that token instead of taking it as a hit.
+    page_fills: HashMap<u64, u64>,
     pending_syncs: HashMap<u64, PendingSync>,
     next_pending: u64,
     next_token: u64,
@@ -118,7 +123,8 @@ impl Iod {
             pcache: PageCache::new(pages),
             directory: Directory::default(),
             pending_reads: HashMap::new(),
-            token_owner: HashMap::new(),
+            token_waiters: HashMap::new(),
+            page_fills: HashMap::new(),
             pending_syncs: HashMap::new(),
             next_pending: 1,
             next_token: 1,
@@ -230,13 +236,23 @@ impl Iod {
 
     /// Bring every page backing `range` into the page cache; returns the
     /// physical extents that must be read from disk, and handles dirty
-    /// evictions by issuing background disk writes.
-    fn stage_range(&mut self, ctx: &mut Ctx<'_>, ino: Ino, range: &ByteRange) -> Vec<(u64, u32)> {
+    /// evictions by issuing background disk writes. A page found in the
+    /// page cache whose platter read is still in flight adds that read's
+    /// token to `fills`.
+    fn stage_range(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        ino: Ino,
+        range: &ByteRange,
+        fills: &mut Vec<u64>,
+    ) -> Vec<(u64, u32)> {
         let mut miss_pblks: Vec<u64> = Vec::new();
         let exts = self.fs.extents_of(ino, range.offset, range.len as usize).unwrap_or_default();
         for e in exts {
             for p in e.pblk..e.pblk + e.blocks as u64 {
-                if !self.pcache.lookup(p) {
+                if self.pcache.lookup(p) {
+                    fills.extend(self.page_fills.get(&p));
+                } else {
                     miss_pblks.push(p);
                     if let Some(ev) = self.pcache.insert(p, false) {
                         if ev.dirty {
@@ -385,27 +401,34 @@ impl Iod {
     }
 
     /// Serve `req`'s ranges from the local store: stage the pages, read
-    /// the page-cache misses from disk, and send the data once all are in.
+    /// the page-cache misses from disk, and send the data once all are in
+    /// — including pages another read is still bringing in.
     fn read_from_store(&mut self, ctx: &mut Ctx<'_>, ino: Ino, req: ReadReq) {
         self.stats.bytes_read += req.ranges.iter().map(|r| r.len as u64).sum::<u64>();
         // Stage pages; issue disk reads for the misses.
-        let mut disk_ops = 0usize;
-        let pending_id = self.next_pending;
+        let mut waits: Vec<u64> = Vec::new();
         for r in &req.ranges {
-            for (pblk, blocks) in self.stage_range(ctx, ino, r) {
+            for (pblk, blocks) in self.stage_range(ctx, ino, r, &mut waits) {
                 let token = self.next_token;
                 self.next_token += 1;
-                self.token_owner.insert(token, pending_id);
+                for p in pblk..pblk + blocks as u64 {
+                    self.page_fills.insert(p, token);
+                }
                 self.issue_disk(ctx, DiskOp::Read, pblk, blocks, token);
-                disk_ops += 1;
+                waits.push(token);
             }
         }
-        if disk_ops == 0 {
-            self.finish_read(ctx, req);
-        } else {
-            self.next_pending += 1;
-            self.pending_reads.insert(pending_id, PendingRead { req, disk_remaining: disk_ops });
+        if waits.is_empty() {
+            return self.finish_read(ctx, req);
         }
+        waits.sort_unstable();
+        waits.dedup();
+        let pending_id = self.next_pending;
+        self.next_pending += 1;
+        for &token in &waits {
+            self.token_waiters.entry(token).or_default().push(pending_id);
+        }
+        self.pending_reads.insert(pending_id, PendingRead { req, disk_remaining: waits.len() });
     }
 
     fn finish_read(&mut self, ctx: &mut Ctx<'_>, req: ReadReq) {
@@ -545,17 +568,26 @@ impl Iod {
         if r.token == 0 {
             return; // background write-back completion
         }
-        let Some(pending_id) = self.token_owner.remove(&r.token) else {
+        let Some(waiters) = self.token_waiters.remove(&r.token) else {
             return;
         };
-        let done = {
-            let p = self.pending_reads.get_mut(&pending_id).expect("orphan disk token");
-            p.disk_remaining -= 1;
-            p.disk_remaining == 0
-        };
-        if done {
-            let p = self.pending_reads.remove(&pending_id).unwrap();
-            self.finish_read(ctx, p.req);
+        // The pages hold their data now; one evicted and read again
+        // meanwhile belongs to the newer read.
+        for p in r.pblk..r.pblk + r.blocks as u64 {
+            if self.page_fills.get(&p) == Some(&r.token) {
+                self.page_fills.remove(&p);
+            }
+        }
+        for pending_id in waiters {
+            let done = {
+                let p = self.pending_reads.get_mut(&pending_id).expect("orphan disk token");
+                p.disk_remaining -= 1;
+                p.disk_remaining == 0
+            };
+            if done {
+                let p = self.pending_reads.remove(&pending_id).unwrap();
+                self.finish_read(ctx, p.req);
+            }
         }
     }
 
@@ -666,492 +698,4 @@ impl Actor for Iod {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::protocol::{pattern_byte, pattern_bytes, Dropped, FlushEntry, WritePart};
-    use sim_core::{Engine, FifoResource};
-    use sim_disk::{DiskGeometry, DiskSched};
-    use sim_net::{Fabric, NetConfig};
-
-    /// Endpoint that records every delivered protocol message.
-    struct Client {
-        acks: Vec<ReadAck>,
-        data: Vec<ReadData>,
-        wacks: Vec<WriteAck>,
-        facks: Vec<FlushAck>,
-        invs: Vec<(Invalidate, SimTime)>,
-        fwds: Vec<PeerReadReq>,
-        auto_ack_invalidate: bool,
-        fabric: ActorId,
-        node: NodeId,
-    }
-
-    impl Actor for Client {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-            let d = match msg.cast::<Deliver>() {
-                Ok(d) => d.0,
-                Err(_) => return,
-            };
-            let d = match d.cast::<ReadAck>() {
-                Ok((_, a)) => return self.acks.push(*a),
-                Err(d) => d,
-            };
-            let d = match d.cast::<ReadData>() {
-                Ok((_, r)) => return self.data.push(*r),
-                Err(d) => d,
-            };
-            let d = match d.cast::<WriteAck>() {
-                Ok((_, a)) => return self.wacks.push(*a),
-                Err(d) => d,
-            };
-            let d = match d.cast::<FlushAck>() {
-                Ok((_, a)) => return self.facks.push(*a),
-                Err(d) => d,
-            };
-            let d = match d.cast::<PeerReadReq>() {
-                Ok((_, f)) => return self.fwds.push(*f),
-                Err(d) => d,
-            };
-            if let Ok((_, inv)) = d.cast::<Invalidate>() {
-                if self.auto_ack_invalidate {
-                    let ack = InvalidateAck { req_id: inv.req_id };
-                    let m = NetMessage::new(
-                        (self.node, CACHE_PORT),
-                        inv.reply_to,
-                        ack.wire_bytes(),
-                        0,
-                        ack,
-                    );
-                    ctx.schedule_in(Dur::ZERO, self.fabric, Xmit(m));
-                }
-                self.invs.push((*inv, ctx.now()));
-            }
-        }
-        fn as_any(&self) -> Option<&dyn Any> {
-            Some(self)
-        }
-        fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
-            Some(self)
-        }
-    }
-
-    struct Rig {
-        eng: Engine,
-        iod: ActorId,
-        clients: Vec<ActorId>,
-        fabric: ActorId,
-    }
-
-    /// Node 0 runs the iod; nodes 1.. are client endpoints.
-    fn rig(n_clients: usize) -> Rig {
-        rig_with(n_clients, PvfsConfig::default())
-    }
-
-    fn rig_with(n_clients: usize, cfg: PvfsConfig) -> Rig {
-        let mut eng = Engine::new(7);
-        let fabric_slot = eng.reserve_actor();
-        let disk = eng.add_actor(Box::new(sim_disk::Disk::new(
-            DiskGeometry::maxtor_20gb(),
-            DiskSched::CLook,
-        )));
-        let iod = eng.add_actor(Box::new(Iod::new(
-            NodeId(0),
-            fabric_slot,
-            disk,
-            FifoResource::shared("iod-cpu"),
-            CostModel::default(),
-            cfg,
-            1 << 20,
-        )));
-        let mut endpoints = vec![iod];
-        let mut clients = Vec::new();
-        for i in 0..n_clients {
-            let c = eng.add_actor(Box::new(Client {
-                acks: vec![],
-                data: vec![],
-                wacks: vec![],
-                facks: vec![],
-                invs: vec![],
-                fwds: vec![],
-                auto_ack_invalidate: true,
-                fabric: fabric_slot,
-                node: NodeId(i as u16 + 1),
-            }));
-            endpoints.push(c);
-            clients.push(c);
-        }
-        eng.install(fabric_slot, Box::new(Fabric::new(NetConfig::hub_100mbps(), endpoints)));
-        Rig { eng, iod, clients, fabric: fabric_slot }
-    }
-
-    fn send_to_iod(rig: &mut Rig, from: u16, port: Port, wire: u32, payload: impl Any) {
-        let m = NetMessage::new((NodeId(from), Port(9000)), (NodeId(0), port), wire, 0, payload);
-        rig.eng.post(Dur::ZERO, rig.fabric, Xmit(m));
-    }
-
-    #[test]
-    fn preloaded_warm_read_serves_without_disk() {
-        let mut r = rig(1);
-        {
-            let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
-            iod.preload(Fid(1), &[ByteRange::new(0, 65536)], true);
-        }
-        let req = ReadReq {
-            req_id: 42,
-            fid: Fid(1),
-            ranges: vec![ByteRange::new(0, 8192)],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            seq: None,
-        };
-        let wire = req.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, req);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.acks.len(), 1);
-        assert_eq!(c.acks[0].bytes, 8192);
-        assert_eq!(c.data.len(), 1);
-        assert_eq!(c.data[0].data.len(), 8192);
-        // Data integrity: pattern bytes round-trip.
-        for (i, b) in c.data[0].data.iter().enumerate() {
-            assert_eq!(*b, pattern_byte(Fid(1), i as u64), "byte {} corrupted", i);
-        }
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.stats().disk_reads, 0, "warm pages must not touch disk");
-    }
-
-    #[test]
-    fn cold_read_goes_to_disk() {
-        let mut r = rig(1);
-        {
-            let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
-            iod.preload(Fid(1), &[ByteRange::new(0, 65536)], false);
-        }
-        let req = ReadReq {
-            req_id: 1,
-            fid: Fid(1),
-            ranges: vec![ByteRange::new(0, 16384)],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            seq: None,
-        };
-        let wire = req.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, req);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.data.len(), 1);
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert!(iod.stats().disk_reads >= 1, "cold read must hit the disk");
-        // Second identical read is now warm.
-        assert!(iod.page_cache().contains(iod.fs_extent_probe(Fid(1)).expect("file exists")));
-    }
-
-    #[test]
-    fn write_then_read_round_trips() {
-        let mut r = rig(1);
-        let payload = pattern_bytes(Fid(9), 4096, 8192);
-        let req = WriteReq {
-            req_id: 5,
-            fid: Fid(9),
-            parts: vec![WritePart { range: ByteRange::new(4096, 8192), data: payload }],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            sync: false,
-        };
-        let wire = req.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, req);
-        r.eng.run_until(SimTime::ZERO + Dur::millis(100));
-        assert_eq!(r.eng.actor_as::<Client>(r.clients[0]).unwrap().wacks.len(), 1);
-        let rreq = ReadReq {
-            req_id: 6,
-            fid: Fid(9),
-            ranges: vec![ByteRange::new(4096, 8192)],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            seq: None,
-        };
-        let wire = rreq.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, rreq);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.data.len(), 1);
-        for (i, b) in c.data[0].data.iter().enumerate() {
-            assert_eq!(*b, pattern_byte(Fid(9), 4096 + i as u64));
-        }
-    }
-
-    #[test]
-    fn flush_applies_blocks_and_acks_on_flush_port() {
-        let mut r = rig(1);
-        let blocks = vec![
-            FlushEntry { blk: 3, offset: 0, data: pattern_bytes(Fid(2), 3 * 4096, 4096) },
-            FlushEntry { blk: 4, offset: 0, data: pattern_bytes(Fid(2), 4 * 4096, 4096) },
-        ];
-        let f = FlushBlocks {
-            req_id: 11,
-            fid: Fid(2),
-            blocks,
-            reply_to: (NodeId(1), Port(9000)),
-            seq: None,
-        };
-        let wire = f.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_FLUSH_PORT, wire, f);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.facks.len(), 1);
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.stats().flush_reqs, 1);
-        // The flusher node is now a registered sharer.
-        assert_eq!(iod.directory_sharers(Fid(2), 3), vec![NodeId(1)]);
-        assert_eq!(iod.directory_sharers(Fid(2), 4), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn caching_reads_register_in_directory() {
-        let mut r = rig(2);
-        for (i, node) in [1u16, 2u16].iter().enumerate() {
-            let req = ReadReq {
-                req_id: i as u64,
-                fid: Fid(3),
-                ranges: vec![ByteRange::new(0, 4096)],
-                reply_to: (NodeId(*node), Port(9000)),
-                caching: true,
-                seq: None,
-            };
-            let wire = req.wire_bytes();
-            send_to_iod(&mut r, *node, IOD_PORT, wire, req);
-        }
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.directory_sharers(Fid(3), 0), vec![NodeId(1), NodeId(2)]);
-        // Non-caching reads do not register.
-        assert!(iod.directory_sharers(Fid(3), 1).is_empty());
-    }
-
-    #[test]
-    fn sync_write_invalidates_other_sharers() {
-        let mut r = rig(2);
-        // Node 1 and node 2 cache block 0 of fid 4.
-        for node in [1u16, 2u16] {
-            let req = ReadReq {
-                req_id: node as u64,
-                fid: Fid(4),
-                ranges: vec![ByteRange::new(0, 4096)],
-                reply_to: (NodeId(node), Port(9000)),
-                caching: true,
-                seq: None,
-            };
-            let wire = req.wire_bytes();
-            send_to_iod(&mut r, node, IOD_PORT, wire, req);
-        }
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        // Node 1 sync-writes block 0: node 2 must be invalidated, node 1 not.
-        let w = WriteReq {
-            req_id: 99,
-            fid: Fid(4),
-            parts: vec![WritePart {
-                range: ByteRange::new(0, 4096),
-                data: pattern_bytes(Fid(4), 0, 4096),
-            }],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: true,
-            sync: true,
-        };
-        let wire = w.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, w);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(2));
-        let c1 = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        let c2 = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
-        assert_eq!(c1.invs.len(), 0, "writer must not be invalidated");
-        assert_eq!(c2.invs.len(), 1);
-        assert_eq!(c2.invs[0].0.blocks, vec![0]);
-        // Writer got its ack only after the invalidation round.
-        assert_eq!(c1.wacks.len(), 1);
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.stats().sync_writes, 1);
-        assert_eq!(iod.stats().invalidations_sent, 1);
-        assert_eq!(iod.directory_sharers(Fid(4), 0), vec![NodeId(1)], "only the writer remains");
-    }
-
-    #[test]
-    fn sync_write_with_no_sharers_acks_immediately() {
-        let mut r = rig(1);
-        let w = WriteReq {
-            req_id: 1,
-            fid: Fid(5),
-            parts: vec![WritePart {
-                range: ByteRange::new(0, 4096),
-                data: pattern_bytes(Fid(5), 0, 4096),
-            }],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            sync: true,
-        };
-        let wire = w.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, w);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.wacks.len(), 1);
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.stats().invalidations_sent, 0);
-    }
-
-    #[test]
-    fn kupdate_writes_dirty_pages_to_disk() {
-        let mut r = rig(1);
-        let w = WriteReq {
-            req_id: 1,
-            fid: Fid(6),
-            parts: vec![WritePart {
-                range: ByteRange::new(0, 65536),
-                data: pattern_bytes(Fid(6), 0, 65536),
-            }],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            sync: false,
-        };
-        let wire = w.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, w);
-        // Run past one kupdate interval.
-        r.eng.run_until(SimTime::ZERO + Dur::secs(11));
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert!(iod.stats().disk_writes >= 1, "kupdate must flush dirty pages");
-        assert_eq!(iod.page_cache().dirty_pages(), 0);
-    }
-
-    /// A cooperative module's caching read of `blocks` of fid 8, stamped
-    /// with its message count `seq`.
-    fn coop_read(req_id: u64, node: u16, blocks: std::ops::Range<u64>, seq: u64) -> ReadReq {
-        let len = ((blocks.end - blocks.start) * BLOCK_SIZE as u64) as u32;
-        ReadReq {
-            req_id,
-            fid: Fid(8),
-            ranges: vec![ByteRange::new(blocks.start * BLOCK_SIZE as u64, len)],
-            reply_to: (NodeId(node), Port(9000)),
-            caching: true,
-            seq: Some(seq),
-        }
-    }
-
-    fn run_for(r: &mut Rig, d: Dur) {
-        let until = r.eng.now() + d;
-        r.eng.run_until(until);
-    }
-
-    /// Cold disk behind a two-page page cache: node 1 reads block 0, then
-    /// blocks 1-2, which push it out of the page cache.
-    fn platter_bound_rig() -> Rig {
-        let mut r = rig_with(2, PvfsConfig { iod_page_cache_pages: 2, ..PvfsConfig::default() });
-        let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
-        iod.preload(Fid(8), &[ByteRange::new(0, 65536)], false);
-        for (seq, blocks) in [(1, 0..1), (2, 1..3)] {
-            let req = coop_read(seq, 1, blocks, seq);
-            send_to_iod(&mut r, 1, IOD_PORT, req.wire_bytes(), req);
-            run_for(&mut r, Dur::secs(1));
-        }
-        r
-    }
-
-    #[test]
-    fn a_platter_bound_block_goes_to_a_peer_that_caches_it() {
-        let mut r = platter_bound_rig();
-        let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
-        // Block 0 is off the page cache and cached at node 1: forwarded.
-        // Block 1 is in the page cache: served here as always.
-        let req = coop_read(10, 2, 0..2, 1);
-        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-        run_for(&mut r, Dur::secs(1));
-        let sharer = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(sharer.fwds.len(), 1);
-        let fwd = &sharer.fwds[0];
-        assert_eq!(
-            (fwd.req_id, &fwd.blocks, fwd.reply_to),
-            (10, &vec![0], (NodeId(2), Port(9000)))
-        );
-        let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
-        assert_eq!(requester.acks.len(), 1, "one ack for the whole request");
-        assert_eq!(requester.acks[0].bytes, 8192);
-        assert_eq!(requester.data.len(), 1);
-        assert_eq!(requester.data[0].range, ByteRange::new(4096, 4096), "only block 1 from here");
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert_eq!(iod.stats().forwarded_blocks, 1);
-        assert_eq!(iod.stats().disk_reads, disk_reads, "nothing read from the platter");
-        // A read from a node that is not cooperative is never forwarded.
-        let req = ReadReq { seq: None, ..coop_read(11, 2, 0..1, 0) };
-        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-        run_for(&mut r, Dur::secs(1));
-        assert_eq!(r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds.len(), 1);
-        assert!(r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads > disk_reads);
-    }
-
-    #[test]
-    fn a_traced_forward_opens_a_flow_on_the_iod_lane() {
-        let mut r = platter_bound_rig();
-        let hub = kcache_obs::ObsHub::new(64);
-        r.eng.actor_as_mut::<Iod>(r.iod).unwrap().set_obs(hub.clone());
-        let req = coop_read(10, 2, 0..1, 1);
-        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-        run_for(&mut r, Dur::secs(1));
-        let fwd = &r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds[0];
-        let ev = hub.drain_trace();
-        let start = ev
-            .iter()
-            .find(|e| e.name == "coop_fetch" && e.phase == Phase::FlowStart)
-            .expect("flow start");
-        assert_eq!((start.pid, start.tid), (0, IOD_TRACE_LANE));
-        assert_eq!(start.flow_id, fwd.flow.0, "the forward carries the flow it opened");
-        assert_eq!(fwd.flow.node(), 0);
-    }
-
-    #[test]
-    fn a_bounce_is_read_from_the_platter_and_drops_the_sharer() {
-        let mut r = platter_bound_rig();
-        let req = coop_read(10, 2, 0..1, 1);
-        send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-        run_for(&mut r, Dur::secs(1));
-        let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
-        // Node 1 no longer holds block 0 and dropped it after its message 2.
-        let bounce = PeerBounce {
-            req_id: 10,
-            fid: Fid(8),
-            blocks: vec![0],
-            reply_to: (NodeId(2), Port(9000)),
-            dropped: vec![Dropped { fid: Fid(8), blk: 0, seq: 2 }],
-        };
-        send_to_iod(&mut r, 1, IOD_PORT, bounce.wire_bytes(), bounce);
-        run_for(&mut r, Dur::secs(1));
-        let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
-        assert_eq!(requester.acks.len(), 1, "the bounce adds no ack");
-        assert_eq!(requester.data.len(), 1);
-        let rd = &requester.data[0];
-        assert_eq!((rd.req_id, rd.range), (10, ByteRange::new(0, 4096)));
-        assert!(crate::protocol::pattern_matches(Fid(8), 0, &rd.data));
-        let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-        assert!(iod.stats().disk_reads > disk_reads, "a bounced block comes from the platter");
-        assert_eq!(iod.directory_sharers(Fid(8), 0), vec![NodeId(2)], "the sharer is dropped");
-        assert_eq!(iod.directory_sharers(Fid(8), 1), vec![NodeId(1)], "and nothing else is");
-    }
-
-    #[test]
-    fn multi_range_read_sends_one_data_message_per_range() {
-        let mut r = rig(1);
-        {
-            let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
-            iod.preload(Fid(7), &[ByteRange::new(0, 262144)], true);
-        }
-        let req = ReadReq {
-            req_id: 1,
-            fid: Fid(7),
-            ranges: vec![ByteRange::new(0, 4096), ByteRange::new(65536, 4096)],
-            reply_to: (NodeId(1), Port(9000)),
-            caching: false,
-            seq: None,
-        };
-        let wire = req.wire_bytes();
-        send_to_iod(&mut r, 1, IOD_PORT, wire, req);
-        r.eng.run_until(SimTime::ZERO + Dur::secs(1));
-        let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-        assert_eq!(c.data.len(), 2);
-        assert_eq!(c.acks[0].bytes, 8192);
-    }
-}
+mod tests;
