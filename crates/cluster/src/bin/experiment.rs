@@ -28,8 +28,10 @@
 //! nanoseconds per actor type (`kcache`, `iod`, `app`, `fabric`, ...)
 //! plus the engine's own queue/dispatch share. It changes no result.
 //!
-//! The exit status is non-zero when any read returned wrong bytes
-//! (`verify_failures` > 0), after the summary and exports are written.
+//! A config that does not parse or cannot run prints `bad config …` on
+//! stderr and exits with status 2. The exit status is 1 when any read
+//! returned wrong bytes (`verify_failures` > 0), after the summary and
+//! exports are written.
 
 use cluster_harness::config::ExperimentConfig;
 use cluster_harness::{run_experiment, run_experiment_profiled, CacheEfficiency, TelemetryReport};
@@ -43,6 +45,11 @@ fn usage() -> ! {
         "usage: experiment <config.json> [--trace-out FILE] [--metrics-out FILE] \
          [--flight-out FILE] [--profile]"
     );
+    std::process::exit(2);
+}
+
+fn bad_config(path: &str, e: String) -> ! {
+    eprintln!("bad config {path}: {e}");
     std::process::exit(2);
 }
 
@@ -87,12 +94,11 @@ fn main() {
     }
     let Some(path) = config_path else { usage() };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let mut cfg =
-        ExperimentConfig::from_json(&text).unwrap_or_else(|e| panic!("bad config {path}: {e}"));
+    let mut cfg = ExperimentConfig::from_json(&text).unwrap_or_else(|e| bad_config(&path, e));
     if trace_out.is_some() || metrics_out.is_some() || flight_out.is_some() {
         cfg.cluster.telemetry.enabled = true;
     }
-    let (spec, apps) = cfg.to_spec().unwrap_or_else(|e| panic!("bad config {path}: {e}"));
+    let (spec, apps) = cfg.to_spec().unwrap_or_else(|e| bad_config(&path, e));
 
     let r = if profile {
         let (r, rows) = run_experiment_profiled(&spec, &apps);

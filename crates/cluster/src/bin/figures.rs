@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p cluster-harness --bin figures -- \
-//!     [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive|cooperative] \
+//!     [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive] \
 //!     [--quick|--full|--smoke] [--out results/] [--seed N]
 //! ```
 
@@ -28,7 +28,7 @@ fn main() {
             }
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: figures [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive|cooperative] [--quick|--full|--smoke] [--out DIR] [--seed N]");
+                eprintln!("usage: figures [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive] [--quick|--full|--smoke] [--out DIR] [--seed N]");
                 std::process::exit(2);
             }
         }
@@ -46,7 +46,6 @@ fn main() {
         "policy-grid" => cluster_harness::ablations::ablation_policy_grid(&grid),
         "partition" => vec![cluster_harness::ablations::ablation_partitioning(&grid)],
         "adaptive" => cluster_harness::ablations::ablation_adaptive(&grid),
-        "cooperative" => cluster_harness::ablations::ablation_cooperative(&grid),
         "all" => {
             let mut f = all_figures(&grid);
             f.extend(cluster_harness::ablations::all_ablations(&grid));

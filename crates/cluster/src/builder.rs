@@ -161,15 +161,6 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         apps.iter().flat_map(|a| a.nodes.iter().map(|n| n.0)).collect();
     let mut modules: Vec<Option<ActorId>> = vec![None; n];
     if let Some(cache_cfg) = &spec.cache {
-        // Each iod traces the forwards it opens into its node's hub, so
-        // cross-node flows stitch through its lane. A bare shared hub in
-        // `cache.obs` works the same way.
-        for (i, &iod) in iods.iter().enumerate() {
-            let hub = spec.obs.as_ref().map(|c| c.hub_for(i)).or_else(|| cache_cfg.obs.clone());
-            if let Some(hub) = hub {
-                eng.actor_as_mut::<Iod>(iod).expect("iod downcast").set_obs(hub);
-            }
-        }
         for &node in &client_nodes {
             let mut cfg = cache_cfg.clone();
             if let Some(cluster_obs) = &spec.obs {

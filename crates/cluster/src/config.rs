@@ -24,6 +24,11 @@
 //! `strict`, or `soft`); each app's `quota_blocks` is its frame quota
 //! (`0`, the default, leaves the app unconstrained). Quotas bind by app
 //! *index*: the `i`-th entry of `apps` is application instance `AppId(i)`.
+//!
+//! Unknown keys are ignored, so keys retired with the mechanisms they
+//! configured still parse and mean nothing: the whole `cluster.cooperative`
+//! section, and the peer tier's SLO target and stale-hint storm threshold
+//! in `telemetry`.
 
 use crate::builder::ClusterSpec;
 use kcache::{
@@ -70,9 +75,6 @@ pub struct ClusterCfg {
     /// decay under static policies). All defaulted: pre-adaptive configs
     /// parse unchanged.
     pub adaptive: AdaptiveCfg,
-    /// Cooperative cluster-wide caching (the remote-hit tier). Defaulted
-    /// off: pre-cooperative configs parse unchanged.
-    pub cooperative: CooperativeCfg,
     /// Observability (the `kcache-obs` hub: metrics + trace ring).
     /// Defaulted off: pre-telemetry configs parse unchanged, and the
     /// cache hot paths keep their one never-taken branch.
@@ -86,24 +88,23 @@ pub struct ClusterCfg {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct TelemetryCfg {
-    /// Wire a per-node [`kcache::ObsHub`] through every cache module
-    /// and iod, federated by a [`kcache::obs::ClusterObs`].
+    /// Wire a per-node [`kcache::ObsHub`] through every cache module,
+    /// federated by a [`kcache::obs::ClusterObs`].
     pub enabled: bool,
     /// Per-node trace-ring capacity in slots (0 picks the library
     /// default).
     pub trace_capacity: usize,
-    /// Fetch-latency SLO targets per traffic tier.
+    /// Fetch-latency SLO target.
     pub slo: SloCfg,
     /// Anomaly flight-recorder rule thresholds.
     pub anomaly: AnomalyCfg,
 }
 
 impl TelemetryCfg {
-    /// Lower the SLO section into the obs crate's nanosecond targets.
+    /// Lower the SLO section into the obs crate's nanosecond target.
     pub fn slo_targets(&self) -> kcache::obs::SloTargets {
         kcache::obs::SloTargets {
             fetch_p99_ns_default: (self.slo.fetch_p99_ms_default * 1e6) as u64,
-            fetch_p99_ns_peer: (self.slo.fetch_p99_ms_peer * 1e6) as u64,
         }
     }
 
@@ -112,25 +113,23 @@ impl TelemetryCfg {
         kcache::obs::AnomalyRules {
             hit_ratio_drop: self.anomaly.hit_ratio_drop,
             min_epoch_accesses: self.anomaly.min_epoch_accesses,
-            stale_hints_per_epoch: self.anomaly.stale_hints_per_epoch,
             trace_drops_per_epoch: self.anomaly.trace_drops_per_epoch,
         }
     }
 }
 
-/// Per-tier fetch-latency p99 targets, milliseconds. Defaults sit
-/// above the paper's measured medians (~9.1 ms disk fill, ~4.4 ms
-/// remote hit) so a healthy run burns only in the tail.
+/// Fetch-latency p99 target, milliseconds. The default sits above the
+/// paper's measured ~9.1 ms median disk fill, so a healthy run burns only
+/// in the tail.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct SloCfg {
     pub fetch_p99_ms_default: f64,
-    pub fetch_p99_ms_peer: f64,
 }
 
 impl Default for SloCfg {
     fn default() -> Self {
-        SloCfg { fetch_p99_ms_default: 15.0, fetch_p99_ms_peer: 8.0 }
+        SloCfg { fetch_p99_ms_default: 15.0 }
     }
 }
 
@@ -144,8 +143,6 @@ pub struct AnomalyCfg {
     pub hit_ratio_drop: f64,
     /// Minimum accesses for an epoch's hit ratio to be judged.
     pub min_epoch_accesses: u64,
-    /// Stale-hint blocks in one epoch that count as a storm.
-    pub stale_hints_per_epoch: u64,
     /// Trace-ring drops in one epoch that count as an overflow burst.
     pub trace_drops_per_epoch: u64,
 }
@@ -156,21 +153,9 @@ impl Default for AnomalyCfg {
         AnomalyCfg {
             hit_ratio_drop: r.hit_ratio_drop,
             min_epoch_accesses: r.min_epoch_accesses,
-            stale_hints_per_epoch: r.stale_hints_per_epoch,
             trace_drops_per_epoch: r.trace_drops_per_epoch,
         }
     }
-}
-
-/// The `cooperative` section of the cluster config. `directory` (and the
-/// singleton-preserving eviction switch) are retired keys: configs written
-/// while they existed still parse, and the keys mean nothing.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct CooperativeCfg {
-    /// Enable the remote-hit tier (iods forward platter-bound reads to
-    /// peer caches).
-    pub enabled: bool,
 }
 
 /// The `adaptive` section of the cluster config.
@@ -225,7 +210,6 @@ impl Default for ClusterCfg {
             partitioning: "shared".into(),
             shards: 1,
             adaptive: AdaptiveCfg::default(),
-            cooperative: CooperativeCfg::default(),
             telemetry: TelemetryCfg::default(),
         }
     }
@@ -344,7 +328,12 @@ impl ExperimentConfig {
     }
 
     /// Lower the config into a runnable `(ClusterSpec, Vec<AppSpec>)`.
+    /// Every config it accepts builds and runs: each app passes
+    /// [`AppSpec::validate`], and there is at least one.
     pub fn to_spec(&self) -> Result<(ClusterSpec, Vec<AppSpec>), String> {
+        if self.apps.is_empty() {
+            return Err("apps is empty: an experiment needs at least one app".into());
+        }
         let adaptive = self.adaptive()?;
         let kind = match &adaptive {
             // The first candidate starts live; `EvictPolicy.kind` echoes it.
@@ -405,7 +394,6 @@ impl ExperimentConfig {
             partitioning,
             adaptive: adaptive.clone(),
             epoch_accesses,
-            cooperative: self.cluster.cooperative.enabled,
             slo: self.cluster.telemetry.slo_targets(),
             shards,
             ..CacheConfig::paper()
@@ -423,7 +411,7 @@ impl ExperimentConfig {
             .apps
             .iter()
             .map(|a| {
-                Ok(AppSpec {
+                let app = AppSpec {
                     name: a.name.clone(),
                     nodes: a.nodes.iter().map(|&n| NodeId(n)).collect(),
                     total_bytes: a.total_mb << 20,
@@ -451,7 +439,9 @@ impl ExperimentConfig {
                             hotspot: p.hotspot,
                         })
                         .collect(),
-                })
+                };
+                app.validate().map_err(|e| format!("app {:?}: {e}", a.name))?;
+                Ok(app)
             })
             .collect::<Result<Vec<_>, String>>()?;
         Ok((spec, apps))
@@ -589,38 +579,37 @@ mod tests {
 
     #[test]
     fn cooperative_config_lowers_and_round_trips() {
-        // Pre-cooperative configs parse unchanged and stay node-local.
-        let old = ExperimentConfig::from_json(
-            r#"{ "apps": [ { "name": "a", "nodes": [0], "total_mb": 1,
-                             "request_kb": 64, "mode": "read" } ] }"#,
-        )
-        .unwrap();
-        assert!(!old.to_spec().unwrap().0.cache.unwrap().cooperative);
-
-        let cfg = ExperimentConfig::from_json(
-            r#"{ "cluster": { "cooperative": { "enabled": true } },
-                 "apps": [ { "name": "a", "nodes": [0, 1], "total_mb": 1,
+        // The cooperative tier is retired: its section still parses, to
+        // the same config as one without it, whatever it holds.
+        let plain = ExperimentConfig::from_json(
+            r#"{ "apps": [ { "name": "a", "nodes": [0, 1], "total_mb": 1,
                              "request_kb": 64, "mode": "read", "sharing": 1.0 } ] }"#,
         )
         .unwrap();
-        assert!(cfg.cluster.cooperative.enabled);
-        let (spec, _) = cfg.to_spec().unwrap();
-        assert!(spec.cache.unwrap().cooperative);
-
-        // serialize → parse is the identity.
-        let json = serde_json::to_string_pretty(&cfg).unwrap();
-        assert_eq!(ExperimentConfig::from_json(&json).unwrap(), cfg);
-
-        // `directory` is retired: any value parses to the same config.
-        for mode in ["hint", "authoritative", "psychic"] {
+        for section in [
+            r#"{ "enabled": true }"#,
+            r#"{ "enabled": false }"#,
+            r#"{ "enabled": true, "directory": "hint" }"#,
+            r#"{ "enabled": true, "directory": "authoritative" }"#,
+            r#"{ "enabled": true, "directory": "psychic" }"#,
+        ] {
             let old = ExperimentConfig::from_json(&format!(
-                r#"{{ "cluster": {{ "cooperative": {{ "enabled": true, "directory": "{mode}" }} }},
+                r#"{{ "cluster": {{ "cooperative": {section} }},
                      "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
                                  "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
             ))
             .unwrap();
-            assert_eq!(old, cfg, "directory {mode:?}");
+            assert_eq!(old, plain, "cooperative {section}");
+            let (spec, apps) = old.to_spec().unwrap();
+            let (plain_spec, plain_apps) = plain.to_spec().unwrap();
+            assert_eq!(format!("{spec:?}"), format!("{plain_spec:?}"), "cooperative {section}");
+            assert_eq!(format!("{apps:?}"), format!("{plain_apps:?}"), "cooperative {section}");
         }
+
+        // serialize → parse is the identity, and the section is not written back.
+        let json = serde_json::to_string_pretty(&plain).unwrap();
+        assert!(!json.contains("cooperative"), "{json}");
+        assert_eq!(ExperimentConfig::from_json(&json).unwrap(), plain);
     }
 
     #[test]
@@ -637,13 +626,12 @@ mod tests {
         assert!(old_spec.cache.unwrap().obs.is_none());
         // SLO and anomaly sections default to the paper-derived knobs.
         assert_eq!(old.cluster.telemetry.slo_targets().fetch_p99_ns_default, 15_000_000);
-        assert_eq!(old.cluster.telemetry.slo_targets().fetch_p99_ns_peer, 8_000_000);
         assert_eq!(old.cluster.telemetry.anomaly_rules().min_epoch_accesses, 64);
 
         let cfg = ExperimentConfig::from_json(
             r#"{ "cluster": { "nodes": 3,
                               "telemetry": { "enabled": true, "trace_capacity": 128,
-                                             "slo": { "fetch_p99_ms_peer": 2.5 } } },
+                                             "slo": { "fetch_p99_ms_default": 2.5 } } },
                  "apps": [ { "name": "a", "nodes": [0], "total_mb": 1,
                              "request_kb": 64, "mode": "read" } ] }"#,
         )
@@ -655,7 +643,7 @@ mod tests {
         // The builder hands out hubs; CacheConfig itself carries none.
         let cache = spec.cache.unwrap();
         assert!(cache.obs.is_none());
-        assert_eq!(cache.slo.fetch_p99_ns_peer, 2_500_000);
+        assert_eq!(cache.slo.fetch_p99_ns_default, 2_500_000);
 
         // serialize → parse is the identity.
         let json = serde_json::to_string_pretty(&cfg).unwrap();

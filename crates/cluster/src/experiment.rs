@@ -6,7 +6,7 @@ use kcache::{AdaptiveStats, CacheModule, CacheStats, ModuleStats, PolicyStats};
 use pvfs::{Iod, IodStats};
 use serde::Serialize;
 use sim_core::{ActorProfile, Dur, SimTime, StopReason};
-use sim_net::{Fabric, FabricStats, TrafficClass};
+use sim_net::{Fabric, FabricStats};
 use std::collections::BTreeMap;
 use workload::{AppSpec, Coordinator};
 
@@ -54,18 +54,18 @@ impl AppCacheUsage {
     }
 }
 
-/// Fetch-latency SLO summary for one traffic tier, merged over every
-/// cache module's quantile sketch (telemetry-enabled runs only).
+/// Fetch-latency SLO summary, merged over every cache module's quantile
+/// sketch (telemetry-enabled runs only).
 #[derive(Debug, Clone, Serialize)]
 pub struct SloClassSummary {
-    /// Traffic tier: `"default"` (disk fills) or `"peer"` (remote hits).
+    /// Traffic tier: always `"default"` (iod fetches).
     pub class: String,
     /// Block fetches recorded into the sketch.
     pub samples: u64,
     pub p50_ns: u64,
     pub p95_ns: u64,
     pub p99_ns: u64,
-    /// Configured p99 target for this tier, nanoseconds.
+    /// Configured p99 target, nanoseconds.
     pub target_p99_ns: u64,
     /// Fetches that exceeded the target (the SLO burn counter).
     pub burned: u64,
@@ -102,8 +102,6 @@ pub struct ExperimentResult {
     pub cache: Option<CacheStats>,
     /// Name of the replacement policy in effect (caching runs only).
     pub policy: Option<String>,
-    /// Whether the cooperative remote-hit tier ran.
-    pub cooperative: bool,
     /// Frame-quota mode in effect (caching runs only).
     pub partitioning: Option<String>,
     /// The policy subsystem's own event ledger, summed over all modules.
@@ -121,12 +119,6 @@ pub struct ExperimentResult {
     pub iod: IodStats,
     pub fabric: FabricStats,
     pub medium_utilization: f64,
-    /// Distinct blocks resident anywhere in the cluster's caches at the
-    /// end of the run (caching runs; 0 otherwise).
-    pub distinct_resident_blocks: u64,
-    /// Total resident copies across all caches; `copies - distinct` is
-    /// the aggregate capacity spent on duplicates.
-    pub resident_block_copies: u64,
     pub events: u64,
     pub sim_end: SimTime,
     pub completed: bool,
@@ -137,8 +129,8 @@ pub struct ExperimentResult {
     /// is wrapped as a single-entry `ClusterObs`. Shared with the spec —
     /// reusing one spec across runs accumulates into the same hubs.
     pub obs: Option<std::sync::Arc<ClusterObs>>,
-    /// Per-tier fetch-latency percentiles and SLO burn, merged over all
-    /// cache modules (telemetry-enabled caching runs only).
+    /// Fetch-latency percentiles and SLO burn, merged over all cache
+    /// modules (telemetry-enabled caching runs only).
     pub slo: Option<Vec<SloClassSummary>>,
 }
 
@@ -186,35 +178,6 @@ impl ExperimentResult {
 
     pub fn total_verify_failures(&self) -> u64 {
         self.instances.iter().map(|i| i.verify_failures).sum()
-    }
-
-    /// Aggregate (local + remote) hit ratio: the fraction of block
-    /// lookups served from *any* cache in the cluster. Local misses that
-    /// a peer cache satisfied count as hits here; only blocks that went
-    /// to disk remain misses.
-    pub fn aggregate_hit_ratio(&self) -> Option<f64> {
-        let c = self.cache.as_ref()?;
-        let total = c.hits + c.misses;
-        if total == 0 {
-            return None;
-        }
-        let remote = self.module.as_ref().map_or(0, |m| m.remote_hit_blocks);
-        Some((c.hits + remote) as f64 / total as f64)
-    }
-
-    /// Mean block-fetch latency from the disk tier (iod round trip),
-    /// milliseconds.
-    pub fn mean_disk_fetch_ms(&self) -> Option<f64> {
-        let m = self.module.as_ref()?;
-        (m.disk_fetch_blocks > 0).then(|| m.disk_fetch_ns as f64 / m.disk_fetch_blocks as f64 / 1e6)
-    }
-
-    /// Mean block-fetch latency from the remote-cache tier (iod round
-    /// trip plus the forward to the sharer), milliseconds.
-    pub fn mean_remote_fetch_ms(&self) -> Option<f64> {
-        let m = self.module.as_ref()?;
-        (m.remote_hit_blocks > 0)
-            .then(|| m.remote_fetch_ns as f64 / m.remote_hit_blocks as f64 / 1e6)
     }
 
     /// Cache hit ratio attributed to one application instance (caching
@@ -290,33 +253,21 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let mut adaptive_total: Option<AdaptiveStats> = None;
     let mut app_total: BTreeMap<u32, AppCacheUsage> = BTreeMap::new();
     let mut shard_total: Option<Vec<ShardUsage>> = None;
-    // End-of-run cluster-wide residency: how many caches hold each block.
-    // Fewer duplicate copies means more of the cluster's aggregate
-    // capacity covers distinct data.
-    let mut cluster_residency: BTreeMap<kcache::BlockKey, u64> = BTreeMap::new();
-    // Per-tier fetch-latency sketches merged across modules: class name →
-    // (merged snapshot, target, burned).
-    let mut slo_acc: BTreeMap<String, (QuantileSnapshot, u64, u64)> = BTreeMap::new();
+    // Fetch-latency sketches merged across modules: (merged snapshot,
+    // target, burned).
+    let mut slo_acc: Option<(QuantileSnapshot, u64, u64)> = None;
     for m in cluster.modules.iter().flatten() {
         let module = cluster.engine.actor_as::<CacheModule>(*m).expect("module downcast");
         // Bring the hub's deferred hit/miss mirrors up to date before any
         // export reads them (no-op without telemetry).
         module.cache().obs_flush();
-        if let Some(sketches) = module.fetch_latency_sketches() {
-            for (class, snap, target, burned) in sketches {
-                let name = match class {
-                    TrafficClass::Peer => "peer",
-                    _ => "default",
-                };
-                match slo_acc.get_mut(name) {
-                    Some((acc, _, b)) => {
-                        acc.merge(&snap);
-                        *b += burned;
-                    }
-                    None => {
-                        slo_acc.insert(name.to_string(), (snap, target, burned));
-                    }
+        for (_, snap, target, burned) in module.fetch_latency_sketches().into_iter().flatten() {
+            match &mut slo_acc {
+                Some((acc, _, b)) => {
+                    acc.merge(&snap);
+                    *b += burned;
                 }
+                None => slo_acc = Some((snap, target, burned)),
             }
         }
         let cs = module.cache().stats();
@@ -376,15 +327,8 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         macc.flush_msgs += ms.flush_msgs;
         macc.urgent_flush_blocks += ms.urgent_flush_blocks;
         macc.harvest_runs += ms.harvest_runs;
-        macc.remote_hit_blocks += ms.remote_hit_blocks;
-        macc.remote_stale_blocks += ms.remote_stale_blocks;
-        macc.remote_bytes_fetched += ms.remote_bytes_fetched;
-        macc.peer_reqs_served += ms.peer_reqs_served;
-        macc.peer_blocks_served += ms.peer_blocks_served;
-        macc.peer_bytes_served += ms.peer_bytes_served;
         macc.disk_fetch_blocks += ms.disk_fetch_blocks;
         macc.disk_fetch_ns += ms.disk_fetch_ns;
-        macc.remote_fetch_ns += ms.remote_fetch_ns;
         let occ = module.cache().shard_occupancy();
         let ev = module.cache().shard_evictions();
         let shards = shard_total.get_or_insert_with(|| {
@@ -394,12 +338,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             acc.occupancy += *o as u64;
             acc.evictions += *e;
         }
-        for key in module.cache().resident_keys() {
-            *cluster_residency.entry(key).or_insert(0u64) += 1;
-        }
     }
-    let distinct_resident_blocks = cluster_residency.len() as u64;
-    let resident_block_copies: u64 = cluster_residency.values().sum();
 
     let mut iod_total = IodStats::default();
     for &i in &cluster.iods {
@@ -415,7 +354,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         iod_total.disk_writes += s.disk_writes;
         iod_total.invalidations_sent += s.invalidations_sent;
         iod_total.directory_entries += s.directory_entries;
-        iod_total.forwarded_blocks += s.forwarded_blocks;
     }
 
     let fabric = cluster.engine.actor_as::<Fabric>(cluster.fabric).expect("fabric downcast");
@@ -429,26 +367,22 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         .obs
         .clone()
         .or_else(|| spec.cache.as_ref().and_then(|c| c.obs.clone()).map(ClusterObs::shared));
-    let slo = (!slo_acc.is_empty()).then(|| {
-        slo_acc
-            .into_iter()
-            .map(|(class, (snap, target, burned))| SloClassSummary {
-                class,
-                samples: snap.count(),
-                p50_ns: snap.quantile(0.50),
-                p95_ns: snap.quantile(0.95),
-                p99_ns: snap.quantile(0.99),
-                target_p99_ns: target,
-                burned,
-            })
-            .collect::<Vec<_>>()
+    let slo = slo_acc.map(|(snap, target, burned)| {
+        vec![SloClassSummary {
+            class: "default".into(),
+            samples: snap.count(),
+            p50_ns: snap.quantile(0.50),
+            p95_ns: snap.quantile(0.95),
+            p99_ns: snap.quantile(0.99),
+            target_p99_ns: target,
+            burned,
+        }]
     });
 
     ExperimentResult {
         instances,
         cache: cache_total,
         policy: spec.cache.as_ref().map(|c| c.policy_label().to_string()),
-        cooperative: spec.cache.as_ref().is_some_and(|c| c.cooperative),
         partitioning: spec.cache.as_ref().map(|c| c.partitioning.mode.name().to_string()),
         policy_stats: policy_total,
         adaptive: adaptive_total,
@@ -461,8 +395,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         iod: iod_total,
         fabric: fabric_stats,
         medium_utilization,
-        distinct_resident_blocks,
-        resident_block_copies,
         events: report.events,
         sim_end: report.end_time,
         completed,

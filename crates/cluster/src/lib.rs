@@ -29,7 +29,7 @@ pub use experiment::{
 };
 pub use figures::{all_figures, fig4, fig5, fig6, fig7, fig8, Grid};
 pub use report::{
-    write_outputs, AppEfficiency, CacheEfficiency, CooperativeReport, FigRow, FigureData,
-    NodeTelemetryReport, SloReport, TelemetryReport,
+    write_outputs, AppEfficiency, CacheEfficiency, FigRow, FigureData, NodeTelemetryReport,
+    SloReport, TelemetryReport,
 };
 pub use sweep::parallel_map;

@@ -129,57 +129,6 @@ impl AdaptiveReport {
     }
 }
 
-/// The cooperative remote-hit tier's slice of [`CacheEfficiency`]: every
-/// block lookup resolves to exactly one of three tiers — local cache,
-/// a peer's cache, or the iod — and this records the split plus the
-/// peer traffic and latency evidence behind it.
-#[derive(Debug, Clone, Serialize)]
-pub struct CooperativeReport {
-    /// Blocks served from this node's own cache.
-    pub local_hit_blocks: u64,
-    /// Blocks served from a peer cache over the fabric.
-    pub remote_hit_blocks: u64,
-    /// Blocks the iod served (its page cache or its platter).
-    pub disk_fetch_blocks: u64,
-    /// Fraction of lookups served from *any* cache (local or peer).
-    pub aggregate_hit_ratio: f64,
-    /// Forwarded blocks the peer no longer held: bounced back to the iod
-    /// and read from its platter, never wrong data.
-    pub remote_stale_blocks: u64,
-    /// Platter-bound blocks the iods forwarded to a peer.
-    pub forwarded_blocks: u64,
-    pub peer_reqs_served: u64,
-    pub peer_blocks_served: u64,
-    /// Mean per-block fetch latency by tier, milliseconds (0 when the
-    /// tier saw no traffic).
-    pub mean_remote_fetch_ms: f64,
-    pub mean_disk_fetch_ms: f64,
-    /// End-of-run cluster residency: distinct blocks vs total copies.
-    pub distinct_resident_blocks: u64,
-    pub resident_block_copies: u64,
-}
-
-impl CooperativeReport {
-    fn from_run(r: &ExperimentResult) -> Option<CooperativeReport> {
-        let cache = r.cache.as_ref().filter(|_| r.cooperative)?;
-        let m = r.module.as_ref()?;
-        Some(CooperativeReport {
-            local_hit_blocks: cache.hits,
-            remote_hit_blocks: m.remote_hit_blocks,
-            disk_fetch_blocks: m.disk_fetch_blocks,
-            aggregate_hit_ratio: r.aggregate_hit_ratio().unwrap_or(0.0),
-            remote_stale_blocks: m.remote_stale_blocks,
-            forwarded_blocks: r.iod.forwarded_blocks,
-            peer_reqs_served: m.peer_reqs_served,
-            peer_blocks_served: m.peer_blocks_served,
-            mean_remote_fetch_ms: r.mean_remote_fetch_ms().unwrap_or(0.0),
-            mean_disk_fetch_ms: r.mean_disk_fetch_ms().unwrap_or(0.0),
-            distinct_resident_blocks: r.distinct_resident_blocks,
-            resident_block_copies: r.resident_block_copies,
-        })
-    }
-}
-
 /// One histogram's digest in the telemetry summary. Percentiles come
 /// from the log2 buckets, so each is an upper bound with at most one
 /// power-of-two of slack.
@@ -193,8 +142,8 @@ pub struct HistogramReport {
     pub p99: u64,
 }
 
-/// One traffic tier's fetch-latency SLO line in the telemetry summary:
-/// sketch percentiles against the configured target plus the burn count.
+/// The fetch-latency SLO line in the telemetry summary: sketch
+/// percentiles against the configured target plus the burn count.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloReport {
     pub class: String,
@@ -255,8 +204,8 @@ fn digest_histograms(
 }
 
 /// The `telemetry` section of experiment JSON output: the cluster-rollup
-/// counters/gauges, histogram digests with p50/p95/p99, the per-tier
-/// fetch-latency SLO lines, trace/epoch bookkeeping, and — on federated
+/// counters/gauges, histogram digests with p50/p95/p99, the
+/// fetch-latency SLO line, trace/epoch bookkeeping, and — on federated
 /// runs — the per-node breakdown. Full per-epoch deltas and the raw
 /// trace stay behind `--metrics-out`/`--trace-out` — this section is the
 /// glanceable slice.
@@ -274,8 +223,8 @@ pub struct TelemetryReport {
     pub counters: std::collections::BTreeMap<String, u64>,
     pub gauges: std::collections::BTreeMap<String, u64>,
     pub histograms: std::collections::BTreeMap<String, HistogramReport>,
-    /// Per-tier fetch-latency percentiles vs SLO targets (caching runs
-    /// with traffic only).
+    /// Fetch-latency percentiles vs the SLO target (caching runs with
+    /// traffic only).
     pub slo: Vec<SloReport>,
     /// Per-node breakdown (empty when one shared hub serves the whole
     /// cluster — there is no per-node signal to break out).
@@ -366,8 +315,6 @@ pub struct CacheEfficiency {
     pub shards: Vec<crate::experiment::ShardUsage>,
     /// Meta-policy observability (adaptive runs only).
     pub adaptive: Option<AdaptiveReport>,
-    /// Local/remote/disk tier breakdown (cooperative runs only).
-    pub cooperative: Option<CooperativeReport>,
 }
 
 impl CacheEfficiency {
@@ -398,7 +345,6 @@ impl CacheEfficiency {
                 .collect(),
             shards: r.shard_usage.clone().unwrap_or_default(),
             adaptive: r.adaptive.as_ref().map(AdaptiveReport::from_stats),
-            cooperative: CooperativeReport::from_run(r),
         })
     }
 }

@@ -166,23 +166,17 @@ pub struct CacheConfig {
     /// Write-behind on (the paper's design) or off (write-through
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
-    /// Cooperative remote-hit tier: a read the iod would serve from its
-    /// platter is served by a peer cache its directory lists instead, and
-    /// the module logs its evictions as notices for that directory. Off
-    /// (the default, the paper's behavior) keeps caches node-local.
-    pub cooperative: bool,
     /// `Some` wires the `kcache-obs` observability hub through the
     /// module and its buffer manager: lock-free metric counters on the
     /// hit path, structured trace events (miss fills, eviction scans,
-    /// peer fetches, epoch ticks, controller decisions), epoch-aligned
+    /// iod reads, epoch ticks, controller decisions), epoch-aligned
     /// metric snapshots. The cluster builder assigns each node its own
     /// per-node hub (federated by `ClusterObs`); handing one shared hub
     /// to every node still works. `None` (the default) keeps every hot
     /// path at one never-taken branch.
     pub obs: Option<std::sync::Arc<kcache_obs::ObsHub>>,
-    /// Per-tier fetch-latency SLO targets; only consulted when `obs` is
-    /// wired (a fetch slower than its tier's target increments that
-    /// tier's `slo.fetch.burn.*` counter).
+    /// Fetch-latency SLO target; only consulted when `obs` is wired (a
+    /// fetch slower than the target increments `slo.fetch.burn.default`).
     pub slo: kcache_obs::SloTargets,
     /// Independent buffer-manager shards the frame pool is split into
     /// (capacity, watermarks and quotas divide across them; blocks route
@@ -207,7 +201,6 @@ impl CacheConfig {
             flush_interval: Dur::millis(500),
             flush_batch: 64,
             write_behind: true,
-            cooperative: false,
             obs: None,
             slo: kcache_obs::SloTargets::default(),
             shards: 1,

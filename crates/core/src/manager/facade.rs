@@ -12,7 +12,6 @@ use crate::config::PartitionConfig;
 use kcache_adaptive::AdaptiveConfig;
 use kcache_obs::ObsHub;
 use kcache_policy::{AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats};
-use sim_net::NodeId;
 use std::collections::BTreeMap;
 use std::sync::Arc as StdArc;
 
@@ -48,8 +47,7 @@ pub struct BufferManager {
 ///
 /// Every knob defaults to the paper's behavior: clock + clean-first
 /// replacement, watermarks at capacity/10 and capacity/4, a shared
-/// (unpartitioned) pool, no adaptive meta-policy, no epochs, node-local
-/// (non-cooperative) caching.
+/// (unpartitioned) pool, no adaptive meta-policy, no epochs.
 ///
 /// ```
 /// # use kcache::{BufferManager, EvictPolicy};
@@ -69,7 +67,6 @@ pub struct BufferManagerBuilder {
     pub(super) partitioning: PartitionConfig,
     pub(super) adaptive: Option<AdaptiveConfig>,
     epoch_accesses: usize,
-    pub(super) cooperative: bool,
     pub(super) obs: Option<(StdArc<ObsHub>, u32)>,
     pub(super) shards: usize,
 }
@@ -84,7 +81,6 @@ impl BufferManagerBuilder {
             partitioning: PartitionConfig::shared(),
             adaptive: None,
             epoch_accesses: 0,
-            cooperative: false,
             obs: None,
             shards: 1,
         }
@@ -120,14 +116,6 @@ impl BufferManagerBuilder {
     /// Accesses per policy epoch (`0` disables epochs).
     pub fn epoch_accesses(mut self, n: usize) -> Self {
         self.epoch_accesses = n;
-        self
-    }
-
-    /// Cooperative cluster-wide caching: enables the evicted-key log (the
-    /// module piggybacks the removals on its messages to the iods).
-    /// `false` keeps every hot path untouched.
-    pub fn cooperative(mut self, cooperative: bool) -> Self {
-        self.cooperative = cooperative;
         self
     }
 
@@ -417,16 +405,6 @@ impl BufferManager {
         self.shard_of(&key).contains(key)
     }
 
-    /// Append `span` of `key` to `out` if it is resident and valid,
-    /// **without** touching any accounting: no hit/miss counters, no
-    /// recency refresh, no per-app ledger, no epoch tick. This is the
-    /// read the cooperative tier serves *peer* fetches with — remote
-    /// traffic must not distort this node's local hit ratio or promote
-    /// blocks its own applications are not using.
-    pub fn read_resident(&self, key: BlockKey, span: Span, out: &mut Vec<u8>) -> bool {
-        self.shard_of(&key).read_resident(key, span, out)
-    }
-
     /// Overwrite `span` of `key` in place if resident (sync-write
     /// propagation); see the shard implementation for semantics.
     pub fn update_if_present(&self, key: BlockKey, span: Span, bytes: &[u8]) -> bool {
@@ -489,12 +467,5 @@ impl BufferManager {
         let mut out: Vec<BlockKey> = self.shards.iter().flat_map(|s| s.resident_keys()).collect();
         out.sort_unstable();
         out
-    }
-
-    /// Drain the log of blocks evicted or invalidated since the last
-    /// drain, each with its home iod (cooperative managers only; empty
-    /// otherwise).
-    pub fn take_evicted(&self) -> Vec<(BlockKey, NodeId)> {
-        self.shards.iter().flat_map(|s| s.take_evicted()).collect()
     }
 }

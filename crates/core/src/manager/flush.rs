@@ -113,7 +113,7 @@ impl Shard {
         let mut dropped = 0;
         let mut dropped_dirty = 0;
         for key in keys {
-            let (idx, home) = {
+            let idx = {
                 let mut b = self.bucket(&key);
                 let Some(pos) = b.iter().position(|(k, _)| *k == key) else {
                     continue;
@@ -124,10 +124,9 @@ impl Shard {
                 if f.is_dirty() {
                     dropped_dirty += 1;
                 }
-                let home = f.home;
                 f.vacate();
                 f.flushing = false;
-                (idx, home)
+                idx
             };
             // Pending accesses to this block must land before its removal.
             let owner = self.with_drained_policy(|p| {
@@ -139,7 +138,6 @@ impl Shard {
             });
             self.ledger.uncharge(owner);
             self.push_free(idx);
-            self.note_departure(key, home);
             dropped += 1;
         }
         self.stats.invalidated.add(dropped);

@@ -181,7 +181,7 @@ pub enum WriteOutcome {
 /// What one [`BufferManager::access`] call should do to the block.
 ///
 /// One variant per access flavor the cache module needs; a new flavor
-/// (the peer-fetch tier, say) extends this enum, never the method list.
+/// extends this enum, never the method list.
 pub enum AccessKind<'a> {
     /// Serve `span` into `out` (`out.len() == span.len()`). Counts a hit
     /// (refreshing recency) or a miss.

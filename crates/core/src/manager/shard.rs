@@ -241,9 +241,6 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// Blocks dropped since the last drain, each with its home iod.
-type EvictedLog = Mutex<Vec<(BlockKey, NodeId)>>;
-
 /// One shard of the cache: a fully self-contained slice of the frame
 /// pool with its own hash buckets, free list, dirty queue, replacement
 /// policy, event ring and quota ledger — every lock below this line is
@@ -295,11 +292,6 @@ pub(super) struct Shard {
     touch_words: bool,
     pending_hits: CacheLine<AtomicU64>,
     pending_misses: CacheLine<AtomicU64>,
-    /// Leaf lock, cooperative managers only: keys evicted or invalidated
-    /// since the last `take_evicted` drain, with their home iods. The
-    /// cache module turns the drained batch into eviction notices for
-    /// each home's directory. `None` keeps the hot path untouched.
-    evicted_log: CacheLine<Option<EvictedLog>>,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     pub(super) obs: Option<ManagerObs>,
@@ -351,7 +343,6 @@ impl Shard {
             touch_words,
             pending_hits: CacheLine(AtomicU64::new(0)),
             pending_misses: CacheLine(AtomicU64::new(0)),
-            evicted_log: CacheLine(cfg.cooperative.then(|| Mutex::new(Vec::new()))),
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
                 ManagerObs {
@@ -646,21 +637,6 @@ impl Shard {
 
     pub(super) fn contains(&self, key: BlockKey) -> bool {
         self.bucket(&key).iter().any(|(k, _)| *k == key)
-    }
-
-    /// The peer-fetch read: no accounting of any kind (see the facade).
-    pub(super) fn read_resident(&self, key: BlockKey, span: Span, out: &mut Vec<u8>) -> bool {
-        let b = self.bucket(&key);
-        let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
-            return false;
-        };
-        let f = self.frame(idx);
-        if f.key == Some(key) && f.valid.covers(span) {
-            out.extend_from_slice(&f.data[span.start as usize..span.end as usize]);
-            true
-        } else {
-            false
-        }
     }
 
     /// One attributed request ([`Access`]) against this shard: reads,
@@ -996,28 +972,8 @@ impl Shard {
             None
         };
         bucket.retain(|(k, _)| *k != key);
-        let home = f.home;
         f.vacate();
-        drop(f);
-        drop(bucket);
-        self.note_departure(key, home);
         Some(Victim { key, flush })
-    }
-
-    /// Cooperative bookkeeping for a block leaving this cache (eviction
-    /// or invalidation): log it for the module's eviction notice to its
-    /// home iod — `None`-gated.
-    pub(super) fn note_departure(&self, key: BlockKey, home: NodeId) {
-        if let Some(log) = &*self.evicted_log {
-            log.lock().push((key, home));
-        }
-    }
-
-    pub(super) fn take_evicted(&self) -> Vec<(BlockKey, NodeId)> {
-        match &*self.evicted_log {
-            Some(log) => std::mem::take(&mut *log.lock()),
-            None => Vec::new(),
-        }
     }
 }
 

@@ -20,12 +20,6 @@
 //! dirty blocks to the iods' flush listeners periodically) and the
 //! **harvester** (replenishes the free list to the high watermark when it
 //! drops below the low watermark).
-//!
-//! With the cooperative tier on, the module also serves the reads its
-//! iods forward to it for other nodes, and logs its evictions as notices
-//! for their directories (`module/coop.rs`).
-
-mod coop;
 
 use crate::block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::CacheConfig;
@@ -38,8 +32,7 @@ use kcache_policy::hash::KeyMap;
 use kcache_policy::AppId;
 use pvfs::{
     ByteRange, CostModel, Fid, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
-    PeerReadReply, PeerReadReq, ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq,
-    CACHE_PORT, IOD_FLUSH_PORT,
+    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
@@ -72,21 +65,15 @@ pub struct ModuleStats {
     pub flush_msgs: u64,
     pub urgent_flush_blocks: u64,
     pub harvest_runs: u64,
-    // --- cooperative remote-hit tier ---
-    /// Blocks installed out of a peer cache (the remote hits).
-    pub remote_hit_blocks: u64,
-    /// Forwarded blocks this node no longer held: bounced back to their
-    /// iod, which reads them from the platter — never served wrong.
-    pub remote_stale_blocks: u64,
-    pub remote_bytes_fetched: u64,
-    /// Forwarded reads this node answered for others.
-    pub peer_reqs_served: u64,
-    pub peer_blocks_served: u64,
-    pub peer_bytes_served: u64,
     /// Latency accounting at block granularity, from the moment a fetch
     /// was initiated to the moment the block's bytes were installed.
     pub disk_fetch_blocks: u64,
     pub disk_fetch_ns: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
+    pub remote_hit_blocks: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
+    pub remote_stale_blocks: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
     pub remote_fetch_ns: u64,
 }
 
@@ -111,81 +98,49 @@ struct PendingFetch {
 struct FlushTick;
 struct HarvestNow;
 
-/// Pre-resolved observability handles for the module's fetch tiers and
-/// the cooperative peer protocol. Mirrors the buffer manager's
-/// `ManagerObs`: resolved once at construction, `None` when the config
-/// carries no hub, so the data paths pay one never-taken branch.
+/// Pre-resolved observability handles for the module's fetches.
+/// Mirrors the buffer manager's `ManagerObs`: resolved once at
+/// construction, `None` when the config carries no hub, so the data
+/// paths pay one never-taken branch.
 struct ModuleObs {
     hub: Arc<ObsHub>,
     /// Trace `pid` lane — one per simulated node.
     node: u32,
-    /// Forwarded blocks this node bounced (read from the platter instead).
-    stale_hints: Counter,
-    /// Blocks served out of a peer cache.
-    remote_hits: Counter,
-    /// Block fetch latency per wire tier ([`TrafficClass`]), from fetch
-    /// initiation to byte installation.
+    /// Block fetch latency, from fetch initiation to byte installation.
     fetch_ns_default: Histogram,
-    fetch_ns_peer: Histogram,
-    /// Fine-grained (≤1/16 relative error) fetch-latency sketches per
-    /// tier — the log2 histograms are too coarse for a p99.
+    /// Fine-grained (≤1/16 relative error) fetch-latency sketch — the
+    /// log2 histogram is too coarse for a p99.
     fetch_q_default: QuantileSketch,
-    fetch_q_peer: QuantileSketch,
-    /// SLO targets and burn counts: a fetch slower than its tier's
-    /// target burns error budget.
+    /// SLO target and burn count: a fetch slower than the target burns
+    /// error budget.
     slo: SloTargets,
     burn_default: Counter,
-    burn_peer: Counter,
     ev_miss_fill: EventId,
     ev_iod_read: EventId,
-    ev_peer_fetch: EventId,
-    ev_peer_serve: EventId,
-    /// Flow-correlation event name shared by all coop actors.
-    ev_flow: EventId,
 }
 
 impl ModuleObs {
     fn new(hub: Arc<ObsHub>, node: NodeId, slo: SloTargets) -> ModuleObs {
         let r = hub.registry();
         ModuleObs {
-            stale_hints: r.counter("coop.stale_hint_blocks"),
-            remote_hits: r.counter("coop.remote_hit_blocks"),
             fetch_ns_default: r.histogram("fetch.ns.default"),
-            fetch_ns_peer: r.histogram("fetch.ns.peer"),
             fetch_q_default: QuantileSketch::new(),
-            fetch_q_peer: QuantileSketch::new(),
             slo,
             burn_default: r.counter("slo.fetch.burn.default"),
-            burn_peer: r.counter("slo.fetch.burn.peer"),
-            ev_miss_fill: hub.intern("miss_fill", Some("blocks"), Some("remote")),
+            ev_miss_fill: hub.intern("miss_fill", Some("blocks"), None),
             ev_iod_read: hub.intern("iod_read", Some("blocks"), Some("bytes")),
-            ev_peer_fetch: hub.intern("peer_fetch", Some("blocks"), Some("bytes")),
-            ev_peer_serve: hub.intern("peer_serve", Some("blocks"), Some("hits")),
-            ev_flow: hub.intern("coop_fetch", None, None),
             node: node.0 as u32,
             hub,
         }
     }
 
-    fn hist_for(&self, class: TrafficClass) -> &Histogram {
-        match class {
-            TrafficClass::Peer => &self.fetch_ns_peer,
-            TrafficClass::Default => &self.fetch_ns_default,
-        }
-    }
-
-    /// Record one fetch latency against the tier's sketch and SLO
-    /// budget (the histogram is recorded separately by the caller).
-    fn record_fetch(&self, class: TrafficClass, ns: u64) {
-        let (sketch, target, burn) = match class {
-            TrafficClass::Peer => (&self.fetch_q_peer, self.slo.fetch_p99_ns_peer, &self.burn_peer),
-            TrafficClass::Default => {
-                (&self.fetch_q_default, self.slo.fetch_p99_ns_default, &self.burn_default)
-            }
-        };
-        sketch.record(ns);
-        if ns > target {
-            burn.inc();
+    /// Record one fetch latency against the histogram, the sketch and
+    /// the SLO budget.
+    fn record_fetch(&self, ns: u64) {
+        self.fetch_ns_default.record(ns);
+        self.fetch_q_default.record(ns);
+        if ns > self.slo.fetch_p99_ns_default {
+            self.burn_default.inc();
         }
     }
 }
@@ -205,17 +160,15 @@ pub struct CacheModule {
     /// what the sharing-aware policy ranks by.
     client_apps: KeyMap<u16, AppId>,
     pending: KeyMap<(u16, u64), PendingFetch>,
-    /// Blocks currently being fetched — from an iod or a peer cache (the
-    /// FSM's "transfers pending" state); requests for these blocks wait
-    /// instead of re-fetching. The value is the fetch start time, which
-    /// prices the disk-vs-remote tiers when the bytes arrive.
+    /// Blocks currently being fetched from an iod (the FSM's "transfers
+    /// pending" state); requests for these blocks wait instead of
+    /// re-fetching. The value is the fetch start time, which prices the
+    /// fetch when the bytes arrive.
     fetching: KeyMap<BlockKey, SimTime>,
     /// Which pending requests wait on each in-flight block.
     block_waiters: KeyMap<BlockKey, Vec<(u16, u64)>>,
     /// Resident blocks in flight per flush request (completed on FlushAck).
     inflight_flushes: KeyMap<u64, Vec<(BlockKey, Span)>>,
-    /// The cooperative tier's state; `None` keeps caching node-local.
-    coop: Option<coop::Notices>,
     flush_seq: u64,
     harvest_scheduled: bool,
     started: bool,
@@ -239,13 +192,11 @@ impl CacheModule {
                 .partitioning(cfg.partitioning.clone())
                 .adaptive(cfg.adaptive.clone())
                 .epoch_accesses(cfg.epoch_accesses)
-                .cooperative(cfg.cooperative)
                 .obs(cfg.obs.clone(), node.0 as u32)
                 .shards(cfg.shards)
                 .build(),
         );
         let obs = cfg.obs.clone().map(|hub| ModuleObs::new(hub, node, cfg.slo));
-        let coop = cfg.cooperative.then(|| coop::Notices::new(cfg.capacity_blocks));
         CacheModule {
             node,
             fabric,
@@ -259,7 +210,6 @@ impl CacheModule {
             fetching: KeyMap::default(),
             block_waiters: KeyMap::default(),
             inflight_flushes: KeyMap::default(),
-            coop,
             flush_seq: 1,
             harvest_scheduled: false,
             started: false,
@@ -291,28 +241,20 @@ impl CacheModule {
         &self.cache
     }
 
-    /// Per-[`TrafficClass`] fetch-latency sketch snapshots, with the
-    /// tier's SLO target and burn count — `None` when observability is
-    /// off. The experiment harness merges these across nodes for the
-    /// cluster SLO report.
+    /// The fetch-latency sketch snapshot, with its SLO target and burn
+    /// count, as the one [`TrafficClass::Default`] entry — `None` when
+    /// observability is off. The experiment harness merges these across
+    /// nodes for the cluster SLO report.
     pub fn fetch_latency_sketches(
         &self,
     ) -> Option<Vec<(TrafficClass, QuantileSnapshot, u64, u64)>> {
         self.obs.as_ref().map(|o| {
-            vec![
-                (
-                    TrafficClass::Default,
-                    o.fetch_q_default.snapshot(),
-                    o.slo.fetch_p99_ns_default,
-                    o.burn_default.get(),
-                ),
-                (
-                    TrafficClass::Peer,
-                    o.fetch_q_peer.snapshot(),
-                    o.slo.fetch_p99_ns_peer,
-                    o.burn_peer.get(),
-                ),
-            ]
+            vec![(
+                TrafficClass::Default,
+                o.fetch_q_default.snapshot(),
+                o.slo.fetch_p99_ns_default,
+                o.burn_default.get(),
+            )]
         })
     }
 
@@ -388,9 +330,6 @@ impl CacheModule {
                 fid,
                 blocks: entries.into_iter().map(|(e, _, _)| e).collect(),
                 reply_to: (self.node, CACHE_PORT),
-                // A victim is gone already: its drop must cancel this
-                // flush's registration.
-                seq: if resident { self.next_seq() } else { None },
             };
             self.tag += 1;
             let wire = f.wire_bytes();
@@ -572,7 +511,6 @@ impl CacheModule {
             ranges: fetch_ranges,
             reply_to: rr.reply_to,
             caching: true,
-            seq: self.next_seq(),
         };
         let wire = reduced.wire_bytes();
         // The client already paid the socket-call cost; the in-kernel
@@ -720,22 +658,13 @@ impl CacheModule {
     // Inbound interception (net → libpvfs)
     // -----------------------------------------------------------------
 
-    /// Install arriving block data — from an iod (`remote == false`) or
-    /// out of a peer's cache (`remote == true`) — and complete every
-    /// waiting request. The two tiers share this path so waiters, urgent
-    /// flushes and sharing attribution behave identically; only the
-    /// counters (and the latency accumulator the fetch is priced into)
-    /// differ.
-    fn inbound_read_data(&mut self, ctx: &mut Ctx<'_>, home: NodeId, rd: ReadData, remote: bool) {
+    /// Install block data arriving from its iod `home` and complete every
+    /// waiting request.
+    fn inbound_read_data(&mut self, ctx: &mut Ctx<'_>, home: NodeId, rd: ReadData) {
         let now = ctx.now();
         let nblocks = blocks_of_range(rd.range.offset, rd.range.len).count() as u64;
-        if remote {
-            self.stats.remote_hit_blocks += nblocks;
-            self.stats.remote_bytes_fetched += rd.range.len as u64;
-        } else {
-            self.stats.blocks_fetched += nblocks;
-            self.stats.bytes_fetched += rd.range.len as u64;
-        }
+        self.stats.blocks_fetched += nblocks;
+        self.stats.bytes_fetched += rd.range.len as u64;
         let t = self.charge(
             now,
             self.costs.cache_call_overhead
@@ -780,16 +709,10 @@ impl CacheModule {
             self.maybe_schedule_harvest(ctx);
             if let Some(t0) = self.fetching.remove(&key) {
                 let ns = now.since(t0).as_nanos();
-                if remote {
-                    self.stats.remote_fetch_ns += ns;
-                } else {
-                    self.stats.disk_fetch_blocks += 1;
-                    self.stats.disk_fetch_ns += ns;
-                }
+                self.stats.disk_fetch_blocks += 1;
+                self.stats.disk_fetch_ns += ns;
                 if let Some(o) = &self.obs {
-                    let class = if remote { TrafficClass::Peer } else { TrafficClass::Default };
-                    o.hist_for(class).record(ns);
-                    o.record_fetch(class, ns);
+                    o.record_fetch(ns);
                 }
                 fetch_t0 = Some(fetch_t0.map_or(t0, |p| p.min(t0)));
             }
@@ -843,18 +766,14 @@ impl CacheModule {
             }
         }
         if let Some(o) = &self.obs {
-            // One fetch-tier span per arriving data message: the wire +
+            // One iod-read span per arriving data message: the wire +
             // service time from fetch initiation to installation, plus a
             // miss-fill instant for the cache-population step itself.
             if let Some(t0) = fetch_t0 {
-                let (id, tier) = if remote { (o.ev_peer_fetch, 1) } else { (o.ev_iod_read, 0) };
                 let dur = now.since(t0).as_nanos();
-                o.hub.span(id, o.node, tier, t0.nanos(), dur, nblocks, rd.range.len as u64);
+                o.hub.span(o.ev_iod_read, o.node, 0, t0.nanos(), dur, nblocks, rd.range.len as u64);
             }
-            o.hub.instant(o.ev_miss_fill, o.node, 0, nblocks, remote as u64);
-            if remote {
-                o.remote_hits.add(nblocks);
-            }
+            o.hub.instant(o.ev_miss_fill, o.node, 0, nblocks, 0);
         }
         if !urgent.is_empty() {
             self.send_flushes(ctx, t, urgent, true, false);
@@ -914,16 +833,7 @@ impl CacheModule {
                 }
                 Err(n) => n,
             };
-            // Cooperative tier: a forward from an iod, a peer's data.
-            let net = match net.cast::<PeerReadReq>() {
-                Ok((meta, pr)) => return self.serve_peer_read(ctx, meta.src, *pr),
-                Err(n) => n,
-            };
-            let _net = match net.cast::<PeerReadReply>() {
-                Ok((_, r)) => return self.install_peer_reply(ctx, *r),
-                Err(n) => n,
-            };
-            debug_assert!(false, "unexpected message on cache port");
+            debug_assert!(false, "unexpected message on cache port: {net:?}");
             return;
         }
         // iod replies on client ports.
@@ -945,7 +855,7 @@ impl CacheModule {
             Err(n) => n,
         };
         let net = match net.cast::<ReadData>() {
-            Ok((meta, rd)) => return self.inbound_read_data(ctx, meta.src, *rd, false),
+            Ok((meta, rd)) => return self.inbound_read_data(ctx, meta.src, *rd),
             Err(n) => n,
         };
         // Anything else on a client port (mgr replies, etc.) is not iod

@@ -177,7 +177,6 @@ fn read_req(req_id: u64, ranges: Vec<ByteRange>) -> Xmit {
         ranges,
         reply_to: (NodeId(CLIENT), Port(CLIENT_PORT_BASE)),
         caching: true,
-        seq: None,
     };
     let wire = rr.wire_bytes();
     Xmit(NetMessage::new(

@@ -2,15 +2,12 @@
 //!
 //! The epoch-delta log ([`ObsHub::epoch_deltas`]) already slices every
 //! metric into per-epoch activity windows; the rule engine replays
-//! those windows looking for the three failure signatures the cache
-//! stack can actually produce:
+//! those windows looking for the two failure signatures the cache stack
+//! can actually produce:
 //!
 //! * **hit-ratio collapse** — the per-epoch hit ratio drops sharply
 //!   between consecutive windows (working-set blowout, partition
 //!   thrash, or an eviction-policy regression);
-//! * **stale-hint storm** — a burst of `coop.stale_hint_blocks` in one
-//!   window: forwards keep reaching nodes whose eviction notices have
-//!   not caught up with them;
 //! * **trace-ring overflow burst** — `obs.trace_dropped` jumps inside
 //!   one window (the ring is sized below the event rate, so the trace
 //!   evidence for *this* incident is incomplete).
@@ -32,9 +29,6 @@ pub struct AnomalyRules {
     /// Ignore epochs with fewer accesses than this when judging hit
     /// ratio — tiny windows make noisy ratios.
     pub min_epoch_accesses: u64,
-    /// `coop.stale_hint_blocks` delta in one epoch that counts as a
-    /// storm.
-    pub stale_hints_per_epoch: u64,
     /// `obs.trace_dropped` delta in one epoch that counts as an
     /// overflow burst.
     pub trace_drops_per_epoch: u64,
@@ -42,12 +36,7 @@ pub struct AnomalyRules {
 
 impl Default for AnomalyRules {
     fn default() -> AnomalyRules {
-        AnomalyRules {
-            hit_ratio_drop: 0.3,
-            min_epoch_accesses: 64,
-            stale_hints_per_epoch: 256,
-            trace_drops_per_epoch: 1024,
-        }
+        AnomalyRules { hit_ratio_drop: 0.3, min_epoch_accesses: 64, trace_drops_per_epoch: 1024 }
     }
 }
 
@@ -58,8 +47,7 @@ pub struct AnomalyFiring {
     pub node: String,
     /// Index into that hub's epoch-delta log.
     pub epoch: usize,
-    /// Stable rule name: `hit_ratio_collapse`, `stale_hint_storm`, or
-    /// `trace_overflow_burst`.
+    /// Stable rule name: `hit_ratio_collapse` or `trace_overflow_burst`.
     pub rule: &'static str,
     /// Human-readable evidence (values that tripped the threshold).
     pub detail: String,
@@ -97,15 +85,6 @@ pub fn evaluate(
                 }
             }
             prev_ratio = Some(ratio);
-        }
-        let stale = d.counters.get("coop.stale_hint_blocks").copied().unwrap_or(0);
-        if stale >= rules.stale_hints_per_epoch {
-            out.push(AnomalyFiring {
-                node: node.to_string(),
-                epoch,
-                rule: "stale_hint_storm",
-                detail: format!("{stale} stale hint blocks in one epoch"),
-            });
         }
         let drops = d.counters.get("obs.trace_dropped").copied().unwrap_or(0);
         if drops >= rules.trace_drops_per_epoch {
@@ -184,20 +163,12 @@ mod tests {
     }
 
     #[test]
-    fn storm_and_overflow_rules_fire_on_thresholds() {
-        let rules = AnomalyRules {
-            stale_hints_per_epoch: 10,
-            trace_drops_per_epoch: 5,
-            ..Default::default()
-        };
-        let deltas = vec![
-            delta(&[("coop.stale_hint_blocks", 9), ("obs.trace_dropped", 4)]),
-            delta(&[("coop.stale_hint_blocks", 10), ("obs.trace_dropped", 5)]),
-        ];
+    fn overflow_rule_fires_on_threshold() {
+        let rules = AnomalyRules { trace_drops_per_epoch: 5, ..Default::default() };
+        let deltas = vec![delta(&[("obs.trace_dropped", 4)]), delta(&[("obs.trace_dropped", 5)])];
         let f = evaluate("n", &deltas, &rules);
-        assert_eq!(f.len(), 2);
-        assert!(f.iter().any(|x| x.rule == "stale_hint_storm" && x.epoch == 1));
-        assert!(f.iter().any(|x| x.rule == "trace_overflow_burst" && x.epoch == 1));
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].epoch), ("trace_overflow_burst", 1));
     }
 
     #[test]
@@ -219,12 +190,12 @@ mod tests {
         let firings = vec![AnomalyFiring {
             node: "node0".into(),
             epoch: 3,
-            rule: "stale_hint_storm",
-            detail: "300 stale".into(),
+            rule: "trace_overflow_burst",
+            detail: "3000 dropped".into(),
         }];
         let json = flight_json(&firings, &hub.snapshot(), &events, 4);
         assert!(json.contains("\"fired\": true"));
-        assert!(json.contains("stale_hint_storm"));
+        assert!(json.contains("trace_overflow_burst"));
         // Only the 4-event tail is kept: ts 400..700 survive, 0..300 don't.
         assert!(json.contains("\"ts\":0.400"));
         assert!(!json.contains("\"ts\":0.100"));

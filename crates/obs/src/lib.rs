@@ -23,7 +23,6 @@
 
 pub mod anomaly;
 pub mod federate;
-pub mod flow;
 pub mod metrics;
 pub mod quantile;
 pub mod registry;
@@ -32,7 +31,6 @@ pub mod trace;
 
 pub use anomaly::{evaluate, flight_json, AnomalyFiring, AnomalyRules};
 pub use federate::ClusterObs;
-pub use flow::FlowId;
 pub use metrics::{stripe_index, Counter, Gauge, Histogram, HIST_BUCKETS};
 pub use quantile::{QuantileSketch, QuantileSnapshot, SloTargets};
 pub use registry::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
@@ -136,16 +134,6 @@ impl ObsHub {
     /// Trace events dropped on ring overflow.
     pub fn trace_dropped(&self) -> u64 {
         self.trace.dropped()
-    }
-
-    /// Record a flow-phase event (`s`/`t`/`f`) at an explicit
-    /// timestamp — correlation points are emitted by actors on
-    /// different nodes, so the caller supplies its own clock rather
-    /// than trusting the hub's last `set_now`.
-    #[inline]
-    pub fn flow(&self, id: EventId, phase: Phase, ts_ns: u64, pid: u32, tid: u32, flow: FlowId) {
-        debug_assert!(phase.is_flow());
-        self.trace.record(id, phase, ts_ns, 0, pid, tid, flow.0, 0);
     }
 
     /// Close the current epoch window: snapshot all metrics, log the

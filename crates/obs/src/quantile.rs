@@ -144,22 +144,19 @@ impl QuantileSnapshot {
     }
 }
 
-/// Per-`TrafficClass` fetch-latency SLO targets (nanoseconds),
-/// threaded from the cluster config into each cache module. Defaults
-/// sit above the paper's measured medians — ~9.1 ms for a disk fill
-/// (`Default` class) and ~4.4 ms for a cooperative peer fetch (`Peer`)
-/// — so a healthy run burns (exceeds the target) only in the tail.
+/// Fetch-latency SLO target (nanoseconds), threaded from the cluster
+/// config into each cache module. The default sits above the paper's
+/// measured ~9.1 ms median disk fill, so a healthy run burns (exceeds the
+/// target) only in the tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SloTargets {
-    /// p99 target for `TrafficClass::Default` fetches (iod/disk path).
+    /// p99 target for block fetches (the iod/disk path).
     pub fetch_p99_ns_default: u64,
-    /// p99 target for `TrafficClass::Peer` fetches (cooperative path).
-    pub fetch_p99_ns_peer: u64,
 }
 
 impl Default for SloTargets {
     fn default() -> SloTargets {
-        SloTargets { fetch_p99_ns_default: 15_000_000, fetch_p99_ns_peer: 8_000_000 }
+        SloTargets { fetch_p99_ns_default: 15_000_000 }
     }
 }
 

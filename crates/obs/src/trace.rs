@@ -27,12 +27,6 @@ pub enum Phase {
     Instant,
     /// `ph: "X"` — a complete span with a duration.
     Span,
-    /// `ph: "s"` — start of a cross-lane flow arrow.
-    FlowStart,
-    /// `ph: "t"` — intermediate step of a flow.
-    FlowStep,
-    /// `ph: "f"` — end of a flow.
-    FlowEnd,
 }
 
 impl Phase {
@@ -40,25 +34,14 @@ impl Phase {
         match self {
             Phase::Instant => 0,
             Phase::Span => 1,
-            Phase::FlowStart => 2,
-            Phase::FlowStep => 3,
-            Phase::FlowEnd => 4,
         }
     }
 
     fn decode(raw: u32) -> Phase {
         match raw {
             1 => Phase::Span,
-            2 => Phase::FlowStart,
-            3 => Phase::FlowStep,
-            4 => Phase::FlowEnd,
             _ => Phase::Instant,
         }
-    }
-
-    /// Flow phases carry a flow id instead of arguments.
-    pub fn is_flow(self) -> bool {
-        matches!(self, Phase::FlowStart | Phase::FlowStep | Phase::FlowEnd)
     }
 }
 
@@ -75,9 +58,6 @@ pub struct TraceEvent {
     pub tid: u32,
     /// Up to two named arguments (label from the interner, value raw).
     pub args: Vec<(String, u64)>,
-    /// Flow correlation id — nonzero only for flow-phase events, where
-    /// it rides in the slot's `arg0` cell.
-    pub flow_id: u64,
 }
 
 struct NameEntry {
@@ -150,16 +130,12 @@ impl TraceRing {
             let entry = names.get(name as usize);
             let phase = Phase::decode((name_phase >> 32) as u32);
             let mut args = Vec::new();
-            // Flow phases repurpose arg0 as the flow id, so they never
-            // carry named arguments.
-            if !phase.is_flow() {
-                if let Some(e) = entry {
-                    if let Some(l) = &e.arg_names[0] {
-                        args.push((l.clone(), a0));
-                    }
-                    if let Some(l) = &e.arg_names[1] {
-                        args.push((l.clone(), a1));
-                    }
+            if let Some(e) = entry {
+                if let Some(l) = &e.arg_names[0] {
+                    args.push((l.clone(), a0));
+                }
+                if let Some(l) = &e.arg_names[1] {
+                    args.push((l.clone(), a1));
                 }
             }
             out.push(TraceEvent {
@@ -170,7 +146,6 @@ impl TraceRing {
                 pid,
                 tid,
                 args,
-                flow_id: if phase.is_flow() { a0 } else { 0 },
             });
         }
         out
@@ -199,23 +174,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             Phase::Instant => {
                 out.push_str(&format!(
                     "\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.3},",
-                    e.ts_ns as f64 / 1000.0
-                ));
-            }
-            Phase::FlowStart | Phase::FlowStep | Phase::FlowEnd => {
-                let ph = match e.phase {
-                    Phase::FlowStart => "s",
-                    Phase::FlowStep => "t",
-                    _ => "f",
-                };
-                // "bp":"e" binds the finish to the enclosing slice, the
-                // binding Perfetto renders most reliably.
-                let bind = if e.phase == Phase::FlowEnd { "\"bp\":\"e\"," } else { "" };
-                out.push_str(&format!(
-                    "\"cat\":\"flow\",\"ph\":\"{}\",{}\"id\":{},\"ts\":{:.3},",
-                    ph,
-                    bind,
-                    e.flow_id,
                     e.ts_ns as f64 / 1000.0
                 ));
             }
@@ -297,26 +255,6 @@ mod tests {
         assert!(json.contains("\"ph\":\"i\",\"s\":\"t\",\"ts\":4.000"));
         assert!(json.contains("\"blocks\":12"));
         assert!(json.contains("tick \\\"q\\\""), "names are escaped");
-    }
-
-    #[test]
-    fn flow_events_round_trip_with_id() {
-        let r = TraceRing::new(8);
-        let f = r.intern("coop_fetch", None, None);
-        r.record(f, Phase::FlowStart, 1_000, 0, 1, 1, 0xBEEF, 0);
-        r.record(f, Phase::FlowStep, 2_000, 0, 0, 0, 0xBEEF, 0);
-        r.record(f, Phase::FlowEnd, 3_000, 0, 1, 1, 0xBEEF, 0);
-        let ev = r.drain();
-        assert_eq!(ev.len(), 3);
-        assert!(ev.iter().all(|e| e.flow_id == 0xBEEF && e.args.is_empty()));
-        assert_eq!(ev[0].phase, Phase::FlowStart);
-        assert_eq!(ev[1].phase, Phase::FlowStep);
-        assert_eq!(ev[2].phase, Phase::FlowEnd);
-        let json = chrome_trace_json(&ev);
-        assert!(json.contains(&format!("\"ph\":\"s\",\"id\":{},\"ts\":1.000", 0xBEEF)));
-        assert!(json.contains(&format!("\"ph\":\"t\",\"id\":{},\"ts\":2.000", 0xBEEF)));
-        assert!(json.contains(&format!("\"ph\":\"f\",\"bp\":\"e\",\"id\":{},\"ts\":3.000", 0xBEEF)));
-        assert!(json.contains("\"cat\":\"flow\""));
     }
 
     #[test]

@@ -6,32 +6,19 @@
 //! for the coherence extension — keeps a **per-block [`Directory`]** of
 //! which client nodes cache each block, so a sync-write can invalidate them
 //! (§3.2: "requires a directory entry per block (at the IOD)").
-//!
-//! With cooperative caching on, the same directory serves reads: a block a
-//! cooperative read would fetch from the platter, and that another node's
-//! cache is listed for, is forwarded to that node ([`PeerReadReq`]), which
-//! sends the requester the bytes itself. Everything else — including every
-//! read whose blocks are in the page cache — is served as without it.
 
 use crate::config::{CostModel, PvfsConfig};
 use crate::directory::Directory;
 use crate::protocol::{
-    pattern_fill, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, PeerBounce,
-    PeerReadReq, ReadAck, ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
-    IOD_PORT,
+    pattern_fill, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, ReadAck,
+    ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT,
 };
 use bytes::Bytes;
-use kcache_obs::{EventId, FlowId, ObsHub, Phase};
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, PageCache, BLOCK_SIZE};
-use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
+use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-
-/// Trace `tid` lane for the iod's forwards (cache modules use lanes 0-2
-/// on their own node's `pid`).
-const IOD_TRACE_LANE: u32 = 3;
 
 /// iod statistics.
 #[derive(Debug, Default, Clone)]
@@ -46,8 +33,6 @@ pub struct IodStats {
     pub disk_writes: u64,
     pub invalidations_sent: u64,
     pub directory_entries: u64,
-    /// Platter-bound blocks of cooperative reads handed to a peer cache.
-    pub forwarded_blocks: u64,
 }
 
 struct PendingRead {
@@ -89,13 +74,10 @@ pub struct Iod {
     next_pending: u64,
     next_token: u64,
     next_inv_req: u64,
-    /// Messages sent so far; a forward's is also its [`FlowId`] sequence.
+    /// Messages sent so far.
     tag: u64,
     stats: IodStats,
     started: bool,
-    /// The node's telemetry hub and the flow event name (`None` = tracing
-    /// off, one never-taken branch per forward).
-    obs: Option<(Arc<ObsHub>, EventId)>,
 }
 
 impl Iod {
@@ -132,15 +114,7 @@ impl Iod {
             tag: 0,
             stats: IodStats::default(),
             started: false,
-            obs: None,
         }
-    }
-
-    /// Wire the iod into its node's telemetry hub: each forward opens a
-    /// cross-node flow on this node's lane.
-    pub fn set_obs(&mut self, hub: Arc<ObsHub>) {
-        let ev_flow = hub.intern("coop_fetch", None, None);
-        self.obs = Some((hub, ev_flow));
     }
 
     pub fn stats(&self) -> &IodStats {
@@ -218,14 +192,8 @@ impl Iod {
         ctx.schedule_in(at.since(ctx.now()), self.fabric, Xmit(m));
     }
 
-    fn register_reader(
-        &mut self,
-        fid: Fid,
-        blocks: impl IntoIterator<Item = u64>,
-        node: NodeId,
-        seq: u64,
-    ) {
-        self.stats.directory_entries += self.directory.register(fid, blocks, node, seq);
+    fn register_reader(&mut self, fid: Fid, blocks: impl IntoIterator<Item = u64>, node: NodeId) {
+        self.stats.directory_entries += self.directory.register(fid, blocks, node);
     }
 
     fn blocks_of(range: &ByteRange) -> impl Iterator<Item = u64> {
@@ -287,7 +255,7 @@ impl Iod {
         );
     }
 
-    fn handle_read(&mut self, ctx: &mut Ctx<'_>, mut req: ReadReq) {
+    fn handle_read(&mut self, ctx: &mut Ctx<'_>, req: ReadReq) {
         self.stats.read_reqs += 1;
         let now = ctx.now();
         let total: u64 = req.ranges.iter().map(|r| r.len as u64).sum();
@@ -307,96 +275,9 @@ impl Iod {
         );
         if req.caching {
             let blocks: Vec<u64> = req.ranges.iter().flat_map(Self::blocks_of).collect();
-            self.register_reader(req.fid, blocks, req.reply_to.0, req.seq.unwrap_or(0));
+            self.register_reader(req.fid, blocks, req.reply_to.0);
         }
         let ino = self.file_for(req.fid);
-        if req.seq.is_some() {
-            self.forward_to_peers(ctx, t1, ino, &mut req);
-        }
-        self.read_from_store(ctx, ino, req);
-    }
-
-    /// Cooperative reads only: hand each block of `req` bound for the
-    /// platter, that another node's cache is listed for, to that node —
-    /// one forward per sharer — and take it out of `req`. Blocks in the
-    /// page cache are never forwarded: a peer is worth asking only when
-    /// the alternative is the disk.
-    fn forward_to_peers(&mut self, ctx: &mut Ctx<'_>, at: SimTime, ino: Ino, req: &mut ReadReq) {
-        // Ordered: iteration order is forward send order.
-        let mut per_peer: BTreeMap<NodeId, Vec<u64>> = BTreeMap::new();
-        for blk in req.ranges.iter().flat_map(Self::blocks_of) {
-            let on_platter = self.fs.pblk_of(ino, blk).is_some_and(|p| !self.pcache.contains(p));
-            let peer = on_platter.then(|| self.directory.peer_for(req.fid, blk, req.reply_to.0));
-            if let Some(peer) = peer.flatten() {
-                per_peer.entry(peer).or_default().push(blk);
-            }
-        }
-        let forwarded: Vec<u64> = per_peer.values().flatten().copied().collect();
-        if forwarded.is_empty() {
-            return;
-        }
-        self.stats.forwarded_blocks += forwarded.len() as u64;
-        req.ranges = coalesce(req.ranges.iter().flat_map(|r| {
-            Self::blocks_of(r).filter(|b| !forwarded.contains(b)).map(|blk| {
-                let lo = r.offset.max(blk * BLOCK_SIZE as u64);
-                let hi = r.end().min((blk + 1) * BLOCK_SIZE as u64);
-                ByteRange::new(lo, (hi - lo) as u32)
-            })
-        }));
-        for (peer, blocks) in per_peer {
-            let t = resource::reserve(&self.cpu, at, self.costs.send_overhead);
-            self.tag += 1;
-            let flow = FlowId::coop(self.node.0, self.tag);
-            if let Some((hub, ev_flow)) = &self.obs {
-                hub.flow(
-                    *ev_flow,
-                    Phase::FlowStart,
-                    t.nanos(),
-                    self.node.0 as u32,
-                    IOD_TRACE_LANE,
-                    flow,
-                );
-            }
-            let fwd = PeerReadReq {
-                req_id: req.req_id,
-                fid: req.fid,
-                blocks,
-                reply_to: req.reply_to,
-                flow,
-            };
-            let m = NetMessage::new(
-                (self.node, IOD_PORT),
-                (peer, CACHE_PORT),
-                fwd.wire_bytes(),
-                self.tag,
-                fwd,
-            )
-            .with_class(TrafficClass::Peer);
-            ctx.schedule_in(t.since(ctx.now()), self.fabric, Xmit(m));
-        }
-    }
-
-    /// A sharer's return of forwarded blocks it no longer holds: apply its
-    /// eviction notices, then read the blocks from the platter for the
-    /// requester — never forwarded a second time.
-    fn handle_bounce(&mut self, ctx: &mut Ctx<'_>, sharer: NodeId, b: PeerBounce) {
-        let _ = resource::reserve(
-            &self.cpu,
-            ctx.now(),
-            self.costs.recv_overhead + self.costs.iod_request_overhead,
-        );
-        self.directory.apply(sharer, &b.dropped);
-        let ino = self.file_for(b.fid);
-        let blocks =
-            b.blocks.iter().map(|&blk| ByteRange::new(blk * BLOCK_SIZE as u64, BLOCK_SIZE as u32));
-        let req = ReadReq {
-            req_id: b.req_id,
-            fid: b.fid,
-            ranges: coalesce(blocks),
-            reply_to: b.reply_to,
-            caching: true,
-            seq: None,
-        };
         self.read_from_store(ctx, ino, req);
     }
 
@@ -432,9 +313,6 @@ impl Iod {
     }
 
     fn finish_read(&mut self, ctx: &mut Ctx<'_>, req: ReadReq) {
-        if req.ranges.is_empty() {
-            return; // every block went to a peer
-        }
         let now = ctx.now();
         let ino = self.file_for(req.fid);
         // Copy cost: per 4 KB block moved from page cache to the socket,
@@ -490,7 +368,7 @@ impl Iod {
         if req.caching {
             let blocks: Vec<u64> =
                 req.parts.iter().flat_map(|p| Self::blocks_of(&p.range)).collect();
-            self.register_reader(req.fid, blocks, req.reply_to.0, 0);
+            self.register_reader(req.fid, blocks, req.reply_to.0);
         }
         if req.sync {
             self.stats.sync_writes += 1;
@@ -559,7 +437,7 @@ impl Iod {
         }
         // The flushing node keeps the blocks cached (now clean): track it.
         let blocks: Vec<u64> = f.blocks.iter().map(|e| e.blk).collect();
-        self.register_reader(f.fid, blocks, f.reply_to.0, f.seq.unwrap_or(0));
+        self.register_reader(f.fid, blocks, f.reply_to.0);
         let ack = FlushAck { req_id: f.req_id };
         self.send(ctx, t, IOD_FLUSH_PORT, f.reply_to, ack.wire_bytes(), ack);
     }
@@ -610,18 +488,6 @@ impl Iod {
     }
 }
 
-/// Merge ranges given in ascending order into maximal contiguous runs.
-fn coalesce(pieces: impl IntoIterator<Item = ByteRange>) -> Vec<ByteRange> {
-    let mut runs: Vec<ByteRange> = Vec::new();
-    for p in pieces {
-        match runs.last_mut() {
-            Some(run) if run.end() == p.offset => run.len += p.len,
-            _ => runs.push(p),
-        }
-    }
-    runs
-}
-
 impl Actor for Iod {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if !self.started {
@@ -641,10 +507,6 @@ impl Actor for Iod {
                 };
                 let net = match net.cast::<FlushBlocks>() {
                     Ok((_, f)) => return self.handle_flush(ctx, *f),
-                    Err(n) => n,
-                };
-                let net = match net.cast::<PeerBounce>() {
-                    Ok((meta, b)) => return self.handle_bounce(ctx, meta.src, *b),
                     Err(n) => n,
                 };
                 match net.cast::<InvalidateAck>() {

@@ -1,5 +1,5 @@
 use super::*;
-use crate::protocol::{pattern_byte, pattern_bytes, Dropped, FlushEntry, WritePart};
+use crate::protocol::{pattern_byte, pattern_bytes, FlushEntry, WritePart};
 use sim_core::{Engine, FifoResource};
 use sim_disk::{DiskGeometry, DiskSched};
 use sim_net::{Fabric, NetConfig};
@@ -13,7 +13,6 @@ struct Client {
     wacks: Vec<WriteAck>,
     facks: Vec<FlushAck>,
     invs: Vec<(Invalidate, SimTime)>,
-    fwds: Vec<PeerReadReq>,
     auto_ack_invalidate: bool,
     fabric: ActorId,
     node: NodeId,
@@ -42,10 +41,6 @@ impl Actor for Client {
         };
         let d = match d.cast::<FlushAck>() {
             Ok((_, a)) => return self.facks.push(*a),
-            Err(d) => d,
-        };
-        let d = match d.cast::<PeerReadReq>() {
-            Ok((_, f)) => return self.fwds.push(*f),
             Err(d) => d,
         };
         if let Ok((_, inv)) = d.cast::<Invalidate>() {
@@ -80,10 +75,6 @@ struct Rig {
 
 /// Node 0 runs the iod; nodes 1.. are client endpoints.
 fn rig(n_clients: usize) -> Rig {
-    rig_with(n_clients, PvfsConfig::default())
-}
-
-fn rig_with(n_clients: usize, cfg: PvfsConfig) -> Rig {
     let mut eng = Engine::new(7);
     let fabric_slot = eng.reserve_actor();
     let disk =
@@ -94,7 +85,7 @@ fn rig_with(n_clients: usize, cfg: PvfsConfig) -> Rig {
         disk,
         FifoResource::shared("iod-cpu"),
         CostModel::default(),
-        cfg,
+        PvfsConfig::default(),
         1 << 20,
     )));
     let mut endpoints = vec![iod];
@@ -107,7 +98,6 @@ fn rig_with(n_clients: usize, cfg: PvfsConfig) -> Rig {
             wacks: vec![],
             facks: vec![],
             invs: vec![],
-            fwds: vec![],
             auto_ack_invalidate: true,
             fabric: fabric_slot,
             node: NodeId(i as u16 + 1),
@@ -141,7 +131,6 @@ fn preloaded_warm_read_serves_without_disk() {
         ranges: vec![ByteRange::new(0, 8192)],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
-        seq: None,
     };
     let wire = req.wire_bytes();
     send_to_iod(&mut r, 1, IOD_PORT, wire, req);
@@ -172,7 +161,6 @@ fn cold_read_goes_to_disk() {
         ranges: vec![ByteRange::new(0, 16384)],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
-        seq: None,
     };
     let wire = req.wire_bytes();
     send_to_iod(&mut r, 1, IOD_PORT, wire, req);
@@ -207,7 +195,6 @@ fn write_then_read_round_trips() {
         ranges: vec![ByteRange::new(4096, 8192)],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
-        seq: None,
     };
     let wire = rreq.wire_bytes();
     send_to_iod(&mut r, 1, IOD_PORT, wire, rreq);
@@ -226,13 +213,7 @@ fn flush_applies_blocks_and_acks_on_flush_port() {
         FlushEntry { blk: 3, offset: 0, data: pattern_bytes(Fid(2), 3 * 4096, 4096) },
         FlushEntry { blk: 4, offset: 0, data: pattern_bytes(Fid(2), 4 * 4096, 4096) },
     ];
-    let f = FlushBlocks {
-        req_id: 11,
-        fid: Fid(2),
-        blocks,
-        reply_to: (NodeId(1), Port(9000)),
-        seq: None,
-    };
+    let f = FlushBlocks { req_id: 11, fid: Fid(2), blocks, reply_to: (NodeId(1), Port(9000)) };
     let wire = f.wire_bytes();
     send_to_iod(&mut r, 1, IOD_FLUSH_PORT, wire, f);
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
@@ -255,7 +236,6 @@ fn caching_reads_register_in_directory() {
             ranges: vec![ByteRange::new(0, 4096)],
             reply_to: (NodeId(*node), Port(9000)),
             caching: true,
-            seq: None,
         };
         let wire = req.wire_bytes();
         send_to_iod(&mut r, *node, IOD_PORT, wire, req);
@@ -278,7 +258,6 @@ fn sync_write_invalidates_other_sharers() {
             ranges: vec![ByteRange::new(0, 4096)],
             reply_to: (NodeId(node), Port(9000)),
             caching: true,
-            seq: None,
         };
         let wire = req.wire_bytes();
         send_to_iod(&mut r, node, IOD_PORT, wire, req);
@@ -358,116 +337,6 @@ fn kupdate_writes_dirty_pages_to_disk() {
     assert_eq!(iod.page_cache().dirty_pages(), 0);
 }
 
-/// A cooperative module's caching read of `blocks` of fid 8, stamped
-/// with its message count `seq`.
-fn coop_read(req_id: u64, node: u16, blocks: std::ops::Range<u64>, seq: u64) -> ReadReq {
-    let len = ((blocks.end - blocks.start) * BLOCK_SIZE as u64) as u32;
-    ReadReq {
-        req_id,
-        fid: Fid(8),
-        ranges: vec![ByteRange::new(blocks.start * BLOCK_SIZE as u64, len)],
-        reply_to: (NodeId(node), Port(9000)),
-        caching: true,
-        seq: Some(seq),
-    }
-}
-
-fn run_for(r: &mut Rig, d: Dur) {
-    let until = r.eng.now() + d;
-    r.eng.run_until(until);
-}
-
-/// Cold disk behind a two-page page cache: node 1 reads block 0, then
-/// blocks 1-2, which push it out of the page cache.
-fn platter_bound_rig() -> Rig {
-    let mut r = rig_with(2, PvfsConfig { iod_page_cache_pages: 2, ..PvfsConfig::default() });
-    let iod = r.eng.actor_as_mut::<Iod>(r.iod).unwrap();
-    iod.preload(Fid(8), &[ByteRange::new(0, 65536)], false);
-    for (seq, blocks) in [(1, 0..1), (2, 1..3)] {
-        let req = coop_read(seq, 1, blocks, seq);
-        send_to_iod(&mut r, 1, IOD_PORT, req.wire_bytes(), req);
-        run_for(&mut r, Dur::secs(1));
-    }
-    r
-}
-
-#[test]
-fn a_platter_bound_block_goes_to_a_peer_that_caches_it() {
-    let mut r = platter_bound_rig();
-    let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
-    // Block 0 is off the page cache and cached at node 1: forwarded.
-    // Block 1 is in the page cache: served here as always.
-    let req = coop_read(10, 2, 0..2, 1);
-    send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-    run_for(&mut r, Dur::secs(1));
-    let sharer = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
-    assert_eq!(sharer.fwds.len(), 1);
-    let fwd = &sharer.fwds[0];
-    assert_eq!((fwd.req_id, &fwd.blocks, fwd.reply_to), (10, &vec![0], (NodeId(2), Port(9000))));
-    let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
-    assert_eq!(requester.acks.len(), 1, "one ack for the whole request");
-    assert_eq!(requester.acks[0].bytes, 8192);
-    assert_eq!(requester.data.len(), 1);
-    assert_eq!(requester.data[0].range, ByteRange::new(4096, 4096), "only block 1 from here");
-    let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-    assert_eq!(iod.stats().forwarded_blocks, 1);
-    assert_eq!(iod.stats().disk_reads, disk_reads, "nothing read from the platter");
-    // A read from a node that is not cooperative is never forwarded.
-    let req = ReadReq { seq: None, ..coop_read(11, 2, 0..1, 0) };
-    send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-    run_for(&mut r, Dur::secs(1));
-    assert_eq!(r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds.len(), 1);
-    assert!(r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads > disk_reads);
-}
-
-#[test]
-fn a_traced_forward_opens_a_flow_on_the_iod_lane() {
-    let mut r = platter_bound_rig();
-    let hub = kcache_obs::ObsHub::new(64);
-    r.eng.actor_as_mut::<Iod>(r.iod).unwrap().set_obs(hub.clone());
-    let req = coop_read(10, 2, 0..1, 1);
-    send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-    run_for(&mut r, Dur::secs(1));
-    let fwd = &r.eng.actor_as::<Client>(r.clients[0]).unwrap().fwds[0];
-    let ev = hub.drain_trace();
-    let start = ev
-        .iter()
-        .find(|e| e.name == "coop_fetch" && e.phase == Phase::FlowStart)
-        .expect("flow start");
-    assert_eq!((start.pid, start.tid), (0, IOD_TRACE_LANE));
-    assert_eq!(start.flow_id, fwd.flow.0, "the forward carries the flow it opened");
-    assert_eq!(fwd.flow.node(), 0);
-}
-
-#[test]
-fn a_bounce_is_read_from_the_platter_and_drops_the_sharer() {
-    let mut r = platter_bound_rig();
-    let req = coop_read(10, 2, 0..1, 1);
-    send_to_iod(&mut r, 2, IOD_PORT, req.wire_bytes(), req);
-    run_for(&mut r, Dur::secs(1));
-    let disk_reads = r.eng.actor_as::<Iod>(r.iod).unwrap().stats().disk_reads;
-    // Node 1 no longer holds block 0 and dropped it after its message 2.
-    let bounce = PeerBounce {
-        req_id: 10,
-        fid: Fid(8),
-        blocks: vec![0],
-        reply_to: (NodeId(2), Port(9000)),
-        dropped: vec![Dropped { fid: Fid(8), blk: 0, seq: 2 }],
-    };
-    send_to_iod(&mut r, 1, IOD_PORT, bounce.wire_bytes(), bounce);
-    run_for(&mut r, Dur::secs(1));
-    let requester = r.eng.actor_as::<Client>(r.clients[1]).unwrap();
-    assert_eq!(requester.acks.len(), 1, "the bounce adds no ack");
-    assert_eq!(requester.data.len(), 1);
-    let rd = &requester.data[0];
-    assert_eq!((rd.req_id, rd.range), (10, ByteRange::new(0, 4096)));
-    assert!(crate::protocol::pattern_matches(Fid(8), 0, &rd.data));
-    let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
-    assert!(iod.stats().disk_reads > disk_reads, "a bounced block comes from the platter");
-    assert_eq!(iod.directory_sharers(Fid(8), 0), vec![NodeId(2)], "the sharer is dropped");
-    assert_eq!(iod.directory_sharers(Fid(8), 1), vec![NodeId(1)], "and nothing else is");
-}
-
 /// A page whose platter read is in flight is in the page cache but
 /// holds no data yet: a second read of it waits for that disk reply
 /// (one platter read for both) instead of leaving as a hit at once.
@@ -482,7 +351,6 @@ fn a_read_of_a_page_in_flight_waits_for_its_disk_reply() {
             ranges: vec![ByteRange::new(0, 4096)],
             reply_to: (NodeId(1), Port(9000)),
             caching: false,
-            seq: None,
         };
         send_to_iod_in(&mut r, at, 1, IOD_PORT, req.wire_bytes(), req);
     }
@@ -503,6 +371,7 @@ fn a_read_of_a_page_in_flight_waits_for_its_disk_reply() {
     assert_eq!(iod.stats().disk_reads, 1, "one platter read serves both");
     assert!(iod.page_fills.is_empty() && iod.token_waiters.is_empty(), "nothing left in flight");
 }
+
 #[test]
 fn multi_range_read_sends_one_data_message_per_range() {
     let mut r = rig(1);
@@ -516,7 +385,6 @@ fn multi_range_read_sends_one_data_message_per_range() {
         ranges: vec![ByteRange::new(0, 4096), ByteRange::new(65536, 4096)],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
-        seq: None,
     };
     let wire = req.wire_bytes();
     send_to_iod(&mut r, 1, IOD_PORT, wire, req);

@@ -28,12 +28,13 @@ pub struct MgrStats {
     pub creates: u64,
     pub opens: u64,
     pub errors: u64,
-    /// Retired with the mgr's block directory (the cooperative tier's
-    /// directory is the iods' own): always 0. Kept while the benchmark
-    /// still reads them.
+    /// Always 0; perfbench reads it until ROADMAP E.
     pub dir_updates: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
     pub dir_queries: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
     pub dir_located: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
     pub dir_unknown: u64,
 }
 

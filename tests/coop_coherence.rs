@@ -1,13 +1,12 @@
-//! The cooperative tier's directory protocol between real actors — a cache
-//! module, an iod, its disk and the fabric — with the client processes
-//! scripted, so each step of a coherence race happens exactly when the
-//! test says.
+//! Sync-write coherence through the iod's directory between real actors —
+//! a cache module, an iod, its disk and the fabric — with the client
+//! processes scripted, so each step of a coherence race happens exactly
+//! when the test says.
 
-use kcache::obs::FlowId;
 use kcache::{AppId, BlockKey, CacheConfig, CacheModule};
 use pvfs::{
-    pattern_bytes, ByteRange, CostModel, Fid, Iod, PeerReadReq, PvfsConfig, ReadReq, WritePart,
-    WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
+    pattern_bytes, ByteRange, CostModel, Fid, Iod, PvfsConfig, ReadReq, WritePart, WriteReq,
+    CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_disk::{Disk, DiskGeometry, DiskSched};
@@ -15,9 +14,9 @@ use sim_net::{Deliver, Fabric, NetConfig, NetMessage, NodeId, NodeNet, Port, Xmi
 use std::any::Any;
 
 const IOD: u16 = 0;
-/// Runs a cooperative cache module.
+/// Runs a cache module.
 const A: u16 = 1;
-/// Runs a bare client: the sync-writer, and the requester of a forward.
+/// Runs a bare client: the sync-writer.
 const B: u16 = 2;
 const FID: Fid = Fid(1);
 const PORT: Port = Port(CLIENT_PORT_BASE);
@@ -76,7 +75,6 @@ impl Rig {
             capacity_blocks: 4,
             low_watermark: 0,
             high_watermark: 1,
-            cooperative: true,
             ..CacheConfig::paper()
         };
         let mut module = CacheModule::new(
@@ -116,7 +114,6 @@ impl Rig {
             ranges: vec![ByteRange::new(blk * 4096, 4096)],
             reply_to: (NodeId(A), PORT),
             caching: true,
-            seq: None,
         };
         let m = NetMessage::new((NodeId(A), PORT), (NodeId(IOD), IOD_PORT), rr.wire_bytes(), 0, rr);
         self.eng.post(Dur::ZERO, self.module, Xmit(m));
@@ -136,10 +133,9 @@ impl Rig {
     }
 }
 
-/// Node A evicts block 0 and re-reads it; A's eviction notice for it
-/// reaches the iod only afterwards, on a bounce. Node B then sync-writes
-/// block 0: A must be invalidated. The notice cancels registrations sent
-/// before the eviction and no later one, however late it arrives.
+/// Node A reads block 0, evicts it and re-reads it. Node B then
+/// sync-writes block 0: A must be invalidated, and B's write acked once
+/// A has acknowledged.
 #[test]
 fn an_evicted_then_reread_block_still_gets_invalidated() {
     let mut r = Rig::new();
@@ -152,25 +148,6 @@ fn an_evicted_then_reread_block_still_gets_invalidated() {
     assert!(!evicted.is_empty());
     r.read_at_a(10, 0);
     assert!(r.a_holds(0) && r.listed_at_a(0));
-
-    // The iod forwards B's read of a block A does not hold: A bounces it,
-    // carrying its eviction notices for this iod.
-    let fwd = PeerReadReq {
-        req_id: 1,
-        fid: FID,
-        blocks: vec![9],
-        reply_to: (NodeId(B), PORT),
-        flow: FlowId::NONE,
-    };
-    let m = NetMessage::new((NodeId(IOD), IOD_PORT), (NodeId(A), CACHE_PORT), 64, 0, fwd);
-    r.eng.post(Dur::ZERO, r.module, Deliver(m));
-    r.run();
-    assert_eq!(r.a().stats().remote_stale_blocks, 1);
-    assert!(r.eng.actor_as::<Probe>(r.probe_b).unwrap().delivered > 0, "B got the block");
-    for &b in &evicted {
-        assert!(!r.listed_at_a(b), "the bounce carried the notice for evicted block {b}");
-    }
-    assert!(r.listed_at_a(0), "the re-read's registration outlives the older notice");
 
     let wr = WriteReq {
         req_id: 2,
@@ -188,4 +165,6 @@ fn an_evicted_then_reread_block_still_gets_invalidated() {
     r.run();
     assert_eq!(r.a().stats().invalidate_msgs, 1, "A's copy of block 0 was not invalidated");
     assert!(!r.a_holds(0));
+    assert!(!r.listed_at_a(0), "the sync-write takes A off the block's entry");
+    assert_eq!(r.eng.actor_as::<Probe>(r.probe_b).unwrap().delivered, 1, "B's write was acked");
 }

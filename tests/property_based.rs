@@ -8,7 +8,7 @@ use kcache::{
 use proptest::prelude::*;
 use pvfs::{
     pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange,
-    Directory, Dropped, Fid, StripeSpec,
+    Directory, Fid, StripeSpec,
 };
 use sim_disk::{BlockFs, PageCache};
 use sim_net::NodeId;
@@ -26,47 +26,6 @@ fn install(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) {
 fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
     let kind = AccessKind::Write { home: NodeId(0), span: Span::FULL, bytes };
     m.access(key, Access { app, kind }) == AccessOutcome::Write(WriteOutcome::Absorbed)
-}
-
-/// What one cooperative module tells its iod: the count stamped on each
-/// message it sends, and its eviction notices, each stamped with the count
-/// when the block was dropped and held until a bounce carries them — the
-/// newest [`NOTICES_KEPT`] of them, as the module keeps as many as its
-/// cache holds blocks.
-#[derive(Default)]
-struct Outbox {
-    sent: u64,
-    pending: std::collections::VecDeque<Dropped>,
-}
-
-/// The notices an [`Outbox`] keeps: its node's cache capacity (the
-/// property test's caches hold eight blocks).
-const NOTICES_KEPT: usize = 8;
-
-impl Outbox {
-    /// A message from `node` registering `blocks` arrives at once.
-    fn register(
-        &mut self,
-        iod: &mut Directory,
-        node: usize,
-        blocks: impl IntoIterator<Item = u64>,
-    ) {
-        self.sent += 1;
-        iod.register(Fid(1), blocks, NodeId(node as u16), self.sent);
-    }
-
-    /// The block left the node's cache: a notice, stamped with the count.
-    fn log(&mut self, blk: u64) {
-        self.pending.push_back(Dropped { fid: Fid(1), blk, seq: self.sent });
-        if self.pending.len() > NOTICES_KEPT {
-            self.pending.pop_front();
-        }
-    }
-
-    /// The notices a bounce takes along.
-    fn bounce(&mut self) -> Vec<Dropped> {
-        std::mem::take(&mut self.pending).into()
-    }
 }
 
 proptest! {
@@ -217,31 +176,23 @@ proptest! {
         }
     }
 
-    /// Cooperative directory coherence: three caches process a random
-    /// operation interleaving while one iod's [`pvfs::Directory`] is fed
-    /// exactly what their modules send it: registrations from caching
-    /// reads and flushes, and — on bounces, delivered arbitrarily late —
-    /// the newest eviction notices logged from `take_evicted()` (evictions
-    /// *and* invalidations). After every step the directory lists every block
-    /// each node holds, but for blocks a local write brought in and no
-    /// flush has reported yet: the directory may be stale, never short.
+    /// Directory coherence: three caches process a random operation
+    /// interleaving while one iod's [`pvfs::Directory`] is fed exactly what
+    /// their modules send it: registrations from caching reads and
+    /// flushes, and sync-writes from another node that take every listed
+    /// sharer. After every step the directory lists every block each node
+    /// holds, but for blocks a local write brought in and no flush has
+    /// reported yet: the directory may be stale, never short — so a
+    /// sync-write invalidates every copy.
     #[test]
     fn directory_view_tracks_resident_union(
-        ops in proptest::collection::vec((0u8..8, 0usize..3, 0u64..48), 1..250),
+        ops in proptest::collection::vec((0u8..6, 0usize..3, 0u64..48), 1..250),
     ) {
         use std::collections::HashSet;
-        let nodes: Vec<BufferManager> = (0..3)
-            .map(|_| {
-                BufferManager::builder(NOTICES_KEPT)
-                    .watermarks(0, NOTICES_KEPT)
-                    .cooperative(true)
-                    .build()
-            })
-            .collect();
+        const CAP: usize = 8;
+        let nodes: Vec<BufferManager> =
+            (0..3).map(|_| BufferManager::builder(CAP).watermarks(0, CAP).build()).collect();
         let mut iod = Directory::default();
-        let mut outboxes: Vec<Outbox> = (0..3).map(|_| Outbox::default()).collect();
-        // Bounces sent but not yet delivered: (sender, their notices).
-        let mut in_flight: Vec<(usize, Vec<Dropped>)> = Vec::new();
         // Per node: blocks resident since a write absorbed them, not yet
         // flushed (nothing has told the iod about them).
         let mut unreported: Vec<HashSet<u64>> = vec![HashSet::new(); 3];
@@ -250,12 +201,13 @@ proptest! {
         let mut inflight: Vec<Vec<kcache::FlushItem>> = vec![Vec::new(); 3];
         for (op, node, blk) in ops {
             let m = &nodes[node];
+            let me = NodeId(node as u16);
             let key = BlockKey::new(Fid(1), blk);
             match op {
                 0 => { read(m, key, &mut out, AppId::UNKNOWN); }
                 // A miss: the read goes to the iod, then the data installs.
                 1 | 2 => if !m.contains(key) {
-                    outboxes[node].register(&mut iod, node, [blk]);
+                    iod.register(Fid(1), [blk], me);
                     install(m, key, &buf, AppId::UNKNOWN);
                 },
                 3 => {
@@ -266,7 +218,7 @@ proptest! {
                 }
                 4 => {
                     let taken = m.take_dirty(4);
-                    outboxes[node].register(&mut iod, node, taken.iter().map(|it| it.key.blk));
+                    iod.register(Fid(1), taken.iter().map(|it| it.key.blk), me);
                     for it in &taken {
                         unreported[node].remove(&it.key.blk);
                     }
@@ -274,32 +226,20 @@ proptest! {
                 }
                 // Another node sync-writes the block: the iod invalidates
                 // every node it lists.
-                5 => {
+                _ => {
                     for n in iod.take_others(Fid(1), blk, NodeId(9)) {
                         let n = n.index();
                         for it in inflight[n].drain(..) {
                             nodes[n].flush_complete(it.key, it.span);
                         }
                         let _ = nodes[n].invalidate([key]);
+                        prop_assert!(!nodes[n].contains(key), "node {} kept block {}", n, blk);
                     }
                 }
-                // A read forwarded to a node that does not hold the block
-                // bounces, naming it among the notices it takes along.
-                6 => if !m.contains(key) {
-                    outboxes[node].log(blk);
-                    in_flight.push((node, outboxes[node].bounce()));
-                },
-                // Some bounce arrives, however late.
-                _ => if !in_flight.is_empty() {
-                    let (n, dropped) = in_flight.remove(blk as usize % in_flight.len());
-                    iod.apply(NodeId(n as u16), &dropped);
-                },
             }
             for (n, mgr) in nodes.iter().enumerate() {
-                for (k, _home) in mgr.take_evicted() {
-                    unreported[n].remove(&k.blk);
-                    outboxes[n].log(k.blk);
-                }
+                // An evicted block is no longer the node's to report.
+                unreported[n].retain(|&b| mgr.contains(BlockKey::new(Fid(1), b)));
                 for k in mgr.resident_keys() {
                     prop_assert!(
                         unreported[n].contains(&k.blk)

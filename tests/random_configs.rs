@@ -308,14 +308,14 @@ fn pre_partitioning_json_still_parses_and_runs() {
 }
 
 /// `cooperative.singleton_preserving` and `cooperative.directory` are
-/// retired keys: configs written while they existed (the benchmark
-/// generates one) keep parsing, and lower to exactly what a config without
-/// them lowers to, whatever values they hold.
+/// retired keys, as is the `cooperative` section that holds them: configs
+/// written while they existed keep parsing, and lower to exactly what a
+/// config without the section lowers to, whatever values they hold.
 #[test]
 fn the_retired_singleton_preserving_key_is_ignored() {
-    let lowered = |keys: &str| {
+    let lowered = |cooperative: &str| {
         let cfg = ExperimentConfig::from_json(&format!(
-            r#"{{ "cluster": {{ "cooperative": {{ "enabled": true {keys} }} }},
+            r#"{{ "cluster": {{ "nodes": 3 {cooperative} }},
                  "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
                              "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
         ))
@@ -324,15 +324,80 @@ fn the_retired_singleton_preserving_key_is_ignored() {
         (format!("{spec:?}"), cfg)
     };
     let without = lowered("");
-    assert!(without.0.contains("cooperative: true"), "the cooperative section itself must lower");
     for keys in [
-        r#", "singleton_preserving": true"#,
-        r#", "singleton_preserving": false"#,
-        r#", "directory": "hint""#,
-        r#", "directory": "authoritative", "singleton_preserving": true"#,
+        r#""enabled": true, "singleton_preserving": true"#,
+        r#""enabled": true, "singleton_preserving": false"#,
+        r#""enabled": false, "directory": "hint""#,
+        r#""directory": "authoritative", "singleton_preserving": true"#,
     ] {
-        assert_eq!(lowered(keys), without, "{keys}");
+        assert_eq!(lowered(&format!(r#", "cooperative": {{ {keys} }}"#)), without, "{keys}");
     }
+}
+
+/// Keys retired with the mechanisms they configured: the whole
+/// `cooperative` section (here the exact one the benchmark generates),
+/// `telemetry.slo.fetch_p99_ms_peer` and
+/// `telemetry.anomaly.stale_hints_per_epoch`. A config carrying them
+/// parses, lowers to what the config without them lowers to, and runs
+/// the same simulation to the bit.
+#[test]
+fn retired_keys_parse_and_change_nothing() {
+    let with = |cooperative: &str, slo: &str, anomaly: &str| {
+        let cfg = ExperimentConfig::from_json(&format!(
+            r#"{{ "cluster": {{ "nodes": 3 {cooperative},
+                              "telemetry": {{ "enabled": true, "slo": {{ {slo} }},
+                                             "anomaly": {{ {anomaly} }} }} }},
+                 "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
+                             "request_kb": 64, "mode": "read", "sharing": 1.0 }},
+                           {{ "name": "b", "nodes": [1, 2], "total_mb": 1,
+                             "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
+        ))
+        .expect("an old config must keep parsing");
+        let (spec, apps) = cfg.to_spec().expect("lower spec");
+        (cfg, spec, apps)
+    };
+    let (cfg, spec, apps) = with("", "", "");
+    let (old_cfg, old_spec, old_apps) = with(
+        r#", "cooperative":{"enabled":true,"directory":"authoritative","singleton_preserving":true}"#,
+        r#""fetch_p99_ms_peer": 2.5"#,
+        r#""stale_hints_per_epoch": 9"#,
+    );
+    assert_eq!(old_cfg, cfg);
+    assert_eq!(format!("{old_spec:?}"), format!("{spec:?}"));
+    assert_eq!(format!("{old_apps:?}"), format!("{apps:?}"));
+    let fingerprint = |spec: &ClusterSpec, apps: &[AppSpec]| {
+        let r = run_experiment(spec, apps);
+        assert!(r.completed);
+        let c = r.cache.clone().unwrap();
+        format!("{} {:?} {} {} {:?}", r.events, r.sim_end, c.hits, c.misses, r.instances)
+    };
+    assert_eq!(fingerprint(&old_spec, &old_apps), fingerprint(&spec, &apps));
+}
+
+/// Configs that used to lower and then panic in `build` or
+/// `Coordinator::new`: each is an `Err` from `to_spec` now.
+#[test]
+fn configs_the_builders_would_panic_on_are_errors() {
+    let config = |cluster: &str, nodes: &str, request_kb: u32, app: &str| {
+        format!(
+            r#"{{ "cluster": {{ {cluster} }},
+                 "apps": [ {{ "name": "a", "nodes": {nodes}, "total_mb": 1,
+                             "request_kb": {request_kb}, "mode": "read" {app} }} ] }}"#
+        )
+    };
+    for (json, what) in [
+        (config("", "[0]", 0, ""), "request size"),
+        (config("", "[0]", 64, r#", "sharing": 2.0"#), "sharing"),
+        (config("", "[0]", 64, r#", "hotspot": -1.0"#), "hotspot"),
+        (config("", "[]", 64, ""), "no nodes"),
+        (config(r#""file_mb": 0"#, "[0]", 64, ""), "file"),
+        (r#"{ "apps": [] }"#.to_string(), "apps"),
+    ] {
+        let cfg = ExperimentConfig::from_json(&json).expect("well-formed JSON");
+        let err = cfg.to_spec().map(|_| ()).expect_err(&format!("{what}: must not lower"));
+        assert!(err.contains(what), "error must name {what}: {err}");
+    }
+    assert!(ExperimentConfig::from_json(&config("", "[0]", 64, "")).unwrap().to_spec().is_ok());
 }
 
 /// Bad configuration is an `Err` naming the field, never a panic further
