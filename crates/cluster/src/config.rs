@@ -407,15 +407,26 @@ impl ExperimentConfig {
             other => return Err(format!("unknown fabric {other:?} (use \"hub\" or \"switch\")")),
         };
 
+        // A size whose byte count does not fit its type is an error, not
+        // a silently wrapped size.
+        let too_large = |field: String, n: u64| format!("{field} is {n}: too large in bytes");
+        let file_mb = self.cluster.file_mb;
+        let file_size = (file_mb.checked_mul(1 << 20))
+            .ok_or_else(|| too_large("cluster.file_mb".into(), file_mb))?;
         let apps = self
             .apps
             .iter()
             .map(|a| {
+                let field = |name| format!("app {:?}: {name}", a.name);
+                let total_bytes = (a.total_mb.checked_mul(1 << 20))
+                    .ok_or_else(|| too_large(field("total_mb"), a.total_mb))?;
+                let request_size = (a.request_kb.checked_mul(1 << 10))
+                    .ok_or_else(|| too_large(field("request_kb"), a.request_kb.into()))?;
                 let app = AppSpec {
                     name: a.name.clone(),
                     nodes: a.nodes.iter().map(|&n| NodeId(n)).collect(),
-                    total_bytes: a.total_mb << 20,
-                    request_size: a.request_kb << 10,
+                    total_bytes,
+                    request_size,
                     mode: match a.mode.as_str() {
                         "read" => Mode::Read,
                         "write" => Mode::Write,
@@ -426,7 +437,7 @@ impl ExperimentConfig {
                     sharing: a.sharing,
                     hotspot: a.hotspot,
                     shared_file: "shared".into(),
-                    file_size: self.cluster.file_mb << 20,
+                    file_size,
                     start_delay: Dur::millis(a.start_delay_ms),
                     min_requests: 1,
                     phases: a

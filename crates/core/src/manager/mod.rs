@@ -103,7 +103,10 @@
 //! thread every drain point precedes the next policy *decision*, which
 //! makes drained accounting observation-equivalent to applying every event
 //! at access time — pinned against an independent sequential model of the
-//! manager (`tests/model.rs`).
+//! manager (`tests/model.rs`). A static clock shard — the paper's policy
+//! ranks from the ref words alone — enqueues nothing: a touch is dropped,
+//! a hit or miss bumps its app's striped counter, and the ledger folds
+//! those counts in only when `policy_stats` or `app_usage` reads it.
 //!
 //! **Epoch participation** is explicit and uniform: every access event —
 //! hit, miss, probe hit, and recency touch — advances the facade's epoch

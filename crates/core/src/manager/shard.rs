@@ -14,8 +14,8 @@ use crate::ring::EventRing;
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
-    AccessEvent, AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats, RankedTable,
-    RefWords, ScanFilter,
+    AccessEvent, AdaptiveStats, AppId, AppUsage, FrameTable, GhostRate, PolicyKind, PolicyStats,
+    RankedTable, RefWords, ScanFilter,
 };
 use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
@@ -167,6 +167,42 @@ pub(super) fn lock_leaf<'a, T>(lock: &'a Mutex<T>, waits: &Option<LockWaits>) ->
     guard
 }
 
+/// App ids below this have hit and miss counters of their own in a
+/// static clock shard's [`AppCounts`]; a higher one goes through the ring.
+const COUNTED_APPS: usize = 16;
+
+/// The hits and misses of a static clock shard, per app, kept off the
+/// ring: the ranker never reads them, only the ledger's readers do. Slot
+/// `i < COUNTED_APPS` is `AppId(i)`'s, the last [`AppId::UNKNOWN`]'s.
+/// Each [`Counter`] is striped per thread, so two threads bumping counts
+/// write no common line; the ledger claims the growth under the policy
+/// lock, when it is read ([`Shard::fold_counts`]).
+struct AppCounts(Box<[[Counter; 2]]>);
+
+impl AppCounts {
+    fn new() -> AppCounts {
+        AppCounts((0..=COUNTED_APPS).map(|_| Default::default()).collect())
+    }
+
+    /// `app`'s `[hits, misses]`; `None` past the bound.
+    fn of(&self, app: AppId) -> Option<&[Counter; 2]> {
+        match app {
+            AppId::UNKNOWN => self.0.last(),
+            AppId(id) if (id as usize) < COUNTED_APPS => Some(&self.0[id as usize]),
+            _ => None,
+        }
+    }
+
+    /// The app slot `i` counts for.
+    fn app(i: usize) -> AppId {
+        if i == COUNTED_APPS {
+            AppId::UNKNOWN
+        } else {
+            AppId(i as u32)
+        }
+    }
+}
+
 /// What the policy leaf lock guards: the shard's frame table with the
 /// live ranker over it and, under an adaptive configuration, the
 /// meta-policy's evidence state beside it — fed from the same stream,
@@ -177,6 +213,10 @@ pub(super) struct PolicyState {
     /// `drain_locked`'s batch buffer, kept so that a drain allocates
     /// nothing while it holds the lock another thread is waiting for.
     batch: Vec<AccessEvent>,
+    /// Per [`AppCounts`] slot, the `[hits, misses]` already in the
+    /// ledger: a fold adds only the growth past them (empty without
+    /// counts).
+    claimed: Vec<[u64; 2]>,
 }
 
 impl PolicyState {
@@ -277,21 +317,25 @@ pub(super) struct Shard {
     ref_words: RefWords,
     /// Bounded lock-free side-buffer of deferred [`AccessEvent`]s (see
     /// the module docs); drained into the policy under its leaf lock.
+    /// Exact-LRU, LFU, 2Q, ARC, sharing-aware and every adaptive shard
+    /// route each access through it; a static clock shard only the events
+    /// of apps past [`AppCounts`]' bound.
     ring: EventRing,
-    /// The policy ranks from the atomic ref words (static clock): a
-    /// touch event has no deferred effect at all (the word was stored at
-    /// access time), and an *unattributed* hit/miss nothing beyond a
-    /// counter bump, so both collapse out of the ring — the cheapest
-    /// possible fast path for the paper's default configuration.
-    count_only_unattributed: bool,
+    /// `Some` when the policy ranks from the atomic ref words and nothing
+    /// else reads the stream (static clock): a touch then has no deferred
+    /// effect at all (the word was stored at access time), and a hit or
+    /// miss nothing beyond the ledger's counts, so none of them enters the
+    /// ring — a touch is dropped, a hit or miss bumps its app's counter.
+    /// An adaptive shard keeps every event in the ring even while clock
+    /// is live: its ghosts feed from the stream.
+    counts: Option<AppCounts>,
     /// Store the ref word on hits/touches at all: true when the policy
-    /// ranks from it (clock), consumes the app-touch mask at scan time
-    /// (sharing-aware), or could migrate to either (any adaptive
-    /// configuration). A static LRU/LFU/2Q/ARC manager never consumes the
-    /// words, so it skips the per-hit `fetch_or`.
+    /// ranks from it (clock: no ring, see `counts`), consumes the
+    /// app-touch mask at scan time (sharing-aware, beside its ring), or
+    /// could migrate to either (any adaptive configuration). A static
+    /// LRU/LFU/2Q/ARC manager never consumes the words — its ring replays
+    /// recency — so it skips the per-hit `fetch_or`.
     touch_words: bool,
-    pending_hits: CacheLine<AtomicU64>,
-    pending_misses: CacheLine<AtomicU64>,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     pub(super) obs: Option<ManagerObs>,
@@ -313,11 +357,10 @@ impl Shard {
         let is_adaptive = adaptive.is_some();
         let ranked = adaptive.as_ref().map_or(policy.kind, |a| a.live()).build(capacity);
         let ref_words = ranked.table().ref_words().clone();
-        // Ghost simulators feed from the event stream, so an adaptive
-        // shard keeps every event in the ring even while clock is live.
-        let count_only_unattributed = !is_adaptive && ranked.ranker().ranks_from_ref_words();
-        let touch_words =
-            count_only_unattributed || is_adaptive || ranked.ranker().consumes_app_mask();
+        let counts =
+            (!is_adaptive && ranked.ranker().ranks_from_ref_words()).then(AppCounts::new);
+        let claimed = counts.as_ref().map_or(Vec::new(), |c| vec![[0; 2]; c.0.len()]);
+        let touch_words = counts.is_some() || is_adaptive || ranked.ranker().consumes_app_mask();
         let policy_label = if is_adaptive { "adaptive" } else { policy.kind.name() };
         let waits = |name| LockWaits::resolve(cfg.obs.as_ref(), name);
         Shard {
@@ -333,16 +376,19 @@ impl Shard {
             }),
             free_waits: waits("free"),
             dirty: DirtyQueue::new(waits("dirty")),
-            policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive, batch: Vec::new() })),
+            policy: CacheLine(Mutex::new(PolicyState {
+                ranked,
+                adaptive,
+                batch: Vec::new(),
+                claimed,
+            })),
             policy_waits: waits("policy"),
             ledger: QuotaLedger::new(&cfg.partitioning, share, waits("charges")),
             epoch,
             ref_words,
             ring: EventRing::new(),
-            count_only_unattributed,
+            counts,
             touch_words,
-            pending_hits: CacheLine(AtomicU64::new(0)),
-            pending_misses: CacheLine(AtomicU64::new(0)),
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
                 ManagerObs {
@@ -423,9 +469,33 @@ impl Shard {
         idx
     }
 
+    /// Run `f` on the ledger with every access in it: the queued events
+    /// drained, the counted hits and misses folded. Only the readers that
+    /// report the ledger fold; no decision reads the counts.
+    fn with_ledger<R>(&self, f: impl FnOnce(&FrameTable) -> R) -> R {
+        self.with_drained_policy(|p| {
+            self.fold_counts(p);
+            f(p.ranked.table())
+        })
+    }
+
+    /// Add to the ledger what each [`AppCounts`] slot counted since the
+    /// last fold. Under the policy lock, so every fold reads each stripe
+    /// at least as late as the one before it, and the marks advance
+    /// once per delta.
+    fn fold_counts(&self, p: &mut PolicyState) {
+        let Some(counts) = &self.counts else { return };
+        let table = p.ranked.table_mut();
+        for (i, (slot, claimed)) in counts.0.iter().zip(&mut p.claimed).enumerate() {
+            let now = slot.each_ref().map(Counter::get);
+            table.note_app_counts(AppCounts::app(i), now[0] - claimed[0], now[1] - claimed[1]);
+            *claimed = now;
+        }
+    }
+
     // The shard halves of the facade's readers, documented there.
     pub(super) fn policy_stats(&self) -> PolicyStats {
-        self.with_drained_policy(|p| p.ranked.table().stats)
+        self.with_ledger(|t| t.stats)
     }
 
     pub(super) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
@@ -444,7 +514,7 @@ impl Shard {
     }
 
     pub(super) fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        self.with_drained_policy(|p| p.ranked.table().app_usage())
+        self.with_ledger(FrameTable::app_usage)
     }
 
     pub(super) fn resident_of(&self, app: AppId) -> usize {
@@ -485,19 +555,6 @@ impl Shard {
     /// decide, or report, so deferred events are always applied before
     /// they could be observed missing.
     fn drain_locked(&self, p: &mut PolicyState) {
-        // Collapsed count-only events (see `count_only_unattributed`):
-        // counters commute, and these carry no recency or per-app
-        // information by construction, so their order relative to the
-        // ring's batches is irrelevant.
-        // Load first: an attributed workload never writes these, and a
-        // swap would pull the line exclusive all the same.
-        let take = |pending: &AtomicU64| match pending.load(Ordering::Relaxed) {
-            0 => 0,
-            _ => pending.swap(0, Ordering::Relaxed),
-        };
-        let stats = &mut p.ranked.table_mut().stats;
-        stats.hits += take(&self.pending_hits);
-        stats.misses += take(&self.pending_misses);
         // At most one ring's worth per stripe and call: sustained
         // lock-free producers must not pin the drainer under the policy
         // lock (or grow the batch) indefinitely. Anything newer lands at
@@ -517,7 +574,8 @@ impl Shard {
             // The ledger just drained into is the cheap total here (one
             // line, under the lock held anyway; summing the striped
             // counters reads sixteen): it trails them only by events still
-            // queued, which the next sync point claims.
+            // queued or counts not yet folded, which the next sync point
+            // claims.
             let stats = &p.ranked.table().stats;
             Self::obs_sync_counts(o, stats.hits, stats.misses);
         }
@@ -559,29 +617,20 @@ impl Shard {
         }
     }
 
-    /// Route one access event to the policy through the lock-free ring.
-    /// Unattributed events under a ref-word-ranking policy collapse into
-    /// plain counter bumps — no ring traffic (see
-    /// `count_only_unattributed`). A full ring makes the producer the
-    /// drainer (bounded memory, nothing dropped).
+    /// Route one access event to the policy through the lock-free ring —
+    /// or, on a static clock shard, into its app's counts (see `counts`).
+    /// A full ring makes the producer the drainer (bounded memory,
+    /// nothing dropped).
     fn push_event(&self, ev: AccessEvent) {
-        if self.count_only_unattributed {
-            match ev.kind {
-                // The ref word was already stored at access time; under a
-                // ref-word-ranking policy a touch (any app) defers
-                // nothing — no ledger, no replay — so it never needs
-                // the ring.
-                kcache_policy::AccessKind::Touch => return,
-                kcache_policy::AccessKind::Hit | kcache_policy::AccessKind::ProbeHit
-                    if ev.app == AppId::UNKNOWN =>
-                {
-                    self.pending_hits.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                kcache_policy::AccessKind::Miss if ev.app == AppId::UNKNOWN => {
-                    self.pending_misses.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
+        use kcache_policy::AccessKind::{Hit, Miss, ProbeHit, Touch};
+        if let Some(counts) = &self.counts {
+            match (ev.kind, counts.of(ev.app)) {
+                // The ref word was already stored at access time: a touch
+                // defers nothing — no ledger, no replay.
+                (Touch, _) => return,
+                (Hit | ProbeHit, Some([hits, _])) => return hits.inc(),
+                (Miss, Some([_, misses])) => return misses.inc(),
+                // An app past the table's bound.
                 _ => {}
             }
         }
@@ -1021,6 +1070,52 @@ mod tests {
         assert!(out.iter().all(|&b| b == 7));
         let ps = m.policy_stats();
         assert_eq!((ps.inserts - ps.removes, m.resident()), (2, 2));
+    }
+
+    /// A static clock shard takes no access event into its ring: touches
+    /// are dropped; hits, probe hits and misses of the unattributed
+    /// accessor and of every app below the bound bump that app's counts.
+    /// Only an app past the bound queues events. The ledger's readers
+    /// still count every access exactly once, however often they read.
+    #[test]
+    fn a_static_clock_shard_counts_accesses_off_the_ring() {
+        use kcache_policy::AppId;
+        let m = BufferManager::builder(4).policy(EvictPolicy::of(PolicyKind::Clock)).build();
+        let bytes = vec![1u8; CACHE_BLOCK_SIZE];
+        let (resident, absent) = (BlockKey::new(Fid(1), 0), BlockKey::new(Fid(1), 9));
+        let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes: &bytes };
+        m.access(resident, Access::unattributed(kind));
+        let mut out = vec![0u8; CACHE_BLOCK_SIZE];
+        let mut read = |key, app| {
+            let kind = AccessKind::Read { span: Span::FULL, out: &mut out };
+            m.access(key, Access { app, kind }).is_hit()
+        };
+        let (a, b) = (AppId(0), AppId(super::COUNTED_APPS as u32 - 1));
+        let far = AppId(super::COUNTED_APPS as u32);
+        for app in [a, a, a, b, AppId::UNKNOWN, AppId::UNKNOWN, far] {
+            assert!(read(resident, app));
+        }
+        for app in [a, AppId::UNKNOWN, far] {
+            assert!(!read(absent, app));
+        }
+        let probe = |key, app| m.access(key, Access { app, kind: AccessKind::Probe { span: Span::FULL } });
+        assert!(probe(resident, b).is_hit() && !probe(absent, a).is_hit());
+        for app in [a, AppId::UNKNOWN, far] {
+            assert!(m.access(resident, Access { app, kind: AccessKind::Touch }).is_hit());
+        }
+        let mut queued = Vec::new();
+        m.shards[0].ring.drain_into(&mut queued);
+        assert_eq!(queued.iter().map(|ev| ev.app).collect::<Vec<_>>(), [far, far]);
+        m.shards[0].lock_policy().drain(&queued);
+        for _ in 0..2 {
+            let usage = m.app_usage();
+            let counts: Vec<_> = usage.iter().map(|(app, u)| (*app, u.hits, u.misses)).collect();
+            assert_eq!(counts, [(a, 3, 2), (b, 2, 0), (far, 1, 1)], "per-app ledger");
+            let ps = m.policy_stats();
+            assert_eq!((ps.hits, ps.misses), (8, 4), "totals");
+        }
+        let s = m.stats();
+        assert_eq!((s.hits, s.misses), (8, 4));
     }
 
     /// The lock-wait instruments count an acquisition exactly when the

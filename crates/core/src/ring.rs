@@ -4,6 +4,13 @@
 //! policy (consumer: whoever next takes the policy lock drains the rings
 //! via [`RankedTable::drain`]).
 //!
+//! **Who uses it.** Every shard ranked by exact-LRU, LFU, 2Q, ARC or
+//! sharing-aware (their `on_access` replay and per-app ledger come from
+//! it), and every adaptive shard whatever its live policy (the ghosts feed
+//! from it). A static clock shard ranks from the ref words alone and
+//! counts its hits and misses per app off the ring; only an app id past
+//! that count table's bound still pushes here.
+//!
 //! Each queue is `kcache-obs`'s [`SlotRing`] (the bounded Vyukov MPMC ring
 //! the trace ring also uses); this file is only the [`AccessEvent`] ⇄
 //! three-word encoding, the striping and the overflow policy.

@@ -508,12 +508,13 @@ fn key(block: u64) -> BlockKey {
     BlockKey::new(Fid(1), block)
 }
 
+/// 3 is the unattributed accessor, 4 an app past the bound of a static
+/// clock shard's per-app counts (16 ids), whose events take the ring.
 fn app(id: u32) -> AppId {
-    // 3 is the unattributed accessor.
-    if id == 3 {
-        AppId::UNKNOWN
-    } else {
-        AppId(id)
+    match id {
+        3 => AppId::UNKNOWN,
+        4 => AppId(40),
+        _ => AppId(id),
     }
 }
 
@@ -699,7 +700,7 @@ impl Pair {
         assert_eq!(ps, m.ranked.table().stats, "{label}: policy stats");
         assert_eq!(real.app_usage(), m.ranked.table().app_usage(), "{label}: app usage");
         assert_eq!(real.dirty_queue_len(), m.dirty.len(), "{label}: dirty queue");
-        for id in 0..4 {
+        for id in 0..5 {
             let quota = m.apps.get(&app(id).0).map(|&(q, _)| q);
             assert_eq!(real.quota_of(app(id)), quota, "{label}: quota of app {id}");
         }
@@ -827,14 +828,16 @@ fn span_of(code: u64) -> Span {
 proptest! {
     /// Random op sequences over every `Access` kind, flushes with and
     /// without outstanding acknowledgments, invalidations and harvests × 3
-    /// apps and the unattributed accessor × {shared, strict, soft} × the
-    /// six policies and the adaptive manager × `clean_first`.
+    /// apps, the unattributed accessor and an app past the clock shard's
+    /// counted ids (so both of its counting paths, the per-app counts and
+    /// the ring, are compared) × {shared, strict, soft} × the six
+    /// policies and the adaptive manager × `clean_first`.
     #[test]
     fn random_ops_match_the_model(
         setup in 0usize..10,
         mode in 0usize..3,
         clean_first in any::<bool>(),
-        raw in collection::vec((0u8..31, 0u64..14, 0u32..4, 0u64..4), 1..400),
+        raw in collection::vec((0u8..31, 0u64..14, 0u32..5, 0u64..4), 1..400),
     ) {
         let ops: Vec<Op> = raw
             .into_iter()

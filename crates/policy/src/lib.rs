@@ -405,10 +405,11 @@ pub trait ReplacementPolicy: Send {
     /// `on_access` replay? [`RankedTable::drain`] then skips that replay —
     /// the producer already stored the recency word at access time, and
     /// replaying it later could resurrect a reference bit an eviction scan
-    /// legitimately consumed in between — and producers collapse
-    /// *unattributed* hit/miss/touch events, whose only other deferred
-    /// effect is a counter bump ([`AppId::UNKNOWN`] never enters the
-    /// per-app ledger), into plain atomic counters instead of ring traffic.
+    /// legitimately consumed in between — so a hit or miss has no deferred
+    /// effect beyond the ledger's counts, and a static manager keeps such
+    /// a policy's events out of its ring altogether: touches dropped, hits
+    /// and misses counted per app and folded in with
+    /// [`FrameTable::note_app_counts`] when the ledger is read.
     fn ranks_from_ref_words(&self) -> bool {
         false
     }

@@ -277,6 +277,20 @@ impl FrameTable {
         }
     }
 
+    /// Add `hits` and `misses` counted outside the event stream to the
+    /// totals and, for a known app, to its row — the bulk form of
+    /// `stats.hits += 1; note_app_hit(app)` and its miss twin. A row is
+    /// opened only for a non-zero count, as a single event opens one.
+    pub fn note_app_counts(&mut self, app: AppId, hits: u64, misses: u64) {
+        self.stats.hits += hits;
+        self.stats.misses += misses;
+        if app != AppId::UNKNOWN && hits + misses > 0 {
+            let u = self.per_app.entry(app.0).or_default();
+            u.hits += hits;
+            u.misses += misses;
+        }
+    }
+
     /// Attribute the eviction of one of `app`'s frames.
     pub fn note_app_eviction(&mut self, app: AppId) {
         if app != AppId::UNKNOWN {

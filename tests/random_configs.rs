@@ -378,12 +378,15 @@ fn retired_keys_parse_and_change_nothing() {
 /// `Coordinator::new`: each is an `Err` from `to_spec` now.
 #[test]
 fn configs_the_builders_would_panic_on_are_errors() {
-    let config = |cluster: &str, nodes: &str, request_kb: u32, app: &str| {
+    let sized = |cluster: &str, nodes: &str, total_mb: u64, request_kb: u32, app: &str| {
         format!(
             r#"{{ "cluster": {{ {cluster} }},
-                 "apps": [ {{ "name": "a", "nodes": {nodes}, "total_mb": 1,
+                 "apps": [ {{ "name": "a", "nodes": {nodes}, "total_mb": {total_mb},
                              "request_kb": {request_kb}, "mode": "read" {app} }} ] }}"#
         )
+    };
+    let config = |cluster: &str, nodes: &str, request_kb: u32, app: &str| {
+        sized(cluster, nodes, 1, request_kb, app)
     };
     for (json, what) in [
         (config("", "[0]", 0, ""), "request size"),
@@ -392,6 +395,11 @@ fn configs_the_builders_would_panic_on_are_errors() {
         (config("", "[]", 64, ""), "no nodes"),
         (config(r#""file_mb": 0"#, "[0]", 64, ""), "file"),
         (r#"{ "apps": [] }"#.to_string(), "apps"),
+        // Sizes whose byte counts used to wrap silently: 2^22 + 1 KB is
+        // 1 KB in a u32, 2^44 + 1 MB is 1 MB in a u64.
+        (config("", "[0]", (1 << 22) + 1, ""), "request_kb"),
+        (sized("", "[0]", (1 << 44) + 1, 64, ""), "total_mb"),
+        (config(r#""file_mb": 17592186044417"#, "[0]", 64, ""), "file_mb"),
     ] {
         let cfg = ExperimentConfig::from_json(&json).expect("well-formed JSON");
         let err = cfg.to_spec().map(|_| ()).expect_err(&format!("{what}: must not lower"));
