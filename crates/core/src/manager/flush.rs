@@ -41,7 +41,6 @@ impl Shard {
     /// flight merge into the frame and re-queue it for a follow-up flush.
     pub(super) fn take_dirty(&self, max: usize) -> Vec<FlushItem> {
         let mut out = Vec::new();
-        let mut taken: Vec<u32> = Vec::new();
         let mut requeue: Vec<u32> = Vec::new();
         while out.len() < max {
             let Some(idx) = self.dirty.lock().pop_front() else { break };
@@ -62,19 +61,14 @@ impl Shard {
             out.push(f.flush_item(key));
             f.flushing = true;
             f.in_dirty_list = false;
-            taken.push(idx);
+            // Pin the in-flight frame so no policy offers it as a
+            // candidate: its word, stored under its lock.
+            self.words.set_pinned(idx, true);
         }
         if !requeue.is_empty() {
             let mut d = self.dirty.lock();
             for idx in requeue.into_iter().rev() {
                 d.push_front(idx);
-            }
-        }
-        if !taken.is_empty() {
-            // Pin in-flight frames so no policy offers them as candidates.
-            let mut p = self.lock_policy();
-            for idx in taken {
-                p.ranked.table_mut().set_pinned(idx, true);
             }
         }
         self.stats.flush_blocks.add(out.len() as u64);
@@ -86,25 +80,24 @@ impl Shard {
     /// the flight, in which case the merged span stays queued for the next
     /// flush round.
     pub(super) fn flush_complete(&self, key: BlockKey, span: Span) {
-        let idx = {
-            let b = self.bucket(&key);
-            let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
-                return; // invalidated or evicted during the flight
-            };
-            let mut f = self.frame(idx);
-            if f.key != Some(key) {
-                return;
-            }
-            f.flushing = false;
-            if !f.in_dirty_list && f.dirty == span {
-                // No writes landed during the flight: clean.
-                f.dirty = Span::EMPTY;
-            }
-            // Otherwise the (merged) dirty span is already queued for
-            // re-flush.
-            idx
+        let b = self.bucket(&key);
+        let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
+            return; // invalidated or evicted during the flight
         };
-        self.lock_policy().ranked.table_mut().set_pinned(idx, false);
+        let mut f = self.frame(idx);
+        if f.key != Some(key) {
+            return;
+        }
+        f.flushing = false;
+        if !f.in_dirty_list && f.dirty == span {
+            // No writes landed during the flight: clean.
+            f.dirty = Span::EMPTY;
+        }
+        // Otherwise the (merged) dirty span is already queued for
+        // re-flush. Unpinned while the frame is still held: once it is
+        // let go, the frame may be evicted and refilled, and a later
+        // unpin would clear its next tenant's pin.
+        self.words.set_pinned(idx, false);
     }
 
     /// Drop cached copies of the listed blocks (sync-write coherence).
@@ -128,14 +121,7 @@ impl Shard {
                 f.flushing = false;
                 idx
             };
-            // Pending accesses to this block must land before its removal.
-            let owner = self.with_drained_policy(|p| {
-                let owner = p.ranked.table().owner_of(idx);
-                // Coherence drop, not capacity pressure: the adaptive
-                // tuner's refault memory never hears of it.
-                p.ranked.remove(idx, key.hash());
-                owner
-            });
+            let owner = self.forget(idx, key);
             self.ledger.uncharge(owner);
             self.push_free(idx);
             dropped += 1;
@@ -179,8 +165,8 @@ impl Shard {
             match evicted {
                 Some((idx, victim)) => {
                     debug_assert!(victim.flush.is_none());
-                    // No install, so no filing hold to carry it to.
-                    let owner = self.lock_policy().settle_eviction(idx, &victim);
+                    // No install to carry it to: settled at once.
+                    let owner = self.settle_eviction(idx, &victim);
                     self.ledger.uncharge(owner);
                     self.push_free(idx);
                 }

@@ -22,7 +22,7 @@
 //!   exercised by real multi-threaded stress tests, not only by the
 //!   single-threaded simulation.
 //!
-//! ## Layout: five modules that own their locks
+//! ## Layout: six modules that own their locks
 //!
 //! * `shard` — one self-contained slice of the pool: frames, hash
 //!   buckets, the free list, the policy leaf (frame table, ranker,
@@ -31,6 +31,10 @@
 //!   reach frames, buckets and the policy through its accessors.
 //! * `admission` — the quota ledger (one per shard), the facade's global
 //!   quotas, frame acquisition under a quota, the strict-quota spill.
+//! * `sweep` — the policy side of a frame changing tenants: the eviction
+//!   scan's candidates, settling a victim, filing an install, un-filing,
+//!   forgetting an invalidated block; a static clock shard's per-app
+//!   ledger counts.
 //! * `flush` — the dirty queue and what drains or bypasses it:
 //!   `take_dirty`, `flush_complete`, `invalidate`, the harvester sweep.
 //! * `epoch` — the epoch clock and CAS gate, the boundary (observe each
@@ -54,17 +58,27 @@
 //! and `charges` are leaf locks — never held while acquiring a bucket or
 //! frame lock, and **never nested** in one another. No lock is ever held
 //! across a shard boundary. Evictions ask the policy for a candidate
-//! (policy lock only), release, then take bucket → frame and revalidate;
-//! the policy may thus offer a candidate that has since changed hands, and
-//! the manager simply asks for the next one.
+//! (policy lock only, or none at all on a static clock shard), release,
+//! then claim the frame: `try_lock` it (a frame another thread holds is
+//! skipped), read its key, retake bucket → frame and revalidate. The
+//! policy may thus offer a candidate that has since changed hands, or
+//! that another scan is claiming too; the first to retake it evicts, the
+//! other simply asks for the next one.
 //!
-//! An evicting miss takes the policy lock **twice** when its first
-//! candidate is accepted: one hold drains, begins the scan and takes that
-//! candidate; one files the incoming block — the victim's removal and
-//! ledger entries travel with the frame to it — **before the block is
-//! visible in its bucket**, so the table never describes a previous tenant
-//! of a frame a scan can evict (a lost install race un-files). Harvester
-//! and invalidation removals settle at once.
+//! An evicting miss on any shard but a static clock one takes the policy
+//! lock **twice** when its first candidate is accepted: one hold drains,
+//! begins the scan and takes that candidate; one files the incoming block
+//! — the victim's removal and ledger entries travel with the frame to it
+//! — **before the block is visible in its bucket**, so the residency words
+//! never describe a previous tenant of a frame a scan can evict (a lost
+//! install race un-files). Harvester and invalidation removals settle at
+//! once. A static clock shard — the paper's configuration — takes it
+//! **not at all**: its scans sweep an atomic clock hand, and filing,
+//! settling, un-filing, pins and unpins store the per-frame residency
+//! words ([`FrameWords`](kcache_policy::FrameWords)) and count the ledger
+//! in striped per-app counters, in the same order and under the same
+//! frame locks. Only the ledger's readers take the lock, to fold the
+//! counts in.
 //!
 //! ## Quotas: one ledger per shard, one global quota per app
 //!
@@ -125,6 +139,7 @@ mod epoch;
 mod facade;
 mod flush;
 mod shard;
+mod sweep;
 #[cfg(test)]
 mod tests;
 

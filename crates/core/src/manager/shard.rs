@@ -1,21 +1,22 @@
 //! One shard of the cache: frames, hash buckets, the free list, the policy
 //! leaf and the event ring, with the hit / miss / install / evict paths
-//! over them. Every `Mutex` field here is private; `admission`, `flush`
-//! and `epoch` reach frames, buckets and the policy through the accessors
-//! below, and own the locks of their own state.
+//! over them. Every `Mutex` field here is private; `admission`, `flush`,
+//! `sweep` and `epoch` reach frames, buckets and the policy through the
+//! accessors below, and own the locks of their own state.
 
 use super::admission::QuotaLedger;
 use super::epoch::EpochTicker;
 use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
+use super::sweep::{Sweep, COLS};
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::ring::EventRing;
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
-    AccessEvent, AdaptiveStats, AppId, AppUsage, FrameTable, GhostRate, PolicyKind, PolicyStats,
-    RankedTable, RefWords, ScanFilter,
+    AccessEvent, AdaptiveStats, AppId, AppUsage, FrameTable, FrameWords, GhostRate, PolicyKind,
+    PolicyStats, RankedTable, RefWords, ScanFilter,
 };
 use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
@@ -167,42 +168,6 @@ pub(super) fn lock_leaf<'a, T>(lock: &'a Mutex<T>, waits: &Option<LockWaits>) ->
     guard
 }
 
-/// App ids below this have hit and miss counters of their own in a
-/// static clock shard's [`AppCounts`]; a higher one goes through the ring.
-const COUNTED_APPS: usize = 16;
-
-/// The hits and misses of a static clock shard, per app, kept off the
-/// ring: the ranker never reads them, only the ledger's readers do. Slot
-/// `i < COUNTED_APPS` is `AppId(i)`'s, the last [`AppId::UNKNOWN`]'s.
-/// Each [`Counter`] is striped per thread, so two threads bumping counts
-/// write no common line; the ledger claims the growth under the policy
-/// lock, when it is read ([`Shard::fold_counts`]).
-struct AppCounts(Box<[[Counter; 2]]>);
-
-impl AppCounts {
-    fn new() -> AppCounts {
-        AppCounts((0..=COUNTED_APPS).map(|_| Default::default()).collect())
-    }
-
-    /// `app`'s `[hits, misses]`; `None` past the bound.
-    fn of(&self, app: AppId) -> Option<&[Counter; 2]> {
-        match app {
-            AppId::UNKNOWN => self.0.last(),
-            AppId(id) if (id as usize) < COUNTED_APPS => Some(&self.0[id as usize]),
-            _ => None,
-        }
-    }
-
-    /// The app slot `i` counts for.
-    fn app(i: usize) -> AppId {
-        if i == COUNTED_APPS {
-            AppId::UNKNOWN
-        } else {
-            AppId(i as u32)
-        }
-    }
-}
-
 /// What the policy leaf lock guards: the shard's frame table with the
 /// live ranker over it and, under an adaptive configuration, the
 /// meta-policy's evidence state beside it — fed from the same stream,
@@ -213,10 +178,10 @@ pub(super) struct PolicyState {
     /// `drain_locked`'s batch buffer, kept so that a drain allocates
     /// nothing while it holds the lock another thread is waiting for.
     batch: Vec<AccessEvent>,
-    /// Per [`AppCounts`] slot, the `[hits, misses]` already in the
-    /// ledger: a fold adds only the growth past them (empty without
-    /// counts).
-    claimed: Vec<[u64; 2]>,
+    /// Per [`AppCounts`](super::sweep::AppCounts) slot, the counts
+    /// already in the ledger: a fold adds only the growth past them (empty
+    /// without a [`Sweep`]).
+    pub(super) claimed: Vec<[u64; COLS]>,
 }
 
 impl PolicyState {
@@ -229,7 +194,8 @@ impl PolicyState {
         self.ranked.drain(events);
     }
 
-    /// The policy-side half of evicting `victim` from frame `idx`. Returns
+    /// The policy-side half of evicting `victim` from frame `idx` under
+    /// the lock ([`Shard::settle_eviction`] has the lock-free one). Returns
     /// the block's owner: the caller uncharges it once the lock is dropped.
     pub(super) fn settle_eviction(&mut self, idx: u32, victim: &Victim) -> AppId {
         let table = self.ranked.table_mut();
@@ -252,9 +218,9 @@ impl PolicyState {
 }
 
 /// The previous tenant of a frame an eviction scan just emptied: gone from
-/// bucket and frame, its [`PolicyState::settle_eviction`] still owed. An
-/// install carries it with the frame to the hold that files the incoming
-/// block ([`Shard::file_insert`]); the harvester settles it at once.
+/// bucket and frame, its [`Shard::settle_eviction`] still owed. An install
+/// carries it with the frame to where it files the incoming block
+/// ([`Shard::file_insert`]); the harvester settles it at once.
 pub(super) struct Victim {
     key: BlockKey,
     /// The dirty snapshot, when a dirty frame had to be sacrificed.
@@ -277,7 +243,7 @@ thread_local! {
     /// Run once by this thread's next `try_evict_idx`, between its look at
     /// the frame's key and its retake in bucket → frame order: a test plays
     /// the other thread there.
-    static BETWEEN_LOOKS: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
+    pub(super) static BETWEEN_LOOKS: std::cell::RefCell<Option<Box<dyn FnOnce()>>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -297,14 +263,20 @@ pub(super) struct Shard {
     pub(super) low_watermark: usize,
     pub(super) high_watermark: usize,
     frames: Vec<Mutex<Frame>>,
+    /// Shared handle to the frame table's per-frame residency words
+    /// (resident, pinned, owner, key): pins and unpins store them under
+    /// the frame lock on every shard, and a static clock shard's whole
+    /// eviction path stores them without the policy lock (`sweep.rs`).
+    pub(super) words: FrameWords,
     buckets: Vec<Mutex<Vec<(BlockKey, u32)>>>,
     // Every leaf lock and written atomic below sits on a [`CacheLine`] of
     // its own, away from the read-mostly fields every hit loads.
     free: CacheLine<FreeList>,
     free_waits: Option<LockWaits>,
     pub(super) dirty: DirtyQueue,
-    /// Leaf lock (see module docs): the frame table (residency, pins,
-    /// owners, the per-app ledger), candidate ranking and recency state.
+    /// Leaf lock (see module docs): the frame table's ledger, candidate
+    /// ranking and recency state; on every shard but a static clock one,
+    /// also every store to the residency words but a pin.
     policy: CacheLine<Mutex<PolicyState>>,
     policy_waits: Option<LockWaits>,
     pub(super) ledger: QuotaLedger,
@@ -314,23 +286,24 @@ pub(super) struct Shard {
     /// words — the lock-free half of the hit fast path. Cloned out of the
     /// table once at construction; live policy migration keeps the table,
     /// so the handle never goes stale.
-    ref_words: RefWords,
+    pub(super) ref_words: RefWords,
     /// Bounded lock-free side-buffer of deferred [`AccessEvent`]s (see
     /// the module docs); drained into the policy under its leaf lock.
     /// Exact-LRU, LFU, 2Q, ARC, sharing-aware and every adaptive shard
-    /// route each access through it; a static clock shard only the events
-    /// of apps past [`AppCounts`]' bound.
+    /// route each access through it; a static clock shard only the hits
+    /// and misses of apps past its counts' bound.
     ring: EventRing,
-    /// `Some` when the policy ranks from the atomic ref words and nothing
-    /// else reads the stream (static clock): a touch then has no deferred
-    /// effect at all (the word was stored at access time), and a hit or
-    /// miss nothing beyond the ledger's counts, so none of them enters the
-    /// ring — a touch is dropped, a hit or miss bumps its app's counter.
-    /// An adaptive shard keeps every event in the ring even while clock
-    /// is live: its ghosts feed from the stream.
-    counts: Option<AppCounts>,
+    /// `Some` on a static clock shard: the policy ranks from the atomic
+    /// words alone and nothing else reads the stream, so its scans sweep
+    /// the clock hand and its ledger is counted per app, all without the
+    /// policy lock (`sweep.rs`). A touch then has no deferred effect at
+    /// all (the word was stored at access time), and a hit or miss nothing
+    /// beyond the ledger's counts, so none of them enters the ring. An
+    /// adaptive shard keeps every event in the ring and every step under
+    /// the lock even while clock is live: its ghosts feed from the stream.
+    pub(super) sweep: Option<Sweep>,
     /// Store the ref word on hits/touches at all: true when the policy
-    /// ranks from it (clock: no ring, see `counts`), consumes the
+    /// ranks from it (clock: no ring, see `sweep`), consumes the
     /// app-touch mask at scan time (sharing-aware, beside its ring), or
     /// could migrate to either (any adaptive configuration). A static
     /// LRU/LFU/2Q/ARC manager never consumes the words — its ring replays
@@ -357,10 +330,11 @@ impl Shard {
         let is_adaptive = adaptive.is_some();
         let ranked = adaptive.as_ref().map_or(policy.kind, |a| a.live()).build(capacity);
         let ref_words = ranked.table().ref_words().clone();
-        let counts =
-            (!is_adaptive && ranked.ranker().ranks_from_ref_words()).then(AppCounts::new);
-        let claimed = counts.as_ref().map_or(Vec::new(), |c| vec![[0; 2]; c.0.len()]);
-        let touch_words = counts.is_some() || is_adaptive || ranked.ranker().consumes_app_mask();
+        let words = ranked.table().frame_words().clone();
+        let hand = ranked.ranker().clock_hand().filter(|_| !is_adaptive);
+        let sweep = hand.cloned().map(Sweep::new);
+        let claimed = sweep.as_ref().map_or(Vec::new(), Sweep::unclaimed);
+        let touch_words = sweep.is_some() || is_adaptive || ranked.ranker().consumes_app_mask();
         let policy_label = if is_adaptive { "adaptive" } else { policy.kind.name() };
         let waits = |name| LockWaits::resolve(cfg.obs.as_ref(), name);
         Shard {
@@ -369,6 +343,7 @@ impl Shard {
             low_watermark,
             high_watermark,
             frames: (0..capacity).map(|_| Mutex::new(Frame::empty())).collect(),
+            words,
             buckets: (0..n_buckets).map(|_| Mutex::new(Vec::new())).collect(),
             free: CacheLine(FreeList {
                 frames: Mutex::new((0..capacity as u32).rev().collect()),
@@ -387,7 +362,7 @@ impl Shard {
             epoch,
             ref_words,
             ring: EventRing::new(),
-            counts,
+            sweep,
             touch_words,
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
@@ -415,6 +390,12 @@ impl Shard {
     #[inline]
     pub(super) fn frame(&self, idx: u32) -> MutexGuard<'_, Frame> {
         self.frames[idx as usize].lock()
+    }
+
+    /// The frame, unless another thread holds it.
+    #[inline]
+    fn try_frame(&self, idx: u32) -> Option<MutexGuard<'_, Frame>> {
+        self.frames[idx as usize].try_lock()
     }
 
     /// The hash bucket `key` belongs to (lock order: bucket → frame).
@@ -470,27 +451,13 @@ impl Shard {
     }
 
     /// Run `f` on the ledger with every access in it: the queued events
-    /// drained, the counted hits and misses folded. Only the readers that
-    /// report the ledger fold; no decision reads the counts.
+    /// drained, a static clock shard's counts folded. Only the readers
+    /// that report the ledger fold; no decision reads the counts.
     fn with_ledger<R>(&self, f: impl FnOnce(&FrameTable) -> R) -> R {
         self.with_drained_policy(|p| {
             self.fold_counts(p);
             f(p.ranked.table())
         })
-    }
-
-    /// Add to the ledger what each [`AppCounts`] slot counted since the
-    /// last fold. Under the policy lock, so every fold reads each stripe
-    /// at least as late as the one before it, and the marks advance
-    /// once per delta.
-    fn fold_counts(&self, p: &mut PolicyState) {
-        let Some(counts) = &self.counts else { return };
-        let table = p.ranked.table_mut();
-        for (i, (slot, claimed)) in counts.0.iter().zip(&mut p.claimed).enumerate() {
-            let now = slot.each_ref().map(Counter::get);
-            table.note_app_counts(AppCounts::app(i), now[0] - claimed[0], now[1] - claimed[1]);
-            *claimed = now;
-        }
     }
 
     // The shard halves of the facade's readers, documented there.
@@ -518,7 +485,7 @@ impl Shard {
     }
 
     pub(super) fn resident_of(&self, app: AppId) -> usize {
-        self.lock_policy().ranked.table().resident_of(app)
+        self.with_ledger(|t| t.resident_of(app))
     }
 
     pub(super) fn stats(&self) -> CacheStats {
@@ -554,7 +521,7 @@ impl Shard {
     /// manager drains at every point where the policy is about to rank,
     /// decide, or report, so deferred events are always applied before
     /// they could be observed missing.
-    fn drain_locked(&self, p: &mut PolicyState) {
+    pub(super) fn drain_locked(&self, p: &mut PolicyState) {
         // At most one ring's worth per stripe and call: sustained
         // lock-free producers must not pin the drainer under the policy
         // lock (or grow the batch) indefinitely. Anything newer lands at
@@ -618,20 +585,23 @@ impl Shard {
     }
 
     /// Route one access event to the policy through the lock-free ring —
-    /// or, on a static clock shard, into its app's counts (see `counts`).
+    /// or, on a static clock shard, into its app's counts (see `sweep`).
     /// A full ring makes the producer the drainer (bounded memory,
     /// nothing dropped).
     fn push_event(&self, ev: AccessEvent) {
+        use super::sweep::Col;
         use kcache_policy::AccessKind::{Hit, Miss, ProbeHit, Touch};
-        if let Some(counts) = &self.counts {
-            match (ev.kind, counts.of(ev.app)) {
+        if let Some(sweep) = &self.sweep {
+            let counted = match ev.kind {
                 // The ref word was already stored at access time: a touch
                 // defers nothing — no ledger, no replay.
-                (Touch, _) => return,
-                (Hit | ProbeHit, Some([hits, _])) => return hits.inc(),
-                (Miss, Some([_, misses])) => return misses.inc(),
-                // An app past the table's bound.
-                _ => {}
+                Touch => true,
+                Hit | ProbeHit => sweep.counts.bump(ev.app, Col::Hits),
+                Miss => sweep.counts.bump(ev.app, Col::Misses),
+            };
+            // Not counted: an app past the counts' bound.
+            if counted {
+                return;
             }
         }
         if !self.ring.push(ev) {
@@ -771,51 +741,6 @@ impl Shard {
         AccessOutcome::Hit
     }
 
-    /// File the block about to be installed into frame `idx` with the
-    /// policy, in **one hold, before the block is visible** in its bucket:
-    /// the evicted tenant's bookkeeping ([`Victim`]), the ghosts' view of
-    /// the reference, the insert (clock inserts with the reference bit
-    /// clear — a block earns its second chance by being read; LRU-style
-    /// policies link at the MRU end; ghost-list policies consult their
-    /// history of `key`). So no concurrent scan is ever offered a frame
-    /// whose table entry describes the previous tenant; a caller that then
-    /// loses the install race un-files ([`unfile`](Self::unfile)).
-    ///
-    /// The ring is drained first, so accesses that preceded the install
-    /// keep their order — unless a scan found `victim`: it drained a moment
-    /// ago and this thread has queued nothing since. The old owner's
-    /// uncharge follows the hold: over-counted until then, strict quotas
-    /// err toward denying, never toward over-admitting.
-    fn file_insert(&self, idx: u32, key: BlockKey, app: AppId, victim: Option<&Victim>) {
-        let mut p = self.lock_policy();
-        let evicted_owner = match victim {
-            Some(victim) => Some(p.settle_eviction(idx, victim)),
-            None => {
-                self.drain_locked(&mut p);
-                None
-            }
-        };
-        if let Some(a) = &mut p.adaptive {
-            // An insert is the tail of a miss in the live stream: the
-            // ghosts see the same reference.
-            a.observe(key.hash(), app);
-        }
-        p.ranked.insert(idx, key.hash(), app);
-        drop(p);
-        if let Some(owner) = evicted_owner {
-            self.ledger.uncharge(owner);
-        }
-    }
-
-    /// A lost install race (`key` went resident in another frame first):
-    /// take the filed, never visible block back out of the policy — ghost
-    /// lists hear of it as of any removal — and recycle frame and charge.
-    fn unfile(&self, idx: u32, key: BlockKey, app: AppId) {
-        self.lock_policy().ranked.remove(idx, key.hash());
-        self.push_free(idx);
-        self.ledger.uncharge(app);
-    }
-
     /// Put `span` of `key` into the cache — `dirty`: a write-behind absorb,
     /// else fetched clean bytes. Merges in place when the block is
     /// resident (a recency touch); otherwise acquires a frame (a write
@@ -935,13 +860,14 @@ impl Shard {
 
     /// Evict one block and return its (now unlinked) frame, optionally
     /// restricted to frames owned by one application (the partition-local
-    /// scan). Candidate *ranking* comes from the policy; what the shared
-    /// table knows of *admissibility* — residency, pins, the owner —
-    /// travels as a [`ScanFilter`] on every `next_candidate` call (never
-    /// stored in the policy, so a concurrent scan can interleave with this
-    /// one but never widen or redirect its boundary) and is applied inside
-    /// the ranker's own hold; what only the frame knows (dirty, in flight)
-    /// stays with [`try_evict_idx`](Self::try_evict_idx).
+    /// scan). Candidate *ranking* comes from the policy — the clock sweep,
+    /// or the ranker under its lock ([`first_candidate`](Self::first_candidate));
+    /// what the residency words say of *admissibility* — residency, pins,
+    /// the owner — travels as a [`ScanFilter`] on every step (never stored
+    /// in the policy, so a concurrent scan can interleave with this one
+    /// but never widen or redirect its boundary); what only the frame
+    /// knows (dirty, in flight) stays with
+    /// [`try_evict_idx`](Self::try_evict_idx).
     pub(super) fn evict_one_owned(
         &self,
         allow_dirty: bool,
@@ -954,16 +880,10 @@ impl Shard {
         let clean_passes: &[bool] =
             if self.policy_cfg.clean_first { &[true, false] } else { &[false] };
         for &clean_only in clean_passes {
-            // One hold ranks over up-to-date metadata — every deferred
-            // access applied before the scan decides a victim order —
-            // and walks to the scan's first admissible frame.
-            let mut filter = ScanFilter { owner, examined: 0 };
-            let mut candidate = self.with_drained_policy(|p| {
-                p.ranked.begin_scan();
-                p.ranked.next_candidate(&mut filter)
-            });
+            let (mut filter, mut budget) = (ScanFilter { owner, examined: 0 }, 0);
+            let mut candidate = self.first_candidate(&mut budget, &mut filter);
             while let Some(idx) = candidate {
-                if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty) {
+                if let Some(victim) = self.try_evict_idx(idx, clean_only, allow_dirty, owner) {
                     if let Some(o) = &self.obs {
                         o.scan_visits.record(filter.examined);
                         let dirty = victim.flush.is_some() as u64;
@@ -971,26 +891,35 @@ impl Shard {
                     }
                     return Some((idx, victim));
                 }
-                // Leaf lock only while asking; dropped before
-                // bucket/frame.
-                candidate = self.lock_policy().ranked.next_candidate(&mut filter);
+                candidate = self.next_candidate(&mut budget, &mut filter);
             }
         }
         None
     }
 
-    /// Unlink the block in frame `idx` from bucket and frame if the frame
-    /// itself agrees it is an admissible victim. The policy-side half is
-    /// the caller's to settle ([`Victim`]); until then the table still
-    /// describes the old tenant, and a concurrent scan offered this frame
-    /// finds it keyless, moves on.
-    fn try_evict_idx(&self, idx: u32, clean_only: bool, allow_dirty: bool) -> Option<Victim> {
+    /// Claim frame `idx` for eviction: unlink its block from bucket and
+    /// frame if the frame itself agrees it is an admissible victim. The
+    /// policy-side half is the caller's to settle ([`Victim`]); until then
+    /// the residency words still describe the old tenant, and a concurrent
+    /// scan offered this frame finds it keyless, moves on. Two scans offered
+    /// the same frame both look; the first to retake it in bucket → frame
+    /// order evicts, the other finds the key gone and asks for its next
+    /// candidate.
+    fn try_evict_idx(
+        &self,
+        idx: u32,
+        clean_only: bool,
+        allow_dirty: bool,
+        owner: Option<AppId>,
+    ) -> Option<Victim> {
         // In flight to the iod: untouchable. Dirty: only a pass that
         // allows it.
         let admissible = |f: &Frame| !f.flushing && !(f.is_dirty() && (clean_only || !allow_dirty));
-        // Read the key briefly, then retake in bucket → frame order.
+        // Read the key briefly, then retake in bucket → frame order. A
+        // frame another thread holds is in use (a copy, a merge, another
+        // evictor's look): the scan moves on rather than wait for it.
         let key = {
-            let f = self.frame(idx);
+            let f = self.try_frame(idx)?;
             let key = f.key?; // free or being reassigned
             if !admissible(&f) {
                 return None;
@@ -1003,8 +932,11 @@ impl Shard {
         }
         let mut bucket = self.bucket(&key);
         let mut f = self.frame(idx);
-        // Changed hands, or changed state, meanwhile?
-        if f.key != Some(key) || !admissible(&f) {
+        // Changed hands, or changed state, meanwhile? The owner is read
+        // again too, now that the frame is held: a partition-local scan
+        // read its word before a tenant it did not pick could move in.
+        let foreign = owner.is_some_and(|o| self.words.owner_of(idx) != o);
+        if f.key != Some(key) || !admissible(&f) || foreign {
             return None;
         }
         let flush = if f.is_dirty() {
@@ -1090,15 +1022,16 @@ mod tests {
             let kind = AccessKind::Read { span: Span::FULL, out: &mut out };
             m.access(key, Access { app, kind }).is_hit()
         };
-        let (a, b) = (AppId(0), AppId(super::COUNTED_APPS as u32 - 1));
-        let far = AppId(super::COUNTED_APPS as u32);
+        let (a, b) = (AppId(0), AppId(super::super::sweep::COUNTED_APPS as u32 - 1));
+        let far = AppId(super::super::sweep::COUNTED_APPS as u32);
         for app in [a, a, a, b, AppId::UNKNOWN, AppId::UNKNOWN, far] {
             assert!(read(resident, app));
         }
         for app in [a, AppId::UNKNOWN, far] {
             assert!(!read(absent, app));
         }
-        let probe = |key, app| m.access(key, Access { app, kind: AccessKind::Probe { span: Span::FULL } });
+        let probe =
+            |key, app| m.access(key, Access { app, kind: AccessKind::Probe { span: Span::FULL } });
         assert!(probe(resident, b).is_hit() && !probe(absent, a).is_hit());
         for app in [a, AppId::UNKNOWN, far] {
             assert!(m.access(resident, Access { app, kind: AccessKind::Touch }).is_hit());

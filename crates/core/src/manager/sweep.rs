@@ -1,0 +1,371 @@
+//! The policy side of a frame changing tenants — the scan that picks a
+//! victim, settling its eviction, filing the incoming block, un-filing a
+//! lost install race, forgetting an invalidated block — and a static
+//! clock shard's per-app ledger counts.
+//!
+//! A static clock shard does all of it without the policy lock: its scans
+//! sweep the shared [`ClockHand`], the frame table's residency lives in
+//! the shared [`FrameWords`], and its ledger in striped per-app
+//! [`AppCounts`] that only the ledger's readers fold in. Every other shard
+//! — exact LRU, LFU, 2Q, ARC, sharing-aware, adaptive (clock live or not)
+//! — takes the policy lock for each of these steps, and its ranker runs
+//! under it.
+
+use super::shard::{PolicyState, Shard, Victim};
+use crate::block::BlockKey;
+use kcache_obs::Counter;
+use kcache_policy::{AppId, ClockHand, PolicyStats, ScanFilter};
+
+/// App ids below this have a slot of their own in [`AppCounts`]. A higher
+/// one's hits and misses go through the ring, and its inserts, removes
+/// and evictions into the table under the policy lock.
+pub(super) const COUNTED_APPS: usize = 16;
+
+/// A column of an [`AppCounts`] slot: one [`PolicyStats`] field, in the
+/// struct's order.
+#[derive(Clone, Copy)]
+pub(super) enum Col {
+    Hits,
+    Misses,
+    Inserts,
+    Removes,
+    EvictionsClean,
+    EvictionsDirty,
+    Scans,
+}
+
+/// Columns per [`AppCounts`] slot.
+pub(super) const COLS: usize = 7;
+
+/// The ledger of a static clock shard, per app, kept off the policy lock:
+/// no decision reads it, only the ledger's readers do. Slot
+/// `i < COUNTED_APPS` is `AppId(i)`'s, the last [`AppId::UNKNOWN`]'s. A hit
+/// or miss counts in the accessor's slot; an insert, remove or eviction in
+/// the slot of the frame's owner, so that `inserts - removes` is the
+/// owner's residency; a scan in the last. Each [`Counter`] is striped per
+/// thread, so two threads counting write no common line; the ledger claims
+/// the growth under the policy lock, when it is read
+/// ([`Shard::fold_counts`]).
+pub(super) struct AppCounts(Box<[[Counter; COLS]]>);
+
+impl AppCounts {
+    fn new() -> AppCounts {
+        AppCounts((0..=COUNTED_APPS).map(|_| Default::default()).collect())
+    }
+
+    /// `app`'s slot; `None` past the bound.
+    fn of(&self, app: AppId) -> Option<&[Counter; COLS]> {
+        match app {
+            AppId::UNKNOWN => self.0.last(),
+            AppId(id) if (id as usize) < COUNTED_APPS => Some(&self.0[id as usize]),
+            _ => None,
+        }
+    }
+
+    /// The app slot `i` counts for.
+    fn app(i: usize) -> AppId {
+        if i == COUNTED_APPS {
+            AppId::UNKNOWN
+        } else {
+            AppId(i as u32)
+        }
+    }
+
+    /// Count one `col` event in `app`'s slot; `false` (nothing counted)
+    /// past the bound.
+    #[inline]
+    pub(super) fn bump(&self, app: AppId, col: Col) -> bool {
+        self.of(app).map(|slot| slot[col as usize].inc()).is_some()
+    }
+}
+
+/// The counts of one slot as the ledger delta they are.
+fn as_stats(d: [u64; COLS]) -> PolicyStats {
+    let [hits, misses, inserts, removes, evictions_clean, evictions_dirty, scans] = d;
+    PolicyStats { hits, misses, inserts, removes, evictions_clean, evictions_dirty, scans }
+}
+
+/// A static clock shard's lock-free policy side: the hand its scans sweep
+/// (a clone of its [`Clock`](kcache_policy::Clock) ranker's, which never
+/// runs) and its ledger counts.
+pub(super) struct Sweep {
+    hand: ClockHand,
+    pub(super) counts: AppCounts,
+}
+
+impl Sweep {
+    pub(super) fn new(hand: ClockHand) -> Sweep {
+        Sweep { hand, counts: AppCounts::new() }
+    }
+
+    /// One zero mark per slot: nothing claimed yet.
+    pub(super) fn unclaimed(&self) -> Vec<[u64; COLS]> {
+        vec![[0; COLS]; self.counts.0.len()]
+    }
+}
+
+impl Shard {
+    /// Start an eviction scan and take its first candidate. A static clock
+    /// shard counts the scan and arms `budget` with two laps of the hand;
+    /// any other shard takes one hold that ranks over up-to-date metadata
+    /// — every deferred access applied before the scan decides a victim
+    /// order — and walks to the scan's first admissible frame.
+    pub(super) fn first_candidate(
+        &self,
+        budget: &mut usize,
+        filter: &mut ScanFilter,
+    ) -> Option<u32> {
+        let Some(sweep) = &self.sweep else {
+            return self.with_drained_policy(|p| {
+                p.ranked.begin_scan();
+                p.ranked.next_candidate(filter)
+            });
+        };
+        sweep.counts.bump(AppId::UNKNOWN, Col::Scans);
+        *budget = ClockHand::budget(self.capacity);
+        sweep.hand.sweep(&self.words, &self.ref_words, budget, filter)
+    }
+
+    /// The scan's next candidate: the hand swept on, or the ranker asked
+    /// again under the lock — a leaf lock, held only while asking and
+    /// dropped before bucket/frame.
+    pub(super) fn next_candidate(
+        &self,
+        budget: &mut usize,
+        filter: &mut ScanFilter,
+    ) -> Option<u32> {
+        match &self.sweep {
+            Some(sweep) => sweep.hand.sweep(&self.words, &self.ref_words, budget, filter),
+            None => self.lock_policy().ranked.next_candidate(filter),
+        }
+    }
+
+    /// Count one event of each of `cols` against `app` on a static clock
+    /// shard: in its slot, or — an app past the bound — straight into the
+    /// table under the lock.
+    fn count(&self, sweep: &Sweep, app: AppId, cols: &[Col]) {
+        if let Some(slot) = sweep.counts.of(app) {
+            cols.iter().for_each(|&c| slot[c as usize].inc());
+            return;
+        }
+        let mut d = [0; COLS];
+        cols.iter().for_each(|&c| d[c as usize] = 1);
+        self.lock_policy().ranked.table_mut().note_counts(app, &as_stats(d));
+    }
+
+    /// Add to the ledger what each [`AppCounts`] slot counted since the
+    /// last fold. Under the policy lock, so every fold reads each stripe
+    /// at least as late as the one before it, and the marks advance
+    /// once per delta.
+    pub(super) fn fold_counts(&self, p: &mut PolicyState) {
+        let Some(sweep) = &self.sweep else { return };
+        let table = p.ranked.table_mut();
+        for (i, (slot, claimed)) in sweep.counts.0.iter().zip(&mut p.claimed).enumerate() {
+            // Last column first, so removes are read before inserts: a
+            // residency read while other threads count trails what is in
+            // flight rather than dipping below it (and residency adds
+            // wrapping, so the next fold squares it either way).
+            let mut now = [0; COLS];
+            for c in (0..COLS).rev() {
+                now[c] = slot[c].get();
+            }
+            table.note_counts(
+                AppCounts::app(i),
+                &as_stats(std::array::from_fn(|c| now[c] - claimed[c])),
+            );
+            *claimed = now;
+        }
+    }
+
+    /// The policy-side half of evicting `victim` from frame `idx`, which
+    /// `try_evict_idx` emptied: nobody else stores the frame's word until
+    /// it is filed again or freed. Returns the block's owner, for the
+    /// caller to uncharge.
+    pub(super) fn settle_eviction(&self, idx: u32, victim: &Victim) -> AppId {
+        let Some(sweep) = &self.sweep else {
+            return self.lock_policy().settle_eviction(idx, victim);
+        };
+        let owner = self.words.owner_of(idx);
+        let evicted =
+            if victim.flush.is_some() { Col::EvictionsDirty } else { Col::EvictionsClean };
+        self.count(sweep, owner, &[evicted, Col::Removes]);
+        self.words.vacate(idx);
+        owner
+    }
+
+    /// File the block about to be installed into frame `idx` with the
+    /// policy **before the block is visible** in its bucket: the evicted
+    /// tenant's bookkeeping ([`Victim`]), the ghosts' view of the
+    /// reference, the insert (clock inserts with the reference bit clear —
+    /// a block earns its second chance by being read; LRU-style policies
+    /// link at the MRU end; ghost-list policies consult their history of
+    /// `key`). So no concurrent scan is ever offered a frame whose words
+    /// describe the previous tenant; a caller that then loses the install
+    /// race un-files ([`unfile`](Self::unfile)).
+    ///
+    /// A static clock shard stores the words and counts, with no lock. Any
+    /// other files in one hold, after draining the ring, so accesses that
+    /// preceded the install keep their order — unless a scan found
+    /// `victim`: it drained a moment ago and this thread has queued nothing
+    /// since. The old owner's uncharge comes last: over-counted until then,
+    /// strict quotas err toward denying, never toward over-admitting.
+    pub(super) fn file_insert(&self, idx: u32, key: BlockKey, app: AppId, victim: Option<&Victim>) {
+        let evicted_owner = match &self.sweep {
+            Some(sweep) => {
+                let evicted_owner = victim.map(|v| self.settle_eviction(idx, v));
+                // What `Clock::on_insert` does.
+                self.ref_words.clear(idx);
+                self.words.install(idx, key.hash(), app);
+                self.count(sweep, app, &[Col::Inserts]);
+                evicted_owner
+            }
+            None => {
+                let mut p = self.lock_policy();
+                let evicted_owner = match victim {
+                    Some(victim) => Some(p.settle_eviction(idx, victim)),
+                    None => {
+                        self.drain_locked(&mut p);
+                        None
+                    }
+                };
+                if let Some(a) = &mut p.adaptive {
+                    // An insert is the tail of a miss in the live stream:
+                    // the ghosts see the same reference.
+                    a.observe(key.hash(), app);
+                }
+                p.ranked.insert(idx, key.hash(), app);
+                evicted_owner
+            }
+        };
+        if let Some(owner) = evicted_owner {
+            self.ledger.uncharge(owner);
+        }
+    }
+
+    /// A lost install race (`key` went resident in another frame first):
+    /// take the filed, never visible block back out of the policy — ghost
+    /// lists hear of it as of any removal — and recycle frame and charge.
+    pub(super) fn unfile(&self, idx: u32, key: BlockKey, app: AppId) {
+        match &self.sweep {
+            Some(sweep) => {
+                self.words.vacate(idx);
+                self.count(sweep, app, &[Col::Removes]);
+            }
+            None => self.lock_policy().ranked.remove(idx, key.hash()),
+        }
+        self.push_free(idx);
+        self.ledger.uncharge(app);
+    }
+
+    /// The policy-side half of invalidating `key`, which just left frame
+    /// `idx` (a coherence drop, not capacity pressure: the adaptive
+    /// tuner's refault memory never hears of it). Returns the block's
+    /// owner, for the caller to uncharge.
+    pub(super) fn forget(&self, idx: u32, key: BlockKey) -> AppId {
+        let Some(sweep) = &self.sweep else {
+            // Pending accesses to this block must land before its removal.
+            return self.with_drained_policy(|p| {
+                let owner = p.ranked.table().owner_of(idx);
+                p.ranked.remove(idx, key.hash());
+                owner
+            });
+        };
+        let owner = self.words.owner_of(idx);
+        self.count(sweep, owner, &[Col::Removes]);
+        self.words.vacate(idx);
+        owner
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::shard::BETWEEN_LOOKS;
+    use super::super::{Access, AccessKind, BufferManager, EvictPolicy};
+    use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
+    use kcache_policy::PolicyKind;
+    use pvfs::Fid;
+    use sim_net::NodeId;
+    use std::sync::Arc;
+
+    fn key(b: u64) -> BlockKey {
+        BlockKey::new(Fid(1), b)
+    }
+
+    fn insert(m: &BufferManager, b: u64) {
+        let bytes = vec![b as u8; CACHE_BLOCK_SIZE];
+        let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes: &bytes };
+        m.access(key(b), Access::unattributed(kind));
+    }
+
+    fn reads_back(m: &BufferManager, b: u64) -> bool {
+        let mut out = vec![0u8; CACHE_BLOCK_SIZE];
+        let read = AccessKind::Read { span: Span::FULL, out: &mut out };
+        m.access(key(b), Access::unattributed(read)).is_hit() && out.iter().all(|&x| x == b as u8)
+    }
+
+    /// A two-frame static clock cache: block 0 in frame 0, unreferenced;
+    /// block 1 in frame 1, referenced. The hand points at frame 0.
+    fn two_frames() -> Arc<BufferManager> {
+        let m = BufferManager::builder(2).policy(EvictPolicy::of(PolicyKind::Clock)).build();
+        insert(&m, 0);
+        insert(&m, 1);
+        assert!(reads_back(&m, 1));
+        Arc::new(m)
+    }
+
+    /// Frames are conserved: every frame is resident or free, and the
+    /// ledger's residency is the buckets'.
+    fn assert_conserved(m: &BufferManager) {
+        let ps = m.policy_stats();
+        assert_eq!(m.resident() + m.free_frames(), m.capacity());
+        assert_eq!((ps.inserts - ps.removes) as usize, m.resident());
+        assert_eq!(m.resident_keys().len(), m.resident());
+    }
+
+    /// Two sweeps offered the same victim. This thread's scan is offered
+    /// frame 0 and takes its first look; between its looks another thread
+    /// installs block 7: its sweep passes frame 1 (spending the reference
+    /// bit) and is offered frame 0 too, claims it, evicts block 0 and
+    /// files block 7 there. This thread then retakes frame 0, finds block
+    /// 0 gone, and moves on to frame 1. Block 0 is evicted once, by the
+    /// other thread; nothing else is lost.
+    #[test]
+    fn two_sweeps_offered_one_victim_evict_it_once() {
+        let m = two_frames();
+        let other = Arc::clone(&m);
+        BETWEEN_LOOKS.with(|hook| {
+            *hook.borrow_mut() = Some(Box::new(move || {
+                std::thread::spawn(move || insert(&other, 7)).join().expect("other thread");
+            }));
+        });
+        insert(&m, 9);
+        assert!(BETWEEN_LOOKS.with(|hook| hook.borrow().is_none()), "the hook ran");
+        assert_eq!(m.resident_keys(), vec![key(7), key(9)], "block 1 went for block 9");
+        assert!(reads_back(&m, 7) && reads_back(&m, 9));
+        let (ps, s) = (m.policy_stats(), m.stats());
+        assert_eq!((ps.evictions_clean, s.evictions_clean, ps.scans), (2, 2, 2));
+        assert_conserved(&m);
+    }
+
+    /// A candidate whose frame another thread holds is skipped, not waited
+    /// for: with frame 0 held here, an install on another thread evicts
+    /// block 1 from frame 1 and returns while the lock is still held.
+    #[test]
+    fn a_sweep_skips_a_frame_another_thread_holds() {
+        let m = two_frames();
+        let other = Arc::clone(&m);
+        let held = m.shards[0].frame(0);
+        let (done, finished) = std::sync::mpsc::channel();
+        let installer = std::thread::spawn(move || {
+            insert(&other, 9);
+            done.send(()).expect("test thread waits");
+        });
+        let skipped = finished.recv_timeout(std::time::Duration::from_secs(10)).is_ok();
+        drop(held);
+        installer.join().expect("installer");
+        assert!(skipped, "the install waited for the held frame");
+        assert_eq!(m.resident_keys(), vec![key(0), key(9)]);
+        assert!(reads_back(&m, 0) && reads_back(&m, 9));
+        assert_conserved(&m);
+    }
+}

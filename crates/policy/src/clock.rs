@@ -1,21 +1,78 @@
 //! Clock / second-chance — the paper's approximate LRU, extracted from the
 //! seed buffer manager without behavioral change.
 
-use crate::table::{FrameTable, ScanFilter};
+use crate::table::{FrameTable, FrameWords, RefWords, ScanFilter};
 use crate::{AppId, ReplacementPolicy};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+/// The clock hand, and the one sweep every clock scan runs over it. The
+/// hand is an atomic step count shared by `Arc`; each step of a sweep
+/// takes the next frame with one `fetch_add(1)`, so two sweeps running at
+/// once take turns at the frames, never the same step. The [`Clock`]
+/// ranker sweeps it in whatever hold its table is in (an adaptive
+/// shard's policy lock, a ghost cache); a static clock shard of the
+/// buffer manager clones the handle out once and sweeps it with no lock
+/// at all (PostgreSQL's `ClockSweepTick` is the same idea).
+#[derive(Debug, Clone, Default)]
+pub struct ClockHand(Arc<AtomicUsize>);
+
+impl ClockHand {
+    /// Steps one scan may take over `capacity` frames: two laps, so a
+    /// frame whose reference bit the first lap consumed is offered on the
+    /// second. Each scan keeps its own budget.
+    pub fn budget(capacity: usize) -> usize {
+        2 * capacity
+    }
+
+    /// The frame the hand visits next.
+    pub fn position(&self, capacity: usize) -> usize {
+        self.0.load(Ordering::Relaxed) % capacity
+    }
+
+    /// Sweep the hand on to the scan's next candidate, spending one of
+    /// `budget`'s steps per frame passed: a frame `filter` names another
+    /// owner for is skipped before its reference bit is touched (a
+    /// partition-local scan must not strip other tenants' second
+    /// chances); a referenced frame has its bit consumed and is passed
+    /// (its second chance, the seed's `swap(false)`-then-skip order); the
+    /// first unreferenced evictable frame is the candidate. `None` once
+    /// the budget is spent.
+    pub fn sweep(
+        &self,
+        words: &FrameWords,
+        refs: &RefWords,
+        budget: &mut usize,
+        filter: &mut ScanFilter,
+    ) -> Option<u32> {
+        let capacity = words.capacity();
+        while *budget > 0 {
+            *budget -= 1;
+            let idx = (self.0.fetch_add(1, Ordering::Relaxed) % capacity) as u32;
+            if filter.owner.is_some_and(|owner| words.owner_of(idx) != owner) {
+                continue;
+            }
+            if refs.take(idx) {
+                continue;
+            }
+            if words.evictable_for(idx, filter) {
+                return Some(idx);
+            }
+        }
+        None
+    }
+}
 
 /// Reference-bit clock. The reference bits live in the table's atomic
-/// [`RefWords`](crate::RefWords): hits set the frame's word (one relaxed
-/// `fetch_or` — on the buffer manager's fast path this happens **without
-/// the policy lock**, which is the seed's store-only hit cost); inserts
-/// clear it (a block earns its second chance by being *re*-read). An
-/// eviction scan sweeps the hand over at most `2 * capacity` frames: the
-/// first encounter of a referenced frame consumes its bit, the first
-/// unreferenced evictable frame becomes the candidate. The hand persists
-/// across scans, exactly like the seed manager's `clock_hand`.
+/// [`RefWords`]: hits set the frame's word (one relaxed `fetch_or` — on
+/// the buffer manager's fast path this happens **without the policy
+/// lock**, which is the seed's store-only hit cost); inserts clear it (a
+/// block earns its second chance by being *re*-read). An eviction scan
+/// is a [`ClockHand::sweep`] over at most `2 * capacity` frames. The hand
+/// persists across scans, exactly like the seed manager's `clock_hand`.
 #[derive(Default)]
 pub struct Clock {
-    hand: usize,
+    hand: ClockHand,
     /// Remaining steps in the current scan (armed by `begin_scan`).
     budget: usize,
 }
@@ -31,35 +88,16 @@ impl ReplacementPolicy for Clock {
 
     fn on_remove(&mut self, _table: &FrameTable, _frame: u32, _key: u64) {}
 
-    fn ranks_from_ref_words(&self) -> bool {
-        true
+    fn clock_hand(&self) -> Option<&ClockHand> {
+        Some(&self.hand)
     }
 
     fn begin_scan(&mut self, table: &FrameTable) {
-        self.budget = 2 * table.capacity();
+        self.budget = ClockHand::budget(table.capacity());
     }
 
     fn next_candidate(&mut self, table: &FrameTable, filter: &mut ScanFilter) -> Option<u32> {
-        while self.budget > 0 {
-            self.budget -= 1;
-            let idx = self.hand as u32;
-            self.hand = (self.hand + 1) % table.capacity();
-            // A partition-local scan must not strip other tenants'
-            // second-chance protection: skip foreign frames before
-            // touching their reference bit.
-            if filter.owner.is_some_and(|owner| table.owner_of(idx) != owner) {
-                continue;
-            }
-            // Consume the reference bit first (second chance), matching the
-            // seed's `swap(false)`-then-skip order.
-            if table.ref_words().take(idx) {
-                continue;
-            }
-            if table.evictable_for(idx, filter) {
-                return Some(idx);
-            }
-        }
-        None
+        self.hand.sweep(table.frame_words(), table.ref_words(), &mut self.budget, filter)
     }
 
     /// Hand order approximates recency: the next frames the hand would
@@ -69,8 +107,9 @@ impl ReplacementPolicy for Clock {
     /// so exporting the ranking never strips protection.
     fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
         let cap = table.capacity();
+        let hand = self.hand.position(cap);
         let sweep = |referenced: bool| {
-            (0..cap).map(move |i| ((self.hand + i) % cap) as u32).filter(move |&f| {
+            (0..cap).map(move |i| ((hand + i) % cap) as u32).filter(move |&f| {
                 table.is_resident(f) && table.ref_words().is_referenced(f) == referenced
             })
         };
@@ -148,6 +187,39 @@ mod tests {
             !c.table().ref_words().is_referenced(0),
             "drain must not resurrect a consumed reference bit"
         );
+    }
+
+    /// Two threads sweeping one hand at once take turns at the frames:
+    /// each step belongs to exactly one sweep. Every frame here is
+    /// resident and unreferenced, so every step offers one, and over two
+    /// budgets of `LAPS` laps each frame is offered exactly `2 × LAPS`
+    /// times, whichever thread took it. A hand two sweeps could read
+    /// before either stored it back would offer some frames twice at a
+    /// step and skip others.
+    #[test]
+    fn concurrent_sweeps_never_take_the_same_step() {
+        const CAP: usize = 8;
+        const LAPS: usize = 20_000;
+        let mut c = PolicyKind::Clock.build(CAP);
+        for f in 0..CAP as u32 {
+            c.insert(f, f as u64, AppId::UNKNOWN);
+        }
+        let hand = c.ranker().clock_hand().expect("clock sweeps a hand");
+        let (words, refs) = (c.table().frame_words(), c.table().ref_words());
+        let sweep = || {
+            let (mut budget, mut offered) = (LAPS * CAP, [0usize; CAP]);
+            let filter = &mut ScanFilter::default();
+            while let Some(f) = hand.sweep(words, refs, &mut budget, filter) {
+                offered[f as usize] += 1;
+            }
+            offered
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let (a, b) = (s.spawn(sweep), s.spawn(sweep));
+            (a.join().expect("sweep"), b.join().expect("sweep"))
+        });
+        assert_eq!(std::array::from_fn(|f| a[f] + b[f]), [2 * LAPS; CAP]);
+        assert_eq!(hand.position(CAP), 0, "whole laps in all");
     }
 
     #[test]

@@ -46,7 +46,11 @@
 //! Concurrency contract: policy state is a **leaf lock** in the manager's
 //! lock order (bucket → frame → policy). The trait is `Send` (not `Sync`);
 //! the manager wraps the [`RankedTable`] in a `Mutex` and never holds that
-//! lock while acquiring a bucket or frame lock.
+//! lock while acquiring a bucket or frame lock. What a frame's residency,
+//! pin and owner are lives in atomic [`FrameWords`] shared by handle, and
+//! clock's hand is an atomic [`ClockHand`]: a static clock shard of the
+//! manager stores the words and sweeps the hand without that lock at all,
+//! and every ranker reads the same words under it.
 //!
 //! The **hit fast path does not take that lock at all**: hits and recency
 //! touches store into the table's per-frame atomic [`RefWords`] (ref bit +
@@ -70,12 +74,12 @@ pub mod table;
 pub mod twoq;
 
 pub use arc::Arc;
-pub use clock::Clock;
+pub use clock::{Clock, ClockHand};
 pub use index::GhostLists;
 pub use lfu::Lfu;
 pub use lru::ExactLru;
 pub use sharing::SharingAware;
-pub use table::{FrameTable, RefWords, ScanFilter};
+pub use table::{FrameTable, FrameWords, RefWords, ScanFilter};
 pub use twoq::TwoQ;
 
 /// Identity of the application instance performing an access.
@@ -400,18 +404,20 @@ pub trait ReplacementPolicy: Send {
     /// its host here.
     fn epoch_tick(&mut self) {}
 
-    /// Does this policy rank eviction candidates directly from the
-    /// table's atomic [`RefWords`] (clock), never needing the deferred
-    /// `on_access` replay? [`RankedTable::drain`] then skips that replay —
+    /// The [`ClockHand`] this policy's scans sweep, if it is clock: such a
+    /// policy ranks eviction candidates from the table's atomic
+    /// [`RefWords`] and [`FrameWords`] alone, never needing the deferred
+    /// `on_access` replay. [`RankedTable::drain`] then skips that replay —
     /// the producer already stored the recency word at access time, and
     /// replaying it later could resurrect a reference bit an eviction scan
     /// legitimately consumed in between — so a hit or miss has no deferred
-    /// effect beyond the ledger's counts, and a static manager keeps such
-    /// a policy's events out of its ring altogether: touches dropped, hits
-    /// and misses counted per app and folded in with
-    /// [`FrameTable::note_app_counts`] when the ledger is read.
-    fn ranks_from_ref_words(&self) -> bool {
-        false
+    /// effect beyond the ledger's counts. A static shard of the buffer
+    /// manager keeps such a policy's events out of its ring altogether
+    /// (touches dropped, hits and misses counted per app and folded in
+    /// with [`FrameTable::note_counts`] when the ledger is read), clones
+    /// the handle, and runs the same sweep without the policy lock.
+    fn clock_hand(&self) -> Option<&ClockHand> {
+        None
     }
 
     /// Does this policy consume the [`RefWords`] app-touch mask at scan
@@ -465,8 +471,7 @@ impl RankedTable {
         &mut self.table
     }
 
-    /// The ranker's static traits (`ranks_from_ref_words`,
-    /// `consumes_app_mask`).
+    /// The ranker's static traits (`clock_hand`, `consumes_app_mask`).
     pub fn ranker(&self) -> &dyn ReplacementPolicy {
         self.ranker.as_ref()
     }
@@ -492,11 +497,11 @@ impl RankedTable {
     /// Apply a batch of deferred access events, oldest first: hit/miss
     /// counters, the per-app ledger, and the `on_access` recency replay —
     /// skipped for a policy that [ranks from the ref
-    /// words](ReplacementPolicy::ranks_from_ref_words), which the
+    /// words](ReplacementPolicy::clock_hand), which the
     /// producer already stored at access time. Probe hits and misses
     /// involve no frame and refresh nothing.
     pub fn drain(&mut self, events: &[AccessEvent]) {
-        let replay = !self.ranker.ranks_from_ref_words();
+        let replay = self.ranker.clock_hand().is_none();
         for ev in events {
             match ev.kind {
                 AccessKind::Hit | AccessKind::ProbeHit => {
@@ -552,7 +557,7 @@ impl RankedTable {
     /// protecting their frames.
     pub fn migrate(&mut self, to: PolicyKind) {
         let mut ranker = to.ranker(self.table.capacity());
-        if !ranker.ranks_from_ref_words() {
+        if ranker.clock_hand().is_none() {
             let order = self.recency_ranking().unwrap_or_else(|| self.table.resident_frames());
             for frame in order {
                 if self.table.is_resident(frame) {

@@ -58,9 +58,13 @@ impl RefWords {
 
     /// Consume the word (second chance): returns whether the frame was
     /// referenced since the last consume/clear, zeroing the whole word —
-    /// ref bit and app mask — like the seed clock's `swap(false)`.
+    /// ref bit and app mask — like the seed clock's `swap(false)`. A word
+    /// already zero is only read: a sweep passing unreferenced frames
+    /// leaves their lines shared.
     pub fn take(&self, frame: u32) -> bool {
-        self.0.get(frame as usize).is_some_and(|w| w.swap(0, Ordering::Relaxed) & Self::REF != 0)
+        self.0.get(frame as usize).is_some_and(|w| {
+            w.load(Ordering::Relaxed) != 0 && w.swap(0, Ordering::Relaxed) & Self::REF != 0
+        })
     }
 
     /// Non-consuming read of the reference bit.
@@ -101,7 +105,7 @@ impl RefWords {
 
 /// What one eviction scan may be offered: passed by the caller on every
 /// `next_candidate` call of the scan, applied by
-/// [`FrameTable::evictable_for`] under the hold the ranker already runs in.
+/// [`FrameWords::evictable_for`] wherever the ranker runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanFilter {
     /// Only frames this application installed (the partition-local scan).
@@ -117,11 +121,121 @@ impl ScanFilter {
     }
 }
 
-/// Dense per-frame residency, pin and **owner** flags plus the policy's
-/// stat counters and the per-application usage ledger. Policies layer
-/// their own metadata (reference bits, queues, frequencies, app sets) on
-/// top; the table is the single source of truth for "may this frame be
-/// offered as a candidate at all".
+/// One frame's residency word and the fingerprint of its block.
+#[derive(Debug)]
+struct FrameSlot {
+    word: AtomicU64,
+    key: AtomicU64,
+}
+
+/// Per-frame residency words — the lock-free half of the [`FrameTable`].
+/// Each frame owns one `AtomicU64`: bit 63 says the frame is **resident**,
+/// bit 62 that it is **pinned** (a flush of it is in flight: no scan may
+/// offer it), bits 0..32 name its **owner**, the [`AppId`] that installed
+/// the block ([`AppId::UNKNOWN`] when vacant). The block's key fingerprint
+/// sits beside it (0 when vacant).
+///
+/// Shared by `Arc`, as [`RefWords`] is: a static clock shard of the buffer
+/// manager stores a frame's word on install, eviction, invalidation, pin
+/// and unpin without any policy lock, each store made by the one thread
+/// that holds the frame at that moment (its lock, or the frame itself
+/// while it is out of every bucket). Rankers read the same words under
+/// whatever hold they run in; a word read outside the frame's lock is a
+/// hint the manager re-checks under it.
+#[derive(Debug, Clone)]
+pub struct FrameWords(Arc<[FrameSlot]>);
+
+impl FrameWords {
+    const RESIDENT: u64 = 1 << 63;
+    const PINNED: u64 = 1 << 62;
+    /// A vacant frame: not resident, not pinned, no owner.
+    const VACANT: u64 = AppId::UNKNOWN.0 as u64;
+
+    pub fn new(capacity: usize) -> FrameWords {
+        let slot = |_| FrameSlot { word: AtomicU64::new(Self::VACANT), key: AtomicU64::new(0) };
+        FrameWords((0..capacity).map(slot).collect())
+    }
+
+    pub fn capacity(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The frame's word (a vacant one for out-of-pool frames).
+    #[inline]
+    fn word(&self, frame: u32) -> u64 {
+        self.0.get(frame as usize).map_or(Self::VACANT, |s| s.word.load(Ordering::Relaxed))
+    }
+
+    pub fn is_resident(&self, frame: u32) -> bool {
+        self.word(frame) & Self::RESIDENT != 0
+    }
+
+    pub fn is_pinned(&self, frame: u32) -> bool {
+        self.word(frame) & Self::PINNED != 0
+    }
+
+    /// Application that installed the block currently in `frame`
+    /// ([`AppId::UNKNOWN`] for vacant frames and unattributed inserts).
+    pub fn owner_of(&self, frame: u32) -> AppId {
+        AppId(self.word(frame) as u32)
+    }
+
+    /// Fingerprint of the block resident in `frame` (0 for vacant frames).
+    pub fn key_of(&self, frame: u32) -> u64 {
+        self.0.get(frame as usize).map_or(0, |s| s.key.load(Ordering::Relaxed))
+    }
+
+    /// A frame the policy may legitimately offer for eviction: resident
+    /// and unpinned.
+    pub fn evictable(&self, frame: u32) -> bool {
+        self.word(frame) & (Self::RESIDENT | Self::PINNED) == Self::RESIDENT
+    }
+
+    /// [`evictable`](Self::evictable) under a scan's filter, from one read
+    /// of the word: with an owner, only frames installed by it qualify
+    /// (the partition-local candidate check); a frame that qualifies is
+    /// counted in [`ScanFilter::examined`].
+    #[inline]
+    pub fn evictable_for(&self, frame: u32, filter: &mut ScanFilter) -> bool {
+        let w = self.word(frame);
+        let ok = w & (Self::RESIDENT | Self::PINNED) == Self::RESIDENT
+            && filter.owner.is_none_or(|o| AppId(w as u32) == o);
+        filter.examined += u64::from(ok);
+        ok
+    }
+
+    /// Make `frame` resident, holding block `key`, owned by `app`, unpinned.
+    /// Panics on out-of-pool frames — an out-of-range index is a manager
+    /// bug, not a policy decision.
+    pub fn install(&self, frame: u32, key: u64, app: AppId) {
+        let s = &self.0[frame as usize];
+        s.key.store(key, Ordering::Relaxed);
+        s.word.store(Self::RESIDENT | u64::from(app.0), Ordering::Relaxed);
+    }
+
+    /// Make `frame` vacant: not resident, unpinned, no owner, no key.
+    pub fn vacate(&self, frame: u32) {
+        let s = &self.0[frame as usize];
+        s.word.store(Self::VACANT, Ordering::Relaxed);
+        s.key.store(0, Ordering::Relaxed);
+    }
+
+    /// Set or clear the pin, leaving residency and owner as they are.
+    pub fn set_pinned(&self, frame: u32, pinned: bool) {
+        let w = &self.0[frame as usize].word;
+        if pinned {
+            w.fetch_or(Self::PINNED, Ordering::Relaxed);
+        } else {
+            w.fetch_and(!Self::PINNED, Ordering::Relaxed);
+        }
+    }
+}
+
+/// The per-frame [`FrameWords`] — residency, pin, **owner**, key — plus
+/// the policy's stat counters and the per-application usage ledger.
+/// Policies layer their own metadata (reference bits, queues,
+/// frequencies, app sets) on top; the words are the single source of truth
+/// for "may this frame be offered as a candidate at all".
 ///
 /// The owner of a frame is the application that *installed* the resident
 /// block (quota charging follows the inserter, not later referents — a
@@ -134,15 +248,9 @@ impl ScanFilter {
 /// here, so concurrent scans can never clobber each other's filter.
 #[derive(Debug)]
 pub struct FrameTable {
-    resident: Vec<bool>,
-    /// A flush of the frame is in flight: no scan may offer it.
-    pinned: Vec<bool>,
-    owner: Vec<AppId>,
-    /// Fingerprint of the block resident in each frame (0 for vacant
-    /// frames). What lets ghost simulators and live-migration replay
-    /// reconstruct a policy's contents from the table alone.
-    key: Vec<u64>,
-    n_resident: usize,
+    /// Residency, pins, owners and keys (shared with the buffer manager;
+    /// see [`FrameWords`]).
+    words: FrameWords,
     per_app: BTreeMap<u32, AppUsage>,
     /// The lock-free recency words (shared with the buffer manager; see
     /// [`RefWords`]).
@@ -153,15 +261,16 @@ pub struct FrameTable {
 impl FrameTable {
     pub(crate) fn new(capacity: usize) -> FrameTable {
         FrameTable {
-            resident: vec![false; capacity],
-            pinned: vec![false; capacity],
-            owner: vec![AppId::UNKNOWN; capacity],
-            key: vec![0; capacity],
-            n_resident: 0,
+            words: FrameWords::new(capacity),
             per_app: BTreeMap::new(),
             ref_words: RefWords::new(capacity),
             stats: PolicyStats::default(),
         }
+    }
+
+    /// The table's atomic residency words (shared handle).
+    pub fn frame_words(&self) -> &FrameWords {
+        &self.words
     }
 
     /// The table's atomic ref/recency words (shared handle).
@@ -170,88 +279,73 @@ impl FrameTable {
     }
 
     pub fn capacity(&self) -> usize {
-        self.resident.len()
+        self.words.capacity()
     }
 
+    /// Frames resident as of the ledger: every insert counts one new
+    /// residency and every remove one ended, so this is their difference.
     pub fn resident_count(&self) -> usize {
-        self.n_resident
+        (self.stats.inserts - self.stats.removes) as usize
     }
 
     pub fn is_resident(&self, frame: u32) -> bool {
-        self.resident.get(frame as usize).copied().unwrap_or(false)
+        self.words.is_resident(frame)
     }
 
     pub fn is_pinned(&self, frame: u32) -> bool {
-        self.pinned.get(frame as usize).copied().unwrap_or(false)
+        self.words.is_pinned(frame)
     }
 
-    /// Application that installed the block currently in `frame`
-    /// ([`AppId::UNKNOWN`] for vacant frames and unattributed inserts).
+    /// See [`FrameWords::owner_of`].
     pub fn owner_of(&self, frame: u32) -> AppId {
-        self.owner.get(frame as usize).copied().unwrap_or(AppId::UNKNOWN)
+        self.words.owner_of(frame)
     }
 
-    /// A frame the policy may legitimately offer for eviction: resident
-    /// and unpinned.
+    /// See [`FrameWords::evictable`].
     pub fn evictable(&self, frame: u32) -> bool {
-        self.is_resident(frame) && !self.is_pinned(frame)
+        self.words.evictable(frame)
     }
 
-    /// [`FrameTable::evictable`] under a scan's filter: with an owner,
-    /// only frames installed by it qualify (the partition-local candidate
-    /// check); a frame that qualifies is counted in [`ScanFilter::examined`].
+    /// See [`FrameWords::evictable_for`].
     pub fn evictable_for(&self, frame: u32, filter: &mut ScanFilter) -> bool {
-        let ok = self.evictable(frame) && filter.owner.is_none_or(|o| self.owner_of(frame) == o);
-        filter.examined += u64::from(ok);
-        ok
+        self.words.evictable_for(frame, filter)
     }
 
     /// Mark `frame` resident, holding block `key`, owned by `app`
     /// (idempotent; counts one insert per new residency and keeps the first
-    /// owner on re-inserts). Panics on out-of-pool frames — an out-of-range
-    /// index is a manager bug, not a policy decision.
+    /// owner on re-inserts). Panics on out-of-pool frames.
     pub(crate) fn insert(&mut self, frame: u32, key: u64, app: AppId) {
-        let f = &mut self.resident[frame as usize];
-        if !*f {
-            *f = true;
-            self.n_resident += 1;
+        if !self.words.is_resident(frame) {
+            self.words.install(frame, key, app);
             self.stats.inserts += 1;
-            self.owner[frame as usize] = app;
-            self.key[frame as usize] = key;
             if app != AppId::UNKNOWN {
                 self.per_app.entry(app.0).or_default().resident += 1;
             }
         }
-        debug_assert!(self.n_resident <= self.capacity());
+        debug_assert!(self.resident_count() <= self.capacity());
     }
 
     /// Fingerprint of the block resident in `frame` (0 for vacant frames).
     pub fn key_of(&self, frame: u32) -> u64 {
-        self.key.get(frame as usize).copied().unwrap_or(0)
+        self.words.key_of(frame)
     }
 
     /// Mark `frame` vacated; clears any pin (an invalidation may remove a
-    /// frame whose flush is still in flight) and the ownership record.
+    /// frame whose flush is still in flight), the ownership record and
+    /// the key.
     pub(crate) fn remove(&mut self, frame: u32) {
-        let f = &mut self.resident[frame as usize];
-        if *f {
-            *f = false;
-            self.n_resident -= 1;
+        if self.words.is_resident(frame) {
             self.stats.removes += 1;
-            let owner = self.owner[frame as usize];
-            if owner != AppId::UNKNOWN {
-                if let Some(u) = self.per_app.get_mut(&owner.0) {
-                    u.resident = u.resident.saturating_sub(1);
-                }
+            let owner = self.words.owner_of(frame);
+            if let Some(u) = self.per_app.get_mut(&owner.0).filter(|_| owner != AppId::UNKNOWN) {
+                u.resident = u.resident.saturating_sub(1);
             }
         }
-        self.owner[frame as usize] = AppId::UNKNOWN;
-        self.key[frame as usize] = 0;
-        self.pinned[frame as usize] = false;
+        self.words.vacate(frame);
     }
 
-    pub fn set_pinned(&mut self, frame: u32, pinned: bool) {
-        self.pinned[frame as usize] = pinned;
+    pub fn set_pinned(&self, frame: u32, pinned: bool) {
+        self.words.set_pinned(frame, pinned);
     }
 
     /// Resident frames currently owned by `app`.
@@ -277,24 +371,32 @@ impl FrameTable {
         }
     }
 
-    /// Add `hits` and `misses` counted outside the event stream to the
-    /// totals and, for a known app, to its row — the bulk form of
-    /// `stats.hits += 1; note_app_hit(app)` and its miss twin. A row is
-    /// opened only for a non-zero count, as a single event opens one.
-    pub fn note_app_counts(&mut self, app: AppId, hits: u64, misses: u64) {
-        self.stats.hits += hits;
-        self.stats.misses += misses;
-        if app != AppId::UNKNOWN && hits + misses > 0 {
-            let u = self.per_app.entry(app.0).or_default();
-            u.hits += hits;
-            u.misses += misses;
-        }
-    }
-
     /// Attribute the eviction of one of `app`'s frames.
     pub fn note_app_eviction(&mut self, app: AppId) {
         if app != AppId::UNKNOWN {
             self.per_app.entry(app.0).or_default().evictions += 1;
+        }
+    }
+
+    /// Add counts kept outside the table to the totals and, for a known
+    /// app, to its row: hits and misses as they are, `inserts - removes`
+    /// of frames it owns to its residency, both eviction counts to its
+    /// evictions. A row is opened only for a non-zero count, as a single
+    /// event opens one. Residency adds wrapping, so counts read while
+    /// other threads move them add up once the next read catches up.
+    pub fn note_counts(&mut self, app: AppId, d: &PolicyStats) {
+        self.stats.merge(d);
+        let PolicyStats {
+            hits, misses, inserts, removes, evictions_clean, evictions_dirty, ..
+        } = *d;
+        if app != AppId::UNKNOWN
+            && hits | misses | inserts | removes | evictions_clean | evictions_dirty != 0
+        {
+            let u = self.per_app.entry(app.0).or_default();
+            u.hits += hits;
+            u.misses += misses;
+            u.resident = u.resident.wrapping_add(inserts).wrapping_sub(removes);
+            u.evictions += evictions_clean + evictions_dirty;
         }
     }
 
@@ -305,7 +407,7 @@ impl FrameTable {
 
     /// Frames currently resident, ascending (diagnostics/tests).
     pub fn resident_frames(&self) -> Vec<u32> {
-        (0..self.capacity() as u32).filter(|&f| self.resident[f as usize]).collect()
+        (0..self.capacity() as u32).filter(|&f| self.words.is_resident(f)).collect()
     }
 
     /// `(frame, key, owner)` for every resident frame, ascending by frame —
@@ -314,8 +416,8 @@ impl FrameTable {
     /// same residency.
     pub fn resident_entries(&self) -> Vec<(u32, u64, AppId)> {
         (0..self.capacity() as u32)
-            .filter(|&f| self.resident[f as usize])
-            .map(|f| (f, self.key[f as usize], self.owner[f as usize]))
+            .filter(|&f| self.words.is_resident(f))
+            .map(|f| (f, self.words.key_of(f), self.words.owner_of(f)))
             .collect()
     }
 }
