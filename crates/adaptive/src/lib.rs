@@ -44,8 +44,8 @@ pub mod ghost;
 pub use ghost::GhostCache;
 
 use kcache_policy::{
-    AccessEvent, AccessKind, AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostLists,
-    GhostRate, PolicyKind, QuotaMoveRecord, SwitchRecord,
+    AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostLists, GhostRate, PolicyKind,
+    QuotaMoveRecord, SwitchRecord,
 };
 use std::collections::BTreeMap;
 
@@ -303,17 +303,6 @@ impl AdaptivePolicy {
         if self.cfg.quota_tuning && app != AppId::UNKNOWN {
             if let Some(gl) = self.app_ghosts.get_mut(&app.0) {
                 gl.note_access(key);
-            }
-        }
-    }
-
-    /// [`observe`](Self::observe) every use in a drained batch: hits and
-    /// recency touches. Off the access latency path — the manager calls
-    /// this where it applies the batch to the live table.
-    pub fn observe_batch(&mut self, events: &[AccessEvent]) {
-        for ev in events {
-            if matches!(ev.kind, AccessKind::Hit | AccessKind::Touch) {
-                self.observe(ev.key, ev.app);
             }
         }
     }
@@ -611,40 +600,6 @@ mod tests {
         let mv = p.run_epoch(&[(app, 2), (AppId(1), 2)]);
         assert!(mv.is_none(), "invalidation churn must not look like quota pressure");
         assert_eq!(p.ad.stats().quota_moves, 0);
-    }
-
-    #[test]
-    fn drained_events_feed_ghosts_like_eager_accesses() {
-        // Two identical evidence states; one sees hits one at a time, the
-        // other sees the same accesses as a drained batch. The ghost
-        // ledgers (what the epoch controller compares) must agree.
-        let mk =
-            || AdaptivePolicy::new(4, AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::Lfu]));
-        let (mut eager, mut drained) = (mk(), mk());
-        for p in [&mut eager, &mut drained] {
-            for f in 0..4u32 {
-                p.observe(100 + f as u64, AppId(f % 2));
-            }
-        }
-        let accesses = [(0u32, 100u64), (1, 101), (0, 100), (3, 103), (2, 102), (0, 100)];
-        for &(f, k) in &accesses {
-            eager.observe(k, AppId(f % 2));
-        }
-        let batch: Vec<AccessEvent> =
-            accesses.iter().map(|&(f, k)| AccessEvent::hit(f, k, AppId(f % 2))).collect();
-        drained.observe_batch(&batch);
-        let (es, ds) = (eager.stats(), drained.stats());
-        assert_eq!(es.ghost_rates, ds.ghost_rates, "ghost feeds must not depend on the path");
-        // Probe hits and misses feed no ghost on either path.
-        drained.observe_batch(&[AccessEvent::probe_hit(AppId(0)), AccessEvent::miss(AppId(1))]);
-        assert_eq!(
-            drained.stats().ghost_rates,
-            ds.ghost_rates,
-            "lookup-only events must stay invisible to the simulators"
-        );
-        // Touches are uses: they feed like hits.
-        drained.observe_batch(&[AccessEvent::touch(0, 100, AppId(0))]);
-        assert_ne!(drained.stats().ghost_rates, ds.ghost_rates);
     }
 
     #[test]

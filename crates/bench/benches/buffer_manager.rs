@@ -4,7 +4,7 @@
 //! overhead at each read/write invocation".
 //!
 //! Beyond the criterion groups, this target owns the observability guard
-//! (`BENCH_obs.json`): a drained clock hit storm with and without a wired
+//! (`BENCH_obs.json`): a clock hit storm with and without a wired
 //! `kcache-obs` hub, proving telemetry costs no more than measurement
 //! noise on the path the paper optimizes. Run with `--quick` for the CI
 //! smoke variant; each JSON is parsed back after writing, so a run doubles
@@ -224,7 +224,7 @@ fn obs_manager(obs_on: bool) -> BufferManager {
 }
 
 /// The telemetry price on the number this crate exists to defend: the
-/// drained clock hit path, with and without a wired [`kcache::ObsHub`].
+/// clock hit path, with and without a wired [`kcache::ObsHub`].
 /// An obs-on hit runs the *same* instructions as an obs-off hit — the
 /// hub's hit/miss counters are deferred mirrors folded in at sync
 /// points, never touched per access — so the two rates must stay within

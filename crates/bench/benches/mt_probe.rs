@@ -10,8 +10,8 @@
 //!
 //! 1. **Pure hits** on a full 300-frame pool, whole-block reads: one thread,
 //!    attributed and not, then two threads on the same 200 hot keys and on
-//!    disjoint halves of them. The default clock manager takes no event
-//!    into its ring either way; its hits only bump per-app counters.
+//!    disjoint halves of them. The default clock manager takes no policy
+//!    lock either way; its hits only bump per-app counters.
 //! 2. **The `manager_mt` streams** (perfbench's generator, seed 42: Zipf-0.9
 //!    over 1 200 keys, 1/16 writes, thread 0 on flusher and harvester duty)
 //!    on an obs-wired manager: contended acquisitions per miss and mean wait

@@ -28,10 +28,12 @@
 //! nanoseconds per actor type (`kcache`, `iod`, `app`, `fabric`, ...)
 //! plus the engine's own queue/dispatch share. It changes no result.
 //!
-//! A config that does not parse or cannot run prints `bad config …` on
-//! stderr and exits with status 2. The exit status is 1 when any read
-//! returned wrong bytes (`verify_failures` > 0), after the summary and
-//! exports are written.
+//! A config that cannot be read, does not parse or cannot run prints
+//! `bad config …` on stderr and exits with status 2; so does an export
+//! that cannot be written (`cannot write …`), and a bad command line
+//! prints the usage line. The exit status is 1 when any read returned
+//! wrong bytes (`verify_failures` > 0), after the summary and exports are
+//! written.
 
 use cluster_harness::config::ExperimentConfig;
 use cluster_harness::{run_experiment, run_experiment_profiled, CacheEfficiency, TelemetryReport};
@@ -48,9 +50,17 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn bad_config(path: &str, e: String) -> ! {
+fn bad_config(path: &str, e: impl std::fmt::Display) -> ! {
     eprintln!("bad config {path}: {e}");
     std::process::exit(2);
+}
+
+/// Write an export file, or say which one failed and exit 2.
+fn write_or_exit(path: &str, contents: String) {
+    if let Err(e) = std::fs::write(path, contents) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(2);
+    }
 }
 
 /// The simulator's self-profile as a table on stderr (stdout stays the
@@ -88,12 +98,13 @@ fn main() {
             "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
             "--flight-out" => flight_out = Some(args.next().unwrap_or_else(|| usage())),
             "--profile" => profile = true,
+            _ if a.starts_with('-') => usage(),
             _ if config_path.is_none() => config_path = Some(a),
             _ => usage(),
         }
     }
     let Some(path) = config_path else { usage() };
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| bad_config(&path, e));
     let mut cfg = ExperimentConfig::from_json(&text).unwrap_or_else(|e| bad_config(&path, e));
     if trace_out.is_some() || metrics_out.is_some() || flight_out.is_some() {
         cfg.cluster.telemetry.enabled = true;
@@ -142,8 +153,7 @@ fn main() {
     // events, so drain once and share.
     if let Some(cluster) = &r.obs {
         if let Some(p) = &metrics_out {
-            std::fs::write(p, cluster.metrics_json())
-                .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
+            write_or_exit(p, cluster.metrics_json());
         }
         if flight_out.is_some() || trace_out.is_some() {
             let events = cluster.drain_trace();
@@ -162,11 +172,10 @@ fn main() {
                     &events,
                     FLIGHT_TAIL_EVENTS,
                 );
-                std::fs::write(p, json).unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
+                write_or_exit(p, json);
             }
             if let Some(p) = &trace_out {
-                std::fs::write(p, kcache::obs::chrome_trace_json(&events))
-                    .unwrap_or_else(|e| panic!("cannot write {p}: {e}"));
+                write_or_exit(p, kcache::obs::chrome_trace_json(&events));
             }
         }
     }

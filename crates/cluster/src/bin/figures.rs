@@ -11,6 +11,11 @@ use cluster_harness::figures::{all_figures, fig4, fig5, fig6, fig7, fig8, Grid};
 use cluster_harness::report::{write_outputs, FigureData};
 use std::path::PathBuf;
 
+fn usage() -> ! {
+    eprintln!("usage: figures [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive] [--quick|--full|--smoke] [--out DIR] [--seed N]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut fig = "all".to_string();
     let mut grid = Grid::quick();
@@ -18,19 +23,15 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--fig" => fig = args.next().expect("--fig needs a value"),
+            "--fig" => fig = args.next().unwrap_or_else(|| usage()),
             "--quick" => grid = Grid::quick(),
             "--full" => grid = Grid::full(),
             "--smoke" => grid = Grid::smoke(),
-            "--out" => out = PathBuf::from(args.next().expect("--out needs a value")),
+            "--out" => out = PathBuf::from(args.next().unwrap_or_else(|| usage())),
             "--seed" => {
-                grid.seed = args.next().expect("--seed needs a value").parse().expect("seed")
+                grid.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| usage())
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!("usage: figures [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive] [--quick|--full|--smoke] [--out DIR] [--seed N]");
-                std::process::exit(2);
-            }
+            _ => usage(),
         }
     }
 
@@ -59,7 +60,10 @@ fn main() {
     for f in &figs {
         println!("{}", f.to_markdown());
     }
-    write_outputs(&out, &figs).expect("writing outputs");
+    if let Err(e) = write_outputs(&out, &figs) {
+        eprintln!("cannot write {}: {e}", out.display());
+        std::process::exit(2);
+    }
     eprintln!(
         "regenerated {} figure table(s) in {:.1}s -> {}",
         figs.len(),

@@ -24,7 +24,6 @@ pub mod block;
 pub mod config;
 pub mod manager;
 pub mod module;
-mod ring;
 
 pub use block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 pub use config::{CacheConfig, PartitionConfig, PartitionMode};

@@ -50,31 +50,28 @@ impl EpochClock {
 }
 
 impl Shard {
-    /// Epoch boundary, step 1: with this shard's deferred events applied
-    /// (so the decision sees every access that preceded the boundary),
-    /// export its epoch observation — the live policy, each candidate
-    /// ghost's per-epoch ledger, each app's refault count. `None` for
-    /// static policies.
+    /// Epoch boundary, step 1: export this shard's epoch observation —
+    /// the live policy, each candidate ghost's per-epoch ledger, each
+    /// app's refault count. `None` for static policies.
     fn epoch_observe(&self) -> Option<EpochObservation> {
-        self.with_drained_policy(|p| p.adaptive.as_ref().map(AdaptivePolicy::epoch_observe))
+        self.lock_policy().adaptive.as_ref().map(AdaptivePolicy::epoch_observe)
     }
 
-    /// Epoch boundary, step 2: drain, let the live policy age
+    /// Epoch boundary, step 2: let the live policy age
     /// (`SharingAware` referent decay), and — adaptive shards — apply
     /// the merged cross-shard decision. Every shard receives the same
     /// directive, so a policy switch migrates all shards within one
     /// boundary; static shards (`None`) age independently, there is no
     /// shared decision to coordinate.
     fn epoch_apply(&self, directive: Option<&EpochDirective>) {
-        self.with_drained_policy(|p| {
-            let PolicyState { ranked, adaptive, .. } = p;
-            ranked.epoch_tick();
-            if let (Some(a), Some(directive)) = (adaptive, directive) {
-                if let Some(to) = a.epoch_apply(directive) {
-                    ranked.migrate(to);
-                }
+        let mut p = self.lock_policy();
+        let PolicyState { ranked, adaptive, .. } = &mut *p;
+        ranked.epoch_tick();
+        if let (Some(a), Some(directive)) = (adaptive, directive) {
+            if let Some(to) = a.epoch_apply(directive) {
+                ranked.migrate(to);
             }
-        })
+        }
     }
 
     /// Epoch-boundary observability (cold path, obs-wired managers only):

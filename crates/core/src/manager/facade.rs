@@ -249,8 +249,8 @@ impl BufferManager {
     }
 
     /// The replacement policy's own event ledger, summed across shards.
-    /// Drains deferred events first, so a snapshot never under-reports
-    /// traffic that already happened.
+    /// Folds a static clock shard's per-app counts in first, so a
+    /// snapshot never under-reports traffic that already happened.
     pub fn policy_stats(&self) -> PolicyStats {
         let mut acc = self.shards[0].policy_stats();
         for s in &self.shards[1..] {
@@ -337,10 +337,11 @@ impl BufferManager {
         acc
     }
 
-    /// Times any shard's access-event ring refused a push (see the shard
-    /// docs: nothing is lost, each is a convoy window).
+    /// Always 0: every access is applied to its shard's policy when it
+    /// happens, so there is no access-event ring left to overflow. Kept
+    /// for readers that still report the count.
     pub fn event_ring_overflows(&self) -> u64 {
-        self.shards.iter().map(|s| s.event_ring_overflows()).sum()
+        0
     }
 
     /// `app`'s *global* effective quota — the adaptive tuner's once it

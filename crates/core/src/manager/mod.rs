@@ -26,9 +26,9 @@
 //!
 //! * `shard` — one self-contained slice of the pool: frames, hash
 //!   buckets, the free list, the policy leaf (frame table, ranker,
-//!   adaptive evidence), the event ring, and the hit / miss / install /
-//!   evict paths. Every `Mutex` field is private to it; the other modules
-//!   reach frames, buckets and the policy through its accessors.
+//!   adaptive evidence), and the hit / miss / install / evict paths.
+//!   Every `Mutex` field is private to it; the other modules reach
+//!   frames, buckets and the policy through its accessors.
 //! * `admission` — the quota ledger (one per shard), the facade's global
 //!   quotas, frame acquisition under a quota, the strict-quota spill.
 //! * `sweep` — the policy side of a frame changing tenants: the eviction
@@ -65,9 +65,10 @@
 //! that another scan is claiming too; the first to retake it evicts, the
 //! other simply asks for the next one.
 //!
-//! An evicting miss on any shard but a static clock one takes the policy
-//! lock **twice** when its first candidate is accepted: one hold drains,
-//! begins the scan and takes that candidate; one files the incoming block
+//! An evicting install on any shard but a static clock one takes the
+//! policy lock **twice** when its first candidate is accepted (the lookup
+//! that missed took one hold of its own, for the ledger): one hold begins
+//! the scan and takes that candidate; one files the incoming block
 //! — the victim's removal and ledger entries travel with the frame to it
 //! — **before the block is visible in its bucket**, so the residency words
 //! never describe a previous tenant of a frame a scan can evict (a lost
@@ -98,29 +99,25 @@
 //!
 //! ## Hit-path concurrency
 //!
-//! The **hit fast path takes no policy lock**. A hit (or recency touch)
-//! does three lock-free things: bump the manager's atomic counters, store
-//! the frame's atomic ref/recency word
-//! ([`RefWords`](kcache_policy::RefWords) — ref bit plus app-touch mask,
-//! one relaxed `fetch_or` unless the bits are already set, the seed
-//! clock's store-only cost), and enqueue an
-//! [`AccessEvent`](kcache_policy::AccessEvent) into the calling thread's
-//! stripe of a bounded lock-free ring. The deferred events — policy
+//! A hit (or recency touch) first does two lock-free things: bump the
+//! manager's atomic counters and store the frame's atomic ref/recency
+//! word ([`RefWords`](kcache_policy::RefWords) — ref bit plus app-touch
+//! mask, one relaxed `fetch_or` unless the bits are already set, the seed
+//! clock's store-only cost). Then, with the bucket and frame already let
+//! go, it is applied to the policy **as it happens**: any shard but a
+//! static clock one takes the policy lock once and applies the policy
 //! hit/miss counters, the per-app ledger, `on_access` recency for
-//! non-clock policies, and the adaptive meta-policy's ghost feeds — are
-//! applied in batches, **FIFO per producer**
-//! ([`RankedTable::drain`](kcache_policy::RankedTable::drain)), only when
-//! the policy lock is taken anyway: before an eviction scan ranks, before
-//! an insert links, before an epoch tick decides, before a stats read
-//! reports, and inline by the producer itself when its stripe fills (so
-//! nothing is ever dropped and memory stays bounded). Under a single
-//! thread every drain point precedes the next policy *decision*, which
-//! makes drained accounting observation-equivalent to applying every event
-//! at access time — pinned against an independent sequential model of the
-//! manager (`tests/model.rs`). A static clock shard — the paper's policy
-//! ranks from the ref words alone — enqueues nothing: a touch is dropped,
-//! a hit or miss bumps its app's striped counter, and the ledger folds
-//! those counts in only when `policy_stats` or `app_usage` reads it.
+//! non-clock rankers and the adaptive meta-policy's ghost feeds
+//! ([`RankedTable::hit`](kcache_policy::RankedTable::hit),
+//! [`touch`](kcache_policy::RankedTable::touch)). A miss and a probe hit
+//! take the same one hold for the ledger. Whatever the policy ranks,
+//! decides or reports, every access that preceded it is already in — the
+//! shape of the independent sequential model the manager is pinned
+//! against (`tests/model.rs`). A static clock shard — the paper's policy
+//! ranks from the ref words alone — takes no lock at all: a touch needs
+//! nothing beyond the word, a hit or miss bumps its app's striped
+//! counter, and the ledger folds those counts in only when
+//! `policy_stats` or `app_usage` reads it.
 //!
 //! **Epoch participation** is explicit and uniform: every access event —
 //! hit, miss, probe hit, and recency touch — advances the facade's epoch

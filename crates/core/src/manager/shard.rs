@@ -1,22 +1,21 @@
-//! One shard of the cache: frames, hash buckets, the free list, the policy
-//! leaf and the event ring, with the hit / miss / install / evict paths
-//! over them. Every `Mutex` field here is private; `admission`, `flush`,
-//! `sweep` and `epoch` reach frames, buckets and the policy through the
-//! accessors below, and own the locks of their own state.
+//! One shard of the cache: frames, hash buckets, the free list and the
+//! policy leaf, with the hit / miss / install / evict paths over them.
+//! Every `Mutex` field here is private; `admission`, `flush`, `sweep` and
+//! `epoch` reach frames, buckets and the policy through the accessors
+//! below, and own the locks of their own state.
 
 use super::admission::QuotaLedger;
 use super::epoch::EpochTicker;
 use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
-use super::sweep::{Sweep, COLS};
+use super::sweep::{Col, Sweep, COLS};
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
-use crate::ring::EventRing;
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
-    AccessEvent, AdaptiveStats, AppId, AppUsage, FrameTable, FrameWords, GhostRate, PolicyKind,
-    PolicyStats, RankedTable, RefWords, ScanFilter,
+    AdaptiveStats, AppId, AppUsage, FrameTable, FrameWords, GhostRate, PolicyKind, PolicyStats,
+    RankedTable, RefWords, ScanFilter,
 };
 use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
@@ -100,10 +99,10 @@ pub(super) struct AtomicStats {
 /// access (one additional atomic RMW would cost ~10% of the lean hit
 /// path) but folded in from the manager's existing [`AtomicStats`]
 /// ledger at sync points — epoch boundaries and
-/// [`BufferManager::obs_flush`](super::BufferManager::obs_flush) — and
-/// from the policy's at ring drains. Counters are therefore exact at every
-/// epoch mark and export. Trace events and gauge refreshes live on cold
-/// paths only (eviction scans, ring overflows, epoch boundaries).
+/// [`BufferManager::obs_flush`](super::BufferManager::obs_flush).
+/// Counters are therefore exact at every epoch mark and export. Trace
+/// events and gauge refreshes live on cold paths only (eviction scans,
+/// epoch boundaries).
 /// Instrumentation is strictly read-only over cache state — a
 /// differential test pins that obs-on and obs-off managers make
 /// byte-for-byte identical decisions.
@@ -120,16 +119,10 @@ pub(super) struct ManagerObs {
     misses_seen: AtomicU64,
     evictions_clean: Counter,
     evictions_dirty: Counter,
-    /// Times the event ring refused a push (producer-became-drainer —
-    /// each is a lost-recency/convoy window; see [`EventRing`]).
-    ring_overflows: Counter,
-    /// Events applied per non-empty `drain_locked` batch.
-    drain_batch: Histogram,
     /// Candidates visited per successful eviction scan.
     scan_visits: Histogram,
     ev_eviction_scan: EventId,
     pub(super) ev_epoch_tick: EventId,
-    ev_ring_overflow: EventId,
 }
 
 /// The wait instruments of one measured leaf lock (`policy`, `free`,
@@ -170,14 +163,11 @@ pub(super) fn lock_leaf<'a, T>(lock: &'a Mutex<T>, waits: &Option<LockWaits>) ->
 
 /// What the policy leaf lock guards: the shard's frame table with the
 /// live ranker over it and, under an adaptive configuration, the
-/// meta-policy's evidence state beside it — fed from the same stream,
+/// meta-policy's evidence state beside it — fed from the same accesses,
 /// never in front of the table.
 pub(super) struct PolicyState {
     pub(super) ranked: RankedTable,
     pub(super) adaptive: Option<AdaptivePolicy>,
-    /// `drain_locked`'s batch buffer, kept so that a drain allocates
-    /// nothing while it holds the lock another thread is waiting for.
-    batch: Vec<AccessEvent>,
     /// Per [`AppCounts`](super::sweep::AppCounts) slot, the counts
     /// already in the ledger: a fold adds only the growth past them (empty
     /// without a [`Sweep`]).
@@ -185,13 +175,13 @@ pub(super) struct PolicyState {
 }
 
 impl PolicyState {
-    /// Apply a batch of access events, oldest first: ghost feeds, then
-    /// the live table's ledger and recency replay.
-    fn drain(&mut self, events: &[AccessEvent]) {
+    /// A use of resident frame `idx` (a read hit or a bare touch): the
+    /// ghosts' feed, then the live ranker's recency refresh.
+    fn touch(&mut self, idx: u32, key: BlockKey, app: AppId) {
         if let Some(a) = &mut self.adaptive {
-            a.observe_batch(events);
+            a.observe(key.hash(), app);
         }
-        self.ranked.drain(events);
+        self.ranked.touch(idx, key.hash(), app);
     }
 
     /// The policy-side half of evicting `victim` from frame `idx` under
@@ -249,7 +239,7 @@ thread_local! {
 
 /// One shard of the cache: a fully self-contained slice of the frame
 /// pool with its own hash buckets, free list, dirty queue, replacement
-/// policy, event ring and quota ledger — every lock below this line is
+/// policy and quota ledger — every lock below this line is
 /// shard-local. The public [`BufferManager`](super::BufferManager) facade
 /// routes each [`BlockKey`] to exactly one shard (high hash bits, disjoint
 /// from the low bits the in-shard bucket index consumes), so two threads
@@ -287,27 +277,21 @@ pub(super) struct Shard {
     /// table once at construction; live policy migration keeps the table,
     /// so the handle never goes stale.
     pub(super) ref_words: RefWords,
-    /// Bounded lock-free side-buffer of deferred [`AccessEvent`]s (see
-    /// the module docs); drained into the policy under its leaf lock.
-    /// Exact-LRU, LFU, 2Q, ARC, sharing-aware and every adaptive shard
-    /// route each access through it; a static clock shard only the hits
-    /// and misses of apps past its counts' bound.
-    ring: EventRing,
     /// `Some` on a static clock shard: the policy ranks from the atomic
-    /// words alone and nothing else reads the stream, so its scans sweep
-    /// the clock hand and its ledger is counted per app, all without the
-    /// policy lock (`sweep.rs`). A touch then has no deferred effect at
-    /// all (the word was stored at access time), and a hit or miss nothing
-    /// beyond the ledger's counts, so none of them enters the ring. An
-    /// adaptive shard keeps every event in the ring and every step under
-    /// the lock even while clock is live: its ghosts feed from the stream.
+    /// words alone and nothing else reads the accesses, so its scans
+    /// sweep the clock hand and its ledger is counted per app, all
+    /// without the policy lock (`sweep.rs`). A touch then has no effect
+    /// beyond the word stored at access time, and a hit or miss none
+    /// beyond the ledger's counts. Every other shard — an adaptive one
+    /// even while clock is live, its ghosts feed on every use — takes the
+    /// policy lock for each access and applies it there and then.
     pub(super) sweep: Option<Sweep>,
     /// Store the ref word on hits/touches at all: true when the policy
-    /// ranks from it (clock: no ring, see `sweep`), consumes the
-    /// app-touch mask at scan time (sharing-aware, beside its ring), or
-    /// could migrate to either (any adaptive configuration). A static
-    /// LRU/LFU/2Q/ARC manager never consumes the words — its ring replays
-    /// recency — so it skips the per-hit `fetch_or`.
+    /// ranks from it (clock, see `sweep`), consumes the app-touch mask at
+    /// scan time (sharing-aware), or could migrate to either (any
+    /// adaptive configuration). A static LRU/LFU/2Q/ARC manager never
+    /// reads the words — its `on_access` keeps the recency — so it skips
+    /// the per-hit `fetch_or`.
     touch_words: bool,
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
@@ -351,17 +335,11 @@ impl Shard {
             }),
             free_waits: waits("free"),
             dirty: DirtyQueue::new(waits("dirty")),
-            policy: CacheLine(Mutex::new(PolicyState {
-                ranked,
-                adaptive,
-                batch: Vec::new(),
-                claimed,
-            })),
+            policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive, claimed })),
             policy_waits: waits("policy"),
             ledger: QuotaLedger::new(&cfg.partitioning, share, waits("charges")),
             epoch,
             ref_words,
-            ring: EventRing::new(),
             sweep,
             touch_words,
             obs: cfg.obs.clone().map(|(hub, node)| {
@@ -371,12 +349,9 @@ impl Shard {
                     misses: reg.counter(&format!("cache.misses.{policy_label}")),
                     evictions_clean: reg.counter("cache.evictions_clean"),
                     evictions_dirty: reg.counter("cache.evictions_dirty"),
-                    ring_overflows: reg.counter("cache.ring_overflows"),
-                    drain_batch: reg.histogram("cache.drain_batch"),
                     scan_visits: reg.histogram("cache.scan_visits"),
                     ev_eviction_scan: hub.intern("eviction_scan", Some("visited"), Some("dirty")),
                     ev_epoch_tick: hub.intern("epoch_tick", Some("epoch"), Some("accesses")),
-                    ev_ring_overflow: hub.intern("ring_overflow", Some("overflows"), None),
                     hits_seen: AtomicU64::new(0),
                     misses_seen: AtomicU64::new(0),
                     hub,
@@ -411,16 +386,6 @@ impl Shard {
         lock_leaf(&self.policy, &self.policy_waits)
     }
 
-    /// Run `f` on the policy state under its lock, with every deferred
-    /// event applied first: whatever the policy is about to rank, decide
-    /// or report, it never does so with accesses that already happened
-    /// still queued.
-    pub(super) fn with_drained_policy<R>(&self, f: impl FnOnce(&mut PolicyState) -> R) -> R {
-        let mut p = self.lock_policy();
-        self.drain_locked(&mut p);
-        f(&mut p)
-    }
-
     #[inline]
     pub(super) fn free_frames(&self) -> usize {
         self.free.len.load(Ordering::Relaxed)
@@ -450,14 +415,13 @@ impl Shard {
         idx
     }
 
-    /// Run `f` on the ledger with every access in it: the queued events
-    /// drained, a static clock shard's counts folded. Only the readers
-    /// that report the ledger fold; no decision reads the counts.
+    /// Run `f` on the ledger with every access in it: a static clock
+    /// shard's counts folded. Only the readers that report the ledger
+    /// fold; no decision reads the counts.
     fn with_ledger<R>(&self, f: impl FnOnce(&FrameTable) -> R) -> R {
-        self.with_drained_policy(|p| {
-            self.fold_counts(p);
-            f(p.ranked.table())
-        })
+        let mut p = self.lock_policy();
+        self.fold_counts(&mut p);
+        f(p.ranked.table())
     }
 
     // The shard halves of the facade's readers, documented there.
@@ -466,14 +430,14 @@ impl Shard {
     }
 
     pub(super) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        self.with_drained_policy(|p| p.adaptive.as_ref().map(AdaptivePolicy::stats))
+        self.lock_policy().adaptive.as_ref().map(AdaptivePolicy::stats)
     }
 
     /// Lifetime ghost ledgers per candidate (`None`: static policy) —
     /// the slice of [`adaptive_stats`](Self::adaptive_stats) that differs
     /// per shard, without cloning the decision logs.
     pub(super) fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
-        self.with_drained_policy(|p| p.adaptive.as_ref().map(AdaptivePolicy::ghost_rates))
+        self.lock_policy().adaptive.as_ref().map(AdaptivePolicy::ghost_rates)
     }
 
     pub(super) fn live_policy_kind(&self) -> PolicyKind {
@@ -503,10 +467,6 @@ impl Shard {
         }
     }
 
-    pub(super) fn event_ring_overflows(&self) -> u64 {
-        self.ring.overflows()
-    }
-
     pub(super) fn resident_keys(&self) -> Vec<BlockKey> {
         let mut out = Vec::new();
         for b in &self.buckets {
@@ -514,38 +474,6 @@ impl Shard {
         }
         out.sort_unstable();
         out
-    }
-
-    /// Pop the queued events (FIFO per producer) and apply them. Must be
-    /// called with the policy lock held (`p` is the locked state); the
-    /// manager drains at every point where the policy is about to rank,
-    /// decide, or report, so deferred events are always applied before
-    /// they could be observed missing.
-    pub(super) fn drain_locked(&self, p: &mut PolicyState) {
-        // At most one ring's worth per stripe and call: sustained
-        // lock-free producers must not pin the drainer under the policy
-        // lock (or grow the batch) indefinitely. Anything newer lands at
-        // the next drain point; single-threaded one stripe fills, never
-        // past its capacity, so equivalence is unaffected.
-        let mut batch = std::mem::take(&mut p.batch);
-        self.ring.drain_into(&mut batch);
-        if !batch.is_empty() {
-            if let Some(o) = &self.obs {
-                o.drain_batch.record(batch.len() as u64);
-            }
-            p.drain(&batch);
-            batch.clear();
-        }
-        p.batch = batch;
-        if let Some(o) = &self.obs {
-            // The ledger just drained into is the cheap total here (one
-            // line, under the lock held anyway; summing the striped
-            // counters reads sixteen): it trails them only by events still
-            // queued or counts not yet folded, which the next sync point
-            // claims.
-            let stats = &p.ranked.table().stats;
-            Self::obs_sync_counts(o, stats.hits, stats.misses);
-        }
     }
 
     /// Fold the growth of the hit/miss totals since the last sync point
@@ -584,50 +512,34 @@ impl Shard {
         }
     }
 
-    /// Route one access event to the policy through the lock-free ring —
-    /// or, on a static clock shard, into its app's counts (see `sweep`).
-    /// A full ring makes the producer the drainer (bounded memory,
-    /// nothing dropped).
-    fn push_event(&self, ev: AccessEvent) {
-        use super::sweep::Col;
-        use kcache_policy::AccessKind::{Hit, Miss, ProbeHit, Touch};
-        if let Some(sweep) = &self.sweep {
-            let counted = match ev.kind {
-                // The ref word was already stored at access time: a touch
-                // defers nothing — no ledger, no replay.
-                Touch => true,
-                Hit | ProbeHit => sweep.counts.bump(ev.app, Col::Hits),
-                Miss => sweep.counts.bump(ev.app, Col::Misses),
-            };
-            // Not counted: an app past the counts' bound.
-            if counted {
-                return;
-            }
-        }
-        if !self.ring.push(ev) {
-            if let Some(o) = &self.obs {
-                o.ring_overflows.inc();
-                o.hub.instant(o.ev_ring_overflow, o.node, 0, self.ring.overflows(), 0);
-            }
-            self.with_drained_policy(|p| p.drain(std::slice::from_ref(&ev)));
-        }
-    }
-
-    /// Hit accounting + recency refresh — the lock-free fast path: atomic
-    /// counters, one relaxed store into the frame's ref/recency word, one
-    /// ring enqueue. No policy lock.
+    /// Hit accounting + recency refresh: atomic counters and one relaxed
+    /// store into the frame's ref/recency word; then a static clock shard
+    /// counts the hit in its app's slot, and any other takes the policy
+    /// lock to apply it.
     fn record_hit(&self, idx: u32, key: BlockKey, app: AppId) {
         self.stats.hits.inc();
         if self.touch_words {
             self.ref_words.touch(idx, app);
         }
-        self.push_event(AccessEvent::hit(idx, key.hash(), app));
+        match &self.sweep {
+            Some(sweep) => self.count(sweep, app, &[Col::Hits]),
+            None => {
+                let mut p = self.lock_policy();
+                p.ranked.hit(app);
+                p.touch(idx, key, app);
+            }
+        }
         self.epoch.tick();
     }
 
+    /// Miss accounting (a read or a probe that missed): counters, then
+    /// the ledger, as for a hit.
     fn record_miss(&self, app: AppId) {
         self.stats.misses.inc();
-        self.push_event(AccessEvent::miss(app));
+        match &self.sweep {
+            Some(sweep) => self.count(sweep, app, &[Col::Misses]),
+            None => self.lock_policy().ranked.miss(app),
+        }
         self.epoch.tick();
     }
 
@@ -635,12 +547,15 @@ impl Shard {
     /// secondary-waiter attribution, merges into a resident block. A
     /// touch is a real access, so it **does** advance the epoch clock
     /// (the explicit participation rule in the module docs — before PR 5
-    /// touches silently never aged the policies).
+    /// touches silently never aged the policies). On a static clock shard
+    /// the word stored here is the whole of it.
     fn note_touch(&self, idx: u32, key: BlockKey, app: AppId) {
         if self.touch_words {
             self.ref_words.touch(idx, app);
         }
-        self.push_event(AccessEvent::touch(idx, key.hash(), app));
+        if self.sweep.is_none() {
+            self.lock_policy().touch(idx, key, app);
+        }
         self.epoch.tick();
     }
 
@@ -735,8 +650,12 @@ impl Shard {
             self.record_miss(app);
             return AccessOutcome::Miss;
         }
+        // A lookup, not a use: the hit ledger only, no recency refresh.
         self.stats.hits.inc();
-        self.push_event(AccessEvent::probe_hit(app));
+        match &self.sweep {
+            Some(sweep) => self.count(sweep, app, &[Col::Hits]),
+            None => self.lock_policy().ranked.hit(app),
+        }
         self.epoch.tick();
         AccessOutcome::Hit
     }
@@ -1004,11 +923,13 @@ mod tests {
         assert_eq!((ps.inserts - ps.removes, m.resident()), (2, 2));
     }
 
-    /// A static clock shard takes no access event into its ring: touches
-    /// are dropped; hits, probe hits and misses of the unattributed
-    /// accessor and of every app below the bound bump that app's counts.
-    /// Only an app past the bound queues events. The ledger's readers
-    /// still count every access exactly once, however often they read.
+    /// A static clock shard takes the policy lock for no access of the
+    /// unattributed accessor or of an app below its counts' bound: a touch
+    /// needs nothing beyond the ref word, and a hit, probe hit or miss
+    /// bumps that app's counts. An app past the bound has its hits and
+    /// misses counted straight into the table, one hold each. The ledger's
+    /// readers still count every access exactly once, however often they
+    /// read.
     #[test]
     fn a_static_clock_shard_counts_accesses_off_the_ring() {
         use kcache_policy::AppId;
@@ -1024,10 +945,12 @@ mod tests {
         };
         let (a, b) = (AppId(0), AppId(super::super::sweep::COUNTED_APPS as u32 - 1));
         let far = AppId(super::super::sweep::COUNTED_APPS as u32);
-        for app in [a, a, a, b, AppId::UNKNOWN, AppId::UNKNOWN, far] {
+        let holds = || super::POLICY_HOLDS.with(std::cell::Cell::get);
+        let before = holds();
+        for app in [a, a, a, b, AppId::UNKNOWN, AppId::UNKNOWN] {
             assert!(read(resident, app));
         }
-        for app in [a, AppId::UNKNOWN, far] {
+        for app in [a, AppId::UNKNOWN] {
             assert!(!read(absent, app));
         }
         let probe =
@@ -1036,10 +959,9 @@ mod tests {
         for app in [a, AppId::UNKNOWN, far] {
             assert!(m.access(resident, Access { app, kind: AccessKind::Touch }).is_hit());
         }
-        let mut queued = Vec::new();
-        m.shards[0].ring.drain_into(&mut queued);
-        assert_eq!(queued.iter().map(|ev| ev.app).collect::<Vec<_>>(), [far, far]);
-        m.shards[0].lock_policy().drain(&queued);
+        assert_eq!(holds(), before, "counted accesses and touches take no lock");
+        assert!(read(resident, far) && !read(absent, far));
+        assert_eq!(holds(), before + 2, "the far app's hit and miss, one hold each");
         for _ in 0..2 {
             let usage = m.app_usage();
             let counts: Vec<_> = usage.iter().map(|(app, u)| (*app, u.hits, u.misses)).collect();

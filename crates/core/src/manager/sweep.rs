@@ -17,8 +17,8 @@ use kcache_obs::Counter;
 use kcache_policy::{AppId, ClockHand, PolicyStats, ScanFilter};
 
 /// App ids below this have a slot of their own in [`AppCounts`]. A higher
-/// one's hits and misses go through the ring, and its inserts, removes
-/// and evictions into the table under the policy lock.
+/// one's events are counted into the table under the policy lock
+/// ([`Shard::count`]).
 pub(super) const COUNTED_APPS: usize = 16;
 
 /// A column of an [`AppCounts`] slot: one [`PolicyStats`] field, in the
@@ -70,13 +70,6 @@ impl AppCounts {
             AppId(i as u32)
         }
     }
-
-    /// Count one `col` event in `app`'s slot; `false` (nothing counted)
-    /// past the bound.
-    #[inline]
-    pub(super) fn bump(&self, app: AppId, col: Col) -> bool {
-        self.of(app).map(|slot| slot[col as usize].inc()).is_some()
-    }
 }
 
 /// The counts of one slot as the ledger delta they are.
@@ -107,21 +100,19 @@ impl Sweep {
 impl Shard {
     /// Start an eviction scan and take its first candidate. A static clock
     /// shard counts the scan and arms `budget` with two laps of the hand;
-    /// any other shard takes one hold that ranks over up-to-date metadata
-    /// — every deferred access applied before the scan decides a victim
-    /// order — and walks to the scan's first admissible frame.
+    /// any other shard takes one hold that begins the scan and walks to
+    /// its first admissible frame.
     pub(super) fn first_candidate(
         &self,
         budget: &mut usize,
         filter: &mut ScanFilter,
     ) -> Option<u32> {
         let Some(sweep) = &self.sweep else {
-            return self.with_drained_policy(|p| {
-                p.ranked.begin_scan();
-                p.ranked.next_candidate(filter)
-            });
+            let mut p = self.lock_policy();
+            p.ranked.begin_scan();
+            return p.ranked.next_candidate(filter);
         };
-        sweep.counts.bump(AppId::UNKNOWN, Col::Scans);
+        self.count(sweep, AppId::UNKNOWN, &[Col::Scans]);
         *budget = ClockHand::budget(self.capacity);
         sweep.hand.sweep(&self.words, &self.ref_words, budget, filter)
     }
@@ -143,7 +134,8 @@ impl Shard {
     /// Count one event of each of `cols` against `app` on a static clock
     /// shard: in its slot, or — an app past the bound — straight into the
     /// table under the lock.
-    fn count(&self, sweep: &Sweep, app: AppId, cols: &[Col]) {
+    #[inline]
+    pub(super) fn count(&self, sweep: &Sweep, app: AppId, cols: &[Col]) {
         if let Some(slot) = sweep.counts.of(app) {
             cols.iter().for_each(|&c| slot[c as usize].inc());
             return;
@@ -204,11 +196,9 @@ impl Shard {
     /// race un-files ([`unfile`](Self::unfile)).
     ///
     /// A static clock shard stores the words and counts, with no lock. Any
-    /// other files in one hold, after draining the ring, so accesses that
-    /// preceded the install keep their order — unless a scan found
-    /// `victim`: it drained a moment ago and this thread has queued nothing
-    /// since. The old owner's uncharge comes last: over-counted until then,
-    /// strict quotas err toward denying, never toward over-admitting.
+    /// other files in one hold. The old owner's uncharge comes last:
+    /// over-counted until then, strict quotas err toward denying, never
+    /// toward over-admitting.
     pub(super) fn file_insert(&self, idx: u32, key: BlockKey, app: AppId, victim: Option<&Victim>) {
         let evicted_owner = match &self.sweep {
             Some(sweep) => {
@@ -221,13 +211,7 @@ impl Shard {
             }
             None => {
                 let mut p = self.lock_policy();
-                let evicted_owner = match victim {
-                    Some(victim) => Some(p.settle_eviction(idx, victim)),
-                    None => {
-                        self.drain_locked(&mut p);
-                        None
-                    }
-                };
+                let evicted_owner = victim.map(|v| p.settle_eviction(idx, v));
                 if let Some(a) = &mut p.adaptive {
                     // An insert is the tail of a miss in the live stream:
                     // the ghosts see the same reference.
@@ -263,12 +247,10 @@ impl Shard {
     /// owner, for the caller to uncharge.
     pub(super) fn forget(&self, idx: u32, key: BlockKey) -> AppId {
         let Some(sweep) = &self.sweep else {
-            // Pending accesses to this block must land before its removal.
-            return self.with_drained_policy(|p| {
-                let owner = p.ranked.table().owner_of(idx);
-                p.ranked.remove(idx, key.hash());
-                owner
-            });
+            let mut p = self.lock_policy();
+            let owner = p.ranked.table().owner_of(idx);
+            p.ranked.remove(idx, key.hash());
+            return owner;
         };
         let owner = self.words.owner_of(idx);
         self.count(sweep, owner, &[Col::Removes]);

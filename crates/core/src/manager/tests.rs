@@ -344,6 +344,38 @@ fn all_policies_run_the_full_lifecycle() {
     }
 }
 
+/// A pure-hit storm five times longer than any buffer of deferred
+/// accesses ever was (the event ring held 4 × 1024), on every policy but
+/// static clock and on the adaptive manager: each hit reaches the policy
+/// as it happens, so nothing overflows and the ledger counts every hit,
+/// per app too.
+#[test]
+fn a_pure_hit_storm_reaches_every_policy_as_it_happens() {
+    const HITS: u64 = 5 * 4 * 1024;
+    let build = |kind| BufferManager::builder(16).policy(EvictPolicy::of(kind));
+    let mut managers: Vec<_> = PolicyKind::ALL
+        .into_iter()
+        .filter(|&kind| kind != PolicyKind::Clock)
+        .map(|kind| (kind.name().to_string(), build(kind).build()))
+        .collect();
+    let adaptive = AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::Lfu]);
+    managers.push(("adaptive".into(), build(PolicyKind::Clock).adaptive(Some(adaptive)).build()));
+    for (name, m) in managers {
+        for b in 0..8 {
+            m.insert_clean(key(b), NodeId(0), Span::FULL, &full_block(b as u8));
+        }
+        let mut out = full_block(0);
+        for i in 0..HITS {
+            let app = AppId((i % 2) as u32);
+            assert!(m.try_read_by(key(i % 8), Span::FULL, &mut out, app), "{name}");
+        }
+        assert_eq!(m.event_ring_overflows(), 0, "{name}");
+        assert_eq!((m.policy_stats().hits, m.stats().hits), (HITS, HITS), "{name}");
+        let hits: Vec<_> = m.app_usage().iter().map(|(app, u)| (*app, u.hits)).collect();
+        assert_eq!(hits, [(AppId(0), HITS / 2), (AppId(1), HITS / 2)], "{name}");
+    }
+}
+
 #[test]
 fn harvest_reaches_high_watermark() {
     let m = BufferManager::builder(10).watermarks(2, 5).build();

@@ -2,9 +2,8 @@
 fn concurrent_stress_accounting_and_quotas_hold() {
     // 8 threads × mixed read/write/probe over a shared working set,
     // across shared/strict/soft partitioning and static/adaptive
-    // ranking. After the dust settles (final drain via the stats
-    // readers): no frame leaked, every lookup is counted exactly
-    // once, and quotas held.
+    // ranking. After the dust settles: no frame leaked, every lookup
+    // is counted exactly once, and quotas held.
     use std::sync::Arc;
     let quota = 20usize;
     let partitions = [
@@ -81,8 +80,7 @@ fn concurrent_stress_accounting_and_quotas_hold() {
             assert_eq!(keys.len(), dedup.len(), "{label}: duplicate resident keys");
             assert!(m.resident() <= 64, "{label}: residency over capacity");
             // Every lookup counted exactly once, in the atomic
-            // counters and — after the final drain the stats read
-            // performs — in the policy's own ledger.
+            // counters and in the policy's own ledger.
             let s = m.stats();
             let n = lookups.load(Ordering::Relaxed);
             assert_eq!(s.hits + s.misses, n, "{label}: manager hit+miss != lookups");

@@ -4,9 +4,9 @@
 //! [`RankedTable`] to *rank* (the rankers have their own oracles in
 //! `kcache-policy`; this one is for the manager) and, under an adaptive
 //! configuration, [`AdaptivePolicy`] / [`decide_epoch`] for evidence and
-//! the decision. Every access event is applied **at access time**: no
-//! ring, no deferred batches, no drain points, no second policy hold. It
-//! shares no code with `src/manager/` beyond the public types it drives.
+//! the decision. Every access is applied **at access time**, in one
+//! place. It shares no code with `src/manager/` beyond the public types
+//! it drives.
 //!
 //! At `shards = 1` the real manager must agree with it exactly — op
 //! outcomes and resident sets after every step; `stats()`,
@@ -15,13 +15,12 @@
 //! differs, so the same scripts check the conservation invariants instead.
 //!
 //! Mutation checks (recorded in CHANGES.md), each against the real manager:
-//! * `evict_one_owned` takes the policy lock bare — no drain before
-//!   `begin_scan`: `random_ops_match_the_model` fails
-//!   ("sharing-aware/soft/clean_first=false/shards=1: resident set diverged
-//!   at step 129") and so does
+//! * a bare recency touch (`note_touch`) applies `on_access` but skips the
+//!   adaptive ghosts' `observe`: `random_ops_match_the_model` fails
+//!   ("adaptive/strict/clean_first=true/shards=1: adaptive stats": the
+//!   ghosts count fewer hits) and so does
 //!   `tuner_moves_and_policy_switches_match_the_model` ("adaptive/tuned/
-//!   shards=1: resident set diverged at step 181") — the scan ranks on
-//!   recency the ring has not delivered yet.
+//!   shards=1: resident set diverged at step 181").
 //! * `invalidate` skips `ledger.uncharge(owner)`:
 //!   `random_ops_match_the_model` fails ("2q/strict/clean_first=true/
 //!   shards=1: resident set diverged at step 270") — the tenant keeps paying
@@ -31,7 +30,7 @@
 //! survives both; the random sequences are what catch them.
 
 use kcache::adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
-use kcache::policy::{AccessEvent, RankedTable, ScanFilter};
+use kcache::policy::{RankedTable, ScanFilter};
 use kcache::{
     Access, AccessKind, AccessOutcome, AppId, BlockKey, BufferManager, CacheStats, EvictPolicy,
     PartitionConfig, PartitionMode, PolicyKind, Span, WriteOutcome, CACHE_BLOCK_SIZE,
@@ -128,32 +127,29 @@ impl Model {
 
     // -- accounting, all of it at access time -------------------------
 
-    fn event(&mut self, ev: AccessEvent) {
-        if let Some(a) = &mut self.adaptive {
-            a.observe_batch(&[ev]);
-        }
-        self.ranked.drain(&[ev]);
-        self.accesses += 1;
-    }
-
     fn hit(&mut self, key: BlockKey, app: AppId) -> Outcome {
-        let frame = self.blocks[&key].frame;
         self.stats.hits += 1;
-        self.ranked.table().ref_words().touch(frame, app);
-        self.event(AccessEvent::hit(frame, key.hash(), app));
+        self.ranked.hit(app);
+        self.touch(key, app);
         Outcome::Hit
     }
 
     fn miss(&mut self, app: AppId) -> Outcome {
         self.stats.misses += 1;
-        self.event(AccessEvent::miss(app));
+        self.ranked.miss(app);
+        self.accesses += 1;
         Outcome::Miss
     }
 
+    /// A use of resident `key`: its ref word, the ghosts, the ranker.
     fn touch(&mut self, key: BlockKey, app: AppId) {
         let frame = self.blocks[&key].frame;
         self.ranked.table().ref_words().touch(frame, app);
-        self.event(AccessEvent::touch(frame, key.hash(), app));
+        if let Some(a) = &mut self.adaptive {
+            a.observe(key.hash(), app);
+        }
+        self.ranked.touch(frame, key.hash(), app);
+        self.accesses += 1;
     }
 
     fn serves(&self, key: BlockKey, span: Span) -> bool {
@@ -191,7 +187,8 @@ impl Model {
             }
             AccessKind::Probe { span } if self.serves(key, span) => {
                 self.stats.hits += 1;
-                self.event(AccessEvent::probe_hit(app));
+                self.ranked.hit(app);
+                self.accesses += 1;
                 Outcome::Hit
             }
             AccessKind::Probe { .. } => self.miss(app),
@@ -509,7 +506,8 @@ fn key(block: u64) -> BlockKey {
 }
 
 /// 3 is the unattributed accessor, 4 an app past the bound of a static
-/// clock shard's per-app counts (16 ids), whose events take the ring.
+/// clock shard's per-app counts (16 ids), whose events are counted
+/// under the policy lock.
 fn app(id: u32) -> AppId {
     match id {
         3 => AppId::UNKNOWN,
@@ -830,7 +828,7 @@ proptest! {
     /// without outstanding acknowledgments, invalidations and harvests × 3
     /// apps, the unattributed accessor and an app past the clock shard's
     /// counted ids (so both of its counting paths, the per-app counts and
-    /// the ring, are compared) × {shared, strict, soft} × the six
+    /// the locked table, are compared) × {shared, strict, soft} × the six
     /// policies and the adaptive manager × `clean_first`.
     #[test]
     fn random_ops_match_the_model(

@@ -32,8 +32,7 @@ thread_local! {
 }
 
 /// This thread's stripe, in `0..COUNTER_STRIPES` (8) — the workspace's one
-/// per-thread stripe index: the buffer manager's event ring stripes by it
-/// too.
+/// per-thread stripe index.
 #[inline]
 pub fn stripe_index() -> usize {
     STRIPE.with(|s| {

@@ -11,8 +11,7 @@
 //!
 //! A full ring **refuses** the push and counts the refusal; what a
 //! refusal means is the caller's business. The trace ring drops the
-//! event (tracing is lossy by design); the buffer manager's access-event
-//! ring makes the producer drain inline, so nothing is ever lost there.
+//! event (tracing is lossy by design).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 

@@ -1,11 +1,9 @@
 //! Bounded structured trace ring + Chrome-trace export.
 //!
-//! Events are six words in the shared [`SlotRing`] (the same ring the
-//! core crate's `EventRing` encodes into): producers claim a slot with
+//! Events are six words in a [`SlotRing`]: producers claim a slot with
 //! one CAS on the enqueue cursor, and a full ring **drops the event and
-//! counts it** — tracing is lossy by design (unlike the accounting
-//! ring, where the producer becomes the drainer, a trace event carries
-//! no correctness weight).
+//! counts it** — tracing is lossy by design (a trace event carries no
+//! correctness weight).
 //!
 //! Event names are interned once at wiring time (a mutex, cold path
 //! only); the hot-path record is a handful of relaxed stores. Sim-clock

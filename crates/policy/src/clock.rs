@@ -119,7 +119,7 @@ impl ReplacementPolicy for Clock {
 
 #[cfg(test)]
 mod tests {
-    use crate::{AccessEvent, AppId, PolicyKind, ScanFilter};
+    use crate::{AppId, PolicyKind, ScanFilter};
 
     #[test]
     fn unreferenced_frame_is_victim() {
@@ -173,19 +173,22 @@ mod tests {
     }
 
     #[test]
-    fn drain_updates_ledgers_without_touching_recency() {
+    fn hits_update_ledgers_without_touching_recency() {
         let mut c = PolicyKind::Clock.build(2);
         c.insert(0, 10, AppId(1));
-        // The producer stored the recency word at access time...
+        // The caller stored the recency word at access time...
         c.table().ref_words().touch(0, AppId(1));
-        // ...and an eviction scan consumed it before the drain arrived.
+        // ...and another thread's sweep consumed it before the caller
+        // took the lock to apply the access.
         c.begin_scan();
         assert_eq!(c.next_candidate(&mut ScanFilter::default()), Some(0));
-        c.drain(&[AccessEvent::hit(0, 10, AppId(1)), AccessEvent::miss(AppId(1))]);
+        c.hit(AppId(1));
+        c.touch(0, 10, AppId(1));
+        c.miss(AppId(1));
         assert_eq!((c.table().stats.hits, c.table().stats.misses), (1, 1));
         assert!(
             !c.table().ref_words().is_referenced(0),
-            "drain must not resurrect a consumed reference bit"
+            "a touch must not resurrect a consumed reference bit"
         );
     }
 

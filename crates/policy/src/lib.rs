@@ -52,16 +52,14 @@
 //! manager stores the words and sweeps the hand without that lock at all,
 //! and every ranker reads the same words under it.
 //!
-//! The **hit fast path does not take that lock at all**: hits and recency
-//! touches store into the table's per-frame atomic [`RefWords`] (ref bit +
-//! app-touch mask) and enqueue an [`AccessEvent`] into the manager's
-//! bounded side-buffer. The deferred events are applied in batches via
-//! [`RankedTable::drain`] — before anything that ranks or reports
-//! (eviction scans, inserts, epoch ticks, stats reads), so under a single
-//! thread the drained path is observation-equivalent to applying each
-//! event at access time (pinned by differential tests). [`Clock`] never
-//! needs the replayed `on_access` at all: it ranks directly from the
-//! atomic ref bits, recovering the seed's store-only per-hit cost.
+//! Every hit and recency touch stores into the table's per-frame atomic
+//! [`RefWords`] (ref bit + app-touch mask) without that lock, and the
+//! manager then applies the access to the table as it happens
+//! ([`RankedTable::hit`], [`miss`](RankedTable::miss),
+//! [`touch`](RankedTable::touch)), under the lock. [`Clock`] needs no
+//! `on_access` at all: it ranks directly from the atomic ref bits, and a
+//! static clock shard of the manager counts its ledger without the lock,
+//! which recovers the seed's store-only per-hit cost.
 
 pub mod arc;
 pub mod clock;
@@ -152,60 +150,6 @@ impl PolicyStats {
         self.evictions_clean += evictions_clean;
         self.evictions_dirty += evictions_dirty;
         self.scans += scans;
-    }
-}
-
-/// What kind of access a deferred [`AccessEvent`] records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessKind {
-    /// A data-serving hit: hit ledgers + recency refresh.
-    Hit,
-    /// A lookup-only hit (`probe`): hit ledgers, **no** recency refresh —
-    /// planning a request split is not a use of the block.
-    ProbeHit,
-    /// A miss: miss ledgers only (the eventual install arrives as an
-    /// eager `on_insert`).
-    Miss,
-    /// A recency-only touch (sync-write refresh, secondary-waiter
-    /// attribution, merge into a resident block): recency refresh, no
-    /// hit/miss ledger.
-    Touch,
-}
-
-/// One deferred access, produced lock-free on the buffer manager's hit
-/// fast path and applied to the policy in batches via
-/// [`RankedTable::drain`]. `frame`/`key` are meaningless for
-/// [`AccessKind::ProbeHit`]/[`AccessKind::Miss`] (no frame is involved).
-///
-/// Producer contract: for `Hit` and `Touch` events the producer has
-/// already updated the table's [`RefWords`] at access time — that *is*
-/// the lock-free recency store. `drain` applies everything that was
-/// deferred: the [`PolicyStats`] hit/miss counters, the per-app
-/// [`AppUsage`] ledger, and (for policies that do not rank from the
-/// atomic words) the `on_access` recency replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessEvent {
-    pub kind: AccessKind,
-    pub frame: u32,
-    pub key: u64,
-    pub app: AppId,
-}
-
-impl AccessEvent {
-    pub fn hit(frame: u32, key: u64, app: AppId) -> AccessEvent {
-        AccessEvent { kind: AccessKind::Hit, frame, key, app }
-    }
-
-    pub fn probe_hit(app: AppId) -> AccessEvent {
-        AccessEvent { kind: AccessKind::ProbeHit, frame: u32::MAX, key: 0, app }
-    }
-
-    pub fn miss(app: AppId) -> AccessEvent {
-        AccessEvent { kind: AccessKind::Miss, frame: u32::MAX, key: 0, app }
-    }
-
-    pub fn touch(frame: u32, key: u64, app: AppId) -> AccessEvent {
-        AccessEvent { kind: AccessKind::Touch, frame, key, app }
     }
 }
 
@@ -354,13 +298,12 @@ pub trait ReplacementPolicy: Send {
 
     /// A resident frame was hit by `app`; `key` is the block's fingerprint.
     ///
-    /// Callers that defer hit bookkeeping (the buffer manager's lock-free
-    /// fast path) reach this through [`RankedTable::drain`]. Either way,
-    /// an implementation must tolerate `frame` having been vacated or
-    /// re-assigned since the access (the manager's
-    /// drop-the-lock-between-steps discipline always allowed that race):
-    /// stale recency on a non-resident frame is reset by the next
-    /// `on_insert`.
+    /// The buffer manager reaches this through [`RankedTable::touch`]
+    /// once it has let go of the frame, so an implementation must
+    /// tolerate `frame` having been vacated or re-assigned since the
+    /// access (the manager's drop-the-lock-between-steps discipline
+    /// always allowed that race): stale recency on a non-resident frame
+    /// is reset by the next `on_insert`.
     fn on_access(&mut self, table: &FrameTable, frame: u32, key: u64, app: AppId);
 
     /// `frame` is being vacated (eviction or invalidation); `key`
@@ -406,14 +349,12 @@ pub trait ReplacementPolicy: Send {
 
     /// The [`ClockHand`] this policy's scans sweep, if it is clock: such a
     /// policy ranks eviction candidates from the table's atomic
-    /// [`RefWords`] and [`FrameWords`] alone, never needing the deferred
-    /// `on_access` replay. [`RankedTable::drain`] then skips that replay —
-    /// the producer already stored the recency word at access time, and
-    /// replaying it later could resurrect a reference bit an eviction scan
-    /// legitimately consumed in between — so a hit or miss has no deferred
-    /// effect beyond the ledger's counts. A static shard of the buffer
-    /// manager keeps such a policy's events out of its ring altogether
-    /// (touches dropped, hits and misses counted per app and folded in
+    /// [`RefWords`] and [`FrameWords`] alone, and [`RankedTable::touch`]
+    /// skips its `on_access`: the caller already stored the recency word
+    /// at access time, so a hit or miss has no effect beyond the ledger's
+    /// counts. A static shard of the buffer manager therefore takes no
+    /// policy lock for such a policy's accesses at all (touches need
+    /// nothing more, hits and misses are counted per app and folded in
     /// with [`FrameTable::note_counts`] when the ledger is read), clones
     /// the handle, and runs the same sweep without the policy lock.
     fn clock_hand(&self) -> Option<&ClockHand> {
@@ -423,9 +364,9 @@ pub trait ReplacementPolicy: Send {
     /// Does this policy consume the [`RefWords`] app-touch mask at scan
     /// time ([`RefWords::take_app_mask`])? The manager stores app bits
     /// on every hit/touch when this is `true`, even though the policy
-    /// does not *rank* from the words — sharing-aware folds undrained
-    /// touches into its referent sets so protection is current at scan
-    /// time, not as of the last drain.
+    /// does not *rank* from the words — sharing-aware folds into its
+    /// referent sets the touches its `on_access` did not see in the live
+    /// generation (see [`SharingAware`]).
     fn consumes_app_mask(&self) -> bool {
         false
     }
@@ -433,7 +374,7 @@ pub trait ReplacementPolicy: Send {
 
 /// A [`FrameTable`] and the [`ReplacementPolicy`] ranking it — the one
 /// owner of everything that is not ranking: residency beside each hook,
-/// the hit/miss/per-app ledger over deferred [`AccessEvent`] batches, and
+/// the hit/miss/per-app ledger, and
 /// live migration to another policy over the *same* table. The buffer
 /// manager holds one per shard behind its policy leaf lock; each adaptive
 /// ghost cache holds one per candidate.
@@ -488,35 +429,36 @@ impl RankedTable {
         self.table.remove(frame);
     }
 
-    /// One eager recency refresh (ghost caches, tests); the manager's
-    /// accesses arrive through [`drain`](Self::drain).
+    /// One recency refresh through `on_access`, whatever the ranker
+    /// (ghost caches, tests); the manager's go through
+    /// [`touch`](Self::touch).
     pub fn access(&mut self, frame: u32, key: u64, app: AppId) {
         self.ranker.on_access(&self.table, frame, key, app);
     }
 
-    /// Apply a batch of deferred access events, oldest first: hit/miss
-    /// counters, the per-app ledger, and the `on_access` recency replay —
-    /// skipped for a policy that [ranks from the ref
-    /// words](ReplacementPolicy::clock_hand), which the
-    /// producer already stored at access time. Probe hits and misses
-    /// involve no frame and refresh nothing.
-    pub fn drain(&mut self, events: &[AccessEvent]) {
-        let replay = self.ranker.clock_hand().is_none();
-        for ev in events {
-            match ev.kind {
-                AccessKind::Hit | AccessKind::ProbeHit => {
-                    self.table.stats.hits += 1;
-                    self.table.note_app_hit(ev.app);
-                }
-                AccessKind::Miss => {
-                    self.table.stats.misses += 1;
-                    self.table.note_app_miss(ev.app);
-                }
-                AccessKind::Touch => {}
-            }
-            if replay && matches!(ev.kind, AccessKind::Hit | AccessKind::Touch) {
-                self.ranker.on_access(&self.table, ev.frame, ev.key, ev.app);
-            }
+    /// Count one hit by `app` — a data-serving read or a probe — in the
+    /// ledger. A read's recency refresh is a [`touch`](Self::touch) of
+    /// its own.
+    pub fn hit(&mut self, app: AppId) {
+        self.table.stats.hits += 1;
+        self.table.note_app_hit(app);
+    }
+
+    /// Count one miss by `app` in the ledger (the install that ends it
+    /// arrives as an [`insert`](Self::insert)).
+    pub fn miss(&mut self, app: AppId) {
+        self.table.stats.misses += 1;
+        self.table.note_app_miss(app);
+    }
+
+    /// A use of resident `frame` by `app` (a read hit, a sync-write
+    /// refresh, a merge): the ranker's `on_access`, skipped for one that
+    /// [ranks from the ref words](ReplacementPolicy::clock_hand) — the
+    /// caller stored the word at access time, which is all such a ranker
+    /// keeps.
+    pub fn touch(&mut self, frame: u32, key: u64, app: AppId) {
+        if self.ranker.clock_hand().is_none() {
+            self.ranker.on_access(&self.table, frame, key, app);
         }
     }
 
@@ -766,7 +708,8 @@ mod tests {
                     p.insert(f, 500 + f as u64, AppId(f % 2));
                 }
                 p.access(1, 501, AppId(1));
-                p.drain(&[AccessEvent::probe_hit(AppId(1)), AccessEvent::miss(AppId(0))]);
+                p.hit(AppId(1));
+                p.miss(AppId(0));
                 p.table_mut().set_pinned(2, true);
                 p.remove(5, 505);
                 // The manager's lock-free half of a hit: it must keep

@@ -16,13 +16,15 @@ use crate::{AppId, ReplacementPolicy};
 /// old binary shared/private split (a 3-app block now outlives a 2-app
 /// one).
 ///
-/// Referent evidence arrives on two paths: the deferred `on_access`
-/// replay (the event ring) and the table's lock-free
-/// [`RefWords`](crate::RefWords)
-/// app-touch mask, which the buffer manager stores into on every hit
-/// without taking the policy lock. `begin_scan` unions the undrained
-/// mask into the live generation so protection is current *at scan
-/// time*, not as of the last drain.
+/// Referent evidence arrives on two paths: `on_access`, which the buffer
+/// manager calls for every hit and touch as it happens, and the table's
+/// lock-free [`RefWords`](crate::RefWords) app-touch mask, which the
+/// manager stores into just before. `begin_scan` unions the mask into the
+/// live generation. Most of it is already there; what is not is the
+/// touches since the mask was last consumed that `on_access` never saw
+/// in this generation — those before an epoch tick, and those made
+/// while another candidate ranked an adaptive shard before it switched
+/// here. Dropping the fold changes the adaptive ablation's hit ratios.
 ///
 /// Sharing observed long ago is not sharing now: the referent mask is
 /// **aged on every epoch tick** (driven by the buffer manager when epochs
@@ -92,15 +94,12 @@ impl ReplacementPolicy for SharingAware {
     }
 
     fn begin_scan(&mut self, table: &FrameTable) {
-        // Fold in the lock-free fast path's app-touch masks *now* rather
-        // than waiting for the deferred event ring to drain: a hit the
-        // manager recorded with one atomic `fetch_or` moments ago must
-        // already protect the frame in this scan. The fold *consumes*
-        // the mask (the ref bit stays in place for clock-style ranking)
-        // so each touch enters the generational bookkeeping exactly once
-        // — a re-read at the next scan must not resurrect evidence the
-        // epoch aging already retired. The `on_access` replay of the
-        // same touch is an idempotent OR into the live generation.
+        // Fold in the app-touch masks (see the type docs for what they
+        // add beyond `on_access`). The fold *consumes* the mask (the ref
+        // bit stays in place for clock-style ranking) so each touch
+        // enters the generational bookkeeping at most once more — a
+        // re-read at the next scan must not resurrect evidence the epoch
+        // aging already retired.
         //
         // One relaxed load per frame finds the touched ones (a ghost
         // table has none); only those pay the consuming RMW, and only a
@@ -124,7 +123,7 @@ impl ReplacementPolicy for SharingAware {
     fn recency_ranking(&self, table: &FrameTable) -> Option<Vec<u32>> {
         // Scan order without the scan's side effects: the app-touch masks
         // are *read* (`app_mask`), not consumed — exporting a ranking for
-        // migration must not retire undrained sharing evidence.
+        // migration must not retire sharing evidence the next scan folds.
         let mut order = table.resident_frames();
         order.sort_by_key(|&f| {
             let mask =
@@ -250,8 +249,9 @@ mod tests {
             s.on_insert(pool.table(), f, f as u64, AppId(0));
         }
         let t = pool.table();
-        // A second app's hit lands only in the lock-free ref word — the
-        // deferred replay has NOT run. The scan must still see it.
+        // A second app's hit lands only in the lock-free ref word —
+        // `on_access` never saw it (another candidate was ranking, say).
+        // The scan must still see it.
         t.ref_words().touch(1, AppId(1));
         s.begin_scan(t);
         assert_eq!(
@@ -266,7 +266,7 @@ mod tests {
             "undrained touch protects the shared frame"
         );
         assert_eq!(s.referents(1), 2, "mask folded into the live generation");
-        // The eventual replay of the same touch is idempotent.
+        // An `on_access` of the same touch is idempotent.
         s.on_access(t, 1, 1, AppId(1));
         assert_eq!(s.referents(1), 2);
     }

@@ -3,9 +3,7 @@
 //! tests pinning the extracted Clock/ExactLru implementations to the seed
 //! buffer manager's behavior.
 
-use kcache_policy::{
-    AccessEvent, AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy, ScanFilter,
-};
+use kcache_policy::{AppId, FrameTable, PolicyKind, RankedTable, ReplacementPolicy, ScanFilter};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -210,119 +208,6 @@ proptest! {
             drive(kind.name(), || kind.build(CAP), &ops);
         }
         drive("test-fifo", fifo, &ops);
-    }
-}
-
-/// Drive two instances of one policy through the same access stream — one
-/// applying every event eagerly at access time (a drain batch of one,
-/// exactly the manager's eager mode), one buffering events and draining
-/// them only at decision points (scans) and checkpoints — and require
-/// identical stats, per-app ledgers, and candidate sequences. This is the
-/// policy-level half of the drained-equals-eager contract; the producer
-/// obligation (store the ref word at event time) is honored for both.
-fn drive_drain(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
-    let mut eager = make();
-    let mut drained = make();
-    let mut pending: Vec<AccessEvent> = Vec::new();
-    let mut resident = [false; CAP];
-    let mut key_of = [0u64; CAP];
-    for &(op, arg) in ops {
-        let frame = (arg % CAP as u64) as u32;
-        let app = AppId((arg % 3) as u32);
-        let emit = |eager: &mut RankedTable, pending: &mut Vec<AccessEvent>, ev: AccessEvent| {
-            // The producer contract: ref words stored at access time on
-            // BOTH sides (the manager does this lock-free in either mode).
-            if matches!(ev.kind, kcache_policy::AccessKind::Hit | kcache_policy::AccessKind::Touch)
-            {
-                eager.table().ref_words().touch(ev.frame, ev.app);
-                drained.table().ref_words().touch(ev.frame, ev.app);
-            }
-            eager.drain(std::slice::from_ref(&ev));
-            pending.push(ev);
-        };
-        match op {
-            0 => {
-                if resident[frame as usize] {
-                    emit(
-                        &mut eager,
-                        &mut pending,
-                        AccessEvent::hit(frame, key_of[frame as usize], app),
-                    );
-                } else {
-                    resident[frame as usize] = true;
-                    key_of[frame as usize] = arg;
-                    // Inserts are eager on both sides, after a drain —
-                    // the manager's file_insert discipline.
-                    drained.drain(&pending);
-                    pending.clear();
-                    eager.insert(frame, arg, app);
-                    drained.insert(frame, arg, app);
-                }
-            }
-            // A hit/touch may target a frame that was vacated since the
-            // access (the manager's benign race class) — policies must
-            // treat it identically on both paths.
-            1 => {
-                emit(&mut eager, &mut pending, AccessEvent::hit(frame, key_of[frame as usize], app))
-            }
-            2 => emit(
-                &mut eager,
-                &mut pending,
-                AccessEvent::touch(frame, key_of[frame as usize], app),
-            ),
-            3 => emit(&mut eager, &mut pending, AccessEvent::miss(app)),
-            4 => emit(&mut eager, &mut pending, AccessEvent::probe_hit(app)),
-            _ => {
-                // Decision point: drain, then both sides run one eviction
-                // scan and must offer the same full candidate sequence.
-                drained.drain(&pending);
-                pending.clear();
-                eager.begin_scan();
-                drained.begin_scan();
-                let mut first = true;
-                loop {
-                    let (a, b) = (
-                        eager.next_candidate(&mut ScanFilter::default()),
-                        drained.next_candidate(&mut ScanFilter::default()),
-                    );
-                    prop_assert_eq!(a, b, "{} candidate order diverged", kind);
-                    let Some(v) = a else { break };
-                    if first {
-                        // The manager takes the first workable candidate.
-                        first = false;
-                        resident[v as usize] = false;
-                        eager.remove(v, key_of[v as usize]);
-                        drained.remove(v, key_of[v as usize]);
-                    }
-                }
-            }
-        }
-    }
-    drained.drain(&pending);
-    prop_assert_eq!(eager.table().stats, drained.table().stats, "{} stats diverged", kind);
-    prop_assert_eq!(
-        eager.table().app_usage(),
-        drained.table().app_usage(),
-        "{} app ledger diverged",
-        kind
-    );
-    prop_assert_eq!(
-        eager.table().resident_frames(),
-        drained.table().resident_frames(),
-        "{} residency diverged",
-        kind
-    );
-}
-
-proptest! {
-    #[test]
-    fn drained_batches_match_eager_application(
-        ops in collection::vec((0u8..6, 0u64..1024), 1..250),
-    ) {
-        for kind in PolicyKind::ALL {
-            drive_drain(kind.name(), || kind.build(CAP), &ops);
-        }
-        drive_drain("test-fifo", fifo, &ops);
     }
 }
 
