@@ -243,8 +243,8 @@ mod tests {
         let mut g = GhostCache::new(PolicyKind::Arc, 8);
         for k in 0..1000u64 {
             g.access(k % 37, AppId((k % 3) as u32));
-            assert!(g.table().resident_count() <= 8);
-            assert_eq!(g.resident_keys().len(), g.table().resident_count());
+            assert!(g.table().resident_frames().len() <= 8);
+            assert_eq!(g.resident_keys().len(), g.table().resident_frames().len());
         }
     }
 }

@@ -104,7 +104,7 @@ pub struct ExperimentResult {
     pub policy: Option<String>,
     /// Frame-quota mode in effect (caching runs only).
     pub partitioning: Option<String>,
-    /// The policy subsystem's own event ledger, summed over all modules.
+    /// The cache's event ledger, summed over all modules.
     pub policy_stats: Option<PolicyStats>,
     /// The adaptive meta-policy's ledger (epoch/switch/ghost/quota-move
     /// counters merged over all modules; adaptive caching runs only).
@@ -213,8 +213,9 @@ pub fn run_experiment_profiled(
 fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> ExperimentResult {
     let horizon = SimTime::ZERO + default_horizon();
     let report = cluster.engine.run_until(horizon);
+    // A run still going at the horizon is reported, not a panic: its
+    // result says `completed: false`, and the callers decide.
     let completed = report.stop == StopReason::Stopped;
-    debug_assert!(completed, "experiment did not complete before horizon: {:?}", report.stop);
 
     let coord =
         cluster.engine.actor_as::<Coordinator>(cluster.coordinator).expect("coordinator downcast");

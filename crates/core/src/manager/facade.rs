@@ -248,9 +248,9 @@ impl BufferManager {
             .collect()
     }
 
-    /// The replacement policy's own event ledger, summed across shards.
-    /// Folds a static clock shard's per-app counts in first, so a
-    /// snapshot never under-reports traffic that already happened.
+    /// The cache's event ledger (hits, misses, inserts, removes,
+    /// evictions, scans), summed across shards: each shard's one set of
+    /// per-app counts, read without the policy lock.
     pub fn policy_stats(&self) -> PolicyStats {
         let mut acc = self.shards[0].policy_stats();
         for s in &self.shards[1..] {

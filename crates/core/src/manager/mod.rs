@@ -22,19 +22,21 @@
 //!   exercised by real multi-threaded stress tests, not only by the
 //!   single-threaded simulation.
 //!
-//! ## Layout: six modules that own their locks
+//! ## Layout: seven modules that own their locks
 //!
 //! * `shard` — one self-contained slice of the pool: frames, hash
 //!   buckets, the free list, the policy leaf (frame table, ranker,
 //!   adaptive evidence), and the hit / miss / install / evict paths.
 //!   Every `Mutex` field is private to it; the other modules reach
 //!   frames, buckets and the policy through its accessors.
+//! * `counts` — the shard's one event ledger: hits, misses, inserts,
+//!   removes, evictions and scans, per app, striped, with no policy lock;
+//!   every report of them reads it.
 //! * `admission` — the quota ledger (one per shard), the facade's global
 //!   quotas, frame acquisition under a quota, the strict-quota spill.
 //! * `sweep` — the policy side of a frame changing tenants: the eviction
 //!   scan's candidates, settling a victim, filing an install, un-filing,
-//!   forgetting an invalidated block; a static clock shard's per-app
-//!   ledger counts.
+//!   forgetting an invalidated block.
 //! * `flush` — the dirty queue and what drains or bypasses it:
 //!   `take_dirty`, `flush_complete`, `invalidate`, the harvester sweep.
 //! * `epoch` — the epoch clock and CAS gate, the boundary (observe each
@@ -54,9 +56,10 @@
 //! ghost evidence, switch decisions, quota moves — reconciles only at
 //! epoch boundaries.
 //!
-//! **Lock order**, per shard: bucket → frame. `policy`, `free`, `dirty`
-//! and `charges` are leaf locks — never held while acquiring a bucket or
-//! frame lock, and **never nested** in one another. No lock is ever held
+//! **Lock order**, per shard: bucket → frame. `policy`, `free`, `dirty`,
+//! `charges` and the ledger's overflow map (apps past its 16 slots) are
+//! leaf locks — never held while acquiring a bucket or frame lock, and
+//! **never nested** in one another. No lock is ever held
 //! across a shard boundary. Evictions ask the policy for a candidate
 //! (policy lock only, or none at all on a static clock shard), release,
 //! then claim the frame: `try_lock` it (a frame another thread holds is
@@ -67,19 +70,18 @@
 //!
 //! An evicting install on any shard but a static clock one takes the
 //! policy lock **twice** when its first candidate is accepted (the lookup
-//! that missed took one hold of its own, for the ledger): one hold begins
-//! the scan and takes that candidate; one files the incoming block
-//! — the victim's removal and ledger entries travel with the frame to it
-//! — **before the block is visible in its bucket**, so the residency words
-//! never describe a previous tenant of a frame a scan can evict (a lost
-//! install race un-files). Harvester and invalidation removals settle at
-//! once. A static clock shard — the paper's configuration — takes it
-//! **not at all**: its scans sweep an atomic clock hand, and filing,
-//! settling, un-filing, pins and unpins store the per-frame residency
-//! words ([`FrameWords`](kcache_policy::FrameWords)) and count the ledger
-//! in striped per-app counters, in the same order and under the same
-//! frame locks. Only the ledger's readers take the lock, to fold the
-//! counts in.
+//! that missed took none): one hold begins the scan and takes that
+//! candidate; one files the incoming block — the victim's removal travels
+//! with the frame to it — **before the block is visible in its bucket**,
+//! so the residency words never describe a previous tenant of a frame a
+//! scan can evict (a lost install race un-files). Harvester and
+//! invalidation removals settle at once. A static clock shard — the
+//! paper's configuration — takes it **not at all**: its scans sweep an
+//! atomic clock hand, and filing, settling, un-filing, pins and unpins
+//! store the per-frame residency words
+//! ([`FrameWords`](kcache_policy::FrameWords)) in the same order and under
+//! the same frame locks. Every shard counts the scan, the eviction, the
+//! removal and the insert in its ledger, with no policy lock held.
 //!
 //! ## Quotas: one ledger per shard, one global quota per app
 //!
@@ -99,25 +101,26 @@
 //!
 //! ## Hit-path concurrency
 //!
-//! A hit (or recency touch) first does two lock-free things: bump the
-//! manager's atomic counters and store the frame's atomic ref/recency
-//! word ([`RefWords`](kcache_policy::RefWords) — ref bit plus app-touch
-//! mask, one relaxed `fetch_or` unless the bits are already set, the seed
+//! Every access is counted once, in the shard's one ledger (`counts`):
+//! a striped per-app counter bumped with no lock, on every policy. No
+//! decision reads it; `stats`, `policy_stats`, `app_usage`, `resident_of`
+//! and the hub's hit/miss/eviction mirrors all report from it. A miss or
+//! a probe hit needs nothing else: no policy lock, on any shard.
+//!
+//! A read hit (or recency touch) is a use of the block. It stores the
+//! frame's atomic ref/recency word
+//! ([`RefWords`](kcache_policy::RefWords) — ref bit plus app-touch mask,
+//! one relaxed `fetch_or` unless the bits are already set, the seed
 //! clock's store-only cost). Then, with the bucket and frame already let
 //! go, it is applied to the policy **as it happens**: any shard but a
-//! static clock one takes the policy lock once and applies the policy
-//! hit/miss counters, the per-app ledger, `on_access` recency for
-//! non-clock rankers and the adaptive meta-policy's ghost feeds
-//! ([`RankedTable::hit`](kcache_policy::RankedTable::hit),
-//! [`touch`](kcache_policy::RankedTable::touch)). A miss and a probe hit
-//! take the same one hold for the ledger. Whatever the policy ranks,
-//! decides or reports, every access that preceded it is already in — the
-//! shape of the independent sequential model the manager is pinned
+//! static clock one takes the policy lock once and applies `on_access`
+//! recency for non-clock rankers and the adaptive meta-policy's ghost
+//! feeds ([`touch`](kcache_policy::RankedTable::touch)). Whatever the
+//! policy ranks or decides, every access that preceded it is already in —
+//! the shape of the independent sequential model the manager is pinned
 //! against (`tests/model.rs`). A static clock shard — the paper's policy
-//! ranks from the ref words alone — takes no lock at all: a touch needs
-//! nothing beyond the word, a hit or miss bumps its app's striped
-//! counter, and the ledger folds those counts in only when
-//! `policy_stats` or `app_usage` reads it.
+//! ranks from the ref words alone — takes no lock at all: a use needs
+//! nothing beyond the word.
 //!
 //! **Epoch participation** is explicit and uniform: every access event —
 //! hit, miss, probe hit, and recency touch — advances the facade's epoch
@@ -132,6 +135,7 @@
 //! miss that was already counted at lookup time.
 
 mod admission;
+mod counts;
 mod epoch;
 mod facade;
 mod flush;

@@ -5,16 +5,16 @@
 //! below, and own the locks of their own state.
 
 use super::admission::QuotaLedger;
+use super::counts::{AppCounts, Col};
 use super::epoch::EpochTicker;
 use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
-use super::sweep::{Col, Sweep, COLS};
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
-    AdaptiveStats, AppId, AppUsage, FrameTable, FrameWords, GhostRate, PolicyKind, PolicyStats,
+    AdaptiveStats, AppId, AppUsage, ClockHand, FrameWords, GhostRate, PolicyKind, PolicyStats,
     RankedTable, RefWords, ScanFilter,
 };
 use parking_lot::{Mutex, MutexGuard};
@@ -75,17 +75,14 @@ impl Frame {
     }
 }
 
-/// Striped [`Counter`]s: `hits` and `misses` are bumped by every op of
-/// every thread, so each thread writes cache lines of its own.
+/// The manager's counters that are not the ledger's ([`AppCounts`]):
+/// striped [`Counter`]s, so each thread writes cache lines of its own.
+/// `insertions` counts installs linked into a bucket, not filings.
 #[derive(Default)]
 pub(super) struct AtomicStats {
-    pub(super) hits: Counter,
-    pub(super) misses: Counter,
     pub(super) insertions: Counter,
     pub(super) writes_absorbed: Counter,
     pub(super) writes_passthrough: Counter,
-    pub(super) evictions_clean: Counter,
-    pub(super) evictions_dirty: Counter,
     pub(super) flush_blocks: Counter,
     pub(super) invalidated: Counter,
     pub(super) invalidated_dirty: Counter,
@@ -95,10 +92,10 @@ pub(super) struct AtomicStats {
 /// an [`ObsHub`] was wired at build time. Handle resolution (name lookup,
 /// event-name interning) happens once, here; hot paths then pay one
 /// never-taken branch when observability is off and **nothing extra**
-/// when it is on: hit/miss metric counters are not incremented per
-/// access (one additional atomic RMW would cost ~10% of the lean hit
-/// path) but folded in from the manager's existing [`AtomicStats`]
-/// ledger at sync points — epoch boundaries and
+/// when it is on: the hit/miss/eviction metric counters are not
+/// incremented per event (one additional atomic RMW would cost ~10% of
+/// the lean hit path) but mirror the shard's ledger ([`AppCounts`]),
+/// folded in at sync points — epoch boundaries and
 /// [`BufferManager::obs_flush`](super::BufferManager::obs_flush).
 /// Counters are therefore exact at every epoch mark and export. Trace
 /// events and gauge refreshes live on cold paths only (eviction scans,
@@ -110,15 +107,11 @@ pub(super) struct ManagerObs {
     pub(super) hub: StdArc<ObsHub>,
     /// Trace `pid`: the node this manager serves (0 standalone).
     pub(super) node: u32,
-    hits: Counter,
-    misses: Counter,
-    /// High-water marks of `stats.hits`/`stats.misses` already folded
-    /// into the metric counters (CAS-advanced, so concurrent sync points
+    /// The mirrors of the ledger's hits, misses, clean and dirty
+    /// evictions, each beside the high-water mark of the ledger count
+    /// already folded into it (CAS-advanced, so concurrent sync points
     /// never double-count a delta).
-    hits_seen: AtomicU64,
-    misses_seen: AtomicU64,
-    evictions_clean: Counter,
-    evictions_dirty: Counter,
+    mirrors: [(Counter, AtomicU64); 4],
     /// Candidates visited per successful eviction scan.
     scan_visits: Histogram,
     ev_eviction_scan: EventId,
@@ -168,10 +161,6 @@ pub(super) fn lock_leaf<'a, T>(lock: &'a Mutex<T>, waits: &Option<LockWaits>) ->
 pub(super) struct PolicyState {
     pub(super) ranked: RankedTable,
     pub(super) adaptive: Option<AdaptivePolicy>,
-    /// Per [`AppCounts`](super::sweep::AppCounts) slot, the counts
-    /// already in the ledger: a fold adds only the growth past them (empty
-    /// without a [`Sweep`]).
-    pub(super) claimed: Vec<[u64; COLS]>,
 }
 
 impl PolicyState {
@@ -186,16 +175,10 @@ impl PolicyState {
 
     /// The policy-side half of evicting `victim` from frame `idx` under
     /// the lock ([`Shard::settle_eviction`] has the lock-free one). Returns
-    /// the block's owner: the caller uncharges it once the lock is dropped.
+    /// the block's owner: the caller counts the eviction and uncharges it
+    /// once the lock is dropped.
     pub(super) fn settle_eviction(&mut self, idx: u32, victim: &Victim) -> AppId {
-        let table = self.ranked.table_mut();
-        if victim.flush.is_some() {
-            table.stats.evictions_dirty += 1;
-        } else {
-            table.stats.evictions_clean += 1;
-        }
-        let owner = table.owner_of(idx);
-        table.note_app_eviction(owner);
+        let owner = self.ranked.table().owner_of(idx);
         if let Some(a) = &mut self.adaptive {
             // Capacity pressure: a later re-read by the same app is a
             // refault. (Invalidations never get here, which keeps them
@@ -264,9 +247,9 @@ pub(super) struct Shard {
     free: CacheLine<FreeList>,
     free_waits: Option<LockWaits>,
     pub(super) dirty: DirtyQueue,
-    /// Leaf lock (see module docs): the frame table's ledger, candidate
-    /// ranking and recency state; on every shard but a static clock one,
-    /// also every store to the residency words but a pin.
+    /// Leaf lock (see module docs): candidate ranking and recency state;
+    /// on every shard but a static clock one, also every store to the
+    /// residency words but a pin.
     policy: CacheLine<Mutex<PolicyState>>,
     policy_waits: Option<LockWaits>,
     pub(super) ledger: QuotaLedger,
@@ -277,17 +260,17 @@ pub(super) struct Shard {
     /// table once at construction; live policy migration keeps the table,
     /// so the handle never goes stale.
     pub(super) ref_words: RefWords,
-    /// `Some` on a static clock shard: the policy ranks from the atomic
-    /// words alone and nothing else reads the accesses, so its scans
-    /// sweep the clock hand and its ledger is counted per app, all
-    /// without the policy lock (`sweep.rs`). A touch then has no effect
-    /// beyond the word stored at access time, and a hit or miss none
-    /// beyond the ledger's counts. Every other shard — an adaptive one
+    /// `Some` on a static clock shard, the hand of its
+    /// [`Clock`](kcache_policy::Clock) ranker (which never runs): the
+    /// policy ranks from the atomic words alone and nothing else reads the
+    /// accesses, so its scans sweep the hand without the policy lock
+    /// (`sweep.rs`), and a hit or touch has no effect on the policy beyond
+    /// the word stored at access time. Every other shard — an adaptive one
     /// even while clock is live, its ghosts feed on every use — takes the
-    /// policy lock for each access and applies it there and then.
-    pub(super) sweep: Option<Sweep>,
+    /// policy lock for each use of a block and applies it there and then.
+    pub(super) hand: Option<ClockHand>,
     /// Store the ref word on hits/touches at all: true when the policy
-    /// ranks from it (clock, see `sweep`), consumes the app-touch mask at
+    /// ranks from it (clock, see `hand`), consumes the app-touch mask at
     /// scan time (sharing-aware), or could migrate to either (any
     /// adaptive configuration). A static LRU/LFU/2Q/ARC manager never
     /// reads the words — its `on_access` keeps the recency — so it skips
@@ -296,6 +279,9 @@ pub(super) struct Shard {
     /// Observability handles (`None` keeps every hot path at one
     /// never-taken branch).
     pub(super) obs: Option<ManagerObs>,
+    /// The ledger: every hit, miss, insert, remove, eviction and scan,
+    /// once, per app, with no policy lock.
+    pub(super) counts: AppCounts,
     pub(super) stats: AtomicStats,
 }
 
@@ -315,10 +301,8 @@ impl Shard {
         let ranked = adaptive.as_ref().map_or(policy.kind, |a| a.live()).build(capacity);
         let ref_words = ranked.table().ref_words().clone();
         let words = ranked.table().frame_words().clone();
-        let hand = ranked.ranker().clock_hand().filter(|_| !is_adaptive);
-        let sweep = hand.cloned().map(Sweep::new);
-        let claimed = sweep.as_ref().map_or(Vec::new(), Sweep::unclaimed);
-        let touch_words = sweep.is_some() || is_adaptive || ranked.ranker().consumes_app_mask();
+        let hand = ranked.ranker().clock_hand().filter(|_| !is_adaptive).cloned();
+        let touch_words = hand.is_some() || is_adaptive || ranked.ranker().consumes_app_mask();
         let policy_label = if is_adaptive { "adaptive" } else { policy.kind.name() };
         let waits = |name| LockWaits::resolve(cfg.obs.as_ref(), name);
         Shard {
@@ -335,29 +319,31 @@ impl Shard {
             }),
             free_waits: waits("free"),
             dirty: DirtyQueue::new(waits("dirty")),
-            policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive, claimed })),
+            policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive })),
             policy_waits: waits("policy"),
             ledger: QuotaLedger::new(&cfg.partitioning, share, waits("charges")),
             epoch,
             ref_words,
-            sweep,
+            hand,
             touch_words,
             obs: cfg.obs.clone().map(|(hub, node)| {
                 let reg = hub.registry();
+                let mirror = |name: &str| (reg.counter(name), AtomicU64::new(0));
                 ManagerObs {
-                    hits: reg.counter(&format!("cache.hits.{policy_label}")),
-                    misses: reg.counter(&format!("cache.misses.{policy_label}")),
-                    evictions_clean: reg.counter("cache.evictions_clean"),
-                    evictions_dirty: reg.counter("cache.evictions_dirty"),
+                    mirrors: [
+                        mirror(&format!("cache.hits.{policy_label}")),
+                        mirror(&format!("cache.misses.{policy_label}")),
+                        mirror("cache.evictions_clean"),
+                        mirror("cache.evictions_dirty"),
+                    ],
                     scan_visits: reg.histogram("cache.scan_visits"),
                     ev_eviction_scan: hub.intern("eviction_scan", Some("visited"), Some("dirty")),
                     ev_epoch_tick: hub.intern("epoch_tick", Some("epoch"), Some("accesses")),
-                    hits_seen: AtomicU64::new(0),
-                    misses_seen: AtomicU64::new(0),
                     hub,
                     node,
                 }
             }),
+            counts: AppCounts::new(),
             stats: AtomicStats::default(),
         }
     }
@@ -415,18 +401,9 @@ impl Shard {
         idx
     }
 
-    /// Run `f` on the ledger with every access in it: a static clock
-    /// shard's counts folded. Only the readers that report the ledger
-    /// fold; no decision reads the counts.
-    fn with_ledger<R>(&self, f: impl FnOnce(&FrameTable) -> R) -> R {
-        let mut p = self.lock_policy();
-        self.fold_counts(&mut p);
-        f(p.ranked.table())
-    }
-
     // The shard halves of the facade's readers, documented there.
     pub(super) fn policy_stats(&self) -> PolicyStats {
-        self.with_ledger(|t| t.stats)
+        self.counts.total()
     }
 
     pub(super) fn adaptive_stats(&self) -> Option<AdaptiveStats> {
@@ -445,22 +422,24 @@ impl Shard {
     }
 
     pub(super) fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        self.with_ledger(FrameTable::app_usage)
+        self.counts.app_usage()
     }
 
     pub(super) fn resident_of(&self, app: AppId) -> usize {
-        self.with_ledger(|t| t.resident_of(app))
+        self.counts.resident_of(app)
     }
 
     pub(super) fn stats(&self) -> CacheStats {
+        let PolicyStats { hits, misses, evictions_clean, evictions_dirty, .. } =
+            self.counts.total();
         CacheStats {
-            hits: self.stats.hits.get(),
-            misses: self.stats.misses.get(),
+            hits,
+            misses,
             insertions: self.stats.insertions.get(),
             writes_absorbed: self.stats.writes_absorbed.get(),
             writes_passthrough: self.stats.writes_passthrough.get(),
-            evictions_clean: self.stats.evictions_clean.get(),
-            evictions_dirty: self.stats.evictions_dirty.get(),
+            evictions_clean,
+            evictions_dirty,
             flush_blocks: self.stats.flush_blocks.get(),
             invalidated: self.stats.invalidated.get(),
             invalidated_dirty: self.stats.invalidated_dirty.get(),
@@ -476,13 +455,13 @@ impl Shard {
         out
     }
 
-    /// Fold the growth of the hit/miss totals since the last sync point
-    /// into the hub's metric counters (see [`ManagerObs`]: the hit path
-    /// never touches the metric cells itself). Each high-water mark
+    /// Fold the growth of the ledger's hits, misses and evictions since
+    /// the last sync point into the hub's mirrors (see [`ManagerObs`]: no
+    /// access touches the metric cells itself). Each high-water mark
     /// advances by CAS, so a delta is claimed by exactly one caller —
     /// concurrent sync points may split the growth but never count it
     /// twice, and a total that trails the mark claims nothing.
-    fn obs_sync_counts(o: &ManagerObs, hits: u64, misses: u64) {
+    pub(super) fn obs_flush(&self) {
         fn claim(seen: &AtomicU64, now: u64) -> u64 {
             let mut old = seen.load(Ordering::Relaxed);
             loop {
@@ -495,65 +474,45 @@ impl Shard {
                 }
             }
         }
-        let d = claim(&o.hits_seen, hits);
-        if d > 0 {
-            o.hits.add(d);
-        }
-        let d = claim(&o.misses_seen, misses);
-        if d > 0 {
-            o.misses.add(d);
-        }
-    }
-
-    /// Sync the hub's hit/miss mirrors with the manager's own counters.
-    pub(super) fn obs_flush(&self) {
-        if let Some(o) = &self.obs {
-            Self::obs_sync_counts(o, self.stats.hits.get(), self.stats.misses.get());
-        }
-    }
-
-    /// Hit accounting + recency refresh: atomic counters and one relaxed
-    /// store into the frame's ref/recency word; then a static clock shard
-    /// counts the hit in its app's slot, and any other takes the policy
-    /// lock to apply it.
-    fn record_hit(&self, idx: u32, key: BlockKey, app: AppId) {
-        self.stats.hits.inc();
-        if self.touch_words {
-            self.ref_words.touch(idx, app);
-        }
-        match &self.sweep {
-            Some(sweep) => self.count(sweep, app, &[Col::Hits]),
-            None => {
-                let mut p = self.lock_policy();
-                p.ranked.hit(app);
-                p.touch(idx, key, app);
+        let Some(o) = &self.obs else { return };
+        let t = self.counts.total();
+        for ((mirror, seen), now) in
+            o.mirrors.iter().zip([t.hits, t.misses, t.evictions_clean, t.evictions_dirty])
+        {
+            let d = claim(seen, now);
+            if d > 0 {
+                mirror.add(d);
             }
         }
+    }
+
+    /// Count one hit or miss by `app` in the ledger, then tick the epoch
+    /// clock: a lookup needs nothing of the policy (a probe is not a use
+    /// of the block, and a miss's install arrives as a filing).
+    fn record(&self, app: AppId, col: Col) {
+        self.counts.count(app, &[col]);
         self.epoch.tick();
     }
 
-    /// Miss accounting (a read or a probe that missed): counters, then
-    /// the ledger, as for a hit.
-    fn record_miss(&self, app: AppId) {
-        self.stats.misses.inc();
-        match &self.sweep {
-            Some(sweep) => self.count(sweep, app, &[Col::Misses]),
-            None => self.lock_policy().ranked.miss(app),
-        }
-        self.epoch.tick();
+    /// A read hit: counted in the ledger, then a use of the block.
+    fn record_hit(&self, idx: u32, key: BlockKey, app: AppId) {
+        self.counts.count(app, &[Col::Hits]);
+        self.note_touch(idx, key, app);
     }
 
-    /// Recency-only refresh (no hit/miss ledger): sync-write refreshes,
-    /// secondary-waiter attribution, merges into a resident block. A
-    /// touch is a real access, so it **does** advance the epoch clock
-    /// (the explicit participation rule in the module docs — before PR 5
-    /// touches silently never aged the policies). On a static clock shard
-    /// the word stored here is the whole of it.
+    /// A use of a resident block (no hit/miss ledger on its own: read
+    /// hits, sync-write refreshes, secondary-waiter attribution, merges
+    /// into a resident block): one relaxed store into the frame's
+    /// ref/recency word, then, on any shard but a static clock one, one
+    /// policy hold that applies it. A touch is a real access, so it
+    /// **does** advance the epoch clock (the explicit participation rule
+    /// in the module docs). On a static clock shard the word stored here
+    /// is the whole of it.
     fn note_touch(&self, idx: u32, key: BlockKey, app: AppId) {
         if self.touch_words {
             self.ref_words.touch(idx, app);
         }
-        if self.sweep.is_none() {
+        if self.hand.is_none() {
             self.lock_policy().touch(idx, key, app);
         }
         self.epoch.tick();
@@ -633,7 +592,7 @@ impl Shard {
         } else {
             drop(b);
         }
-        self.record_miss(app);
+        self.record(app, Col::Misses);
         AccessOutcome::Miss
     }
 
@@ -646,17 +605,12 @@ impl Shard {
             }
         });
         drop(b);
+        // A lookup, not a use: the ledger only, no recency refresh.
         if !hit {
-            self.record_miss(app);
+            self.record(app, Col::Misses);
             return AccessOutcome::Miss;
         }
-        // A lookup, not a use: the hit ledger only, no recency refresh.
-        self.stats.hits.inc();
-        match &self.sweep {
-            Some(sweep) => self.count(sweep, app, &[Col::Hits]),
-            None => self.lock_policy().ranked.hit(app),
-        }
-        self.epoch.tick();
+        self.record(app, Col::Hits);
         AccessOutcome::Hit
     }
 
@@ -858,19 +812,7 @@ impl Shard {
         if f.key != Some(key) || !admissible(&f) || foreign {
             return None;
         }
-        let flush = if f.is_dirty() {
-            self.stats.evictions_dirty.inc();
-            if let Some(o) = &self.obs {
-                o.evictions_dirty.inc();
-            }
-            Some(f.flush_item(key))
-        } else {
-            self.stats.evictions_clean.inc();
-            if let Some(o) = &self.obs {
-                o.evictions_clean.inc();
-            }
-            None
-        };
+        let flush = f.is_dirty().then(|| f.flush_item(key));
         bucket.retain(|(k, _)| *k != key);
         f.vacate();
         Some(Victim { key, flush })
@@ -923,54 +865,77 @@ mod tests {
         assert_eq!((ps.inserts - ps.removes, m.resident()), (2, 2));
     }
 
-    /// A static clock shard takes the policy lock for no access of the
-    /// unattributed accessor or of an app below its counts' bound: a touch
-    /// needs nothing beyond the ref word, and a hit, probe hit or miss
-    /// bumps that app's counts. An app past the bound has its hits and
-    /// misses counted straight into the table, one hold each. The ledger's
-    /// readers still count every access exactly once, however often they
-    /// read.
+    /// Every policy, and the adaptive manager, counts each access once in
+    /// its shard's ledger, per app — a slotted one (0, 15), one past the
+    /// slots (40) and the unattributed accessor — and no lookup takes the
+    /// policy lock: misses and probe hits need nothing of the policy. A
+    /// read hit or touch is a use of the block, one hold each, except on a
+    /// static clock shard, which takes none for any access. App 40 is
+    /// strict at one frame, so its second install evicts its own first:
+    /// one scan, one eviction on its row, whatever the policy.
     #[test]
-    fn a_static_clock_shard_counts_accesses_off_the_ring() {
-        use kcache_policy::AppId;
-        let m = BufferManager::builder(4).policy(EvictPolicy::of(PolicyKind::Clock)).build();
-        let bytes = vec![1u8; CACHE_BLOCK_SIZE];
-        let (resident, absent) = (BlockKey::new(Fid(1), 0), BlockKey::new(Fid(1), 9));
-        let kind = AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes: &bytes };
-        m.access(resident, Access::unattributed(kind));
-        let mut out = vec![0u8; CACHE_BLOCK_SIZE];
-        let mut read = |key, app| {
-            let kind = AccessKind::Read { span: Span::FULL, out: &mut out };
-            m.access(key, Access { app, kind }).is_hit()
-        };
-        let (a, b) = (AppId(0), AppId(super::super::sweep::COUNTED_APPS as u32 - 1));
-        let far = AppId(super::super::sweep::COUNTED_APPS as u32);
-        let holds = || super::POLICY_HOLDS.with(std::cell::Cell::get);
-        let before = holds();
-        for app in [a, a, a, b, AppId::UNKNOWN, AppId::UNKNOWN] {
-            assert!(read(resident, app));
+    fn every_policy_counts_each_access_once_off_the_policy_lock() {
+        use kcache_adaptive::AdaptiveConfig;
+        use kcache_policy::{AppId, AppUsage};
+        let (a, b, far, unknown) = (AppId(0), AppId(15), AppId(40), AppId::UNKNOWN);
+        let apps = [a, b, far, unknown];
+        let statics = PolicyKind::ALL.map(|k| (k.name(), EvictPolicy::of(k), None));
+        let adaptive = ("adaptive", EvictPolicy::default(), Some(AdaptiveConfig::all_candidates()));
+        for (name, policy, adaptive) in statics.into_iter().chain([adaptive]) {
+            let static_clock = policy.kind == PolicyKind::Clock && adaptive.is_none();
+            let m = BufferManager::builder(4)
+                .policy(policy)
+                .adaptive(adaptive)
+                .partitioning(crate::config::PartitionConfig::strict([(40, 1)]))
+                .build();
+            let bytes = vec![1u8; CACHE_BLOCK_SIZE];
+            let key = |i: usize| BlockKey::new(Fid(1), i as u64);
+            let insert = |i, app| {
+                let kind =
+                    AccessKind::InsertClean { home: NodeId(0), span: Span::FULL, bytes: &bytes };
+                m.access(key(i), Access { app, kind });
+            };
+            let read = |i, app| {
+                let mut out = vec![0u8; CACHE_BLOCK_SIZE];
+                let kind = AccessKind::Read { span: Span::FULL, out: &mut out };
+                m.access(key(i), Access { app, kind }).is_hit()
+            };
+            let probe = |i, app, kind| m.access(key(i), Access { app, kind }).is_hit();
+            let probe = |i, app| probe(i, app, AccessKind::Probe { span: Span::FULL });
+            let holds = || super::POLICY_HOLDS.with(std::cell::Cell::get);
+            // App i's block is block i; block 9 is never resident.
+            for (i, &app) in apps.iter().enumerate() {
+                insert(i, app);
+            }
+            let before = holds();
+            for (i, &app) in apps.iter().enumerate() {
+                assert!(!read(9, app) && !probe(9, app) && probe(i, app), "{name}");
+            }
+            assert_eq!(holds(), before, "{name}: misses and probe hits take no policy lock");
+            let before = holds();
+            for (i, &app) in apps.iter().enumerate() {
+                for _ in 0..=i {
+                    assert!(read(i, app), "{name}");
+                }
+                assert!(m.access(key(i), Access { app, kind: AccessKind::Touch }).is_hit());
+            }
+            let uses = if static_clock { 0 } else { 1 + 2 + 3 + 4 + apps.len() as u64 };
+            assert_eq!(holds() - before, uses, "{name}: one hold per use of a block");
+            insert(4, far);
+            assert_eq!(m.resident_keys(), [0, 1, 3, 4].map(key), "{name}: app 40 evicted its own");
+            for _ in 0..2 {
+                let usage = |hits, evictions| AppUsage { resident: 1, hits, misses: 2, evictions };
+                let want = [(a, usage(2, 0)), (b, usage(3, 0)), (far, usage(4, 1))];
+                assert_eq!(m.app_usage(), want, "{name}: per-app ledger");
+                assert_eq!(apps.map(|app| m.resident_of(app)), [1, 1, 1, 0], "{name}");
+                let ps = m.policy_stats();
+                assert_eq!((ps.hits, ps.misses, ps.inserts, ps.removes), (14, 8, 5, 1), "{name}");
+                assert_eq!((ps.evictions_clean, ps.evictions_dirty, ps.scans), (1, 0, 1), "{name}");
+                let s = m.stats();
+                let ledger = (ps.hits, ps.misses, ps.evictions_clean, ps.evictions_dirty);
+                assert_eq!((s.hits, s.misses, s.evictions_clean, s.evictions_dirty), ledger);
+            }
         }
-        for app in [a, AppId::UNKNOWN] {
-            assert!(!read(absent, app));
-        }
-        let probe =
-            |key, app| m.access(key, Access { app, kind: AccessKind::Probe { span: Span::FULL } });
-        assert!(probe(resident, b).is_hit() && !probe(absent, a).is_hit());
-        for app in [a, AppId::UNKNOWN, far] {
-            assert!(m.access(resident, Access { app, kind: AccessKind::Touch }).is_hit());
-        }
-        assert_eq!(holds(), before, "counted accesses and touches take no lock");
-        assert!(read(resident, far) && !read(absent, far));
-        assert_eq!(holds(), before + 2, "the far app's hit and miss, one hold each");
-        for _ in 0..2 {
-            let usage = m.app_usage();
-            let counts: Vec<_> = usage.iter().map(|(app, u)| (*app, u.hits, u.misses)).collect();
-            assert_eq!(counts, [(a, 3, 2), (b, 2, 0), (far, 1, 1)], "per-app ledger");
-            let ps = m.policy_stats();
-            assert_eq!((ps.hits, ps.misses), (8, 4), "totals");
-        }
-        let s = m.stats();
-        assert_eq!((s.hits, s.misses), (8, 4));
     }
 
     /// The lock-wait instruments count an acquisition exactly when the
@@ -988,12 +953,12 @@ mod tests {
         assert_eq!(contended("policy").get(), 0, "nothing was held so far");
         std::thread::scope(|s| {
             let held = m.shards[0].policy.lock();
-            let reader = s.spawn(|| m.policy_stats());
+            let reader = s.spawn(|| m.live_policy_kind());
             while contended("policy").get() == 0 {
                 std::thread::yield_now();
             }
             drop(held);
-            assert_eq!(reader.join().expect("reader panicked").inserts, 1);
+            assert_eq!(reader.join().expect("reader panicked"), PolicyKind::Clock);
         });
         assert_eq!(contended("policy").get(), 1);
         assert_eq!(hub.registry().histogram("cache.lock_wait_ns.policy").count(), 1);

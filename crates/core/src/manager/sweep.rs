@@ -1,105 +1,24 @@
 //! The policy side of a frame changing tenants — the scan that picks a
 //! victim, settling its eviction, filing the incoming block, un-filing a
-//! lost install race, forgetting an invalidated block — and a static
-//! clock shard's per-app ledger counts.
+//! lost install race, forgetting an invalidated block.
 //!
 //! A static clock shard does all of it without the policy lock: its scans
-//! sweep the shared [`ClockHand`], the frame table's residency lives in
-//! the shared [`FrameWords`], and its ledger in striped per-app
-//! [`AppCounts`] that only the ledger's readers fold in. Every other shard
+//! sweep the shared [`ClockHand`], and the frame table's residency lives in
+//! the shared [`FrameWords`](kcache_policy::FrameWords). Every other shard
 //! — exact LRU, LFU, 2Q, ARC, sharing-aware, adaptive (clock live or not)
 //! — takes the policy lock for each of these steps, and its ranker runs
-//! under it.
+//! under it. Every shard counts each step in its one ledger
+//! ([`AppCounts`](super::counts::AppCounts)), the same way and with no
+//! policy lock held.
 
-use super::shard::{PolicyState, Shard, Victim};
+use super::counts::Col;
+use super::shard::{Shard, Victim};
 use crate::block::BlockKey;
-use kcache_obs::Counter;
-use kcache_policy::{AppId, ClockHand, PolicyStats, ScanFilter};
-
-/// App ids below this have a slot of their own in [`AppCounts`]. A higher
-/// one's events are counted into the table under the policy lock
-/// ([`Shard::count`]).
-pub(super) const COUNTED_APPS: usize = 16;
-
-/// A column of an [`AppCounts`] slot: one [`PolicyStats`] field, in the
-/// struct's order.
-#[derive(Clone, Copy)]
-pub(super) enum Col {
-    Hits,
-    Misses,
-    Inserts,
-    Removes,
-    EvictionsClean,
-    EvictionsDirty,
-    Scans,
-}
-
-/// Columns per [`AppCounts`] slot.
-pub(super) const COLS: usize = 7;
-
-/// The ledger of a static clock shard, per app, kept off the policy lock:
-/// no decision reads it, only the ledger's readers do. Slot
-/// `i < COUNTED_APPS` is `AppId(i)`'s, the last [`AppId::UNKNOWN`]'s. A hit
-/// or miss counts in the accessor's slot; an insert, remove or eviction in
-/// the slot of the frame's owner, so that `inserts - removes` is the
-/// owner's residency; a scan in the last. Each [`Counter`] is striped per
-/// thread, so two threads counting write no common line; the ledger claims
-/// the growth under the policy lock, when it is read
-/// ([`Shard::fold_counts`]).
-pub(super) struct AppCounts(Box<[[Counter; COLS]]>);
-
-impl AppCounts {
-    fn new() -> AppCounts {
-        AppCounts((0..=COUNTED_APPS).map(|_| Default::default()).collect())
-    }
-
-    /// `app`'s slot; `None` past the bound.
-    fn of(&self, app: AppId) -> Option<&[Counter; COLS]> {
-        match app {
-            AppId::UNKNOWN => self.0.last(),
-            AppId(id) if (id as usize) < COUNTED_APPS => Some(&self.0[id as usize]),
-            _ => None,
-        }
-    }
-
-    /// The app slot `i` counts for.
-    fn app(i: usize) -> AppId {
-        if i == COUNTED_APPS {
-            AppId::UNKNOWN
-        } else {
-            AppId(i as u32)
-        }
-    }
-}
-
-/// The counts of one slot as the ledger delta they are.
-fn as_stats(d: [u64; COLS]) -> PolicyStats {
-    let [hits, misses, inserts, removes, evictions_clean, evictions_dirty, scans] = d;
-    PolicyStats { hits, misses, inserts, removes, evictions_clean, evictions_dirty, scans }
-}
-
-/// A static clock shard's lock-free policy side: the hand its scans sweep
-/// (a clone of its [`Clock`](kcache_policy::Clock) ranker's, which never
-/// runs) and its ledger counts.
-pub(super) struct Sweep {
-    hand: ClockHand,
-    pub(super) counts: AppCounts,
-}
-
-impl Sweep {
-    pub(super) fn new(hand: ClockHand) -> Sweep {
-        Sweep { hand, counts: AppCounts::new() }
-    }
-
-    /// One zero mark per slot: nothing claimed yet.
-    pub(super) fn unclaimed(&self) -> Vec<[u64; COLS]> {
-        vec![[0; COLS]; self.counts.0.len()]
-    }
-}
+use kcache_policy::{AppId, ClockHand, ScanFilter};
 
 impl Shard {
-    /// Start an eviction scan and take its first candidate. A static clock
-    /// shard counts the scan and arms `budget` with two laps of the hand;
+    /// Start an eviction scan and take its first candidate, counting the
+    /// scan. A static clock shard arms `budget` with two laps of the hand;
     /// any other shard takes one hold that begins the scan and walks to
     /// its first admissible frame.
     pub(super) fn first_candidate(
@@ -107,14 +26,14 @@ impl Shard {
         budget: &mut usize,
         filter: &mut ScanFilter,
     ) -> Option<u32> {
-        let Some(sweep) = &self.sweep else {
+        self.counts.count(AppId::UNKNOWN, &[Col::Scans]);
+        let Some(hand) = &self.hand else {
             let mut p = self.lock_policy();
             p.ranked.begin_scan();
             return p.ranked.next_candidate(filter);
         };
-        self.count(sweep, AppId::UNKNOWN, &[Col::Scans]);
         *budget = ClockHand::budget(self.capacity);
-        sweep.hand.sweep(&self.words, &self.ref_words, budget, filter)
+        hand.sweep(&self.words, &self.ref_words, budget, filter)
     }
 
     /// The scan's next candidate: the hand swept on, or the ranker asked
@@ -125,48 +44,25 @@ impl Shard {
         budget: &mut usize,
         filter: &mut ScanFilter,
     ) -> Option<u32> {
-        match &self.sweep {
-            Some(sweep) => sweep.hand.sweep(&self.words, &self.ref_words, budget, filter),
+        match &self.hand {
+            Some(hand) => hand.sweep(&self.words, &self.ref_words, budget, filter),
             None => self.lock_policy().ranked.next_candidate(filter),
         }
     }
 
-    /// Count one event of each of `cols` against `app` on a static clock
-    /// shard: in its slot, or — an app past the bound — straight into the
-    /// table under the lock.
-    #[inline]
-    pub(super) fn count(&self, sweep: &Sweep, app: AppId, cols: &[Col]) {
-        if let Some(slot) = sweep.counts.of(app) {
-            cols.iter().for_each(|&c| slot[c as usize].inc());
-            return;
-        }
-        let mut d = [0; COLS];
-        cols.iter().for_each(|&c| d[c as usize] = 1);
-        self.lock_policy().ranked.table_mut().note_counts(app, &as_stats(d));
+    /// A static clock shard's removal: the frame's word vacated, its owner
+    /// returned.
+    fn vacate_words(&self, idx: u32) -> AppId {
+        let owner = self.words.owner_of(idx);
+        self.words.vacate(idx);
+        owner
     }
 
-    /// Add to the ledger what each [`AppCounts`] slot counted since the
-    /// last fold. Under the policy lock, so every fold reads each stripe
-    /// at least as late as the one before it, and the marks advance
-    /// once per delta.
-    pub(super) fn fold_counts(&self, p: &mut PolicyState) {
-        let Some(sweep) = &self.sweep else { return };
-        let table = p.ranked.table_mut();
-        for (i, (slot, claimed)) in sweep.counts.0.iter().zip(&mut p.claimed).enumerate() {
-            // Last column first, so removes are read before inserts: a
-            // residency read while other threads count trails what is in
-            // flight rather than dipping below it (and residency adds
-            // wrapping, so the next fold squares it either way).
-            let mut now = [0; COLS];
-            for c in (0..COLS).rev() {
-                now[c] = slot[c].get();
-            }
-            table.note_counts(
-                AppCounts::app(i),
-                &as_stats(std::array::from_fn(|c| now[c] - claimed[c])),
-            );
-            *claimed = now;
-        }
+    /// Count the eviction of `victim`, which `owner` installed.
+    fn count_eviction(&self, owner: AppId, victim: &Victim) {
+        let evicted =
+            if victim.flush.is_some() { Col::EvictionsDirty } else { Col::EvictionsClean };
+        self.counts.count(owner, &[evicted, Col::Removes]);
     }
 
     /// The policy-side half of evicting `victim` from frame `idx`, which
@@ -174,14 +70,11 @@ impl Shard {
     /// it is filed again or freed. Returns the block's owner, for the
     /// caller to uncharge.
     pub(super) fn settle_eviction(&self, idx: u32, victim: &Victim) -> AppId {
-        let Some(sweep) = &self.sweep else {
-            return self.lock_policy().settle_eviction(idx, victim);
+        let owner = match &self.hand {
+            Some(_) => self.vacate_words(idx),
+            None => self.lock_policy().settle_eviction(idx, victim),
         };
-        let owner = self.words.owner_of(idx);
-        let evicted =
-            if victim.flush.is_some() { Col::EvictionsDirty } else { Col::EvictionsClean };
-        self.count(sweep, owner, &[evicted, Col::Removes]);
-        self.words.vacate(idx);
+        self.count_eviction(owner, victim);
         owner
     }
 
@@ -195,18 +88,17 @@ impl Shard {
     /// describe the previous tenant; a caller that then loses the install
     /// race un-files ([`unfile`](Self::unfile)).
     ///
-    /// A static clock shard stores the words and counts, with no lock. Any
-    /// other files in one hold. The old owner's uncharge comes last:
-    /// over-counted until then, strict quotas err toward denying, never
-    /// toward over-admitting.
+    /// A static clock shard stores the words, with no lock. Any other
+    /// files in one hold. The counts and the old owner's uncharge come
+    /// after: over-counted until then, strict quotas err toward denying,
+    /// never toward over-admitting.
     pub(super) fn file_insert(&self, idx: u32, key: BlockKey, app: AppId, victim: Option<&Victim>) {
-        let evicted_owner = match &self.sweep {
-            Some(sweep) => {
-                let evicted_owner = victim.map(|v| self.settle_eviction(idx, v));
+        let evicted_owner = match &self.hand {
+            Some(_) => {
+                let evicted_owner = victim.map(|_| self.vacate_words(idx));
                 // What `Clock::on_insert` does.
                 self.ref_words.clear(idx);
                 self.words.install(idx, key.hash(), app);
-                self.count(sweep, app, &[Col::Inserts]);
                 evicted_owner
             }
             None => {
@@ -221,22 +113,22 @@ impl Shard {
                 evicted_owner
             }
         };
-        if let Some(owner) = evicted_owner {
+        if let Some((v, owner)) = victim.zip(evicted_owner) {
+            self.count_eviction(owner, v);
             self.ledger.uncharge(owner);
         }
+        self.counts.count(app, &[Col::Inserts]);
     }
 
     /// A lost install race (`key` went resident in another frame first):
     /// take the filed, never visible block back out of the policy — ghost
     /// lists hear of it as of any removal — and recycle frame and charge.
     pub(super) fn unfile(&self, idx: u32, key: BlockKey, app: AppId) {
-        match &self.sweep {
-            Some(sweep) => {
-                self.words.vacate(idx);
-                self.count(sweep, app, &[Col::Removes]);
-            }
+        match &self.hand {
+            Some(_) => self.words.vacate(idx),
             None => self.lock_policy().ranked.remove(idx, key.hash()),
         }
+        self.counts.count(app, &[Col::Removes]);
         self.push_free(idx);
         self.ledger.uncharge(app);
     }
@@ -246,15 +138,16 @@ impl Shard {
     /// tuner's refault memory never hears of it). Returns the block's
     /// owner, for the caller to uncharge.
     pub(super) fn forget(&self, idx: u32, key: BlockKey) -> AppId {
-        let Some(sweep) = &self.sweep else {
-            let mut p = self.lock_policy();
-            let owner = p.ranked.table().owner_of(idx);
-            p.ranked.remove(idx, key.hash());
-            return owner;
+        let owner = match &self.hand {
+            Some(_) => self.vacate_words(idx),
+            None => {
+                let mut p = self.lock_policy();
+                let owner = p.ranked.table().owner_of(idx);
+                p.ranked.remove(idx, key.hash());
+                owner
+            }
         };
-        let owner = self.words.owner_of(idx);
-        self.count(sweep, owner, &[Col::Removes]);
-        self.words.vacate(idx);
+        self.counts.count(owner, &[Col::Removes]);
         owner
     }
 }

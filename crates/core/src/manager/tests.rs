@@ -937,8 +937,8 @@ fn obs_wiring_changes_no_cache_decision() {
             "{label}: tuned quotas diverged"
         );
         // And the obs side actually observed the traffic it mirrors.
-        // Hit/miss metric counters are deferred (folded in from the
-        // manager ledger at sync points), so flush before reading —
+        // Hit/miss/eviction metric counters are deferred (folded in from
+        // the manager ledger at sync points), so flush before reading —
         // after which the mirror must be *exact*, not a lower bound.
         obsd.obs_flush();
         let snap = hub.snapshot();
@@ -957,6 +957,10 @@ fn obs_wiring_changes_no_cache_decision() {
             .map(|(_, v)| v)
             .sum();
         assert_eq!(misses, s.misses, "{label}: obs miss mirror diverged from the ledger");
+        let evictions =
+            ["cache.evictions_clean", "cache.evictions_dirty"].map(|k| snap.counters[k]);
+        let want = [s.evictions_clean, s.evictions_dirty];
+        assert_eq!(evictions, want, "{label}: obs eviction mirrors diverged from the ledger");
     }
 }
 

@@ -31,7 +31,7 @@ pub mod trace;
 
 pub use anomaly::{evaluate, flight_json, AnomalyFiring, AnomalyRules};
 pub use federate::ClusterObs;
-pub use metrics::{stripe_index, Counter, Gauge, Histogram, HIST_BUCKETS};
+pub use metrics::{stripe_index, Counter, Gauge, Histogram, COUNTER_STRIPES, HIST_BUCKETS};
 pub use quantile::{QuantileSketch, QuantileSnapshot, SloTargets};
 pub use registry::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
 pub use ring::{CacheLine, SlotRing};

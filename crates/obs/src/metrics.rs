@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// hit storm even with relaxed ordering — so each thread increments its
 /// own stripe, a [`CacheLine`] each (stripes sharing lines would buy
 /// nothing), and readers sum. Power of two so stripe selection is a mask.
-const COUNTER_STRIPES: usize = 8;
+pub const COUNTER_STRIPES: usize = 8;
 
 /// Round-robin stripe assignment, one slot per thread, fixed at the
 /// thread's first increment. A thread-local read per `inc` is the whole

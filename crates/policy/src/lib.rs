@@ -32,10 +32,12 @@
 //! no hook and no scan step sorts, snapshots or allocates.
 //!
 //! No policy owns residency. A [`RankedTable`] pairs one [`FrameTable`] —
-//! the residency / pin / **ownership** bookkeeping, the per-application
-//! ledger and the [`PolicyStats`] — with the boxed policy ranking it, and
-//! lends the table to every hook. Ownership (which application installed
-//! each frame) powers the **filtered scan protocol**: the manager passes a
+//! the residency / pin / **ownership** words — with the boxed policy
+//! ranking it, and lends the table to every hook. Neither keeps a ledger:
+//! the buffer manager counts each access once, beside the table, and
+//! reports it as [`PolicyStats`] and [`AppUsage`]. Ownership (which
+//! application installed each frame) powers the **filtered scan
+//! protocol**: the manager passes a
 //! [`ScanFilter`] to every [`next_candidate`](RankedTable::next_candidate)
 //! call, and the table rejects every candidate not owned by the filtered
 //! application. This is what makes per-application cache partitioning work
@@ -54,12 +56,11 @@
 //!
 //! Every hit and recency touch stores into the table's per-frame atomic
 //! [`RefWords`] (ref bit + app-touch mask) without that lock, and the
-//! manager then applies the access to the table as it happens
-//! ([`RankedTable::hit`], [`miss`](RankedTable::miss),
-//! [`touch`](RankedTable::touch)), under the lock. [`Clock`] needs no
-//! `on_access` at all: it ranks directly from the atomic ref bits, and a
-//! static clock shard of the manager counts its ledger without the lock,
-//! which recovers the seed's store-only per-hit cost.
+//! manager then applies the use to the ranker as it happens
+//! ([`RankedTable::touch`]), under the lock. [`Clock`] needs no
+//! `on_access` at all: it ranks directly from the atomic ref bits, so a
+//! static clock shard of the manager takes no lock for an access, which
+//! recovers the seed's store-only per-hit cost.
 
 pub mod arc;
 pub mod clock;
@@ -93,11 +94,11 @@ impl AppId {
     pub const UNKNOWN: AppId = AppId(u32::MAX);
 }
 
-/// Per-application slice of the policy ledger: how many frames the
+/// Per-application slice of the cache's ledger: how many frames the
 /// application currently owns and the hit/miss/eviction traffic attributed
-/// to it. Maintained by the [`FrameTable`]; this is what per-app cache
-/// partitioning reports (occupancy, per-app hit ratio) and what quota
-/// enforcement audits against.
+/// to it. A report type: the buffer manager counts it and fills it in;
+/// this is what per-app cache partitioning reports (occupancy, per-app
+/// hit ratio) and what quota enforcement audits against.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct AppUsage {
     /// Frames currently owned (installed) by this application.
@@ -122,10 +123,11 @@ impl AppUsage {
     }
 }
 
-/// Per-policy event counters (the subsystem's own ledger, independent of
-/// the buffer manager's atomic counters). Hits/misses/evictions are fed by
-/// the manager; inserts/removes are maintained by the policy's
-/// [`FrameTable`]; `scans` counts eviction scans started.
+/// The cache's event counts, as a report type: hits and misses per
+/// lookup, inserts and removes per residency begun and ended, evictions
+/// per capacity eviction, `scans` per eviction scan started. The buffer
+/// manager counts each event once, in its one ledger, and its
+/// `CacheStats` hit/miss/eviction counts are the same numbers.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyStats {
     pub hits: u64,
@@ -247,8 +249,8 @@ impl AdaptiveStats {
 }
 
 /// A replacement policy: **ranking hooks only**. The residency / pin /
-/// ownership state, the hit/miss/per-app ledger and the event batching all
-/// live in the [`RankedTable`] that owns the ranker; every hook borrows
+/// ownership state lives in the [`RankedTable`] that owns the ranker, the
+/// hit/miss/per-app ledger with the buffer manager; every hook borrows
 /// that table's [`FrameTable`] read-only for eligibility checks and the
 /// atomic ref words, and keeps nothing but its own ranking metadata
 /// (queues, frequencies, referent sets, a clock hand). Five required
@@ -351,12 +353,10 @@ pub trait ReplacementPolicy: Send {
     /// policy ranks eviction candidates from the table's atomic
     /// [`RefWords`] and [`FrameWords`] alone, and [`RankedTable::touch`]
     /// skips its `on_access`: the caller already stored the recency word
-    /// at access time, so a hit or miss has no effect beyond the ledger's
-    /// counts. A static shard of the buffer manager therefore takes no
-    /// policy lock for such a policy's accesses at all (touches need
-    /// nothing more, hits and misses are counted per app and folded in
-    /// with [`FrameTable::note_counts`] when the ledger is read), clones
-    /// the handle, and runs the same sweep without the policy lock.
+    /// at access time, so an access needs nothing else of the policy. A
+    /// static shard of the buffer manager therefore takes no policy lock
+    /// for such a policy's accesses at all, clones the handle, and runs
+    /// the same sweep without the policy lock.
     fn clock_hand(&self) -> Option<&ClockHand> {
         None
     }
@@ -372,10 +372,10 @@ pub trait ReplacementPolicy: Send {
     }
 }
 
-/// A [`FrameTable`] and the [`ReplacementPolicy`] ranking it — the one
-/// owner of everything that is not ranking: residency beside each hook,
-/// the hit/miss/per-app ledger, and
-/// live migration to another policy over the *same* table. The buffer
+/// A [`FrameTable`] and the [`ReplacementPolicy`] ranking it — residency
+/// kept beside each hook, and live migration to another policy over the
+/// *same* table. It counts nothing: hits, misses, scans and the per-app
+/// ledger are the buffer manager's to count. The buffer
 /// manager holds one per shard behind its policy leaf lock; each adaptive
 /// ghost cache holds one per candidate.
 pub struct RankedTable {
@@ -399,17 +399,12 @@ impl RankedTable {
         self.kind
     }
 
-    /// Residency, pins, owners, the per-app ledger, stats, ref words.
+    /// Residency, pins, owners, ref words. Residency only changes
+    /// through [`insert`](Self::insert) / [`remove`](Self::remove), which
+    /// keep the ranker in step; pins are atomic
+    /// ([`FrameTable::set_pinned`]).
     pub fn table(&self) -> &FrameTable {
         &self.table
-    }
-
-    /// The mutable, non-residency half of the table: pins
-    /// ([`FrameTable::set_pinned`]), the eviction ledger, stats.
-    /// Residency itself only changes through [`insert`](Self::insert) /
-    /// [`remove`](Self::remove), which keep the ranker in step.
-    pub fn table_mut(&mut self) -> &mut FrameTable {
-        &mut self.table
     }
 
     /// The ranker's static traits (`clock_hand`, `consumes_app_mask`).
@@ -436,21 +431,6 @@ impl RankedTable {
         self.ranker.on_access(&self.table, frame, key, app);
     }
 
-    /// Count one hit by `app` — a data-serving read or a probe — in the
-    /// ledger. A read's recency refresh is a [`touch`](Self::touch) of
-    /// its own.
-    pub fn hit(&mut self, app: AppId) {
-        self.table.stats.hits += 1;
-        self.table.note_app_hit(app);
-    }
-
-    /// Count one miss by `app` in the ledger (the install that ends it
-    /// arrives as an [`insert`](Self::insert)).
-    pub fn miss(&mut self, app: AppId) {
-        self.table.stats.misses += 1;
-        self.table.note_app_miss(app);
-    }
-
     /// A use of resident `frame` by `app` (a read hit, a sync-write
     /// refresh, a merge): the ranker's `on_access`, skipped for one that
     /// [ranks from the ref words](ReplacementPolicy::clock_hand) — the
@@ -462,9 +442,8 @@ impl RankedTable {
         }
     }
 
-    /// Start a fresh eviction scan (counted in [`PolicyStats::scans`]).
+    /// Start a fresh eviction scan.
     pub fn begin_scan(&mut self) {
-        self.table.stats.scans += 1;
         self.ranker.begin_scan(&self.table);
     }
 
@@ -491,8 +470,7 @@ impl RankedTable {
     /// (soonest-to-evict first, so the incoming policy ends up protecting
     /// what the outgoing one protected; frame order is the fallback when
     /// the outgoing policy exports no ranking). The table never moves, so
-    /// pins, ownership, the per-application ledger, the [`PolicyStats`]
-    /// counters and the atomic [`RefWords`] all survive the switch
+    /// pins, ownership and the atomic [`RefWords`] all survive the switch
     /// untouched. A policy that ranks from those words has nothing to
     /// rebuild and is not replayed into: its `on_insert` resets a frame's
     /// word, which would strip the reference bits that must keep
@@ -663,7 +641,8 @@ mod tests {
         for kind in PolicyKind::ALL {
             let p = kind.build(8);
             assert_eq!(p.kind(), Some(kind));
-            assert_eq!(p.table().stats, PolicyStats::default());
+            assert_eq!(p.table().capacity(), 8);
+            assert!(p.table().resident_frames().is_empty());
         }
     }
 
@@ -675,7 +654,7 @@ mod tests {
             for f in 0..8u32 {
                 p.insert(f, 100 + f as u64, AppId(f / 4));
             }
-            assert_eq!(p.table().resident_of(AppId(0)), 4, "{kind}");
+            assert_eq!(p.table().owner_of(2), AppId(0), "{kind}");
             assert_eq!(p.table().owner_of(6), AppId(1), "{kind}");
             p.begin_scan();
             let mut offered = Vec::new();
@@ -708,22 +687,17 @@ mod tests {
                     p.insert(f, 500 + f as u64, AppId(f % 2));
                 }
                 p.access(1, 501, AppId(1));
-                p.hit(AppId(1));
-                p.miss(AppId(0));
-                p.table_mut().set_pinned(2, true);
+                p.table().set_pinned(2, true);
                 p.remove(5, 505);
                 // The manager's lock-free half of a hit: it must keep
                 // protecting frame 3 whichever policy comes in — clock
                 // included, whose `on_insert` would clear it.
                 p.table().ref_words().touch(3, AppId(0));
-                let (entries, usage, stats) =
-                    (p.table().resident_entries(), p.table().app_usage(), p.table().stats);
+                let entries = p.table().resident_entries();
                 p.migrate(to);
                 assert_eq!(p.kind(), Some(to), "{from}->{to}");
                 assert_eq!(p.table().resident_entries(), entries, "{from}->{to}: residency");
                 assert!(p.table().is_pinned(2), "{from}->{to}: pin lost");
-                assert_eq!(p.table().app_usage(), usage, "{from}->{to}: app ledger changed");
-                assert_eq!(p.table().stats, stats, "{from}->{to}: stats changed");
                 assert!(p.table().ref_words().is_referenced(3), "{from}->{to}: ref word cleared");
                 // The migrated policy must still run a working scan.
                 p.begin_scan();

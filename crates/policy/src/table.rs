@@ -1,8 +1,7 @@
-//! The residency/pin/ownership bookkeeping and ledger every policy ranks
-//! over (owned by a [`RankedTable`](crate::RankedTable), lent to the hooks).
+//! The residency/pin/ownership words every policy ranks over (owned by a
+//! [`RankedTable`](crate::RankedTable), lent to the hooks).
 
-use crate::{AppId, AppUsage, PolicyStats};
-use std::collections::BTreeMap;
+use crate::AppId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -231,8 +230,9 @@ impl FrameWords {
     }
 }
 
-/// The per-frame [`FrameWords`] — residency, pin, **owner**, key — plus
-/// the policy's stat counters and the per-application usage ledger.
+/// The per-frame [`FrameWords`] — residency, pin, **owner**, key — and
+/// [`RefWords`], and nothing else: the hit/miss/per-app ledger is the
+/// buffer manager's, which counts each access once, beside the table.
 /// Policies layer their own metadata (reference bits, queues,
 /// frequencies, app sets) on top; the words are the single source of truth
 /// for "may this frame be offered as a candidate at all".
@@ -251,21 +251,14 @@ pub struct FrameTable {
     /// Residency, pins, owners and keys (shared with the buffer manager;
     /// see [`FrameWords`]).
     words: FrameWords,
-    per_app: BTreeMap<u32, AppUsage>,
     /// The lock-free recency words (shared with the buffer manager; see
     /// [`RefWords`]).
     ref_words: RefWords,
-    pub stats: PolicyStats,
 }
 
 impl FrameTable {
     pub(crate) fn new(capacity: usize) -> FrameTable {
-        FrameTable {
-            words: FrameWords::new(capacity),
-            per_app: BTreeMap::new(),
-            ref_words: RefWords::new(capacity),
-            stats: PolicyStats::default(),
-        }
+        FrameTable { words: FrameWords::new(capacity), ref_words: RefWords::new(capacity) }
     }
 
     /// The table's atomic residency words (shared handle).
@@ -280,12 +273,6 @@ impl FrameTable {
 
     pub fn capacity(&self) -> usize {
         self.words.capacity()
-    }
-
-    /// Frames resident as of the ledger: every insert counts one new
-    /// residency and every remove one ended, so this is their difference.
-    pub fn resident_count(&self) -> usize {
-        (self.stats.inserts - self.stats.removes) as usize
     }
 
     pub fn is_resident(&self, frame: u32) -> bool {
@@ -312,17 +299,12 @@ impl FrameTable {
     }
 
     /// Mark `frame` resident, holding block `key`, owned by `app`
-    /// (idempotent; counts one insert per new residency and keeps the first
-    /// owner on re-inserts). Panics on out-of-pool frames.
+    /// (idempotent; keeps the first owner on re-inserts). Panics on
+    /// out-of-pool frames.
     pub(crate) fn insert(&mut self, frame: u32, key: u64, app: AppId) {
         if !self.words.is_resident(frame) {
             self.words.install(frame, key, app);
-            self.stats.inserts += 1;
-            if app != AppId::UNKNOWN {
-                self.per_app.entry(app.0).or_default().resident += 1;
-            }
         }
-        debug_assert!(self.resident_count() <= self.capacity());
     }
 
     /// Fingerprint of the block resident in `frame` (0 for vacant frames).
@@ -334,75 +316,11 @@ impl FrameTable {
     /// frame whose flush is still in flight), the ownership record and
     /// the key.
     pub(crate) fn remove(&mut self, frame: u32) {
-        if self.words.is_resident(frame) {
-            self.stats.removes += 1;
-            let owner = self.words.owner_of(frame);
-            if let Some(u) = self.per_app.get_mut(&owner.0).filter(|_| owner != AppId::UNKNOWN) {
-                u.resident = u.resident.saturating_sub(1);
-            }
-        }
         self.words.vacate(frame);
     }
 
     pub fn set_pinned(&self, frame: u32, pinned: bool) {
         self.words.set_pinned(frame, pinned);
-    }
-
-    /// Resident frames currently owned by `app`.
-    pub fn resident_of(&self, app: AppId) -> usize {
-        if app == AppId::UNKNOWN {
-            return 0;
-        }
-        self.per_app.get(&app.0).map_or(0, |u| u.resident as usize)
-    }
-
-    /// Attribute one cache hit to `app` (unattributed accesses are not
-    /// ledgered).
-    pub fn note_app_hit(&mut self, app: AppId) {
-        if app != AppId::UNKNOWN {
-            self.per_app.entry(app.0).or_default().hits += 1;
-        }
-    }
-
-    /// Attribute one cache miss to `app`.
-    pub fn note_app_miss(&mut self, app: AppId) {
-        if app != AppId::UNKNOWN {
-            self.per_app.entry(app.0).or_default().misses += 1;
-        }
-    }
-
-    /// Attribute the eviction of one of `app`'s frames.
-    pub fn note_app_eviction(&mut self, app: AppId) {
-        if app != AppId::UNKNOWN {
-            self.per_app.entry(app.0).or_default().evictions += 1;
-        }
-    }
-
-    /// Add counts kept outside the table to the totals and, for a known
-    /// app, to its row: hits and misses as they are, `inserts - removes`
-    /// of frames it owns to its residency, both eviction counts to its
-    /// evictions. A row is opened only for a non-zero count, as a single
-    /// event opens one. Residency adds wrapping, so counts read while
-    /// other threads move them add up once the next read catches up.
-    pub fn note_counts(&mut self, app: AppId, d: &PolicyStats) {
-        self.stats.merge(d);
-        let PolicyStats {
-            hits, misses, inserts, removes, evictions_clean, evictions_dirty, ..
-        } = *d;
-        if app != AppId::UNKNOWN
-            && hits | misses | inserts | removes | evictions_clean | evictions_dirty != 0
-        {
-            let u = self.per_app.entry(app.0).or_default();
-            u.hits += hits;
-            u.misses += misses;
-            u.resident = u.resident.wrapping_add(inserts).wrapping_sub(removes);
-            u.evictions += evictions_clean + evictions_dirty;
-        }
-    }
-
-    /// Per-application usage ledger, ascending by application id.
-    pub fn app_usage(&self) -> Vec<(AppId, AppUsage)> {
-        self.per_app.iter().map(|(&id, &u)| (AppId(id), u)).collect()
     }
 
     /// Frames currently resident, ascending (diagnostics/tests).
@@ -432,18 +350,15 @@ mod tests {
         t.insert(1, 101, AppId(0));
         t.insert(1, 999, AppId(1)); // idempotent; owner and key stay with the installer
         t.insert(3, 103, AppId(1));
-        assert_eq!(t.resident_count(), 2);
-        assert_eq!(t.stats.inserts, 2);
-        assert_eq!(t.owner_of(1), AppId(0));
+        assert_eq!(t.resident_frames(), vec![1, 3]);
+        assert_eq!((t.owner_of(1), t.key_of(1)), (AppId(0), 101));
         assert!(t.evictable(1) && !t.evictable(0));
         t.set_pinned(1, true);
         assert!(!t.evictable(1));
         t.remove(1);
         assert!(!t.is_resident(1) && !t.is_pinned(1), "remove clears the pin");
         assert_eq!(t.owner_of(1), AppId::UNKNOWN, "remove clears the owner");
-        assert_eq!(t.stats.removes, 1);
         t.remove(1); // idempotent
-        assert_eq!(t.stats.removes, 1);
         assert_eq!(t.resident_frames(), vec![3]);
     }
 
@@ -487,28 +402,5 @@ mod tests {
         assert_eq!(f.examined, 1, "only its own evictable frame counts as examined");
         let any = &mut ScanFilter::default();
         assert!(t.evictable_for(0, any) && t.evictable_for(2, any));
-    }
-
-    #[test]
-    fn per_app_ledger_tracks_residency_and_events() {
-        let mut t = FrameTable::new(4);
-        t.insert(0, 100, AppId(7));
-        t.insert(1, 101, AppId(7));
-        t.insert(2, 102, AppId(3));
-        assert_eq!(t.resident_of(AppId(7)), 2);
-        assert_eq!(t.resident_of(AppId(3)), 1);
-        assert_eq!(t.resident_of(AppId::UNKNOWN), 0);
-        t.note_app_hit(AppId(7));
-        t.note_app_miss(AppId(3));
-        t.note_app_eviction(AppId(7));
-        t.remove(0);
-        assert_eq!(t.resident_of(AppId(7)), 1);
-        let usage = t.app_usage();
-        assert_eq!(usage.len(), 2);
-        assert_eq!(usage[0].0, AppId(3), "ledger is ordered by app id");
-        assert_eq!((usage[1].1.hits, usage[1].1.evictions, usage[1].1.resident), (1, 1, 1));
-        // Unattributed events never enter the ledger.
-        t.note_app_hit(AppId::UNKNOWN);
-        assert_eq!(t.app_usage().len(), 2);
     }
 }

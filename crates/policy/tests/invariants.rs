@@ -116,7 +116,7 @@ fn drive(kind: &str, make: impl Fn() -> RankedTable, ops: &[(u8, u64)]) {
                 if m.resident[frame as usize] {
                     let p = !m.pinned[frame as usize];
                     m.pinned[frame as usize] = p;
-                    policy.table_mut().set_pinned(frame, p);
+                    policy.table().set_pinned(frame, p);
                 }
             }
             3 => {
@@ -712,7 +712,7 @@ fn migrate_oracle(old: &RankedTable, kind: PolicyKind) -> RankedTable {
     for f in old.recency_ranking().expect("every oracle exports a ranking") {
         if t.is_resident(f) {
             fresh.insert(f, t.key_of(f), t.owner_of(f));
-            fresh.table_mut().set_pinned(f, t.is_pinned(f));
+            fresh.table().set_pinned(f, t.is_pinned(f));
         }
     }
     // The ref words belong to the table, vacated frames' included.
@@ -785,8 +785,8 @@ fn drive_order(kind: PolicyKind, cap: usize, ops: &[(u8, u64)]) {
             }
             4 if resident => {
                 let pinned = !new.table().is_pinned(frame);
-                new.table_mut().set_pinned(frame, pinned);
-                old.table_mut().set_pinned(frame, pinned);
+                new.table().set_pinned(frame, pinned);
+                old.table().set_pinned(frame, pinned);
             }
             // The manager's lock-free half of a hit.
             4 | 5 => {
@@ -874,7 +874,7 @@ fn drive_mid_scan(kind: &str, mut p: RankedTable, ops: &[(u8, u64)]) {
             1 => p.access(frame, arg, app),
             2 => {
                 let pinned = resident && !p.table().is_pinned(frame);
-                p.table_mut().set_pinned(frame, pinned);
+                p.table().set_pinned(frame, pinned);
             }
             // Aging re-ranks every frame; another thread's scan starting
             // over the shared cursor restarts this one.
