@@ -7,12 +7,14 @@
 
 use crate::protocol::Fid;
 use sim_net::NodeId;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// (fid, logical 4 KB block) → the nodes caching it, oldest-listed first.
+/// Per file, logical 4 KB block → the nodes caching it, oldest-listed
+/// first. A file's table is indexed by block and grown to the highest one
+/// registered; the fid is looked up once per call.
 #[derive(Debug, Default)]
 pub struct Directory {
-    entries: HashMap<(Fid, u64), Vec<NodeId>>,
+    files: BTreeMap<Fid, Vec<Vec<NodeId>>>,
 }
 
 impl Directory {
@@ -24,9 +26,13 @@ impl Directory {
         blocks: impl IntoIterator<Item = u64>,
         node: NodeId,
     ) -> u64 {
+        let table = self.files.entry(fid).or_default();
         let mut added = 0;
         for b in blocks {
-            let entry = self.entries.entry((fid, b)).or_default();
+            if table.len() <= b as usize {
+                table.resize_with(b as usize + 1, Vec::new);
+            }
+            let entry = &mut table[b as usize];
             if !entry.contains(&node) {
                 entry.push(node);
                 added += 1;
@@ -38,7 +44,7 @@ impl Directory {
     /// Drop every node but `writer` from `(fid, blk)` and return them: the
     /// nodes a sync-write of the block must invalidate.
     pub fn take_others(&mut self, fid: Fid, blk: u64, writer: NodeId) -> Vec<NodeId> {
-        let Some(entry) = self.entries.get_mut(&(fid, blk)) else {
+        let Some(entry) = self.files.get_mut(&fid).and_then(|t| t.get_mut(blk as usize)) else {
             return Vec::new();
         };
         let others = entry.iter().copied().filter(|&n| n != writer).collect();
@@ -48,7 +54,7 @@ impl Directory {
 
     /// The nodes listed for `(fid, blk)`, oldest-listed first.
     pub fn sharers(&self, fid: Fid, blk: u64) -> Vec<NodeId> {
-        self.entries.get(&(fid, blk)).cloned().unwrap_or_default()
+        self.files.get(&fid).and_then(|table| table.get(blk as usize)).cloned().unwrap_or_default()
     }
 }
 

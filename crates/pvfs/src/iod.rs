@@ -15,7 +15,7 @@ use crate::protocol::{
 };
 use bytes::Bytes;
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
-use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, PageCache, BLOCK_SIZE};
+use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, Lookup, PageCache, BLOCK_SIZE};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -64,12 +64,9 @@ pub struct Iod {
     directory: Directory,
     pending_reads: HashMap<u64, PendingRead>,
     /// Platter read in flight, by disk token → the pending reads waiting
-    /// for it, in arrival order.
+    /// for it, in arrival order. The pages it fills carry the token in the
+    /// page cache, so a read that finds one waits for it too.
     token_waiters: HashMap<u64, Vec<u64>>,
-    /// Page → token of the platter read filling it. Such a page is in the
-    /// page cache but holds no data yet (Linux keeps it locked): a read
-    /// that finds it waits for that token instead of taking it as a hit.
-    page_fills: HashMap<u64, u64>,
     pending_syncs: HashMap<u64, PendingSync>,
     next_pending: u64,
     next_token: u64,
@@ -106,7 +103,6 @@ impl Iod {
             directory: Directory::default(),
             pending_reads: HashMap::new(),
             token_waiters: HashMap::new(),
-            page_fills: HashMap::new(),
             pending_syncs: HashMap::new(),
             next_pending: 1,
             next_token: 1,
@@ -218,13 +214,15 @@ impl Iod {
         let exts = self.fs.extents_of(ino, range.offset, range.len as usize).unwrap_or_default();
         for e in exts {
             for p in e.pblk..e.pblk + e.blocks as u64 {
-                if self.pcache.lookup(p) {
-                    fills.extend(self.page_fills.get(&p));
-                } else {
-                    miss_pblks.push(p);
-                    if let Some(ev) = self.pcache.insert(p, false) {
-                        if ev.dirty {
-                            self.issue_disk(ctx, DiskOp::Write, ev.pblk, 1, 0);
+                match self.pcache.lookup(p) {
+                    Lookup::Ready => {}
+                    Lookup::Filling(token) => fills.push(token),
+                    Lookup::Miss => {
+                        miss_pblks.push(p);
+                        if let Some(ev) = self.pcache.insert(p, false) {
+                            if ev.dirty {
+                                self.issue_disk(ctx, DiskOp::Write, ev.pblk, 1, 0);
+                            }
                         }
                     }
                 }
@@ -274,8 +272,11 @@ impl Iod {
             ReadAck { req_id: req.req_id, bytes: total },
         );
         if req.caching {
-            let blocks: Vec<u64> = req.ranges.iter().flat_map(Self::blocks_of).collect();
-            self.register_reader(req.fid, blocks, req.reply_to.0);
+            self.register_reader(
+                req.fid,
+                req.ranges.iter().flat_map(Self::blocks_of),
+                req.reply_to.0,
+            );
         }
         let ino = self.file_for(req.fid);
         self.read_from_store(ctx, ino, req);
@@ -293,7 +294,7 @@ impl Iod {
                 let token = self.next_token;
                 self.next_token += 1;
                 for p in pblk..pblk + blocks as u64 {
-                    self.page_fills.insert(p, token);
+                    self.pcache.start_fill(p, token);
                 }
                 self.issue_disk(ctx, DiskOp::Read, pblk, blocks, token);
                 waits.push(token);
@@ -366,8 +367,7 @@ impl Iod {
             self.apply_write(ctx, req.fid, &part.range, &part.data);
         }
         if req.caching {
-            let blocks: Vec<u64> =
-                req.parts.iter().flat_map(|p| Self::blocks_of(&p.range)).collect();
+            let blocks = req.parts.iter().flat_map(|p| Self::blocks_of(&p.range));
             self.register_reader(req.fid, blocks, req.reply_to.0);
         }
         if req.sync {
@@ -436,8 +436,7 @@ impl Iod {
             self.apply_write(ctx, f.fid, &range, &e.data);
         }
         // The flushing node keeps the blocks cached (now clean): track it.
-        let blocks: Vec<u64> = f.blocks.iter().map(|e| e.blk).collect();
-        self.register_reader(f.fid, blocks, f.reply_to.0);
+        self.register_reader(f.fid, f.blocks.iter().map(|e| e.blk), f.reply_to.0);
         let ack = FlushAck { req_id: f.req_id };
         self.send(ctx, t, IOD_FLUSH_PORT, f.reply_to, ack.wire_bytes(), ack);
     }
@@ -449,12 +448,8 @@ impl Iod {
         let Some(waiters) = self.token_waiters.remove(&r.token) else {
             return;
         };
-        // The pages hold their data now; one evicted and read again
-        // meanwhile belongs to the newer read.
         for p in r.pblk..r.pblk + r.blocks as u64 {
-            if self.page_fills.get(&p) == Some(&r.token) {
-                self.page_fills.remove(&p);
-            }
+            self.pcache.filled(p, r.token);
         }
         for pending_id in waiters {
             let done = {

@@ -369,7 +369,10 @@ fn a_read_of_a_page_in_flight_waits_for_its_disk_reply() {
     );
     let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
     assert_eq!(iod.stats().disk_reads, 1, "one platter read serves both");
-    assert!(iod.page_fills.is_empty() && iod.token_waiters.is_empty(), "nothing left in flight");
+    assert!(
+        iod.page_cache().filling_pages() == 0 && iod.token_waiters.is_empty(),
+        "nothing left in flight"
+    );
 }
 
 #[test]

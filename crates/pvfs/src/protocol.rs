@@ -318,31 +318,29 @@ static PATTERN_TABLE: [u8; 2 * PATTERN_PERIOD] = {
     t
 };
 
-/// The pattern of `fid` over `len` bytes from `offset`, as consecutive
-/// windows of [`PATTERN_TABLE`] of at most one period each. Byte for byte
-/// [`pattern_byte`] at `offset`, `offset + 1`, ... (wrapping): a window never
-/// spans the u64 wrap of `fid * 151 + offset`, where the phase jumps.
-fn pattern_windows(fid: Fid, offset: u64, len: usize) -> impl Iterator<Item = &'static [u8]> {
-    let mut pos = fid.0.wrapping_mul(151).wrapping_add(offset);
-    let mut left = len;
-    std::iter::from_fn(move || {
-        if left == 0 {
-            return None;
-        }
-        let before_wrap = (u64::MAX - pos).saturating_add(1);
-        let n = (left.min(PATTERN_PERIOD) as u64).min(before_wrap) as usize;
-        let phase = (pos % PATTERN_PERIOD as u64) as usize;
-        pos = pos.wrapping_add(n as u64);
-        left -= n;
-        Some(&PATTERN_TABLE[phase..phase + n])
-    })
+/// The pattern of `fid` over `len` bytes from `offset` as two runs
+/// `(phase, n)`, the second one empty unless `fid * 151 + offset` wraps
+/// the u64 inside the range: the phase jumps to 0 there, as 2^64 is not
+/// a multiple of the period. A slice is shorter than 2^63, so it wraps
+/// at most once.
+fn pattern_runs(fid: Fid, offset: u64, len: usize) -> [(usize, usize); 2] {
+    let pos = fid.0.wrapping_mul(151).wrapping_add(offset);
+    let before_wrap = (u64::MAX - pos).saturating_add(1);
+    let n = (len as u64).min(before_wrap) as usize;
+    [((pos % PATTERN_PERIOD as u64) as usize, n), (0, len - n)]
 }
 
 /// Materialize `len` pattern bytes of `fid` starting at `offset`.
 pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
     let mut v = Vec::with_capacity(len);
-    for w in pattern_windows(fid, offset, len) {
-        v.extend_from_slice(w);
+    for (phase, n) in pattern_runs(fid, offset, len) {
+        let start = v.len();
+        v.extend_from_slice(&PATTERN_TABLE[phase..phase + n.min(PATTERN_PERIOD)]);
+        // Whole periods, doubling: the run so far repeats from its start.
+        while v.len() - start < n {
+            let k = (v.len() - start).min(n - (v.len() - start));
+            v.extend_from_within(start..start + k);
+        }
     }
     Bytes::from(v)
 }
@@ -350,23 +348,39 @@ pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
 /// Write the pattern of `fid` from `offset` into `out`: what
 /// [`pattern_bytes`] materializes, into a caller's buffer.
 pub fn pattern_fill(fid: Fid, offset: u64, out: &mut [u8]) {
-    let mut rest = out;
-    for w in pattern_windows(fid, offset, rest.len()) {
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(w.len());
-        head.copy_from_slice(w);
-        rest = tail;
+    let [(phase, n), _] = pattern_runs(fid, offset, out.len());
+    let (run, wrapped) = out.split_at_mut(n);
+    fill_run(phase, run);
+    fill_run(0, wrapped);
+}
+
+/// The first period from the table, then whole periods doubling over the
+/// ones already written.
+fn fill_run(phase: usize, out: &mut [u8]) {
+    let first = out.len().min(PATTERN_PERIOD);
+    out[..first].copy_from_slice(&PATTERN_TABLE[phase..phase + first]);
+    let mut filled = first;
+    while filled < out.len() {
+        let k = filled.min(out.len() - filled);
+        out.copy_within(..k, filled);
+        filled += k;
     }
 }
 
 /// Whether `data` is exactly the pattern of `fid` from `offset` — every
 /// byte compared, nothing materialized.
 pub fn pattern_matches(fid: Fid, offset: u64, data: &[u8]) -> bool {
-    let mut rest = data;
-    pattern_windows(fid, offset, data.len()).all(|w| {
-        let (head, tail) = rest.split_at(w.len());
-        rest = tail;
-        head == w
-    })
+    let [(phase, n), _] = pattern_runs(fid, offset, data.len());
+    let (run, wrapped) = data.split_at(n);
+    run_matches(phase, run) && run_matches(0, wrapped)
+}
+
+/// The first period against the table, every later byte against the one a
+/// period before it: together, every byte against the pattern.
+fn run_matches(phase: usize, data: &[u8]) -> bool {
+    let first = data.len().min(PATTERN_PERIOD);
+    data[..first] == PATTERN_TABLE[phase..phase + first]
+        && data[first..] == data[..data.len() - first]
 }
 
 #[cfg(test)]
@@ -469,9 +483,19 @@ mod tests {
             for base in [u64::MAX, to_sum_wrap] {
                 for back in [0u64, 1, 100, 250, 251, 252, 600] {
                     let offset = base.wrapping_sub(back);
-                    let want = scalar_pattern(fid, offset, 1000);
+                    let mut want = scalar_pattern(fid, offset, 1000);
                     assert_eq!(pattern_bytes(fid, offset, 1000), want, "{fid:?} {offset}");
+                    let mut filled = vec![0u8; 1000];
+                    pattern_fill(fid, offset, &mut filled);
+                    assert_eq!(filled, want, "{fid:?} {offset}");
                     assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}");
+                    // Each run is checked against itself a period back:
+                    // a flip on either side of the wrap is still caught.
+                    for i in 0..want.len() {
+                        want[i] ^= 1;
+                        assert!(!pattern_matches(fid, offset, &want), "{fid:?} {offset} flip {i}");
+                        want[i] ^= 1;
+                    }
                 }
             }
         }
@@ -480,7 +504,7 @@ mod tests {
     #[test]
     fn pattern_matches_rejects_any_single_flipped_byte() {
         let (fid, offset) = (Fid(9), 12_345u64);
-        // Every position of a buffer spanning three windows ...
+        // Every position of a buffer spanning three periods ...
         let mut data = pattern_bytes(fid, offset, 700).to_vec();
         for i in 0..data.len() {
             data[i] ^= 1;
@@ -488,7 +512,7 @@ mod tests {
             data[i] ^= 1;
         }
         assert!(pattern_matches(fid, offset, &data));
-        // ... and first, last and both sides of every window edge of a
+        // ... and first, last and both sides of every period edge of a
         // request-sized one.
         let mut data = pattern_bytes(fid, offset, 65536).to_vec();
         let edges =

@@ -13,6 +13,10 @@
 //! rather than 4 KB. The first write to such a block that changes its bytes
 //! stores it as bytes; one that writes the bytes it already holds leaves it
 //! a descriptor.
+//!
+//! Block contents live in a table indexed by physical block, grown to the
+//! highest block allocated: the allocator is first-fit from a hint, so the
+//! blocks in use stay dense from 0.
 
 pub mod alloc;
 
@@ -87,7 +91,8 @@ pub struct BlockFs {
     alloc: BlockAllocator,
     inodes: Vec<Option<Inode>>,
     root: BTreeMap<String, Ino>,
-    data: BTreeMap<u64, Block>,
+    /// Physical block → what it holds; `None` for a free block.
+    data: Vec<Option<Block>>,
     fill: Fill,
 }
 
@@ -112,7 +117,7 @@ impl BlockFs {
             alloc: BlockAllocator::new(capacity_blocks),
             inodes: Vec::new(),
             root: BTreeMap::new(),
-            data: BTreeMap::new(),
+            data: Vec::new(),
             fill,
         }
     }
@@ -144,7 +149,7 @@ impl BlockFs {
         let inode = self.inodes[ino.0 as usize].take().ok_or(FsError::BadInode)?;
         for p in inode.blocks.into_iter().flatten() {
             self.alloc.free(Extent { pblk: p, blocks: 1 });
-            self.data.remove(&p);
+            self.data[p as usize] = None;
         }
         Ok(())
     }
@@ -164,7 +169,7 @@ impl BlockFs {
     /// Blocks held as bytes rather than as descriptors: the ones written
     /// with other bytes since preload, and partly covered preload blocks.
     pub fn stored_blocks(&self) -> usize {
-        self.data.values().filter(|b| matches!(b, Block::Stored(_))).count()
+        self.data.iter().filter(|b| matches!(b, Some(Block::Stored(_)))).count()
     }
 
     fn inode(&self, ino: Ino) -> Result<&Inode, FsError> {
@@ -194,6 +199,10 @@ impl BlockFs {
             let extents = self.alloc.allocate(needed, hint).ok_or(FsError::NoSpace)?;
             for e in extents {
                 fresh.extend(e.pblk..e.pblk + e.blocks as u64);
+            }
+            let end = *fresh.iter().max().expect("needed > 0") as usize + 1;
+            if self.data.len() < end {
+                self.data.resize_with(end, || None);
             }
         }
         let mut fresh_iter = fresh.into_iter();
@@ -252,7 +261,7 @@ impl BlockFs {
             let in_block = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min((end - pos) as usize);
             if n == BLOCK_SIZE {
-                self.data.insert(p, Block::Described { seed, offset: pos });
+                self.data[p as usize] = Some(Block::Described { seed, offset: pos });
             } else {
                 let mut part = [0u8; BLOCK_SIZE];
                 (self.fill)(seed, pos, &mut part[..n]);
@@ -269,7 +278,8 @@ impl BlockFs {
     /// when `src` is what it already holds there.
     fn overlay(&mut self, p: u64, in_block: usize, src: &[u8]) {
         let fill = self.fill;
-        let block = self.data.entry(p).or_insert_with(|| Block::Stored(Box::new([0; BLOCK_SIZE])));
+        let block =
+            self.data[p as usize].get_or_insert_with(|| Block::Stored(Box::new([0; BLOCK_SIZE])));
         if let Block::Described { seed, offset } = *block {
             let mut bytes = [0u8; BLOCK_SIZE];
             fill(seed, offset, &mut bytes);
@@ -353,7 +363,7 @@ impl BlockFs {
             if let Some(p) = pblk {
                 touched.push(p);
             }
-            sink(n, pblk.and_then(|p| self.data.get(&p)), in_block);
+            sink(n, pblk.and_then(|p| self.data[p as usize].as_ref()), in_block);
             read += n;
             pos += n as u64;
         }

@@ -19,4 +19,4 @@ pub mod pagecache;
 pub use disk::{Disk, DiskOp, DiskReply, DiskRequest, DiskSched, DiskStats};
 pub use fs::{BlockFs, Extent, Fill, FsError, Ino, IoExtents};
 pub use geometry::{DiskGeometry, BLOCK_SIZE};
-pub use pagecache::{Eviction, PageCache, PageCacheStats};
+pub use pagecache::{Eviction, Lookup, PageCache, PageCacheStats};

@@ -6,18 +6,20 @@
 //! in the background (kupdate-style).
 //!
 //! Exact LRU over physical 4 KB blocks, O(1) per operation via an intrusive
-//! doubly-linked list on a slab.
+//! doubly-linked list on a slab. A page is found through a table indexed by
+//! physical block: an iod's fs allocates first-fit from block 0, so the
+//! blocks it caches are dense.
 
-use std::collections::HashMap;
-
-const NIL: usize = usize::MAX;
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     pblk: u64,
+    /// Token of the platter read filling the page, 0 when it holds its data.
+    filling: u64,
     dirty: bool,
-    prev: usize,
-    next: usize,
+    prev: u32,
+    next: u32,
 }
 
 /// What fell out of the cache when a new page came in.
@@ -26,6 +28,17 @@ pub struct Eviction {
     pub pblk: u64,
     /// Dirty victims must be written to disk by the caller.
     pub dirty: bool,
+}
+
+/// What a [`PageCache::lookup`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lookup {
+    Miss,
+    /// Resident, with its data.
+    Ready,
+    /// Resident, but the platter read with this token is still filling it
+    /// (Linux keeps such a page locked): a read waits for that read.
+    Filling(u64),
 }
 
 #[derive(Debug, Default, Clone)]
@@ -40,11 +53,14 @@ pub struct PageCacheStats {
 /// Fixed-capacity exact-LRU page cache.
 pub struct PageCache {
     capacity: usize,
-    map: HashMap<u64, usize>,
+    /// Physical block → slab slot, `NIL` when not resident; grown to the
+    /// highest block inserted.
+    index: Vec<u32>,
+    /// Every slot holds a resident page: a victim's slot takes the page
+    /// that displaced it.
     slab: Vec<Entry>,
-    free: Vec<usize>,
-    head: usize, // MRU
-    tail: usize, // LRU
+    head: u32, // MRU
+    tail: u32, // LRU
     dirty_count: usize,
     stats: PageCacheStats,
 }
@@ -52,11 +68,11 @@ pub struct PageCache {
 impl PageCache {
     pub fn new(capacity_pages: usize) -> PageCache {
         assert!(capacity_pages > 0, "page cache needs at least one page");
+        assert!(capacity_pages < NIL as usize, "page cache slots are u32");
         PageCache {
             capacity: capacity_pages,
-            map: HashMap::with_capacity(capacity_pages),
+            index: Vec::new(),
             slab: Vec::with_capacity(capacity_pages),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             dirty_count: 0,
@@ -65,11 +81,11 @@ impl PageCache {
     }
 
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.slab.is_empty()
     }
 
     pub fn capacity(&self) -> usize {
@@ -84,19 +100,26 @@ impl PageCache {
         &self.stats
     }
 
+    fn slot(&self, pblk: u64) -> Option<usize> {
+        match self.index.get(pblk as usize) {
+            Some(&i) if i != NIL => Some(i as usize),
+            _ => None,
+        }
+    }
+
     pub fn contains(&self, pblk: u64) -> bool {
-        self.map.contains_key(&pblk)
+        self.slot(pblk).is_some()
     }
 
     fn unlink(&mut self, idx: usize) {
         let (prev, next) = (self.slab[idx].prev, self.slab[idx].next);
         if prev != NIL {
-            self.slab[prev].next = next;
+            self.slab[prev as usize].next = next;
         } else {
             self.head = next;
         }
         if next != NIL {
-            self.slab[next].prev = prev;
+            self.slab[next as usize].prev = prev;
         } else {
             self.tail = prev;
         }
@@ -106,27 +129,30 @@ impl PageCache {
         self.slab[idx].prev = NIL;
         self.slab[idx].next = self.head;
         if self.head != NIL {
-            self.slab[self.head].prev = idx;
+            self.slab[self.head as usize].prev = idx as u32;
         }
-        self.head = idx;
+        self.head = idx as u32;
         if self.tail == NIL {
-            self.tail = idx;
+            self.tail = idx as u32;
         }
     }
 
-    /// Reference a page for reading. Returns `true` on hit (and promotes the
-    /// page to MRU).
-    pub fn lookup(&mut self, pblk: u64) -> bool {
-        match self.map.get(&pblk).copied() {
+    /// Reference a page for reading; a resident one (a hit) is promoted to
+    /// MRU.
+    pub fn lookup(&mut self, pblk: u64) -> Lookup {
+        match self.slot(pblk) {
             Some(idx) => {
                 self.stats.hits += 1;
                 self.unlink(idx);
                 self.push_front(idx);
-                true
+                match self.slab[idx].filling {
+                    0 => Lookup::Ready,
+                    token => Lookup::Filling(token),
+                }
             }
             None => {
                 self.stats.misses += 1;
-                false
+                Lookup::Miss
             }
         }
     }
@@ -134,7 +160,7 @@ impl PageCache {
     /// Insert (or re-reference) a page, optionally dirty. Returns the evicted
     /// victim if the cache was full.
     pub fn insert(&mut self, pblk: u64, dirty: bool) -> Option<Eviction> {
-        if let Some(&idx) = self.map.get(&pblk) {
+        if let Some(idx) = self.slot(pblk) {
             if dirty && !self.slab[idx].dirty {
                 self.slab[idx].dirty = true;
                 self.dirty_count += 1;
@@ -144,47 +170,45 @@ impl PageCache {
             return None;
         }
         self.stats.insertions += 1;
-        let victim = if self.map.len() >= self.capacity { self.evict_lru() } else { None };
-        let entry = Entry { pblk, dirty, prev: NIL, next: NIL };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.slab[i] = entry;
-                i
-            }
-            None => {
-                self.slab.push(entry);
-                self.slab.len() - 1
-            }
+        let entry = Entry { pblk, filling: 0, dirty, prev: NIL, next: NIL };
+        let (idx, victim) = if self.slab.len() >= self.capacity {
+            let idx = self.tail as usize;
+            let victim = self.evict(idx);
+            self.slab[idx] = entry;
+            (idx, Some(victim))
+        } else {
+            self.slab.push(entry);
+            (self.slab.len() - 1, None)
         };
         if dirty {
             self.dirty_count += 1;
         }
-        self.map.insert(pblk, idx);
+        if self.index.len() <= pblk as usize {
+            self.index.resize(pblk as usize + 1, NIL);
+        }
+        self.index[pblk as usize] = idx as u32;
         self.push_front(idx);
         victim
     }
 
-    fn evict_lru(&mut self) -> Option<Eviction> {
-        let idx = self.tail;
-        if idx == NIL {
-            return None;
-        }
+    /// Unlink the page in slot `idx` and drop it from the index; the slot
+    /// is the caller's to refill.
+    fn evict(&mut self, idx: usize) -> Eviction {
         let e = self.slab[idx];
         self.unlink(idx);
-        self.map.remove(&e.pblk);
-        self.free.push(idx);
+        self.index[e.pblk as usize] = NIL;
         if e.dirty {
             self.dirty_count -= 1;
             self.stats.dirty_evictions += 1;
         } else {
             self.stats.clean_evictions += 1;
         }
-        Some(Eviction { pblk: e.pblk, dirty: e.dirty })
+        Eviction { pblk: e.pblk, dirty: e.dirty }
     }
 
     /// Mark a resident page dirty; returns `false` if it is not resident.
     pub fn mark_dirty(&mut self, pblk: u64) -> bool {
-        match self.map.get(&pblk).copied() {
+        match self.slot(pblk) {
             Some(idx) => {
                 if !self.slab[idx].dirty {
                     self.slab[idx].dirty = true;
@@ -196,29 +220,55 @@ impl PageCache {
         }
     }
 
+    /// Record that the platter read `token` (nonzero) fills resident page
+    /// `pblk`; lookups report it until [`filled`](Self::filled). A page
+    /// not resident is left alone.
+    pub fn start_fill(&mut self, pblk: u64, token: u64) {
+        debug_assert_ne!(token, 0, "token 0 means filled");
+        if let Some(idx) = self.slot(pblk) {
+            self.slab[idx].filling = token;
+        }
+    }
+
+    /// The platter read `token` has brought `pblk` in. A page evicted and
+    /// read again meanwhile belongs to the newer read and stays filling.
+    pub fn filled(&mut self, pblk: u64, token: u64) {
+        if let Some(idx) = self.slot(pblk) {
+            if self.slab[idx].filling == token {
+                self.slab[idx].filling = 0;
+            }
+        }
+    }
+
+    /// Resident pages whose platter read is still in flight.
+    pub fn filling_pages(&self) -> usize {
+        self.slab.iter().filter(|e| e.filling != 0).count()
+    }
+
     /// Collect up to `limit` dirty pages (oldest first) and mark them clean;
     /// the caller is responsible for issuing the disk writes.
     pub fn drain_dirty(&mut self, limit: usize) -> Vec<u64> {
         let mut out = Vec::new();
         let mut idx = self.tail;
         while idx != NIL && out.len() < limit {
-            if self.slab[idx].dirty {
-                self.slab[idx].dirty = false;
+            let e = &mut self.slab[idx as usize];
+            if e.dirty {
+                e.dirty = false;
                 self.dirty_count -= 1;
-                out.push(self.slab[idx].pblk);
+                out.push(e.pblk);
             }
-            idx = self.slab[idx].prev;
+            idx = e.prev;
         }
         out
     }
 
     /// LRU-order iterator (oldest first), for tests and diagnostics.
     pub fn lru_order(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.map.len());
+        let mut out = Vec::with_capacity(self.slab.len());
         let mut idx = self.tail;
         while idx != NIL {
-            out.push(self.slab[idx].pblk);
-            idx = self.slab[idx].prev;
+            out.push(self.slab[idx as usize].pblk);
+            idx = self.slab[idx as usize].prev;
         }
         out
     }
@@ -231,9 +281,9 @@ mod tests {
     #[test]
     fn hit_and_miss_accounting() {
         let mut pc = PageCache::new(4);
-        assert!(!pc.lookup(1));
+        assert_eq!(pc.lookup(1), Lookup::Miss);
         pc.insert(1, false);
-        assert!(pc.lookup(1));
+        assert_eq!(pc.lookup(1), Lookup::Ready);
         assert_eq!(pc.stats().hits, 1);
         assert_eq!(pc.stats().misses, 1);
     }
@@ -245,7 +295,7 @@ mod tests {
         pc.insert(2, false);
         pc.insert(3, false);
         // Touch 1 so 2 becomes LRU.
-        assert!(pc.lookup(1));
+        assert_eq!(pc.lookup(1), Lookup::Ready);
         let ev = pc.insert(4, false).expect("must evict");
         assert_eq!(ev, Eviction { pblk: 2, dirty: false });
         assert!(pc.contains(1) && pc.contains(3) && pc.contains(4));
@@ -335,7 +385,7 @@ mod tests {
         for _ in 0..5000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             let pblk = (x >> 33) % 24;
-            let hit = pc.lookup(pblk);
+            let hit = pc.lookup(pblk) != Lookup::Miss;
             let model_hit = model.contains(&pblk);
             assert_eq!(hit, model_hit, "hit status diverged for {}", pblk);
             if model_hit {

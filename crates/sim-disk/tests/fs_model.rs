@@ -3,8 +3,11 @@
 //! the fs reported when the block was first allocated. Random sequences of
 //! preloads, aligned and unaligned writes (into descriptor blocks, holes and
 //! past EOF), reads, appending reads and extent queries must agree with the
-//! model at every step. A twin fs that receives each preload as a plain
-//! `write` of the same bytes must allocate the same physical blocks.
+//! model at every step. A file may be removed and created again empty, so
+//! the next allocations reuse its freed physical blocks: the new file must
+//! read zeros in its holes and its own bytes elsewhere, never the old
+//! file's. A twin fs that receives each preload as a plain `write` of the
+//! same bytes must allocate the same physical blocks.
 
 use proptest::prelude::*;
 use sim_disk::{BlockFs, Extent, Ino, BLOCK_SIZE};
@@ -155,6 +158,17 @@ impl Harness {
                 assert_eq!(a.extents, self.model_extents(f, offset, len), "write extents");
                 return;
             }
+            // Remove the file and create it again, empty; the model forgets
+            // its bytes and mapping.
+            8 => {
+                let name = format!("f{f}");
+                self.fs.remove(&name).unwrap();
+                self.twin.remove(&name).unwrap();
+                let ino = self.fs.create(&name).unwrap();
+                assert_eq!(self.twin.create(&name).unwrap(), ino);
+                self.inos[f] = ino;
+                self.model[f] = ModelFile::default();
+            }
             5 => {
                 let mut buf = vec![0xA5u8; len];
                 let r = self.fs.read(ino, offset, &mut buf).unwrap();
@@ -191,7 +205,7 @@ proptest! {
     #[test]
     fn blockfs_matches_flat_file_model(
         ops in proptest::collection::vec(
-            (0u8..8, 0usize..FILES, 0u64..SPAN_BLOCKS * BLOCK_SIZE as u64, 1usize..3 * BLOCK_SIZE, 0u64..4),
+            (0u8..9, 0usize..FILES, 0u64..SPAN_BLOCKS * BLOCK_SIZE as u64, 1usize..3 * BLOCK_SIZE, 0u64..4),
             1..60,
         ),
     ) {
@@ -227,5 +241,26 @@ fn a_write_of_a_blocks_own_content_keeps_its_descriptor() {
     assert_eq!(h.fs.stored_blocks(), 3);
     h.step(4, 0, 3 * BLOCK_SIZE as u64, BLOCK_SIZE, 1); // one byte differs
     assert_eq!(h.fs.stored_blocks(), 4);
+    h.check_all();
+}
+
+#[test]
+fn a_file_on_freed_blocks_reads_its_own_bytes_and_zeros() {
+    let mut h = Harness::new();
+    h.step(0, 0, 0, 4 * BLOCK_SIZE, 1); // descriptors at pblks 0..4
+    h.step(2, 0, 4 * BLOCK_SIZE as u64, 2 * BLOCK_SIZE, 0); // stored at 4..6
+    let freed: Vec<u64> = (0..6).map(|l| h.fs.pblk_of(h.inos[0], l).unwrap()).collect();
+    h.step(8, 0, 0, 0, 0);
+    // Unaligned writes and a preload into the freed blocks, leaving holes
+    // and partly written blocks around them.
+    h.step(2, 1, 100, 10, 0);
+    h.step(2, 1, 2 * BLOCK_SIZE as u64 + 4000, 200, 0);
+    h.step(0, 2, 5 * BLOCK_SIZE as u64 + 7, BLOCK_SIZE, 3);
+    let (fs, inos) = (&h.fs, &h.inos);
+    let reused = (1..FILES)
+        .flat_map(|f| (0..8).filter_map(move |l| fs.pblk_of(inos[f], l)))
+        .filter(|p| freed.contains(p))
+        .count();
+    assert!(reused >= 4, "the other files took {reused} of the freed blocks");
     h.check_all();
 }

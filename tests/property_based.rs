@@ -10,7 +10,7 @@ use pvfs::{
     pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange,
     Directory, Fid, StripeSpec,
 };
-use sim_disk::{BlockFs, PageCache};
+use sim_disk::{BlockFs, Lookup, PageCache};
 use sim_net::NodeId;
 
 /// Whole-block shorthands over `BufferManager::access`, the one entry point.
@@ -29,8 +29,8 @@ fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
 }
 
 proptest! {
-    /// The pattern kernel (windowed fill, in-place check) is byte for byte
-    /// the scalar `pattern_byte`, at the lengths around a 251-byte window,
+    /// The pattern kernel (whole-period fill, in-place check) is byte for
+    /// byte the scalar `pattern_byte`, at the lengths around a 251-byte period,
     /// at unaligned offsets, and across both u64 wraps (of the offset and
     /// of `fid * 151 + offset`); any flipped byte is caught.
     #[test]
@@ -307,7 +307,7 @@ proptest! {
     fn pagecache_capacity_invariant(ops in proptest::collection::vec((0u64..64, any::<bool>()), 1..500)) {
         let mut pc = PageCache::new(8);
         for (pblk, dirty) in ops {
-            if !pc.lookup(pblk) {
+            if pc.lookup(pblk) == Lookup::Miss {
                 pc.insert(pblk, dirty);
             }
             prop_assert!(pc.len() <= 8);
