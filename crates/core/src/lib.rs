@@ -28,7 +28,7 @@ pub mod module;
 pub use block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 pub use config::{CacheConfig, PartitionConfig, PartitionMode};
 pub use manager::{
-    Access, AccessKind, AccessOutcome, BufferManager, BufferManagerBuilder, CacheStats,
+    Access, AccessKind, AccessOutcome, BlockBytes, BufferManager, BufferManagerBuilder, CacheStats,
     EvictPolicy, FlushItem, WriteOutcome,
 };
 pub use module::{CacheModule, ModuleStats};

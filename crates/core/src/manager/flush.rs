@@ -45,20 +45,17 @@ impl Shard {
         while out.len() < max {
             let Some(idx) = self.dirty.lock().pop_front() else { break };
             let mut f = self.frame(idx);
-            let key = match f.key {
-                Some(key) if f.in_dirty_list && f.is_dirty() => key,
-                _ => {
-                    f.in_dirty_list = false;
-                    continue; // stale queue entry
-                }
-            };
+            if f.key().is_none() || !f.in_dirty_list || !f.is_dirty() {
+                f.in_dirty_list = false;
+                continue; // stale queue entry
+            }
             if f.flushing {
                 // Re-dirtied while a flush is already in flight: leave it
                 // queued for the next round.
                 requeue.push(idx);
                 continue;
             }
-            out.push(f.flush_item(key));
+            out.push(f.flush_item());
             f.flushing = true;
             f.in_dirty_list = false;
             // Pin the in-flight frame so no policy offers it as a
@@ -85,7 +82,7 @@ impl Shard {
             return; // invalidated or evicted during the flight
         };
         let mut f = self.frame(idx);
-        if f.key != Some(key) {
+        if f.key() != Some(key) {
             return;
         }
         f.flushing = false;
@@ -113,7 +110,7 @@ impl Shard {
                 };
                 let (_, idx) = b.remove(pos);
                 let mut f = self.frame(idx);
-                debug_assert_eq!(f.key, Some(key));
+                debug_assert_eq!(f.key(), Some(key));
                 if f.is_dirty() {
                     dropped_dirty += 1;
                 }

@@ -22,13 +22,16 @@
 //!   exercised by real multi-threaded stress tests, not only by the
 //!   single-threaded simulation.
 //!
-//! ## Layout: seven modules that own their locks
+//! ## Layout: eight modules that own their locks
 //!
 //! * `shard` — one self-contained slice of the pool: frames, hash
 //!   buckets, the free list, the policy leaf (frame table, ranker,
 //!   adaptive evidence), and the hit / miss / install / evict paths.
 //!   Every `Mutex` field is private to it; the other modules reach
 //!   frames, buckets and the policy through its accessors.
+//! * `frame` — what a frame holds, and the one place its bytes are read
+//!   or written: stored bytes, or described as the file's own content
+//!   they were verified against, generated on every hit and flush.
 //! * `counts` — the shard's one event ledger: hits, misses, inserts,
 //!   removes, evictions and scans, per app, striped, with no policy lock;
 //!   every report of them reads it.
@@ -139,12 +142,14 @@ mod counts;
 mod epoch;
 mod facade;
 mod flush;
+mod frame;
 mod shard;
 mod sweep;
 #[cfg(test)]
 mod tests;
 
 pub use facade::{BufferManager, BufferManagerBuilder};
+pub use frame::BlockBytes;
 
 use crate::block::{BlockKey, Span};
 use kcache_policy::{AppId, PolicyKind};
@@ -206,10 +211,11 @@ pub enum AccessKind<'a> {
     /// (refreshing recency) or a miss.
     Read { span: Span, out: &'a mut [u8] },
     /// [`Read`](Self::Read) that, on a hit, hands the `span.len()` bytes
-    /// to `sink` (not called on a miss) instead of copying them into a
+    /// to `sink` (not called on a miss) instead of writing them into a
     /// buffer the caller had to initialize — a multi-block reply is
-    /// appended block by block to a `Vec::with_capacity`.
-    ReadWith { span: Span, sink: &'a mut dyn FnMut(&[u8]) },
+    /// appended block by block to a `Vec::with_capacity`, a described
+    /// frame's bytes generated straight into it.
+    ReadWith { span: Span, sink: &'a mut dyn FnMut(BlockBytes<'_>) },
     /// Hit check without copying (request-split planning). Counts the
     /// same hit/miss accounting as a read but does not refresh recency —
     /// planning a split is not a use of the block.

@@ -9,8 +9,9 @@ use super::counts::{AppCounts, Col};
 use super::epoch::EpochTicker;
 use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
+use super::frame::{BlockBytes, Frame};
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
-use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
+use crate::block::{BlockKey, Span};
 use kcache_adaptive::AdaptivePolicy;
 use kcache_obs::{CacheLine, Counter, EventId, Histogram, ObsHub};
 use kcache_policy::{
@@ -21,59 +22,6 @@ use parking_lot::{Mutex, MutexGuard};
 use sim_net::NodeId;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc as StdArc;
-
-#[derive(Debug)]
-pub(super) struct Frame {
-    pub(super) key: Option<BlockKey>,
-    pub(super) data: Box<[u8; CACHE_BLOCK_SIZE]>,
-    pub(super) valid: Span,
-    pub(super) dirty: Span,
-    pub(super) home: NodeId,
-    pub(super) in_dirty_list: bool,
-    /// A snapshot of this frame is in flight to its iod; the frame cannot
-    /// be evicted (and is not re-taken by the flusher) until the flush is
-    /// acknowledged. This is what makes write-behind *block* when the
-    /// network cannot drain dirty data fast enough (§4.2.1).
-    pub(super) flushing: bool,
-}
-
-impl Frame {
-    fn empty() -> Frame {
-        Frame {
-            key: None,
-            data: Box::new([0u8; CACHE_BLOCK_SIZE]),
-            valid: Span::EMPTY,
-            dirty: Span::EMPTY,
-            home: NodeId(0),
-            in_dirty_list: false,
-            flushing: false,
-        }
-    }
-
-    pub(super) fn is_dirty(&self) -> bool {
-        !self.dirty.is_empty()
-    }
-
-    /// Forget the block (eviction, invalidation): the frame is keyless
-    /// until an install fills it again.
-    pub(super) fn vacate(&mut self) {
-        self.key = None;
-        self.valid = Span::EMPTY;
-        self.dirty = Span::EMPTY;
-        self.in_dirty_list = false;
-    }
-
-    /// The dirty span's bytes, snapshot for write-back.
-    pub(super) fn flush_item(&self, key: BlockKey) -> FlushItem {
-        let span = self.dirty;
-        FlushItem {
-            key,
-            home: self.home,
-            span,
-            data: self.data[span.start as usize..span.end as usize].to_vec(),
-        }
-    }
-}
 
 /// The manager's counters that are not the ledger's ([`AppCounts`]):
 /// striped [`Counter`]s, so each thread writes cache lines of its own.
@@ -539,7 +487,7 @@ impl Shard {
         match req.kind {
             AccessKind::Read { span, out } => {
                 debug_assert_eq!(out.len(), span.len() as usize);
-                self.read_impl(key, span, app, |src| out.copy_from_slice(src))
+                self.read_impl(key, span, app, |src| src.copy_to(out))
             }
             AccessKind::ReadWith { span, sink } => self.read_impl(key, span, app, sink),
             AccessKind::Probe { span } => self.probe_impl(key, span, app),
@@ -575,16 +523,16 @@ impl Shard {
         key: BlockKey,
         span: Span,
         app: AppId,
-        sink: impl FnOnce(&[u8]),
+        sink: impl FnOnce(BlockBytes<'_>),
     ) -> AccessOutcome {
         let b = self.bucket(&key);
         if let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) {
             let f = self.frame(idx);
             // Frame in hand (bucket → frame), the bucket has done its job:
-            // the copy runs under the frame lock alone.
+            // the bytes go out under the frame lock alone.
             drop(b);
-            if f.key == Some(key) && f.valid.covers(span) {
-                sink(&f.data[span.start as usize..span.end as usize]);
+            if f.key() == Some(key) && f.valid.covers(span) {
+                sink(f.bytes(span));
                 drop(f);
                 self.record_hit(idx, key, app);
                 return AccessOutcome::Hit;
@@ -601,7 +549,7 @@ impl Shard {
         let hit = b.iter().any(|(k, idx)| {
             *k == key && {
                 let f = self.frame(*idx);
-                f.key == Some(key) && f.valid.covers(span)
+                f.key() == Some(key) && f.valid.covers(span)
             }
         });
         drop(b);
@@ -638,7 +586,7 @@ impl Shard {
                 let b = self.bucket(&key);
                 if let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) {
                     let mut f = self.frame(idx);
-                    if f.key == Some(key) {
+                    if f.key() == Some(key) {
                         let mergeable = f.valid.mergeable(span);
                         if dirty && !mergeable {
                             // Disjoint sub-block writes would leave an
@@ -647,8 +595,7 @@ impl Shard {
                         }
                         let mut link_dirty = false;
                         if mergeable {
-                            f.data[span.start as usize..span.end as usize].copy_from_slice(bytes);
-                            f.valid = f.valid.merge(span);
+                            f.merge(span, bytes);
                             f.home = home;
                         }
                         if dirty {
@@ -686,12 +633,9 @@ impl Shard {
                     continue;
                 }
                 let mut f = self.frame(idx);
-                debug_assert!(f.key.is_none());
-                f.key = Some(key);
                 f.home = home;
-                f.valid = span;
+                f.take_in(key, span, bytes);
                 f.dirty = if dirty { span } else { Span::EMPTY };
-                f.data[span.start as usize..span.end as usize].copy_from_slice(bytes);
                 f.in_dirty_list = dirty;
                 b.push((key, idx));
             }
@@ -716,11 +660,10 @@ impl Shard {
                 return false;
             };
             let mut f = self.frame(idx);
-            if f.key != Some(key) || !f.valid.mergeable(span) {
+            if f.key() != Some(key) || !f.valid.mergeable(span) {
                 return false;
             }
-            f.data[span.start as usize..span.end as usize].copy_from_slice(bytes);
-            f.valid = f.valid.merge(span);
+            f.merge(span, bytes);
             if span.covers(f.dirty) {
                 f.dirty = Span::EMPTY;
                 f.in_dirty_list = false;
@@ -793,7 +736,7 @@ impl Shard {
         // evictor's look): the scan moves on rather than wait for it.
         let key = {
             let f = self.try_frame(idx)?;
-            let key = f.key?; // free or being reassigned
+            let key = f.key()?; // free or being reassigned
             if !admissible(&f) {
                 return None;
             }
@@ -809,10 +752,10 @@ impl Shard {
         // again too, now that the frame is held: a partition-local scan
         // read its word before a tenant it did not pick could move in.
         let foreign = owner.is_some_and(|o| self.words.owner_of(idx) != o);
-        if f.key != Some(key) || !admissible(&f) || foreign {
+        if f.key() != Some(key) || !admissible(&f) || foreign {
             return None;
         }
-        let flush = f.is_dirty().then(|| f.flush_item(key));
+        let flush = f.is_dirty().then(|| f.flush_item());
         bucket.retain(|(k, _)| *k != key);
         f.vacate();
         Some(Victim { key, flush })
@@ -831,7 +774,7 @@ mod tests {
     /// retakes bucket → frame: whoever takes the frame over in between must
     /// find its block untouched. Forced here: the "other thread" drops the
     /// candidate's block and installs another into the freed frame exactly
-    /// between the two looks. Without the `f.key != Some(key)` re-check the
+    /// between the two looks. Without the `f.key() != Some(key)` re-check the
     /// evictor vacates the newcomer's frame under its bucket entry, and
     /// three keys end up linked in a two-frame cache.
     #[test]

@@ -23,7 +23,9 @@
 
 use crate::block::{blocks_of_range, span_in_block, BlockKey, Span, CACHE_BLOCK_SIZE};
 use crate::config::CacheConfig;
-use crate::manager::{Access, AccessKind, AccessOutcome, BufferManager, FlushItem, WriteOutcome};
+use crate::manager::{
+    Access, AccessKind, AccessOutcome, BlockBytes, BufferManager, FlushItem, WriteOutcome,
+};
 use bytes::Bytes;
 use kcache_obs::{
     Counter, EventId, Histogram, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets,
@@ -374,12 +376,12 @@ impl CacheModule {
             let mut missing: Vec<u64> = Vec::new();
             for blk in blocks_of_range(r.offset, r.len) {
                 let span = span_in_block(blk, r.offset, r.len);
-                let mut append = |src: &[u8]| {
+                let mut append = |src: BlockBytes<'_>| {
                     if buf.is_empty() {
                         buf.reserve_exact(r.len as usize);
                     }
                     buf.resize(buf.len() + gap, 0);
-                    buf.extend_from_slice(src);
+                    src.append_to(&mut buf);
                 };
                 let kind = AccessKind::ReadWith { span, sink: &mut append };
                 if self.cache.access(BlockKey::new(rr.fid, blk), Access { app, kind }).is_hit() {
@@ -685,26 +687,23 @@ impl CacheModule {
             let hi = lo + span.len() as usize;
             // Attribute the install to the first waiting application; every
             // further application waiting on the same fetch is recorded as
-            // an extra referent — the inter-application sharing signal the
-            // sharing-aware policy ranks by.
-            let mut waiter_apps: Vec<AppId> = Vec::new();
-            if let Some(ws) = self.block_waiters.get(&key) {
-                for &(port, _) in ws {
-                    let a = self.app_of(Port(port));
-                    if !waiter_apps.contains(&a) {
-                        waiter_apps.push(a);
-                    }
-                }
-            }
-            let first_app = waiter_apps.first().copied().unwrap_or(AppId::UNKNOWN);
+            // an extra referent, once, in waiting order — the
+            // inter-application sharing signal the sharing-aware policy
+            // ranks by.
+            let waiters: &[(u16, u64)] = self.block_waiters.get(&key).map_or(&[], Vec::as_slice);
+            let app_at = |i: usize| self.app_of(Port(waiters[i].0));
+            let first_app = if waiters.is_empty() { AppId::UNKNOWN } else { app_at(0) };
             let kind = AccessKind::InsertClean { home, span, bytes: &rd.data[lo..hi] };
             if let AccessOutcome::Inserted(Some(fl)) =
                 self.cache.access(key, Access { app: first_app, kind })
             {
                 urgent.push(fl);
             }
-            for &a in waiter_apps.iter().skip(1) {
-                self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
+            for i in 1..waiters.len() {
+                let a = app_at(i);
+                if !(0..i).any(|j| app_at(j) == a) {
+                    self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
+                }
             }
             self.maybe_schedule_harvest(ctx);
             if let Some(t0) = self.fetching.remove(&key) {

@@ -18,9 +18,11 @@ const CLIENT: u16 = 0; // node 0 runs the module + client; node 1 the iod
 const IOD: u16 = 1;
 
 /// Scripted iod: answers read requests with pattern data after a fixed
-/// delay; records everything it sees.
+/// delay — one byte of block `corrupt` flipped, when set; records
+/// everything it sees.
 struct ScriptedIod {
     fabric: ActorId,
+    corrupt: Option<u64>,
     reads: Vec<ReadReq>,
     writes: Vec<WriteReq>,
     flushes: Vec<FlushBlocks>,
@@ -47,11 +49,18 @@ impl Actor for ScriptedIod {
                 let total: u64 = rr.ranges.iter().map(|r| r.len as u64).sum();
                 self.reply(ctx, rr.reply_to, 64, ReadAck { req_id: rr.req_id, bytes: total });
                 for r in &rr.ranges {
+                    let mut data = pattern_bytes(rr.fid, r.offset, r.len as usize).to_vec();
+                    if let Some(b) = self.corrupt {
+                        let at = b * 4096 + 100;
+                        if (r.offset..r.end()).contains(&at) {
+                            data[(at - r.offset) as usize] ^= 1;
+                        }
+                    }
                     let rd = ReadData {
                         req_id: rr.req_id,
                         fid: rr.fid,
                         range: *r,
-                        data: pattern_bytes(rr.fid, r.offset, r.len as usize),
+                        data: bytes::Bytes::from(data),
                     };
                     let wire = rd.wire_bytes();
                     self.reply(ctx, rr.reply_to, wire, rd);
@@ -136,6 +145,7 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     );
     let iod = eng.add_actor(Box::new(ScriptedIod {
         fabric: fabric_slot,
+        corrupt: None,
         reads: vec![],
         writes: vec![],
         flushes: vec![],
@@ -493,4 +503,33 @@ fn cold_range_arriving_in_pieces_is_assembled_by_copy() {
     let d = c.data.iter().find(|d| d.req_id == 2).unwrap();
     assert_eq!(d.range, ByteRange::new(50, 3 * 4096 - 100));
     assert_eq!(d.data, pattern_bytes(Fid(1), 50, 3 * 4096 - 100));
+}
+
+/// A block that arrives with one byte flipped is cached as those bytes,
+/// not as a descriptor of the file's: the first read and a later cache hit
+/// each hand the client a reply that fails its check (the one libpvfs
+/// makes, `pattern_matches`), two in all. Its neighbours, fetched in the
+/// same message, are the file's bytes and read back clean.
+#[test]
+fn a_corrupt_fetched_block_is_never_laundered_into_the_pattern() {
+    let mut r = rig();
+    r.eng.actor_as_mut::<ScriptedIod>(r.iod).unwrap().corrupt = Some(1);
+    let range = ByteRange::new(0, 3 * 4096);
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![range]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    r.eng.post(Dur::ZERO, r.module, read_req(2, vec![range]));
+    r.eng.post(Dur::millis(1), r.module, read_req(3, vec![ByteRange::new(0, 4096)]));
+    r.eng.post(Dur::millis(2), r.module, read_req(4, vec![ByteRange::new(8192, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(200));
+    assert_eq!(r.eng.actor_as::<ScriptedIod>(r.iod).unwrap().reads.len(), 1, "one fetch");
+    let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+    assert_eq!(m.stats().full_hits, 3, "every later read is a cache hit");
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    let failed: Vec<u64> = c
+        .data
+        .iter()
+        .filter(|d| !pvfs::pattern_matches(d.fid, d.range.offset, &d.data))
+        .map(|d| d.req_id)
+        .collect();
+    assert_eq!(failed, vec![1, 2], "the fetch and the cache hit each fail verification");
 }

@@ -32,9 +32,9 @@ pub use directory::Directory;
 pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
 pub use protocol::{
-    pattern_byte, pattern_bytes, pattern_fill, pattern_matches, ByteRange, Fid, FileHandle,
-    FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply, MgrRequest,
-    ReadAck, ReadData, ReadReq, StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT,
+    pattern_byte, pattern_bytes, pattern_extend, pattern_fill, pattern_matches, ByteRange, Fid,
+    FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply,
+    MgrRequest, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT,
     CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
 };
 pub use striping::{split_ranges, tiles_exactly};

@@ -333,16 +333,22 @@ fn pattern_runs(fid: Fid, offset: u64, len: usize) -> [(usize, usize); 2] {
 /// Materialize `len` pattern bytes of `fid` starting at `offset`.
 pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
     let mut v = Vec::with_capacity(len);
+    pattern_extend(fid, offset, len, &mut v);
+    Bytes::from(v)
+}
+
+/// Append `len` pattern bytes of `fid` starting at `offset` to `out`:
+/// what [`pattern_fill`] writes, with no zero-fill of `out` first.
+pub fn pattern_extend(fid: Fid, offset: u64, len: usize, out: &mut Vec<u8>) {
     for (phase, n) in pattern_runs(fid, offset, len) {
-        let start = v.len();
-        v.extend_from_slice(&PATTERN_TABLE[phase..phase + n.min(PATTERN_PERIOD)]);
+        let start = out.len();
+        out.extend_from_slice(&PATTERN_TABLE[phase..phase + n.min(PATTERN_PERIOD)]);
         // Whole periods, doubling: the run so far repeats from its start.
-        while v.len() - start < n {
-            let k = (v.len() - start).min(n - (v.len() - start));
-            v.extend_from_within(start..start + k);
+        while out.len() - start < n {
+            let k = (out.len() - start).min(n - (out.len() - start));
+            out.extend_from_within(start..start + k);
         }
     }
-    Bytes::from(v)
 }
 
 /// Write the pattern of `fid` from `offset` into `out`: what
