@@ -1,16 +1,22 @@
-//! Cluster assembly: wires engine, fabric, node network stacks, disks,
-//! iods, the mgr, optional cache modules, and application processes into a
-//! runnable simulation — the model of the paper's 6-node Linux cluster.
+//! Cluster assembly: wires engine, fabric, disks, iods, the mgr, optional
+//! cache modules, and application processes into a runnable simulation —
+//! the model of the paper's 6-node Linux cluster.
+//!
+//! The fabric routes every message by destination port. Each node's iod is
+//! its endpoint (it serves `IOD_PORT` and `IOD_FLUSH_PORT`); `MGR_PORT`,
+//! `CACHE_PORT` and every client's reply port are bound. A client's port
+//! is bound to its node's cache module when one is installed: the paper's
+//! transparent interception.
 
 use kcache::obs::ClusterObs;
 use kcache::{CacheConfig, CacheModule};
 use pvfs::{
     ByteRange, ClientConfig, CostModel, FileHandle, Iod, Mgr, PvfsClient, PvfsConfig, StripePolicy,
-    CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT,
+    CACHE_PORT, CLIENT_PORT_BASE, MGR_PORT,
 };
 use sim_core::{ActorId, DetRng, Dur, Engine, FifoResource, SharedResource};
 use sim_disk::{DiskGeometry, DiskSched};
-use sim_net::{Fabric, NetConfig, NodeId, NodeNet, Port};
+use sim_net::{Fabric, NetConfig, NodeId, Port};
 use workload::{partition_of, AppProcess, AppSpec, Coordinator, Kickoff, ProcPlan};
 
 /// Whole-cluster configuration.
@@ -114,11 +120,9 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     let mut eng = Engine::new(spec.seed);
     let n = spec.n_nodes as usize;
 
-    // Reserve the fabric and per-node dispatchers first (everyone needs
-    // their ids).
+    // Reserve the fabric first (everyone needs its id); it is installed
+    // once every port it routes has a handler.
     let fabric_id = eng.reserve_actor();
-    let net_ids: Vec<ActorId> = (0..n).map(|_| eng.reserve_actor()).collect();
-    eng.install(fabric_id, Box::new(Fabric::new(spec.net.clone(), net_ids.clone())));
 
     // Per-node CPUs and disks.
     let cpus: Vec<SharedResource> =
@@ -127,7 +131,8 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         .map(|_| eng.add_actor(Box::new(sim_disk::Disk::new(spec.disk.clone(), spec.disk_sched))))
         .collect();
 
-    // iods on every node.
+    // iods on every node; each is its node's endpoint, receiving the
+    // traffic of every port nothing is bound to.
     let iods: Vec<ActorId> = (0..n)
         .map(|i| {
             eng.add_actor(Box::new(Iod::new(
@@ -141,6 +146,7 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
             )))
         })
         .collect();
+    let mut fabric = Fabric::new(spec.net.clone(), iods.clone());
 
     // mgr on node 0.
     let mgr_id = eng.add_actor(Box::new(Mgr::new(
@@ -154,6 +160,7 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
             total_iods: spec.n_nodes as u32,
         },
     )));
+    fabric.bind(NodeId(0), MGR_PORT, mgr_id);
 
     // Cache modules on the nodes that run application processes (the
     // paper's modules live on client nodes).
@@ -176,6 +183,7 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
                 cfg,
             );
             let m = eng.add_actor(Box::new(module));
+            fabric.bind(NodeId(node), CACHE_PORT, m);
             modules[node as usize] = Some(m);
         }
     }
@@ -210,26 +218,30 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         }
     }
 
-    // Application processes.
+    // Application processes, each with its own reply port, kicked off
+    // after a short jitter plus its instance's start offset. A cache
+    // module on the process's node takes the port over and learns the
+    // process's application instance (the sharing-aware eviction signal).
     let total_procs: usize = apps.iter().map(|a| a.nodes.len()).sum();
     let coordinator = eng.add_actor(Box::new(Coordinator::new(total_procs)));
     let mut processes = Vec::new();
-    let mut port_counter: u16 = 0;
+    let mut next_port = CLIENT_PORT_BASE;
+    let mut jitter = DetRng::stream(spec.seed, 0xAD0FF);
     for (inst, a) in apps.iter().enumerate() {
         for (k, &node) in a.nodes.iter().enumerate() {
-            let port = Port(CLIENT_PORT_BASE + port_counter);
-            port_counter += 1;
-            let sock_target = modules[node.index()].unwrap_or(fabric_id);
+            let port = Port(next_port);
+            next_port += 1;
+            let module = modules[node.index()];
             let client = PvfsClient::new(ClientConfig {
                 node,
                 port,
                 mgr_node: NodeId(0),
                 iod_nodes: iod_nodes.clone(),
-                sock_target,
+                sock_target: module.unwrap_or(fabric_id),
                 fabric: fabric_id,
                 cpu: cpus[node.index()].clone(),
                 costs: spec.costs.clone(),
-                caching: modules[node.index()].is_some(),
+                caching: module.is_some(),
                 verify_reads: spec.verify_reads,
             });
             let plan = ProcPlan {
@@ -251,87 +263,19 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
             let rng = DetRng::stream(spec.seed, (inst as u64) << 16 | k as u64);
             let proc_id = eng.add_actor(Box::new(AppProcess::new(client, plan, rng, coordinator)));
             processes.push(proc_id);
-        }
-    }
-
-    // Wire the node dispatchers: well-known service ports plus client reply
-    // ports (bound to the cache module when one is installed — the paper's
-    // transparent interception).
-    {
-        let mut port_counter: u16 = 0;
-        let mut bindings: Vec<(usize, Port, ActorId)> = Vec::new();
-        bindings.push((0, MGR_PORT, mgr_id));
-        for (i, &iod) in iods.iter().enumerate() {
-            bindings.push((i, IOD_PORT, iod));
-            bindings.push((i, IOD_FLUSH_PORT, iod));
-        }
-        for (i, m) in modules.iter().enumerate() {
-            if let Some(m) = *m {
-                bindings.push((i, CACHE_PORT, m));
-            }
-        }
-        for (inst, a) in apps.iter().enumerate() {
-            for (k, &node) in a.nodes.iter().enumerate() {
-                let port = Port(CLIENT_PORT_BASE + port_counter);
-                let proc_id =
-                    processes[apps[..inst].iter().map(|x| x.nodes.len()).sum::<usize>() + k];
-                port_counter += 1;
-                match modules[node.index()] {
-                    Some(m) => {
-                        bindings.push((node.index(), port, m));
-                    }
-                    None => bindings.push((node.index(), port, proc_id)),
-                }
-            }
-        }
-        for (i, &net_id) in net_ids.iter().enumerate() {
-            let mut nn = NodeNet::new(NodeId(i as u16));
-            for (_, port, target) in bindings.iter().filter(|(b, _, _)| *b == i) {
-                nn.bind(*port, *target);
-            }
-            eng.install(net_id, Box::new(nn));
-        }
-    }
-
-    // Register client processes with their node's cache module, tagged
-    // with their application instance so the policy subsystem can tell
-    // applications apart (the sharing-aware eviction signal).
-    {
-        let mut port_counter: u16 = 0;
-        for (inst, a) in apps.iter().enumerate() {
-            for &node in a.nodes.iter() {
-                let port = Port(CLIENT_PORT_BASE + port_counter);
-                let proc_id = processes[port_counter as usize];
-                port_counter += 1;
-                if let Some(m) = modules[node.index()] {
+            match module {
+                Some(m) => {
+                    fabric.bind(node, port, m);
                     let module = eng.actor_as_mut::<CacheModule>(m).expect("module downcast");
                     module.register_client(port, proc_id, kcache::AppId(inst as u32));
                 }
+                None => fabric.bind(node, port, proc_id),
             }
+            let delay = Dur::nanos(jitter.exp_nanos(50_000)) + a.start_delay;
+            eng.post(delay, proc_id, Kickoff);
         }
     }
-
-    // Kick everything off.
-    let mut jitter = DetRng::stream(spec.seed, 0xAD0FF);
-    for (i, &p) in processes.iter().enumerate() {
-        let _ = i;
-        let mut delay = Dur::nanos(jitter.exp_nanos(50_000));
-        // Respect per-instance start offsets.
-        let inst = {
-            let mut acc = 0usize;
-            let mut found = 0usize;
-            for (j, a) in apps.iter().enumerate() {
-                if i < acc + a.nodes.len() {
-                    found = j;
-                    break;
-                }
-                acc += a.nodes.len();
-            }
-            found
-        };
-        delay += apps[inst].start_delay;
-        eng.post(delay, p, Kickoff);
-    }
+    eng.install(fabric_id, Box::new(fabric));
 
     Cluster {
         engine: eng,

@@ -10,8 +10,8 @@
 //!   **fakes the acknowledgment** and serves the data locally. Writes are
 //!   absorbed into the cache (write-behind) and acked immediately, unless
 //!   the cache is saturated with dirty data or the write is a sync-write.
-//! * **inbound**: the node's `NodeNet` binds the client reply ports to the
-//!   module, so iod replies flow through it: arriving data is copied into
+//! * **inbound**: the fabric binds the client reply ports to the module,
+//!   so iod replies flow through it: arriving data is copied into
 //!   the cache, pending partial requests are completed, and a per-request
 //!   finite state machine reconciles what the client library expects to
 //!   receive with what actually crossed the wire.
@@ -155,12 +155,11 @@ pub struct CacheModule {
     costs: CostModel,
     cfg: CacheConfig,
     cache: Arc<BufferManager>,
-    /// Client reply port → client actor (the processes on this node).
-    clients: KeyMap<u16, ActorId>,
-    /// Client reply port → owning application instance; lets the buffer
-    /// manager's policy attribute every access to an application, which is
-    /// what the sharing-aware policy ranks by.
-    client_apps: KeyMap<u16, AppId>,
+    /// Client reply port → client actor (the processes on this node) and
+    /// its application instance; the instance lets the buffer manager's
+    /// policy attribute every access to an application, which is what the
+    /// sharing-aware policy ranks by.
+    clients: KeyMap<u16, (ActorId, AppId)>,
     pending: KeyMap<(u16, u64), PendingFetch>,
     /// Blocks currently being fetched from an iod (the FSM's "transfers
     /// pending" state); requests for these blocks wait instead of
@@ -207,7 +206,6 @@ impl CacheModule {
             cfg,
             cache,
             clients: KeyMap::default(),
-            client_apps: KeyMap::default(),
             pending: KeyMap::default(),
             fetching: KeyMap::default(),
             block_waiters: KeyMap::default(),
@@ -222,17 +220,16 @@ impl CacheModule {
     }
 
     /// Register a client process living on this node (its reply port must
-    /// also be bound to this module in the node's `NodeNet`), together with
-    /// the application instance it belongs to.
+    /// also be bound to this module in the fabric), together with the
+    /// application instance it belongs to.
     pub fn register_client(&mut self, port: Port, actor: ActorId, app: AppId) {
-        self.clients.insert(port.0, actor);
-        self.client_apps.insert(port.0, app);
+        self.clients.insert(port.0, (actor, app));
     }
 
     /// Application owning a client reply port ([`AppId::UNKNOWN`] for
     /// traffic from unregistered ports).
     fn app_of(&self, port: Port) -> AppId {
-        self.client_apps.get(&port.0).copied().unwrap_or(AppId::UNKNOWN)
+        self.clients.get(&port.0).map_or(AppId::UNKNOWN, |&(_, app)| app)
     }
 
     pub fn stats(&self) -> &ModuleStats {
@@ -266,7 +263,7 @@ impl CacheModule {
 
     /// Deliver a synthesized message to a local client process.
     fn send_to_client(&mut self, ctx: &mut Ctx<'_>, at: SimTime, port: Port, payload: impl Any) {
-        let Some(&client) = self.clients.get(&port.0) else {
+        let Some(&(client, _)) = self.clients.get(&port.0) else {
             debug_assert!(false, "no client registered on {:?}", port);
             return;
         };
@@ -859,7 +856,7 @@ impl CacheModule {
         };
         // Anything else on a client port (mgr replies, etc.) is not iod
         // data traffic: hand it to the client process untouched.
-        let Some(&client) = self.clients.get(&net.dst_port.0) else {
+        let Some(&(client, _)) = self.clients.get(&net.dst_port.0) else {
             panic!("cache module: unexpected inbound payload {:?}", net);
         };
         ctx.schedule_in(Dur::ZERO, client, Deliver(net));
@@ -927,15 +924,13 @@ impl Actor for CacheModule {
                     }
                     Err(n) => n,
                 };
-                // Anything else (mgr traffic routed here by mistake, etc.)
-                // passes through untouched.
-                let now = ctx.now();
-                self.send_to_net(ctx, now, net);
-                return;
+                // libpvfs sends only iod requests through its socket
+                // target; mgr calls go straight to the fabric.
+                panic!("cache module: unexpected outbound payload {:?}", net);
             }
             Err(m) => m,
         };
-        // Inbound: deliveries re-routed to the module by NodeNet.
+        // Inbound: deliveries to the ports bound to the module.
         let msg = match msg.cast::<Deliver>() {
             Ok(d) => return self.inbound(ctx, d.0),
             Err(m) => m,

@@ -137,12 +137,6 @@ struct Rig {
 fn rig_with(cfg: CacheConfig) -> Rig {
     let mut eng = Engine::new(3);
     let fabric_slot = eng.reserve_actor();
-    let net0 = eng.reserve_actor();
-    let net1 = eng.reserve_actor();
-    eng.install(
-        fabric_slot,
-        Box::new(sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![net0, net1])),
-    );
     let iod = eng.add_actor(Box::new(ScriptedIod {
         fabric: fabric_slot,
         corrupt: None,
@@ -163,15 +157,12 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     let client_port = Port(CLIENT_PORT_BASE);
     module.register_client(client_port, client, kcache::AppId(0));
     let module = eng.add_actor(Box::new(module));
-    // Node 0: client port + cache port → module. Node 1: iod ports.
-    let mut n0 = sim_net::NodeNet::new(NodeId(CLIENT));
-    n0.bind(client_port, module);
-    n0.bind(CACHE_PORT, module);
-    eng.install(net0, Box::new(n0));
-    let mut n1 = sim_net::NodeNet::new(NodeId(IOD));
-    n1.bind(IOD_PORT, iod);
-    n1.bind(IOD_FLUSH_PORT, iod);
-    eng.install(net1, Box::new(n1));
+    // Node 0's traffic goes to the client, node 1's to the iod; the module
+    // takes over the client's port and binds the cache port.
+    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![client, iod]);
+    fabric.bind(NodeId(CLIENT), client_port, module);
+    fabric.bind(NodeId(CLIENT), CACHE_PORT, module);
+    eng.install(fabric_slot, Box::new(fabric));
     Rig { eng, module, iod, client }
 }
 
@@ -414,12 +405,6 @@ fn invalidate_ack_reaches_the_iod_port() {
     }
     let mut eng = Engine::new(5);
     let fabric_slot = eng.reserve_actor();
-    let net0 = eng.reserve_actor();
-    let net1 = eng.reserve_actor();
-    eng.install(
-        fabric_slot,
-        Box::new(sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![net0, net1])),
-    );
     let catcher = eng.add_actor(Box::new(AckCatcher { acks: 0 }));
     let module = eng.add_actor(Box::new(CacheModule::new(
         NodeId(0),
@@ -428,12 +413,11 @@ fn invalidate_ack_reaches_the_iod_port() {
         CostModel::default(),
         CacheConfig::paper(),
     )));
-    let mut n0 = sim_net::NodeNet::new(NodeId(0));
-    n0.bind(CACHE_PORT, module);
-    eng.install(net0, Box::new(n0));
-    let mut n1 = sim_net::NodeNet::new(NodeId(1));
-    n1.bind(IOD_PORT, catcher);
-    eng.install(net1, Box::new(n1));
+    // The catcher stands in for both nodes' iods; the module binds the
+    // cache port.
+    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![catcher; 2]);
+    fabric.bind(NodeId(0), CACHE_PORT, module);
+    eng.install(fabric_slot, Box::new(fabric));
     let inv =
         Invalidate { req_id: 9, fid: Fid(4), blocks: vec![3], reply_to: (NodeId(1), IOD_PORT) };
     let wire = inv.wire_bytes();

@@ -8,10 +8,11 @@
 //! on the paper's real Ethernet.
 //!
 //! Messages are delivered whole (store-and-forward at the receiver, which is
-//! what a TCP receive buffer gives user code) once their last frame arrives.
+//! what a TCP receive buffer gives user code) once their last frame arrives,
+//! straight to the actor bound to the destination port (see [`Fabric::bind`]).
 
 use crate::config::{FabricKind, NetConfig};
-use crate::message::{Deliver, NetMessage, TrafficClass, Xmit};
+use crate::message::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use sim_core::{Actor, ActorId, Ctx, Dur, FifoResource, Msg, SimTime};
 use std::any::Any;
 use std::collections::VecDeque;
@@ -59,14 +60,17 @@ pub struct Fabric {
     downlinks: Vec<FifoResource>,
     /// Per-node outbound queues (NIC transmit rings).
     nics: Vec<VecDeque<Outbound>>,
-    /// Per-node delivery endpoints (normally the node's `NodeNet`).
+    /// Per-node default receivers: a message for a port nothing is bound
+    /// to on its node goes to that node's endpoint.
     endpoints: Vec<ActorId>,
+    /// Per-node port bindings, a handful per node, scanned in order.
+    bindings: Vec<Vec<(u16, ActorId)>>,
     stats: FabricStats,
 }
 
 impl Fabric {
     /// Build a fabric for `endpoints.len()` nodes; `endpoints[i]` receives
-    /// [`Deliver`] events for node `i`.
+    /// [`Deliver`] events for node `i`'s ports that nothing is bound to.
     pub fn new(cfg: NetConfig, endpoints: Vec<ActorId>) -> Fabric {
         let n = endpoints.len();
         Fabric {
@@ -74,10 +78,33 @@ impl Fabric {
             uplinks: (0..n).map(|i| FifoResource::new(format!("uplink-{i}"))).collect(),
             downlinks: (0..n).map(|i| FifoResource::new(format!("downlink-{i}"))).collect(),
             nics: (0..n).map(|_| VecDeque::new()).collect(),
+            bindings: vec![Vec::new(); n],
             endpoints,
             cfg,
             stats: FabricStats::default(),
         }
+    }
+
+    /// Deliver `node`'s traffic for `port` to `handler`. Binding a bound
+    /// port replaces its handler: that is how a cache module intercepts
+    /// the client library's reply port (§3.2 of the paper), invisibly to
+    /// the client.
+    pub fn bind(&mut self, node: NodeId, port: Port, handler: ActorId) {
+        let ports = &mut self.bindings[node.index()];
+        match ports.iter_mut().find(|(p, _)| *p == port.0) {
+            Some(bound) => bound.1 = handler,
+            None => ports.push((port.0, handler)),
+        }
+    }
+
+    /// The actor `msg` is delivered to: its port's handler, or else its
+    /// node's endpoint.
+    fn receiver(&self, msg: &NetMessage) -> ActorId {
+        let node = msg.dst.index();
+        self.bindings[node]
+            .iter()
+            .find(|(p, _)| *p == msg.dst_port.0)
+            .map_or(self.endpoints[node], |&(_, handler)| handler)
     }
 
     pub fn stats(&self) -> &FabricStats {
@@ -133,7 +160,7 @@ impl Fabric {
         if finished {
             let ob = self.nics[node].pop_front().expect("queue changed under us");
             let deliver_at = ob.last_arrival + self.cfg.prop_delay;
-            let target = self.endpoints[ob.msg.dst.index()];
+            let target = self.receiver(&ob.msg);
             ctx.schedule_in(deliver_at.since(now), target, Deliver(ob.msg));
         }
         if !self.nics[node].is_empty() {
@@ -157,7 +184,7 @@ impl Actor for Fabric {
                     // Node-local traffic short-circuits the wire entirely.
                     self.stats.loopback_messages += 1;
                     let delay = self.cfg.loopback_time(m.wire_bytes);
-                    let target = self.endpoints[m.dst.index()];
+                    let target = self.receiver(&m);
                     ctx.schedule_in(delay, target, Deliver(m));
                     return;
                 }
@@ -212,7 +239,6 @@ pub fn uncontended_latency(cfg: &NetConfig, bytes: u32) -> Dur {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::{NodeId, Port};
     use sim_core::Engine;
 
     /// Collects deliveries with their arrival times.
@@ -369,6 +395,76 @@ mod tests {
             assert_eq!(f.stats().peer_payload_bytes, 5100);
             assert_eq!(f.stats().payload_bytes, 12100);
         }
+    }
+
+    fn to_port(src: u16, dst: u16, port: u16, tag: u64) -> Xmit {
+        Xmit(NetMessage::new((NodeId(src), Port(1)), (NodeId(dst), Port(port)), 8, tag, ()))
+    }
+
+    fn bind(eng: &mut Engine, fabric: ActorId, node: u16, port: u16, handler: ActorId) {
+        eng.actor_as_mut::<Fabric>(fabric).unwrap().bind(NodeId(node), Port(port), handler);
+    }
+
+    fn tags(eng: &Engine, sink: ActorId) -> Vec<u64> {
+        eng.actor_as::<Sink>(sink).unwrap().got.iter().map(|g| g.0).collect()
+    }
+
+    #[test]
+    fn routes_by_destination_port() {
+        let (mut eng, fabric, sinks) = build(NetConfig::hub_100mbps(), 2);
+        let a = eng.add_actor(Box::new(Sink { got: vec![] }));
+        let b = eng.add_actor(Box::new(Sink { got: vec![] }));
+        bind(&mut eng, fabric, 1, 10, a);
+        bind(&mut eng, fabric, 1, 20, b);
+        eng.post(Dur::ZERO, fabric, to_port(0, 1, 10, 1));
+        eng.post(Dur::ZERO, fabric, to_port(0, 1, 20, 2));
+        eng.post(Dur::ZERO, fabric, to_port(0, 1, 10, 3));
+        eng.run();
+        assert_eq!(tags(&eng, a), [1, 3]);
+        assert_eq!(tags(&eng, b), [2]);
+        assert!(tags(&eng, sinks[1]).is_empty());
+    }
+
+    #[test]
+    fn rebinding_a_port_intercepts_traffic() {
+        let (mut eng, fabric, _sinks) = build(NetConfig::hub_100mbps(), 2);
+        let original = eng.add_actor(Box::new(Sink { got: vec![] }));
+        let interceptor = eng.add_actor(Box::new(Sink { got: vec![] }));
+        bind(&mut eng, fabric, 1, 10, original);
+        bind(&mut eng, fabric, 1, 10, interceptor); // a cache module takes over the port
+        eng.post(Dur::ZERO, fabric, to_port(0, 1, 10, 1));
+        eng.run();
+        assert!(tags(&eng, original).is_empty());
+        assert_eq!(tags(&eng, interceptor), [1]);
+    }
+
+    #[test]
+    fn an_unbound_port_reaches_the_nodes_endpoint() {
+        let (mut eng, fabric, sinks) = build(NetConfig::hub_100mbps(), 2);
+        let bound = eng.add_actor(Box::new(Sink { got: vec![] }));
+        bind(&mut eng, fabric, 1, 10, bound);
+        // Port 10 is bound on node 1 only: node 0's port 10 is its endpoint's.
+        eng.post(Dur::ZERO, fabric, to_port(0, 1, 99, 1));
+        eng.post(Dur::ZERO, fabric, to_port(1, 0, 10, 2));
+        eng.run();
+        assert!(tags(&eng, bound).is_empty());
+        assert_eq!(tags(&eng, sinks[1]), [1]);
+        assert_eq!(tags(&eng, sinks[0]), [2]);
+    }
+
+    #[test]
+    fn loopback_delivers_to_a_rebound_port() {
+        let (mut eng, fabric, sinks) = build(NetConfig::hub_100mbps(), 2);
+        let original = eng.add_actor(Box::new(Sink { got: vec![] }));
+        let interceptor = eng.add_actor(Box::new(Sink { got: vec![] }));
+        bind(&mut eng, fabric, 0, 10, original);
+        bind(&mut eng, fabric, 0, 10, interceptor);
+        eng.post(Dur::ZERO, fabric, to_port(0, 0, 10, 1));
+        eng.run();
+        assert_eq!(eng.actor_as::<Fabric>(fabric).unwrap().stats().loopback_messages, 1);
+        assert_eq!(tags(&eng, interceptor), [1]);
+        assert!(tags(&eng, original).is_empty());
+        assert!(tags(&eng, sinks[0]).is_empty());
     }
 
     #[test]

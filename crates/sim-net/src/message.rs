@@ -144,7 +144,8 @@ pub struct MessageMeta {
 /// Event payload: hand a message to the fabric for transmission.
 pub struct Xmit(pub NetMessage);
 
-/// Event payload: a fully received message delivered to a node endpoint.
+/// Event payload: a fully received message, delivered to the actor bound
+/// to its destination port (or to its node's endpoint).
 pub struct Deliver(pub NetMessage);
 
 #[cfg(test)]

@@ -6,11 +6,11 @@
 use kcache::{AppId, BlockKey, CacheConfig, CacheModule};
 use pvfs::{
     pattern_bytes, ByteRange, CostModel, Fid, Iod, PvfsConfig, ReadReq, WritePart, WriteReq,
-    CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
+    CACHE_PORT, CLIENT_PORT_BASE, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_disk::{Disk, DiskGeometry, DiskSched};
-use sim_net::{Deliver, Fabric, NetConfig, NetMessage, NodeId, NodeNet, Port, Xmit};
+use sim_net::{Deliver, Fabric, NetConfig, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
 
 const IOD: u16 = 0;
@@ -54,8 +54,6 @@ impl Rig {
     fn new() -> Rig {
         let mut eng = Engine::new(5);
         let fabric = eng.reserve_actor();
-        let nets: Vec<ActorId> = (0..3).map(|_| eng.reserve_actor()).collect();
-        eng.install(fabric, Box::new(Fabric::new(NetConfig::hub_100mbps(), nets.clone())));
         let disk =
             eng.add_actor(Box::new(Disk::new(DiskGeometry::maxtor_20gb(), DiskSched::CLook)));
         let mut iod = Iod::new(
@@ -86,18 +84,12 @@ impl Rig {
         );
         module.register_client(PORT, probe_a, AppId(0));
         let module = eng.add_actor(Box::new(module));
-        let bindings: [&[(Port, ActorId)]; 3] = [
-            &[(IOD_PORT, iod), (IOD_FLUSH_PORT, iod)],
-            &[(PORT, module), (CACHE_PORT, module)],
-            &[(PORT, probe_b)],
-        ];
-        for (node, ports) in bindings.iter().enumerate() {
-            let mut nn = NodeNet::new(NodeId(node as u16));
-            for &(port, actor) in *ports {
-                nn.bind(port, actor);
-            }
-            eng.install(nets[node], Box::new(nn));
-        }
+        // Each node's traffic goes to its own actor; A's module takes over
+        // its client's port and binds the cache port.
+        let mut net = Fabric::new(NetConfig::hub_100mbps(), vec![iod, probe_a, probe_b]);
+        net.bind(NodeId(A), PORT, module);
+        net.bind(NodeId(A), CACHE_PORT, module);
+        eng.install(fabric, Box::new(net));
         Rig { eng, fabric, module, iod, probe_b }
     }
 
