@@ -127,6 +127,18 @@ impl Actor for ClientProbe {
     }
 }
 
+/// Every node's endpoint: a rig binds each port it expects traffic on, so
+/// a message for any other port is a misaddressed message.
+struct Unbound;
+
+impl Actor for Unbound {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+        if let Ok(d) = msg.cast::<Deliver>() {
+            panic!("message for an unbound port: {:?}", d.0);
+        }
+    }
+}
+
 struct Rig {
     eng: Engine,
     module: ActorId,
@@ -157,11 +169,13 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     let client_port = Port(CLIENT_PORT_BASE);
     module.register_client(client_port, client, kcache::AppId(0));
     let module = eng.add_actor(Box::new(module));
-    // Node 0's traffic goes to the client, node 1's to the iod; the module
-    // takes over the client's port and binds the cache port.
-    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![client, iod]);
+    // Node 0: client port + cache port → module. Node 1: iod ports.
+    let unbound = eng.add_actor(Box::new(Unbound));
+    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![unbound; 2]);
     fabric.bind(NodeId(CLIENT), client_port, module);
     fabric.bind(NodeId(CLIENT), CACHE_PORT, module);
+    fabric.bind(NodeId(IOD), IOD_PORT, iod);
+    fabric.bind(NodeId(IOD), IOD_FLUSH_PORT, iod);
     eng.install(fabric_slot, Box::new(fabric));
     Rig { eng, module, iod, client }
 }
@@ -413,10 +427,12 @@ fn invalidate_ack_reaches_the_iod_port() {
         CostModel::default(),
         CacheConfig::paper(),
     )));
-    // The catcher stands in for both nodes' iods; the module binds the
+    // Only node 1's iod port reaches the catcher; the module binds the
     // cache port.
-    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![catcher; 2]);
+    let unbound = eng.add_actor(Box::new(Unbound));
+    let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![unbound; 2]);
     fabric.bind(NodeId(0), CACHE_PORT, module);
+    fabric.bind(NodeId(1), IOD_PORT, catcher);
     eng.install(fabric_slot, Box::new(fabric));
     let inv =
         Invalidate { req_id: 9, fid: Fid(4), blocks: vec![3], reply_to: (NodeId(1), IOD_PORT) };

@@ -6,7 +6,7 @@
 use kcache::{AppId, BlockKey, CacheConfig, CacheModule};
 use pvfs::{
     pattern_bytes, ByteRange, CostModel, Fid, Iod, PvfsConfig, ReadReq, WritePart, WriteReq,
-    CACHE_PORT, CLIENT_PORT_BASE, IOD_PORT,
+    CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_disk::{Disk, DiskGeometry, DiskSched};
@@ -38,6 +38,18 @@ impl Actor for Probe {
     }
     fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
         Some(self)
+    }
+}
+
+/// Every node's endpoint: the rig binds each port it expects traffic on,
+/// so a message for any other port is a misaddressed message.
+struct Unbound;
+
+impl Actor for Unbound {
+    fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
+        if let Ok(d) = msg.cast::<Deliver>() {
+            panic!("message for an unbound port: {:?}", d.0);
+        }
     }
 }
 
@@ -84,11 +96,15 @@ impl Rig {
         );
         module.register_client(PORT, probe_a, AppId(0));
         let module = eng.add_actor(Box::new(module));
-        // Each node's traffic goes to its own actor; A's module takes over
-        // its client's port and binds the cache port.
-        let mut net = Fabric::new(NetConfig::hub_100mbps(), vec![iod, probe_a, probe_b]);
+        // Only bound ports take traffic: the iod's two, A's client port
+        // (taken over by the module) and cache port, and B's client port.
+        let unbound = eng.add_actor(Box::new(Unbound));
+        let mut net = Fabric::new(NetConfig::hub_100mbps(), vec![unbound; 3]);
+        net.bind(NodeId(IOD), IOD_PORT, iod);
+        net.bind(NodeId(IOD), IOD_FLUSH_PORT, iod);
         net.bind(NodeId(A), PORT, module);
         net.bind(NodeId(A), CACHE_PORT, module);
+        net.bind(NodeId(B), PORT, probe_b);
         eng.install(fabric, Box::new(net));
         Rig { eng, fabric, module, iod, probe_b }
     }
