@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p cluster-harness --bin experiment -- config.json \
-//!     [--trace-out trace.json] [--metrics-out metrics.json] \
-//!     [--flight-out flight.json] [--profile]
+//!     [--trace-out trace.json] [--metrics-out metrics.json] [--profile]
 //! ```
 //!
 //! The config shape (all cluster fields optional, partitioning included)
@@ -16,12 +15,9 @@
 //!
 //! `--trace-out` writes the run's Chrome-trace JSON (open it in
 //! `chrome://tracing` or Perfetto) with every node's ring merged in
-//! timestamp order; `--metrics-out` writes the federated metric export
-//! (cluster rollup + per-node snapshots and epoch bookkeeping);
-//! `--flight-out` evaluates the config's anomaly rules against each
-//! node's per-epoch deltas and writes the flight record — rule firings,
-//! the metrics snapshot, and a bounded tail of recent trace events. Any
-//! of the three flags forces the `telemetry` section of the config on.
+//! timestamp order; `--metrics-out` writes the metric export (cluster
+//! rollup + per-node snapshots and trace-drop counts). Either flag
+//! forces the `telemetry` section of the config on.
 //!
 //! `--profile` turns on the simulator's self-profile and prints, on
 //! stderr, where the run's *host* time went: events and host
@@ -41,13 +37,9 @@ use cluster_harness::config::ExperimentConfig;
 use cluster_harness::{run_experiment, run_experiment_profiled, CacheEfficiency, TelemetryReport};
 use sim_core::ActorProfile;
 
-/// How many trailing trace events the flight record keeps.
-const FLIGHT_TAIL_EVENTS: usize = 256;
-
 fn usage() -> ! {
     eprintln!(
-        "usage: experiment <config.json> [--trace-out FILE] [--metrics-out FILE] \
-         [--flight-out FILE] [--profile]"
+        "usage: experiment <config.json> [--trace-out FILE] [--metrics-out FILE] [--profile]"
     );
     std::process::exit(2);
 }
@@ -91,14 +83,12 @@ fn main() {
     let mut config_path: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
-    let mut flight_out: Option<String> = None;
     let mut profile = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--trace-out" => trace_out = Some(args.next().unwrap_or_else(|| usage())),
             "--metrics-out" => metrics_out = Some(args.next().unwrap_or_else(|| usage())),
-            "--flight-out" => flight_out = Some(args.next().unwrap_or_else(|| usage())),
             "--profile" => profile = true,
             _ if a.starts_with('-') => usage(),
             _ if config_path.is_none() => config_path = Some(a),
@@ -108,7 +98,7 @@ fn main() {
     let Some(path) = config_path else { usage() };
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| bad_config(&path, e));
     let mut cfg = ExperimentConfig::from_json(&text).unwrap_or_else(|e| bad_config(&path, e));
-    if trace_out.is_some() || metrics_out.is_some() || flight_out.is_some() {
+    if trace_out.is_some() || metrics_out.is_some() {
         cfg.cluster.telemetry.enabled = true;
     }
     let (spec, apps) = cfg.to_spec().unwrap_or_else(|e| bad_config(&path, e));
@@ -148,36 +138,14 @@ fn main() {
     );
     println!("}}");
 
-    // File exports happen after the summary: metrics first (snapshot +
-    // epoch deltas, non-destructive), then the trace. Draining the rings
-    // is destructive and both the flight tail and `--trace-out` want the
-    // events, so drain once and share.
+    // File exports happen after the summary: metrics first
+    // (non-destructive), then the trace, which drains the rings.
     if let Some(cluster) = &r.obs {
         if let Some(p) = &metrics_out {
             write_or_exit(p, cluster.metrics_json());
         }
-        if flight_out.is_some() || trace_out.is_some() {
-            let events = cluster.drain_trace();
-            if let Some(p) = &flight_out {
-                // Evaluate the config's anomaly rules against each node's
-                // own epoch history; the flight record is always valid JSON,
-                // with `"fired": false` on a healthy run.
-                let rules = cfg.cluster.telemetry.anomaly_rules();
-                let mut firings = Vec::new();
-                for (name, hub) in cluster.hubs() {
-                    firings.extend(kcache::obs::evaluate(name, &hub.epoch_deltas(), &rules));
-                }
-                let json = kcache::obs::flight_json(
-                    &firings,
-                    &cluster.rollup(),
-                    &events,
-                    FLIGHT_TAIL_EVENTS,
-                );
-                write_or_exit(p, json);
-            }
-            if let Some(p) = &trace_out {
-                write_or_exit(p, kcache::obs::chrome_trace_json(&events));
-            }
+        if let Some(p) = &trace_out {
+            write_or_exit(p, cluster.chrome_trace_json());
         }
     }
 

@@ -32,12 +32,10 @@ pub struct ClusterSpec {
     pub disk: DiskGeometry,
     pub disk_sched: DiskSched,
     pub seed: u64,
-    /// Federated telemetry: one [`kcache::ObsHub`] per node, so trace
-    /// pids separate by node and registries stay contention-free. When
-    /// set, the builder hands each cache module (and each iod) its
-    /// node's hub, overriding `cache.obs`; when `None`, any single hub
-    /// already in `cache.obs` is shared by every module and iod (the
-    /// pre-federation quickstart shape).
+    /// Telemetry: one [`kcache::ObsHub`] per node (exactly `n_nodes`),
+    /// so trace pids separate by node and registries stay
+    /// contention-free. The builder hands each cache module its node's
+    /// hub; `None` observes nothing.
     pub obs: Option<std::sync::Arc<ClusterObs>>,
     /// Verify every read against the deterministic file pattern.
     pub verify_reads: bool,
@@ -117,6 +115,15 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
             );
         }
     }
+    if let Some(obs) = &spec.obs {
+        assert_eq!(
+            obs.node_count(),
+            spec.n_nodes as usize,
+            "the telemetry plane has {} hubs for {} nodes",
+            obs.node_count(),
+            spec.n_nodes
+        );
+    }
     let mut eng = Engine::new(spec.seed);
     let n = spec.n_nodes as usize;
 
@@ -169,18 +176,13 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     let mut modules: Vec<Option<ActorId>> = vec![None; n];
     if let Some(cache_cfg) = &spec.cache {
         for &node in &client_nodes {
-            let mut cfg = cache_cfg.clone();
-            if let Some(cluster_obs) = &spec.obs {
-                // Per-node hubs: each module records into its own ring
-                // and registry, keyed by node in the trace pid.
-                cfg.obs = Some(cluster_obs.hub_for(node as usize));
-            }
             let module = CacheModule::new(
                 NodeId(node),
                 fabric_id,
                 cpus[node as usize].clone(),
                 spec.costs.clone(),
-                cfg,
+                cache_cfg.clone(),
+                spec.obs.as_ref().map(|o| o.hub_for(node as usize)),
             );
             let m = eng.add_actor(Box::new(module));
             fabric.bind(NodeId(node), CACHE_PORT, m);

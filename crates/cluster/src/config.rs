@@ -27,8 +27,9 @@
 //!
 //! Unknown keys are ignored, so keys retired with the mechanisms they
 //! configured still parse and mean nothing: the whole `cluster.cooperative`
-//! section, and the peer tier's SLO target and stale-hint storm threshold
-//! in `telemetry`.
+//! section, the peer tier's SLO target in `telemetry.slo`, and the whole
+//! `telemetry.anomaly` section (the anomaly rules and the stale-hint
+//! storm threshold).
 
 use crate::builder::ClusterSpec;
 use kcache::{
@@ -83,21 +84,18 @@ pub struct ClusterCfg {
 
 /// The `telemetry` section of the cluster config. The derived default
 /// is the off state: disabled, library-default trace capacity,
-/// paper-derived SLO targets, stock anomaly thresholds — pre-telemetry
-/// configs parse unchanged.
+/// paper-derived SLO targets — pre-telemetry configs parse unchanged.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct TelemetryCfg {
     /// Wire a per-node [`kcache::ObsHub`] through every cache module,
-    /// federated by a [`kcache::obs::ClusterObs`].
+    /// held by a [`kcache::obs::ClusterObs`].
     pub enabled: bool,
     /// Per-node trace-ring capacity in slots (0 picks the library
     /// default).
     pub trace_capacity: usize,
     /// Fetch-latency SLO target.
     pub slo: SloCfg,
-    /// Anomaly flight-recorder rule thresholds.
-    pub anomaly: AnomalyCfg,
 }
 
 impl TelemetryCfg {
@@ -105,15 +103,6 @@ impl TelemetryCfg {
     pub fn slo_targets(&self) -> kcache::obs::SloTargets {
         kcache::obs::SloTargets {
             fetch_p99_ns_default: (self.slo.fetch_p99_ms_default * 1e6) as u64,
-        }
-    }
-
-    /// Lower the anomaly section into the obs crate's rule thresholds.
-    pub fn anomaly_rules(&self) -> kcache::obs::AnomalyRules {
-        kcache::obs::AnomalyRules {
-            hit_ratio_drop: self.anomaly.hit_ratio_drop,
-            min_epoch_accesses: self.anomaly.min_epoch_accesses,
-            trace_drops_per_epoch: self.anomaly.trace_drops_per_epoch,
         }
     }
 }
@@ -130,31 +119,6 @@ pub struct SloCfg {
 impl Default for SloCfg {
     fn default() -> Self {
         SloCfg { fetch_p99_ms_default: 15.0 }
-    }
-}
-
-/// Anomaly flight-recorder thresholds (see `kcache::obs::anomaly` for
-/// rule semantics).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct AnomalyCfg {
-    /// Absolute hit-ratio drop between consecutive epochs that counts
-    /// as a collapse.
-    pub hit_ratio_drop: f64,
-    /// Minimum accesses for an epoch's hit ratio to be judged.
-    pub min_epoch_accesses: u64,
-    /// Trace-ring drops in one epoch that count as an overflow burst.
-    pub trace_drops_per_epoch: u64,
-}
-
-impl Default for AnomalyCfg {
-    fn default() -> Self {
-        let r = kcache::obs::AnomalyRules::default();
-        AnomalyCfg {
-            hit_ratio_drop: r.hit_ratio_drop,
-            min_epoch_accesses: r.min_epoch_accesses,
-            trace_drops_per_epoch: r.trace_drops_per_epoch,
-        }
     }
 }
 
@@ -373,10 +337,10 @@ impl ExperimentConfig {
                 ));
             }
         }
-        // One hub per node, federated: the builder hands each cache
-        // module (and iod) its own hub so trace pids separate by
-        // node and registries stay contention-free; `ClusterObs` merges
-        // them back into a cluster rollup at report time.
+        // One hub per node: the builder hands each cache module its own
+        // hub so trace pids separate by node and registries stay
+        // contention-free; `ClusterObs` merges them back into a cluster
+        // rollup at report time.
         let obs = self.cluster.telemetry.enabled.then(|| {
             kcache::obs::ClusterObs::per_node(
                 self.cluster.nodes as usize,
@@ -634,10 +598,8 @@ mod tests {
         assert!(!old.cluster.telemetry.enabled);
         let (old_spec, _) = old.to_spec().unwrap();
         assert!(old_spec.obs.is_none());
-        assert!(old_spec.cache.unwrap().obs.is_none());
-        // SLO and anomaly sections default to the paper-derived knobs.
+        // The SLO section defaults to the paper-derived target.
         assert_eq!(old.cluster.telemetry.slo_targets().fetch_p99_ns_default, 15_000_000);
-        assert_eq!(old.cluster.telemetry.anomaly_rules().min_epoch_accesses, 64);
 
         let cfg = ExperimentConfig::from_json(
             r#"{ "cluster": { "nodes": 3,
@@ -648,13 +610,10 @@ mod tests {
         )
         .unwrap();
         let (spec, _) = cfg.to_spec().unwrap();
-        let cluster = spec.obs.as_ref().expect("telemetry lowers to federated per-node hubs");
+        let cluster = spec.obs.as_ref().expect("telemetry lowers to per-node hubs");
         assert_eq!(cluster.node_count(), 3);
         assert_eq!(cluster.trace_dropped(), 0);
-        // The builder hands out hubs; CacheConfig itself carries none.
-        let cache = spec.cache.unwrap();
-        assert!(cache.obs.is_none());
-        assert_eq!(cache.slo.fetch_p99_ns_default, 2_500_000);
+        assert_eq!(spec.cache.unwrap().slo.fetch_p99_ns_default, 2_500_000);
 
         // serialize → parse is the identity.
         let json = serde_json::to_string_pretty(&cfg).unwrap();

@@ -122,12 +122,11 @@ pub struct ExperimentResult {
     pub events: u64,
     pub sim_end: SimTime,
     pub completed: bool,
-    /// The cluster's federated telemetry plane (telemetry-enabled runs
-    /// only): per-node hubs with their registries, epoch deltas, and
-    /// trace rings, plus the cluster rollup — ready for the caller to
-    /// export. A bare shared hub in `cache.obs` (the quickstart shape)
-    /// is wrapped as a single-entry `ClusterObs`. Shared with the spec —
-    /// reusing one spec across runs accumulates into the same hubs.
+    /// The cluster's telemetry plane (telemetry-enabled runs only):
+    /// per-node hubs with their registries and trace rings, plus the
+    /// cluster rollup — ready for the caller to export. Shared with the
+    /// spec — reusing one spec across runs accumulates into the same
+    /// hubs.
     pub obs: Option<std::sync::Arc<ClusterObs>>,
     /// Fetch-latency percentiles and SLO burn, merged over all cache
     /// modules (telemetry-enabled caching runs only).
@@ -361,13 +360,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let fabric_stats: FabricStats = fabric.stats().clone();
     let medium_utilization = fabric.medium_utilization(cluster.engine.now());
 
-    // The run's telemetry plane: the spec's federated per-node hubs, or
-    // a bare shared hub from `cache.obs` wrapped as a one-entry cluster
-    // (the quickstart shape keeps working).
-    let obs = spec
-        .obs
-        .clone()
-        .or_else(|| spec.cache.as_ref().and_then(|c| c.obs.clone()).map(ClusterObs::shared));
     let slo = slo_acc.map(|(snap, target, burned)| {
         vec![SloClassSummary {
             class: "default".into(),
@@ -399,7 +391,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         events: report.events,
         sim_end: report.end_time,
         completed,
-        obs,
+        obs: spec.obs.clone(),
         slo,
     }
 }

@@ -171,13 +171,11 @@ impl SloReport {
     }
 }
 
-/// One node's slice of the telemetry summary (per-node hubs only).
+/// One node's slice of the telemetry summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct NodeTelemetryReport {
     pub node: String,
     pub trace_dropped: u64,
-    pub epochs_logged: u64,
-    pub epochs_discarded: u64,
     pub counters: std::collections::BTreeMap<String, u64>,
     pub gauges: std::collections::BTreeMap<String, u64>,
     pub histograms: std::collections::BTreeMap<String, HistogramReport>,
@@ -205,19 +203,14 @@ fn digest_histograms(
 
 /// The `telemetry` section of experiment JSON output: the cluster-rollup
 /// counters/gauges, histogram digests with p50/p95/p99, the
-/// fetch-latency SLO line, trace/epoch bookkeeping, and — on federated
-/// runs — the per-node breakdown. Full per-epoch deltas and the raw
-/// trace stay behind `--metrics-out`/`--trace-out` — this section is the
-/// glanceable slice.
+/// fetch-latency SLO line, trace-drop bookkeeping, and the per-node
+/// breakdown. Full snapshots and the raw trace stay behind
+/// `--metrics-out`/`--trace-out` — this section is the glanceable slice.
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryReport {
     /// Trace events dropped on ring overflow, summed over every node's
     /// ring (0 = the rings kept up).
     pub trace_dropped: u64,
-    /// Epoch windows logged / discarded to the delta-log caps, summed
-    /// over every node's hub.
-    pub epochs_logged: u64,
-    pub epochs_discarded: u64,
     /// Cluster rollup: counters and histograms sum across nodes; a
     /// gauge holds the last write, so per-node gauges live in `nodes`.
     pub counters: std::collections::BTreeMap<String, u64>,
@@ -226,60 +219,32 @@ pub struct TelemetryReport {
     /// Fetch-latency percentiles vs the SLO target (caching runs with
     /// traffic only).
     pub slo: Vec<SloReport>,
-    /// Per-node breakdown (empty when one shared hub serves the whole
-    /// cluster — there is no per-node signal to break out).
+    /// Per-node breakdown, node order.
     pub nodes: Vec<NodeTelemetryReport>,
 }
 
 impl TelemetryReport {
-    /// Digest a single hub's cumulative state (non-destructive: the
-    /// trace ring is left intact for a later `--trace-out` export).
-    pub fn from_hub(hub: &kcache::ObsHub) -> TelemetryReport {
-        let snap = hub.snapshot();
-        let (epochs, discarded) = hub.epoch_counts();
-        TelemetryReport {
-            trace_dropped: hub.trace_dropped(),
-            epochs_logged: epochs as u64,
-            epochs_discarded: discarded,
-            counters: snap.counters,
-            gauges: snap.gauges,
-            histograms: digest_histograms(snap.histograms),
-            slo: Vec::new(),
-            nodes: Vec::new(),
-        }
-    }
-
-    /// Digest a finished run's federated telemetry plane: cluster
-    /// rollup, SLO lines, and (on per-node topologies) the node
-    /// breakdown. `None` when the run had telemetry off.
+    /// Digest a finished run's telemetry plane: cluster rollup, SLO
+    /// lines and the node breakdown. `None` when the run had telemetry
+    /// off.
     pub fn from_run(r: &crate::experiment::ExperimentResult) -> Option<TelemetryReport> {
         let cluster = r.obs.as_ref()?;
         let rollup = cluster.rollup();
-        let (epochs, discarded) = cluster.epoch_counts();
-        let nodes = if cluster.is_shared() {
-            Vec::new()
-        } else {
-            cluster
-                .hubs()
-                .map(|(name, hub)| {
-                    let snap = hub.snapshot();
-                    let (e, d) = hub.epoch_counts();
-                    NodeTelemetryReport {
-                        node: name.to_string(),
-                        trace_dropped: hub.trace_dropped(),
-                        epochs_logged: e as u64,
-                        epochs_discarded: d,
-                        counters: snap.counters,
-                        gauges: snap.gauges,
-                        histograms: digest_histograms(snap.histograms),
-                    }
-                })
-                .collect()
-        };
+        let nodes = cluster
+            .hubs()
+            .map(|(name, hub)| {
+                let snap = hub.snapshot();
+                NodeTelemetryReport {
+                    node: name.to_string(),
+                    trace_dropped: hub.trace_dropped(),
+                    counters: snap.counters,
+                    gauges: snap.gauges,
+                    histograms: digest_histograms(snap.histograms),
+                }
+            })
+            .collect();
         Some(TelemetryReport {
             trace_dropped: cluster.trace_dropped(),
-            epochs_logged: epochs as u64,
-            epochs_discarded: discarded,
             counters: rollup.counters,
             gauges: rollup.gauges,
             histograms: digest_histograms(rollup.histograms),

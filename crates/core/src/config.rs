@@ -166,17 +166,9 @@ pub struct CacheConfig {
     /// Write-behind on (the paper's design) or off (write-through
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
-    /// `Some` wires the `kcache-obs` observability hub through the
-    /// module and its buffer manager: lock-free metric counters on the
-    /// hit path, structured trace events (miss fills, eviction scans,
-    /// iod reads, epoch ticks, controller decisions), epoch-aligned
-    /// metric snapshots. The cluster builder assigns each node its own
-    /// per-node hub (federated by `ClusterObs`); handing one shared hub
-    /// to every node still works. `None` (the default) keeps every hot
-    /// path at one never-taken branch.
-    pub obs: Option<std::sync::Arc<kcache_obs::ObsHub>>,
-    /// Fetch-latency SLO target; only consulted when `obs` is wired (a
-    /// fetch slower than the target increments `slo.fetch.burn.default`).
+    /// Fetch-latency SLO target; only consulted when the module is given
+    /// a hub (a fetch slower than the target increments
+    /// `slo.fetch.burn.default`).
     pub slo: kcache_obs::SloTargets,
     /// Independent buffer-manager shards the frame pool is split into
     /// (capacity, watermarks and quotas divide across them; blocks route
@@ -201,7 +193,6 @@ impl CacheConfig {
             flush_interval: Dur::millis(500),
             flush_batch: 64,
             write_behind: true,
-            obs: None,
             slo: kcache_obs::SloTargets::default(),
             shards: 1,
         }

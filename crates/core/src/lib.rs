@@ -47,8 +47,8 @@ pub use kcache_adaptive as adaptive;
 pub use kcache_adaptive::{AdaptiveConfig, AdaptivePolicy};
 
 /// The observability subsystem (lock-free metrics, the structured trace
-/// ring, epoch-aligned snapshots), re-exported so downstream consumers
-/// (the cluster harness, experiment binaries) wire one [`obs::ObsHub`]
-/// through [`CacheConfig`] without a direct `kcache-obs` dependency.
+/// ring, per-node snapshots), re-exported so downstream consumers (the
+/// cluster harness, experiment binaries) hand each [`CacheModule`] its
+/// node's [`obs::ObsHub`] without a direct `kcache-obs` dependency.
 pub use kcache_obs as obs;
 pub use kcache_obs::ObsHub;

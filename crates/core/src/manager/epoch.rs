@@ -75,7 +75,7 @@ impl Shard {
     }
 
     /// Epoch-boundary observability (cold path, obs-wired managers only):
-    /// close the hub's metric window, refresh the per-app occupancy and
+    /// mark the boundary in the trace, refresh the per-app occupancy and
     /// ghost-rate gauges, and emit the boundary's adaptive decisions as
     /// trace events. `decision` is what the facade just decided and
     /// applied — the candidate that was live going in, and the directive
@@ -97,10 +97,6 @@ impl Shard {
         decision: Option<(PolicyKind, &EpochDirective)>,
     ) {
         let Some(o) = &self.obs else { return };
-        // Sync the deferred hit/miss mirrors *before* closing the metric
-        // window, so each epoch delta carries exactly its own accesses.
-        self.obs_flush();
-        o.hub.mark_epoch();
         let epoch = access_n / self.epoch.per_epoch as u64;
         o.hub.instant(o.ev_epoch_tick, o.node, 0, epoch, access_n);
         let reg = o.hub.registry();

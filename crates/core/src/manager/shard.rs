@@ -43,11 +43,10 @@ pub(super) struct AtomicStats {
 /// when it is on: the hit/miss/eviction metric counters are not
 /// incremented per event (one additional atomic RMW would cost ~10% of
 /// the lean hit path) but mirror the shard's ledger ([`AppCounts`]),
-/// folded in at sync points — epoch boundaries and
-/// [`BufferManager::obs_flush`](super::BufferManager::obs_flush).
-/// Counters are therefore exact at every epoch mark and export. Trace
-/// events and gauge refreshes live on cold paths only (eviction scans,
-/// epoch boundaries).
+/// folded in by [`BufferManager::obs_flush`](super::BufferManager::obs_flush)
+/// before export, so counters are exact at every export. Trace events
+/// and gauge refreshes live on cold paths only (eviction scans, epoch
+/// boundaries).
 /// Instrumentation is strictly read-only over cache state — a
 /// differential test pins that obs-on and obs-off managers make
 /// byte-for-byte identical decisions.

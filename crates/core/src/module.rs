@@ -27,9 +27,7 @@ use crate::manager::{
     Access, AccessKind, AccessOutcome, BlockBytes, BufferManager, FlushItem, WriteOutcome,
 };
 use bytes::Bytes;
-use kcache_obs::{
-    Counter, EventId, Histogram, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets,
-};
+use kcache_obs::{Counter, EventId, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets};
 use kcache_policy::hash::KeyMap;
 use kcache_policy::AppId;
 use pvfs::{
@@ -102,16 +100,15 @@ struct HarvestNow;
 
 /// Pre-resolved observability handles for the module's fetches.
 /// Mirrors the buffer manager's `ManagerObs`: resolved once at
-/// construction, `None` when the config carries no hub, so the data
+/// construction, `None` when the module is given no hub, so the data
 /// paths pay one never-taken branch.
 struct ModuleObs {
     hub: Arc<ObsHub>,
     /// Trace `pid` lane — one per simulated node.
     node: u32,
-    /// Block fetch latency, from fetch initiation to byte installation.
-    fetch_ns_default: Histogram,
-    /// Fine-grained (≤1/16 relative error) fetch-latency sketch — the
-    /// log2 histogram is too coarse for a p99.
+    /// Block fetch latency, from fetch initiation to byte installation,
+    /// in a fine-grained (≤1/16 relative error) sketch: the SLO line's
+    /// sample count and p50/p95/p99.
     fetch_q_default: QuantileSketch,
     /// SLO target and burn count: a fetch slower than the target burns
     /// error budget.
@@ -125,7 +122,6 @@ impl ModuleObs {
     fn new(hub: Arc<ObsHub>, node: NodeId, slo: SloTargets) -> ModuleObs {
         let r = hub.registry();
         ModuleObs {
-            fetch_ns_default: r.histogram("fetch.ns.default"),
             fetch_q_default: QuantileSketch::new(),
             slo,
             burn_default: r.counter("slo.fetch.burn.default"),
@@ -136,10 +132,8 @@ impl ModuleObs {
         }
     }
 
-    /// Record one fetch latency against the histogram, the sketch and
-    /// the SLO budget.
+    /// Record one fetch latency against the sketch and the SLO budget.
     fn record_fetch(&self, ns: u64) {
-        self.fetch_ns_default.record(ns);
         self.fetch_q_default.record(ns);
         if ns > self.slo.fetch_p99_ns_default {
             self.burn_default.inc();
@@ -179,12 +173,18 @@ pub struct CacheModule {
 }
 
 impl CacheModule {
+    /// `obs` is this node's hub: `Some` wires it through the module and
+    /// its buffer manager (metric mirrors of the hit/miss ledger, trace
+    /// events for miss fills, eviction scans, iod reads, epoch ticks and
+    /// controller decisions, the fetch-latency sketch). `None` keeps
+    /// every hot path at one never-taken branch.
     pub fn new(
         node: NodeId,
         fabric: ActorId,
         cpu: SharedResource,
         costs: CostModel,
         cfg: CacheConfig,
+        obs: Option<Arc<ObsHub>>,
     ) -> CacheModule {
         let cache = Arc::new(
             BufferManager::builder(cfg.capacity_blocks)
@@ -193,11 +193,11 @@ impl CacheModule {
                 .partitioning(cfg.partitioning.clone())
                 .adaptive(cfg.adaptive.clone())
                 .epoch_accesses(cfg.epoch_accesses)
-                .obs(cfg.obs.clone(), node.0 as u32)
+                .obs(obs.clone(), node.0 as u32)
                 .shards(cfg.shards)
                 .build(),
         );
-        let obs = cfg.obs.clone().map(|hub| ModuleObs::new(hub, node, cfg.slo));
+        let obs = obs.map(|hub| ModuleObs::new(hub, node, cfg.slo));
         CacheModule {
             node,
             fabric,

@@ -165,6 +165,7 @@ fn rig_with(cfg: CacheConfig) -> Rig {
         FifoResource::shared("cpu0"),
         CostModel::default(),
         cfg,
+        None,
     );
     let client_port = Port(CLIENT_PORT_BASE);
     module.register_client(client_port, client, kcache::AppId(0));
@@ -426,6 +427,7 @@ fn invalidate_ack_reaches_the_iod_port() {
         FifoResource::shared("cpu"),
         CostModel::default(),
         CacheConfig::paper(),
+        None,
     )));
     // Only node 1's iod port reaches the catcher; the module binds the
     // cache port.

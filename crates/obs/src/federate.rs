@@ -1,21 +1,15 @@
 //! Federation of per-node hubs into one cluster telemetry plane.
 //!
-//! PR 7 gave the cluster a single shared [`ObsHub`]; with per-node
-//! hubs each node's metrics and trace ring are isolated (the node id
-//! still rides in every trace event's `pid`), and [`ClusterObs`] is
-//! the read side: it merges per-node [`MetricsSnapshot`]s into a
-//! cluster rollup, drains every ring into one time-ordered trace, and
-//! renders both with per-node breakdown.
+//! Each node writes into its own [`ObsHub`]: metrics and trace ring are
+//! isolated per node (the node id also rides in every trace event's
+//! `pid`). [`ClusterObs`] is the read side: it merges per-node
+//! [`MetricsSnapshot`]s into a cluster rollup, drains every ring into
+//! one time-ordered trace, and renders both with per-node breakdown.
 //!
 //! Rollup semantics follow [`MetricsSnapshot::accumulate`]: counters
 //! and histograms **sum** across nodes; gauges are levels, so the
 //! rollup keeps the last node's value — read gauge levels from the
 //! per-node breakdown, not the rollup.
-//!
-//! The old single-shared-hub wiring is still supported via
-//! [`ClusterObs::shared`], which federates trivially (one entry); the
-//! differential test in the cluster crate pins per-node totals ==
-//! shared totals on the same workload.
 
 use crate::registry::MetricsSnapshot;
 use crate::trace::{chrome_trace_json, TraceEvent};
@@ -25,42 +19,25 @@ use std::sync::Arc;
 /// Read-side aggregator over every node's [`ObsHub`].
 pub struct ClusterObs {
     nodes: Vec<(String, Arc<ObsHub>)>,
-    shared: bool,
 }
 
 impl ClusterObs {
     /// One private hub per node, labeled `node0..nodeN-1`.
     pub fn per_node(n_nodes: usize, trace_capacity: usize) -> Arc<ClusterObs> {
         Arc::new(ClusterObs {
-            nodes: (0..n_nodes.max(1))
+            nodes: (0..n_nodes)
                 .map(|i| (format!("node{i}"), ObsHub::new(trace_capacity)))
                 .collect(),
-            shared: false,
         })
-    }
-
-    /// Wrap an existing single shared hub (the PR 7 wiring) so every
-    /// consumer can speak `ClusterObs` regardless of topology.
-    pub fn shared(hub: Arc<ObsHub>) -> Arc<ClusterObs> {
-        Arc::new(ClusterObs { nodes: vec![("cluster".to_string(), hub)], shared: true })
-    }
-
-    /// True when all nodes write into one hub (no per-node breakdown).
-    pub fn is_shared(&self) -> bool {
-        self.shared
     }
 
     pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// The hub node `i` should write into (the single hub when shared).
+    /// The hub node `node` writes into. Panics past the last node.
     pub fn hub_for(&self, node: usize) -> Arc<ObsHub> {
-        if self.shared {
-            self.nodes[0].1.clone()
-        } else {
-            self.nodes[node.min(self.nodes.len() - 1)].1.clone()
-        }
+        self.nodes[node].1.clone()
     }
 
     /// Per-node `(label, hub)` pairs, node order.
@@ -78,22 +55,9 @@ impl ClusterObs {
         acc
     }
 
-    /// Per-node `(label, snapshot)` breakdown.
-    pub fn per_node_snapshots(&self) -> Vec<(String, MetricsSnapshot)> {
-        self.nodes.iter().map(|(n, h)| (n.clone(), h.snapshot())).collect()
-    }
-
     /// Trace events dropped across every node's ring.
     pub fn trace_dropped(&self) -> u64 {
         self.nodes.iter().map(|(_, h)| h.trace_dropped()).sum()
-    }
-
-    /// Total epoch windows (logged, discarded) across nodes.
-    pub fn epoch_counts(&self) -> (usize, u64) {
-        self.nodes.iter().fold((0, 0), |(l, d), (_, h)| {
-            let (hl, hd) = h.epoch_counts();
-            (l + hl, d + hd)
-        })
     }
 
     /// Drain every node's trace ring into one timestamp-ordered event
@@ -115,27 +79,18 @@ impl ClusterObs {
 
     /// Cluster rollup + per-node breakdown as one JSON document.
     pub fn metrics_json(&self) -> String {
-        let (epochs, discarded) = self.epoch_counts();
         let mut out = String::from("{\n  \"cluster\": ");
         out.push_str(&self.rollup().to_json());
-        out.push_str(&format!(
-            ",\n  \"trace_dropped\": {},\n  \"epochs_logged\": {},\n  \"epochs_discarded\": {},",
-            self.trace_dropped(),
-            epochs,
-            discarded
-        ));
+        out.push_str(&format!(",\n  \"trace_dropped\": {},", self.trace_dropped()));
         out.push_str("\n  \"nodes\": {");
         for (i, (name, hub)) in self.nodes.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let (el, ed) = hub.epoch_counts();
             out.push_str(&format!(
-                "\n    \"{}\": {{\"trace_dropped\":{},\"epochs_logged\":{},\"epochs_discarded\":{},\"snapshot\":{}}}",
+                "\n    \"{}\": {{\"trace_dropped\":{},\"snapshot\":{}}}",
                 crate::trace::escape_json(name),
                 hub.trace_dropped(),
-                el,
-                ed,
                 hub.snapshot().to_json()
             ));
         }
@@ -146,10 +101,7 @@ impl ClusterObs {
 
 impl std::fmt::Debug for ClusterObs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClusterObs")
-            .field("nodes", &self.nodes.len())
-            .field("shared", &self.shared)
-            .finish()
+        f.debug_struct("ClusterObs").field("nodes", &self.nodes.len()).finish()
     }
 }
 
@@ -170,7 +122,7 @@ mod tests {
         assert_eq!(roll.counters["cache.hits"], 60);
         assert_eq!(roll.histograms["fetch.ns"].count, 3);
         assert_eq!(roll.histograms["fetch.ns"].sum, 600);
-        let nodes = cluster.per_node_snapshots();
+        let nodes: Vec<_> = cluster.hubs().map(|(n, h)| (n, h.snapshot())).collect();
         assert_eq!(nodes.len(), 3);
         assert_eq!(nodes[0].0, "node0");
         assert_eq!(nodes[2].1.counters["cache.hits"], 30);
@@ -196,17 +148,5 @@ mod tests {
         let ev = cluster.drain_trace();
         assert_eq!(ev.iter().map(|e| e.ts_ns).collect::<Vec<_>>(), vec![100, 200, 300]);
         assert!(cluster.drain_trace().is_empty(), "drain is destructive");
-    }
-
-    #[test]
-    fn shared_wrapper_routes_every_node_to_one_hub() {
-        let hub = ObsHub::new(64);
-        let cluster = ClusterObs::shared(hub.clone());
-        assert!(cluster.is_shared());
-        assert_eq!(cluster.node_count(), 1);
-        cluster.hub_for(0).registry().counter("c").inc();
-        cluster.hub_for(7).registry().counter("c").inc();
-        assert_eq!(hub.snapshot().counters["c"], 2);
-        assert_eq!(cluster.rollup().counters["c"], 2);
     }
 }

@@ -2,10 +2,7 @@
 //!
 //! Handles are resolved **once** (at wiring time, under a mutex) and
 //! cached by the instrumented component; after that the hot path never
-//! touches the registry. Snapshots are point-in-time copies;
-//! [`MetricsSnapshot::delta`] subtracts an earlier snapshot so the
-//! epoch-aligned export can report per-epoch activity while the cells
-//! themselves stay monotonic.
+//! touches the registry. Snapshots are point-in-time copies.
 
 use crate::metrics::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
@@ -81,20 +78,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .map(|(i, b)| b.saturating_sub(earlier.buckets.get(i).copied().unwrap_or(0)))
-            .collect();
-        HistogramSnapshot {
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            buckets,
-        }
-    }
-
     fn accumulate(&mut self, d: &HistogramSnapshot) {
         self.count += d.count;
         self.sum += d.sum;
@@ -129,9 +112,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// Point-in-time metric values (or, after [`delta`](Self::delta), the
-/// activity between two points in time). Counters and histograms
-/// subtract; gauges are levels, so a delta keeps the later value.
+/// Point-in-time metric values.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<String, u64>,
@@ -140,31 +121,10 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Activity between `earlier` and `self`. Cells registered after
-    /// `earlier` was taken count from zero.
-    pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, v)| {
-                    (n.clone(), v.saturating_sub(earlier.counters.get(n).copied().unwrap_or(0)))
-                })
-                .collect(),
-            gauges: self.gauges.clone(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(n, h)| {
-                    (n.clone(), h.delta(earlier.histograms.get(n).unwrap_or(&Default::default())))
-                })
-                .collect(),
-        }
-    }
-
-    /// Fold a delta into an accumulator — the inverse of [`delta`],
-    /// used by the snapshot-invariant tests: summing every epoch delta
-    /// must reproduce the cumulative totals.
+    /// Fold another snapshot into an accumulator — how
+    /// [`ClusterObs::rollup`](crate::ClusterObs::rollup) merges nodes.
+    /// Counters and histograms sum; gauges are levels, so the last
+    /// folded value wins.
     pub fn accumulate(&mut self, d: &MetricsSnapshot) {
         for (n, v) in &d.counters {
             *self.counters.entry(n.clone()).or_insert(0) += v;
@@ -201,22 +161,6 @@ impl MetricsSnapshot {
         out.push_str("}}");
         out
     }
-
-    /// Plain-text summary, one metric per line.
-    pub fn summary_text(&self) -> String {
-        let mut out = String::new();
-        for (n, v) in &self.counters {
-            out.push_str(&format!("counter {n} = {v}\n"));
-        }
-        for (n, v) in &self.gauges {
-            out.push_str(&format!("gauge   {n} = {v}\n"));
-        }
-        for (n, h) in &self.histograms {
-            let mean = if h.count > 0 { h.sum as f64 / h.count as f64 } else { 0.0 };
-            out.push_str(&format!("hist    {n}: count={} mean={:.1}\n", h.count, mean));
-        }
-        out
-    }
 }
 
 fn push_map<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, String)>) {
@@ -251,32 +195,6 @@ mod tests {
         let h = r.histogram("h");
         r.histogram("h").record(12);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn delta_subtracts_and_accumulate_inverts() {
-        let r = MetricRegistry::new();
-        let c = r.counter("c");
-        let h = r.histogram("h");
-        let g = r.gauge("g");
-        c.add(3);
-        h.record(10);
-        g.set(1);
-        let s0 = r.snapshot();
-        c.add(5);
-        h.record(20);
-        h.record(30);
-        g.set(2);
-        let s1 = r.snapshot();
-        let d = s1.delta(&s0);
-        assert_eq!(d.counters["c"], 5);
-        assert_eq!(d.histograms["h"].count, 2);
-        assert_eq!(d.histograms["h"].sum, 50);
-        assert_eq!(d.gauges["g"], 2);
-
-        let mut acc = s0.clone();
-        acc.accumulate(&d);
-        assert_eq!(acc, s1);
     }
 
     #[test]

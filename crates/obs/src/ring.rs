@@ -63,10 +63,6 @@ impl<const W: usize> SlotRing<W> {
         }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Pushes refused because the ring was full.
     pub fn refused(&self) -> u64 {
         self.refused.load(Ordering::Relaxed)

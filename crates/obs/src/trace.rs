@@ -76,10 +76,6 @@ impl TraceRing {
         TraceRing { ring: SlotRing::new(capacity), names: Mutex::new(Vec::new()) }
     }
 
-    pub fn capacity(&self) -> usize {
-        self.ring.capacity()
-    }
-
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.ring.refused()

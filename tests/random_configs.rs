@@ -336,10 +336,11 @@ fn the_retired_singleton_preserving_key_is_ignored() {
 
 /// Keys retired with the mechanisms they configured: the whole
 /// `cooperative` section (here the exact one the benchmark generates),
-/// `telemetry.slo.fetch_p99_ms_peer` and
-/// `telemetry.anomaly.stale_hints_per_epoch`. A config carrying them
-/// parses, lowers to what the config without them lowers to, and runs
-/// the same simulation to the bit.
+/// `telemetry.slo.fetch_p99_ms_peer` and the whole `telemetry.anomaly`
+/// section (`stale_hints_per_epoch`, `hit_ratio_drop`,
+/// `min_epoch_accesses`, `trace_drops_per_epoch`). A config carrying
+/// them parses, lowers to what the config without them lowers to, and
+/// runs the same simulation to the bit.
 #[test]
 fn retired_keys_parse_and_change_nothing() {
     let with = |cooperative: &str, slo: &str, anomaly: &str| {
@@ -360,7 +361,8 @@ fn retired_keys_parse_and_change_nothing() {
     let (old_cfg, old_spec, old_apps) = with(
         r#", "cooperative":{"enabled":true,"directory":"authoritative","singleton_preserving":true}"#,
         r#""fetch_p99_ms_peer": 2.5"#,
-        r#""stale_hints_per_epoch": 9"#,
+        r#""stale_hints_per_epoch": 9, "hit_ratio_drop": 0.05, "min_epoch_accesses": 1,
+            "trace_drops_per_epoch": 1"#,
     );
     assert_eq!(old_cfg, cfg);
     assert_eq!(format!("{old_spec:?}"), format!("{spec:?}"));

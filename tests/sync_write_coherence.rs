@@ -93,6 +93,7 @@ impl Rig {
             FifoResource::shared("cpu1"),
             CostModel::default(),
             cfg,
+            None,
         );
         module.register_client(PORT, probe_a, AppId(0));
         let module = eng.add_actor(Box::new(module));

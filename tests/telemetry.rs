@@ -1,10 +1,10 @@
-//! Cluster telemetry plane, end to end: federated per-node hubs must
-//! agree with a single shared hub on every total, and the telemetry
+//! Cluster telemetry plane, end to end: the per-node hubs' rollup must
+//! agree with the run's own ledgers on every total, and the telemetry
 //! report must surface per-node breakdowns plus SLO percentiles.
 
-use cluster_harness::{run_experiment, ClusterSpec, TelemetryReport};
+use cluster_harness::{build, run_experiment, ClusterSpec, TelemetryReport};
 use kcache::obs::{ClusterObs, DEFAULT_TRACE_CAPACITY};
-use kcache::{CacheConfig, ObsHub};
+use kcache::CacheConfig;
 use sim_core::Dur;
 use sim_net::NodeId;
 use workload::{AppSpec, Mode};
@@ -55,59 +55,52 @@ fn shared_apps() -> Vec<AppSpec> {
     ]
 }
 
+/// `cold_spec` with one hub per node.
+fn observed_spec() -> ClusterSpec {
+    let mut spec = cold_spec(small_cache());
+    spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
+    spec
+}
+
 #[test]
-fn federated_per_node_totals_match_shared_hub_totals() {
-    // The same deterministic workload, observed two ways: one hub shared
-    // by every module vs one hub per node federated by ClusterObs. The
-    // topology must not change what is counted — rollup counters and
-    // histogram totals have to agree exactly. (Gauges legitimately
-    // differ: concurrent modules clobber one shared gauge cell, which is
-    // exactly the artifact federation removes.)
-    let shared_spec =
-        cold_spec(CacheConfig { obs: Some(ObsHub::new(DEFAULT_TRACE_CAPACITY)), ..small_cache() });
-    let shared_run = run_experiment(&shared_spec, &shared_apps());
-    assert!(shared_run.completed);
-    let shared = shared_run.obs.as_ref().expect("shared hub wraps into a ClusterObs");
-    assert!(shared.is_shared());
-    let shared_rollup = shared.rollup();
+fn telemetry_rollup_matches_the_run_ledgers() {
+    // The hit/miss/eviction counters are mirrors of the buffer managers'
+    // ledgers and the SLO sketch records every disk fetch: the rollup
+    // over the per-node hubs has to reproduce the run's own `CacheStats`
+    // and `ModuleStats` exactly, not merely approximately.
+    let r = run_experiment(&observed_spec(), &shared_apps());
+    assert!(r.completed);
+    let rollup = r.obs.as_ref().expect("the spec carries its ClusterObs").rollup();
+    let sum = |prefix: &str| -> u64 {
+        rollup.counters.iter().filter(|(n, _)| n.starts_with(prefix)).map(|(_, v)| v).sum()
+    };
+    let cache = r.cache.as_ref().expect("caching run");
+    assert!(cache.hits > 0 && cache.misses > 0, "the run must both hit and miss: {cache:?}");
+    assert_eq!(sum("cache.hits."), cache.hits);
+    assert_eq!(sum("cache.misses."), cache.misses);
+    assert_eq!(rollup.counters["cache.evictions_clean"], cache.evictions_clean);
+    assert_eq!(rollup.counters["cache.evictions_dirty"], cache.evictions_dirty);
 
-    let mut fed_spec = cold_spec(small_cache());
-    fed_spec.obs = Some(ClusterObs::per_node(fed_spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
-    let fed_run = run_experiment(&fed_spec, &shared_apps());
-    assert!(fed_run.completed);
-    let fed = fed_run.obs.as_ref().expect("federated spec carries its ClusterObs");
-    assert!(!fed.is_shared());
-    let fed_rollup = fed.rollup();
+    let fetched = r.module.as_ref().expect("caching run").disk_fetch_blocks;
+    let [line] = r.slo.as_deref().expect("telemetry run reports an SLO line") else {
+        panic!("one SLO line expected: {:?}", r.slo);
+    };
+    assert!(fetched > 0, "cold disks: fetches must happen");
+    assert_eq!(line.samples, fetched, "the sketch must record every disk fetch");
+}
 
-    assert_eq!(
-        shared_rollup.counters, fed_rollup.counters,
-        "per-node counter totals must match the shared hub"
-    );
-    assert_eq!(
-        shared_rollup.histograms.keys().collect::<Vec<_>>(),
-        fed_rollup.histograms.keys().collect::<Vec<_>>()
-    );
-    for (name, s) in &shared_rollup.histograms {
-        let f = &fed_rollup.histograms[name];
-        assert_eq!((s.count, s.sum), (f.count, f.sum), "histogram {name} diverged");
-        assert_eq!(s.buckets, f.buckets, "histogram {name} bucket shape diverged");
-    }
-    // Same workload, same SLO sketches.
-    let s_slo = shared_run.slo.as_ref().expect("telemetry run reports SLO lines");
-    let f_slo = fed_run.slo.as_ref().unwrap();
-    assert_eq!(s_slo.len(), f_slo.len());
-    for (a, b) in s_slo.iter().zip(f_slo) {
-        assert_eq!(
-            (a.class.as_str(), a.samples, a.p99_ns),
-            (b.class.as_str(), b.samples, b.p99_ns)
-        );
-    }
+#[test]
+#[should_panic(expected = "the telemetry plane has 3 hubs for 6 nodes")]
+fn build_rejects_fewer_hubs_than_nodes() {
+    let mut spec = cold_spec(small_cache());
+    assert_eq!(spec.n_nodes, 6);
+    spec.obs = Some(ClusterObs::per_node(3, DEFAULT_TRACE_CAPACITY));
+    build(&spec, &shared_apps());
 }
 
 #[test]
 fn telemetry_report_breaks_out_nodes_and_slo_percentiles() {
-    let mut spec = cold_spec(small_cache());
-    spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
+    let spec = observed_spec();
     let r = run_experiment(&spec, &shared_apps());
     assert!(r.completed);
 
