@@ -5,6 +5,7 @@
 
 use super::admission::GlobalQuotas;
 use super::epoch::EpochClock;
+use super::frame::OwnContent;
 use super::shard::Shard;
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem};
 use crate::block::{BlockKey, Span};
@@ -391,7 +392,13 @@ impl BufferManager {
     pub fn access(&self, key: BlockKey, req: Access<'_>) -> AccessOutcome {
         let shard = self.shard_of(&key);
         if self.shards.len() > 1
-            && matches!(req.kind, AccessKind::Write { .. } | AccessKind::InsertClean { .. })
+            && matches!(
+                req.kind,
+                AccessKind::Write { .. }
+                    | AccessKind::WriteDescribed { .. }
+                    | AccessKind::InsertClean { .. }
+                    | AccessKind::InsertDescribed { .. }
+            )
         {
             self.pre_admit_spill(shard, &key, req.app);
         }
@@ -410,6 +417,15 @@ impl BufferManager {
     /// propagation); see the shard implementation for semantics.
     pub fn update_if_present(&self, key: BlockKey, span: Span, bytes: &[u8]) -> bool {
         let updated = self.shard_of(&key).update_if_present(key, span, bytes);
+        self.maybe_epoch();
+        updated
+    }
+
+    /// [`update_if_present`](Self::update_if_present) with the block's own
+    /// content over `span`: the caller recognised a descriptor naming
+    /// exactly this block and span, so a described frame stays described.
+    pub fn update_if_present_described(&self, key: BlockKey, span: Span) -> bool {
+        let updated = self.shard_of(&key).update_if_present(key, span, OwnContent);
         self.maybe_epoch();
         updated
     }

@@ -2,22 +2,78 @@
 //!
 //! A frame's valid span holds either **stored** bytes, in a 4 KB buffer the
 //! frame allocates the first time it stores any and keeps across tenants,
-//! or is **described**: every byte it took in was verified to be the file's
-//! own content (`pvfs::pattern_matches`) at the resident block's offsets —
-//! the representation `BlockFs` gives the iod's blocks. The rule is the
-//! same on every path that brings bytes in (an install, a write-behind
-//! absorb, a sync-write refresh): bytes the file's content reproduces are
-//! recorded as described and copied nowhere; any other bytes are stored. A
-//! merge that does not match a described frame first generates the frame's
-//! valid span into the buffer, then overlays the new bytes. A hit or a
-//! flush snapshot of a described frame generates from the frame's own key
-//! (the block its bytes were verified as), so bytes that failed the check
-//! stay stored, and every later reader sees them.
+//! or is **described**: every byte it took in is the file's own content at
+//! the resident block's offsets — the representation `BlockFs` gives the
+//! iod's blocks. The rule is the same on every path that brings data in (an
+//! install, a write-behind absorb, a sync-write refresh): bytes are
+//! compared once (`pvfs::pattern_matches`), and those the file's content
+//! reproduces are recorded as described and copied nowhere; any other
+//! bytes are stored. Data that arrived as a descriptor the caller
+//! recognised as naming this very block and span ([`OwnContent`]) is
+//! recorded as described with no compare. A merge that does not match a
+//! described frame first generates the frame's valid span into the buffer,
+//! then overlays the new bytes. A hit or a flush snapshot of a described
+//! frame is made from the frame's own key (the block its content was
+//! recognised as), so bytes that failed the check stay stored, and every
+//! later reader sees them.
 
 use super::FlushItem;
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
-use pvfs::{pattern_extend, pattern_fill, pattern_matches, Fid};
+use bytes::Bytes;
+use pvfs::{pattern_extend, pattern_fill, pattern_matches, Fid, Segment};
 use sim_net::NodeId;
+
+/// What an install, a write-behind absorb or a sync-write refresh brings
+/// into a frame's span: bytes (`&[u8]`, compared once), or [`OwnContent`].
+/// Install paths are generic over it, so each variant is matched once, at
+/// the top, and the bytes path takes no per-block branch for the other.
+pub(super) trait Incoming: Copy {
+    /// A new tenant: `span` of `key` becomes the frame's valid span.
+    fn take_in(self, f: &mut Frame, key: BlockKey, span: Span);
+    /// Merge `span` (mergeable with the valid span) into the frame.
+    fn merge(self, f: &mut Frame, span: Span);
+}
+
+impl Incoming for &[u8] {
+    fn take_in(self, f: &mut Frame, key: BlockKey, span: Span) {
+        debug_assert_eq!(self.len(), span.len() as usize);
+        f.take_in(key, span, self)
+    }
+
+    fn merge(self, f: &mut Frame, span: Span) {
+        debug_assert_eq!(self.len(), span.len() as usize);
+        f.merge(span, self)
+    }
+}
+
+/// The resident block's own content over the span: a descriptor the
+/// caller recognised as naming exactly this block and span.
+#[derive(Clone, Copy)]
+pub(super) struct OwnContent;
+
+impl Incoming for OwnContent {
+    fn take_in(self, f: &mut Frame, key: BlockKey, span: Span) {
+        debug_assert!(f.key.is_none());
+        f.key = Some(key);
+        f.valid = span;
+        f.described = true;
+    }
+
+    /// A described frame stays described; a stored one has the content
+    /// generated into its buffer.
+    fn merge(self, f: &mut Frame, span: Span) {
+        debug_assert!(f.valid.mergeable(span));
+        if !f.described {
+            let (fid, offset) = f.origin();
+            pattern_fill(
+                fid,
+                offset + span.start as u64,
+                &mut f.buffer()[span.start as usize..span.end as usize],
+            );
+        }
+        f.valid = f.valid.merge(span);
+    }
+}
 
 #[derive(Debug)]
 pub(super) struct Frame {
@@ -77,7 +133,7 @@ impl Frame {
 
     /// A new tenant: `span` of block `key` becomes the valid span,
     /// described when the file's content reproduces every byte, else stored.
-    pub(super) fn take_in(&mut self, key: BlockKey, span: Span, bytes: &[u8]) {
+    fn take_in(&mut self, key: BlockKey, span: Span, bytes: &[u8]) {
         debug_assert!(self.key.is_none());
         self.key = Some(key);
         self.valid = span;
@@ -91,7 +147,7 @@ impl Frame {
     /// block. A described frame stays described when the block's content
     /// reproduces the bytes; otherwise its valid span is generated into the
     /// buffer first, and the bytes overlaid.
-    pub(super) fn merge(&mut self, span: Span, bytes: &[u8]) {
+    fn merge(&mut self, span: Span, bytes: &[u8]) {
         debug_assert!(self.valid.mergeable(span));
         if self.described {
             let (fid, offset) = self.origin();
@@ -111,9 +167,10 @@ impl Frame {
         self.valid = self.valid.merge(span);
     }
 
-    /// The file and offset a described frame's bytes are generated from.
+    /// The file and offset of the resident block's first byte: a
+    /// described frame's bytes are generated from here.
     fn origin(&self) -> (Fid, u64) {
-        let key = self.key.expect("a described frame holds a block");
+        let key = self.key.expect("the frame holds a block");
         (key.fid, key.offset())
     }
 
@@ -138,8 +195,9 @@ impl Frame {
 }
 
 /// The bytes a resident block holds over one span, as a read hit hands
-/// them to its caller: a window of the frame's stored bytes, or generated
-/// from the file's content straight into the caller's buffer.
+/// them to its caller: a window of the frame's stored bytes, or the file's
+/// content there — handed on as a descriptor ([`segment`](Self::segment))
+/// or generated into the caller's buffer.
 pub struct BlockBytes<'a>(Src<'a>);
 
 enum Src<'a> {
@@ -167,18 +225,26 @@ impl BlockBytes<'_> {
         }
     }
 
-    /// Append the bytes to `out`, with no zero-fill first.
-    pub fn append_to(&self, out: &mut Vec<u8>) {
+    /// The bytes as one payload segment: a described frame's as the
+    /// descriptor of its block's content, a stored frame's copied.
+    pub fn segment(&self) -> Segment {
         match self.0 {
-            Src::Stored(b) => out.extend_from_slice(b),
-            Src::Described { fid, offset, len } => pattern_extend(fid, offset, len, out),
+            Src::Stored(b) => Segment::Bytes(Bytes::copy_from_slice(b)),
+            Src::Described { fid, offset, len } => {
+                Segment::Described { fid, offset, len: len as u32 }
+            }
         }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.len());
-        self.append_to(&mut out);
-        out
+        match self.0 {
+            Src::Stored(b) => b.to_vec(),
+            Src::Described { fid, offset, len } => {
+                let mut out = Vec::with_capacity(len);
+                pattern_extend(fid, offset, len, &mut out);
+                out
+            }
+        }
     }
 }
 

@@ -212,9 +212,8 @@ pub enum AccessKind<'a> {
     Read { span: Span, out: &'a mut [u8] },
     /// [`Read`](Self::Read) that, on a hit, hands the `span.len()` bytes
     /// to `sink` (not called on a miss) instead of writing them into a
-    /// buffer the caller had to initialize — a multi-block reply is
-    /// appended block by block to a `Vec::with_capacity`, a described
-    /// frame's bytes generated straight into it.
+    /// buffer the caller had to initialize — a reply takes them block by
+    /// block as payload segments, a described frame's as its descriptor.
     ReadWith { span: Span, sink: &'a mut dyn FnMut(BlockBytes<'_>) },
     /// Hit check without copying (request-split planning). Counts the
     /// same hit/miss accounting as a read but does not refresh recency —
@@ -223,10 +222,19 @@ pub enum AccessKind<'a> {
     /// Write-behind absorb: on [`WriteOutcome::Absorbed`] the block is
     /// dirty in cache and the write can be acknowledged locally.
     Write { home: NodeId, span: Span, bytes: &'a [u8] },
+    /// [`Write`](Self::Write) of the block's own content over `span`: the
+    /// caller recognised a descriptor naming exactly this block and span
+    /// (its file, and the offset of `span`). Absorbed as a described
+    /// frame, no byte compared or copied.
+    WriteDescribed { home: NodeId, span: Span },
     /// Install fetched (clean) bytes — the tail of a miss, so no hit/miss
     /// is counted. May evict; a sacrificed dirty frame comes back as a
     /// flush snapshot.
     InsertClean { home: NodeId, span: Span, bytes: &'a [u8] },
+    /// [`InsertClean`](Self::InsertClean) of the block's own content over
+    /// `span`, recognised as for [`WriteDescribed`](Self::WriteDescribed):
+    /// installed as a described frame, no byte compared or copied.
+    InsertDescribed { home: NodeId, span: Span },
     /// Attribute a use of the block to the accessor without copying data
     /// — the cache module's secondary waiters, when one fetch satisfies
     /// several applications, so sharing-aware policies see every
@@ -249,8 +257,9 @@ impl<'a> Access<'a> {
 }
 
 /// What an [`BufferManager::access`] call produced, by request kind:
-/// `Read`/`ReadWith`/`Probe`/`Touch` yield `Hit`/`Miss`, `Write` yields
-/// `Write(..)`, `InsertClean` yields `Inserted(..)`.
+/// `Read`/`ReadWith`/`Probe`/`Touch` yield `Hit`/`Miss`, `Write` and
+/// `WriteDescribed` yield `Write(..)`, `InsertClean` and `InsertDescribed`
+/// yield `Inserted(..)`.
 #[derive(Debug, PartialEq, Eq)]
 pub enum AccessOutcome {
     Hit,

@@ -9,7 +9,7 @@ use super::counts::{AppCounts, Col};
 use super::epoch::EpochTicker;
 use super::facade::{split_units, BufferManagerBuilder};
 use super::flush::DirtyQueue;
-use super::frame::{BlockBytes, Frame};
+use super::frame::{BlockBytes, Frame, Incoming, OwnContent};
 use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem, WriteOutcome};
 use crate::block::{BlockKey, Span};
 use kcache_adaptive::AdaptivePolicy;
@@ -490,21 +490,9 @@ impl Shard {
             }
             AccessKind::ReadWith { span, sink } => self.read_impl(key, span, app, sink),
             AccessKind::Probe { span } => self.probe_impl(key, span, app),
-            // Never sacrifice dirty data for new writes (the paper's
-            // write-blocking point) — and never let a write push its app
-            // over a strict quota.
-            AccessKind::Write { home, span, bytes } => {
-                AccessOutcome::Write(match self.install(key, home, span, bytes, app, true) {
-                    Some(flush) => {
-                        debug_assert!(flush.is_none(), "clean eviction cannot yield a flush");
-                        self.stats.writes_absorbed.inc();
-                        WriteOutcome::Absorbed
-                    }
-                    None => {
-                        self.stats.writes_passthrough.inc();
-                        WriteOutcome::PassThrough
-                    }
-                })
+            AccessKind::Write { home, span, bytes } => self.write_impl(key, home, span, bytes, app),
+            AccessKind::WriteDescribed { home, span } => {
+                self.write_impl(key, home, span, OwnContent, app)
             }
             // Refused: cache wedged (all frames contended) or the app's
             // strict quota denied the install; the fetched bytes are
@@ -512,8 +500,35 @@ impl Shard {
             AccessKind::InsertClean { home, span, bytes } => {
                 AccessOutcome::Inserted(self.install(key, home, span, bytes, app, false).flatten())
             }
+            AccessKind::InsertDescribed { home, span } => AccessOutcome::Inserted(
+                self.install(key, home, span, OwnContent, app, false).flatten(),
+            ),
             AccessKind::Touch => self.touch_impl(key, app),
         }
+    }
+
+    /// A write-behind absorb. Never sacrifices dirty data for new writes
+    /// (the paper's write-blocking point) — and never lets a write push
+    /// its app over a strict quota.
+    fn write_impl(
+        &self,
+        key: BlockKey,
+        home: NodeId,
+        span: Span,
+        content: impl Incoming,
+        app: AppId,
+    ) -> AccessOutcome {
+        AccessOutcome::Write(match self.install(key, home, span, content, app, true) {
+            Some(flush) => {
+                debug_assert!(flush.is_none(), "clean eviction cannot yield a flush");
+                self.stats.writes_absorbed.inc();
+                WriteOutcome::Absorbed
+            }
+            None => {
+                self.stats.writes_passthrough.inc();
+                WriteOutcome::PassThrough
+            }
+        })
     }
 
     /// Hand `span` of `key` to `sink` and count a hit, or count a miss.
@@ -575,11 +590,10 @@ impl Shard {
         key: BlockKey,
         home: NodeId,
         span: Span,
-        bytes: &[u8],
+        content: impl Incoming,
         app: AppId,
         dirty: bool,
     ) -> Option<Option<FlushItem>> {
-        debug_assert_eq!(bytes.len(), span.len() as usize);
         loop {
             {
                 let b = self.bucket(&key);
@@ -594,7 +608,7 @@ impl Shard {
                         }
                         let mut link_dirty = false;
                         if mergeable {
-                            f.merge(span, bytes);
+                            content.merge(&mut f, span);
                             f.home = home;
                         }
                         if dirty {
@@ -633,7 +647,7 @@ impl Shard {
                 }
                 let mut f = self.frame(idx);
                 f.home = home;
-                f.take_in(key, span, bytes);
+                content.take_in(&mut f, key, span);
                 f.dirty = if dirty { span } else { Span::EMPTY };
                 f.in_dirty_list = dirty;
                 b.push((key, idx));
@@ -651,8 +665,12 @@ impl Shard {
     /// the propagated data and, since the server now holds these bytes, any
     /// dirty state covered by the span is cleared. Returns whether the
     /// block was updated.
-    pub(super) fn update_if_present(&self, key: BlockKey, span: Span, bytes: &[u8]) -> bool {
-        debug_assert_eq!(bytes.len(), span.len() as usize);
+    pub(super) fn update_if_present(
+        &self,
+        key: BlockKey,
+        span: Span,
+        content: impl Incoming,
+    ) -> bool {
         let idx = {
             let b = self.bucket(&key);
             let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
@@ -662,7 +680,7 @@ impl Shard {
             if f.key() != Some(key) || !f.valid.mergeable(span) {
                 return false;
             }
-            f.merge(span, bytes);
+            content.merge(&mut f, span);
             if span.covers(f.dirty) {
                 f.dirty = Span::EMPTY;
                 f.in_dirty_list = false;

@@ -32,11 +32,13 @@ use kcache_policy::hash::KeyMap;
 use kcache_policy::AppId;
 use pvfs::{
     ByteRange, CostModel, Fid, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
-    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
+    Payload, ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, CACHE_PORT, IOD_FLUSH_PORT,
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
 use std::any::Any;
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -81,11 +83,54 @@ pub struct ModuleStats {
 struct WaitingRange {
     range: ByteRange,
     missing: Vec<u64>,
-    /// The reply under assembly: `range.len` bytes once any byte has
-    /// landed, empty until then — a range nothing of which was cached is
-    /// usually covered by one arriving `ReadData` and forwarded as a slice
-    /// of it, never copied.
-    buf: Vec<u8>,
+    /// The reply under assembly: each piece that has landed (cached blocks
+    /// at interception, fetched ones as they arrive), at its offset in the
+    /// range. Joined in offset order once the last block lands; a range
+    /// nothing of which was cached is usually covered by one arriving
+    /// `ReadData` and forwarded as a window of it instead.
+    pieces: Vec<(u32, Payload)>,
+}
+
+/// The requests, `(client port, request id)`, waiting on one in-flight
+/// block, in the order they asked: the first inline, as a block mostly has
+/// one.
+struct Waiters {
+    first: (u16, u64),
+    rest: Vec<(u16, u64)>,
+}
+
+impl Waiters {
+    fn iter(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        std::iter::once(self.first).chain(self.rest.iter().copied())
+    }
+}
+
+/// The reply a waiting range's pieces make, in offset order.
+fn join(mut pieces: Vec<(u32, Payload)>) -> Payload {
+    pieces.sort_unstable_by_key(|&(at, _)| at);
+    let mut out = Payload::new();
+    for (_, piece) in pieces {
+        out.extend(piece);
+    }
+    out
+}
+
+/// What `data[lo..hi]` brings into `span` of `key`: the block's own
+/// content when it is one descriptor naming that very place (recognised,
+/// never trusted: a descriptor of anywhere else is its bytes), else its
+/// bytes.
+enum Arrived<'a> {
+    Own,
+    Bytes(Cow<'a, [u8]>),
+}
+
+impl Arrived<'_> {
+    fn of(data: &Payload, lo: usize, hi: usize, key: BlockKey, span: Span) -> Arrived<'_> {
+        match data.described_at(lo, hi) {
+            Some(at) if at == (key.fid, key.offset() + span.start as u64) => Arrived::Own,
+            _ => Arrived::Bytes(data.bytes_at(lo, hi)),
+        }
+    }
 }
 
 /// Per (client, request) fetch state.
@@ -161,7 +206,7 @@ pub struct CacheModule {
     /// fetch when the bytes arrive.
     fetching: KeyMap<BlockKey, SimTime>,
     /// Which pending requests wait on each in-flight block.
-    block_waiters: KeyMap<BlockKey, Vec<(u16, u64)>>,
+    block_waiters: KeyMap<BlockKey, Waiters>,
     /// Resident blocks in flight per flush request (completed on FlushAck).
     inflight_flushes: KeyMap<u64, Vec<(BlockKey, Span)>>,
     flush_seq: u64,
@@ -357,84 +402,90 @@ impl CacheModule {
                 + Dur::nanos(self.costs.cache_lookup_per_block.as_nanos() * total_blocks),
         );
 
-        let mut served: Vec<(ByteRange, Bytes)> = Vec::new();
+        let mut served: Vec<(ByteRange, Payload)> = Vec::new();
         let mut waiting: Vec<WaitingRange> = Vec::new();
         let mut fetch_ranges: Vec<ByteRange> = Vec::new();
         let mut hit_blocks = 0u64;
-        let mut waited_keys: Vec<BlockKey> = Vec::new();
 
         for r in &rr.ranges {
-            // Blocks come in offset order, so hits append straight from
-            // their frames. A missing block's bytes land at arrival; the
-            // gap it leaves is zero-filled only once a later hit needs its
-            // place, so a range with no cached block allocates nothing.
-            let mut buf: Vec<u8> = Vec::new();
-            let mut gap = 0usize;
+            // Blocks come in offset order, so a run of hits appends
+            // straight from the frames to one payload: a described frame
+            // as its descriptor, adjacent ones merged. A missing block
+            // closes the run as a piece at its offset in the range.
+            let mut run = Payload::new();
+            let mut run_at = 0u32;
+            let mut pieces: Vec<(u32, Payload)> = Vec::new();
             let mut missing: Vec<u64> = Vec::new();
             for blk in blocks_of_range(r.offset, r.len) {
                 let span = span_in_block(blk, r.offset, r.len);
+                let at = (blk * CACHE_BLOCK_SIZE as u64 + span.start as u64 - r.offset) as u32;
                 let mut append = |src: BlockBytes<'_>| {
-                    if buf.is_empty() {
-                        buf.reserve_exact(r.len as usize);
+                    if run.is_empty() {
+                        run_at = at;
                     }
-                    buf.resize(buf.len() + gap, 0);
-                    src.append_to(&mut buf);
+                    run.push(src.segment());
                 };
                 let kind = AccessKind::ReadWith { span, sink: &mut append };
                 if self.cache.access(BlockKey::new(rr.fid, blk), Access { app, kind }).is_hit() {
                     hit_blocks += 1;
-                    gap = 0;
                 } else {
-                    gap += span.len() as usize;
+                    if !run.is_empty() {
+                        pieces.push((run_at, std::mem::take(&mut run)));
+                    }
                     missing.push(blk);
                 }
             }
             if missing.is_empty() {
-                served.push((*r, Bytes::from(buf)));
+                served.push((*r, run));
             } else {
-                if !buf.is_empty() {
-                    buf.resize(r.len as usize, 0);
+                if !run.is_empty() {
+                    pieces.push((run_at, run));
                 }
-                // Fetch only blocks not already in flight (the FSM's
-                // pending-block state): a concurrent fetch — possibly for a
-                // *different application's* process — will satisfy ours too.
-                let to_fetch: Vec<u64> = missing
-                    .iter()
-                    .copied()
-                    .filter(|blk| !self.fetching.contains_key(&BlockKey::new(rr.fid, *blk)))
-                    .collect();
-                self.stats.dedup_blocks += (missing.len() - to_fetch.len()) as u64;
-                for blk in &missing {
-                    waited_keys.push(BlockKey::new(rr.fid, *blk));
-                }
-                // Block-aligned fetch ranges over the to-fetch blocks,
-                // coalescing adjacent blocks. A cached block in the middle
-                // of the range splits the external request (§3.2).
+                // Wait on every missing block, but fetch only those not
+                // already in flight (the FSM's pending-block state): a
+                // concurrent fetch — possibly for a *different
+                // application's* process — will satisfy ours too. The
+                // fetch ranges are block-aligned, adjacent blocks
+                // coalesced: a cached block in the middle of the range
+                // splits the external request (§3.2).
+                let waiter = (client_port.0, rr.req_id);
                 let mut runs = 0;
-                let mut i = 0;
-                while i < to_fetch.len() {
-                    let start = to_fetch[i];
-                    let mut n = 1u64;
-                    while i + (n as usize) < to_fetch.len() && to_fetch[i + n as usize] == start + n
-                    {
-                        n += 1;
+                for &blk in &missing {
+                    let key = BlockKey::new(rr.fid, blk);
+                    match self.block_waiters.entry(key) {
+                        Entry::Occupied(e) => {
+                            let w = e.into_mut();
+                            if !w.iter().any(|x| x == waiter) {
+                                w.rest.push(waiter);
+                            }
+                        }
+                        Entry::Vacant(e) => {
+                            e.insert(Waiters { first: waiter, rest: Vec::new() });
+                        }
                     }
-                    fetch_ranges.push(ByteRange::new(
-                        start * CACHE_BLOCK_SIZE as u64,
-                        (n * CACHE_BLOCK_SIZE as u64) as u32,
-                    ));
-                    for b in start..start + n {
-                        self.fetching.insert(BlockKey::new(rr.fid, b), now);
+                    if self.fetching.contains_key(&key) {
+                        self.stats.dedup_blocks += 1;
+                        continue;
                     }
-                    runs += 1;
-                    i += n as usize;
+                    self.fetching.insert(key, now);
+                    let at = key.offset();
+                    match fetch_ranges.last_mut() {
+                        // This range's last fetch run ends here: extend it.
+                        Some(last) if runs > 0 && last.end() == at => {
+                            last.len += CACHE_BLOCK_SIZE as u32
+                        }
+                        _ => {
+                            fetch_ranges.push(ByteRange::new(at, CACHE_BLOCK_SIZE as u32));
+                            runs += 1;
+                        }
+                    }
                 }
                 if runs > 1
                     || missing.len() as u64 != blocks_of_range(r.offset, r.len).count() as u64
                 {
                     self.stats.request_splits += 1;
                 }
-                waiting.push(WaitingRange { range: *r, missing, buf });
+                waiting.push(WaitingRange { range: *r, missing, pieces });
             }
         }
 
@@ -477,18 +528,11 @@ impl CacheModule {
                 ReadData { req_id: rr.req_id, fid: rr.fid, range, data },
             );
         }
-        // Register this request as a waiter on every missing block.
-        for key in waited_keys {
-            let entry = self.block_waiters.entry(key).or_default();
-            if !entry.contains(&(client_port.0, rr.req_id)) {
-                entry.push((client_port.0, rr.req_id));
-            }
-        }
         match self.pending.entry((client_port.0, rr.req_id)) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            Entry::Occupied(mut e) => {
                 e.get_mut().waiting.extend(waiting);
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            Entry::Vacant(e) => {
                 debug_assert!(
                     self.clients.contains_key(&client_port.0),
                     "intercepted request from unregistered client"
@@ -542,11 +586,11 @@ impl CacheModule {
                     let lo = (blk * CACHE_BLOCK_SIZE as u64 + span.start as u64 - part.range.offset)
                         as usize;
                     let hi = lo + span.len() as usize;
-                    self.cache.update_if_present(
-                        BlockKey::new(wr.fid, blk),
-                        span,
-                        &part.data[lo..hi],
-                    );
+                    let key = BlockKey::new(wr.fid, blk);
+                    match Arrived::of(&part.data, lo, hi, key, span) {
+                        Arrived::Own => self.cache.update_if_present_described(key, span),
+                        Arrived::Bytes(b) => self.cache.update_if_present(key, span, &b),
+                    };
                 }
             }
             let t = self.charge(
@@ -584,8 +628,13 @@ impl CacheModule {
                 let abs_start = blk * CACHE_BLOCK_SIZE as u64 + span.start as u64;
                 let lo = (abs_start - part.range.offset) as usize;
                 let hi = lo + span.len() as usize;
-                let kind = AccessKind::Write { home: iod_node, span, bytes: &part.data[lo..hi] };
-                match self.cache.access(BlockKey::new(wr.fid, blk), Access { app, kind }) {
+                let key = BlockKey::new(wr.fid, blk);
+                let arrived = Arrived::of(&part.data, lo, hi, key, span);
+                let kind = match &arrived {
+                    Arrived::Own => AccessKind::WriteDescribed { home: iod_node, span },
+                    Arrived::Bytes(b) => AccessKind::Write { home: iod_node, span, bytes: b },
+                };
+                match self.cache.access(key, Access { app, kind }) {
                     AccessOutcome::Write(WriteOutcome::Absorbed) => {
                         absorbed_blocks += 1;
                         absorbed_bytes += span.len() as u64;
@@ -649,7 +698,7 @@ impl CacheModule {
         let hi = (abs_end - part.range.offset) as usize;
         WritePart {
             range: ByteRange::new(abs_start, (abs_end - abs_start) as u32),
-            data: part.data.slice(lo..hi),
+            data: part.data.slice(lo, hi),
         }
     }
 
@@ -673,7 +722,7 @@ impl CacheModule {
         // waiters belonging to *other processes* whose fetches were
         // suppressed by the pending-block state.
         let mut urgent: Vec<FlushItem> = Vec::new();
-        let mut completed: Vec<(Port, u64, Fid, ByteRange, Bytes)> = Vec::new();
+        let mut completed: Vec<(Port, u64, Fid, ByteRange, Payload)> = Vec::new();
         // Earliest fetch-initiation time among the blocks this message
         // resolves — the start of the miss-fill span.
         let mut fetch_t0: Option<SimTime> = None;
@@ -687,19 +736,26 @@ impl CacheModule {
             // an extra referent, once, in waiting order — the
             // inter-application sharing signal the sharing-aware policy
             // ranks by.
-            let waiters: &[(u16, u64)] = self.block_waiters.get(&key).map_or(&[], Vec::as_slice);
-            let app_at = |i: usize| self.app_of(Port(waiters[i].0));
-            let first_app = if waiters.is_empty() { AppId::UNKNOWN } else { app_at(0) };
-            let kind = AccessKind::InsertClean { home, span, bytes: &rd.data[lo..hi] };
+            let waiters = self.block_waiters.get(&key);
+            let first_app = waiters.map_or(AppId::UNKNOWN, |w| self.app_of(Port(w.first.0)));
+            let arrived = Arrived::of(&rd.data, lo, hi, key, span);
+            let kind = match &arrived {
+                Arrived::Own => AccessKind::InsertDescribed { home, span },
+                Arrived::Bytes(b) => AccessKind::InsertClean { home, span, bytes: b },
+            };
             if let AccessOutcome::Inserted(Some(fl)) =
                 self.cache.access(key, Access { app: first_app, kind })
             {
                 urgent.push(fl);
             }
-            for i in 1..waiters.len() {
-                let a = app_at(i);
-                if !(0..i).any(|j| app_at(j) == a) {
-                    self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
+            if let Some(w) = waiters.filter(|w| !w.rest.is_empty()) {
+                let mut seen = vec![first_app];
+                for &(port, _) in &w.rest {
+                    let a = self.app_of(Port(port));
+                    if !seen.contains(&a) {
+                        seen.push(a);
+                        self.cache.access(key, Access { app: a, kind: AccessKind::Touch });
+                    }
                 }
             }
             self.maybe_schedule_harvest(ctx);
@@ -715,7 +771,7 @@ impl CacheModule {
             let Some(waiters) = self.block_waiters.remove(&key) else {
                 continue;
             };
-            for (port, req_id) in waiters {
+            for (port, req_id) in waiters.iter() {
                 let Some(pf) = self.pending.get_mut(&(port, req_id)) else {
                     continue;
                 };
@@ -727,30 +783,27 @@ impl CacheModule {
                     };
                     let wspan = span_in_block(blk, w.range.offset, w.range.len);
                     debug_assert!(span.covers(wspan), "fetch did not cover the waiter span");
-                    // A range that holds no byte yet and lies wholly inside
+                    // A range that holds no piece yet and lies wholly inside
                     // this message is forwarded as a window of it once its
-                    // last block is ticked off; anything else is assembled
-                    // by copying.
-                    let whole = w.buf.is_empty()
+                    // last block is ticked off; anything else is joined
+                    // from pieces.
+                    let whole = w.pieces.is_empty()
                         && rd.range.offset <= w.range.offset
                         && w.range.end() <= rd.range.end();
                     if !whole {
-                        let abs = blk * CACHE_BLOCK_SIZE as u64;
-                        let src_lo = (abs + wspan.start as u64 - rd.range.offset) as usize;
-                        let dst_lo = (abs + wspan.start as u64 - w.range.offset) as usize;
+                        let abs = blk * CACHE_BLOCK_SIZE as u64 + wspan.start as u64;
+                        let src_lo = (abs - rd.range.offset) as usize;
+                        let dst_lo = (abs - w.range.offset) as u32;
                         let n = wspan.len() as usize;
-                        if w.buf.is_empty() {
-                            w.buf = vec![0u8; w.range.len as usize];
-                        }
-                        w.buf[dst_lo..dst_lo + n].copy_from_slice(&rd.data[src_lo..src_lo + n]);
+                        w.pieces.push((dst_lo, rd.data.slice(src_lo, src_lo + n)));
                     }
                     w.missing.remove(pos);
                     if w.missing.is_empty() {
                         let data = if whole {
                             let lo = (w.range.offset - rd.range.offset) as usize;
-                            rd.data.slice(lo..lo + w.range.len as usize)
+                            rd.data.slice(lo, lo + w.range.len as usize)
                         } else {
-                            Bytes::from(std::mem::take(&mut w.buf))
+                            join(std::mem::take(&mut w.pieces))
                         };
                         completed.push((client_port, req_id, fid, w.range, data));
                     }

@@ -3,7 +3,9 @@
 //! installs, write-behind absorbs, merges into resident blocks, sync-write
 //! refreshes, flush rounds, invalidations and evicting installs, with
 //! payloads that are the file's bytes, the file's bytes with one byte
-//! flipped, zeros, over the whole block or part of it. The model is one
+//! flipped, zeros, or a descriptor of the block's own content (the
+//! `*Described` access kinds), over the whole block or part of it. The
+//! model is one
 //! map of block → (valid span, dirty span, 4096 bytes), written where each
 //! op lands; it knows nothing of descriptors. After every step each
 //! resident block reads back its model bytes, and every flush snapshot the
@@ -35,6 +37,8 @@ fn span_of(code: u8) -> Span {
 enum Payload {
     /// The file's bytes.
     Pattern,
+    /// The file's bytes, handed over as a descriptor of them.
+    Described,
     /// The file's bytes, one of them flipped.
     Flipped(u16),
     Zeros,
@@ -43,7 +47,9 @@ enum Payload {
 fn payload(k: BlockKey, span: Span, p: Payload) -> Vec<u8> {
     let len = span.len() as usize;
     match p {
-        Payload::Pattern => pattern_bytes(k.fid, k.offset() + span.start as u64, len).to_vec(),
+        Payload::Pattern | Payload::Described => {
+            pattern_bytes(k.fid, k.offset() + span.start as u64, len).to_vec()
+        }
         Payload::Flipped(at) => {
             let mut v = payload(k, span, Payload::Pattern);
             v[at as usize % len] ^= 0x5a;
@@ -106,10 +112,11 @@ fn run(ops: &[Op]) {
             Op::Install(b, span, p) | Op::Absorb(b, span, p) => {
                 let (k, bytes) = (key(b), payload(key(b), span, p));
                 let dirty = matches!(op, Op::Absorb(..));
-                let kind = if dirty {
-                    AccessKind::Write { home: HOME, span, bytes: &bytes }
-                } else {
-                    AccessKind::InsertClean { home: HOME, span, bytes: &bytes }
+                let kind = match (dirty, p) {
+                    (true, Payload::Described) => AccessKind::WriteDescribed { home: HOME, span },
+                    (false, Payload::Described) => AccessKind::InsertDescribed { home: HOME, span },
+                    (true, _) => AccessKind::Write { home: HOME, span, bytes: &bytes },
+                    (false, _) => AccessKind::InsertClean { home: HOME, span, bytes: &bytes },
                 };
                 let taken = match m.access(k, Access::unattributed(kind)) {
                     AccessOutcome::Inserted(victim) => {
@@ -138,7 +145,10 @@ fn run(ops: &[Op]) {
             }
             Op::Update(b, span, p) => {
                 let (k, bytes) = (key(b), payload(key(b), span, p));
-                let updated = m.update_if_present(k, span, &bytes);
+                let updated = match p {
+                    Payload::Described => m.update_if_present_described(k, span),
+                    _ => m.update_if_present(k, span, &bytes),
+                };
                 let held = model.get_mut(&k).filter(|h| h.valid.mergeable(span));
                 assert_eq!(updated, held.is_some(), "step {step}: update of {k:?}");
                 if let Some(held) = held {
@@ -176,21 +186,22 @@ fn run(ops: &[Op]) {
             let read = AccessKind::Read { span: held.valid, out: &mut out };
             assert!(m.access(*k, Access::unattributed(read)).is_hit(), "step {step}: {k:?}");
             assert!(out == held.at(held.valid), "step {step}: {k:?} reads wrong bytes");
-            // The tail of the valid span, appended to a reply under way.
+            // The tail of the valid span, as the segment a reply carries.
             let tail = Span::new(held.valid.start + held.valid.len() / 2, held.valid.end);
-            let mut reply = vec![7u8; 3];
+            let mut reply = pvfs::Payload::new();
             let read =
-                AccessKind::ReadWith { span: tail, sink: &mut |src| src.append_to(&mut reply) };
+                AccessKind::ReadWith { span: tail, sink: &mut |src| reply.push(src.segment()) };
             assert!(m.access(*k, Access::unattributed(read)).is_hit());
-            assert!(reply[3..] == *held.at(tail), "step {step}: {k:?} appends wrong bytes");
+            assert!(reply == *held.at(tail), "step {step}: {k:?} hands on wrong bytes");
         }
     }
 }
 
 /// The paths one at a time: a described install, a mismatching merge into
 /// it (generated, then overlaid), a matching merge into a stored block, a
-/// dirty described block flushed and then evicted dirty, and frames
-/// passing from stored tenants to described ones and back.
+/// dirty described block flushed and then evicted dirty, frames passing
+/// from stored tenants to described ones and back, and descriptors
+/// installed, absorbed and merged into described and stored frames.
 #[test]
 fn scripted_paths_match_the_model() {
     use Op::*;
@@ -217,19 +228,30 @@ fn scripted_paths_match_the_model() {
         Install(20, full, Pattern),
         Invalidate(20),
         Install(21, full, Zeros),
+        Install(12, head, Described),
+        Install(12, mid, Flipped(3)),
+        Update(12, tail, Described),
+        Absorb(13, mid, Described),
+        Absorb(13, head, Zeros),
+        Absorb(13, tail, Described),
+        FlushRound,
+        Install(14, full, Described),
+        Absorb(14, mid, Described),
+        FlushRound,
     ]);
 }
 
 proptest! {
     #[test]
     fn random_ops_match_the_model(
-        raw in collection::vec((0u8..12, 0u64..8, 0u8..4, 0u8..3, any::<u16>()), 1..200),
+        raw in collection::vec((0u8..12, 0u64..8, 0u8..4, 0u8..4, any::<u16>()), 1..200),
     ) {
         let ops: Vec<Op> = raw
             .into_iter()
             .map(|(code, b, s, p, at)| {
                 let span = span_of(s);
-                let p = [Payload::Pattern, Payload::Flipped(at), Payload::Zeros][p as usize];
+                let p = [Payload::Pattern, Payload::Flipped(at), Payload::Zeros, Payload::Described]
+                    [p as usize];
                 match code {
                     0..=3 => Op::Install(b, span, p),
                     4..=7 => Op::Absorb(b, span, p),

@@ -260,17 +260,19 @@ impl Model {
                 Outcome::Hit
             }
             AccessKind::Touch => Outcome::Miss,
-            AccessKind::Write { span, .. } => match self.install(key, span, app, true) {
-                Some(_) => {
-                    self.stats.writes_absorbed += 1;
-                    Outcome::Absorbed
+            AccessKind::Write { span, .. } | AccessKind::WriteDescribed { span, .. } => {
+                match self.install(key, span, app, true) {
+                    Some(_) => {
+                        self.stats.writes_absorbed += 1;
+                        Outcome::Absorbed
+                    }
+                    None => {
+                        self.stats.writes_passthrough += 1;
+                        Outcome::PassThrough
+                    }
                 }
-                None => {
-                    self.stats.writes_passthrough += 1;
-                    Outcome::PassThrough
-                }
-            },
-            AccessKind::InsertClean { span, .. } => {
+            }
+            AccessKind::InsertClean { span, .. } | AccessKind::InsertDescribed { span, .. } => {
                 Outcome::Inserted(self.install(key, span, app, false).flatten())
             }
         };

@@ -7,8 +7,8 @@
 use kcache::{CacheConfig, CacheModule};
 use pvfs::{
     pattern_bytes, ByteRange, CostModel, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck,
-    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, CACHE_PORT, CLIENT_PORT_BASE,
-    IOD_FLUSH_PORT, IOD_PORT,
+    Payload, ReadAck, ReadData, ReadReq, Segment, WriteAck, WritePart, WriteReq, CACHE_PORT,
+    CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
@@ -17,12 +17,16 @@ use std::any::Any;
 const CLIENT: u16 = 0; // node 0 runs the module + client; node 1 the iod
 const IOD: u16 = 1;
 
-/// Scripted iod: answers read requests with pattern data after a fixed
-/// delay — one byte of block `corrupt` flipped, when set; records
+/// Scripted iod: answers read requests with the file's content after a
+/// fixed delay, described as a real iod describes preloaded blocks — as
+/// bytes when `bytes` is set, or with one byte of block `corrupt` flipped;
+/// block `misdescribe`'s segment names the block after it. Records
 /// everything it sees.
 struct ScriptedIod {
     fabric: ActorId,
+    bytes: bool,
     corrupt: Option<u64>,
+    misdescribe: Option<u64>,
     reads: Vec<ReadReq>,
     writes: Vec<WriteReq>,
     flushes: Vec<FlushBlocks>,
@@ -49,19 +53,28 @@ impl Actor for ScriptedIod {
                 let total: u64 = rr.ranges.iter().map(|r| r.len as u64).sum();
                 self.reply(ctx, rr.reply_to, 64, ReadAck { req_id: rr.req_id, bytes: total });
                 for r in &rr.ranges {
-                    let mut data = pattern_bytes(rr.fid, r.offset, r.len as usize).to_vec();
-                    if let Some(b) = self.corrupt {
-                        let at = b * 4096 + 100;
-                        if (r.offset..r.end()).contains(&at) {
+                    let corrupt_at = self.corrupt.map(|b| b * 4096 + 100);
+                    let data = match corrupt_at.filter(|at| (r.offset..r.end()).contains(at)) {
+                        Some(at) => {
+                            let mut data = pattern_bytes(rr.fid, r.offset, r.len as usize).to_vec();
                             data[(at - r.offset) as usize] ^= 1;
+                            Payload::from(data)
                         }
-                    }
-                    let rd = ReadData {
-                        req_id: rr.req_id,
-                        fid: rr.fid,
-                        range: *r,
-                        data: bytes::Bytes::from(data),
+                        None if self.bytes => {
+                            pattern_bytes(rr.fid, r.offset, r.len as usize).into()
+                        }
+                        None => {
+                            let mut p = Payload::new();
+                            for at in (r.offset..r.end()).step_by(4096) {
+                                let misdescribed = self.misdescribe == Some(at / 4096);
+                                let offset = if misdescribed { at + 4096 } else { at };
+                                let len = 4096.min(r.end() - at) as u32;
+                                p.push(Segment::Described { fid: rr.fid, offset, len });
+                            }
+                            p
+                        }
                     };
+                    let rd = ReadData { req_id: rr.req_id, fid: rr.fid, range: *r, data };
                     let wire = rd.wire_bytes();
                     self.reply(ctx, rr.reply_to, wire, rd);
                 }
@@ -151,7 +164,9 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     let fabric_slot = eng.reserve_actor();
     let iod = eng.add_actor(Box::new(ScriptedIod {
         fabric: fabric_slot,
+        bytes: false,
         corrupt: None,
+        misdescribe: None,
         reads: vec![],
         writes: vec![],
         flushes: vec![],
@@ -208,10 +223,7 @@ fn write_req(req_id: u64, range: ByteRange, sync: bool) -> Xmit {
     let wr = WriteReq {
         req_id,
         fid: Fid(1),
-        parts: vec![WritePart {
-            range,
-            data: pattern_bytes(Fid(1), range.offset, range.len as usize),
-        }],
+        parts: vec![WritePart { range, data: Payload::described(Fid(1), range.offset, range.len) }],
         reply_to: (NodeId(CLIENT), Port(CLIENT_PORT_BASE)),
         caching: true,
         sync,
@@ -448,70 +460,110 @@ fn invalidate_ack_reaches_the_iod_port() {
     assert_eq!(eng.actor_as::<AckCatcher>(catcher).unwrap().acks, 1);
 }
 
+/// Both ways an iod sends the file's content: described, and as bytes.
+fn rigs() -> [Rig; 2] {
+    let mut bytes = rig();
+    bytes.eng.actor_as_mut::<ScriptedIod>(bytes.iod).unwrap().bytes = true;
+    [rig(), bytes]
+}
+
 #[test]
 fn bytes_of_pattern_survive_partial_hit_assembly() {
-    let mut r = rig();
-    // Warm blocks 2 and 5 individually.
-    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(2 * 4096, 4096)]));
-    r.eng.post(Dur::millis(5), r.module, read_req(2, vec![ByteRange::new(5 * 4096, 4096)]));
-    r.eng.run_until(SimTime::ZERO + Dur::millis(50));
-    // Read blocks 0..8 with an unaligned tail: mixture of hits and misses.
-    r.eng.post(Dur::ZERO, r.module, read_req(3, vec![ByteRange::new(100, 8 * 4096)]));
-    r.eng.run_until(SimTime::ZERO + Dur::millis(200));
-    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
-    let last = c.data.last().unwrap();
-    assert_eq!(last.range, ByteRange::new(100, 8 * 4096));
-    assert_eq!(
-        last.data,
-        pattern_bytes(Fid(1), 100, 8 * 4096),
-        "partial-hit assembly corrupted data"
-    );
+    for mut r in rigs() {
+        // Warm blocks 2 and 5 individually.
+        r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(2 * 4096, 4096)]));
+        r.eng.post(Dur::millis(5), r.module, read_req(2, vec![ByteRange::new(5 * 4096, 4096)]));
+        r.eng.run_until(SimTime::ZERO + Dur::millis(50));
+        // Read blocks 0..8 with an unaligned tail: mixture of hits and misses.
+        r.eng.post(Dur::ZERO, r.module, read_req(3, vec![ByteRange::new(100, 8 * 4096)]));
+        r.eng.run_until(SimTime::ZERO + Dur::millis(200));
+        let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+        let last = c.data.last().unwrap();
+        assert_eq!(last.range, ByteRange::new(100, 8 * 4096));
+        assert_eq!(
+            last.data,
+            pattern_bytes(Fid(1), 100, 8 * 4096),
+            "partial-hit assembly corrupted data"
+        );
+    }
 }
 
 #[test]
 fn covered_cold_ranges_are_forwarded_as_windows_of_the_arriving_data() {
-    let mut r = rig();
-    // Nothing cached. Request 1 fetches blocks 0..1; request 2 wants a few
-    // bytes of block 1 while that fetch is in flight. The one arriving
-    // ReadData covers both ranges, so both replies are views of it.
-    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(1000, 6000)]));
-    r.eng.post(Dur::micros(10), r.module, read_req(2, vec![ByteRange::new(4106, 100)]));
-    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
-    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
-    assert_eq!(iod.reads.len(), 1);
-    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    let [mut described, mut bytes] = rigs();
+    for r in [&mut described, &mut bytes] {
+        // Nothing cached. Request 1 fetches blocks 0..1; request 2 wants a
+        // few bytes of block 1 while that fetch is in flight. The one
+        // arriving ReadData covers both ranges, so both replies are views
+        // of it.
+        r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(1000, 6000)]));
+        r.eng.post(Dur::micros(10), r.module, read_req(2, vec![ByteRange::new(4106, 100)]));
+        r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+        let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+        assert_eq!(iod.reads.len(), 1);
+        let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+        let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
+        assert_eq!(of(1).data, pattern_bytes(Fid(1), 1000, 6000));
+        assert_eq!(of(2).data, pattern_bytes(Fid(1), 4106, 100));
+    }
+    let c = described.eng.actor_as::<ClientProbe>(described.client).unwrap();
     let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
-    assert_eq!(of(1).data, pattern_bytes(Fid(1), 1000, 6000));
-    assert_eq!(of(2).data, pattern_bytes(Fid(1), 4106, 100));
+    let one = |d: &ReadData| d.data.segments().cloned().collect::<Vec<_>>();
+    assert!(
+        matches!(one(of(2))[..], [Segment::Described { fid: Fid(1), offset: 4106, len: 100 }]),
+        "a described reply is one descriptor: {:?}",
+        of(2).data
+    );
+    let c = bytes.eng.actor_as::<ClientProbe>(bytes.client).unwrap();
+    let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
+    let ptr = |d: &ReadData| match one(d)[..] {
+        [Segment::Bytes(ref b)] => b.as_ptr(),
+        ref other => panic!("one byte segment, not {other:?}"),
+    };
     assert_eq!(
-        of(2).data.as_ptr(),
-        of(1).data.as_ptr().wrapping_add(4106 - 1000),
+        ptr(of(2)),
+        ptr(of(1)).wrapping_add(4106 - 1000),
         "both replies window the one fetched buffer"
     );
 }
 
 #[test]
-fn cold_range_arriving_in_pieces_is_assembled_by_copy() {
-    let mut r = rig();
-    // Block 1 is in flight for request 1 when request 2 asks for blocks
-    // 0..2: it fetches 0 and 2 as two ranges and waits on 1, so its one
-    // range fills from three messages, none of which covers it.
-    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(4096, 4096)]));
-    r.eng.post(Dur::micros(10), r.module, read_req(2, vec![ByteRange::new(50, 3 * 4096 - 100)]));
-    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
-    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
-    assert_eq!(iod.reads[1].ranges, vec![ByteRange::new(0, 4096), ByteRange::new(8192, 4096)]);
-    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
-    let d = c.data.iter().find(|d| d.req_id == 2).unwrap();
-    assert_eq!(d.range, ByteRange::new(50, 3 * 4096 - 100));
-    assert_eq!(d.data, pattern_bytes(Fid(1), 50, 3 * 4096 - 100));
+fn cold_range_arriving_in_pieces_is_joined_from_segments() {
+    for mut r in rigs() {
+        // Block 1 is in flight for request 1 when request 2 asks for
+        // blocks 0..2: it fetches 0 and 2 as two ranges and waits on 1, so
+        // its one range fills from three messages, none of which covers it.
+        r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(4096, 4096)]));
+        r.eng.post(
+            Dur::micros(10),
+            r.module,
+            read_req(2, vec![ByteRange::new(50, 3 * 4096 - 100)]),
+        );
+        r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+        let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+        assert_eq!(iod.reads[1].ranges, vec![ByteRange::new(0, 4096), ByteRange::new(8192, 4096)]);
+        let described = !iod.bytes;
+        let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+        let d = c.data.iter().find(|d| d.req_id == 2).unwrap();
+        assert_eq!(d.range, ByteRange::new(50, 3 * 4096 - 100));
+        assert_eq!(d.data, pattern_bytes(Fid(1), 50, 3 * 4096 - 100));
+        if described {
+            assert_eq!(d.data.segments().count(), 1, "three descriptors join into one");
+        }
+    }
+}
+
+/// What libpvfs's check makes of a delivered message: every byte the
+/// file's, at the range's own offsets.
+fn fails_check(d: &ReadData) -> bool {
+    !(d.data.len() == d.range.len as usize && d.data.is_content_of(d.fid, d.range.offset))
 }
 
 /// A block that arrives with one byte flipped is cached as those bytes,
 /// not as a descriptor of the file's: the first read and a later cache hit
 /// each hand the client a reply that fails its check (the one libpvfs
-/// makes, `pattern_matches`), two in all. Its neighbours, fetched in the
-/// same message, are the file's bytes and read back clean.
+/// makes), two in all. Its neighbours, fetched in the same message, are
+/// the file's bytes and read back clean.
 #[test]
 fn a_corrupt_fetched_block_is_never_laundered_into_the_pattern() {
     let mut r = rig();
@@ -527,11 +579,35 @@ fn a_corrupt_fetched_block_is_never_laundered_into_the_pattern() {
     let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
     assert_eq!(m.stats().full_hits, 3, "every later read is a cache hit");
     let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
-    let failed: Vec<u64> = c
-        .data
-        .iter()
-        .filter(|d| !pvfs::pattern_matches(d.fid, d.range.offset, &d.data))
-        .map(|d| d.req_id)
-        .collect();
+    let failed: Vec<u64> = c.data.iter().filter(|d| fails_check(d)).map(|d| d.req_id).collect();
     assert_eq!(failed, vec![1, 2], "the fetch and the cache hit each fail verification");
+}
+
+/// A descriptor is recognised, never trusted: block 1 arrives described
+/// as block 2's content, so the module installs the bytes it names —
+/// stored, since they are not block 1's — and the fetch and a later hit
+/// each fail the client's check. Blocks 0 and 2, described at their own
+/// offsets, stay described and read back clean.
+#[test]
+fn a_descriptor_naming_another_block_is_stored_not_trusted() {
+    let mut r = rig();
+    r.eng.actor_as_mut::<ScriptedIod>(r.iod).unwrap().misdescribe = Some(1);
+    let range = ByteRange::new(0, 3 * 4096);
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![range]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    r.eng.post(Dur::ZERO, r.module, read_req(2, vec![range]));
+    r.eng.post(Dur::millis(1), r.module, read_req(3, vec![ByteRange::new(0, 4096)]));
+    r.eng.post(Dur::millis(2), r.module, read_req(4, vec![ByteRange::new(8192, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(200));
+    assert_eq!(r.eng.actor_as::<ScriptedIod>(r.iod).unwrap().reads.len(), 1, "one fetch");
+    let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+    assert_eq!(m.stats().full_hits, 3, "every later read is a cache hit");
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    let failed: Vec<u64> = c.data.iter().filter(|d| fails_check(d)).map(|d| d.req_id).collect();
+    assert_eq!(failed, vec![1, 2], "the fetch and the cache hit each fail verification");
+    let hit = c.data.iter().find(|d| d.req_id == 2).unwrap();
+    assert_eq!(hit.data.described_at(0, 4096), Some((Fid(1), 0)));
+    assert_eq!(hit.data.described_at(4096, 8192), None, "block 1 is held as bytes");
+    assert_eq!(*hit.data.bytes_at(4096, 8192), *pattern_bytes(Fid(1), 8192, 4096));
+    assert_eq!(hit.data.described_at(8192, 12288), Some((Fid(1), 8192)));
 }

@@ -11,15 +11,16 @@
 //! cannot distinguish (the paper's transparency requirement).
 
 use crate::config::CostModel;
+use crate::payload::Payload;
 use crate::protocol::{
-    pattern_bytes, pattern_matches, ByteRange, Fid, FileHandle, MgrCall, MgrReply, MgrRequest,
-    ReadAck, ReadData, ReadReq, WriteAck, WritePart, WriteReq, MGR_PORT,
+    ByteRange, Fid, FileHandle, MgrCall, MgrReply, MgrRequest, ReadAck, ReadData, ReadReq,
+    WriteAck, WritePart, WriteReq, MGR_PORT,
 };
 use crate::striping::split_ranges;
 use sim_core::{resource, ActorId, Ctx, Dur, SharedResource, SimTime, Tally};
 use sim_disk::BLOCK_SIZE;
 use sim_net::{NetMessage, NodeId, Port, Xmit};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Static wiring of a client instance.
 #[derive(Debug, Clone)]
@@ -103,8 +104,10 @@ pub struct PvfsClient {
     cfg: ClientConfig,
     next_req: u64,
     tag: u64,
-    handles: HashMap<Fid, FileHandle>,
-    pending: HashMap<u64, Pending>,
+    // Ordered maps: a handful of entries each, looked up once a message,
+    // with no SipHash per lookup.
+    handles: BTreeMap<Fid, FileHandle>,
+    pending: BTreeMap<u64, Pending>,
     stats: ClientStats,
 }
 
@@ -114,8 +117,8 @@ impl PvfsClient {
             cfg,
             next_req: 1,
             tag: 0,
-            handles: HashMap::new(),
-            pending: HashMap::new(),
+            handles: BTreeMap::new(),
+            pending: BTreeMap::new(),
             stats: ClientStats::default(),
         }
     }
@@ -234,8 +237,8 @@ impl PvfsClient {
     }
 
     /// Issue a striped write of deterministic pattern bytes over
-    /// `[offset, offset+len)`. `sync` requests the paper's coherent
-    /// sync-write.
+    /// `[offset, offset+len)`, each part described as the file's own
+    /// content there. `sync` requests the paper's coherent sync-write.
     pub fn write(&mut self, ctx: &mut Ctx<'_>, fid: Fid, offset: u64, len: u32, sync: bool) -> u64 {
         let req_id = self.fresh_req();
         let now = ctx.now();
@@ -262,7 +265,7 @@ impl PvfsClient {
                 [handle.stripe.global_iod(slot, self.cfg.iod_nodes.len() as u32) as usize];
             let parts: Vec<WritePart> = ranges
                 .into_iter()
-                .map(|r| WritePart { range: r, data: pattern_bytes(fid, r.offset, r.len as usize) })
+                .map(|r| WritePart { range: r, data: Payload::described(fid, r.offset, r.len) })
                 .collect();
             let wr = WriteReq {
                 req_id,
@@ -335,9 +338,11 @@ impl PvfsClient {
                 let cpu = self.cfg.costs.recv_overhead
                     + Dur::nanos(self.cfg.costs.client_copy_per_block.as_nanos() * blocks);
                 let t = resource::reserve(&self.cfg.cpu, ctx.now(), cpu);
+                // A described segment is checked by its fields, a byte
+                // segment byte by byte.
                 if self.cfg.verify_reads
                     && !(rd.data.len() == rd.range.len as usize
-                        && pattern_matches(rd.fid, rd.range.offset, &rd.data))
+                        && rd.data.is_content_of(rd.fid, rd.range.offset))
                 {
                     self.stats.verify_failures += 1;
                 }

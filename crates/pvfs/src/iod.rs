@@ -9,11 +9,11 @@
 
 use crate::config::{CostModel, PvfsConfig};
 use crate::directory::Directory;
+use crate::payload::{Payload, Segment};
 use crate::protocol::{
     pattern_fill, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, ReadAck,
     ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT,
 };
-use bytes::Bytes;
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, Lookup, PageCache, BLOCK_SIZE};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
@@ -59,7 +59,9 @@ pub struct Iod {
     costs: CostModel,
     cfg: PvfsConfig,
     fs: BlockFs,
-    files: HashMap<Fid, Ino>,
+    /// Looked up on every read and write: an ordered map of a few fids,
+    /// with no SipHash per lookup.
+    files: BTreeMap<Fid, Ino>,
     pcache: PageCache,
     directory: Directory,
     pending_reads: HashMap<u64, PendingRead>,
@@ -98,7 +100,7 @@ impl Iod {
             fs: BlockFs::new(fs_capacity_blocks, |fid, offset, out| {
                 pattern_fill(Fid(fid), offset, out)
             }),
-            files: HashMap::new(),
+            files: BTreeMap::new(),
             pcache: PageCache::new(pages),
             directory: Directory::default(),
             pending_reads: HashMap::new(),
@@ -150,7 +152,7 @@ impl Iod {
         for r in ranges {
             let out = self
                 .fs
-                .preload(ino, r.offset, r.len as usize, fid.0)
+                .write_described(ino, r.offset, r.len as usize, fid.0)
                 .expect("preload write failed");
             if warm {
                 for e in &out.extents {
@@ -323,30 +325,53 @@ impl Iod {
             + Dur::nanos(self.costs.send_overhead.as_nanos() * req.ranges.len().max(1) as u64);
         let t = resource::reserve(&self.cpu, now, cpu);
         for r in &req.ranges {
-            let mut buf = Vec::with_capacity(r.len as usize);
-            self.fs
-                .read_append(ino, r.offset, r.len as usize, &mut buf)
-                .expect("file_for returned a live inode");
-            // Bytes past EOF are zero: the logical file is pre-sized by the
-            // mgr, unwritten regions read as holes.
-            buf.resize(r.len as usize, 0);
-            let rd =
-                ReadData { req_id: req.req_id, fid: req.fid, range: *r, data: Bytes::from(buf) };
+            // A range whose every block is a descriptor of this file at
+            // its own offset goes out as that descriptor; any other is
+            // read out as bytes.
+            let data = if self.fs.is_described(ino, r.offset, r.len as usize, req.fid.0) {
+                Payload::described(req.fid, r.offset, r.len)
+            } else {
+                let mut buf = Vec::with_capacity(r.len as usize);
+                self.fs
+                    .read_append(ino, r.offset, r.len as usize, &mut buf)
+                    .expect("file_for returned a live inode");
+                // Bytes past EOF are zero: the logical file is pre-sized by
+                // the mgr, unwritten regions read as holes.
+                buf.resize(r.len as usize, 0);
+                Payload::from(buf)
+            };
+            let rd = ReadData { req_id: req.req_id, fid: req.fid, range: *r, data };
             let wire = rd.wire_bytes();
             self.send(ctx, t, IOD_PORT, req.reply_to, wire, rd);
         }
     }
 
-    fn apply_write(&mut self, ctx: &mut Ctx<'_>, fid: Fid, range: &ByteRange, data: &Bytes) {
+    /// Store `data` at `range`: a segment describing this file at its own
+    /// offset as descriptors (no byte generated or compared), any other as
+    /// its bytes. Every page it touches is dirtied in the page cache.
+    fn apply_write(&mut self, ctx: &mut Ctx<'_>, fid: Fid, range: &ByteRange, data: &Payload) {
         let ino = self.file_for(fid);
         debug_assert_eq!(data.len(), range.len as usize);
-        let out = self.fs.write(ino, range.offset, data).expect("iod disk full");
-        for e in &out.extents {
-            for p in e.pblk..e.pblk + e.blocks as u64 {
-                if let Some(ev) = self.pcache.insert(p, true) {
-                    if ev.dirty {
-                        self.issue_disk(ctx, DiskOp::Write, ev.pblk, 1, 0);
-                    }
+        let mut pblks: Vec<u64> = Vec::new();
+        let mut pos = range.offset;
+        for seg in data.segments() {
+            let out = match *seg {
+                Segment::Described { fid: f, offset, len } if f == fid && offset == pos => {
+                    self.fs.write_described(ino, pos, len as usize, fid.0)
+                }
+                _ => self.fs.write(ino, pos, &seg.bytes()),
+            }
+            .expect("iod disk full");
+            pblks.extend(out.extents.iter().flat_map(|e| e.pblk..e.pblk + e.blocks as u64));
+            pos += seg.len() as u64;
+        }
+        // Sorted and once each, as one write of the whole range touches them.
+        pblks.sort_unstable();
+        pblks.dedup();
+        for p in pblks {
+            if let Some(ev) = self.pcache.insert(p, true) {
+                if ev.dirty {
+                    self.issue_disk(ctx, DiskOp::Write, ev.pblk, 1, 0);
                 }
             }
         }
@@ -433,7 +458,7 @@ impl Iod {
         for e in &f.blocks {
             let range =
                 ByteRange::new(e.blk * BLOCK_SIZE as u64 + e.offset as u64, e.data.len() as u32);
-            self.apply_write(ctx, f.fid, &range, &e.data);
+            self.apply_write(ctx, f.fid, &range, &Payload::from(e.data.clone()));
         }
         // The flushing node keeps the blocks cached (now clean): track it.
         self.register_reader(f.fid, f.blocks.iter().map(|e| e.blk), f.reply_to.0);

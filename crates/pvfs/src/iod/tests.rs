@@ -1,4 +1,5 @@
 use super::*;
+use crate::payload::Payload;
 use crate::protocol::{pattern_byte, pattern_bytes, FlushEntry, WritePart};
 use sim_core::{Engine, FifoResource};
 use sim_disk::{DiskGeometry, DiskSched};
@@ -140,9 +141,10 @@ fn preloaded_warm_read_serves_without_disk() {
     assert_eq!(c.acks[0].bytes, 8192);
     assert_eq!(c.data.len(), 1);
     assert_eq!(c.data[0].data.len(), 8192);
-    // Data integrity: pattern bytes round-trip.
-    for (i, b) in c.data[0].data.iter().enumerate() {
-        assert_eq!(*b, pattern_byte(Fid(1), i as u64), "byte {} corrupted", i);
+    // Data integrity: pattern bytes round-trip, as one descriptor.
+    assert_eq!(c.data[0].data.described_at(0, 8192), Some((Fid(1), 0)));
+    for (i, b) in c.data[0].data.to_vec().into_iter().enumerate() {
+        assert_eq!(b, pattern_byte(Fid(1), i as u64), "byte {} corrupted", i);
     }
     let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
     assert_eq!(iod.stats().disk_reads, 0, "warm pages must not touch disk");
@@ -180,7 +182,7 @@ fn write_then_read_round_trips() {
     let req = WriteReq {
         req_id: 5,
         fid: Fid(9),
-        parts: vec![WritePart { range: ByteRange::new(4096, 8192), data: payload }],
+        parts: vec![WritePart { range: ByteRange::new(4096, 8192), data: payload.into() }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
         sync: false,
@@ -201,9 +203,49 @@ fn write_then_read_round_trips() {
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
     let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
     assert_eq!(c.data.len(), 1);
-    for (i, b) in c.data[0].data.iter().enumerate() {
-        assert_eq!(*b, pattern_byte(Fid(9), 4096 + i as u64));
+    for (i, b) in c.data[0].data.to_vec().into_iter().enumerate() {
+        assert_eq!(b, pattern_byte(Fid(9), 4096 + i as u64));
     }
+}
+
+/// A write that arrives described is stored as descriptors: no block
+/// holds bytes, and reads of it go out described. A partial block around
+/// it stays bytes, and a byte read that spans both is bytes.
+#[test]
+fn a_described_write_is_stored_and_read_back_as_descriptors() {
+    let mut r = rig(1);
+    let w = WriteReq {
+        req_id: 5,
+        fid: Fid(9),
+        parts: vec![WritePart {
+            range: ByteRange::new(4096, 8192 + 100),
+            data: Payload::described(Fid(9), 4096, 8192 + 100),
+        }],
+        reply_to: (NodeId(1), Port(9000)),
+        caching: false,
+        sync: false,
+    };
+    let wire = w.wire_bytes();
+    send_to_iod(&mut r, 1, IOD_PORT, wire, w);
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    assert_eq!(r.eng.actor_as::<Iod>(r.iod).unwrap().stored_blocks(), 1, "the partial tail");
+    for (req_id, range) in [(6, ByteRange::new(4096, 8192)), (7, ByteRange::new(8192, 4196))] {
+        let rreq = ReadReq {
+            req_id,
+            fid: Fid(9),
+            ranges: vec![range],
+            reply_to: (NodeId(1), Port(9000)),
+            caching: false,
+        };
+        let wire = rreq.wire_bytes();
+        send_to_iod(&mut r, 1, IOD_PORT, wire, rreq);
+    }
+    r.eng.run_until(SimTime::ZERO + Dur::secs(1));
+    let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
+    assert_eq!(c.data.len(), 2);
+    assert_eq!(c.data[0].data.described_at(0, 8192), Some((Fid(9), 4096)));
+    assert_eq!(c.data[1].data.described_at(0, 4196), None);
+    assert_eq!(c.data[1].data, pattern_bytes(Fid(9), 8192, 4196));
 }
 
 #[test]
@@ -269,7 +311,7 @@ fn sync_write_invalidates_other_sharers() {
         fid: Fid(4),
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: pattern_bytes(Fid(4), 0, 4096),
+            data: Payload::described(Fid(4), 0, 4096),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: true,
@@ -299,7 +341,7 @@ fn sync_write_with_no_sharers_acks_immediately() {
         fid: Fid(5),
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: pattern_bytes(Fid(5), 0, 4096),
+            data: Payload::described(Fid(5), 0, 4096),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
@@ -322,7 +364,7 @@ fn kupdate_writes_dirty_pages_to_disk() {
         fid: Fid(6),
         parts: vec![WritePart {
             range: ByteRange::new(0, 65536),
-            data: pattern_bytes(Fid(6), 0, 65536),
+            data: Payload::described(Fid(6), 0, 65536),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
@@ -357,7 +399,7 @@ fn a_read_of_a_page_in_flight_waits_for_its_disk_reply() {
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
     let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
     assert_eq!(c.data.iter().map(|d| d.req_id).collect::<Vec<_>>(), vec![1, 2]);
-    assert!(c.data.iter().all(|d| crate::protocol::pattern_matches(Fid(1), 0, &d.data)));
+    assert!(c.data.iter().all(|d| d.data.is_content_of(Fid(1), 0)));
     // The platter read takes milliseconds; the first reply leaves when
     // it completes, and the second may not leave before it.
     assert!(c.data_at[0] >= SimTime::ZERO + Dur::millis(1), "first reply at {:?}", c.data_at[0]);

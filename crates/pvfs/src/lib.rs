@@ -11,8 +11,10 @@
 //!   per-iod request aggregation, the request/ack/data protocol), which
 //!   addresses an opaque socket layer so a cache module can interpose
 //!   transparently.
-//! * [`protocol`] / [`striping`] / [`config`] — wire messages, stripe
-//!   arithmetic, and the calibrated cost model.
+//! * [`protocol`] / [`payload`] / [`striping`] / [`config`] — wire
+//!   messages and the segments their data travels as (the file's own
+//!   bytes as a descriptor, anything else as bytes), stripe arithmetic,
+//!   and the calibrated cost model.
 //!
 //! Files hold deterministic pattern bytes ([`protocol::pattern_byte`]), so
 //! every byte that moves through cache, network, page cache and disk can be
@@ -23,6 +25,7 @@ pub mod config;
 pub mod directory;
 pub mod iod;
 pub mod mgr;
+pub mod payload;
 pub mod protocol;
 pub mod striping;
 
@@ -31,6 +34,7 @@ pub use config::{CostModel, PvfsConfig};
 pub use directory::Directory;
 pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
+pub use payload::{Payload, Segment};
 pub use protocol::{
     pattern_byte, pattern_bytes, pattern_extend, pattern_fill, pattern_matches, ByteRange, Fid,
     FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply,

@@ -13,6 +13,7 @@
 //! rewrites the range lists in flight — that is precisely the paper's
 //! "discount these [cached blocks] in the request(s)" mechanism.
 
+use crate::payload::Payload;
 use bytes::Bytes;
 use sim_net::{NodeId, Port};
 
@@ -161,7 +162,8 @@ pub struct ReadData {
     pub req_id: u64,
     pub fid: Fid,
     pub range: ByteRange,
-    pub data: Bytes,
+    /// `range.len` bytes, described where they are the file's own.
+    pub data: Payload,
 }
 
 impl ReadData {
@@ -174,7 +176,8 @@ impl ReadData {
 #[derive(Debug, Clone)]
 pub struct WritePart {
     pub range: ByteRange,
-    pub data: Bytes,
+    /// `range.len` bytes, described where they are the file's own.
+    pub data: Payload,
 }
 
 /// Write request to one iod. Like reads, writes are aggregated: one request
@@ -422,15 +425,18 @@ mod tests {
             req_id: 1,
             fid: Fid(1),
             range: ByteRange::new(0, 4096),
-            data: Bytes::from(vec![0u8; 4096]),
+            data: Payload::described(Fid(1), 0, 4096),
         };
         assert_eq!(rd.wire_bytes(), 64 + 4096);
         let wr = WriteReq {
             req_id: 1,
             fid: Fid(1),
             parts: vec![
-                WritePart { range: ByteRange::new(0, 100), data: Bytes::from(vec![0u8; 100]) },
-                WritePart { range: ByteRange::new(500, 20), data: Bytes::from(vec![0u8; 20]) },
+                WritePart { range: ByteRange::new(0, 100), data: vec![0u8; 100].into() },
+                WritePart {
+                    range: ByteRange::new(500, 20),
+                    data: Payload::described(Fid(1), 500, 20),
+                },
             ],
             reply_to: (NodeId(0), Port(9000)),
             caching: false,

@@ -3,8 +3,8 @@
 //! conditions, and latency accounting.
 
 use pvfs::{
-    ByteRange, ClientConfig, Completion, CostModel, Fid, FileHandle, MgrReply, PvfsClient, ReadAck,
-    ReadData, ReadReq, StripeSpec, WriteAck, WriteReq, CLIENT_PORT_BASE,
+    ByteRange, ClientConfig, Completion, CostModel, Fid, FileHandle, MgrReply, Payload, PvfsClient,
+    ReadAck, ReadData, ReadReq, Segment, StripeSpec, WriteAck, WriteReq, CLIENT_PORT_BASE,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
@@ -235,7 +235,7 @@ fn read_completes_only_after_all_acks_and_all_bytes() {
             req_id,
             fid: Fid(5),
             range: *r,
-            data: pvfs::pattern_bytes(Fid(5), r.offset, r.len as usize),
+            data: Payload::described(Fid(5), r.offset, r.len),
         };
         rig.eng.post(
             Dur::ZERO,
@@ -262,7 +262,7 @@ fn read_completes_only_after_all_acks_and_all_bytes() {
             req_id,
             fid: Fid(5),
             range: *r,
-            data: pvfs::pattern_bytes(Fid(5), r.offset, r.len as usize),
+            data: Payload::described(Fid(5), r.offset, r.len),
         };
         rig.eng.post(
             Dur::ZERO,
@@ -296,11 +296,16 @@ fn write_completes_on_all_acks_and_carries_pattern_data() {
             .iter()
             .filter_map(|m| {
                 m.peek::<WriteReq>().map(|wr| {
-                    // Data must be the deterministic pattern.
+                    // Data must be the deterministic pattern, described.
                     for part in &wr.parts {
                         let expect =
                             pvfs::pattern_bytes(Fid(5), part.range.offset, part.range.len as usize);
                         assert_eq!(part.data, expect, "write payload must be pattern bytes");
+                        let len = part.range.len as usize;
+                        assert_eq!(
+                            part.data.described_at(0, len),
+                            Some((Fid(5), part.range.offset))
+                        );
                     }
                     (wr.req_id, m.dst)
                 })
@@ -358,6 +363,50 @@ fn corrupted_read_data_counts_one_verify_failure() {
 }
 
 #[test]
+fn described_read_data_is_checked_by_its_fields() {
+    // A described segment is checked by what it names: the file and the
+    // offset of the position it fills. A byte segment beside it is still
+    // compared byte by byte, and the segments must cover the whole range.
+    let mut rig = rig_with(true);
+    install_handle(&mut rig, handle(5, 16 << 20, 1));
+    with_client(&mut rig, |client, ctx| {
+        client.read(ctx, Fid(5), 1000, 5 * 8192);
+    });
+    let (req_id, iod) = {
+        let tap = rig.eng.actor_as::<WireTap>(rig.tap).unwrap();
+        let m = tap.sent.iter().find(|m| m.peek::<ReadReq>().is_some()).unwrap();
+        (m.peek::<ReadReq>().unwrap().req_id, m.dst)
+    };
+    let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
+    let deliver = |rig: &mut Rig, range: ByteRange, data: Payload| {
+        let rd = ReadData { req_id, fid: Fid(5), range, data };
+        rig.eng.post(
+            Dur::ZERO,
+            rig.host,
+            Deliver(NetMessage::new((iod, Port(7000)), to_client, 64 + range.len, 0, rd)),
+        );
+        rig.eng.run();
+        rig.eng.actor_as::<Host>(rig.host).unwrap().client.stats().verify_failures
+    };
+    let range = |k: u64| ByteRange::new(1000 + k * 8192, 8192);
+    let own = |k: u64| Payload::described(Fid(5), range(k).offset, 8192);
+    assert_eq!(deliver(&mut rig, range(0), own(0)), 0, "the right descriptor");
+    let shifted = Payload::described(Fid(5), range(1).offset + 4096, 8192);
+    assert_eq!(deliver(&mut rig, range(1), shifted), 1, "shifted by 4096");
+    let other_file = Payload::described(Fid(6), range(2).offset, 8192);
+    assert_eq!(deliver(&mut rig, range(2), other_file), 2, "another file");
+    let mut mixed = Payload::from(pvfs::pattern_bytes(Fid(5), range(3).offset, 100).to_vec());
+    let mut flipped = pvfs::pattern_bytes(Fid(5), range(3).offset + 100, 4000).to_vec();
+    flipped[3999] ^= 0x10;
+    mixed.push(Segment::Bytes(flipped.into()));
+    mixed.push(Segment::Described { fid: Fid(5), offset: range(3).offset + 4100, len: 4092 });
+    assert_eq!(mixed.len(), 8192);
+    assert_eq!(deliver(&mut rig, range(3), mixed), 3, "bytes + described, one byte flipped");
+    let short = Payload::described(Fid(5), range(4).offset, 8192 - 4096);
+    assert_eq!(deliver(&mut rig, range(4), short), 4, "lengths sum short of the range");
+}
+
+#[test]
 fn short_read_data_is_a_verify_failure() {
     // A message carrying fewer bytes than its range claims cannot pass as
     // "every byte it has matches".
@@ -370,7 +419,7 @@ fn short_read_data_is_a_verify_failure() {
         req_id: 1,
         fid: Fid(5),
         range: ByteRange::new(0, 4096),
-        data: pvfs::pattern_bytes(Fid(5), 0, 4000),
+        data: pvfs::pattern_bytes(Fid(5), 0, 4000).into(),
     };
     let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
     rig.eng.post(

@@ -19,7 +19,7 @@ fn interleaved() -> (BlockFs, [(Fid, Ino); 2]) {
     let files = [(Fid(3), fs.create("a").unwrap()), (Fid(8), fs.create("b").unwrap())];
     for l in 0..BLOCKS {
         for (fid, ino) in files {
-            fs.preload(ino, l * BLOCK_SIZE as u64, BLOCK_SIZE, fid.0).unwrap();
+            fs.write_described(ino, l * BLOCK_SIZE as u64, BLOCK_SIZE, fid.0).unwrap();
         }
     }
     (fs, files)

@@ -7,34 +7,23 @@
 //! event. This is exact for non-preemptive FIFO service and keeps the event
 //! count at one event per job rather than one per queue operation.
 
-use crate::stats::{Tally, TimeWeighted};
 use crate::time::{Dur, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// A non-preemptive FIFO resource with a single server.
+/// A non-preemptive FIFO resource with a single server. It keeps what
+/// its readers read: when it next falls idle, and its busy time for
+/// [`utilization`](Self::utilization).
 #[derive(Debug)]
 pub struct FifoResource {
     name: String,
     busy_until: SimTime,
     busy_time: Dur,
-    jobs: u64,
-    wait: Tally,
-    service: Tally,
-    backlog: TimeWeighted,
 }
 
 impl FifoResource {
     pub fn new(name: impl Into<String>) -> FifoResource {
-        FifoResource {
-            name: name.into(),
-            busy_until: SimTime::ZERO,
-            busy_time: Dur::ZERO,
-            jobs: 0,
-            wait: Tally::new(),
-            service: Tally::new(),
-            backlog: TimeWeighted::new(),
-        }
+        FifoResource { name: name.into(), busy_until: SimTime::ZERO, busy_time: Dur::ZERO }
     }
 
     /// Convenience constructor for the common shared-ownership case.
@@ -45,14 +34,9 @@ impl FifoResource {
     /// Reserve `service` units of this resource starting no earlier than
     /// `now`; returns the instant the job completes.
     pub fn reserve(&mut self, now: SimTime, service: Dur) -> SimTime {
-        let start = now.max(self.busy_until);
-        let done = start + service;
-        self.jobs += 1;
+        let done = now.max(self.busy_until) + service;
         self.busy_time += service;
-        self.wait.record_dur(start.since(now));
-        self.service.record_dur(service);
         self.busy_until = done;
-        self.backlog.update(now, self.busy_until.since(now).as_secs_f64());
         done
     }
 
@@ -66,10 +50,6 @@ impl FifoResource {
         self.busy_until <= now
     }
 
-    pub fn jobs(&self) -> u64 {
-        self.jobs
-    }
-
     /// Fraction of `[0, now]` the resource spent serving.
     pub fn utilization(&self, now: SimTime) -> f64 {
         if now.nanos() == 0 {
@@ -80,16 +60,6 @@ impl FifoResource {
         let served =
             self.busy_time.as_nanos().saturating_sub(self.busy_until.since(now).as_nanos());
         served as f64 / now.nanos() as f64
-    }
-
-    /// Mean queueing delay experienced before service starts.
-    pub fn mean_wait(&self) -> Dur {
-        Dur(self.wait.mean() as u64)
-    }
-
-    /// Mean service demand per job.
-    pub fn mean_service(&self) -> Dur {
-        Dur(self.service.mean() as u64)
     }
 
     pub fn name(&self) -> &str {
@@ -114,9 +84,10 @@ mod tests {
     fn idle_resource_serves_immediately() {
         let mut r = FifoResource::new("cpu");
         let done = r.reserve(SimTime(1000), Dur::nanos(500));
-        assert_eq!(done, SimTime(1500));
-        assert_eq!(r.mean_wait(), Dur::ZERO);
-        assert_eq!(r.jobs(), 1);
+        assert_eq!(done, SimTime(1500), "no wait: done one service time after `now`");
+        assert_eq!(r.busy_until(), SimTime(1500));
+        let u = r.utilization(SimTime(2000));
+        assert!((u - 0.25).abs() < 1e-9, "500 of 2000 ns busy, not {u}");
     }
 
     #[test]
@@ -128,7 +99,8 @@ mod tests {
         assert_eq!(d1, SimTime(100));
         assert_eq!(d2, SimTime(200), "second job waits for first");
         assert_eq!(d3, SimTime(300), "third waits for both");
-        assert!(r.mean_wait() > Dur::ZERO);
+        // Back to back from 0: busy the whole time, waits and all.
+        assert!((r.utilization(SimTime(300)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -165,6 +137,8 @@ mod tests {
         assert_eq!(d1, SimTime(100));
         assert_eq!(d2, SimTime(150));
         assert_eq!(r.borrow().name(), "bus");
-        assert_eq!(r.borrow().mean_service(), Dur::nanos(75));
+        assert_eq!(r.borrow().busy_until(), SimTime(150));
+        let u = r.borrow().utilization(SimTime(300));
+        assert!((u - 0.5).abs() < 1e-9, "150 of 300 ns busy through the handle, not {u}");
     }
 }

@@ -7,10 +7,11 @@
 //! mean each iod sees its own slice of a logical file at scattered local
 //! offsets.
 //!
-//! A descriptor block is one [`preload`](BlockFs::preload) filled and no
-//! write has changed since: its bytes are generated on read by the
-//! [`Fill`] the fs was built with, so preloaded data costs 16 bytes a block
-//! rather than 4 KB. The first write to such a block that changes its bytes
+//! A descriptor block is one a [`write_described`](BlockFs::write_described)
+//! (a preload, or a write whose data arrived described) filled whole and
+//! no write has changed since: its bytes are generated on read by the
+//! [`Fill`] the fs was built with, so it costs 16 bytes a block rather
+//! than 4 KB. The first byte write to such a block that changes its bytes
 //! stores it as bytes; one that writes the bytes it already holds leaves it
 //! a descriptor.
 //!
@@ -73,8 +74,9 @@ struct Inode {
 enum Block {
     /// Bytes written to it.
     Stored(Box<[u8; BLOCK_SIZE]>),
-    /// Preloaded and not changed by a write since: its bytes are
-    /// `fill(seed, offset, ..)`, `offset` being the block's own file offset.
+    /// Written whole as content `seed` and not changed by a write since:
+    /// its bytes are `fill(seed, offset, ..)`, `offset` being the block's
+    /// own file offset.
     Described { seed: u64, offset: u64 },
 }
 
@@ -110,7 +112,7 @@ fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
 }
 
 impl BlockFs {
-    /// An empty volume of `capacity_blocks` blocks whose preloaded blocks
+    /// An empty volume of `capacity_blocks` blocks whose described blocks
     /// read as `fill` generates them.
     pub fn new(capacity_blocks: u64, fill: Fill) -> BlockFs {
         BlockFs {
@@ -167,7 +169,7 @@ impl BlockFs {
     }
 
     /// Blocks held as bytes rather than as descriptors: the ones written
-    /// with other bytes since preload, and partly covered preload blocks.
+    /// with other bytes since, and partly covered described writes.
     pub fn stored_blocks(&self) -> usize {
         self.data.iter().filter(|b| matches!(b, Some(Block::Stored(_)))).count()
     }
@@ -238,13 +240,16 @@ impl BlockFs {
         Ok(IoExtents { extents: coalesce(touched), bytes: written })
     }
 
-    /// Fill `[offset, offset + len)` with content `seed` — the bytes
-    /// `fill(seed, offset, ..)` — allocating exactly as a [`write`] of those
-    /// bytes would. A block the range covers fully becomes a descriptor and
-    /// stores nothing; a partly covered one is written as bytes.
+    /// Write `len` bytes of content `seed` — the bytes
+    /// `fill(seed, offset, ..)` — at `offset` as descriptors, allocating
+    /// exactly as a [`write`] of those bytes would; preloading a file is
+    /// one. A block the range covers fully becomes a descriptor and stores
+    /// nothing, whatever it held. A partly covered one that already
+    /// describes `seed` at its own offset holds those bytes and is left as
+    /// it is; any other is written as bytes.
     ///
     /// [`write`]: Self::write
-    pub fn preload(
+    pub fn write_described(
         &mut self,
         ino: Ino,
         offset: u64,
@@ -260,9 +265,13 @@ impl BlockFs {
         for &p in &touched {
             let in_block = (pos % BLOCK_SIZE as u64) as usize;
             let n = (BLOCK_SIZE - in_block).min((end - pos) as usize);
+            let start = pos - in_block as u64;
+            let slot = &mut self.data[p as usize];
             if n == BLOCK_SIZE {
-                self.data[p as usize] = Some(Block::Described { seed, offset: pos });
-            } else {
+                *slot = Some(Block::Described { seed, offset: start });
+            } else if !matches!(slot, Some(Block::Described { seed: s, offset: o })
+                if *s == seed && *o == start)
+            {
                 let mut part = [0u8; BLOCK_SIZE];
                 (self.fill)(seed, pos, &mut part[..n]);
                 self.overlay(p, in_block, &part[..n]);
@@ -270,6 +279,24 @@ impl BlockFs {
             pos += n as u64;
         }
         Ok(IoExtents { extents: coalesce(touched), bytes: len })
+    }
+
+    /// Whether every byte of `[offset, offset + len)` (`len > 0`, within
+    /// the file) is content `seed` held as descriptors at their own
+    /// offsets — what a reader may be told as a descriptor, not as bytes.
+    pub fn is_described(&self, ino: Ino, offset: u64, len: usize, seed: u64) -> bool {
+        let Ok(inode) = self.inode(ino) else { return false };
+        if len == 0 || offset + len as u64 > inode.size {
+            return false;
+        }
+        let first = offset / BLOCK_SIZE as u64;
+        let last = (offset + len as u64 - 1) / BLOCK_SIZE as u64;
+        (first..=last).all(|l| {
+            let block = inode.blocks.get(l as usize).copied().flatten();
+            matches!(block.and_then(|p| self.data[p as usize].as_ref()),
+                Some(Block::Described { seed: s, offset: o })
+                    if *s == seed && *o == l * BLOCK_SIZE as u64)
+        })
     }
 
     /// Write `src` at `in_block` of physical block `p`. A fresh block is
@@ -561,7 +588,7 @@ mod tests {
         let mut f = BlockFs::new(8192, fill);
         let ino = f.create("x").unwrap();
         let len = 16 << 20;
-        let p = f.preload(ino, 0, len, 3).unwrap();
+        let p = f.write_described(ino, 0, len, 3).unwrap();
         assert_eq!(p.bytes, len);
         assert_eq!(p.extents, vec![Extent { pblk: 0, blocks: 4096 }]);
         assert_eq!(f.stored_blocks(), 0, "a 16 MB preload stores no block");
@@ -575,7 +602,7 @@ mod tests {
     fn write_stores_exactly_the_blocks_it_touches() {
         let mut f = fs();
         let ino = f.create("x").unwrap();
-        f.preload(ino, 0, 64 * 4096, 1).unwrap();
+        f.write_described(ino, 0, 64 * 4096, 1).unwrap();
         // 6 KB from 3000: the tail of block 0, all of block 1, head of 2.
         let w = f.write(ino, 3000, &[0xEE; 6144]).unwrap();
         assert_eq!(w.extents, vec![Extent { pblk: 0, blocks: 3 }]);
@@ -598,7 +625,7 @@ mod tests {
         // Unaligned both ends, over a hole, a written block and growth.
         let (offset, len) = (100u64, 5 * 4096 + 7);
         let a = by_preload.open("a").unwrap();
-        let p = by_preload.preload(a, offset, len, 2).unwrap();
+        let p = by_preload.write_described(a, offset, len, 2).unwrap();
         let w = by_write.write(a, offset, &content(2, offset, len)).unwrap();
         assert_eq!(p, w);
         for l in 0..8 {

@@ -1,13 +1,15 @@
 //! `BlockFs` against an independent model: each file is one flat `Vec<u8>`
-//! (filled byte by byte at preload, zeros in holes) plus the lblk → pblk map
-//! the fs reported when the block was first allocated. Random sequences of
-//! preloads, aligned and unaligned writes (into descriptor blocks, holes and
-//! past EOF), reads, appending reads and extent queries must agree with the
-//! model at every step. A file may be removed and created again empty, so
-//! the next allocations reuse its freed physical blocks: the new file must
-//! read zeros in its holes and its own bytes elsewhere, never the old
-//! file's. A twin fs that receives each preload as a plain `write` of the
-//! same bytes must allocate the same physical blocks.
+//! (filled byte by byte at a described write, zeros in holes) plus the
+//! lblk → pblk map the fs reported when the block was first allocated.
+//! Random sequences of described writes (a preload is one), aligned and
+//! unaligned byte writes (into descriptor blocks, holes and past EOF),
+//! reads, appending reads and extent queries must agree with the model at
+//! every step. A file may be removed and created again empty, so the next
+//! allocations reuse its freed physical blocks: the new file must read
+//! zeros in its holes and its own bytes elsewhere, never the old file's. A
+//! twin fs that receives each described write as a plain `write` of the
+//! same bytes must allocate the same physical blocks and read back the
+//! same bytes, and a described write stores no block it covers whole.
 
 use proptest::prelude::*;
 use sim_disk::{BlockFs, Extent, Ino, BLOCK_SIZE};
@@ -108,7 +110,11 @@ impl Harness {
             self.model[f].pblks.resize(blocks, None);
             for l in 0..blocks {
                 let got = self.fs.pblk_of(ino, l as u64);
-                assert_eq!(got, self.twin.pblk_of(ino, l as u64), "f{f} lblk {l}: preload ≠ write");
+                assert_eq!(
+                    got,
+                    self.twin.pblk_of(ino, l as u64),
+                    "f{f} lblk {l}: described ≠ bytes"
+                );
                 let slot = &mut self.model[f].pblks[l];
                 match (*slot, got) {
                     (Some(want), _) => assert_eq!(got, Some(want), "f{f} lblk {l} moved"),
@@ -126,16 +132,27 @@ impl Harness {
     fn step(&mut self, kind: u8, f: usize, offset: u64, len: usize, seed: u64) {
         let ino = self.inos[f];
         match kind {
-            // Preload; the twin writes the same bytes.
+            // A described write; the twin writes the same bytes. Only a
+            // block it covers in part may become stored.
             0 => {
                 let data = content(seed, offset, len);
-                let p = self.fs.preload(ino, offset, len, seed).unwrap();
+                let stored = self.fs.stored_blocks();
+                let p = self.fs.write_described(ino, offset, len, seed).unwrap();
                 let w = self.twin.write(ino, offset, &data).unwrap();
-                assert_eq!(p, w, "preload reports what the write does");
+                assert_eq!(p, w, "a described write reports what the byte write does");
+                let (bs, end) = (BLOCK_SIZE as u64, offset + len as u64);
+                let touched = end.div_ceil(bs) - offset / bs;
+                let whole = (end / bs).saturating_sub(offset.div_ceil(bs));
+                let partial = (touched - whole) as usize;
+                assert!(
+                    self.fs.stored_blocks() <= stored + partial,
+                    "{offset}+{len}: {stored} stored blocks became {}",
+                    self.fs.stored_blocks()
+                );
                 self.model_write(f, offset, &data);
             }
             // Aligned / unaligned write of bytes no content produces here;
-            // of the content a preload with `seed` would leave (a write a
+            // of the content a described write of `seed` leaves (a write a
             // descriptor block absorbs when `seed` is its own); or of that
             // content with one byte flipped (one it must not).
             1..=4 => {
@@ -175,6 +192,9 @@ impl Harness {
                 let want = self.model_read(f, offset, len);
                 assert_eq!(&buf[..r.bytes], want, "read f{f} {offset}+{len}");
                 assert_eq!(r.extents, self.model_extents(f, offset, len), "read extents");
+                let mut twin = vec![0x3Cu8; len];
+                assert_eq!(self.twin.read(ino, offset, &mut twin).unwrap(), r, "twin read");
+                assert_eq!(twin[..r.bytes], buf[..r.bytes], "twin bytes f{f} {offset}+{len}");
             }
             6 => {
                 let mut out = vec![0x5A; 7];
@@ -191,12 +211,14 @@ impl Harness {
         self.check_mapping();
     }
 
-    /// Every file, whole, reads as the model says.
+    /// Every file, whole, reads as the model says, in the fs and its twin.
     fn check_all(&self) {
         for f in 0..FILES {
-            let mut out = Vec::new();
-            self.fs.read_append(self.inos[f], 0, 1 << 20, &mut out).unwrap();
-            assert_eq!(out, self.model[f].bytes, "f{f} contents");
+            for fs in [&self.fs, &self.twin] {
+                let mut out = Vec::new();
+                fs.read_append(self.inos[f], 0, 1 << 20, &mut out).unwrap();
+                assert_eq!(out, self.model[f].bytes, "f{f} contents");
+            }
         }
     }
 }
@@ -251,7 +273,7 @@ fn a_file_on_freed_blocks_reads_its_own_bytes_and_zeros() {
     h.step(2, 0, 4 * BLOCK_SIZE as u64, 2 * BLOCK_SIZE, 0); // stored at 4..6
     let freed: Vec<u64> = (0..6).map(|l| h.fs.pblk_of(h.inos[0], l).unwrap()).collect();
     h.step(8, 0, 0, 0, 0);
-    // Unaligned writes and a preload into the freed blocks, leaving holes
+    // Unaligned writes and a described one into the freed blocks, leaving holes
     // and partly written blocks around them.
     h.step(2, 1, 100, 10, 0);
     h.step(2, 1, 2 * BLOCK_SIZE as u64 + 4000, 200, 0);
@@ -262,5 +284,21 @@ fn a_file_on_freed_blocks_reads_its_own_bytes_and_zeros() {
         .filter(|p| freed.contains(p))
         .count();
     assert!(reused >= 4, "the other files took {reused} of the freed blocks");
+    h.check_all();
+}
+
+#[test]
+fn a_whole_block_described_write_stores_nothing() {
+    let mut h = Harness::new();
+    h.step(2, 0, 0, 3 * BLOCK_SIZE, 0); // three stored blocks
+    assert_eq!(h.fs.stored_blocks(), 3);
+    h.step(0, 0, BLOCK_SIZE as u64, BLOCK_SIZE, 1); // the middle one, whole
+    assert_eq!(h.fs.stored_blocks(), 2, "a whole described block replaces stored bytes");
+    h.step(0, 0, 0, 100, 1); // part of a stored block: written as bytes
+    h.step(0, 0, BLOCK_SIZE as u64 + 10, 100, 1); // part of its own descriptor
+    h.step(0, 0, 4 * BLOCK_SIZE as u64, 2 * BLOCK_SIZE, 2); // growth, whole
+    assert_eq!(h.fs.stored_blocks(), 2);
+    h.step(0, 0, BLOCK_SIZE as u64 + 10, 100, 3); // another content
+    assert_eq!(h.fs.stored_blocks(), 3);
     h.check_all();
 }

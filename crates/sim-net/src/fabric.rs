@@ -43,11 +43,11 @@ struct Outbound {
     last_arrival: SimTime,
 }
 
-/// Fabric-internal event: the NIC of `node` finished putting a frame on the
-/// wire and may start the next one.
-struct FrameDone {
-    node: usize,
-}
+/// Fabric-internal event, one per frame: a NIC finished putting a frame on
+/// the wire and may start the next one. It names no NIC — the fabric knows
+/// which one is due ([`Fabric::due_nic`]) — so it carries no data and its
+/// event allocates nothing.
+struct FrameDone;
 
 /// The interconnect. One instance per simulated cluster.
 pub struct Fabric {
@@ -65,6 +65,10 @@ pub struct Fabric {
     endpoints: Vec<ActorId>,
     /// Per-node port bindings, a handful per node, scanned in order.
     bindings: Vec<Vec<(u16, ActorId)>>,
+    /// Per node, the frame on the wire: when its [`FrameDone`] falls due,
+    /// and the order the events were scheduled in (`frames_started`).
+    frame_due: Vec<Option<(SimTime, u64)>>,
+    frames_started: u64,
     stats: FabricStats,
 }
 
@@ -79,6 +83,8 @@ impl Fabric {
             downlinks: (0..n).map(|i| FifoResource::new(format!("downlink-{i}"))).collect(),
             nics: (0..n).map(|_| VecDeque::new()).collect(),
             bindings: vec![Vec::new(); n],
+            frame_due: vec![None; n],
+            frames_started: 0,
             endpoints,
             cfg,
             stats: FabricStats::default(),
@@ -146,7 +152,22 @@ impl Fabric {
             }
         };
         ob.last_arrival = arrival;
-        ctx.schedule_self(nic_free.since(now), FrameDone { node });
+        self.frame_due[node] = Some((nic_free, self.frames_started));
+        self.frames_started += 1;
+        ctx.schedule_self(nic_free.since(now), FrameDone);
+    }
+
+    /// The NIC a [`FrameDone`] dispatched now is for. The engine runs
+    /// events by time, then in the order they were scheduled, and each NIC
+    /// has at most one frame on the wire: the earliest due is this one.
+    fn due_nic(&mut self, now: SimTime) -> usize {
+        let (node, due) = (self.frame_due.iter().enumerate())
+            .filter_map(|(node, due)| due.map(|due| (node, due)))
+            .min_by_key(|&(_, due)| due)
+            .expect("FrameDone with no frame on the wire");
+        debug_assert_eq!(due.0, now, "FrameDone for a frame not due");
+        self.frame_due[node] = None;
+        node
     }
 
     fn frame_done(&mut self, ctx: &mut Ctx<'_>, node: usize) {
@@ -202,9 +223,11 @@ impl Actor for Fabric {
             }
             Err(m) => m,
         };
-        match msg.cast::<FrameDone>() {
-            Ok(fd) => self.frame_done(ctx, fd.node),
-            Err(other) => panic!("fabric received unexpected message: {:?}", other),
+        if msg.is::<FrameDone>() {
+            let node = self.due_nic(ctx.now());
+            self.frame_done(ctx, node);
+        } else {
+            panic!("fabric received unexpected message: {:?}", msg);
         }
     }
 

@@ -5,8 +5,8 @@
 
 use kcache::{AppId, BlockKey, CacheConfig, CacheModule};
 use pvfs::{
-    pattern_bytes, ByteRange, CostModel, Fid, Iod, PvfsConfig, ReadReq, WritePart, WriteReq,
-    CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
+    ByteRange, CostModel, Fid, Iod, Payload, PvfsConfig, ReadReq, WritePart, WriteReq, CACHE_PORT,
+    CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_disk::{Disk, DiskGeometry, DiskSched};
@@ -163,7 +163,7 @@ fn an_evicted_then_reread_block_still_gets_invalidated() {
         fid: FID,
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: pattern_bytes(FID, 0, 4096),
+            data: Payload::described(FID, 0, 4096),
         }],
         reply_to: (NodeId(B), PORT),
         caching: false,
