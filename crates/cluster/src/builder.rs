@@ -15,7 +15,7 @@ use pvfs::{
     CACHE_PORT, CLIENT_PORT_BASE, MGR_PORT,
 };
 use sim_core::{ActorId, DetRng, Dur, Engine, FifoResource, SharedResource};
-use sim_disk::{DiskGeometry, DiskSched};
+use sim_disk::{DiskGeometry, DiskSched, BLOCK_SIZE};
 use sim_net::{Fabric, NetConfig, NodeId, Port};
 use workload::{partition_of, AppProcess, AppSpec, Coordinator, Kickoff, ProcPlan};
 
@@ -91,6 +91,78 @@ fn window_bytes(apps: &[AppSpec], d_proc: u32) -> u64 {
     (cap / (5 * max_procs)).max(d_proc as u64)
 }
 
+/// Files are striped across every node.
+fn stripe_policy(spec: &ClusterSpec) -> StripePolicy {
+    StripePolicy {
+        unit: spec.pvfs.stripe_unit,
+        n_iods: spec.n_nodes as u32,
+        total_iods: spec.n_nodes as u32,
+    }
+}
+
+/// Register the benchmark's files at `mgr`: the shared file once, then each
+/// app's private one, in the order that numbers them.
+fn install_files(mgr: &mut Mgr, apps: &[AppSpec]) -> Vec<FileHandle> {
+    let mut names: Vec<(String, u64)> = Vec::new();
+    for a in apps {
+        if !names.iter().any(|(x, _)| *x == a.shared_file) {
+            names.push((a.shared_file.clone(), a.file_size));
+        }
+        names.push((a.private_file(), a.file_size));
+    }
+    names.iter().map(|(name, size)| mgr.install_file(name, *size)).collect()
+}
+
+/// A file is preloaded in pieces of this size: a multiple of every block
+/// and stripe unit, so no block is split between two and every block
+/// stays a descriptor, and short enough for a `ByteRange`.
+const PRELOAD_CHUNK: u64 = 1 << 30;
+
+/// The whole of `h`'s bytes as the nodes hold them: for each chunk of the
+/// file, each node's ranges of it, in file order.
+fn preload_pieces(
+    h: &FileHandle,
+    n_nodes: u16,
+) -> impl Iterator<Item = (usize, Vec<ByteRange>)> + '_ {
+    (0..h.size).step_by(PRELOAD_CHUNK as usize).flat_map(move |at| {
+        let chunk = ByteRange::new(at, (h.size - at).min(PRELOAD_CHUNK) as u32);
+        let per_iod = pvfs::split_ranges(&h.stripe, chunk).into_iter().enumerate();
+        per_iod.filter(|(_, ranges)| !ranges.is_empty()).map(move |(slot, ranges)| {
+            (h.stripe.global_iod(slot as u32, n_nodes as u32) as usize, ranges)
+        })
+    })
+}
+
+/// The first node whose share of `apps`' files, split as [`build`]
+/// preloads them, needs more blocks than its disk holds: the node, and
+/// the blocks it needs up to the piece that overflows it.
+pub fn preload_overflow(spec: &ClusterSpec, apps: &[AppSpec]) -> Option<(usize, u64)> {
+    let mut mgr = Mgr::new(
+        NodeId(0),
+        0,
+        FifoResource::shared("plan"),
+        spec.costs.clone(),
+        stripe_policy(spec),
+    );
+    let (bs, mut blocks) = (BLOCK_SIZE as u64, vec![0u64; spec.n_nodes as usize]);
+    for h in install_files(&mut mgr, apps) {
+        // Ranges of one file on one node come in file order; a block two of
+        // them share is allocated once.
+        let mut last = vec![None; blocks.len()];
+        for (node, ranges) in preload_pieces(&h, spec.n_nodes) {
+            for r in &ranges {
+                let first = r.offset / bs;
+                blocks[node] += r.end().div_ceil(bs) - first - (last[node] == Some(first)) as u64;
+                last[node] = Some((r.end() - 1) / bs);
+            }
+            if blocks[node] > spec.disk.capacity_blocks {
+                return Some((node, blocks[node]));
+            }
+        }
+    }
+    None
+}
+
 /// Build a cluster and instantiate the given application instances on it.
 pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     for a in apps {
@@ -161,11 +233,7 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         fabric_id,
         cpus[0].clone(),
         spec.costs.clone(),
-        StripePolicy {
-            unit: spec.pvfs.stripe_unit,
-            n_iods: spec.n_nodes as u32,
-            total_iods: spec.n_nodes as u32,
-        },
+        stripe_policy(spec),
     )));
     fabric.bind(NodeId(0), MGR_PORT, mgr_id);
 
@@ -193,30 +261,12 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     // Pre-create the benchmark's files at the mgr and preload their bytes
     // at the iods (setup happens outside measured time).
     let iod_nodes: Vec<NodeId> = (0..spec.n_nodes).map(NodeId).collect();
-    let mut handles: Vec<FileHandle> = Vec::new();
-    {
-        let mut names: Vec<(String, u64)> = Vec::new();
-        for a in apps {
-            if !names.iter().any(|(x, _)| *x == a.shared_file) {
-                names.push((a.shared_file.clone(), a.file_size));
-            }
-            names.push((a.private_file(), a.file_size));
-        }
-        let mgr = eng.actor_as_mut::<Mgr>(mgr_id).expect("mgr downcast");
-        for (name, size) in &names {
-            handles.push(mgr.install_file(name, *size));
-        }
-    }
+    let mgr = eng.actor_as_mut::<Mgr>(mgr_id).expect("mgr downcast");
+    let handles = install_files(mgr, apps);
     for h in &handles {
-        let whole = ByteRange::new(0, h.size.min(u32::MAX as u64) as u32);
-        let per_iod = pvfs::split_ranges(&h.stripe, whole);
-        for (slot, ranges) in per_iod.iter().enumerate() {
-            if ranges.is_empty() {
-                continue;
-            }
-            let node = h.stripe.global_iod(slot as u32, spec.n_nodes as u32) as usize;
+        for (node, ranges) in preload_pieces(h, spec.n_nodes) {
             let iod = eng.actor_as_mut::<Iod>(iods[node]).expect("iod downcast");
-            iod.preload(h.fid, ranges, spec.preload_warm);
+            iod.preload(h.fid, &ranges, spec.preload_warm);
         }
     }
 
@@ -288,5 +338,33 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
         processes,
         coordinator,
         cpus,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ExperimentConfig;
+
+    /// A file past 4 GiB is preloaded whole: its last block, beyond
+    /// `u32::MAX`, reads back as the file's content.
+    #[test]
+    fn a_file_over_4_gib_is_preloaded_to_its_last_block() {
+        let size_mb = 4096 + 64;
+        let cfg = ExperimentConfig::from_json(&format!(
+            r#"{{"cluster":{{"nodes":1,"caching":false,"file_mb":{size_mb}}},
+                "apps":[{{"name":"a","nodes":[0],"total_mb":1,"request_kb":64,"mode":"read"}}]}}"#
+        ))
+        .unwrap();
+        let (mut spec, apps) = cfg.to_spec().unwrap();
+        spec.preload_warm = false;
+        let cluster = build(&spec, &apps);
+        let iod = cluster.engine.actor_as::<Iod>(cluster.iods[0]).expect("iod downcast");
+        let mgr = cluster.engine.actor_as::<Mgr>(cluster.mgr).expect("mgr downcast");
+        let fid = mgr.lookup("shared").expect("the shared file").fid;
+        let last = (size_mb << 20) - BLOCK_SIZE as u64;
+        assert!(iod.holds_content(fid, ByteRange::new(last, BLOCK_SIZE as u32)));
+        assert!(iod.holds_content(fid, ByteRange::new((1 << 30) - 100, 200)), "a chunk edge");
+        assert_eq!(iod.stored_blocks(), 0, "every block a descriptor");
     }
 }

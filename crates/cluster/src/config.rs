@@ -293,7 +293,8 @@ impl ExperimentConfig {
 
     /// Lower the config into a runnable `(ClusterSpec, Vec<AppSpec>)`.
     /// Every config it accepts builds and runs: each app passes
-    /// [`AppSpec::validate`], and there is at least one.
+    /// [`AppSpec::validate`], there is at least one, and each node's share
+    /// of the files fits its disk.
     pub fn to_spec(&self) -> Result<(ClusterSpec, Vec<AppSpec>), String> {
         if self.apps.is_empty() {
             return Err("apps is empty: an experiment needs at least one app".into());
@@ -419,6 +420,14 @@ impl ExperimentConfig {
                 Ok(app)
             })
             .collect::<Result<Vec<_>, String>>()?;
+        // Every file is preloaded whole, so the files must fit the disks.
+        if let Some((node, blocks)) = crate::builder::preload_overflow(&spec, &apps) {
+            return Err(format!(
+                "cluster.file_mb is {file_mb}: node {node}'s share of the apps' files needs at \
+                 least {blocks} blocks, more than its disk's {}",
+                spec.disk.capacity_blocks
+            ));
+        }
         Ok((spec, apps))
     }
 }
@@ -642,5 +651,26 @@ mod tests {
         let json = serde_json::to_string_pretty(&cfg).unwrap();
         let back = ExperimentConfig::from_json(&json).unwrap();
         assert_eq!(back, cfg, "serialize → parse must be the identity");
+    }
+
+    #[test]
+    fn files_larger_than_a_disk_are_an_error_naming_file_mb() {
+        // 8 GiB files on two nodes: over 4 GiB, but each node's share fits.
+        let big = r#"{"cluster":{"nodes":2,"caching":false,"seed":1,"file_mb":8192},
+            "apps":[{"name":"a","nodes":[0,1],"total_mb":4,"request_kb":64,"mode":"read",
+                     "locality":0.0}]}"#;
+        assert!(ExperimentConfig::from_json(big).unwrap().to_spec().is_ok());
+        // Five apps' files and the shared one on one node's 20 GB disk.
+        let apps = (0..5)
+            .map(|i| {
+                format!(
+                    r#"{{"name":"a{i}","nodes":[0],"total_mb":1,"request_kb":64,"mode":"read"}}"#
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(",");
+        let full = format!(r#"{{"cluster":{{"nodes":1,"file_mb":4095}},"apps":[{apps}]}}"#);
+        let err = ExperimentConfig::from_json(&full).unwrap().to_spec().unwrap_err();
+        assert!(err.starts_with("cluster.file_mb is 4095: node 0"), "{err}");
     }
 }

@@ -1,6 +1,6 @@
 //! Cache block identity and in-block byte ranges.
 
-use pvfs::Fid;
+use pvfs::{Content, Fid};
 use std::fmt;
 
 /// Cache block size: 4 KB, "to make it equal to page size" (§3.2).
@@ -22,6 +22,11 @@ impl BlockKey {
     /// First byte of this block in the file.
     pub fn offset(&self) -> u64 {
         self.blk * CACHE_BLOCK_SIZE as u64
+    }
+
+    /// The block's own bytes: its file's content from its first byte.
+    pub fn content(&self) -> Content {
+        Content::new(self.fid, self.offset())
     }
 
     /// Cheap, well-mixed hash for the open-hash table (fibonacci hashing on

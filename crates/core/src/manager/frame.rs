@@ -6,7 +6,7 @@
 //! the resident block's offsets — the representation `BlockFs` gives the
 //! iod's blocks. The rule is the same on every path that brings data in (an
 //! install, a write-behind absorb, a sync-write refresh): bytes are
-//! compared once (`pvfs::pattern_matches`), and those the file's content
+//! compared once (`Content::matches`), and those the file's content
 //! reproduces are recorded as described and copied nowhere; any other
 //! bytes are stored. Data that arrived as a descriptor the caller
 //! recognised as naming this very block and span ([`OwnContent`]) is
@@ -20,7 +20,7 @@
 use super::FlushItem;
 use crate::block::{BlockKey, Span, CACHE_BLOCK_SIZE};
 use bytes::Bytes;
-use pvfs::{pattern_extend, pattern_fill, pattern_matches, Fid, Segment};
+use pvfs::{Content, Segment};
 use sim_net::NodeId;
 
 /// What an install, a write-behind absorb or a sync-write refresh brings
@@ -64,12 +64,8 @@ impl Incoming for OwnContent {
     fn merge(self, f: &mut Frame, span: Span) {
         debug_assert!(f.valid.mergeable(span));
         if !f.described {
-            let (fid, offset) = f.origin();
-            pattern_fill(
-                fid,
-                offset + span.start as u64,
-                &mut f.buffer()[span.start as usize..span.end as usize],
-            );
+            let own = f.origin().at(span.start as u64);
+            own.fill(&mut f.buffer()[span.start as usize..span.end as usize]);
         }
         f.valid = f.valid.merge(span);
     }
@@ -137,7 +133,7 @@ impl Frame {
         debug_assert!(self.key.is_none());
         self.key = Some(key);
         self.valid = span;
-        self.described = pattern_matches(key.fid, key.offset() + span.start as u64, bytes);
+        self.described = key.content().at(span.start as u64).matches(bytes);
         if !self.described {
             self.buffer()[span.start as usize..span.end as usize].copy_from_slice(bytes);
         }
@@ -150,36 +146,32 @@ impl Frame {
     fn merge(&mut self, span: Span, bytes: &[u8]) {
         debug_assert!(self.valid.mergeable(span));
         if self.described {
-            let (fid, offset) = self.origin();
-            if pattern_matches(fid, offset + span.start as u64, bytes) {
+            let origin = self.origin();
+            if origin.at(span.start as u64).matches(bytes) {
                 self.valid = self.valid.merge(span);
                 return;
             }
             let valid = self.valid;
-            pattern_fill(
-                fid,
-                offset + valid.start as u64,
-                &mut self.buffer()[valid.start as usize..valid.end as usize],
-            );
+            origin
+                .at(valid.start as u64)
+                .fill(&mut self.buffer()[valid.start as usize..valid.end as usize]);
             self.described = false;
         }
         self.buffer()[span.start as usize..span.end as usize].copy_from_slice(bytes);
         self.valid = self.valid.merge(span);
     }
 
-    /// The file and offset of the resident block's first byte: a
-    /// described frame's bytes are generated from here.
-    fn origin(&self) -> (Fid, u64) {
-        let key = self.key.expect("the frame holds a block");
-        (key.fid, key.offset())
+    /// The resident block's own content: a described frame's bytes are
+    /// generated from here.
+    fn origin(&self) -> Content {
+        self.key.expect("the frame holds a block").content()
     }
 
     /// The bytes the frame holds over `span` (within the valid span).
     pub(super) fn bytes(&self, span: Span) -> BlockBytes<'_> {
         debug_assert!(self.valid.covers(span));
         BlockBytes(if self.described {
-            let (fid, offset) = self.origin();
-            Src::Described { fid, offset: offset + span.start as u64, len: span.len() as usize }
+            Src::Described(self.origin().at(span.start as u64), span.len() as usize)
         } else {
             let data = self.data.as_deref().expect("a stored frame has its buffer");
             Src::Stored(&data[span.start as usize..span.end as usize])
@@ -202,14 +194,14 @@ pub struct BlockBytes<'a>(Src<'a>);
 
 enum Src<'a> {
     Stored(&'a [u8]),
-    Described { fid: Fid, offset: u64, len: usize },
+    Described(Content, usize),
 }
 
 impl BlockBytes<'_> {
     pub fn len(&self) -> usize {
         match self.0 {
             Src::Stored(b) => b.len(),
-            Src::Described { len, .. } => len,
+            Src::Described(_, len) => len,
         }
     }
 
@@ -221,7 +213,7 @@ impl BlockBytes<'_> {
     pub fn copy_to(&self, dst: &mut [u8]) {
         match self.0 {
             Src::Stored(b) => dst.copy_from_slice(b),
-            Src::Described { fid, offset, .. } => pattern_fill(fid, offset, dst),
+            Src::Described(c, _) => c.fill(dst),
         }
     }
 
@@ -230,20 +222,14 @@ impl BlockBytes<'_> {
     pub fn segment(&self) -> Segment {
         match self.0 {
             Src::Stored(b) => Segment::Bytes(Bytes::copy_from_slice(b)),
-            Src::Described { fid, offset, len } => {
-                Segment::Described { fid, offset, len: len as u32 }
-            }
+            Src::Described(c, len) => Segment::Described(c, len as u32),
         }
     }
 
     pub fn to_vec(&self) -> Vec<u8> {
         match self.0 {
             Src::Stored(b) => b.to_vec(),
-            Src::Described { fid, offset, len } => {
-                let mut out = Vec::with_capacity(len);
-                pattern_extend(fid, offset, len, &mut out);
-                out
-            }
+            Src::Described(c, len) => c.generate(len),
         }
     }
 }

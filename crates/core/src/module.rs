@@ -127,7 +127,7 @@ enum Arrived<'a> {
 impl Arrived<'_> {
     fn of(data: &Payload, lo: usize, hi: usize, key: BlockKey, span: Span) -> Arrived<'_> {
         match data.described_at(lo, hi) {
-            Some(at) if at == (key.fid, key.offset() + span.start as u64) => Arrived::Own,
+            Some(at) if at == key.content().at(span.start as u64) => Arrived::Own,
             _ => Arrived::Bytes(data.bytes_at(lo, hi)),
         }
     }

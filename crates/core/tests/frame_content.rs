@@ -17,7 +17,7 @@ use kcache::{
     WriteOutcome, CACHE_BLOCK_SIZE,
 };
 use proptest::prelude::*;
-use pvfs::{pattern_bytes, Fid};
+use pvfs::{Content, Fid};
 use sim_net::NodeId;
 use std::collections::BTreeMap;
 
@@ -48,7 +48,7 @@ fn payload(k: BlockKey, span: Span, p: Payload) -> Vec<u8> {
     let len = span.len() as usize;
     match p {
         Payload::Pattern | Payload::Described => {
-            pattern_bytes(k.fid, k.offset() + span.start as u64, len).to_vec()
+            Content::new(k.fid, k.offset() + span.start as u64).generate(len)
         }
         Payload::Flipped(at) => {
             let mut v = payload(k, span, Payload::Pattern);

@@ -6,13 +6,18 @@
 
 use kcache::{CacheConfig, CacheModule};
 use pvfs::{
-    pattern_bytes, ByteRange, CostModel, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck,
-    Payload, ReadAck, ReadData, ReadReq, Segment, WriteAck, WritePart, WriteReq, CACHE_PORT,
+    ByteRange, Content, CostModel, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, Payload,
+    ReadAck, ReadData, ReadReq, Segment, WriteAck, WritePart, WriteReq, CACHE_PORT,
     CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg, SimTime};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
+
+/// The file's own bytes.
+fn pattern(fid: Fid, offset: u64, len: usize) -> Vec<u8> {
+    Content::new(fid, offset).generate(len)
+}
 
 const CLIENT: u16 = 0; // node 0 runs the module + client; node 1 the iod
 const IOD: u16 = 1;
@@ -56,20 +61,18 @@ impl Actor for ScriptedIod {
                     let corrupt_at = self.corrupt.map(|b| b * 4096 + 100);
                     let data = match corrupt_at.filter(|at| (r.offset..r.end()).contains(at)) {
                         Some(at) => {
-                            let mut data = pattern_bytes(rr.fid, r.offset, r.len as usize).to_vec();
+                            let mut data = pattern(rr.fid, r.offset, r.len as usize);
                             data[(at - r.offset) as usize] ^= 1;
                             Payload::from(data)
                         }
-                        None if self.bytes => {
-                            pattern_bytes(rr.fid, r.offset, r.len as usize).into()
-                        }
+                        None if self.bytes => pattern(rr.fid, r.offset, r.len as usize).into(),
                         None => {
                             let mut p = Payload::new();
                             for at in (r.offset..r.end()).step_by(4096) {
                                 let misdescribed = self.misdescribe == Some(at / 4096);
                                 let offset = if misdescribed { at + 4096 } else { at };
                                 let len = 4096.min(r.end() - at) as u32;
-                                p.push(Segment::Described { fid: rr.fid, offset, len });
+                                p.push(Segment::Described(Content::new(rr.fid, offset), len));
                             }
                             p
                         }
@@ -223,7 +226,10 @@ fn write_req(req_id: u64, range: ByteRange, sync: bool) -> Xmit {
     let wr = WriteReq {
         req_id,
         fid: Fid(1),
-        parts: vec![WritePart { range, data: Payload::described(Fid(1), range.offset, range.len) }],
+        parts: vec![WritePart {
+            range,
+            data: Payload::described(Content::new(Fid(1), range.offset), range.len),
+        }],
         reply_to: (NodeId(CLIENT), Port(CLIENT_PORT_BASE)),
         caching: true,
         sync,
@@ -253,7 +259,7 @@ fn cold_read_forwards_block_aligned_then_repeat_is_faked_locally() {
         assert_eq!(c.acks.len(), 1, "iod ack forwarded");
         assert_eq!(c.data.len(), 1);
         assert_eq!(c.data[0].range, ByteRange::new(1000, 6000), "client sees its own range");
-        let expect = pattern_bytes(Fid(1), 1000, 6000);
+        let expect = pattern(Fid(1), 1000, 6000);
         assert_eq!(c.data[0].data, expect, "assembled bytes match the file pattern");
     }
     // Same read again: served from cache, nothing new on the wire, ack faked.
@@ -264,7 +270,7 @@ fn cold_read_forwards_block_aligned_then_repeat_is_faked_locally() {
     let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
     assert_eq!(c.acks.len(), 2);
     assert_eq!(c.data.len(), 2);
-    assert_eq!(c.data[1].data, pattern_bytes(Fid(1), 1000, 6000));
+    assert_eq!(c.data[1].data, pattern(Fid(1), 1000, 6000));
     let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
     assert_eq!(m.stats().full_hits, 1);
     assert_eq!(m.stats().fake_read_acks, 1);
@@ -293,7 +299,7 @@ fn cached_block_in_the_middle_splits_the_request() {
     let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
     let last = c.data.last().unwrap();
     assert_eq!(last.range, ByteRange::new(0, 3 * 4096));
-    assert_eq!(last.data, pattern_bytes(Fid(1), 0, 3 * 4096));
+    assert_eq!(last.data, pattern(Fid(1), 0, 3 * 4096));
 }
 
 #[test]
@@ -333,7 +339,7 @@ fn write_is_absorbed_acked_locally_then_flushed() {
     assert_eq!(iod.flushes.len(), 1);
     let f = &iod.flushes[0];
     assert_eq!(f.blocks.len(), 2);
-    assert_eq!(f.blocks[0].data, pattern_bytes(Fid(1), 0, 4096));
+    assert_eq!(f.blocks[0].data, pattern(Fid(1), 0, 4096));
     let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
     assert_eq!(m.stats().fake_write_acks, 1);
     assert_eq!(m.stats().flush_msgs, 1);
@@ -482,7 +488,7 @@ fn bytes_of_pattern_survive_partial_hit_assembly() {
         assert_eq!(last.range, ByteRange::new(100, 8 * 4096));
         assert_eq!(
             last.data,
-            pattern_bytes(Fid(1), 100, 8 * 4096),
+            pattern(Fid(1), 100, 8 * 4096),
             "partial-hit assembly corrupted data"
         );
     }
@@ -503,14 +509,14 @@ fn covered_cold_ranges_are_forwarded_as_windows_of_the_arriving_data() {
         assert_eq!(iod.reads.len(), 1);
         let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
         let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
-        assert_eq!(of(1).data, pattern_bytes(Fid(1), 1000, 6000));
-        assert_eq!(of(2).data, pattern_bytes(Fid(1), 4106, 100));
+        assert_eq!(of(1).data, pattern(Fid(1), 1000, 6000));
+        assert_eq!(of(2).data, pattern(Fid(1), 4106, 100));
     }
     let c = described.eng.actor_as::<ClientProbe>(described.client).unwrap();
     let of = |id| c.data.iter().find(|d| d.req_id == id).unwrap();
     let one = |d: &ReadData| d.data.segments().cloned().collect::<Vec<_>>();
     assert!(
-        matches!(one(of(2))[..], [Segment::Described { fid: Fid(1), offset: 4106, len: 100 }]),
+        matches!(one(of(2))[..], [Segment::Described(c, 100)] if c == Content::new(Fid(1), 4106)),
         "a described reply is one descriptor: {:?}",
         of(2).data
     );
@@ -546,7 +552,7 @@ fn cold_range_arriving_in_pieces_is_joined_from_segments() {
         let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
         let d = c.data.iter().find(|d| d.req_id == 2).unwrap();
         assert_eq!(d.range, ByteRange::new(50, 3 * 4096 - 100));
-        assert_eq!(d.data, pattern_bytes(Fid(1), 50, 3 * 4096 - 100));
+        assert_eq!(d.data, pattern(Fid(1), 50, 3 * 4096 - 100));
         if described {
             assert_eq!(d.data.segments().count(), 1, "three descriptors join into one");
         }
@@ -556,7 +562,8 @@ fn cold_range_arriving_in_pieces_is_joined_from_segments() {
 /// What libpvfs's check makes of a delivered message: every byte the
 /// file's, at the range's own offsets.
 fn fails_check(d: &ReadData) -> bool {
-    !(d.data.len() == d.range.len as usize && d.data.is_content_of(d.fid, d.range.offset))
+    !(d.data.len() == d.range.len as usize
+        && d.data.is_content_of(Content::new(d.fid, d.range.offset)))
 }
 
 /// A block that arrives with one byte flipped is cached as those bytes,
@@ -606,8 +613,8 @@ fn a_descriptor_naming_another_block_is_stored_not_trusted() {
     let failed: Vec<u64> = c.data.iter().filter(|d| fails_check(d)).map(|d| d.req_id).collect();
     assert_eq!(failed, vec![1, 2], "the fetch and the cache hit each fail verification");
     let hit = c.data.iter().find(|d| d.req_id == 2).unwrap();
-    assert_eq!(hit.data.described_at(0, 4096), Some((Fid(1), 0)));
+    assert_eq!(hit.data.described_at(0, 4096), Some(Content::new(Fid(1), 0)));
     assert_eq!(hit.data.described_at(4096, 8192), None, "block 1 is held as bytes");
-    assert_eq!(*hit.data.bytes_at(4096, 8192), *pattern_bytes(Fid(1), 8192, 4096));
-    assert_eq!(hit.data.described_at(8192, 12288), Some((Fid(1), 8192)));
+    assert_eq!(*hit.data.bytes_at(4096, 8192), *pattern(Fid(1), 8192, 4096));
+    assert_eq!(hit.data.described_at(8192, 12288), Some(Content::new(Fid(1), 8192)));
 }

@@ -18,7 +18,7 @@ use crate::protocol::{
 };
 use crate::striping::split_ranges;
 use sim_core::{resource, ActorId, Ctx, Dur, SharedResource, SimTime, Tally};
-use sim_disk::BLOCK_SIZE;
+use sim_disk::{Content, BLOCK_SIZE};
 use sim_net::{NetMessage, NodeId, Port, Xmit};
 use std::collections::BTreeMap;
 
@@ -265,7 +265,10 @@ impl PvfsClient {
                 [handle.stripe.global_iod(slot, self.cfg.iod_nodes.len() as u32) as usize];
             let parts: Vec<WritePart> = ranges
                 .into_iter()
-                .map(|r| WritePart { range: r, data: Payload::described(fid, r.offset, r.len) })
+                .map(|r| WritePart {
+                    range: r,
+                    data: Payload::described(Content::new(fid, r.offset), r.len),
+                })
                 .collect();
             let wr = WriteReq {
                 req_id,
@@ -342,7 +345,7 @@ impl PvfsClient {
                 // segment byte by byte.
                 if self.cfg.verify_reads
                     && !(rd.data.len() == rd.range.len as usize
-                        && rd.data.is_content_of(rd.fid, rd.range.offset))
+                        && rd.data.is_content_of(Content::new(rd.fid, rd.range.offset)))
                 {
                     self.stats.verify_failures += 1;
                 }

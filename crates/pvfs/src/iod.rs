@@ -11,11 +11,13 @@ use crate::config::{CostModel, PvfsConfig};
 use crate::directory::Directory;
 use crate::payload::{Payload, Segment};
 use crate::protocol::{
-    pattern_fill, ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, ReadAck,
-    ReadData, ReadReq, WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT,
+    ByteRange, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, ReadAck, ReadData, ReadReq,
+    WriteAck, WriteReq, CACHE_PORT, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
-use sim_disk::{BlockFs, DiskOp, DiskReply, DiskRequest, Ino, Lookup, PageCache, BLOCK_SIZE};
+use sim_disk::{
+    BlockFs, Content, DiskOp, DiskReply, DiskRequest, Ino, Lookup, PageCache, BLOCK_SIZE,
+};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
@@ -97,9 +99,7 @@ impl Iod {
             cpu,
             costs,
             cfg,
-            fs: BlockFs::new(fs_capacity_blocks, |fid, offset, out| {
-                pattern_fill(Fid(fid), offset, out)
-            }),
+            fs: BlockFs::new(fs_capacity_blocks),
             files: BTreeMap::new(),
             pcache: PageCache::new(pages),
             directory: Directory::default(),
@@ -140,6 +140,16 @@ impl Iod {
         self.fs.extents_of(ino, 0, BLOCK_SIZE).ok().and_then(|e| e.first().map(|x| x.pblk))
     }
 
+    /// Whether `range` of `fid`'s local file reads back as the file's own
+    /// content (test probe).
+    pub fn holds_content(&self, fid: Fid, range: ByteRange) -> bool {
+        let Some(&ino) = self.files.get(&fid) else { return false };
+        let mut out = Vec::new();
+        self.fs.read_append(ino, range.offset, range.len as usize, &mut out).is_ok()
+            && out.len() == range.len as usize
+            && Content::new(fid, range.offset).matches(&out)
+    }
+
     /// Pre-populate this iod's share of a file with deterministic pattern
     /// bytes, outside simulated time (experiment setup). The fs keeps each
     /// fully covered block as a descriptor and generates its bytes when
@@ -152,7 +162,7 @@ impl Iod {
         for r in ranges {
             let out = self
                 .fs
-                .write_described(ino, r.offset, r.len as usize, fid.0)
+                .write_described(ino, Content::new(fid, r.offset), r.len as usize)
                 .expect("preload write failed");
             if warm {
                 for e in &out.extents {
@@ -328,8 +338,9 @@ impl Iod {
             // A range whose every block is a descriptor of this file at
             // its own offset goes out as that descriptor; any other is
             // read out as bytes.
-            let data = if self.fs.is_described(ino, r.offset, r.len as usize, req.fid.0) {
-                Payload::described(req.fid, r.offset, r.len)
+            let own = Content::new(req.fid, r.offset);
+            let data = if self.fs.is_described(ino, own, r.len as usize) {
+                Payload::described(own, r.len)
             } else {
                 let mut buf = Vec::with_capacity(r.len as usize);
                 self.fs
@@ -356,8 +367,8 @@ impl Iod {
         let mut pos = range.offset;
         for seg in data.segments() {
             let out = match *seg {
-                Segment::Described { fid: f, offset, len } if f == fid && offset == pos => {
-                    self.fs.write_described(ino, pos, len as usize, fid.0)
+                Segment::Described(c, len) if c == Content::new(fid, pos) => {
+                    self.fs.write_described(ino, c, len as usize)
                 }
                 _ => self.fs.write(ino, pos, &seg.bytes()),
             }

@@ -1,6 +1,6 @@
 use super::*;
 use crate::payload::Payload;
-use crate::protocol::{pattern_byte, pattern_bytes, FlushEntry, WritePart};
+use crate::protocol::{FlushEntry, WritePart};
 use sim_core::{Engine, FifoResource};
 use sim_disk::{DiskGeometry, DiskSched};
 use sim_net::{Fabric, NetConfig};
@@ -142,10 +142,8 @@ fn preloaded_warm_read_serves_without_disk() {
     assert_eq!(c.data.len(), 1);
     assert_eq!(c.data[0].data.len(), 8192);
     // Data integrity: pattern bytes round-trip, as one descriptor.
-    assert_eq!(c.data[0].data.described_at(0, 8192), Some((Fid(1), 0)));
-    for (i, b) in c.data[0].data.to_vec().into_iter().enumerate() {
-        assert_eq!(b, pattern_byte(Fid(1), i as u64), "byte {} corrupted", i);
-    }
+    assert_eq!(c.data[0].data.described_at(0, 8192), Some(Content::new(Fid(1), 0)));
+    assert_eq!(c.data[0].data.to_vec(), Content::new(Fid(1), 0).generate(8192));
     let iod = r.eng.actor_as::<Iod>(r.iod).unwrap();
     assert_eq!(iod.stats().disk_reads, 0, "warm pages must not touch disk");
 }
@@ -178,7 +176,7 @@ fn cold_read_goes_to_disk() {
 #[test]
 fn write_then_read_round_trips() {
     let mut r = rig(1);
-    let payload = pattern_bytes(Fid(9), 4096, 8192);
+    let payload = Content::new(Fid(9), 4096).generate(8192);
     let req = WriteReq {
         req_id: 5,
         fid: Fid(9),
@@ -203,9 +201,7 @@ fn write_then_read_round_trips() {
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
     let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
     assert_eq!(c.data.len(), 1);
-    for (i, b) in c.data[0].data.to_vec().into_iter().enumerate() {
-        assert_eq!(b, pattern_byte(Fid(9), 4096 + i as u64));
-    }
+    assert_eq!(c.data[0].data.to_vec(), Content::new(Fid(9), 4096).generate(8192));
 }
 
 /// A write that arrives described is stored as descriptors: no block
@@ -219,7 +215,7 @@ fn a_described_write_is_stored_and_read_back_as_descriptors() {
         fid: Fid(9),
         parts: vec![WritePart {
             range: ByteRange::new(4096, 8192 + 100),
-            data: Payload::described(Fid(9), 4096, 8192 + 100),
+            data: Payload::described(Content::new(Fid(9), 4096), 8192 + 100),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
@@ -243,17 +239,68 @@ fn a_described_write_is_stored_and_read_back_as_descriptors() {
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
     let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
     assert_eq!(c.data.len(), 2);
-    assert_eq!(c.data[0].data.described_at(0, 8192), Some((Fid(9), 4096)));
+    assert_eq!(c.data[0].data.described_at(0, 8192), Some(Content::new(Fid(9), 4096)));
     assert_eq!(c.data[1].data.described_at(0, 4196), None);
-    assert_eq!(c.data[1].data, pattern_bytes(Fid(9), 8192, 4196));
+    assert_eq!(c.data[1].data, Content::new(Fid(9), 8192).generate(4196));
+}
+
+/// A descriptor is recognised, never trusted: a write to fid 9 described
+/// as fid 8's content, or as fid 9's from 4096 further on, is stored as the
+/// bytes it names, and reads return those bytes, as bytes.
+#[test]
+fn a_misdescribed_write_is_stored_as_the_bytes_it_names() {
+    let mut r = rig(1);
+    let other_file = (ByteRange::new(0, 8192), Content::new(Fid(8), 0));
+    let shifted = (ByteRange::new(16384, 8192), Content::new(Fid(9), 16384 + 4096));
+    let w = WriteReq {
+        req_id: 5,
+        fid: Fid(9),
+        parts: [other_file, shifted]
+            .map(|(range, c)| WritePart { range, data: Payload::described(c, range.len) })
+            .to_vec(),
+        reply_to: (NodeId(1), Port(9000)),
+        caching: false,
+        sync: false,
+    };
+    let wire = w.wire_bytes();
+    send_to_iod(&mut r, 1, IOD_PORT, wire, w);
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    assert_eq!(r.eng.actor_as::<Iod>(r.iod).unwrap().stored_blocks(), 4, "both parts, whole");
+    for (req_id, (range, _)) in [(6, other_file), (7, shifted)] {
+        let rreq = ReadReq {
+            req_id,
+            fid: Fid(9),
+            ranges: vec![range],
+            reply_to: (NodeId(1), Port(9000)),
+            caching: false,
+        };
+        let wire = rreq.wire_bytes();
+        send_to_iod(&mut r, 1, IOD_PORT, wire, rreq);
+    }
+    r.eng.run_until(SimTime::ZERO + Dur::secs(1));
+    let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
+    assert_eq!(c.data.len(), 2);
+    for (d, (range, named)) in c.data.iter().zip([other_file, shifted]) {
+        assert_eq!(d.range, range);
+        assert_eq!(d.data.described_at(0, 8192), None, "{range:?} goes out as bytes");
+        assert_eq!(d.data, named.generate(8192), "{range:?} reads as the bytes written");
+    }
 }
 
 #[test]
 fn flush_applies_blocks_and_acks_on_flush_port() {
     let mut r = rig(1);
     let blocks = vec![
-        FlushEntry { blk: 3, offset: 0, data: pattern_bytes(Fid(2), 3 * 4096, 4096) },
-        FlushEntry { blk: 4, offset: 0, data: pattern_bytes(Fid(2), 4 * 4096, 4096) },
+        FlushEntry {
+            blk: 3,
+            offset: 0,
+            data: Content::new(Fid(2), 3 * 4096).generate(4096).into(),
+        },
+        FlushEntry {
+            blk: 4,
+            offset: 0,
+            data: Content::new(Fid(2), 4 * 4096).generate(4096).into(),
+        },
     ];
     let f = FlushBlocks { req_id: 11, fid: Fid(2), blocks, reply_to: (NodeId(1), Port(9000)) };
     let wire = f.wire_bytes();
@@ -311,7 +358,7 @@ fn sync_write_invalidates_other_sharers() {
         fid: Fid(4),
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: Payload::described(Fid(4), 0, 4096),
+            data: Payload::described(Content::new(Fid(4), 0), 4096),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: true,
@@ -341,7 +388,7 @@ fn sync_write_with_no_sharers_acks_immediately() {
         fid: Fid(5),
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: Payload::described(Fid(5), 0, 4096),
+            data: Payload::described(Content::new(Fid(5), 0), 4096),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
@@ -364,7 +411,7 @@ fn kupdate_writes_dirty_pages_to_disk() {
         fid: Fid(6),
         parts: vec![WritePart {
             range: ByteRange::new(0, 65536),
-            data: Payload::described(Fid(6), 0, 65536),
+            data: Payload::described(Content::new(Fid(6), 0), 65536),
         }],
         reply_to: (NodeId(1), Port(9000)),
         caching: false,
@@ -399,7 +446,7 @@ fn a_read_of_a_page_in_flight_waits_for_its_disk_reply() {
     r.eng.run_until(SimTime::ZERO + Dur::secs(1));
     let c = r.eng.actor_as::<Client>(r.clients[0]).unwrap();
     assert_eq!(c.data.iter().map(|d| d.req_id).collect::<Vec<_>>(), vec![1, 2]);
-    assert!(c.data.iter().all(|d| d.data.is_content_of(Fid(1), 0)));
+    assert!(c.data.iter().all(|d| d.data.is_content_of(Content::new(Fid(1), 0))));
     // The platter read takes milliseconds; the first reply leaves when
     // it completes, and the second may not leave before it.
     assert!(c.data_at[0] >= SimTime::ZERO + Dur::millis(1), "first reply at {:?}", c.data_at[0]);

@@ -16,9 +16,10 @@
 //!   bytes as a descriptor, anything else as bytes), stripe arithmetic,
 //!   and the calibrated cost model.
 //!
-//! Files hold deterministic pattern bytes ([`protocol::pattern_byte`]), so
-//! every byte that moves through cache, network, page cache and disk can be
-//! verified end to end.
+//! Files hold deterministic pattern bytes, named by one descriptor,
+//! [`Content`] (defined in `sim_disk::content`, re-exported here with
+//! [`Fid`]), so every byte that moves through cache, network, page cache
+//! and disk can be verified end to end.
 
 pub mod client;
 pub mod config;
@@ -36,9 +37,9 @@ pub use iod::{Iod, IodStats};
 pub use mgr::{Mgr, MgrStats, StripePolicy};
 pub use payload::{Payload, Segment};
 pub use protocol::{
-    pattern_byte, pattern_bytes, pattern_extend, pattern_fill, pattern_matches, ByteRange, Fid,
-    FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck, MgrCall, MgrReply,
-    MgrRequest, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck, WritePart, WriteReq, CACHE_PORT,
-    CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
+    ByteRange, Fid, FileHandle, FlushAck, FlushBlocks, FlushEntry, Invalidate, InvalidateAck,
+    MgrCall, MgrReply, MgrRequest, ReadAck, ReadData, ReadReq, StripeSpec, WriteAck, WritePart,
+    WriteReq, CACHE_PORT, CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT, MGR_PORT, MSG_HEADER_BYTES,
 };
+pub use sim_disk::Content;
 pub use striping::{split_ranges, tiles_exactly};

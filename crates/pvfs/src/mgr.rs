@@ -86,9 +86,16 @@ impl Mgr {
     /// (the benchmark's files exist before measurement starts). Follows the
     /// same fid/striping policy as a protocol-level create.
     pub fn install_file(&mut self, name: &str, size: u64) -> FileHandle {
-        if let Some(h) = self.files.get(name) {
-            return h.clone();
+        match self.files.get(name) {
+            Some(h) => h.clone(),
+            None => self.create(name.to_string(), size),
         }
+    }
+
+    /// A new file under the next fid. Its base iod is round-robin across
+    /// files, so simultaneous single-file workloads do not all hammer iod
+    /// 0 first.
+    fn create(&mut self, name: String, size: u64) -> FileHandle {
         let fid = Fid(self.next_fid);
         self.next_fid += 1;
         let stripe = StripeSpec {
@@ -97,7 +104,7 @@ impl Mgr {
             base: (fid.0 % self.policy.total_iods as u64) as u32,
         };
         let handle = FileHandle { fid, size, stripe };
-        self.files.insert(name.to_string(), handle.clone());
+        self.files.insert(name, handle.clone());
         handle
     }
 
@@ -108,19 +115,8 @@ impl Mgr {
                     self.stats.errors += 1;
                     return MgrReply::Err { req_id: call.req_id, reason: "exists".into() };
                 }
-                let fid = Fid(self.next_fid);
-                self.next_fid += 1;
                 self.stats.creates += 1;
-                // Round-robin the base iod across files so simultaneous
-                // single-file workloads do not all hammer iod 0 first.
-                let stripe = StripeSpec {
-                    unit: self.policy.unit,
-                    n_iods: self.policy.n_iods,
-                    base: (fid.0 % self.policy.total_iods as u64) as u32,
-                };
-                let handle = FileHandle { fid, size, stripe };
-                self.files.insert(name, handle.clone());
-                MgrReply::Ok { req_id: call.req_id, handle }
+                MgrReply::Ok { req_id: call.req_id, handle: self.create(name, size) }
             }
             MgrRequest::Open { name } => match self.files.get(&name) {
                 Some(handle) => {

@@ -4,27 +4,26 @@
 //! Every file holds its deterministic pattern until a write changes it,
 //! and every simulated write writes the pattern. So most data on the wire
 //! is the file's own content at its own offsets, and saying so —
-//! `Described { fid, offset, len }` — carries the same claim as the bytes
-//! would, checkable by its fields. Only content that no descriptor names
+//! `Described(content, len)` — carries the same claim as the bytes would,
+//! checkable by `==` on its [`Content`]. Only content that no descriptor names
 //! travels as [`Segment::Bytes`]. Costs and the fabric charge by a
 //! message's range, never by how its payload is held.
 //!
 //! A descriptor is made only from one received, or from bytes compared
 //! once (an iod's `BlockFs` block, a cache frame). A receiver recognises a
-//! descriptor by its fields; it never trusts one that names another place.
+//! descriptor by `==` on its content; it never trusts one that names
+//! another place.
 
-use crate::protocol::{pattern_extend, pattern_matches, Fid};
 use bytes::Bytes;
+use sim_disk::Content;
 use std::borrow::Cow;
 use std::fmt;
 
 /// One run of a payload.
 #[derive(Debug, Clone)]
 pub enum Segment {
-    /// `len` bytes of file `fid`'s content from `offset`: the bytes
-    /// [`pattern_bytes`](crate::pattern_bytes)`(fid, offset, len)`, not
-    /// carried.
-    Described { fid: Fid, offset: u64, len: u32 },
+    /// The first `len` bytes of the content, not carried.
+    Described(Content, u32),
     /// Bytes carried as they are.
     Bytes(Bytes),
 }
@@ -32,7 +31,7 @@ pub enum Segment {
 impl Segment {
     pub fn len(&self) -> usize {
         match self {
-            Segment::Described { len, .. } => *len as usize,
+            Segment::Described(_, len) => *len as usize,
             Segment::Bytes(b) => b.len(),
         }
     }
@@ -44,11 +43,7 @@ impl Segment {
     /// The window `[lo, hi)` of this segment.
     fn window(&self, lo: usize, hi: usize) -> Segment {
         match self {
-            Segment::Described { fid, offset, .. } => Segment::Described {
-                fid: *fid,
-                offset: offset.wrapping_add(lo as u64),
-                len: (hi - lo) as u32,
-            },
+            Segment::Described(c, _) => Segment::Described(c.at(lo as u64), (hi - lo) as u32),
             Segment::Bytes(b) => Segment::Bytes(b.slice(lo..hi)),
         }
     }
@@ -57,20 +52,14 @@ impl Segment {
     pub fn bytes(&self) -> Cow<'_, [u8]> {
         match self {
             Segment::Bytes(b) => Cow::Borrowed(b),
-            Segment::Described { .. } => {
-                let mut out = Vec::with_capacity(self.len());
-                self.append_to(&mut out);
-                Cow::Owned(out)
-            }
+            Segment::Described(c, len) => Cow::Owned(c.generate(*len as usize)),
         }
     }
 
     /// Append the segment's bytes to `out`, generating a described one.
     fn append_to(&self, out: &mut Vec<u8>) {
         match self {
-            Segment::Described { fid, offset, len } => {
-                pattern_extend(*fid, *offset, *len as usize, out)
-            }
+            Segment::Described(c, len) => c.append(*len as usize, out),
             Segment::Bytes(b) => out.extend_from_slice(b),
         }
     }
@@ -93,15 +82,15 @@ impl Payload {
         Payload::default()
     }
 
-    /// `len` bytes of `fid`'s own content from `offset`.
-    pub fn described(fid: Fid, offset: u64, len: u32) -> Payload {
+    /// The first `len` bytes of `content`.
+    pub fn described(content: Content, len: u32) -> Payload {
         let mut p = Payload::new();
-        p.push(Segment::Described { fid, offset, len });
+        p.push(Segment::Described(content, len));
         p
     }
 
     /// Append `seg`; an empty one is dropped, and a described one that
-    /// continues a described last segment of the same file extends it.
+    /// continues the content of a described last segment extends it.
     pub fn push(&mut self, seg: Segment) {
         if seg.is_empty() {
             return;
@@ -113,13 +102,9 @@ impl Payload {
                 None => return self.first = Some(seg),
             },
         };
-        if let (
-            Segment::Described { fid, offset, len },
-            Segment::Described { fid: f2, offset: o2, len: l2 },
-        ) = (&mut *last, &seg)
-        {
-            if fid == f2 && offset.wrapping_add(*len as u64) == *o2 {
-                if let Some(sum) = len.checked_add(*l2) {
+        if let (Segment::Described(c, len), Segment::Described(next, more)) = (&mut *last, &seg) {
+            if c.at(*len as u64) == *next {
+                if let Some(sum) = len.checked_add(*more) {
                     *len = sum;
                     return;
                 }
@@ -188,13 +173,11 @@ impl Payload {
             .map(|(at, seg)| (lo - at, seg))
     }
 
-    /// When `[lo, hi)` lies inside one described segment: the file and
-    /// offset it names for byte `lo`.
-    pub fn described_at(&self, lo: usize, hi: usize) -> Option<(Fid, u64)> {
+    /// When `[lo, hi)` lies inside one described segment: the content it
+    /// names from byte `lo`.
+    pub fn described_at(&self, lo: usize, hi: usize) -> Option<Content> {
         match self.containing(lo, hi)? {
-            (skip, Segment::Described { fid, offset, .. }) => {
-                Some((*fid, offset.wrapping_add(skip as u64)))
-            }
+            (skip, Segment::Described(c, _)) => Some(c.at(skip as u64)),
             (_, Segment::Bytes(_)) => None,
         }
     }
@@ -217,15 +200,15 @@ impl Payload {
         self.bytes_at(0, self.len()).into_owned()
     }
 
-    /// Whether the payload is `fid`'s own content from `offset`: each
-    /// described segment names `fid` at its own position, and each byte
-    /// segment is the pattern there, every byte compared.
-    pub fn is_content_of(&self, fid: Fid, offset: u64) -> bool {
+    /// Whether the payload is `content`: each described segment names it
+    /// at its own position, and each byte segment matches it there, every
+    /// byte compared.
+    pub fn is_content_of(&self, content: Content) -> bool {
         self.positioned().all(|(at, seg)| {
-            let here = offset.wrapping_add(at as u64);
+            let here = content.at(at as u64);
             match seg {
-                Segment::Described { fid: f, offset: o, .. } => *f == fid && *o == here,
-                Segment::Bytes(b) => pattern_matches(fid, here, b),
+                Segment::Described(c, _) => *c == here,
+                Segment::Bytes(b) => here.matches(b),
             }
         })
     }
@@ -278,23 +261,27 @@ impl PartialEq<Vec<u8>> for Payload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::pattern_bytes;
+    use crate::protocol::Fid;
 
-    fn bytes(fid: Fid, offset: u64, len: usize) -> Segment {
-        Segment::Bytes(pattern_bytes(fid, offset, len))
+    fn content(fid: u64, offset: u64) -> Content {
+        Content::new(Fid(fid), offset)
+    }
+
+    fn bytes(c: Content, len: usize) -> Segment {
+        Segment::Bytes(c.generate(len).into())
     }
 
     #[test]
     fn adjacent_descriptors_merge_and_one_segment_is_inline() {
-        let mut p = Payload::described(Fid(3), 4096, 4096);
-        p.push(Segment::Described { fid: Fid(3), offset: 8192, len: 4096 });
-        p.push(Segment::Described { fid: Fid(3), offset: 8192, len: 0 });
+        let mut p = Payload::described(content(3, 4096), 4096);
+        p.push(Segment::Described(content(3, 8192), 4096));
+        p.push(Segment::Described(content(3, 8192), 0));
         assert_eq!(p.segments().count(), 1);
         assert_eq!(p.rest.capacity(), 0, "one segment allocates nothing");
         assert_eq!(p.len(), 8192);
         // Another file, or a gap, starts a segment of its own.
-        p.push(Segment::Described { fid: Fid(4), offset: 12288, len: 10 });
-        p.push(Segment::Described { fid: Fid(4), offset: 12299, len: 10 });
+        p.push(Segment::Described(content(4, 12288), 10));
+        p.push(Segment::Described(content(4, 12299), 10));
         assert_eq!(p.segments().count(), 3);
         assert_eq!(p, pattern_mix());
     }
@@ -302,27 +289,27 @@ mod tests {
     /// What `adjacent_descriptors_merge_and_one_segment_is_inline` builds,
     /// as bytes.
     fn pattern_mix() -> Vec<u8> {
-        let mut v = pattern_bytes(Fid(3), 4096, 8192).to_vec();
-        v.extend_from_slice(&pattern_bytes(Fid(4), 12288, 10));
-        v.extend_from_slice(&pattern_bytes(Fid(4), 12299, 10));
+        let mut v = content(3, 4096).generate(8192);
+        content(4, 12288).append(10, &mut v);
+        content(4, 12299).append(10, &mut v);
         v
     }
 
     #[test]
     fn windows_and_bytes_follow_the_segments() {
-        let fid = Fid(7);
+        let c = content(7, 0);
         let mut p = Payload::new();
-        p.push(bytes(fid, 0, 100));
-        p.push(Segment::Described { fid, offset: 100, len: 8000 });
-        p.push(bytes(fid, 8100, 50));
-        let flat = pattern_bytes(fid, 0, 8150);
+        p.push(bytes(c, 100));
+        p.push(Segment::Described(c.at(100), 8000));
+        p.push(bytes(c.at(8100), 50));
+        let flat = c.generate(8150);
         assert_eq!(p, flat);
-        assert!(p.is_content_of(fid, 0));
+        assert!(p.is_content_of(c));
         for (lo, hi) in [(0, 8150), (0, 100), (50, 150), (100, 8100), (200, 300), (8099, 8101)] {
             assert_eq!(p.slice(lo, hi), flat[lo..hi], "{lo}..{hi}");
             assert_eq!(*p.bytes_at(lo, hi), flat[lo..hi], "{lo}..{hi}");
         }
-        assert_eq!(p.described_at(200, 4296), Some((fid, 200)));
+        assert_eq!(p.described_at(200, 4296), Some(c.at(200)));
         assert_eq!(p.described_at(50, 150), None, "straddles a byte segment");
         assert!(matches!(p.bytes_at(10, 90), Cow::Borrowed(_)));
         assert!(matches!(p.bytes_at(200, 300), Cow::Owned(_)));
@@ -331,18 +318,18 @@ mod tests {
 
     #[test]
     fn content_check_reads_descriptors_by_their_fields() {
-        let fid = Fid(9);
-        assert!(Payload::described(fid, 4096, 4096).is_content_of(fid, 4096));
-        assert!(!Payload::described(fid, 4096, 4096).is_content_of(fid, 0));
-        assert!(!Payload::described(Fid(8), 4096, 4096).is_content_of(fid, 4096));
+        let c = content(9, 4096);
+        assert!(Payload::described(c, 4096).is_content_of(c));
+        assert!(!Payload::described(c, 4096).is_content_of(content(9, 0)));
+        assert!(!Payload::described(content(8, 4096), 4096).is_content_of(c));
         // A whole pattern period off is the same bytes, but not the same
         // descriptor.
-        assert!(Payload::from(pattern_bytes(fid, 251, 100)).is_content_of(fid, 0));
-        assert!(!Payload::described(fid, 251, 100).is_content_of(fid, 0));
-        let mut flipped = pattern_bytes(fid, 4096, 4096).to_vec();
+        assert!(Payload::from(content(9, 251).generate(100)).is_content_of(content(9, 0)));
+        assert!(!Payload::described(content(9, 251), 100).is_content_of(content(9, 0)));
+        let mut flipped = c.generate(4096);
         flipped[17] ^= 1;
-        let mut p = Payload::described(fid, 0, 4096);
+        let mut p = Payload::described(content(9, 0), 4096);
         p.push(Segment::Bytes(flipped.into()));
-        assert!(!p.is_content_of(fid, 0));
+        assert!(!p.is_content_of(content(9, 0)));
     }
 }

@@ -15,6 +15,7 @@
 
 use crate::payload::Payload;
 use bytes::Bytes;
+pub use sim_disk::Fid;
 use sim_net::{NodeId, Port};
 
 /// Well-known ports.
@@ -32,10 +33,6 @@ pub const CLIENT_PORT_BASE: u16 = 9000;
 pub const MSG_HEADER_BYTES: u32 = 64;
 /// Wire cost of one encoded byte range.
 pub const RANGE_ENCODING_BYTES: u32 = 12;
-
-/// PVFS file handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct Fid(pub u64);
 
 /// A contiguous byte range of a logical file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,107 +291,10 @@ impl InvalidateAck {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Deterministic file content
-// ---------------------------------------------------------------------------
-
-/// The byte every file holds at every offset, by construction. Workload
-/// setup preloads files with this pattern and clients can verify every byte
-/// that travels through cache, network and disk.
-#[inline]
-pub fn pattern_byte(fid: Fid, offset: u64) -> u8 {
-    (fid.0.wrapping_mul(151).wrapping_add(offset) % 251) as u8
-}
-
-/// The pattern repeats every `PATTERN_PERIOD` offsets.
-const PATTERN_PERIOD: usize = 251;
-
-/// Two periods of `i % 251`: any run of up to one period of pattern bytes
-/// is the window `[phase, phase + n)` of this table.
-static PATTERN_TABLE: [u8; 2 * PATTERN_PERIOD] = {
-    let mut t = [0u8; 2 * PATTERN_PERIOD];
-    let mut i = 0;
-    while i < t.len() {
-        t[i] = (i % PATTERN_PERIOD) as u8;
-        i += 1;
-    }
-    t
-};
-
-/// The pattern of `fid` over `len` bytes from `offset` as two runs
-/// `(phase, n)`, the second one empty unless `fid * 151 + offset` wraps
-/// the u64 inside the range: the phase jumps to 0 there, as 2^64 is not
-/// a multiple of the period. A slice is shorter than 2^63, so it wraps
-/// at most once.
-fn pattern_runs(fid: Fid, offset: u64, len: usize) -> [(usize, usize); 2] {
-    let pos = fid.0.wrapping_mul(151).wrapping_add(offset);
-    let before_wrap = (u64::MAX - pos).saturating_add(1);
-    let n = (len as u64).min(before_wrap) as usize;
-    [((pos % PATTERN_PERIOD as u64) as usize, n), (0, len - n)]
-}
-
-/// Materialize `len` pattern bytes of `fid` starting at `offset`.
-pub fn pattern_bytes(fid: Fid, offset: u64, len: usize) -> Bytes {
-    let mut v = Vec::with_capacity(len);
-    pattern_extend(fid, offset, len, &mut v);
-    Bytes::from(v)
-}
-
-/// Append `len` pattern bytes of `fid` starting at `offset` to `out`:
-/// what [`pattern_fill`] writes, with no zero-fill of `out` first.
-pub fn pattern_extend(fid: Fid, offset: u64, len: usize, out: &mut Vec<u8>) {
-    for (phase, n) in pattern_runs(fid, offset, len) {
-        let start = out.len();
-        out.extend_from_slice(&PATTERN_TABLE[phase..phase + n.min(PATTERN_PERIOD)]);
-        // Whole periods, doubling: the run so far repeats from its start.
-        while out.len() - start < n {
-            let k = (out.len() - start).min(n - (out.len() - start));
-            out.extend_from_within(start..start + k);
-        }
-    }
-}
-
-/// Write the pattern of `fid` from `offset` into `out`: what
-/// [`pattern_bytes`] materializes, into a caller's buffer.
-pub fn pattern_fill(fid: Fid, offset: u64, out: &mut [u8]) {
-    let [(phase, n), _] = pattern_runs(fid, offset, out.len());
-    let (run, wrapped) = out.split_at_mut(n);
-    fill_run(phase, run);
-    fill_run(0, wrapped);
-}
-
-/// The first period from the table, then whole periods doubling over the
-/// ones already written.
-fn fill_run(phase: usize, out: &mut [u8]) {
-    let first = out.len().min(PATTERN_PERIOD);
-    out[..first].copy_from_slice(&PATTERN_TABLE[phase..phase + first]);
-    let mut filled = first;
-    while filled < out.len() {
-        let k = filled.min(out.len() - filled);
-        out.copy_within(..k, filled);
-        filled += k;
-    }
-}
-
-/// Whether `data` is exactly the pattern of `fid` from `offset` — every
-/// byte compared, nothing materialized.
-pub fn pattern_matches(fid: Fid, offset: u64, data: &[u8]) -> bool {
-    let [(phase, n), _] = pattern_runs(fid, offset, data.len());
-    let (run, wrapped) = data.split_at(n);
-    run_matches(phase, run) && run_matches(0, wrapped)
-}
-
-/// The first period against the table, every later byte against the one a
-/// period before it: together, every byte against the pattern.
-fn run_matches(phase: usize, data: &[u8]) -> bool {
-    let first = data.len().min(PATTERN_PERIOD);
-    data[..first] == PATTERN_TABLE[phase..phase + first]
-        && data[first..] == data[..data.len() - first]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_disk::Content;
 
     #[test]
     fn byte_range_accessors() {
@@ -425,7 +325,7 @@ mod tests {
             req_id: 1,
             fid: Fid(1),
             range: ByteRange::new(0, 4096),
-            data: Payload::described(Fid(1), 0, 4096),
+            data: Payload::described(Content::new(Fid(1), 0), 4096),
         };
         assert_eq!(rd.wire_bytes(), 64 + 4096);
         let wr = WriteReq {
@@ -435,7 +335,7 @@ mod tests {
                 WritePart { range: ByteRange::new(0, 100), data: vec![0u8; 100].into() },
                 WritePart {
                     range: ByteRange::new(500, 20),
-                    data: Payload::described(Fid(1), 500, 20),
+                    data: Payload::described(Content::new(Fid(1), 500), 20),
                 },
             ],
             reply_to: (NodeId(0), Port(9000)),
@@ -462,90 +362,5 @@ mod tests {
             reply_to: (NodeId(1), Port(7000)),
         };
         assert_eq!(inv.wire_bytes(), 64 + 24);
-    }
-
-    fn scalar_pattern(fid: Fid, offset: u64, len: usize) -> Vec<u8> {
-        (0..len as u64).map(|i| pattern_byte(fid, offset.wrapping_add(i))).collect()
-    }
-
-    #[test]
-    fn pattern_bytes_equals_scalar_definition_at_window_edges() {
-        let lens = [0usize, 1, 2, 250, 251, 252, 501, 502, 503, 4096, 65536];
-        let offsets = [0u64, 1, 100, 250, 251, 252, 4095, (1 << 40) + 17];
-        for fid in [Fid(0), Fid(1), Fid(7), Fid(u64::MAX)] {
-            for offset in offsets {
-                for len in lens {
-                    let want = scalar_pattern(fid, offset, len);
-                    assert_eq!(pattern_bytes(fid, offset, len), want, "{fid:?} {offset}+{len}");
-                    let mut filled = vec![0u8; len];
-                    pattern_fill(fid, offset, &mut filled);
-                    assert_eq!(filled, want, "{fid:?} {offset}+{len}");
-                    assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}+{len}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pattern_follows_the_u64_wrap() {
-        // Both where the offset itself wraps and where `fid * 151 + offset`
-        // does (2^64 is not a multiple of 251, so the phase jumps there).
-        for fid in [Fid(0), Fid(3), Fid(u64::MAX / 151 + 5)] {
-            let to_sum_wrap = 0u64.wrapping_sub(fid.0.wrapping_mul(151));
-            for base in [u64::MAX, to_sum_wrap] {
-                for back in [0u64, 1, 100, 250, 251, 252, 600] {
-                    let offset = base.wrapping_sub(back);
-                    let mut want = scalar_pattern(fid, offset, 1000);
-                    assert_eq!(pattern_bytes(fid, offset, 1000), want, "{fid:?} {offset}");
-                    let mut filled = vec![0u8; 1000];
-                    pattern_fill(fid, offset, &mut filled);
-                    assert_eq!(filled, want, "{fid:?} {offset}");
-                    assert!(pattern_matches(fid, offset, &want), "{fid:?} {offset}");
-                    // Each run is checked against itself a period back:
-                    // a flip on either side of the wrap is still caught.
-                    for i in 0..want.len() {
-                        want[i] ^= 1;
-                        assert!(!pattern_matches(fid, offset, &want), "{fid:?} {offset} flip {i}");
-                        want[i] ^= 1;
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pattern_matches_rejects_any_single_flipped_byte() {
-        let (fid, offset) = (Fid(9), 12_345u64);
-        // Every position of a buffer spanning three periods ...
-        let mut data = pattern_bytes(fid, offset, 700).to_vec();
-        for i in 0..data.len() {
-            data[i] ^= 1;
-            assert!(!pattern_matches(fid, offset, &data), "flip at {i} went unnoticed");
-            data[i] ^= 1;
-        }
-        assert!(pattern_matches(fid, offset, &data));
-        // ... and first, last and both sides of every period edge of a
-        // request-sized one.
-        let mut data = pattern_bytes(fid, offset, 65536).to_vec();
-        let edges =
-            (1..=65536 / PATTERN_PERIOD).flat_map(|k| [k * PATTERN_PERIOD - 1, k * PATTERN_PERIOD]);
-        for i in [0, 65535].into_iter().chain(edges) {
-            data[i] = data[i].wrapping_add(1);
-            assert!(!pattern_matches(fid, offset, &data), "flip at {i} went unnoticed");
-            data[i] = data[i].wrapping_sub(1);
-        }
-    }
-
-    #[test]
-    fn pattern_matches_rejects_shifted_offset_and_other_file() {
-        let data = pattern_bytes(Fid(9), 5000, 4096);
-        assert!(pattern_matches(Fid(9), 5000, &data));
-        assert!(!pattern_matches(Fid(9), 5001, &data));
-        assert!(!pattern_matches(Fid(9), 4999, &data));
-        assert!(!pattern_matches(Fid(10), 5000, &data));
-        // One whole period off is the same bytes: the pattern's blind spot,
-        // unchanged from the scalar definition.
-        assert!(pattern_matches(Fid(9), 5000 + PATTERN_PERIOD as u64, &data));
-        assert!(pattern_matches(Fid(9), 0, &[]));
     }
 }

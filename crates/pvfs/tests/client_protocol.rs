@@ -3,12 +3,18 @@
 //! conditions, and latency accounting.
 
 use pvfs::{
-    ByteRange, ClientConfig, Completion, CostModel, Fid, FileHandle, MgrReply, Payload, PvfsClient,
-    ReadAck, ReadData, ReadReq, Segment, StripeSpec, WriteAck, WriteReq, CLIENT_PORT_BASE,
+    ByteRange, ClientConfig, Completion, Content, CostModel, Fid, FileHandle, MgrReply, Payload,
+    PvfsClient, ReadAck, ReadData, ReadReq, Segment, StripeSpec, WriteAck, WriteReq,
+    CLIENT_PORT_BASE,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
+
+/// The first `len` bytes of file `fid` from `offset`.
+fn pattern(fid: Fid, offset: u64, len: usize) -> Vec<u8> {
+    Content::new(fid, offset).generate(len)
+}
 
 /// Captures what the client puts on the wire.
 struct WireTap {
@@ -235,7 +241,7 @@ fn read_completes_only_after_all_acks_and_all_bytes() {
             req_id,
             fid: Fid(5),
             range: *r,
-            data: Payload::described(Fid(5), r.offset, r.len),
+            data: Payload::described(Content::new(Fid(5), r.offset), r.len),
         };
         rig.eng.post(
             Dur::ZERO,
@@ -262,7 +268,7 @@ fn read_completes_only_after_all_acks_and_all_bytes() {
             req_id,
             fid: Fid(5),
             range: *r,
-            data: Payload::described(Fid(5), r.offset, r.len),
+            data: Payload::described(Content::new(Fid(5), r.offset), r.len),
         };
         rig.eng.post(
             Dur::ZERO,
@@ -298,13 +304,12 @@ fn write_completes_on_all_acks_and_carries_pattern_data() {
                 m.peek::<WriteReq>().map(|wr| {
                     // Data must be the deterministic pattern, described.
                     for part in &wr.parts {
-                        let expect =
-                            pvfs::pattern_bytes(Fid(5), part.range.offset, part.range.len as usize);
+                        let expect = pattern(Fid(5), part.range.offset, part.range.len as usize);
                         assert_eq!(part.data, expect, "write payload must be pattern bytes");
                         let len = part.range.len as usize;
                         assert_eq!(
                             part.data.described_at(0, len),
-                            Some((Fid(5), part.range.offset))
+                            Some(Content::new(Fid(5), part.range.offset))
                         );
                     }
                     (wr.req_id, m.dst)
@@ -344,7 +349,7 @@ fn corrupted_read_data_counts_one_verify_failure() {
     };
     let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
     let deliver = |rig: &mut Rig, range: ByteRange, corrupt_at: Option<usize>| {
-        let mut bytes = pvfs::pattern_bytes(Fid(5), range.offset, range.len as usize).to_vec();
+        let mut bytes = pattern(Fid(5), range.offset, range.len as usize);
         if let Some(i) = corrupt_at {
             bytes[i] ^= 0x40;
         }
@@ -389,20 +394,20 @@ fn described_read_data_is_checked_by_its_fields() {
         rig.eng.actor_as::<Host>(rig.host).unwrap().client.stats().verify_failures
     };
     let range = |k: u64| ByteRange::new(1000 + k * 8192, 8192);
-    let own = |k: u64| Payload::described(Fid(5), range(k).offset, 8192);
+    let own = |k: u64| Payload::described(Content::new(Fid(5), range(k).offset), 8192);
     assert_eq!(deliver(&mut rig, range(0), own(0)), 0, "the right descriptor");
-    let shifted = Payload::described(Fid(5), range(1).offset + 4096, 8192);
+    let shifted = Payload::described(Content::new(Fid(5), range(1).offset + 4096), 8192);
     assert_eq!(deliver(&mut rig, range(1), shifted), 1, "shifted by 4096");
-    let other_file = Payload::described(Fid(6), range(2).offset, 8192);
+    let other_file = Payload::described(Content::new(Fid(6), range(2).offset), 8192);
     assert_eq!(deliver(&mut rig, range(2), other_file), 2, "another file");
-    let mut mixed = Payload::from(pvfs::pattern_bytes(Fid(5), range(3).offset, 100).to_vec());
-    let mut flipped = pvfs::pattern_bytes(Fid(5), range(3).offset + 100, 4000).to_vec();
+    let mut mixed = Payload::from(pattern(Fid(5), range(3).offset, 100));
+    let mut flipped = pattern(Fid(5), range(3).offset + 100, 4000);
     flipped[3999] ^= 0x10;
     mixed.push(Segment::Bytes(flipped.into()));
-    mixed.push(Segment::Described { fid: Fid(5), offset: range(3).offset + 4100, len: 4092 });
+    mixed.push(Segment::Described(Content::new(Fid(5), range(3).offset + 4100), 4092));
     assert_eq!(mixed.len(), 8192);
     assert_eq!(deliver(&mut rig, range(3), mixed), 3, "bytes + described, one byte flipped");
-    let short = Payload::described(Fid(5), range(4).offset, 8192 - 4096);
+    let short = Payload::described(Content::new(Fid(5), range(4).offset), 8192 - 4096);
     assert_eq!(deliver(&mut rig, range(4), short), 4, "lengths sum short of the range");
 }
 
@@ -419,7 +424,7 @@ fn short_read_data_is_a_verify_failure() {
         req_id: 1,
         fid: Fid(5),
         range: ByteRange::new(0, 4096),
-        data: pvfs::pattern_bytes(Fid(5), 0, 4000).into(),
+        data: pattern(Fid(5), 0, 4000).into(),
     };
     let to_client = (NodeId(1), Port(CLIENT_PORT_BASE));
     rig.eng.post(

@@ -9,11 +9,11 @@
 //!
 //! A descriptor block is one a [`write_described`](BlockFs::write_described)
 //! (a preload, or a write whose data arrived described) filled whole and
-//! no write has changed since: its bytes are generated on read by the
-//! [`Fill`] the fs was built with, so it costs 16 bytes a block rather
-//! than 4 KB. The first byte write to such a block that changes its bytes
-//! stores it as bytes; one that writes the bytes it already holds leaves it
-//! a descriptor.
+//! no write has changed since: it holds the [`Content`] at its own offset
+//! and its bytes are generated on read, so it costs 16 bytes a block
+//! rather than 4 KB. The first byte write to such a block that changes its
+//! bytes stores it as bytes; one that writes the bytes it already holds
+//! leaves it a descriptor.
 //!
 //! Block contents live in a table indexed by physical block, grown to the
 //! highest block allocated: the allocator is first-fit from a hint, so the
@@ -21,6 +21,7 @@
 
 pub mod alloc;
 
+use crate::content::Content;
 use crate::geometry::BLOCK_SIZE;
 use alloc::BlockAllocator;
 use std::collections::BTreeMap;
@@ -59,10 +60,6 @@ impl fmt::Display for FsError {
 
 impl std::error::Error for FsError {}
 
-/// Content function: writes the bytes of content `seed` at file offsets
-/// `offset .. offset + out.len()` into `out`.
-pub type Fill = fn(seed: u64, offset: u64, out: &mut [u8]);
-
 #[derive(Debug, Default)]
 struct Inode {
     size: u64,
@@ -70,14 +67,20 @@ struct Inode {
     blocks: Vec<Option<u64>>,
 }
 
+impl Inode {
+    /// Physical block backing logical block `l`; `None` for a hole.
+    fn pblk(&self, l: u64) -> Option<u64> {
+        self.blocks.get(l as usize).copied().flatten()
+    }
+}
+
 /// What an allocated physical block holds.
 enum Block {
     /// Bytes written to it.
     Stored(Box<[u8; BLOCK_SIZE]>),
-    /// Written whole as content `seed` and not changed by a write since:
-    /// its bytes are `fill(seed, offset, ..)`, `offset` being the block's
-    /// own file offset.
-    Described { seed: u64, offset: u64 },
+    /// Written whole as this content, whose offset is the block's own,
+    /// and not changed by a write since.
+    Described(Content),
 }
 
 /// Result of a write: which physical extents were touched (for page-cache /
@@ -95,7 +98,16 @@ pub struct BlockFs {
     root: BTreeMap<String, Ino>,
     /// Physical block → what it holds; `None` for a free block.
     data: Vec<Option<Block>>,
-    fill: Fill,
+}
+
+/// `[offset, offset + len)` block by block: each piece's logical block,
+/// where in the block it starts, and its length.
+fn pieces(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> {
+    let (bs, end) = (BLOCK_SIZE as u64, offset + len as u64);
+    (offset / bs..end.div_ceil(bs)).map(move |l| {
+        let (lo, hi) = (offset.max(l * bs), end.min((l + 1) * bs));
+        (l, (lo - l * bs) as usize, (hi - lo) as usize)
+    })
 }
 
 fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
@@ -112,15 +124,13 @@ fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
 }
 
 impl BlockFs {
-    /// An empty volume of `capacity_blocks` blocks whose described blocks
-    /// read as `fill` generates them.
-    pub fn new(capacity_blocks: u64, fill: Fill) -> BlockFs {
+    /// An empty volume of `capacity_blocks` blocks.
+    pub fn new(capacity_blocks: u64) -> BlockFs {
         BlockFs {
             alloc: BlockAllocator::new(capacity_blocks),
             inodes: Vec::new(),
             root: BTreeMap::new(),
             data: Vec::new(),
-            fill,
         }
     }
 
@@ -158,10 +168,6 @@ impl BlockFs {
 
     pub fn size(&self, ino: Ino) -> Result<u64, FsError> {
         Ok(self.inode(ino)?.size)
-    }
-
-    pub fn files(&self) -> impl Iterator<Item = (&str, Ino)> {
-        self.root.iter().map(|(n, i)| (n.as_str(), *i))
     }
 
     pub fn free_blocks(&self) -> u64 {
@@ -230,72 +236,57 @@ impl BlockFs {
         }
         let touched = self.map_range(ino, offset, buf.len() as u64)?;
         let mut written = 0usize;
-        for &p in &touched {
-            let in_block = ((offset + written as u64) % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_block).min(buf.len() - written);
+        for (&p, (_, in_block, n)) in touched.iter().zip(pieces(offset, buf.len())) {
             self.overlay(p, in_block, &buf[written..written + n]);
             written += n;
         }
-        debug_assert_eq!(written, buf.len());
         Ok(IoExtents { extents: coalesce(touched), bytes: written })
     }
 
-    /// Write `len` bytes of content `seed` — the bytes
-    /// `fill(seed, offset, ..)` — at `offset` as descriptors, allocating
-    /// exactly as a [`write`] of those bytes would; preloading a file is
-    /// one. A block the range covers fully becomes a descriptor and stores
-    /// nothing, whatever it held. A partly covered one that already
-    /// describes `seed` at its own offset holds those bytes and is left as
-    /// it is; any other is written as bytes.
+    /// Write the first `len` bytes of `content` at its own offset as
+    /// descriptors, allocating exactly as a [`write`] of those bytes would;
+    /// preloading a file is one. A block the range covers fully becomes a
+    /// descriptor and stores nothing, whatever it held. A partly covered
+    /// one that already describes that content holds those bytes and is
+    /// left as it is; any other is written as bytes.
     ///
     /// [`write`]: Self::write
     pub fn write_described(
         &mut self,
         ino: Ino,
-        offset: u64,
+        content: Content,
         len: usize,
-        seed: u64,
     ) -> Result<IoExtents, FsError> {
         if len == 0 {
             return Ok(IoExtents { extents: vec![], bytes: 0 });
         }
-        let touched = self.map_range(ino, offset, len as u64)?;
-        let end = offset + len as u64;
-        let mut pos = offset;
-        for &p in &touched {
-            let in_block = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_block).min((end - pos) as usize);
-            let start = pos - in_block as u64;
+        let touched = self.map_range(ino, content.offset, len as u64)?;
+        for (&p, (l, in_block, n)) in touched.iter().zip(pieces(content.offset, len)) {
+            let whole = Content { offset: l * BLOCK_SIZE as u64, ..content };
             let slot = &mut self.data[p as usize];
             if n == BLOCK_SIZE {
-                *slot = Some(Block::Described { seed, offset: start });
-            } else if !matches!(slot, Some(Block::Described { seed: s, offset: o })
-                if *s == seed && *o == start)
-            {
+                *slot = Some(Block::Described(whole));
+            } else if !matches!(slot, Some(Block::Described(c)) if *c == whole) {
                 let mut part = [0u8; BLOCK_SIZE];
-                (self.fill)(seed, pos, &mut part[..n]);
+                whole.at(in_block as u64).fill(&mut part[..n]);
                 self.overlay(p, in_block, &part[..n]);
             }
-            pos += n as u64;
         }
         Ok(IoExtents { extents: coalesce(touched), bytes: len })
     }
 
-    /// Whether every byte of `[offset, offset + len)` (`len > 0`, within
-    /// the file) is content `seed` held as descriptors at their own
-    /// offsets — what a reader may be told as a descriptor, not as bytes.
-    pub fn is_described(&self, ino: Ino, offset: u64, len: usize, seed: u64) -> bool {
+    /// Whether the first `len` bytes of `content` (`len > 0`, within the
+    /// file) are held at its own offset as descriptors of it — what a
+    /// reader may be told as a descriptor, not as bytes.
+    pub fn is_described(&self, ino: Ino, content: Content, len: usize) -> bool {
         let Ok(inode) = self.inode(ino) else { return false };
-        if len == 0 || offset + len as u64 > inode.size {
+        if len == 0 || content.offset + len as u64 > inode.size {
             return false;
         }
-        let first = offset / BLOCK_SIZE as u64;
-        let last = (offset + len as u64 - 1) / BLOCK_SIZE as u64;
-        (first..=last).all(|l| {
-            let block = inode.blocks.get(l as usize).copied().flatten();
-            matches!(block.and_then(|p| self.data[p as usize].as_ref()),
-                Some(Block::Described { seed: s, offset: o })
-                    if *s == seed && *o == l * BLOCK_SIZE as u64)
+        pieces(content.offset, len).all(|(l, _, _)| {
+            let own = Content { offset: l * BLOCK_SIZE as u64, ..content };
+            matches!(inode.pblk(l).and_then(|p| self.data[p as usize].as_ref()),
+                Some(Block::Described(c)) if *c == own)
         })
     }
 
@@ -304,12 +295,11 @@ impl BlockFs {
     /// the bytes around the write keep its content, and stays a descriptor
     /// when `src` is what it already holds there.
     fn overlay(&mut self, p: u64, in_block: usize, src: &[u8]) {
-        let fill = self.fill;
         let block =
             self.data[p as usize].get_or_insert_with(|| Block::Stored(Box::new([0; BLOCK_SIZE])));
-        if let Block::Described { seed, offset } = *block {
+        if let Block::Described(content) = *block {
             let mut bytes = [0u8; BLOCK_SIZE];
-            fill(seed, offset, &mut bytes);
+            content.fill(&mut bytes);
             if bytes[in_block..in_block + src.len()] == *src {
                 return;
             }
@@ -319,32 +309,9 @@ impl BlockFs {
         bytes[in_block..in_block + src.len()].copy_from_slice(src);
     }
 
-    /// Copy the bytes at `in_block..` of `block` into `dst`.
-    fn copy_out(&self, block: &Block, in_block: usize, dst: &mut [u8]) {
-        match block {
-            Block::Stored(b) => dst.copy_from_slice(&b[in_block..in_block + dst.len()]),
-            Block::Described { seed, offset } => (self.fill)(*seed, offset + in_block as u64, dst),
-        }
-    }
-
-    /// Read up to `buf.len()` bytes at `offset`. Holes read as zeros (and
-    /// cost no physical extents). Returns bytes read and extents touched.
-    pub fn read(&self, ino: Ino, offset: u64, buf: &mut [u8]) -> Result<IoExtents, FsError> {
-        let len = buf.len();
-        let mut rest = buf;
-        self.read_chunks(ino, offset, len, |n, block, in_block| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
-            match block {
-                Some(b) => self.copy_out(b, in_block, head),
-                None => head.fill(0),
-            }
-            rest = tail;
-        })
-    }
-
-    /// [`read`](Self::read) that appends the bytes to `out` instead of
-    /// overwriting a caller-initialized buffer: up to `len` bytes (fewer
-    /// at EOF), holes as zeros.
+    /// Append up to `len` bytes at `offset` to `out` (fewer at EOF,
+    /// none past it). Holes read as zeros and cost no physical extents.
+    /// Returns bytes read and extents touched.
     pub fn read_append(
         &self,
         ino: Ino,
@@ -352,50 +319,22 @@ impl BlockFs {
         len: usize,
         out: &mut Vec<u8>,
     ) -> Result<IoExtents, FsError> {
-        self.read_chunks(ino, offset, len, |n, block, in_block| match block {
-            Some(Block::Stored(b)) => out.extend_from_slice(&b[in_block..in_block + n]),
-            Some(b) => {
-                let at = out.len();
-                out.resize(at + n, 0);
-                self.copy_out(b, in_block, &mut out[at..]);
-            }
-            None => out.resize(out.len() + n, 0),
-        })
-    }
-
-    /// Walk `[offset, offset + len)` (clamped to EOF) block by block,
-    /// handing `sink` each piece's length, its block (`None` for a hole)
-    /// and where in the block it starts.
-    fn read_chunks(
-        &self,
-        ino: Ino,
-        offset: u64,
-        len: usize,
-        mut sink: impl FnMut(usize, Option<&Block>, usize),
-    ) -> Result<IoExtents, FsError> {
         let inode = self.inode(ino)?;
         if offset >= inode.size || len == 0 {
             return Ok(IoExtents { extents: vec![], bytes: 0 });
         }
         let len = len.min((inode.size - offset) as usize);
-        let first_lblk = offset / BLOCK_SIZE as u64;
-        let last_lblk = (offset + len as u64 - 1) / BLOCK_SIZE as u64;
         let mut touched: Vec<u64> = Vec::new();
-        let mut read = 0usize;
-        let mut pos = offset;
-        for l in first_lblk..=last_lblk {
-            let in_block = (pos % BLOCK_SIZE as u64) as usize;
-            let n = (BLOCK_SIZE - in_block).min(len - read);
-            let pblk = inode.blocks.get(l as usize).copied().flatten();
-            if let Some(p) = pblk {
-                touched.push(p);
+        for (l, in_block, n) in pieces(offset, len) {
+            let pblk = inode.pblk(l);
+            touched.extend(pblk);
+            match pblk.and_then(|p| self.data[p as usize].as_ref()) {
+                Some(Block::Stored(b)) => out.extend_from_slice(&b[in_block..in_block + n]),
+                Some(Block::Described(c)) => c.at(in_block as u64).append(n, out),
+                None => out.resize(out.len() + n, 0),
             }
-            sink(n, pblk.and_then(|p| self.data[p as usize].as_ref()), in_block);
-            read += n;
-            pos += n as u64;
         }
-        debug_assert_eq!(read, len);
-        Ok(IoExtents { extents: coalesce(touched), bytes: read })
+        Ok(IoExtents { extents: coalesce(touched), bytes: len })
     }
 
     /// Physical extents backing a byte range (what a read *would* touch),
@@ -406,34 +345,31 @@ impl BlockFs {
             return Ok(vec![]);
         }
         let len = len.min((inode.size - offset) as usize);
-        let first = offset / BLOCK_SIZE as u64;
-        let last = (offset + len as u64 - 1) / BLOCK_SIZE as u64;
-        let touched: Vec<u64> = (first..=last)
-            .filter_map(|l| inode.blocks.get(l as usize).copied().flatten())
-            .collect();
-        Ok(coalesce(touched))
+        Ok(coalesce(pieces(offset, len).filter_map(|(l, _, _)| inode.pblk(l)).collect()))
     }
 
     /// Physical block backing logical block `lblk` of a file (`None` for
     /// a hole, past EOF, or a missing file).
     pub fn pblk_of(&self, ino: Ino, lblk: u64) -> Option<u64> {
-        self.inode(ino).ok()?.blocks.get(lblk as usize).copied().flatten()
+        self.inode(ino).ok()?.pblk(lblk)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Content `seed` is byte `(seed * 31 + offset) % 253` at each offset.
-    fn fill(seed: u64, offset: u64, out: &mut [u8]) {
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = (seed.wrapping_mul(31).wrapping_add(offset + i as u64) % 253) as u8;
-        }
-    }
+    use crate::content::Fid;
 
     fn fs() -> BlockFs {
-        BlockFs::new(4096, fill)
+        BlockFs::new(4096)
+    }
+
+    /// What `read_append` appends for `offset + len` of `ino`.
+    fn read(f: &BlockFs, ino: Ino, offset: u64, len: usize) -> (Vec<u8>, IoExtents) {
+        let mut out = Vec::new();
+        let r = f.read_append(ino, offset, len, &mut out).unwrap();
+        assert_eq!(out.len(), r.bytes);
+        (out, r)
     }
 
     #[test]
@@ -456,8 +392,7 @@ mod tests {
         let w = f.write(ino, 0, &data).unwrap();
         assert_eq!(w.bytes, 10_000);
         assert_eq!(f.size(ino).unwrap(), 10_000);
-        let mut out = vec![0u8; 10_000];
-        let r = f.read(ino, 0, &mut out).unwrap();
+        let (out, r) = read(&f, ino, 0, 10_000);
         assert_eq!(r.bytes, 10_000);
         assert_eq!(out, data);
     }
@@ -468,8 +403,7 @@ mod tests {
         let ino = f.create("x").unwrap();
         f.write(ino, 0, &[1u8; 8192]).unwrap();
         f.write(ino, 1000, &[2u8; 100]).unwrap();
-        let mut out = vec![0u8; 8192];
-        f.read(ino, 0, &mut out).unwrap();
+        let (out, _) = read(&f, ino, 0, 8192);
         assert!(out[..1000].iter().all(|&b| b == 1));
         assert!(out[1000..1100].iter().all(|&b| b == 2));
         assert!(out[1100..].iter().all(|&b| b == 1));
@@ -482,8 +416,7 @@ mod tests {
         // Write one block at 1 MB; everything before is a hole.
         f.write(ino, 1 << 20, &[7u8; 4096]).unwrap();
         assert_eq!(f.size(ino).unwrap(), (1 << 20) + 4096);
-        let mut out = vec![0xFFu8; 4096];
-        let r = f.read(ino, 0, &mut out).unwrap();
+        let (out, r) = read(&f, ino, 0, 4096);
         assert_eq!(r.bytes, 4096);
         assert!(out.iter().all(|&b| b == 0));
         assert!(r.extents.is_empty(), "hole read touches no physical blocks");
@@ -508,31 +441,37 @@ mod tests {
         let mut f = fs();
         let ino = f.create("x").unwrap();
         f.write(ino, 0, &[5u8; 1000]).unwrap();
-        let mut out = vec![0u8; 4096];
-        let r = f.read(ino, 500, &mut out).unwrap();
+        let (out, r) = read(&f, ino, 500, 4096);
         assert_eq!(r.bytes, 500);
-        assert!(out[..500].iter().all(|&b| b == 5));
-        let r2 = f.read(ino, 5000, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 5));
+        let (out, r2) = read(&f, ino, 5000, 4096);
         assert_eq!(r2.bytes, 0);
+        assert!(out.is_empty() && r2.extents.is_empty());
     }
 
+    /// `read_append` keeps what `out` held and appends exactly what a read
+    /// of the file returns: zeros in a hole, the bytes written, nothing
+    /// past EOF (mid-block here), with the extents of the blocks it read.
     #[test]
     fn read_append_matches_read() {
         let mut f = fs();
         let ino = f.create("x").unwrap();
-        // A hole, then data, then EOF mid-block.
         let data: Vec<u8> = (0..6000u32).map(|i| (i % 251) as u8 + 1).collect();
-        f.write(ino, 3 * 4096 + 100, &data).unwrap();
+        let at = 3 * 4096 + 100;
+        f.write(ino, at, &data).unwrap();
+        let mut file = vec![0u8; at as usize];
+        file.extend_from_slice(&data);
         for (offset, len) in
             [(0u64, 20_000usize), (4000, 9000), (3 * 4096 + 100, 6000), (1 << 20, 10)]
         {
-            let mut want = vec![0xEEu8; len];
-            let r = f.read(ino, offset, &mut want).unwrap();
             let mut got = vec![0xAAu8; 3];
-            let a = f.read_append(ino, offset, len, &mut got).unwrap();
-            assert_eq!(a, r, "same extents and byte count at {offset}+{len}");
+            let r = f.read_append(ino, offset, len, &mut got).unwrap();
+            let start = (offset as usize).min(file.len());
+            let want = &file[start..(start + len).min(file.len())];
+            assert_eq!(r.bytes, want.len(), "{offset}+{len}");
             assert_eq!(&got[..3], &[0xAA; 3], "existing contents kept");
-            assert_eq!(&got[3..], &want[..r.bytes], "appends exactly the bytes read");
+            assert_eq!(&got[3..], want, "appends exactly the bytes read at {offset}+{len}");
+            assert_eq!(r.extents, f.extents_of(ino, offset, len).unwrap(), "{offset}+{len}");
         }
     }
 
@@ -551,7 +490,7 @@ mod tests {
 
     #[test]
     fn out_of_space_is_reported() {
-        let mut f = BlockFs::new(4, fill);
+        let mut f = BlockFs::new(4);
         let ino = f.create("x").unwrap();
         assert!(f.write(ino, 0, &[0u8; 4096 * 4]).is_ok());
         let err = f.write(ino, 4096 * 4, &[0u8; 4096]).unwrap_err();
@@ -560,58 +499,61 @@ mod tests {
 
     #[test]
     fn remove_frees_space() {
-        let mut f = BlockFs::new(8, fill);
+        let mut f = BlockFs::new(8);
         let ino = f.create("x").unwrap();
         f.write(ino, 0, &[1u8; 4096 * 8]).unwrap();
         assert_eq!(f.free_blocks(), 0);
         f.remove("x").unwrap();
         assert_eq!(f.free_blocks(), 8);
-        assert_eq!(f.files().count(), 0);
+        assert_eq!(f.open("x"), None);
     }
 
     #[test]
     fn bad_inode_rejected() {
         let f = fs();
         assert_eq!(f.size(Ino(99)), Err(FsError::BadInode));
-        let mut buf = [0u8; 10];
-        assert!(f.read(Ino(99), 0, &mut buf).is_err());
+        let mut out = Vec::new();
+        assert!(f.read_append(Ino(99), 0, 10, &mut out).is_err());
     }
 
-    fn content(seed: u64, offset: u64, len: usize) -> Vec<u8> {
-        let mut v = vec![0u8; len];
-        fill(seed, offset, &mut v);
-        v
+    fn content(fid: u64, offset: u64) -> Content {
+        Content::new(Fid(fid), offset)
     }
 
     #[test]
     fn preload_stores_nothing_and_reads_back_its_content() {
-        let mut f = BlockFs::new(8192, fill);
+        let mut f = BlockFs::new(8192);
         let ino = f.create("x").unwrap();
         let len = 16 << 20;
-        let p = f.write_described(ino, 0, len, 3).unwrap();
+        let p = f.write_described(ino, content(3, 0), len).unwrap();
         assert_eq!(p.bytes, len);
         assert_eq!(p.extents, vec![Extent { pblk: 0, blocks: 4096 }]);
         assert_eq!(f.stored_blocks(), 0, "a 16 MB preload stores no block");
-        let mut out = Vec::new();
-        f.read_append(ino, 5000, 3 * 4096, &mut out).unwrap();
-        assert_eq!(out, content(3, 5000, 3 * 4096));
+        let (out, _) = read(&f, ino, 5000, 3 * 4096);
+        assert_eq!(out, content(3, 5000).generate(3 * 4096));
         assert_eq!(f.stored_blocks(), 0, "reads store nothing");
+        assert!(f.is_described(ino, content(3, 4096), 8192));
+        assert!(!f.is_described(ino, content(4, 4096), 8192), "another file's content");
+        assert!(!f.is_described(ino, content(3, len as u64 - 100), 200), "past EOF");
     }
 
     #[test]
     fn write_stores_exactly_the_blocks_it_touches() {
         let mut f = fs();
         let ino = f.create("x").unwrap();
-        f.write_described(ino, 0, 64 * 4096, 1).unwrap();
+        f.write_described(ino, content(1, 0), 64 * 4096).unwrap();
         // 6 KB from 3000: the tail of block 0, all of block 1, head of 2.
         let w = f.write(ino, 3000, &[0xEE; 6144]).unwrap();
         assert_eq!(w.extents, vec![Extent { pblk: 0, blocks: 3 }]);
         assert_eq!(f.stored_blocks(), 3);
-        let mut out = vec![0u8; 3 * 4096];
-        f.read(ino, 0, &mut out).unwrap();
-        assert_eq!(&out[..3000], &content(1, 0, 3000)[..], "block 0 keeps its head");
+        let (out, _) = read(&f, ino, 0, 3 * 4096);
+        assert_eq!(out[..3000], content(1, 0).generate(3000), "block 0 keeps its head");
         assert!(out[3000..9144].iter().all(|&b| b == 0xEE));
-        assert_eq!(&out[9144..], &content(1, 9144, 3 * 4096 - 9144)[..], "block 2 keeps its tail");
+        assert_eq!(
+            out[9144..],
+            content(1, 9144).generate(3 * 4096 - 9144),
+            "block 2 keeps its tail"
+        );
     }
 
     #[test]
@@ -623,19 +565,16 @@ mod tests {
             f.write(a, 4096, &[9u8; 100]).unwrap();
         }
         // Unaligned both ends, over a hole, a written block and growth.
-        let (offset, len) = (100u64, 5 * 4096 + 7);
+        let (c, len) = (content(2, 100), 5 * 4096 + 7);
         let a = by_preload.open("a").unwrap();
-        let p = by_preload.write_described(a, offset, len, 2).unwrap();
-        let w = by_write.write(a, offset, &content(2, offset, len)).unwrap();
+        let p = by_preload.write_described(a, c, len).unwrap();
+        let w = by_write.write(a, c.offset, &c.generate(len)).unwrap();
         assert_eq!(p, w);
         for l in 0..8 {
             assert_eq!(by_preload.pblk_of(a, l), by_write.pblk_of(a, l), "lblk {l}");
         }
         assert_eq!(by_preload.size(a), by_write.size(a));
-        let (mut x, mut y) = (Vec::new(), Vec::new());
-        by_preload.read_append(a, 0, 1 << 20, &mut x).unwrap();
-        by_write.read_append(a, 0, 1 << 20, &mut y).unwrap();
-        assert_eq!(x, y);
+        assert_eq!(read(&by_preload, a, 0, 1 << 20).0, read(&by_write, a, 0, 1 << 20).0);
         assert_eq!(by_preload.stored_blocks(), 2, "only the two partly covered blocks");
     }
 }

@@ -10,13 +10,18 @@
 //!   which keeps the paper's no-caching baseline honest.
 //! * [`fs`] — a small sparse block file system whose blocks hold stored
 //!   bytes or a content descriptor, reporting physical extents for timing.
+//! * [`content`] — the deterministic file content and its one descriptor,
+//!   [`Content`]: the only code that generates or compares the file's own
+//!   bytes, for every layer above.
 
+pub mod content;
 pub mod disk;
 pub mod fs;
 pub mod geometry;
 pub mod pagecache;
 
+pub use content::{Content, Fid};
 pub use disk::{Disk, DiskOp, DiskReply, DiskRequest, DiskSched, DiskStats};
-pub use fs::{BlockFs, Extent, Fill, FsError, Ino, IoExtents};
+pub use fs::{BlockFs, Extent, FsError, Ino, IoExtents};
 pub use geometry::{DiskGeometry, BLOCK_SIZE};
 pub use pagecache::{Eviction, Lookup, PageCache, PageCacheStats};

@@ -3,8 +3,8 @@
 //! lblk → pblk map the fs reported when the block was first allocated.
 //! Random sequences of described writes (a preload is one), aligned and
 //! unaligned byte writes (into descriptor blocks, holes and past EOF),
-//! reads, appending reads and extent queries must agree with the model at
-//! every step. A file may be removed and created again empty, so the next
+//! reads (each appended to what the caller's buffer already held) and
+//! extent queries must agree with the model at every step. A file may be removed and created again empty, so the next
 //! allocations reuse its freed physical blocks: the new file must read
 //! zeros in its holes and its own bytes elsewhere, never the old file's. A
 //! twin fs that receives each described write as a plain `write` of the
@@ -12,21 +12,16 @@
 //! same bytes, and a described write stores no block it covers whole.
 
 use proptest::prelude::*;
-use sim_disk::{BlockFs, Extent, Ino, BLOCK_SIZE};
+use sim_disk::{BlockFs, Content, Extent, Fid, Ino, BLOCK_SIZE};
 
 const FILES: usize = 3;
 /// Offsets stay within this many blocks (plus a write's length past it).
 const SPAN_BLOCKS: u64 = 24;
 
-/// One content byte, by definition: what every fill path must reproduce.
+/// One byte of file `seed`'s content, by definition: what every path
+/// that generates a descriptor's bytes must reproduce.
 fn content_byte(seed: u64, offset: u64) -> u8 {
-    (seed.wrapping_mul(0x9E37_79B9).wrapping_add(offset.wrapping_mul(7)) % 251) as u8
-}
-
-fn fill(seed: u64, offset: u64, out: &mut [u8]) {
-    for (i, b) in out.iter_mut().enumerate() {
-        *b = content_byte(seed, offset + i as u64);
-    }
+    (seed.wrapping_mul(151).wrapping_add(offset) % 251) as u8
 }
 
 fn content(seed: u64, offset: u64, len: usize) -> Vec<u8> {
@@ -49,8 +44,8 @@ struct Harness {
 
 impl Harness {
     fn new() -> Harness {
-        let mut fs = BlockFs::new(4096, fill);
-        let mut twin = BlockFs::new(4096, fill);
+        let mut fs = BlockFs::new(4096);
+        let mut twin = BlockFs::new(4096);
         let inos = (0..FILES)
             .map(|f| {
                 let name = format!("f{f}");
@@ -137,7 +132,7 @@ impl Harness {
             0 => {
                 let data = content(seed, offset, len);
                 let stored = self.fs.stored_blocks();
-                let p = self.fs.write_described(ino, offset, len, seed).unwrap();
+                let p = self.fs.write_described(ino, Content::new(Fid(seed), offset), len).unwrap();
                 let w = self.twin.write(ino, offset, &data).unwrap();
                 assert_eq!(p, w, "a described write reports what the byte write does");
                 let (bs, end) = (BLOCK_SIZE as u64, offset + len as u64);
@@ -186,22 +181,27 @@ impl Harness {
                 self.inos[f] = ino;
                 self.model[f] = ModelFile::default();
             }
-            5 => {
-                let mut buf = vec![0xA5u8; len];
-                let r = self.fs.read(ino, offset, &mut buf).unwrap();
-                let want = self.model_read(f, offset, len);
-                assert_eq!(&buf[..r.bytes], want, "read f{f} {offset}+{len}");
-                assert_eq!(r.extents, self.model_extents(f, offset, len), "read extents");
-                let mut twin = vec![0x3Cu8; len];
-                assert_eq!(self.twin.read(ino, offset, &mut twin).unwrap(), r, "twin read");
-                assert_eq!(twin[..r.bytes], buf[..r.bytes], "twin bytes f{f} {offset}+{len}");
-            }
-            6 => {
-                let mut out = vec![0x5A; 7];
+            // A read, into an empty buffer or after what one held; the
+            // twin reads the same.
+            5 | 6 => {
+                let held = if kind == 5 { 0 } else { 7 };
+                let mut out = vec![0x5A; held];
                 let r = self.fs.read_append(ino, offset, len, &mut out).unwrap();
-                assert_eq!(&out[..7], &[0x5A; 7]);
-                assert_eq!(&out[7..], self.model_read(f, offset, len), "read_append f{f}");
-                assert_eq!(r.extents, self.model_extents(f, offset, len), "read_append extents");
+                assert_eq!(&out[..held], &vec![0x5A; held][..], "existing contents kept");
+                assert_eq!(
+                    &out[held..],
+                    self.model_read(f, offset, len),
+                    "read f{f} {offset}+{len}"
+                );
+                assert_eq!(r.bytes, out.len() - held);
+                assert_eq!(r.extents, self.model_extents(f, offset, len), "read extents");
+                let mut twin = vec![0x3C; held];
+                assert_eq!(
+                    self.twin.read_append(ino, offset, len, &mut twin).unwrap(),
+                    r,
+                    "twin read"
+                );
+                assert_eq!(twin[held..], out[held..], "twin bytes f{f} {offset}+{len}");
             }
             _ => {
                 let e = self.fs.extents_of(ino, offset, len).unwrap();

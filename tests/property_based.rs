@@ -6,10 +6,7 @@ use kcache::{
     BufferManager, PartitionConfig, Span, WriteOutcome,
 };
 use proptest::prelude::*;
-use pvfs::{
-    pattern_byte, pattern_bytes, pattern_matches, split_ranges, tiles_exactly, ByteRange,
-    Directory, Fid, StripeSpec,
-};
+use pvfs::{split_ranges, tiles_exactly, ByteRange, Content, Directory, Fid, StripeSpec};
 use sim_disk::{BlockFs, Lookup, PageCache};
 use sim_net::NodeId;
 
@@ -28,9 +25,14 @@ fn write(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) -> bool {
     m.access(key, Access { app, kind }) == AccessOutcome::Write(WriteOutcome::Absorbed)
 }
 
+/// The file content's definition, one byte at a time.
+fn scalar_byte(fid: Fid, offset: u64) -> u8 {
+    (fid.0.wrapping_mul(151).wrapping_add(offset) % 251) as u8
+}
+
 proptest! {
-    /// The pattern kernel (whole-period fill, in-place check) is byte for
-    /// byte the scalar `pattern_byte`, at the lengths around a 251-byte period,
+    /// The content kernels (whole-period generation, in-place check) are
+    /// byte for byte the scalar definition, at the lengths around a 251-byte period,
     /// at unaligned offsets, and across both u64 wraps (of the offset and
     /// of `fid * 151 + offset`); any flipped byte is caught.
     #[test]
@@ -51,14 +53,15 @@ proptest! {
         };
         let len = [0, 1, 250, 251, 252, 4096].get(len_class).copied().unwrap_or(free_len);
         let want: Vec<u8> =
-            (0..len as u64).map(|i| pattern_byte(fid, offset.wrapping_add(i))).collect();
-        prop_assert_eq!(pattern_bytes(fid, offset, len), want.clone());
-        prop_assert!(pattern_matches(fid, offset, &want));
+            (0..len as u64).map(|i| scalar_byte(fid, offset.wrapping_add(i))).collect();
+        let content = Content::new(fid, offset);
+        prop_assert_eq!(content.generate(len), want.clone());
+        prop_assert!(content.matches(&want));
         if len > 0 {
             for i in [0, len - 1, flip % len] {
                 let mut bad = want.clone();
                 bad[i] ^= 0x80;
-                prop_assert!(!pattern_matches(fid, offset, &bad), "flip at {} of {}", i, len);
+                prop_assert!(!content.matches(&bad), "flip at {} of {}", i, len);
             }
         }
     }
@@ -282,7 +285,7 @@ proptest! {
     fn blockfs_write_read_round_trip(
         writes in proptest::collection::vec((0u64..(1 << 16), 1usize..5000, 0u8..255), 1..20),
     ) {
-        let mut fs = BlockFs::new(4096, |_, _, out| out.fill(0));
+        let mut fs = BlockFs::new(4096);
         let ino = fs.create("f").unwrap();
         let mut model = vec![None::<u8>; 1 << 17];
         for (off, len, fill) in writes {
@@ -293,9 +296,10 @@ proptest! {
             }
         }
         let size = fs.size(ino).unwrap() as usize;
-        let mut out = vec![0xAAu8; size];
-        let r = fs.read(ino, 0, &mut out).unwrap();
+        let mut out = Vec::new();
+        let r = fs.read_append(ino, 0, size, &mut out).unwrap();
         prop_assert_eq!(r.bytes, size);
+        prop_assert_eq!(out.len(), size);
         for i in 0..size {
             let expect = model[i].unwrap_or(0);
             prop_assert_eq!(out[i], expect, "byte {} mismatch", i);

@@ -9,7 +9,7 @@ use pvfs::{
     CLIENT_PORT_BASE, IOD_FLUSH_PORT, IOD_PORT,
 };
 use sim_core::{Actor, ActorId, Ctx, Dur, Engine, FifoResource, Msg};
-use sim_disk::{Disk, DiskGeometry, DiskSched};
+use sim_disk::{Content, Disk, DiskGeometry, DiskSched};
 use sim_net::{Deliver, Fabric, NetConfig, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
 
@@ -163,7 +163,7 @@ fn an_evicted_then_reread_block_still_gets_invalidated() {
         fid: FID,
         parts: vec![WritePart {
             range: ByteRange::new(0, 4096),
-            data: Payload::described(FID, 0, 4096),
+            data: Payload::described(Content::new(FID, 0), 4096),
         }],
         reply_to: (NodeId(B), PORT),
         caching: false,
