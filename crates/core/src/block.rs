@@ -15,16 +15,19 @@ pub struct BlockKey {
 }
 
 impl BlockKey {
+    #[inline]
     pub fn new(fid: Fid, blk: u64) -> BlockKey {
         BlockKey { fid, blk }
     }
 
     /// First byte of this block in the file.
+    #[inline]
     pub fn offset(&self) -> u64 {
         self.blk * CACHE_BLOCK_SIZE as u64
     }
 
     /// The block's own bytes: its file's content from its first byte.
+    #[inline]
     pub fn content(&self) -> Content {
         Content::new(self.fid, self.offset())
     }
@@ -62,6 +65,7 @@ impl Span {
         Span { start, end }
     }
 
+    #[inline]
     pub fn len(&self) -> u32 {
         self.end - self.start
     }
@@ -105,6 +109,7 @@ impl Span {
 }
 
 /// Block numbers covered by a file byte range.
+#[inline]
 pub fn blocks_of_range(offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
     if len == 0 {
         #[allow(clippy::reversed_empty_ranges)]
@@ -117,6 +122,7 @@ pub fn blocks_of_range(offset: u64, len: u32) -> std::ops::RangeInclusive<u64> {
 
 /// The portion of `block` covered by the file byte range, as an in-block
 /// span.
+#[inline]
 pub fn span_in_block(block: u64, offset: u64, len: u32) -> Span {
     let bs = CACHE_BLOCK_SIZE as u64;
     let blk_start = block * bs;
@@ -128,6 +134,32 @@ pub fn span_in_block(block: u64, offset: u64, len: u32) -> Span {
     } else {
         Span::new((r_start - blk_start) as u32, (r_end - blk_start) as u32)
     }
+}
+
+/// One block's share of a file byte range: the block, the span of it
+/// the range covers, and where that span starts in the range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct BlockPiece {
+    pub(crate) blk: u64,
+    pub(crate) span: Span,
+    pub(crate) at: u32,
+}
+
+impl BlockPiece {
+    /// The piece of `blk` that the file byte range covers; `blk` must be
+    /// one of the range's blocks.
+    #[inline]
+    pub(crate) fn of(blk: u64, offset: u64, len: u32) -> BlockPiece {
+        let span = span_in_block(blk, offset, len);
+        let at = (blk * CACHE_BLOCK_SIZE as u64 + span.start as u64 - offset) as u32;
+        BlockPiece { blk, span, at }
+    }
+}
+
+/// The pieces of a file byte range, one per block, in offset order.
+#[inline]
+pub(crate) fn pieces_of_range(offset: u64, len: u32) -> impl Iterator<Item = BlockPiece> {
+    blocks_of_range(offset, len).map(move |blk| BlockPiece::of(blk, offset, len))
 }
 
 #[cfg(test)]
@@ -194,5 +226,17 @@ mod tests {
         assert_eq!(span_in_block(1, 1000, 8000), Span::FULL);
         assert_eq!(span_in_block(2, 1000, 8000), Span::new(0, 9000 - 8192));
         assert_eq!(span_in_block(5, 1000, 8000), Span::EMPTY);
+    }
+
+    #[test]
+    fn pieces_tile_the_range() {
+        // Range [1000, 9000): each piece starts where the last one ended.
+        let pieces: Vec<BlockPiece> = pieces_of_range(1000, 8000).collect();
+        assert_eq!(pieces.iter().map(|p| p.blk).collect::<Vec<_>>(), vec![0, 1, 2]);
+        let windows: Vec<(u32, u32)> = pieces.iter().map(|p| (p.at, p.span.len())).collect();
+        assert_eq!(windows, vec![(0, 3096), (3096, 4096), (7192, 808)]);
+        assert_eq!(pieces[2].span, span_in_block(2, 1000, 8000));
+        assert_eq!(BlockPiece::of(1, 1000, 8000), pieces[1]);
+        assert_eq!(pieces_of_range(123, 0).count(), 0);
     }
 }

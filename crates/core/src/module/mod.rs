@@ -1,0 +1,412 @@
+//! The kernel cache module actor — the paper's contribution.
+//!
+//! Installed on a client node, it impersonates the socket layer in both
+//! directions (§3.2):
+//!
+//! * **outbound**: libpvfs's `sock_target` points here instead of at the
+//!   fabric, so every iod request is intercepted. Reads are *discounted* by
+//!   the cached blocks (possibly splitting contiguous ranges around cached
+//!   holes); fully-cached requests never reach the network — the module
+//!   **fakes the acknowledgment** and serves the data locally. Writes are
+//!   absorbed into the cache (write-behind) and acked immediately, unless
+//!   the cache is saturated with dirty data or the write is a sync-write.
+//! * **inbound**: the fabric binds the client reply ports to the module,
+//!   so iod replies flow through it: arriving data is copied into
+//!   the cache, pending partial requests are completed, and a per-request
+//!   finite state machine reconciles what the client library expects to
+//!   receive with what actually crossed the wire.
+//!
+//! Two background activities complete the picture: the **flusher** (ships
+//! dirty blocks to the iods' flush listeners periodically) and the
+//! **harvester** (replenishes the free list to the high watermark when it
+//! drops below the low watermark).
+//!
+//! One file per flow (`read`, `write`, `flush`; this one builds, dispatches
+//! and delivers), and the file that mutates a piece of state owns it.
+
+mod flush;
+mod read;
+mod write;
+
+use crate::block::{BlockKey, BlockPiece, Span};
+use crate::config::CacheConfig;
+use crate::manager::BufferManager;
+use flush::{FlushTick, HarvestNow};
+use kcache_obs::{Counter, EventId, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets};
+use kcache_policy::hash::KeyMap;
+use kcache_policy::AppId;
+use pvfs::{
+    CostModel, FlushAck, Invalidate, Payload, ReadAck, ReadData, ReadReq, WriteAck, WriteReq,
+    CACHE_PORT,
+};
+use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
+use sim_net::{Deliver, MessageMeta, NetMessage, NodeId, Port, TrafficClass, Xmit};
+use std::any::Any;
+use std::borrow::Cow;
+use std::sync::Arc;
+
+/// Module statistics (beyond the buffer manager's own counters).
+#[derive(Debug, Default, Clone)]
+pub struct ModuleStats {
+    pub reads_intercepted: u64,
+    pub writes_intercepted: u64,
+    pub full_hits: u64,
+    pub partial_hits: u64,
+    pub full_misses: u64,
+    pub request_splits: u64,
+    pub fake_read_acks: u64,
+    pub fake_write_acks: u64,
+    pub blocks_served: u64,
+    pub blocks_fetched: u64,
+    /// Blocks a request wanted that were already in flight for another
+    /// process — the inter-application "pending request" hit (§3.2).
+    pub dedup_blocks: u64,
+    pub bytes_served: u64,
+    pub bytes_fetched: u64,
+    pub bytes_absorbed: u64,
+    pub bytes_passthrough: u64,
+    pub sync_writes: u64,
+    pub invalidate_msgs: u64,
+    pub flush_msgs: u64,
+    pub urgent_flush_blocks: u64,
+    pub harvest_runs: u64,
+    /// Latency accounting at block granularity, from the moment a fetch
+    /// was initiated to the moment the block's bytes were installed.
+    pub disk_fetch_blocks: u64,
+    pub disk_fetch_ns: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
+    pub remote_hit_blocks: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
+    pub remote_stale_blocks: u64,
+    /// Always 0; perfbench reads it until ROADMAP E.
+    pub remote_fetch_ns: u64,
+}
+
+/// What a payload's window brings into one block's piece: the block's
+/// own content when it is one descriptor naming that very place
+/// (recognised, never trusted: a descriptor of anywhere else is its
+/// bytes), else its bytes.
+enum Arrived<'a> {
+    Own,
+    Bytes(Cow<'a, [u8]>),
+}
+
+impl Arrived<'_> {
+    /// `data` is the payload of the range `p` is a piece of.
+    #[inline]
+    fn of(data: &Payload, key: BlockKey, p: BlockPiece) -> Arrived<'_> {
+        let (lo, hi) = (p.at as usize, (p.at + p.span.len()) as usize);
+        match data.described_at(lo, hi) {
+            Some(at) if at == key.content().at(p.span.start as u64) => Arrived::Own,
+            _ => Arrived::Bytes(data.bytes_at(lo, hi)),
+        }
+    }
+}
+
+/// Pre-resolved observability handles for the module's fetches.
+/// Mirrors the buffer manager's `ManagerObs`: resolved once at
+/// construction, `None` when the module is given no hub, so the data
+/// paths pay one never-taken branch.
+struct ModuleObs {
+    hub: Arc<ObsHub>,
+    /// Trace `pid` lane — one per simulated node.
+    node: u32,
+    /// Block fetch latency, from fetch initiation to byte installation,
+    /// in a fine-grained (≤1/16 relative error) sketch: the SLO line's
+    /// sample count and p50/p95/p99.
+    fetch_q_default: QuantileSketch,
+    /// SLO target and burn count: a fetch slower than the target burns
+    /// error budget.
+    slo: SloTargets,
+    burn_default: Counter,
+    ev_miss_fill: EventId,
+    ev_iod_read: EventId,
+}
+
+impl ModuleObs {
+    fn new(hub: Arc<ObsHub>, node: NodeId, slo: SloTargets) -> ModuleObs {
+        let r = hub.registry();
+        ModuleObs {
+            fetch_q_default: QuantileSketch::new(),
+            slo,
+            burn_default: r.counter("slo.fetch.burn.default"),
+            ev_miss_fill: hub.intern("miss_fill", Some("blocks"), None),
+            ev_iod_read: hub.intern("iod_read", Some("blocks"), Some("bytes")),
+            node: node.0 as u32,
+            hub,
+        }
+    }
+
+    /// Record one fetch latency against the sketch and the SLO budget.
+    #[inline]
+    fn record_fetch(&self, ns: u64) {
+        self.fetch_q_default.record(ns);
+        if ns > self.slo.fetch_p99_ns_default {
+            self.burn_default.inc();
+        }
+    }
+}
+
+/// The cache module actor.
+pub struct CacheModule {
+    node: NodeId,
+    fabric: ActorId,
+    cpu: SharedResource,
+    costs: CostModel,
+    cfg: CacheConfig,
+    cache: Arc<BufferManager>,
+    /// Client reply port → client actor (the processes on this node) and
+    /// its application instance; the instance lets the buffer manager's
+    /// policy attribute every access to an application, which is what the
+    /// sharing-aware policy ranks by.
+    clients: KeyMap<u16, (ActorId, AppId)>,
+    /// Requests still waiting for fetched blocks, by (client port,
+    /// request id). Owned by `read`.
+    pending: KeyMap<(u16, u64), read::PendingFetch>,
+    /// Blocks being fetched from an iod (the FSM's "transfers pending"
+    /// state), each with the requests waiting on it: a request for one of
+    /// these waits instead of re-fetching. Owned by `read`.
+    in_flight: KeyMap<BlockKey, read::InFlight>,
+    /// Resident blocks in flight per flush request (completed on
+    /// FlushAck). Owned by `flush`, with the two fields below.
+    inflight_flushes: KeyMap<u64, Vec<(BlockKey, Span)>>,
+    flush_seq: u64,
+    harvest_scheduled: bool,
+    started: bool,
+    tag: u64,
+    stats: ModuleStats,
+    obs: Option<ModuleObs>,
+}
+
+impl CacheModule {
+    /// `obs` is this node's hub: `Some` wires it through the module and
+    /// its buffer manager (metric mirrors of the hit/miss ledger, trace
+    /// events for miss fills, eviction scans, iod reads, epoch ticks and
+    /// controller decisions, the fetch-latency sketch). `None` keeps
+    /// every hot path at one never-taken branch.
+    pub fn new(
+        node: NodeId,
+        fabric: ActorId,
+        cpu: SharedResource,
+        costs: CostModel,
+        cfg: CacheConfig,
+        obs: Option<Arc<ObsHub>>,
+    ) -> CacheModule {
+        let cache = Arc::new(
+            BufferManager::builder(cfg.capacity_blocks)
+                .policy(cfg.policy)
+                .watermarks(cfg.low_watermark, cfg.high_watermark)
+                .partitioning(cfg.partitioning.clone())
+                .adaptive(cfg.adaptive.clone())
+                .epoch_accesses(cfg.epoch_accesses)
+                .obs(obs.clone(), node.0 as u32)
+                .shards(cfg.shards)
+                .build(),
+        );
+        let obs = obs.map(|hub| ModuleObs::new(hub, node, cfg.slo));
+        CacheModule {
+            node,
+            fabric,
+            cpu,
+            costs,
+            cfg,
+            cache,
+            clients: KeyMap::default(),
+            pending: KeyMap::default(),
+            in_flight: KeyMap::default(),
+            inflight_flushes: KeyMap::default(),
+            flush_seq: 1,
+            harvest_scheduled: false,
+            started: false,
+            tag: 0,
+            stats: ModuleStats::default(),
+            obs,
+        }
+    }
+
+    /// Register a client process living on this node (its reply port must
+    /// also be bound to this module in the fabric), together with the
+    /// application instance it belongs to.
+    pub fn register_client(&mut self, port: Port, actor: ActorId, app: AppId) {
+        self.clients.insert(port.0, (actor, app));
+    }
+
+    /// Application owning a client reply port ([`AppId::UNKNOWN`] for
+    /// traffic from unregistered ports).
+    #[inline]
+    fn app_of(&self, port: Port) -> AppId {
+        self.clients.get(&port.0).map_or(AppId::UNKNOWN, |&(_, app)| app)
+    }
+
+    pub fn stats(&self) -> &ModuleStats {
+        &self.stats
+    }
+
+    pub fn cache(&self) -> &Arc<BufferManager> {
+        &self.cache
+    }
+
+    /// The fetch-latency sketch snapshot, with its SLO target and burn
+    /// count, as the one [`TrafficClass::Default`] entry — `None` when
+    /// observability is off. The experiment harness merges these across
+    /// nodes for the cluster SLO report.
+    pub fn fetch_latency_sketches(
+        &self,
+    ) -> Option<Vec<(TrafficClass, QuantileSnapshot, u64, u64)>> {
+        self.obs.as_ref().map(|o| {
+            vec![(
+                TrafficClass::Default,
+                o.fetch_q_default.snapshot(),
+                o.slo.fetch_p99_ns_default,
+                o.burn_default.get(),
+            )]
+        })
+    }
+
+    #[inline]
+    fn charge(&self, now: SimTime, d: Dur) -> SimTime {
+        resource::reserve(&self.cpu, now, d)
+    }
+
+    /// Deliver a synthesized message to a local client process.
+    fn send_to_client(&mut self, ctx: &mut Ctx<'_>, at: SimTime, port: Port, payload: impl Any) {
+        let Some(&(client, _)) = self.clients.get(&port.0) else {
+            debug_assert!(false, "no client registered on {:?}", port);
+            return;
+        };
+        self.tag += 1;
+        let m = NetMessage::new((self.node, CACHE_PORT), (self.node, port), 0, self.tag, payload);
+        ctx.schedule_in(at.since(ctx.now()), client, Deliver(m));
+    }
+
+    /// Put a message of the module's own on the wire, from its cache port.
+    fn send_to_net(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        dst: (NodeId, Port),
+        wire: u32,
+        payload: impl Any,
+    ) {
+        self.tag += 1;
+        let m = NetMessage::new((self.node, CACHE_PORT), dst, wire, self.tag, payload);
+        ctx.schedule_in(at.since(ctx.now()), self.fabric, Xmit(m));
+    }
+
+    /// Pass an intercepted request, possibly rewritten, on to its iod
+    /// under the client's addresses and tag.
+    fn forward(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        at: SimTime,
+        meta: MessageMeta,
+        wire: u32,
+        req: impl Any,
+    ) {
+        let m = NetMessage::new(
+            (meta.src, meta.src_port),
+            (meta.dst, meta.dst_port),
+            wire,
+            meta.tag,
+            req,
+        );
+        ctx.schedule_in(at.since(ctx.now()), self.fabric, Xmit(m));
+    }
+
+    /// Forward an iod's (real) ack to its client (FSM transition).
+    fn pass_ack(&mut self, ctx: &mut Ctx<'_>, port: Port, ack: impl Any) {
+        let t = self.charge(ctx.now(), self.costs.cache_call_overhead);
+        self.send_to_client(ctx, t, port, ack);
+    }
+
+    /// Deliveries to the ports bound to the module.
+    fn inbound(&mut self, ctx: &mut Ctx<'_>, net: NetMessage) {
+        // Coherence and flush traffic addressed to the module itself.
+        if net.dst_port == CACHE_PORT {
+            let net = match net.cast::<Invalidate>() {
+                Ok((_, inv)) => return self.invalidate(ctx, *inv),
+                Err(n) => n,
+            };
+            match net.cast::<FlushAck>() {
+                Ok((_, ack)) => self.flush_acked(ctx, *ack),
+                Err(net) => debug_assert!(false, "unexpected message on cache port: {net:?}"),
+            }
+            return;
+        }
+        // iod replies on client ports.
+        let net = match net.cast::<ReadAck>() {
+            Ok((meta, ack)) => return self.pass_ack(ctx, meta.dst_port, *ack),
+            Err(n) => n,
+        };
+        let net = match net.cast::<WriteAck>() {
+            Ok((meta, ack)) => return self.pass_ack(ctx, meta.dst_port, *ack),
+            Err(n) => n,
+        };
+        let net = match net.cast::<ReadData>() {
+            Ok((meta, rd)) => return self.inbound_read_data(ctx, meta.src, *rd),
+            Err(n) => n,
+        };
+        // Anything else on a client port (mgr replies, etc.) is not iod
+        // data traffic: hand it to the client process untouched.
+        let Some(&(client, _)) = self.clients.get(&net.dst_port.0) else {
+            panic!("cache module: unexpected inbound payload {:?}", net);
+        };
+        ctx.schedule_in(Dur::ZERO, client, Deliver(net));
+    }
+}
+
+impl Actor for CacheModule {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        if let Some(o) = &self.obs {
+            // Publish the sim clock so every instrument — including the
+            // buffer manager's, which has no clock of its own — stamps
+            // trace events with simulated time.
+            o.hub.set_now(ctx.now().nanos());
+        }
+        if !self.started {
+            self.started = true;
+            ctx.schedule_self(self.cfg.flush_interval, FlushTick);
+        }
+        // Outbound: libpvfs socket sends.
+        let msg = match msg.cast::<Xmit>() {
+            Ok(x) => {
+                let net = match x.0.cast::<ReadReq>() {
+                    Ok((meta, rr)) => return self.intercept_read(ctx, meta, *rr),
+                    Err(n) => n,
+                };
+                match net.cast::<WriteReq>() {
+                    Ok((meta, wr)) => return self.intercept_write(ctx, meta, *wr),
+                    // libpvfs sends only iod requests through its socket
+                    // target; mgr calls go straight to the fabric.
+                    Err(net) => panic!("cache module: unexpected outbound payload {:?}", net),
+                }
+            }
+            Err(m) => m,
+        };
+        let msg = match msg.cast::<Deliver>() {
+            Ok(d) => return self.inbound(ctx, d.0),
+            Err(m) => m,
+        };
+        let msg = match msg.cast::<FlushTick>() {
+            Ok(_) => return self.flush_tick(ctx),
+            Err(m) => m,
+        };
+        if msg.is::<HarvestNow>() {
+            self.harvest_now(ctx);
+        } else {
+            panic!("cache module received unexpected message");
+        }
+    }
+
+    fn name(&self) -> String {
+        format!("kcache-{}", self.node)
+    }
+
+    fn as_any(&self) -> Option<&dyn Any> {
+        Some(self)
+    }
+
+    fn as_any_mut(&mut self) -> Option<&mut dyn Any> {
+        Some(self)
+    }
+}

@@ -4,7 +4,7 @@
 //! invalidation handling — the mechanisms of §3.2, tested in isolation
 //! from the full cluster.
 
-use kcache::{CacheConfig, CacheModule};
+use kcache::{CacheConfig, CacheModule, EvictPolicy, PolicyKind};
 use pvfs::{
     ByteRange, Content, CostModel, Fid, FlushAck, FlushBlocks, Invalidate, InvalidateAck, Payload,
     ReadAck, ReadData, ReadReq, Segment, WriteAck, WritePart, WriteReq, CACHE_PORT,
@@ -160,7 +160,11 @@ struct Rig {
     module: ActorId,
     iod: ActorId,
     client: ActorId,
+    /// A process of a second application, on the next client port.
+    other: ActorId,
 }
+
+const OTHER_PORT: Port = Port(CLIENT_PORT_BASE + 1);
 
 fn rig_with(cfg: CacheConfig) -> Rig {
     let mut eng = Engine::new(3);
@@ -177,6 +181,7 @@ fn rig_with(cfg: CacheConfig) -> Rig {
         tag: 0,
     }));
     let client = eng.add_actor(Box::new(ClientProbe { acks: vec![], data: vec![], wacks: vec![] }));
+    let other = eng.add_actor(Box::new(ClientProbe { acks: vec![], data: vec![], wacks: vec![] }));
     let mut module = CacheModule::new(
         NodeId(CLIENT),
         fabric_slot,
@@ -187,16 +192,18 @@ fn rig_with(cfg: CacheConfig) -> Rig {
     );
     let client_port = Port(CLIENT_PORT_BASE);
     module.register_client(client_port, client, kcache::AppId(0));
+    module.register_client(OTHER_PORT, other, kcache::AppId(1));
     let module = eng.add_actor(Box::new(module));
     // Node 0: client port + cache port → module. Node 1: iod ports.
     let unbound = eng.add_actor(Box::new(Unbound));
     let mut fabric = sim_net::Fabric::new(sim_net::NetConfig::hub_100mbps(), vec![unbound; 2]);
     fabric.bind(NodeId(CLIENT), client_port, module);
+    fabric.bind(NodeId(CLIENT), OTHER_PORT, module);
     fabric.bind(NodeId(CLIENT), CACHE_PORT, module);
     fabric.bind(NodeId(IOD), IOD_PORT, iod);
     fabric.bind(NodeId(IOD), IOD_FLUSH_PORT, iod);
     eng.install(fabric_slot, Box::new(fabric));
-    Rig { eng, module, iod, client }
+    Rig { eng, module, iod, client, other }
 }
 
 fn rig() -> Rig {
@@ -205,21 +212,14 @@ fn rig() -> Rig {
 
 /// The client's outbound request, as libpvfs would send it.
 fn read_req(req_id: u64, ranges: Vec<ByteRange>) -> Xmit {
-    let rr = ReadReq {
-        req_id,
-        fid: Fid(1),
-        ranges,
-        reply_to: (NodeId(CLIENT), Port(CLIENT_PORT_BASE)),
-        caching: true,
-    };
+    read_req_from(Port(CLIENT_PORT_BASE), req_id, ranges)
+}
+
+fn read_req_from(port: Port, req_id: u64, ranges: Vec<ByteRange>) -> Xmit {
+    let rr =
+        ReadReq { req_id, fid: Fid(1), ranges, reply_to: (NodeId(CLIENT), port), caching: true };
     let wire = rr.wire_bytes();
-    Xmit(NetMessage::new(
-        (NodeId(CLIENT), Port(CLIENT_PORT_BASE)),
-        (NodeId(IOD), IOD_PORT),
-        wire,
-        0,
-        rr,
-    ))
+    Xmit(NetMessage::new((NodeId(CLIENT), port), (NodeId(IOD), IOD_PORT), wire, 0, rr))
 }
 
 fn write_req(req_id: u64, range: ByteRange, sync: bool) -> Xmit {
@@ -318,6 +318,67 @@ fn concurrent_requests_for_same_block_fetch_once() {
     assert_eq!(c.data[0].data, c.data[1].data);
     let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
     assert_eq!(m.stats().dedup_blocks, 1);
+}
+
+#[test]
+fn two_ranges_in_one_block_fetch_it_once() {
+    let mut r = rig();
+    let ranges = vec![ByteRange::new(0, 1000), ByteRange::new(2000, 1000)];
+    r.eng.post(Dur::ZERO, r.module, read_req(1, ranges.clone()));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    let iod = r.eng.actor_as::<ScriptedIod>(r.iod).unwrap();
+    assert_eq!(iod.reads.len(), 1);
+    assert_eq!(iod.reads[0].ranges, vec![ByteRange::new(0, 4096)], "block 0, fetched once");
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    assert_eq!(c.acks.len(), 1);
+    let got: Vec<ByteRange> = c.data.iter().map(|d| d.range).collect();
+    assert_eq!(got, ranges, "each range answered once");
+    for d in &c.data {
+        assert_eq!(d.data, pattern(Fid(1), d.range.offset, d.range.len as usize));
+    }
+    let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+    assert!(m.cache().contains(kcache::BlockKey::new(Fid(1), 0)));
+}
+
+/// Two applications' processes ask for one cold block before its fetch
+/// returns: one fetch serves both, and the block is installed for the
+/// first and touched for the second. Under the sharing-aware policy that
+/// touch is what keeps it: of two blocks, the one two applications read
+/// outlives the one only the first application read later.
+#[test]
+fn two_applications_share_one_fetch() {
+    let mut r = rig_with(CacheConfig {
+        capacity_blocks: 2,
+        low_watermark: 0,
+        high_watermark: 1,
+        policy: EvictPolicy::of(PolicyKind::SharingAware),
+        ..CacheConfig::paper()
+    });
+    r.eng.post(Dur::ZERO, r.module, read_req(1, vec![ByteRange::new(0, 4096)]));
+    r.eng.post(
+        Dur::micros(10),
+        r.module,
+        read_req_from(OTHER_PORT, 7, vec![ByteRange::new(100, 50)]),
+    );
+    r.eng.run_until(SimTime::ZERO + Dur::millis(100));
+    assert_eq!(r.eng.actor_as::<ScriptedIod>(r.iod).unwrap().reads.len(), 1, "one fetch");
+    let c = r.eng.actor_as::<ClientProbe>(r.client).unwrap();
+    assert_eq!((c.acks.len(), c.data.len()), (1, 1));
+    assert_eq!(c.data[0].data, pattern(Fid(1), 0, 4096));
+    let o = r.eng.actor_as::<ClientProbe>(r.other).unwrap();
+    assert_eq!(o.acks.len(), 1, "the second application's ack is faked");
+    assert_eq!(o.data.len(), 1);
+    assert_eq!((o.data[0].req_id, o.data[0].range), (7, ByteRange::new(100, 50)));
+    assert_eq!(o.data[0].data, pattern(Fid(1), 100, 50));
+    assert_eq!(r.eng.actor_as::<CacheModule>(r.module).unwrap().stats().dedup_blocks, 1);
+
+    r.eng.post(Dur::ZERO, r.module, read_req(2, vec![ByteRange::new(4096, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(200));
+    r.eng.post(Dur::ZERO, r.module, read_req(3, vec![ByteRange::new(8192, 4096)]));
+    r.eng.run_until(SimTime::ZERO + Dur::millis(300));
+    let m = r.eng.actor_as::<CacheModule>(r.module).unwrap();
+    let resident: Vec<u64> = m.cache().resident_keys().iter().map(|k| k.blk).collect();
+    assert_eq!(resident, vec![0, 2], "the shared block outlives the private one");
 }
 
 #[test]

@@ -58,12 +58,14 @@ struct Rig {
     fabric: ActorId,
     module: ActorId,
     iod: ActorId,
+    probe_a: ActorId,
     probe_b: ActorId,
 }
 
 impl Rig {
-    /// Node A's module with a four-block cache; the iod's file is warm.
-    fn new() -> Rig {
+    /// Node A's module with a four-block cache; the iod's file is in its
+    /// page cache when `warm`, else every first read goes to the platter.
+    fn new(warm: bool) -> Rig {
         let mut eng = Engine::new(5);
         let fabric = eng.reserve_actor();
         let disk =
@@ -77,7 +79,7 @@ impl Rig {
             PvfsConfig::default(),
             1 << 20,
         );
-        iod.preload(FID, &[ByteRange::new(0, 65536)], true);
+        iod.preload(FID, &[ByteRange::new(0, 65536)], warm);
         let iod = eng.add_actor(Box::new(iod));
         let probe_a = eng.add_actor(Box::new(Probe::default()));
         let probe_b = eng.add_actor(Box::new(Probe::default()));
@@ -107,7 +109,7 @@ impl Rig {
         net.bind(NodeId(A), CACHE_PORT, module);
         net.bind(NodeId(B), PORT, probe_b);
         eng.install(fabric, Box::new(net));
-        Rig { eng, fabric, module, iod, probe_b }
+        Rig { eng, fabric, module, iod, probe_a, probe_b }
     }
 
     fn run(&mut self) {
@@ -115,8 +117,14 @@ impl Rig {
         self.eng.run_until(until);
     }
 
-    /// A's client reads block `blk` through A's module.
+    /// A's client reads block `blk` through A's module, and the rig runs
+    /// for a simulated second.
     fn read_at_a(&mut self, req_id: u64, blk: u64) {
+        self.post_read_at_a(req_id, blk);
+        self.run();
+    }
+
+    fn post_read_at_a(&mut self, req_id: u64, blk: u64) {
         let rr = ReadReq {
             req_id,
             fid: FID,
@@ -126,6 +134,24 @@ impl Rig {
         };
         let m = NetMessage::new((NodeId(A), PORT), (NodeId(IOD), IOD_PORT), rr.wire_bytes(), 0, rr);
         self.eng.post(Dur::ZERO, self.module, Xmit(m));
+    }
+
+    /// B sync-writes block `blk`, and the rig runs for a simulated second.
+    fn sync_write_at_b(&mut self, req_id: u64, blk: u64) {
+        let range = ByteRange::new(blk * 4096, 4096);
+        let wr = WriteReq {
+            req_id,
+            fid: FID,
+            parts: vec![WritePart {
+                range,
+                data: Payload::described(Content::new(FID, range.offset), 4096),
+            }],
+            reply_to: (NodeId(B), PORT),
+            caching: false,
+            sync: true,
+        };
+        let m = NetMessage::new((NodeId(B), PORT), (NodeId(IOD), IOD_PORT), wr.wire_bytes(), 0, wr);
+        self.eng.post(Dur::ZERO, self.fabric, Xmit(m));
         self.run();
     }
 
@@ -147,7 +173,7 @@ impl Rig {
 /// A has acknowledged.
 #[test]
 fn an_evicted_then_reread_block_still_gets_invalidated() {
-    let mut r = Rig::new();
+    let mut r = Rig::new(true);
     r.read_at_a(1, 0);
     for blk in 1..=5 {
         r.read_at_a(1 + blk, blk);
@@ -158,22 +184,35 @@ fn an_evicted_then_reread_block_still_gets_invalidated() {
     r.read_at_a(10, 0);
     assert!(r.a_holds(0) && r.listed_at_a(0));
 
-    let wr = WriteReq {
-        req_id: 2,
-        fid: FID,
-        parts: vec![WritePart {
-            range: ByteRange::new(0, 4096),
-            data: Payload::described(Content::new(FID, 0), 4096),
-        }],
-        reply_to: (NodeId(B), PORT),
-        caching: false,
-        sync: true,
-    };
-    let m = NetMessage::new((NodeId(B), PORT), (NodeId(IOD), IOD_PORT), wr.wire_bytes(), 0, wr);
-    r.eng.post(Dur::ZERO, r.fabric, Xmit(m));
-    r.run();
+    r.sync_write_at_b(2, 0);
     assert_eq!(r.a().stats().invalidate_msgs, 1, "A's copy of block 0 was not invalidated");
     assert!(!r.a_holds(0));
     assert!(!r.listed_at_a(0), "the sync-write takes A off the block's entry");
     assert_eq!(r.eng.actor_as::<Probe>(r.probe_b).unwrap().delivered, 1, "B's write was acked");
+}
+
+/// An `Invalidate` that overtakes a fetch in flight. The iod lists A as a
+/// reader of block 0 when A's read arrives, but sends the data only after
+/// its platter read. B's sync-write in that window takes A off the entry
+/// and invalidates A, which holds nothing yet. The data that arrives
+/// afterwards must not be installed as a copy the iod no longer lists: a
+/// second sync-write by B would never reach it.
+#[test]
+fn an_invalidate_overtaking_a_fetch_leaves_no_unlisted_copy() {
+    let mut r = Rig::new(false);
+    r.post_read_at_a(1, 0);
+    let until = r.eng.now() + Dur::micros(500);
+    r.eng.run_until(until);
+    assert!(r.listed_at_a(0), "the iod has A's read and listed A");
+    assert!(!r.a_holds(0), "the platter read is still pending");
+
+    r.sync_write_at_b(2, 0);
+    assert_eq!(r.a().stats().invalidate_msgs, 1, "B's write invalidated A mid-fetch");
+    assert_eq!(r.a().stats().blocks_fetched, 1, "A's fetch completed after the invalidation");
+    assert_eq!(r.eng.actor_as::<Probe>(r.probe_a).unwrap().delivered, 2, "A's read served");
+    assert!(!r.a_holds(0) || r.listed_at_a(0), "A holds block 0 but the iod does not list A");
+
+    r.sync_write_at_b(3, 0);
+    assert!(!r.a_holds(0), "a second sync-write left a copy at A");
+    assert_eq!(r.eng.actor_as::<Probe>(r.probe_b).unwrap().delivered, 2, "both writes acked");
 }
