@@ -13,7 +13,12 @@
 //! `cache_hit_ratio`. A change that only removes engine events moves only
 //! the `events` column; any decision that moves changes the hash.
 //!
-//! A change meant to move a decision rewrites the file in the same diff,
+//! The figures get the same treatment in `tests/golden/figures.txt`: the
+//! built `figures` binary regenerates `--fig all` and `--fig policy-grid`
+//! on the smoke grid, and each table is one line: its id, then FNV-1a
+//! hashes of its CSV and of its JSON.
+//!
+//! A change meant to move a decision rewrites the files in the same diff,
 //! `GOLDEN_BLESS=1 cargo test -p cluster-harness --test golden_outputs`,
 //! and says why.
 
@@ -78,6 +83,31 @@ fn fingerprint(name: &str, seed: u64, config: &str) -> String {
     )
 }
 
+/// Compare `got` with the blessed `file` under `tests/golden/`, or
+/// rewrite it under `GOLDEN_BLESS`.
+fn check_blessed(file: &str, got: &str) {
+    let golden = golden_dir().join(file);
+    if std::env::var_os("GOLDEN_BLESS").is_some() {
+        std::fs::write(&golden, got).expect("write the blessed file");
+        return;
+    }
+    let want = std::fs::read_to_string(&golden).unwrap_or_default();
+    let moved: Vec<String> = want
+        .lines()
+        .zip(got.lines())
+        .filter(|(w, g)| w != g)
+        .map(|(w, g)| format!("  blessed {w}\n  now     {g}"))
+        .collect();
+    assert!(
+        want == got,
+        "{file}: fingerprints moved ({} blessed lines, {} now):\n{}\n\
+         A change meant to move a decision re-blesses with GOLDEN_BLESS=1 and says why.",
+        want.lines().count(),
+        got.lines().count(),
+        moved.join("\n")
+    );
+}
+
 #[test]
 fn outputs_match_the_blessed_fingerprints() {
     let dir = golden_dir();
@@ -95,25 +125,42 @@ fn outputs_match_the_blessed_fingerprints() {
         let config = std::fs::read_to_string(&path).expect("read the config");
         lines.extend(SEEDS.iter().map(|&seed| fingerprint(&name, seed, &config)));
     }
-    let got = lines.join("\n") + "\n";
-    let golden = dir.join("outputs.txt");
-    if std::env::var_os("GOLDEN_BLESS").is_some() {
-        std::fs::write(&golden, &got).expect("write outputs.txt");
-        return;
-    }
-    let want = std::fs::read_to_string(&golden).unwrap_or_default();
-    let moved: Vec<String> = want
-        .lines()
-        .zip(got.lines())
-        .filter(|(w, g)| w != g)
-        .map(|(w, g)| format!("  blessed {w}\n  now     {g}"))
+    check_blessed("outputs.txt", &(lines.join("\n") + "\n"));
+}
+
+/// One line per table `figures --smoke --fig <fig>` writes, in id order.
+fn figure_fingerprints(fig: &str) -> Vec<String> {
+    let out = std::env::temp_dir().join(format!("clusterio-figures-{}-{fig}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_figures"))
+        .args(["--smoke", "--fig", fig, "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn figures");
+    assert!(run.status.success(), "figures --fig {fig}: {}", String::from_utf8_lossy(&run.stderr));
+    let mut ids: Vec<String> = std::fs::read_dir(&out)
+        .expect("the figures' output directory")
+        .filter_map(|e| {
+            let name = e.expect("directory entry").file_name().into_string().expect("utf-8 name");
+            name.strip_suffix(".csv").map(str::to_owned)
+        })
         .collect();
-    assert!(
-        want == got,
-        "fingerprints moved ({} blessed lines, {} now):\n{}\n\
-         A change meant to move a decision re-blesses with GOLDEN_BLESS=1 and says why.",
-        want.lines().count(),
-        got.lines().count(),
-        moved.join("\n")
-    );
+    ids.sort();
+    let lines = ids
+        .iter()
+        .map(|id| {
+            let read = |ext: &str| std::fs::read(out.join(format!("{id}.{ext}"))).expect("table");
+            format!("{id} {:016x} {:016x}", fnv1a64(&read("csv")), fnv1a64(&read("json")))
+        })
+        .collect();
+    std::fs::remove_dir_all(&out).ok();
+    lines
+}
+
+#[test]
+fn figures_match_the_blessed_fingerprints() {
+    let mut lines =
+        vec!["# figure fnv1a64(csv) fnv1a64(json); --smoke, --fig all then policy-grid".to_owned()];
+    lines.extend(figure_fingerprints("all"));
+    lines.extend(figure_fingerprints("policy-grid"));
+    check_blessed("figures.txt", &(lines.join("\n") + "\n"));
 }
