@@ -1,252 +1,167 @@
 //! Ablations of the paper's design decisions (§3.2), each regenerable as a
-//! figure-style table.
+//! figure-style table. Each is a [`Figure`] declaration run on the one
+//! harness in [`crate::figures`].
 
-use crate::builder::ClusterSpec;
-use crate::experiment::run_experiment;
-use crate::figures::Grid;
+use crate::experiment::ExperimentResult;
+use crate::figures::{by_cache, pair, run_figures, series, Figure, Grid, Measure, Point};
 use crate::report::FigureData;
-use crate::sweep::parallel_map;
 use kcache::{
     AdaptiveConfig, CacheConfig, EvictPolicy, PartitionConfig, PartitionMode, PolicyKind,
 };
-use sim_core::Dur;
-use sim_net::{NetConfig, NodeId};
+use sim_net::NetConfig;
 use workload::{AppSpec, Mode, PhaseSpec};
-
-fn app(grid: &Grid, d: u32, p: u32, mode: Mode, l: f64, s: f64, name: &str) -> AppSpec {
-    AppSpec {
-        name: name.into(),
-        nodes: (0..p as u16).map(NodeId).collect(),
-        total_bytes: grid.total_bytes,
-        request_size: d,
-        mode,
-        locality: l,
-        sharing: s,
-        hotspot: 0.0,
-        shared_file: "shared".into(),
-        file_size: grid.file_size,
-        start_delay: Dur::ZERO,
-        min_requests: 1,
-        phases: Vec::new(),
-    }
-}
-
-fn makespans(
-    grid: &Grid,
-    configs: Vec<(Option<CacheConfig>, Vec<AppSpec>, Option<NetConfig>)>,
-) -> Vec<f64> {
-    parallel_map(configs, |(cache, apps, net)| {
-        let mut spec = ClusterSpec::paper(cache.clone());
-        if let Some(net) = net {
-            spec.net = net.clone();
-        }
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
-        r.mean_makespan_s()
-    })
-}
 
 /// Write-behind vs write-through vs no cache (the flusher's justification).
 pub fn ablation_write_policy(grid: &Grid) -> FigureData {
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        let apps = vec![app(grid, d, 4, Mode::Write, 0.0, 0.0, "app0")];
-        configs.push((Some(CacheConfig::paper()), apps.clone(), None));
-        let wt = CacheConfig { write_behind: false, ..CacheConfig::paper() };
-        configs.push((Some(wt), apps.clone(), None));
-        configs.push((None, apps, None));
-    }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_write_policy",
-        "write-behind vs write-through (writes, p=4, l=0)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec!["write-behind".into(), "write-through".into(), "no caching".into()],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, vec![vals[3 * i], vals[3 * i + 1], vals[3 * i + 2]]);
-    }
-    fig
+    let apps = |d: f64| vec![grid.instance("app0", d as u32, 4, Mode::Write, 0.0, 0.0)];
+    let wt = CacheConfig { write_behind: false, ..CacheConfig::paper() };
+    let caches = [
+        ("write-behind", Some(CacheConfig::paper())),
+        ("write-through", Some(wt)),
+        ("no caching", None),
+    ];
+    let title = "write-behind vs write-through (writes, p=4, l=0)";
+    Figure::makespan_vs_d(grid, "ablation_write_policy", title, by_cache(apps, caches)).run(grid)
 }
 
 /// Approximate (clock) vs exact LRU: end-to-end effect on a localized read
 /// workload. (The paper's argument — per-access CPU overhead of exact LRU —
 /// is quantified by the `buffer_manager` Criterion bench.)
 pub fn ablation_lru(grid: &Grid) -> FigureData {
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        let apps = vec![app(grid, d, 4, Mode::Read, 0.8, 0.0, "app0")];
-        let clock =
-            CacheConfig { policy: EvictPolicy::of(PolicyKind::Clock), ..CacheConfig::paper() };
-        let exact =
-            CacheConfig { policy: EvictPolicy::of(PolicyKind::ExactLru), ..CacheConfig::paper() };
-        configs.push((Some(clock), apps.clone(), None));
-        configs.push((Some(exact), apps, None));
-    }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_lru",
-        "approximate (clock) vs exact LRU (reads, p=4, l=0.8)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec!["clock (approximate)".into(), "exact LRU".into()],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, vec![vals[2 * i], vals[2 * i + 1]]);
-    }
-    fig
+    let apps = |d: f64| vec![grid.instance("app0", d as u32, 4, Mode::Read, 0.8, 0.0)];
+    let with = |kind| Some(CacheConfig { policy: EvictPolicy::of(kind), ..CacheConfig::paper() });
+    let caches = [
+        ("clock (approximate)", with(PolicyKind::Clock)),
+        ("exact LRU", with(PolicyKind::ExactLru)),
+    ];
+    let title = "approximate (clock) vs exact LRU (reads, p=4, l=0.8)";
+    Figure::makespan_vs_d(grid, "ablation_lru", title, by_cache(apps, caches)).run(grid)
 }
 
 /// Clean-first eviction preference on a mixed read+write co-schedule.
 pub fn ablation_clean_first(grid: &Grid) -> FigureData {
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        let apps = vec![
-            app(grid, d, 4, Mode::Read, 0.5, 0.5, "appA"),
-            app(grid, d, 4, Mode::Write, 0.5, 0.5, "appB"),
-        ];
-        let clean = CacheConfig {
-            policy: EvictPolicy { kind: PolicyKind::Clock, clean_first: true },
-            ..CacheConfig::paper()
-        };
-        let oblivious = CacheConfig {
-            policy: EvictPolicy { kind: PolicyKind::Clock, clean_first: false },
-            ..CacheConfig::paper()
-        };
-        configs.push((Some(clean), apps.clone(), None));
-        configs.push((Some(oblivious), apps, None));
-    }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_clean_first",
-        "clean-first vs oblivious eviction (read+write instances, p=4)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec!["clean-first".into(), "oblivious".into()],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, vec![vals[2 * i], vals[2 * i + 1]]);
-    }
-    fig
+    let apps = |d: f64| {
+        let d = d as u32;
+        vec![
+            grid.instance("appA", d, 4, Mode::Read, 0.5, 0.5),
+            grid.instance("appB", d, 4, Mode::Write, 0.5, 0.5),
+        ]
+    };
+    let with = |clean_first| {
+        let policy = EvictPolicy { kind: PolicyKind::Clock, clean_first };
+        Some(CacheConfig { policy, ..CacheConfig::paper() })
+    };
+    let caches = [("clean-first", with(true)), ("oblivious", with(false))];
+    let title = "clean-first vs oblivious eviction (read+write instances, p=4)";
+    Figure::makespan_vs_d(grid, "ablation_clean_first", title, by_cache(apps, caches)).run(grid)
 }
 
 /// Shared hub (the paper's platform) vs a store-and-forward switch.
 pub fn ablation_fabric(grid: &Grid) -> FigureData {
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        let apps = vec![
-            app(grid, d, 4, Mode::Read, 0.5, 0.5, "appA"),
-            app(grid, d, 4, Mode::Read, 0.5, 0.5, "appB"),
-        ];
-        for net in [NetConfig::hub_100mbps(), NetConfig::switch_100mbps()] {
-            for cache in [Some(CacheConfig::paper()), None] {
-                configs.push((cache, apps.clone(), Some(net.clone())));
-            }
-        }
-    }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_fabric",
-        "hub vs switch (two read instances, p=4, l=0.5, s=50%)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec![
-            "hub + caching".into(),
-            "hub, no caching".into(),
-            "switch + caching".into(),
-            "switch, no caching".into(),
-        ],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, (0..4).map(|k| vals[4 * i + k]).collect());
-    }
-    fig
+    let lines = [
+        ("hub + caching", NetConfig::hub_100mbps(), Some(CacheConfig::paper())),
+        ("hub, no caching", NetConfig::hub_100mbps(), None),
+        ("switch + caching", NetConfig::switch_100mbps(), Some(CacheConfig::paper())),
+        ("switch, no caching", NetConfig::switch_100mbps(), None),
+    ]
+    .map(|(name, net, cache)| {
+        series(name, move |d| Point {
+            cache: cache.clone(),
+            net: Some(net.clone()),
+            apps: pair(grid.instance("appA", d as u32, 4, Mode::Read, 0.5, 0.5)),
+        })
+    });
+    let title = "hub vs switch (two read instances, p=4, l=0.5, s=50%)";
+    Figure::makespan_vs_d(grid, "ablation_fabric", title, lines.into()).run(grid)
 }
 
 /// Coherent sync-writes vs plain write-behind under full sharing.
 pub fn ablation_sync_write(grid: &Grid) -> FigureData {
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        for mode in [Mode::Write, Mode::SyncWrite] {
-            let apps = vec![
-                app(grid, d, 2, mode, 0.5, 1.0, "appA"),
-                app(grid, d, 2, mode, 0.5, 1.0, "appB"),
-            ];
-            configs.push((Some(CacheConfig::paper()), apps, None));
-        }
-    }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_sync_write",
-        "write-behind vs coherent sync-write (two instances, s=100%)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec!["write-behind".into(), "sync-write".into()],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, vec![vals[2 * i], vals[2 * i + 1]]);
-    }
-    fig
+    let lines =
+        [("write-behind", Mode::Write), ("sync-write", Mode::SyncWrite)].map(|(name, mode)| {
+            let apps = move |d: f64| pair(grid.instance("appA", d as u32, 2, mode, 0.5, 1.0));
+            series(name, move |d| Point::new(Some(CacheConfig::paper()), apps(d)))
+        });
+    let title = "write-behind vs coherent sync-write (two instances, s=100%)";
+    Figure::makespan_vs_d(grid, "ablation_sync_write", title, lines.into()).run(grid)
 }
 
 /// Harvester watermark sensitivity on a write-heavy workload.
 pub fn ablation_harvester(grid: &Grid) -> FigureData {
-    let marks = [(1usize, 4usize), (30, 75), (120, 200)];
-    let mut configs = Vec::new();
-    for &d in &grid.d_values {
-        let apps = vec![app(grid, d, 4, Mode::Write, 0.3, 0.0, "app0")];
-        for (lo, hi) in marks {
-            let cfg = CacheConfig { low_watermark: lo, high_watermark: hi, ..CacheConfig::paper() };
-            configs.push((Some(cfg), apps.clone(), None));
-        }
+    let apps = |d: f64| vec![grid.instance("app0", d as u32, 4, Mode::Write, 0.3, 0.0)];
+    let caches = [
+        ("low=1/high=4", 1, 4),
+        ("low=30/high=75 (paper)", 30, 75),
+        ("low=120/high=200", 120, 200),
+    ]
+    .map(|(name, lo, hi)| {
+        (name, Some(CacheConfig { low_watermark: lo, high_watermark: hi, ..CacheConfig::paper() }))
+    });
+    let title = "harvester watermarks (writes, p=4, l=0.3)";
+    Figure::makespan_vs_d(grid, "ablation_harvester", title, by_cache(apps, caches)).run(grid)
+}
+
+/// The paper's cache resized to `cap` blocks, its watermarks scaled with it.
+fn sized(cap: usize) -> CacheConfig {
+    CacheConfig {
+        capacity_blocks: cap,
+        low_watermark: cap / 10,
+        high_watermark: cap / 4,
+        ..CacheConfig::paper()
     }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_harvester",
-        "harvester watermarks (writes, p=4, l=0.3)",
-        "request size d (bytes)",
-        "total time (s)",
-        vec!["low=1/high=4".into(), "low=30/high=75 (paper)".into(), "low=120/high=200".into()],
-    );
-    for (i, &d) in grid.d_values.iter().enumerate() {
-        fig.push(d as f64, (0..3).map(|k| vals[3 * i + k]).collect());
-    }
-    fig
 }
 
 /// Extension: cache-size sensitivity (the paper fixes 1.2 MB; §5 motivates
 /// exploring more).
 pub fn ablation_cache_size(grid: &Grid) -> FigureData {
-    let sizes = [75usize, 150, 300, 600, 1200];
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
-    let mut configs = Vec::new();
-    for &cap in &sizes {
-        let apps = vec![
-            app(grid, d, 4, Mode::Read, 0.5, 0.5, "appA"),
-            app(grid, d, 4, Mode::Read, 0.5, 0.5, "appB"),
-        ];
-        let cfg = CacheConfig {
-            capacity_blocks: cap,
-            low_watermark: cap / 10,
-            high_watermark: cap / 4,
-            ..CacheConfig::paper()
-        };
-        configs.push((Some(cfg), apps, None));
+    let d = grid.ablation_d();
+    let apps = pair(grid.instance("appA", d, 4, Mode::Read, 0.5, 0.5));
+    let at = move |cap: f64| Point::new(Some(sized(cap as usize)), apps.clone());
+    Figure {
+        x_label: "cache capacity (blocks)",
+        xs: vec![75.0, 150.0, 300.0, 600.0, 1200.0],
+        ..Figure::makespan_vs_d(
+            grid,
+            "ablation_cache_size",
+            format!("cache size sweep (two read instances, d={d}, l=0.5, s=50%)"),
+            vec![series("caching", at)],
+        )
     }
-    let vals = makespans(grid, configs);
-    let mut fig = FigureData::new(
-        "ablation_cache_size",
-        format!("cache size sweep (two read instances, d={d}, l=0.5, s=50%)"),
-        "cache capacity (blocks)",
-        "total time (s)",
-        vec!["caching".into()],
-    );
-    for (i, &cap) in sizes.iter().enumerate() {
-        fig.push(cap as f64, vec![vals[i]]);
+    .run(grid)
+}
+
+fn hit_ratio(r: &ExperimentResult) -> f64 {
+    r.hit_ratio().unwrap_or(0.0)
+}
+
+/// Every replacement policy's hit ratio against the sharing degree (x, in
+/// percent), two Zipf-skewed (`hotspot`) read instances at `l = 0.2` on
+/// `cache` with its policy replaced.
+fn policy_vs_sharing<'a>(
+    grid: &'a Grid,
+    id: String,
+    title: String,
+    cache: CacheConfig,
+    hotspot: f64,
+    sharings: &[f64],
+) -> Figure<'a> {
+    let d = grid.ablation_d();
+    let lines = PolicyKind::ALL.map(|kind| {
+        let cache = CacheConfig { policy: EvictPolicy::of(kind), ..cache.clone() };
+        series(kind.name(), move |x| {
+            // Enough requests that steady-state behavior dominates the
+            // cold-start misses even on the smoke grid.
+            let a = grid.instance("appA", d, 4, Mode::Read, 0.2, x / 100.0);
+            Point::new(Some(cache.clone()), pair(AppSpec { hotspot, min_requests: 64, ..a }))
+        })
+    });
+    Figure {
+        x_label: "sharing degree s (%)",
+        y_label: "cache hit ratio",
+        xs: sharings.iter().map(|s| s * 100.0).collect(),
+        measure: Measure::Each(hit_ratio),
+        ..Figure::makespan_vs_d(grid, id, title, lines.into())
     }
-    fig
 }
 
 /// New-subsystem ablation: every replacement policy across sharing
@@ -255,44 +170,45 @@ pub fn ablation_cache_size(grid: &Grid) -> FigureData {
 /// than makespan, so the figure isolates eviction quality from everything
 /// downstream.
 pub fn ablation_policy_comparison(grid: &Grid) -> FigureData {
+    let d = grid.ablation_d();
+    let title = format!(
+        "replacement policies vs sharing degree (two read instances, d={d}, l=0.2, zipf 0.9)"
+    );
     let sharings = [0.0, 0.25, 0.5, 0.75, 1.0];
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
-    let mut configs = Vec::new();
-    for &s in &sharings {
-        for kind in PolicyKind::ALL {
-            let mut a = app(grid, d, 4, Mode::Read, 0.2, s, "appA");
-            let mut b = app(grid, d, 4, Mode::Read, 0.2, s, "appB");
-            a.hotspot = 0.9;
-            b.hotspot = 0.9;
-            // Enough requests that steady-state behavior dominates the
-            // cold-start misses even on the smoke grid.
-            a.min_requests = 64;
-            b.min_requests = 64;
-            let cfg = CacheConfig { policy: EvictPolicy::of(kind), ..CacheConfig::paper() };
-            configs.push((cfg, vec![a, b]));
+    policy_vs_sharing(grid, "ablation_policy".into(), title, CacheConfig::paper(), 0.9, &sharings)
+        .run(grid)
+}
+
+/// The full-grid policy-comparison study: every policy across **capacity ×
+/// hotspot × sharing** (the DESIGN.md table). One figure per (capacity,
+/// hotspot) pair, sharing on the x axis — `figures --fig policy-grid
+/// --full` regenerates the published table.
+pub fn ablation_policy_grid(grid: &Grid) -> Vec<FigureData> {
+    let d = grid.ablation_d();
+    let mut figs = Vec::new();
+    for cap in [150usize, 300, 600] {
+        for h in [0.6, 0.9, 1.2] {
+            let id = format!("ablation_policy_grid_c{cap}_h{}", (h * 10.0) as u32);
+            let title =
+                format!("policies vs sharing (capacity={cap} blocks, zipf {h}, d={d}, l=0.2)");
+            figs.push(policy_vs_sharing(grid, id, title, sized(cap), h, &[0.0, 0.5, 1.0]));
         }
     }
-    let vals = parallel_map(configs, |(cache, apps)| {
-        let mut spec = ClusterSpec::paper(Some(cache.clone()));
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
-        r.hit_ratio().unwrap_or(0.0)
-    });
-    let mut fig = FigureData::new(
-        "ablation_policy",
-        format!(
-            "replacement policies vs sharing degree (two read instances, d={d}, l=0.2, zipf 0.9)"
-        ),
-        "sharing degree s (%)",
-        "cache hit ratio",
-        PolicyKind::ALL.iter().map(|k| k.name().to_string()).collect(),
-    );
-    let n = PolicyKind::ALL.len();
-    for (i, &s) in sharings.iter().enumerate() {
-        fig.push(s * 100.0, (0..n).map(|k| vals[n * i + k]).collect());
-    }
-    fig
+    run_figures(grid, figs)
+}
+
+/// A reuse-heavy **victim** (Zipf hot set) and a sequential **scanner**
+/// that streams fresh blocks, both on node 0.
+fn victim_and_scanner(grid: &Grid) -> Vec<AppSpec> {
+    let d = grid.ablation_d();
+    vec![
+        AppSpec {
+            hotspot: 1.1,
+            min_requests: 96,
+            ..grid.instance("victim", d, 1, Mode::Read, 0.2, 0.0)
+        },
+        AppSpec { min_requests: 160, ..grid.instance("scanner", d, 1, Mode::Read, 0.0, 0.0) },
+    ]
 }
 
 /// New-subsystem ablation: per-application frame quotas under an
@@ -305,46 +221,34 @@ pub fn ablation_policy_comparison(grid: &Grid) -> FigureData {
 /// ratio** (per-app attribution from the partitioning subsystem) — the
 /// isolation the quotas are supposed to buy.
 pub fn ablation_partitioning(grid: &Grid) -> FigureData {
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
     let capacity = CacheConfig::paper().capacity_blocks;
-    let victim_quotas = [capacity / 5, capacity / 2, capacity * 4 / 5];
-    let modes = [PartitionMode::Shared, PartitionMode::Strict, PartitionMode::Soft];
-    let mut configs = Vec::new();
-    for &vq in &victim_quotas {
-        for mode in modes {
-            let mut victim = app(grid, d, 1, Mode::Read, 0.2, 0.0, "victim");
-            victim.hotspot = 1.1;
-            victim.min_requests = 96;
-            let mut scanner = app(grid, d, 1, Mode::Read, 0.0, 0.0, "scanner");
-            scanner.min_requests = 160;
-            let cfg = CacheConfig {
-                partitioning: PartitionConfig {
-                    mode,
-                    quotas: [(0u32, vq), (1u32, capacity - vq)].into_iter().collect(),
-                },
-                ..CacheConfig::paper()
-            };
-            configs.push((cfg, vec![victim, scanner]));
-        }
-    }
-    let vals = parallel_map(configs, |(cache, apps)| {
-        let mut spec = ClusterSpec::paper(Some(cache.clone()));
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
-        r.app_hit_ratio(0).unwrap_or(0.0)
+    let lines = [PartitionMode::Shared, PartitionMode::Strict, PartitionMode::Soft].map(|mode| {
+        series(mode.name(), move |vq| {
+            let vq = vq as usize;
+            let quotas = [(0u32, vq), (1u32, capacity - vq)].into_iter().collect();
+            let partitioning = PartitionConfig { mode, quotas };
+            Point::new(
+                Some(CacheConfig { partitioning, ..CacheConfig::paper() }),
+                victim_and_scanner(grid),
+            )
+        })
     });
-    let mut fig = FigureData::new(
-        "ablation_partitioning",
-        format!("per-app quotas vs shared pool (victim zipf 1.1 + scanner, d={d})"),
-        "victim quota (frames)",
-        "victim hit ratio",
-        modes.iter().map(|m| m.name().to_string()).collect(),
-    );
-    for (i, &vq) in victim_quotas.iter().enumerate() {
-        fig.push(vq as f64, (0..modes.len()).map(|k| vals[modes.len() * i + k]).collect());
+    Figure {
+        x_label: "victim quota (frames)",
+        y_label: "victim hit ratio",
+        xs: [capacity / 5, capacity / 2, capacity * 4 / 5].map(|q| q as f64).into(),
+        measure: Measure::Each(|r| r.app_hit_ratio(0).unwrap_or(0.0)),
+        ..Figure::makespan_vs_d(
+            grid,
+            "ablation_partitioning",
+            format!(
+                "per-app quotas vs shared pool (victim zipf 1.1 + scanner, d={})",
+                grid.ablation_d()
+            ),
+            lines.into(),
+        )
     }
-    fig
+    .run(grid)
 }
 
 /// The adaptive subsystem's candidate set for the ablation: one
@@ -362,13 +266,13 @@ fn phase_apps(grid: &Grid, d: u32, offset: bool) -> Vec<AppSpec> {
     let zipf = PhaseSpec { requests: 48, locality: 0.2, sharing: 0.0, hotspot: 1.2 };
     let scan = PhaseSpec { requests: 48, locality: 0.0, sharing: 0.0, hotspot: 0.0 };
     let shared = PhaseSpec { requests: 48, locality: 0.2, sharing: 1.0, hotspot: 0.9 };
-    let mut a = app(grid, d, 1, Mode::Read, 0.2, 0.0, "appA");
-    let mut b = app(grid, d, 1, Mode::Read, 0.2, 0.0, "appB");
-    a.min_requests = 288;
-    b.min_requests = 288;
-    a.phases = vec![zipf, scan, shared];
-    b.phases = if offset { vec![scan, shared, zipf] } else { vec![zipf, scan, shared] };
-    vec![a, b]
+    let app = |name, phases| AppSpec {
+        min_requests: 288,
+        phases,
+        ..grid.instance(name, d, 1, Mode::Read, 0.2, 0.0)
+    };
+    let b = if offset { vec![scan, shared, zipf] } else { vec![zipf, scan, shared] };
+    vec![app("appA", vec![zipf, scan, shared]), app("appB", b)]
 }
 
 fn adaptive_cache(epoch: usize) -> CacheConfig {
@@ -391,44 +295,34 @@ fn adaptive_cache(epoch: usize) -> CacheConfig {
 /// adaptive tracks the best static policy within 3 points and strictly
 /// beats the worst on both rows.
 pub fn ablation_adaptive_switching(grid: &Grid) -> FigureData {
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
+    let d = grid.ablation_d();
     let epoch = 256;
-    let mut configs = Vec::new();
-    for &offset in &[false, true] {
-        let apps = phase_apps(grid, d, offset);
-        configs.push((adaptive_cache(epoch), apps.clone()));
-        for kind in ADAPTIVE_CANDIDATES {
-            // Statics run with the same epoch clock (SharingAware decay
-            // ticks equally) so only the meta-control differs.
-            let cfg = CacheConfig {
-                policy: EvictPolicy::of(kind),
-                epoch_accesses: epoch,
-                ..CacheConfig::paper()
-            };
-            configs.push((cfg, apps.clone()));
-        }
-    }
-    let vals = parallel_map(configs, |(cache, apps)| {
-        let mut spec = ClusterSpec::paper(Some(cache.clone()));
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
-        r.hit_ratio().unwrap_or(0.0)
+    // Statics run with the same epoch clock (SharingAware decay ticks
+    // equally) so only the meta-control differs.
+    let statics = ADAPTIVE_CANDIDATES.map(|kind| {
+        let cache = CacheConfig {
+            policy: EvictPolicy::of(kind),
+            epoch_accesses: epoch,
+            ..CacheConfig::paper()
+        };
+        (kind.name(), Some(cache))
     });
-    let mut series = vec!["adaptive".to_string()];
-    series.extend(ADAPTIVE_CANDIDATES.iter().map(|k| k.name().to_string()));
-    let n = series.len();
-    let mut fig = FigureData::new(
-        "ablation_adaptive",
-        format!("adaptive meta-policy vs static candidates on phase-shifting workloads (d={d})"),
-        "scenario (0 = in-phase cycle, 1 = anti-phase mix)",
-        "cache hit ratio",
-        series,
-    );
-    for (i, _) in [false, true].iter().enumerate() {
-        fig.push(i as f64, (0..n).map(|k| vals[n * i + k]).collect());
+    let caches = [("adaptive", Some(adaptive_cache(epoch)))].into_iter().chain(statics);
+    Figure {
+        x_label: "scenario (0 = in-phase cycle, 1 = anti-phase mix)",
+        y_label: "cache hit ratio",
+        xs: vec![0.0, 1.0],
+        measure: Measure::Each(hit_ratio),
+        ..Figure::makespan_vs_d(
+            grid,
+            "ablation_adaptive",
+            format!(
+                "adaptive meta-policy vs static candidates on phase-shifting workloads (d={d})"
+            ),
+            by_cache(move |x| phase_apps(grid, d, x == 1.0), caches),
+        )
     }
-    fig
+    .run(grid)
 }
 
 /// New-subsystem ablation (kcache-adaptive): online quota tuning. A
@@ -441,18 +335,9 @@ pub fn ablation_adaptive_switching(grid: &Grid) -> FigureData {
 /// victim hit ratio, 2 = victim final quota share, 3 = scanner final
 /// quota share.
 pub fn ablation_adaptive_quota(grid: &Grid) -> FigureData {
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
     let capacity = CacheConfig::paper().capacity_blocks;
     let quotas: PartitionConfig =
         PartitionConfig::strict([(0u32, capacity / 5), (1u32, capacity * 4 / 5)]);
-    let mk_apps = || {
-        let mut victim = app(grid, d, 1, Mode::Read, 0.2, 0.0, "victim");
-        victim.hotspot = 1.1;
-        victim.min_requests = 96;
-        let mut scanner = app(grid, d, 1, Mode::Read, 0.0, 0.0, "scanner");
-        scanner.min_requests = 160;
-        vec![victim, scanner]
-    };
     let fixed = CacheConfig { partitioning: quotas.clone(), ..CacheConfig::paper() };
     let tuned = CacheConfig {
         partitioning: quotas,
@@ -463,95 +348,34 @@ pub fn ablation_adaptive_quota(grid: &Grid) -> FigureData {
         epoch_accesses: 128,
         ..CacheConfig::paper()
     };
-    let configs = vec![(fixed, mk_apps()), (tuned, mk_apps())];
-    let vals = parallel_map(configs, |(cache, apps)| {
-        let mut spec = ClusterSpec::paper(Some(cache.clone()));
-        spec.seed = grid.seed;
-        let r = run_experiment(&spec, apps);
-        assert!(r.completed && r.total_verify_failures() == 0);
+    let measure = |r: &ExperimentResult| {
         let usage = r.app_usage.as_deref().unwrap_or_default();
         let quota_share = |app: u32| {
             usage.iter().find(|u| u.app == app).map(|u| u.quota as f64).unwrap_or(0.0)
                 / CacheConfig::paper().capacity_blocks as f64
         };
-        vec![
-            r.hit_ratio().unwrap_or(0.0),
-            r.app_hit_ratio(0).unwrap_or(0.0),
-            quota_share(0),
-            quota_share(1),
-        ]
-    });
-    let mut fig = FigureData::new(
-        "ablation_adaptive_quota",
-        format!("online quota tuning vs fixed misconfigured quotas (victim zipf 1.1 + scanner, d={d})"),
-        "metric (0 = aggregate hit ratio, 1 = victim hit ratio, 2 = victim quota share, 3 = scanner quota share)",
-        "value",
-        vec!["fixed".into(), "tuned".into()],
+        vec![hit_ratio(r), r.app_hit_ratio(0).unwrap_or(0.0), quota_share(0), quota_share(1)]
+    };
+    let title = format!(
+        "online quota tuning vs fixed misconfigured quotas (victim zipf 1.1 + scanner, d={})",
+        grid.ablation_d()
     );
-    for (metric, (f, t)) in vals[0].iter().zip(&vals[1]).enumerate() {
-        fig.push(metric as f64, vec![*f, *t]);
+    let caches = [("fixed", Some(fixed)), ("tuned", Some(tuned))];
+    let lines = by_cache(|_| victim_and_scanner(grid), caches);
+    Figure {
+        x_label: "metric (0 = aggregate hit ratio, 1 = victim hit ratio, \
+                  2 = victim quota share, 3 = scanner quota share)",
+        y_label: "value",
+        xs: vec![0.0, 1.0, 2.0, 3.0],
+        measure: Measure::Column(measure),
+        ..Figure::makespan_vs_d(grid, "ablation_adaptive_quota", title, lines)
     }
-    fig
+    .run(grid)
 }
 
 /// Both adaptive figures (the `--fig adaptive` bundle).
 pub fn ablation_adaptive(grid: &Grid) -> Vec<FigureData> {
     vec![ablation_adaptive_switching(grid), ablation_adaptive_quota(grid)]
-}
-
-/// The full-grid policy-comparison study: every policy across **capacity ×
-/// hotspot × sharing** (the DESIGN.md table). One figure per (capacity,
-/// hotspot) pair, sharing on the x axis — `figures --fig policy-grid
-/// --full` regenerates the published table.
-pub fn ablation_policy_grid(grid: &Grid) -> Vec<FigureData> {
-    let capacities = [150usize, 300, 600];
-    let hotspots = [0.6, 0.9, 1.2];
-    let sharings = [0.0, 0.5, 1.0];
-    let d = *grid.d_values.iter().find(|&&d| d >= 64 << 10).unwrap_or(&grid.d_values[0]);
-    let mut figs = Vec::new();
-    for &cap in &capacities {
-        for &h in &hotspots {
-            let mut configs = Vec::new();
-            for &s in &sharings {
-                for kind in PolicyKind::ALL {
-                    let mut a = app(grid, d, 4, Mode::Read, 0.2, s, "appA");
-                    let mut b = app(grid, d, 4, Mode::Read, 0.2, s, "appB");
-                    a.hotspot = h;
-                    b.hotspot = h;
-                    a.min_requests = 64;
-                    b.min_requests = 64;
-                    let cfg = CacheConfig {
-                        capacity_blocks: cap,
-                        low_watermark: cap / 10,
-                        high_watermark: cap / 4,
-                        policy: EvictPolicy::of(kind),
-                        ..CacheConfig::paper()
-                    };
-                    configs.push((cfg, vec![a, b]));
-                }
-            }
-            let vals = parallel_map(configs, |(cache, apps)| {
-                let mut spec = ClusterSpec::paper(Some(cache.clone()));
-                spec.seed = grid.seed;
-                let r = run_experiment(&spec, apps);
-                assert!(r.completed && r.total_verify_failures() == 0);
-                r.hit_ratio().unwrap_or(0.0)
-            });
-            let mut fig = FigureData::new(
-                format!("ablation_policy_grid_c{cap}_h{}", (h * 10.0) as u32),
-                format!("policies vs sharing (capacity={cap} blocks, zipf {h}, d={d}, l=0.2)"),
-                "sharing degree s (%)",
-                "cache hit ratio",
-                PolicyKind::ALL.iter().map(|k| k.name().to_string()).collect(),
-            );
-            let n = PolicyKind::ALL.len();
-            for (i, &s) in sharings.iter().enumerate() {
-                fig.push(s * 100.0, (0..n).map(|k| vals[n * i + k]).collect());
-            }
-            figs.push(fig);
-        }
-    }
-    figs
 }
 
 /// All ablations.

@@ -7,12 +7,37 @@
 //!     [--quick|--full|--smoke] [--out results/] [--seed N]
 //! ```
 
+use cluster_harness::ablations::{
+    ablation_adaptive, ablation_partitioning, ablation_policy_comparison, ablation_policy_grid,
+    all_ablations,
+};
 use cluster_harness::figures::{all_figures, fig4, fig5, fig6, fig7, fig8, Grid};
 use cluster_harness::report::{write_outputs, FigureData};
 use std::path::PathBuf;
 
+type Driver = fn(&Grid) -> Vec<FigureData>;
+
+/// Every `--fig` name and the tables it regenerates.
+const FIGS: &[(&str, Driver)] = &[
+    ("4", fig4),
+    ("5", fig5),
+    ("6", fig6),
+    ("7", fig7),
+    ("8", fig8),
+    ("all", |g| all_figures(g).into_iter().chain(all_ablations(g)).collect()),
+    ("ablations", all_ablations),
+    ("policy", |g| vec![ablation_policy_comparison(g)]),
+    ("policy-grid", ablation_policy_grid),
+    ("partition", |g| vec![ablation_partitioning(g)]),
+    ("adaptive", ablation_adaptive),
+];
+
 fn usage() -> ! {
-    eprintln!("usage: figures [--fig 4|5|6|7|8|all|ablations|policy|policy-grid|partition|adaptive] [--quick|--full|--smoke] [--out DIR] [--seed N]");
+    let names: Vec<&str> = FIGS.iter().map(|(name, _)| *name).collect();
+    eprintln!(
+        "usage: figures [--fig {}] [--quick|--full|--smoke] [--out DIR] [--seed N]",
+        names.join("|")
+    );
     std::process::exit(2);
 }
 
@@ -36,27 +61,11 @@ fn main() {
     }
 
     let t0 = std::time::Instant::now();
-    let figs: Vec<FigureData> = match fig.as_str() {
-        "4" => fig4(&grid),
-        "5" => fig5(&grid),
-        "6" => fig6(&grid),
-        "7" => fig7(&grid),
-        "8" => fig8(&grid),
-        "ablations" => cluster_harness::ablations::all_ablations(&grid),
-        "policy" => vec![cluster_harness::ablations::ablation_policy_comparison(&grid)],
-        "policy-grid" => cluster_harness::ablations::ablation_policy_grid(&grid),
-        "partition" => vec![cluster_harness::ablations::ablation_partitioning(&grid)],
-        "adaptive" => cluster_harness::ablations::ablation_adaptive(&grid),
-        "all" => {
-            let mut f = all_figures(&grid);
-            f.extend(cluster_harness::ablations::all_ablations(&grid));
-            f
-        }
-        other => {
-            eprintln!("unknown figure: {other}");
-            std::process::exit(2);
-        }
+    let Some((_, driver)) = FIGS.iter().find(|(name, _)| *name == fig) else {
+        eprintln!("unknown figure: {fig}");
+        std::process::exit(2);
     };
+    let figs = driver(&grid);
     for f in &figs {
         println!("{}", f.to_markdown());
     }

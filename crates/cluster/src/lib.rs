@@ -8,8 +8,11 @@
 //! * [`builder`] — cluster wiring ([`ClusterSpec`], [`build`]).
 //! * [`config`] — the JSON experiment-config surface (serde).
 //! * [`experiment`] — one-shot runs with full metric extraction.
-//! * [`figures`] — Figure 4-8 drivers ([`figures::all_figures`]).
-//! * [`ablations`] — design-choice ablations ([`ablations::all_ablations`]).
+//! * [`figures`] — the sweep harness ([`figures::Figure`] declarations run
+//!   by [`figures::run_figures`]) and the Figure 4-8 drivers
+//!   ([`figures::all_figures`]).
+//! * [`ablations`] — design-choice ablations ([`ablations::all_ablations`]),
+//!   declared on the same harness.
 //! * [`report`] — markdown/CSV/JSON rendering of figure data.
 //! * [`sweep`] — order-preserving parallel sweep execution.
 
