@@ -7,8 +7,7 @@
 //! * [`engine`] — the event queue and [`Actor`] dispatch loop.
 //! * [`resource`] — FIFO reservation resources for CPUs, disks, links.
 //! * [`rng`] — per-stream deterministic PRNGs ([`DetRng`], [`Zipf`]).
-//! * [`stats`] — allocation-free accumulators (tally, log-histogram,
-//!   time-weighted average).
+//! * [`stats`] — allocation-free accumulators (tally, log-histogram).
 //!
 //! Determinism contract: given the same master seed and the same sequence of
 //! API calls, every run dispatches the identical event sequence. All
@@ -27,5 +26,5 @@ pub use engine::{
 };
 pub use resource::{FifoResource, SharedResource};
 pub use rng::{DetRng, Zipf};
-pub use stats::{Counter, LogHistogram, Tally, TimeWeighted};
+pub use stats::{LogHistogram, Tally};
 pub use time::{Dur, SimTime};

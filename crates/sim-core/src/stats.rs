@@ -4,8 +4,7 @@
 //! so they can sit on hot paths (per-request, per-block) without distorting
 //! what they measure.
 
-use crate::time::{Dur, SimTime};
-use std::fmt;
+use crate::time::Dur;
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
 #[derive(Debug, Clone, Default)]
@@ -165,78 +164,6 @@ impl LogHistogram {
     }
 }
 
-/// Time-weighted average of a piecewise-constant value (queue depth,
-/// utilization, cache occupancy). Integrates value×time between updates.
-#[derive(Debug, Clone, Default)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    pub fn new() -> TimeWeighted {
-        TimeWeighted::default()
-    }
-
-    /// Record that the value changed to `value` at time `now`.
-    pub fn update(&mut self, now: SimTime, value: f64) {
-        let span = now.since(self.last_time).as_nanos() as f64;
-        self.integral += self.last_value * span;
-        self.last_time = now;
-        self.last_value = value;
-        self.max = self.max.max(value);
-    }
-
-    /// Average over `[0, now]`.
-    pub fn average(&self, now: SimTime) -> f64 {
-        let span = now.since(self.last_time).as_nanos() as f64;
-        let total = self.integral + self.last_value * span;
-        let horizon = now.nanos() as f64;
-        if horizon == 0.0 {
-            0.0
-        } else {
-            total / horizon
-        }
-    }
-
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,25 +233,5 @@ mod tests {
         assert!(p50 <= Dur::micros(3), "p50 {} too high", p50);
         let p100 = h.quantile_upper_bound(1.0);
         assert!(p100 >= Dur::millis(10));
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new();
-        tw.update(SimTime(0), 1.0);
-        tw.update(SimTime(100), 3.0);
-        // value 1.0 over [0,100), 3.0 over [100,200) => avg 2.0 at t=200.
-        assert!((tw.average(SimTime(200)) - 2.0).abs() < 1e-9);
-        assert_eq!(tw.max(), 3.0);
-        assert_eq!(tw.current(), 3.0);
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(format!("{}", c), "5");
     }
 }

@@ -6,7 +6,7 @@
 //! service at a time; completion posts a [`DiskReply`] to the requester.
 
 use crate::geometry::DiskGeometry;
-use sim_core::{Actor, ActorId, Ctx, Dur, LogHistogram, Msg, SimTime, TimeWeighted};
+use sim_core::{Actor, ActorId, Ctx, Dur, LogHistogram, Msg, SimTime};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -80,7 +80,6 @@ pub struct Disk {
     next_seq_pblk: u64,
     stats: DiskStats,
     latency: LogHistogram,
-    depth: TimeWeighted,
 }
 
 impl Disk {
@@ -94,7 +93,6 @@ impl Disk {
             next_seq_pblk: u64::MAX,
             stats: DiskStats::default(),
             latency: LogHistogram::new(),
-            depth: TimeWeighted::new(),
         }
     }
 
@@ -104,10 +102,6 @@ impl Disk {
 
     pub fn latency_histogram(&self) -> &LogHistogram {
         &self.latency
-    }
-
-    pub fn mean_queue_depth(&self, now: SimTime) -> f64 {
-        self.depth.average(now)
     }
 
     pub fn utilization(&self, now: SimTime) -> f64 {
@@ -160,7 +154,6 @@ impl Disk {
         self.next_seq_pblk = p.req.pblk + p.req.blocks as u64;
         self.in_service = Some(p);
         ctx.schedule_self(t, ServiceDone);
-        self.depth.update(ctx.now(), (self.queue.len() + 1) as f64);
     }
 }
 
@@ -171,10 +164,6 @@ impl Actor for Disk {
                 debug_assert!(req.blocks > 0, "zero-length disk request");
                 self.stats.requests += 1;
                 self.queue.push_back(Pending { req: *req, arrived: ctx.now() });
-                self.depth.update(
-                    ctx.now(),
-                    (self.queue.len() + self.in_service.is_some() as usize) as f64,
-                );
                 if self.in_service.is_none() {
                     self.start_service(ctx);
                 }
@@ -201,7 +190,6 @@ impl Actor for Disk {
                     latency,
                 },
             );
-            self.depth.update(ctx.now(), self.queue.len() as f64);
             self.start_service(ctx);
         } else {
             panic!("disk received unexpected message");
