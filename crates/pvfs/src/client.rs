@@ -17,7 +17,7 @@ use crate::protocol::{
     WriteAck, WritePart, WriteReq, MGR_PORT,
 };
 use crate::striping::split_ranges;
-use sim_core::{resource, ActorId, Ctx, Dur, SharedResource, SimTime, Tally};
+use sim_core::{resource, ActorId, Ctx, Dur, SharedResource, SimTime};
 use sim_disk::{Content, BLOCK_SIZE};
 use sim_net::{NetMessage, NodeId, Port, Xmit};
 use std::collections::BTreeMap;
@@ -92,10 +92,6 @@ enum Pending {
 pub struct ClientStats {
     pub reads: u64,
     pub writes: u64,
-    pub bytes_read: u64,
-    pub bytes_written: u64,
-    pub read_latency: Tally,
-    pub write_latency: Tally,
     pub verify_failures: u64,
 }
 
@@ -222,7 +218,6 @@ impl PvfsClient {
             self.xmit(ctx, t, target, m);
         }
         self.stats.reads += 1;
-        self.stats.bytes_read += len as u64;
         self.pending.insert(
             req_id,
             Pending::Read {
@@ -291,7 +286,6 @@ impl PvfsClient {
             self.xmit(ctx, t, target, m);
         }
         self.stats.writes += 1;
-        self.stats.bytes_written += len as u64;
         self.pending.insert(
             req_id,
             Pending::Write {
@@ -373,7 +367,6 @@ impl PvfsClient {
                         unreachable!()
                     };
                     let latency = ready_at.since(issued);
-                    self.stats.write_latency.record_dur(latency);
                     return Some(Completion::Write {
                         req_id: ack.req_id,
                         bytes: total_bytes,
@@ -411,7 +404,6 @@ impl PvfsClient {
                 unreachable!()
             };
             let latency = ready_at.since(issued);
-            self.stats.read_latency.record_dur(latency);
             return Some(Completion::Read { req_id, bytes: total_bytes, latency, at: ready_at });
         }
         None
