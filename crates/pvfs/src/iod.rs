@@ -16,7 +16,8 @@ use crate::protocol::{
 };
 use sim_core::{resource, Actor, ActorId, Ctx, Dur, Msg, SharedResource, SimTime};
 use sim_disk::{
-    BlockFs, Content, DiskOp, DiskReply, DiskRequest, Ino, Lookup, PageCache, BLOCK_SIZE,
+    coalesce, BlockFs, Content, DiskOp, DiskReply, DiskRequest, Extent, Ino, Lookup, PageCache,
+    BLOCK_SIZE,
 };
 use sim_net::{Deliver, NetMessage, NodeId, Port, Xmit};
 use std::any::Any;
@@ -35,6 +36,35 @@ pub struct IodStats {
     pub disk_writes: u64,
     pub invalidations_sent: u64,
     pub directory_entries: u64,
+}
+
+impl IodStats {
+    /// Field-wise sum across iods, kept next to the struct so a new counter
+    /// cannot be left out of a run's total.
+    pub fn merge(&mut self, other: &IodStats) {
+        let IodStats {
+            read_reqs,
+            write_reqs,
+            flush_reqs,
+            sync_writes,
+            bytes_read,
+            bytes_written,
+            disk_reads,
+            disk_writes,
+            invalidations_sent,
+            directory_entries,
+        } = *other;
+        self.read_reqs += read_reqs;
+        self.write_reqs += write_reqs;
+        self.flush_reqs += flush_reqs;
+        self.sync_writes += sync_writes;
+        self.bytes_read += bytes_read;
+        self.bytes_written += bytes_written;
+        self.disk_reads += disk_reads;
+        self.disk_writes += disk_writes;
+        self.invalidations_sent += invalidations_sent;
+        self.directory_entries += directory_entries;
+    }
 }
 
 struct PendingRead {
@@ -221,7 +251,7 @@ impl Iod {
         ino: Ino,
         range: &ByteRange,
         fills: &mut Vec<u64>,
-    ) -> Vec<(u64, u32)> {
+    ) -> Vec<Extent> {
         let mut miss_pblks: Vec<u64> = Vec::new();
         let exts = self.fs.extents_of(ino, range.offset, range.len as usize).unwrap_or_default();
         for e in exts {
@@ -241,16 +271,7 @@ impl Iod {
             }
         }
         // Coalesce into contiguous disk requests.
-        miss_pblks.sort_unstable();
-        miss_pblks.dedup();
-        let mut runs: Vec<(u64, u32)> = Vec::new();
-        for p in miss_pblks {
-            match runs.last_mut() {
-                Some((start, n)) if *start + *n as u64 == p => *n += 1,
-                _ => runs.push((p, 1)),
-            }
-        }
-        runs
+        coalesce(miss_pblks)
     }
 
     fn issue_disk(&mut self, ctx: &mut Ctx<'_>, op: DiskOp, pblk: u64, blocks: u32, token: u64) {
@@ -302,7 +323,7 @@ impl Iod {
         // Stage pages; issue disk reads for the misses.
         let mut waits: Vec<u64> = Vec::new();
         for r in &req.ranges {
-            for (pblk, blocks) in self.stage_range(ctx, ino, r, &mut waits) {
+            for Extent { pblk, blocks } in self.stage_range(ctx, ino, r, &mut waits) {
                 let token = self.next_token;
                 self.next_token += 1;
                 for p in pblk..pblk + blocks as u64 {

@@ -110,7 +110,8 @@ fn pieces(offset: u64, len: usize) -> impl Iterator<Item = (u64, usize, usize)> 
     })
 }
 
-fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
+/// `pblks` sorted, deduplicated and merged into runs of contiguous blocks.
+pub fn coalesce(mut pblks: Vec<u64>) -> Vec<Extent> {
     pblks.sort_unstable();
     pblks.dedup();
     let mut out: Vec<Extent> = Vec::new();

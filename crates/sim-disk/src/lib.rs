@@ -22,6 +22,6 @@ pub mod pagecache;
 
 pub use content::{Content, Fid};
 pub use disk::{Disk, DiskOp, DiskReply, DiskRequest, DiskSched, DiskStats};
-pub use fs::{BlockFs, Extent, FsError, Ino, IoExtents};
+pub use fs::{coalesce, BlockFs, Extent, FsError, Ino, IoExtents};
 pub use geometry::{DiskGeometry, BLOCK_SIZE};
 pub use pagecache::{Eviction, Lookup, PageCache, PageCacheStats};
