@@ -270,10 +270,9 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
                 None => slo_acc = Some((snap, target, burned)),
             }
         }
-        let cs = module.cache().stats();
-        let ps = module.cache().policy_stats();
-        let ms = module.stats().clone();
-        policy_total.get_or_insert_with(PolicyStats::default).merge(&ps);
+        cache_total.get_or_insert_with(CacheStats::default).merge(&module.cache().stats());
+        module_total.get_or_insert_with(ModuleStats::default).merge(module.stats());
+        policy_total.get_or_insert_with(PolicyStats::default).merge(&module.cache().policy_stats());
         if let Some(ast) = module.cache().adaptive_stats() {
             adaptive_total.get_or_insert_with(AdaptiveStats::default).merge(&ast);
         }
@@ -295,40 +294,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             acc.misses += u.misses;
             acc.evictions += u.evictions;
         }
-        let acc = cache_total.get_or_insert_with(CacheStats::default);
-        acc.hits += cs.hits;
-        acc.misses += cs.misses;
-        acc.insertions += cs.insertions;
-        acc.writes_absorbed += cs.writes_absorbed;
-        acc.writes_passthrough += cs.writes_passthrough;
-        acc.evictions_clean += cs.evictions_clean;
-        acc.evictions_dirty += cs.evictions_dirty;
-        acc.flush_blocks += cs.flush_blocks;
-        acc.invalidated += cs.invalidated;
-        acc.invalidated_dirty += cs.invalidated_dirty;
-        let macc = module_total.get_or_insert_with(ModuleStats::default);
-        macc.reads_intercepted += ms.reads_intercepted;
-        macc.writes_intercepted += ms.writes_intercepted;
-        macc.full_hits += ms.full_hits;
-        macc.partial_hits += ms.partial_hits;
-        macc.full_misses += ms.full_misses;
-        macc.request_splits += ms.request_splits;
-        macc.fake_read_acks += ms.fake_read_acks;
-        macc.fake_write_acks += ms.fake_write_acks;
-        macc.blocks_served += ms.blocks_served;
-        macc.blocks_fetched += ms.blocks_fetched;
-        macc.dedup_blocks += ms.dedup_blocks;
-        macc.bytes_served += ms.bytes_served;
-        macc.bytes_fetched += ms.bytes_fetched;
-        macc.bytes_absorbed += ms.bytes_absorbed;
-        macc.bytes_passthrough += ms.bytes_passthrough;
-        macc.sync_writes += ms.sync_writes;
-        macc.invalidate_msgs += ms.invalidate_msgs;
-        macc.flush_msgs += ms.flush_msgs;
-        macc.urgent_flush_blocks += ms.urgent_flush_blocks;
-        macc.harvest_runs += ms.harvest_runs;
-        macc.disk_fetch_blocks += ms.disk_fetch_blocks;
-        macc.disk_fetch_ns += ms.disk_fetch_ns;
         let occ = module.cache().shard_occupancy();
         let ev = module.cache().shard_evictions();
         let shards = shard_total.get_or_insert_with(|| {
@@ -343,17 +308,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let mut iod_total = IodStats::default();
     for &i in &cluster.iods {
         let iod = cluster.engine.actor_as::<Iod>(i).expect("iod downcast");
-        let s = iod.stats();
-        iod_total.read_reqs += s.read_reqs;
-        iod_total.write_reqs += s.write_reqs;
-        iod_total.flush_reqs += s.flush_reqs;
-        iod_total.sync_writes += s.sync_writes;
-        iod_total.bytes_read += s.bytes_read;
-        iod_total.bytes_written += s.bytes_written;
-        iod_total.disk_reads += s.disk_reads;
-        iod_total.disk_writes += s.disk_writes;
-        iod_total.invalidations_sent += s.invalidations_sent;
-        iod_total.directory_entries += s.directory_entries;
+        iod_total.merge(iod.stats());
     }
 
     let fabric = cluster.engine.actor_as::<Fabric>(cluster.fabric).expect("fabric downcast");

@@ -323,17 +323,7 @@ impl BufferManager {
     pub fn stats(&self) -> CacheStats {
         let mut acc = CacheStats::default();
         for s in self.shards.iter() {
-            let st = s.stats();
-            acc.hits += st.hits;
-            acc.misses += st.misses;
-            acc.insertions += st.insertions;
-            acc.writes_absorbed += st.writes_absorbed;
-            acc.writes_passthrough += st.writes_passthrough;
-            acc.evictions_clean += st.evictions_clean;
-            acc.evictions_dirty += st.evictions_dirty;
-            acc.flush_blocks += st.flush_blocks;
-            acc.invalidated += st.invalidated;
-            acc.invalidated_dirty += st.invalidated_dirty;
+            acc.merge(&s.stats());
         }
         acc
     }

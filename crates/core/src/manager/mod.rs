@@ -289,3 +289,32 @@ pub struct CacheStats {
     pub invalidated: u64,
     pub invalidated_dirty: u64,
 }
+
+impl CacheStats {
+    /// Field-wise sum, kept next to the struct so a new counter cannot be left
+    /// out of a total (shards into a manager, managers into a run).
+    pub fn merge(&mut self, other: &CacheStats) {
+        let CacheStats {
+            hits,
+            misses,
+            insertions,
+            writes_absorbed,
+            writes_passthrough,
+            evictions_clean,
+            evictions_dirty,
+            flush_blocks,
+            invalidated,
+            invalidated_dirty,
+        } = *other;
+        self.hits += hits;
+        self.misses += misses;
+        self.insertions += insertions;
+        self.writes_absorbed += writes_absorbed;
+        self.writes_passthrough += writes_passthrough;
+        self.evictions_clean += evictions_clean;
+        self.evictions_dirty += evictions_dirty;
+        self.flush_blocks += flush_blocks;
+        self.invalidated += invalidated;
+        self.invalidated_dirty += invalidated_dirty;
+    }
+}

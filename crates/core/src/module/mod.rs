@@ -82,6 +82,65 @@ pub struct ModuleStats {
     pub remote_fetch_ns: u64,
 }
 
+impl ModuleStats {
+    /// Field-wise sum across modules, kept next to the struct so a new
+    /// counter cannot be left out of a run's total.
+    pub fn merge(&mut self, other: &ModuleStats) {
+        let ModuleStats {
+            reads_intercepted,
+            writes_intercepted,
+            full_hits,
+            partial_hits,
+            full_misses,
+            request_splits,
+            fake_read_acks,
+            fake_write_acks,
+            blocks_served,
+            blocks_fetched,
+            dedup_blocks,
+            bytes_served,
+            bytes_fetched,
+            bytes_absorbed,
+            bytes_passthrough,
+            sync_writes,
+            invalidate_msgs,
+            flush_msgs,
+            urgent_flush_blocks,
+            harvest_runs,
+            disk_fetch_blocks,
+            disk_fetch_ns,
+            remote_hit_blocks,
+            remote_stale_blocks,
+            remote_fetch_ns,
+        } = *other;
+        self.reads_intercepted += reads_intercepted;
+        self.writes_intercepted += writes_intercepted;
+        self.full_hits += full_hits;
+        self.partial_hits += partial_hits;
+        self.full_misses += full_misses;
+        self.request_splits += request_splits;
+        self.fake_read_acks += fake_read_acks;
+        self.fake_write_acks += fake_write_acks;
+        self.blocks_served += blocks_served;
+        self.blocks_fetched += blocks_fetched;
+        self.dedup_blocks += dedup_blocks;
+        self.bytes_served += bytes_served;
+        self.bytes_fetched += bytes_fetched;
+        self.bytes_absorbed += bytes_absorbed;
+        self.bytes_passthrough += bytes_passthrough;
+        self.sync_writes += sync_writes;
+        self.invalidate_msgs += invalidate_msgs;
+        self.flush_msgs += flush_msgs;
+        self.urgent_flush_blocks += urgent_flush_blocks;
+        self.harvest_runs += harvest_runs;
+        self.disk_fetch_blocks += disk_fetch_blocks;
+        self.disk_fetch_ns += disk_fetch_ns;
+        self.remote_hit_blocks += remote_hit_blocks;
+        self.remote_stale_blocks += remote_stale_blocks;
+        self.remote_fetch_ns += remote_fetch_ns;
+    }
+}
+
 /// What a payload's window brings into one block's piece: the block's
 /// own content when it is one descriptor naming that very place
 /// (recognised, never trusted: a descriptor of anywhere else is its
