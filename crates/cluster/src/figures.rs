@@ -151,6 +151,7 @@ pub enum Measure {
 /// A series: its name and the point it plots at each x.
 pub type Series<'a> = (String, Box<dyn Fn(f64) -> Point + 'a>);
 
+/// The series `name` that plots `at(x)` at each x.
 pub fn series<'a>(name: impl Into<String>, at: impl Fn(f64) -> Point + 'a) -> Series<'a> {
     (name.into(), Box::new(at))
 }
