@@ -92,8 +92,8 @@ pub struct QuotaMove {
 
 /// The quota tuner's transfer rule: move up to `quota_step` frames of
 /// quota from the app with the fewest epoch refaults to the app with the
-/// most, clamped so the loser keeps `quota_floor` frames and the winner
-/// never exceeds `capacity` — in full or not at all. `quotas` is the
+/// most, clamped so the loser keeps one frame and the winner never
+/// exceeds `capacity` — in full or not at all. `quotas` is the
 /// current effective quota per app (ascending app id, as the manager
 /// reports it); `refaults` the per-app epoch refault evidence (missing
 /// apps count zero).
@@ -102,7 +102,6 @@ pub fn decide_quota_move(
     refaults: &[(AppId, u64)],
     capacity: usize,
     quota_step: usize,
-    quota_floor: usize,
 ) -> Option<QuotaMove> {
     if quotas.len() < 2 {
         return None;
@@ -120,12 +119,11 @@ pub fn decide_quota_move(
     if rf(winner) <= rf(loser) {
         return None;
     }
-    // Clamp to what both sides can honor: the loser keeps at least the
-    // fairness floor and the winner never exceeds the pool — a transfer
-    // must be applicable in full or not proposed at all (a half-applied
-    // pair would leak quota).
-    let floor = quota_floor.max(1);
-    let frames = quota_step.min(lq.saturating_sub(floor)).min(capacity.saturating_sub(wq));
+    // Clamp to what both sides can honor: the loser keeps at least one
+    // frame and the winner never exceeds the pool — a transfer must be
+    // applicable in full or not proposed at all (a half-applied pair
+    // would leak quota).
+    let frames = quota_step.min(lq.saturating_sub(1)).min(capacity.saturating_sub(wq));
     (frames > 0).then_some(QuotaMove {
         winner,
         loser,
@@ -138,11 +136,11 @@ pub fn decide_quota_move(
 }
 
 /// One epoch's decision, composed here and nowhere else: the switch rule
-/// over the ghost ledgers and — when the tuner is on — the quota transfer
-/// rule over the refault evidence, both read from `obs` (one policy's
-/// observation, or several shards' merged). `quotas` is the current
-/// effective quota of every partitioned app over a pool of `capacity`
-/// frames (empty for a shared pool: nothing to tune). The directive goes
+/// over the ghost ledgers and the quota transfer rule over the refault
+/// evidence, both read from `obs` (one policy's observation, or several
+/// shards' merged). `quotas` is the current effective quota of every
+/// partitioned app over a pool of `capacity` frames (empty for a shared
+/// pool: nothing to tune). The directive goes
 /// back into every observed shard through
 /// [`AdaptivePolicy::epoch_apply`]; the [`QuotaMove`], when one is
 /// proposed, is for the caller's charge ledger to validate and apply (and
@@ -154,11 +152,7 @@ pub fn decide_epoch(
     capacity: usize,
 ) -> (EpochDirective, Option<QuotaMove>) {
     let switch_to = decide_switch(&obs.ghost_epoch, obs.live, cfg.hysteresis);
-    let mv = if cfg.quota_tuning {
-        decide_quota_move(quotas, &obs.refaults, capacity, cfg.quota_step, cfg.quota_floor)
-    } else {
-        None
-    };
+    let mv = decide_quota_move(quotas, &obs.refaults, capacity, cfg.quota_step);
     let quota_move =
         mv.map(|mv| (mv.loser, mv.winner, mv.frames, mv.loser_refaults, mv.winner_refaults));
     (EpochDirective { switch_to, quota_move }, mv)
@@ -174,28 +168,19 @@ pub struct AdaptiveConfig {
     /// a challenger needs over the live candidate to trigger a switch —
     /// the hysteresis that stops rate noise from thrashing the policy.
     pub hysteresis: f64,
-    /// Enable the marginal-utility quota tuner (only acts when the
-    /// manager actually runs per-app quotas).
-    pub quota_tuning: bool,
-    /// Frames of quota moved per epoch by the tuner.
+    /// Frames of quota moved per epoch by the marginal-utility quota
+    /// tuner (which runs only when the manager has per-app quotas).
     pub quota_step: usize,
-    /// The fairness floor: the tuner never shrinks any app's quota below
-    /// this many frames, so a zero-utility tenant cannot be drained to a
-    /// single frame by a refault-heavy neighbor. Values below 1 are
-    /// treated as 1 (the old behavior — the tuner always kept one frame).
-    pub quota_floor: usize,
 }
 
 impl AdaptiveConfig {
     /// Candidates with the default controller settings (2-point
-    /// hysteresis, tuner on, 8-frame steps).
+    /// hysteresis, 8-frame steps).
     pub fn new(candidates: impl IntoIterator<Item = PolicyKind>) -> AdaptiveConfig {
         AdaptiveConfig {
             candidates: candidates.into_iter().collect(),
             hysteresis: 0.02,
-            quota_tuning: true,
             quota_step: 8,
-            quota_floor: 1,
         }
     }
 
@@ -248,16 +233,21 @@ pub struct AdaptivePolicy {
     /// Per-application ghost-list capacity in keys: the cache capacity —
     /// remember about one partition's worth of evictions.
     ghost_cap: usize,
+    /// The owner has per-app quotas, so the tuner's refault evidence is
+    /// worth keeping (a shared pool gives the tuner nothing to move).
+    tune_quotas: bool,
     stats: AdaptiveStats,
 }
 
 impl AdaptivePolicy {
-    /// Evidence for `cfg.candidates` over a pool of `capacity` frames.
+    /// Evidence for `cfg.candidates` over a pool of `capacity` frames;
+    /// `tune_quotas` says whether the pool has per-app quotas for the
+    /// tuner to move (without them no refault evidence is kept).
     /// Duplicate candidates are dropped (first occurrence wins — a
     /// duplicate would simulate the same kind twice and double-count its
     /// ghost ledger). Panics on an empty candidate list — an adaptive
     /// policy with nothing to adapt between is a config bug.
-    pub fn new(capacity: usize, mut cfg: AdaptiveConfig) -> AdaptivePolicy {
+    pub fn new(capacity: usize, mut cfg: AdaptiveConfig, tune_quotas: bool) -> AdaptivePolicy {
         assert!(!cfg.candidates.is_empty(), "adaptive policy with no candidates");
         assert!(capacity > 0, "adaptive policy over empty frame pool");
         let mut seen = Vec::new();
@@ -275,6 +265,7 @@ impl AdaptivePolicy {
             ghosts,
             app_ghosts: BTreeMap::new(),
             ghost_cap: capacity,
+            tune_quotas,
             stats: AdaptiveStats::default(),
         }
     }
@@ -300,7 +291,7 @@ impl AdaptivePolicy {
         for g in &mut self.ghosts {
             g.access(key, app);
         }
-        if self.cfg.quota_tuning && app != AppId::UNKNOWN {
+        if self.tune_quotas && app != AppId::UNKNOWN {
             if let Some(gl) = self.app_ghosts.get_mut(&app.0) {
                 gl.note_access(key);
             }
@@ -312,7 +303,7 @@ impl AdaptivePolicy {
     /// calls this — a coherence invalidation says nothing about partition
     /// sizing, so it never enters the refault memory.
     pub fn remember_eviction(&mut self, owner: AppId, key: u64) {
-        if self.cfg.quota_tuning && owner != AppId::UNKNOWN {
+        if self.tune_quotas && owner != AppId::UNKNOWN {
             let cap = self.ghost_cap;
             self.app_ghosts.entry(owner.0).or_insert_with(|| AppGhostList::new(cap)).remember(key);
         }
@@ -429,7 +420,7 @@ mod tests {
 
     impl Sim {
         fn new(capacity: usize, cfg: AdaptiveConfig) -> Sim {
-            let ad = AdaptivePolicy::new(capacity, cfg);
+            let ad = AdaptivePolicy::new(capacity, cfg, true);
             Sim { live: ad.live().build(capacity), ad }
         }
 
@@ -552,6 +543,7 @@ mod tests {
         let p = AdaptivePolicy::new(
             4,
             AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::Clock, PolicyKind::Lfu]),
+            false,
         );
         assert_eq!(p.candidates(), &[PolicyKind::Clock, PolicyKind::Lfu]);
         assert_eq!(p.stats().ghost_rates.len(), 2, "one ghost per kind");
@@ -598,32 +590,6 @@ mod tests {
         let mv = p.run_epoch(&[(app, 2), (AppId(1), 2)]);
         assert!(mv.is_none(), "invalidation churn must not look like quota pressure");
         assert_eq!(p.ad.stats().quota_moves, 0);
-    }
-
-    #[test]
-    fn tuner_respects_the_quota_floor() {
-        // Six hot keys interleaved with a cold streamer over 8 frames: a
-        // hot key is 12 distinct keys old when re-read, so every re-read
-        // misses — and only a couple of hot evictions old, so the
-        // capacity-sized eviction history still remembers it (a refault).
-        let mut p = Sim::new(
-            8,
-            AdaptiveConfig { quota_floor: 3, ..AdaptiveConfig::new([PolicyKind::ExactLru]) },
-        );
-        let (hot, cold) = (AppId(0), AppId(1));
-        for round in 0..60u64 {
-            p.feed(&[round % 6], hot);
-            p.feed(&[1000 + round], cold);
-        }
-        let mv = p.run_epoch(&[(hot, 4), (cold, 4)]).expect("cold app shrinks");
-        assert_eq!((mv.loser, mv.loser_quota), (cold, 3), "shrink stops exactly at the floor");
-        // At the floor already: nothing left to give, no transfer at all.
-        for round in 0..60u64 {
-            p.feed(&[round % 6], hot);
-            p.feed(&[2000 + round], cold);
-        }
-        let mv = p.run_epoch(&[(hot, 5), (cold, 3)]);
-        assert!(mv.is_none(), "a floored quota has nothing to give: {mv:?}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ struct Sim {
 
 impl Sim {
     fn new(cfg: AdaptiveConfig) -> Sim {
-        let ad = AdaptivePolicy::new(CAP, cfg.clone());
+        let ad = AdaptivePolicy::new(CAP, cfg.clone(), false);
         Sim { live: ad.live().build(CAP), ad, cfg }
     }
 
@@ -283,7 +283,7 @@ proptest! {
         ops in collection::vec((0u64..400, 0u32..3, 0u8..40), 1..600),
     ) {
         let cfg = AdaptiveConfig { hysteresis: 0.0, ..AdaptiveConfig::all_candidates() };
-        let mut ad = AdaptivePolicy::new(capacity, cfg.clone());
+        let mut ad = AdaptivePolicy::new(capacity, cfg.clone(), false);
         let mut exact: Vec<GhostCache> =
             PolicyKind::ALL.iter().map(|&k| GhostCache::new(k, capacity)).collect();
         for &(blk, app, tick) in &ops {

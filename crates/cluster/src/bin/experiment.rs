@@ -11,7 +11,10 @@
 //! `exact-lru`, `lfu`, `2q`, `arc`, or `sharing-aware`; `partitioning`
 //! selects per-app frame quotas: `shared` (default), `strict`, or `soft`,
 //! with per-app `quota_blocks`. All new fields default so pre-existing
-//! configs parse unchanged.
+//! configs parse unchanged. The `cluster_harness::config` module doc lists
+//! every settable key, and the retired keys that still parse and mean
+//! nothing: `cooperative`, `telemetry.anomaly`, `telemetry.trace_capacity`,
+//! `telemetry.slo`, `adaptive.quota_tuning` and `adaptive.quota_floor`.
 //!
 //! `--trace-out` writes the run's Chrome-trace JSON (open it in
 //! `chrome://tracing` or Perfetto) with every node's ring merged in

@@ -30,15 +30,12 @@ pub struct ClusterSpec {
     /// `Some` = the paper's caching version; `None` = original PVFS.
     pub cache: Option<CacheConfig>,
     pub disk: DiskGeometry,
-    pub disk_sched: DiskSched,
     pub seed: u64,
     /// Telemetry: one [`kcache::ObsHub`] per node (exactly `n_nodes`),
     /// so trace pids separate by node and registries stay
     /// contention-free. The builder hands each cache module its node's
     /// hub; `None` observes nothing.
     pub obs: Option<std::sync::Arc<ClusterObs>>,
-    /// Verify every read against the deterministic file pattern.
-    pub verify_reads: bool,
     /// Preload file contents into the iods' page caches (memory-resident
     /// files, the platform state the paper measures against).
     pub preload_warm: bool,
@@ -54,10 +51,8 @@ impl ClusterSpec {
             pvfs: PvfsConfig::default(),
             cache,
             disk: DiskGeometry::maxtor_20gb(),
-            disk_sched: DiskSched::CLook,
             seed: 42,
             obs: None,
-            verify_reads: true,
             preload_warm: true,
         }
     }
@@ -91,13 +86,12 @@ fn window_bytes(apps: &[AppSpec], d_proc: u32) -> u64 {
     (cap / (5 * max_procs)).max(d_proc as u64)
 }
 
+/// The stripe unit in bytes (PVFS's default).
+const STRIPE_UNIT: u32 = 64 * 1024;
+
 /// Files are striped across every node.
 fn stripe_policy(spec: &ClusterSpec) -> StripePolicy {
-    StripePolicy {
-        unit: spec.pvfs.stripe_unit,
-        n_iods: spec.n_nodes as u32,
-        total_iods: spec.n_nodes as u32,
-    }
+    StripePolicy { unit: STRIPE_UNIT, n_iods: spec.n_nodes as u32, total_iods: spec.n_nodes as u32 }
 }
 
 /// Register the benchmark's files at `mgr`: the shared file once, then each
@@ -207,7 +201,7 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
     let cpus: Vec<SharedResource> =
         (0..n).map(|i| FifoResource::shared(format!("cpu-{i}"))).collect();
     let disks: Vec<ActorId> = (0..n)
-        .map(|_| eng.add_actor(Box::new(sim_disk::Disk::new(spec.disk.clone(), spec.disk_sched))))
+        .map(|_| eng.add_actor(Box::new(sim_disk::Disk::new(spec.disk.clone(), DiskSched::CLook))))
         .collect();
 
     // iods on every node; each is its node's endpoint, receiving the
@@ -294,7 +288,6 @@ pub fn build(spec: &ClusterSpec, apps: &[AppSpec]) -> Cluster {
                 cpu: cpus[node.index()].clone(),
                 costs: spec.costs.clone(),
                 caching: module.is_some(),
-                verify_reads: spec.verify_reads,
             });
             let plan = ProcPlan {
                 instance: inst as u32,

@@ -25,11 +25,22 @@
 //! (`0`, the default, leaves the app unconstrained). Quotas bind by app
 //! *index*: the `i`-th entry of `apps` is application instance `AppId(i)`.
 //!
-//! Unknown keys are ignored, so keys retired with the mechanisms they
-//! configured still parse and mean nothing: the whole `cluster.cooperative`
-//! section, the peer tier's SLO target in `telemetry.slo`, and the whole
-//! `telemetry.anomaly` section (the anomaly rules and the stale-hint
-//! storm threshold).
+//! What is settable is exactly the fields below: in `cluster`, `nodes`,
+//! `caching`, `seed`, `cache_blocks`, `fabric`, `file_mb`, `policy`,
+//! `clean_first`, `partitioning`, `shards`, `adaptive.{candidates,
+//! epoch_accesses, hysteresis, quota_step}` and `telemetry.enabled`; per
+//! app, the fields of [`AppCfg`] and [`PhaseCfg`]. The kernel threads'
+//! timings, the stripe unit, the trace-ring capacity and the 15 ms fetch
+//! SLO target are constants of the crates that use them; the quota tuner
+//! runs exactly when the apps have quotas and never shrinks a quota below
+//! one frame.
+//!
+//! Unknown keys are ignored, so retired keys still parse and mean
+//! nothing: the whole `cluster.cooperative` section and the whole
+//! `telemetry.anomaly` section (retired with the mechanisms they
+//! configured), and `telemetry.trace_capacity`, the whole `telemetry.slo`
+//! section, `adaptive.quota_tuning` and `adaptive.quota_floor` (retired
+//! when they became constants or derived values).
 
 use crate::builder::ClusterSpec;
 use kcache::{
@@ -83,43 +94,13 @@ pub struct ClusterCfg {
 }
 
 /// The `telemetry` section of the cluster config. The derived default
-/// is the off state: disabled, library-default trace capacity,
-/// paper-derived SLO targets — pre-telemetry configs parse unchanged.
+/// is the off state, so pre-telemetry configs parse unchanged.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 #[serde(default)]
 pub struct TelemetryCfg {
     /// Wire a per-node [`kcache::ObsHub`] through every cache module,
     /// held by a [`kcache::obs::ClusterObs`].
     pub enabled: bool,
-    /// Per-node trace-ring capacity in slots (0 picks the library
-    /// default).
-    pub trace_capacity: usize,
-    /// Fetch-latency SLO target.
-    pub slo: SloCfg,
-}
-
-impl TelemetryCfg {
-    /// Lower the SLO section into the obs crate's nanosecond target.
-    pub fn slo_targets(&self) -> kcache::obs::SloTargets {
-        kcache::obs::SloTargets {
-            fetch_p99_ns_default: (self.slo.fetch_p99_ms_default * 1e6) as u64,
-        }
-    }
-}
-
-/// Fetch-latency p99 target, milliseconds. The default sits above the
-/// paper's measured ~9.1 ms median disk fill, so a healthy run burns only
-/// in the tail.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(default)]
-pub struct SloCfg {
-    pub fetch_p99_ms_default: f64,
-}
-
-impl Default for SloCfg {
-    fn default() -> Self {
-        SloCfg { fetch_p99_ms_default: 15.0 }
-    }
 }
 
 /// The `adaptive` section of the cluster config.
@@ -134,25 +115,14 @@ pub struct AdaptiveCfg {
     pub epoch_accesses: usize,
     /// Ghost hit-rate advantage a challenger needs to trigger a switch.
     pub hysteresis: f64,
-    /// Enable the marginal-utility quota tuner.
-    pub quota_tuning: bool,
-    /// Frames of quota moved per epoch by the tuner.
+    /// Frames of quota moved per epoch by the tuner (which runs when the
+    /// apps have quotas).
     pub quota_step: usize,
-    /// Fairness floor: the tuner never shrinks any app's quota below this
-    /// many frames (1 — the old behavior — by default).
-    pub quota_floor: usize,
 }
 
 impl Default for AdaptiveCfg {
     fn default() -> Self {
-        AdaptiveCfg {
-            candidates: Vec::new(),
-            epoch_accesses: 0,
-            hysteresis: 0.02,
-            quota_tuning: true,
-            quota_step: 8,
-            quota_floor: 1,
-        }
+        AdaptiveCfg { candidates: Vec::new(), epoch_accesses: 0, hysteresis: 0.02, quota_step: 8 }
     }
 }
 
@@ -282,13 +252,7 @@ impl ExperimentConfig {
                 a.hysteresis
             ));
         }
-        Ok(Some(AdaptiveConfig {
-            candidates,
-            hysteresis: a.hysteresis,
-            quota_tuning: a.quota_tuning,
-            quota_step: a.quota_step,
-            quota_floor: a.quota_floor,
-        }))
+        Ok(Some(AdaptiveConfig { candidates, hysteresis: a.hysteresis, quota_step: a.quota_step }))
     }
 
     /// Lower the config into a runnable `(ClusterSpec, Vec<AppSpec>)`.
@@ -342,15 +306,11 @@ impl ExperimentConfig {
         // hub so trace pids separate by node and registries stay
         // contention-free; `ClusterObs` merges them back into a cluster
         // rollup at report time.
-        let obs = self.cluster.telemetry.enabled.then(|| {
-            kcache::obs::ClusterObs::per_node(
-                self.cluster.nodes as usize,
-                match self.cluster.telemetry.trace_capacity {
-                    0 => kcache::obs::DEFAULT_TRACE_CAPACITY,
-                    n => n,
-                },
-            )
-        });
+        let obs = self
+            .cluster
+            .telemetry
+            .enabled
+            .then(|| kcache::obs::ClusterObs::per_node(self.cluster.nodes as usize));
         let mut spec = ClusterSpec::paper(self.cluster.caching.then(|| CacheConfig {
             capacity_blocks: blocks,
             low_watermark: (blocks / 10).max(1),
@@ -359,7 +319,6 @@ impl ExperimentConfig {
             partitioning,
             adaptive: adaptive.clone(),
             epoch_accesses,
-            slo: self.cluster.telemetry.slo_targets(),
             shards,
             ..CacheConfig::paper()
         }));
@@ -500,8 +459,7 @@ mod tests {
                 "cluster": { "policy": "adaptive",
                              "adaptive": { "candidates": ["clock", "lfu", "sharing-aware"],
                                            "epoch_accesses": 256, "hysteresis": 0.05,
-                                           "quota_tuning": false, "quota_step": 4,
-                                           "quota_floor": 16 } },
+                                           "quota_step": 4 } },
                 "apps": [ { "name": "a", "nodes": [0], "total_mb": 1,
                             "request_kb": 64, "mode": "read",
                             "phases": [ { "requests": 32, "hotspot": 1.2 },
@@ -515,9 +473,7 @@ mod tests {
             vec![PolicyKind::Clock, PolicyKind::Lfu, PolicyKind::SharingAware]
         );
         assert_eq!(a.hysteresis, 0.05);
-        assert!(!a.quota_tuning);
         assert_eq!(a.quota_step, 4);
-        assert_eq!(a.quota_floor, 16);
         let (spec, apps) = cfg.to_spec().unwrap();
         let cache = spec.cache.as_ref().unwrap();
         assert_eq!(cache.epoch_accesses, 256);
@@ -607,13 +563,9 @@ mod tests {
         assert!(!old.cluster.telemetry.enabled);
         let (old_spec, _) = old.to_spec().unwrap();
         assert!(old_spec.obs.is_none());
-        // The SLO section defaults to the paper-derived target.
-        assert_eq!(old.cluster.telemetry.slo_targets().fetch_p99_ns_default, 15_000_000);
 
         let cfg = ExperimentConfig::from_json(
-            r#"{ "cluster": { "nodes": 3,
-                              "telemetry": { "enabled": true, "trace_capacity": 128,
-                                             "slo": { "fetch_p99_ms_default": 2.5 } } },
+            r#"{ "cluster": { "nodes": 3, "telemetry": { "enabled": true } },
                  "apps": [ { "name": "a", "nodes": [0], "total_mb": 1,
                              "request_kb": 64, "mode": "read" } ] }"#,
         )
@@ -622,7 +574,6 @@ mod tests {
         let cluster = spec.obs.as_ref().expect("telemetry lowers to per-node hubs");
         assert_eq!(cluster.node_count(), 3);
         assert_eq!(cluster.trace_dropped(), 0);
-        assert_eq!(spec.cache.unwrap().slo.fetch_p99_ns_default, 2_500_000);
 
         // serialize → parse is the identity.
         let json = serde_json::to_string_pretty(&cfg).unwrap();

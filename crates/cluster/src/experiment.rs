@@ -26,7 +26,8 @@ pub struct InstanceResult {
 
 /// Per-application cache usage aggregated over all cache modules: frames
 /// owned, aggregate quota, and the hit/miss/eviction traffic attributed
-/// to the application.
+/// to the application. Experiment JSON writes it as is (the `apps` array
+/// of the cache summary).
 #[derive(Debug, Clone, Serialize)]
 pub struct AppCacheUsage {
     /// Application instance (index into the experiment's app list).
@@ -37,25 +38,16 @@ pub struct AppCacheUsage {
     /// 0 when unconstrained.
     pub quota: u64,
     pub resident: u64,
+    /// Hits over attributed accesses (0 before any traffic).
+    pub hit_ratio: f64,
     pub hits: u64,
     pub misses: u64,
     pub evictions: u64,
 }
 
-impl AppCacheUsage {
-    /// Hits over attributed accesses (`None` before any traffic).
-    pub fn hit_ratio(&self) -> Option<f64> {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.hits as f64 / total as f64)
-        }
-    }
-}
-
 /// Fetch-latency SLO summary, merged over every cache module's quantile
-/// sketch (telemetry-enabled runs only).
+/// sketch (telemetry-enabled runs only). Experiment JSON writes it as is
+/// (the telemetry summary's `slo` array).
 #[derive(Debug, Clone, Serialize)]
 pub struct SloClassSummary {
     /// Traffic tier: always `"default"` (iod fetches).
@@ -65,20 +57,20 @@ pub struct SloClassSummary {
     pub p50_ns: u64,
     pub p95_ns: u64,
     pub p99_ns: u64,
-    /// Configured p99 target, nanoseconds.
+    /// The p99 target, nanoseconds.
     pub target_p99_ns: u64,
     /// Fetches that exceeded the target (the SLO burn counter).
     pub burned: u64,
+    /// Fraction of fetches that burned the SLO (0 before any traffic).
+    pub burn_ratio: f64,
 }
 
-impl SloClassSummary {
-    /// Fraction of fetches that burned the SLO (0 before any traffic).
-    pub fn burn_ratio(&self) -> f64 {
-        if self.samples == 0 {
-            0.0
-        } else {
-            self.burned as f64 / self.samples as f64
-        }
+/// `part / whole`, 0 when `whole` is 0.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        0.0
+    } else {
+        part as f64 / whole as f64
     }
 }
 
@@ -182,7 +174,8 @@ impl ExperimentResult {
     /// Cache hit ratio attributed to one application instance (caching
     /// runs with traffic from that app only).
     pub fn app_hit_ratio(&self, app: u32) -> Option<f64> {
-        self.app_usage.as_ref()?.iter().find(|u| u.app == app)?.hit_ratio()
+        let u = self.app_usage.as_ref()?.iter().find(|u| u.app == app)?;
+        (u.hits + u.misses > 0).then_some(u.hit_ratio)
     }
 }
 
@@ -284,6 +277,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
                 app: id.0,
                 quota: 0,
                 resident: 0,
+                hit_ratio: 0.0,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -324,6 +318,7 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             p99_ns: snap.quantile(0.99),
             target_p99_ns: target,
             burned,
+            burn_ratio: ratio(burned, snap.count()),
         }]
     });
 
@@ -334,10 +329,13 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         partitioning: spec.cache.as_ref().map(|c| c.partitioning.mode.name().to_string()),
         policy_stats: policy_total,
         adaptive: adaptive_total,
-        app_usage: spec
-            .cache
-            .is_some()
-            .then(|| app_total.into_values().collect::<Vec<AppCacheUsage>>()),
+        app_usage: spec.cache.is_some().then(|| {
+            let mut usage: Vec<AppCacheUsage> = app_total.into_values().collect();
+            for u in &mut usage {
+                u.hit_ratio = ratio(u.hits, u.hits + u.misses);
+            }
+            usage
+        }),
         shard_usage: shard_total,
         module: module_total,
         iod: iod_total,

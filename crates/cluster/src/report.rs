@@ -1,40 +1,11 @@
 //! Figure data containers and rendering (markdown tables, CSV, JSON), plus
 //! the per-run cache-efficiency summary experiment runs emit.
 
-use crate::experiment::{AppCacheUsage, ExperimentResult};
+use crate::experiment::{AppCacheUsage, ExperimentResult, SloClassSummary};
 use kcache::AdaptiveStats;
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Per-application slice of [`CacheEfficiency`]: occupancy against quota
-/// plus the application's own hit ratio.
-#[derive(Debug, Clone, Serialize)]
-pub struct AppEfficiency {
-    pub app: u32,
-    /// Aggregate frame quota over the modules the app touched
-    /// (0 = unconstrained).
-    pub quota: u64,
-    pub resident: u64,
-    pub hit_ratio: f64,
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
-
-impl AppEfficiency {
-    fn from_usage(u: &AppCacheUsage) -> AppEfficiency {
-        AppEfficiency {
-            app: u.app,
-            quota: u.quota,
-            resident: u.resident,
-            hit_ratio: u.hit_ratio().unwrap_or(0.0),
-            hits: u.hits,
-            misses: u.misses,
-            evictions: u.evictions,
-        }
-    }
-}
 
 /// One candidate's lifetime ghost hit rate in the JSON summary.
 #[derive(Debug, Clone, Serialize)]
@@ -142,35 +113,6 @@ pub struct HistogramReport {
     pub p99: u64,
 }
 
-/// The fetch-latency SLO line in the telemetry summary: sketch
-/// percentiles against the configured target plus the burn count.
-#[derive(Debug, Clone, Serialize)]
-pub struct SloReport {
-    pub class: String,
-    pub samples: u64,
-    pub p50_ns: u64,
-    pub p95_ns: u64,
-    pub p99_ns: u64,
-    pub target_p99_ns: u64,
-    pub burned: u64,
-    pub burn_ratio: f64,
-}
-
-impl SloReport {
-    fn from_summary(s: &crate::experiment::SloClassSummary) -> SloReport {
-        SloReport {
-            class: s.class.clone(),
-            samples: s.samples,
-            p50_ns: s.p50_ns,
-            p95_ns: s.p95_ns,
-            p99_ns: s.p99_ns,
-            target_p99_ns: s.target_p99_ns,
-            burned: s.burned,
-            burn_ratio: s.burn_ratio(),
-        }
-    }
-}
-
 /// One node's slice of the telemetry summary.
 #[derive(Debug, Clone, Serialize)]
 pub struct NodeTelemetryReport {
@@ -218,7 +160,7 @@ pub struct TelemetryReport {
     pub histograms: std::collections::BTreeMap<String, HistogramReport>,
     /// Fetch-latency percentiles vs the SLO target (caching runs with
     /// traffic only).
-    pub slo: Vec<SloReport>,
+    pub slo: Vec<SloClassSummary>,
     /// Per-node breakdown, node order.
     pub nodes: Vec<NodeTelemetryReport>,
 }
@@ -248,7 +190,7 @@ impl TelemetryReport {
             counters: rollup.counters,
             gauges: rollup.gauges,
             histograms: digest_histograms(rollup.histograms),
-            slo: r.slo.as_deref().unwrap_or_default().iter().map(SloReport::from_summary).collect(),
+            slo: r.slo.clone().unwrap_or_default(),
             nodes,
         })
     }
@@ -274,7 +216,7 @@ pub struct CacheEfficiency {
     pub writes_passthrough: u64,
     pub invalidated: u64,
     /// Per-application occupancy and hit ratios (ascending by app id).
-    pub apps: Vec<AppEfficiency>,
+    pub apps: Vec<AppCacheUsage>,
     /// Per-shard occupancy/eviction balance (one entry under the default
     /// single-pool manager; see `ShardUsage`).
     pub shards: Vec<crate::experiment::ShardUsage>,
@@ -301,13 +243,7 @@ impl CacheEfficiency {
             writes_absorbed: cache.writes_absorbed,
             writes_passthrough: cache.writes_passthrough,
             invalidated: cache.invalidated,
-            apps: r
-                .app_usage
-                .as_deref()
-                .unwrap_or_default()
-                .iter()
-                .map(AppEfficiency::from_usage)
-                .collect(),
+            apps: r.app_usage.clone().unwrap_or_default(),
             shards: r.shard_usage.clone().unwrap_or_default(),
             adaptive: r.adaptive.as_ref().map(AdaptiveReport::from_stats),
         })

@@ -3,7 +3,6 @@
 use crate::manager::EvictPolicy;
 use kcache_adaptive::AdaptiveConfig;
 use kcache_policy::AppId;
-use sim_core::Dur;
 use std::collections::BTreeMap;
 
 /// How the frame pool is divided among applications.
@@ -41,7 +40,7 @@ impl PartitionMode {
         match s {
             "shared" => Some(PartitionMode::Shared),
             "strict" => Some(PartitionMode::Strict),
-            "soft" | "soft-borrowing" => Some(PartitionMode::Soft),
+            "soft" => Some(PartitionMode::Soft),
             _ => None,
         }
     }
@@ -156,20 +155,9 @@ pub struct CacheConfig {
     pub low_watermark: usize,
     /// Harvester target: free frames after a sweep.
     pub high_watermark: usize,
-    /// Delay between the free list crossing the watermark and the harvester
-    /// thread actually running (kernel thread wake-up latency).
-    pub harvester_wakeup: Dur,
-    /// Period of the flusher thread.
-    pub flush_interval: Dur,
-    /// Max dirty blocks shipped per flusher round.
-    pub flush_batch: usize,
     /// Write-behind on (the paper's design) or off (write-through
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
-    /// Fetch-latency SLO target; only consulted when the module is given
-    /// a hub (a fetch slower than the target increments
-    /// `slo.fetch.burn.default`).
-    pub slo: kcache_obs::SloTargets,
     /// Independent buffer-manager shards the frame pool is split into
     /// (capacity, watermarks and quotas divide across them; blocks route
     /// by key hash). `1` — the default and the paper's behavior — is the
@@ -189,11 +177,7 @@ impl CacheConfig {
             epoch_accesses: 0,
             low_watermark: 30,
             high_watermark: 75,
-            harvester_wakeup: Dur::millis(1),
-            flush_interval: Dur::millis(500),
-            flush_batch: 64,
             write_behind: true,
-            slo: kcache_obs::SloTargets::default(),
             shards: 1,
         }
     }
@@ -239,7 +223,7 @@ mod tests {
         for mode in [PartitionMode::Shared, PartitionMode::Strict, PartitionMode::Soft] {
             assert_eq!(PartitionMode::parse(mode.name()), Some(mode), "{mode}");
         }
-        assert_eq!(PartitionMode::parse("soft-borrowing"), Some(PartitionMode::Soft));
+        assert_eq!(PartitionMode::parse("soft-borrowing"), None, "one spelling per mode");
         assert_eq!(PartitionMode::parse("nope"), None);
     }
 

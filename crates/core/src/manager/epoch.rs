@@ -235,7 +235,7 @@ impl BufferManager {
         }
         // Still owed: only while a spill holds some of the loser's units
         // between its lender and its borrower (the validator left the
-        // loser at least the floor, so they exist) — taken as they land.
+        // loser at least one frame, so they exist) — taken as they land.
         while owed > 0 {
             std::thread::yield_now();
             for s in self.shards.iter() {
@@ -252,18 +252,12 @@ impl BufferManager {
     /// The backstop behind the tuner's own clamps, and the one place a
     /// quota move is validated. The tuner redistributes existing
     /// partitions: it may never invent a quota (unknown or unpartitioned
-    /// app), empty one, exceed the pool, or shrink one below the fairness
-    /// floor — and a transfer applies in full or not at all (applying
-    /// only one side of a grow/shrink pair would leak total quota). The
-    /// floor bounds how far a quota may be *shrunk*: an app whose
-    /// configured quota starts below it may still grow toward it (a veto
-    /// there would kill the whole pair and leave the tuner permanently
-    /// dead for such configs).
+    /// app), empty one or exceed the pool — and a transfer applies in
+    /// full or not at all (applying only one side of a grow/shrink pair
+    /// would leak total quota).
     pub(super) fn quota_move_valid(&self, mv: &QuotaMove) -> bool {
-        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)].into_iter().all(|(app, q)| {
-            q >= 1
-                && q <= self.capacity
-                && self.quota_of(app).is_some_and(|cur| q >= self.quota_floor || q >= cur)
-        })
+        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
+            .into_iter()
+            .all(|(app, q)| (1..=self.capacity).contains(&q) && self.quota_of(app).is_some())
     }
 }

@@ -38,9 +38,6 @@ pub struct BufferManager {
     /// the shards' ledgers hold its split).
     pub(super) quotas: GlobalQuotas,
     pub(super) adaptive_cfg: Option<AdaptiveConfig>,
-    /// Minimum quota the adaptive tuner may shrink any app to — the
-    /// backstop behind the tuner's own clamp (see `quota_move_valid`).
-    pub(super) quota_floor: usize,
     pub(super) epoch: EpochClock,
 }
 
@@ -159,7 +156,6 @@ impl BufferManagerBuilder {
             policy_cfg: self.policy,
             quotas: GlobalQuotas::new(&self.partitioning),
             partitioning: self.partitioning,
-            quota_floor: self.adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1)),
             adaptive_cfg: self.adaptive,
             epoch,
         }

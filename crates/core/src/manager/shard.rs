@@ -243,7 +243,8 @@ impl Shard {
         debug_assert!(capacity > 0);
         debug_assert!(low_watermark <= high_watermark && high_watermark <= capacity);
         let n_buckets = (capacity / 4).next_power_of_two().max(16);
-        let adaptive = cfg.adaptive.clone().map(|a| AdaptivePolicy::new(capacity, a));
+        let tune_quotas = cfg.partitioning.is_partitioned();
+        let adaptive = cfg.adaptive.clone().map(|a| AdaptivePolicy::new(capacity, a, tune_quotas));
         let is_adaptive = adaptive.is_some();
         let ranked = adaptive.as_ref().map_or(policy.kind, |a| a.live()).build(capacity);
         let ref_words = ranked.table().ref_words().clone();

@@ -964,86 +964,6 @@ fn obs_wiring_changes_no_cache_decision() {
     }
 }
 
-#[test]
-fn quota_floor_bounds_the_tuner_end_to_end() {
-    for shards in [1, 2] {
-        // The starved-tenant regression: same workload as
-        // `epoch_tuner_grows_the_refaulting_apps_quota`, but with a
-        // 3-frame fairness floor the idle tenant can never be squeezed
-        // below — validated by the manager before any update is applied.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .shards(shards)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                quota_floor: 3,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 5); // working set of 5 > quota of 4
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
-            }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
-            let cq = m.quota_of(cold).unwrap();
-            assert!(cq >= 3, "cold app squeezed below the floor: {cq} at round {round}");
-        }
-        let stats = m.adaptive_stats().unwrap();
-        assert!(stats.quota_moves > 0, "the tuner must still act above the floor");
-        assert_eq!(m.quota_of(cold), Some(3), "shrink stops exactly at the floor");
-        assert_eq!(m.quota_of(hot), Some(5), "the freed frame went to the refaulting app");
-    }
-}
-
-#[test]
-fn quota_floor_never_vetoes_growth_toward_the_floor() {
-    for shards in [1, 2] {
-        // An app whose configured quota starts BELOW the floor must
-        // still be allowed to grow: the floor bounds shrinking, not
-        // growing — a veto on the grow side would kill the whole
-        // transfer pair and leave the tuner permanently dead for such
-        // configs.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .shards(shards)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 6)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                quota_floor: 4,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 3); // working set of 3 > quota of 2
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
-            }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
-        }
-        assert!(m.adaptive_stats().unwrap().quota_moves > 0, "the tuner must act");
-        assert_eq!(m.quota_of(hot), Some(4), "growth from below the floor must be applied");
-        assert_eq!(m.quota_of(cold), Some(4), "the donor shrinks only to the floor");
-    }
-}
-
 /// Exact LRU: one policy hold per scan pass, plus one per candidate the
 /// frame itself turns down (the ask-again after `try_evict_idx` said no),
 /// plus the one that files the install. A clean partition is one pass and

@@ -8,9 +8,17 @@ use crate::block::{BlockKey, Span};
 use crate::manager::FlushItem;
 use bytes::Bytes;
 use pvfs::{Fid, FlushAck, FlushBlocks, FlushEntry, CACHE_PORT, IOD_FLUSH_PORT};
-use sim_core::{Ctx, SimTime};
+use sim_core::{Ctx, Dur, SimTime};
 use sim_net::NodeId;
 use std::collections::BTreeMap;
+
+/// Delay between the free list crossing the low watermark and the
+/// harvester thread running (kernel thread wake-up latency).
+const HARVESTER_WAKEUP: Dur = Dur::millis(1);
+/// Period of the flusher thread.
+pub(super) const FLUSH_INTERVAL: Dur = Dur::millis(500);
+/// Most dirty blocks shipped per flusher round.
+const FLUSH_BATCH: usize = 64;
 
 pub(super) struct FlushTick;
 pub(super) struct HarvestNow;
@@ -20,7 +28,7 @@ impl CacheModule {
     pub(super) fn maybe_schedule_harvest(&mut self, ctx: &mut Ctx<'_>) {
         if !self.harvest_scheduled && self.cache.needs_harvest() {
             self.harvest_scheduled = true;
-            ctx.schedule_self(self.cfg.harvester_wakeup, HarvestNow);
+            ctx.schedule_self(HARVESTER_WAKEUP, HarvestNow);
         }
     }
 
@@ -74,7 +82,7 @@ impl CacheModule {
     /// Ship up to a batch of dirty blocks to their iods, kept resident
     /// until acked.
     fn drain(&mut self, ctx: &mut Ctx<'_>) {
-        let items = self.cache.take_dirty(self.cfg.flush_batch);
+        let items = self.cache.take_dirty(FLUSH_BATCH);
         let now = ctx.now();
         self.send_flushes(ctx, now, items, false, true);
     }
@@ -91,7 +99,7 @@ impl CacheModule {
 
     pub(super) fn flush_tick(&mut self, ctx: &mut Ctx<'_>) {
         self.drain(ctx);
-        ctx.schedule_self(self.cfg.flush_interval, FlushTick);
+        ctx.schedule_self(FLUSH_INTERVAL, FlushTick);
     }
 
     pub(super) fn harvest_now(&mut self, ctx: &mut Ctx<'_>) {

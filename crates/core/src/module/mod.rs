@@ -32,7 +32,7 @@ use crate::block::{BlockKey, BlockPiece, Span};
 use crate::config::CacheConfig;
 use crate::manager::BufferManager;
 use flush::{FlushTick, HarvestNow};
-use kcache_obs::{Counter, EventId, ObsHub, QuantileSketch, QuantileSnapshot, SloTargets};
+use kcache_obs::{Counter, EventId, ObsHub, QuantileSketch, QuantileSnapshot};
 use kcache_policy::hash::KeyMap;
 use kcache_policy::AppId;
 use pvfs::{
@@ -162,6 +162,11 @@ impl Arrived<'_> {
     }
 }
 
+/// The fetch-latency SLO target: a fetch slower than this burns error
+/// budget. It sits above the paper's measured ~9.1 ms median disk fill,
+/// so a healthy run burns only in the tail.
+const FETCH_P99_TARGET_NS: u64 = 15_000_000;
+
 /// Pre-resolved observability handles for the module's fetches.
 /// Mirrors the buffer manager's `ManagerObs`: resolved once at
 /// construction, `None` when the module is given no hub, so the data
@@ -174,20 +179,17 @@ struct ModuleObs {
     /// in a fine-grained (≤1/16 relative error) sketch: the SLO line's
     /// sample count and p50/p95/p99.
     fetch_q_default: QuantileSketch,
-    /// SLO target and burn count: a fetch slower than the target burns
-    /// error budget.
-    slo: SloTargets,
+    /// Fetches slower than [`FETCH_P99_TARGET_NS`].
     burn_default: Counter,
     ev_miss_fill: EventId,
     ev_iod_read: EventId,
 }
 
 impl ModuleObs {
-    fn new(hub: Arc<ObsHub>, node: NodeId, slo: SloTargets) -> ModuleObs {
+    fn new(hub: Arc<ObsHub>, node: NodeId) -> ModuleObs {
         let r = hub.registry();
         ModuleObs {
             fetch_q_default: QuantileSketch::new(),
-            slo,
             burn_default: r.counter("slo.fetch.burn.default"),
             ev_miss_fill: hub.intern("miss_fill", Some("blocks"), None),
             ev_iod_read: hub.intern("iod_read", Some("blocks"), Some("bytes")),
@@ -200,7 +202,7 @@ impl ModuleObs {
     #[inline]
     fn record_fetch(&self, ns: u64) {
         self.fetch_q_default.record(ns);
-        if ns > self.slo.fetch_p99_ns_default {
+        if ns > FETCH_P99_TARGET_NS {
             self.burn_default.inc();
         }
     }
@@ -262,7 +264,7 @@ impl CacheModule {
                 .shards(cfg.shards)
                 .build(),
         );
-        let obs = obs.map(|hub| ModuleObs::new(hub, node, cfg.slo));
+        let obs = obs.map(|hub| ModuleObs::new(hub, node));
         CacheModule {
             node,
             fabric,
@@ -316,7 +318,7 @@ impl CacheModule {
             vec![(
                 TrafficClass::Default,
                 o.fetch_q_default.snapshot(),
-                o.slo.fetch_p99_ns_default,
+                FETCH_P99_TARGET_NS,
                 o.burn_default.get(),
             )]
         })
@@ -424,7 +426,7 @@ impl Actor for CacheModule {
         }
         if !self.started {
             self.started = true;
-            ctx.schedule_self(self.cfg.flush_interval, FlushTick);
+            ctx.schedule_self(flush::FLUSH_INTERVAL, FlushTick);
         }
         // Outbound: libpvfs socket sends.
         let msg = match msg.cast::<Xmit>() {

@@ -169,7 +169,9 @@ struct Model {
 
 impl Model {
     fn new(cfg: Config) -> Model {
-        let adaptive = cfg.adaptive.clone().map(|a| AdaptivePolicy::new(cfg.capacity, a));
+        let tune_quotas = cfg.partitioning.is_partitioned();
+        let adaptive =
+            cfg.adaptive.clone().map(|a| AdaptivePolicy::new(cfg.capacity, a, tune_quotas));
         let kind = adaptive.as_ref().map_or(cfg.policy.kind, |a| a.live());
         let apps = match cfg.partitioning.mode {
             PartitionMode::Shared => BTreeMap::new(),
@@ -520,15 +522,11 @@ impl Model {
         }
     }
 
-    /// Known apps only, nothing emptied or past the pool, no shrink below
-    /// the floor.
+    /// Known apps only, nothing emptied or past the pool.
     fn move_is_valid(&self, mv: &QuotaMove) -> bool {
-        let floor = self.cfg.adaptive.as_ref().map_or(1, |a| a.quota_floor.max(1));
-        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)].into_iter().all(|(app, q)| {
-            let current = self.apps.get(&app.0).map(|&(q, _)| q);
-            (1..=self.cfg.capacity).contains(&q)
-                && current.is_some_and(|cur| q >= floor || q >= cur)
-        })
+        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
+            .into_iter()
+            .all(|(app, q)| (1..=self.cfg.capacity).contains(&q) && self.apps.contains_key(&app.0))
     }
 
     fn resident_keys(&self) -> Vec<BlockKey> {

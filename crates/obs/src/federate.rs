@@ -13,7 +13,7 @@
 
 use crate::registry::MetricsSnapshot;
 use crate::trace::{chrome_trace_json, TraceEvent};
-use crate::ObsHub;
+use crate::{ObsHub, DEFAULT_TRACE_CAPACITY};
 use std::sync::Arc;
 
 /// Read-side aggregator over every node's [`ObsHub`].
@@ -22,11 +22,12 @@ pub struct ClusterObs {
 }
 
 impl ClusterObs {
-    /// One private hub per node, labeled `node0..nodeN-1`.
-    pub fn per_node(n_nodes: usize, trace_capacity: usize) -> Arc<ClusterObs> {
+    /// One private hub per node, labeled `node0..nodeN-1`, each with a
+    /// [`DEFAULT_TRACE_CAPACITY`]-slot trace ring.
+    pub fn per_node(n_nodes: usize) -> Arc<ClusterObs> {
         Arc::new(ClusterObs {
             nodes: (0..n_nodes)
-                .map(|i| (format!("node{i}"), ObsHub::new(trace_capacity)))
+                .map(|i| (format!("node{i}"), ObsHub::new(DEFAULT_TRACE_CAPACITY)))
                 .collect(),
         })
     }
@@ -111,7 +112,7 @@ mod tests {
 
     #[test]
     fn rollup_sums_counters_and_histograms_across_nodes() {
-        let cluster = ClusterObs::per_node(3, 64);
+        let cluster = ClusterObs::per_node(3);
         for i in 0..3 {
             let hub = cluster.hub_for(i);
             hub.registry().counter("cache.hits").add((i as u64 + 1) * 10);
@@ -134,7 +135,7 @@ mod tests {
 
     #[test]
     fn drain_merges_rings_in_timestamp_order() {
-        let cluster = ClusterObs::per_node(2, 64);
+        let cluster = ClusterObs::per_node(2);
         let h0 = cluster.hub_for(0);
         let h1 = cluster.hub_for(1);
         let e0 = h0.intern("a", None, None);

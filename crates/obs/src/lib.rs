@@ -29,7 +29,7 @@ pub mod trace;
 
 pub use federate::ClusterObs;
 pub use metrics::{stripe_index, Counter, Gauge, Histogram, COUNTER_STRIPES, HIST_BUCKETS};
-pub use quantile::{QuantileSketch, QuantileSnapshot, SloTargets};
+pub use quantile::{QuantileSketch, QuantileSnapshot};
 pub use registry::{HistogramSnapshot, MetricRegistry, MetricsSnapshot};
 pub use ring::{CacheLine, SlotRing};
 pub use trace::{chrome_trace_json, EventId, Phase, TraceEvent, TraceRing};

@@ -144,22 +144,6 @@ impl QuantileSnapshot {
     }
 }
 
-/// Fetch-latency SLO target (nanoseconds), threaded from the cluster
-/// config into each cache module. The default sits above the paper's
-/// measured ~9.1 ms median disk fill, so a healthy run burns (exceeds the
-/// target) only in the tail.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SloTargets {
-    /// p99 target for block fetches (the iod/disk path).
-    pub fetch_p99_ns_default: u64,
-}
-
-impl Default for SloTargets {
-    fn default() -> SloTargets {
-        SloTargets { fetch_p99_ns_default: 15_000_000 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

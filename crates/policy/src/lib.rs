@@ -584,17 +584,9 @@ impl PolicyKind {
         }
     }
 
-    /// Inverse of [`name`](PolicyKind::name), tolerant of common aliases.
+    /// Inverse of [`name`](PolicyKind::name).
     pub fn parse(s: &str) -> Option<PolicyKind> {
-        match s {
-            "clock" | "second-chance" => Some(PolicyKind::Clock),
-            "exact-lru" | "lru" => Some(PolicyKind::ExactLru),
-            "lfu" => Some(PolicyKind::Lfu),
-            "2q" | "twoq" => Some(PolicyKind::TwoQ),
-            "arc" => Some(PolicyKind::Arc),
-            "sharing-aware" | "sharing" => Some(PolicyKind::SharingAware),
-            _ => None,
-        }
+        PolicyKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
     /// A pool of `capacity` frames ranked by this policy.
@@ -632,7 +624,7 @@ mod tests {
         for kind in PolicyKind::ALL {
             assert_eq!(PolicyKind::parse(kind.name()), Some(kind), "{kind}");
         }
-        assert_eq!(PolicyKind::parse("lru"), Some(PolicyKind::ExactLru));
+        assert_eq!(PolicyKind::parse("lru"), None, "one spelling per policy");
         assert_eq!(PolicyKind::parse("nope"), None);
     }
 

@@ -44,8 +44,6 @@ pub struct ClientConfig {
     /// Whether this node runs a cache module (propagated in requests so
     /// iods maintain the coherence directory).
     pub caching: bool,
-    /// Verify all read data against the deterministic file pattern.
-    pub verify_reads: bool,
 }
 
 /// What the application gets back when an operation finishes.
@@ -189,10 +187,8 @@ impl PvfsClient {
             .map(|(slot, v)| (slot as u32, v))
             .collect();
         let cpu = self.cfg.costs.client_request_overhead
-            + Dur::nanos(
-                (self.cfg.costs.client_per_iod_overhead + self.cfg.costs.send_overhead).as_nanos()
-                    * involved.len() as u64,
-            );
+            + (self.cfg.costs.client_per_iod_overhead + self.cfg.costs.send_overhead)
+                * involved.len() as u64;
         let t = resource::reserve(&self.cfg.cpu, now, cpu);
         let n_iods = involved.len() as u32;
         for (slot, ranges) in involved {
@@ -248,11 +244,9 @@ impl PvfsClient {
         // Copy cost: the user buffer crosses into the socket layer once.
         let blocks = (len as u64).div_ceil(BLOCK_SIZE as u64);
         let cpu = self.cfg.costs.client_request_overhead
-            + Dur::nanos(self.cfg.costs.client_copy_per_block.as_nanos() * blocks)
-            + Dur::nanos(
-                (self.cfg.costs.client_per_iod_overhead + self.cfg.costs.send_overhead).as_nanos()
-                    * involved.len() as u64,
-            );
+            + self.cfg.costs.client_copy_per_block * blocks
+            + (self.cfg.costs.client_per_iod_overhead + self.cfg.costs.send_overhead)
+                * involved.len() as u64;
         let t = resource::reserve(&self.cfg.cpu, now, cpu);
         let n_iods = involved.len() as u32;
         for (slot, ranges) in involved {
@@ -332,14 +326,14 @@ impl PvfsClient {
         let msg = match msg.cast::<ReadData>() {
             Ok((_, rd)) => {
                 let blocks = (rd.range.len as u64).div_ceil(BLOCK_SIZE as u64);
-                let cpu = self.cfg.costs.recv_overhead
-                    + Dur::nanos(self.cfg.costs.client_copy_per_block.as_nanos() * blocks);
+                let cpu =
+                    self.cfg.costs.recv_overhead + self.cfg.costs.client_copy_per_block * blocks;
                 let t = resource::reserve(&self.cfg.cpu, ctx.now(), cpu);
-                // A described segment is checked by its fields, a byte
-                // segment byte by byte.
-                if self.cfg.verify_reads
-                    && !(rd.data.len() == rd.range.len as usize
-                        && rd.data.is_content_of(Content::new(rd.fid, rd.range.offset)))
+                // Every read is checked against the file's content: a
+                // described segment by its fields, a byte segment byte by
+                // byte.
+                if !(rd.data.len() == rd.range.len as usize
+                    && rd.data.is_content_of(Content::new(rd.fid, rd.range.offset)))
                 {
                     self.stats.verify_failures += 1;
                 }

@@ -71,26 +71,17 @@ impl Default for CostModel {
     }
 }
 
-/// PVFS deployment constants.
+/// PVFS deployment settings.
 #[derive(Debug, Clone)]
 pub struct PvfsConfig {
-    /// Stripe unit in bytes (PVFS default 64 KB).
-    pub stripe_unit: u32,
     /// iod page cache capacity, in 4 KB pages (server-side OS cache).
     pub iod_page_cache_pages: usize,
-    /// kupdate-style dirty write-back period on iod nodes.
-    pub iod_flush_interval: Dur,
-    /// Max dirty pages written back per kupdate tick.
-    pub iod_flush_batch: usize,
 }
 
 impl Default for PvfsConfig {
     fn default() -> Self {
         PvfsConfig {
-            stripe_unit: 64 * 1024,
             iod_page_cache_pages: 8192, // 32 MB of the node's 128 MB
-            iod_flush_interval: Dur::secs(5),
-            iod_flush_batch: 2048,
         }
     }
 }
@@ -112,8 +103,6 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let p = PvfsConfig::default();
-        assert_eq!(p.stripe_unit, 65536);
         assert!(p.iod_page_cache_pages * 4096 <= 64 * 1024 * 1024, "page cache fits in node RAM");
-        assert!(p.iod_flush_interval > Dur::ZERO);
     }
 }

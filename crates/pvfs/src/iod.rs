@@ -82,6 +82,11 @@ struct PendingSync {
 /// Periodic dirty-page write-back tick (Linux kupdate analogue).
 struct KupdateTick;
 
+/// kupdate's dirty write-back period.
+const KUPDATE_INTERVAL: Dur = Dur::secs(5);
+/// Most dirty pages written back per kupdate tick.
+const KUPDATE_BATCH: usize = 2048;
+
 /// The data server actor.
 pub struct Iod {
     node: NodeId,
@@ -89,7 +94,6 @@ pub struct Iod {
     disk: ActorId,
     cpu: SharedResource,
     costs: CostModel,
-    cfg: PvfsConfig,
     fs: BlockFs,
     /// Looked up on every read and write: an ordered map of a few fids,
     /// with no SipHash per lookup.
@@ -121,17 +125,15 @@ impl Iod {
         cfg: PvfsConfig,
         fs_capacity_blocks: u64,
     ) -> Iod {
-        let pages = cfg.iod_page_cache_pages;
         Iod {
             node,
             fabric,
             disk,
             cpu,
             costs,
-            cfg,
             fs: BlockFs::new(fs_capacity_blocks),
             files: BTreeMap::new(),
-            pcache: PageCache::new(pages),
+            pcache: PageCache::new(cfg.iod_page_cache_pages),
             directory: Directory::default(),
             pending_reads: HashMap::new(),
             token_waiters: HashMap::new(),
@@ -352,8 +354,8 @@ impl Iod {
         // Copy cost: per 4 KB block moved from page cache to the socket,
         // plus one send per data message.
         let total_blocks: u64 = req.ranges.iter().map(|r| Self::blocks_of(r).count() as u64).sum();
-        let cpu = Dur::nanos(self.costs.iod_copy_per_block.as_nanos() * total_blocks)
-            + Dur::nanos(self.costs.send_overhead.as_nanos() * req.ranges.len().max(1) as u64);
+        let cpu = self.costs.iod_copy_per_block * total_blocks
+            + self.costs.send_overhead * req.ranges.len().max(1) as u64;
         let t = resource::reserve(&self.cpu, now, cpu);
         for r in &req.ranges {
             // A range whose every block is a descriptor of this file at
@@ -417,7 +419,7 @@ impl Iod {
         self.stats.bytes_written += total;
         let cpu = self.costs.recv_overhead
             + self.costs.iod_request_overhead
-            + Dur::nanos(self.costs.iod_copy_per_block.as_nanos() * blocks)
+            + self.costs.iod_copy_per_block * blocks
             + self.costs.send_overhead;
         let t = resource::reserve(&self.cpu, now, cpu);
         for part in &req.parts {
@@ -484,7 +486,7 @@ impl Iod {
         self.stats.bytes_written += f.total_bytes();
         let cpu = self.costs.recv_overhead
             + self.costs.iod_request_overhead
-            + Dur::nanos(self.costs.iod_copy_per_block.as_nanos() * nblocks)
+            + self.costs.iod_copy_per_block * nblocks
             + self.costs.send_overhead;
         let t = resource::reserve(&self.cpu, now, cpu);
         for e in &f.blocks {
@@ -522,21 +524,11 @@ impl Iod {
     }
 
     fn kupdate(&mut self, ctx: &mut Ctx<'_>) {
-        let dirty = self.pcache.drain_dirty(self.cfg.iod_flush_batch);
-        // Coalesce contiguous pages into single disk writes.
-        let mut sorted = dirty;
-        sorted.sort_unstable();
-        let mut i = 0;
-        while i < sorted.len() {
-            let start = sorted[i];
-            let mut n = 1u32;
-            while i + (n as usize) < sorted.len() && sorted[i + n as usize] == start + n as u64 {
-                n += 1;
-            }
-            self.issue_disk(ctx, DiskOp::Write, start, n, 0);
-            i += n as usize;
+        // Contiguous dirty pages go to the platter as one write each.
+        for e in coalesce(self.pcache.drain_dirty(KUPDATE_BATCH)) {
+            self.issue_disk(ctx, DiskOp::Write, e.pblk, e.blocks, 0);
         }
-        ctx.schedule_self(self.cfg.iod_flush_interval, KupdateTick);
+        ctx.schedule_self(KUPDATE_INTERVAL, KupdateTick);
     }
 }
 
@@ -544,7 +536,7 @@ impl Actor for Iod {
     fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
         if !self.started {
             self.started = true;
-            ctx.schedule_self(self.cfg.iod_flush_interval, KupdateTick);
+            ctx.schedule_self(KUPDATE_INTERVAL, KupdateTick);
         }
         let msg = match msg.cast::<Deliver>() {
             Ok(d) => {

@@ -72,10 +72,6 @@ struct Rig {
 }
 
 fn rig() -> Rig {
-    rig_with(false)
-}
-
-fn rig_with(verify_reads: bool) -> Rig {
     let mut eng = Engine::new(0);
     let tap = eng.add_actor(Box::new(WireTap { sent: vec![] }));
     let cfg = ClientConfig {
@@ -88,7 +84,6 @@ fn rig_with(verify_reads: bool) -> Rig {
         cpu: FifoResource::shared("cpu"),
         costs: CostModel::default(),
         caching: false,
-        verify_reads,
     };
     let host = eng.add_actor(Box::new(Host { client: PvfsClient::new(cfg), completions: vec![] }));
     Rig { eng, tap, host }
@@ -137,7 +132,6 @@ fn with_client(rig: &mut Rig, f: impl FnOnce(&mut PvfsClient, &mut Ctx<'_>) + 's
         cpu: FifoResource::shared("tmp"),
         costs: CostModel::default(),
         caching: false,
-        verify_reads: false,
     });
     let client = {
         let h = rig.eng.actor_as_mut::<Host>(rig.host).expect("host");
@@ -334,10 +328,10 @@ fn write_completes_on_all_acks_and_carries_pattern_data() {
 
 #[test]
 fn corrupted_read_data_counts_one_verify_failure() {
-    // The check `verify_reads` buys: every delivered byte is compared with
-    // the file pattern. One flipped byte anywhere in a data message is one
+    // The client's read check: every delivered byte is compared with the
+    // file pattern. One flipped byte anywhere in a data message is one
     // failure; a clean message, and a clean one after it, are none.
-    let mut rig = rig_with(true);
+    let mut rig = rig();
     install_handle(&mut rig, handle(5, 16 << 20, 1));
     with_client(&mut rig, |client, ctx| {
         client.read(ctx, Fid(5), 1000, 3 * 8192);
@@ -372,7 +366,7 @@ fn described_read_data_is_checked_by_its_fields() {
     // A described segment is checked by what it names: the file and the
     // offset of the position it fills. A byte segment beside it is still
     // compared byte by byte, and the segments must cover the whole range.
-    let mut rig = rig_with(true);
+    let mut rig = rig();
     install_handle(&mut rig, handle(5, 16 << 20, 1));
     with_client(&mut rig, |client, ctx| {
         client.read(ctx, Fid(5), 1000, 5 * 8192);
@@ -415,7 +409,7 @@ fn described_read_data_is_checked_by_its_fields() {
 fn short_read_data_is_a_verify_failure() {
     // A message carrying fewer bytes than its range claims cannot pass as
     // "every byte it has matches".
-    let mut rig = rig_with(true);
+    let mut rig = rig();
     install_handle(&mut rig, handle(5, 16 << 20, 1));
     with_client(&mut rig, |client, ctx| {
         client.read(ctx, Fid(5), 0, 4096);

@@ -58,22 +58,22 @@ impl Dur {
     pub const EPSILON: Dur = Dur(1);
 
     #[inline]
-    pub fn nanos(n: u64) -> Dur {
+    pub const fn nanos(n: u64) -> Dur {
         Dur(n)
     }
 
     #[inline]
-    pub fn micros(us: u64) -> Dur {
+    pub const fn micros(us: u64) -> Dur {
         Dur(us * NANOS_PER_MICRO)
     }
 
     #[inline]
-    pub fn millis(ms: u64) -> Dur {
+    pub const fn millis(ms: u64) -> Dur {
         Dur(ms * NANOS_PER_MILLI)
     }
 
     #[inline]
-    pub fn secs(s: u64) -> Dur {
+    pub const fn secs(s: u64) -> Dur {
         Dur(s * NANOS_PER_SEC)
     }
 

@@ -69,10 +69,7 @@ fn main() {
         if cached && telemetry {
             // One hub per node, federated: trace pids separate by node
             // and the metrics export carries a per-node breakdown.
-            let cluster = ClusterObs::per_node(
-                spec.n_nodes as usize,
-                clusterio::kcache::obs::DEFAULT_TRACE_CAPACITY,
-            );
+            let cluster = ClusterObs::per_node(spec.n_nodes as usize);
             spec.obs = Some(cluster.clone());
             obs = Some(cluster);
         }

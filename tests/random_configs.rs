@@ -76,7 +76,6 @@ fn randomized_configurations_all_complete_cleanly() {
                     let mut cfg =
                         AdaptiveConfig::new((0..n).map(|_| PolicyKind::ALL[rng.below(6) as usize]));
                     cfg.hysteresis = rng.f64() * 0.1;
-                    cfg.quota_tuning = rng.chance(0.5);
                     cfg.quota_step = rng.range_inclusive(1, 16) as usize;
                     cfg
                 }),
@@ -208,9 +207,7 @@ fn partitioning_configs_round_trip_through_json() {
                 candidates,
                 epoch_accesses: [0, 64, 256][rng.below(3) as usize],
                 hysteresis: rng.f64() * 0.1,
-                quota_tuning: rng.chance(0.5),
                 quota_step: rng.range_inclusive(1, 16) as usize,
-                quota_floor: rng.range_inclusive(1, 8) as usize,
             }
         } else {
             AdaptiveCfg::default()
@@ -334,24 +331,29 @@ fn the_retired_singleton_preserving_key_is_ignored() {
     }
 }
 
-/// Keys retired with the mechanisms they configured: the whole
-/// `cooperative` section (here the exact one the benchmark generates),
-/// `telemetry.slo.fetch_p99_ms_peer` and the whole `telemetry.anomaly`
-/// section (`stale_hints_per_epoch`, `hit_ratio_drop`,
-/// `min_epoch_accesses`, `trace_drops_per_epoch`). A config carrying
-/// them parses, lowers to what the config without them lowers to, and
-/// runs the same simulation to the bit.
+/// Keys retired with the mechanisms they configured, or with the values
+/// no config varied: the whole `cooperative` section (here the exact one
+/// the benchmark generates), `telemetry.trace_capacity`, the whole
+/// `telemetry.slo` section (`fetch_p99_ms_default`, `fetch_p99_ms_peer`),
+/// the whole `telemetry.anomaly` section (`stale_hints_per_epoch`,
+/// `hit_ratio_drop`, `min_epoch_accesses`, `trace_drops_per_epoch`),
+/// `adaptive.quota_tuning` and `adaptive.quota_floor`. A config carrying
+/// them, each away from its old default, parses, lowers to what the
+/// config without them lowers to, and runs the same simulation to the
+/// bit. The run is adaptive over strict quotas, where the old tuner
+/// switch and floor used to act.
 #[test]
 fn retired_keys_parse_and_change_nothing() {
-    let with = |cooperative: &str, slo: &str, anomaly: &str| {
+    let with = |cooperative: &str, adaptive: &str, telemetry: &str| {
         let cfg = ExperimentConfig::from_json(&format!(
-            r#"{{ "cluster": {{ "nodes": 3 {cooperative},
-                              "telemetry": {{ "enabled": true, "slo": {{ {slo} }},
-                                             "anomaly": {{ {anomaly} }} }} }},
-                 "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1,
-                             "request_kb": 64, "mode": "read", "sharing": 1.0 }},
-                           {{ "name": "b", "nodes": [1, 2], "total_mb": 1,
-                             "request_kb": 64, "mode": "read", "sharing": 1.0 }} ] }}"#
+            r#"{{ "cluster": {{ "nodes": 3, "policy": "adaptive", "partitioning": "strict"
+                              {cooperative},
+                              "adaptive": {{ "epoch_accesses": 64 {adaptive} }},
+                              "telemetry": {{ "enabled": true {telemetry} }} }},
+                 "apps": [ {{ "name": "a", "nodes": [0, 1], "total_mb": 1, "request_kb": 64,
+                             "mode": "read", "sharing": 1.0, "quota_blocks": 40 }},
+                           {{ "name": "b", "nodes": [1, 2], "total_mb": 1, "request_kb": 64,
+                             "mode": "read", "hotspot": 1.1, "quota_blocks": 20 }} ] }}"#
         ))
         .expect("an old config must keep parsing");
         let (spec, apps) = cfg.to_spec().expect("lower spec");
@@ -360,9 +362,11 @@ fn retired_keys_parse_and_change_nothing() {
     let (cfg, spec, apps) = with("", "", "");
     let (old_cfg, old_spec, old_apps) = with(
         r#", "cooperative":{"enabled":true,"directory":"authoritative","singleton_preserving":true}"#,
-        r#""fetch_p99_ms_peer": 2.5"#,
-        r#""stale_hints_per_epoch": 9, "hit_ratio_drop": 0.05, "min_epoch_accesses": 1,
-            "trace_drops_per_epoch": 1"#,
+        r#", "quota_floor": 16, "quota_tuning": false"#,
+        r#", "trace_capacity": 128,
+            "slo": { "fetch_p99_ms_default": 2.5, "fetch_p99_ms_peer": 2.5 },
+            "anomaly": { "stale_hints_per_epoch": 9, "hit_ratio_drop": 0.05,
+                         "min_epoch_accesses": 1, "trace_drops_per_epoch": 1 }"#,
     );
     assert_eq!(old_cfg, cfg);
     assert_eq!(format!("{old_spec:?}"), format!("{spec:?}"));
@@ -371,7 +375,10 @@ fn retired_keys_parse_and_change_nothing() {
         let r = run_experiment(spec, apps);
         assert!(r.completed);
         let c = r.cache.clone().unwrap();
-        format!("{} {:?} {} {} {:?}", r.events, r.sim_end, c.hits, c.misses, r.instances)
+        format!(
+            "{} {:?} {} {} {:?} {:?} {:?}",
+            r.events, r.sim_end, c.hits, c.misses, r.instances, r.app_usage, r.slo
+        )
     };
     assert_eq!(fingerprint(&old_spec, &old_apps), fingerprint(&spec, &apps));
 }
@@ -443,9 +450,9 @@ fn invalid_json_configs_are_errors_not_panics() {
         // Flips the live policy on any noise / can never switch at all.
         (r#", "policy": "adaptive", "adaptive": { "hysteresis": -0.01 }"#, "[0]", "", "hysteresis"),
         (r#", "policy": "adaptive", "adaptive": { "hysteresis": 1.5 }"#, "[0]", "", "hysteresis"),
-        // Used to be deduplicated silently ("lru" is "exact-lru").
+        // A kind named twice: used to be deduplicated silently.
         (
-            r#", "policy": "adaptive", "adaptive": { "candidates": ["lfu", "lru", "exact-lru"] }"#,
+            r#", "policy": "adaptive", "adaptive": { "candidates": ["lfu", "arc", "lfu"] }"#,
             "[0]",
             "",
             "candidates",

@@ -3,7 +3,7 @@
 //! report must surface per-node breakdowns plus SLO percentiles.
 
 use cluster_harness::{build, run_experiment, ClusterSpec, TelemetryReport};
-use kcache::obs::{ClusterObs, DEFAULT_TRACE_CAPACITY};
+use kcache::obs::ClusterObs;
 use kcache::CacheConfig;
 use sim_core::Dur;
 use sim_net::NodeId;
@@ -58,7 +58,7 @@ fn shared_apps() -> Vec<AppSpec> {
 /// `cold_spec` with one hub per node.
 fn observed_spec() -> ClusterSpec {
     let mut spec = cold_spec(small_cache());
-    spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize, DEFAULT_TRACE_CAPACITY));
+    spec.obs = Some(ClusterObs::per_node(spec.n_nodes as usize));
     spec
 }
 
@@ -94,7 +94,7 @@ fn telemetry_rollup_matches_the_run_ledgers() {
 fn build_rejects_fewer_hubs_than_nodes() {
     let mut spec = cold_spec(small_cache());
     assert_eq!(spec.n_nodes, 6);
-    spec.obs = Some(ClusterObs::per_node(3, DEFAULT_TRACE_CAPACITY));
+    spec.obs = Some(ClusterObs::per_node(3));
     build(&spec, &shared_apps());
 }
 
