@@ -2,7 +2,7 @@
 
 use crate::builder::{build, Cluster, ClusterSpec};
 use kcache::obs::{ClusterObs, QuantileSnapshot};
-use kcache::{AdaptiveStats, CacheModule, CacheStats, ModuleStats, PolicyStats};
+use kcache::{AdaptiveStats, AppUsage, CacheModule, CacheStats, ModuleStats, PolicyStats};
 use pvfs::{Iod, IodStats};
 use serde::Serialize;
 use sim_core::{ActorProfile, Dur, SimTime, StopReason};
@@ -38,7 +38,7 @@ pub struct AppCacheUsage {
     /// 0 when unconstrained.
     pub quota: u64,
     pub resident: u64,
-    /// Hits over attributed accesses (0 before any traffic).
+    /// Hits over attributed accesses (0 with none).
     pub hit_ratio: f64,
     pub hits: u64,
     pub misses: u64,
@@ -172,10 +172,9 @@ impl ExperimentResult {
     }
 
     /// Cache hit ratio attributed to one application instance (caching
-    /// runs with traffic from that app only).
+    /// runs in which some module counted that app only).
     pub fn app_hit_ratio(&self, app: u32) -> Option<f64> {
-        let u = self.app_usage.as_ref()?.iter().find(|u| u.app == app)?;
-        (u.hits + u.misses > 0).then_some(u.hit_ratio)
+        Some(self.app_usage.as_ref()?.iter().find(|u| u.app == app)?.hit_ratio)
     }
 }
 
@@ -244,7 +243,8 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let mut module_total: Option<ModuleStats> = None;
     let mut policy_total: Option<PolicyStats> = None;
     let mut adaptive_total: Option<AdaptiveStats> = None;
-    let mut app_total: BTreeMap<u32, AppCacheUsage> = BTreeMap::new();
+    // Per app: (aggregate quota, usage summed over the modules).
+    let mut app_total: BTreeMap<u32, (u64, AppUsage)> = BTreeMap::new();
     let mut shard_total: Option<Vec<ShardUsage>> = None;
     // Fetch-latency sketches merged across modules: (merged snapshot,
     // target, burned).
@@ -273,16 +273,8 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             // Effective (possibly tuner-adjusted) quota, not the static
             // config value — what residency is actually measured against.
             let quota = module.cache().quota_of(id).map(|q| q as u64).unwrap_or(0);
-            let acc = app_total.entry(id.0).or_insert_with(|| AppCacheUsage {
-                app: id.0,
-                quota: 0,
-                resident: 0,
-                hit_ratio: 0.0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            });
-            acc.quota += quota;
+            let (acc_quota, acc) = app_total.entry(id.0).or_default();
+            *acc_quota += quota;
             acc.resident += u.resident;
             acc.hits += u.hits;
             acc.misses += u.misses;
@@ -330,11 +322,16 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
         policy_stats: policy_total,
         adaptive: adaptive_total,
         app_usage: spec.cache.is_some().then(|| {
-            let mut usage: Vec<AppCacheUsage> = app_total.into_values().collect();
-            for u in &mut usage {
-                u.hit_ratio = ratio(u.hits, u.hits + u.misses);
-            }
-            usage
+            let usage = app_total.into_iter().map(|(app, (quota, u))| AppCacheUsage {
+                app,
+                quota,
+                resident: u.resident,
+                hit_ratio: ratio(u.hits, u.hits + u.misses),
+                hits: u.hits,
+                misses: u.misses,
+                evictions: u.evictions,
+            });
+            usage.collect()
         }),
         shard_usage: shard_total,
         module: module_total,

@@ -15,7 +15,11 @@ pub enum PartitionMode {
     /// Hard caps: an application at its quota must evict one of its own
     /// frames to insert a new one, and is denied the insert when it cannot
     /// (all of its frames pinned or dirty during a clean-only pass). No
-    /// application's residency ever exceeds its quota.
+    /// application's residency exceeds its quota: when the quota tuner
+    /// shrinks one, the app's clean frames are evicted down to it with
+    /// the move, and a frame dirty or in flight then is evicted as soon as
+    /// it is clean again (write-back acknowledged, or overwritten by a
+    /// sync-write).
     Strict,
     /// Caps with borrowing: an application at its quota may still grow by
     /// taking *free* frames (idle capacity, e.g. an inactive co-tenant's

@@ -154,11 +154,24 @@ impl QuotaLedger {
         self.with(app, |a| a.charged = a.charged.saturating_sub(1));
     }
 
+    /// Does `app` hold more frames here than its slice?
+    fn over_slice(&self, app: AppId) -> bool {
+        self.with(app, |a| a.charged > a.slice).unwrap_or(false)
+    }
+
+    /// The apps holding more frames here than their slice, ascending by id.
+    fn over_quota(&self) -> Vec<AppId> {
+        let accounts = lock_leaf(&self.accounts, &self.waits);
+        (self.apps.iter().zip(accounts.iter()))
+            .filter(|(_, a)| a.charged > a.slice)
+            .map(|(&id, _)| AppId(id))
+            .collect()
+    }
+
     /// The app holding the most frames beyond its slice; ties break toward
-    /// the higher app id. The harvester's victim preference in any mode:
-    /// after a quota move the app whose quota just shrank is over it and
-    /// becomes the preferred reclaim source, which is exactly how tuner
-    /// decisions take physical effect.
+    /// the higher app id. The harvester's victim preference in any mode: a
+    /// soft-mode borrower, or a strict app still holding frames that were
+    /// dirty when a quota move shrank its slice.
     pub(super) fn most_over_quota(&self) -> Option<AppId> {
         if self.apps.is_empty() {
             return None;
@@ -275,6 +288,21 @@ impl Shard {
                     }
                 }
             }
+        }
+    }
+
+    /// Strict quotas: evict the clean frames of every app over its slice
+    /// here until it is back within it. Run after a quota move shrinks a
+    /// slice and whenever a frame turns clean (write-back acknowledged,
+    /// dirty span overwritten by a sync-write): the only frames an app can
+    /// hold beyond a strict quota are ones that were dirty or in flight
+    /// when its quota shrank, and each leaves as soon as it can be dropped.
+    pub(super) fn shed_over_quota(&self) {
+        if self.ledger.mode != PartitionMode::Strict {
+            return;
+        }
+        for app in self.ledger.over_quota() {
+            while self.ledger.over_slice(app) && self.reclaim(Some(app)) {}
         }
     }
 }

@@ -225,8 +225,10 @@ impl BufferManager {
     /// new total would erase a unit in flight). Takes before gives, the
     /// loser's global quota lowered before the winner's is raised: no sum
     /// — an app's slices against its global quota, the global quotas
-    /// against the configured total — is ever exceeded.
-    fn apply_quota_move(&self, mv: &QuotaMove) {
+    /// against the configured total — is ever exceeded. Under strict
+    /// quotas each shard then evicts the loser's clean frames down to its
+    /// new slice ([`Shard::shed_over_quota`]).
+    pub(super) fn apply_quota_move(&self, mv: &QuotaMove) {
         let shares = split_units(mv.frames, self.shards.len());
         let mut owed = 0;
         for (s, share) in self.shards.iter().zip(&shares) {
@@ -246,6 +248,7 @@ impl BufferManager {
         self.quotas.set(mv.winner, mv.winner_quota);
         for (s, &share) in self.shards.iter().zip(&shares) {
             s.ledger.give(mv.winner, share);
+            s.shed_over_quota();
         }
     }
 

@@ -6,6 +6,7 @@ use super::shard::{lock_leaf, LockWaits, Shard};
 use super::FlushItem;
 use crate::block::{BlockKey, Span};
 use kcache_obs::CacheLine;
+use kcache_policy::AppId;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
 
@@ -77,24 +78,31 @@ impl Shard {
     /// the flight, in which case the merged span stays queued for the next
     /// flush round.
     pub(super) fn flush_complete(&self, key: BlockKey, span: Span) {
-        let b = self.bucket(&key);
-        let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
-            return; // invalidated or evicted during the flight
+        let cleaned = {
+            let b = self.bucket(&key);
+            let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
+                return; // invalidated or evicted during the flight
+            };
+            let mut f = self.frame(idx);
+            if f.key() != Some(key) {
+                return;
+            }
+            f.flushing = false;
+            // No writes landed during the flight: clean. Otherwise the
+            // (merged) dirty span is already queued for re-flush.
+            let cleaned = !f.in_dirty_list && f.dirty == span;
+            if cleaned {
+                f.dirty = Span::EMPTY;
+            }
+            // Unpinned while the frame is still held: once it is let go,
+            // the frame may be evicted and refilled, and a later unpin
+            // would clear its next tenant's pin.
+            self.words.set_pinned(idx, false);
+            cleaned
         };
-        let mut f = self.frame(idx);
-        if f.key() != Some(key) {
-            return;
+        if cleaned {
+            self.shed_over_quota();
         }
-        f.flushing = false;
-        if !f.in_dirty_list && f.dirty == span {
-            // No writes landed during the flight: clean.
-            f.dirty = Span::EMPTY;
-        }
-        // Otherwise the (merged) dirty span is already queued for
-        // re-flush. Unpinned while the frame is still held: once it is
-        // let go, the frame may be evicted and refilled, and a later
-        // unpin would clear its next tenant's pin.
-        self.words.set_pinned(idx, false);
     }
 
     /// Drop cached copies of the listed blocks (sync-write coherence).
@@ -156,25 +164,26 @@ impl Shard {
             if free >= self.high_watermark {
                 break;
             }
-            let evicted = (self.ledger.most_over_quota())
-                .and_then(|borrower| self.evict_one_owned(false, Some(borrower)))
-                .or_else(|| self.evict_one_owned(false, None));
-            match evicted {
-                Some((idx, victim)) => {
-                    debug_assert!(victim.flush.is_none());
-                    // No install to carry it to: settled at once.
-                    let owner = self.settle_eviction(idx, &victim);
-                    self.ledger.uncharge(owner);
-                    self.push_free(idx);
-                }
-                None => {
-                    // Only dirty frames left: flush a batch and stop; the
-                    // flusher acknowledgments make them evictable later.
-                    flush.extend(self.take_dirty(self.high_watermark - free));
-                    break;
-                }
+            let borrower = self.ledger.most_over_quota();
+            if !(borrower.is_some_and(|b| self.reclaim(Some(b))) || self.reclaim(None)) {
+                // Only dirty frames left: flush a batch and stop; the
+                // flusher acknowledgments make them evictable later.
+                flush.extend(self.take_dirty(self.high_watermark - free));
+                break;
             }
         }
         flush
+    }
+
+    /// Evict one clean frame — `owner`'s, or anyone's — to the free list;
+    /// with no install to carry the eviction to, it is settled at once.
+    /// Returns whether a frame was freed.
+    pub(super) fn reclaim(&self, owner: Option<AppId>) -> bool {
+        let Some((idx, victim)) = self.evict_one_owned(false, owner) else { return false };
+        debug_assert!(victim.flush.is_none());
+        let owner = self.settle_eviction(idx, &victim);
+        self.ledger.uncharge(owner);
+        self.push_free(idx);
+        true
     }
 }

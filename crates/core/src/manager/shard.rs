@@ -672,7 +672,7 @@ impl Shard {
         span: Span,
         content: impl Incoming,
     ) -> bool {
-        let idx = {
+        let (idx, cleaned) = {
             let b = self.bucket(&key);
             let Some(&(_, idx)) = b.iter().find(|(k, _)| *k == key) else {
                 return false;
@@ -682,13 +682,17 @@ impl Shard {
                 return false;
             }
             content.merge(&mut f, span);
+            let cleaned = f.is_dirty() && span.covers(f.dirty);
             if span.covers(f.dirty) {
                 f.dirty = Span::EMPTY;
                 f.in_dirty_list = false;
             }
-            idx
+            (idx, cleaned)
         };
         self.note_touch(idx, key, AppId::UNKNOWN);
+        if cleaned {
+            self.shed_over_quota();
+        }
         true
     }
 

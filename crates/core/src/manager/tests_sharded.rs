@@ -26,10 +26,13 @@ fn concurrent_stress_accounting_and_quotas_hold() {
             );
             let threads = 8u64;
             let lookups = AtomicU64::new(0);
+            // Urgent flushes the harvests hand out, acknowledged only after
+            // the run: their frames stay in flight (unevictable) till then.
+            let urgent = std::sync::Mutex::new(Vec::new());
             std::thread::scope(|s| {
                 for t in 0..threads {
                     let m = Arc::clone(&m);
-                    let lookups = &lookups;
+                    let (lookups, urgent) = (&lookups, &urgent);
                     s.spawn(move || {
                         let mut buf = vec![0u8; 4096];
                         for i in 0..3000u64 {
@@ -56,7 +59,7 @@ fn concurrent_stress_accounting_and_quotas_hold() {
                                             m.flush_complete(it.key, it.span);
                                         }
                                     } else if i % 160 == 15 {
-                                        let _ = m.harvest();
+                                        urgent.lock().unwrap().extend(m.harvest());
                                     } else {
                                         let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
                                         lookups.fetch_add(1, Ordering::Relaxed);
@@ -83,22 +86,34 @@ fn concurrent_stress_accounting_and_quotas_hold() {
             assert_eq!(s.hits + s.misses, n, "{label}: manager hit+miss != lookups");
             let ps = m.policy_stats();
             assert_eq!(ps.hits + ps.misses, n, "{label}: policy hit+miss != lookups");
-            // Strict quotas: enforcement is exact single-threaded; under
-            // concurrency a candidate that changes hands between the
+            // Strict quotas, against the quota the tuner left each app. A
+            // shrink evicts the loser's clean frames at once and each dirty
+            // or in-flight one when it turns clean, so every write-back is
+            // acknowledged first. Enforcement is exact single-threaded;
+            // under concurrency a candidate that changes hands between the
             // owner-filtered scan and revalidation can offset one
-            // acquisition transiently (pre-existing, documented), so
-            // the bound carries a per-thread slack. A tuner shrink evicts
-            // nothing, so an app may still hold the frames the tuner took
-            // from it: the bound is the largest quota the app has held.
+            // acquisition transiently (pre-existing, documented), so the
+            // bound carries a per-thread slack.
             if part.mode == PartitionMode::Strict {
-                let moves = m.adaptive_stats().map(|a| a.quota_log).unwrap_or_default();
+                if adaptive.is_some() {
+                    let moves = m.adaptive_stats().map_or(0, |a| a.quota_moves);
+                    assert!(moves > 0, "{label}: the tuner runs under strict quotas");
+                }
+                for it in urgent.into_inner().unwrap() {
+                    m.flush_complete(it.key, it.span);
+                }
+                loop {
+                    let items = m.take_dirty(64);
+                    if items.is_empty() {
+                        break;
+                    }
+                    items.iter().for_each(|it| m.flush_complete(it.key, it.span));
+                }
                 for app in [AppId(0), AppId(1)] {
                     let (r, q) = (m.resident_of(app), m.quota_of(app).unwrap());
-                    let taken: usize =
-                        moves.iter().filter(|mv| mv.from == app).map(|mv| mv.frames).sum();
                     assert!(
-                        r <= q + taken + threads as usize,
-                        "{label}: app {app:?} resident {r} way over quota {q} + {taken} taken"
+                        r <= q + threads as usize,
+                        "{label}: app {app:?} resident {r} way over quota {q}"
                     );
                 }
             }
@@ -337,6 +352,45 @@ fn quota_move_validator_rejects_every_bad_arm() {
     // A shared pool has no partitions to move quota between.
     let shared = BufferManager::builder(16).build();
     assert!(!shared.quota_move_valid(&mv(a, 3, b, 7)), "shared pool");
+}
+
+/// A strict quota shrink takes effect at once: the move evicts the
+/// loser's clean frames down to its new quota, and a frame dirty then
+/// goes when its write-back is acknowledged.
+#[test]
+fn a_strict_quota_shrink_evicts_the_loser_down_to_it() {
+    let m = BufferManager::builder(16)
+        .partitioning(crate::config::PartitionConfig::strict([(0, 8), (1, 8)]))
+        .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
+        .build();
+    let (winner, loser) = (AppId(0), AppId(1));
+    for b in 0..6 {
+        m.insert_clean_by(key(b), NodeId(0), Span::FULL, &full_block(1), loser);
+    }
+    for b in 6..8 {
+        m.write_by(key(b), NodeId(0), Span::FULL, &full_block(2), loser);
+    }
+    assert_eq!(m.resident_of(loser), 8);
+    m.apply_quota_move(&QuotaMove {
+        winner,
+        loser,
+        frames: 7,
+        winner_quota: 15,
+        loser_quota: 1,
+        winner_refaults: 1,
+        loser_refaults: 0,
+    });
+    assert_eq!(m.quota_of(loser), Some(1));
+    assert_eq!(m.resident_of(loser), 2, "only the two dirty frames stay");
+    assert_eq!(m.free_frames(), 14);
+    for it in m.take_dirty(8) {
+        m.flush_complete(it.key, it.span);
+    }
+    assert_eq!(m.resident_of(loser), 1, "acknowledged, the excess dirty frame goes");
+    for b in 8..23 {
+        m.insert_clean_by(key(b), NodeId(0), Span::FULL, &full_block(3), winner);
+    }
+    assert_eq!((m.resident_of(winner), m.resident_of(loser)), (15, 1));
 }
 
 /// 8-thread stress over a 4-shard manager with strict quotas: frames

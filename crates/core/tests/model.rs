@@ -26,6 +26,11 @@
 //!   `random_ops_match_the_model` fails ("2q/strict/clean_first=true/
 //!   shards=1: resident set diverged at step 270") — the tenant keeps paying
 //!   for a frame it no longer holds.
+//! * a strict quota move skips `shed_over_quota`: both
+//!   `tuner_moves_and_policy_switches_match_the_model` ("adaptive/tuned/
+//!   shards=1: resident set diverged at step 211") and
+//!   `random_ops_match_the_model` fail — the loser keeps the frames the
+//!   move took from it.
 //! * `file_insert` counts an eviction against the installing app instead
 //!   of the evicted block's owner: all three tests fail, the scripted one
 //!   with "clock/strict/shards=1: app usage".
@@ -423,11 +428,15 @@ impl Model {
             return false;
         };
         b.valid = b.valid.merge(span);
+        let cleaned = !b.dirty.is_empty() && span.covers(b.dirty);
         if span.covers(b.dirty) {
             b.dirty = Span::EMPTY;
             b.queued = false;
         }
         self.touch(key, AppId::UNKNOWN);
+        if cleaned {
+            self.shed();
+        }
         self.run_due_epochs();
         true
     }
@@ -459,10 +468,14 @@ impl Model {
     fn flush_complete(&mut self, key: BlockKey, span: Span) {
         let Some(b) = self.blocks.get_mut(&key) else { return };
         b.flushing = false;
-        if !b.queued && b.dirty == span {
+        let cleaned = !b.queued && b.dirty == span;
+        if cleaned {
             b.dirty = Span::EMPTY;
         }
         self.ranked.table().set_pinned(b.frame, false);
+        if cleaned {
+            self.shed();
+        }
     }
 
     fn invalidate(&mut self, key: BlockKey) {
@@ -492,6 +505,22 @@ impl Model {
         Vec::new()
     }
 
+    /// Strict quotas: each app over its quota, ascending, drops clean
+    /// frames until it is within it.
+    fn shed(&mut self) {
+        if self.cfg.partitioning.mode != PartitionMode::Strict {
+            return;
+        }
+        let over: Vec<u32> =
+            self.apps.iter().filter(|(_, &(q, c))| c > q).map(|(&id, _)| id).collect();
+        for id in over {
+            while self.apps[&id].1 > self.apps[&id].0 {
+                let Some((frame, _)) = self.evict(false, Some(AppId(id))) else { break };
+                self.free.push(frame);
+            }
+        }
+    }
+
     // -- epochs --------------------------------------------------------
 
     fn run_due_epochs(&mut self) {
@@ -518,6 +547,7 @@ impl Model {
             if let Some(mv) = mv {
                 self.apps.get_mut(&mv.winner.0).unwrap().0 = mv.winner_quota;
                 self.apps.get_mut(&mv.loser.0).unwrap().0 = mv.loser_quota;
+                self.shed();
             }
         }
     }
@@ -597,7 +627,8 @@ struct Pair {
     /// Snapshots taken and not yet acknowledged.
     in_flight: Vec<(BlockKey, Span)>,
     /// The most each app's quota has been (a tuner move leaves its loser
-    /// over quota until it evicts its way down).
+    /// over quota by the frames dirty or in flight then, until they are
+    /// acknowledged).
     peak_quota: BTreeMap<u32, usize>,
 }
 

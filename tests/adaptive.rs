@@ -124,9 +124,9 @@ fn adaptive_phase_shifting_run_is_coherent() {
 }
 
 /// Strict quotas stay enforced under the meta-policy: across switches and
-/// the tuner's quota moves, no app is resident past its effective quota
-/// plus the frames the tuner took from it (a shrink evicts nothing; the
-/// harvester and the app's own installs drain the excess).
+/// the tuner's quota moves, no app is resident past the quota it ends
+/// with (a shrink evicts the loser's clean frames at once; these readers
+/// dirty none).
 #[test]
 fn adaptive_switching_preserves_strict_quotas() {
     let mut a = reader("a", 0.0, 1.1);
@@ -150,10 +150,9 @@ fn adaptive_switching_preserves_strict_quotas() {
     assert!(!moves.is_empty(), "the tuner runs under strict quotas");
     for u in usage {
         assert!(u.quota > 0, "app {} lost its quota", u.app);
-        let taken: usize = moves.iter().filter(|m| m.from.0 == u.app).map(|m| m.frames).sum();
         assert!(
-            u.resident <= u.quota + taken as u64,
-            "app {}: residency {} exceeds strict quota {} plus the {taken} frames taken from it",
+            u.resident <= u.quota,
+            "app {}: residency {} exceeds strict quota {} under switching",
             u.app,
             u.resident,
             u.quota
