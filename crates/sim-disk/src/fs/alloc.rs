@@ -193,6 +193,85 @@ mod tests {
         assert_eq!(a.free_blocks(), 10);
     }
 
+    /// A volume of `capacity` blocks, all allocated but `free`.
+    fn volume_with_free(capacity: u64, free: &[Extent]) -> BlockAllocator {
+        let mut a = BlockAllocator::new(capacity);
+        a.allocate(capacity, 0).unwrap();
+        for &e in free {
+            a.free(e);
+        }
+        a
+    }
+
+    #[test]
+    fn a_free_run_straddling_the_hint_is_never_found_whole() {
+        // One free run, [20, 60): 40 blocks, enough for 30, but the search
+        // looks at [40, 100) and then [0, 40), each too short.
+        let mut a = volume_with_free(100, &[Extent { pblk: 20, blocks: 40 }]);
+        let e = a.allocate(30, 40).unwrap();
+        assert_eq!(e, vec![Extent { pblk: 40, blocks: 20 }, Extent { pblk: 20, blocks: 10 }]);
+        assert_eq!(a.free_blocks(), 10);
+        // Its part below the hint is found when it alone is long enough.
+        let mut a = volume_with_free(100, &[Extent { pblk: 30, blocks: 40 }]);
+        assert_eq!(a.allocate(25, 60).unwrap(), vec![Extent { pblk: 30, blocks: 25 }]);
+    }
+
+    #[test]
+    fn the_search_wraps_to_the_first_fit_below_the_hint() {
+        let free = [
+            Extent { pblk: 5, blocks: 4 },
+            Extent { pblk: 10, blocks: 20 },
+            Extent { pblk: 50, blocks: 5 },
+            Extent { pblk: 90, blocks: 8 },
+        ];
+        let mut a = volume_with_free(100, &free);
+        // Nothing in [50, 100) holds 10: the first fit in [0, 50) does.
+        assert_eq!(a.allocate(10, 50).unwrap(), vec![Extent { pblk: 10, blocks: 10 }]);
+        // At or after the hint first, even when an earlier run fits.
+        assert_eq!(a.allocate(3, 12).unwrap(), vec![Extent { pblk: 20, blocks: 3 }]);
+        // A hint past the end searches from the last block, then wraps.
+        assert_eq!(a.allocate(4, 1_000).unwrap(), vec![Extent { pblk: 5, blocks: 4 }]);
+        assert_eq!(a.allocate(8, 99).unwrap(), vec![Extent { pblk: 90, blocks: 8 }]);
+    }
+
+    #[test]
+    fn a_nearly_full_volume_fragments_upward_from_the_hint_then_wraps() {
+        let free = [
+            Extent { pblk: 3, blocks: 1 },
+            Extent { pblk: 10, blocks: 2 },
+            Extent { pblk: 40, blocks: 1 },
+            Extent { pblk: 62, blocks: 2 },
+        ];
+        let mut a = volume_with_free(64, &free);
+        let e = a.allocate(5, 41).unwrap();
+        assert_eq!(
+            e,
+            vec![
+                Extent { pblk: 62, blocks: 2 },
+                Extent { pblk: 3, blocks: 1 },
+                Extent { pblk: 10, blocks: 2 },
+            ]
+        );
+        assert_eq!(a.free_blocks(), 1);
+        assert!(!a.is_allocated(40) && a.is_allocated(3) && a.is_allocated(63));
+        // A hint inside a free run starts there; the blocks before it come
+        // last, after the wrap.
+        let mut a = volume_with_free(64, &free);
+        let e = a.allocate(6, 11).unwrap();
+        assert_eq!(
+            e,
+            vec![
+                Extent { pblk: 11, blocks: 1 },
+                Extent { pblk: 40, blocks: 1 },
+                Extent { pblk: 62, blocks: 2 },
+                Extent { pblk: 3, blocks: 1 },
+                Extent { pblk: 10, blocks: 1 },
+            ]
+        );
+        assert_eq!(a.free_blocks(), 0);
+        assert!(a.allocate(1, 0).is_none());
+    }
+
     #[test]
     fn fragmented_picks_coalesce() {
         let mut a = BlockAllocator::new(16);
