@@ -52,6 +52,9 @@ struct FrameDone;
 /// The interconnect. One instance per simulated cluster.
 pub struct Fabric {
     cfg: NetConfig,
+    /// Wire time of a frame carrying `cfg.frame_payload` bytes: every frame
+    /// of a message but its last.
+    full_frame_time: Dur,
     /// Hub mode: the single shared medium.
     medium: FifoResource,
     /// Switch mode: per-node transmit links.
@@ -86,6 +89,7 @@ impl Fabric {
             frame_due: vec![None; n],
             frames_started: 0,
             endpoints,
+            full_frame_time: cfg.frame_time(cfg.frame_payload),
             cfg,
             stats: FabricStats::default(),
         }
@@ -131,7 +135,11 @@ impl Fabric {
         let ob = self.nics[node].front_mut().expect("start_frame on empty NIC queue");
         let data = ob.remaining.min(self.cfg.frame_payload);
         ob.in_flight = data;
-        let ft = self.cfg.frame_time(data);
+        let ft = if data == self.cfg.frame_payload {
+            self.full_frame_time
+        } else {
+            self.cfg.frame_time(data)
+        };
         self.stats.frames += 1;
         self.stats.wire_bytes += (data + self.cfg.frame_overhead) as u64;
 
@@ -293,6 +301,14 @@ mod tests {
 
     fn msg(src: u16, dst: u16, bytes: u32, tag: u64) -> NetMessage {
         NetMessage::new((NodeId(src), Port(1)), (NodeId(dst), Port(2)), bytes, tag, ())
+    }
+
+    #[test]
+    fn a_full_frame_costs_what_the_config_says() {
+        for cfg in [NetConfig::hub_100mbps(), NetConfig::switch_100mbps()] {
+            let fabric = Fabric::new(cfg.clone(), vec![]);
+            assert_eq!(fabric.full_frame_time, cfg.frame_time(cfg.frame_payload));
+        }
     }
 
     #[test]
