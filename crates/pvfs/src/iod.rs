@@ -161,7 +161,7 @@ impl Iod {
         self.fs.stored_blocks()
     }
 
-    /// Nodes registered for a block in the directory, oldest first.
+    /// Nodes registered for a block in the directory, ascending.
     pub fn directory_sharers(&self, fid: Fid, block: u64) -> Vec<NodeId> {
         self.directory.sharers(fid, block)
     }

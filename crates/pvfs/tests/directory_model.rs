@@ -1,13 +1,14 @@
 //! `Directory` against an independent model: a plain
-//! `(fid, blk) → Vec<NodeId>` map. Random `register` runs and
+//! `(fid, blk) → BTreeSet<NodeId>` map. Random `register` runs and
 //! `take_others` calls over two files, blocks up to 10^5 and node ids up
-//! to 70 (a valid `cluster.nodes`) must agree with the model on every new
-//! entry count, every invalidation list and its order, and on `sharers`,
-//! including blocks past the end of what was ever registered.
+//! to 70 (a valid `cluster.nodes`, past a 64-bit mask) must agree with the
+//! model on every new entry count, every invalidation list and its order
+//! (ascending node id), and on `sharers`, including blocks past the end of
+//! what was ever registered.
 
 use pvfs::{Directory, Fid};
 use sim_net::NodeId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const FIDS: [Fid; 2] = [Fid(3), Fid(8)];
 const MAX_BLOCK: u64 = 100_000;
@@ -25,18 +26,14 @@ impl Rng {
 
 #[derive(Default)]
 struct Model {
-    entries: BTreeMap<(Fid, u64), Vec<NodeId>>,
+    entries: BTreeMap<(Fid, u64), BTreeSet<NodeId>>,
 }
 
 impl Model {
     fn register(&mut self, fid: Fid, blocks: &[u64], node: NodeId) -> u64 {
         let mut added = 0;
         for &b in blocks {
-            let entry = self.entries.entry((fid, b)).or_default();
-            if !entry.contains(&node) {
-                entry.push(node);
-                added += 1;
-            }
+            added += self.entries.entry((fid, b)).or_default().insert(node) as u64;
         }
         added
     }
@@ -51,7 +48,7 @@ impl Model {
     }
 
     fn sharers(&self, fid: Fid, blk: u64) -> Vec<NodeId> {
-        self.entries.get(&(fid, blk)).cloned().unwrap_or_default()
+        self.entries.get(&(fid, blk)).map_or_else(Vec::new, |e| e.iter().copied().collect())
     }
 }
 

@@ -1,14 +1,24 @@
-//! Bitmap block allocator for the local file system.
+//! Free-run block allocator for the local file system.
 //!
 //! First-fit with a per-call placement hint so a growing file stays mostly
 //! contiguous on disk — which is what gives the iod its sequential-transfer
 //! performance on streaming workloads.
+//!
+//! The free space is a sorted map of free runs, so the allocator's memory
+//! follows how fragmented the volume is, not its size, and a search costs
+//! O(runs). The disk's seek model reads the blocks it hands out, so where
+//! they land is part of every result: the first run of `n` free blocks in
+//! `[hint, capacity)`, else in `[0, hint)` — a free run that straddles the
+//! hint is searched as those two halves, never whole — and failing both,
+//! free blocks in ascending order from the hint, wrapping around.
 
 use crate::fs::Extent;
+use std::collections::BTreeMap;
 
 /// Allocates physical 4 KB blocks out of a fixed-size volume.
 pub struct BlockAllocator {
-    bitmap: Vec<u64>,
+    /// Free runs, first block → length; two runs never touch.
+    free: BTreeMap<u64, u64>,
     capacity: u64,
     free_count: u64,
 }
@@ -16,9 +26,8 @@ pub struct BlockAllocator {
 impl BlockAllocator {
     pub fn new(capacity_blocks: u64) -> BlockAllocator {
         assert!(capacity_blocks > 0);
-        let words = capacity_blocks.div_ceil(64) as usize;
         BlockAllocator {
-            bitmap: vec![0; words],
+            free: BTreeMap::from([(0, capacity_blocks)]),
             capacity: capacity_blocks,
             free_count: capacity_blocks,
         }
@@ -32,27 +41,24 @@ impl BlockAllocator {
         self.free_count
     }
 
-    #[inline]
-    fn is_set(&self, b: u64) -> bool {
-        self.bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0
-    }
-
-    #[inline]
-    fn set(&mut self, b: u64) {
-        debug_assert!(!self.is_set(b), "double allocation of block {}", b);
-        self.bitmap[(b / 64) as usize] |= 1 << (b % 64);
-        self.free_count -= 1;
-    }
-
-    #[inline]
-    fn clear(&mut self, b: u64) {
-        debug_assert!(self.is_set(b), "freeing unallocated block {}", b);
-        self.bitmap[(b / 64) as usize] &= !(1 << (b % 64));
-        self.free_count += 1;
+    /// The free run holding block `b`, as (first block, length).
+    fn run_holding(&self, b: u64) -> Option<(u64, u64)> {
+        let (&start, &len) = self.free.range(..=b).next_back()?;
+        (b < start + len).then_some((start, len))
     }
 
     pub fn is_allocated(&self, b: u64) -> bool {
-        b < self.capacity && self.is_set(b)
+        b < self.capacity && self.run_holding(b).is_none()
+    }
+
+    /// The free runs within `[lo, hi)` in ascending order, each cut to that
+    /// range, as (first block, length).
+    fn runs_within(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let from = self.run_holding(lo).map_or(lo, |(start, _)| start);
+        self.free.range(from..hi).map(move |(&start, &len)| {
+            let first = start.max(lo);
+            (first, (start + len).min(hi) - first)
+        })
     }
 
     /// Allocate `n` blocks, preferring a contiguous run starting at or after
@@ -65,65 +71,69 @@ impl BlockAllocator {
         if self.free_count < n {
             return None;
         }
-        if let Some(start) = self.find_contiguous(n, hint) {
-            for b in start..start + n {
-                self.set(b);
-            }
-            return Some(vec![Extent { pblk: start, blocks: n as u32 }]);
-        }
-        // Fragmented fallback: take free blocks in ascending order from the
-        // hint, wrapping around, coalescing adjacent picks.
-        let mut out: Vec<Extent> = Vec::new();
-        let mut remaining = n;
         let start = hint.min(self.capacity - 1);
-        let mut scanned = 0;
-        let mut b = start;
-        while remaining > 0 && scanned < self.capacity {
-            if !self.is_set(b) {
-                self.set(b);
-                remaining -= 1;
-                match out.last_mut() {
-                    Some(e) if e.pblk + e.blocks as u64 == b => e.blocks += 1,
-                    _ => out.push(Extent { pblk: b, blocks: 1 }),
+        // Free blocks from the hint to the end, then from 0 to the hint.
+        let runs = || self.runs_within(start, self.capacity).chain(self.runs_within(0, start));
+        let picks = match runs().find(|&(_, len)| len >= n) {
+            Some((first, _)) => vec![Extent { pblk: first, blocks: n as u32 }],
+            // Fragmented fallback: free blocks in that order until `n`.
+            // No pick starts where the one before it ends, so none merge:
+            // runs never touch, and the run holding the hint comes first
+            // from the hint up and last below it.
+            None => {
+                let mut remaining = n;
+                let mut picks = Vec::new();
+                for (first, len) in runs() {
+                    let take = len.min(remaining);
+                    picks.push(Extent { pblk: first, blocks: take as u32 });
+                    remaining -= take;
+                    if remaining == 0 {
+                        break;
+                    }
                 }
+                debug_assert_eq!(remaining, 0, "free_count said enough blocks existed");
+                picks
             }
-            b = (b + 1) % self.capacity;
-            scanned += 1;
+        };
+        for e in &picks {
+            self.take(*e);
         }
-        debug_assert_eq!(remaining, 0, "free_count said enough blocks existed");
-        Some(out)
+        Some(picks)
     }
 
-    fn find_contiguous(&self, n: u64, hint: u64) -> Option<u64> {
-        let start = hint.min(self.capacity.saturating_sub(1));
-        // Scan [hint, end), then [0, hint).
-        self.scan_range(start, self.capacity, n).or_else(|| self.scan_range(0, start, n))
-    }
-
-    fn scan_range(&self, lo: u64, hi: u64, n: u64) -> Option<u64> {
-        let mut run_start = lo;
-        let mut run_len = 0;
-        let mut b = lo;
-        while b < hi {
-            if self.is_set(b) {
-                run_len = 0;
-                run_start = b + 1;
-            } else {
-                run_len += 1;
-                if run_len == n {
-                    return Some(run_start);
-                }
-            }
-            b += 1;
+    /// Mark the free blocks of `e`, all in one run, allocated.
+    fn take(&mut self, e: Extent) {
+        let (start, len) = self.run_holding(e.pblk).expect("allocating a free run");
+        let (end, e_end) = (start + len, e.pblk + e.blocks as u64);
+        debug_assert!(e_end <= end, "double allocation in {e:?}");
+        self.free.remove(&start);
+        if start < e.pblk {
+            self.free.insert(start, e.pblk - start);
         }
-        None
+        if e_end < end {
+            self.free.insert(e_end, end - e_end);
+        }
+        self.free_count -= e.blocks as u64;
     }
 
     /// Free a previously allocated extent.
     pub fn free(&mut self, e: Extent) {
-        for b in e.pblk..e.pblk + e.blocks as u64 {
-            self.clear(b);
+        let (mut start, mut end) = (e.pblk, e.pblk + e.blocks as u64);
+        debug_assert!(
+            end <= self.capacity && self.runs_within(start, end).next().is_none(),
+            "freeing unallocated blocks in {e:?}"
+        );
+        if let Some((before, len)) = self.free.range(..start).next_back().map(|(&s, &l)| (s, l)) {
+            if before + len == start {
+                self.free.remove(&before);
+                start = before;
+            }
         }
+        if let Some(len) = self.free.remove(&end) {
+            end += len;
+        }
+        self.free.insert(start, end - start);
+        self.free_count += e.blocks as u64;
     }
 }
 

@@ -6,9 +6,10 @@
 //! in the background (kupdate-style).
 //!
 //! Exact LRU over physical 4 KB blocks, O(1) per operation via an intrusive
-//! doubly-linked list on a slab. A page is found through a table indexed by
-//! physical block: an iod's fs allocates first-fit from block 0, so the
-//! blocks it caches are dense.
+//! doubly-linked list on a slab. The slab grows with the pages resident, up
+//! to the capacity, so a cache that never fills never pays for its bound. A
+//! page is found through a table indexed by physical block: an iod's fs
+//! allocates first-fit from block 0, so the blocks it caches are dense.
 
 const NIL: u32 = u32::MAX;
 
@@ -57,7 +58,7 @@ pub struct PageCache {
     /// highest block inserted.
     index: Vec<u32>,
     /// Every slot holds a resident page: a victim's slot takes the page
-    /// that displaced it.
+    /// that displaced it. Grown by doubling, never past `capacity`.
     slab: Vec<Entry>,
     head: u32, // MRU
     tail: u32, // LRU
@@ -72,7 +73,7 @@ impl PageCache {
         PageCache {
             capacity: capacity_pages,
             index: Vec::new(),
-            slab: Vec::with_capacity(capacity_pages),
+            slab: Vec::new(),
             head: NIL,
             tail: NIL,
             dirty_count: 0,
@@ -177,6 +178,10 @@ impl PageCache {
             self.slab[idx] = entry;
             (idx, Some(victim))
         } else {
+            if self.slab.len() == self.slab.capacity() {
+                let room = self.capacity - self.slab.len();
+                self.slab.reserve_exact(self.slab.len().max(16).min(room));
+            }
             self.slab.push(entry);
             (self.slab.len() - 1, None)
         };
@@ -358,6 +363,19 @@ mod tests {
         pc.lookup(2);
         pc.lookup(1);
         assert_eq!(pc.lru_order(), vec![3, 2, 1]);
+    }
+
+    #[test]
+    fn the_slab_grows_with_resident_pages_up_to_the_capacity() {
+        let mut pc = PageCache::new(100);
+        assert_eq!(pc.slab.capacity(), 0, "an empty cache reserves nothing");
+        pc.insert(0, false);
+        assert_eq!(pc.slab.capacity(), 16);
+        for p in 1..1000 {
+            pc.insert(p, false);
+            assert!(pc.slab.capacity() <= 100 && pc.slab.capacity() < 2 * pc.len().max(16));
+        }
+        assert_eq!(pc.slab.capacity(), 100);
     }
 
     #[test]
