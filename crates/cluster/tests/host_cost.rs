@@ -13,7 +13,8 @@
 //!
 //! The toolchain is pinned (`rust-toolchain.toml`) and every run is
 //! deterministic per seed, so the counts are exact: they are identical
-//! across runs and across `--test-threads`. One-time costs are paid before
+//! across runs, across `--test-threads` and between the debug and release
+//! builds. One-time costs are paid before
 //! counting: every row runs once in the process, and each counted run
 //! follows an uncounted run of the same config on the same thread (first
 //! use of a thread-local, a lazily built table).
@@ -58,6 +59,10 @@ fn note_free(size: usize) {
     let _ = LIVE.try_with(|live| live.set(live.get() - size as i64));
 }
 
+// SAFETY: every method forwards its caller's arguments unchanged to
+// `System`, so `System`'s contract is the caller's. The counting only
+// touches thread-local `Cell`s with const initialisers, which neither
+// allocate nor register a destructor.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size(), 0);
@@ -84,7 +89,6 @@ unsafe impl GlobalAlloc for Counting {
 static COUNTING: Counting = Counting;
 
 /// This thread's counts since the last [`reset`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Counts {
     allocs: u64,
     bytes: u64,
