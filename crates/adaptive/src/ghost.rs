@@ -153,10 +153,9 @@ impl GhostCache {
         }
     }
 
-    /// Raw `(hits, accesses)` over the current epoch — the mergeable form
-    /// of [`epoch_rate`](Self::epoch_rate): the manager sums these across
-    /// its shards before comparing candidates, so a busy shard's evidence
-    /// outweighs an idle one's instead of averaging away.
+    /// Raw `(hits, accesses)` over the current epoch — the counts behind
+    /// [`epoch_rate`](Self::epoch_rate), which the epoch observation
+    /// carries to the switch rule.
     pub fn epoch_counts(&self) -> (u64, u64) {
         (self.epoch_hits, self.epoch_hits + self.epoch_misses)
     }

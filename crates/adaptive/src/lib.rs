@@ -31,8 +31,7 @@
 //!
 //! The evidence state only *observes* and *applies*; the decision in
 //! between is the free function [`decide_epoch`], which the buffer manager
-//! calls once per epoch boundary over the observations of all its shards
-//! merged.
+//! calls once per epoch boundary over the observation of its one shard.
 //!
 //! With a single candidate the live cache behaves exactly like the static
 //! policy: the ghosts observe but never influence, the controller has
@@ -137,11 +136,10 @@ pub fn decide_quota_move(
 
 /// One epoch's decision, composed here and nowhere else: the switch rule
 /// over the ghost ledgers and the quota transfer rule over the refault
-/// evidence, both read from `obs` (one policy's observation, or several
-/// shards' merged). `quotas` is the current effective quota of every
-/// partitioned app over a pool of `capacity` frames (empty for a shared
-/// pool: nothing to tune). The directive goes
-/// back into every observed shard through
+/// evidence, both read from `obs`, the policy's observation. `quotas` is
+/// the current effective quota of every partitioned app over a pool of
+/// `capacity` frames (empty for a shared pool: nothing to tune). The
+/// directive goes back into the observed policy through
 /// [`AdaptivePolicy::epoch_apply`]; the [`QuotaMove`], when one is
 /// proposed, is for the caller's charge ledger to validate and apply (and
 /// to strip from the directive if it refuses).
@@ -311,11 +309,9 @@ impl AdaptivePolicy {
 
     /// Export what was observed over the closing epoch *without* taking
     /// any decision: ghost hit/access counts per candidate and the
-    /// per-application refault evidence. The manager collects one
-    /// observation per shard, merges the ledgers, decides once globally
-    /// ([`decide_epoch`]), and pushes the verdict back through
-    /// [`epoch_apply`](Self::epoch_apply) — so every shard switches (or
-    /// stays) in lockstep.
+    /// per-application refault evidence. The manager decides over it
+    /// ([`decide_epoch`]) and pushes the verdict back through
+    /// [`epoch_apply`](Self::epoch_apply).
     pub fn epoch_observe(&self) -> EpochObservation {
         EpochObservation {
             live: self.live(),

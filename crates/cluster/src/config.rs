@@ -79,8 +79,10 @@ pub struct ClusterCfg {
     /// Frame-quota mode: "shared" (default), "strict", or "soft".
     pub partitioning: String,
     /// Buffer-manager shards per node (1 = the paper's single pool;
-    /// defaulted so pre-sharding configs parse unchanged). Capacity,
-    /// watermarks and quotas split across shards; blocks route by hash.
+    /// defaulted so pre-sharding configs parse unchanged). Capacity and
+    /// watermarks split across shards; blocks route by hash. More than one
+    /// is a plain pool: quotas or `policy = "adaptive"` with it are an
+    /// error.
     pub shards: usize,
     /// Meta-policy knobs (only consulted when `policy` is `"adaptive"`,
     /// except `epoch_accesses`, which also drives `SharingAware` referent
@@ -290,6 +292,19 @@ impl ExperimentConfig {
             if shards > blocks {
                 return Err(format!(
                     "cluster.shards is {shards}, more than cluster.cache_blocks ({blocks})"
+                ));
+            }
+            // More than one shard is a plain pool: no quotas, a static policy.
+            if shards > 1 && partitioning.is_partitioned() {
+                return Err(format!(
+                    "cluster.shards is {shards}: cluster.partitioning {:?} with quotas needs one \
+                     shard",
+                    self.cluster.partitioning
+                ));
+            }
+            if shards > 1 && adaptive.is_some() {
+                return Err(format!(
+                    "cluster.shards is {shards}: cluster.policy \"adaptive\" needs one shard"
                 ));
             }
             partitioning.validate(blocks).map_err(|e| format!("apps[].quota_blocks: {e}"))?;

@@ -163,10 +163,11 @@ pub struct CacheConfig {
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
     /// Independent buffer-manager shards the frame pool is split into
-    /// (capacity, watermarks and quotas divide across them; blocks route
-    /// by key hash). `1` — the default and the paper's behavior — is the
+    /// (capacity and watermarks divide across them; blocks route by key
+    /// hash). `1` — the default and the paper's behavior — is the
     /// single-pool manager; higher values remove cross-core lock sharing
-    /// at the cost of per-shard (rather than global) eviction ordering.
+    /// at the cost of per-shard (rather than global) eviction ordering,
+    /// and run only a shared pool under a static policy.
     pub shards: usize,
 }
 

@@ -1,15 +1,11 @@
-//! Quota accounting and admission: the per-shard [`QuotaLedger`], the
-//! facade's [`GlobalQuotas`], frame acquisition under a quota, and the
-//! strict-quota spill between shards.
+//! Quota accounting and admission: the [`QuotaLedger`] and frame
+//! acquisition under a quota.
 
-use super::facade::BufferManager;
 use super::shard::{lock_leaf, LockWaits, Shard, Victim};
-use crate::block::BlockKey;
 use crate::config::{PartitionConfig, PartitionMode};
 use kcache_obs::CacheLine;
 use kcache_policy::AppId;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of the quota gate for one frame acquisition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,32 +19,25 @@ enum Admission {
     OverQuota,
 }
 
-/// The `(app, quota)` pairs `plan` enforces, ascending by app: none in a
-/// shared pool, whatever it lists.
-fn enforced(plan: &PartitionConfig) -> impl Iterator<Item = (u32, usize)> + '_ {
-    let partitioned = plan.mode != PartitionMode::Shared;
-    plan.quotas.iter().filter(move |_| partitioned).map(|(&id, &q)| (id, q))
-}
-
-/// One configured app's standing on one shard.
+/// One configured app's standing.
 #[derive(Clone, Copy)]
 struct Account {
-    /// This shard's share of the app's global quota.
-    slice: usize,
+    /// The app's quota: the configured one until the tuner moves it.
+    quota: usize,
     /// Frames charged: resident frames plus acquisitions in flight
     /// (charged before install, uncharged on evict or abort).
     charged: usize,
 }
 
-/// One shard's quota state: every configured app's `{slice, charged}`
-/// under the one `charges` leaf lock, seeded from the configuration. Every
-/// check-then-update below is one hold, so a grant can never race a lend
-/// or a tuner move into leaving the shard over a just-shrunk slice. The
-/// quota is exact in the single-threaded simulation; under concurrent
-/// direct-API use, a candidate that changes hands between the
-/// owner-filtered `next_candidate` and its revalidation can offset an
-/// app's count by one transiently (the same benign-race class as the
-/// candidate/pin revalidation).
+/// The quota state: every configured app's `{quota, charged}` under the
+/// one `charges` leaf lock, seeded from the configuration. Every
+/// check-then-update below is one hold, so a grant can never race a tuner
+/// move into leaving the app over a just-shrunk quota. The quota is exact
+/// in the single-threaded simulation; under concurrent direct-API use, a
+/// candidate that changes hands between the owner-filtered
+/// `next_candidate` and its revalidation can offset an app's count by one
+/// transiently (the same benign-race class as the candidate/pin
+/// revalidation).
 pub(super) struct QuotaLedger {
     mode: PartitionMode,
     /// The configured apps, ascending; fixed at build, so whether quota
@@ -61,19 +50,15 @@ pub(super) struct QuotaLedger {
 }
 
 impl QuotaLedger {
-    /// The ledger of one shard: of each quota in `plan`, this shard's
-    /// `share`. A slice may legitimately be 0 for small quotas — strict
-    /// admission then denies on this shard until the spill lends it a unit.
-    pub(super) fn new(
-        plan: &PartitionConfig,
-        share: impl Fn(usize) -> usize,
-        waits: Option<LockWaits>,
-    ) -> QuotaLedger {
+    /// The ledger of the quotas `plan` enforces: none in a shared pool,
+    /// whatever it lists.
+    pub(super) fn new(plan: &PartitionConfig, waits: Option<LockWaits>) -> QuotaLedger {
+        let enforced = plan.quotas.iter().filter(|_| plan.mode != PartitionMode::Shared);
         QuotaLedger {
             mode: plan.mode,
-            apps: enforced(plan).map(|(id, _)| id).collect(),
+            apps: enforced.clone().map(|(&id, _)| id).collect(),
             accounts: CacheLine(Mutex::new(
-                enforced(plan).map(|(_, q)| Account { slice: share(q), charged: 0 }).collect(),
+                enforced.map(|(_, &quota)| Account { quota, charged: 0 }).collect(),
             )),
             waits,
         }
@@ -87,11 +72,11 @@ impl QuotaLedger {
         Some(f(&mut lock_leaf(&self.accounts, &self.waits)[i]))
     }
 
-    /// Quota gate: charge one frame to `app` if it is under its slice.
+    /// Quota gate: charge one frame to `app` if it is under its quota.
     #[inline]
     fn admit(&self, app: AppId) -> Admission {
         self.with(app, |a| {
-            if a.charged < a.slice {
+            if a.charged < a.quota {
                 a.charged += 1;
                 Admission::Granted
             } else {
@@ -101,43 +86,32 @@ impl QuotaLedger {
         .unwrap_or(Admission::Unlimited)
     }
 
-    /// Is `app` at (or over) its slice here — is an install about to be
-    /// denied, so that the spill should borrow a unit from a sibling first?
-    fn at_quota(&self, app: AppId) -> bool {
-        self.with(app, |a| a.charged >= a.slice).unwrap_or(false)
+    /// `app`'s quota (`None`: no quota applies).
+    pub(super) fn quota_of(&self, app: AppId) -> Option<usize> {
+        self.with(app, |a| a.quota)
     }
 
-    /// Give up one unused unit of `app`'s slice (the spill's lender side):
-    /// succeeds only while the charge is strictly below the slice, so the
-    /// unit being moved is provably idle here.
-    fn lend_unit(&self, app: AppId) -> bool {
-        self.with(app, |a| {
-            let idle = a.charged < a.slice;
-            a.slice -= usize::from(idle);
-            idle
-        })
-        .unwrap_or(false)
+    /// Every app's quota, ascending by app id.
+    pub(super) fn quotas(&self) -> Vec<(AppId, usize)> {
+        let accounts = lock_leaf(&self.accounts, &self.waits);
+        (self.apps.iter().zip(accounts.iter())).map(|(&id, a)| (AppId(id), a.quota)).collect()
     }
 
-    /// Shrink `app`'s slice by up to `frames`, never below zero; returns
-    /// what was taken.
-    pub(super) fn take(&self, app: AppId, frames: usize) -> usize {
-        self.with(app, |a| {
-            let taken = frames.min(a.slice);
-            a.slice -= taken;
-            taken
-        })
-        .unwrap_or(0)
-    }
-
-    /// Grow `app`'s slice by `frames` that were taken elsewhere first.
-    pub(super) fn give(&self, app: AppId, frames: usize) {
-        self.with(app, |a| a.slice += frames);
-    }
-
-    /// `app`'s slice on this shard (`None`: no quota applies).
-    pub(super) fn slice_of(&self, app: AppId) -> Option<usize> {
-        self.with(app, |a| a.slice)
+    /// Move `frames` of quota from `loser` to `winner` in one hold, so no
+    /// reader sees the quotas sum to anything but what was configured.
+    /// The caller has validated the move: both apps have quotas, and the
+    /// loser keeps at least one frame.
+    pub(super) fn move_quota(&self, loser: AppId, winner: AppId, frames: usize) {
+        let position = |app: AppId| {
+            self.apps
+                .iter()
+                .position(|&id| id == app.0)
+                .expect("a validated move names quota'd apps")
+        };
+        let (l, w) = (position(loser), position(winner));
+        let mut accounts = lock_leaf(&self.accounts, &self.waits);
+        accounts[l].quota -= frames;
+        accounts[w].quota += frames;
     }
 
     /// Charge one frame to `app` bypassing the quota check (soft-mode
@@ -154,64 +128,34 @@ impl QuotaLedger {
         self.with(app, |a| a.charged = a.charged.saturating_sub(1));
     }
 
-    /// Does `app` hold more frames here than its slice?
-    fn over_slice(&self, app: AppId) -> bool {
-        self.with(app, |a| a.charged > a.slice).unwrap_or(false)
+    /// Does `app` hold more frames than its quota?
+    fn holds_over_quota(&self, app: AppId) -> bool {
+        self.with(app, |a| a.charged > a.quota).unwrap_or(false)
     }
 
-    /// The apps holding more frames here than their slice, ascending by id.
+    /// The apps holding more frames than their quota, ascending by id.
     fn over_quota(&self) -> Vec<AppId> {
         let accounts = lock_leaf(&self.accounts, &self.waits);
         (self.apps.iter().zip(accounts.iter()))
-            .filter(|(_, a)| a.charged > a.slice)
+            .filter(|(_, a)| a.charged > a.quota)
             .map(|(&id, _)| AppId(id))
             .collect()
     }
 
-    /// The app holding the most frames beyond its slice; ties break toward
+    /// The app holding the most frames beyond its quota; ties break toward
     /// the higher app id. The harvester's victim preference in any mode: a
     /// soft-mode borrower, or a strict app still holding frames that were
-    /// dirty when a quota move shrank its slice.
+    /// dirty when a quota move shrank its quota.
     pub(super) fn most_over_quota(&self) -> Option<AppId> {
         if self.apps.is_empty() {
             return None;
         }
         let accounts = lock_leaf(&self.accounts, &self.waits);
         (self.apps.iter().zip(accounts.iter()))
-            .filter(|(_, a)| a.charged > a.slice)
-            .map(|(&id, a)| (a.charged - a.slice, id))
+            .filter(|(_, a)| a.charged > a.quota)
+            .map(|(&id, a)| (a.charged - a.quota, id))
             .max()
             .map(|(_, id)| AppId(id))
-    }
-}
-
-/// Every partitioned app's **global** quota, at the facade: seeded from
-/// the configuration, written only by the epoch boundary (under its gate),
-/// read lock-free. This — not a sum of slices, which a spill or a move in
-/// progress may have in flight — is what `quota_of`, the tuner's decision
-/// and the quota-move validator measure against.
-pub(super) struct GlobalQuotas(Box<[(u32, AtomicUsize)]>);
-
-impl GlobalQuotas {
-    pub(super) fn new(plan: &PartitionConfig) -> GlobalQuotas {
-        GlobalQuotas(enforced(plan).map(|(id, q)| (id, AtomicUsize::new(q))).collect())
-    }
-
-    pub(super) fn get(&self, app: AppId) -> Option<usize> {
-        let (_, q) = self.0.iter().find(|(id, _)| *id == app.0)?;
-        Some(q.load(Ordering::Relaxed))
-    }
-
-    /// Every app's quota, ascending by app id.
-    pub(super) fn all(&self) -> Vec<(AppId, usize)> {
-        self.0.iter().map(|(id, q)| (AppId(*id), q.load(Ordering::Relaxed))).collect()
-    }
-
-    /// Epoch boundary only. A quota publishes no other data: `Relaxed`.
-    pub(super) fn set(&self, app: AppId, quota: usize) {
-        if let Some((_, q)) = self.0.iter().find(|(id, _)| *id == app.0) {
-            q.store(quota, Ordering::Relaxed);
-        }
     }
 }
 
@@ -291,9 +235,9 @@ impl Shard {
         }
     }
 
-    /// Strict quotas: evict the clean frames of every app over its slice
-    /// here until it is back within it. Run after a quota move shrinks a
-    /// slice and whenever a frame turns clean (write-back acknowledged,
+    /// Strict quotas: evict the clean frames of every app over its quota
+    /// until it is back within it. Run after a quota move shrinks a
+    /// quota and whenever a frame turns clean (write-back acknowledged,
     /// dirty span overwritten by a sync-write): the only frames an app can
     /// hold beyond a strict quota are ones that were dirty or in flight
     /// when its quota shrank, and each leaves as soon as it can be dropped.
@@ -302,32 +246,7 @@ impl Shard {
             return;
         }
         for app in self.ledger.over_quota() {
-            while self.ledger.over_slice(app) && self.reclaim(Some(app)) {}
-        }
-    }
-}
-
-impl BufferManager {
-    /// Strict-quota spill: an app at its per-shard slice here may have
-    /// idle quota on a sibling shard (hash skew); move one *quota unit* —
-    /// never a frame — from an under-used sibling to this shard so the
-    /// install admits. Decrement-before-increment keeps the sum of the
-    /// app's slices ≤ its global quota at every instant, so the strict
-    /// bound is never violated, only redistributed.
-    pub(super) fn pre_admit_spill(&self, home: &Shard, key: &BlockKey, app: AppId) {
-        if self.partitioning.mode != PartitionMode::Strict || self.quotas.get(app).is_none() {
-            return;
-        }
-        // A resident key merges in place (no new frame, no charge); only
-        // a genuinely new install can be quota-denied.
-        if home.contains(*key) || !home.ledger.at_quota(app) {
-            return;
-        }
-        for s in self.shards.iter() {
-            if !std::ptr::eq(s, home) && s.ledger.lend_unit(app) {
-                home.ledger.give(app, 1);
-                return;
-            }
+            while self.ledger.holds_over_quota(app) && self.reclaim(Some(app)) {}
         }
     }
 }

@@ -1,8 +1,8 @@
-//! The epoch clock, its CAS gate, and the boundary: observe each shard,
-//! merge, decide once, apply to each shard — and the one place a quota
-//! move is validated and applied.
+//! The epoch clock, its CAS gate, and the boundary: observe the adaptive
+//! shard, decide, let every shard age — and the one place a quota move is
+//! validated and applied.
 
-use super::facade::{split_units, BufferManager};
+use super::facade::BufferManager;
 use super::shard::{PolicyState, Shard};
 use kcache_adaptive::{decide_epoch, AdaptivePolicy, QuotaMove};
 use kcache_policy::{AppId, AppUsage, EpochDirective, EpochObservation, GhostRate, PolicyKind};
@@ -58,11 +58,8 @@ impl Shard {
     }
 
     /// Epoch boundary, step 2: let the live policy age
-    /// (`SharingAware` referent decay), and — adaptive shards — apply
-    /// the merged cross-shard decision. Every shard receives the same
-    /// directive, so a policy switch migrates all shards within one
-    /// boundary; static shards (`None`) age independently, there is no
-    /// shared decision to coordinate.
+    /// (`SharingAware` referent decay), and — the adaptive shard — apply
+    /// the decision. Static shards (`None`) only age.
     fn epoch_apply(&self, directive: Option<&EpochDirective>) {
         let mut p = self.lock_policy();
         let PolicyState { ranked, adaptive, .. } = &mut *p;
@@ -84,10 +81,8 @@ impl Shard {
     /// *reason* as args: the deciding ghost hit rates for a policy
     /// switch, the losing/winning refault counts for a quota move.
     ///
-    /// Usage, quota gauges and ghost rates come in as arguments so the
-    /// facade can pass *merged* cross-shard views — a shard
-    /// publishing only its own slice would clobber the global gauges with
-    /// a partial picture.
+    /// Usage and quota gauges come in as arguments so the facade can pass
+    /// views summed over every shard.
     fn obs_epoch_mark(
         &self,
         access_n: u64,
@@ -166,32 +161,27 @@ impl BufferManager {
 
     /// One epoch boundary, the same for every shard count.
     ///
-    /// Collect each shard's [`EpochObservation`] and merge the ghost and
-    /// refault ledgers. If there is one (an adaptive meta-policy runs),
-    /// make ONE switch/quota decision over the merged evidence and the
-    /// global quotas (`kcache_adaptive::decide_epoch`) and push the
-    /// identical [`EpochDirective`] into every shard — a switch therefore
-    /// migrates all shards within one boundary and no shard can disagree
-    /// about the live policy; a quota transfer is validated globally
-    /// ([`quota_move_valid`](Self::quota_move_valid)) and applied to the
-    /// shards' slices as deltas. If there is none, the policies are static
-    /// and each shard's just ages (`SharingAware` referent decay) — the
-    /// same [`Shard::epoch_apply`], with no directive.
+    /// If an adaptive meta-policy runs — on shard 0, the only shard a
+    /// manager with one has — take its [`EpochObservation`], make the
+    /// switch/quota decision over it and the current quotas
+    /// (`kcache_adaptive::decide_epoch`), validate the quota transfer
+    /// ([`quota_move_valid`](Self::quota_move_valid)) and apply both. Every
+    /// other shard runs a static policy and just ages (`SharingAware`
+    /// referent decay) — the same [`Shard::epoch_apply`], with no
+    /// directive.
     fn run_epoch_boundary(&self, epoch_n: u64) {
-        let merged = self.shards.iter().filter_map(|s| s.epoch_observe()).reduce(|mut m, o| {
-            m.merge(&o);
-            m
-        });
-        // `(the candidate live going in, the directive every shard
-        // applies)`; `None` for static policies.
-        let decision = merged.map(|merged| {
+        let shard0 = &self.shards[0];
+        // `(the candidate live going in, the directive it applies)`;
+        // `None` for static policies.
+        let decision = shard0.epoch_observe().map(|obs| {
             let cfg = self.adaptive_cfg.as_ref().expect("only the adaptive policy observes");
-            let (mut directive, mv) = decide_epoch(&merged, cfg, &self.quotas.all(), self.capacity);
+            let quotas = shard0.ledger.quotas();
+            let (mut directive, mv) = decide_epoch(&obs, cfg, &quotas, self.capacity);
             let mv = mv.filter(|mv| self.quota_move_valid(mv));
             if mv.is_none() {
                 directive.quota_move = None;
             }
-            (merged.live, directive, mv)
+            (obs.live, directive, mv)
         });
         for s in self.shards.iter() {
             s.epoch_apply(decision.as_ref().map(|d| &d.1));
@@ -199,57 +189,33 @@ impl BufferManager {
         if let Some((_, _, Some(mv))) = &decision {
             self.apply_quota_move(mv);
         }
-        // Observability: one mark with *merged* cross-shard views (shard
-        // 0's hub handles speak for the node), plus the per-shard balance
-        // gauges.
-        if self.shards[0].obs.is_some() {
+        // Observability: one mark with views summed over the shards
+        // (shard 0's hub handles speak for the node), plus the per-shard
+        // balance gauges.
+        if shard0.obs.is_some() {
             let usage = self.app_usage();
             let quota_gauges: Vec<(AppId, usize)> =
                 usage.iter().filter_map(|&(a, _)| self.quota_of(a).map(|q| (a, q))).collect();
-            self.shards[0].obs_epoch_mark(
+            shard0.obs_epoch_mark(
                 epoch_n * self.epoch.ticker.per_epoch as u64,
                 &usage,
                 &quota_gauges,
-                &self.ghost_rates().unwrap_or_default(),
+                &shard0.ghost_rates().unwrap_or_default(),
                 decision.as_ref().map(|(live, directive, _)| (*live, directive)),
             );
             self.publish_shard_gauges();
         }
     }
 
-    /// Move `mv.frames` of quota from the loser to the winner: the
-    /// shards' slices change by **deltas** — an even split of the move,
-    /// what a shard's slice cannot give carried to the next — each under
-    /// that shard's ledger lock, so the move commutes with the spill's ±1
-    /// whichever lands first (overwriting slices with a re-split of the
-    /// new total would erase a unit in flight). Takes before gives, the
-    /// loser's global quota lowered before the winner's is raised: no sum
-    /// — an app's slices against its global quota, the global quotas
-    /// against the configured total — is ever exceeded. Under strict
-    /// quotas each shard then evicts the loser's clean frames down to its
-    /// new slice ([`Shard::shed_over_quota`]).
+    /// Move `mv.frames` of quota from the loser to the winner, in one
+    /// hold of the ledger lock: no reader sees the quotas sum to anything
+    /// but the configured total. Under strict quotas the loser's clean
+    /// frames are then evicted down to its new quota
+    /// ([`Shard::shed_over_quota`]).
     pub(super) fn apply_quota_move(&self, mv: &QuotaMove) {
-        let shares = split_units(mv.frames, self.shards.len());
-        let mut owed = 0;
-        for (s, share) in self.shards.iter().zip(&shares) {
-            owed += share;
-            owed -= s.ledger.take(mv.loser, owed);
-        }
-        // Still owed: only while a spill holds some of the loser's units
-        // between its lender and its borrower (the validator left the
-        // loser at least one frame, so they exist) — taken as they land.
-        while owed > 0 {
-            std::thread::yield_now();
-            for s in self.shards.iter() {
-                owed -= s.ledger.take(mv.loser, owed);
-            }
-        }
-        self.quotas.set(mv.loser, mv.loser_quota);
-        self.quotas.set(mv.winner, mv.winner_quota);
-        for (s, &share) in self.shards.iter().zip(&shares) {
-            s.ledger.give(mv.winner, share);
-            s.shed_over_quota();
-        }
+        let shard = &self.shards[0];
+        shard.ledger.move_quota(mv.loser, mv.winner, mv.frames);
+        shard.shed_over_quota();
     }
 
     /// The backstop behind the tuner's own clamps, and the one place a

@@ -3,16 +3,15 @@
 //! CI greps this file for the type names — so no access path can
 //! serialize two shards' traffic on manager-global state.
 
-use super::admission::GlobalQuotas;
 use super::epoch::EpochClock;
 use super::frame::OwnContent;
 use super::shard::Shard;
-use super::{Access, AccessKind, AccessOutcome, CacheStats, EvictPolicy, FlushItem};
+use super::{Access, AccessOutcome, CacheStats, EvictPolicy, FlushItem};
 use crate::block::{BlockKey, Span};
 use crate::config::PartitionConfig;
 use kcache_adaptive::AdaptiveConfig;
 use kcache_obs::ObsHub;
-use kcache_policy::{AdaptiveStats, AppId, AppUsage, GhostRate, PolicyKind, PolicyStats};
+use kcache_policy::{AdaptiveStats, AppId, AppUsage, PolicyKind, PolicyStats};
 use std::collections::BTreeMap;
 use std::sync::Arc as StdArc;
 
@@ -22,21 +21,17 @@ use std::sync::Arc as StdArc;
 ///
 /// The facade itself holds **no locks**: routing is a pure hash, the
 /// aggregate counters are sums over shard-local atomics, and the only
-/// facade-owned mutable state is atomics — the epoch clock/gate pair and
-/// each partitioned app's global quota. Shards coordinate in exactly two
-/// places, both described in the [module docs](crate::manager): the epoch
-/// boundary (one merged decision, applied to every shard) and the
-/// strict-quota spill (one quota unit, never a frame, moved between two
-/// shards' ledgers).
+/// facade-owned mutable state is the epoch clock/gate pair. Shards never
+/// coordinate: quotas and the adaptive meta-policy run only on a one-shard
+/// manager (see the [module docs](crate::manager)), and a sharded one is
+/// a shared pool under a static policy, each shard ageing its own at the
+/// epoch boundary.
 pub struct BufferManager {
     pub(super) shards: Box<[Shard]>,
     pub(super) capacity: usize,
     policy_cfg: EvictPolicy,
-    /// The *global* partition config, as configured.
-    pub(super) partitioning: PartitionConfig,
-    /// Each partitioned app's current global quota (the tuner moves it;
-    /// the shards' ledgers hold its split).
-    pub(super) quotas: GlobalQuotas,
+    /// The partition config, as configured.
+    partitioning: PartitionConfig,
     pub(super) adaptive_cfg: Option<AdaptiveConfig>,
     pub(super) epoch: EpochClock,
 }
@@ -130,12 +125,12 @@ impl BufferManagerBuilder {
     /// Number of independent shards the frame pool is split into
     /// (default 1, the paper's single pool). Each shard owns
     /// `capacity / n` frames (the remainder spread over the low-index
-    /// shards), its own replacement policy instance, free/dirty lists
-    /// and quota ledger; blocks route
-    /// to shards by the *high* bits of the key hash (the in-shard bucket
-    /// index consumes the low bits). Quotas and watermarks are split the
-    /// same way, sums preserved; epochs are coordinated by the facade so
-    /// adaptive decisions stay global (see [`BufferManager`]).
+    /// shards), its own replacement policy instance and free/dirty lists;
+    /// blocks route to shards by the *high* bits of the key hash (the
+    /// in-shard bucket index consumes the low bits). Watermarks are split
+    /// the same way, sums preserved. More than one shard is a plain pool:
+    /// [`build`](Self::build) panics on per-app quotas or an adaptive
+    /// policy with it.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -146,6 +141,9 @@ impl BufferManagerBuilder {
         assert!(capacity > 0);
         assert!(self.shards >= 1, "at least one shard");
         assert!(self.shards <= capacity, "more shards than frames");
+        let sharded = self.shards > 1;
+        assert!(!(sharded && self.partitioning.is_partitioned()), "quotas need one shard");
+        assert!(!(sharded && self.adaptive.is_some()), "the adaptive policy needs one shard");
         assert!(self.low_watermark <= self.high_watermark && self.high_watermark <= capacity);
         self.partitioning.validate(capacity).unwrap_or_else(|e| panic!("bad partitioning: {e}"));
         let epoch = EpochClock::new(self.epoch_accesses);
@@ -154,7 +152,6 @@ impl BufferManagerBuilder {
             shards: shards.collect(),
             capacity,
             policy_cfg: self.policy,
-            quotas: GlobalQuotas::new(&self.partitioning),
             partitioning: self.partitioning,
             adaptive_cfg: self.adaptive,
             epoch,
@@ -187,9 +184,8 @@ impl BufferManager {
         self.policy_cfg
     }
 
-    /// The *global* partition configuration as configured (each shard
-    /// enforces its slice; [`quota_of`](Self::quota_of) follows the
-    /// tuner).
+    /// The partition configuration as configured
+    /// ([`quota_of`](Self::quota_of) follows the tuner).
     pub fn partitioning(&self) -> &PartitionConfig {
         &self.partitioning
     }
@@ -257,38 +253,15 @@ impl BufferManager {
     }
 
     /// The adaptive meta-policy's observability ledger; `None` when a
-    /// static policy runs. Coordinated decisions are recorded identically
-    /// in every shard, so shard 0's switch/quota logs already *are* the
-    /// global logs — only the per-shard ghost traffic ledgers need
-    /// summing (naively merging whole stats would multiply every log
-    /// entry by the shard count).
+    /// static policy runs (the meta-policy runs only on a one-shard
+    /// manager).
     pub fn adaptive_stats(&self) -> Option<AdaptiveStats> {
-        let mut base = self.shards[0].adaptive_stats()?;
-        base.ghost_rates = self.ghost_rates()?;
-        Some(base)
-    }
-
-    /// Lifetime ghost ledgers per candidate, summed across shards.
-    pub(super) fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
-        let mut acc = self.shards[0].ghost_rates()?;
-        for s in &self.shards[1..] {
-            for g in s.ghost_rates().into_iter().flatten() {
-                match acc.iter_mut().find(|b| b.kind == g.kind) {
-                    Some(b) => {
-                        b.hits += g.hits;
-                        b.misses += g.misses;
-                    }
-                    None => acc.push(g),
-                }
-            }
-        }
-        Some(acc)
+        self.shards[0].adaptive_stats()
     }
 
     /// The [`PolicyKind`] currently ranking candidates — for a static
-    /// policy the configured kind, for the adaptive meta-policy whichever
-    /// candidate is live right now (all shards switch in lockstep, so
-    /// shard 0 speaks for everyone).
+    /// policy the configured kind (the same on every shard), for the
+    /// adaptive meta-policy whichever candidate is live right now.
     pub fn live_policy_kind(&self) -> PolicyKind {
         self.shards[0].live_policy_kind()
     }
@@ -331,20 +304,12 @@ impl BufferManager {
         0
     }
 
-    /// `app`'s *global* effective quota — the adaptive tuner's once it
-    /// has moved any, the configured one until then — or `None` when
-    /// unconstrained. This, not `partitioning().quota_of`, is what
-    /// admission, reclaim and reporting measure against once online
-    /// tuning is running.
+    /// `app`'s effective quota — the adaptive tuner's once it has moved
+    /// any, the configured one until then — or `None` when unconstrained.
+    /// This, not `partitioning().quota_of`, is what admission, reclaim and
+    /// reporting measure against once online tuning is running.
     pub fn quota_of(&self, app: AppId) -> Option<usize> {
-        self.quotas.get(app)
-    }
-
-    /// `app`'s quota slice on each shard (index = shard id; empty when
-    /// unconstrained) — diagnostics/tests: at any quiescent point the
-    /// slices sum to [`quota_of`](Self::quota_of).
-    pub fn shard_quotas(&self, app: AppId) -> Vec<usize> {
-        self.shards.iter().filter_map(|s| s.ledger.slice_of(app)).collect()
+        self.shards[0].ledger.quota_of(app)
     }
 
     /// Bring the hub's deferred metric counters up to date and refresh
@@ -372,23 +337,10 @@ impl BufferManager {
     /// The one access entry point: an attributed request ([`Access`])
     /// covering reads, probes, write-behind absorbs, clean installs and
     /// touches — every hit and miss the cache counts comes through here.
-    /// Routes to the owning shard, runs the strict-quota spill protocol
-    /// if the install would be denied, delegates, then gives a due epoch
+    /// Routes to the owning shard, delegates, then gives a due epoch
     /// boundary a chance to run.
     pub fn access(&self, key: BlockKey, req: Access<'_>) -> AccessOutcome {
-        let shard = self.shard_of(&key);
-        if self.shards.len() > 1
-            && matches!(
-                req.kind,
-                AccessKind::Write { .. }
-                    | AccessKind::WriteDescribed { .. }
-                    | AccessKind::InsertClean { .. }
-                    | AccessKind::InsertDescribed { .. }
-            )
-        {
-            self.pre_admit_spill(shard, &key, req.app);
-        }
-        let out = shard.access(key, req);
+        let out = self.shard_of(&key).access(key, req);
         self.maybe_epoch();
         out
     }

@@ -148,7 +148,7 @@ impl Shard {
     /// (they become clean and harvestable next sweep).
     ///
     /// The sweep is **quota-aware**: while any application holds more
-    /// frames than its quota slice, candidates are drawn from the most
+    /// frames than its quota, candidates are drawn from the most
     /// over-quota owner first via the policy's owner-filtered scan — an
     /// idle tenant is no longer drained below its quota just because a
     /// busy neighbor filled the pool. Only when no over-quota owner has an

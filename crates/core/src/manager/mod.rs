@@ -35,15 +35,14 @@
 //! * `counts` — the shard's one event ledger: hits, misses, inserts,
 //!   removes, evictions and scans, per app, striped, with no policy lock;
 //!   every report of them reads it.
-//! * `admission` — the quota ledger (one per shard), the facade's global
-//!   quotas, frame acquisition under a quota, the strict-quota spill.
+//! * `admission` — the quota ledger and frame acquisition under a quota.
 //! * `sweep` — the policy side of a frame changing tenants: the eviction
 //!   scan's candidates, settling a victim, filing an install, un-filing,
 //!   forgetting an invalidated block.
 //! * `flush` — the dirty queue and what drains or bypasses it:
 //!   `take_dirty`, `flush_complete`, `invalidate`, the harvester sweep.
-//! * `epoch` — the epoch clock and CAS gate, the boundary (observe each
-//!   shard, merge, decide once, apply to each shard) and the one place a
+//! * `epoch` — the epoch clock and CAS gate, the boundary (observe the
+//!   adaptive shard, decide, let every shard age) and the one place a
 //!   quota move is validated and applied.
 //! * `facade` — [`BufferManager`] and its builder: routing, aggregate
 //!   readers, delegation. It names no lock type at all (CI greps the file).
@@ -52,12 +51,13 @@
 //! (builder knob [`BufferManagerBuilder::shards`], default 1 — the
 //! paper's single pool). A block's home shard is fixed by the *high*
 //! bits of its key hash (bucket selection within a shard uses the low
-//! bits, so the two choices stay independent); capacity, watermarks and
-//! per-app quotas split across shards with the remainder to low indexes.
-//! Every lock lives *inside* a shard, so no code path can serialize two
-//! shards' traffic on a manager-global lock; cross-shard state — adaptive
-//! ghost evidence, switch decisions, quota moves — reconciles only at
-//! epoch boundaries.
+//! bits, so the two choices stay independent); capacity and watermarks
+//! split across shards with the remainder to low indexes. Every lock
+//! lives *inside* a shard, so no code path can serialize two shards'
+//! traffic on a manager-global lock. A manager with more than one shard
+//! is a plain pool — shared partitioning, a static policy — so no state
+//! crosses shards at all: the builder refuses per-app quotas or the
+//! adaptive meta-policy with it.
 //!
 //! **Lock order**, per shard: bucket → frame. `policy`, `free`, `dirty`,
 //! `charges` and the ledger's overflow map (apps past its 16 slots) are
@@ -86,21 +86,16 @@
 //! the same frame locks. Every shard counts the scan, the eviction, the
 //! removal and the insert in its ledger, with no policy lock held.
 //!
-//! ## Quotas: one ledger per shard, one global quota per app
+//! ## Quotas: one ledger
 //!
-//! An app's **global quota** lives in an atomic at the facade, seeded from
-//! the configuration and written only under the epoch gate: it is what
-//! [`BufferManager::quota_of`], the tuner's decision and the quota-move
-//! validator read. Each shard's ledger holds, under its one `charges`
-//! lock, that app's **slice** of it beside the frames charged there. Two
-//! things move slices, both as **deltas**, so they commute: the
-//! strict-quota spill (an install about to be denied moves one *unit* —
-//! never a frame — from a sibling's idle slice, lender decremented before
-//! borrower incremented) and a tuner move (the loser's decrements on every
-//! shard before the winner's increments, a slice never driven below zero,
-//! what a shard cannot give carried to the next). Hence `Σ slices ==
-//! global` for every app at every quiescent point and `≤` at every instant
-//! — pinned under four threads by `tests/quota_sum.rs`.
+//! Quotas run on a one-shard manager, so each app has one quota, held in
+//! the shard's ledger beside the frames charged to it, under its one
+//! `charges` lock. It is seeded from the configuration and moved only by
+//! the tuner, at the epoch boundary: one hold lowers the loser's quota and
+//! raises the winner's, so no reader ever sees the quotas sum to anything
+//! but the configured total — pinned under four threads by
+//! `tests/quota_sum.rs`. [`BufferManager::quota_of`], admission, the
+//! tuner's decision and the quota-move validator all read that ledger.
 //!
 //! ## Hit-path concurrency
 //!
@@ -129,7 +124,8 @@
 //! hit, miss, probe hit, and recency touch — advances the facade's epoch
 //! clock (when epochs are enabled at all; with `epoch_accesses == 0` an
 //! access does no epoch work), and the facade runs the boundary whatever
-//! the shard count. Touches (sync-write refreshes, secondary-waiter
+//! the shard count: the adaptive shard decides there, every static one
+//! ages. Touches (sync-write refreshes, secondary-waiter
 //! attribution, merges into a resident block) are real accesses: they
 //! refresh recency and feed the adaptive ghosts, so they must also age
 //! the policies and drive the controller, or probe-/write-heavy workloads

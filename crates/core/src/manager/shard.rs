@@ -173,10 +173,10 @@ thread_local! {
 /// shard-local. The public [`BufferManager`](super::BufferManager) facade
 /// routes each [`BlockKey`] to exactly one shard (high hash bits, disjoint
 /// from the low bits the in-shard bucket index consumes), so two threads
-/// touching blocks on different shards share **no** lock at all.
-/// Cross-shard state — global quotas, adaptive switch decisions — is
-/// reconciled only at epoch boundaries by the facade, which also owns the
-/// epoch clock: a shard never runs a boundary itself.
+/// touching blocks on different shards share **no** lock at all. Quotas
+/// and the adaptive meta-policy run only on a one-shard manager, so no
+/// state is shared between shards; the facade owns the epoch clock, and a
+/// shard never runs a boundary itself.
 pub(super) struct Shard {
     pub(super) capacity: usize,
     policy_cfg: EvictPolicy,
@@ -234,8 +234,9 @@ pub(super) struct Shard {
 
 impl Shard {
     /// Shard `i` of the manager `cfg` describes: its share of the
-    /// capacity, the watermarks and every quota (`split_units`: the
-    /// remainder to low shards, so the shares sum exactly to the whole).
+    /// capacity and the watermarks (`split_units`: the remainder to low
+    /// shards, so the shares sum exactly to the whole), and the quotas,
+    /// which only a one-shard manager has.
     pub(super) fn build(cfg: &BufferManagerBuilder, i: usize, epoch: EpochTicker) -> Shard {
         let share = |total| split_units(total, cfg.shards)[i];
         let (capacity, policy) = (share(cfg.capacity), cfg.policy);
@@ -269,7 +270,7 @@ impl Shard {
             dirty: DirtyQueue::new(waits("dirty")),
             policy: CacheLine(Mutex::new(PolicyState { ranked, adaptive })),
             policy_waits: waits("policy"),
-            ledger: QuotaLedger::new(&cfg.partitioning, share, waits("charges")),
+            ledger: QuotaLedger::new(&cfg.partitioning, waits("charges")),
             epoch,
             ref_words,
             hand,
@@ -359,8 +360,8 @@ impl Shard {
     }
 
     /// Lifetime ghost ledgers per candidate (`None`: static policy) —
-    /// the slice of [`adaptive_stats`](Self::adaptive_stats) that differs
-    /// per shard, without cloning the decision logs.
+    /// [`adaptive_stats`](Self::adaptive_stats) without cloning the
+    /// decision logs.
     pub(super) fn ghost_rates(&self) -> Option<Vec<GhostRate>> {
         self.lock_policy().adaptive.as_ref().map(AdaptivePolicy::ghost_rates)
     }

@@ -2,7 +2,7 @@
 //! that reach a shard or the epoch clock directly. (`shard::tests` has the
 //! one that holds a shard's lock; `tests/model.rs` checks the manager
 //! against an independent sequential model; `tests/quota_sum.rs` stresses
-//! tuner × spill.)
+//! the quota tuner under four threads.)
 
 use super::*;
 use crate::block::CACHE_BLOCK_SIZE;
@@ -656,10 +656,9 @@ fn adaptive_with_one_candidate_matches_static_byte_for_byte() {
     // The meta-policy differential: ghosts observe, the controller has
     // nothing to switch to, so every observable of the manager must
     // match the static policy exactly — epoch ticks included.
-    for (kind, shards) in PolicyKind::ALL.into_iter().flat_map(|k| [(k, 1), (k, 2)]) {
+    for kind in PolicyKind::ALL {
         let mk = || {
             BufferManager::builder(8)
-                .shards(shards)
                 .policy(EvictPolicy::of(kind))
                 .watermarks(0, 2)
                 .epoch_accesses(64)
@@ -720,55 +719,52 @@ fn adaptive_with_one_candidate_matches_static_byte_for_byte() {
 
 #[test]
 fn epoch_tuner_grows_the_refaulting_apps_quota() {
-    for shards in [1, 2] {
-        // Strict halves; app 0 re-references a working set one frame
-        // bigger than its quota (constant refaults), app 1 streams fresh
-        // blocks it never revisits. The tuner must shift quota 0 ← 1, and
-        // enforcement must follow the *tuned* quotas.
-        let (hot, cold) = (AppId(0), AppId(1));
-        let m = BufferManager::builder(8)
-            .shards(shards)
-            .policy(EvictPolicy::of(PolicyKind::ExactLru))
-            .watermarks(0, 2)
-            .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
-            .adaptive(Some(AdaptiveConfig {
-                quota_step: 1,
-                ..AdaptiveConfig::new([PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(32)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        let mut fresh = 1000u64;
-        for round in 0..400u64 {
-            let k = key(round % 5); // working set of 5 > quota of 4
-            if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
-                m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
-            }
-            if round % 2 == 0 {
-                m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
-                fresh += 1;
-            }
+    // Strict halves; app 0 re-references a working set one frame
+    // bigger than its quota (constant refaults), app 1 streams fresh
+    // blocks it never revisits. The tuner must shift quota 0 ← 1, and
+    // enforcement must follow the *tuned* quotas.
+    let (hot, cold) = (AppId(0), AppId(1));
+    let m = BufferManager::builder(8)
+        .policy(EvictPolicy::of(PolicyKind::ExactLru))
+        .watermarks(0, 2)
+        .partitioning(crate::config::PartitionConfig::strict([(0, 4), (1, 4)]))
+        .adaptive(Some(AdaptiveConfig {
+            quota_step: 1,
+            ..AdaptiveConfig::new([PolicyKind::ExactLru])
+        }))
+        .epoch_accesses(32)
+        .build();
+    let mut buf = vec![0u8; 4096];
+    let mut fresh = 1000u64;
+    for round in 0..400u64 {
+        let k = key(round % 5); // working set of 5 > quota of 4
+        if !m.try_read_by(k, Span::FULL, &mut buf, hot) {
+            m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(1), hot);
         }
-        let hq = m.quota_of(hot).unwrap();
-        let cq = m.quota_of(cold).unwrap();
-        assert!(hq > 4, "hot app's tuned quota must grow past 4, got {hq}");
-        assert!(cq < 4, "cold app's tuned quota must shrink below 4, got {cq}");
-        let stats = m.adaptive_stats().unwrap();
-        assert!(stats.quota_moves > 0);
-        assert!(stats.quota_log.iter().all(|q| q.to == hot && q.from == cold));
-        // Tuned quotas are enforced going forward: the hot app's residency
-        // tracks its grown quota (strict mode never let it past the cap at
-        // any intermediate step either).
-        assert!(m.resident_of(hot) <= hq);
-        // And the cold app, now over its shrunk quota, is the harvester's
-        // preferred reclaim source.
-        let before = m.resident_of(cold);
-        let _ = m.harvest();
-        assert!(
-            m.resident_of(cold) <= before.min(cq.max(1)) || m.resident_of(cold) < before,
-            "harvest must reclaim from the over-quota cold app first"
-        );
+        if round % 2 == 0 {
+            m.insert_clean_by(key(fresh), NodeId(0), Span::FULL, &full_block(2), cold);
+            fresh += 1;
+        }
     }
+    let hq = m.quota_of(hot).unwrap();
+    let cq = m.quota_of(cold).unwrap();
+    assert!(hq > 4, "hot app's tuned quota must grow past 4, got {hq}");
+    assert!(cq < 4, "cold app's tuned quota must shrink below 4, got {cq}");
+    let stats = m.adaptive_stats().unwrap();
+    assert!(stats.quota_moves > 0);
+    assert!(stats.quota_log.iter().all(|q| q.to == hot && q.from == cold));
+    // Tuned quotas are enforced going forward: the hot app's residency
+    // tracks its grown quota (strict mode never let it past the cap at
+    // any intermediate step either).
+    assert!(m.resident_of(hot) <= hq);
+    // And the cold app, now over its shrunk quota, is the harvester's
+    // preferred reclaim source.
+    let before = m.resident_of(cold);
+    let _ = m.harvest();
+    assert!(
+        m.resident_of(cold) <= before.min(cq.max(1)) || m.resident_of(cold) < before,
+        "harvest must reclaim from the over-quota cold app first"
+    );
 }
 
 #[test]
@@ -813,31 +809,28 @@ fn probe_accounting_is_symmetric_and_recency_neutral() {
 
 #[test]
 fn recency_touches_advance_the_epoch_clock() {
-    for shards in [1, 2] {
-        // A sync-write refresh (update_if_present → note_touch) is a real
-        // access: before PR 5 it never aged the policies.
-        let m = BufferManager::builder(4)
-            .shards(shards)
-            .watermarks(0, 4)
-            .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
-            .epoch_accesses(4)
-            .build();
-        m.insert_clean(key(0), NodeId(0), Span::FULL, &full_block(1));
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 0, "an insert is not an access");
-        for _ in 0..4 {
-            assert!(m.update_if_present(key(0), Span::FULL, &full_block(2)));
-        }
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 1, "touches must advance the epoch clock");
-        // A touch (secondary-waiter attribution) participates too — and
-        // is neither a hit nor a miss, resident or not.
-        for _ in 0..4 {
-            assert!(m.touch(key(0), AppId(1)));
-        }
-        assert_eq!(m.adaptive_stats().unwrap().epochs, 2);
-        assert!(!m.touch(key(9), AppId(1)), "absent block: nothing to touch");
-        let s = m.stats();
-        assert_eq!((s.hits, s.misses), (0, 0), "touches stay out of the hit/miss ledger");
+    // A sync-write refresh (update_if_present → note_touch) is a real
+    // access: before PR 5 it never aged the policies.
+    let m = BufferManager::builder(4)
+        .watermarks(0, 4)
+        .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
+        .epoch_accesses(4)
+        .build();
+    m.insert_clean(key(0), NodeId(0), Span::FULL, &full_block(1));
+    assert_eq!(m.adaptive_stats().unwrap().epochs, 0, "an insert is not an access");
+    for _ in 0..4 {
+        assert!(m.update_if_present(key(0), Span::FULL, &full_block(2)));
     }
+    assert_eq!(m.adaptive_stats().unwrap().epochs, 1, "touches must advance the epoch clock");
+    // A touch (secondary-waiter attribution) participates too — and
+    // is neither a hit nor a miss, resident or not.
+    for _ in 0..4 {
+        assert!(m.touch(key(0), AppId(1)));
+    }
+    assert_eq!(m.adaptive_stats().unwrap().epochs, 2);
+    assert!(!m.touch(key(9), AppId(1)), "absent block: nothing to touch");
+    let s = m.stats();
+    assert_eq!((s.hits, s.misses), (0, 0), "touches stay out of the hit/miss ledger");
 }
 
 /// The observability differential: wiring an `ObsHub` must change no

@@ -219,92 +219,6 @@ fn multi_shard_routing_and_aggregation_roundtrip() {
     assert_eq!(m.resident() + m.free_frames(), 64);
 }
 
-/// Strict-quota spill: when an app's keys hash entirely onto one
-/// shard, its per-shard quota slice there (global/4) would deny most
-/// of its configured allowance — the facade must move quota *units*
-/// from idle sibling slices so the app reaches its full global quota,
-/// while the global sum of per-shard slices never grows.
-#[test]
-fn strict_quota_spills_to_neighbor_shards() {
-    let quota = 4usize;
-    let m = BufferManager::builder(16)
-        .shards(4)
-        .watermarks(0, 1)
-        .partitioning(crate::config::PartitionConfig::strict([(0, quota)]))
-        .build();
-    let app = AppId(0);
-    // Collect `quota` keys that all route to the same shard.
-    let home = m.shard_idx_of(&key(0));
-    let skewed: Vec<BlockKey> =
-        (0..10_000u64).map(key).filter(|k| m.shard_idx_of(k) == home).take(quota).collect();
-    assert_eq!(skewed.len(), quota, "not enough same-shard keys in probe range");
-    for (i, &k) in skewed.iter().enumerate() {
-        m.insert_clean_by(k, NodeId(0), Span::FULL, &full_block(i as u8), app);
-    }
-    // Without spill the home shard's slice (4/4 = 1) would cap the
-    // app at one frame; lending must let every install land.
-    for &k in &skewed {
-        assert!(m.contains(k), "strict slice denied an install the global quota allows");
-    }
-    assert_eq!(m.resident_of(app), quota);
-    // The global allowance was redistributed, never grown: per-shard
-    // slices still sum to the configured quota, and once every unit
-    // has spilled home a further install self-evicts (strict quotas
-    // cap residency, not installs) instead of growing residency.
-    assert_eq!(m.quota_of(app), Some(quota));
-    let extra: BlockKey = (10_000..20_000u64)
-        .map(key)
-        .find(|k| m.shard_idx_of(k) == home)
-        .expect("probe range exhausted");
-    m.insert_clean_by(extra, NodeId(0), Span::FULL, &full_block(0xEE), app);
-    assert!(m.contains(extra), "strict install should self-evict, not deny");
-    assert_eq!(m.resident_of(app), quota, "spill grew the app's residency past its quota");
-    let survivors = skewed.iter().filter(|&&k| m.contains(k)).count();
-    assert_eq!(survivors, quota - 1, "the extra install must displace exactly one block");
-}
-
-/// Coordinated epochs (adaptive): shards feed one shared
-/// clock, the facade makes one merged decision per boundary, and
-/// every shard applies it — so epoch counts advance in lockstep and
-/// no shard can disagree about the live policy.
-#[test]
-fn coordinated_epochs_switch_all_shards_in_lockstep() {
-    for shards in [1, 2] {
-        let m = BufferManager::builder(32)
-            .shards(shards)
-            .watermarks(0, 2)
-            .adaptive(Some(AdaptiveConfig {
-                hysteresis: 0.0,
-                ..AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru])
-            }))
-            .epoch_accesses(64)
-            .build();
-        let mut buf = vec![0u8; 4096];
-        for step in 0..1500u64 {
-            let k = key(step % 48);
-            if !m.try_read(k, Span::FULL, &mut buf) {
-                m.insert_clean(k, NodeId(0), Span::FULL, &full_block(step as u8));
-            }
-        }
-        let ast = m.adaptive_stats().expect("adaptive manager reports stats");
-        assert!(ast.epochs > 0, "no coordinated boundary ran");
-        // Lockstep: every shard saw exactly the same number of epochs and
-        // runs the same live candidate.
-        let live = m.live_policy_kind();
-        for s in m.shards.iter() {
-            let st = s.adaptive_stats().unwrap();
-            assert_eq!(st.epochs, ast.epochs, "shards disagree on epoch count");
-            assert_eq!(s.live_policy_kind(), live, "shards disagree on the live policy");
-            assert_eq!(st.switches, ast.switches, "shards disagree on switch count");
-        }
-        // The merged ghost ledgers saw the union of shard traffic.
-        assert!(
-            ast.ghost_rates.iter().any(|g| g.hits + g.misses > 0),
-            "merged ghost ledgers empty despite traffic"
-        );
-    }
-}
-
 /// With epochs off (the paper default) an access does no epoch work:
 /// nobody would ever read the clock, so nobody bumps it — on a
 /// sharded manager that bump was a contended RMW per operation.
@@ -393,24 +307,16 @@ fn a_strict_quota_shrink_evicts_the_loser_down_to_it() {
     assert_eq!((m.resident_of(winner), m.resident_of(loser)), (15, 1));
 }
 
-/// 8-thread stress over a 4-shard manager with strict quotas: frames
-/// and charges conserved, every lookup counted exactly once, the
-/// strict bound holds (modulo the documented per-thread revalidation
-/// slack), and per-shard quota slices always sum to the global quota.
+/// 8-thread stress over a 4-shard manager — a plain pool, the only kind
+/// with more than one shard: frames conserved on every shard and in
+/// total, and every lookup counted exactly once by the shard it routed
+/// to, and so in the sums.
 #[test]
 fn concurrent_multi_shard_stress_conserves_frames_and_quotas() {
     use std::sync::Arc;
-    let quota = 20usize;
-    let m = Arc::new(
-        BufferManager::builder(64)
-            .shards(4)
-            .watermarks(4, 16)
-            .partitioning(crate::config::PartitionConfig::strict([(0, quota), (1, quota)]))
-            .epoch_accesses(256)
-            .build(),
-    );
+    let m = Arc::new(BufferManager::builder(64).shards(4).watermarks(4, 16).epoch_accesses(256).build());
     let threads = 8u64;
-    let lookups = AtomicU64::new(0);
+    let lookups: [AtomicU64; 4] = Default::default();
     std::thread::scope(|s| {
         for t in 0..threads {
             let m = Arc::clone(&m);
@@ -420,14 +326,15 @@ fn concurrent_multi_shard_stress_conserves_frames_and_quotas() {
                 for i in 0..3000u64 {
                     let k = key((i * 13 + t * 97) % 150);
                     let app = AppId((t % 2) as u32);
+                    let lookup = || lookups[m.shard_idx_of(&k)].fetch_add(1, Ordering::Relaxed);
                     match i % 8 {
                         0 | 1 | 5 => {
                             let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
-                            lookups.fetch_add(1, Ordering::Relaxed);
+                            lookup();
                         }
                         2 => {
                             let _ = m.probe_by(k, Span::FULL, app);
-                            lookups.fetch_add(1, Ordering::Relaxed);
+                            lookup();
                         }
                         3 | 6 => {
                             let _ = m.insert_clean_by(k, NodeId(0), Span::FULL, &buf, app);
@@ -444,7 +351,7 @@ fn concurrent_multi_shard_stress_conserves_frames_and_quotas() {
                                 let _ = m.harvest();
                             } else {
                                 let _ = m.try_read_by(k, Span::FULL, &mut buf, app);
-                                lookups.fetch_add(1, Ordering::Relaxed);
+                                lookup();
                             }
                         }
                     }
@@ -452,26 +359,40 @@ fn concurrent_multi_shard_stress_conserves_frames_and_quotas() {
             });
         }
     });
-    // Frame conservation, globally and per shard.
+    // Per shard: frames conserved, the residency ledger balanced, and
+    // every lookup routed here counted here once.
+    for (i, s) in m.shards.iter().enumerate() {
+        assert_eq!(s.resident_keys().len() + s.free_frames(), s.capacity, "shard {i} leaked");
+        let (st, ps) = (s.stats(), s.policy_stats());
+        let n = lookups[i].load(Ordering::Relaxed);
+        assert_eq!(st.hits + st.misses, n, "shard {i}: hit+miss != lookups");
+        assert_eq!(ps.hits + ps.misses, n, "shard {i}: ledger hit+miss != lookups");
+        assert_eq!(ps.inserts - ps.removes, s.resident() as u64, "shard {i}: residency ledger");
+    }
+    // In total: the same, across the facade's sums.
     let keys = m.resident_keys();
     assert_eq!(keys.len() + m.free_frames(), 64, "frames leaked");
-    for s in m.shards.iter() {
-        assert_eq!(s.resident_keys().len() + s.free_frames(), s.capacity, "shard leaked");
-    }
     let mut dedup = keys.clone();
     dedup.dedup();
     assert_eq!(keys.len(), dedup.len(), "duplicate resident keys");
-    // Every lookup counted exactly once across the shard sums.
-    let s = m.stats();
-    let n = lookups.load(Ordering::Relaxed);
+    let n: u64 = lookups.iter().map(|l| l.load(Ordering::Relaxed)).sum();
+    let (s, ps) = (m.stats(), m.policy_stats());
     assert_eq!(s.hits + s.misses, n, "manager hit+miss != lookups");
-    let ps = m.policy_stats();
     assert_eq!(ps.hits + ps.misses, n, "policy hit+miss != lookups");
-    // Strict quotas hold globally (documented per-thread slack), and
-    // spill only ever *redistributed* the allowance.
-    for app in [AppId(0), AppId(1)] {
-        let r = m.resident_of(app);
-        assert!(r <= quota + threads as usize, "app {app:?} resident {r} over quota {quota}");
-        assert_eq!(m.quota_of(app), Some(quota), "spill changed the global quota");
-    }
+}
+
+/// More than one shard is a plain pool: per-app quotas are refused…
+#[test]
+#[should_panic(expected = "quotas need one shard")]
+fn a_sharded_manager_refuses_quotas() {
+    let quotas = crate::config::PartitionConfig::soft([(0, 8)]);
+    BufferManager::builder(16).shards(2).partitioning(quotas).build();
+}
+
+/// …and so is the adaptive meta-policy.
+#[test]
+#[should_panic(expected = "the adaptive policy needs one shard")]
+fn a_sharded_manager_refuses_the_adaptive_policy() {
+    let adaptive = AdaptiveConfig::new([PolicyKind::Clock, PolicyKind::ExactLru]);
+    BufferManager::builder(16).shards(2).adaptive(Some(adaptive)).build();
 }

@@ -12,8 +12,10 @@
 //! At `shards = 1` the real manager must agree with it exactly — op
 //! outcomes and resident sets after every step; `stats()`,
 //! `policy_stats()`, `app_usage()`, `quota_of` and `adaptive_stats()` at
-//! the end. At `shards ∈ {2, 4}` per-shard eviction order legitimately
-//! differs, so the same scripts check the conservation invariants instead.
+//! the end. A shared pool under a static policy — the only configuration
+//! with more than one shard — also runs at `shards ∈ {2, 4}`, where
+//! per-shard eviction order legitimately differs, so the same scripts
+//! check the conservation invariants instead.
 //!
 //! Mutation checks (recorded in CHANGES.md), each against the real manager:
 //! * a bare recency touch (`note_touch`) applies `on_access` but skips the
@@ -626,17 +628,13 @@ struct Pair {
     label: String,
     /// Snapshots taken and not yet acknowledged.
     in_flight: Vec<(BlockKey, Span)>,
-    /// The most each app's quota has been (a tuner move leaves its loser
-    /// over quota by the frames dirty or in flight then, until they are
-    /// acknowledged).
-    peak_quota: BTreeMap<u32, usize>,
 }
 
 impl Pair {
     fn new(cfg: Config, shards: usize, label: String) -> Pair {
-        let (real, peak_quota) = (cfg.real(shards), cfg.partitioning.quotas.clone());
+        let real = cfg.real(shards);
         let model = (shards == 1).then(|| Model::new(cfg));
-        Pair { real, model, label, in_flight: Vec::new(), peak_quota }
+        Pair { real, model, label, in_flight: Vec::new() }
     }
 
     fn access(&mut self, step: usize, block: u64, id: u32, kind: AccessKind<'_>) {
@@ -729,33 +727,18 @@ impl Pair {
         self.check_step(step);
     }
 
-    /// After every step: the model's resident set, or — sharded — frames
-    /// conserved and strict quotas kept.
+    /// After every step: frames conserved, and the model's resident set.
     fn check_step(&mut self, step: usize) {
         let (real, label) = (&self.real, &self.label);
         let resident = real.resident_keys();
         assert_eq!(resident.len() + real.free_frames(), real.capacity(), "{label}: step {step}");
         assert_eq!(real.resident(), resident.len(), "{label}: step {step}");
-        match &self.model {
-            Some(m) => {
-                assert_eq!(
-                    resident,
-                    m.resident_keys(),
-                    "{label}: resident set diverged at step {step}"
-                )
-            }
-            None => {
-                for (&id, peak) in &mut self.peak_quota {
-                    let Some(quota) = real.quota_of(AppId(id)) else { continue };
-                    let slices = real.shard_quotas(AppId(id));
-                    assert_eq!(slices.iter().sum::<usize>(), quota, "{label}: step {step}");
-                    *peak = quota.max(*peak);
-                    if real.partitioning().mode == PartitionMode::Strict {
-                        let held = real.resident_of(AppId(id));
-                        assert!(held <= *peak, "{label}: app {id} over quota at step {step}");
-                    }
-                }
-            }
+        if let Some(m) = &self.model {
+            assert_eq!(
+                resident,
+                m.resident_keys(),
+                "{label}: resident set diverged at step {step}"
+            );
         }
     }
 
@@ -801,17 +784,23 @@ impl Pair {
     }
 }
 
-/// Runs `ops` at 1, 2 and 4 shards; returns the model of the first.
+/// Runs `ops` at one shard beside the model and, for a shared pool under
+/// a static policy, at 2 and 4 shards too; returns the model.
 fn run(cfg: impl Fn() -> Config, label: &str, ops: &[Op]) -> Model {
-    let pairs = [1, 2, 4].map(|shards| {
+    let plain = {
+        let cfg = cfg();
+        !cfg.partitioning.is_partitioned() && cfg.adaptive.is_none()
+    };
+    let shard_counts: &[usize] = if plain { &[1, 2, 4] } else { &[1] };
+    let mut model = None;
+    for &shards in shard_counts {
         let mut pair = Pair::new(cfg(), shards, format!("{label}/shards={shards}"));
         for (step, &op) in ops.iter().enumerate() {
             pair.apply(step, op);
         }
         pair.check_end();
-        pair
-    });
-    let [Pair { model, .. }, ..] = pairs;
+        model = model.or(pair.model);
+    }
     model.expect("one shard runs beside the model")
 }
 

@@ -1,15 +1,8 @@
-//! Tuner × spill: the quota tuner moves global quota between two apps at
-//! epoch boundaries while the strict-quota spill moves single units of the
-//! same apps' quota between shards, on four threads. Whatever interleaves,
-//! quota is only ever *moved*: the two global quotas sum to what was
-//! configured, and each app's per-shard slices sum to its global quota.
-//!
-//! Until PR 22 an app's slice lived in two maps under two locks and the
-//! boundary *overwrote* the slices with a re-split of the new total: a
-//! spill's unit in flight was erased or duplicated. At that commit this
-//! test fails 7 of 12 release runs on a 2-CPU box ("quota leaked: [46,
-//! 1]", "[1, 46]", "[1, 48]"); the ledger, which applies both as deltas
-//! under one lock per shard, passes 20 of 20.
+//! The quota tuner moves quota between two apps at epoch boundaries while
+//! four threads install, read and harvest under those quotas. Whatever
+//! interleaves, quota is only ever *moved*: the two quotas sum to what was
+//! configured after every round, and no app holds more frames than the
+//! most its quota has been, give or take one acquisition per thread.
 
 use kcache::{
     Access, AccessKind, AdaptiveConfig, AppId, BlockKey, BufferManager, PartitionConfig,
@@ -32,9 +25,8 @@ fn install(m: &BufferManager, key: BlockKey, bytes: &[u8], app: AppId) {
 }
 
 #[test]
-fn tuner_and_spill_only_ever_move_quota() {
+fn the_tuner_only_ever_moves_quota() {
     let m = BufferManager::builder(CAPACITY)
-        .shards(4)
         .partitioning(PartitionConfig::strict([(0, QUOTA), (1, QUOTA)]))
         .adaptive(Some(AdaptiveConfig {
             quota_step: 2,
@@ -79,8 +71,6 @@ fn tuner_and_spill_only_ever_move_quota() {
         assert_eq!(quotas[0] + quotas[1], 2 * QUOTA, "round {round}: quota leaked: {quotas:?}");
         for (id, quota) in quotas.into_iter().enumerate() {
             let app = AppId(id as u32);
-            let slices = m.shard_quotas(app);
-            assert_eq!(slices.iter().sum::<usize>(), quota, "round {round}: app {id}: {slices:?}");
             // Strict: never more frames than quota, give or take one
             // acquisition in flight per thread — measured against the most
             // the quota has been, because a move leaves its loser over the

@@ -492,8 +492,8 @@ impl RankedTable {
 }
 
 /// What an adaptive meta-policy saw over one epoch, exported *before* any
-/// switch/tuning decision so the manager can merge per-shard ledgers and
-/// decide once for the whole pool.
+/// switch/tuning decision so the manager can decide with the pool's
+/// quotas beside it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochObservation {
     /// The currently live candidate's kind.
@@ -506,37 +506,14 @@ pub struct EpochObservation {
     pub refaults: Vec<(AppId, u64)>,
 }
 
-impl EpochObservation {
-    /// Merge another shard's observation into this one (ledgers sum by
-    /// kind / app; `live` must agree — shards switch in lockstep).
-    pub fn merge(&mut self, other: &EpochObservation) {
-        debug_assert_eq!(self.live, other.live, "shards switch in lockstep");
-        for &(kind, hits, accesses) in &other.ghost_epoch {
-            match self.ghost_epoch.iter_mut().find(|(k, _, _)| *k == kind) {
-                Some(slot) => {
-                    slot.1 += hits;
-                    slot.2 += accesses;
-                }
-                None => self.ghost_epoch.push((kind, hits, accesses)),
-            }
-        }
-        for &(app, n) in &other.refaults {
-            match self.refaults.iter_mut().find(|(a, _)| *a == app) {
-                Some(slot) => slot.1 += n,
-                None => self.refaults.push((app, n)),
-            }
-        }
-    }
-}
-
-/// A globally-decided epoch verdict pushed back into each shard's policy.
+/// An epoch verdict pushed back into the adaptive policy.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpochDirective {
     /// `Some((to, from_rate, to_rate))` directs a live switch to `to`
-    /// (rates are the merged ghost rates that justified it, recorded in
+    /// (rates are the ghost rates that justified it, recorded in
     /// the switch log). `None` keeps the live policy.
     pub switch_to: Option<(PolicyKind, f64, f64)>,
-    /// A globally-decided quota transfer to enter into the move log:
+    /// A quota transfer to enter into the move log:
     /// `(from, to, frames, from_refaults, to_refaults)`. The transfer
     /// itself is applied by the manager's charge ledger; this field only
     /// carries the bookkeeping so the decision shows up in
@@ -751,26 +728,6 @@ mod tests {
             Some(1),
             "victim choice carries over"
         );
-    }
-
-    #[test]
-    fn epoch_observation_merges_by_kind_and_app() {
-        let mut a = EpochObservation {
-            live: PolicyKind::Clock,
-            ghost_epoch: vec![(PolicyKind::Clock, 3, 10), (PolicyKind::Arc, 5, 10)],
-            refaults: vec![(AppId(0), 2)],
-        };
-        let b = EpochObservation {
-            live: PolicyKind::Clock,
-            ghost_epoch: vec![(PolicyKind::Arc, 1, 4), (PolicyKind::Lfu, 2, 4)],
-            refaults: vec![(AppId(0), 1), (AppId(1), 7)],
-        };
-        a.merge(&b);
-        assert_eq!(
-            a.ghost_epoch,
-            vec![(PolicyKind::Clock, 3, 10), (PolicyKind::Arc, 6, 14), (PolicyKind::Lfu, 2, 4)]
-        );
-        assert_eq!(a.refaults, vec![(AppId(0), 3), (AppId(1), 7)]);
     }
 
     #[test]

@@ -7,13 +7,19 @@
 use crate::time::Dur;
 
 /// Streaming mean/variance/min/max via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Tally {
     n: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally::new()
+    }
 }
 
 impl Tally {
@@ -181,6 +187,17 @@ mod tests {
         assert_eq!(t.min(), 2.0);
         assert_eq!(t.max(), 9.0);
         assert!((t.sum() - 40.0).abs() < 1e-9);
+    }
+
+    /// A default tally is a new one: its first sample is its min and max.
+    #[test]
+    fn default_tally_is_a_new_one() {
+        let mut t = Tally::default();
+        t.record(5.0);
+        assert_eq!((t.min(), t.max(), t.mean()), (5.0, 5.0, 5.0));
+        let mut t = Tally::default();
+        t.record(-2.0);
+        assert_eq!((t.min(), t.max()), (-2.0, -2.0));
     }
 
     #[test]

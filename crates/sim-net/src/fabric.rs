@@ -255,15 +255,16 @@ impl Actor for Fabric {
 /// Convenience: total one-way latency of an uncontended `bytes`-byte message
 /// (used by tests and analytic sanity checks).
 pub fn uncontended_latency(cfg: &NetConfig, bytes: u32) -> Dur {
+    // The fabric sends an empty control message as one byte.
+    let bytes = bytes.max(1);
     cfg.message_wire_time(bytes)
         + cfg.prop_delay
         + match cfg.kind {
             FabricKind::Hub => Dur::ZERO,
-            // Store-and-forward adds one switch hop plus the retransmission
-            // of the final frame on the downlink.
-            FabricKind::Switch => {
-                cfg.switch_latency + cfg.frame_time(bytes % cfg.frame_payload.max(1))
-            }
+            // Store-and-forward: the downlink starts one switch hop after
+            // the first frame has left the uplink, then carries the frames
+            // back to back, so the first frame's wire time is paid twice.
+            FabricKind::Switch => cfg.switch_latency + cfg.frame_time(bytes.min(cfg.frame_payload)),
         }
 }
 
@@ -321,6 +322,23 @@ mod tests {
         let sink = eng.actor_as::<Sink>(sinks[1]).unwrap();
         assert_eq!(sink.got.len(), 1);
         assert_eq!(sink.got[0].1, SimTime::ZERO + expect);
+    }
+
+    /// The analytic latency is what the fabric delivers, on both fabrics,
+    /// for a control message (sent as one byte), part of a frame, exactly
+    /// one and two full frames, and a full frame plus a tail.
+    #[test]
+    fn uncontended_latency_matches_the_fabric() {
+        for cfg in [NetConfig::hub_100mbps(), NetConfig::switch_100mbps()] {
+            for bytes in [0, 1, 1000, 1460, 2920, 4096] {
+                let expect = uncontended_latency(&cfg, bytes);
+                let (mut eng, fabric, sinks) = build(cfg.clone(), 2);
+                eng.post(Dur::ZERO, fabric, Xmit(msg(0, 1, bytes, 1)));
+                eng.run();
+                let sink = eng.actor_as::<Sink>(sinks[1]).unwrap();
+                assert_eq!(sink.got, [(1, SimTime::ZERO + expect)], "{:?}, {bytes} B", cfg.kind);
+            }
+        }
     }
 
     #[test]

@@ -444,6 +444,20 @@ fn invalid_json_configs_are_errors_not_panics() {
         (r#", "cache_blocks": 0"#, "[0]", "", "cache_blocks"),
         (r#", "cache_blocks": 1"#, "[0]", "", "cache_blocks"),
         (r#", "cache_blocks": 8, "shards": 9"#, "[0]", "", "shards"),
+        // More than one shard is a plain pool: no quotas, a static policy.
+        (
+            r#", "shards": 2, "partitioning": "strict""#,
+            "[0]",
+            r#", "quota_blocks": 100"#,
+            "partitioning",
+        ),
+        (
+            r#", "shards": 2, "partitioning": "soft""#,
+            "[0]",
+            r#", "quota_blocks": 100"#,
+            "partitioning",
+        ),
+        (r#", "shards": 2, "policy": "adaptive""#, "[0]", "", "policy"),
         ("", "[0, 4]", "", "nodes"),
         // Over the default 300-block cache: used to panic in the builder.
         (r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 500"#, "quota_blocks"),
