@@ -53,7 +53,7 @@ pub struct GhostCache {
     /// Key fingerprint → simulated frame index.
     map: KeyMap<u64, u32>,
     free: Vec<u32>,
-    /// Hits/misses within the current epoch (reset by the controller).
+    /// Hits/misses within the current epoch (reset at its end).
     epoch_hits: u64,
     epoch_misses: u64,
     /// Lifetime ledger.
@@ -135,33 +135,21 @@ impl GhostCache {
         self.policy.insert(frame, key, app);
     }
 
-    /// Forward an epoch tick to the simulated policy (time-based aging,
-    /// e.g. `SharingAware` referent decay, must happen in the ghost too or
-    /// its prediction drifts from what the candidate would really do).
-    pub fn epoch_tick(&mut self) {
-        self.policy.epoch_tick();
-    }
-
-    /// Hit rate over the current epoch (`None` before any traffic this
-    /// epoch — a silent candidate must not look infinitely bad or good).
-    pub fn epoch_rate(&self) -> Option<f64> {
-        let total = self.epoch_hits + self.epoch_misses;
-        if total == 0 {
-            None
-        } else {
-            Some(self.epoch_hits as f64 / total as f64)
-        }
-    }
-
-    /// Raw `(hits, accesses)` over the current epoch — the counts behind
-    /// [`epoch_rate`](Self::epoch_rate), which the epoch observation
-    /// carries to the switch rule.
+    /// Raw `(hits, accesses)` over the current epoch: what the switch rule
+    /// rates the candidate by (`accesses == 0`, no rate, before any
+    /// traffic this epoch — a silent candidate must not look infinitely
+    /// bad or good).
     pub fn epoch_counts(&self) -> (u64, u64) {
         (self.epoch_hits, self.epoch_hits + self.epoch_misses)
     }
 
-    /// Reset the per-epoch ledger (lifetime counters keep accumulating).
+    /// Close the epoch: forward the tick to the simulated policy
+    /// (time-based aging, e.g. `SharingAware` referent decay, must happen
+    /// in the ghost too or its prediction drifts from what the candidate
+    /// would really do) and reset the per-epoch ledger (lifetime counters
+    /// keep accumulating).
     pub fn end_epoch(&mut self) {
+        self.policy.epoch_tick();
         self.epoch_hits = 0;
         self.epoch_misses = 0;
     }
@@ -207,9 +195,9 @@ mod tests {
         let mut g = GhostCache::new(PolicyKind::Clock, 4);
         g.access(1, AppId(0));
         g.access(1, AppId(0));
-        assert_eq!(g.epoch_rate(), Some(0.5));
+        assert_eq!(g.epoch_counts(), (1, 2));
         g.end_epoch();
-        assert_eq!(g.epoch_rate(), None, "fresh epoch has no rate yet");
+        assert_eq!(g.epoch_counts(), (0, 0), "fresh epoch has no traffic yet");
         assert_eq!(g.lifetime(), (1, 1));
     }
 

@@ -26,12 +26,13 @@
 //!   counts are marginal-utility estimates, and each epoch the tuner
 //!   recommends moving a few frames of quota from the app that would lose
 //!   the least to the app that would gain the most. The buffer manager —
-//!   owner of the charge ledger — validates and applies the
-//!   recommendation.
+//!   owner of the charge ledger — applies the move.
 //!
-//! The evidence state only *observes* and *applies*; the decision in
-//! between is the free function [`decide_epoch`], which the buffer manager
-//! calls once per epoch boundary over the observation of its one shard.
+//! An epoch boundary is one call, [`AdaptivePolicy::end_epoch`], which the
+//! buffer manager makes once per boundary under the policy lock of its one
+//! shard: the pure rules [`decide_switch`] and [`decide_quota_move`]
+//! decide over the closing epoch's ledgers, a switch migrates the live
+//! table, and each decision is logged and returned as one record.
 //!
 //! With a single candidate the live cache behaves exactly like the static
 //! policy: the ghosts observe but never influence, the controller has
@@ -43,23 +44,24 @@ pub mod ghost;
 pub use ghost::GhostCache;
 
 use kcache_policy::{
-    AdaptiveStats, AppId, EpochDirective, EpochObservation, GhostLists, GhostRate, PolicyKind,
-    QuotaMoveRecord, SwitchRecord,
+    AdaptiveStats, AppId, GhostLists, GhostRate, PolicyKind, QuotaMoveRecord, RankedTable,
+    SwitchRecord,
 };
 use std::collections::BTreeMap;
 
 /// The epoch controller's switch rule over per-candidate epoch ghost
 /// ledgers `(kind, hits, accesses)`: the best-rated candidate wins a
 /// switch when it is not the live one and beats the live rate by more
-/// than `hysteresis`. Returns `Some((to, live_rate, best_rate))` when a
-/// switch is warranted. Candidates with no traffic this epoch have no
-/// rate and cannot win (or be compared against); ties keep the earliest
+/// than `hysteresis`. Returns the switch, as epoch `epoch` logs it, when
+/// one is warranted. Candidates with no traffic this epoch have no rate
+/// and cannot win (or be compared against); ties keep the earliest
 /// candidate in ledger order.
 pub fn decide_switch(
+    epoch: u64,
     ledgers: &[(PolicyKind, u64, u64)],
     live: PolicyKind,
     hysteresis: f64,
-) -> Option<(PolicyKind, f64, f64)> {
+) -> Option<SwitchRecord> {
     let rate = |h: u64, a: u64| if a == 0 { None } else { Some(h as f64 / a as f64) };
     let live_rate =
         ledgers.iter().find(|&&(k, _, _)| k == live).and_then(|&(_, h, a)| rate(h, a))?;
@@ -71,22 +73,14 @@ pub fn decide_switch(
             }
         }
     }
-    let (best_kind, best_rate) = best?;
-    (best_kind != live && best_rate > live_rate + hysteresis)
-        .then_some((best_kind, live_rate, best_rate))
-}
-
-/// One quota transfer proposed by the marginal-utility rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QuotaMove {
-    pub winner: AppId,
-    pub loser: AppId,
-    /// Frames moved (`loser` shrinks by this, `winner` grows by this).
-    pub frames: usize,
-    pub winner_quota: usize,
-    pub loser_quota: usize,
-    pub winner_refaults: u64,
-    pub loser_refaults: u64,
+    let (to, to_rate) = best?;
+    (to != live && to_rate > live_rate + hysteresis).then_some(SwitchRecord {
+        epoch,
+        from: live,
+        to,
+        from_rate: live_rate,
+        to_rate,
+    })
 }
 
 /// The quota tuner's transfer rule: move up to `quota_step` frames of
@@ -95,13 +89,14 @@ pub struct QuotaMove {
 /// exceeds `capacity` — in full or not at all. `quotas` is the
 /// current effective quota per app (ascending app id, as the manager
 /// reports it); `refaults` the per-app epoch refault evidence (missing
-/// apps count zero).
+/// apps count zero). The move is returned as epoch `epoch` logs it.
 pub fn decide_quota_move(
+    epoch: u64,
     quotas: &[(AppId, usize)],
     refaults: &[(AppId, u64)],
     capacity: usize,
     quota_step: usize,
-) -> Option<QuotaMove> {
+) -> Option<QuotaMoveRecord> {
     if quotas.len() < 2 {
         return None;
     }
@@ -123,37 +118,14 @@ pub fn decide_quota_move(
     // applicable in full or not proposed at all (a half-applied pair
     // would leak quota).
     let frames = quota_step.min(lq.saturating_sub(1)).min(capacity.saturating_sub(wq));
-    (frames > 0).then_some(QuotaMove {
-        winner,
-        loser,
+    (frames > 0).then_some(QuotaMoveRecord {
+        epoch,
+        from: loser,
+        to: winner,
         frames,
-        winner_quota: wq + frames,
-        loser_quota: lq - frames,
-        winner_refaults: rf(winner),
-        loser_refaults: rf(loser),
+        from_refaults: rf(loser),
+        to_refaults: rf(winner),
     })
-}
-
-/// One epoch's decision, composed here and nowhere else: the switch rule
-/// over the ghost ledgers and the quota transfer rule over the refault
-/// evidence, both read from `obs`, the policy's observation. `quotas` is
-/// the current effective quota of every partitioned app over a pool of
-/// `capacity` frames (empty for a shared pool: nothing to tune). The
-/// directive goes back into the observed policy through
-/// [`AdaptivePolicy::epoch_apply`]; the [`QuotaMove`], when one is
-/// proposed, is for the caller's charge ledger to validate and apply (and
-/// to strip from the directive if it refuses).
-pub fn decide_epoch(
-    obs: &EpochObservation,
-    cfg: &AdaptiveConfig,
-    quotas: &[(AppId, usize)],
-    capacity: usize,
-) -> (EpochDirective, Option<QuotaMove>) {
-    let switch_to = decide_switch(&obs.ghost_epoch, obs.live, cfg.hysteresis);
-    let mv = decide_quota_move(quotas, &obs.refaults, capacity, cfg.quota_step);
-    let quota_move =
-        mv.map(|mv| (mv.loser, mv.winner, mv.frames, mv.loser_refaults, mv.winner_refaults));
-    (EpochDirective { switch_to, quota_move }, mv)
 }
 
 /// Tunables of the meta-policy (the `adaptive` section of experiment
@@ -188,46 +160,26 @@ impl AdaptiveConfig {
     }
 }
 
-/// Per-application eviction memory for the quota tuner.
-struct AppGhostList {
-    /// One FIFO of the keys this app most recently lost to eviction.
-    recent: GhostLists,
-    /// Re-references to remembered (evicted) keys this epoch — the hits a
-    /// bigger quota would have kept.
-    epoch_refaults: u64,
-}
-
-impl AppGhostList {
-    fn new(cap: usize) -> AppGhostList {
-        AppGhostList { recent: GhostLists::new(1, cap.max(1)), epoch_refaults: 0 }
-    }
-
-    fn remember(&mut self, key: u64) {
-        self.recent.remember(key, 0);
-    }
-
-    fn note_access(&mut self, key: u64) {
-        if self.recent.forget(key).is_some() {
-            self.epoch_refaults += 1;
-        }
-    }
-}
-
 /// The meta-policy's evidence state. See the crate docs for the control
 /// loop. It ranks nothing and owns no frames: the buffer manager keeps it
 /// beside the live [`RankedTable`](kcache_policy::RankedTable) under the
 /// same policy lock, shows it the access stream
 /// ([`observe`](Self::observe)) and the capacity evictions
 /// ([`remember_eviction`](Self::remember_eviction)), and at each epoch
-/// boundary reads its [`epoch_observe`](Self::epoch_observe) and hands it
-/// the verdict ([`epoch_apply`](Self::epoch_apply)), migrating the live
-/// table itself when that returns a switch.
+/// boundary hands it the live table and the quotas
+/// ([`end_epoch`](Self::end_epoch)).
 pub struct AdaptivePolicy {
     cfg: AdaptiveConfig,
     /// Index (into `cfg.candidates` / `ghosts`) of the live policy.
     live_idx: usize,
     ghosts: Vec<GhostCache>,
-    app_ghosts: BTreeMap<u32, AppGhostList>,
+    /// Per application, one FIFO of the keys it most recently lost to
+    /// eviction, at most `ghost_cap` of them: the quota tuner's memory.
+    app_ghosts: BTreeMap<u32, GhostLists>,
+    /// Per application, re-references this epoch to a key its FIFO
+    /// remembers — the hits a bigger quota would have kept. Apps with
+    /// none are missing.
+    refaults: Vec<(AppId, u64)>,
     /// Per-application ghost-list capacity in keys: the cache capacity —
     /// remember about one partition's worth of evictions.
     ghost_cap: usize,
@@ -262,6 +214,7 @@ impl AdaptivePolicy {
             live_idx: 0,
             ghosts,
             app_ghosts: BTreeMap::new(),
+            refaults: Vec::new(),
             ghost_cap: capacity,
             tune_quotas,
             stats: AdaptiveStats::default(),
@@ -274,8 +227,7 @@ impl AdaptivePolicy {
     }
 
     /// The candidate that should be ranking the live cache right now (the
-    /// first one until an [`epoch_apply`](Self::epoch_apply) says
-    /// otherwise).
+    /// first one until an [`end_epoch`](Self::end_epoch) switches).
     pub fn live(&self) -> PolicyKind {
         self.cfg.candidates[self.live_idx]
     }
@@ -290,8 +242,12 @@ impl AdaptivePolicy {
             g.access(key, app);
         }
         if self.tune_quotas && app != AppId::UNKNOWN {
-            if let Some(gl) = self.app_ghosts.get_mut(&app.0) {
-                gl.note_access(key);
+            let remembered = self.app_ghosts.get_mut(&app.0).and_then(|g| g.forget(key));
+            if remembered.is_some() {
+                match self.refaults.iter_mut().find(|(a, _)| *a == app) {
+                    Some((_, n)) => *n += 1,
+                    None => self.refaults.push((app, 1)),
+                }
             }
         }
     }
@@ -303,84 +259,58 @@ impl AdaptivePolicy {
     pub fn remember_eviction(&mut self, owner: AppId, key: u64) {
         if self.tune_quotas && owner != AppId::UNKNOWN {
             let cap = self.ghost_cap;
-            self.app_ghosts.entry(owner.0).or_insert_with(|| AppGhostList::new(cap)).remember(key);
+            let list = self.app_ghosts.entry(owner.0).or_insert_with(|| GhostLists::new(1, cap));
+            list.remember(key, 0);
         }
     }
 
-    /// Export what was observed over the closing epoch *without* taking
-    /// any decision: ghost hit/access counts per candidate and the
-    /// per-application refault evidence. The manager decides over it
-    /// ([`decide_epoch`]) and pushes the verdict back through
-    /// [`epoch_apply`](Self::epoch_apply).
-    pub fn epoch_observe(&self) -> EpochObservation {
-        EpochObservation {
-            live: self.live(),
-            ghost_epoch: self
-                .ghosts
-                .iter()
-                .map(|g| {
-                    let (hits, accesses) = g.epoch_counts();
-                    (g.kind(), hits, accesses)
-                })
-                .collect(),
-            refaults: self
-                .app_ghosts
-                .iter()
-                .map(|(&id, gl)| (AppId(id), gl.epoch_refaults))
-                .collect(),
-        }
-    }
-
-    /// Apply a globally-decided epoch verdict: advance the epoch clock,
-    /// age the ghosts, log the decisions, and close out the ledgers the
-    /// observation was taken from. Returns the candidate the caller must
-    /// now migrate its live table to, when the directive switches away
-    /// from the current one. (The caller ages its live policy itself,
-    /// *before* migrating, so a switch lands on consistently aged
-    /// metadata.)
-    pub fn epoch_apply(&mut self, directive: &EpochDirective) -> Option<PolicyKind> {
+    /// Close the epoch: the switch rule over the candidates' epoch ghost
+    /// ledgers, the quota rule over `quotas` (every quota'd app's current
+    /// quota, ascending by app id; empty for a shared pool) and the epoch's
+    /// refaults, a switch migrating `live` — the live table this evidence
+    /// sits beside, whose capacity is the pool the quotas divide. Each
+    /// decision is logged and returned as one record; a quota move is the
+    /// caller's to apply to its charge ledger. The caller ages `live`
+    /// first, so a switch lands on consistently aged metadata.
+    pub fn end_epoch(
+        &mut self,
+        live: &mut RankedTable,
+        quotas: &[(AppId, usize)],
+    ) -> (Option<SwitchRecord>, Option<QuotaMoveRecord>) {
         self.stats.epochs += 1;
-        for g in &mut self.ghosts {
-            g.epoch_tick();
+        let epoch = self.stats.epochs;
+        let ledgers: Vec<_> = self
+            .ghosts
+            .iter()
+            .map(|g| {
+                let (hits, accesses) = g.epoch_counts();
+                (g.kind(), hits, accesses)
+            })
+            .collect();
+        let switch = decide_switch(epoch, &ledgers, self.live(), self.cfg.hysteresis);
+        let capacity = live.table().capacity();
+        let quota_move =
+            decide_quota_move(epoch, quotas, &self.refaults, capacity, self.cfg.quota_step);
+        if let Some(s) = switch {
+            self.live_idx =
+                self.cfg.candidates.iter().position(|&k| k == s.to).expect("a ghost's kind");
+            live.migrate(s.to);
+            self.stats.switches += 1;
+            self.stats.switch_log.push(s);
         }
-        let mut switched = None;
-        if let Some((to, from_rate, to_rate)) = directive.switch_to {
-            if let Some(idx) = self.cfg.candidates.iter().position(|&k| k == to) {
-                if idx != self.live_idx {
-                    let from = self.live();
-                    self.live_idx = idx;
-                    self.stats.switches += 1;
-                    self.stats.switch_log.push(SwitchRecord {
-                        epoch: self.stats.epochs,
-                        from,
-                        to,
-                        from_rate,
-                        to_rate,
-                    });
-                    switched = Some(to);
-                }
-            }
-        }
-        if let Some((from, to, frames, from_refaults, to_refaults)) = directive.quota_move {
+        if let Some(mv) = quota_move {
             self.stats.quota_moves += 1;
-            self.stats.quota_log.push(QuotaMoveRecord {
-                epoch: self.stats.epochs,
-                from,
-                to,
-                frames,
-                from_refaults,
-                to_refaults,
-            });
+            self.stats.quota_log.push(mv);
         }
-        // Close the epoch: rate ledgers and refault evidence both reset
-        // (lifetime counters keep accumulating).
+        // Rate ledgers and refault evidence both restart (lifetime
+        // counters keep accumulating).
         for g in &mut self.ghosts {
             g.end_epoch();
         }
-        for gl in self.app_ghosts.values_mut() {
-            gl.epoch_refaults = 0;
+        for (_, n) in &mut self.refaults {
+            *n = 0;
         }
-        switched
+        (switch, quota_move)
     }
 
     /// Lifetime ghost ledgers, one per candidate (candidate order), over
@@ -405,7 +335,7 @@ impl AdaptivePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kcache_policy::{RankedTable, ScanFilter};
+    use kcache_policy::ScanFilter;
 
     /// The live table and its evidence, composed the way a buffer-manager
     /// shard composes them.
@@ -446,18 +376,11 @@ mod tests {
             }
         }
 
-        /// One epoch boundary as the buffer manager runs it: observe,
-        /// decide over that observation, age, apply, migrate. Returns the
-        /// proposed quota transfer.
-        fn run_epoch(&mut self, quotas: &[(AppId, usize)]) -> Option<QuotaMove> {
-            let obs = self.ad.epoch_observe();
-            let capacity = self.live.table().capacity();
-            let (directive, mv) = decide_epoch(&obs, &self.ad.cfg, quotas, capacity);
+        /// One epoch boundary as the buffer manager runs it: age the live
+        /// table, then close the epoch. Returns the quota transfer.
+        fn run_epoch(&mut self, quotas: &[(AppId, usize)]) -> Option<QuotaMoveRecord> {
             self.live.epoch_tick();
-            if let Some(to) = self.ad.epoch_apply(&directive) {
-                self.live.migrate(to);
-            }
-            mv
+            self.ad.end_epoch(&mut self.live, quotas).1
         }
     }
 
@@ -525,13 +448,11 @@ mod tests {
             scan_key += 3;
         }
         let mv = p.run_epoch(&[(victim, 2), (scanner, 2)]).expect("tuner must move quota");
-        assert_eq!((mv.winner, mv.loser), (victim, scanner));
-        assert!(mv.winner_quota > 2, "victim quota must grow, got {}", mv.winner_quota);
-        assert_eq!(mv.loser_quota, 1, "scanner quota must shrink, never below one frame");
+        assert_eq!((mv.to, mv.from), (victim, scanner));
+        assert_eq!(mv.frames, 1, "scanner quota must shrink, never below one frame");
         let stats = p.ad.stats();
         assert_eq!(stats.quota_moves, 1);
-        assert_eq!(stats.quota_log[0].to, victim);
-        assert_eq!(stats.quota_log[0].from, scanner);
+        assert_eq!(stats.quota_log, [mv], "the move returned is the move logged");
     }
 
     #[test]
@@ -565,8 +486,8 @@ mod tests {
             p.feed(&[round % 5], hot);
         }
         let mv = p.run_epoch(&[(hot, 3), (cold, 3)]).expect("one frame of headroom");
-        assert_eq!((mv.winner, mv.winner_quota), (hot, 4), "clamped to the pool");
-        assert_eq!((mv.loser, mv.loser_quota), (cold, 2), "loser gives what the winner can take");
+        assert_eq!((mv.to, 3 + mv.frames), (hot, 4), "clamped to the pool");
+        assert_eq!((mv.from, 3 - mv.frames), (cold, 2), "loser gives what the winner can take");
     }
 
     #[test]
@@ -605,13 +526,15 @@ mod tests {
     /// refault, without bound while the app stayed below `cap` keys.
     #[test]
     fn refaults_leave_nothing_behind_in_the_eviction_memory() {
-        let mut gl = AppGhostList::new(4);
+        let mut p = AdaptivePolicy::new(4, AdaptiveConfig::new([PolicyKind::Clock]), true);
+        let app = AppId(0);
         for round in 0..100u64 {
-            gl.remember(round % 3);
-            gl.note_access(round % 3);
-            assert!(gl.recent.len(0) <= 4, "{} entries for a cap of 4", gl.recent.len(0));
+            p.remember_eviction(app, round % 3);
+            p.observe(round % 3, app);
+            let len = p.app_ghosts[&0].len(0);
+            assert!(len <= 4, "{len} entries for a cap of 4");
         }
-        assert_eq!((gl.epoch_refaults, gl.recent.len(0)), (100, 0));
+        assert_eq!((p.refaults.as_slice(), p.app_ghosts[&0].len(0)), (&[(app, 100)][..], 0));
     }
 
     /// Only the oldest remembered key is trimmed: the stale place of a key
@@ -619,15 +542,16 @@ mod tests {
     /// with it when the trim reached it.
     #[test]
     fn a_key_remembered_again_survives_the_trim_of_its_first_place() {
-        let mut gl = AppGhostList::new(3);
-        gl.remember(1);
-        gl.note_access(1);
+        let mut p = AdaptivePolicy::new(3, AdaptiveConfig::new([PolicyKind::Clock]), true);
+        let app = AppId(0);
+        p.remember_eviction(app, 1);
+        p.observe(1, app);
         for key in [2, 3, 1, 4] {
-            gl.remember(key); // 4 is one over: 2, the oldest, goes
+            p.remember_eviction(app, key); // 4 is one over: 2, the oldest, goes
         }
-        gl.note_access(2);
-        assert_eq!(gl.epoch_refaults, 1, "2 was trimmed");
-        gl.note_access(1);
-        assert_eq!(gl.epoch_refaults, 2, "1, remembered after 2 and 3, was not");
+        p.observe(2, app);
+        assert_eq!(p.refaults, [(app, 1)], "2 was trimmed");
+        p.observe(1, app);
+        assert_eq!(p.refaults, [(app, 2)], "1, remembered after 2 and 3, was not");
     }
 }

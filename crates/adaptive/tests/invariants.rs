@@ -5,7 +5,8 @@
 //! below 128 frames).
 
 use kcache_adaptive::ghost::sample_shift;
-use kcache_adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, GhostCache, QuotaMove};
+use kcache_adaptive::{AdaptiveConfig, AdaptivePolicy, GhostCache};
+use kcache_policy::QuotaMoveRecord;
 use kcache_policy::{AppId, PolicyKind, RankedTable, ScanFilter};
 use proptest::prelude::*;
 
@@ -52,13 +53,12 @@ fn sampled_fraction(capacity: usize, keys: impl Iterator<Item = u64>) -> f64 {
 struct Sim {
     live: RankedTable,
     ad: AdaptivePolicy,
-    cfg: AdaptiveConfig,
 }
 
 impl Sim {
     fn new(cfg: AdaptiveConfig) -> Sim {
-        let ad = AdaptivePolicy::new(CAP, cfg.clone(), false);
-        Sim { live: ad.live().build(CAP), ad, cfg }
+        let ad = AdaptivePolicy::new(CAP, cfg, false);
+        Sim { live: ad.live().build(CAP), ad }
     }
 
     fn access(&mut self, frame: u32, key: u64, app: AppId) {
@@ -77,14 +77,10 @@ impl Sim {
     }
 
     /// One epoch boundary over an unpartitioned pool, as the buffer
-    /// manager runs it: observe, decide, age, apply, migrate.
-    fn run_epoch(&mut self) -> Option<QuotaMove> {
-        let (directive, mv) = decide_epoch(&self.ad.epoch_observe(), &self.cfg, &[], CAP);
+    /// manager runs it: age the live table, then close the epoch.
+    fn run_epoch(&mut self) -> Option<QuotaMoveRecord> {
         self.live.epoch_tick();
-        if let Some(to) = self.ad.epoch_apply(&directive) {
-            self.live.migrate(to);
-        }
-        mv
+        self.ad.end_epoch(&mut self.live, &[]).1
     }
 }
 
@@ -275,17 +271,30 @@ proptest! {
     }
 
     /// Below 128 frames the ghosts are not sampled: the adaptive policy's
-    /// ledgers equal those of exact ghosts fed the same stream, epoch by
-    /// epoch and over their lifetime.
+    /// ledgers equal those of exact ghosts fed the same stream, at every
+    /// epoch boundary (so epoch by epoch) and over their lifetime.
     #[test]
     fn below_128_frames_the_ghost_ledgers_are_exact(
         capacity in 1usize..128,
         ops in collection::vec((0u64..400, 0u32..3, 0u8..40), 1..600),
     ) {
         let cfg = AdaptiveConfig { hysteresis: 0.0, ..AdaptiveConfig::all_candidates() };
-        let mut ad = AdaptivePolicy::new(capacity, cfg.clone(), false);
+        let mut ad = AdaptivePolicy::new(capacity, cfg, false);
+        let mut live = ad.live().build(capacity);
         let mut exact: Vec<GhostCache> =
             PolicyKind::ALL.iter().map(|&k| GhostCache::new(k, capacity)).collect();
+        let lifetime = |exact: &[GhostCache]| -> Vec<_> {
+            exact
+                .iter()
+                .map(|g| {
+                    let (hits, misses) = g.lifetime();
+                    (g.kind(), hits, misses)
+                })
+                .collect()
+        };
+        let rates = |ad: &AdaptivePolicy| -> Vec<_> {
+            ad.ghost_rates().iter().map(|g| (g.kind, g.hits, g.misses)).collect()
+        };
         for &(blk, app, tick) in &ops {
             let key = fingerprint(1 + blk % 3, blk);
             ad.observe(key, AppId(app));
@@ -293,30 +302,14 @@ proptest! {
                 g.access(key, AppId(app));
             }
             if tick == 0 {
-                let obs = ad.epoch_observe();
-                let ledgers: Vec<_> = exact
-                    .iter()
-                    .map(|g| {
-                        let (hits, accesses) = g.epoch_counts();
-                        (g.kind(), hits, accesses)
-                    })
-                    .collect();
-                prop_assert_eq!(&obs.ghost_epoch, &ledgers, "capacity {}", capacity);
-                ad.epoch_apply(&decide_epoch(&obs, &cfg, &[], capacity).0);
+                prop_assert_eq!(rates(&ad), lifetime(&exact), "capacity {}", capacity);
+                live.epoch_tick();
+                ad.end_epoch(&mut live, &[]);
                 for g in &mut exact {
-                    g.epoch_tick();
                     g.end_epoch();
                 }
             }
         }
-        let lifetime: Vec<_> = exact
-            .iter()
-            .map(|g| {
-                let (hits, misses) = g.lifetime();
-                (g.kind(), hits, misses)
-            })
-            .collect();
-        let rates: Vec<_> = ad.ghost_rates().iter().map(|g| (g.kind, g.hits, g.misses)).collect();
-        prop_assert_eq!(rates, lifetime, "capacity {}", capacity);
+        prop_assert_eq!(rates(&ad), lifetime(&exact), "capacity {}", capacity);
     }
 }

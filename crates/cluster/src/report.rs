@@ -49,7 +49,7 @@ pub struct AdaptiveReport {
     pub switches: u64,
     pub quota_moves: u64,
     /// Per candidate, the ghost's lifetime hits and misses over its key
-    /// sample only: from 128 frames a shard up the ghosts replay 1/R of
+    /// sample only: from 128 frames up the ghosts replay 1/R of
     /// the keys (R = 2 … 16), so the counts are about 1/R of the live
     /// cache's accesses; the rate estimates the full one.
     pub ghost_hit_rates: Vec<GhostRateReport>,
@@ -322,12 +322,13 @@ impl FigureData {
         out
     }
 
-    /// Render as CSV (x, then one column per series).
+    /// Render as CSV (x, then one column per series). A label holding a
+    /// comma or a quote is quoted (RFC 4180).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        let _ = write!(out, "{}", self.x_label);
+        let _ = write!(out, "{}", csv_field(&self.x_label));
         for s in &self.series {
-            let _ = write!(out, ",{}", s);
+            let _ = write!(out, ",{}", csv_field(s));
         }
         let _ = writeln!(out);
         for r in &self.rows {
@@ -338,6 +339,16 @@ impl FigureData {
             let _ = writeln!(out);
         }
         out
+    }
+}
+
+/// `field` as one CSV field: quoted, its quotes doubled, when it holds a
+/// comma, a quote or a line break; as it is otherwise.
+fn csv_field(field: &str) -> std::borrow::Cow<'_, str> {
+    if field.contains([',', '"', '\n', '\r']) {
+        format!("\"{}\"", field.replace('"', "\"\"")).into()
+    } else {
+        field.into()
     }
 }
 
@@ -397,6 +408,21 @@ mod tests {
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], "size,a,b");
         assert!(lines[1].starts_with("1024,"));
+    }
+
+    #[test]
+    fn csv_quotes_a_label_with_a_comma_or_a_quote() {
+        let mut f = FigureData::new(
+            "t2",
+            "labels",
+            "quota (app 0, app 1)",
+            "ratio",
+            vec!["plain".into(), "say \"hi\"".into()],
+        );
+        f.push(1.0, vec![0.5, 0.25]);
+        let csv = f.to_csv();
+        let lines: Vec<&str> = csv.lines().collect();
+        assert_eq!(lines, ["\"quota (app 0, app 1)\",plain,\"say \"\"hi\"\"\"", "1,0.5,0.25"]);
     }
 
     #[test]

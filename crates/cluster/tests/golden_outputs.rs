@@ -16,7 +16,8 @@
 //! The figures get the same treatment in `tests/golden/figures.txt`: the
 //! built `figures` binary regenerates `--fig all` and `--fig policy-grid`
 //! on the smoke grid, and each table is one line: its id, then FNV-1a
-//! hashes of its CSV and of its JSON.
+//! hashes of its CSV and of its JSON. Every line of every regenerated CSV
+//! must also have as many fields as its header.
 //!
 //! A change meant to move a decision rewrites the files in the same diff,
 //! `GOLDEN_BLESS=1 cargo test -p cluster-harness --test golden_outputs`,
@@ -128,7 +129,20 @@ fn outputs_match_the_blessed_fingerprints() {
     check_blessed("outputs.txt", &(lines.join("\n") + "\n"));
 }
 
-/// One line per table `figures --smoke --fig <fig>` writes, in id order.
+/// Fields on one CSV line: commas outside quoted fields, plus one.
+fn csv_fields(line: &str) -> usize {
+    let mut quoted = false;
+    1 + line
+        .chars()
+        .filter(|&c| {
+            quoted ^= c == '"';
+            c == ',' && !quoted
+        })
+        .count()
+}
+
+/// One line per table `figures --smoke --fig <fig>` writes, in id order,
+/// once each CSV is seen to have one field count on every line.
 fn figure_fingerprints(fig: &str) -> Vec<String> {
     let out = std::env::temp_dir().join(format!("clusterio-figures-{}-{fig}", std::process::id()));
     let run = Command::new(env!("CARGO_BIN_EXE_figures"))
@@ -149,7 +163,13 @@ fn figure_fingerprints(fig: &str) -> Vec<String> {
         .iter()
         .map(|id| {
             let read = |ext: &str| std::fs::read(out.join(format!("{id}.{ext}"))).expect("table");
-            format!("{id} {:016x} {:016x}", fnv1a64(&read("csv")), fnv1a64(&read("json")))
+            let csv = read("csv");
+            let text = std::str::from_utf8(&csv).expect("utf-8 CSV");
+            let header = text.lines().next().map_or(0, csv_fields);
+            for (n, line) in text.lines().enumerate() {
+                assert_eq!(csv_fields(line), header, "{id}.csv line {}: {line}", n + 1);
+            }
+            format!("{id} {:016x} {:016x}", fnv1a64(&csv), fnv1a64(&read("json")))
         })
         .collect();
     std::fs::remove_dir_all(&out).ok();

@@ -4,7 +4,7 @@
 use super::shard::{lock_leaf, LockWaits, Shard, Victim};
 use crate::config::{PartitionConfig, PartitionMode};
 use kcache_obs::CacheLine;
-use kcache_policy::AppId;
+use kcache_policy::{AppId, QuotaMoveRecord};
 use parking_lot::Mutex;
 
 /// Outcome of the quota gate for one frame acquisition.
@@ -97,21 +97,25 @@ impl QuotaLedger {
         (self.apps.iter().zip(accounts.iter())).map(|(&id, a)| (AppId(id), a.quota)).collect()
     }
 
-    /// Move `frames` of quota from `loser` to `winner` in one hold, so no
-    /// reader sees the quotas sum to anything but what was configured.
-    /// The caller has validated the move: both apps have quotas, and the
-    /// loser keeps at least one frame.
-    pub(super) fn move_quota(&self, loser: AppId, winner: AppId, frames: usize) {
-        let position = |app: AppId| {
-            self.apps
-                .iter()
-                .position(|&id| id == app.0)
-                .expect("a validated move names quota'd apps")
-        };
-        let (l, w) = (position(loser), position(winner));
+    /// Move `mv.frames` of quota from `mv.from` to `mv.to` in one hold, so
+    /// no reader sees the quotas sum to anything but what was configured.
+    /// This is the one check of a move, and a tuner bug if it fails: the
+    /// tuner picks both apps from [`quotas`](Self::quotas) and clamps the
+    /// move so the loser keeps a frame and the winner stays within the
+    /// pool.
+    pub(super) fn move_quota(&self, mv: &QuotaMoveRecord) {
+        let position = |app: AppId| self.apps.iter().position(|&id| id == app.0);
+        let (l, w) = (position(mv.from), position(mv.to));
         let mut accounts = lock_leaf(&self.accounts, &self.waits);
-        accounts[l].quota -= frames;
-        accounts[w].quota += frames;
+        match (l, w) {
+            (Some(l), Some(w)) if l != w && accounts[l].quota > mv.frames => {
+                accounts[l].quota -= mv.frames;
+                accounts[w].quota += mv.frames;
+            }
+            _ => panic!(
+                "a quota move must name two quota'd apps and leave the loser a frame: {mv:?}"
+            ),
+        }
     }
 
     /// Charge one frame to `app` bypassing the quota check (soft-mode

@@ -1,11 +1,10 @@
-//! The epoch clock, its CAS gate, and the boundary: observe the adaptive
-//! shard, decide, let every shard age — and the one place a quota move is
-//! validated and applied.
+//! The epoch clock, its CAS gate, and the boundary: every shard ages, the
+//! adaptive one closes its epoch in the same hold of its policy lock, and
+//! the quota move that returns is applied to the ledger.
 
 use super::facade::BufferManager;
 use super::shard::{PolicyState, Shard};
-use kcache_adaptive::{decide_epoch, AdaptivePolicy, QuotaMove};
-use kcache_policy::{AppId, AppUsage, EpochDirective, EpochObservation, GhostRate, PolicyKind};
+use kcache_policy::{AppId, AppUsage, GhostRate, QuotaMoveRecord, SwitchRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc as StdArc;
 
@@ -50,36 +49,29 @@ impl EpochClock {
 }
 
 impl Shard {
-    /// Epoch boundary, step 1: export this shard's epoch observation —
-    /// the live policy, each candidate ghost's per-epoch ledger, each
-    /// app's refault count. `None` for static policies.
-    fn epoch_observe(&self) -> Option<EpochObservation> {
-        self.lock_policy().adaptive.as_ref().map(AdaptivePolicy::epoch_observe)
-    }
-
-    /// Epoch boundary, step 2: let the live policy age
-    /// (`SharingAware` referent decay), and — the adaptive shard — apply
-    /// the decision. Static shards (`None`) only age.
-    fn epoch_apply(&self, directive: Option<&EpochDirective>) {
+    /// This shard's half of the boundary, in one hold of the policy lock:
+    /// the live policy ages (`SharingAware` referent decay) and, on the
+    /// adaptive shard, the meta-policy closes its epoch over `quotas`
+    /// ([`AdaptivePolicy::end_epoch`](kcache_adaptive::AdaptivePolicy::end_epoch)).
+    /// Returns the epoch's decisions; none on a static shard.
+    fn end_epoch(
+        &self,
+        quotas: &[(AppId, usize)],
+    ) -> (Option<SwitchRecord>, Option<QuotaMoveRecord>) {
         let mut p = self.lock_policy();
-        let PolicyState { ranked, adaptive, .. } = &mut *p;
+        let PolicyState { ranked, adaptive } = &mut *p;
         ranked.epoch_tick();
-        if let (Some(a), Some(directive)) = (adaptive, directive) {
-            if let Some(to) = a.epoch_apply(directive) {
-                ranked.migrate(to);
-            }
-        }
+        adaptive.as_mut().map_or((None, None), |a| a.end_epoch(ranked, quotas))
     }
 
     /// Epoch-boundary observability (cold path, obs-wired managers only):
     /// mark the boundary in the trace, refresh the per-app occupancy and
     /// ghost-rate gauges, and emit the boundary's adaptive decisions as
-    /// trace events. `decision` is what the facade just decided and
-    /// applied — the candidate that was live going in, and the directive
-    /// (its quota move already validated) — so `kcache-adaptive` itself
-    /// stays free of any obs dependency. Each decision event carries its
-    /// *reason* as args: the deciding ghost hit rates for a policy
-    /// switch, the losing/winning refault counts for a quota move.
+    /// trace events. `switch` and `quota_move` are what the boundary just
+    /// decided and applied, so `kcache-adaptive` itself stays free of any
+    /// obs dependency. Each decision event carries its *reason* as args:
+    /// the deciding ghost hit rates for a policy switch, the
+    /// losing/winning refault counts for a quota move.
     ///
     /// Usage and quota gauges come in as arguments so the facade can pass
     /// views summed over every shard.
@@ -89,7 +81,7 @@ impl Shard {
         usage: &[(AppId, AppUsage)],
         quota_gauges: &[(AppId, usize)],
         ghost_rates: &[GhostRate],
-        decision: Option<(PolicyKind, &EpochDirective)>,
+        (switch, quota_move): (Option<SwitchRecord>, Option<QuotaMoveRecord>),
     ) {
         let Some(o) = &self.obs else { return };
         let epoch = access_n / self.epoch.per_epoch as u64;
@@ -108,23 +100,22 @@ impl Shard {
             reg.gauge(&format!("ghost.{}.rate_bp", g.kind.name()))
                 .set((g.rate() * 10_000.0) as u64);
         }
-        let Some((from, directive)) = decision else { return };
-        if let Some((to, from_rate, to_rate)) = directive.switch_to {
+        if let Some(s) = switch {
             let id = o.hub.intern(
-                &format!("policy_switch {}->{}", from.name(), to.name()),
+                &format!("policy_switch {}->{}", s.from.name(), s.to.name()),
                 Some("from_rate_bp"),
                 Some("to_rate_bp"),
             );
             let bp = |rate: f64| (rate * 10_000.0) as u64;
-            o.hub.instant(id, o.node, 0, bp(from_rate), bp(to_rate));
+            o.hub.instant(id, o.node, 0, bp(s.from_rate), bp(s.to_rate));
         }
-        if let Some((from, to, frames, from_refaults, to_refaults)) = directive.quota_move {
+        if let Some(mv) = quota_move {
             let id = o.hub.intern(
-                &format!("quota_move app{}->app{} x{}", from.0, to.0, frames),
+                &format!("quota_move app{}->app{} x{}", mv.from.0, mv.to.0, mv.frames),
                 Some("from_refaults"),
                 Some("to_refaults"),
             );
-            o.hub.instant(id, o.node, 0, from_refaults, to_refaults);
+            o.hub.instant(id, o.node, 0, mv.from_refaults, mv.to_refaults);
         }
     }
 }
@@ -159,34 +150,21 @@ impl BufferManager {
         }
     }
 
-    /// One epoch boundary, the same for every shard count.
-    ///
-    /// If an adaptive meta-policy runs — on shard 0, the only shard a
-    /// manager with one has — take its [`EpochObservation`], make the
-    /// switch/quota decision over it and the current quotas
-    /// (`kcache_adaptive::decide_epoch`), validate the quota transfer
-    /// ([`quota_move_valid`](Self::quota_move_valid)) and apply both. Every
-    /// other shard runs a static policy and just ages (`SharingAware`
-    /// referent decay) — the same [`Shard::epoch_apply`], with no
-    /// directive.
+    /// One epoch boundary, the same for every shard count: read the
+    /// quotas from the ledger, let every shard close its epoch
+    /// ([`Shard::end_epoch`]: each ages; the adaptive one — shard 0, the
+    /// only shard a manager with one has — decides), apply the returned
+    /// quota move once that policy lock is released (leaf locks never
+    /// nest), and report the decisions.
     fn run_epoch_boundary(&self, epoch_n: u64) {
         let shard0 = &self.shards[0];
-        // `(the candidate live going in, the directive it applies)`;
-        // `None` for static policies.
-        let decision = shard0.epoch_observe().map(|obs| {
-            let cfg = self.adaptive_cfg.as_ref().expect("only the adaptive policy observes");
-            let quotas = shard0.ledger.quotas();
-            let (mut directive, mv) = decide_epoch(&obs, cfg, &quotas, self.capacity);
-            let mv = mv.filter(|mv| self.quota_move_valid(mv));
-            if mv.is_none() {
-                directive.quota_move = None;
-            }
-            (obs.live, directive, mv)
-        });
-        for s in self.shards.iter() {
-            s.epoch_apply(decision.as_ref().map(|d| &d.1));
+        let quotas = if self.adaptive { shard0.ledger.quotas() } else { Vec::new() };
+        let decided = shard0.end_epoch(&quotas);
+        // Any other shard is static (a sharded manager is a plain pool).
+        for s in &self.shards[1..] {
+            s.end_epoch(&[]);
         }
-        if let Some((_, _, Some(mv))) = &decision {
+        if let Some(mv) = &decided.1 {
             self.apply_quota_move(mv);
         }
         // Observability: one mark with views summed over the shards
@@ -201,32 +179,19 @@ impl BufferManager {
                 &usage,
                 &quota_gauges,
                 &shard0.ghost_rates().unwrap_or_default(),
-                decision.as_ref().map(|(live, directive, _)| (*live, directive)),
+                decided,
             );
             self.publish_shard_gauges();
         }
     }
 
-    /// Move `mv.frames` of quota from the loser to the winner, in one
-    /// hold of the ledger lock: no reader sees the quotas sum to anything
-    /// but the configured total. Under strict quotas the loser's clean
-    /// frames are then evicted down to its new quota
-    /// ([`Shard::shed_over_quota`]).
-    pub(super) fn apply_quota_move(&self, mv: &QuotaMove) {
+    /// Move `mv.frames` of quota from `mv.from` to `mv.to`, in one hold of
+    /// the ledger lock: no reader sees the quotas sum to anything but the
+    /// configured total. Under strict quotas the loser's clean frames are
+    /// then evicted down to its new quota ([`Shard::shed_over_quota`]).
+    pub(super) fn apply_quota_move(&self, mv: &QuotaMoveRecord) {
         let shard = &self.shards[0];
-        shard.ledger.move_quota(mv.loser, mv.winner, mv.frames);
+        shard.ledger.move_quota(mv);
         shard.shed_over_quota();
-    }
-
-    /// The backstop behind the tuner's own clamps, and the one place a
-    /// quota move is validated. The tuner redistributes existing
-    /// partitions: it may never invent a quota (unknown or unpartitioned
-    /// app), empty one or exceed the pool — and a transfer applies in
-    /// full or not at all (applying only one side of a grow/shrink pair
-    /// would leak total quota).
-    pub(super) fn quota_move_valid(&self, mv: &QuotaMove) -> bool {
-        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
-            .into_iter()
-            .all(|(app, q)| (1..=self.capacity).contains(&q) && self.quota_of(app).is_some())
     }
 }

@@ -32,7 +32,9 @@ pub struct BufferManager {
     policy_cfg: EvictPolicy,
     /// The partition config, as configured.
     partitioning: PartitionConfig,
-    pub(super) adaptive_cfg: Option<AdaptiveConfig>,
+    /// Shard 0 runs the adaptive meta-policy, whose tuner the epoch
+    /// boundary hands the quotas.
+    pub(super) adaptive: bool,
     pub(super) epoch: EpochClock,
 }
 
@@ -153,7 +155,7 @@ impl BufferManagerBuilder {
             capacity,
             policy_cfg: self.policy,
             partitioning: self.partitioning,
-            adaptive_cfg: self.adaptive,
+            adaptive: self.adaptive.is_some(),
             epoch,
         }
     }

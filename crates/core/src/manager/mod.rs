@@ -41,9 +41,9 @@
 //!   forgetting an invalidated block.
 //! * `flush` — the dirty queue and what drains or bypasses it:
 //!   `take_dirty`, `flush_complete`, `invalidate`, the harvester sweep.
-//! * `epoch` — the epoch clock and CAS gate, the boundary (observe the
-//!   adaptive shard, decide, let every shard age) and the one place a
-//!   quota move is validated and applied.
+//! * `epoch` — the epoch clock and CAS gate, the boundary (every shard
+//!   ages, the adaptive one closes its epoch in the same policy-lock hold)
+//!   and applying the quota move that returns.
 //! * `facade` — [`BufferManager`] and its builder: routing, aggregate
 //!   readers, delegation. It names no lock type at all (CI greps the file).
 //!
@@ -94,8 +94,9 @@
 //! the tuner, at the epoch boundary: one hold lowers the loser's quota and
 //! raises the winner's, so no reader ever sees the quotas sum to anything
 //! but the configured total — pinned under four threads by
-//! `tests/quota_sum.rs`. [`BufferManager::quota_of`], admission, the
-//! tuner's decision and the quota-move validator all read that ledger.
+//! `tests/quota_sum.rs`. [`BufferManager::quota_of`], admission and the
+//! tuner's decision all read that ledger, and its `move_quota` is the one
+//! check of a move.
 //!
 //! ## Hit-path concurrency
 //!

@@ -7,7 +7,8 @@
 use super::*;
 use crate::block::CACHE_BLOCK_SIZE;
 use crate::config::PartitionMode;
-use kcache_adaptive::{AdaptiveConfig, QuotaMove};
+use kcache_adaptive::AdaptiveConfig;
+use kcache_policy::QuotaMoveRecord;
 use pvfs::Fid;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 

@@ -241,33 +241,6 @@ fn epochs_off_leaves_the_epoch_clock_untouched() {
     }
 }
 
-/// The one quota-move validator: every reject arm, and an accept.
-#[test]
-fn quota_move_validator_rejects_every_bad_arm() {
-    let m = BufferManager::builder(16)
-        .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 8)]))
-        .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
-        .build();
-    let mv = |winner: AppId, winner_quota: usize, loser: AppId, loser_quota: usize| QuotaMove {
-        winner,
-        loser,
-        frames: 1,
-        winner_quota,
-        loser_quota,
-        winner_refaults: 1,
-        loser_refaults: 0,
-    };
-    let (a, b) = (AppId(0), AppId(1));
-    assert!(m.quota_move_valid(&mv(a, 3, b, 7)), "a move between two partitioned apps");
-    assert!(!m.quota_move_valid(&mv(AppId::UNKNOWN, 3, b, 7)), "unknown app");
-    assert!(!m.quota_move_valid(&mv(AppId(7), 3, b, 7)), "unpartitioned app");
-    assert!(!m.quota_move_valid(&mv(a, 3, b, 0)), "an emptied quota");
-    assert!(!m.quota_move_valid(&mv(a, 17, b, 7)), "more than the pool");
-    // A shared pool has no partitions to move quota between.
-    let shared = BufferManager::builder(16).build();
-    assert!(!shared.quota_move_valid(&mv(a, 3, b, 7)), "shared pool");
-}
-
 /// A strict quota shrink takes effect at once: the move evicts the
 /// loser's clean frames down to its new quota, and a frame dirty then
 /// goes when its write-back is acknowledged.
@@ -285,14 +258,13 @@ fn a_strict_quota_shrink_evicts_the_loser_down_to_it() {
         m.write_by(key(b), NodeId(0), Span::FULL, &full_block(2), loser);
     }
     assert_eq!(m.resident_of(loser), 8);
-    m.apply_quota_move(&QuotaMove {
-        winner,
-        loser,
+    m.apply_quota_move(&QuotaMoveRecord {
+        epoch: 1,
+        from: loser,
+        to: winner,
         frames: 7,
-        winner_quota: 15,
-        loser_quota: 1,
-        winner_refaults: 1,
-        loser_refaults: 0,
+        from_refaults: 0,
+        to_refaults: 1,
     });
     assert_eq!(m.quota_of(loser), Some(1));
     assert_eq!(m.resident_of(loser), 2, "only the two dirty frames stay");
@@ -305,6 +277,26 @@ fn a_strict_quota_shrink_evicts_the_loser_down_to_it() {
         m.insert_clean_by(key(b), NodeId(0), Span::FULL, &full_block(3), winner);
     }
     assert_eq!((m.resident_of(winner), m.resident_of(loser)), (15, 1));
+}
+
+/// The ledger's assert is the one check of a quota move: a move that
+/// would drain its loser is a tuner bug, not something to skip.
+#[test]
+#[should_panic(expected = "leave the loser a frame")]
+fn a_quota_move_that_drains_its_loser_panics() {
+    let m = BufferManager::builder(16)
+        .partitioning(crate::config::PartitionConfig::strict([(0, 2), (1, 8)]))
+        .adaptive(Some(AdaptiveConfig::new([PolicyKind::Clock])))
+        .build();
+    let (from, to) = (AppId(0), AppId(1));
+    m.apply_quota_move(&QuotaMoveRecord {
+        epoch: 1,
+        from,
+        to,
+        frames: 2,
+        from_refaults: 0,
+        to_refaults: 1,
+    });
 }
 
 /// 8-thread stress over a 4-shard manager — a plain pool, the only kind

@@ -4,8 +4,8 @@
 //! plain ledger (totals and one row per app, bumped where each op is
 //! applied), a [`RankedTable`] to *rank* (the rankers have their own
 //! oracles in `kcache-policy`; this one is for the manager) and, under an
-//! adaptive configuration, [`AdaptivePolicy`] / [`decide_epoch`] for
-//! evidence and the decision. Every access is applied **at access time**,
+//! adaptive configuration, [`AdaptivePolicy`] for evidence and the
+//! decision. Every access is applied **at access time**,
 //! in one place. It shares no code with `src/manager/` beyond the public
 //! types it drives.
 //!
@@ -40,7 +40,7 @@
 //! The fixed script inherited from the eager-vs-drained differential
 //! survives both; the random sequences are what catch them.
 
-use kcache::adaptive::{decide_epoch, AdaptiveConfig, AdaptivePolicy, QuotaMove};
+use kcache::adaptive::{AdaptiveConfig, AdaptivePolicy};
 use kcache::policy::{AppUsage, PolicyStats, RankedTable, ScanFilter};
 use kcache::{
     Access, AccessKind, AccessOutcome, AppId, BlockKey, BufferManager, CacheStats, EvictPolicy,
@@ -529,36 +529,16 @@ impl Model {
         let per_epoch = self.cfg.epoch_accesses;
         while per_epoch != 0 && self.accesses >= (self.epochs + 1) * per_epoch {
             self.epochs += 1;
-            let decision = self.adaptive.as_ref().map(|a| {
-                let quotas: Vec<(AppId, usize)> =
-                    self.apps.iter().map(|(&id, &(q, _))| (AppId(id), q)).collect();
-                let cfg = self.cfg.adaptive.as_ref().unwrap();
-                let (mut directive, mv) =
-                    decide_epoch(&a.epoch_observe(), cfg, &quotas, self.cfg.capacity);
-                let mv = mv.filter(|mv| self.move_is_valid(mv));
-                if mv.is_none() {
-                    directive.quota_move = None;
-                }
-                (directive, mv)
-            });
             self.ranked.epoch_tick();
-            let Some((directive, mv)) = decision else { continue };
-            if let Some(to) = self.adaptive.as_mut().unwrap().epoch_apply(&directive) {
-                self.ranked.migrate(to);
-            }
-            if let Some(mv) = mv {
-                self.apps.get_mut(&mv.winner.0).unwrap().0 = mv.winner_quota;
-                self.apps.get_mut(&mv.loser.0).unwrap().0 = mv.loser_quota;
+            let Some(a) = &mut self.adaptive else { continue };
+            let quotas: Vec<(AppId, usize)> =
+                self.apps.iter().map(|(&id, &(q, _))| (AppId(id), q)).collect();
+            if let (_, Some(mv)) = a.end_epoch(&mut self.ranked, &quotas) {
+                self.apps.get_mut(&mv.from.0).unwrap().0 -= mv.frames;
+                self.apps.get_mut(&mv.to.0).unwrap().0 += mv.frames;
                 self.shed();
             }
         }
-    }
-
-    /// Known apps only, nothing emptied or past the pool.
-    fn move_is_valid(&self, mv: &QuotaMove) -> bool {
-        [(mv.winner, mv.winner_quota), (mv.loser, mv.loser_quota)]
-            .into_iter()
-            .all(|(app, q)| (1..=self.cfg.capacity).contains(&q) && self.apps.contains_key(&app.0))
     }
 
     fn resident_keys(&self) -> Vec<BlockKey> {

@@ -86,6 +86,20 @@ fn the_tuner_only_ever_moves_quota() {
         }
         assert_eq!(m.resident() + m.free_frames(), CAPACITY, "round {round}: frames leaked");
     }
-    let moves = m.adaptive_stats().expect("adaptive").quota_moves;
-    assert!(moves > 0, "the tuner never moved: nothing was tested");
+    let stats = m.adaptive_stats().expect("adaptive");
+    assert!(stats.quota_moves > 0, "the tuner never moved: nothing was tested");
+    assert_eq!(stats.quota_moves as usize, stats.quota_log.len(), "quota log out of sync");
+    assert_eq!(stats.switches as usize, stats.switch_log.len(), "switch log out of sync");
+    // The log replays to the ledger: every move applied was logged, and
+    // every move logged was applied.
+    for id in [0, 1] {
+        let app = AppId(id);
+        let net: i64 = stats
+            .quota_log
+            .iter()
+            .map(|m| m.frames as i64 * (i64::from(m.to == app) - i64::from(m.from == app)))
+            .sum();
+        let quota = m.quota_of(app).expect("partitioned") as i64;
+        assert_eq!(QUOTA as i64 + net, quota, "app {id}: quota log and ledger disagree");
+    }
 }

@@ -168,9 +168,12 @@ pub struct SwitchRecord {
     pub to_rate: f64,
 }
 
-/// One quota transfer performed by a meta-policy's marginal-utility tuner.
+/// One quota transfer decided by a meta-policy's marginal-utility tuner:
+/// the one form a move takes from the rule that picks it to the move log,
+/// the charge ledger that applies it and the trace event that reports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuotaMoveRecord {
+    /// Epoch index (1-based; the tick that decided the move).
     pub epoch: u64,
     /// The app whose quota shrank (lowest marginal utility).
     pub from: AppId,
@@ -187,7 +190,7 @@ pub struct QuotaMoveRecord {
 }
 
 /// Lifetime hit/miss ledger of one candidate's ghost cache. The counts are
-/// over the ghost's key sample: from 128 frames a shard up, a ghost
+/// over the ghost's key sample: from 128 frames up, a ghost
 /// replays only 1/R of the keys (R = 2 … 16, `kcache_adaptive::ghost`), so
 /// `hits + misses` is about 1/R of the live accesses; below, every access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -489,36 +492,6 @@ impl RankedTable {
         self.ranker = ranker;
         self.kind = Some(to);
     }
-}
-
-/// What an adaptive meta-policy saw over one epoch, exported *before* any
-/// switch/tuning decision so the manager can decide with the pool's
-/// quotas beside it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochObservation {
-    /// The currently live candidate's kind.
-    pub live: PolicyKind,
-    /// Per-candidate ghost traffic this epoch: `(kind, hits, accesses)`,
-    /// over the ghosts' key sample (every key below 128 frames a shard).
-    pub ghost_epoch: Vec<(PolicyKind, u64, u64)>,
-    /// Per-application refaults this epoch (ghost-list re-reads of blocks
-    /// the app recently lost to eviction) — the quota tuner's evidence.
-    pub refaults: Vec<(AppId, u64)>,
-}
-
-/// An epoch verdict pushed back into the adaptive policy.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct EpochDirective {
-    /// `Some((to, from_rate, to_rate))` directs a live switch to `to`
-    /// (rates are the ghost rates that justified it, recorded in
-    /// the switch log). `None` keeps the live policy.
-    pub switch_to: Option<(PolicyKind, f64, f64)>,
-    /// A quota transfer to enter into the move log:
-    /// `(from, to, frames, from_refaults, to_refaults)`. The transfer
-    /// itself is applied by the manager's charge ledger; this field only
-    /// carries the bookkeeping so the decision shows up in
-    /// [`AdaptiveStats::quota_log`].
-    pub quota_move: Option<(AppId, AppId, usize, u64, u64)>,
 }
 
 /// Selector for the built-in policies — what configs, JSON experiment

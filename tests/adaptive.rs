@@ -146,8 +146,22 @@ fn adaptive_switching_preserves_strict_quotas() {
     let r = run_experiment(&spec_with(cache, 13), &[a, b]);
     assert!(r.completed && r.total_verify_failures() == 0);
     let usage = r.app_usage.as_deref().unwrap();
-    let moves = &r.adaptive.as_ref().expect("adaptive run").quota_log;
+    let stats = r.adaptive.as_ref().expect("adaptive run");
+    let moves = &stats.quota_log;
     assert!(!moves.is_empty(), "the tuner runs under strict quotas");
+    assert_eq!(stats.quota_moves as usize, moves.len(), "quota log out of sync");
+    assert_eq!(stats.switches as usize, stats.switch_log.len(), "switch log out of sync");
+    // The log replays to the ledger: both readers run on node 0, so its
+    // module's ledger holds each app's whole quota, and every move it
+    // applied is logged once.
+    for (app, configured) in [(0u32, 180i64), (1, 120)] {
+        let net: i64 = moves
+            .iter()
+            .map(|m| m.frames as i64 * (i64::from(m.to.0 == app) - i64::from(m.from.0 == app)))
+            .sum();
+        let quota = usage.iter().find(|u| u.app == app).expect("app usage").quota;
+        assert_eq!(configured + net, quota as i64, "app {app}: quota log and ledger disagree");
+    }
     for u in usage {
         assert!(u.quota > 0, "app {} lost its quota", u.app);
         assert!(
