@@ -6,7 +6,9 @@
 //! built and driven on one thread, and only that thread's allocations are
 //! counted. The three benchmark rows' golden configs
 //! (`tests/golden/configs/{paper_shared_read,hot_rw,coop_adaptive_cold}.json`)
-//! run in process, and each gives one line of `tests/golden/host_cost.txt`:
+//! and the `adaptive` golden config, the one row that reaches adaptive
+//! epoch boundaries (switches and quota moves included), run in process,
+//! and each gives one line of `tests/golden/host_cost.txt`:
 //! its requests, its allocations (and per request), the bytes allocated per
 //! request, the live heap right after `build`, and the peak live heap over
 //! build, run and drop.
@@ -31,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Once;
 use workload::AppSpec;
 
-const ROWS: [&str; 3] = ["paper_shared_read", "hot_rw", "coop_adaptive_cold"];
+const ROWS: [&str; 4] = ["paper_shared_read", "hot_rw", "coop_adaptive_cold", "adaptive"];
 const HEADER: &str = "# config requests allocs allocs_per_request bytes_per_request \
                       live_after_build_bytes peak_live_bytes";
 

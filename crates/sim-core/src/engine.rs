@@ -442,18 +442,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn events_dispatch_in_time_order() {
-        struct Recorder {
-            order: Vec<u32>,
-        }
-        impl Actor for Recorder {
-            fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                if let Ok(p) = msg.cast::<Ping>() {
-                    self.order.push(p.0);
-                }
+    /// Records the `Ping`s it is handed, in dispatch order, with when.
+    struct Recorder {
+        order: Vec<(u32, SimTime)>,
+    }
+
+    impl Actor for Recorder {
+        fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+            if let Ok(p) = msg.cast::<Ping>() {
+                self.order.push((p.0, ctx.now()));
             }
         }
+        fn as_any(&self) -> Option<&dyn Any> {
+            Some(self)
+        }
+    }
+
+    fn recorded(eng: &Engine, rec: ActorId) -> Vec<(u32, SimTime)> {
+        eng.actor_as::<Recorder>(rec).expect("a recorder").order.clone()
+    }
+
+    #[test]
+    fn events_dispatch_in_time_order() {
         let mut eng = Engine::new(0);
         let rec = eng.add_actor(Box::new(Recorder { order: vec![] }));
         eng.post(Dur::millis(3), rec, Ping(3));
@@ -463,32 +473,45 @@ mod tests {
         assert_eq!(report.events, 3);
         assert_eq!(report.stop, StopReason::QueueEmpty);
         assert_eq!(report.end_time, SimTime::ZERO + Dur::millis(3));
-        let rec_actor = eng.actor(rec);
-        let _ = rec_actor.name();
+        let at = |ms| SimTime::ZERO + Dur::millis(ms);
+        assert_eq!(recorded(&eng, rec), [(1, at(1)), (2, at(2)), (3, at(3))]);
     }
 
     #[test]
     fn same_instant_events_fifo() {
-        struct Recorder {
-            order: Vec<u32>,
+        /// Forwards `Ping(n)` as `Ping(n)` and `Ping(n + 1)`, and on
+        /// `Ping(20)` also schedules itself `Ping(50)` 5 us on.
+        struct Fanout {
+            rec: ActorId,
         }
-        impl Actor for Recorder {
-            fn handle(&mut self, _ctx: &mut Ctx<'_>, msg: Msg) {
-                if let Ok(p) = msg.cast::<Ping>() {
-                    self.order.push(p.0);
+        impl Actor for Fanout {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+                let p = msg.cast::<Ping>().expect("a ping");
+                ctx.send(self.rec, Ping(p.0));
+                ctx.send(self.rec, Ping(p.0 + 1));
+                if p.0 == 20 {
+                    ctx.schedule_self(Dur::micros(5), Ping(50));
                 }
             }
         }
         let mut eng = Engine::new(0);
         let rec = eng.add_actor(Box::new(Recorder { order: vec![] }));
+        let fan = eng.add_actor(Box::new(Fanout { rec }));
+        eng.post(Dur::ZERO, fan, Ping(20));
         for i in 0..10 {
             eng.post(Dur::ZERO, rec, Ping(i));
         }
-        eng.run();
-        // Extract state via downcast-free trick: re-add? Simplest: trust via
-        // a second actor is overkill; use actor_mut + Any through a probe msg.
-        // Instead assert dispatch count and rely on recorder test below.
-        assert_eq!(eng.events_dispatched(), 10);
+        eng.post(Dur::micros(5), fan, Ping(30));
+        eng.post(Dur::micros(5), rec, Ping(40));
+        let report = eng.run();
+        // Same-instant events run in the order they were scheduled, those
+        // scheduled during a dispatch behind every event already due then.
+        let at5 = SimTime::ZERO + Dur::micros(5);
+        let mut want: Vec<(u32, SimTime)> = (0..10).map(|i| (i, SimTime::ZERO)).collect();
+        want.extend([(20, SimTime::ZERO), (21, SimTime::ZERO)]);
+        want.extend([40, 30, 31, 50, 51].map(|i| (i, at5)));
+        assert_eq!(recorded(&eng, rec), want);
+        assert_eq!(report.events, 20);
     }
 
     #[test]

@@ -375,6 +375,27 @@ mod tests {
         assert!(t3 < upper, "t3 {:?} vs upper {:?}", t3, upper);
     }
 
+    /// On the switch two NICs that start together finish their frames at
+    /// the same nanosecond. The one whose frame was scheduled first goes
+    /// first at every such tie, and that order decides who gets the
+    /// destination's downlink next.
+    #[test]
+    fn switch_ties_between_nics_go_in_scheduling_order() {
+        let cfg = NetConfig::switch_100mbps();
+        let ft = cfg.frame_time(cfg.frame_payload);
+        let (sl, prop) = (cfg.switch_latency, cfg.prop_delay);
+        let (mut eng, fabric, sinks) = build(cfg.clone(), 3);
+        eng.post(Dur::ZERO, fabric, Xmit(msg(0, 2, 3 * cfg.frame_payload, 1)));
+        eng.post(Dur::ZERO, fabric, Xmit(msg(1, 2, 2 * cfg.frame_payload, 2)));
+        eng.run();
+        // Both uplinks free at ft and 2ft. The downlink carries node 0's
+        // frame 1, node 1's frame 1, then at the tie at ft node 0's frame
+        // 2 before node 1's, then node 0's frame 3.
+        let t0 = SimTime::ZERO + sl;
+        let got = &eng.actor_as::<Sink>(sinks[2]).unwrap().got;
+        assert_eq!(got, &[(2, t0 + ft * 5 + prop), (1, t0 + ft * 6 + prop)]);
+    }
+
     #[test]
     fn frames_interleave_between_active_senders() {
         // A long message and a short message start together on a hub; the
