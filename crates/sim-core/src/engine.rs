@@ -2,19 +2,20 @@
 //! registered [`Actor`]s.
 //!
 //! Design notes:
-//! * Events are ordered by `(time, sequence)`. The sequence number is a
-//!   global monotone counter, so same-instant events dispatch in the order
-//!   they were scheduled — runs are bit-reproducible.
+//! * Events wait in one [`DueQueue`], ordered by time. A new event is
+//!   placed behind every event due no later than it, so same-instant
+//!   events dispatch in the order they were scheduled, by position alone
+//!   — runs are bit-reproducible.
 //! * Actors interact **only** through events (possibly zero-delay). During
 //!   dispatch the target actor is moved out of its slot, so an actor may
 //!   freely schedule events for any actor, including itself.
 //! * Payloads are `Box<dyn Any>`; each protocol crate defines its own typed
 //!   messages and downcasts on receipt. [`Msg::cast`] keeps that ergonomic.
 
+use crate::queue::DueQueue;
 use crate::time::{Dur, SimTime};
 use std::any::Any;
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// Index of an actor registered with an [`Engine`].
@@ -84,30 +85,8 @@ pub trait Actor {
     }
 }
 
-struct QueuedEvent {
-    time: SimTime,
-    seq: u64,
-    target: ActorId,
-    msg: Msg,
-}
-
-impl PartialEq for QueuedEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for QueuedEvent {}
-impl PartialOrd for QueuedEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for QueuedEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to pop the earliest event first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
-    }
-}
+/// The engine's pending events: each one's target and message.
+type EventQueue = DueQueue<(ActorId, Msg)>;
 
 /// Outcome of [`Engine::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,7 +128,7 @@ pub struct ActorProfile {
 }
 
 /// [`ActorProfile::kind`] of the engine's own row: `run_until` wall time
-/// not spent inside any handler (heap push/pop, dispatch, and the
+/// not spent inside any handler (queue push/pop, dispatch, and the
 /// profiler's own clock reads).
 pub const ENGINE_PROFILE_KIND: &str = "(engine)";
 
@@ -166,8 +145,7 @@ struct Profile {
 pub struct Ctx<'a> {
     now: SimTime,
     self_id: ActorId,
-    seq: &'a mut u64,
-    queue: &'a mut BinaryHeap<QueuedEvent>,
+    queue: &'a mut EventQueue,
     stop: &'a mut bool,
 }
 
@@ -192,9 +170,7 @@ impl<'a> Ctx<'a> {
 
     /// Deliver an already-built [`Msg`] after `delay`, preserving its `from`.
     pub fn schedule_msg(&mut self, delay: Dur, target: ActorId, msg: Msg) {
-        let seq = *self.seq;
-        *self.seq += 1;
-        self.queue.push(QueuedEvent { time: self.now + delay, seq, target, msg });
+        self.queue.push(self.now + delay, (target, msg));
     }
 
     /// Deliver immediately (still via the queue, after events already due).
@@ -217,8 +193,7 @@ impl<'a> Ctx<'a> {
 /// The simulation engine.
 pub struct Engine {
     now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<QueuedEvent>,
+    queue: EventQueue,
     actors: Vec<Option<Box<dyn Actor>>>,
     stop: bool,
     events_dispatched: u64,
@@ -233,8 +208,7 @@ impl Engine {
     pub fn new(seed: u64) -> Engine {
         Engine {
             now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
+            queue: DueQueue::new(),
             actors: Vec::new(),
             stop: false,
             events_dispatched: 0,
@@ -320,14 +294,7 @@ impl Engine {
 
     /// Schedule a bootstrap message from outside any actor.
     pub fn post<T: Any>(&mut self, delay: Dur, target: ActorId, payload: T) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(QueuedEvent {
-            time: self.now + delay,
-            seq,
-            target,
-            msg: Msg::new(NO_ACTOR, payload),
-        });
+        self.queue.push(self.now + delay, (target, Msg::new(NO_ACTOR, payload)));
     }
 
     /// Run until the queue drains, an actor stops the run, `horizon` is
@@ -335,8 +302,8 @@ impl Engine {
     pub fn run_until(&mut self, horizon: SimTime) -> RunReport {
         let run_started = self.profile.is_some().then(Instant::now);
         let mut stop_reason = StopReason::QueueEmpty;
-        while let Some(ev) = self.queue.peek() {
-            if ev.time > horizon {
+        while let Some((at, _)) = self.queue.peek() {
+            if at > horizon {
                 self.now = horizon;
                 stop_reason = StopReason::Horizon;
                 break;
@@ -345,38 +312,37 @@ impl Engine {
                 stop_reason = StopReason::EventBudget;
                 break;
             }
-            let ev = self.queue.pop().expect("peeked event vanished");
-            debug_assert!(ev.time >= self.now, "time went backwards");
-            self.now = ev.time;
+            let (at, (target, msg)) = self.queue.pop().expect("peeked event vanished");
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
             self.events_dispatched += 1;
 
-            let mut actor = self.actors[ev.target]
+            let mut actor = self.actors[target]
                 .take()
-                .unwrap_or_else(|| panic!("event targets missing/in-flight actor {}", ev.target));
+                .unwrap_or_else(|| panic!("event targets missing/in-flight actor {}", target));
             {
                 let mut ctx = Ctx {
                     now: self.now,
-                    self_id: ev.target,
-                    seq: &mut self.seq,
+                    self_id: target,
                     queue: &mut self.queue,
                     stop: &mut self.stop,
                 };
                 match &mut self.profile {
-                    None => actor.handle(&mut ctx, ev.msg),
+                    None => actor.handle(&mut ctx, msg),
                     Some(p) => {
                         let t0 = Instant::now();
-                        actor.handle(&mut ctx, ev.msg);
+                        actor.handle(&mut ctx, msg);
                         let ns = t0.elapsed().as_nanos() as u64;
-                        if p.per_actor.len() <= ev.target {
-                            p.per_actor.resize(ev.target + 1, (0, 0));
+                        if p.per_actor.len() <= target {
+                            p.per_actor.resize(target + 1, (0, 0));
                         }
-                        let cell = &mut p.per_actor[ev.target];
+                        let cell = &mut p.per_actor[target];
                         cell.0 += 1;
                         cell.1 += ns;
                     }
                 }
             }
-            self.actors[ev.target] = Some(actor);
+            self.actors[target] = Some(actor);
 
             if self.stop {
                 stop_reason = StopReason::Stopped;

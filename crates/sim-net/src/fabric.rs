@@ -13,7 +13,7 @@
 
 use crate::config::{FabricKind, NetConfig};
 use crate::message::{Deliver, NetMessage, NodeId, Port, TrafficClass, Xmit};
-use sim_core::{Actor, ActorId, Ctx, Dur, FifoResource, Msg, SimTime};
+use sim_core::{Actor, ActorId, Ctx, DueQueue, Dur, FifoResource, Msg, SimTime};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -44,9 +44,9 @@ struct Outbound {
 }
 
 /// Fabric-internal event, one per frame: a NIC finished putting a frame on
-/// the wire and may start the next one. It names no NIC — the fabric knows
-/// which one is due ([`Fabric::due_nic`]) — so it carries no data and its
-/// event allocates nothing.
+/// the wire and may start the next one. It names no NIC: the fabric queues
+/// the NIC itself when it schedules the event ([`Fabric::due_nic`]), so the
+/// event carries no data and allocates nothing.
 struct FrameDone;
 
 /// The interconnect. One instance per simulated cluster.
@@ -68,10 +68,9 @@ pub struct Fabric {
     endpoints: Vec<ActorId>,
     /// Per-node port bindings, a handful per node, scanned in order.
     bindings: Vec<Vec<(u16, ActorId)>>,
-    /// Per node, the frame on the wire: when its [`FrameDone`] falls due,
-    /// and the order the events were scheduled in (`frames_started`).
-    frame_due: Vec<Option<(SimTime, u64)>>,
-    frames_started: u64,
+    /// The NICs with a frame on the wire, by when its [`FrameDone`] falls
+    /// due; at most one entry per NIC.
+    on_wire: DueQueue<usize>,
     stats: FabricStats,
 }
 
@@ -86,8 +85,7 @@ impl Fabric {
             downlinks: (0..n).map(|i| FifoResource::new(format!("downlink-{i}"))).collect(),
             nics: (0..n).map(|_| VecDeque::new()).collect(),
             bindings: vec![Vec::new(); n],
-            frame_due: vec![None; n],
-            frames_started: 0,
+            on_wire: DueQueue::with_capacity(n),
             endpoints,
             full_frame_time: cfg.frame_time(cfg.frame_payload),
             cfg,
@@ -160,21 +158,17 @@ impl Fabric {
             }
         };
         ob.last_arrival = arrival;
-        self.frame_due[node] = Some((nic_free, self.frames_started));
-        self.frames_started += 1;
+        self.on_wire.push(nic_free, node);
         ctx.schedule_self(nic_free.since(now), FrameDone);
     }
 
-    /// The NIC a [`FrameDone`] dispatched now is for. The engine runs
-    /// events by time, then in the order they were scheduled, and each NIC
-    /// has at most one frame on the wire: the earliest due is this one.
+    /// The NIC a [`FrameDone`] dispatched now is for: the first one in
+    /// `on_wire`. Every `FrameDone` is pushed to the engine's queue with
+    /// the same instant as its NIC to `on_wire`, and both are [`DueQueue`]s,
+    /// so they order `FrameDone`s alike, same-instant ties included.
     fn due_nic(&mut self, now: SimTime) -> usize {
-        let (node, due) = (self.frame_due.iter().enumerate())
-            .filter_map(|(node, due)| due.map(|due| (node, due)))
-            .min_by_key(|&(_, due)| due)
-            .expect("FrameDone with no frame on the wire");
-        debug_assert_eq!(due.0, now, "FrameDone for a frame not due");
-        self.frame_due[node] = None;
+        let (due, node) = self.on_wire.pop().expect("FrameDone with no frame on the wire");
+        debug_assert_eq!(due, now, "FrameDone for a frame not due");
         node
     }
 
