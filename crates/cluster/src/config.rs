@@ -27,20 +27,22 @@
 //!
 //! What is settable is exactly the fields below: in `cluster`, `nodes`,
 //! `caching`, `seed`, `cache_blocks`, `fabric`, `file_mb`, `policy`,
-//! `clean_first`, `partitioning`, `shards`, `adaptive.{candidates,
-//! epoch_accesses, hysteresis, quota_step}` and `telemetry.enabled`; per
-//! app, the fields of [`AppCfg`] and [`PhaseCfg`]. The kernel threads'
-//! timings, the stripe unit, the trace-ring capacity and the 15 ms fetch
-//! SLO target are constants of the crates that use them; the quota tuner
-//! runs exactly when the apps have quotas and never shrinks a quota below
-//! one frame.
+//! `clean_first`, `partitioning`, `adaptive.{candidates, epoch_accesses,
+//! hysteresis, quota_step}` and `telemetry.enabled`; per app, the fields
+//! of [`AppCfg`] and [`PhaseCfg`]. The kernel threads' timings, the
+//! stripe unit, the trace-ring capacity and the 15 ms fetch SLO target
+//! are constants of the crates that use them; the quota tuner runs
+//! exactly when the apps have quotas and never shrinks a quota below one
+//! frame.
 //!
 //! Unknown keys are ignored, so retired keys still parse and mean
 //! nothing: the whole `cluster.cooperative` section and the whole
 //! `telemetry.anomaly` section (retired with the mechanisms they
 //! configured), and `telemetry.trace_capacity`, the whole `telemetry.slo`
 //! section, `adaptive.quota_tuning` and `adaptive.quota_floor` (retired
-//! when they became constants or derived values).
+//! when they became constants or derived values). `cluster.shards` is
+//! retired too, but guarded: 0 or 1 parses, a larger value is an error,
+//! since it asked for a split pool the simulator no longer builds.
 
 use crate::builder::ClusterSpec;
 use kcache::{
@@ -78,11 +80,9 @@ pub struct ClusterCfg {
     pub clean_first: bool,
     /// Frame-quota mode: "shared" (default), "strict", or "soft".
     pub partitioning: String,
-    /// Buffer-manager shards per node (1 = the paper's single pool;
-    /// defaulted so pre-sharding configs parse unchanged). Capacity and
-    /// watermarks split across shards; blocks route by hash. More than one
-    /// is a plain pool: quotas or `policy = "adaptive"` with it are an
-    /// error.
+    /// Retired: each node's buffer manager is the paper's one pool. Kept
+    /// only so that configs sending `"shards": 1` (or 0) still lower; a
+    /// larger value is an error that names the key.
     pub shards: usize,
     /// Meta-policy knobs (only consulted when `policy` is `"adaptive"`,
     /// except `epoch_accesses`, which also drives `SharingAware` referent
@@ -282,30 +282,18 @@ impl ExperimentConfig {
             (_, n) => n,
         };
         let partitioning = self.partitioning()?;
+        if self.cluster.shards > 1 {
+            return Err(format!(
+                "cluster.shards is {}: the key is retired (a node's cache is one pool); only 0 \
+                 or 1 parse",
+                self.cluster.shards
+            ));
+        }
         let blocks = self.cluster.cache_blocks;
-        let shards = self.cluster.shards.max(1);
         if self.cluster.caching {
             // Below two blocks the harvester's high watermark cannot fit.
             if blocks < 2 {
                 return Err(format!("cluster.cache_blocks is {blocks}: a cache needs at least 2"));
-            }
-            if shards > blocks {
-                return Err(format!(
-                    "cluster.shards is {shards}, more than cluster.cache_blocks ({blocks})"
-                ));
-            }
-            // More than one shard is a plain pool: no quotas, a static policy.
-            if shards > 1 && partitioning.is_partitioned() {
-                return Err(format!(
-                    "cluster.shards is {shards}: cluster.partitioning {:?} with quotas needs one \
-                     shard",
-                    self.cluster.partitioning
-                ));
-            }
-            if shards > 1 && adaptive.is_some() {
-                return Err(format!(
-                    "cluster.shards is {shards}: cluster.policy \"adaptive\" needs one shard"
-                ));
             }
             partitioning.validate(blocks).map_err(|e| format!("apps[].quota_blocks: {e}"))?;
         }
@@ -334,7 +322,6 @@ impl ExperimentConfig {
             partitioning,
             adaptive: adaptive.clone(),
             epoch_accesses,
-            shards,
             ..CacheConfig::paper()
         }));
         spec.obs = obs;

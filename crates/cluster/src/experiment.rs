@@ -75,19 +75,6 @@ fn ratio(part: u64, whole: u64) -> f64 {
 }
 
 /// Everything measured in one run.
-/// One buffer-manager shard's share of the cluster's cache state,
-/// summed over every module (shards are per node; index `i` here is the
-/// union of every node's shard `i`). A skewed `occupancy` spread is hash
-/// imbalance; a skewed `evictions` spread is pressure imbalance.
-#[derive(Debug, Clone, Serialize)]
-pub struct ShardUsage {
-    pub shard: usize,
-    /// Frames resident at the end of the run.
-    pub occupancy: u64,
-    /// Lifetime evictions (clean + dirty).
-    pub evictions: u64,
-}
-
 #[derive(Debug, Clone)]
 pub struct ExperimentResult {
     pub instances: Vec<InstanceResult>,
@@ -104,9 +91,6 @@ pub struct ExperimentResult {
     /// Per-application occupancy and attributed traffic, summed over all
     /// modules (caching runs only; ascending by app id).
     pub app_usage: Option<Vec<AppCacheUsage>>,
-    /// Per-shard occupancy/eviction breakdown, summed over all modules
-    /// (caching runs only; a single entry when `shards = 1`).
-    pub shard_usage: Option<Vec<ShardUsage>>,
     pub module: Option<ModuleStats>,
     pub iod: IodStats,
     pub fabric: FabricStats,
@@ -245,7 +229,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
     let mut adaptive_total: Option<AdaptiveStats> = None;
     // Per app: (aggregate quota, usage summed over the modules).
     let mut app_total: BTreeMap<u32, (u64, AppUsage)> = BTreeMap::new();
-    let mut shard_total: Option<Vec<ShardUsage>> = None;
     // Fetch-latency sketches merged across modules: (merged snapshot,
     // target, burned).
     let mut slo_acc: Option<(QuantileSnapshot, u64, u64)> = None;
@@ -279,15 +262,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             acc.hits += u.hits;
             acc.misses += u.misses;
             acc.evictions += u.evictions;
-        }
-        let occ = module.cache().shard_occupancy();
-        let ev = module.cache().shard_evictions();
-        let shards = shard_total.get_or_insert_with(|| {
-            (0..occ.len()).map(|i| ShardUsage { shard: i, occupancy: 0, evictions: 0 }).collect()
-        });
-        for (acc, (o, e)) in shards.iter_mut().zip(occ.iter().zip(&ev)) {
-            acc.occupancy += *o as u64;
-            acc.evictions += *e;
         }
     }
 
@@ -333,7 +307,6 @@ fn run_built(cluster: &mut Cluster, spec: &ClusterSpec, apps: &[AppSpec]) -> Exp
             });
             usage.collect()
         }),
-        shard_usage: shard_total,
         module: module_total,
         iod: iod_total,
         fabric: fabric_stats,

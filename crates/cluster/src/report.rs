@@ -217,9 +217,6 @@ pub struct CacheEfficiency {
     pub invalidated: u64,
     /// Per-application occupancy and hit ratios (ascending by app id).
     pub apps: Vec<AppCacheUsage>,
-    /// Per-shard occupancy/eviction balance (one entry under the default
-    /// single-pool manager; see `ShardUsage`).
-    pub shards: Vec<crate::experiment::ShardUsage>,
     /// Meta-policy observability (adaptive runs only).
     pub adaptive: Option<AdaptiveReport>,
 }
@@ -244,7 +241,6 @@ impl CacheEfficiency {
             writes_passthrough: cache.writes_passthrough,
             invalidated: cache.invalidated,
             apps: r.app_usage.clone().unwrap_or_default(),
-            shards: r.shard_usage.clone().unwrap_or_default(),
             adaptive: r.adaptive.as_ref().map(AdaptiveReport::from_stats),
         })
     }

@@ -74,10 +74,6 @@ impl Span {
         self.start >= self.end
     }
 
-    pub fn is_full(&self) -> bool {
-        *self == Span::FULL
-    }
-
     /// Does `other` lie entirely within this span?
     pub fn covers(&self, other: Span) -> bool {
         other.is_empty() || (self.start <= other.start && other.end <= self.end)

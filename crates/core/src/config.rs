@@ -162,13 +162,6 @@ pub struct CacheConfig {
     /// Write-behind on (the paper's design) or off (write-through
     /// ablation: every write forwards to the iod synchronously).
     pub write_behind: bool,
-    /// Independent buffer-manager shards the frame pool is split into
-    /// (capacity and watermarks divide across them; blocks route by key
-    /// hash). `1` — the default and the paper's behavior — is the
-    /// single-pool manager; higher values remove cross-core lock sharing
-    /// at the cost of per-shard (rather than global) eviction ordering,
-    /// and run only a shared pool under a static policy.
-    pub shards: usize,
 }
 
 impl CacheConfig {
@@ -183,7 +176,6 @@ impl CacheConfig {
             low_watermark: 30,
             high_watermark: 75,
             write_behind: true,
-            shards: 1,
         }
     }
 

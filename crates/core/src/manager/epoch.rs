@@ -168,8 +168,7 @@ impl BufferManager {
             self.apply_quota_move(mv);
         }
         // Observability: one mark with views summed over the shards
-        // (shard 0's hub handles speak for the node), plus the per-shard
-        // balance gauges.
+        // (shard 0's hub handles speak for the node).
         if shard0.obs.is_some() {
             let usage = self.app_usage();
             let quota_gauges: Vec<(AppId, usize)> =
@@ -181,7 +180,6 @@ impl BufferManager {
                 &shard0.ghost_rates().unwrap_or_default(),
                 decided,
             );
-            self.publish_shard_gauges();
         }
     }
 

@@ -133,6 +133,12 @@ impl BufferManagerBuilder {
     /// the same way, sums preserved. More than one shard is a plain pool:
     /// [`build`](Self::build) panics on per-app quotas or an adaptive
     /// policy with it.
+    ///
+    /// This is the one place the shard count is decided: no config key,
+    /// cache module or report carries it, so the simulator builds one
+    /// shard per node. The knob, the routing and `split_units` stay
+    /// only for the multi-thread benches and `tests_sharded.rs`, until
+    /// perfbench stops sweeping shards (ROADMAP E).
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = shards;
         self
@@ -192,11 +198,6 @@ impl BufferManager {
         &self.partitioning
     }
 
-    /// Number of independent shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     #[inline]
     pub(super) fn shard_idx_of(&self, key: &BlockKey) -> usize {
         if self.shards.len() == 1 {
@@ -224,23 +225,6 @@ impl BufferManager {
 
     pub fn dirty_queue_len(&self) -> usize {
         self.shards.iter().map(|s| s.dirty_queue_len()).sum()
-    }
-
-    /// Frames currently resident in each shard (index = shard id) — the
-    /// balance view behind the `shard.<i>.occupancy` gauges.
-    pub fn shard_occupancy(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.resident()).collect()
-    }
-
-    /// Lifetime evictions (clean + dirty) per shard.
-    pub fn shard_evictions(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let st = s.stats();
-                st.evictions_clean + st.evictions_dirty
-            })
-            .collect()
     }
 
     /// The cache's event ledger (hits, misses, inserts, removes,
@@ -314,25 +298,11 @@ impl BufferManager {
         self.shards[0].ledger.quota_of(app)
     }
 
-    /// Bring the hub's deferred metric counters up to date and refresh
-    /// the per-shard `shard.<i>.occupancy` / `shard.<i>.evictions`
-    /// balance gauges. No-op without a wired hub.
+    /// Bring the hub's deferred metric counters up to date. No-op without
+    /// a wired hub.
     pub fn obs_flush(&self) {
         for s in self.shards.iter() {
             s.obs_flush();
-        }
-        self.publish_shard_gauges();
-    }
-
-    pub(super) fn publish_shard_gauges(&self) {
-        for (i, s) in self.shards.iter().enumerate() {
-            if let Some(o) = &s.obs {
-                let reg = o.hub.registry();
-                reg.gauge(&format!("shard.{i}.occupancy")).set(s.resident() as u64);
-                let st = s.stats();
-                reg.gauge(&format!("shard.{i}.evictions"))
-                    .set(st.evictions_clean + st.evictions_dirty);
-            }
         }
     }
 

@@ -47,9 +47,13 @@
 //! * `facade` — [`BufferManager`] and its builder: routing, aggregate
 //!   readers, delegation. It names no lock type at all (CI greps the file).
 //!
-//! [`BufferManager`] is a lock-free facade over N independent shards
-//! (builder knob [`BufferManagerBuilder::shards`], default 1 — the
-//! paper's single pool). A block's home shard is fixed by the *high*
+//! [`BufferManager`] is a lock-free facade over N independent shards.
+//! The shard count is known to the builder alone
+//! ([`BufferManagerBuilder::shards`], default 1 — the paper's single
+//! pool): no config, module or report names it, so the simulator always
+//! runs one shard per node. Only the multi-thread benches and
+//! `tests_sharded.rs` build more, until perfbench stops sweeping shards
+//! (ROADMAP E) and the routing goes too. A block's home shard is fixed by the *high*
 //! bits of its key hash (bucket selection within a shard uses the low
 //! bits, so the two choices stay independent); capacity and watermarks
 //! split across shards with the remainder to low indexes. Every lock

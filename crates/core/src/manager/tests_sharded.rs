@@ -175,7 +175,7 @@ fn concurrent_stress_no_lost_frames() {
 #[test]
 fn multi_shard_routing_and_aggregation_roundtrip() {
     let m = BufferManager::builder(64).shards(4).watermarks(0, 4).build();
-    assert_eq!(m.n_shards(), 4);
+    assert_eq!(m.shards.len(), 4);
     assert_eq!(m.capacity(), 64);
     let mut buf = vec![0u8; 4096];
     for b in 0..40u64 {
@@ -193,7 +193,7 @@ fn multi_shard_routing_and_aggregation_roundtrip() {
     }
     // Blocks actually spread (40 keys over 4 shards: every shard got
     // traffic unless the hash is catastrophically skewed).
-    let occ = m.shard_occupancy();
+    let occ: Vec<usize> = m.shards.iter().map(|s| s.resident()).collect();
     assert_eq!(occ.len(), 4);
     assert_eq!(occ.iter().sum::<usize>(), m.resident());
     assert!(occ.iter().filter(|&&n| n > 0).count() >= 2, "all keys routed to one shard: {occ:?}");
@@ -203,7 +203,11 @@ fn multi_shard_routing_and_aggregation_roundtrip() {
     let s = m.stats();
     assert_eq!(s.hits, 40);
     assert_eq!(s.insertions, 40);
-    assert_eq!(m.shard_evictions().iter().sum::<u64>(), s.evictions_clean + s.evictions_dirty);
+    let evictions = m.shards.iter().map(|shard| {
+        let st = shard.stats();
+        st.evictions_clean + st.evictions_dirty
+    });
+    assert_eq!(evictions.sum::<u64>(), s.evictions_clean + s.evictions_dirty);
     // Dirty queues and invalidation route per key.
     m.write(key(3), NodeId(0), Span::FULL, &buf);
     m.write(key(17), NodeId(0), Span::FULL, &buf);

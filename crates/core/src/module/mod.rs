@@ -261,7 +261,6 @@ impl CacheModule {
                 .adaptive(cfg.adaptive.clone())
                 .epoch_accesses(cfg.epoch_accesses)
                 .obs(obs.clone(), node.0 as u32)
-                .shards(cfg.shards)
                 .build(),
         );
         let obs = obs.map(|hub| ModuleObs::new(hub, node));

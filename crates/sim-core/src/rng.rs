@@ -37,12 +37,6 @@ impl DetRng {
         DetRng { state: b }
     }
 
-    /// Derive a sub-stream, e.g. one per simulated process from a per-node
-    /// stream.
-    pub fn substream(&self, id: u64) -> DetRng {
-        DetRng::stream(self.state, id.wrapping_add(0x9E37_79B9))
-    }
-
     #[inline]
     pub fn next_u64_raw(&mut self) -> u64 {
         splitmix64(&mut self.state)

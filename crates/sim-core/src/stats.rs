@@ -36,10 +36,6 @@ impl Tally {
         self.max = self.max.max(x);
     }
 
-    pub fn record_dur(&mut self, d: Dur) {
-        self.record(d.as_nanos() as f64);
-    }
-
     pub fn count(&self) -> u64 {
         self.n
     }

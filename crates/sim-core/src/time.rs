@@ -100,18 +100,8 @@ impl Dur {
     }
 
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / NANOS_PER_MICRO as f64
-    }
-
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
-    }
-
-    #[inline]
-    pub fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     #[inline]

@@ -80,7 +80,6 @@ fn randomized_configurations_all_complete_cleanly() {
                     cfg
                 }),
                 epoch_accesses: [0, 32, 128, 512][rng.below(4) as usize],
-                ..CacheConfig::paper()
             }
         }));
         if rng.chance(0.3) {
@@ -434,7 +433,10 @@ fn invalid_json_configs_are_errors_not_panics() {
         .map(|_| ())
     };
     assert_eq!(with("", "[0, 3]", ""), Ok(()));
-    assert_eq!(with(r#", "cache_blocks": 2, "shards": 2"#, "[0]", ""), Ok(()));
+    // `cluster.shards` is retired; the value perfbench's platform sends
+    // (and 0) still lowers.
+    assert_eq!(with(r#", "cache_blocks": 300, "fabric": "hub", "shards": 1"#, "[0]", ""), Ok(()));
+    assert_eq!(with(r#", "shards": 0"#, "[0]", ""), Ok(()));
     assert_eq!(with(r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 300"#), Ok(()));
     assert_eq!(
         with(r#", "policy": "adaptive", "adaptive": { "hysteresis": 1.0 }"#, "[0]", ""),
@@ -443,21 +445,9 @@ fn invalid_json_configs_are_errors_not_panics() {
     for (cluster, app_nodes, app, field) in [
         (r#", "cache_blocks": 0"#, "[0]", "", "cache_blocks"),
         (r#", "cache_blocks": 1"#, "[0]", "", "cache_blocks"),
-        (r#", "cache_blocks": 8, "shards": 9"#, "[0]", "", "shards"),
-        // More than one shard is a plain pool: no quotas, a static policy.
-        (
-            r#", "shards": 2, "partitioning": "strict""#,
-            "[0]",
-            r#", "quota_blocks": 100"#,
-            "partitioning",
-        ),
-        (
-            r#", "shards": 2, "partitioning": "soft""#,
-            "[0]",
-            r#", "quota_blocks": 100"#,
-            "partitioning",
-        ),
-        (r#", "shards": 2, "policy": "adaptive""#, "[0]", "", "policy"),
+        // A retired key asking for a split pool the simulator no longer builds.
+        (r#", "shards": 2"#, "[0]", "", "cluster.shards"),
+        (r#", "shards": 9"#, "[0]", "", "cluster.shards"),
         ("", "[0, 4]", "", "nodes"),
         // Over the default 300-block cache: used to panic in the builder.
         (r#", "partitioning": "strict""#, "[0]", r#", "quota_blocks": 500"#, "quota_blocks"),
